@@ -6,41 +6,84 @@
 // duplicated decodes dominate cache memory; interning collapses them to
 // one per distinct document.
 //
-// The store is refcounted: Intern returns a handle, holders Release it
-// when they evict, and the table forgets an advertisement when its last
-// handle is released. Shared advertisements are read-only by contract —
-// a holder that needs to change one takes a MutableCopy (copy-on-write
-// at the mutation boundary) and re-interns the result if it wants the
-// copy shared again.
+// A handle is also the unit that travels. InternBytes takes an
+// advertisement straight off the wire, hashes the bytes before decoding
+// and returns the existing handle when the document is already held (the
+// common case in gossip: the receiver has seen the identical document
+// hundreds of times), so a repeated mention costs one hash and one
+// comparison, not a decode and an encode. Bytes returns a handle's
+// canonical encoding for the way out, so the document is encoded once
+// however often it is sent. Handles that came from InternBytes retain that
+// encoding from the start; handles that came from Intern (a locally
+// decoded value, e.g. the discovery cache's unique resource
+// advertisements) retain nothing until Bytes is first asked for it.
+//
+// The store is refcounted: Intern and InternBytes return a handle,
+// holders Release it when they evict, and the table forgets an
+// advertisement when its last handle is released. Shared advertisements
+// and their encodings are read-only by contract — a holder that needs to
+// change one takes a MutableCopy (copy-on-write at the mutation boundary)
+// and re-interns the result if it wants the copy shared again.
 package advstore
 
 import (
-	"hash/fnv"
+	"bytes"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"jxta/internal/advertisement"
 )
 
 // key identifies a canonical encoding: a 128-bit FNV-1a digest plus the
-// encoded length. The encoding itself is not retained — holding it would
-// cost more than the interning saves on unique advertisements — so two
-// distinct documents colliding in both digest and length would alias;
-// with a 128-bit digest that is beyond birthday reach for any plausible
-// population.
+// encoded length. FNV is not collision-resistant and wire bytes come from
+// other hosts, so the key only finds the candidate: wherever the handle's
+// retained encoding is at hand (always in InternBytes) a hit is confirmed
+// byte for byte, and a document that collides with a different one gets a
+// private handle instead of an alias. Two locally decoded values meeting
+// in Intern, neither with a retained encoding, are matched on the key
+// alone — confirming would cost a second encode per cache insert.
 type key struct {
-	hash [16]byte
-	size int
+	hi, lo uint64
+	size   int
 }
 
+// FNV-1a, 128 bits: offset basis and prime 2^88 + 0x13b (hash/fnv's
+// constants; its hasher allocates, this loop does not).
+const (
+	fnvOffsetHi   = 0x6c62272e07bb0142
+	fnvOffsetLo   = 0x62b821756295c58d
+	fnvPrimeLo    = 0x13b
+	fnvPrimeShift = 24
+)
+
+func fnv128a(data []byte) key {
+	hi, lo := uint64(fnvOffsetHi), uint64(fnvOffsetLo)
+	for _, c := range data {
+		lo ^= uint64(c)
+		carry, low := bits.Mul64(fnvPrimeLo, lo)
+		hi = carry + lo<<fnvPrimeShift + fnvPrimeLo*hi
+		lo = low
+	}
+	return key{hi: hi, lo: lo, size: len(data)}
+}
+
+// keyOf maps an encoding to its table key. A variable so the collision
+// test can force two documents onto one key; nothing else assigns it.
+var keyOf = fnv128a
+
 // Shared is one interned advertisement: a refcounted handle on the
-// canonical decoded instance. The instance is shared with every other
-// holder and must not be mutated — use MutableCopy at mutation
-// boundaries.
+// canonical decoded instance and, once retained, its canonical encoding.
+// Both are shared with every other holder and must not be mutated — use
+// MutableCopy at mutation boundaries.
 type Shared struct {
-	store *Store // nil for private (unencodable) handles
+	store *Store // nil for private (untabled) handles
 	key   key
 	adv   advertisement.Advertisement
 	refs  int64 // guarded by store.mu
+	// enc is the retained canonical encoding, nil until InternBytes or
+	// the first Bytes call fills it; never replaced once set.
+	enc atomic.Pointer[[]byte]
 }
 
 // Store is one interning table. The zero value is not usable; use New.
@@ -64,45 +107,115 @@ var defaultStore = New()
 // in the process.
 func Default() *Store { return defaultStore }
 
-func keyOf(adv advertisement.Advertisement) (key, error) {
-	enc, err := advertisement.EncodeXML(adv)
-	if err != nil {
-		return key{}, err
-	}
-	h := fnv.New128a()
-	h.Write(enc)
-	var k key
-	h.Sum(k.hash[:0])
-	k.size = len(enc)
-	return k, nil
-}
-
 // Intern returns a handle on the canonical instance equal to adv,
 // adopting adv itself as the canonical instance when none exists yet.
-// The caller owns one reference and must Release it on eviction. An
+// The caller owns one reference and must Release it on eviction. The
+// encoding computed to find the instance is not retained. An
 // advertisement that fails to encode gets a private (untabled) handle,
 // so the API never errors on the caller.
 func (s *Store) Intern(adv advertisement.Advertisement) *Shared {
-	k, err := keyOf(adv)
+	enc, err := advertisement.EncodeXML(adv)
 	if err != nil {
 		return &Shared{adv: adv, refs: 1}
 	}
+	return s.intern(adv, enc, false)
+}
+
+// InternBytes returns a handle on the canonical instance of the
+// advertisement encoded in wire, decoding it only when the store does
+// not hold it yet. On a miss the document is decoded and re-encoded, and
+// the handle is filed under (and retains) that canonical encoding, so a
+// differently formatted but equal document from a foreign sender lands on
+// the same handle. wire is only read and never retained. Malformed bytes
+// return the decoder's error and leave the store untouched.
+func (s *Store) InternBytes(wire []byte) (*Shared, error) {
+	k := keyOf(wire)
+	s.mu.Lock()
+	if sh, ok := s.byKey[k]; ok && bytes.Equal(sh.Bytes(), wire) {
+		sh.refs++
+		s.hits++
+		s.mu.Unlock()
+		return sh, nil
+	}
+	s.mu.Unlock()
+	adv, err := advertisement.DecodeXML(wire)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := advertisement.EncodeXML(adv)
+	if err != nil {
+		return nil, err
+	}
+	return s.intern(adv, enc, true), nil
+}
+
+// intern files adv under its canonical encoding enc (owned by the
+// caller, freshly encoded), retaining enc on the handle when retain is
+// set.
+func (s *Store) intern(adv advertisement.Advertisement, enc []byte, retain bool) *Shared {
+	k := keyOf(enc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sh, ok := s.byKey[k]; ok {
+		var held []byte
+		if retain {
+			held = sh.Bytes()
+		} else if p := sh.enc.Load(); p != nil {
+			held = *p
+		}
+		if held != nil && !bytes.Equal(held, enc) {
+			// A different document under the same key: never alias.
+			s.misses++
+			return newShared(nil, k, adv, enc)
+		}
 		sh.refs++
 		s.hits++
 		return sh
 	}
-	sh := &Shared{store: s, key: k, adv: adv, refs: 1}
+	if !retain {
+		enc = nil
+	}
+	sh := newShared(s, k, adv, enc)
 	s.byKey[k] = sh
 	s.misses++
+	return sh
+}
+
+// newShared builds a handle holding one reference, retaining enc unless it
+// is nil. Taking enc's address here, not in intern, keeps the slice header
+// off the heap on intern's hit path.
+func newShared(s *Store, k key, adv advertisement.Advertisement, enc []byte) *Shared {
+	sh := &Shared{store: s, key: k, adv: adv, refs: 1}
+	if enc != nil {
+		sh.enc.Store(&enc)
+	}
 	return sh
 }
 
 // Adv returns the canonical instance. Read-only by contract: it is
 // shared with every other holder of an equal advertisement.
 func (sh *Shared) Adv() advertisement.Advertisement { return sh.adv }
+
+// Bytes returns the canonical encoding of the advertisement, the exact
+// bytes advertisement.EncodeXML(sh.Adv()) produces. It is encoded at most
+// once per handle and shared from then on: read-only by contract, safe to
+// hand to message.Add without copying. Nil for an advertisement that
+// cannot be encoded. Safe for concurrent use.
+func (sh *Shared) Bytes() []byte {
+	if p := sh.enc.Load(); p != nil {
+		return *p
+	}
+	enc, err := advertisement.EncodeXML(sh.adv)
+	if err != nil {
+		return nil
+	}
+	// The encoding is deterministic, so whichever racer's copy lands is
+	// the same bytes; keep the first so earlier callers' slices stay live.
+	if !sh.enc.CompareAndSwap(nil, &enc) {
+		return *sh.enc.Load()
+	}
+	return enc
+}
 
 // Retain adds a reference (a second holder keeping the same handle) and
 // returns the handle for chaining.

@@ -366,31 +366,27 @@ type Listener func(kind EventKind, peer ids.ID, at time.Duration)
 type MergeListener func(peer ids.ID)
 
 // entry is one peerview slot: the advertisement plus its last refresh time.
-// adv is the canonical interned instance (advstore), shared with every
-// other peerview holding the same rendezvous — a tier of r rendezvous would
-// otherwise keep ~r² private decodes alive. sh is the interning handle,
-// released when the entry leaves the view.
+// sh is the interning handle (advstore), shared with every other peerview
+// holding the same rendezvous — a tier of r rendezvous would otherwise keep
+// ~r² private decodes alive — and released when the entry leaves the view.
+// It carries the canonical decoded instance (cached in adv) and the
+// canonical encoding that referrals and merge lists send.
 type entry struct {
 	adv     *advertisement.Rdv
 	sh      *advstore.Shared
 	renewed time.Duration
 }
 
-// release drops the entry's interning handle (idempotent via nil-ing).
-func (en *entry) release() {
-	if en.sh != nil {
-		en.sh.Release()
-		en.sh = nil
-	}
-}
-
 // PeerView runs the protocol for one rendezvous peer.
 type PeerView struct {
-	env   env.Env
-	ep    *endpoint.Endpoint
-	self  *advertisement.Rdv
-	cfg   Config
-	seeds []Seed
+	env  env.Env
+	ep   *endpoint.Endpoint
+	self *advertisement.Rdv
+	// selfBytes is self's encoding, made once at New: every probe, response,
+	// update and merge list carries it.
+	selfBytes []byte
+	cfg       Config
+	seeds     []Seed
 
 	// entries is the local peerview, sorted by peer ID, excluding self
 	// (the paper's measurements exclude the local peer, footnote 2).
@@ -440,6 +436,8 @@ func New(e env.Env, ep *endpoint.Endpoint, self *advertisement.Rdv, cfg Config, 
 		probed: make(map[ids.ID]time.Duration),
 		missed: make(map[ids.ID]int),
 	}
+	// Mixed content is the encoder's only error; an Rdv document has none.
+	pv.selfBytes, _ = advertisement.EncodeXML(self)
 	ep.Register(ServiceName, pv.receive)
 	pv.Instrument(metrics.Discard())
 	return pv
@@ -477,7 +475,7 @@ func (pv *PeerView) Stop() {
 // (the process observing them is the one restarting).
 func (pv *PeerView) Reset() {
 	for _, en := range pv.entries {
-		en.release()
+		en.sh.Release()
 	}
 	pv.entries = nil
 	pv.byID = make(map[ids.ID]*entry)
@@ -624,7 +622,7 @@ func (pv *PeerView) probeTimeoutSweep() {
 		if pv.missed[id] >= pv.cfg.ProbeTimeoutRounds {
 			delete(pv.byID, id)
 			delete(pv.missed, id)
-			en.release()
+			en.sh.Release()
 			pv.m.probeEvicts.Inc()
 			pv.notify(EventRemove, id)
 			continue
@@ -648,7 +646,7 @@ func (pv *PeerView) expireSweep() {
 		if now-en.renewed > pv.cfg.EntryExpiry {
 			id := en.adv.PeerID
 			delete(pv.byID, id)
-			en.release()
+			en.sh.Release()
 			pv.m.expiries.Inc()
 			pv.notify(EventRemove, id)
 			continue
@@ -664,30 +662,39 @@ func (pv *PeerView) notify(kind EventKind, peer ids.ID) {
 	}
 }
 
-// upsert inserts or refreshes an entry from a received advertisement,
-// keeping the slice sorted. It reports whether the entry was new.
-func (pv *PeerView) upsert(adv *advertisement.Rdv) bool {
+// internRdv interns one RdvAdv element as it came off the wire. It returns
+// nil — and holds no reference — when the bytes are malformed or describe
+// anything but a rendezvous advertisement.
+func (pv *PeerView) internRdv(wire []byte) (*advstore.Shared, *advertisement.Rdv) {
+	sh, err := pv.cfg.AdvStore.InternBytes(wire)
+	if err != nil {
+		return nil, nil
+	}
+	adv, ok := sh.Adv().(*advertisement.Rdv)
+	if !ok {
+		sh.Release()
+		return nil, nil
+	}
+	return sh, adv
+}
+
+// upsert inserts or refreshes the entry for the rendezvous that sh, an
+// interned handle on adv, describes, keeping the slice sorted. It takes over
+// the caller's reference: the entry keeps it, dropping the one it held
+// before. It reports whether the entry was new.
+func (pv *PeerView) upsert(sh *advstore.Shared, adv *advertisement.Rdv) bool {
 	if adv.PeerID.Equal(pv.self.PeerID) {
+		sh.Release()
 		return false
 	}
 	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
-	// Intern the advertisement: equal Rdv advs (same peer, address, name)
-	// received across the whole tier collapse to one canonical decode.
-	sh := pv.cfg.AdvStore.Intern(adv)
-	canon, ok := sh.Adv().(*advertisement.Rdv)
-	if !ok {
-		// Only possible if another holder interned an equal encoding under
-		// a different decoded type — cannot happen for jxta:RdvAdvertisement.
-		sh.Release()
-		canon, sh = adv, nil
-	}
 	if en, ok := pv.byID[adv.PeerID]; ok {
-		en.release()
-		en.adv, en.sh = canon, sh
+		en.sh.Release()
+		en.adv, en.sh = adv, sh
 		en.renewed = pv.env.Now()
 		return false
 	}
-	en := &entry{adv: canon, sh: sh, renewed: pv.env.Now()}
+	en := &entry{adv: adv, sh: sh, renewed: pv.env.Now()}
 	pv.byID[adv.PeerID] = en
 	// Binary insertion keeping ID order.
 	lo, hi := 0, len(pv.entries)
@@ -707,34 +714,23 @@ func (pv *PeerView) upsert(adv *advertisement.Rdv) bool {
 	return true
 }
 
-// send transmits a typed peerview message carrying the given advertisement.
-func (pv *PeerView) send(to ids.ID, msgType string, adv *advertisement.Rdv) {
-	m := advertisementMessage(msgType, adv)
-	if m == nil {
-		return
-	}
-	_ = pv.ep.Send(to, ServiceName, m) // unreachable peers age out naturally
-}
-
-func advertisementMessage(msgType string, adv *advertisement.Rdv) *message.Message {
-	data, err := advertisement.EncodeXML(adv)
-	if err != nil {
-		return nil
-	}
+// sendSelf transmits a typed peerview message carrying the local peer's
+// advertisement.
+func (pv *PeerView) sendSelf(to ids.ID, msgType string) {
 	m := message.New()
 	m.AddString(ns, elemType, msgType)
-	m.Add(ns, elemAdv, data)
-	return m
+	m.Add(ns, elemAdv, pv.selfBytes)
+	_ = pv.ep.Send(to, ServiceName, m) // unreachable peers age out naturally
 }
 
 func (pv *PeerView) sendProbe(to ids.ID) {
 	pv.m.probes.Inc()
-	pv.send(to, typeProbe, pv.self)
+	pv.sendSelf(to, typeProbe)
 }
 
 func (pv *PeerView) sendUpdate(to ids.ID) {
 	pv.m.updates.Inc()
-	pv.send(to, typeUpdate, pv.self)
+	pv.sendSelf(to, typeUpdate)
 }
 
 // Merge initiates the deterministic peerview merge handshake with a
@@ -758,14 +754,9 @@ func (pv *PeerView) Merge(sd Seed) {
 func (pv *PeerView) sendView(to ids.ID, msgType string) {
 	m := message.New()
 	m.AddString(ns, elemType, msgType)
-	addAdv := func(adv *advertisement.Rdv) {
-		if data, err := advertisement.EncodeXML(adv); err == nil {
-			m.Add(ns, elemAdv, data)
-		}
-	}
-	addAdv(pv.self)
+	m.Add(ns, elemAdv, pv.selfBytes)
 	for _, en := range pv.entries {
-		addAdv(en.adv)
+		m.Add(ns, elemAdv, en.sh.Bytes())
 	}
 	_ = pv.ep.Send(to, ServiceName, m)
 }
@@ -773,20 +764,16 @@ func (pv *PeerView) sendView(to ids.ID, msgType string) {
 // receiveMerge handles both legs of the merge handshake: union every
 // carried advertisement into the view, answer a request with the (now
 // merged) local list, and notify the merge listener.
-func (pv *PeerView) receiveMerge(src ids.ID, msgType string, m *message.Message) {
+func (pv *PeerView) receiveMerge(src ids.ID, request bool, m *message.Message) {
 	for _, el := range m.Elements() {
 		if el.Namespace != ns || el.Name != elemAdv {
 			continue
 		}
-		advAny, err := advertisement.DecodeXML(el.Data)
-		if err != nil {
-			continue
-		}
-		if adv, ok := advAny.(*advertisement.Rdv); ok {
-			pv.upsert(adv)
+		if sh, adv := pv.internRdv(el.Data); sh != nil {
+			pv.upsert(sh, adv)
 		}
 	}
-	if msgType == typeMerge {
+	if request {
 		pv.sendView(src, typeMergeAck)
 	}
 	if pv.onMerge != nil {
@@ -808,20 +795,20 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	// counter — a stale advertisement relayed by a neighbour is not a sign
 	// of life.
 	delete(pv.missed, src)
-	msgType := m.GetString(ns, elemType)
-	if msgType == typeMerge || msgType == typeMergeAck {
+	// Classify on the element bytes: switch string(b) compares in place,
+	// without making a string of them.
+	msgType, _ := m.Get(ns, elemType)
+	switch string(msgType) {
+	case typeMerge, typeMergeAck:
 		// The merge protocol is opt-in: a view whose owner never installed
 		// a merge listener (the rendezvous service installs one only with
 		// IslandMerge enabled) must not bulk-union member lists a foreign
 		// peer sends it — a one-sided union would enlarge its replica
 		// mapping without the SRDI re-replication that keeps it honest.
-		if pv.onMerge == nil {
-			return
+		if pv.onMerge != nil {
+			pv.receiveMerge(src, string(msgType) == typeMerge, m)
 		}
-		pv.receiveMerge(src, msgType, m)
-		return
-	}
-	if msgType == typeReferral {
+	case typeReferral:
 		// One referral message carries a batch of advertisements as repeated
 		// RdvAdv elements (JXTA-C ships several advertisements per referral
 		// message); apply each independently.
@@ -829,53 +816,43 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 			if el.Namespace != ns || el.Name != elemAdv {
 				continue
 			}
-			advAny, err := advertisement.DecodeXML(el.Data)
-			if err != nil {
-				continue
-			}
-			if adv, ok := advAny.(*advertisement.Rdv); ok {
-				pv.receiveReferral(adv)
+			if sh, adv := pv.internRdv(el.Data); sh != nil {
+				pv.receiveReferral(sh, adv)
 			}
 		}
-		return
-	}
-	data, ok := m.Get(ns, elemAdv)
-	if !ok {
-		return
-	}
-	advAny, err := advertisement.DecodeXML(data)
-	if err != nil {
-		return
-	}
-	adv, ok := advAny.(*advertisement.Rdv)
-	if !ok {
-		return
-	}
-
-	switch msgType {
-	case typeProbe:
-		// The probe carries the sender's advertisement: learn/refresh it,
-		// then answer with our own advertisement plus a separate referral
-		// message naming a batch of other rendezvous from the local view.
-		pv.upsert(adv)
-		pv.send(src, typeResponse, pv.self)
-		pv.sendReferrals(src)
-	case typeResponse:
-		pv.upsert(adv)
-	case typeUpdate:
-		pv.upsert(adv)
+	case typeProbe, typeResponse, typeUpdate:
+		data, ok := m.Get(ns, elemAdv)
+		if !ok {
+			return
+		}
+		sh, adv := pv.internRdv(data)
+		if sh == nil {
+			return
+		}
+		// The message carries the sender's advertisement: learn/refresh it.
+		pv.upsert(sh, adv)
+		if string(msgType) == typeProbe {
+			// Answer a probe with our own advertisement plus a separate
+			// referral message naming a batch of other rendezvous from the
+			// local view.
+			pv.sendSelf(src, typeResponse)
+			pv.sendReferrals(src)
+		}
 	}
 }
 
 // receiveReferral applies one referred advertisement: a known peer is
 // renewed in place, an unknown one is probed before insertion (§3.2), with
-// per-interval dedup so referral bursts cannot launch duplicate probes.
-func (pv *PeerView) receiveReferral(adv *advertisement.Rdv) {
+// per-interval dedup so referral bursts cannot launch duplicate probes. It
+// takes over the caller's reference on sh.
+func (pv *PeerView) receiveReferral(sh *advstore.Shared, adv *advertisement.Rdv) {
 	if pv.byID[adv.PeerID] != nil {
 		// Known peer: the referral's fresh advertisement renews it.
-		pv.upsert(adv)
+		pv.upsert(sh, adv)
 		return
 	}
+	// Unknown: only the identity and address are used, to probe it.
+	sh.Release()
 	if adv.PeerID.Equal(pv.self.PeerID) {
 		return
 	}
@@ -938,10 +915,8 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 		if en.adv.PeerID.Equal(to) {
 			continue
 		}
-		if data, err := advertisement.EncodeXML(en.adv); err == nil {
-			m.Add(ns, elemAdv, data)
-			added++
-		}
+		m.Add(ns, elemAdv, en.sh.Bytes())
+		added++
 	}
 	if added == 0 {
 		return

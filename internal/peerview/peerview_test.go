@@ -55,6 +55,13 @@ func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*tes
 	return peers
 }
 
+// learn upserts adv into p's view through a handle interned from the decoded
+// value, so the handle's encoding is filled lazily on first send.
+func (p *testRdv) learn(adv *advertisement.Rdv) bool {
+	sh := p.pv.cfg.AdvStore.Intern(adv)
+	return p.pv.upsert(sh, sh.Adv().(*advertisement.Rdv))
+}
+
 func startAll(peers []*testRdv) {
 	for _, p := range peers {
 		p.pv.Start()
@@ -299,7 +306,7 @@ func TestSelfAdvertisementIgnored(t *testing.T) {
 	sched := simnet.NewScheduler(19)
 	peers := newOverlay(t, sched, 2, DefaultConfig())
 	p := peers[0]
-	if p.pv.upsert(p.adv) {
+	if p.learn(p.adv) {
 		t.Fatal("self advertisement inserted")
 	}
 	if p.pv.Size() != 0 {
@@ -316,10 +323,10 @@ func TestUpsertKeepsOrderProperty(t *testing.T) {
 		id := ids.NewRandom(ids.KindPeer, rng)
 		adv := &advertisement.Rdv{PeerID: id, GroupID: testGroup,
 			Name: "x", Address: "sim://rennes/ghost"}
-		p.pv.upsert(adv)
+		p.learn(adv)
 		// Re-upsert half of them to exercise the refresh path.
 		if i%2 == 0 {
-			p.pv.upsert(adv)
+			p.learn(adv)
 		}
 	}
 	view := p.pv.View()
@@ -338,7 +345,7 @@ func TestReferralTriggersProbeNotDirectAdd(t *testing.T) {
 	peers := newOverlay(t, sched, 3, Config{Interval: time.Hour}) // no auto loop
 	a, b, c := peers[0], peers[1], peers[2]
 	// b learns c directly.
-	b.pv.upsert(c.adv)
+	b.learn(c.adv)
 	// a probes b: b responds + refers c; a probes c; c responds; a adds c.
 	a.ep.AddRoute(b.id, b.tr.Addr())
 	a.pv.sendProbe(b.id)
@@ -360,8 +367,8 @@ func TestReferralRefreshesKnownEntry(t *testing.T) {
 	sched := simnet.NewScheduler(31)
 	peers := newOverlay(t, sched, 3, Config{Interval: time.Hour})
 	a, b, c := peers[0], peers[1], peers[2]
-	b.pv.upsert(c.adv)
-	a.pv.upsert(c.adv)
+	b.learn(c.adv)
+	a.learn(c.adv)
 	before := a.pv.byID[c.id].renewed
 	sched.Run(time.Minute) // advance the clock
 	a.ep.AddRoute(b.id, b.tr.Addr())

@@ -31,9 +31,15 @@ type TCP struct {
 
 	mu      sync.Mutex
 	handler Handler
-	conns   map[Addr]net.Conn
-	closed  bool
-	wg      sync.WaitGroup
+	// conns caches one connection per peer address for Send.
+	conns map[Addr]net.Conn
+	// open holds every connection a goroutine of this transport may be
+	// blocked reading, cached in conns or not (an accepted connection that
+	// has not said hello yet, the inbound half of a simultaneous dial), so
+	// Close can unblock them all.
+	open   map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
 }
 
 var _ Transport = (*TCP)(nil)
@@ -49,6 +55,7 @@ func ListenTCP(hostport string) (*TCP, error) {
 		listener: l,
 		addr:     Addr("tcp://" + l.Addr().String()),
 		conns:    make(map[Addr]net.Conn),
+		open:     make(map[net.Conn]struct{}),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -65,7 +72,7 @@ func (t *TCP) SetHandler(h Handler) {
 	t.handler = h
 }
 
-// Close implements Transport: stops the listener, closes every cached
+// Close implements Transport: stops the listener, closes every open
 // connection and waits for reader goroutines to drain.
 func (t *TCP) Close() error {
 	t.mu.Lock()
@@ -75,10 +82,11 @@ func (t *TCP) Close() error {
 	}
 	t.closed = true
 	err := t.listener.Close()
-	for _, c := range t.conns {
+	for c := range t.open {
 		c.Close()
 	}
 	t.conns = map[Addr]net.Conn{}
+	t.open = map[net.Conn]struct{}{}
 	t.mu.Unlock()
 	t.wg.Wait()
 	return err
@@ -91,8 +99,10 @@ func (t *TCP) Send(to Addr, msg *message.Message) error {
 		return err
 	}
 	buf := message.GetBuffer()
-	frame := msg.AppendMarshal(*buf)
-	err = writeFrame(conn, frame)
+	frame := appendFrame(*buf, msg)
+	// One Write per frame: Send runs concurrently on every read loop and the
+	// application, and only a single Write is atomic against the others.
+	_, err = conn.Write(frame)
 	*buf = frame // keep the grown backing array for the pool
 	message.PutBuffer(buf)
 	if err != nil {
@@ -126,7 +136,7 @@ func (t *TCP) conn(to Addr) (net.Conn, error) {
 		return nil, err
 	}
 	hello := message.New().AddString(helloNS, helloName, string(t.addr))
-	if err := writeFrame(c, hello.Marshal()); err != nil {
+	if _, err := c.Write(appendFrame(nil, hello)); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -144,17 +154,21 @@ func (t *TCP) conn(to Addr) (net.Conn, error) {
 		return existing, nil
 	}
 	t.conns[to] = c
+	t.open[c] = struct{}{}
 	t.wg.Add(1)
 	go t.readLoop(to, c)
 	t.mu.Unlock()
 	return c, nil
 }
 
+// dropConn closes c and forgets it; peer is the address it is cached under,
+// "" if it never got that far.
 func (t *TCP) dropConn(peer Addr, c net.Conn) {
 	t.mu.Lock()
 	if cur, ok := t.conns[peer]; ok && cur == c {
 		delete(t.conns, peer)
 	}
+	delete(t.open, c)
 	t.mu.Unlock()
 	c.Close()
 }
@@ -166,7 +180,15 @@ func (t *TCP) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
+			c.Close()
+			return
+		}
+		t.open[c] = struct{}{}
 		t.wg.Add(1)
+		t.mu.Unlock()
 		go t.handshakeInbound(c)
 	}
 }
@@ -174,32 +196,22 @@ func (t *TCP) acceptLoop() {
 // handshakeInbound reads the hello frame from a dialer, registers the
 // connection under the announced address, and enters the read loop.
 func (t *TCP) handshakeInbound(c net.Conn) {
-	defer t.wg.Done()
-	frame, err := readFrame(c)
-	if err != nil {
-		c.Close()
-		return
+	var peer Addr
+	if frame, err := readFrame(c); err == nil {
+		if hello, err := message.Unmarshal(frame); err == nil {
+			peer = Addr(hello.GetString(helloNS, helloName))
+		}
 	}
-	hello, err := message.Unmarshal(frame)
-	if err != nil {
-		c.Close()
-		return
-	}
-	peer := Addr(hello.GetString(helloNS, helloName))
 	if peer == "" {
-		c.Close()
+		t.dropConn("", c)
+		t.wg.Done() // readLoop's job for a connection that gets that far
 		return
 	}
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		c.Close()
-		return
-	}
-	if _, dup := t.conns[peer]; !dup {
+	// A connection Close already closed fails its first read in readLoop.
+	if _, dup := t.conns[peer]; !dup && !t.closed {
 		t.conns[peer] = c
 	}
-	t.wg.Add(1)
 	t.mu.Unlock()
 	t.readLoop(peer, c)
 }
@@ -225,14 +237,14 @@ func (t *TCP) readLoop(peer Addr, c net.Conn) {
 	}
 }
 
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// appendFrame appends msg as one wire frame, a 4-byte big-endian length and
+// then the marshalled message, so the caller can emit it in a single Write.
+func appendFrame(dst []byte, msg *message.Message) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	dst = msg.AppendMarshal(dst)
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
 }
 
 func readFrame(r io.Reader) ([]byte, error) {

@@ -1,0 +1,180 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"jxta/internal/message"
+)
+
+func listenPair(t *testing.T) (a, b *TCP) {
+	t.Helper()
+	a, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err = ListenTCP("127.0.0.1:0")
+	if err != nil {
+		a.Close()
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestTCPConcurrentSendersFramesIntact hammers one connection from 8
+// goroutines. A frame written as two Writes (header, then payload) lets two
+// senders interleave "hdrA hdrB payloadA payloadB"; the receiver then sees a
+// corrupt stream and drops the connection, losing messages. Every frame must
+// arrive whole, and each sender's frames in the order it sent them.
+func TestTCPConcurrentSendersFramesIntact(t *testing.T) {
+	a, b := listenPair(t)
+	defer a.Close()
+	defer b.Close()
+
+	const senders, perSender = 8, 400
+	body := func(g, i int) []byte {
+		// Sizes from a few bytes to several KB, so large frames need more
+		// than one write(2) and small ones race in between.
+		return bytes.Repeat([]byte{byte(g*31 + i)}, 1+(g*977+i*131)%6000)
+	}
+	var mu sync.Mutex
+	next := make([]int, senders)
+	total := 0
+	done := make(chan struct{})
+	b.SetHandler(func(_ Addr, m *message.Message) {
+		hdr, _ := m.Get("t", "hdr")
+		if len(hdr) != 8 {
+			return // the warm-up message
+		}
+		g, i := int(binary.BigEndian.Uint32(hdr)), int(binary.BigEndian.Uint32(hdr[4:]))
+		data, _ := m.Get("t", "body")
+		mu.Lock()
+		defer mu.Unlock()
+		if g >= senders || i != next[g] {
+			t.Errorf("sender %d: got frame %d, want %d", g, i, next[g])
+			return
+		}
+		if !bytes.Equal(data, body(g, i)) {
+			t.Errorf("sender %d frame %d: body corrupted (%d bytes)", g, i, len(data))
+		}
+		next[g]++
+		if total++; total == senders*perSender {
+			close(done)
+		}
+	})
+	// Establish the connection first so every goroutine shares it.
+	if err := a.Send(b.Addr(), msgOf("warm-up")); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				hdr := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(g)), uint32(i))
+				m := message.New().Add("t", "hdr", hdr).Add("t", "body", body(g, i))
+				if err := a.Send(b.Addr(), m); err != nil {
+					t.Errorf("sender %d frame %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("only %d/%d frames arrived", total, senders*perSender)
+	}
+}
+
+// openConns reports how many connections the transport tracks and how many
+// of them it caches for sending.
+func openConns(t *TCP) (open, cached int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.open), len(t.conns)
+}
+
+// TestTCPCloseAfterSimultaneousDial: when two transports dial each other at
+// the same moment, each ends up with the connection it dialed in its cache
+// and the one it accepted outside it (the duplicate check keeps the first).
+// Close must close that second connection too: it used to leave its read
+// loop blocked until the *other* side closed, so closing one transport of a
+// pair on its own hung.
+func TestTCPCloseAfterSimultaneousDial(t *testing.T) {
+	for _, first := range []string{"a", "b"} {
+		t.Run("close-"+first+"-first", func(t *testing.T) {
+			a, b := listenPair(t)
+			got := make(chan struct{}, 2)
+			h := func(Addr, *message.Message) { got <- struct{}{} }
+			a.SetHandler(h)
+			b.SetHandler(h)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for _, leg := range [][2]*TCP{{a, b}, {b, a}} {
+				wg.Add(1)
+				go func(from, to *TCP) {
+					defer wg.Done()
+					<-start
+					if err := from.Send(to.Addr(), msgOf("hi")); err != nil {
+						t.Errorf("send: %v", err)
+					}
+				}(leg[0], leg[1])
+			}
+			close(start)
+			wg.Wait()
+			for i := 0; i < 2; i++ {
+				select {
+				case <-got:
+				case <-time.After(5 * time.Second):
+					t.Fatal("message lost")
+				}
+			}
+			x, y := a, b // x closes first, while y stays open
+			if first == "b" {
+				x, y = b, a
+			}
+			if open, cached := openConns(x); open <= cached {
+				// The dials did not overlap this time (one hello landed before
+				// the other side dialed). Make the duplicate by hand: a second
+				// connection announcing y's address, as y's own dial would.
+				dup, err := net.Dial("tcp", string(x.Addr())[len("tcp://"):])
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer dup.Close()
+				hello := message.New().AddString(helloNS, helloName, string(y.Addr()))
+				// A message behind the hello: its delivery proves x has taken
+				// the connection past the handshake and into a read loop.
+				if _, err := dup.Write(appendFrame(appendFrame(nil, hello), msgOf("dup"))); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case <-got:
+				case <-time.After(5 * time.Second):
+					t.Fatal("duplicate connection never read")
+				}
+				if open, cached := openConns(x); open <= cached {
+					t.Fatalf("duplicate not tracked: %d open, %d cached", open, cached)
+				}
+			}
+			for _, tr := range []*TCP{x, y} {
+				closed := make(chan struct{})
+				go func() { tr.Close(); close(closed) }()
+				select {
+				case <-closed:
+				case <-time.After(5 * time.Second):
+					t.Fatal("Close blocked on a connection the other side still holds")
+				}
+			}
+		})
+	}
+}
