@@ -69,7 +69,7 @@ var (
 	expFlag        = flag.String("exp", "all", "experiment: table1|fig3left|fig3right|fig4left|fig4right|baselines|churn|volatility|ablations|bandwidth|perf|scale|routing|all")
 	quickFlag      = flag.Bool("quick", false, "scaled-down parameters (seconds instead of minutes)")
 	maxHeapPerEdge = flag.Float64("maxheapedge", 0, "scale: fail if the lean memory point's heap_bytes_per_edge exceeds this many bytes (0 disables; the CI memory smoke pins it)")
-	hibernateFlag  = flag.Bool("hibernate", false, "scale: force edge hibernation on every scale workload (lean memory points hibernate regardless; the CI hibernation smoke sets this)")
+	hibernateFlag  = flag.Bool("hibernate", false, "scale: turn edge hibernation on for the edge-lease workloads too (the memory points set it per point; the CI hibernation smoke sets this)")
 	liveFlag       = flag.Bool("live", false, "bandwidth: also measure over real loopback TCP (wall-clock, nondeterministic)")
 	csvFlag        = flag.Bool("csv", false, "emit CSV instead of ASCII plots")
 	seedFlag       = flag.Int64("seed", 42, "master determinism seed")
@@ -351,17 +351,13 @@ func scale() (any, error) {
 			p.SpeedupBound, p.SpeedupWall, p.Windows, p.AvgBusy, heap, hib)
 	}
 	runOne := func(name string, spec experiments.ScaleSpec, serialEps float64) (scalePoint, error) {
-		if *hibernateFlag && !spec.NoHibernate {
-			spec.Hibernate = true
-		}
 		res, err := experiments.RunScale(spec)
 		if err != nil {
 			return scalePoint{}, err
 		}
 		p := scalePoint{
 			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards,
-			Barrier: spec.Barrier, Lean: spec.Lean,
-			Hibernate:  (spec.Hibernate || spec.Lean) && !spec.NoHibernate,
+			Barrier: spec.Barrier, Lean: spec.Lean, Hibernate: spec.Hibernate,
 			GOMAXPROCS: runtime.GOMAXPROCS(0), WallMs: res.WallMs, Steps: res.Steps,
 			EventsPerSec: res.EventsPerSec, Windows: res.Windows, AvgBusy: res.AvgBusy,
 			CrossShard: res.CrossShard, SpeedupBound: res.SpeedupBound,
@@ -385,7 +381,7 @@ func scale() (any, error) {
 	serialEps := 0.0
 	for _, shards := range sweepShards {
 		p, err := runOne("edge-lease", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: shards,
+			R: sweepR, Edges: sweepEdges, Shards: shards, Hibernate: *hibernateFlag,
 			Duration: sweepDur, Seed: *seedFlag,
 		}, serialEps)
 		if err != nil {
@@ -408,7 +404,7 @@ func scale() (any, error) {
 			continue // single shard runs barrier-free either way
 		}
 		p, err := runOne("edge-lease-barrier", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: shards, Barrier: true,
+			R: sweepR, Edges: sweepEdges, Shards: shards, Barrier: true, Hibernate: *hibernateFlag,
 			Duration: sweepDur, Seed: *seedFlag,
 		}, serialEps)
 		if err != nil {
@@ -425,7 +421,7 @@ func scale() (any, error) {
 	for _, gmp := range gmps {
 		prev := runtime.GOMAXPROCS(gmp)
 		p, err := runOne("edge-lease", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: curveShards,
+			R: sweepR, Edges: sweepEdges, Shards: curveShards, Hibernate: *hibernateFlag,
 			Duration: sweepDur, Seed: *seedFlag,
 		}, serialEps)
 		runtime.GOMAXPROCS(prev)
@@ -504,7 +500,7 @@ func scale() (any, error) {
 		bigSerial := 0.0
 		for _, shards := range []int{1, 8} {
 			p, err := runOne("edge-lease-r1000", experiments.ScaleSpec{
-				R: bigR, Edges: bigEdges, Shards: shards,
+				R: bigR, Edges: bigEdges, Shards: shards, Hibernate: *hibernateFlag,
 				Duration: sweepDur, Seed: *seedFlag,
 			}, bigSerial)
 			if err != nil {
@@ -519,11 +515,11 @@ func scale() (any, error) {
 	}
 
 	// Memory series: heap_bytes_per_edge at a fixed workload across the
-	// three memory regimes — default, lean metrics with hibernation held
-	// off, and lean + hibernation (the large-population configuration; Lean
-	// implies Hibernate since PR 9) — then the 100k/250k proof points (full
-	// scale only). The lean+hibernate point doubles as the CI memory smoke:
-	// -maxheapedge pins a ceiling it must stay under.
+	// three memory regimes — default, lean metrics alone, and lean +
+	// hibernation (the large-population configuration) — then the
+	// 100k/250k/1M proof points (full scale only). The lean+hibernate point
+	// doubles as the CI memory smoke: -maxheapedge pins a ceiling it must
+	// stay under.
 	memR, memEdges, memDur := 250, 10_000, 10*time.Minute
 	memShards := 8
 	if *quickFlag {
@@ -533,23 +529,22 @@ func scale() (any, error) {
 	var mem []scalePoint
 	leanHeap := 0.0
 	for _, cfg := range []struct {
-		name  string
-		lean  bool
-		nohib bool
+		name      string
+		lean, hib bool
 	}{
-		{"memory", false, true},
-		{"memory-lean", true, true},
-		{"memory-hibernate", true, false},
+		{"memory", false, false},
+		{"memory-lean", true, false},
+		{"memory-hibernate", true, true},
 	} {
 		p, err := runOne(cfg.name, experiments.ScaleSpec{
 			R: memR, Edges: memEdges, Shards: memShards,
-			Lean: cfg.lean, NoHibernate: cfg.nohib,
+			Lean: cfg.lean, Hibernate: cfg.hib,
 			Duration: memDur, Seed: *seedFlag,
 		}, 0)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.lean && !cfg.nohib {
+		if cfg.lean && cfg.hib {
 			leanHeap = p.HeapBytesPerEdge
 		}
 		mem = append(mem, p)
@@ -569,7 +564,7 @@ func scale() (any, error) {
 			{"memory-1m", 1_000_000},
 		} {
 			p, err := runOne(big.name, experiments.ScaleSpec{
-				R: 1000, Edges: big.edges, Shards: memShards, Lean: true,
+				R: 1000, Edges: big.edges, Shards: memShards, Lean: true, Hibernate: true,
 				Duration: 5 * time.Minute, Seed: *seedFlag,
 			}, 0)
 			if err != nil {

@@ -34,6 +34,10 @@ const recordChunk = 64
 
 // Cache is one peer's advertisement store. Not safe for concurrent use; the
 // env callback serialization covers it.
+//
+// The three maps are nil until first written — reads of a nil map already
+// report an empty cache — so a peer that never stores an advertisement
+// never allocates them, and Trim returns an emptied cache to that state.
 type Cache struct {
 	env  env.Env
 	byID map[ids.ID]*Record
@@ -84,13 +88,7 @@ func New(e env.Env) *Cache { return NewWithStore(e, advstore.Default()) }
 // Deployments pass one store per overlay so equal advertisements dedupe
 // across the population without outliving it.
 func NewWithStore(e env.Env, store *advstore.Store) *Cache {
-	return &Cache{
-		env:      e,
-		byID:     make(map[ids.ID]*Record),
-		index:    make(map[string][]ids.ID),
-		numIndex: make(map[string]*numPostings),
-		store:    store,
-	}
+	return &Cache{env: e, store: store}
 }
 
 // newRecord carves a record out of the arena, preferring recycled ones.
@@ -119,6 +117,20 @@ func (c *Cache) freeRecord(rec *Record) {
 // Len returns the number of stored advertisements.
 func (c *Cache) Len() int { return len(c.byID) }
 
+// Quiescent reports whether the cache is idle: nothing stored.
+func (c *Cache) Quiescent() bool { return len(c.byID) == 0 }
+
+// Trim returns an empty cache to its zero state. The index maps hold no
+// key once the last record is gone (unindex deletes emptied keys) and the
+// arena then holds only free records, so all of it goes; newRecord
+// rebuilds from the same nil state it starts from.
+func (c *Cache) Trim() {
+	if len(c.byID) == 0 {
+		c.byID, c.index, c.numIndex = nil, nil, nil
+		c.slab, c.free = nil, nil
+	}
+}
+
 // IndexSize returns the number of index entries, the quantity that drives
 // the simulated per-query scan cost on loaded rendezvous peers.
 func (c *Cache) IndexSize() int {
@@ -135,7 +147,6 @@ func (c *Cache) IndexSize() int {
 // one another peer published first, so callers must not mutate adv after
 // publishing it.
 func (c *Cache) Put(adv advertisement.Advertisement, lifetime time.Duration, local bool) {
-	c.thaw()
 	sh := c.store.Intern(adv)
 	adv = sh.Adv()
 	id := adv.ID()
@@ -149,6 +160,9 @@ func (c *Cache) Put(adv advertisement.Advertisement, lifetime time.Duration, loc
 		rec.sh.Release()
 	} else {
 		rec = c.newRecord()
+		if c.byID == nil {
+			c.byID = make(map[ids.ID]*Record)
+		}
 		c.byID[id] = rec
 	}
 	rec.Adv, rec.Expires, rec.Local, rec.sh = adv, expires, local, sh
@@ -160,6 +174,9 @@ func (c *Cache) Put(adv advertisement.Advertisement, lifetime time.Duration, loc
 			lst = append(lst, ids.ID{})
 			copy(lst[i+1:], lst[i:])
 			lst[i] = id
+			if c.index == nil {
+				c.index = make(map[string][]ids.ID)
+			}
 			c.index[key] = lst
 		}
 		if v, err := strconv.ParseInt(f.Value, 10, 64); err == nil {
@@ -204,6 +221,9 @@ func (c *Cache) numInsert(key string, e numEntry) {
 	p, ok := c.numIndex[key]
 	if !ok {
 		p = &numPostings{}
+		if c.numIndex == nil {
+			c.numIndex = make(map[string]*numPostings)
+		}
 		c.numIndex[key] = p
 	}
 	p.entries = append(p.entries, e)

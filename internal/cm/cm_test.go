@@ -378,3 +378,49 @@ func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReturnsToZeroState: a cache is small by construction. Fresh, it holds
+// no map and no arena, and every read already answers "empty"; a stored
+// advertisement allocates them, Trim leaves a non-empty cache alone, and
+// once the last record is gone Trim returns the cache to exactly the fresh
+// state — from which it fills again.
+func TestReturnsToZeroState(t *testing.T) {
+	c, _ := newCache()
+	zero := func(when string) {
+		t.Helper()
+		if c.byID != nil || c.index != nil || c.numIndex != nil || c.slab != nil || c.free != nil {
+			t.Fatalf("%s: cache holds allocated state: byID=%v index=%v numIndex=%v slab=%d free=%d",
+				when, c.byID != nil, c.index != nil, c.numIndex != nil, cap(c.slab), cap(c.free))
+		}
+		if !c.Quiescent() {
+			t.Fatalf("%s: empty cache is not quiescent", when)
+		}
+	}
+	zero("fresh")
+	if c.Len() != 0 || c.IndexSize() != 0 || c.GC() != 0 ||
+		len(c.Search("Resource", "Name", "*")) != 0 || len(c.SearchRange("Resource", "cpu", 0, 9)) != 0 ||
+		len(c.LocalAdvertisements()) != 0 {
+		t.Fatal("a read of the fresh cache found something")
+	}
+	c.Flush()
+	c.Remove(ids.FromName(ids.KindAdv, "ghost"))
+	zero("after reads and no-op deletes")
+
+	adv := res("n1", advertisement.IndexField{Attr: "cpu", Value: "4"})
+	c.Put(adv, 0, false)
+	c.Trim()
+	if c.Quiescent() || len(c.SearchRange("Resource", "cpu", 0, 9)) != 1 {
+		t.Fatal("Trim disturbed a non-empty cache")
+	}
+	c.Flush()
+	if c.byID == nil {
+		t.Fatal("delete sites must not release the maps (only Trim does)")
+	}
+	c.Trim()
+	zero("after Put, Flush, Trim")
+
+	c.Put(adv, 0, true)
+	if got := c.Search("Resource", "Name", "n1"); len(got) != 1 {
+		t.Fatal("cache did not refill from the zero state")
+	}
+}

@@ -146,7 +146,10 @@ type Service struct {
 	cfg   Config
 	busy  BusySink
 
-	index  *srdi.Index // rendezvous role only
+	index *srdi.Index // rendezvous role only
+	// pushed is the delta-push ledger. It, costTimers and seen are nil
+	// until first written (reads of a nil map are already correct); Trim
+	// returns them to nil when empty.
 	pushed map[string]bool
 	ticker *env.Ticker
 
@@ -165,25 +168,19 @@ type Service struct {
 	// m holds the stored runtime instruments; always non-nil (New
 	// pre-instruments, node.New re-instruments with the node's registry).
 	m *discoMetrics
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *discoFrozen
 }
 
 // New assembles the discovery service over the peer's resolver, rendezvous
 // service and cache. busy may be nil.
 func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendezvous.Service, cache *cm.Cache, cfg Config, busy BusySink) *Service {
 	s := &Service{
-		env:        e,
-		ep:         ep,
-		res:        res,
-		rdv:        rdvSvc,
-		cache:      cache,
-		cfg:        cfg.withDefaults(),
-		busy:       busy,
-		pushed:     make(map[string]bool),
-		costTimers: make(map[uint64]env.Timer),
-		seen:       make(map[string]bool),
+		env:   e,
+		ep:    ep,
+		res:   res,
+		rdv:   rdvSvc,
+		cache: cache,
+		cfg:   cfg.withDefaults(),
+		busy:  busy,
 	}
 	s.Instrument(metrics.Discard())
 	res.RegisterHandler(HandlerName, s.handleQuery)
@@ -204,7 +201,7 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 		// a new rendezvous (§3.3).
 		rdvSvc.AddLeaseListener(func(_ ids.ID, connected bool) {
 			if connected {
-				s.pushed = make(map[string]bool)
+				s.pushed = nil
 				s.pushAll()
 			}
 		})
@@ -218,7 +215,6 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 // index (and replicated over the new peerview). Call after the rendezvous
 // service switched roles.
 func (s *Service) Promote() {
-	s.thaw()
 	if s.index != nil || !s.rdv.IsRendezvous() {
 		return
 	}
@@ -229,7 +225,7 @@ func (s *Service) Promote() {
 		s.ticker = nil
 		s.Start()
 	}
-	s.pushed = make(map[string]bool)
+	s.pushed = nil
 	s.pushAll()
 }
 
@@ -242,7 +238,6 @@ func (s *Service) Promote() {
 // deterministic under a fixed seed. Tuples already marked replicated stay
 // replicated at the receiver (no cascade).
 func (s *Service) Rereplicate() {
-	s.thaw()
 	if !s.started() || s.index == nil || !s.rdv.IsRendezvous() {
 		return
 	}
@@ -313,6 +308,9 @@ func (s *Service) Start() {
 func (s *Service) afterCost(d time.Duration, fn func()) {
 	id := s.nextCostID
 	s.nextCostID++
+	if s.costTimers == nil {
+		s.costTimers = make(map[uint64]env.Timer)
+	}
 	s.costTimers[id] = s.env.After(d, func() {
 		delete(s.costTimers, id)
 		fn()
@@ -338,12 +336,31 @@ func (s *Service) Stop() {
 // the query dedup set. The local advertisement cache is application data
 // and survives.
 func (s *Service) Reset() {
-	s.thaw()
 	if s.index != nil {
 		s.index = srdi.New(s.env)
 	}
-	s.pushed = make(map[string]bool)
-	s.seen = make(map[string]bool)
+	s.pushed = nil
+	s.seen = nil
+}
+
+// Quiescent reports whether the service is idle: edge role (no SRDI
+// index) and no in-flight scan-cost delays. The armed push ticker is the
+// periodic wake source, not a blocker.
+func (s *Service) Quiescent() bool {
+	return s.index == nil && len(s.costTimers) == 0
+}
+
+// Trim returns emptied maps to nil, the state New leaves them in.
+func (s *Service) Trim() {
+	if len(s.pushed) == 0 {
+		s.pushed = nil
+	}
+	if len(s.costTimers) == 0 {
+		s.costTimers = nil
+	}
+	if len(s.seen) == 0 {
+		s.seen = nil
+	}
 }
 
 // --- Publishing ---
@@ -404,14 +421,13 @@ func (s *Service) pushAll() {
 // indexes (and replicates) directly; an edge sends one SRDI message to its
 // lease holder.
 func (s *Service) pushTuples(tuples []srdi.Tuple) {
-	s.thaw()
 	if len(tuples) == 0 {
 		return
 	}
 	if s.rdv.IsRendezvous() {
 		for _, tpl := range tuples {
 			s.indexAndReplicate(tpl, false)
-			s.pushed[tpl.Key] = true
+			s.markPushed(tpl.Key)
 		}
 		return
 	}
@@ -427,8 +443,16 @@ func (s *Service) pushTuples(tuples []srdi.Tuple) {
 		return
 	}
 	for _, tpl := range tuples {
-		s.pushed[tpl.Key] = true
+		s.markPushed(tpl.Key)
 	}
+}
+
+// markPushed enters key into the delta-push ledger.
+func (s *Service) markPushed(key string) {
+	if s.pushed == nil {
+		s.pushed = make(map[string]bool)
+	}
+	s.pushed[key] = true
 }
 
 func encodeTuple(t srdi.Tuple) []byte {
@@ -486,7 +510,6 @@ func (s *Service) started() bool { return s.ticker != nil }
 // receiveSRDI handles index pushes at a rendezvous. Replicated pushes are
 // stored but not re-replicated (loop guard).
 func (s *Service) receiveSRDI(src ids.ID, m *message.Message) {
-	s.thaw()
 	if !s.started() || s.index == nil {
 		return
 	}
@@ -710,7 +733,6 @@ func decodeResponse(data []byte) []advertisement.Advertisement {
 
 // handleQuery is the resolver handler running on every peer.
 func (s *Service) handleQuery(q *resolver.Query) {
-	s.thaw()
 	if !s.started() {
 		return // stopped peers do not serve or route queries
 	}
@@ -742,12 +764,8 @@ func (s *Service) handleQuery(q *resolver.Query) {
 // rendezvous) are answered once.
 func (s *Service) deliver(q *resolver.Query, body queryBody) {
 	dedup := "dlv/" + q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)
-	if s.seen[dedup] {
+	if !s.firstSight(dedup) {
 		return
-	}
-	s.seen[dedup] = true
-	if len(s.seen) > 16384 {
-		s.seen = make(map[string]bool)
 	}
 	var matches []advertisement.Advertisement
 	if body.isRange() {
@@ -762,15 +780,30 @@ func (s *Service) deliver(q *resolver.Query, body queryBody) {
 	_ = s.res.Respond(q, encodeResponse(matches))
 }
 
+// seenLimit bounds the dedup set; queries are short-lived, so a coarse
+// reset is fine.
+const seenLimit = 16384
+
+// firstSight records a dedup key, reporting whether it was new.
+func (s *Service) firstSight(key string) bool {
+	if s.seen[key] {
+		return false
+	}
+	if s.seen == nil {
+		s.seen = make(map[string]bool)
+	}
+	s.seen[key] = true
+	if len(s.seen) > seenLimit {
+		s.seen = nil
+	}
+	return true
+}
+
 // routeQuery runs the rendezvous-side LC-DHT logic.
 func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
 	dedup := q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)
-	if s.seen[dedup] {
+	if !s.firstSight(dedup) {
 		return
-	}
-	s.seen[dedup] = true
-	if len(s.seen) > 16384 {
-		s.seen = make(map[string]bool)
 	}
 
 	if body.stage == stageRange {
@@ -876,7 +909,6 @@ func (s *Service) startWalk(q *resolver.Query, body queryBody) {
 // handleWalk inspects a walked query at each visited rendezvous: on an SRDI
 // hit the query is forwarded to the publisher and the walk stops.
 func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *message.Message) bool {
-	s.thaw()
 	if !s.started() || s.index == nil {
 		return false
 	}

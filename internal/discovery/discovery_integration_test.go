@@ -351,3 +351,69 @@ func TestWalkTTLBoundsSearchRadius(t *testing.T) {
 		t.Fatal("query neither answered nor timed out")
 	}
 }
+
+// TestReturnsToZeroState: the discovery service is small by construction. A
+// pure consumer — an edge that only looks things up — never allocates a map,
+// before, during or after a lookup. A publisher allocates its delta-push
+// ledger and, once it answers a query, the dedup set; both are state, and
+// Trim keeps them. The one scratch table, a rendezvous' in-flight scan-cost
+// delays, drains by itself and Trim returns it to nil.
+func TestReturnsToZeroState(t *testing.T) {
+	o, err := deploy.Build(deploy.Spec{
+		Seed: 41, NumRdv: 6, Topology: topology.Chain,
+		Discovery: discovery.DefaultConfig(), // a non-zero ScanCost
+		Edges: []deploy.EdgeGroup{
+			{AttachTo: 0, Count: 1, Prefix: "publisher"},
+			{AttachTo: 5, Count: 1, Prefix: "searcher"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	o.Sched.Run(10 * time.Minute)
+	pub, search := o.Edges[0], o.Edges[1]
+	tables := func(who string, s *discovery.Service, pushed, cost, seen int) {
+		t.Helper()
+		if p, c, sn := s.Tables(); p != pushed || c != cost || sn != seen {
+			t.Fatalf("%s: pushed=%d costTimers=%d seen=%d, want %d, %d, %d (-1: not allocated)",
+				who, p, c, sn, pushed, cost, seen)
+		}
+	}
+	tables("fresh publisher", pub.Discovery, -1, -1, -1)
+	tables("fresh searcher", search.Discovery, -1, -1, -1)
+
+	pub.Discovery.Publish(&advertisement.Peer{PeerID: pub.ID, Name: "Zero"}, 0)
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	found := false
+	if err := search.Discovery.Query("Peer", "Name", "Zero", func(discovery.Result) { found = true }, nil); err != nil {
+		t.Fatal(err)
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	if !found {
+		t.Fatal("lookup failed")
+	}
+	tables("searcher after a lookup", search.Discovery, -1, -1, -1)
+
+	pub.Discovery.Trim()
+	pushed, _, seen := pub.Discovery.Tables()
+	if pushed < 1 || seen != 1 {
+		t.Fatalf("Trim dropped publisher state: pushed=%d seen=%d", pushed, seen)
+	}
+
+	used := 0
+	for _, r := range o.Rdvs {
+		if _, cost, _ := r.Discovery.Tables(); cost == 0 {
+			used++ // allocated by a query's scan delay, drained since
+		} else if cost > 0 {
+			t.Fatalf("rendezvous %s still holds %d scan-cost timers", r.Config.Name, cost)
+		}
+		r.Discovery.Trim()
+		if _, cost, _ := r.Discovery.Tables(); cost != -1 {
+			t.Fatalf("Trim left rendezvous %s's emptied scan-cost table allocated", r.Config.Name)
+		}
+	}
+	if used == 0 {
+		t.Fatal("no rendezvous ever used its scan-cost table: the test exercised nothing")
+	}
+}

@@ -39,9 +39,6 @@ type PeerviewSpec struct {
 	// schedulers (see deploy.Spec.Shards). 0 or 1 keeps the serial engine
 	// and its bit-exact golden trajectories.
 	Shards int
-	// Pipeline is deprecated and ignored: window pipelining is the default
-	// whenever Shards > 1. Set Barrier to opt back out.
-	Pipeline bool
 	// Barrier opts out of window pipelining on the sharded engine and runs
 	// the original global window barrier (deploy.Spec.BarrierWindows). The
 	// sparse peerview workload is exactly where the barrier caps the

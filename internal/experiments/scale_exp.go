@@ -25,9 +25,6 @@ type ScaleSpec struct {
 	Edges int
 	// Shards selects the engine (≤1 serial, >1 conservative sharded).
 	Shards int
-	// Pipeline is deprecated and ignored: window pipelining is the
-	// default whenever Shards > 1. Set Barrier to opt back out.
-	Pipeline bool
 	// Barrier opts out of window pipelining on the sharded engine and
 	// runs the original global window barrier
 	// (deploy.Spec.BarrierWindows). Deterministic per
@@ -35,18 +32,14 @@ type ScaleSpec struct {
 	Barrier bool
 	// Lean shares one population-wide metrics registry across peers and
 	// drops per-node trace rings — the memory configuration for 100k+
-	// edge populations (deploy.Spec.LeanMetrics). Lean also turns on edge
-	// hibernation unless NoHibernate is set: the two memory regimes
-	// target the same populations.
+	// edge populations (deploy.Spec.LeanMetrics). Independent of
+	// Hibernate; the large-population points set both.
 	Lean bool
 	// Hibernate freeze-dries steady-state edges between events
-	// (deploy.Spec.Hibernate): packed service records replace live maps
-	// and the RNG register while an edge is idle. Trajectories are
-	// byte-identical either way — the goldens replay with it forced on.
+	// (deploy.Spec.Hibernate): an idle edge packs its endpoint tables and
+	// drops its RNG register. Trajectories are byte-identical either way —
+	// the goldens replay with it forced on.
 	Hibernate bool
-	// NoHibernate forces hibernation off even when Lean or Hibernate
-	// would turn it on (before/after memory comparisons).
-	NoHibernate bool
 	// Duration is the virtual experiment length (default 10 min).
 	Duration time.Duration
 	// Lease overrides the lease duration (default 1 min: renewals at 30 s
@@ -140,7 +133,7 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 		Shards:         spec.Shards,
 		BarrierWindows: spec.Barrier,
 		LeanMetrics:    spec.Lean,
-		Hibernate:      (spec.Hibernate || spec.Lean) && !spec.NoHibernate,
+		Hibernate:      spec.Hibernate,
 		Topology:       topology.Chain,
 		Lease:          rendezvous.Config{LeaseDuration: spec.Lease},
 		Edges:          groups,

@@ -1,7 +1,8 @@
 // Package hibpool provides tiny sync.Pool-backed free lists for the edge
 // hibernation layer. A hibernating overlay constantly freeze-dries and
-// rehydrates node services: maps are emptied and released on freeze and
-// rebuilt on wake, and a compact "frozen record" is allocated per freeze.
+// rehydrates edge endpoints: their maps are emptied and released on freeze
+// and rebuilt on wake, and a compact "frozen record" is allocated per
+// freeze (internal/endpoint; the transport's FIFO-clamp map rides along).
 // Because at most one node executes per shard at any instant, only a
 // handful of each object is ever live at once — pooling turns millions of
 // wake/freeze cycles into near-zero allocator traffic.

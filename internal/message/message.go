@@ -228,7 +228,11 @@ func (m *Message) AppendMarshal(dst []byte) []byte {
 	return buf
 }
 
-// Unmarshal decodes a frame produced by Marshal.
+// Unmarshal decodes a frame produced by Marshal. The message owns its bytes:
+// data may be reused as soon as Unmarshal returns. One copy of the frame
+// backs every element — namespaces, names and payloads alias it, read-only
+// like all element data — so decoding costs two or three allocations however
+// many elements the message has.
 func Unmarshal(data []byte) (*Message, error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, ErrBadMagic
@@ -241,7 +245,7 @@ func Unmarshal(data []byte) (*Message, error) {
 	if count > maxElements {
 		return nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
 	}
-	rest = rest[n:]
+	rest = append([]byte(nil), rest[n:]...)
 	m := &Message{}
 	if count <= uint64(len(m.inline)) {
 		m.elements = m.inline[:0]
@@ -260,7 +264,7 @@ func Unmarshal(data []byte) (*Message, error) {
 		if uint64(len(rest)) < l {
 			return nil, ErrTruncated
 		}
-		chunk := rest[:l]
+		chunk := rest[:l:l]
 		rest = rest[l:]
 		return chunk, nil
 	}
@@ -277,12 +281,10 @@ func Unmarshal(data []byte) (*Message, error) {
 		if err != nil {
 			return nil, err
 		}
-		data := make([]byte, len(payload))
-		copy(data, payload)
 		m.elements = append(m.elements, Element{
-			Namespace: string(ns),
-			Name:      string(name),
-			Data:      data,
+			Namespace: unsafe.String(unsafe.SliceData(ns), len(ns)),
+			Name:      unsafe.String(unsafe.SliceData(name), len(name)),
+			Data:      payload,
 		})
 	}
 	if len(rest) != 0 {

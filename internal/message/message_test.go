@@ -55,6 +55,37 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalOwnsItsBytes: the TCP reader decodes frames in place in its
+// read buffer and overwrites them with the next read, so the message may keep
+// nothing of the input; and one copy backs all elements, whose payloads must
+// not be able to grow into one another.
+func TestUnmarshalOwnsItsBytes(t *testing.T) {
+	m := sample()
+	for i := 0; i < 6; i++ {
+		m.AddString("ns", "more", "value")
+	}
+	wire := m.Marshal()
+	back, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire {
+		wire[i] = 0xff
+	}
+	if !back.Equal(m) {
+		t.Fatalf("message changed with the input it was decoded from: %s", back)
+	}
+	first := back.Elements()[0]
+	_ = append(first.Data, "overflow"...)
+	if !back.Equal(m) {
+		t.Fatalf("appending to one payload changed the message: %s", back)
+	}
+	wire = m.Marshal()
+	if a := testing.AllocsPerRun(100, func() { _, _ = Unmarshal(wire) }); a > 3 {
+		t.Fatalf("decoding %d elements costs %.0f allocations, want at most 3", m.Len(), a)
+	}
+}
+
 func TestEmptyMessageRoundTrip(t *testing.T) {
 	back, err := Unmarshal(New().Marshal())
 	if err != nil {

@@ -1,25 +1,32 @@
 package node
 
-// Edge hibernation (PR 9). A steady-state edge — lease held, renewal timer
-// armed, no pending queries, no streams, empty cache — spends minutes of
-// simulated time completely idle, yet retains ~14 KB of live heap: service
-// maps, metric caches, self-healing slices and a ~4.9 KB math/rand
-// register. The hibernation layer freeze-dries all of it between events:
+// Edge hibernation. A steady-state edge — lease held, renewal timer armed,
+// no pending queries, no streams, empty cache — spends minutes of simulated
+// time completely idle. Most of what it is made of needs no help to be
+// small: the services above the endpoint (cache, resolver, rendezvous
+// client, discovery, pipe, socket) allocate no map until first written and
+// hold none while idle, so their idle state is their zero state. Two things
+// do not shrink by themselves, and hibernation exists for them:
 //
-//   - After every dispatch on the node (timer callback or inbound
-//     delivery), the settle hook checks every service for quiescence and,
-//     if all agree, packs each one into a pooled record (releasing map
-//     shells to free lists) and drops the RNG register, keeping only the
-//     stream position.
-//   - Execution re-enters a node in exactly two ways — an env.After
-//     callback or an inbound endpoint delivery — and both are bracketed by
-//     wake/settle hooks (simnet.NodeEnv.SetHibernation and
-//     endpoint.SetHibernation). Services additionally rehydrate lazily on
-//     first touch, so experiment drivers calling into a hibernated node
-//     directly (Publish, Query, Dial, node verbs) are transparently safe.
+//   - the endpoint's route/handler/counter tables and the transport's
+//     FIFO-clamp map (~1.1 KB/edge), which Endpoint.Freeze packs into a
+//     pooled record;
+//   - the node's math/rand register (~5.4 KB/edge), which FreezeRand drops,
+//     keeping only the stream position.
+//
+// After every dispatch on the node (timer callback or inbound delivery) the
+// settle hook asks every service whether it is quiescent and, if all agree,
+// freezes those two and trims the services — Trim returns a map that a wake
+// filled and emptied again to nil, which no delete site does on its own, so
+// peers that never hibernate do not reallocate a map per operation.
+// Execution re-enters a node in exactly two ways — an env.After callback or
+// an inbound endpoint delivery — and both are bracketed by wake/settle
+// hooks (simnet.NodeEnv.SetHibernation and endpoint.SetHibernation); the
+// endpoint and the RNG rehydrate lazily on first touch, so experiment
+// drivers calling into a hibernated node directly are transparently safe.
 //
 // Freezing never cancels or re-arms a timer, never allocates IDs and never
-// reorders events, and the packed records are content-preserving, so a
+// reorders events, and the packed record is content-preserving, so a
 // hibernating run's event trajectory and wire traffic are byte-identical
 // to a never-hibernating run. The golden-trajectory suite replays every
 // experiment with hibernation forced on to prove it.
@@ -61,10 +68,10 @@ func (n *Node) EnableHibernation() bool {
 	return true
 }
 
-// hibWake marks the node live. Rehydration itself is lazy — each service
-// thaws on its first touch during the dispatch — so waking costs two
-// stores, and a dispatch that touches nothing (a discovery push tick on an
-// idle edge) re-freezes for free.
+// hibWake marks the node live. Rehydration itself is lazy — the endpoint
+// and the RNG rebuild on their first touch during the dispatch — so waking
+// costs two stores, and a dispatch that touches neither (a discovery push
+// tick on an idle edge) re-freezes for free.
 func (n *Node) hibWake() {
 	if h := n.hib; h != nil && h.frozen {
 		h.frozen = false
@@ -72,7 +79,8 @@ func (n *Node) hibWake() {
 	}
 }
 
-// hibSettle freeze-dries the node if every service is quiescent. Runs
+// hibSettle freeze-dries the node if every service is quiescent — the
+// Quiescent predicates together are the definition of an idle node. Runs
 // after every dispatch on a hibernation-enabled node; the checks are a
 // handful of len() reads.
 func (n *Node) hibSettle() {
@@ -86,12 +94,12 @@ func (n *Node) hibSettle() {
 		return
 	}
 	n.Endpoint.Freeze()
-	n.Resolver.Freeze()
-	n.Rendezvous.Freeze()
-	n.Discovery.Freeze()
-	n.Pipe.Freeze()
-	n.Socket.Freeze()
-	n.Cache.Freeze()
+	n.Resolver.Trim()
+	n.Rendezvous.Trim()
+	n.Discovery.Trim()
+	n.Pipe.Trim()
+	n.Socket.Trim()
+	n.Cache.Trim()
 	h.env.FreezeRand()
 	h.frozen = true
 	h.freezes++

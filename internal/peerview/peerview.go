@@ -38,6 +38,7 @@ package peerview
 
 import (
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -208,18 +209,21 @@ func ParseRumor(v string) (Rumor, bool) {
 // exactly that it may name a rendezvous the *current* island has never
 // heard of. Entries without an address are rejected: they cannot be probed.
 type RumorStore struct {
-	byID   map[ids.ID]int // index into ordered; nil while frozen (hibernate.go)
-	order  []Rumor        // ascending ID
-	cursor int            // rotating window position (NextWindow)
-	misses map[ids.ID]int // consecutive Sweep calls an identity was dead
-	// frozenMisses holds the packed aging counters while the maps are
-	// released; see Freeze/Thaw.
-	frozenMisses []rumorMiss
+	order  []Rumor // ascending ID: the ordering is the index (find)
+	cursor int     // rotating window position (NextWindow)
+	// misses counts the consecutive Sweep calls an identity was dead. Nil
+	// until a sweep charges one — only rendezvous sweep, so an edge's store
+	// is its ordered slice and nothing else.
+	misses map[ids.ID]int
 }
 
 // NewRumorStore builds an empty store.
-func NewRumorStore() *RumorStore {
-	return &RumorStore{byID: make(map[ids.ID]int), misses: make(map[ids.ID]int)}
+func NewRumorStore() *RumorStore { return &RumorStore{} }
+
+// find returns the position id holds, or would be inserted at, in the
+// ascending order, and whether it is present.
+func (rs *RumorStore) find(id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(rs.order, id, func(r Rumor, id ids.ID) int { return r.ID.Compare(id) })
 }
 
 // Add inserts a verified rumor, keeping ID order. A record for a known ID
@@ -228,31 +232,16 @@ func (rs *RumorStore) Add(r Rumor) bool {
 	if !r.Verify() || r.Addr == "" || r.ID.IsNil() {
 		return false
 	}
-	rs.Thaw()
 	delete(rs.misses, r.ID) // a fresh sighting resets the aging clock
-	if i, ok := rs.byID[r.ID]; ok {
+	i, ok := rs.find(r.ID)
+	if ok {
 		if rs.order[i].Addr == r.Addr {
 			return false
 		}
 		rs.order[i] = r
 		return true
 	}
-	lo, hi := 0, len(rs.order)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if rs.order[mid].ID.Less(r.ID) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	rs.order = append(rs.order, Rumor{})
-	copy(rs.order[lo+1:], rs.order[lo:])
-	rs.order[lo] = r
-	for i := lo + 1; i < len(rs.order); i++ {
-		rs.byID[rs.order[i].ID] = i
-	}
-	rs.byID[r.ID] = lo
+	rs.order = slices.Insert(rs.order, i, r)
 	return true
 }
 
@@ -306,7 +295,6 @@ func (rs *RumorStore) Sweep(deadAfter int, live func(ids.ID) bool) int {
 	if deadAfter <= 0 {
 		return 0
 	}
-	rs.Thaw()
 	kept := rs.order[:0]
 	evicted, shift := 0, 0
 	for i, r := range rs.order {
@@ -317,12 +305,14 @@ func (rs *RumorStore) Sweep(deadAfter int, live func(ids.ID) bool) int {
 		}
 		m := rs.misses[r.ID] + 1
 		if m < deadAfter {
+			if rs.misses == nil {
+				rs.misses = make(map[ids.ID]int)
+			}
 			rs.misses[r.ID] = m
 			kept = append(kept, r)
 			continue
 		}
 		delete(rs.misses, r.ID)
-		delete(rs.byID, r.ID)
 		evicted++
 		if i < rs.cursor {
 			shift++ // keep the rotation window anchored on surviving entries
@@ -332,9 +322,6 @@ func (rs *RumorStore) Sweep(deadAfter int, live func(ids.ID) bool) int {
 		return 0
 	}
 	rs.order = kept
-	for i, r := range rs.order {
-		rs.byID[r.ID] = i
-	}
 	rs.cursor -= shift
 	return evicted
 }

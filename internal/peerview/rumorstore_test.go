@@ -88,3 +88,52 @@ func TestRumorStoreSweepKeepsWindowRotation(t *testing.T) {
 		t.Fatalf("one rotation cycle visited %d of %d rumors", len(seen), rs.Len())
 	}
 }
+
+// TestRumorStoreOrderIsTheIndex: the store keeps no map beside its ordered
+// slice — binary search over the ascending IDs finds a rumor — so an edge's
+// store needs no freezing. Inserts in any order come out ascending, a known
+// ID refreshes its address in place, and the aging counters exist only once
+// a sweep has charged a miss.
+func TestRumorStoreOrderIsTheIndex(t *testing.T) {
+	rs := NewRumorStore()
+	for _, i := range []int{5, 1, 4, 2, 3, 0} {
+		if !rs.Add(testRumor(i)) {
+			t.Fatalf("adding rumor %d reported no change", i)
+		}
+	}
+	if rs.Add(testRumor(4)) || rs.Add(testRumor(0)) {
+		t.Fatal("re-adding an unchanged rumor reported a change")
+	}
+	if rs.Len() != 6 {
+		t.Fatalf("store holds %d rumors, want 6", rs.Len())
+	}
+	for i, r := range rs.All() {
+		if i > 0 && !rs.All()[i-1].ID.Less(r.ID) {
+			t.Fatalf("order broken at %d", i)
+		}
+		if at, ok := rs.find(r.ID); !ok || at != i {
+			t.Fatalf("find(%s) = %d, %v; want %d", r.ID.Short(), at, ok, i)
+		}
+	}
+	if _, ok := rs.find(testRumor(9).ID); ok {
+		t.Fatal("found a rumor never added")
+	}
+	moved := NewRumor(Seed{ID: testRumor(3).ID, Addr: "sim://0/moved"})
+	if !rs.Add(moved) || rs.Len() != 6 {
+		t.Fatal("a new address for a known ID must refresh it in place")
+	}
+	if at, _ := rs.find(moved.ID); rs.All()[at].Addr != moved.Addr {
+		t.Fatal("address not refreshed")
+	}
+	if rs.misses != nil {
+		t.Fatal("aging counters allocated before any sweep charged a miss")
+	}
+	rs.Sweep(2, func(ids.ID) bool { return true })
+	if rs.misses != nil {
+		t.Fatal("a sweep over live identities allocated the aging counters")
+	}
+	rs.Sweep(2, func(ids.ID) bool { return false })
+	if len(rs.misses) != 6 {
+		t.Fatalf("%d aging counters after one all-dead sweep, want 6", len(rs.misses))
+	}
+}

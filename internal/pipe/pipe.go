@@ -71,6 +71,8 @@ type Service struct {
 	ep    *endpoint.Endpoint
 	disco *discovery.Service
 	rdv   *rendezvous.Service
+	// bound and propSeen are nil until first written (reads of a nil map
+	// are already correct); Trim returns them to nil when empty.
 	bound map[ids.ID]*InputPipe
 
 	// propSeen dedups propagation instances: a propagate message can reach
@@ -84,22 +86,12 @@ type Service struct {
 	// m holds the runtime instruments; always non-nil (New pre-instruments,
 	// node.New re-instruments with the node's shared registry).
 	m *pipeMetrics
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *pipeFrozen
 }
 
 // New wires the pipe service into a peer's endpoint, discovery and
 // rendezvous services.
 func New(e env.Env, ep *endpoint.Endpoint, disco *discovery.Service, rdv *rendezvous.Service) *Service {
-	s := &Service{
-		env:      e,
-		ep:       ep,
-		disco:    disco,
-		rdv:      rdv,
-		bound:    make(map[ids.ID]*InputPipe),
-		propSeen: make(map[string]bool),
-	}
+	s := &Service{env: e, ep: ep, disco: disco, rdv: rdv}
 	s.Instrument(metrics.Discard())
 	ep.Register(ServiceName, s.receive)
 	ep.Register(PropagateService, s.receivePropagate)
@@ -124,7 +116,6 @@ type InputPipe struct {
 // advertisement so senders can resolve this peer. One binder per pipe per
 // peer.
 func (s *Service) Bind(adv *advertisement.Pipe, recv Receiver) (*InputPipe, error) {
-	s.thaw()
 	if adv.Kind == "" {
 		adv.Kind = UnicastType
 	}
@@ -132,6 +123,9 @@ func (s *Service) Bind(adv *advertisement.Pipe, recv Receiver) (*InputPipe, erro
 		return nil, fmt.Errorf("%w: %s", ErrAlreadyBound, adv.PipeID.Short())
 	}
 	in := &InputPipe{svc: s, Adv: adv, recv: recv}
+	if s.bound == nil {
+		s.bound = make(map[ids.ID]*InputPipe)
+	}
 	s.bound[adv.PipeID] = in
 	s.disco.Publish(adv, 0)
 	return in, nil
@@ -139,7 +133,6 @@ func (s *Service) Bind(adv *advertisement.Pipe, recv Receiver) (*InputPipe, erro
 
 // Close unbinds the pipe. Already-in-flight messages are dropped.
 func (in *InputPipe) Close() {
-	in.svc.thaw()
 	delete(in.svc.bound, in.Adv.PipeID)
 }
 
@@ -158,9 +151,22 @@ func (s *Service) Stop() { s.stopped = true }
 // back. Propagation instance IDs keep increasing so pre-restart sends are
 // still deduplicated by peers that saw them.
 func (s *Service) Reset() {
-	s.thaw()
-	s.bound = make(map[ids.ID]*InputPipe)
-	s.propSeen = make(map[string]bool)
+	s.bound = nil
+	s.propSeen = nil
+}
+
+// Quiescent reports whether the service is idle — always: it owns no
+// timers and sends are fire-and-forget.
+func (s *Service) Quiescent() bool { return true }
+
+// Trim returns emptied maps to nil, the state New leaves them in.
+func (s *Service) Trim() {
+	if len(s.bound) == 0 {
+		s.bound = nil
+	}
+	if len(s.propSeen) == 0 {
+		s.propSeen = nil
+	}
 }
 
 // OutputPipe is a resolved sending end.
@@ -233,7 +239,6 @@ func (o *OutputPipe) Send(data []byte) error {
 
 // receive dispatches inbound pipe traffic to the bound receiver.
 func (s *Service) receive(src ids.ID, m *message.Message) {
-	s.thaw()
 	if s.stopped {
 		return
 	}
@@ -271,18 +276,16 @@ func (s *Service) markProp(pid string) bool {
 		s.m.propDropped.Inc()
 		return false
 	}
-	s.propSeen[pid] = true
-	if len(s.propSeen) > propSeenLimit {
+	if s.propSeen == nil || len(s.propSeen) >= propSeenLimit {
 		s.propSeen = make(map[string]bool)
-		s.propSeen[pid] = true
 	}
+	s.propSeen[pid] = true
 	return true
 }
 
 // propagate originates a one-to-many send: deliver locally, then hand the
 // message to the rendezvous tier for group-wide fan-out.
 func (s *Service) propagate(pipeID ids.ID, data []byte) error {
-	s.thaw()
 	s.nextPropID++
 	pid := s.ep.ID().Short() + "-" + strconv.FormatUint(s.nextPropID, 10)
 	s.markProp(pid) // echoes of our own send are dropped
@@ -319,7 +322,6 @@ func (s *Service) propagate(pipeID ids.ID, data []byte) error {
 // at an edge this is the final delivery; at a rendezvous it is the first
 // hop of the fan-out (deliver locally, forward to clients, start walks).
 func (s *Service) receivePropagate(src ids.ID, m *message.Message) {
-	s.thaw()
 	if s.stopped {
 		return
 	}
@@ -346,7 +348,6 @@ func (s *Service) receivePropagate(src ids.ID, m *message.Message) {
 // rendezvous: deliver locally, forward to this rendezvous' clients, and let
 // the walk continue (return false) so the whole peerview is covered.
 func (s *Service) handlePropagateWalk(_ ids.ID, _ rendezvous.Direction, body *message.Message) bool {
-	s.thaw()
 	if s.stopped {
 		return false
 	}

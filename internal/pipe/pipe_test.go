@@ -267,3 +267,41 @@ func TestTwoPipesIndependent(t *testing.T) {
 		t.Fatalf("cross-talk: a=%v b=%v", gotA, gotB)
 	}
 }
+
+// TestReturnsToZeroState: the pipe service is small by construction. Fresh,
+// it holds no map; a binding allocates the table and survives Trim (it is a
+// registration), closing it lets Trim return the table to nil. The
+// propagation dedup set is state, not scratch: Trim must keep a non-empty
+// one, or an echo of an already-delivered send would be delivered again.
+func TestReturnsToZeroState(t *testing.T) {
+	r := newRig(t, 33)
+	svc := r.senderP
+	tables := func(when string, wantBound, wantSeen int) {
+		t.Helper()
+		if b, p := svc.Tables(); b != wantBound || p != wantSeen {
+			t.Fatalf("%s: bound=%d propSeen=%d, want %d and %d (-1: not allocated)", when, b, p, wantBound, wantSeen)
+		}
+	}
+	tables("fresh", -1, -1)
+	adv := pipe.NewPropagateAdv("zero")
+	got := 0
+	in, err := svc.Bind(adv, func(ids.ID, []byte) { got++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Trim()
+	tables("bound, trimmed", 1, -1)
+	if err := svc.ConnectPropagate(adv).Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	r.run(time.Minute)
+	if got != 1 {
+		t.Fatalf("delivered %d payloads, want 1", got)
+	}
+	in.Close()
+	tables("closed, not yet trimmed", 0, 1)
+	svc.Trim()
+	tables("closed, trimmed", -1, 1)
+	svc.Reset()
+	tables("reset", -1, -1)
+}

@@ -235,11 +235,15 @@ type Service struct {
 	ep  *endpoint.Endpoint
 	cfg Config
 
-	// Rendezvous role.
-	pv           *peerview.PeerView // nil on edges
-	clients      map[ids.ID]clientLease
-	clientSweep  *env.Ticker
-	walkHandlers map[string]WalkHandler
+	// Rendezvous role. The maps here and mergeTried below are nil until
+	// first written (reads of a nil map are already correct), so an edge
+	// never allocates them; Trim returns emptied ones to nil.
+	pv          *peerview.PeerView // nil on edges
+	clients     map[ids.ID]clientLease
+	clientSweep *env.Ticker
+	// walkHandlers is a slice, not a map: two services register (discovery,
+	// pipe propagation), once, on every peer.
+	walkHandlers []walkHandler
 	walkSeen     map[string]bool
 	nextWalkID   uint64
 
@@ -285,23 +289,16 @@ type Service struct {
 	// trace receives rare protocol transitions and may be nil.
 	m     *rdvMetrics
 	trace *metrics.Trace
+}
 
-	// frozen implements edge hibernation; see hibernate.go. While non-nil
-	// the maps and self-healing slices above live in the packed record.
-	frozen *rdvFrozen
+// walkHandler is one SetWalkHandler registration.
+type walkHandler struct {
+	svc string
+	h   WalkHandler
 }
 
 func newService(e env.Env, ep *endpoint.Endpoint, cfg Config) *Service {
-	s := &Service{
-		env:          e,
-		ep:           ep,
-		cfg:          cfg.withDefaults(),
-		clients:      make(map[ids.ID]clientLease),
-		walkHandlers: make(map[string]WalkHandler),
-		walkSeen:     make(map[string]bool),
-		rumors:       peerview.NewRumorStore(),
-		mergeTried:   make(map[ids.ID]time.Duration),
-	}
+	s := &Service{env: e, ep: ep, cfg: cfg.withDefaults(), rumors: peerview.NewRumorStore()}
 	ep.Register(LeaseService, s.receiveLease)
 	ep.Register(WalkService, s.receiveWalk)
 	s.Instrument(metrics.Discard(), nil)
@@ -397,7 +394,7 @@ func (s *Service) maybeMerge(sd peerview.Seed) {
 	if at, tried := s.mergeTried[sd.ID]; tried && now-at < retry {
 		return
 	}
-	s.mergeTried[sd.ID] = now
+	s.markMergeTried(sd.ID, now)
 	if sd.Addr != "" {
 		s.ep.AddRoute(sd.ID, sd.Addr)
 	}
@@ -479,7 +476,7 @@ func (s *Service) receiveTierAck(src ids.ID, m *message.Message) {
 		return
 	}
 	if !s.pv.Contains(r.ID) {
-		s.mergeTried[r.ID] = s.env.Now()
+		s.markMergeTried(r.ID, s.env.Now())
 		s.pv.Merge(r.Seed)
 	}
 }
@@ -578,6 +575,22 @@ func (s *Service) receiveMergeRoster(src ids.ID, m *message.Message) {
 	}
 }
 
+// markMergeTried stamps a merge initiation toward peer.
+func (s *Service) markMergeTried(peer ids.ID, at time.Duration) {
+	if s.mergeTried == nil {
+		s.mergeTried = make(map[ids.ID]time.Duration)
+	}
+	s.mergeTried[peer] = at
+}
+
+// setClient grants or refreshes edge's lease in the client table.
+func (s *Service) setClient(edge ids.ID, cl clientLease) {
+	if s.clients == nil {
+		s.clients = make(map[ids.ID]clientLease)
+	}
+	s.clients[edge] = cl
+}
+
 // SetWalkHandler installs the per-hop consumer for walked messages addressed
 // to the given target service (rendezvous role). Each service owning a walk
 // protocol — discovery's LC-DHT fallback, the pipe propagation machinery —
@@ -585,8 +598,23 @@ func (s *Service) receiveMergeRoster(src ids.ID, m *message.Message) {
 // every hop. Handlers may be installed while the peer is still an edge;
 // they only run once it holds the rendezvous role.
 func (s *Service) SetWalkHandler(svc string, h WalkHandler) {
-	s.thaw()
-	s.walkHandlers[svc] = h
+	for i := range s.walkHandlers {
+		if s.walkHandlers[i].svc == svc {
+			s.walkHandlers[i].h = h
+			return
+		}
+	}
+	s.walkHandlers = append(s.walkHandlers, walkHandler{svc: svc, h: h})
+}
+
+// walkHandlerFor returns the handler registered for svc, or nil.
+func (s *Service) walkHandlerFor(svc string) WalkHandler {
+	for _, wh := range s.walkHandlers {
+		if wh.svc == svc {
+			return wh.h
+		}
+	}
+	return nil
 }
 
 // Promote switches an edge-role service to the rendezvous role in place,
@@ -596,7 +624,6 @@ func (s *Service) SetWalkHandler(svc string, h WalkHandler) {
 // registered at construction, so after Promote the peer grants leases,
 // relays walks and joins the peerview gossip immediately.
 func (s *Service) Promote(pv *peerview.PeerView) {
-	s.thaw()
 	if s.IsRendezvous() || pv == nil {
 		return
 	}
@@ -629,7 +656,6 @@ func (s *Service) Promote(pv *peerview.PeerView) {
 // takeover after a crash): each client is granted an implicit lease so
 // propagation fan-out reaches it before it re-leases explicitly.
 func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
-	s.thaw()
 	if !s.IsRendezvous() {
 		return
 	}
@@ -643,7 +669,7 @@ func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
 		if c.Addr != "" {
 			s.ep.AddRoute(c.ID, c.Addr)
 		}
-		s.clients[c.ID] = clientLease{expires: s.env.Now() + dur, addr: string(c.Addr)}
+		s.setClient(c.ID, clientLease{expires: s.env.Now() + dur, addr: string(c.Addr)})
 		if s.cfg.IslandMerge {
 			s.rumors.AddSeed(c)
 		}
@@ -654,7 +680,6 @@ func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
 // lease grant (SelfHeal) — the seed set a promoted edge re-joins the
 // rendezvous network with.
 func (s *Service) Alternates() []peerview.Seed {
-	s.thaw()
 	out := make([]peerview.Seed, len(s.alternates))
 	copy(out, s.alternates)
 	return out
@@ -662,7 +687,6 @@ func (s *Service) Alternates() []peerview.Seed {
 
 // Roster returns the last-known co-client roster (SelfHeal), sorted by ID.
 func (s *Service) Roster() []peerview.Seed {
-	s.thaw()
 	out := make([]peerview.Seed, len(s.roster))
 	copy(out, s.roster)
 	return out
@@ -675,7 +699,6 @@ func (s *Service) Dormant() bool { return s.dormant }
 // Start begins the role's periodic work: client sweeping for rendezvous,
 // lease acquisition for edges.
 func (s *Service) Start() {
-	s.thaw()
 	if s.started {
 		return
 	}
@@ -699,7 +722,6 @@ func (s *Service) Stop() { s.halt(true) }
 func (s *Service) Abort() { s.halt(false) }
 
 func (s *Service) halt(sendCancel bool) {
-	s.thaw()
 	if !s.started {
 		return
 	}
@@ -743,9 +765,8 @@ func (s *Service) cancelTimers() {
 // increasing — other peers' dedup sets may remember this peer's pre-restart
 // walks.
 func (s *Service) Reset() {
-	s.thaw()
-	s.clients = make(map[ids.ID]clientLease)
-	s.walkSeen = make(map[string]bool)
+	s.clients = nil
+	s.walkSeen = nil
 	s.seedIdx = 0
 	s.failCount = 0
 	s.episodeFails = 0
@@ -755,7 +776,28 @@ func (s *Service) Reset() {
 	s.alternates = nil
 	s.roster = nil
 	s.rumors = peerview.NewRumorStore()
-	s.mergeTried = make(map[ids.ID]time.Duration)
+	s.mergeTried = nil
+}
+
+// Quiescent reports whether the service is idle: edge role, no lease
+// attempt in flight (the armed renewal timer is the wake source, not a
+// blocker), and every map empty. Dormant edges qualify.
+func (s *Service) Quiescent() bool {
+	return !s.IsRendezvous() && s.grantTimer == nil && !s.awaitingSucc &&
+		len(s.clients) == 0 && len(s.walkSeen) == 0 && len(s.mergeTried) == 0
+}
+
+// Trim returns emptied maps to nil, the state newService leaves them in.
+func (s *Service) Trim() {
+	if len(s.clients) == 0 {
+		s.clients = nil
+	}
+	if len(s.walkSeen) == 0 {
+		s.walkSeen = nil
+	}
+	if len(s.mergeTried) == 0 {
+		s.mergeTried = nil
+	}
 }
 
 // --- Edge side: lease acquisition and renewal ---
@@ -763,7 +805,6 @@ func (s *Service) Reset() {
 // AddSeed appends a rendezvous seed at runtime (live joins that discovered
 // the seed's ID via the endpoint hello).
 func (s *Service) AddSeed(seed peerview.Seed) {
-	s.thaw()
 	s.seeds = append(s.seeds, seed)
 }
 
@@ -771,7 +812,6 @@ func (s *Service) AddSeed(seed peerview.Seed) {
 // late AddSeed on an already-started service. It also revives a dormant
 // edge with a fresh failover budget.
 func (s *Service) Connect() {
-	s.thaw()
 	if s.started && !s.IsRendezvous() {
 		s.dormant = false
 		s.awaitingSucc = false
@@ -834,7 +874,6 @@ func (s *Service) candidates() []peerview.Seed {
 // requestLease asks the current candidate for a lease and arms the failover
 // timer.
 func (s *Service) requestLease() {
-	s.thaw()
 	if !s.started || s.IsRendezvous() || s.dormant {
 		return
 	}
@@ -921,7 +960,6 @@ const episodePhases = 8
 // to the rotation, so the next election picks the next candidate — or go
 // dormant once the episode budget is gone.
 func (s *Service) onLeaseTimeout(target ids.ID) {
-	s.thaw()
 	s.grantTimer = nil
 	s.m.timeouts.Inc()
 	s.traceEvent("lease-timeout", target)
@@ -1016,7 +1054,6 @@ func pickSuccessor(p PromotionPolicy, roster []peerview.Seed) peerview.Seed {
 // Clients returns the edges currently holding leases, in ascending ID order
 // so fan-out paths (pipe propagation) stay deterministic under a fixed seed.
 func (s *Service) Clients() []ids.ID {
-	s.thaw()
 	out := make([]ids.ID, 0, len(s.clients))
 	for id := range s.clients {
 		out = append(out, id)
@@ -1027,7 +1064,6 @@ func (s *Service) Clients() []ids.ID {
 
 // HasClient reports whether the edge currently leases here.
 func (s *Service) HasClient(edge ids.ID) bool {
-	s.thaw()
 	cl, ok := s.clients[edge]
 	return ok && cl.expires > s.env.Now()
 }
@@ -1255,7 +1291,6 @@ func (s *Service) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 // serve leases nor arm a renewal timer off a late grant (the leak-free
 // teardown contract); only the state-shedding Cancel branch always runs.
 func (s *Service) receiveLease(src ids.ID, m *message.Message) {
-	s.thaw()
 	if req := m.GetString(leaseNS, elemRequest); req != "" {
 		if !s.started || !s.IsRendezvous() {
 			return // edges and stopped peers do not grant leases
@@ -1269,10 +1304,10 @@ func (s *Service) receiveLease(src ids.ID, m *message.Message) {
 		} else {
 			s.m.granted.Inc()
 		}
-		s.clients[src] = clientLease{
+		s.setClient(src, clientLease{
 			expires: s.env.Now() + dur,
 			addr:    m.GetString(leaseNS, elemAddr),
-		}
+		})
 		if s.cfg.IslandMerge {
 			for _, el := range m.Elements() {
 				if el.Namespace != leaseNS || el.Name != elemRumor {
@@ -1384,10 +1419,10 @@ func (s *Service) receiveHandoff(m *message.Message) {
 			continue
 		}
 		s.ep.AddRoute(sd.ID, sd.Addr)
-		s.clients[sd.ID] = clientLease{
+		s.setClient(sd.ID, clientLease{
 			expires: now + time.Duration(remaining),
 			addr:    string(sd.Addr),
-		}
+		})
 	}
 }
 
@@ -1470,9 +1505,12 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if wid == "" || s.walkSeen[wid] {
 		return // loop guard on inconsistent views
 	}
+	if s.walkSeen == nil {
+		s.walkSeen = make(map[string]bool)
+	}
 	s.walkSeen[wid] = true
 	if len(s.walkSeen) > 8192 {
-		s.walkSeen = make(map[string]bool) // coarse reset; walks are short-lived
+		s.walkSeen = nil // coarse reset; walks are short-lived
 	}
 	originID, err := ids.Parse(m.GetString(walkNS, elemOrigin))
 	if err != nil {
@@ -1490,7 +1528,7 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if dirStr == Down.String() {
 		dir = Down
 	}
-	if h := s.walkHandlers[m.GetString(walkNS, elemSvc)]; h != nil && h(originID, dir, body) {
+	if h := s.walkHandlerFor(m.GetString(walkNS, elemSvc)); h != nil && h(originID, dir, body) {
 		return // handler satisfied the walk
 	}
 	if ttl <= 1 {

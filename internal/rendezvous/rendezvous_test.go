@@ -837,3 +837,68 @@ func TestDormantEdgeRevivedByTierProbe(t *testing.T) {
 		t.Fatalf("revived edge not leased to the probing anchor (connected=%v)", ok)
 	}
 }
+
+// TestReturnsToZeroState: the rendezvous service is small by construction.
+// An edge — the lease *client* — holds no map when built and allocates none
+// by acquiring and renewing a lease, so between renewals it is quiescent
+// with nothing to release; its walk-handler registrations are a slice and
+// survive Trim. On the granting side the client table is allocated by the
+// first lease, drains when the edge departs, and Trim returns it to nil.
+func TestReturnsToZeroState(t *testing.T) {
+	sched := simnet.NewScheduler(77)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	cfg := DefaultConfig()
+	cfg.LeaseDuration = time.Minute
+	rdvs := newRdvOverlayCfg(t, sched, net, 1, cfg)
+	edge := newEdge(t, sched, net, "edge0",
+		[]peerview.Seed{{ID: rdvs[0].id, Addr: rdvs[0].tr.Addr()}}, cfg)
+	noMaps := func(when string, s *Service) {
+		t.Helper()
+		if s.clients != nil || s.walkSeen != nil || s.mergeTried != nil {
+			t.Fatalf("%s: clients=%v walkSeen=%v mergeTried=%v allocated", when,
+				s.clients != nil, s.walkSeen != nil, s.mergeTried != nil)
+		}
+	}
+	noMaps("fresh edge", edge.svc)
+	noMaps("fresh rendezvous", rdvs[0].svc)
+
+	walked := 0
+	edge.svc.SetWalkHandler("a", func(ids.ID, Direction, *message.Message) bool { return false })
+	edge.svc.SetWalkHandler("b", func(ids.ID, Direction, *message.Message) bool { return false })
+	edge.svc.SetWalkHandler("a", func(ids.ID, Direction, *message.Message) bool { walked++; return true })
+
+	edge.svc.Start()
+	sched.Run(5 * time.Minute) // acquire, then renew every 30 s
+	if _, ok := edge.svc.ConnectedRdv(); !ok {
+		t.Fatal("edge holds no lease")
+	}
+	if !edge.svc.Quiescent() {
+		t.Fatal("leased edge between renewals is not quiescent")
+	}
+	noMaps("leased edge after ten renewals", edge.svc)
+	edge.svc.Trim()
+	if len(edge.svc.walkHandlers) != 2 {
+		t.Fatalf("%d walk handlers registered, want 2 (re-registering replaces)", len(edge.svc.walkHandlers))
+	}
+	if h := edge.svc.walkHandlerFor("a"); h == nil || !h(ids.Nil, Up, nil) || walked != 1 {
+		t.Fatal("the walk handler registered last did not survive Trim")
+	}
+	if edge.svc.walkHandlerFor("c") != nil {
+		t.Fatal("found a walk handler nobody registered")
+	}
+
+	if len(rdvs[0].svc.clients) != 1 {
+		t.Fatal("the grant did not allocate the client table")
+	}
+	rdvs[0].svc.Trim()
+	if !rdvs[0].svc.HasClient(edge.id) {
+		t.Fatal("Trim dropped a live lease")
+	}
+	edge.svc.Stop() // departs with a cancel
+	sched.Run(sched.Now() + time.Minute)
+	if rdvs[0].svc.clients == nil || len(rdvs[0].svc.clients) != 0 {
+		t.Fatal("the cancel should empty the client table and leave releasing it to Trim")
+	}
+	rdvs[0].svc.Trim()
+	noMaps("rendezvous after its only client left", rdvs[0].svc)
+}

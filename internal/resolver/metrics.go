@@ -4,13 +4,12 @@ import (
 	"jxta/internal/metrics"
 )
 
-// resMetrics holds the resolver's instruments. Handler-keyed counters
-// cache their Vec children (handler names are a small fixed set:
-// discovery, SRDI, …) so steady-state increments are lock-free.
+// resMetrics holds the resolver's instruments. The handler-keyed Vec
+// children are cached on the handler registrations (namedHandler.recvd) so
+// steady-state increments are lock-free.
 type resMetrics struct {
 	queriesSent  *metrics.Counter
 	queriesRecvd *metrics.CounterVec
-	byHandler    map[string]*metrics.Counter
 	responses    *metrics.Counter
 	responsesIn  *metrics.Counter
 	timeouts     *metrics.Counter
@@ -28,21 +27,14 @@ func (s *Service) Instrument(reg *metrics.Registry) {
 	s.m = &resMetrics{
 		queriesSent:  reg.Counter("jxta_resolver_queries_sent_total", "Queries issued by this peer."),
 		queriesRecvd: reg.CounterVec("jxta_resolver_queries_received_total", "Queries dispatched to a local handler.", "handler"),
-		byHandler:    make(map[string]*metrics.Counter),
 		responses:    reg.Counter("jxta_resolver_responses_sent_total", "Responses sent back to query originators."),
 		responsesIn:  reg.Counter("jxta_resolver_responses_received_total", "Responses delivered to local callbacks."),
 		timeouts:     reg.Counter("jxta_resolver_timeouts_total", "Local queries that timed out unanswered."),
 		forwards:     reg.Counter("jxta_resolver_forwards_total", "Queries forwarded along the walk."),
 	}
+	for i := range s.handlers {
+		s.handlers[i].recvd = nil // cached against the previous registry
+	}
 	reg.GaugeFunc("jxta_resolver_pending", "In-flight locally issued queries.",
 		func() float64 { return float64(len(s.pending)) })
-}
-
-func (s *Service) handlerCounter(name string) *metrics.Counter {
-	if c, ok := s.m.byHandler[name]; ok {
-		return c
-	}
-	c := s.m.queriesRecvd.With(name)
-	s.m.byHandler[name] = c
-	return c
 }

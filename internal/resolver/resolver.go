@@ -66,12 +66,14 @@ type Service struct {
 	env env.Env
 	ep  *endpoint.Endpoint
 
-	handlers map[string]Handler
-	pending  map[uint64]*pendingQuery
-	nextQID  uint64
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *resFrozen
+	// handlers is a slice, not a map: a peer registers a handful of names
+	// (discovery, a routing backend) once, and a scan over them is cheaper
+	// than a map header per peer.
+	handlers []namedHandler
+	// pending is nil until a query is issued (reads of a nil map are
+	// already correct); Trim returns it to nil when empty.
+	pending map[uint64]*pendingQuery
+	nextQID uint64
 
 	// Timeout is how long a locally issued query waits for its first
 	// response before the timeout callback fires. Zero disables timeouts.
@@ -82,6 +84,14 @@ type Service struct {
 	m *resMetrics
 }
 
+// namedHandler is one registration plus its cached received-queries
+// counter (filled on first dispatch, dropped by Instrument).
+type namedHandler struct {
+	name  string
+	h     Handler
+	recvd *metrics.Counter
+}
+
 type pendingQuery struct {
 	cb        ResponseCallback
 	onTimeout TimeoutCallback
@@ -90,13 +100,7 @@ type pendingQuery struct {
 
 // New builds the resolver for a peer and registers its endpoint handler.
 func New(e env.Env, ep *endpoint.Endpoint) *Service {
-	s := &Service{
-		env:      e,
-		ep:       ep,
-		handlers: make(map[string]Handler),
-		pending:  make(map[uint64]*pendingQuery),
-		Timeout:  30 * time.Second,
-	}
+	s := &Service{env: e, ep: ep, Timeout: 30 * time.Second}
 	ep.Register(ServiceName, s.receive)
 	s.Instrument(metrics.Discard())
 	return s
@@ -104,8 +108,21 @@ func New(e env.Env, ep *endpoint.Endpoint) *Service {
 
 // RegisterHandler installs (or replaces) the named query handler.
 func (s *Service) RegisterHandler(name string, h Handler) {
-	s.thaw()
-	s.handlers[name] = h
+	if nh := s.handler(name); nh != nil {
+		*nh = namedHandler{name: name, h: h}
+		return
+	}
+	s.handlers = append(s.handlers, namedHandler{name: name, h: h})
+}
+
+// handler returns the registration for name, or nil.
+func (s *Service) handler(name string) *namedHandler {
+	for i := range s.handlers {
+		if s.handlers[i].name == name {
+			return &s.handlers[i]
+		}
+	}
+	return nil
 }
 
 // SendQuery issues a query to the given peer (an edge peer sends to its
@@ -113,7 +130,6 @@ func (s *Service) RegisterHandler(name string, h Handler) {
 // every response received; onTimeout (optional) fires once if nothing
 // arrived within Timeout. The query ID is returned for correlation.
 func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback) (uint64, error) {
-	s.thaw()
 	s.nextQID++
 	qid := s.nextQID
 	p := &pendingQuery{cb: cb, onTimeout: onTimeout}
@@ -127,6 +143,9 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 				}
 			}
 		})
+	}
+	if s.pending == nil {
+		s.pending = make(map[uint64]*pendingQuery)
 	}
 	s.pending[qid] = p
 
@@ -150,7 +169,6 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 
 // Cancel abandons a pending query; late responses are dropped silently.
 func (s *Service) Cancel(qid uint64) {
-	s.thaw()
 	if p, ok := s.pending[qid]; ok {
 		delete(s.pending, qid)
 		if p.timer != nil {
@@ -165,12 +183,22 @@ func (s *Service) Cancel(qid uint64) {
 // Query IDs keep increasing across restarts (late responses to pre-stop
 // queries must not be confused with answers to new ones).
 func (s *Service) Stop() {
-	s.thaw()
 	for qid, p := range s.pending {
 		if p.timer != nil {
 			p.timer.Cancel()
 		}
 		delete(s.pending, qid)
+	}
+}
+
+// Quiescent reports whether the resolver is idle: no locally issued query
+// is awaiting a response or timeout.
+func (s *Service) Quiescent() bool { return len(s.pending) == 0 }
+
+// Trim returns an emptied pending table to nil, the state New leaves it in.
+func (s *Service) Trim() {
+	if len(s.pending) == 0 {
+		s.pending = nil
 	}
 }
 
@@ -219,7 +247,6 @@ func HandlerOf(m *message.Message) string { return m.GetString(ns, elemHandler) 
 
 // receive demultiplexes resolver traffic.
 func (s *Service) receive(src ids.ID, m *message.Message) {
-	s.thaw()
 	qidStr := m.GetString(ns, elemQID)
 	qid, err := strconv.ParseUint(qidStr, 10, 64)
 	if err != nil {
@@ -257,12 +284,15 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 		return
 	}
 	name := m.GetString(ns, elemHandler)
-	h, ok := s.handlers[name]
-	if !ok {
+	nh := s.handler(name)
+	if nh == nil {
 		return
 	}
-	s.handlerCounter(name).Inc()
-	h(&Query{
+	if nh.recvd == nil {
+		nh.recvd = s.m.queriesRecvd.With(name)
+	}
+	nh.recvd.Inc()
+	nh.h(&Query{
 		Handler: name,
 		QID:     qid,
 		Src:     srcID,

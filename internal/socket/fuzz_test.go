@@ -86,7 +86,7 @@ func FuzzSegmentParser(f *testing.F) {
 		// A listener bound to whatever pipe the segment names, so a decoded
 		// SYN traverses the accept path instead of dropping at the lookup.
 		if pid, err := ids.Parse(m.GetString(ns, elemPipe)); err == nil {
-			s.listeners[pid] = &Listener{svc: s, Adv: &advertisement.Pipe{PipeID: pid}, accept: func(*Conn) {}}
+			s.listeners = map[ids.ID]*Listener{pid: {svc: s, Adv: &advertisement.Pipe{PipeID: pid}, accept: func(*Conn) {}}}
 		}
 		src := ids.NewRandom(ids.KindPeer, e.Rand())
 		s.receive(src, m)
@@ -98,14 +98,14 @@ func FuzzSegmentParser(f *testing.F) {
 			if _, ok := s.conns[key]; !ok {
 				c := s.newConn(key)
 				c.state = stateEstablished
-				s.conns[key] = c
+				s.addConn(c)
 			}
 			s.receive(src, m)
 		}
 		sched.Run(5 * time.Second) // let retransmission and linger timers fire
 		// The fabricated listeners have no backing pipe; drop them before
 		// the teardown walk (Listener.Close is not under test here).
-		s.listeners = make(map[ids.ID]*Listener)
+		s.listeners = nil
 		s.Stop()
 		sched.Run(sched.Now() + time.Minute)
 	})

@@ -188,6 +188,9 @@ type Service struct {
 	pipes *pipe.Service
 	cfg   Config
 
+	// listeners and conns are nil until first written (reads of a nil map
+	// are already correct), so a peer that never streams allocates neither;
+	// Trim returns emptied tables to nil.
 	listeners map[ids.ID]*Listener
 	conns     map[connKey]*Conn
 	nextConn  uint64
@@ -197,21 +200,11 @@ type Service struct {
 	// m holds the stored runtime instruments; always non-nil (New
 	// pre-instruments, node.New re-instruments with the node's registry).
 	m *sockMetrics
-
-	// frozen implements edge hibernation; see hibernate.go.
-	frozen *sockFrozen
 }
 
 // New wires the stream layer into a peer's endpoint and pipe services.
 func New(e env.Env, ep *endpoint.Endpoint, pipes *pipe.Service, cfg Config) *Service {
-	s := &Service{
-		env:       e,
-		ep:        ep,
-		pipes:     pipes,
-		cfg:       cfg.withDefaults(),
-		listeners: make(map[ids.ID]*Listener),
-		conns:     make(map[connKey]*Conn),
-	}
+	s := &Service{env: e, ep: ep, pipes: pipes, cfg: cfg.withDefaults()}
 	ep.Register(ServiceName, s.receive)
 	s.Instrument(metrics.Discard())
 	return s
@@ -235,7 +228,6 @@ func (s *Service) Stop() { s.shutdown(true) }
 func (s *Service) Abort() { s.shutdown(false) }
 
 func (s *Service) shutdown(announce bool) {
-	s.thaw()
 	for _, l := range s.sortedListeners() {
 		l.Close()
 	}
@@ -252,9 +244,30 @@ func (s *Service) shutdown(announce bool) {
 // connection ID counter keeps increasing so segments from pre-restart
 // connections can never alias new ones.
 func (s *Service) Reset() {
-	s.thaw()
-	s.listeners = make(map[ids.ID]*Listener)
-	s.conns = make(map[connKey]*Conn)
+	s.listeners = nil
+	s.conns = nil
+}
+
+// Quiescent reports whether the service is idle: no connection in any
+// state (including TIME_WAIT) occupies the table.
+func (s *Service) Quiescent() bool { return len(s.conns) == 0 }
+
+// Trim returns emptied tables to nil, the state New leaves them in.
+func (s *Service) Trim() {
+	if len(s.listeners) == 0 {
+		s.listeners = nil
+	}
+	if len(s.conns) == 0 {
+		s.conns = nil
+	}
+}
+
+// addConn enters c into the connection table.
+func (s *Service) addConn(c *Conn) {
+	if s.conns == nil {
+		s.conns = make(map[connKey]*Conn)
+	}
+	s.conns[c.key] = c
 }
 
 // sortedListeners returns the listeners in ascending pipe-ID order.
@@ -297,7 +310,7 @@ func (s *Service) teardownConn(c *Conn, announce bool) {
 		c.stopTimers()
 		if cur, ok := s.conns[c.key]; ok && cur == c {
 			delete(s.conns, c.key)
-			c.releaseOOO()
+			c.ooo = nil
 		}
 		return
 	}
@@ -332,7 +345,6 @@ type Listener struct {
 // advertisement so dialers can resolve this peer. accept fires once per
 // established inbound connection.
 func (s *Service) Listen(adv *advertisement.Pipe, accept func(*Conn)) (*Listener, error) {
-	s.thaw()
 	if _, dup := s.listeners[adv.PipeID]; dup {
 		return nil, ErrAlreadyBound
 	}
@@ -343,6 +355,9 @@ func (s *Service) Listen(adv *advertisement.Pipe, accept func(*Conn)) (*Listener
 		return nil, err
 	}
 	l := &Listener{svc: s, Adv: adv, in: in, accept: accept}
+	if s.listeners == nil {
+		s.listeners = make(map[ids.ID]*Listener)
+	}
 	s.listeners[adv.PipeID] = l
 	return l, nil
 }
@@ -352,7 +367,6 @@ func (s *Service) Listen(adv *advertisement.Pipe, accept func(*Conn)) (*Listener
 // been accepted (the dialer sees ErrReset rather than a stream nobody
 // serves).
 func (l *Listener) Close() {
-	l.svc.thaw()
 	delete(l.svc.listeners, l.Adv.PipeID)
 	l.in.Close()
 	for _, c := range l.svc.conns {
@@ -378,7 +392,6 @@ func (s *Service) Dial(pipeID ids.ID, cb func(*Conn, error)) {
 // DialPeer handshakes directly with a known binder peer (a route to it must
 // exist or be installable by the endpoint).
 func (s *Service) DialPeer(binder, pipeID ids.ID, cb func(*Conn, error)) {
-	s.thaw()
 	s.nextConn++
 	s.Stats.ConnsDialed++
 	c := s.newConn(connKey{peer: binder, id: s.nextConn, initiated: true})
@@ -390,7 +403,7 @@ func (s *Service) DialPeer(binder, pipeID ids.ID, cb func(*Conn, error)) {
 			c.fail(ErrDialTimeout)
 		}
 	})
-	s.conns[c.key] = c
+	s.addConn(c)
 	c.sendSyn()
 	c.armRetx()
 }
@@ -439,7 +452,7 @@ type Conn struct {
 
 	// Receive side.
 	recvBuf   []byte            // in-order bytes awaiting Read
-	ooo       map[uint64][]byte // out-of-order segments by seq
+	ooo       map[uint64][]byte // out-of-order segments by seq; nil until the first
 	rcvNxt    uint64            // next expected byte
 	remoteFin uint64            // seq of the peer's FIN; 0 = none (finSeen)
 	finSeen   bool
@@ -475,7 +488,6 @@ func (s *Service) newConn(key connKey) *Conn {
 		svc:     s,
 		key:     key,
 		peerWnd: s.cfg.WindowBytes, // until the first advertisement arrives
-		ooo:     oooPool.Get(),
 	}
 }
 
@@ -583,7 +595,7 @@ func (c *Conn) fail(err error) {
 	c.err = err
 	c.stopTimers()
 	delete(c.svc.conns, c.key)
-	c.releaseOOO()
+	c.ooo = nil
 	if wasSynSent && c.onDialed != nil {
 		cb := c.onDialed
 		c.onDialed = nil
@@ -842,7 +854,6 @@ func (c *Conn) sendRst() {
 
 // receive dispatches inbound stream traffic.
 func (s *Service) receive(src ids.ID, m *message.Message) {
-	s.thaw()
 	t := m.GetString(ns, elemType)
 	id, err := strconv.ParseUint(m.GetString(ns, elemConn), 10, 64)
 	if err != nil {
@@ -907,7 +918,7 @@ func (s *Service) handleSyn(src ids.ID, key connKey, m *message.Message) {
 	if wnd, err := strconv.Atoi(m.GetString(ns, elemWnd)); err == nil {
 		c.peerWnd = wnd
 	}
-	s.conns[key] = c
+	s.addConn(c)
 	c.sendSynAck()
 	c.armRetx()
 }
@@ -1062,6 +1073,9 @@ func (c *Conn) handleData(m *message.Message) {
 			if _, dup := c.ooo[seq]; !dup {
 				cp := make([]byte, len(data))
 				copy(cp, data)
+				if c.ooo == nil {
+					c.ooo = make(map[uint64][]byte)
+				}
 				c.ooo[seq] = cp
 			}
 		}
@@ -1113,7 +1127,7 @@ func (c *Conn) maybeTeardown() {
 		c.lingerTmr = nil
 		if cur, ok := svc.conns[key]; ok && cur == c {
 			delete(svc.conns, key)
-			c.releaseOOO()
+			c.ooo = nil
 		}
 	})
 	if c.onReadable != nil {

@@ -552,3 +552,58 @@ func TestFixedRTOUnchangedByEstimator(t *testing.T) {
 		t.Fatalf("fixed-mode rto=%v, want %v", rto, socket.DefaultConfig().RTO)
 	}
 }
+
+// TestReturnsToZeroState: the stream layer is small by construction. A peer
+// that never streamed holds no table; a connection allocates one, and once
+// it has drained (both closes and the TIME_WAIT linger) Trim returns the
+// connection table to nil while the listener — a registration, not
+// per-connection state — survives; closing it returns the whole service to
+// the state New left it in.
+func TestReturnsToZeroState(t *testing.T) {
+	r := newRig(t, 31, nil, socket.Config{})
+	srv, cli := r.listener.Socket, r.dialer.Socket
+	if !srv.ZeroState() || !cli.ZeroState() {
+		t.Fatal("a service that never streamed allocated its tables")
+	}
+	adv := pipe.NewPipeAdv(r.listener.ID, "svc")
+	serverSink := &sink{}
+	l, err := srv.Listen(adv, func(c *socket.Conn) {
+		serverSink.attach(c)
+		c.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.run(time.Minute)
+	cli.Dial(adv.PipeID, func(c *socket.Conn, err error) {
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		streamOut(t, c, pattern(8<<10))
+	})
+	r.run(30 * time.Second)
+	if !serverSink.eof {
+		t.Fatal("transfer did not complete")
+	}
+	r.run(5 * time.Minute) // past every linger
+	if !srv.Quiescent() || !cli.Quiescent() {
+		t.Fatal("connections did not drain")
+	}
+	if cli.ZeroState() {
+		t.Fatal("delete sites must not release the table (only Trim does)")
+	}
+	cli.Trim()
+	srv.Trim()
+	if !cli.ZeroState() {
+		t.Fatal("Trim left the dialer's emptied connection table allocated")
+	}
+	if srv.ZeroState() || srv.Listening() != 1 {
+		t.Fatal("the listener did not survive Trim")
+	}
+	l.Close()
+	srv.Trim()
+	if !srv.ZeroState() {
+		t.Fatal("Trim left the listener's emptied tables allocated")
+	}
+}

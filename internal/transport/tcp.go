@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -13,6 +14,15 @@ import (
 // maxFrame bounds a single TCP frame (16 MiB), mirroring the message
 // decoder's own limits.
 const maxFrame = 1 << 24
+
+// frameChunk is the most a frameReader allocates before any payload byte of
+// a frame has arrived.
+const frameChunk = 64 << 10
+
+// frameBuffer is each connection's read buffer. A frame that fits it — the
+// protocols' messages are a kilobyte or two — is read with its header in one
+// system call and handed to the decoder in place.
+const frameBuffer = 4 << 10
 
 // helloName identifies the handshake element carrying the dialer's address.
 const (
@@ -156,7 +166,7 @@ func (t *TCP) conn(to Addr) (net.Conn, error) {
 	t.conns[to] = c
 	t.open[c] = struct{}{}
 	t.wg.Add(1)
-	go t.readLoop(to, c)
+	go t.readLoop(to, c, newFrameReader(c))
 	t.mu.Unlock()
 	return c, nil
 }
@@ -197,7 +207,8 @@ func (t *TCP) acceptLoop() {
 // connection under the announced address, and enters the read loop.
 func (t *TCP) handshakeInbound(c net.Conn) {
 	var peer Addr
-	if frame, err := readFrame(c); err == nil {
+	fr := newFrameReader(c)
+	if frame, err := fr.next(); err == nil {
 		if hello, err := message.Unmarshal(frame); err == nil {
 			peer = Addr(hello.GetString(helloNS, helloName))
 		}
@@ -213,14 +224,15 @@ func (t *TCP) handshakeInbound(c net.Conn) {
 		t.conns[peer] = c
 	}
 	t.mu.Unlock()
-	t.readLoop(peer, c)
+	t.readLoop(peer, c, fr)
 }
 
-func (t *TCP) readLoop(peer Addr, c net.Conn) {
+// readLoop delivers every frame fr yields; fr reads from c.
+func (t *TCP) readLoop(peer Addr, c net.Conn, fr *frameReader) {
 	defer t.wg.Done()
 	defer t.dropConn(peer, c)
 	for {
-		frame, err := readFrame(c)
+		frame, err := fr.next()
 		if err != nil {
 			return
 		}
@@ -247,20 +259,57 @@ func appendFrame(dst []byte, msg *message.Message) []byte {
 	return dst
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader splits one connection's byte stream into frames.
+type frameReader struct {
+	r *bufio.Reader
+	// held is how much of r's buffer the frame last returned occupies; the
+	// next call gives it back.
+	held int
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, frameBuffer)}
+}
+
+// next returns the payload of the next frame. The slice is valid until the
+// following call: a frame that fits the read buffer is returned in place,
+// header and payload having arrived in one read, and costs no allocation
+// (message.Unmarshal copies what it keeps).
+func (f *frameReader) next() ([]byte, error) {
+	f.r.Discard(f.held)
+	f.held = 0
+	hdr, err := f.r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	if 4+n <= f.r.Size() {
+		frame, err := f.r.Peek(4 + n)
+		if err != nil {
+			return nil, err
+		}
+		f.held = 4 + n
+		return frame[4:], nil
 	}
-	return buf, nil
+	f.r.Discard(4)
+	// A larger frame gets memory of its own. The length is the peer's
+	// claim, not yet its bytes: allocate one chunk up front and grow only
+	// as payload actually arrives (doubling, so the buffer stays within
+	// twice what was received). A peer that claims maxFrame and stalls pins
+	// frameChunk, not 16 MiB; frames up to frameChunk are one allocation.
+	buf := make([]byte, min(n, frameChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(f.r, buf[have:]); err != nil {
+			return nil, err
+		}
+		if have = len(buf); have == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-have, have))...)
+	}
 }
 
 func stripScheme(a Addr) (string, bool) {

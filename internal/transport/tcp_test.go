@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -176,5 +177,98 @@ func TestTCPCloseAfterSimultaneousDial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stallingReader serves data and then stalls, recording the largest buffer
+// the caller ever offered it: what the caller holds for this peer's bytes.
+type stallingReader struct {
+	data []byte
+	off  int
+	held int
+}
+
+func (r *stallingReader) Read(p []byte) (int, error) {
+	r.held = max(r.held, len(p))
+	if r.off == len(r.data) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	n := copy(p, r.data[r.off:])
+	r.off += n
+	return n, nil
+}
+
+// frameWire is n payload bytes behind their length prefix.
+func frameWire(n int) []byte {
+	wire := binary.BigEndian.AppendUint32(nil, uint32(n))
+	for i := 0; i < n; i++ {
+		wire = append(wire, byte(i*31))
+	}
+	return wire
+}
+
+// TestFrameReaderAllocatesAsBytesArrive pins ROADMAP item 4: the length
+// prefix is a claim by the peer, and the reader must not back it with memory
+// before the bytes arrive. A peer that claims maxFrame, sends 10 bytes and
+// stalls may pin one chunk, not 16 MiB.
+func TestFrameReaderAllocatesAsBytesArrive(t *testing.T) {
+	claim := make([]byte, 4, 14)
+	binary.BigEndian.PutUint32(claim, maxFrame)
+	r := &stallingReader{data: append(claim, "ten bytes."...)}
+	if _, err := newFrameReader(r).next(); err == nil {
+		t.Fatal("next returned a frame the peer never finished")
+	}
+	if r.held+frameBuffer >= 128<<10 {
+		t.Fatalf("reader holds %d bytes for a peer that sent 10", r.held+frameBuffer)
+	}
+
+	// One stream of frames on either side of the read buffer and of the
+	// chunk size: each arrives whole, whether it was returned in place or
+	// in memory of its own, and stays intact until the next call.
+	sizes := []int{0, 1, frameBuffer - 5, frameBuffer - 4, frameBuffer - 3, 1000,
+		frameChunk - 1, frameChunk, frameChunk + 1, 2, 5*frameChunk + 7, 1}
+	var stream []byte
+	for _, n := range sizes {
+		stream = append(stream, frameWire(n)...)
+	}
+	fr := newFrameReader(bytes.NewReader(stream))
+	for _, n := range sizes {
+		got, err := fr.next()
+		if err != nil {
+			t.Fatalf("frame of %d bytes: %v", n, err)
+		}
+		if !bytes.Equal(got, frameWire(n)[4:]) {
+			t.Fatalf("frame of %d bytes arrived corrupted (len %d)", n, len(got))
+		}
+	}
+	if _, err := fr.next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// endlessReader serves the same bytes over and over.
+type endlessReader struct {
+	data []byte
+	off  int
+}
+
+func (r *endlessReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data[r.off:])
+	r.off = (r.off + n) % len(r.data)
+	return n, nil
+}
+
+// TestFrameReaderSteadyStateAllocations: a frame that fits the read buffer
+// costs no allocation, a larger one up to frameChunk exactly one.
+func TestFrameReaderSteadyStateAllocations(t *testing.T) {
+	for _, tc := range []struct{ n, allocs int }{{1000, 0}, {frameBuffer - 4, 0}, {frameBuffer - 3, 1}, {frameChunk, 1}} {
+		fr := newFrameReader(&endlessReader{data: frameWire(tc.n)})
+		if a := testing.AllocsPerRun(100, func() {
+			if frame, err := fr.next(); err != nil || len(frame) != tc.n {
+				t.Fatalf("frame of %d bytes: len %d, %v", tc.n, len(frame), err)
+			}
+		}); int(a) != tc.allocs {
+			t.Fatalf("frame of %d bytes costs %.0f allocations, want %d", tc.n, a, tc.allocs)
+		}
 	}
 }
