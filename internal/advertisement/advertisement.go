@@ -9,6 +9,7 @@ package advertisement
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"jxta/internal/document"
@@ -34,6 +35,26 @@ type IndexField struct {
 // describes: advertisement type, then attribute name, then value
 // ("Peer" + "Name" + "Test" -> "PeerNameTest").
 func (f IndexField) Key(advType string) string { return advType + f.Attr + f.Value }
+
+// Int reports the field's value as an integer, for the numeric index tier.
+// The value is screened first: strconv.ParseInt allocates its error, and
+// most indexed values (names, URNs) are not numbers.
+func (f IndexField) Int() (int64, bool) {
+	digits := f.Value
+	if digits != "" && (digits[0] == '+' || digits[0] == '-') {
+		digits = digits[1:]
+	}
+	if digits == "" {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseInt(f.Value, 10, 64)
+	return v, err == nil
+}
 
 // Advertisement is the behaviour common to every advertisement type.
 type Advertisement interface {

@@ -7,7 +7,6 @@ package cm
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -179,7 +178,7 @@ func (c *Cache) Put(adv advertisement.Advertisement, lifetime time.Duration, loc
 			}
 			c.index[key] = lst
 		}
-		if v, err := strconv.ParseInt(f.Value, 10, 64); err == nil {
+		if v, ok := f.Int(); ok {
 			c.numInsert(numKey(adv.Type(), f.Attr), numEntry{val: v, id: id})
 		}
 	}
@@ -200,7 +199,7 @@ func (c *Cache) unindex(adv advertisement.Advertisement) {
 				}
 			}
 		}
-		if v, err := strconv.ParseInt(f.Value, 10, 64); err == nil {
+		if v, ok := f.Int(); ok {
 			c.numRemove(numKey(adv.Type(), f.Attr), numEntry{val: v, id: id})
 		}
 	}
@@ -384,8 +383,8 @@ func (c *Cache) searchRangeLinear(advType, attr string, lo, hi int64) []advertis
 			if f.Attr != attr {
 				continue
 			}
-			v, err := strconv.ParseInt(f.Value, 10, 64)
-			if err != nil {
+			v, ok := f.Int()
+			if !ok {
 				continue
 			}
 			if v >= lo && v <= hi {

@@ -383,32 +383,39 @@ func (s *Service) tuplesOf(adv advertisement.Advertisement, lifetime time.Durati
 	fields := adv.IndexFields()
 	tuples := make([]srdi.Tuple, 0, len(fields))
 	for _, f := range fields {
-		tpl := srdi.Tuple{
-			Key:           f.Key(adv.Type()),
-			Publisher:     s.ep.ID(),
-			PublisherAddr: s.ep.Addr(),
-			Lifetime:      lifetime,
-		}
-		// Integer-valued fields also register in the numeric tier for
-		// range queries.
-		if v, err := strconv.ParseInt(f.Value, 10, 64); err == nil {
-			tpl.NumAttr = adv.Type() + f.Attr
-			tpl.NumValue = v
-		}
-		tuples = append(tuples, tpl)
+		tuples = append(tuples, s.tupleOf(adv, f, f.Key(adv.Type()), lifetime))
 	}
 	return tuples
 }
 
+// tupleOf builds the index tuple of one field; key is f.Key(adv.Type()).
+func (s *Service) tupleOf(adv advertisement.Advertisement, f advertisement.IndexField, key string, lifetime time.Duration) srdi.Tuple {
+	tpl := srdi.Tuple{
+		Key:           key,
+		Publisher:     s.ep.ID(),
+		PublisherAddr: s.ep.Addr(),
+		Lifetime:      lifetime,
+	}
+	// Integer-valued fields also register in the numeric tier for range
+	// queries.
+	if v, ok := f.Int(); ok {
+		tpl.NumAttr = adv.Type() + f.Attr
+		tpl.NumValue = v
+	}
+	return tpl
+}
+
 // pushAll re-sends tuples for every fresh local advertisement that has not
 // been pushed to the current rendezvous yet (delta push; a fresh lease
-// clears the set, forcing a full push).
+// clears the set, forcing a full push). It runs on every push tick and
+// normally finds nothing, so a tuple is built only once its key is known
+// to be unpushed.
 func (s *Service) pushAll() {
 	var pending []srdi.Tuple
 	for _, adv := range s.cache.LocalAdvertisements() {
-		for _, tpl := range s.tuplesOf(adv, s.cfg.AdvLifetime) {
-			if !s.pushed[tpl.Key] {
-				pending = append(pending, tpl)
+		for _, f := range adv.IndexFields() {
+			if key := f.Key(adv.Type()); !s.pushed[key] {
+				pending = append(pending, s.tupleOf(adv, f, key, s.cfg.AdvLifetime))
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"jxta/internal/advertisement"
@@ -348,17 +349,38 @@ func (ep *Endpoint) SendVia(relay, dst ids.ID, service string, msg *message.Mess
 	return ep.sendTo(addr, dst, service, msg, defaultTTL)
 }
 
+// wireBuf is the short-lived wire form of one outbound message: the caller's
+// elements, aliased, followed by the envelope. Transports copy or serialize
+// inside Send and retain nothing (the transport.Transport contract), so the
+// buffer goes back to the pool as soon as Send returns. Pooled rather than
+// held per endpoint: an idle edge should not pay for scratch space.
+type wireBuf struct {
+	msg message.Message
+	dst [64]byte // backs the destination URN element
+}
+
+var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// transmit hands a pooled wire message to the transport and recycles it.
+func (ep *Endpoint) transmit(addr transport.Addr, w *wireBuf) error {
+	err := ep.tr.Send(addr, &w.msg)
+	w.msg.Reset()
+	wirePool.Put(w)
+	return err
+}
+
 func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg *message.Message, ttl int) error {
-	wire := msg.Clone()
+	w := wirePool.Get().(*wireBuf)
+	wire := w.msg.Append(msg)
 	wire.AddString(ns, elemSrc, ep.idStr)
-	wire.AddString(ns, elemDst, dst.String())
+	wire.Add(ns, elemDst, dst.AppendString(w.dst[:0]))
 	wire.AddString(ns, elemSvc, service)
 	wire.AddString(ns, elemSrcAddr, ep.addrStr)
-	wire.AddString(ns, elemTTL, strconv.Itoa(ttl))
+	wire.AddString(ns, elemTTL, strconv.Itoa(ttl)) // small ints: a constant table, no allocation
 	sc := ep.svcMetrics(service)
 	sc.txMsgs.Inc()
 	sc.txBytes.Add(uint64(wire.Size()))
-	return ep.tr.Send(addr, wire)
+	return ep.transmit(addr, w)
 }
 
 // ServiceOf reports which service a wire message is addressed to.
@@ -366,48 +388,108 @@ func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg 
 // traffic without depending on envelope internals.
 func ServiceOf(m *message.Message) string { return m.GetString(ns, elemSvc) }
 
+// envelope is the five ep: elements of a wire message, read in place: the
+// slices alias the message's payloads.
+type envelope struct {
+	src, dst, svc, srcAddr, ttl []byte
+}
+
+// readEnvelope collects the envelope in one pass over the elements. As with
+// Message.Get, the first element of each name wins.
+func readEnvelope(wire *message.Message) (e envelope) {
+	var seen uint8
+	for _, el := range wire.Elements() {
+		if el.Namespace != ns {
+			continue
+		}
+		var field *[]byte
+		var bit uint8
+		switch el.Name {
+		case elemSrc:
+			field, bit = &e.src, 1<<0
+		case elemDst:
+			field, bit = &e.dst, 1<<1
+		case elemSvc:
+			field, bit = &e.svc, 1<<2
+		case elemSrcAddr:
+			field, bit = &e.srcAddr, 1<<3
+		case elemTTL:
+			field, bit = &e.ttl, 1<<4
+		default:
+			continue
+		}
+		if seen&bit == 0 {
+			seen |= bit
+			*field = el.Data
+		}
+	}
+	return e
+}
+
 // dispatch demultiplexes an inbound wire message: learn the return route,
-// then either deliver locally or relay toward the destination. Deliveries
-// arrive through receive (hibernate.go), which brackets this with the
-// node's wake/settle hooks.
+// then either deliver locally or relay toward the destination. The envelope
+// is read as bytes, so a message on the steady-state path (known service,
+// known return route) allocates nothing here. Deliveries arrive through
+// receive (hibernate.go), which brackets this with the node's wake/settle
+// hooks.
 func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	ep.thaw()
-	srcID, err := ids.Parse(wire.GetString(ns, elemSrc))
+	e := readEnvelope(wire)
+	srcID, err := ids.ParseBytes(e.src)
 	if err != nil {
 		ep.Drops++
 		return
 	}
-	dstID, err := ids.Parse(wire.GetString(ns, elemDst))
+	dstID, err := ids.ParseBytes(e.dst)
 	if err != nil {
 		ep.Drops++
 		return
 	}
-	service := wire.GetString(ns, elemSvc)
-	sc := ep.svcMetrics(service)
+	// The stored route is rewritten only when the sender's address is new or
+	// has changed, so a peer heard from again costs a comparison.
+	if len(e.srcAddr) != 0 {
+		if cur, ok := ep.routes[srcID]; !ok || string(cur) != string(e.srcAddr) {
+			ep.AddRoute(srcID, transport.Addr(e.srcAddr))
+		}
+	}
+	h, registered := ep.handlers[string(e.svc)]
+	sc := ep.rxMetrics(e.svc, registered)
 	sc.rxMsgs.Inc()
 	sc.rxBytes.Add(uint64(wire.Size()))
-	if srcAddr := wire.GetString(ns, elemSrcAddr); srcAddr != "" {
-		ep.AddRoute(srcID, transport.Addr(srcAddr))
-	}
 	// A nil destination addresses "whichever peer listens at this address"
 	// — the hello bootstrap, when the sender does not yet know our ID.
 	if !dstID.IsNil() && !dstID.Equal(ep.id) {
-		ep.relay(dstID, wire)
+		ep.relay(dstID, wire, e.ttl)
 		return
 	}
-	h, ok := ep.handlers[service]
-	if !ok {
+	if !registered {
 		ep.Drops++
 		return
 	}
 	h(srcID, wire)
 }
 
+// parseTTL reads a decimal hop count without allocating. Anything that is
+// not plain digits, or is absurdly large, is malformed.
+func parseTTL(b []byte) (int, bool) {
+	if len(b) == 0 || len(b) > 9 {
+		return 0, false
+	}
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
 // relay forwards a transit message toward its destination, decrementing the
 // TTL. The envelope (including the original source) is preserved.
-func (ep *Endpoint) relay(dst ids.ID, wire *message.Message) {
-	ttl, err := strconv.Atoi(wire.GetString(ns, elemTTL))
-	if err != nil || ttl <= 1 {
+func (ep *Endpoint) relay(dst ids.ID, wire *message.Message, ttlText []byte) {
+	ttl, ok := parseTTL(ttlText)
+	if !ok || ttl <= 1 {
 		ep.Drops++
 		return
 	}
@@ -416,15 +498,15 @@ func (ep *Endpoint) relay(dst ids.ID, wire *message.Message) {
 		ep.Drops++
 		return
 	}
-	fwd := message.New()
+	w := wirePool.Get().(*wireBuf)
 	for _, el := range wire.Elements() {
 		if el.Namespace == ns && el.Name == elemTTL {
-			fwd.AddString(ns, elemTTL, strconv.Itoa(ttl-1))
+			w.msg.AddString(ns, elemTTL, strconv.Itoa(ttl-1))
 			continue
 		}
-		fwd.Add(el.Namespace, el.Name, el.Data)
+		w.msg.Add(el.Namespace, el.Name, el.Data)
 	}
-	if err := ep.tr.Send(addr, fwd); err != nil {
+	if err := ep.transmit(addr, w); err != nil {
 		ep.Drops++
 		return
 	}

@@ -167,16 +167,6 @@ func TestUnknownServiceDrops(t *testing.T) {
 	}
 }
 
-func TestMalformedEnvelopeDrops(t *testing.T) {
-	sched, _, a, b, _ := setup(t)
-	// Bypass the endpoint: raw transport send without envelope.
-	a.tr.Send(b.tr.Addr(), body("raw"))
-	sched.Run(time.Second)
-	if b.ep.Drops != 1 {
-		t.Fatalf("Drops = %d, want 1", b.ep.Drops)
-	}
-}
-
 func TestResolveRouteViaRelay(t *testing.T) {
 	sched, _, a, b, c := setup(t)
 	a.ep.AddRoute(b.id, b.tr.Addr())

@@ -52,8 +52,27 @@ func (ep *Endpoint) Instrument(reg *metrics.Registry) {
 	ep.m = m
 }
 
-// svcMetrics returns the cached counter set for a service, resolving the
-// Vec children on first use. Runs in env-serialized context only.
+// otherService is the one label every inbound message for a service this
+// endpoint neither serves nor sends to is counted under.
+const otherService = "other"
+
+// rxMetrics returns the counter set for an inbound message's service. The
+// name comes off the wire, so it mints a counter set only when it names a
+// registered service: a peer sending arbitrary names must not grow the cache
+// or the registry, and everything it sends is counted under otherService.
+func (ep *Endpoint) rxMetrics(service []byte, registered bool) *epSvc {
+	if sc, ok := ep.m.svc[string(service)]; ok {
+		return sc
+	}
+	if !registered {
+		return ep.svcMetrics(otherService)
+	}
+	return ep.svcMetrics(string(service))
+}
+
+// svcMetrics returns the cached counter set for a service named by local
+// code, resolving the Vec children on first use. Runs in env-serialized
+// context only.
 func (ep *Endpoint) svcMetrics(service string) *epSvc {
 	if sc, ok := ep.m.svc[service]; ok {
 		return sc

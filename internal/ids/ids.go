@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"unsafe"
 )
 
 // Kind distinguishes the JXTA ID namespaces.
@@ -137,22 +138,23 @@ func (id ID) Equal(other ID) bool { return id == other }
 // "urn:jxta:uuid-5B7D…-peer". The kind suffix is a readability extension;
 // Parse accepts both suffixed and plain forms.
 func (id ID) String() string {
+	// One allocation, no second copy: IDs are stringified on most message
+	// constructions. Nothing else references b, so it can become the string.
+	b := id.AppendString(make([]byte, 0, 56))
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// AppendString appends the canonical URN form (see String) to dst and
+// returns the extended slice. It allocates nothing when dst has room, so a
+// sender can render a URN into scratch space it reuses across messages.
+func (id ID) AppendString(dst []byte) []byte {
 	if id.IsNil() {
-		return "urn:jxta:nil"
+		return append(dst, "urn:jxta:nil"...)
 	}
-	// Built in one allocation: IDs are stringified on every message
-	// construction, so this is a simulation hot path.
-	const prefix = "urn:jxta:uuid-"
-	suffix := id.kind.String()
-	var b strings.Builder
-	b.Grow(len(prefix) + 32 + 1 + len(suffix))
-	b.WriteString(prefix)
-	var h [32]byte
-	hex.Encode(h[:], id.uuid[:])
-	b.Write(h[:])
-	b.WriteByte('-')
-	b.WriteString(suffix)
-	return b.String()
+	dst = append(dst, "urn:jxta:uuid-"...)
+	dst = hex.AppendEncode(dst, id.uuid[:])
+	dst = append(dst, '-')
+	return append(dst, id.kind.String()...)
 }
 
 // Short returns an abbreviated form (first 8 hex digits) for logs and plots.
@@ -161,6 +163,14 @@ func (id ID) Short() string {
 		return "nil"
 	}
 	return hex.EncodeToString(id.uuid[:4])
+}
+
+// ParseBytes is Parse for a URN held as bytes — a message element read in
+// place. It does not retain b and allocates nothing on success.
+func ParseBytes(b []byte) (ID, error) {
+	// Parse keeps no reference to its argument (a returned error formats a
+	// copy), so viewing b as a string for the duration of the call is safe.
+	return Parse(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
 // Parse decodes the canonical URN form produced by String.

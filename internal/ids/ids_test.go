@@ -201,6 +201,45 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// Property: the bytes forms agree with the string forms. AppendString writes
+// exactly String() after whatever dst holds, and ParseBytes(b) is
+// Parse(string(b)) — same ID, same verdict — on URNs, on URNs with a byte
+// damaged, and on junk; neither allocates on a well-formed URN.
+func TestBytesFormsMatchStringForms(t *testing.T) {
+	agree := func(b []byte) bool {
+		want, wantErr := Parse(string(b))
+		got, gotErr := ParseBytes(b)
+		return got == want && (gotErr == nil) == (wantErr == nil)
+	}
+	urn := func(u [16]byte, k uint8, nilID bool) bool {
+		id := New(Kind(k%8), u) // kinds 0 and 7 are outside the namespaces
+		if nilID {
+			id = Nil
+		}
+		b := id.AppendString([]byte("dst:"))
+		return string(b) == "dst:"+id.String() && agree(b[4:])
+	}
+	damaged := func(u [16]byte, k uint8, at uint8, with byte) bool {
+		b := New(Kind(k%6+1), u).AppendString(nil)
+		b[int(at)%len(b)] = with
+		return agree(b) && agree(b[:int(at)%len(b)])
+	}
+	for _, f := range []any{urn, damaged, agree} {
+		if err := quick.Check(f, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := New(KindPeer, [16]byte{1, 2, 3})
+	var scratch [64]byte
+	if n := testing.AllocsPerRun(100, func() {
+		if back, err := ParseBytes(id.AppendString(scratch[:0])); err != nil || back != id {
+			t.Fatal(back, err)
+		}
+	}); n != 0 {
+		t.Fatalf("AppendString + ParseBytes cost %.0f allocations, want 0", n)
+	}
+}
+
 // Property: sorting is idempotent and a permutation.
 func TestSortProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {

@@ -69,9 +69,10 @@ func (m *Message) Add(namespace, name string, data []byte) *Message {
 
 // AddString appends a text element without copying: the string's backing
 // bytes are aliased directly. This is safe because strings are immutable
-// and element payloads are read-only by contract — every boundary that
-// hands a message onward (transport Clone, Marshal, Unmarshal) copies the
-// bytes, and no code path writes into Element.Data.
+// and element payloads are read-only by contract — the one boundary that
+// hands a message to another peer, transport.Transport.Send, copies or
+// serializes the bytes before it returns, and no code path writes into
+// Element.Data.
 func (m *Message) AddString(namespace, name, value string) *Message {
 	return m.Add(namespace, name, stringBytes(value))
 }
@@ -82,6 +83,24 @@ func stringBytes(s string) []byte {
 		return nil
 	}
 	return unsafe.Slice(unsafe.StringData(s), len(s))
+}
+
+// Append appends every element of o, aliasing (not copying) the payloads:
+// the result is valid only as long as o's payloads are. The endpoint builds
+// its short-lived wire messages this way.
+func (m *Message) Append(o *Message) *Message {
+	if m.elements == nil {
+		m.elements = m.inline[:0]
+	}
+	m.elements = append(m.elements, o.elements...)
+	return m
+}
+
+// Reset empties the message for reuse, dropping every payload reference
+// but keeping the element storage it has grown.
+func (m *Message) Reset() {
+	clear(m.elements)
+	m.elements = m.elements[:0]
 }
 
 // AddDocument appends a structured document as an XML element.
@@ -125,12 +144,13 @@ func (m *Message) GetDocument(namespace, name string) (*document.Element, error)
 // not mutate it.
 func (m *Message) Elements() []Element { return m.elements }
 
-// Clone returns a deep copy, used by the simulated transport so that the
-// receiver can never observe sender-side mutation (the sim must behave like
-// a real network that serializes bytes). All element payloads share one
-// contiguous backing buffer (capacity-clipped so an append on one element
-// can never bleed into the next), so a clone costs three allocations
-// however many elements the message carries.
+// Clone returns a deep copy. The in-process transports (Sim, Loop) clone
+// inside Send so that the receiver can never observe sender-side mutation —
+// they must behave like a real network that serializes bytes — and that is
+// the only copy a message gets on its way out. All element payloads share
+// one contiguous backing buffer (capacity-clipped so an append on one
+// element can never bleed into the next), so a clone costs three
+// allocations however many elements the message carries.
 func (m *Message) Clone() *Message {
 	total := 0
 	for _, e := range m.elements {

@@ -1,6 +1,7 @@
 package message
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,21 +218,77 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: Unmarshal never panics on arbitrary input.
-func TestUnmarshalRobustness(t *testing.T) {
-	f := func(data []byte) bool {
-		_, _ = Unmarshal(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-	// Also fuzz mutations of a valid frame.
+// FuzzUnmarshal decodes arbitrary frames — the bytes a TCP peer controls. A
+// frame is either rejected or decodes to a message that owns its bytes
+// (overwriting the input afterwards changes nothing), keeps every payload
+// capacity-clipped, and re-encodes to a frame that decodes to the same
+// message. The seed corpus, which plain `go test` runs, is a valid frame and
+// every one-byte corruption of it.
+func FuzzUnmarshal(f *testing.F) {
 	valid := sample().Marshal()
+	f.Add(valid)
+	f.Add(New().Marshal())
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("JXM1\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	for i := range valid {
-		mutated := append([]byte{}, valid...)
+		mutated := bytes.Clone(valid)
 		mutated[i] ^= 0xff
-		_, _ = Unmarshal(mutated)
+		f.Add(mutated)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return // rejected input: only the no-panic property applies
+		}
+		want := m.Clone()
+		for i := range data {
+			data[i] ^= 0xff
+		}
+		if !m.Equal(want) {
+			t.Fatalf("message changed with the input it was decoded from: %s", m)
+		}
+		for _, e := range m.Elements() {
+			if cap(e.Data) != len(e.Data) {
+				t.Fatalf("payload of %s:%s has %d bytes of spare capacity over its neighbour", e.Namespace, e.Name, cap(e.Data)-len(e.Data))
+			}
+		}
+		back, err := Unmarshal(m.Marshal())
+		if err != nil || !back.Equal(m) {
+			t.Fatalf("re-encoded frame decodes to %v (%v), want %s", back, err, m)
+		}
+	})
+}
+
+// TestAppendAliasesAndResetReleases: the two operations the endpoint builds
+// its pooled wire messages from.
+func TestAppendAliasesAndResetReleases(t *testing.T) {
+	payload := []byte("payload")
+	src := New().Add("a", "one", payload).AddString("a", "two", "2")
+	wire := New().AddString("w", "head", "h").Append(src).AddString("w", "tail", "t")
+	if got := wire.String(); got != "msg{w:head(1B), a:one(7B), a:two(1B), w:tail(1B)}" {
+		t.Fatalf("Append produced %s", got)
+	}
+	if one, _ := wire.Get("a", "one"); &one[0] != &payload[0] {
+		t.Fatal("Append copied a payload")
+	}
+	if src.Len() != 2 {
+		t.Fatalf("Append changed its argument: %s", src)
+	}
+	for i := 0; i < 8; i++ { // grow past the inline storage
+		wire.Append(src)
+	}
+	grown := cap(wire.Elements())
+	wire.Reset()
+	if wire.Len() != 0 || wire.Size() != New().Size() {
+		t.Fatalf("Reset left %s", wire)
+	}
+	for _, e := range wire.Elements()[:grown] {
+		if e.Data != nil || e.Name != "" {
+			t.Fatal("Reset kept a reference to a payload")
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { wire.Append(src).Append(src).Append(src).Reset() }); n != 0 {
+		t.Fatalf("refilling a reset message costs %.0f allocations, want 0", n)
 	}
 }
 

@@ -234,6 +234,10 @@ type Service struct {
 	env env.Env
 	ep  *endpoint.Endpoint
 	cfg Config
+	// leaseText is cfg.LeaseDuration in the lease protocol's decimal
+	// nanoseconds, rendered once: every request and nearly every grant
+	// carries exactly this value.
+	leaseText string
 
 	// Rendezvous role. The maps here and mergeTried below are nil until
 	// first written (reads of a nil map are already correct), so an edge
@@ -299,6 +303,7 @@ type walkHandler struct {
 
 func newService(e env.Env, ep *endpoint.Endpoint, cfg Config) *Service {
 	s := &Service{env: e, ep: ep, cfg: cfg.withDefaults(), rumors: peerview.NewRumorStore()}
+	s.leaseText = strconv.FormatInt(int64(s.cfg.LeaseDuration), 10)
 	ep.Register(LeaseService, s.receiveLease)
 	ep.Register(WalkService, s.receiveWalk)
 	s.Instrument(metrics.Discard(), nil)
@@ -908,8 +913,7 @@ func (s *Service) requestLease() {
 		s.grantTimer.Cancel()
 		s.grantTimer = nil
 	}
-	m := message.New().AddString(leaseNS, elemRequest,
-		strconv.FormatInt(int64(s.cfg.LeaseDuration), 10))
+	m := message.New().AddString(leaseNS, elemRequest, s.leaseText)
 	if s.cfg.SelfHeal {
 		// Share our address so the rendezvous can roster us to co-clients.
 		m.AddString(leaseNS, elemAddr, string(s.ep.Addr()))
@@ -1295,9 +1299,9 @@ func (s *Service) receiveLease(src ids.ID, m *message.Message) {
 		if !s.started || !s.IsRendezvous() {
 			return // edges and stopped peers do not grant leases
 		}
-		dur := s.cfg.LeaseDuration
+		dur, granted := s.cfg.LeaseDuration, s.leaseText
 		if v, err := strconv.ParseInt(req, 10, 64); err == nil && v > 0 && time.Duration(v) < dur {
-			dur = time.Duration(v)
+			dur, granted = time.Duration(v), strconv.FormatInt(v, 10)
 		}
 		if _, renewal := s.clients[src]; renewal {
 			s.m.renewed.Inc()
@@ -1318,8 +1322,7 @@ func (s *Service) receiveLease(src ids.ID, m *message.Message) {
 				}
 			}
 		}
-		rsp := message.New().AddString(leaseNS, elemGranted,
-			strconv.FormatInt(int64(dur), 10))
+		rsp := message.New().AddString(leaseNS, elemGranted, granted)
 		if s.cfg.SelfHeal {
 			s.appendGrantState(rsp)
 		}

@@ -9,8 +9,9 @@ import (
 
 // Hub is an in-process loopback fabric for unit tests: zero latency,
 // synchronous handler invocation on the sender's goroutine, thread-safe
-// registry. Deliveries clone the message, preserving the no-shared-memory
-// property of the real transports.
+// registry. Send clones the message before handing it over — the Transport
+// copy contract, preserving the no-shared-memory property of the real
+// transports.
 type Hub struct {
 	mu    sync.Mutex
 	nodes map[Addr]*Loop

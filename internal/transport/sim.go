@@ -52,6 +52,8 @@ type Network struct {
 	// OnSend, when non-nil, observes every accepted send. Used by
 	// experiments to count per-exchange messages. Under the sharded engine
 	// it is invoked from shard goroutines; observer experiments run serial.
+	// msg is the sender's and is reused once Send returns: an observer that
+	// keeps it clones it.
 	OnSend func(from, to Addr, msg *message.Message)
 }
 
@@ -342,7 +344,7 @@ func (s *Sim) Send(to Addr, msg *message.Message) error {
 	// shard's, migrating pools on cross-shard sends.
 	d := sh.getDelivery()
 	d.from, d.to = s.addr, to
-	d.msg = msg.Clone() // receiver must never share memory with sender
+	d.msg = msg.Clone() // the copy contract: msg is the sender's again once Send returns
 	if dstShard == s.shard {
 		sh.sched.AtCall(arrival, sh.arriveFn, d)
 	} else {

@@ -32,6 +32,14 @@ type Transport interface {
 	Addr() Addr
 	// Send transmits a message. Delivery is best-effort and asynchronous;
 	// an error means the message could not even be handed to the network.
+	//
+	// Send is the copy boundary between peers, and the only one: it copies
+	// or serializes msg before it returns (Sim and Loop clone, TCP marshals
+	// into a frame) and never retains msg or its element bytes afterwards.
+	// The caller may reset, refill and reuse msg and overwrite its payload
+	// buffers as soon as Send returns; it must not do so concurrently with
+	// the call. An implementation that wraps another may observe msg during
+	// Send but must copy whatever it keeps.
 	Send(to Addr, msg *message.Message) error
 	// SetHandler installs the inbound message consumer.
 	SetHandler(h Handler)

@@ -74,23 +74,6 @@ func TestSimDuplicateAttach(t *testing.T) {
 	}
 }
 
-func TestSimReceiverIsolatedFromSenderMutation(t *testing.T) {
-	sched, _, a, b := newSimPair(t, netmodel.Uniform(time.Millisecond))
-	var got *message.Message
-	b.SetHandler(func(_ Addr, m *message.Message) { got = m })
-	// The sender owns the payload buffer (AddString-backed elements alias
-	// immutable string memory and must never be written).
-	buf := []byte("original")
-	m := message.New().Add("t", "body", buf)
-	a.Send(b.Addr(), m)
-	// Mutate the sender's buffer after Send but before delivery.
-	copy(buf, "MUTATED!")
-	sched.Run(time.Second)
-	if got.GetString("t", "body") != "original" {
-		t.Fatal("receiver observed sender-side mutation")
-	}
-}
-
 func TestSimStackServiceQueueing(t *testing.T) {
 	model := netmodel.Uniform(time.Millisecond)
 	model.StackService = 10 * time.Millisecond
