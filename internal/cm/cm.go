@@ -146,8 +146,37 @@ func (c *Cache) IndexSize() int {
 // one another peer published first, so callers must not mutate adv after
 // publishing it.
 func (c *Cache) Put(adv advertisement.Advertisement, lifetime time.Duration, local bool) {
-	sh := c.store.Intern(adv)
-	adv = sh.Adv()
+	c.put(c.store.Intern(adv), lifetime, local)
+}
+
+// PutEncoded is Put for an advertisement still in its encoded form — one
+// that came off the wire. The bytes go to advstore.InternBytes, so an
+// advertisement the store already holds (in simulation: the publisher's
+// own copy) is recognised from its bytes and never decoded. It returns the
+// canonical instance, or the decoder's error for malformed bytes, which
+// leaves the cache untouched. wire is not retained.
+func (c *Cache) PutEncoded(wire []byte, lifetime time.Duration, local bool) (advertisement.Advertisement, error) {
+	sh, err := c.store.InternBytes(wire)
+	if err != nil {
+		return nil, err
+	}
+	c.put(sh, lifetime, local)
+	return sh.Adv(), nil
+}
+
+// Encoded returns the canonical encoding of a stored advertisement — the
+// bytes advertisement.EncodeXML would produce, encoded at most once and
+// shared, read-only — or nil if id is not stored or cannot be encoded.
+func (c *Cache) Encoded(id ids.ID) []byte {
+	if rec, ok := c.byID[id]; ok {
+		return rec.sh.Bytes()
+	}
+	return nil
+}
+
+// put files an interned advertisement, taking over the caller's reference.
+func (c *Cache) put(sh *advstore.Shared, lifetime time.Duration, local bool) {
+	adv := sh.Adv()
 	id := adv.ID()
 	var expires time.Duration
 	if lifetime > 0 {

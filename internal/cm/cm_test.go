@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"jxta/internal/advertisement"
+	"jxta/internal/advstore"
 	"jxta/internal/ids"
 	"jxta/internal/simnet"
 )
@@ -422,5 +424,65 @@ func TestReturnsToZeroState(t *testing.T) {
 	c.Put(adv, 0, true)
 	if got := c.Search("Resource", "Name", "n1"); len(got) != 1 {
 		t.Fatal("cache did not refill from the zero state")
+	}
+}
+
+// TestPutEncodedAndEncoded: the two entry points that let an advertisement
+// pass through a cache without being decoded or encoded again. PutEncoded
+// files wire bytes exactly as Put files the decoded value — same record,
+// same index, same interned instance — and Encoded hands back the canonical
+// bytes of a stored advertisement whichever way it came in.
+func TestPutEncodedAndEncoded(t *testing.T) {
+	store := advstore.New()
+	sched := simnet.NewScheduler(1)
+	pub := NewWithStore(sched.NewEnv("pub"), store)
+	req := NewWithStore(sched.NewEnv("req"), store)
+	adv := res("node7", advertisement.IndexField{Attr: "RAM", Value: "4096"})
+	pub.Put(adv, time.Hour, true)
+	wire := pub.Encoded(adv.ID())
+	if want, _ := advertisement.EncodeXML(adv); !bytes.Equal(wire, want) {
+		t.Fatalf("Encoded = %q, want %q", wire, want)
+	}
+	if &pub.Encoded(adv.ID())[0] != &wire[0] {
+		t.Fatal("Encoded encoded the advertisement a second time")
+	}
+	if pub.Encoded(ids.FromName(ids.KindAdv, "absent")) != nil {
+		t.Fatal("Encoded of an absent advertisement is not nil")
+	}
+
+	hits, _ := store.Stats()
+	got, err := req.PutEncoded(wire, time.Hour, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != advertisement.Advertisement(adv) {
+		t.Fatal("PutEncoded did not land on the instance the publisher interned")
+	}
+	if after, _ := store.Stats(); after != hits+1 {
+		t.Fatalf("store hits went %d → %d, want one hit (recognised from the bytes)", hits, after)
+	}
+	if found := req.Search("Resource", "Name", "node7"); len(found) != 1 || found[0] != got {
+		t.Fatalf("Search after PutEncoded found %v", found)
+	}
+	if found := req.SearchRange("Resource", "RAM", 4000, 5000); len(found) != 1 {
+		t.Fatalf("SearchRange after PutEncoded found %v", found)
+	}
+	if !bytes.Equal(req.Encoded(adv.ID()), wire) {
+		t.Fatal("Encoded differs between the two caches")
+	}
+	// A second copy replaces the first and gives its reference back.
+	if _, err := req.PutEncoded(wire, time.Hour, false); err != nil || req.Len() != 1 {
+		t.Fatal(err, req.Len())
+	}
+	if _, err := req.PutEncoded([]byte("<jxta:ResourceAdv><Id>junk</Id></jxta:ResourceAdv>"), 0, false); err == nil {
+		t.Fatal("malformed advertisement accepted")
+	}
+	if _, err := req.PutEncoded([]byte("<unterminated"), 0, false); err == nil || req.Len() != 1 {
+		t.Fatal("malformed document accepted or cache disturbed")
+	}
+	req.Flush()
+	pub.Remove(adv.ID())
+	if store.Len() != 0 {
+		t.Fatalf("store still holds %d advertisements after every cache let go", store.Len())
 	}
 }

@@ -100,7 +100,11 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 		&advertisement.Peer{PeerID: ids.FromName(ids.KindPeer, "a"), Name: "A"},
 		&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, "b"), Name: "B"},
 	}
-	back := decodeResponse(encodeResponse(advs))
+	pub, req := codecService(), codecService()
+	for _, adv := range advs {
+		pub.cache.Put(adv, 0, true)
+	}
+	back := req.cacheResponse(pub.encodeResponse(advs))
 	if len(back) != 2 {
 		t.Fatalf("decoded %d advs", len(back))
 	}
@@ -108,17 +112,20 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 		back[1].(*advertisement.Resource).Name != "B" {
 		t.Fatal("response round trip changed advertisements")
 	}
+	if req.cache.Len() != 2 {
+		t.Fatalf("requester cached %d advertisements, want 2", req.cache.Len())
+	}
 }
 
 func TestDecodeResponseSkipsUnknownChildren(t *testing.T) {
 	xml := `<disco:R><jxta:Mystery><X>1</X></jxta:Mystery><jxta:PA><PID>` +
 		ids.FromName(ids.KindPeer, "p").String() +
 		`</PID><Name>ok</Name></jxta:PA></disco:R>`
-	back := decodeResponse([]byte(xml))
+	back := codecService().cacheResponse([]byte(xml))
 	if len(back) != 1 || back[0].(*advertisement.Peer).Name != "ok" {
 		t.Fatalf("partial decode wrong: %v", back)
 	}
-	if decodeResponse([]byte("<bad")) != nil {
+	if codecService().cacheResponse([]byte("<bad")) != nil {
 		t.Fatal("garbage response decoded")
 	}
 }

@@ -14,6 +14,11 @@
 // fallback. Whoever finds a matching tuple forwards the query to the
 // publishing peer, which sends the advertisement directly back to the
 // requester: 4 messages end-to-end when property (2) holds.
+//
+// On the wire the protocol's records (query, index tuple, response) are XML
+// documents, but the service builds and reads them without a document tree:
+// writers append, readers scan the strict form the writers emit and hand any
+// other input to the tree decoder unchanged — see codec.go for the rule.
 package discovery
 
 import (
@@ -23,7 +28,6 @@ import (
 
 	"jxta/internal/advertisement"
 	"jxta/internal/cm"
-	"jxta/internal/document"
 	"jxta/internal/endpoint"
 	"jxta/internal/env"
 	"jxta/internal/ids"
@@ -104,7 +108,7 @@ func (c Config) withDefaults() Config {
 
 // BusySink lets the service model local processing cost on its transport
 // (implemented by transport.Sim; nil for real transports, where processing
-// cost is real).
+// cost is real: without a sink ScanCost is neither charged nor waited for).
 type BusySink interface {
 	Busy(d time.Duration)
 }
@@ -147,11 +151,14 @@ type Service struct {
 	busy  BusySink
 
 	index *srdi.Index // rendezvous role only
-	// pushed is the delta-push ledger. It, costTimers and seen are nil
-	// until first written (reads of a nil map are already correct); Trim
-	// returns them to nil when empty.
-	pushed map[string]bool
-	ticker *env.Ticker
+	// unpushed is the delta-push ledger, kept as a debt: the local
+	// advertisements whose tuples have not reached the current rendezvous.
+	// A push that goes through clears it, so in the steady state it is nil
+	// and the push tick returns without looking at the cache. It, costTimers
+	// and seen are nil until first written (reads of a nil map are already
+	// correct); Trim returns the latter two to nil when empty.
+	unpushed map[ids.ID]struct{}
+	ticker   *env.Ticker
 
 	// costTimers tracks in-flight SRDI scan-cost delays (handleQuery,
 	// handleWalk) so Stop can cancel them — without this a stopped node
@@ -159,9 +166,9 @@ type Service struct {
 	costTimers map[uint64]env.Timer
 	nextCostID uint64
 
-	// seen dedups (src, qid) pairs at a rendezvous so the replica forward
-	// and the walk cannot double-process one query.
-	seen map[string]bool
+	// seen dedups queries at a rendezvous, so the replica forward and the
+	// walk cannot double-process one, and deliveries at a publisher.
+	seen map[seenKey]bool
 
 	Stats Stats
 
@@ -201,8 +208,7 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 		// a new rendezvous (§3.3).
 		rdvSvc.AddLeaseListener(func(_ ids.ID, connected bool) {
 			if connected {
-				s.pushed = nil
-				s.pushAll()
+				s.pushAll(true)
 			}
 		})
 	}
@@ -225,8 +231,7 @@ func (s *Service) Promote() {
 		s.ticker = nil
 		s.Start()
 	}
-	s.pushed = nil
-	s.pushAll()
+	s.pushAll(true)
 }
 
 // Rereplicate re-runs replica placement for every fresh tuple in the local
@@ -299,7 +304,7 @@ func (s *Service) Start() {
 		s.ticker = env.NewTicker(s.env, s.cfg.PushInterval, func() { s.index.GC() })
 		return
 	}
-	s.ticker = env.NewTicker(s.env, s.cfg.PushInterval, s.pushAll)
+	s.ticker = env.NewTicker(s.env, s.cfg.PushInterval, func() { s.pushAll(false) })
 }
 
 // afterCost schedules fn behind the modeled SRDI scan delay, tracked so
@@ -332,14 +337,15 @@ func (s *Service) Stop() {
 
 // Reset clears the soft protocol state for a cold restart: the SRDI index
 // (a restarted rendezvous process starts empty; edges re-push on their next
-// lease), the delta-push ledger (forcing a full re-push on reconnect) and
-// the query dedup set. The local advertisement cache is application data
-// and survives.
+// lease), the delta-push ledger (every local advertisement is owed again,
+// forcing a full re-push) and the query dedup set. The local advertisement
+// cache is application data and survives.
 func (s *Service) Reset() {
 	if s.index != nil {
 		s.index = srdi.New(s.env)
+	} else {
+		s.owe(s.cache.LocalAdvertisements())
 	}
-	s.pushed = nil
 	s.seen = nil
 }
 
@@ -350,11 +356,9 @@ func (s *Service) Quiescent() bool {
 	return s.index == nil && len(s.costTimers) == 0
 }
 
-// Trim returns emptied maps to nil, the state New leaves them in.
+// Trim returns emptied maps to nil, the state New leaves them in (the push
+// debt needs no trimming: it is never left empty).
 func (s *Service) Trim() {
-	if len(s.pushed) == 0 {
-		s.pushed = nil
-	}
 	if len(s.costTimers) == 0 {
 		s.costTimers = nil
 	}
@@ -372,7 +376,14 @@ func (s *Service) Publish(adv advertisement.Advertisement, lifetime time.Duratio
 		lifetime = s.cfg.AdvLifetime
 	}
 	s.cache.Put(adv, lifetime, true)
-	s.pushTuples(s.tuplesOf(adv, lifetime))
+	if !s.pushTuples(s.tuplesOf(adv, lifetime)) {
+		s.owe([]advertisement.Advertisement{adv})
+		return
+	}
+	// Whatever an earlier, failed push of this advertisement owed is paid.
+	if delete(s.unpushed, adv.ID()); len(s.unpushed) == 0 {
+		s.unpushed = nil
+	}
 }
 
 // FlushCache drops remotely discovered advertisements (the benchmark's
@@ -383,130 +394,82 @@ func (s *Service) tuplesOf(adv advertisement.Advertisement, lifetime time.Durati
 	fields := adv.IndexFields()
 	tuples := make([]srdi.Tuple, 0, len(fields))
 	for _, f := range fields {
-		tuples = append(tuples, s.tupleOf(adv, f, f.Key(adv.Type()), lifetime))
+		tpl := srdi.Tuple{
+			Key:           f.Key(adv.Type()),
+			Publisher:     s.ep.ID(),
+			PublisherAddr: s.ep.Addr(),
+			Lifetime:      lifetime,
+		}
+		// Integer-valued fields also register in the numeric tier for range
+		// queries.
+		if v, ok := f.Int(); ok {
+			tpl.NumAttr = adv.Type() + f.Attr
+			tpl.NumValue = v
+		}
+		tuples = append(tuples, tpl)
 	}
 	return tuples
 }
 
-// tupleOf builds the index tuple of one field; key is f.Key(adv.Type()).
-func (s *Service) tupleOf(adv advertisement.Advertisement, f advertisement.IndexField, key string, lifetime time.Duration) srdi.Tuple {
-	tpl := srdi.Tuple{
-		Key:           key,
-		Publisher:     s.ep.ID(),
-		PublisherAddr: s.ep.Addr(),
-		Lifetime:      lifetime,
+// owe enters advertisements into the push debt.
+func (s *Service) owe(advs []advertisement.Advertisement) {
+	if len(advs) > 0 && s.unpushed == nil {
+		s.unpushed = make(map[ids.ID]struct{}, len(advs))
 	}
-	// Integer-valued fields also register in the numeric tier for range
-	// queries.
-	if v, ok := f.Int(); ok {
-		tpl.NumAttr = adv.Type() + f.Attr
-		tpl.NumValue = v
+	for _, adv := range advs {
+		s.unpushed[adv.ID()] = struct{}{}
 	}
-	return tpl
 }
 
-// pushAll re-sends tuples for every fresh local advertisement that has not
-// been pushed to the current rendezvous yet (delta push; a fresh lease
-// clears the set, forcing a full push). It runs on every push tick and
-// normally finds nothing, so a tuple is built only once its key is known
-// to be unpushed.
-func (s *Service) pushAll() {
+// pushAll sends, in one push, the tuples of every fresh local advertisement
+// that is owed to the current rendezvous — or of every one, owed or not:
+// a fresh lease or a promotion means a rendezvous that has seen none of
+// them. It runs on every push tick and normally owes nothing, so it returns
+// before touching the cache. A push that fails leaves its advertisements
+// owed for the next tick.
+func (s *Service) pushAll(everything bool) {
+	if !everything && s.unpushed == nil {
+		return
+	}
+	var due []advertisement.Advertisement
 	var pending []srdi.Tuple
 	for _, adv := range s.cache.LocalAdvertisements() {
-		for _, f := range adv.IndexFields() {
-			if key := f.Key(adv.Type()); !s.pushed[key] {
-				pending = append(pending, s.tupleOf(adv, f, key, s.cfg.AdvLifetime))
-			}
+		if _, owed := s.unpushed[adv.ID()]; owed || everything {
+			due = append(due, adv)
+			pending = append(pending, s.tuplesOf(adv, s.cfg.AdvLifetime)...)
 		}
 	}
-	if len(pending) > 0 {
-		s.pushTuples(pending)
+	if s.pushTuples(pending) {
+		s.unpushed = nil
+	} else {
+		s.owe(due)
 	}
 }
 
 // pushTuples delivers tuples to this peer's rendezvous tier: a rendezvous
 // indexes (and replicates) directly; an edge sends one SRDI message to its
-// lease holder.
-func (s *Service) pushTuples(tuples []srdi.Tuple) {
+// lease holder. It reports whether they got there (trivially so for none).
+func (s *Service) pushTuples(tuples []srdi.Tuple) bool {
 	if len(tuples) == 0 {
-		return
+		return true
 	}
 	if s.rdv.IsRendezvous() {
 		for _, tpl := range tuples {
 			s.indexAndReplicate(tpl, false)
-			s.markPushed(tpl.Key)
 		}
-		return
+		return true
 	}
 	rdvID, ok := s.rdv.ConnectedRdv()
 	if !ok {
-		return // pushAll retries on the next tick / lease
+		return false // pushAll retries on the next tick / lease
 	}
-	m := message.New()
+	m := message.Acquire()
 	for _, tpl := range tuples {
-		m.Add("srdi", "Tuple", encodeTuple(tpl))
+		m.AddScratch("srdi", "Tuple", appendTuple(m.Scratch(), tpl))
 	}
-	if err := s.ep.Send(rdvID, SRDIService, m); err != nil {
-		return
-	}
-	for _, tpl := range tuples {
-		s.markPushed(tpl.Key)
-	}
-}
-
-// markPushed enters key into the delta-push ledger.
-func (s *Service) markPushed(key string) {
-	if s.pushed == nil {
-		s.pushed = make(map[string]bool)
-	}
-	s.pushed[key] = true
-}
-
-func encodeTuple(t srdi.Tuple) []byte {
-	doc := document.NewElement("srdi:Tuple").
-		AppendText("Key", t.Key).
-		AppendText("Pub", t.Publisher.String()).
-		AppendText("Addr", string(t.PublisherAddr)).
-		AppendText("Life", strconv.FormatInt(int64(t.Lifetime), 10))
-	if t.NumAttr != "" {
-		doc.AppendText("NA", t.NumAttr)
-		doc.AppendText("NV", strconv.FormatInt(t.NumValue, 10))
-	}
-	data, err := doc.Marshal()
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-func decodeTuple(data []byte) (srdi.Tuple, error) {
-	doc, err := document.Unmarshal(data)
-	if err != nil {
-		return srdi.Tuple{}, err
-	}
-	pub, err := ids.Parse(doc.ChildText("Pub"))
-	if err != nil {
-		return srdi.Tuple{}, err
-	}
-	life, err := strconv.ParseInt(doc.ChildText("Life"), 10, 64)
-	if err != nil {
-		return srdi.Tuple{}, err
-	}
-	tpl := srdi.Tuple{
-		Key:           doc.ChildText("Key"),
-		Publisher:     pub,
-		PublisherAddr: transport.Addr(doc.ChildText("Addr")),
-		Lifetime:      time.Duration(life),
-	}
-	if na := doc.ChildText("NA"); na != "" {
-		nv, err := strconv.ParseInt(doc.ChildText("NV"), 10, 64)
-		if err != nil {
-			return srdi.Tuple{}, err
-		}
-		tpl.NumAttr = na
-		tpl.NumValue = nv
-	}
-	return tpl, nil
+	err := s.ep.Send(rdvID, SRDIService, &m.Message)
+	m.Release()
+	return err == nil
 }
 
 // started reports whether the service is running (ticker armed by Start);
@@ -520,7 +483,8 @@ func (s *Service) receiveSRDI(src ids.ID, m *message.Message) {
 	if !s.started() || s.index == nil {
 		return
 	}
-	replicated := m.GetString("srdi", "Replicated") == "1"
+	flag, _ := m.Get("srdi", "Replicated")
+	replicated := string(flag) == "1"
 	for _, el := range m.Elements() {
 		if el.Namespace != "srdi" || el.Name != "Tuple" {
 			continue
@@ -550,12 +514,13 @@ func (s *Service) indexAndReplicate(tpl srdi.Tuple, replicated bool) {
 	if replica.IsNil() || replica.Equal(s.ep.ID()) {
 		return
 	}
-	m := message.New()
+	m := message.Acquire()
 	m.AddString("srdi", "Replicated", "1")
-	m.Add("srdi", "Tuple", encodeTuple(tpl))
-	if err := s.ep.Send(replica, SRDIService, m); err == nil {
+	m.AddScratch("srdi", "Tuple", appendTuple(m.Scratch(), tpl))
+	if err := s.ep.Send(replica, SRDIService, &m.Message); err == nil {
 		s.Stats.TuplesReplicated++
 	}
+	m.Release()
 }
 
 // --- Discovery ---
@@ -592,15 +557,17 @@ func (s *Service) query(advType, attr, value string, useCache bool, cb func(Resu
 		}
 		target = rdvID
 	}
-	payload := encodeQuery(advType, attr, value, stageInitial)
+	return s.sendQuery(target, encodeQuery(advType, attr, value, stageInitial), cb, onTimeout)
+}
+
+// sendQuery issues a remote query; every response's advertisements are
+// cached before cb sees them.
+func (s *Service) sendQuery(target ids.ID, payload []byte, cb func(Result), onTimeout func()) error {
 	start := s.env.Now()
 	s.Stats.QueriesSent++
 	_, err := s.res.SendQuery(target, HandlerName, payload,
 		func(data []byte, from ids.ID, hops int) {
-			advs := decodeResponse(data)
-			for _, adv := range advs {
-				s.cache.Put(adv, advertisement.DefaultExpiration, false)
-			}
+			advs := s.cacheResponse(data)
 			elapsed := s.env.Now() - start
 			s.m.queryLatency.Observe(elapsed.Seconds())
 			cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})
@@ -633,109 +600,7 @@ func (s *Service) QueryRange(advType, attr string, lo, hi int64, cb func(Result)
 		}
 		target = rdvID
 	}
-	payload := encodeRangeQuery(advType, attr, lo, hi, stageRange)
-	start := s.env.Now()
-	s.Stats.QueriesSent++
-	_, err := s.res.SendQuery(target, HandlerName, payload,
-		func(data []byte, from ids.ID, hops int) {
-			advs := decodeResponse(data)
-			for _, adv := range advs {
-				s.cache.Put(adv, advertisement.DefaultExpiration, false)
-			}
-			elapsed := s.env.Now() - start
-			s.m.queryLatency.Observe(elapsed.Seconds())
-			cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})
-		},
-		func(uint64) {
-			if onTimeout != nil {
-				onTimeout()
-			}
-		})
-	return err
-}
-
-func encodeQuery(advType, attr, value, stage string) []byte {
-	doc := document.NewElement("disco:Q").
-		AppendText("Type", advType).
-		AppendText("Attr", attr).
-		AppendText("Value", value).
-		AppendText("Stage", stage)
-	data, err := doc.Marshal()
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-type queryBody struct {
-	advType, attr, value, stage string
-	lo, hi                      int64 // range stages only
-}
-
-func (b queryBody) isRange() bool {
-	return b.stage == stageRange || b.stage == stageRangeDeliver
-}
-
-func decodeQuery(data []byte) (queryBody, error) {
-	doc, err := document.Unmarshal(data)
-	if err != nil {
-		return queryBody{}, err
-	}
-	b := queryBody{
-		advType: doc.ChildText("Type"),
-		attr:    doc.ChildText("Attr"),
-		value:   doc.ChildText("Value"),
-		stage:   doc.ChildText("Stage"),
-	}
-	if b.isRange() {
-		if b.lo, err = strconv.ParseInt(doc.ChildText("Lo"), 10, 64); err != nil {
-			return queryBody{}, err
-		}
-		if b.hi, err = strconv.ParseInt(doc.ChildText("Hi"), 10, 64); err != nil {
-			return queryBody{}, err
-		}
-	}
-	return b, nil
-}
-
-func encodeRangeQuery(advType, attr string, lo, hi int64, stage string) []byte {
-	doc := document.NewElement("disco:Q").
-		AppendText("Type", advType).
-		AppendText("Attr", attr).
-		AppendText("Stage", stage).
-		AppendText("Lo", strconv.FormatInt(lo, 10)).
-		AppendText("Hi", strconv.FormatInt(hi, 10))
-	data, err := doc.Marshal()
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-func encodeResponse(advs []advertisement.Advertisement) []byte {
-	doc := document.NewElement("disco:R")
-	for _, adv := range advs {
-		doc.Append(adv.Document())
-	}
-	data, err := doc.Marshal()
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-func decodeResponse(data []byte) []advertisement.Advertisement {
-	doc, err := document.Unmarshal(data)
-	if err != nil {
-		return nil
-	}
-	var advs []advertisement.Advertisement
-	for _, child := range doc.Children {
-		if adv, err := advertisement.Decode(child); err == nil {
-			advs = append(advs, adv)
-		}
-	}
-	return advs
+	return s.sendQuery(target, encodeRangeQuery(advType, attr, lo, hi, stageRange), cb, onTimeout)
 }
 
 // handleQuery is the resolver handler running on every peer.
@@ -755,23 +620,30 @@ func (s *Service) handleQuery(q *resolver.Query) {
 		return
 	}
 	// Rendezvous pipeline. Model the SRDI scan cost, then continue.
-	cost := time.Duration(s.index.Size()) * s.cfg.ScanCost
-	if cost > 0 && s.busy != nil {
+	if cost := s.scanCost(); cost > 0 {
 		s.busy.Busy(cost)
-	}
-	if cost > 0 {
 		s.afterCost(cost, func() { s.routeQuery(q, body) })
 		return
 	}
 	s.routeQuery(q, body)
 }
 
+// scanCost is the modeled time one query spends scanning the SRDI. It is
+// the simulator's stand-in for work a live node really does, so it is zero
+// unless the transport is a BusySink to charge it to: a live node must not
+// sleep ScanCost × index size on the wall clock on top of doing the work.
+func (s *Service) scanCost() time.Duration {
+	if s.busy == nil {
+		return 0
+	}
+	return time.Duration(s.index.Size()) * s.cfg.ScanCost
+}
+
 // deliver answers a query from the local cache. Duplicate deliveries of the
 // same query (a range walk can reach this publisher through several
 // rendezvous) are answered once.
 func (s *Service) deliver(q *resolver.Query, body queryBody) {
-	dedup := "dlv/" + q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)
-	if !s.firstSight(dedup) {
+	if !s.firstSight(seenKey{src: q.Src, qid: q.QID, deliver: true}) {
 		return
 	}
 	var matches []advertisement.Advertisement
@@ -784,7 +656,15 @@ func (s *Service) deliver(q *resolver.Query, body queryBody) {
 		return // nothing to say; the requester times out or hears others
 	}
 	s.Stats.Delivered++
-	_ = s.res.Respond(q, encodeResponse(matches))
+	_ = s.res.Respond(q, s.encodeResponse(matches))
+}
+
+// seenKey identifies a query for dedup: its originator and query ID, and
+// whether this peer saw it as a router or, as the publisher, delivered it.
+type seenKey struct {
+	src     ids.ID
+	qid     uint64
+	deliver bool
 }
 
 // seenLimit bounds the dedup set; queries are short-lived, so a coarse
@@ -792,12 +672,12 @@ func (s *Service) deliver(q *resolver.Query, body queryBody) {
 const seenLimit = 16384
 
 // firstSight records a dedup key, reporting whether it was new.
-func (s *Service) firstSight(key string) bool {
+func (s *Service) firstSight(key seenKey) bool {
 	if s.seen[key] {
 		return false
 	}
 	if s.seen == nil {
-		s.seen = make(map[string]bool)
+		s.seen = make(map[seenKey]bool)
 	}
 	s.seen[key] = true
 	if len(s.seen) > seenLimit {
@@ -808,8 +688,7 @@ func (s *Service) firstSight(key string) bool {
 
 // routeQuery runs the rendezvous-side LC-DHT logic.
 func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
-	dedup := q.Src.String() + "/" + strconv.FormatUint(q.QID, 10)
-	if !s.firstSight(dedup) {
+	if !s.firstSight(seenKey{src: q.Src, qid: q.QID}) {
 		return
 	}
 
@@ -830,7 +709,7 @@ func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
 	// publish its own advertisements).
 	if matches := s.cache.Search(body.advType, body.attr, body.value); len(matches) > 0 {
 		s.Stats.Delivered++
-		_ = s.res.Respond(q, encodeResponse(matches))
+		_ = s.res.Respond(q, s.encodeResponse(matches))
 		return
 	}
 
@@ -866,7 +745,7 @@ func (s *Service) routeRange(q *resolver.Query, body queryBody) {
 	}
 	if matches := s.cache.SearchRange(body.advType, body.attr, body.lo, body.hi); len(matches) > 0 {
 		s.Stats.Delivered++
-		_ = s.res.Respond(q, encodeResponse(matches))
+		_ = s.res.Respond(q, s.encodeResponse(matches))
 	}
 	if !s.cfg.DisableWalk {
 		s.startWalk(q, body)
@@ -898,75 +777,100 @@ func (s *Service) startWalk(q *resolver.Query, body queryBody) {
 		ttl = s.rdv.PeerView().Size() + 1
 	}
 	s.Stats.WalksStarted++
-	wm := message.New()
-	wm.AddString("disco", "QID", strconv.FormatUint(q.QID, 10))
-	wm.AddString("disco", "Src", q.Src.String())
+	wm := message.Acquire()
+	wm.AddScratch("disco", "QID", strconv.AppendUint(wm.Scratch(), q.QID, 10))
+	wm.AddScratch("disco", "Src", q.Src.AppendString(wm.Scratch()))
 	wm.AddString("disco", "SrcAddr", string(q.SrcAddr))
-	wm.AddString("disco", "Hops", strconv.Itoa(q.Hops))
+	wm.AddScratch("disco", "Hops", strconv.AppendInt(wm.Scratch(), int64(q.Hops), 10))
 	if body.isRange() {
 		wm.AddString("disco", "Range", "1")
 	} else {
-		wm.AddString("disco", "Key", body.advType+body.attr+body.value)
+		key := append(append(append(wm.Scratch(), body.advType...), body.attr...), body.value...)
+		wm.AddScratch("disco", "Key", key)
 	}
 	wm.Add("disco", "Payload", q.Payload)
-	s.rdv.Walk(rendezvous.Up, ttl, HandlerName, wm)
-	s.rdv.Walk(rendezvous.Down, ttl, HandlerName, wm)
+	s.rdv.Walk(rendezvous.Up, ttl, HandlerName, &wm.Message)
+	s.rdv.Walk(rendezvous.Down, ttl, HandlerName, &wm.Message)
+	wm.Release()
+}
+
+// walked is the disco: elements of a walked query, read in place: the
+// slices alias the message's payloads.
+type walked struct {
+	qid, src, srcAddr, hops, key, isRange, payload []byte
+}
+
+func readWalked(m *message.Message) (w walked) {
+	m.Read("disco",
+		message.Field{Name: "QID", Into: &w.qid},
+		message.Field{Name: "Src", Into: &w.src},
+		message.Field{Name: "SrcAddr", Into: &w.srcAddr},
+		message.Field{Name: "Hops", Into: &w.hops},
+		message.Field{Name: "Key", Into: &w.key},
+		message.Field{Name: "Range", Into: &w.isRange},
+		message.Field{Name: "Payload", Into: &w.payload})
+	return w
 }
 
 // handleWalk inspects a walked query at each visited rendezvous: on an SRDI
-// hit the query is forwarded to the publisher and the walk stops.
+// hit the query is forwarded to the publisher and the walk stops. It keeps
+// no reference to bodyMsg (see rendezvous.WalkHandler): what outlives the
+// call — the query's payload and return address — points at or is copied
+// from the element bytes.
 func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *message.Message) bool {
 	if !s.started() || s.index == nil {
 		return false
 	}
-	key := bodyMsg.GetString("disco", "Key")
-	isRange := bodyMsg.GetString("disco", "Range") == "1"
-	if key == "" && !isRange {
+	w := readWalked(bodyMsg)
+	isRange := string(w.isRange) == "1"
+	if len(w.key) == 0 && !isRange {
 		return false
 	}
-	cost := time.Duration(s.index.Size()) * s.cfg.ScanCost
-	if cost > 0 && s.busy != nil {
+	cost := s.scanCost()
+	if cost > 0 {
 		s.busy.Busy(cost)
 	}
 	var pubs []srdi.Tuple
-	var rangeBody queryBody
+	var body queryBody
 	if isRange {
-		payload, _ := bodyMsg.Get("disco", "Payload")
 		var err error
-		rangeBody, err = decodeQuery(payload)
-		if err != nil {
+		if body, err = decodeQuery(w.payload); err != nil {
 			return false
 		}
-		pubs = s.index.RangePublishers(rangeBody.advType+rangeBody.attr,
-			rangeBody.lo, rangeBody.hi)
+		pubs = s.index.RangePublishers(body.advType+body.attr, body.lo, body.hi)
 	} else {
-		pubs = s.index.Publishers(key)
+		pubs = s.index.Publishers(string(w.key))
 	}
 	if len(pubs) == 0 {
 		return false // keep walking
 	}
 	s.Stats.WalkHits++
-	qid, err := strconv.ParseUint(bodyMsg.GetString("disco", "QID"), 10, 64)
+	qid, err := strconv.ParseUint(string(w.qid), 10, 64)
 	if err != nil {
 		return true
 	}
-	src, err := ids.Parse(bodyMsg.GetString("disco", "Src"))
+	src, err := ids.ParseBytes(w.src)
 	if err != nil {
 		return true
 	}
-	hops, _ := strconv.Atoi(bodyMsg.GetString("disco", "Hops"))
-	payload, _ := bodyMsg.Get("disco", "Payload")
-	body, err := decodeQuery(payload)
-	if err != nil {
+	// The hop count came off the wire: hold it to the bound resolver.receive
+	// holds its own to, or one forward would side-step MaxHops.
+	hops, err := strconv.Atoi(string(w.hops))
+	if err != nil || hops < 0 || hops >= resolver.MaxHops {
 		return true
+	}
+	if !isRange {
+		if body, err = decodeQuery(w.payload); err != nil {
+			return true
+		}
 	}
 	q := &resolver.Query{
 		Handler: HandlerName,
 		QID:     qid,
 		Src:     src,
-		SrcAddr: transport.Addr(bodyMsg.GetString("disco", "SrcAddr")),
+		SrcAddr: transport.Addr(w.srcAddr),
 		Hops:    hops + 1,
-		Payload: payload,
+		Payload: w.payload,
 	}
 	if cost > 0 {
 		s.afterCost(cost, func() { s.forwardToPublishers(q, body, pubs) })

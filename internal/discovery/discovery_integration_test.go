@@ -354,10 +354,11 @@ func TestWalkTTLBoundsSearchRadius(t *testing.T) {
 
 // TestReturnsToZeroState: the discovery service is small by construction. A
 // pure consumer — an edge that only looks things up — never allocates a map,
-// before, during or after a lookup. A publisher allocates its delta-push
-// ledger and, once it answers a query, the dedup set; both are state, and
-// Trim keeps them. The one scratch table, a rendezvous' in-flight scan-cost
-// delays, drains by itself and Trim returns it to nil.
+// before, during or after a lookup. A publisher whose pushes have reached its
+// rendezvous holds no ledger either: the ledger is the debt, and it is paid.
+// Once the publisher answers a query it holds the dedup set; that is state,
+// and Trim keeps it. The one scratch table, a rendezvous' in-flight
+// scan-cost delays, drains by itself and Trim returns it to nil.
 func TestReturnsToZeroState(t *testing.T) {
 	o, err := deploy.Build(deploy.Spec{
 		Seed: 41, NumRdv: 6, Topology: topology.Chain,
@@ -373,11 +374,11 @@ func TestReturnsToZeroState(t *testing.T) {
 	o.StartAll()
 	o.Sched.Run(10 * time.Minute)
 	pub, search := o.Edges[0], o.Edges[1]
-	tables := func(who string, s *discovery.Service, pushed, cost, seen int) {
+	tables := func(who string, s *discovery.Service, unpushed, cost, seen int) {
 		t.Helper()
-		if p, c, sn := s.Tables(); p != pushed || c != cost || sn != seen {
-			t.Fatalf("%s: pushed=%d costTimers=%d seen=%d, want %d, %d, %d (-1: not allocated)",
-				who, p, c, sn, pushed, cost, seen)
+		if u, c, sn := s.Tables(); u != unpushed || c != cost || sn != seen {
+			t.Fatalf("%s: unpushed=%d costTimers=%d seen=%d, want %d, %d, %d (-1: not allocated)",
+				who, u, c, sn, unpushed, cost, seen)
 		}
 	}
 	tables("fresh publisher", pub.Discovery, -1, -1, -1)
@@ -395,11 +396,9 @@ func TestReturnsToZeroState(t *testing.T) {
 	}
 	tables("searcher after a lookup", search.Discovery, -1, -1, -1)
 
+	tables("publisher that has pushed everything and answered once", pub.Discovery, -1, -1, 1)
 	pub.Discovery.Trim()
-	pushed, _, seen := pub.Discovery.Tables()
-	if pushed < 1 || seen != 1 {
-		t.Fatalf("Trim dropped publisher state: pushed=%d seen=%d", pushed, seen)
-	}
+	tables("the same publisher, trimmed", pub.Discovery, -1, -1, 1)
 
 	used := 0
 	for _, r := range o.Rdvs {

@@ -173,31 +173,59 @@ func (e *Element) appendXML(buf []byte) ([]byte, error) {
 	if e.Text != "" && len(e.Children) > 0 {
 		return nil, fmt.Errorf("%w: <%s>", ErrMixedContent, e.Name)
 	}
-	buf = append(buf, '<')
-	buf = append(buf, e.Name...)
-	for _, a := range e.Attrs {
-		buf = append(buf, ' ')
-		buf = append(buf, a.Name...)
-		buf = append(buf, '=', '"')
-		buf = appendEscaped(buf, a.Value, true)
-		buf = append(buf, '"')
+	if len(e.Children) == 0 && len(e.Attrs) == 0 {
+		return AppendTextElement(buf, e.Name, e.Text), nil
 	}
-	buf = append(buf, '>')
-	if e.Text != "" {
-		// Newlines stay literal in character data (encoding/xml escapes
-		// them only inside attribute values).
-		buf = appendEscaped(buf, e.Text, false)
+	if len(e.Attrs) == 0 {
+		buf = AppendStartTag(buf, e.Name)
+	} else {
+		buf = append(buf, '<')
+		buf = append(buf, e.Name...)
+		for _, a := range e.Attrs {
+			buf = append(buf, ' ')
+			buf = append(buf, a.Name...)
+			buf = append(buf, '=', '"')
+			buf = appendEscaped(buf, a.Value, true)
+			buf = append(buf, '"')
+		}
+		buf = append(buf, '>')
 	}
+	// Newlines stay literal in character data (encoding/xml escapes them
+	// only inside attribute values).
+	buf = appendEscaped(buf, e.Text, false)
 	var err error
 	for _, c := range e.Children {
 		if buf, err = c.appendXML(buf); err != nil {
 			return nil, err
 		}
 	}
+	return AppendEndTag(buf, e.Name), nil
+}
+
+// The three writers Marshal is made of, for callers whose documents are
+// flat records (a root and a row of text children): appending straight to
+// a buffer produces exactly Marshal's bytes without building the tree.
+
+// AppendStartTag appends <name>.
+func AppendStartTag(buf []byte, name string) []byte {
+	buf = append(buf, '<')
+	buf = append(buf, name...)
+	return append(buf, '>')
+}
+
+// AppendEndTag appends </name>.
+func AppendEndTag(buf []byte, name string) []byte {
 	buf = append(buf, '<', '/')
-	buf = append(buf, e.Name...)
-	buf = append(buf, '>')
-	return buf, nil
+	buf = append(buf, name...)
+	return append(buf, '>')
+}
+
+// AppendTextElement appends <name>text</name>, text escaped as Marshal
+// escapes character data.
+func AppendTextElement(buf []byte, name, text string) []byte {
+	buf = AppendStartTag(buf, name)
+	buf = appendEscaped(buf, text, false)
+	return AppendEndTag(buf, name)
 }
 
 // Escape sequences matching encoding/xml's escapeString (the short numeric
@@ -306,10 +334,12 @@ func init() {
 // maxInternLen skips the table lookup for texts that cannot be vocabulary.
 const maxInternLen = 24
 
-// intern returns the canonical copy of b when it is protocol vocabulary,
+// Intern returns the canonical copy of b when it is protocol vocabulary,
 // avoiding a fresh allocation; unknown strings are copied as usual. The
-// map lookup with a []byte key compiles without allocating.
-func intern(b []byte) string {
+// map lookup with a []byte key compiles without allocating. It is what the
+// decoder does to every name and every plain text, so a reader working
+// from Strict yields the very strings Unmarshal would.
+func Intern(b []byte) string {
 	if len(b) <= maxInternLen {
 		if s, ok := internTable[string(b)]; ok {
 			return s
@@ -445,7 +475,7 @@ done:
 	if p.pos == start {
 		return "", errors.New("document: empty name")
 	}
-	return intern(p.data[start:p.pos]), nil
+	return Intern(p.data[start:p.pos]), nil
 }
 
 // parseElement decodes one element; p.pos must be at its '<'.
@@ -593,7 +623,7 @@ func unescape(raw []byte) (string, error) {
 		}
 	}
 	if special < 0 {
-		return intern(raw), nil
+		return Intern(raw), nil
 	}
 	out := make([]byte, 0, len(raw))
 	out = append(out, raw[:special]...)

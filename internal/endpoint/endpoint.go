@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"jxta/internal/advertisement"
@@ -349,38 +348,30 @@ func (ep *Endpoint) SendVia(relay, dst ids.ID, service string, msg *message.Mess
 	return ep.sendTo(addr, dst, service, msg, defaultTTL)
 }
 
-// wireBuf is the short-lived wire form of one outbound message: the caller's
-// elements, aliased, followed by the envelope. Transports copy or serialize
-// inside Send and retain nothing (the transport.Transport contract), so the
-// buffer goes back to the pool as soon as Send returns. Pooled rather than
-// held per endpoint: an idle edge should not pay for scratch space.
-type wireBuf struct {
-	msg message.Message
-	dst [64]byte // backs the destination URN element
-}
-
-var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
-
-// transmit hands a pooled wire message to the transport and recycles it.
-func (ep *Endpoint) transmit(addr transport.Addr, w *wireBuf) error {
-	err := ep.tr.Send(addr, &w.msg)
-	w.msg.Reset()
-	wirePool.Put(w)
+// transmit hands a pooled wire message to the transport and recycles it:
+// transports copy or serialize inside Send and retain nothing (the
+// transport.Transport contract), so the message goes back to the pool as
+// soon as Send returns.
+func (ep *Endpoint) transmit(addr transport.Addr, wire *message.Out) error {
+	err := ep.tr.Send(addr, &wire.Message)
+	wire.Release()
 	return err
 }
 
+// sendTo builds the short-lived wire form of one outbound message — the
+// caller's elements, aliased, followed by the envelope — and transmits it.
 func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg *message.Message, ttl int) error {
-	w := wirePool.Get().(*wireBuf)
-	wire := w.msg.Append(msg)
+	wire := message.Acquire()
+	wire.Append(msg)
 	wire.AddString(ns, elemSrc, ep.idStr)
-	wire.Add(ns, elemDst, dst.AppendString(w.dst[:0]))
+	wire.AddScratch(ns, elemDst, dst.AppendString(wire.Scratch()))
 	wire.AddString(ns, elemSvc, service)
 	wire.AddString(ns, elemSrcAddr, ep.addrStr)
 	wire.AddString(ns, elemTTL, strconv.Itoa(ttl)) // small ints: a constant table, no allocation
 	sc := ep.svcMetrics(service)
 	sc.txMsgs.Inc()
 	sc.txBytes.Add(uint64(wire.Size()))
-	return ep.transmit(addr, w)
+	return ep.transmit(addr, wire)
 }
 
 // ServiceOf reports which service a wire message is addressed to.
@@ -394,35 +385,13 @@ type envelope struct {
 	src, dst, svc, srcAddr, ttl []byte
 }
 
-// readEnvelope collects the envelope in one pass over the elements. As with
-// Message.Get, the first element of each name wins.
 func readEnvelope(wire *message.Message) (e envelope) {
-	var seen uint8
-	for _, el := range wire.Elements() {
-		if el.Namespace != ns {
-			continue
-		}
-		var field *[]byte
-		var bit uint8
-		switch el.Name {
-		case elemSrc:
-			field, bit = &e.src, 1<<0
-		case elemDst:
-			field, bit = &e.dst, 1<<1
-		case elemSvc:
-			field, bit = &e.svc, 1<<2
-		case elemSrcAddr:
-			field, bit = &e.srcAddr, 1<<3
-		case elemTTL:
-			field, bit = &e.ttl, 1<<4
-		default:
-			continue
-		}
-		if seen&bit == 0 {
-			seen |= bit
-			*field = el.Data
-		}
-	}
+	wire.Read(ns,
+		message.Field{Name: elemSrc, Into: &e.src},
+		message.Field{Name: elemDst, Into: &e.dst},
+		message.Field{Name: elemSvc, Into: &e.svc},
+		message.Field{Name: elemSrcAddr, Into: &e.srcAddr},
+		message.Field{Name: elemTTL, Into: &e.ttl})
 	return e
 }
 
@@ -498,15 +467,15 @@ func (ep *Endpoint) relay(dst ids.ID, wire *message.Message, ttlText []byte) {
 		ep.Drops++
 		return
 	}
-	w := wirePool.Get().(*wireBuf)
+	fwd := message.Acquire()
 	for _, el := range wire.Elements() {
 		if el.Namespace == ns && el.Name == elemTTL {
-			w.msg.AddString(ns, elemTTL, strconv.Itoa(ttl-1))
+			fwd.AddString(ns, elemTTL, strconv.Itoa(ttl-1))
 			continue
 		}
-		w.msg.Add(el.Namespace, el.Name, el.Data)
+		fwd.Add(el.Namespace, el.Name, el.Data)
 	}
-	if err := ep.transmit(addr, w); err != nil {
+	if err := ep.transmit(addr, fwd); err != nil {
 		ep.Drops++
 		return
 	}

@@ -158,11 +158,14 @@ func (id ID) AppendString(dst []byte) []byte {
 }
 
 // Short returns an abbreviated form (first 8 hex digits) for logs and plots.
-func (id ID) Short() string {
+func (id ID) Short() string { return string(id.AppendShort(make([]byte, 0, 8))) }
+
+// AppendShort appends the abbreviated form (see Short) to dst.
+func (id ID) AppendShort(dst []byte) []byte {
 	if id.IsNil() {
-		return "nil"
+		return append(dst, "nil"...)
 	}
-	return hex.EncodeToString(id.uuid[:4])
+	return hex.AppendEncode(dst, id.uuid[:4])
 }
 
 // ParseBytes is Parse for a URN held as bytes — a message element read in

@@ -217,7 +217,8 @@ func TestBytesFormsMatchStringForms(t *testing.T) {
 			id = Nil
 		}
 		b := id.AppendString([]byte("dst:"))
-		return string(b) == "dst:"+id.String() && agree(b[4:])
+		return string(b) == "dst:"+id.String() && agree(b[4:]) &&
+			string(id.AppendShort([]byte("dst:"))) == "dst:"+id.Short()
 	}
 	damaged := func(u [16]byte, k uint8, at uint8, with byte) bool {
 		b := New(Kind(k%6+1), u).AppendString(nil)

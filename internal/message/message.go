@@ -103,6 +103,68 @@ func (m *Message) Reset() {
 	m.elements = m.elements[:0]
 }
 
+// Out is a pooled outbound message with scratch space: what a sender
+// builds, hands to endpoint.Send or transport.Send, and releases as soon as
+// that call returns. The transport copies or serializes inside Send and
+// retains nothing (the transport.Transport contract), which is what makes
+// the reuse safe. Element payloads may alias the caller's bytes (Add,
+// AddString, Append) or be rendered into the scratch (AddScratch): IDs,
+// integers and small documents that exist only to be sent. Pooled rather
+// than held per service: an idle peer should not pay for scratch space.
+type Out struct {
+	Message
+	scratch []byte
+	// room backs the scratch until a payload outgrows it, so a new Out is
+	// one allocation.
+	room [128]byte
+}
+
+// What a released Out keeps is bounded, so one bulk message (an SRDI handoff
+// of thousands of tuples) does not pin its storage in the pool.
+const (
+	maxPooledScratch  = 4 << 10 // bytes of scratch
+	maxPooledElements = 64      // element slots
+)
+
+var outPool = sync.Pool{New: func() any {
+	o := new(Out)
+	o.scratch = o.room[:0]
+	return o
+}}
+
+// Acquire returns an empty Out from the pool. Release it once the message
+// has been sent.
+func Acquire() *Out { return outPool.Get().(*Out) }
+
+// Release empties the message and returns it to the pool. The caller must
+// not touch it, or any payload rendered into its scratch, afterwards.
+func (o *Out) Release() {
+	o.Reset()
+	if cap(o.elements) > maxPooledElements {
+		o.elements = nil
+	}
+	o.scratch = o.scratch[:0]
+	if cap(o.scratch) > maxPooledScratch {
+		o.scratch = o.room[:0]
+	}
+	outPool.Put(o)
+}
+
+// Scratch returns the scratch buffer to append one payload to; pass the
+// extended slice to AddScratch:
+//
+//	o.AddScratch(ns, "QID", strconv.AppendUint(o.Scratch(), qid, 10))
+func (o *Out) Scratch() []byte { return o.scratch }
+
+// AddScratch appends an element whose payload is what the caller appended
+// to Scratch(). An append that outgrew the buffer moved it; payloads added
+// earlier keep aliasing the old one, whose bytes nothing overwrites.
+func (o *Out) AddScratch(namespace, name string, extended []byte) {
+	data := extended[len(o.scratch):]
+	o.scratch = extended
+	o.Add(namespace, name, data[:len(data):len(data)])
+}
+
 // AddDocument appends a structured document as an XML element.
 func (m *Message) AddDocument(namespace, name string, doc *document.Element) error {
 	data, err := doc.Marshal()
@@ -129,6 +191,36 @@ func (m *Message) Get(namespace, name string) ([]byte, bool) {
 func (m *Message) GetString(namespace, name string) string {
 	data, _ := m.Get(namespace, name)
 	return string(data)
+}
+
+// Field names one element for Read and says where its payload goes.
+type Field struct {
+	Name string
+	Into *[]byte
+}
+
+// Read collects, in one pass over the elements, the payload of the first
+// element of each given name in the namespace (as with Get, the first of a
+// name wins). It is how a service reads its header off a delivered message:
+// as bytes, in place, allocating nothing; the payloads alias the message's.
+// Bit i of the result is set when fields[i] was present, which tells an
+// absent element from an empty one.
+func (m *Message) Read(namespace string, fields ...Field) (present uint32) {
+	for _, el := range m.elements {
+		if el.Namespace != namespace {
+			continue
+		}
+		for i, f := range fields {
+			if f.Name == el.Name {
+				if present&(1<<i) == 0 {
+					present |= 1 << i
+					*f.Into = el.Data
+				}
+				break
+			}
+		}
+	}
+	return present
 }
 
 // GetDocument decodes an XML element into a structured document.
@@ -254,22 +346,56 @@ func (m *Message) AppendMarshal(dst []byte) []byte {
 // like all element data — so decoding costs two or three allocations however
 // many elements the message has.
 func Unmarshal(data []byte) (*Message, error) {
+	count, body, err := frameHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	m := &Message{}
+	if err := m.decodeElements(count, append([]byte(nil), body...)); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// UnmarshalAlias decodes a frame into m, replacing its elements, without
+// copying: every namespace, name and payload aliases data, so the message is
+// valid only as long as data is left alone. The walker reads the message
+// nested in a walk element this way — the bytes belong to the delivered
+// message and outlive the visit. On error m is left empty.
+func (m *Message) UnmarshalAlias(data []byte) error {
+	m.Reset()
+	count, body, err := frameHeader(data)
+	if err == nil {
+		err = m.decodeElements(count, body)
+	}
+	if err != nil {
+		m.Reset()
+	}
+	return err
+}
+
+// frameHeader checks the magic and the element count and returns the rest of
+// the frame.
+func frameHeader(data []byte) (count uint64, body []byte, err error) {
 	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
-		return nil, ErrBadMagic
+		return 0, nil, ErrBadMagic
 	}
 	rest := data[len(magic):]
 	count, n := binary.Uvarint(rest)
 	if n <= 0 {
-		return nil, ErrTruncated
+		return 0, nil, ErrTruncated
 	}
 	if count > maxElements {
-		return nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
+		return 0, nil, fmt.Errorf("%w: %d elements", ErrTooLarge, count)
 	}
-	rest = append([]byte(nil), rest[n:]...)
-	m := &Message{}
-	if count <= uint64(len(m.inline)) {
+	return count, rest[n:], nil
+}
+
+// decodeElements appends count elements decoded from rest, aliasing it.
+func (m *Message) decodeElements(count uint64, rest []byte) error {
+	if m.elements == nil && count <= uint64(len(m.inline)) {
 		m.elements = m.inline[:0]
-	} else {
+	} else if uint64(cap(m.elements)) < count {
 		m.elements = make([]Element, 0, count)
 	}
 	readChunk := func() ([]byte, error) {
@@ -291,15 +417,15 @@ func Unmarshal(data []byte) (*Message, error) {
 	for i := uint64(0); i < count; i++ {
 		ns, err := readChunk()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		name, err := readChunk()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		payload, err := readChunk()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.elements = append(m.elements, Element{
 			Namespace: unsafe.String(unsafe.SliceData(ns), len(ns)),
@@ -308,9 +434,9 @@ func Unmarshal(data []byte) (*Message, error) {
 		})
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("message: %d trailing bytes", len(rest))
+		return fmt.Errorf("message: %d trailing bytes", len(rest))
 	}
-	return m, nil
+	return nil
 }
 
 // Equal reports whether two messages have identical element sequences.

@@ -237,6 +237,11 @@ func FuzzUnmarshal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
+		// The walker's aliasing decoder reads the same frames off the wire.
+		var alias Message
+		if aliasErr := alias.UnmarshalAlias(data); (aliasErr == nil) != (err == nil) || (err == nil && !alias.Equal(m)) {
+			t.Fatalf("UnmarshalAlias: %v, %s; Unmarshal: %v, %v", aliasErr, &alias, err, m)
+		}
 		if err != nil {
 			return // rejected input: only the no-panic property applies
 		}

@@ -1,5 +1,11 @@
 package pipe
 
+import (
+	"jxta/internal/ids"
+	"jxta/internal/message"
+	"jxta/internal/rendezvous"
+)
+
 // Tables reports the sizes of the binding table and the propagation dedup
 // set, -1 for one that is not allocated (tests).
 func (s *Service) Tables() (bound, propSeen int) {
@@ -11,4 +17,10 @@ func (s *Service) Tables() (bound, propSeen int) {
 		propSeen = -1
 	}
 	return bound, propSeen
+}
+
+// HandlePropagateWalk is the walk handler the service registers with the
+// rendezvous walker.
+func (s *Service) HandlePropagateWalk(origin ids.ID, dir rendezvous.Direction, body *message.Message) bool {
+	return s.handlePropagateWalk(origin, dir, body)
 }

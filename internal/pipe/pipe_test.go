@@ -6,8 +6,10 @@ import (
 
 	"jxta/internal/deploy"
 	"jxta/internal/ids"
+	"jxta/internal/message"
 	"jxta/internal/node"
 	"jxta/internal/pipe"
+	"jxta/internal/rendezvous"
 	"jxta/internal/topology"
 )
 
@@ -304,4 +306,58 @@ func TestReturnsToZeroState(t *testing.T) {
 	tables("closed, trimmed", -1, 1)
 	svc.Reset()
 	tables("reset", -1, -1)
+}
+
+// TestPropagateWalkHandlerDoesNotKeepTheBody is the rendezvous.WalkHandler
+// contract from the pipe service's side: the walked message is on loan, and
+// the walker takes it back when the handler returns — here it is emptied and
+// refilled with junk at that moment. What the handler passed on before
+// returning (the local delivery, the fan-out to its clients) must be whole,
+// and the payload a receiver kept must not change: it points into the
+// delivered walk message, not into the loaned one.
+func TestPropagateWalkHandlerDoesNotKeepTheBody(t *testing.T) {
+	o, err := deploy.Build(deploy.Spec{
+		Seed: 33, NumRdv: 1, Topology: topology.Chain,
+		Edges: []deploy.EdgeGroup{{AttachTo: 0, Count: 2, Prefix: "sub"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	adv := pipe.NewPropagateAdv("news")
+	var kept [][]byte
+	var rdvPipe *pipe.Service
+	for _, n := range []*node.Node{o.Rdvs[0], o.Edges[0], o.Edges[1]} {
+		svc := pipe.New(n.Env, n.Endpoint, n.Discovery, n.Rendezvous)
+		if _, err := svc.Bind(adv, func(_ ids.ID, data []byte) { kept = append(kept, data) }); err != nil {
+			t.Fatal(err)
+		}
+		if n == o.Rdvs[0] {
+			rdvPipe = svc
+		}
+	}
+	o.Sched.Run(2 * time.Minute)
+
+	origin := ids.FromName(ids.KindPeer, "elsewhere")
+	body := message.New()
+	body.AddString("pipe", "Id", adv.PipeID.String())
+	body.AddString("pipe", "Origin", origin.String())
+	body.AddString("pipe", "PID", "elsewhere-1")
+	body.Add("pipe", "Data", []byte("flash"))
+	if rdvPipe.HandlePropagateWalk(origin, rendezvous.Up, body) {
+		t.Fatal("a propagate walk must cover the whole view")
+	}
+	body.Reset()
+	for i := 0; i < 8; i++ {
+		body.AddString("pipe", []string{"Id", "Origin", "PID", "Data"}[i%4], "poisoned")
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	if len(kept) != 3 {
+		t.Fatalf("%d deliveries, want 3 (the rendezvous and its two clients)", len(kept))
+	}
+	for i, data := range kept {
+		if string(data) != "flash" {
+			t.Fatalf("delivery %d reads %q", i, data)
+		}
+	}
 }

@@ -212,6 +212,12 @@ const (
 
 // WalkHandler consumes a walked message at each visited rendezvous. Returning
 // true stops the walk at this peer (the walk found what it was looking for).
+//
+// body is on loan: the walker decodes it into a pooled message and takes it
+// back when the handler returns, so a handler must not keep the
+// *message.Message. What the elements point at — names and payloads — stays
+// valid and unchanged for as long as it is referenced (it is the delivered
+// walk message's own memory), so a handler may keep a payload it read.
 type WalkHandler func(origin ids.ID, dir Direction, body *message.Message) (stop bool)
 
 // LeaseListener observes edge connectivity changes.
@@ -1476,65 +1482,84 @@ func (s *Service) Walk(dir Direction, ttl int, svc string, body *message.Message
 		return
 	}
 	s.nextWalkID++
-	wid := s.ep.ID().Short() + "-" + strconv.FormatUint(s.nextWalkID, 10)
-	s.forwardWalk(next, dir, ttl, wid, svc, body)
+	m := message.Acquire()
+	m.AddString(walkNS, elemDir, dir.String())
+	m.AddScratch(walkNS, elemTTL, strconv.AppendInt(m.Scratch(), int64(ttl), 10))
+	m.AddString(walkNS, elemSvc, svc)
+	m.AddString(walkNS, elemOrigin, s.ep.IDString())
+	wid := append(s.ep.ID().AppendShort(m.Scratch()), '-')
+	m.AddScratch(walkNS, elemWalkID, strconv.AppendUint(wid, s.nextWalkID, 10))
+	// The body travels as an embedded frame, rendered into the scratch.
+	m.AddScratch(walkNS, elemPayload, body.AppendMarshal(m.Scratch()))
+	_ = s.ep.Send(next, WalkService, &m.Message)
+	m.Release()
 }
 
-func (s *Service) forwardWalk(to ids.ID, dir Direction, ttl int, wid, svc string, body *message.Message) {
-	m := message.New()
-	m.AddString(walkNS, elemDir, dir.String())
-	m.AddString(walkNS, elemTTL, strconv.Itoa(ttl))
-	m.AddString(walkNS, elemSvc, svc)
-	m.AddString(walkNS, elemOrigin, s.ep.ID().String())
-	m.AddString(walkNS, elemWalkID, wid)
-	m.Add(walkNS, elemPayload, body.Marshal())
-	_ = s.ep.Send(to, WalkService, m)
+// walkHeader is the walk: elements of a walk message, read in place: the
+// slices alias the message's payloads.
+type walkHeader struct {
+	dir, ttl, svc, origin, wid, payload []byte
+	hasPayload                          bool
 }
+
+func readWalkHeader(m *message.Message) (h walkHeader) {
+	present := m.Read(walkNS,
+		message.Field{Name: elemPayload, Into: &h.payload},
+		message.Field{Name: elemDir, Into: &h.dir},
+		message.Field{Name: elemTTL, Into: &h.ttl},
+		message.Field{Name: elemSvc, Into: &h.svc},
+		message.Field{Name: elemOrigin, Into: &h.origin},
+		message.Field{Name: elemWalkID, Into: &h.wid})
+	h.hasPayload = present&1 != 0 // the first field
+	return h
+}
+
+// walkSeenLimit bounds the walk dedup set; walks are short-lived, so a
+// coarse reset is fine.
+const walkSeenLimit = 8192
 
 // receiveWalk consumes a walked message: hand it to the walk handler, then
 // forward along the same direction using *this* peer's peerview (each hop
 // re-reads its own view, exactly how the LC-DHT fallback walks a partially
-// consistent overlay).
+// consistent overlay). The header is read as bytes and the embedded body is
+// decoded in place into a pooled message, so a relayed hop costs its dedup
+// key and nothing else here.
 func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if !s.started || !s.IsRendezvous() {
 		return // stopped peers and edges do not relay walks
 	}
-	dirStr := m.GetString(walkNS, elemDir)
-	ttl, err := strconv.Atoi(m.GetString(walkNS, elemTTL))
+	h := readWalkHeader(m)
+	ttl, err := strconv.Atoi(string(h.ttl))
 	if err != nil || ttl <= 0 {
 		return
 	}
-	wid := m.GetString(walkNS, elemWalkID)
-	if wid == "" || s.walkSeen[wid] {
+	if len(h.wid) == 0 || s.walkSeen[string(h.wid)] {
 		return // loop guard on inconsistent views
 	}
 	if s.walkSeen == nil {
 		s.walkSeen = make(map[string]bool)
 	}
-	s.walkSeen[wid] = true
-	if len(s.walkSeen) > 8192 {
-		s.walkSeen = nil // coarse reset; walks are short-lived
+	s.walkSeen[string(h.wid)] = true
+	if len(s.walkSeen) > walkSeenLimit {
+		s.walkSeen = nil
 	}
-	originID, err := ids.Parse(m.GetString(walkNS, elemOrigin))
-	if err != nil {
-		return
-	}
-	payload, ok := m.Get(walkNS, elemPayload)
-	if !ok {
-		return
-	}
-	body, err := message.Unmarshal(payload)
-	if err != nil {
+	originID, err := ids.ParseBytes(h.origin)
+	if err != nil || !h.hasPayload {
 		return
 	}
 	dir := Up
-	if dirStr == Down.String() {
+	if string(h.dir) == Down.String() {
 		dir = Down
 	}
-	if h := s.walkHandlerFor(m.GetString(walkNS, elemSvc)); h != nil && h(originID, dir, body) {
-		return // handler satisfied the walk
+	body := message.Acquire()
+	if err := body.UnmarshalAlias(h.payload); err != nil {
+		body.Release()
+		return
 	}
-	if ttl <= 1 {
+	handle := s.walkHandlerFor(string(h.svc))
+	stop := handle != nil && handle(originID, dir, &body.Message)
+	body.Release() // the loan ends here: see WalkHandler
+	if stop || ttl <= 1 {
 		return
 	}
 	lower, upper := s.pv.Neighbors()
@@ -1546,12 +1571,13 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 		return
 	}
 	// Re-wrap preserving the original origin and walk ID.
-	fwd := message.New()
+	fwd := message.Acquire()
 	fwd.AddString(walkNS, elemDir, dir.String())
-	fwd.AddString(walkNS, elemTTL, strconv.Itoa(ttl-1))
-	fwd.AddString(walkNS, elemSvc, m.GetString(walkNS, elemSvc))
-	fwd.AddString(walkNS, elemOrigin, originID.String())
-	fwd.AddString(walkNS, elemWalkID, wid)
-	fwd.Add(walkNS, elemPayload, payload)
-	_ = s.ep.Send(next, WalkService, fwd)
+	fwd.AddScratch(walkNS, elemTTL, strconv.AppendInt(fwd.Scratch(), int64(ttl-1), 10))
+	fwd.Add(walkNS, elemSvc, h.svc)
+	fwd.AddScratch(walkNS, elemOrigin, originID.AppendString(fwd.Scratch()))
+	fwd.Add(walkNS, elemWalkID, h.wid)
+	fwd.Add(walkNS, elemPayload, h.payload)
+	_ = s.ep.Send(next, WalkService, &fwd.Message)
+	fwd.Release()
 }

@@ -149,14 +149,16 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 	}
 	s.pending[qid] = p
 
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemHandler, handler)
-	m.AddString(ns, elemQID, strconv.FormatUint(qid, 10))
+	m.AddScratch(ns, elemQID, strconv.AppendUint(m.Scratch(), qid, 10))
 	m.AddString(ns, elemSrc, s.ep.IDString())
 	m.AddString(ns, elemSrcAddr, string(s.ep.Addr()))
 	m.AddString(ns, elemHops, "0")
 	m.Add(ns, elemQuery, payload)
-	if err := s.ep.Send(dst, ServiceName, m); err != nil {
+	err := s.ep.Send(dst, ServiceName, &m.Message)
+	m.Release()
+	if err != nil {
 		delete(s.pending, qid)
 		if p.timer != nil {
 			p.timer.Cancel()
@@ -208,12 +210,14 @@ func (s *Service) Respond(q *Query, payload []byte) error {
 	if q.SrcAddr != "" {
 		s.ep.AddRoute(q.Src, q.SrcAddr)
 	}
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemHandler, q.Handler)
-	m.AddString(ns, elemQID, strconv.FormatUint(q.QID, 10))
-	m.AddString(ns, elemHops, strconv.Itoa(q.Hops))
+	m.AddScratch(ns, elemQID, strconv.AppendUint(m.Scratch(), q.QID, 10))
+	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(q.Hops), 10))
 	m.Add(ns, elemResponse, payload)
-	if err := s.ep.Send(q.Src, ServiceName, m); err != nil {
+	err := s.ep.Send(q.Src, ServiceName, &m.Message)
+	m.Release()
+	if err != nil {
 		return err
 	}
 	s.m.responses.Inc()
@@ -227,14 +231,16 @@ func (s *Service) Forward(q *Query, to ids.ID) error {
 	if q.Hops+1 >= MaxHops {
 		return nil // poisoned query: drop silently
 	}
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemHandler, q.Handler)
-	m.AddString(ns, elemQID, strconv.FormatUint(q.QID, 10))
-	m.AddString(ns, elemSrc, q.Src.String())
+	m.AddScratch(ns, elemQID, strconv.AppendUint(m.Scratch(), q.QID, 10))
+	m.AddScratch(ns, elemSrc, q.Src.AppendString(m.Scratch()))
 	m.AddString(ns, elemSrcAddr, string(q.SrcAddr))
-	m.AddString(ns, elemHops, strconv.Itoa(q.Hops+1))
+	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(q.Hops+1), 10))
 	m.Add(ns, elemQuery, q.Payload)
-	if err := s.ep.Send(to, ServiceName, m); err != nil {
+	err := s.ep.Send(to, ServiceName, &m.Message)
+	m.Release()
+	if err != nil {
 		return err
 	}
 	s.m.forwards.Inc()
@@ -245,14 +251,37 @@ func (s *Service) Forward(q *Query, to ids.ID) error {
 // for non-resolver messages). Used by traffic-classification instrumentation.
 func HandlerOf(m *message.Message) string { return m.GetString(ns, elemHandler) }
 
-// receive demultiplexes resolver traffic.
+// header is the res: elements of a resolver message, read in place: the
+// slices alias the message's payloads. A query or a response may be empty,
+// so their presence is recorded apart.
+type header struct {
+	handler, qid, src, srcAddr, hops, query, response []byte
+	hasQuery, hasResponse                             bool
+}
+
+func readHeader(m *message.Message) (h header) {
+	present := m.Read(ns,
+		message.Field{Name: elemQuery, Into: &h.query},
+		message.Field{Name: elemResponse, Into: &h.response},
+		message.Field{Name: elemHandler, Into: &h.handler},
+		message.Field{Name: elemQID, Into: &h.qid},
+		message.Field{Name: elemSrc, Into: &h.src},
+		message.Field{Name: elemSrcAddr, Into: &h.srcAddr},
+		message.Field{Name: elemHops, Into: &h.hops})
+	h.hasQuery, h.hasResponse = present&1 != 0, present&2 != 0 // the first two fields
+	return h
+}
+
+// receive demultiplexes resolver traffic. The header is read as bytes —
+// the numbers parse from views that never reach the heap, the handler is
+// found by comparison — so a query costs its Query and its return address.
 func (s *Service) receive(src ids.ID, m *message.Message) {
-	qidStr := m.GetString(ns, elemQID)
-	qid, err := strconv.ParseUint(qidStr, 10, 64)
+	h := readHeader(m)
+	qid, err := strconv.ParseUint(string(h.qid), 10, 64)
 	if err != nil {
 		return
 	}
-	if payload, ok := m.Get(ns, elemResponse); ok {
+	if h.hasResponse {
 		if p, ok := s.pending[qid]; ok {
 			// First response resolves the timeout; later responses still
 			// reach the callback (multi-responder queries).
@@ -262,42 +291,40 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 			}
 			// Hop count echoed by Respond; absent (or malformed) reads as 0
 			// so responses from older peers still complete the query.
-			hops, err := strconv.Atoi(m.GetString(ns, elemHops))
+			hops, err := strconv.Atoi(string(h.hops))
 			if err != nil || hops < 0 {
 				hops = 0
 			}
 			s.m.responsesIn.Inc()
-			p.cb(payload, src, hops)
+			p.cb(h.response, src, hops)
 		}
 		return
 	}
-	payload, ok := m.Get(ns, elemQuery)
-	if !ok {
+	if !h.hasQuery {
 		return
 	}
-	srcID, err := ids.Parse(m.GetString(ns, elemSrc))
+	srcID, err := ids.ParseBytes(h.src)
 	if err != nil {
 		return
 	}
-	hops, err := strconv.Atoi(m.GetString(ns, elemHops))
+	hops, err := strconv.Atoi(string(h.hops))
 	if err != nil || hops < 0 || hops >= MaxHops {
 		return
 	}
-	name := m.GetString(ns, elemHandler)
-	nh := s.handler(name)
+	nh := s.handler(string(h.handler))
 	if nh == nil {
 		return
 	}
 	if nh.recvd == nil {
-		nh.recvd = s.m.queriesRecvd.With(name)
+		nh.recvd = s.m.queriesRecvd.With(nh.name)
 	}
 	nh.recvd.Inc()
 	nh.h(&Query{
-		Handler: name,
+		Handler: nh.name,
 		QID:     qid,
 		Src:     srcID,
-		SrcAddr: transport.Addr(m.GetString(ns, elemSrcAddr)),
+		SrcAddr: transport.Addr(h.srcAddr),
 		Hops:    hops,
-		Payload: payload,
+		Payload: h.query,
 	})
 }
