@@ -64,16 +64,17 @@ type Spec struct {
 	BarrierWindows bool
 	// Hibernate freeze-dries steady-state edge peers between events: once
 	// an edge holds its lease and has no pending queries, streams or
-	// timers beyond the armed renewals, its endpoint tables (with the
-	// transport's FIFO-clamp map) are packed into a pooled record and its
-	// RNG register is dropped, roughly halving live heap per idle edge
-	// (11.7 KB → 5.4 KB with LeanMetrics).
-	// The services above the endpoint are not frozen: idle, they hold no
-	// maps at all (node.hibSettle trims the ones a wake emptied). Any
-	// inbound delivery, timer fire or direct driver call rehydrates
-	// transparently; event trajectories and wire traffic are
-	// byte-identical either way. Edge-only: rendezvous peers stay hot.
-	// Requires the simulated clock (no-op on real-clock envs).
+	// timers beyond the armed renewals, its RNG register is dropped
+	// (only the stream position is kept), roughly halving live heap per
+	// idle edge (11.7 KB → 5.4 KB with LeanMetrics). That is all there is
+	// to freeze: no packed record, no pools. The endpoint, the transport
+	// and the services above them are small by construction — idle, they
+	// hold a few exact-size slices and no maps (node.hibSettle trims the
+	// maps a wake emptied). The first RNG draw after a delivery, timer
+	// fire or direct driver call rebuilds the register; event
+	// trajectories and wire traffic are byte-identical either way.
+	// Edge-only: rendezvous peers stay hot. Requires the simulated clock
+	// (no-op on real-clock envs).
 	Hibernate bool
 	// LeanMetrics shrinks per-node observability for large simulated
 	// populations: nodes share one population-wide metrics registry

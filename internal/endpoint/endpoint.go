@@ -89,9 +89,11 @@ type Endpoint struct {
 	idStr string // URN form of id, rendered once: every send stamps it
 	tr    transport.Transport
 	// addrStr caches the transport address string stamped on every send.
-	addrStr      string
-	routes       map[ids.ID]transport.Addr
-	handlers     map[string]Handler
+	addrStr string
+	// slots and routes are the service and route tables (tables.go); pending
+	// is nil until the first ResolveRoute.
+	slots        []slot
+	routes       routeTable
 	pending      map[ids.ID][]RouteCallback
 	helloWaiters []helloWaiter
 
@@ -103,25 +105,19 @@ type Endpoint struct {
 	// against a private registry, node.New re-instruments with the node's).
 	m *epMetrics
 
-	// hib and frozen implement edge hibernation; see hibernate.go. While
-	// frozen is non-nil the maps above are released and their entries live
-	// in the packed record.
-	hib    *hibBracket
-	frozen *epFrozen
+	// hib brackets inbound delivery on a hibernating node; see hibernate.go.
+	hib *hibBracket
 }
 
 // New binds an endpoint service for peer id over the given transport and
 // registers the ERP handler. The transport's inbound handler is claimed.
 func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
-		env:      e,
-		id:       id,
-		idStr:    id.String(),
-		tr:       tr,
-		addrStr:  string(tr.Addr()),
-		routes:   make(map[ids.ID]transport.Addr),
-		handlers: make(map[string]Handler),
-		pending:  make(map[ids.ID][]RouteCallback),
+		env:     e,
+		id:      id,
+		idStr:   id.String(),
+		tr:      tr,
+		addrStr: string(tr.Addr()),
 	}
 	// Honor the env serialization contract: transports that deliver from
 	// their own goroutines (TCP read loops) must enter protocol code under
@@ -134,8 +130,8 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	} else {
 		tr.SetHandler(ep.receive)
 	}
-	ep.handlers[erpService] = ep.handleERP
-	ep.handlers[helloService] = ep.handleHello
+	ep.Register(erpService, ep.handleERP)
+	ep.Register(helloService, ep.handleHello)
 	ep.Instrument(metrics.Discard())
 	return ep
 }
@@ -144,7 +140,6 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 // once, with ok=false on timeout; a stopped endpoint silences the waiter
 // without firing it.
 func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
-	ep.thaw()
 	done := false
 	var failTimer env.Timer
 	timer := ep.env.After(helloTimeout, func() {
@@ -227,15 +222,15 @@ func (ep *Endpoint) Addr() transport.Addr { return ep.tr.Addr() }
 // Register installs a service handler. Registering the same name twice
 // replaces the handler (services restart across leases).
 func (ep *Endpoint) Register(service string, h Handler) {
-	ep.thaw()
-	ep.handlers[service] = h
+	ep.slotFor(service).h = h
 }
 
 // Unregister removes a service handler; subsequent messages for the service
 // are counted as drops. Unregistering an unknown name is a no-op.
 func (ep *Endpoint) Unregister(service string) {
-	ep.thaw()
-	delete(ep.handlers, service)
+	if s := findSlot(ep.slots, service); s != nil {
+		s.h = nil
+	}
 }
 
 // Transport exposes the underlying transport (deployment-level lifecycle
@@ -247,14 +242,11 @@ func (ep *Endpoint) Transport() transport.Transport { return ep.tr }
 // never fire). Handlers, routes and the transport binding are retained, so
 // the endpoint keeps serving a restarted node.
 func (ep *Endpoint) Stop() {
-	ep.thaw()
 	for _, w := range ep.helloWaiters {
 		w.cancel()
 	}
 	ep.helloWaiters = nil
-	for peer := range ep.pending {
-		delete(ep.pending, peer)
-	}
+	ep.pending = nil
 }
 
 // Close releases the endpoint: pending work is quiesced as in Stop and the
@@ -269,20 +261,16 @@ func (ep *Endpoint) Close() {
 // Reset clears the learned route table (restart with fresh state: routes are
 // re-learned from seeds, advertisements and inbound traffic).
 func (ep *Endpoint) Reset() {
-	ep.thaw()
 	ep.Stop()
-	for peer := range ep.routes {
-		delete(ep.routes, peer)
-	}
+	ep.routes = routeTable{}
 }
 
 // AddRoute records a direct route to a peer.
 func (ep *Endpoint) AddRoute(peer ids.ID, addr transport.Addr) {
-	ep.thaw()
 	if peer.Equal(ep.id) || addr == "" {
 		return
 	}
-	ep.routes[peer] = addr
+	ep.routes.put(peer, addr)
 	// Wake any pending resolutions.
 	if cbs, ok := ep.pending[peer]; ok {
 		delete(ep.pending, peer)
@@ -294,43 +282,35 @@ func (ep *Endpoint) AddRoute(peer ids.ID, addr transport.Addr) {
 
 // DropRoute forgets a route (lease expiry, crash suspicion).
 func (ep *Endpoint) DropRoute(peer ids.ID) {
-	ep.thaw()
-	delete(ep.routes, peer)
+	ep.routes.del(peer)
 }
 
 // RouteTo reports the known route to a peer.
 func (ep *Endpoint) RouteTo(peer ids.ID) (transport.Addr, bool) {
-	ep.thaw()
-	a, ok := ep.routes[peer]
-	return a, ok
+	return ep.routes.get(peer)
 }
 
 // KnownPeers returns the peers with direct routes, in unspecified order.
 func (ep *Endpoint) KnownPeers() []ids.ID {
-	ep.thaw()
-	out := make([]ids.ID, 0, len(ep.routes))
-	for id := range ep.routes {
-		out = append(out, id)
-	}
-	return out
+	return ep.routes.peers()
 }
 
 // Send delivers msg to the named service on the destination peer, using the
 // direct route. The message is wrapped in an envelope carrying the local
 // peer ID and address so the receiver learns the return route.
 func (ep *Endpoint) Send(dst ids.ID, service string, msg *message.Message) error {
-	ep.thaw()
 	if dst.Equal(ep.id) {
 		// Local delivery without touching the network (a rendezvous acts
 		// as its own rendezvous, §3.3 step 1).
-		if h, ok := ep.handlers[service]; ok {
+		if s := findSlot(ep.slots, service); s != nil && s.h != nil {
+			h := s.h
 			local := msg.Clone()
 			ep.env.After(0, func() { h(ep.id, local) })
 			return nil
 		}
 		return fmt.Errorf("%w: %s", ErrNoService, service)
 	}
-	addr, ok := ep.routes[dst]
+	addr, ok := ep.routes.get(dst)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoRoute, dst.Short())
 	}
@@ -340,8 +320,7 @@ func (ep *Endpoint) Send(dst ids.ID, service string, msg *message.Message) error
 // SendVia relays msg toward dst through an intermediate peer with a known
 // route (the edge peer's rendezvous, typically).
 func (ep *Endpoint) SendVia(relay, dst ids.ID, service string, msg *message.Message) error {
-	ep.thaw()
-	addr, ok := ep.routes[relay]
+	addr, ok := ep.routes.get(relay)
 	if !ok {
 		return fmt.Errorf("%w: relay %s", ErrNoRoute, relay.Short())
 	}
@@ -368,7 +347,7 @@ func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg 
 	wire.AddString(ns, elemSvc, service)
 	wire.AddString(ns, elemSrcAddr, ep.addrStr)
 	wire.AddString(ns, elemTTL, strconv.Itoa(ttl)) // small ints: a constant table, no allocation
-	sc := ep.svcMetrics(service)
+	sc := ep.counters(ep.slotFor(service))
 	sc.txMsgs.Inc()
 	sc.txBytes.Add(uint64(wire.Size()))
 	return ep.transmit(addr, wire)
@@ -402,7 +381,6 @@ func readEnvelope(wire *message.Message) (e envelope) {
 // receive (hibernate.go), which brackets this with the node's wake/settle
 // hooks.
 func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
-	ep.thaw()
 	e := readEnvelope(wire)
 	srcID, err := ids.ParseBytes(e.src)
 	if err != nil {
@@ -417,12 +395,16 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	// The stored route is rewritten only when the sender's address is new or
 	// has changed, so a peer heard from again costs a comparison.
 	if len(e.srcAddr) != 0 {
-		if cur, ok := ep.routes[srcID]; !ok || string(cur) != string(e.srcAddr) {
+		if cur, ok := ep.routes.get(srcID); !ok || string(cur) != string(e.srcAddr) {
 			ep.AddRoute(srcID, transport.Addr(e.srcAddr))
 		}
 	}
-	h, registered := ep.handlers[string(e.svc)]
-	sc := ep.rxMetrics(e.svc, registered)
+	var h Handler
+	s := findSlot(ep.slots, e.svc)
+	if s != nil {
+		h = s.h
+	}
+	sc := ep.rxMetrics(s)
 	sc.rxMsgs.Inc()
 	sc.rxBytes.Add(uint64(wire.Size()))
 	// A nil destination addresses "whichever peer listens at this address"
@@ -431,7 +413,7 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 		ep.relay(dstID, wire, e.ttl)
 		return
 	}
-	if !registered {
+	if h == nil {
 		ep.Drops++
 		return
 	}
@@ -462,7 +444,7 @@ func (ep *Endpoint) relay(dst ids.ID, wire *message.Message, ttlText []byte) {
 		ep.Drops++
 		return
 	}
-	addr, ok := ep.routes[dst]
+	addr, ok := ep.routes.get(dst)
 	if !ok {
 		ep.Drops++
 		return
@@ -486,10 +468,12 @@ func (ep *Endpoint) relay(dst ids.ID, wire *message.Message, ttlText []byte) {
 // we can already reach (usually the rendezvous). If the route is already
 // known the callback fires on the next tick.
 func (ep *Endpoint) ResolveRoute(target, via ids.ID, cb RouteCallback) {
-	ep.thaw()
-	if addr, ok := ep.routes[target]; ok {
+	if addr, ok := ep.routes.get(target); ok {
 		ep.env.After(0, func() { cb(target, addr, true) })
 		return
+	}
+	if ep.pending == nil {
+		ep.pending = make(map[ids.ID][]RouteCallback)
 	}
 	ep.pending[target] = append(ep.pending[target], cb)
 	q := message.New().AddString(ns, elemRouteQ, target.String())
@@ -507,7 +491,7 @@ func (ep *Endpoint) handleERP(src ids.ID, msg *message.Message) {
 		if err != nil {
 			return
 		}
-		addr, ok := ep.routes[target]
+		addr, ok := ep.routes.get(target)
 		if !ok {
 			return // unanswerable; requester times out
 		}

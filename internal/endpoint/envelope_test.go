@@ -127,13 +127,13 @@ func TestUnknownServicesDoNotGrowState(t *testing.T) {
 	}
 	send("svc")
 	send("made-up")
-	cached, series, drops := len(b.ep.m.svc), reg.NumSeries(), b.ep.Drops
+	cached, series, drops := len(b.ep.slots), reg.NumSeries(), b.ep.Drops
 	for i := 0; i < 10000; i++ {
 		send(fmt.Sprintf("made-up-%d", i))
 	}
-	if len(b.ep.m.svc) != cached || reg.NumSeries() != series {
-		t.Fatalf("10,000 unknown services grew the counter cache %d -> %d and the registry %d -> %d series",
-			cached, len(b.ep.m.svc), series, reg.NumSeries())
+	if len(b.ep.slots) != cached || reg.NumSeries() != series {
+		t.Fatalf("10,000 unknown services grew the service slots %d -> %d and the registry %d -> %d series",
+			cached, len(b.ep.slots), series, reg.NumSeries())
 	}
 	if b.ep.Drops != drops+10000 {
 		t.Fatalf("Drops rose by %d, want 10000", b.ep.Drops-drops)
@@ -246,9 +246,14 @@ func FuzzDispatch(f *testing.F) {
 				t.Fatalf("route to %s changed from %q to %q when the input was overwritten", r.id.Short(), r.addr, addr)
 			}
 		}
-		for name := range b.ep.m.svc {
-			if name != "svc" && name != otherService {
-				t.Fatalf("counter set minted for %q", name)
+		for _, s := range b.ep.slots {
+			switch s.name {
+			case erpService, helloService, "svc", otherService:
+			default:
+				t.Fatalf("slot minted for %q", s.name)
+			}
+			if s.sc != nil && s.name != "svc" && s.name != otherService {
+				t.Fatalf("counter set minted for %q", s.name)
 			}
 		}
 	})

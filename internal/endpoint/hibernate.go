@@ -1,23 +1,9 @@
 package endpoint
 
 import (
-	"slices"
-
-	"jxta/internal/hibpool"
-	"jxta/internal/ids"
 	"jxta/internal/message"
 	"jxta/internal/transport"
 )
-
-// Edge hibernation (PR 9). A steady-state edge endpoint retains four maps —
-// routes, handlers, pending resolutions, per-service counter cache — whose
-// buckets dominate its footprint while carrying a handful of entries.
-// Freeze packs the entries into a pooled record and returns the map shells
-// to free lists; the first subsequent touch (inbound delivery, send, route
-// mutation) rebuilds the maps from the record. Packing and rebuilding are
-// content-preserving, so behavior is byte-identical to a never-frozen
-// endpoint; golden-trajectory tests replay every experiment with hibernation
-// forced on to prove it.
 
 // hibBracket carries the node-level wake/settle hooks installed around
 // inbound delivery, the endpoint's counterpart to the env.After bracket
@@ -34,8 +20,8 @@ func (ep *Endpoint) SetHibernation(wake, settle func()) {
 }
 
 // receive is the transport's inbound entry point. On a hibernating node it
-// brackets dispatch with the node's wake/settle hooks so freeze-dried
-// services rehydrate before any handler runs and can re-freeze after.
+// brackets dispatch with the node's wake/settle hooks, so the node is marked
+// live before any handler runs and can settle again after.
 func (ep *Endpoint) receive(from transport.Addr, wire *message.Message) {
 	if h := ep.hib; h != nil {
 		h.wake()
@@ -46,113 +32,17 @@ func (ep *Endpoint) receive(from transport.Addr, wire *message.Message) {
 	ep.dispatch(from, wire)
 }
 
-// epRoute, epHandler and epSvcEntry are the packed forms of the endpoint's
-// map entries while frozen.
-type (
-	epRoute struct {
-		peer ids.ID
-		addr transport.Addr
-	}
-	epHandler struct {
-		name string
-		h    Handler
-	}
-	epSvcEntry struct {
-		name string
-		sc   *epSvc
-	}
-)
-
-// epFrozen is the freeze-dried endpoint: every map entry, none of the
-// buckets.
-type epFrozen struct {
-	routes   []epRoute
-	handlers []epHandler
-	svc      []epSvcEntry
-}
-
-var (
-	epFrozenPool = hibpool.Records[epFrozen]{Reset: func(f *epFrozen) {
-		clear(f.routes)
-		f.routes = f.routes[:0]
-		clear(f.handlers)
-		f.handlers = f.handlers[:0]
-		clear(f.svc)
-		f.svc = f.svc[:0]
-	}}
-	epRoutesPool   hibpool.Maps[ids.ID, transport.Addr]
-	epHandlersPool hibpool.Maps[string, Handler]
-	epSvcPool      hibpool.Maps[string, *epSvc]
-	epPendingPool  hibpool.Maps[ids.ID, []RouteCallback]
-)
-
-// Quiescent reports whether the endpoint holds no in-flight work and can be
-// frozen: no pending route resolutions, no outstanding Hello waiters.
+// Quiescent reports whether the endpoint holds no in-flight work: no pending
+// route resolutions, no outstanding Hello waiters.
 func (ep *Endpoint) Quiescent() bool {
 	return len(ep.pending) == 0 && len(ep.helloWaiters) == 0
 }
 
-// Freeze packs the endpoint's maps into a pooled record and releases the
-// shells. Caller must have checked Quiescent. Idempotent.
-func (ep *Endpoint) Freeze() {
-	if ep.frozen != nil {
-		return
-	}
-	f := epFrozenPool.Get()
-	// Size the packed slices exactly: bare append grows caps in powers of
-	// two, and with ~10 handlers per endpoint the overshoot across 100k
-	// frozen edges is tens of megabytes of dead capacity.
-	f.routes = slices.Grow(f.routes, len(ep.routes))
-	f.handlers = slices.Grow(f.handlers, len(ep.handlers))
-	f.svc = slices.Grow(f.svc, len(ep.m.svc))
-	for id, a := range ep.routes {
-		f.routes = append(f.routes, epRoute{peer: id, addr: a})
-	}
-	for name, h := range ep.handlers {
-		f.handlers = append(f.handlers, epHandler{name: name, h: h})
-	}
-	for name, sc := range ep.m.svc {
-		f.svc = append(f.svc, epSvcEntry{name: name, sc: sc})
-	}
-	epRoutesPool.Put(ep.routes)
-	epHandlersPool.Put(ep.handlers)
-	epSvcPool.Put(ep.m.svc)
-	epPendingPool.Put(ep.pending)
-	ep.routes = nil
-	ep.handlers = nil
-	ep.m.svc = nil
-	ep.pending = nil
-	ep.frozen = f
-	// The transport's FIFO-clamp map rides along: a quiescent edge's clamp
-	// entries are almost always in the past, where they can never bind.
-	if fa, ok := ep.tr.(interface{ FreezeArrivals() }); ok {
-		fa.FreezeArrivals()
+// Trim returns an emptied pending table to nil, the state New leaves it in.
+// The service and route tables need no trimming: on an edge they are
+// exact-size slices (tables.go), as small idle as busy.
+func (ep *Endpoint) Trim() {
+	if len(ep.pending) == 0 {
+		ep.pending = nil
 	}
 }
-
-// thaw rehydrates a frozen endpoint. Every entry point that touches the
-// maps calls it first; on a live endpoint it is a single nil check.
-func (ep *Endpoint) thaw() {
-	if ep.frozen == nil {
-		return
-	}
-	f := ep.frozen
-	ep.frozen = nil
-	ep.routes = epRoutesPool.Get()
-	for _, r := range f.routes {
-		ep.routes[r.peer] = r.addr
-	}
-	ep.handlers = epHandlersPool.Get()
-	for _, h := range f.handlers {
-		ep.handlers[h.name] = h.h
-	}
-	ep.m.svc = epSvcPool.Get()
-	for _, s := range f.svc {
-		ep.m.svc[s.name] = s.sc
-	}
-	ep.pending = epPendingPool.Get()
-	epFrozenPool.Put(f)
-}
-
-// Frozen reports whether the endpoint is currently freeze-dried (tests).
-func (ep *Endpoint) Frozen() bool { return ep.frozen != nil }

@@ -4,10 +4,10 @@ import (
 	"jxta/internal/metrics"
 )
 
-// epSvc is the cached per-service counter set. The endpoint resolves each
-// service name against the CounterVec once and increments the cached
-// children afterwards, keeping the per-message cost at plain atomic adds
-// (the Vec lookup itself takes a lock).
+// epSvc is the cached per-service counter set, held on the service's slot.
+// The endpoint resolves each service name against the CounterVec once and
+// increments the cached children afterwards, keeping the per-message cost at
+// plain atomic adds (the Vec lookup itself takes a lock).
 type epSvc struct {
 	txMsgs, txBytes *metrics.Counter
 	rxMsgs, rxBytes *metrics.Counter
@@ -20,7 +20,6 @@ type epMetrics struct {
 	relays          *metrics.Counter
 	helloSent       *metrics.Counter
 	helloServed     *metrics.Counter
-	svc             map[string]*epSvc
 }
 
 // Instrument (re-)registers the endpoint's instruments on reg. node.New
@@ -43,12 +42,14 @@ func (ep *Endpoint) Instrument(reg *metrics.Registry) {
 		relays:      reg.Counter("jxta_endpoint_relays_total", "Transit messages forwarded toward another peer."),
 		helloSent:   reg.Counter("jxta_endpoint_hello_sent_total", "Hello bootstrap requests sent."),
 		helloServed: reg.Counter("jxta_endpoint_hello_served_total", "Hello bootstrap requests answered."),
-		svc:         make(map[string]*epSvc),
+	}
+	for i := range ep.slots {
+		ep.slots[i].sc = nil // cached children belong to the previous registry
 	}
 	reg.CounterFunc("jxta_endpoint_drops_total", "Messages dropped (no handler, TTL exhausted, no route).",
 		func() uint64 { return ep.Drops })
 	reg.GaugeFunc("jxta_endpoint_routes", "Known direct routes (route-table size).",
-		func() float64 { return float64(len(ep.routes)) })
+		func() float64 { return float64(ep.routes.len()) })
 	ep.m = m
 }
 
@@ -56,33 +57,28 @@ func (ep *Endpoint) Instrument(reg *metrics.Registry) {
 // endpoint neither serves nor sends to is counted under.
 const otherService = "other"
 
-// rxMetrics returns the counter set for an inbound message's service. The
-// name comes off the wire, so it mints a counter set only when it names a
-// registered service: a peer sending arbitrary names must not grow the cache
-// or the registry, and everything it sends is counted under otherService.
-func (ep *Endpoint) rxMetrics(service []byte, registered bool) *epSvc {
-	if sc, ok := ep.m.svc[string(service)]; ok {
-		return sc
+// rxMetrics returns the counter set for an inbound message, given the slot
+// its service name found (nil: none). The name comes off the wire, so it
+// mints a counter set only when it names a registered service: a peer
+// sending arbitrary names must not grow the slots or the registry, and
+// everything it sends is counted under otherService.
+func (ep *Endpoint) rxMetrics(s *slot) *epSvc {
+	if s == nil || (s.sc == nil && s.h == nil) {
+		s = ep.slotFor(otherService)
 	}
-	if !registered {
-		return ep.svcMetrics(otherService)
-	}
-	return ep.svcMetrics(string(service))
+	return ep.counters(s)
 }
 
-// svcMetrics returns the cached counter set for a service named by local
-// code, resolving the Vec children on first use. Runs in env-serialized
-// context only.
-func (ep *Endpoint) svcMetrics(service string) *epSvc {
-	if sc, ok := ep.m.svc[service]; ok {
-		return sc
+// counters returns the slot's cached counter set, resolving the Vec children
+// on first use. Runs in env-serialized context only.
+func (ep *Endpoint) counters(s *slot) *epSvc {
+	if s.sc == nil {
+		s.sc = &epSvc{
+			txMsgs:  ep.m.txMsgs.With(s.name),
+			txBytes: ep.m.txBytes.With(s.name),
+			rxMsgs:  ep.m.rxMsgs.With(s.name),
+			rxBytes: ep.m.rxBytes.With(s.name),
+		}
 	}
-	sc := &epSvc{
-		txMsgs:  ep.m.txMsgs.With(service),
-		txBytes: ep.m.txBytes.With(service),
-		rxMsgs:  ep.m.rxMsgs.With(service),
-		rxBytes: ep.m.rxBytes.With(service),
-	}
-	ep.m.svc[service] = sc
-	return sc
+	return s.sc
 }

@@ -1,0 +1,179 @@
+package endpoint
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"time"
+
+	"jxta/internal/ids"
+	"jxta/internal/message"
+	"jxta/internal/metrics"
+	"jxta/internal/transport"
+)
+
+// TestRouteTableMatchesMap holds the route table to a plain map under random
+// put / del / get / clear sequences. The peer population (12) sits just above
+// the spill, and puts and dels are equally likely, so the table crosses
+// routesFew in both directions many times; the test fails if it never did.
+func TestRouteTableMatchesMap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		peers := make([]ids.ID, 12)
+		for i := range peers {
+			peers[i] = ids.FromName(ids.KindPeer, fmt.Sprintf("p%d", i))
+		}
+		var tab routeTable
+		ref := map[ids.ID]transport.Addr{}
+		spills, returns := 0, 0
+		for step := 0; step < 4000; step++ {
+			p := peers[rng.Intn(len(peers))]
+			wasMap := tab.many != nil
+			switch op := rng.Intn(100); {
+			case op < 45:
+				addr := transport.Addr(fmt.Sprintf("sim://rennes/%d", rng.Intn(1000)))
+				tab.put(p, addr)
+				ref[p] = addr
+			case op < 90:
+				tab.del(p)
+				delete(ref, p)
+			case op < 91:
+				tab = routeTable{} // what Endpoint.Reset does
+				clear(ref)
+			}
+			if isMap := tab.many != nil; isMap && !wasMap {
+				spills++
+			} else if wasMap && !isMap && len(ref) > 0 {
+				returns++
+			}
+			if (tab.many != nil) != (len(ref) > routesFew) || (tab.many != nil && len(tab.few) != 0) {
+				t.Fatalf("seed %d step %d: %d routes held as few=%d many=%v", seed, step, len(ref), len(tab.few), tab.many != nil)
+			}
+			if tab.len() != len(ref) {
+				t.Fatalf("seed %d step %d: len %d, want %d", seed, step, tab.len(), len(ref))
+			}
+			for _, q := range peers {
+				got, ok := tab.get(q)
+				want, wantOK := ref[q]
+				if got != want || ok != wantOK {
+					t.Fatalf("seed %d step %d: get(%s) = %q, %v; want %q, %v", seed, step, q.Short(), got, ok, want, wantOK)
+				}
+			}
+			got := tab.peers()
+			if len(got) != len(ref) {
+				t.Fatalf("seed %d step %d: peers() lists %d of %d", seed, step, len(got), len(ref))
+			}
+			for _, q := range got {
+				if _, ok := ref[q]; !ok {
+					t.Fatalf("seed %d step %d: peers() lists %s, which has no route", seed, step, q.Short())
+				}
+			}
+		}
+		if spills == 0 || returns == 0 {
+			t.Fatalf("seed %d: crossed the spill %d times up and %d times down; the test covers nothing", seed, spills, returns)
+		}
+	}
+}
+
+// TestRouteTableHoldsNoSpareCapacity: a table that only grew, as an edge's
+// does, is an exact-size slice up to routesFew and holds no map.
+func TestRouteTableHoldsNoSpareCapacity(t *testing.T) {
+	var tab routeTable
+	for i := 1; i <= routesFew; i++ {
+		tab.put(ids.FromName(ids.KindPeer, fmt.Sprintf("p%d", i)), "sim://rennes/x")
+		if tab.many != nil || len(tab.few) != i || cap(tab.few) != i {
+			t.Fatalf("%d routes: many=%v len=%d cap=%d", i, tab.many != nil, len(tab.few), cap(tab.few))
+		}
+	}
+}
+
+// mapFields lists the non-nil map-typed fields of a struct.
+func mapFields(v any) (held []string) {
+	rv := reflect.ValueOf(v).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if f := rv.Field(i); f.Kind() == reflect.Map && !f.IsNil() {
+			held = append(held, rv.Type().Field(i).Name)
+		}
+	}
+	return held
+}
+
+// TestReturnsToZeroState: the endpoint's idle state is the state New leaves
+// it in. A fresh endpoint holds no map; a route resolution in flight
+// allocates the pending table and makes it non-quiescent; the answer drains
+// it; Trim returns it to nil; registrations and routes survive all of it.
+func TestReturnsToZeroState(t *testing.T) {
+	sched, _, a, b, c := setup(t)
+	holds := func() []string {
+		return slices.Concat(mapFields(a.ep), mapFields(&a.ep.routes), mapFields(a.ep.m))
+	}
+	a.ep.Register("svc", func(ids.ID, *message.Message) {})
+	a.ep.AddRoute(b.id, b.tr.Addr())
+	b.ep.AddRoute(c.id, c.tr.Addr())
+	if held := holds(); len(held) != 0 || !a.ep.Quiescent() {
+		t.Fatalf("fresh endpoint holds maps %v, quiescent=%v", held, a.ep.Quiescent())
+	}
+	resolved := false
+	a.ep.ResolveRoute(c.id, b.id, func(_ ids.ID, _ transport.Addr, ok bool) { resolved = ok })
+	if a.ep.pending == nil || a.ep.Quiescent() {
+		t.Fatal("a resolution in flight left pending nil or the endpoint quiescent")
+	}
+	a.ep.Trim()
+	if len(a.ep.pending) != 1 {
+		t.Fatal("Trim dropped a pending resolution")
+	}
+	sched.Run(time.Second)
+	if !resolved || !a.ep.Quiescent() {
+		t.Fatalf("resolved=%v quiescent=%v after the exchange", resolved, a.ep.Quiescent())
+	}
+	a.ep.Trim()
+	if held := holds(); len(held) != 0 {
+		t.Fatalf("Trim left maps %v allocated", held)
+	}
+	if s := findSlot(a.ep.slots, "svc"); s == nil || s.h == nil {
+		t.Fatal("handler registration did not survive Trim")
+	}
+	for _, p := range []*rig{b, c} {
+		if addr, ok := a.ep.RouteTo(p.id); !ok || addr != p.tr.Addr() {
+			t.Fatalf("route to %s did not survive Trim: %q, %v", p.id.Short(), addr, ok)
+		}
+	}
+	if len(a.ep.slots) != cap(a.ep.slots) {
+		t.Fatalf("service slots hold spare capacity: len %d cap %d", len(a.ep.slots), cap(a.ep.slots))
+	}
+}
+
+// TestUnregisterAndReinstrument: a name unregistered stops being served, and
+// one re-registered is served again; re-instrumenting starts the counter
+// sets afresh on the new registry without losing a handler.
+func TestUnregisterAndReinstrument(t *testing.T) {
+	sched, _, a, b, _ := setup(t)
+	served := 0
+	b.ep.Register("svc", func(ids.ID, *message.Message) { served++ })
+	a.ep.AddRoute(b.id, b.tr.Addr())
+	send := func() {
+		if err := a.ep.Send(b.id, "svc", body("x")); err != nil {
+			t.Fatal(err)
+		}
+		sched.Run(sched.Now() + time.Second)
+	}
+	send()
+	b.ep.Unregister("svc")
+	b.ep.Unregister("never-registered")
+	send()
+	if served != 1 || b.ep.Drops != 1 {
+		t.Fatalf("after Unregister: served=%d drops=%d, want 1 and 1", served, b.ep.Drops)
+	}
+	b.ep.Register("svc", func(ids.ID, *message.Message) { served += 10 })
+	reg := metrics.NewRegistry()
+	b.ep.Instrument(reg)
+	send()
+	if served != 11 {
+		t.Fatalf("served=%d after re-registering, want 11", served)
+	}
+	if got := reg.Snapshot()[`jxta_endpoint_rx_messages_total{service="svc"}`]; got != 1 {
+		t.Fatalf("the new registry counted %v messages for svc, want 1", got)
+	}
+}

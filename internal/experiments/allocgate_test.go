@@ -124,14 +124,15 @@ func TestDiscoveryAllocsPerStepCeiling(t *testing.T) {
 // — the quick-mode memory-hibernate point of `jxta-bench -exp scale`, so the
 // property is held by `go test ./...` and not only by the CLI smoke.
 //
-// The figure is ~5.4 KB and it is small by construction: the six services
-// above the endpoint allocate no map until first written and hold none
-// while idle, so only the endpoint tables and the RNG register are frozen.
-// TestHibernateFreezeReleasesState holds that property structurally (any
-// allocated map on a hibernating edge fails it); this test is the byte-level
-// backstop. The ceiling is ~11 % above the measurement: losing the endpoint
-// freeze costs ~1.1 KB/edge and losing the RNG freeze ~5.4 KB, and either
-// lands over it (measured: 6,458 and 10,829 B/edge).
+// The figure is ~5.4 KB and it is small by construction: the endpoint keeps
+// its tables in exact-size slices, and the six services above it allocate no
+// map until first written and hold none while idle, so only the RNG register
+// is frozen. TestHibernateFreezeReleasesState holds that property
+// structurally (any allocated map on a hibernating edge fails it); this test
+// is the byte-level backstop. The ceiling is ~11 % above the measurement:
+// putting the endpoint's and the clamp's maps back costs ~1.1 KB/edge and
+// losing the RNG freeze ~5.4 KB, and either lands over it (measured at PR 14:
+// 6,458 and 10,829 B/edge).
 func TestQuiescentEdgeHeapCeiling(t *testing.T) {
 	const ceiling = 6000
 	res, err := RunScale(ScaleSpec{

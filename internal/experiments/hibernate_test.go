@@ -19,8 +19,8 @@ import (
 // hibernation forced on every overlay and must match the SAME golden
 // constants, which were captured before hibernation existed. The rest cover
 // the lifecycle seams (kill/restart/promote while frozen, dormant edges
-// woken by tier death) and the memory claims (packed state released,
-// steady-state occupancy high).
+// woken by tier death) and the memory claims (RNG register dropped, no map
+// held while idle, steady-state occupancy high).
 
 // forceHibernation arms the deploy-level hook for one test: every overlay
 // built while it is set hibernates its edges regardless of spec.
@@ -121,7 +121,7 @@ func TestHibernateGoldenVolatilityByteIdentical(t *testing.T) {
 // TestHibernateGoldenIslandMergeByteIdentical replays the island-merge
 // golden with hibernation forced: tier probes and merge handshakes land on
 // dormant promoted-successor islands and their frozen clients, every one a
-// wake-from-packed-record, and the merge outcome is still bit-exact.
+// wake from hibernation, and the merge outcome is still bit-exact.
 func TestHibernateGoldenIslandMergeByteIdentical(t *testing.T) {
 	forceHibernation(t)
 	t.Setenv(socket.WindowEnvVar, "")
@@ -172,8 +172,8 @@ func TestHibernateGoldenScaleByteIdentical(t *testing.T) {
 }
 
 // TestHibernateReplayTwiceDeterministic runs the same hibernating spec
-// twice in one process: pooled records and free-list reuse may not leak one
-// run's state into the next.
+// twice in one process: the pooled RNG registers may not leak one run's
+// state into the next.
 func TestHibernateReplayTwiceDeterministic(t *testing.T) {
 	spec := ScaleSpec{R: 8, Edges: 24, Shards: 2, Hibernate: true,
 		Duration: 8 * time.Minute, Lease: time.Minute, Seed: 99}
@@ -250,10 +250,11 @@ func mapFieldsNil(t *testing.T, edge string, rv reflect.Value) {
 }
 
 // TestHibernateFreezeReleasesState checks the memory contract directly. A
-// steady-state edge holds what still freezes in its frozen form — endpoint
-// tables packed, RNG register dropped — and the six small-by-construction
-// services and the rumor store hold no map at all: their idle state is
-// their zero state, with nothing to pack. A rendezvous peer never freezes.
+// steady-state edge has dropped its RNG register, the one thing that still
+// freezes, and the endpoint (with its route table and the transport's FIFO
+// clamp), the six services above it and the rumor store hold no map at all:
+// their idle state is their zero state, with nothing to pack. A rendezvous
+// peer never freezes.
 func TestHibernateFreezeReleasesState(t *testing.T) {
 	o := buildHibernatingOverlay(t, 5)
 	defer o.StopAll()
@@ -267,12 +268,13 @@ func TestHibernateFreezeReleasesState(t *testing.T) {
 			continue
 		}
 		frozen++
-		if !e.Endpoint.Frozen() {
-			t.Errorf("edge %s hibernates but its endpoint tables are resident", name)
-		}
 		if rr, ok := e.Env.(interface{ RandResident() bool }); ok && rr.RandResident() {
 			t.Errorf("edge %s hibernates but its RNG register is resident", name)
 		}
+		ep := reflect.ValueOf(e.Endpoint).Elem()
+		mapFieldsNil(t, name, ep)
+		mapFieldsNil(t, name, ep.FieldByName("routes"))
+		mapFieldsNil(t, name, reflect.ValueOf(e.Endpoint.Transport()).Elem().FieldByName("fifo"))
 		rdv := reflect.ValueOf(e.Rendezvous).Elem()
 		mapFieldsNil(t, name, rdv)
 		mapFieldsNil(t, name, rdv.FieldByName("rumors").Elem())
@@ -291,6 +293,31 @@ func TestHibernateFreezeReleasesState(t *testing.T) {
 		if r.Hibernating() {
 			t.Errorf("rendezvous %s hibernated", r.Config.Name)
 		}
+	}
+}
+
+// TestHibernatingEdgeReportsItsRoutes: a scrape must not depend on whether
+// the peer happens to be idle. The jxta_endpoint_routes gauge of a leased,
+// hibernating edge with a registry of its own counts the routes it holds,
+// its rendezvous among them. (While the endpoint packed its tables away the
+// gauge read the released map and reported 0.) The gauge is read before
+// KnownPeers so that nothing touches the endpoint first.
+func TestHibernatingEdgeReportsItsRoutes(t *testing.T) {
+	o := buildHibernatingOverlay(t, 5)
+	defer o.StopAll()
+	checked := 0
+	for _, e := range o.Edges {
+		if _, leased := e.Rendezvous.ConnectedRdv(); !leased || !e.Hibernating() {
+			continue
+		}
+		checked++
+		gauge := e.Metrics.Snapshot()["jxta_endpoint_routes"]
+		if known := len(e.Endpoint.KnownPeers()); gauge < 1 || gauge != float64(known) {
+			t.Errorf("edge %s: jxta_endpoint_routes = %v while it routes to %d peers", e.Config.Name, gauge, known)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no leased edge hibernated at steady state")
 	}
 }
 
@@ -314,8 +341,7 @@ func TestHibernateKillRestartPromote(t *testing.T) {
 	e := o.Edges[victim]
 	o.KillEdge(victim)
 	// A dead node is maximally quiescent: Kill settles on the way out, so
-	// the corpse freezes too — killed populations cost packed records, not
-	// live maps.
+	// the corpse freezes too — killed populations cost what idle ones do.
 	if !e.Hibernating() {
 		t.Fatal("killed edge did not freeze-dry")
 	}
@@ -361,7 +387,7 @@ func TestHibernateKillRestartPromote(t *testing.T) {
 // under a population of deeply hibernated edges: every edge must wake on
 // its own missed-renewal timer, run failover, and heal the overlay through
 // promotion — proving the freeze never disables the self-healing machinery
-// or loses the packed alternates it needs.
+// or loses the alternates it needs.
 func TestHibernateDormantEdgesWakeOnTierDeath(t *testing.T) {
 	o := buildHibernatingOverlay(t, 7)
 	defer o.StopAll()

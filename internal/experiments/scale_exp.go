@@ -36,9 +36,9 @@ type ScaleSpec struct {
 	// Hibernate; the large-population points set both.
 	Lean bool
 	// Hibernate freeze-dries steady-state edges between events
-	// (deploy.Spec.Hibernate): an idle edge packs its endpoint tables and
-	// drops its RNG register. Trajectories are byte-identical either way —
-	// the goldens replay with it forced on.
+	// (deploy.Spec.Hibernate): an idle edge drops its RNG register and
+	// trims its emptied maps; nothing is packed or pooled. Trajectories
+	// are byte-identical either way — the goldens replay with it forced on.
 	Hibernate bool
 	// Duration is the virtual experiment length (default 10 min).
 	Duration time.Duration

@@ -2,31 +2,29 @@ package node
 
 // Edge hibernation. A steady-state edge — lease held, renewal timer armed,
 // no pending queries, no streams, empty cache — spends minutes of simulated
-// time completely idle. Most of what it is made of needs no help to be
-// small: the services above the endpoint (cache, resolver, rendezvous
-// client, discovery, pipe, socket) allocate no map until first written and
-// hold none while idle, so their idle state is their zero state. Two things
-// do not shrink by themselves, and hibernation exists for them:
-//
-//   - the endpoint's route/handler/counter tables and the transport's
-//     FIFO-clamp map (~1.1 KB/edge), which Endpoint.Freeze packs into a
-//     pooled record;
-//   - the node's math/rand register (~5.4 KB/edge), which FreezeRand drops,
-//     keeping only the stream position.
+// time completely idle. Nearly all of what it is made of needs no help to be
+// small: the endpoint keeps its service and route tables in exact-size
+// slices, the transport its FIFO clamp in one slice entry, and the services
+// above them (cache, resolver, rendezvous client, discovery, pipe, socket)
+// allocate no map until first written and hold none while idle, so their
+// idle state is their zero state. Nothing is packed, pooled or rebuilt. One
+// thing does not shrink by itself, and hibernation exists for it: the node's
+// math/rand register (~5.4 KB/edge), which FreezeRand drops, keeping only
+// the stream position.
 //
 // After every dispatch on the node (timer callback or inbound delivery) the
 // settle hook asks every service whether it is quiescent and, if all agree,
-// freezes those two and trims the services — Trim returns a map that a wake
+// drops the register and trims the services — Trim returns a map that a wake
 // filled and emptied again to nil, which no delete site does on its own, so
 // peers that never hibernate do not reallocate a map per operation.
 // Execution re-enters a node in exactly two ways — an env.After callback or
 // an inbound endpoint delivery — and both are bracketed by wake/settle
 // hooks (simnet.NodeEnv.SetHibernation and endpoint.SetHibernation); the
-// endpoint and the RNG rehydrate lazily on first touch, so experiment
-// drivers calling into a hibernated node directly are transparently safe.
+// RNG rehydrates lazily on first draw, and nothing else has a second form,
+// so experiment drivers calling into a hibernated node directly are safe.
 //
-// Freezing never cancels or re-arms a timer, never allocates IDs and never
-// reorders events, and the packed record is content-preserving, so a
+// Settling never cancels or re-arms a timer, never allocates IDs, never
+// reorders events and resumes the RNG stream where it stopped, so a
 // hibernating run's event trajectory and wire traffic are byte-identical
 // to a never-hibernating run. The golden-trajectory suite replays every
 // experiment with hibernation forced on to prove it.
@@ -68,9 +66,9 @@ func (n *Node) EnableHibernation() bool {
 	return true
 }
 
-// hibWake marks the node live. Rehydration itself is lazy — the endpoint
-// and the RNG rebuild on their first touch during the dispatch — so waking
-// costs two stores, and a dispatch that touches neither (a discovery push
+// hibWake marks the node live. Rehydration itself is lazy — the RNG
+// register is rebuilt on the first draw during the dispatch — so waking
+// costs two stores, and a dispatch that draws nothing (a discovery push
 // tick on an idle edge) re-freezes for free.
 func (n *Node) hibWake() {
 	if h := n.hib; h != nil && h.frozen {
@@ -93,7 +91,7 @@ func (n *Node) hibSettle() {
 		!n.Pipe.Quiescent() || !n.Socket.Quiescent() || !n.Cache.Quiescent() {
 		return
 	}
-	n.Endpoint.Freeze()
+	n.Endpoint.Trim()
 	n.Resolver.Trim()
 	n.Rendezvous.Trim()
 	n.Discovery.Trim()

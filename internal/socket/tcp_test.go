@@ -146,9 +146,14 @@ func TestSocketOverTCP(t *testing.T) {
 			t.Errorf("TCP transfer corrupted: got %d bytes, want %d", len(got), len(payload))
 		}
 	})
-	cli.e.Locked(func() {
-		if conn.BytesSent != uint64(len(payload)) {
-			t.Errorf("BytesSent=%d want %d", conn.BytesSent, len(payload))
-		}
+	// BytesSent counts bytes acknowledged, and the server sees EOF while the
+	// last acknowledgements may still be on their way back: wait for them.
+	var sent uint64
+	waitFor(t, "every byte acknowledged", 10*time.Second, func() bool {
+		cli.e.Locked(func() { sent = conn.BytesSent })
+		return sent >= uint64(len(payload))
 	})
+	if sent != uint64(len(payload)) {
+		t.Errorf("BytesSent=%d want %d", sent, len(payload))
+	}
 }

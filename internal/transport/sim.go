@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"jxta/internal/hibpool"
 	"jxta/internal/message"
 	"jxta/internal/netmodel"
 	"jxta/internal/simnet"
@@ -236,14 +235,10 @@ type Sim struct {
 	handler   Handler
 	busyUntil time.Duration
 	closed    bool
-	// lastArrival enforces per-destination FIFO ordering: JXTA transports
-	// are connection-oriented (TCP), so two messages from one peer to
-	// another never reorder, whatever the jitter draws say. Entries whose
-	// clamp can no longer bind (arrival in the past) are pruned lazily so
-	// the map stays bounded by the peer's active destination set.
-	lastArrival map[Addr]time.Duration
-	// nextArrivalPrune rate-limits the prune sweep (virtual time).
-	nextArrivalPrune time.Duration
+	// fifo enforces per-destination FIFO ordering: JXTA transports are
+	// connection-oriented (TCP), so two messages from one peer to another
+	// never reorder, whatever the jitter draws say.
+	fifo fifoClamp
 }
 
 var _ Transport = (*Sim)(nil)
@@ -261,8 +256,7 @@ func (n *Network) Attach(name string, site netmodel.Site) (*Sim, error) {
 	if _, dup := sh.nodes[addr]; dup {
 		return nil, fmt.Errorf("transport: duplicate sim endpoint %s", addr)
 	}
-	s := &Sim{net: n, sh: sh, shard: shard, addr: addr, site: site,
-		lastArrival: make(map[Addr]time.Duration)}
+	s := &Sim{net: n, sh: sh, shard: shard, addr: addr, site: site}
 	sh.nodes[addr] = s
 	return s, nil
 }
@@ -326,15 +320,8 @@ func (s *Sim) Send(to Addr, msg *message.Message) error {
 	dstSite := sh.siteOf(to)
 	latency := n.model.SampleLatency(s.site, dstSite, msg.Size(), sh.rng)
 	// Clamp to per-pair FIFO order (connection-oriented transport).
-	arrival := sh.sched.Now() + latency
-	if last := s.lastArrival[to]; arrival <= last {
-		arrival = last + time.Microsecond
-	}
-	if s.lastArrival == nil { // released by FreezeArrivals while hibernating
-		s.lastArrival = arrivalsPool.Get()
-	}
-	s.lastArrival[to] = arrival
-	s.maybePruneArrivals()
+	now := sh.sched.Now()
+	arrival := s.fifo.order(to, now, now+latency)
 	dstShard := s.shard
 	if len(n.shards) > 1 {
 		dstShard = n.shardOfSite[dstSite]
@@ -387,85 +374,6 @@ func (n *Network) handoff(sh *netShard, a any) {
 		sh.stats.dropped.Add(1)
 	}
 	sh.putDelivery(d)
-}
-
-// arrivalPruneLen is the lastArrival size beyond which a send may trigger a
-// prune sweep.
-const arrivalPruneLen = 64
-
-// arrivalPruneEvery rate-limits sweeps in virtual time.
-const arrivalPruneEvery = time.Second
-
-// maybePruneArrivals drops FIFO-clamp entries that can no longer bind: an
-// entry strictly in the past cannot exceed any future arrival (latencies are
-// nonnegative), so removing it never changes delivery order. Determinism is
-// preserved because the removal set depends only on virtual time, not map
-// iteration order.
-func (s *Sim) maybePruneArrivals() {
-	if len(s.lastArrival) < arrivalPruneLen {
-		return
-	}
-	now := s.sh.sched.Now()
-	if now < s.nextArrivalPrune {
-		return
-	}
-	s.nextArrivalPrune = now + arrivalPruneEvery
-	n := 0
-	for _, last := range s.lastArrival {
-		if last >= now {
-			n++
-		}
-	}
-	// delete() never returns bucket memory, so a wide-fanout sender (a
-	// rendezvous serving hundreds of peers) pruned in place would keep its
-	// high-water bucket array forever. When the sweep would discard most of
-	// the map, rebuild the survivors into an exact-size shell instead; when
-	// the map is mostly live, deleting in place avoids the allocation.
-	if 2*n >= len(s.lastArrival) {
-		for a, last := range s.lastArrival {
-			if last < now {
-				delete(s.lastArrival, a)
-			}
-		}
-		return
-	}
-	m := make(map[Addr]time.Duration, n)
-	for a, last := range s.lastArrival {
-		if last >= now {
-			m[a] = last
-		}
-	}
-	s.lastArrival = m
-}
-
-// arrivalsPool recycles FIFO-clamp map shells across freeze/wake cycles.
-var arrivalsPool hibpool.Maps[Addr, time.Duration]
-
-// FreezeArrivals releases the FIFO-clamp map while the owning node
-// hibernates. An entry strictly in the past can never bind — latencies are
-// nonnegative, so every future arrival lands at or after now (the same
-// argument maybePruneArrivals relies on) — and a quiescent edge rarely
-// holds any other kind, so the common case frees the map outright. Rare
-// still-binding entries (a fire-and-forget send whose arrival is ahead of
-// now) keep a map alive, shrunk to just those entries; delete() never
-// returns bucket memory, which is why the map is swapped, not pruned in
-// place. Send rebuilds the map lazily on the next transmission.
-func (s *Sim) FreezeArrivals() {
-	if s.lastArrival == nil {
-		return
-	}
-	now := s.sh.sched.Now()
-	var keep map[Addr]time.Duration
-	for to, last := range s.lastArrival {
-		if last >= now {
-			if keep == nil {
-				keep = arrivalsPool.Get()
-			}
-			keep[to] = last
-		}
-	}
-	arrivalsPool.Put(s.lastArrival)
-	s.lastArrival = keep
 }
 
 // siteOf resolves the destination site from this shard's attached endpoints

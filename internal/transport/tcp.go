@@ -308,7 +308,11 @@ func (f *frameReader) next() ([]byte, error) {
 		if have = len(buf); have == n {
 			return buf, nil
 		}
-		buf = append(buf, make([]byte, min(n-have, have))...)
+		// Not append: it rounds a large slice's capacity up by a quarter,
+		// which is memory held for bytes the peer has only promised.
+		grown := make([]byte, have+min(n-have, have))
+		copy(grown, buf)
+		buf = grown
 	}
 }
 

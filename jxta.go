@@ -139,12 +139,13 @@ type SimOptions struct {
 	// (Seed, Shards, BarrierWindows).
 	BarrierWindows bool
 	// Hibernate freeze-dries steady-state edge peers between events: an
-	// idle leased edge packs its endpoint tables and drops its RNG
-	// register, roughly halving its live heap (11.7 KB → 5.4 KB with
-	// LeanMetrics); the services above the endpoint hold no maps while
-	// idle and need no freezing. Any delivery, timer or API call on the
-	// peer rehydrates transparently, and trajectories are byte-identical
-	// with it on or off. Default off.
+	// idle leased edge drops its RNG register, roughly halving its live
+	// heap (11.7 KB → 5.4 KB with LeanMetrics), and trims the maps a wake
+	// emptied. Nothing else needs freezing — the endpoint and the
+	// services above it hold no maps while idle — so there is no packed
+	// record and no pool. The next RNG draw on the peer rebuilds the
+	// register, and trajectories are byte-identical with it on or off.
+	// Default off.
 	Hibernate bool
 	// LeanMetrics shares one population-wide metrics registry across all
 	// simulated peers and drops per-node trace rings and gauges — the
