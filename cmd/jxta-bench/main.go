@@ -69,7 +69,6 @@ var (
 	expFlag        = flag.String("exp", "all", "experiment: table1|fig3left|fig3right|fig4left|fig4right|baselines|churn|volatility|ablations|bandwidth|perf|scale|routing|all")
 	quickFlag      = flag.Bool("quick", false, "scaled-down parameters (seconds instead of minutes)")
 	maxHeapPerEdge = flag.Float64("maxheapedge", 0, "scale: fail if the lean memory point's heap_bytes_per_edge exceeds this many bytes (0 disables; the CI memory smoke pins it)")
-	hibernateFlag  = flag.Bool("hibernate", false, "scale: turn edge hibernation on for the edge-lease workloads too (the memory points set it per point; the CI hibernation smoke sets this)")
 	liveFlag       = flag.Bool("live", false, "bandwidth: also measure over real loopback TCP (wall-clock, nondeterministic)")
 	csvFlag        = flag.Bool("csv", false, "emit CSV instead of ASCII plots")
 	seedFlag       = flag.Int64("seed", 42, "master determinism seed")
@@ -282,7 +281,6 @@ type scalePoint struct {
 	// the default).
 	Barrier      bool    `json:"barrier,omitempty"`
 	Lean         bool    `json:"lean,omitempty"`
-	Hibernate    bool    `json:"hibernate,omitempty"`
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	WallMs       float64 `json:"wall_ms"`
 	Steps        uint64  `json:"steps"`
@@ -295,12 +293,6 @@ type scalePoint struct {
 	// HeapBytesPerEdge is the live-heap cost of one simulated edge
 	// (experiments.ScaleResult.HeapBytesPerEdge); zero when not measured.
 	HeapBytesPerEdge float64 `json:"heap_bytes_per_edge,omitempty"`
-	// Hibernation occupancy at the end of the virtual run: how many edges
-	// were freeze-dried when the clock stopped, plus cumulative
-	// wake/freeze transitions (zero when hibernation is off).
-	Hibernating int    `json:"hibernating,omitempty"`
-	HibWakes    uint64 `json:"hib_wakes,omitempty"`
-	HibFreezes  uint64 `json:"hib_freezes,omitempty"`
 	// NodeMetrics is the per-node runtime-metrics section: population
 	// totals plus sampled full snapshots (see experiments.CollectNodeMetrics).
 	NodeMetrics *experiments.NodeMetricsSummary `json:"node_metrics,omitempty"`
@@ -328,27 +320,22 @@ func scale() (any, error) {
 	}
 	summary := map[string]any{}
 	if *csvFlag {
-		fmt.Println("workload,r,edges,shards,barrier,lean,hibernate,gomaxprocs,wallMs,steps,eventsPerSec,windows,avgBusy,crossShard,speedupBound,speedupWall,heapBytesPerEdge,hibernating,hibWakes,hibFreezes")
+		fmt.Println("workload,r,edges,shards,barrier,lean,gomaxprocs,wallMs,steps,eventsPerSec,windows,avgBusy,crossShard,speedupBound,speedupWall,heapBytesPerEdge")
 	}
 	emit := func(p scalePoint) {
 		if *csvFlag {
-			fmt.Printf("%s,%d,%d,%d,%v,%v,%v,%d,%.1f,%d,%.0f,%d,%.2f,%d,%.2f,%.2f,%.0f,%d,%d,%d\n",
-				p.Workload, p.R, p.Edges, p.Shards, p.Barrier, p.Lean, p.Hibernate, p.GOMAXPROCS, p.WallMs, p.Steps,
-				p.EventsPerSec, p.Windows, p.AvgBusy, p.CrossShard, p.SpeedupBound, p.SpeedupWall, p.HeapBytesPerEdge,
-				p.Hibernating, p.HibWakes, p.HibFreezes)
+			fmt.Printf("%s,%d,%d,%d,%v,%v,%d,%.1f,%d,%.0f,%d,%.2f,%d,%.2f,%.2f,%.0f\n",
+				p.Workload, p.R, p.Edges, p.Shards, p.Barrier, p.Lean, p.GOMAXPROCS, p.WallMs, p.Steps,
+				p.EventsPerSec, p.Windows, p.AvgBusy, p.CrossShard, p.SpeedupBound, p.SpeedupWall, p.HeapBytesPerEdge)
 			return
 		}
 		heap := ""
 		if p.HeapBytesPerEdge > 0 {
 			heap = fmt.Sprintf("  heap/edge=%.0f B", p.HeapBytesPerEdge)
 		}
-		hib := ""
-		if p.Hibernate {
-			hib = fmt.Sprintf("  hib=%d/%d", p.Hibernating, p.Edges)
-		}
-		fmt.Printf("  %-18s shards=%-2d gmp=%-2d wall=%9.1f ms  events/sec=%-9.0f bound=%-5.2f wallx=%-5.2f windows=%-7d avgBusy=%.2f%s%s\n",
+		fmt.Printf("  %-18s shards=%-2d gmp=%-2d wall=%9.1f ms  events/sec=%-9.0f bound=%-5.2f wallx=%-5.2f windows=%-7d avgBusy=%.2f%s\n",
 			p.Workload, p.Shards, p.GOMAXPROCS, p.WallMs, p.EventsPerSec,
-			p.SpeedupBound, p.SpeedupWall, p.Windows, p.AvgBusy, heap, hib)
+			p.SpeedupBound, p.SpeedupWall, p.Windows, p.AvgBusy, heap)
 	}
 	runOne := func(name string, spec experiments.ScaleSpec, serialEps float64) (scalePoint, error) {
 		res, err := experiments.RunScale(spec)
@@ -357,13 +344,12 @@ func scale() (any, error) {
 		}
 		p := scalePoint{
 			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards,
-			Barrier: spec.Barrier, Lean: spec.Lean, Hibernate: spec.Hibernate,
+			Barrier: spec.Barrier, Lean: spec.Lean,
 			GOMAXPROCS: runtime.GOMAXPROCS(0), WallMs: res.WallMs, Steps: res.Steps,
 			EventsPerSec: res.EventsPerSec, Windows: res.Windows, AvgBusy: res.AvgBusy,
 			CrossShard: res.CrossShard, SpeedupBound: res.SpeedupBound,
 			HeapBytesPerEdge: res.HeapBytesPerEdge,
-			Hibernating:      res.Hibernating, HibWakes: res.HibWakes, HibFreezes: res.HibFreezes,
-			NodeMetrics: res.NodeMetrics,
+			NodeMetrics:      res.NodeMetrics,
 		}
 		if p.SpeedupBound == 0 {
 			p.SpeedupBound = 1 // serial engine: no windows, bound is unity
@@ -381,7 +367,7 @@ func scale() (any, error) {
 	serialEps := 0.0
 	for _, shards := range sweepShards {
 		p, err := runOne("edge-lease", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: shards, Hibernate: *hibernateFlag,
+			R: sweepR, Edges: sweepEdges, Shards: shards,
 			Duration: sweepDur, Seed: *seedFlag,
 		}, serialEps)
 		if err != nil {
@@ -404,7 +390,7 @@ func scale() (any, error) {
 			continue // single shard runs barrier-free either way
 		}
 		p, err := runOne("edge-lease-barrier", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: shards, Barrier: true, Hibernate: *hibernateFlag,
+			R: sweepR, Edges: sweepEdges, Shards: shards, Barrier: true,
 			Duration: sweepDur, Seed: *seedFlag,
 		}, serialEps)
 		if err != nil {
@@ -421,7 +407,7 @@ func scale() (any, error) {
 	for _, gmp := range gmps {
 		prev := runtime.GOMAXPROCS(gmp)
 		p, err := runOne("edge-lease", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: curveShards, Hibernate: *hibernateFlag,
+			R: sweepR, Edges: sweepEdges, Shards: curveShards,
 			Duration: sweepDur, Seed: *seedFlag,
 		}, serialEps)
 		runtime.GOMAXPROCS(prev)
@@ -500,7 +486,7 @@ func scale() (any, error) {
 		bigSerial := 0.0
 		for _, shards := range []int{1, 8} {
 			p, err := runOne("edge-lease-r1000", experiments.ScaleSpec{
-				R: bigR, Edges: bigEdges, Shards: shards, Hibernate: *hibernateFlag,
+				R: bigR, Edges: bigEdges, Shards: shards,
 				Duration: sweepDur, Seed: *seedFlag,
 			}, bigSerial)
 			if err != nil {
@@ -514,12 +500,11 @@ func scale() (any, error) {
 		summary["r1000"] = big
 	}
 
-	// Memory series: heap_bytes_per_edge at a fixed workload across the
-	// three memory regimes — default, lean metrics alone, and lean +
-	// hibernation (the large-population configuration) — then the
-	// 100k/250k/1M proof points (full scale only). The lean+hibernate point
-	// doubles as the CI memory smoke: -maxheapedge pins a ceiling it must
-	// stay under.
+	// Memory series: heap_bytes_per_edge at a fixed workload with per-node
+	// and with lean metrics (the large-population configuration), then the
+	// 100k/250k/1M proof points (full scale only). The lean point doubles
+	// as the CI memory smoke: -maxheapedge pins a ceiling it must stay
+	// under.
 	memR, memEdges, memDur := 250, 10_000, 10*time.Minute
 	memShards := 8
 	if *quickFlag {
@@ -528,33 +513,26 @@ func scale() (any, error) {
 	}
 	var mem []scalePoint
 	leanHeap := 0.0
-	for _, cfg := range []struct {
-		name      string
-		lean, hib bool
-	}{
-		{"memory", false, false},
-		{"memory-lean", true, false},
-		{"memory-hibernate", true, true},
-	} {
-		p, err := runOne(cfg.name, experiments.ScaleSpec{
-			R: memR, Edges: memEdges, Shards: memShards,
-			Lean: cfg.lean, Hibernate: cfg.hib,
+	for _, lean := range []bool{false, true} {
+		name := "memory"
+		if lean {
+			name = "memory-lean"
+		}
+		p, err := runOne(name, experiments.ScaleSpec{
+			R: memR, Edges: memEdges, Shards: memShards, Lean: lean,
 			Duration: memDur, Seed: *seedFlag,
 		}, 0)
 		if err != nil {
 			return nil, err
 		}
-		if cfg.lean && cfg.hib {
-			leanHeap = p.HeapBytesPerEdge
-		}
+		leanHeap = p.HeapBytesPerEdge // the lean point runs last
 		mem = append(mem, p)
 	}
 	if !*quickFlag {
 		// The tentpole proof points: 100k, 250k, then the full million
-		// leased edges on one box. Lean metrics + hibernation, 5 virtual
-		// minutes (the heap plateaus once every edge holds a lease and
-		// its renewal state, and the steady-state population
-		// freeze-dries).
+		// leased edges on one box. Lean metrics, 5 virtual minutes (the
+		// heap plateaus once every edge holds a lease and its renewal
+		// state).
 		for _, big := range []struct {
 			name  string
 			edges int
@@ -564,7 +542,7 @@ func scale() (any, error) {
 			{"memory-1m", 1_000_000},
 		} {
 			p, err := runOne(big.name, experiments.ScaleSpec{
-				R: 1000, Edges: big.edges, Shards: memShards, Lean: true, Hibernate: true,
+				R: 1000, Edges: big.edges, Shards: memShards, Lean: true,
 				Duration: 5 * time.Minute, Seed: *seedFlag,
 			}, 0)
 			if err != nil {

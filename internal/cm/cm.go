@@ -36,7 +36,7 @@ const recordChunk = 64
 //
 // The three maps are nil until first written — reads of a nil map already
 // report an empty cache — so a peer that never stores an advertisement
-// never allocates them, and Trim returns an emptied cache to that state.
+// never allocates them.
 type Cache struct {
 	env  env.Env
 	byID map[ids.ID]*Record
@@ -118,17 +118,6 @@ func (c *Cache) Len() int { return len(c.byID) }
 
 // Quiescent reports whether the cache is idle: nothing stored.
 func (c *Cache) Quiescent() bool { return len(c.byID) == 0 }
-
-// Trim returns an empty cache to its zero state. The index maps hold no
-// key once the last record is gone (unindex deletes emptied keys) and the
-// arena then holds only free records, so all of it goes; newRecord
-// rebuilds from the same nil state it starts from.
-func (c *Cache) Trim() {
-	if len(c.byID) == 0 {
-		c.byID, c.index, c.numIndex = nil, nil, nil
-		c.slab, c.free = nil, nil
-	}
-}
 
 // IndexSize returns the number of index entries, the quantity that drives
 // the simulated per-query scan cost on loaded rendezvous peers.

@@ -382,10 +382,8 @@ func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 }
 
 // TestReturnsToZeroState: a cache is small by construction. Fresh, it holds
-// no map and no arena, and every read already answers "empty"; a stored
-// advertisement allocates them, Trim leaves a non-empty cache alone, and
-// once the last record is gone Trim returns the cache to exactly the fresh
-// state — from which it fills again.
+// no map and no arena, every read already answers "empty" and no-op deletes
+// allocate nothing; it is quiescent exactly while it stores nothing.
 func TestReturnsToZeroState(t *testing.T) {
 	c, _ := newCache()
 	zero := func(when string) {
@@ -408,22 +406,13 @@ func TestReturnsToZeroState(t *testing.T) {
 	c.Remove(ids.FromName(ids.KindAdv, "ghost"))
 	zero("after reads and no-op deletes")
 
-	adv := res("n1", advertisement.IndexField{Attr: "cpu", Value: "4"})
-	c.Put(adv, 0, false)
-	c.Trim()
+	c.Put(res("n1", advertisement.IndexField{Attr: "cpu", Value: "4"}), 0, false)
 	if c.Quiescent() || len(c.SearchRange("Resource", "cpu", 0, 9)) != 1 {
-		t.Fatal("Trim disturbed a non-empty cache")
+		t.Fatal("a cache holding a record is quiescent, or lost it")
 	}
 	c.Flush()
-	if c.byID == nil {
-		t.Fatal("delete sites must not release the maps (only Trim does)")
-	}
-	c.Trim()
-	zero("after Put, Flush, Trim")
-
-	c.Put(adv, 0, true)
-	if got := c.Search("Resource", "Name", "n1"); len(got) != 1 {
-		t.Fatal("cache did not refill from the zero state")
+	if !c.Quiescent() {
+		t.Fatal("a flushed cache is not quiescent")
 	}
 }
 

@@ -23,12 +23,6 @@ import (
 	"jxta/internal/transport"
 )
 
-// ForceHibernate, when set, arms edge hibernation on every deployed overlay
-// regardless of Spec.Hibernate. Test hook: the golden-trajectory suite
-// replays every experiment with it on to prove hibernation never changes an
-// event trajectory.
-var ForceHibernate bool
-
 // EdgeGroup attaches Count edge peers to the rendezvous at index AttachTo.
 type EdgeGroup struct {
 	AttachTo int
@@ -62,19 +56,10 @@ type Spec struct {
 	// outcomes are deterministic per (Seed, Shards, BarrierWindows)
 	// triple.
 	BarrierWindows bool
-	// Hibernate freeze-dries steady-state edge peers between events: once
-	// an edge holds its lease and has no pending queries, streams or
-	// timers beyond the armed renewals, its RNG register is dropped
-	// (only the stream position is kept), roughly halving live heap per
-	// idle edge (11.7 KB → 5.4 KB with LeanMetrics). That is all there is
-	// to freeze: no packed record, no pools. The endpoint, the transport
-	// and the services above them are small by construction — idle, they
-	// hold a few exact-size slices and no maps (node.hibSettle trims the
-	// maps a wake emptied). The first RNG draw after a delivery, timer
-	// fire or direct driver call rebuilds the register; event
-	// trajectories and wire traffic are byte-identical either way.
-	// Edge-only: rendezvous peers stay hot. Requires the simulated clock
-	// (no-op on real-clock envs).
+	// Hibernate is ignored: every deployed edge is built small (AddEdge).
+	// The field stays because the repository benchmark sets it.
+	//
+	// Deprecated: goes with the benchmark-only PR of ROADMAP 4(f).
 	Hibernate bool
 	// LeanMetrics shrinks per-node observability for large simulated
 	// populations: nodes share one population-wide metrics registry
@@ -254,6 +239,13 @@ func Build(spec Spec) (*Overlay, error) {
 // publisher/searcher run on testbed nodes beside their rendezvous cluster).
 // On a running overlay the new edge starts immediately — a live join at
 // virtual runtime.
+//
+// An idle edge is small by construction, with no mode to switch on: its
+// endpoint, transport and services hold a few exact-size slices and no maps,
+// and the one large thing node.New touches, the env's RNG register, is
+// handed back here — the peer ID is the only draw an edge ever makes.
+// simnet.NodeEnv.Rand rebuilds the stream at its position should a promotion
+// make it draw again.
 func (o *Overlay) AddEdge(name string, attachTo int) (*node.Node, error) {
 	rdv := o.Rdvs[attachTo]
 	site := siteOfRdv(o, attachTo)
@@ -273,9 +265,7 @@ func (o *Overlay) AddEdge(name string, attachTo int) (*node.Node, error) {
 		AdvStore:  o.AdvStore,
 		Metrics:   o.LeanRegistry,
 	})
-	if o.spec.Hibernate || ForceHibernate {
-		n.EnableHibernation()
-	}
+	e.ReleaseRand()
 	n.RoleChanged = func(nn *node.Node) {
 		if o.OnPromotion != nil {
 			o.OnPromotion(nn)

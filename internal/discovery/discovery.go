@@ -156,7 +156,7 @@ type Service struct {
 	// A push that goes through clears it, so in the steady state it is nil
 	// and the push tick returns without looking at the cache. It, costTimers
 	// and seen are nil until first written (reads of a nil map are already
-	// correct); Trim returns the latter two to nil when empty.
+	// correct).
 	unpushed map[ids.ID]struct{}
 	ticker   *env.Ticker
 
@@ -354,17 +354,6 @@ func (s *Service) Reset() {
 // periodic wake source, not a blocker.
 func (s *Service) Quiescent() bool {
 	return s.index == nil && len(s.costTimers) == 0
-}
-
-// Trim returns emptied maps to nil, the state New leaves them in (the push
-// debt needs no trimming: it is never left empty).
-func (s *Service) Trim() {
-	if len(s.costTimers) == 0 {
-		s.costTimers = nil
-	}
-	if len(s.seen) == 0 {
-		s.seen = nil
-	}
 }
 
 // --- Publishing ---

@@ -356,9 +356,9 @@ func TestWalkTTLBoundsSearchRadius(t *testing.T) {
 // pure consumer — an edge that only looks things up — never allocates a map,
 // before, during or after a lookup. A publisher whose pushes have reached its
 // rendezvous holds no ledger either: the ledger is the debt, and it is paid.
-// Once the publisher answers a query it holds the dedup set; that is state,
-// and Trim keeps it. The one scratch table, a rendezvous' in-flight
-// scan-cost delays, drains by itself and Trim returns it to nil.
+// Once the publisher answers a query it holds the dedup set; that is state.
+// The one scratch table, a rendezvous' in-flight scan-cost delays, drains by
+// itself.
 func TestReturnsToZeroState(t *testing.T) {
 	o, err := deploy.Build(deploy.Spec{
 		Seed: 41, NumRdv: 6, Topology: topology.Chain,
@@ -397,8 +397,6 @@ func TestReturnsToZeroState(t *testing.T) {
 	tables("searcher after a lookup", search.Discovery, -1, -1, -1)
 
 	tables("publisher that has pushed everything and answered once", pub.Discovery, -1, -1, 1)
-	pub.Discovery.Trim()
-	tables("the same publisher, trimmed", pub.Discovery, -1, -1, 1)
 
 	used := 0
 	for _, r := range o.Rdvs {
@@ -406,10 +404,6 @@ func TestReturnsToZeroState(t *testing.T) {
 			used++ // allocated by a query's scan delay, drained since
 		} else if cost > 0 {
 			t.Fatalf("rendezvous %s still holds %d scan-cost timers", r.Config.Name, cost)
-		}
-		r.Discovery.Trim()
-		if _, cost, _ := r.Discovery.Tables(); cost != -1 {
-			t.Fatalf("Trim left rendezvous %s's emptied scan-cost table allocated", r.Config.Name)
 		}
 	}
 	if used == 0 {

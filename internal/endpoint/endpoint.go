@@ -104,9 +104,6 @@ type Endpoint struct {
 	// m holds the runtime instruments; always non-nil (New pre-instruments
 	// against a private registry, node.New re-instruments with the node's).
 	m *epMetrics
-
-	// hib brackets inbound delivery on a hibernating node; see hibernate.go.
-	hib *hibBracket
 }
 
 // New binds an endpoint service for peer id over the given transport and
@@ -125,10 +122,10 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	// already the only execution context — so the handler runs directly.
 	if l, ok := e.(interface{ Locked(func()) }); ok {
 		tr.SetHandler(func(src transport.Addr, m *message.Message) {
-			l.Locked(func() { ep.receive(src, m) })
+			l.Locked(func() { ep.dispatch(src, m) })
 		})
 	} else {
-		tr.SetHandler(ep.receive)
+		tr.SetHandler(ep.dispatch)
 	}
 	ep.Register(erpService, ep.handleERP)
 	ep.Register(helloService, ep.handleHello)
@@ -225,12 +222,10 @@ func (ep *Endpoint) Register(service string, h Handler) {
 	ep.slotFor(service).h = h
 }
 
-// Unregister removes a service handler; subsequent messages for the service
-// are counted as drops. Unregistering an unknown name is a no-op.
-func (ep *Endpoint) Unregister(service string) {
-	if s := findSlot(ep.slots, service); s != nil {
-		s.h = nil
-	}
+// Quiescent reports whether the endpoint holds no in-flight work: no pending
+// route resolutions, no outstanding Hello waiters.
+func (ep *Endpoint) Quiescent() bool {
+	return len(ep.pending) == 0 && len(ep.helloWaiters) == 0
 }
 
 // Transport exposes the underlying transport (deployment-level lifecycle
@@ -377,9 +372,8 @@ func readEnvelope(wire *message.Message) (e envelope) {
 // dispatch demultiplexes an inbound wire message: learn the return route,
 // then either deliver locally or relay toward the destination. The envelope
 // is read as bytes, so a message on the steady-state path (known service,
-// known return route) allocates nothing here. Deliveries arrive through
-// receive (hibernate.go), which brackets this with the node's wake/settle
-// hooks.
+// known return route) allocates nothing here. It is the transport's inbound
+// entry point.
 func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	e := readEnvelope(wire)
 	srcID, err := ids.ParseBytes(e.src)

@@ -21,6 +21,13 @@ import (
 // any scheduler or transport change that reorders events, consumes RNG
 // draws differently, or perturbs a latency sample will break them.
 //
+// Every overlay these tests deploy runs with its edges' RNG registers
+// released (deploy.Overlay.AddEdge), including the edges the volatility and
+// island-merge goldens promote, which rebuild their stream at the position
+// their peer ID left it. The strings predate that, so the goldens are the
+// end-to-end half of the proof that a released stream changes no trajectory;
+// simnet.TestReleasedStreamContinues is the property half.
+//
 // If a change is *supposed* to alter simulation results (a model change,
 // not an engine change), re-capture by setting the golden constants to
 // "UNSET", running `go test ./internal/experiments -run TestGolden`, and

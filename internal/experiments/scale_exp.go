@@ -32,14 +32,10 @@ type ScaleSpec struct {
 	Barrier bool
 	// Lean shares one population-wide metrics registry across peers and
 	// drops per-node trace rings — the memory configuration for 100k+
-	// edge populations (deploy.Spec.LeanMetrics). Independent of
-	// Hibernate; the large-population points set both.
+	// edge populations (deploy.Spec.LeanMetrics). It is the only memory
+	// switch: an idle edge is small however it is deployed
+	// (deploy.Overlay.AddEdge releases its RNG register at construction).
 	Lean bool
-	// Hibernate freeze-dries steady-state edges between events
-	// (deploy.Spec.Hibernate): an idle edge drops its RNG register and
-	// trims its emptied maps; nothing is packed or pooled. Trajectories
-	// are byte-identical either way — the goldens replay with it forced on.
-	Hibernate bool
 	// Duration is the virtual experiment length (default 10 min).
 	Duration time.Duration
 	// Lease overrides the lease duration (default 1 min: renewals at 30 s
@@ -93,16 +89,6 @@ type ScaleResult struct {
 	AvgBusy      float64
 	CrossShard   uint64
 	SpeedupBound float64
-	// Hibernation occupancy, sampled at the end of the virtual run but
-	// before teardown (StopAll wakes nodes to cancel leases): how many
-	// edges ended the run freeze-dried, and the cumulative wake/freeze
-	// transition counts across the population. All zero when hibernation
-	// is off. Excluded from the golden fingerprint: occupancy depends on
-	// where the virtual clock stops relative to renewal timers, which is
-	// deterministic but not a protocol outcome.
-	Hibernating int
-	HibWakes    uint64
-	HibFreezes  uint64
 	// NodeMetrics aggregates every peer's runtime registry at the end of
 	// the run (totals over the population + sampled full snapshots).
 	NodeMetrics *NodeMetricsSummary
@@ -133,7 +119,6 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 		Shards:         spec.Shards,
 		BarrierWindows: spec.Barrier,
 		LeanMetrics:    spec.Lean,
-		Hibernate:      spec.Hibernate,
 		Topology:       topology.Chain,
 		Lease:          rendezvous.Config{LeaseDuration: spec.Lease},
 		Edges:          groups,
@@ -174,14 +159,6 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 		}
 		res.CrossShard = ps.CrossShard
 		res.SpeedupBound = ps.SpeedupBound()
-	}
-	for _, e := range o.Edges {
-		if e.Hibernating() {
-			res.Hibernating++
-		}
-		w, f := e.HibernationStats()
-		res.HibWakes += w
-		res.HibFreezes += f
 	}
 	if spec.Edges > 0 && runHeap > baseHeap {
 		res.HeapBytesPerEdge = float64(runHeap-baseHeap) / float64(spec.Edges)

@@ -92,6 +92,45 @@ func TestVolatilityIslandMergeConverges(t *testing.T) {
 	}
 }
 
+// TestIslandMergeSeedSweep writes down what seed 42 hides (ROADMAP 2(f)): the
+// island-merge golden's scenario — every original rendezvous killed at 90 s
+// intervals, the promoted successors left to find each other — over seeds
+// 1–40. At the commit that added this test the tier reconverges on 9 seeds
+// (7, 20, 23, 29, 30, 32, 34, 36, 38) and post-merge discovery answers 40/40
+// on 24; most failing seeds end live=2 view=0 merges=0, two promoted islands
+// that never learn of each other. The floors are a ratchet: a fix raises
+// them; neither they nor the golden's seed are to be chosen around a failure.
+func TestIslandMergeSeedSweep(t *testing.T) {
+	const convergedFloor, answeredFloor = 9, 24
+	converged, answered := 0, 0
+	t.Log("seed live view  conv  merges post-ok")
+	for seed := int64(1); seed <= 40; seed++ {
+		res, err := RunVolatility(VolatilitySpec{
+			R: 4, EdgesPerRdv: 2,
+			KillEvery: []time.Duration{90 * time.Second},
+			Kills:     4, Queries: 40, Seed: seed,
+			IslandMerge: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := res.Points[0]
+		t.Logf("%4d %4d %4.2f %5v %6d %4d/40", seed, pt.LiveTier, pt.MeanView,
+			pt.Merge.Converged, pt.Merge.Merges, pt.Merge.Phase.Succeeded)
+		if pt.Merge.Converged {
+			converged++
+		}
+		if pt.Merge.Phase.Succeeded == 40 {
+			answered++
+		}
+	}
+	t.Logf("%d of 40 seeds reconverge, %d answer 40/40 after the merge phase", converged, answered)
+	if converged < convergedFloor || answered < answeredFloor {
+		t.Fatalf("%d of 40 seeds reconverge (floor %d), %d answer 40/40 post-merge (floor %d)",
+			converged, convergedFloor, answered, answeredFloor)
+	}
+}
+
 // TestMergePhaseKillsExceedR: an attrition spec asking for more kills than
 // rendezvous exist must not hang the merge phase waiting for a kill quota
 // that can never fill (regression; only R kills can land without rejoins).

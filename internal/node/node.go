@@ -26,6 +26,19 @@
 //     restarted process on the same host. The deployment layer re-attaches
 //     the transport first when the node was killed.
 //   - Close: Stop + transport release, for process exit (cmd/jxta-node).
+//
+// # An idle edge is small
+//
+// A steady-state edge — lease held, renewal timer armed, nothing in flight —
+// is small because of how it is built, not because something shrinks it:
+// the endpoint keeps its service and route tables in exact-size slices, the
+// transport its FIFO clamp in one slice entry, and the services above them
+// (cache, resolver, rendezvous client, discovery, pipe, socket) allocate no
+// map until first written, so their idle state is their zero state. The one
+// large thing New touches is the env's RNG register (the peer ID is drawn
+// from it); an edge never draws again, so the simulator's deployment layer
+// hands the register back right after New (simnet.NodeEnv.ReleaseRand).
+// Nothing in this package knows about that.
 package node
 
 import (
@@ -139,10 +152,7 @@ type Node struct {
 	MergeObserved func(n *Node, peer ids.ID)
 
 	rdvAdv *advertisement.Rdv
-	// hib, when non-nil, freeze-dries the node between dispatches; see
-	// hibernate.go.
-	hib *hibernator
-	reg lifecycle.Registry
+	reg    lifecycle.Registry
 	// pvRegIndex is where the peerview service lives (or would live) in the
 	// lifecycle registry: after endpoint and resolver, before rendezvous.
 	pvRegIndex int
@@ -283,7 +293,6 @@ func (n *Node) PromoteToRendezvous() {
 	if n.PeerView != nil {
 		return
 	}
-	n.hibWake()
 	n.Config.Role = Rendezvous
 	n.rdvAdv = &advertisement.Rdv{
 		PeerID:  n.ID,
@@ -332,7 +341,6 @@ func (n *Node) PromoteToRendezvous() {
 
 // Start brings the peer's services up in registry order. Idempotent.
 func (n *Node) Start() {
-	n.hibWake()
 	n.reg.Start()
 }
 
@@ -343,12 +351,8 @@ func (n *Node) Started() bool { return n.reg.Started() }
 // streams FIN or reset, the edge lease is cancelled, and every timer any
 // service armed is cancelled, so a stopped node owns no pending callbacks.
 // The transport stays attached — Start brings the node back in place.
-// A hibernation-enabled node re-freezes once stopped: a down node is as
-// quiescent as an idle one.
 func (n *Node) Stop() {
-	n.hibWake()
 	n.reg.Stop()
-	n.hibSettle()
 }
 
 // Kill crashes the peer: the same teardown as Stop but nothing is sent —
@@ -356,10 +360,8 @@ func (n *Node) Stop() {
 // peers learn of the death only through their own timeouts (lease renewal,
 // retransmission limits, peerview entry expiry).
 func (n *Node) Kill() {
-	n.hibWake()
 	n.reg.Abort()
 	n.Endpoint.Close()
-	n.hibSettle()
 }
 
 // Restart cold-restarts the peer in place: graceful Stop if still running,
@@ -370,7 +372,6 @@ func (n *Node) Kill() {
 // same transport address. If the node was killed, the caller must
 // re-attach the transport first (deploy.Overlay.RestartRdv/RestartEdge do).
 func (n *Node) Restart() {
-	n.hibWake()
 	n.Stop()
 	n.Endpoint.Reset()
 	if n.PeerView != nil {
@@ -389,7 +390,6 @@ func (n *Node) Restart() {
 // outside any Locked section (or Stop under the lock and close the
 // transport separately, as cmd/jxta-node does).
 func (n *Node) Close() {
-	n.hibWake()
 	n.Stop()
 	n.Endpoint.Close()
 }
@@ -397,7 +397,6 @@ func (n *Node) Close() {
 // AddSeed wires an additional rendezvous seed at runtime and, for edges,
 // immediately tries to lease from it.
 func (n *Node) AddSeed(seed peerview.Seed) {
-	n.hibWake()
 	if n.PeerView != nil {
 		n.PeerView.AddSeed(seed)
 	}
@@ -415,6 +414,23 @@ func (n *Node) RdvAdv() *advertisement.Rdv { return n.rdvAdv }
 
 // IsRendezvous reports the role.
 func (n *Node) IsRendezvous() bool { return n.PeerView != nil }
+
+// Hibernating reports whether the node is an idle edge: edge role and every
+// service quiescent. There is no hibernation mode any more; the name stays
+// for the repository benchmark, which compiles against it.
+//
+// Deprecated: goes with the benchmark-only PR of ROADMAP 4(f).
+func (n *Node) Hibernating() bool {
+	return n.PeerView == nil &&
+		n.Endpoint.Quiescent() && n.Resolver.Quiescent() &&
+		n.Rendezvous.Quiescent() && n.Discovery.Quiescent() &&
+		n.Pipe.Quiescent() && n.Socket.Quiescent() && n.Cache.Quiescent()
+}
+
+// HibernationStats returns 0, 0: nothing wakes or freezes.
+//
+// Deprecated: goes with the benchmark-only PR of ROADMAP 4(f).
+func (n *Node) HibernationStats() (wakes, freezes uint64) { return 0, 0 }
 
 // URN returns this peer's ID in URN form, rendered once at construction —
 // logging and keying paths should use it instead of ID.String().

@@ -72,7 +72,7 @@ type Service struct {
 	disco *discovery.Service
 	rdv   *rendezvous.Service
 	// bound and propSeen are nil until first written (reads of a nil map
-	// are already correct); Trim returns them to nil when empty.
+	// are already correct).
 	bound map[ids.ID]*InputPipe
 
 	// propSeen dedups propagation instances: a propagate message can reach
@@ -158,16 +158,6 @@ func (s *Service) Reset() {
 // Quiescent reports whether the service is idle — always: it owns no
 // timers and sends are fire-and-forget.
 func (s *Service) Quiescent() bool { return true }
-
-// Trim returns emptied maps to nil, the state New leaves them in.
-func (s *Service) Trim() {
-	if len(s.bound) == 0 {
-		s.bound = nil
-	}
-	if len(s.propSeen) == 0 {
-		s.propSeen = nil
-	}
-}
 
 // OutputPipe is a resolved sending end.
 type OutputPipe struct {

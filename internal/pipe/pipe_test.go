@@ -271,10 +271,9 @@ func TestTwoPipesIndependent(t *testing.T) {
 }
 
 // TestReturnsToZeroState: the pipe service is small by construction. Fresh,
-// it holds no map; a binding allocates the table and survives Trim (it is a
-// registration), closing it lets Trim return the table to nil. The
-// propagation dedup set is state, not scratch: Trim must keep a non-empty
-// one, or an echo of an already-delivered send would be delivered again.
+// it holds no map; a binding allocates the table, a propagated send the dedup
+// set (state, not scratch: without it an echo of an already-delivered send
+// would be delivered again), and Reset returns both to nil.
 func TestReturnsToZeroState(t *testing.T) {
 	r := newRig(t, 33)
 	svc := r.senderP
@@ -291,8 +290,7 @@ func TestReturnsToZeroState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Trim()
-	tables("bound, trimmed", 1, -1)
+	tables("bound", 1, -1)
 	if err := svc.ConnectPropagate(adv).Send([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -301,9 +299,7 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatalf("delivered %d payloads, want 1", got)
 	}
 	in.Close()
-	tables("closed, not yet trimmed", 0, 1)
-	svc.Trim()
-	tables("closed, trimmed", -1, 1)
+	tables("closed", 0, 1)
 	svc.Reset()
 	tables("reset", -1, -1)
 }

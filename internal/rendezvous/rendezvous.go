@@ -247,7 +247,7 @@ type Service struct {
 
 	// Rendezvous role. The maps here and mergeTried below are nil until
 	// first written (reads of a nil map are already correct), so an edge
-	// never allocates them; Trim returns emptied ones to nil.
+	// never allocates them.
 	pv          *peerview.PeerView // nil on edges
 	clients     map[ids.ID]clientLease
 	clientSweep *env.Ticker
@@ -796,19 +796,6 @@ func (s *Service) Reset() {
 func (s *Service) Quiescent() bool {
 	return !s.IsRendezvous() && s.grantTimer == nil && !s.awaitingSucc &&
 		len(s.clients) == 0 && len(s.walkSeen) == 0 && len(s.mergeTried) == 0
-}
-
-// Trim returns emptied maps to nil, the state newService leaves them in.
-func (s *Service) Trim() {
-	if len(s.clients) == 0 {
-		s.clients = nil
-	}
-	if len(s.walkSeen) == 0 {
-		s.walkSeen = nil
-	}
-	if len(s.mergeTried) == 0 {
-		s.mergeTried = nil
-	}
 }
 
 // --- Edge side: lease acquisition and renewal ---

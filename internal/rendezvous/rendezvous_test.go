@@ -841,9 +841,9 @@ func TestDormantEdgeRevivedByTierProbe(t *testing.T) {
 // TestReturnsToZeroState: the rendezvous service is small by construction.
 // An edge — the lease *client* — holds no map when built and allocates none
 // by acquiring and renewing a lease, so between renewals it is quiescent
-// with nothing to release; its walk-handler registrations are a slice and
-// survive Trim. On the granting side the client table is allocated by the
-// first lease, drains when the edge departs, and Trim returns it to nil.
+// with nothing to release; its walk-handler registrations are a slice. On
+// the granting side the client table is allocated by the first lease and
+// drains when the edge departs.
 func TestReturnsToZeroState(t *testing.T) {
 	sched := simnet.NewScheduler(77)
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
@@ -876,12 +876,11 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatal("leased edge between renewals is not quiescent")
 	}
 	noMaps("leased edge after ten renewals", edge.svc)
-	edge.svc.Trim()
 	if len(edge.svc.walkHandlers) != 2 {
 		t.Fatalf("%d walk handlers registered, want 2 (re-registering replaces)", len(edge.svc.walkHandlers))
 	}
 	if h := edge.svc.walkHandlerFor("a"); h == nil || !h(ids.Nil, Up, nil) || walked != 1 {
-		t.Fatal("the walk handler registered last did not survive Trim")
+		t.Fatal("the walk handler registered last is not the one served")
 	}
 	if edge.svc.walkHandlerFor("c") != nil {
 		t.Fatal("found a walk handler nobody registered")
@@ -890,15 +889,9 @@ func TestReturnsToZeroState(t *testing.T) {
 	if len(rdvs[0].svc.clients) != 1 {
 		t.Fatal("the grant did not allocate the client table")
 	}
-	rdvs[0].svc.Trim()
-	if !rdvs[0].svc.HasClient(edge.id) {
-		t.Fatal("Trim dropped a live lease")
-	}
 	edge.svc.Stop() // departs with a cancel
 	sched.Run(sched.Now() + time.Minute)
-	if rdvs[0].svc.clients == nil || len(rdvs[0].svc.clients) != 0 {
-		t.Fatal("the cancel should empty the client table and leave releasing it to Trim")
+	if len(rdvs[0].svc.clients) != 0 {
+		t.Fatal("the cancel did not empty the client table")
 	}
-	rdvs[0].svc.Trim()
-	noMaps("rendezvous after its only client left", rdvs[0].svc)
 }

@@ -71,7 +71,7 @@ type Service struct {
 	// than a map header per peer.
 	handlers []namedHandler
 	// pending is nil until a query is issued (reads of a nil map are
-	// already correct); Trim returns it to nil when empty.
+	// already correct).
 	pending map[uint64]*pendingQuery
 	nextQID uint64
 
@@ -196,13 +196,6 @@ func (s *Service) Stop() {
 // Quiescent reports whether the resolver is idle: no locally issued query
 // is awaiting a response or timeout.
 func (s *Service) Quiescent() bool { return len(s.pending) == 0 }
-
-// Trim returns an emptied pending table to nil, the state New leaves it in.
-func (s *Service) Trim() {
-	if len(s.pending) == 0 {
-		s.pending = nil
-	}
-}
 
 // Respond sends a response for the given query directly to its originator.
 // The responder learns the originator's route from the query itself.

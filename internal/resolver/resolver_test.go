@@ -309,17 +309,17 @@ func BenchmarkQueryResponse(b *testing.B) {
 }
 
 // TestReturnsToZeroState: a resolver is small by construction. Fresh, it
-// holds no map; a query allocates the pending table, the response drains
-// it, and Trim returns the service to exactly the fresh state — while the
-// handler registrations, which are not per-query state, survive.
+// holds no map and is quiescent; a query allocates the pending table, the
+// response drains it, and the handler registrations, which are not per-query
+// state, survive.
 func TestReturnsToZeroState(t *testing.T) {
 	sched := simnet.NewScheduler(9)
 	ps := newPeers(t, sched, 2)
 	a, b := ps[0], ps[1]
 	a.res.RegisterHandler("echo", func(*Query) {})
 	b.res.RegisterHandler("echo", func(q *Query) { b.res.Respond(q, q.Payload) })
-	if a.res.pending != nil {
-		t.Fatal("fresh resolver allocated its pending table")
+	if a.res.pending != nil || !a.res.Quiescent() {
+		t.Fatal("fresh resolver allocated its pending table or is not quiescent")
 	}
 	answered := false
 	var qid uint64
@@ -333,19 +333,11 @@ func TestReturnsToZeroState(t *testing.T) {
 	if a.res.Quiescent() {
 		t.Fatal("resolver with a query in flight reports quiescent")
 	}
-	a.res.Trim()
-	if len(a.res.pending) != 1 {
-		t.Fatal("Trim dropped a pending query")
-	}
 	sched.Run(time.Minute)
 	if !answered || !a.res.Quiescent() {
 		t.Fatalf("answered=%v quiescent=%v after the exchange", answered, a.res.Quiescent())
 	}
-	a.res.Trim()
-	if a.res.pending != nil {
-		t.Fatal("Trim left the emptied pending table allocated")
-	}
 	if a.res.handler("echo") == nil || len(a.res.handlers) != 1 {
-		t.Fatal("handler registration did not survive Trim")
+		t.Fatal("handler registration did not survive the exchange")
 	}
 }

@@ -13,16 +13,12 @@ import (
 type NodeEnv struct {
 	s    *Scheduler
 	name string
+	// The node's RNG stream is (seed, pos); rng and src are its register,
+	// nil until the first draw and after a ReleaseRand (see rand.go).
 	rng  *rand.Rand
-	// src wraps rng's source and counts feedback steps; seed/pos let a
-	// hibernating node release the ~4.9 KB register and rebuild the
-	// identical stream on demand (see hibernate.go).
 	src  *countingSource
 	seed int64
 	pos  uint64
-	// hib, when set, wraps every After callback in wake/settle hooks
-	// (SetHibernation).
-	hib *hibHooks
 	// idx is the env's creation index; it keys the scheduler's per-node
 	// pending-callback ledger (PendingFor).
 	idx int32
@@ -35,7 +31,6 @@ var _ env.Env = (*NodeEnv)(nil)
 // derived from the creation index.
 func (s *Scheduler) NewEnv(name string) *NodeEnv {
 	e := &NodeEnv{s: s, name: name, seed: deriveSeed(s.seed, int64(s.nodes)), idx: int32(s.nodes)}
-	e.rng, e.src = newNodeRand(e.seed, 0)
 	s.nodes++
 	s.ownedPending = append(s.ownedPending, 0)
 	return e
@@ -60,28 +55,9 @@ func (n *NodeEnv) Now() time.Duration { return n.s.Now() }
 // Name implements env.Env.
 func (n *NodeEnv) Name() string { return n.name }
 
-// Rand implements env.Env. After a FreezeRand the stream is rebuilt here,
-// transparently, at its recorded position.
-func (n *NodeEnv) Rand() *rand.Rand {
-	if n.rng == nil {
-		n.rng, n.src = newNodeRand(n.seed, n.pos)
-	}
-	return n.rng
-}
-
 // After implements env.Env. The callback is recorded against this env in
-// the scheduler's per-node ledger until it fires or is canceled. On a
-// hibernating node the callback is bracketed by the wake/settle hooks, so
-// freeze-dried state rehydrates before any timer body runs.
+// the scheduler's per-node ledger until it fires or is canceled.
 func (n *NodeEnv) After(d time.Duration, fn func()) env.Timer {
-	if h := n.hib; h != nil {
-		inner := fn
-		fn = func() {
-			h.wake()
-			inner()
-			h.settle()
-		}
-	}
 	return n.s.after(d, fn, n.idx)
 }
 

@@ -18,6 +18,12 @@
 // entries are discarded when they surface), and a payload-carrying event
 // form (AtCall/AfterCall) that lets hot callers like the simulated transport
 // schedule work without allocating a closure per event.
+//
+// A node's RNG stream is the pair (derived seed, draws consumed); the 5.4 KB
+// math/rand register that produces it is built on the first draw and can be
+// handed back at any time (NodeEnv.ReleaseRand, rand.go). That, not a mode,
+// is what keeps an idle simulated edge small: it draws its peer ID and
+// nothing after, and the deployment layer releases the register right then.
 package simnet
 
 import (

@@ -189,8 +189,7 @@ type Service struct {
 	cfg   Config
 
 	// listeners and conns are nil until first written (reads of a nil map
-	// are already correct), so a peer that never streams allocates neither;
-	// Trim returns emptied tables to nil.
+	// are already correct), so a peer that never streams allocates neither.
 	listeners map[ids.ID]*Listener
 	conns     map[connKey]*Conn
 	nextConn  uint64
@@ -251,16 +250,6 @@ func (s *Service) Reset() {
 // Quiescent reports whether the service is idle: no connection in any
 // state (including TIME_WAIT) occupies the table.
 func (s *Service) Quiescent() bool { return len(s.conns) == 0 }
-
-// Trim returns emptied tables to nil, the state New leaves them in.
-func (s *Service) Trim() {
-	if len(s.listeners) == 0 {
-		s.listeners = nil
-	}
-	if len(s.conns) == 0 {
-		s.conns = nil
-	}
-}
 
 // addConn enters c into the connection table.
 func (s *Service) addConn(c *Conn) {

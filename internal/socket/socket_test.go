@@ -554,16 +554,15 @@ func TestFixedRTOUnchangedByEstimator(t *testing.T) {
 }
 
 // TestReturnsToZeroState: the stream layer is small by construction. A peer
-// that never streamed holds no table; a connection allocates one, and once
-// it has drained (both closes and the TIME_WAIT linger) Trim returns the
-// connection table to nil while the listener — a registration, not
-// per-connection state — survives; closing it returns the whole service to
-// the state New left it in.
+// that never streamed holds no table and is quiescent; a connection
+// allocates one, and once it has drained (both closes and the TIME_WAIT
+// linger) both ends are quiescent again while the listener — a registration,
+// not per-connection state — survives.
 func TestReturnsToZeroState(t *testing.T) {
 	r := newRig(t, 31, nil, socket.Config{})
 	srv, cli := r.listener.Socket, r.dialer.Socket
-	if !srv.ZeroState() || !cli.ZeroState() {
-		t.Fatal("a service that never streamed allocated its tables")
+	if !srv.ZeroState() || !cli.ZeroState() || !srv.Quiescent() || !cli.Quiescent() {
+		t.Fatal("a service that never streamed allocated its tables or is not quiescent")
 	}
 	adv := pipe.NewPipeAdv(r.listener.ID, "svc")
 	serverSink := &sink{}
@@ -590,20 +589,11 @@ func TestReturnsToZeroState(t *testing.T) {
 	if !srv.Quiescent() || !cli.Quiescent() {
 		t.Fatal("connections did not drain")
 	}
-	if cli.ZeroState() {
-		t.Fatal("delete sites must not release the table (only Trim does)")
-	}
-	cli.Trim()
-	srv.Trim()
-	if !cli.ZeroState() {
-		t.Fatal("Trim left the dialer's emptied connection table allocated")
-	}
-	if srv.ZeroState() || srv.Listening() != 1 {
-		t.Fatal("the listener did not survive Trim")
+	if srv.Listening() != 1 {
+		t.Fatal("the listener did not survive the connection")
 	}
 	l.Close()
-	srv.Trim()
-	if !srv.ZeroState() {
-		t.Fatal("Trim left the listener's emptied tables allocated")
+	if srv.Listening() != 0 {
+		t.Fatal("a closed listener is still listening")
 	}
 }

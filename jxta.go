@@ -138,15 +138,6 @@ type SimOptions struct {
 	// (window boundaries move), so determinism is per
 	// (Seed, Shards, BarrierWindows).
 	BarrierWindows bool
-	// Hibernate freeze-dries steady-state edge peers between events: an
-	// idle leased edge drops its RNG register, roughly halving its live
-	// heap (11.7 KB → 5.4 KB with LeanMetrics), and trims the maps a wake
-	// emptied. Nothing else needs freezing — the endpoint and the
-	// services above it hold no maps while idle — so there is no packed
-	// record and no pool. The next RNG draw on the peer rebuilds the
-	// register, and trajectories are byte-identical with it on or off.
-	// Default off.
-	Hibernate bool
 	// LeanMetrics shares one population-wide metrics registry across all
 	// simulated peers and drops per-node trace rings and gauges — the
 	// memory/assembly-cost mode for very large populations (100k+ edges).
@@ -229,7 +220,6 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		Shards:         opts.Shards,
 		BarrierWindows: opts.BarrierWindows,
 		LeanMetrics:    opts.LeanMetrics,
-		Hibernate:      opts.Hibernate,
 		Topology:       kind,
 		Discovery:      discovery.DefaultConfig(),
 		Socket:         socket.Config{WindowBytes: opts.SocketWindowBytes},
