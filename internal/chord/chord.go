@@ -187,13 +187,14 @@ func (n *Node) handle(key uint64, kind string, req uint64, hops int, origin tran
 		return
 	}
 	next := n.closestPrecedingFinger(key)
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemKind, kind)
-	m.AddString(ns, elemKey, strconv.FormatUint(key, 10))
-	m.AddString(ns, elemReqID, strconv.FormatUint(req, 10))
-	m.AddString(ns, elemHops, strconv.Itoa(hops+1))
+	m.AddScratch(ns, elemKey, strconv.AppendUint(m.Scratch(), key, 10))
+	m.AddScratch(ns, elemReqID, strconv.AppendUint(m.Scratch(), req, 10))
+	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(hops+1), 10))
 	m.AddString(ns, elemOrigin, string(origin))
-	_ = n.tr.Send(n.ring.nodes[next].tr.Addr(), m)
+	_ = n.tr.Send(n.ring.nodes[next].tr.Addr(), &m.Message)
+	m.Release()
 }
 
 // terminal runs at the key's owner: store or answer.
@@ -201,17 +202,18 @@ func (n *Node) terminal(key uint64, kind string, req uint64, hops int, origin tr
 	if kind == "store" {
 		n.store[key] = true
 	}
-	rsp := message.New()
-	rsp.AddString(ns, elemKind, "found")
-	rsp.AddString(ns, elemReqID, strconv.FormatUint(req, 10))
-	rsp.AddString(ns, elemHops, strconv.Itoa(hops))
-	rsp.AddString(ns, elemOwner, strconv.FormatUint(n.ID, 10))
 	if origin == n.tr.Addr() {
 		// Local completion without a network round trip.
 		n.ring.complete(req, n.ID, hops)
 		return
 	}
-	_ = n.tr.Send(origin, rsp)
+	rsp := message.Acquire()
+	rsp.AddString(ns, elemKind, "found")
+	rsp.AddScratch(ns, elemReqID, strconv.AppendUint(rsp.Scratch(), req, 10))
+	rsp.AddScratch(ns, elemHops, strconv.AppendInt(rsp.Scratch(), int64(hops), 10))
+	rsp.AddScratch(ns, elemOwner, strconv.AppendUint(rsp.Scratch(), n.ID, 10))
+	_ = n.tr.Send(origin, &rsp.Message)
+	rsp.Release()
 }
 
 func (r *Ring) complete(req, owner uint64, hops int) {

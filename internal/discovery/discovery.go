@@ -247,7 +247,7 @@ func (s *Service) Rereplicate() {
 		return
 	}
 	view := s.rdv.PeerView().View()
-	batches := make(map[ids.ID]*message.Message)
+	batches := make(map[ids.ID]*message.Out)
 	counts := make(map[ids.ID]uint64)
 	var order []ids.ID // first-seen over sorted tuples: deterministic
 	for _, tpl := range s.index.Tuples() {
@@ -257,19 +257,20 @@ func (s *Service) Rereplicate() {
 		}
 		m, ok := batches[replica]
 		if !ok {
-			m = message.New()
+			m = message.Acquire()
 			m.AddString("srdi", "Replicated", "1")
 			batches[replica] = m
 			order = append(order, replica)
 		}
-		m.Add("srdi", "Tuple", encodeTuple(tpl))
+		m.AddScratch("srdi", "Tuple", appendTuple(m.Scratch(), tpl))
 		counts[replica]++
 	}
 	for _, dst := range order {
 		// Count only what actually left, mirroring indexAndReplicate.
-		if s.ep.Send(dst, SRDIService, batches[dst]) == nil {
+		if s.ep.Send(dst, SRDIService, &batches[dst].Message) == nil {
 			s.Stats.TuplesReplicated += counts[dst]
 		}
+		batches[dst].Release()
 	}
 }
 
@@ -282,7 +283,7 @@ func (s *Service) exportIndex() (string, []*message.Message) {
 	if len(tuples) == 0 {
 		return "", nil
 	}
-	m := message.New()
+	m := message.New() // kept: rendezvous.handoff sends it after this returns
 	for _, tpl := range tuples {
 		m.Add("srdi", "Tuple", encodeTuple(tpl))
 	}
@@ -611,6 +612,8 @@ func (s *Service) handleQuery(q *resolver.Query) {
 	// Rendezvous pipeline. Model the SRDI scan cost, then continue.
 	if cost := s.scanCost(); cost > 0 {
 		s.busy.Busy(cost)
+		// The query now outlives the delivery its payload is a view of.
+		q.Payload = append([]byte(nil), q.Payload...)
 		s.afterCost(cost, func() { s.routeQuery(q, body) })
 		return
 	}
@@ -803,9 +806,8 @@ func readWalked(m *message.Message) (w walked) {
 
 // handleWalk inspects a walked query at each visited rendezvous: on an SRDI
 // hit the query is forwarded to the publisher and the walk stops. It keeps
-// no reference to bodyMsg (see rendezvous.WalkHandler): what outlives the
-// call — the query's payload and return address — points at or is copied
-// from the element bytes.
+// nothing of bodyMsg (see rendezvous.WalkHandler): what outlives the call —
+// the query's return address and decoded body — is copied.
 func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *message.Message) bool {
 	if !s.started() || s.index == nil {
 		return false
@@ -859,7 +861,8 @@ func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *m
 		Src:     src,
 		SrcAddr: transport.Addr(w.srcAddr),
 		Hops:    hops + 1,
-		Payload: w.payload,
+		// No Payload: forwardToPublishers writes its own from body, and the
+		// walked one is a view of a delivery the forward may outlive.
 	}
 	if cost > 0 {
 		s.afterCost(cost, func() { s.forwardToPublishers(q, body, pubs) })

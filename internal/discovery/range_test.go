@@ -77,6 +77,47 @@ func TestRangeQueryFindsAllMatchingPublishers(t *testing.T) {
 	}
 }
 
+// TestDeferredQueryOwnsItsPayload: with a scan cost to wait behind, a
+// rendezvous parks a query before routing it, and what it then walks is the
+// query's payload — while the transport has long reused the delivered bytes
+// for the traffic in between (under -tags loancheck it overwrites them at
+// once). The searcher's rendezvous is the middle of three and indexes a
+// tuple of its own, so it does wait, and the range walk must reach both ends
+// intact for their publishers to answer.
+func TestDeferredQueryOwnsItsPayload(t *testing.T) {
+	cfg := discovery.DefaultConfig()
+	cfg.ScanCost = 20 * time.Millisecond // per indexed tuple: long enough for other deliveries to land first
+	o, err := deploy.Build(deploy.Spec{
+		Seed:      7,
+		NumRdv:    3,
+		Topology:  topology.Chain,
+		Discovery: cfg,
+		Edges: []deploy.EdgeGroup{
+			{AttachTo: 0, Count: 1, Prefix: "pubA"},
+			{AttachTo: 1, Count: 1, Prefix: "pubB"},
+			{AttachTo: 2, Count: 1, Prefix: "pubC"},
+			{AttachTo: 1, Count: 1, Prefix: "searcher"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	o.Sched.Run(12 * time.Minute)
+	for i, ram := range []int64{2048, 1024, 4096} {
+		o.Edges[i].Discovery.Publish(&advertisement.Resource{
+			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("node-%d", i)),
+			Name:  fmt.Sprintf("node-%d", i),
+			Attrs: []advertisement.IndexField{{Attr: "RAM", Value: fmt.Sprintf("%d", ram)}},
+		}, 0)
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	got := collectRange(t, o, &rigNode{o.Edges[3]}, "RAM", 2000, 5000)
+	if len(got) != 2 || !got["node-0"] || !got["node-2"] {
+		t.Fatalf("range [2000,5000] behind a scan cost returned %v, want node-0 and node-2", got)
+	}
+}
+
 func TestRangeQueryFullSpan(t *testing.T) {
 	o, _, searcher := rangeRig(t, 2)
 	got := collectRange(t, o, searcher, "RAM", 0, 1<<40)

@@ -61,7 +61,9 @@ const (
 // helloTimeout bounds a Hello exchange.
 const helloTimeout = 10 * time.Second
 
-// Handler consumes a message addressed to a registered service.
+// Handler consumes a message addressed to a registered service. msg is the
+// delivered wire message, on loan from the transport for the duration of the
+// call (transport.Handler): a service copies what it keeps.
 type Handler func(src ids.ID, msg *message.Message)
 
 // helloWaiter is a pending Hello resolution. cancel silences the waiter
@@ -118,11 +120,14 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	}
 	// Honor the env serialization contract: transports that deliver from
 	// their own goroutines (TCP read loops) must enter protocol code under
-	// the node lock. The simulator's env has no Locked — its event loop is
-	// already the only execution context — so the handler runs directly.
-	if l, ok := e.(interface{ Locked(func()) }); ok {
+	// the node lock (env.Real's, without a closure per delivery). The
+	// simulator's env has none — its event loop is already the only
+	// execution context — so the handler runs directly.
+	if r, ok := e.(*env.Real); ok {
 		tr.SetHandler(func(src transport.Addr, m *message.Message) {
-			l.Locked(func() { ep.dispatch(src, m) })
+			r.Lock()
+			defer r.Unlock()
+			ep.dispatch(src, m)
 		})
 	} else {
 		tr.SetHandler(ep.dispatch)
@@ -167,8 +172,11 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 		},
 	})
 	ep.m.helloSent.Inc()
-	m := message.New().AddString(ns, elemHelloReq, "1")
-	if err := ep.sendTo(addr, ids.Nil, helloService, m, defaultTTL); err != nil {
+	m := message.Acquire()
+	m.AddString(ns, elemHelloReq, "1")
+	err := ep.sendTo(addr, ids.Nil, helloService, &m.Message, defaultTTL)
+	m.Release()
+	if err != nil {
 		// Transport refused outright; fail on the next tick instead of the
 		// full timeout.
 		failTimer = ep.env.After(0, func() {
@@ -183,8 +191,10 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 func (ep *Endpoint) handleHello(src ids.ID, msg *message.Message) {
 	if msg.GetString(ns, elemHelloReq) != "" {
 		ep.m.helloServed.Inc()
-		ack := message.New().AddString(ns, elemHelloAck, "1")
-		_ = ep.Send(src, helloService, ack)
+		ack := message.Acquire()
+		ack.AddString(ns, elemHelloAck, "1")
+		_ = ep.Send(src, helloService, &ack.Message)
+		ack.Release()
 		return
 	}
 	if msg.GetString(ns, elemHelloAck) == "" {
@@ -299,7 +309,7 @@ func (ep *Endpoint) Send(dst ids.ID, service string, msg *message.Message) error
 		// as its own rendezvous, §3.3 step 1).
 		if s := findSlot(ep.slots, service); s != nil && s.h != nil {
 			h := s.h
-			local := msg.Clone()
+			local := msg.Clone() // kept until the handler runs, a tick from now
 			ep.env.After(0, func() { h(ep.id, local) })
 			return nil
 		}
@@ -470,8 +480,11 @@ func (ep *Endpoint) ResolveRoute(target, via ids.ID, cb RouteCallback) {
 		ep.pending = make(map[ids.ID][]RouteCallback)
 	}
 	ep.pending[target] = append(ep.pending[target], cb)
-	q := message.New().AddString(ns, elemRouteQ, target.String())
-	if err := ep.Send(via, erpService, q); err != nil {
+	q := message.Acquire()
+	q.AddScratch(ns, elemRouteQ, target.AppendString(q.Scratch()))
+	err := ep.Send(via, erpService, &q.Message)
+	q.Release()
+	if err != nil {
 		// The relay itself is unreachable; fail the resolution.
 		delete(ep.pending, target)
 		ep.env.After(0, func() { cb(target, "", false) })
@@ -494,11 +507,12 @@ func (ep *Endpoint) handleERP(src ids.ID, msg *message.Message) {
 		if err != nil {
 			return
 		}
-		rsp := message.New()
+		rsp := message.Acquire()
 		rsp.Add(ns, elemRouteRsp, data)
 		rsp.AddString(ns, elemRouteTgt, string(addr))
 		// Best effort: the requester is reachable, we just heard from it.
-		_ = ep.Send(src, erpService, rsp)
+		_ = ep.Send(src, erpService, &rsp.Message)
+		rsp.Release()
 		return
 	}
 	if data, ok := msg.Get(ns, elemRouteRsp); ok {

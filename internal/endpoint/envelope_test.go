@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"jxta/internal/ids"
+	"jxta/internal/israce"
 	"jxta/internal/message"
 	"jxta/internal/metrics"
 	"jxta/internal/simnet"
@@ -144,9 +145,13 @@ func TestUnknownServicesDoNotGrowState(t *testing.T) {
 }
 
 // TestSendDeliverAllocs gates the per-message cost of the endpoint over the
-// simulated transport: the transport's clone (three objects) is the one
-// copy; building the wire message and reading its envelope are free.
+// simulated transport: nothing. The wire message is built in a pooled
+// message.Out, the transport copies it into a recycled record, and the
+// envelope is read in place.
 func TestSendDeliverAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
 	sched, _, a, b, _ := setup(t)
 	b.ep.Register("svc", func(ids.ID, *message.Message) {})
 	a.ep.AddRoute(b.id, b.tr.Addr())
@@ -160,8 +165,8 @@ func TestSendDeliverAllocs(t *testing.T) {
 		}
 	}
 	roundTrip() // learn the return route, fill pools
-	if got := testing.AllocsPerRun(200, roundTrip); got > 4 {
-		t.Errorf("send+deliver costs %.1f allocations, want <= 4 (the transport's clone + slack of one)", got)
+	if got := testing.AllocsPerRun(200, roundTrip); got != 0 {
+		t.Errorf("send+deliver costs %.1f allocations, want 0", got)
 	}
 	wire := wireOf(elemSrc, a.ep.IDString(), elemDst, b.ep.IDString(), elemSvc, "svc", elemSrcAddr, string(a.tr.Addr()), elemTTL, "8")
 	if got := testing.AllocsPerRun(200, func() { b.ep.dispatch(a.tr.Addr(), wire) }); got != 0 {

@@ -127,10 +127,16 @@ func (r *Real) After(d time.Duration, fn func()) Timer {
 }
 
 // Locked runs fn under the same mutex that serializes callbacks. External
-// goroutines (e.g. a TCP read loop delivering an inbound message) must enter
-// protocol code through Locked.
+// goroutines must enter protocol code through Locked.
 func (r *Real) Locked(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fn()
 }
+
+// Lock and Unlock are Locked without the closure and are the endpoint's
+// alone: its transport handler enters the node for every inbound message, and
+// a closure per delivery is an allocation per delivery. Everything else goes
+// through Locked, which cannot be left unbalanced.
+func (r *Real) Lock()   { r.mu.Lock() }
+func (r *Real) Unlock() { r.mu.Unlock() }

@@ -10,6 +10,7 @@ import (
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
 	"jxta/internal/ids"
+	"jxta/internal/israce"
 	"jxta/internal/rendezvous"
 	"jxta/internal/topology"
 )
@@ -24,14 +25,16 @@ import (
 // Before advertisements were encoded once (PR 13) this workload took 25.2
 // mallocs per step: every mention was encoded at the sender, decoded at the
 // receiver and encoded again to be hashed. With interned handles carrying
-// their canonical bytes it took 8.3, and with the endpoint no longer cloning
-// what the transport copies nor parsing the envelope into strings (PR 16) it
-// takes 4.85 — the transport's three-object clone and the overlay's
-// construction are most of what is left. The ceiling is the next integer
-// above +15 %; a change that reintroduces a per-mention encode or a second
-// per-message copy lands over it.
+// their canonical bytes it took 8.3, with the endpoint no longer cloning
+// what the transport copies nor parsing the envelope into strings (PR 16)
+// 4.86, and with delivered messages on loan — the transport copies into a
+// recycled record, senders build in pooled messages — it takes 3.13, most of
+// it the overlay's construction. The ceiling is +15 %; a change that
+// reintroduces a per-mention encode or a per-message object (the parent
+// commit's three-object clone: 4.86) lands over it.
 func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
-	const ceiling = 6
+	skipUnderRace(t)
+	const ceiling = 3.6
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := RunPeerview(PeerviewSpec{
@@ -44,7 +47,7 @@ func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
 	got := float64(after.Mallocs-before.Mallocs) / float64(res.Steps)
 	t.Logf("%.2f mallocs/step over %d steps", got, res.Steps)
 	if got > ceiling {
-		t.Fatalf("peerview gossip costs %.2f mallocs per scheduler step, ceiling %d", got, ceiling)
+		t.Fatalf("peerview gossip costs %.2f mallocs per scheduler step, ceiling %.2f", got, ceiling)
 	}
 }
 
@@ -58,9 +61,10 @@ func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
 // whether it had been pushed, at a failed strconv.ParseInt (two objects) per
 // non-numeric field — 19.8 mallocs per step with that, 12.0 with a ledger of
 // pushed keys that was asked about every field of every advertisement on
-// every tick. Now the tick returns at once when nothing is owed, and the
-// lookup path builds no document tree and renders no string only to parse it
-// at the next hop: 5.44. The ceiling is the next integer above +15 %.
+// every tick. Now the tick returns at once when nothing is owed, the lookup
+// path builds no document tree and renders no string only to parse it at the
+// next hop (5.45), and no message is cloned into fresh objects on its way to
+// a handler: 4.13. The ceiling is +15 %; the parent commit's 5.45 fails it.
 //
 // The second ceiling is on messages per step, which a protocol change moves
 // and a codec change must not: the run is seeded, so the figure (1,591
@@ -68,7 +72,8 @@ func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
 // rounded up. A push tick that re-sent what its rendezvous already has — 8
 // edges, 34 ticks, 25 tuples each replicated once — would add thousands.
 func TestDiscoveryAllocsPerStepCeiling(t *testing.T) {
-	const ceiling = 7
+	skipUnderRace(t)
+	const ceiling = 4.75
 	const msgsPerStepCeiling = 0.48
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -111,7 +116,7 @@ func TestDiscoveryAllocsPerStepCeiling(t *testing.T) {
 	msgs := o.Net.Stats().Messages
 	t.Logf("%.2f mallocs/step over %d steps, %d lookups, %d messages", got, steps, lookups, msgs)
 	if got > ceiling {
-		t.Fatalf("publish/lookup costs %.2f mallocs per scheduler step, ceiling %d", got, ceiling)
+		t.Fatalf("publish/lookup costs %.2f mallocs per scheduler step, ceiling %.2f", got, ceiling)
 	}
 	if perStep := float64(msgs) / float64(steps); perStep > msgsPerStepCeiling {
 		t.Fatalf("publish/lookup sends %.3f messages per scheduler step (%d over %d), ceiling %.2f", perStep, msgs, steps, msgsPerStepCeiling)
@@ -123,12 +128,14 @@ func TestDiscoveryAllocsPerStepCeiling(t *testing.T) {
 // edges each on lean metrics, one-minute leases, the serial engine, counted
 // from StartAll to 5 virtual minutes (construction is left out: at 540 edges
 // it is half the run's mallocs and would hide the path being gated). It takes
-// 2.44 mallocs per scheduler step; the ceiling is +15 %. While every timer and
-// delivery on an edge was bracketed by wake/settle hooks, each env.After
-// wrapped its callback in one more closure: the parent commit, with its
-// Hibernate option set, measures 2.90 on this overlay and fails.
+// 1.15 mallocs per scheduler step; the ceiling is +15 %. A request and its
+// grant each used to be a fresh message cloned into three objects by the
+// transport: the parent commit measures 2.44 on this overlay and fails. What
+// is left is the lease protocol's own strings (the rumor and roster records
+// a request and a grant carry, ROADMAP item 6).
 func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
-	const ceiling = 2.81
+	skipUnderRace(t)
+	const ceiling = 1.32
 	groups := make([]deploy.EdgeGroup, 18)
 	for i := range groups {
 		groups[i] = deploy.EdgeGroup{AttachTo: i, Count: 30}
@@ -174,6 +181,15 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 // +15 % of the measurement (5,145 B): putting the endpoint's and the clamp's
 // maps back costs ~1.1 KB/edge and keeping the register ~5.4 KB, and either
 // lands over it (measured at PR 14: 6,458 and 10,829 B/edge).
+//
+// Since delivered messages are on loan the figure is 5,444 B (5,485–5,494
+// when this test is the process's first run): the ~380 B over the 5,061 of the
+// services themselves are the transport's free list of delivery records, which
+// is per shard, not per edge — at most 128 records on each of this run's two
+// shards, spread here over 558 peers. It does not grow with the population:
+// the benchmark's edges-10k workload (10,250 peers) reads 5,896 B/peer against
+// 5,957 before. A list of 256 read 5,855 (5,895–5,906) and left this gate no
+// room, which is one reason the bound is 128 (transport.maxFreeDeliveries).
 func TestQuiescentEdgeHeapCeiling(t *testing.T) {
 	const ceiling = 5900
 	res, err := RunScale(ScaleSpec{
@@ -189,5 +205,15 @@ func TestQuiescentEdgeHeapCeiling(t *testing.T) {
 	}
 	if res.HeapBytesPerEdge == 0 || res.HeapBytesPerEdge > ceiling {
 		t.Fatalf("a quiescent edge holds %.0f B of live heap, ceiling %d", res.HeapBytesPerEdge, ceiling)
+	}
+}
+
+// skipUnderRace: the mallocs-per-step gates sit 15 % above paths that build
+// every message in a pooled message.Out, and under the race detector
+// sync.Pool drops a quarter of what is put into it, on purpose.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 }

@@ -123,30 +123,32 @@ func (n *Node) handleQuery(key string, req uint64, ttl, hops int, origin transpo
 		n.seen = make(map[uint64]bool)
 	}
 	if n.keys[key] {
-		rsp := message.New()
-		rsp.AddString(ns, elemKind, "found")
-		rsp.AddString(ns, elemReqID, strconv.FormatUint(req, 10))
-		rsp.AddString(ns, elemTTL, strconv.Itoa(hops))
 		if origin == n.tr.Addr() {
 			n.net.complete(req, hops)
-		} else {
-			_ = n.tr.Send(origin, rsp)
+			return
 		}
+		rsp := message.Acquire()
+		rsp.AddString(ns, elemKind, "found")
+		rsp.AddScratch(ns, elemReqID, strconv.AppendUint(rsp.Scratch(), req, 10))
+		rsp.AddScratch(ns, elemTTL, strconv.AppendInt(rsp.Scratch(), int64(hops), 10))
+		_ = n.tr.Send(origin, &rsp.Message)
+		rsp.Release()
 		return
 	}
 	if ttl <= 0 {
 		return
 	}
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemKind, "query")
 	m.AddString(ns, elemKey, key)
-	m.AddString(ns, elemReqID, strconv.FormatUint(req, 10))
-	m.AddString(ns, elemTTL, strconv.Itoa(ttl-1))
+	m.AddScratch(ns, elemReqID, strconv.AppendUint(m.Scratch(), req, 10))
+	m.AddScratch(ns, elemTTL, strconv.AppendInt(m.Scratch(), int64(ttl-1), 10))
 	m.AddString(ns, elemOrigin, string(origin))
-	m.Add(ns, "Hops", []byte(strconv.Itoa(hops+1)))
+	m.AddScratch(ns, "Hops", strconv.AppendInt(m.Scratch(), int64(hops+1), 10))
 	for _, nb := range n.neighbors {
-		_ = n.tr.Send(n.net.nodes[nb].tr.Addr(), m)
+		_ = n.tr.Send(n.net.nodes[nb].tr.Addr(), &m.Message)
 	}
+	m.Release()
 }
 
 func (f *Network) complete(req uint64, hops int) {

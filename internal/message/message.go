@@ -85,6 +85,21 @@ func stringBytes(s string) []byte {
 	return unsafe.Slice(unsafe.StringData(s), len(s))
 }
 
+// bytesString is the inverse: a string that is a view of b, valid and
+// constant only as long as b is left alone.
+func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// reserve makes room for n elements in an empty message: the inline storage
+// when they fit it and nothing larger was grown yet, what was grown when
+// that suffices, an exact-size slice otherwise.
+func (m *Message) reserve(n int) {
+	if m.elements == nil && n <= len(m.inline) {
+		m.elements = m.inline[:0]
+	} else if cap(m.elements) < n {
+		m.elements = make([]Element, 0, n)
+	}
+}
+
 // Append appends every element of o, aliasing (not copying) the payloads:
 // the result is valid only as long as o's payloads are. The endpoint builds
 // its short-lived wire messages this way.
@@ -165,6 +180,35 @@ func (o *Out) AddScratch(namespace, name string, extended []byte) {
 	o.Add(namespace, name, data[:len(data):len(data)])
 }
 
+// Loan is a recycled deep copy of a message: the message and the one buffer
+// that backs its namespaces, names and payloads — what a frame is to TCP. An
+// in-process transport fills one inside Send, lends &l.Message to the
+// receiving handler and ends the loan when the handler returns, which is why
+// a handler may keep nothing of what it was handed (transport.Handler).
+type Loan struct {
+	Message
+	buf []byte
+}
+
+// Fill makes the loan a copy of src, reusing its storage.
+func (l *Loan) Fill(src *Message) { l.buf = l.copyFrom(src, l.buf) }
+
+// End empties the loan and reports whether it is worth keeping for reuse: one
+// whose storage a bulk message grew past what a released Out keeps is left to
+// the collector. With scribble the bytes the borrower saw are overwritten
+// first, so that anything which kept a view of them reads garbage (the
+// transports' loancheck build tag).
+func (l *Loan) End(scribble bool) bool {
+	if scribble {
+		buf := l.buf[:cap(l.buf)]
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+	}
+	l.Reset()
+	return cap(l.elements) <= maxPooledElements && cap(l.buf) <= maxPooledScratch
+}
+
 // AddDocument appends a structured document as an XML element.
 func (m *Message) AddDocument(namespace, name string, doc *document.Element) error {
 	data, err := doc.Marshal()
@@ -236,34 +280,55 @@ func (m *Message) GetDocument(namespace, name string) (*document.Element, error)
 // not mutate it.
 func (m *Message) Elements() []Element { return m.elements }
 
-// Clone returns a deep copy. The in-process transports (Sim, Loop) clone
-// inside Send so that the receiver can never observe sender-side mutation —
-// they must behave like a real network that serializes bytes — and that is
-// the only copy a message gets on its way out. All element payloads share
-// one contiguous backing buffer (capacity-clipped so an append on one
-// element can never bleed into the next), so a clone costs three
-// allocations however many elements the message carries.
+// Clone returns a deep copy that owns everything it points at: namespaces,
+// names and payloads. It is what a holder calls to keep a message that is on
+// loan (a delivered one, transport.Handler) or a view of someone else's
+// bytes (UnmarshalAlias). A clone costs three allocations however many
+// elements it carries, two when they fit the inline storage.
 func (m *Message) Clone() *Message {
-	total := 0
-	for _, e := range m.elements {
-		total += len(e.Data)
-	}
 	cp := &Message{}
-	if n := len(m.elements); n <= len(cp.inline) {
-		cp.elements = cp.inline[:n]
-	} else {
-		cp.elements = make([]Element, n)
-	}
-	buf := make([]byte, total)
-	off := 0
-	for i, e := range m.elements {
-		end := off + len(e.Data)
-		data := buf[off:end:end]
-		copy(data, e.Data)
-		off = end
-		cp.elements[i] = Element{Namespace: e.Namespace, Name: e.Name, Data: data}
-	}
+	cp.copyFrom(m, nil)
 	return cp
+}
+
+// copyFrom makes m a deep copy of src and is the one copy routine (Clone,
+// and Loan.Fill for the in-process transports inside Send, so that a receiver
+// can never observe sender-side mutation — they must behave like a network
+// that serializes bytes). Every namespace, name and payload of src is copied into
+// buf's storage, overwriting what it held (a larger buffer is allocated when
+// it is too small), and m's elements alias it, capacity-clipped so an append
+// on one can never bleed into the next. The buffer is returned: m is valid
+// until its bytes are overwritten, and a Loan, which recycles both, passes it
+// back in and copies the next message without allocating. Names are copied
+// too because src's may themselves be views of a buffer src does not own
+// (UnmarshalAlias).
+func (m *Message) copyFrom(src *Message, buf []byte) []byte {
+	m.Reset()
+	total := 0
+	for _, e := range src.elements {
+		total += len(e.Namespace) + len(e.Name) + len(e.Data)
+	}
+	// Sized up front: elements alias buf, so it must not move while they are
+	// appended.
+	if buf = buf[:0]; cap(buf) < total {
+		buf = make([]byte, 0, total)
+	}
+	m.reserve(len(src.elements))
+	for _, e := range src.elements {
+		var ns, name, data []byte
+		buf, ns = appendChunk(buf, stringBytes(e.Namespace))
+		buf, name = appendChunk(buf, stringBytes(e.Name))
+		buf, data = appendChunk(buf, e.Data)
+		m.elements = append(m.elements, Element{Namespace: bytesString(ns), Name: bytesString(name), Data: data})
+	}
+	return buf
+}
+
+// appendChunk appends b to buf and returns the copy, capacity-clipped.
+func appendChunk(buf, b []byte) (extended, chunk []byte) {
+	off := len(buf)
+	buf = append(buf, b...)
+	return buf, buf[off:len(buf):len(buf)]
 }
 
 // Size returns the approximate wire footprint of the whole message. The
@@ -359,9 +424,10 @@ func Unmarshal(data []byte) (*Message, error) {
 
 // UnmarshalAlias decodes a frame into m, replacing its elements, without
 // copying: every namespace, name and payload aliases data, so the message is
-// valid only as long as data is left alone. The walker reads the message
-// nested in a walk element this way — the bytes belong to the delivered
-// message and outlive the visit. On error m is left empty.
+// valid only as long as data is left alone, and whoever keeps any of it
+// longer clones it. The walker reads the message nested in a walk element
+// this way, and the TCP transport each frame: the bytes belong to the
+// delivery and are on loan for the handler call. On error m is left empty.
 func (m *Message) UnmarshalAlias(data []byte) error {
 	m.Reset()
 	count, body, err := frameHeader(data)
@@ -393,11 +459,7 @@ func frameHeader(data []byte) (count uint64, body []byte, err error) {
 
 // decodeElements appends count elements decoded from rest, aliasing it.
 func (m *Message) decodeElements(count uint64, rest []byte) error {
-	if m.elements == nil && count <= uint64(len(m.inline)) {
-		m.elements = m.inline[:0]
-	} else if uint64(cap(m.elements)) < count {
-		m.elements = make([]Element, 0, count)
-	}
+	m.reserve(int(count)) // count <= maxElements
 	readChunk := func() ([]byte, error) {
 		l, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -427,11 +489,7 @@ func (m *Message) decodeElements(count uint64, rest []byte) error {
 		if err != nil {
 			return err
 		}
-		m.elements = append(m.elements, Element{
-			Namespace: unsafe.String(unsafe.SliceData(ns), len(ns)),
-			Name:      unsafe.String(unsafe.SliceData(name), len(name)),
-			Data:      payload,
-		})
+		m.elements = append(m.elements, Element{Namespace: bytesString(ns), Name: bytesString(name), Data: payload})
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("message: %d trailing bytes", len(rest))

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jxta/internal/document"
 )
@@ -132,6 +133,55 @@ func TestCloneIndependence(t *testing.T) {
 	orig, _ := m.Get("jxta", "Payload")
 	if orig[0] == 0x99 {
 		t.Fatal("clone shares payload bytes")
+	}
+}
+
+// TestCloneOwnsEverything: a clone points at nothing its source was built
+// from — not the payload buffers, not the strings behind namespaces and
+// names, which for a message decoded with UnmarshalAlias are views of the
+// frame. Every one of those bytes is overwritten and the clone must still
+// read as it did. (A clone that shared names passed every test until the
+// transports began reusing delivered buffers: a walk body re-sent from a
+// handler then carried names pointing into a recycled delivery.)
+func TestCloneOwnsEverything(t *testing.T) {
+	nsBuf, nameBuf, payload := []byte("jxta"), []byte("Payload"), []byte("bytes")
+	built := New().Add(string(nsBuf), string(nameBuf), payload)
+	// Names that are views of mutable memory, as UnmarshalAlias makes them.
+	built.elements[0].Namespace = unsafe.String(&nsBuf[0], len(nsBuf))
+	built.elements[0].Name = unsafe.String(&nameBuf[0], len(nameBuf))
+	frame := sample().AddString("", "", "").Marshal()
+	var aliased Message
+	if err := aliased.UnmarshalAlias(frame); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		src     *Message
+		sources [][]byte
+	}{
+		"built":          {built, [][]byte{nsBuf, nameBuf, payload}},
+		"UnmarshalAlias": {&aliased, [][]byte{frame}},
+	} {
+		want, err := Unmarshal(c.src.Marshal()) // a reference that owns its bytes
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := c.src.Clone()
+		if !cp.Equal(want) {
+			t.Fatalf("%s: clone reads %s, want %s", name, cp, want)
+		}
+		for _, b := range c.sources {
+			for i := range b {
+				b[i] = 0xDB
+			}
+		}
+		if !cp.Equal(want) {
+			t.Errorf("%s: after its source was overwritten the clone reads %s, want %s", name, cp, want)
+		}
+		for _, el := range cp.Elements() {
+			if cap(el.Data) != len(el.Data) {
+				t.Errorf("%s: a cloned payload has spare capacity: an append would overwrite its neighbour", name)
+			}
+		}
 	}
 }
 

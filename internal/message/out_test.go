@@ -193,3 +193,44 @@ func TestRead(t *testing.T) {
 		t.Fatalf("an empty message has %04b present", present)
 	}
 }
+
+// TestLoanRecyclesWithinOutBounds: a Loan is a deep copy in storage it
+// reuses — refilling one costs nothing once it has grown — that reads empty
+// once ended, overwrites what it lent when asked to, and reports itself not
+// worth keeping once a bulk message grew it past what a released Out keeps.
+func TestLoanRecyclesWithinOutBounds(t *testing.T) {
+	payload := []byte("<adv/>")
+	src := New().Add("pv", "Adv", payload)
+	for i := 0; i < 6; i++ { // past the four inline elements
+		src.AddString("pv", "N"+strconv.Itoa(i), strings.Repeat("v", 20))
+	}
+	want := src.Clone()
+	var l Loan
+	l.Fill(src)
+	copy(payload, "XXXXXX")
+	if !l.Equal(want) {
+		t.Fatalf("loan reads %v after its source was overwritten, want %v", &l.Message, want)
+	}
+	view, _ := l.Get("pv", "Adv")
+	if !l.End(true) {
+		t.Fatal("a small loan reports itself not worth keeping")
+	}
+	if l.Len() != 0 || !bytes.Equal(view, bytes.Repeat([]byte{0xDB}, len(view))) {
+		t.Fatalf("an ended, scribbled loan has %d elements and a kept view reads %q", l.Len(), view)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Fill(want); l.End(false) }); n != 0 {
+		t.Fatalf("refilling a grown loan costs %.1f allocations, want 0", n)
+	}
+	bulk := New().Add("srdi", "Tuples", make([]byte, maxPooledScratch+1))
+	if l.Fill(bulk); l.End(false) {
+		t.Fatalf("a loan with a %d-byte buffer reports itself worth keeping", cap(l.buf))
+	}
+	many := New()
+	for i := 0; i <= maxPooledElements; i++ {
+		many.AddString("srdi", "T", "")
+	}
+	var m Loan
+	if m.Fill(many); m.End(false) {
+		t.Fatalf("a loan with %d element slots reports itself worth keeping", cap(m.elements))
+	}
+}

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,6 +44,26 @@ func newLivePeer(t *testing.T, name string, role node.Role, seeds []peerview.See
 	return &livePeer{n: n, e: e, tr: tr}
 }
 
+// noGoroutineLeft is called first in a live test, before anything listens:
+// its cleanup runs last, after every node has stopped and every transport
+// has closed, and holds the test to the goroutine count it started with —
+// accept loops, handshakes and read loops all gone within a second.
+func noGoroutineLeft(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines, %d before the test listened:\n%s",
+					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
 func (p *livePeer) connected() bool {
 	ok := false
 	p.e.Locked(func() { _, ok = p.n.Rendezvous.ConnectedRdv() })
@@ -64,6 +85,7 @@ func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool)
 // TestFullStackOverTCP runs the complete protocol stack — lease, SRDI push,
 // LC-DHT replica, resolver, direct response — over real localhost sockets.
 func TestFullStackOverTCP(t *testing.T) {
+	noGoroutineLeft(t)
 	rdv := newLivePeer(t, "rdv", node.Rendezvous, nil, 1)
 	seed := peerview.Seed{ID: rdv.n.ID, Addr: rdv.tr.Addr()}
 	pub := newLivePeer(t, "pub", node.Edge, []peerview.Seed{seed}, 2)
@@ -108,6 +130,7 @@ func TestFullStackOverTCP(t *testing.T) {
 // TestHelloBootstrapOverTCP exercises the live join path used by
 // cmd/jxta-node: learn the seed's ID from its address, then lease.
 func TestHelloBootstrapOverTCP(t *testing.T) {
+	noGoroutineLeft(t)
 	rdv := newLivePeer(t, "rdv2", node.Rendezvous, nil, 4)
 	joiner := newLivePeer(t, "joiner", node.Edge, nil, 5)
 
@@ -142,6 +165,7 @@ func TestLeaseSurvivesOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock renewal test")
 	}
+	noGoroutineLeft(t)
 	rdv := newLivePeer(t, "rdv3", node.Rendezvous, nil, 6)
 	seed := peerview.Seed{ID: rdv.n.ID, Addr: rdv.tr.Addr()}
 

@@ -704,10 +704,18 @@ func (pv *PeerView) upsert(sh *advstore.Shared, adv *advertisement.Rdv) bool {
 // sendSelf transmits a typed peerview message carrying the local peer's
 // advertisement.
 func (pv *PeerView) sendSelf(to ids.ID, msgType string) {
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemType, msgType)
 	m.Add(ns, elemAdv, pv.selfBytes)
-	_ = pv.ep.Send(to, ServiceName, m) // unreachable peers age out naturally
+	pv.send(to, m)
+}
+
+// send transmits a pooled message and releases it: the transport has copied
+// it by the time Send returns. Unreachable peers age out naturally, so the
+// error is dropped.
+func (pv *PeerView) send(to ids.ID, m *message.Out) {
+	_ = pv.ep.Send(to, ServiceName, &m.Message)
+	m.Release()
 }
 
 func (pv *PeerView) sendProbe(to ids.ID) {
@@ -739,13 +747,13 @@ func (pv *PeerView) Merge(sd Seed) {
 // sendView sends a typed message carrying the whole view: the local peer's
 // advertisement first, then every entry in ascending ID order.
 func (pv *PeerView) sendView(to ids.ID, msgType string) {
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemType, msgType)
 	m.Add(ns, elemAdv, pv.selfBytes)
 	for _, en := range pv.entries {
 		m.Add(ns, elemAdv, en.sh.Bytes())
 	}
-	_ = pv.ep.Send(to, ServiceName, m)
+	pv.send(to, m)
 }
 
 // receiveMerge handles both legs of the merge handshake: union every
@@ -890,7 +898,7 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 		return
 	}
 	want := pv.referralBatch()
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemType, typeReferral)
 	added := 0
 	for i := 0; i < n && added < want; i++ {
@@ -906,7 +914,8 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 		added++
 	}
 	if added == 0 {
+		m.Release()
 		return
 	}
-	_ = pv.ep.Send(to, ServiceName, m)
+	pv.send(to, m)
 }

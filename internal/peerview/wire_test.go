@@ -12,8 +12,9 @@ import (
 	"jxta/internal/simnet"
 )
 
-// tapAdvs replaces p's peerview handler with one that records the RdvAdv
-// elements of every message of the given type.
+// tapAdvs replaces p's peerview handler with one that records a copy of the
+// RdvAdv elements of every message of the given type (the message is on
+// loan, transport.Handler).
 func tapAdvs(p *testRdv, msgType string) *[][]byte {
 	var got [][]byte
 	p.ep.Register(ServiceName, func(_ ids.ID, m *message.Message) {
@@ -22,7 +23,7 @@ func tapAdvs(p *testRdv, msgType string) *[][]byte {
 		}
 		for _, el := range m.Elements() {
 			if el.Namespace == ns && el.Name == elemAdv {
-				got = append(got, el.Data)
+				got = append(got, bytes.Clone(el.Data))
 			}
 		}
 	})

@@ -54,7 +54,8 @@ const UnicastType = "JxtaUnicast"
 // PropagateType is the pipe type tag for one-to-many pipes.
 const PropagateType = "JxtaPropagate"
 
-// Receiver consumes inbound pipe payloads.
+// Receiver consumes inbound pipe payloads. It owns data: the stack hands it
+// a copy, not a view of the delivered message.
 type Receiver func(src ids.ID, data []byte)
 
 // Errors.
@@ -114,7 +115,7 @@ type InputPipe struct {
 
 // Bind attaches a receiver to the pipe described by adv and publishes the
 // advertisement so senders can resolve this peer. One binder per pipe per
-// peer.
+// peer. recv owns the payloads it is called with and may keep them.
 func (s *Service) Bind(adv *advertisement.Pipe, recv Receiver) (*InputPipe, error) {
 	if adv.Kind == "" {
 		adv.Kind = UnicastType
@@ -216,10 +217,12 @@ func (o *OutputPipe) Send(data []byte) error {
 	if o.Binder.IsNil() {
 		return ErrNotResolved
 	}
-	m := message.New()
-	m.AddString(ns, elemPipeID, o.PipeID.String())
+	m := message.Acquire()
+	m.AddScratch(ns, elemPipeID, o.PipeID.AppendString(m.Scratch()))
 	m.Add(ns, elemData, data)
-	if err := o.svc.ep.Send(o.Binder, ServiceName, m); err != nil {
+	err := o.svc.ep.Send(o.Binder, ServiceName, &m.Message)
+	m.Release()
+	if err != nil {
 		return err
 	}
 	o.Sent++
@@ -244,10 +247,19 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 	if !ok {
 		return
 	}
+	in.deliver(src, data)
+}
+
+// deliver counts one payload and hands it to the receiver. This is where the
+// stack ends and the application begins, so it is where the payload is
+// copied: data is a view of a delivered message, on loan from the transport
+// (or of the sender's own buffer, on a local loopback), and the receiver may
+// keep what it gets.
+func (in *InputPipe) deliver(src ids.ID, data []byte) {
 	in.Received++
-	s.m.delivered.Inc()
+	in.svc.m.delivered.Inc()
 	if in.recv != nil {
-		in.recv(src, data)
+		in.recv(src, append([]byte(nil), data...))
 	}
 }
 
@@ -279,8 +291,9 @@ func (s *Service) propagate(pipeID ids.ID, data []byte) error {
 	s.nextPropID++
 	pid := s.ep.ID().Short() + "-" + strconv.FormatUint(s.nextPropID, 10)
 	s.markProp(pid) // echoes of our own send are dropped
-	m := message.New()
-	m.AddString(ns, elemPipeID, pipeID.String())
+	m := message.Acquire()
+	defer m.Release() // every send below copies before it returns
+	m.AddScratch(ns, elemPipeID, pipeID.AppendString(m.Scratch()))
 	m.AddString(ns, elemOrigin, s.ep.IDString())
 	m.AddString(ns, elemPropID, pid)
 	m.Add(ns, elemData, data)
@@ -291,15 +304,15 @@ func (s *Service) propagate(pipeID ids.ID, data []byte) error {
 		// Local loopback: propagate pipes deliver to the sender's own
 		// input pipe too, like JXTA's propagate pipes in one peer group.
 		s.deliverLocal(s.ep.ID(), pipeID, data)
-		s.fanOut(s.ep.ID(), m)
-		s.startPropagationWalks(m)
+		s.fanOut(s.ep.ID(), &m.Message)
+		s.startPropagationWalks(&m.Message)
 		return nil
 	}
 	rdvID, ok := s.rdv.ConnectedRdv()
 	if !ok {
 		return ErrNoRendezvous
 	}
-	if err := s.ep.Send(rdvID, PropagateService, m); err != nil {
+	if err := s.ep.Send(rdvID, PropagateService, &m.Message); err != nil {
 		return err
 	}
 	// Loopback only after the group send was accepted, so a failed Send
@@ -324,13 +337,15 @@ func (s *Service) receivePropagate(src ids.ID, m *message.Message) {
 		// Rebuild a clean propagate message: m is the inbound wire message,
 		// still carrying its endpoint envelope; re-sending it as-is would
 		// confuse the receivers' envelope demux with stale Src/Dst elements.
-		fwd := message.New()
-		fwd.AddString(ns, elemPipeID, m.GetString(ns, elemPipeID))
-		fwd.AddString(ns, elemOrigin, m.GetString(ns, elemOrigin))
-		fwd.AddString(ns, elemPropID, m.GetString(ns, elemPropID))
+		fwd := message.Acquire()
+		for _, name := range [...]string{elemPipeID, elemOrigin, elemPropID} {
+			b, _ := m.Get(ns, name)
+			fwd.Add(ns, name, b)
+		}
 		fwd.Add(ns, elemData, data)
-		s.fanOut(origin, fwd)
-		s.startPropagationWalks(fwd)
+		s.fanOut(origin, &fwd.Message)
+		s.startPropagationWalks(&fwd.Message)
+		fwd.Release()
 	}
 }
 
@@ -373,14 +388,8 @@ func (s *Service) decodeProp(m *message.Message) (pipeID, origin ids.ID, data []
 // deliverLocal hands a propagate payload to this peer's bound input pipe,
 // if any (unbound pipes drop silently, like unicast receive).
 func (s *Service) deliverLocal(origin, pipeID ids.ID, data []byte) {
-	in, ok := s.bound[pipeID]
-	if !ok {
-		return
-	}
-	in.Received++
-	s.m.delivered.Inc()
-	if in.recv != nil {
-		in.recv(origin, data)
+	if in, ok := s.bound[pipeID]; ok {
+		in.deliver(origin, data)
 	}
 }
 

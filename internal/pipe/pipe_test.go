@@ -305,12 +305,11 @@ func TestReturnsToZeroState(t *testing.T) {
 }
 
 // TestPropagateWalkHandlerDoesNotKeepTheBody is the rendezvous.WalkHandler
-// contract from the pipe service's side: the walked message is on loan, and
-// the walker takes it back when the handler returns — here it is emptied and
-// refilled with junk at that moment. What the handler passed on before
-// returning (the local delivery, the fan-out to its clients) must be whole,
-// and the payload a receiver kept must not change: it points into the
-// delivered walk message, not into the loaned one.
+// contract from the pipe service's side: the walked message — elements,
+// names and payloads — is on loan, and the walker takes it back when the
+// handler returns; here it is emptied, refilled with junk and the payload
+// buffer overwritten at that moment. What the handler passed on before
+// returning (the local delivery, the fan-out to its clients) must be whole.
 func TestPropagateWalkHandlerDoesNotKeepTheBody(t *testing.T) {
 	o, err := deploy.Build(deploy.Spec{
 		Seed: 33, NumRdv: 1, Topology: topology.Chain,
@@ -335,14 +334,16 @@ func TestPropagateWalkHandlerDoesNotKeepTheBody(t *testing.T) {
 	o.Sched.Run(2 * time.Minute)
 
 	origin := ids.FromName(ids.KindPeer, "elsewhere")
+	payload := []byte("flash")
 	body := message.New()
 	body.AddString("pipe", "Id", adv.PipeID.String())
 	body.AddString("pipe", "Origin", origin.String())
 	body.AddString("pipe", "PID", "elsewhere-1")
-	body.Add("pipe", "Data", []byte("flash"))
+	body.Add("pipe", "Data", payload)
 	if rdvPipe.HandlePropagateWalk(origin, rendezvous.Up, body) {
 		t.Fatal("a propagate walk must cover the whole view")
 	}
+	copy(payload, "XXXXX")
 	body.Reset()
 	for i := 0; i < 8; i++ {
 		body.AddString("pipe", []string{"Id", "Origin", "PID", "Data"}[i%4], "poisoned")
@@ -354,6 +355,61 @@ func TestPropagateWalkHandlerDoesNotKeepTheBody(t *testing.T) {
 	for i, data := range kept {
 		if string(data) != "flash" {
 			t.Fatalf("delivery %d reads %q", i, data)
+		}
+	}
+}
+
+// TestReceiveCallbackOwnsItsBytes: the receiver a pipe is bound with may keep
+// the slices it is called with (pipe.Receiver, jxta.Peer.JoinChannel). They
+// are copies made where the stack ends: neither the delivered message the
+// transport takes back, nor — on a propagate pipe's local loopback — the
+// sender's own buffer, which it reuses for the next payload.
+func TestReceiveCallbackOwnsItsBytes(t *testing.T) {
+	r := newRig(t, 9)
+	inbox := pipe.NewPipeAdv(r.binder.ID, "inbox")
+	news := pipe.NewPropagateAdv("news")
+	var unicast, atBinder, atSender [][]byte
+	keep := func(into *[][]byte) pipe.Receiver {
+		return func(_ ids.ID, data []byte) { *into = append(*into, data) }
+	}
+	if _, err := r.binderP.Bind(inbox, keep(&unicast)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.binderP.Bind(news, keep(&atBinder)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.senderP.Bind(news, keep(&atSender)); err != nil {
+		t.Fatal(err)
+	}
+	r.run(time.Minute)
+	var out *pipe.OutputPipe
+	r.senderP.Connect(inbox.PipeID, func(o *pipe.OutputPipe, err error) { out = o })
+	r.run(time.Minute)
+	if out == nil {
+		t.Fatal("pipe never resolved")
+	}
+	channel := r.senderP.ConnectPropagate(news)
+	buf := make([]byte, 1)
+	const n = 5
+	for i := byte(0); i < n; i++ {
+		buf[0] = 'a' + i // one buffer for every payload, as a sender may
+		if err := out.Send(buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := channel.Send(buf); err != nil {
+			t.Fatal(err)
+		}
+		r.run(time.Second)
+	}
+	r.run(time.Minute)
+	for name, got := range map[string][][]byte{"unicast": unicast, "propagate, remote": atBinder, "propagate, loopback": atSender} {
+		if len(got) != n {
+			t.Fatalf("%s: %d payloads, want %d", name, len(got), n)
+		}
+		for i, data := range got {
+			if want := string(rune('a' + i)); string(data) != want {
+				t.Errorf("%s: payload %d now reads %q, want %q", name, i, data, want)
+			}
 		}
 	}
 }

@@ -1,0 +1,158 @@
+package rendezvous
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"jxta/internal/endpoint"
+	"jxta/internal/ids"
+	"jxta/internal/message"
+	"jxta/internal/netmodel"
+	"jxta/internal/peerview"
+	"jxta/internal/simnet"
+	"jxta/internal/transport"
+)
+
+// leaseElems are the lease: element names a fuzz script can name by index;
+// the last is one the protocol does not know.
+var leaseElems = []string{elemRequest, elemGranted, elemCancelled, elemAddr, elemAlt, elemClient,
+	elemHandoff, elemRedirect, elemRumor, elemMergeRst, elemTierProbe, elemTierAck, "Unknown"}
+
+// leaseScript flattens a lease message into the fuzz input form: one record
+// per element — name index, payload length, payload (cut at 255 bytes).
+func leaseScript(m *message.Message) []byte {
+	var script []byte
+	for _, el := range m.Elements() {
+		if el.Namespace != leaseNS {
+			continue // the endpoint envelope
+		}
+		for i, name := range leaseElems {
+			if name == el.Name {
+				data := el.Data[:min(len(el.Data), 255)]
+				script = append(append(script, byte(i), byte(len(data))), data...)
+			}
+		}
+	}
+	return script
+}
+
+// leaseFromScript is the inverse; every payload gets memory of its own, so
+// the test can overwrite what the service was shown.
+func leaseFromScript(script []byte) (*message.Message, [][]byte) {
+	m := message.New()
+	var payloads [][]byte
+	for len(script) >= 2 && m.Len() < 64 {
+		name, n := leaseElems[int(script[0])%len(leaseElems)], min(int(script[1]), len(script)-2)
+		data := append([]byte(nil), script[2:2+n]...)
+		script = script[2+n:]
+		payloads = append(payloads, data)
+		m.Add(leaseNS, name, data)
+	}
+	return m, payloads
+}
+
+// leaseRig is a self-healing, island-merging tier of two rendezvous with
+// leased edges, all started.
+type leaseRig struct {
+	sched *simnet.Scheduler
+	rdv   *rdvPeer
+	edge  *edgePeer
+}
+
+// newLeaseRig also returns the lease messages the bring-up and one graceful
+// stop exchanged — requests, grants with alternates, roster and rumors, the
+// handoff, redirects: the kinds the volatility golden sends.
+func newLeaseRig(t testing.TB, seed int64) (*leaseRig, []*message.Message) {
+	t.Helper()
+	cfg := selfHealCfg()
+	cfg.IslandMerge = true
+	sched := simnet.NewScheduler(seed)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	var seen []*message.Message
+	net.OnSend = func(_, _ transport.Addr, m *message.Message) {
+		if endpoint.ServiceOf(m) == LeaseService {
+			seen = append(seen, m.Clone())
+		}
+	}
+	rdvs := newRdvOverlayCfg(t, sched, net, 3, cfg)
+	edges := make([]*edgePeer, 3)
+	for i := range edges {
+		at := rdvs[i%2]
+		edges[i] = newEdge(t, sched, net, fmt.Sprintf("edge%d", i), []peerview.Seed{{ID: at.id, Addr: at.tr.Addr()}}, cfg)
+		edges[i].svc.Start()
+	}
+	sched.Run(10 * time.Minute)
+	rdvs[1].svc.Stop() // hands its client over and redirects
+	sched.Run(sched.Now() + time.Minute)
+	net.OnSend = nil
+	if _, ok := edges[0].svc.ConnectedRdv(); !ok || len(rdvs[0].svc.Clients()) == 0 {
+		t.Fatal("the rig did not converge: no lease to fuzz against")
+	}
+	return &leaseRig{sched: sched, rdv: rdvs[0], edge: edges[0]}, seen
+}
+
+// observable renders what a lease service shows the rest of the node, into
+// memory of its own.
+func observable(s *Service) string {
+	rdv, connected := s.ConnectedRdv()
+	return fmt.Sprint(s.Clients(), rdv, connected, s.Rumors())
+}
+
+// FuzzReceiveLease feeds receiveLease arbitrary lease: element sets, on a
+// started rendezvous and on a started edge, from a known client, the
+// rendezvous and a stranger. It must not panic; one message may grow the
+// client table, the rumor store and the merge backoff table by no more than
+// the entries it carried; and it must keep nothing of the message it was
+// lent (transport.Handler): overwriting every payload after the call leaves
+// Clients(), ConnectedRdv() and the rumor store reading as they did.
+func FuzzReceiveLease(f *testing.F) {
+	_, sent := newLeaseRig(f, 61)
+	richest := map[string][]byte{} // per kind of message, the longest one sent
+	for _, m := range sent {
+		script := leaseScript(m)
+		if kind := leaseElems[script[0]]; len(script) > len(richest[kind]) {
+			richest[kind] = script
+		}
+	}
+	for i, kind := range []string{elemRequest, elemGranted, elemHandoff, elemRedirect} {
+		if richest[kind] == nil {
+			f.Fatalf("the rig sent no %s message to seed the corpus with", kind)
+		}
+		f.Add(byte(i), richest[kind])
+		delete(richest, kind)
+	}
+	for _, script := range richest { // tier probes, acks, merge rosters, cancels: when the rig sent any
+		f.Add(byte(1), script)
+	}
+	f.Add(byte(0), []byte{10, 1, '1', 8, 3, 'x', ' ', 'y'}) // a tier probe with a malformed rumor
+	var rig *leaseRig
+	f.Fuzz(func(t *testing.T, who byte, script []byte) {
+		if rig == nil || rig.rdv.svc.rumors.Len() > 256 || len(rig.rdv.svc.clients) > 256 {
+			rig, _ = newLeaseRig(t, 61) // building one takes milliseconds: share it
+		}
+		src := []ids.ID{rig.edge.id, rig.rdv.id, ids.FromName(ids.KindPeer, "stranger")}[int(who)%3]
+		for _, s := range []*Service{rig.rdv.svc, rig.edge.svc} {
+			m, payloads := leaseFromScript(script)
+			clients, rumors, tried := len(s.clients), s.rumors.Len(), len(s.mergeTried)
+			s.receiveLease(src, m)
+			room := m.Len() + 1 // the sender itself, once
+			if len(s.clients)-clients > room || s.rumors.Len()-rumors > room || len(s.mergeTried)-tried > room {
+				t.Fatalf("a message of %d elements grew clients %d→%d, rumors %d→%d, mergeTried %d→%d",
+					m.Len(), clients, len(s.clients), rumors, s.rumors.Len(), tried, len(s.mergeTried))
+			}
+			before := observable(s)
+			for _, p := range payloads {
+				for i := range p {
+					p[i] = 0xDB
+				}
+			}
+			if after := observable(s); after != before {
+				t.Fatalf("state changed when the delivered message was overwritten:\n before %s\n after  %s", before, after)
+			}
+		}
+		// Whatever the message set in motion (grants, probes, a re-lease)
+		// runs without the message.
+		rig.sched.Run(rig.sched.Now() + 10*time.Millisecond)
+	})
+}

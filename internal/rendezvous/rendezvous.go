@@ -213,11 +213,11 @@ const (
 // WalkHandler consumes a walked message at each visited rendezvous. Returning
 // true stops the walk at this peer (the walk found what it was looking for).
 //
-// body is on loan: the walker decodes it into a pooled message and takes it
-// back when the handler returns, so a handler must not keep the
-// *message.Message. What the elements point at — names and payloads — stays
-// valid and unchanged for as long as it is referenced (it is the delivered
-// walk message's own memory), so a handler may keep a payload it read.
+// body is on loan for the duration of the call, exactly as the delivered
+// message it was decoded from is (transport.Handler): the message is taken
+// back when the handler returns, and the names and payloads its elements
+// point at are views of the delivery, which the transport then reuses. A
+// handler copies whatever it keeps.
 type WalkHandler func(origin ids.ID, dir Direction, body *message.Message) (stop bool)
 
 // LeaseListener observes edge connectivity changes.
@@ -409,9 +409,25 @@ func (s *Service) maybeMerge(sd peerview.Seed) {
 	if sd.Addr != "" {
 		s.ep.AddRoute(sd.ID, sd.Addr)
 	}
-	m := message.New().AddString(leaseNS, elemTierProbe, "1")
+	m := leaseMessage(elemTierProbe, "1")
 	m.AddString(leaseNS, elemRumor, s.selfRumor().Encode())
-	_ = s.ep.Send(sd.ID, LeaseService, m)
+	_ = s.sendLease(sd.ID, m)
+}
+
+// leaseMessage starts a pooled lease-service message with its type element;
+// sendLease sends and releases it.
+func leaseMessage(elem, value string) *message.Out {
+	m := message.Acquire()
+	m.AddString(leaseNS, elem, value)
+	return m
+}
+
+// sendLease sends m to peer's lease service and releases it: the transport
+// has copied it by the time Send returns.
+func (s *Service) sendLease(peer ids.ID, m *message.Out) error {
+	err := s.ep.Send(peer, LeaseService, &m.Message)
+	m.Release()
+	return err
 }
 
 // retryMerges re-probes every rumored identity not yet in the view (rate
@@ -464,9 +480,9 @@ func (s *Service) receiveTierProbe(src ids.ID, m *message.Message) {
 	default:
 		return // mid-failover edge: already looking for a lease
 	}
-	rsp := message.New().AddString(leaseNS, elemTierAck, "1")
+	rsp := leaseMessage(elemTierAck, "1")
 	rsp.AddString(leaseNS, elemRumor, answer.Encode())
-	_ = s.ep.Send(src, LeaseService, rsp)
+	_ = s.sendLease(src, rsp)
 }
 
 // receiveTierAck consumes a tier probe answer: an answer naming the sender
@@ -533,7 +549,7 @@ func (s *Service) tierSeed(id ids.ID) peerview.Seed {
 // sendMergeRoster ships this rendezvous' fresh client roster to the merge
 // counterpart for duplicate-lease reconciliation.
 func (s *Service) sendMergeRoster(peer ids.ID) {
-	m := message.New().AddString(leaseNS, elemMergeRst, "1")
+	m := leaseMessage(elemMergeRst, "1")
 	n := 0
 	now := s.env.Now()
 	for _, id := range s.Clients() {
@@ -545,9 +561,10 @@ func (s *Service) sendMergeRoster(peer ids.ID) {
 		n++
 	}
 	if n == 0 {
+		m.Release()
 		return // nothing to reconcile from this side
 	}
-	_ = s.ep.Send(peer, LeaseService, m)
+	_ = s.sendLease(peer, m)
 }
 
 // receiveMergeRoster reconciles duplicate client leases after a merge: for
@@ -581,8 +598,7 @@ func (s *Service) receiveMergeRoster(src ids.ID, m *message.Message) {
 		if cl.addr != "" {
 			s.ep.AddRoute(sd.ID, transport.Addr(cl.addr))
 		}
-		rm := message.New().AddString(leaseNS, elemRedirect, winner)
-		_ = s.ep.Send(sd.ID, LeaseService, rm)
+		_ = s.sendLease(sd.ID, leaseMessage(elemRedirect, winner))
 	}
 }
 
@@ -747,8 +763,7 @@ func (s *Service) halt(sendCancel bool) {
 	s.cancelTimers()
 	if !s.connectedTo.IsNil() {
 		if sendCancel {
-			m := message.New().AddString(leaseNS, elemCancelled, "1")
-			_ = s.ep.Send(s.connectedTo, LeaseService, m)
+			_ = s.sendLease(s.connectedTo, leaseMessage(elemCancelled, "1"))
 		}
 		s.setConnected(ids.Nil)
 	}
@@ -906,7 +921,7 @@ func (s *Service) requestLease() {
 		s.grantTimer.Cancel()
 		s.grantTimer = nil
 	}
-	m := message.New().AddString(leaseNS, elemRequest, s.leaseText)
+	m := leaseMessage(elemRequest, s.leaseText)
 	if s.cfg.SelfHeal {
 		// Share our address so the rendezvous can roster us to co-clients.
 		m.AddString(leaseNS, elemAddr, string(s.ep.Addr()))
@@ -923,7 +938,7 @@ func (s *Service) requestLease() {
 			m.AddString(leaseNS, elemRumor, r.Encode())
 		}
 	}
-	err := s.ep.Send(target.ID, LeaseService, m)
+	err := s.sendLease(target.ID, m)
 	s.m.requests.Inc()
 	tid := target.ID
 	delay := s.cfg.ResponseTimeout
@@ -1216,7 +1231,7 @@ func (s *Service) handoff() {
 		s.ep.AddRoute(succ.ID, succ.Addr)
 	}
 	// 1. The lease table. An edge successor promotes itself on receipt.
-	hm := message.New().AddString(leaseNS, elemHandoff, "1")
+	hm := leaseMessage(elemHandoff, "1")
 	now := s.env.Now()
 	for _, id := range s.Clients() {
 		cl := s.clients[id]
@@ -1231,7 +1246,7 @@ func (s *Service) handoff() {
 			encodeSeed(peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)})+
 				" "+strconv.FormatInt(int64(remaining), 10))
 	}
-	_ = s.ep.Send(succ.ID, LeaseService, hm)
+	_ = s.sendLease(succ.ID, hm)
 	s.m.handoffs.Inc()
 	s.traceEvent("handoff", succ.ID)
 	// 2. Exported service state (the SRDI index re-publish).
@@ -1248,8 +1263,7 @@ func (s *Service) handoff() {
 		if id.Equal(succ.ID) || s.clients[id].expires <= now {
 			continue
 		}
-		rm := message.New().AddString(leaseNS, elemRedirect, rv)
-		_ = s.ep.Send(id, LeaseService, rm)
+		_ = s.sendLease(id, leaseMessage(elemRedirect, rv))
 	}
 }
 
@@ -1315,14 +1329,14 @@ func (s *Service) receiveLease(src ids.ID, m *message.Message) {
 				}
 			}
 		}
-		rsp := message.New().AddString(leaseNS, elemGranted, granted)
+		rsp := leaseMessage(elemGranted, granted)
 		if s.cfg.SelfHeal {
-			s.appendGrantState(rsp)
+			s.appendGrantState(&rsp.Message)
 		}
 		if s.cfg.IslandMerge {
-			s.appendGrantRumors(rsp, src)
+			s.appendGrantRumors(&rsp.Message, src)
 		}
-		_ = s.ep.Send(src, LeaseService, rsp)
+		_ = s.sendLease(src, rsp)
 		return
 	}
 	if m.GetString(leaseNS, elemCancelled) != "" {

@@ -34,14 +34,14 @@ type edgePeer struct {
 
 // newRdvOverlay builds n rendezvous peers (chain seeds) with running
 // peerviews and rendezvous services.
-func newRdvOverlay(t *testing.T, sched *simnet.Scheduler, net *transport.Network, n int) []*rdvPeer {
+func newRdvOverlay(t testing.TB, sched *simnet.Scheduler, net *transport.Network, n int) []*rdvPeer {
 	t.Helper()
 	return newRdvOverlayCfg(t, sched, net, n, DefaultConfig())
 }
 
 // newRdvOverlayCfg is newRdvOverlay with an explicit lease config (the
 // self-healing tests need SelfHeal on the granting side).
-func newRdvOverlayCfg(t *testing.T, sched *simnet.Scheduler, net *transport.Network, n int, cfg Config) []*rdvPeer {
+func newRdvOverlayCfg(t testing.TB, sched *simnet.Scheduler, net *transport.Network, n int, cfg Config) []*rdvPeer {
 	t.Helper()
 	peers := make([]*rdvPeer, n)
 	for i := 0; i < n; i++ {
@@ -68,7 +68,7 @@ func newRdvOverlayCfg(t *testing.T, sched *simnet.Scheduler, net *transport.Netw
 	return peers
 }
 
-func newEdge(t *testing.T, sched *simnet.Scheduler, net *transport.Network, name string, seeds []peerview.Seed, cfg Config) *edgePeer {
+func newEdge(t testing.TB, sched *simnet.Scheduler, net *transport.Network, name string, seeds []peerview.Seed, cfg Config) *edgePeer {
 	t.Helper()
 	e := sched.NewEnv(name)
 	tr, err := net.Attach(name, netmodel.Site(0))

@@ -159,24 +159,26 @@ func TestWalkHeaderOutcomes(t *testing.T) {
 }
 
 // TestWalkBodyIsOnLoan is the WalkHandler contract: the *message.Message the
-// handler is given is taken back when it returns (here: found empty), while
-// everything its elements pointed at stays valid and unchanged, so a handler
-// may keep a payload but not the message.
+// handler is given is taken back when it returns (here: found empty), and
+// what its elements pointed at is the delivered walk message's memory, which
+// the transport reuses for later deliveries (and overwrites at once under
+// -tags loancheck, see transport.TestDeliveredMessageIsOnLoan): a handler
+// that wants the payload later copies it, and the copy stays what it read.
 func TestWalkBodyIsOnLoan(t *testing.T) {
 	r := newWalkRig(t)
+	const sent = "payload the handler keeps"
 	var kept *message.Message
-	var keptPayload []byte
-	var keptName string
+	var copied []byte
 	r.high.svc.SetWalkHandler("svc", func(_ ids.ID, _ Direction, b *message.Message) bool {
 		kept = b
-		keptPayload, _ = b.Get("app", "data")
-		keptName = b.Elements()[0].Name
-		if string(keptPayload) != "payload the handler keeps" {
-			t.Errorf("handler given %q", keptPayload)
+		view, _ := b.Get("app", "data")
+		copied = append([]byte(nil), view...)
+		if string(view) != sent || b.Elements()[0].Name != "data" {
+			t.Errorf("handler given %s with payload %q", b, view)
 		}
 		return true
 	})
-	r.mid.svc.Walk(Up, 3, "svc", message.New().AddString("app", "data", "payload the handler keeps"))
+	r.mid.svc.Walk(Up, 3, "svc", message.New().AddString("app", "data", sent))
 	r.sched.Run(r.sched.Now() + time.Second)
 	if kept == nil {
 		t.Fatal("walk did not arrive")
@@ -184,14 +186,14 @@ func TestWalkBodyIsOnLoan(t *testing.T) {
 	if kept.Len() != 0 {
 		t.Fatalf("the loaned message still holds %s after the handler returned", kept)
 	}
-	// Later walks reuse the pooled message; what the handler kept must not move.
+	// Later walks reuse the pooled message and the delivery under it.
 	r.high.svc.SetWalkHandler("svc", func(ids.ID, Direction, *message.Message) bool { return true })
 	for i := 0; i < 4; i++ {
 		r.mid.svc.Walk(Up, 3, "svc", message.New().AddString("zzz", "other", strings.Repeat("\xff", 64)))
 	}
 	r.sched.Run(r.sched.Now() + time.Second)
-	if string(keptPayload) != "payload the handler keeps" || keptName != "data" {
-		t.Fatalf("kept payload now reads %q (element %q)", keptPayload, keptName)
+	if string(copied) != sent {
+		t.Fatalf("the copy the handler made now reads %q", copied)
 	}
 }
 

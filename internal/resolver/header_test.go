@@ -8,6 +8,7 @@ import (
 
 	"jxta/internal/endpoint"
 	"jxta/internal/ids"
+	"jxta/internal/israce"
 	"jxta/internal/message"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
@@ -119,12 +120,12 @@ func TestHeaderOutcomes(t *testing.T) {
 
 // TestRoundTripAllocs gates what one lookup costs the resolver layer: a
 // query sent, forwarded once and answered, over transport.Sim. The formula:
-// three messages cross the transport, each cloned into three objects (9);
 // two peers receive a query and give their handler a Query and its return
 // address (4); the originator keeps a pending entry (1). Headers are built
-// in pooled messages and read in place, and cost nothing.
+// in pooled messages and read in place, the three messages cross the
+// transport in recycled records, and neither costs anything.
 func TestRoundTripAllocs(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	sched := simnet.NewScheduler(1)
@@ -156,7 +157,7 @@ func TestRoundTripAllocs(t *testing.T) {
 		a.res.Cancel(qid)
 	}
 	roundTrip() // learn return routes, fill pools
-	const want = 3*3 + 2*2 + 1
+	const want = 2*2 + 1
 	got := testing.AllocsPerRun(200, roundTrip)
 	t.Logf("round trip: %.2f allocations", got)
 	if got > want {

@@ -45,6 +45,9 @@ type Query struct {
 	Src     ids.ID         // the originating peer
 	SrcAddr transport.Addr // return route hint
 	Hops    int
+	// Payload is a view of the delivered message, on loan from the transport
+	// (transport.Handler): a handler that parks the query past its own return
+	// copies it first. Every other field is the query's own.
 	Payload []byte
 }
 
@@ -52,7 +55,8 @@ type Query struct {
 // the query: it may call Respond, Forward, both or neither.
 type Handler func(q *Query)
 
-// ResponseCallback receives a response to a locally issued query. from is
+// ResponseCallback receives a response to a locally issued query. payload is
+// on loan like Query.Payload: valid for the duration of the call. from is
 // the responding peer; hops is how many resolver forwards the query took
 // before it was answered (0: answered by the peer it was sent to), echoed
 // back in the response so originators can account routing cost per lookup.

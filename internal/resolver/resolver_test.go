@@ -72,8 +72,13 @@ func TestQueryFields(t *testing.T) {
 	sched := simnet.NewScheduler(2)
 	ps := newPeers(t, sched, 2)
 	a, b := ps[0], ps[1]
+	// The query is the handler's; its payload is a view of the delivered
+	// message and is copied by a handler that keeps it (Query.Payload).
 	var seen *Query
-	b.res.RegisterHandler("inspect", func(q *Query) { seen = q })
+	b.res.RegisterHandler("inspect", func(q *Query) {
+		seen = q
+		seen.Payload = append([]byte(nil), q.Payload...)
+	})
 	qid, _ := a.res.SendQuery(b.id, "inspect", []byte("xyz"), func([]byte, ids.ID, int) {}, nil)
 	sched.Run(time.Second)
 	if seen == nil {

@@ -616,15 +616,16 @@ func (c *Conn) stopTimers() {
 
 // --- Segment transmission ---
 
-func (c *Conn) baseMsg(t string) *message.Message {
+// baseMsg starts a pooled segment; send transmits and releases it.
+func (c *Conn) baseMsg(t string) *message.Out {
 	c.freedSinceAck = 0 // every outgoing segment advertises the window
-	m := message.New()
+	m := message.Acquire()
 	m.AddString(ns, elemType, t)
-	m.AddString(ns, elemConn, strconv.FormatUint(c.key.id, 10))
+	m.AddScratch(ns, elemConn, strconv.AppendUint(m.Scratch(), c.key.id, 10))
 	if c.key.initiated {
 		m.AddString(ns, elemInit, "1")
 	}
-	m.AddString(ns, elemWnd, strconv.Itoa(c.recvSpace()))
+	m.AddScratch(ns, elemWnd, strconv.AppendInt(m.Scratch(), int64(c.recvSpace()), 10))
 	return m
 }
 
@@ -637,14 +638,15 @@ func (c *Conn) recvSpace() int {
 	return free
 }
 
-func (c *Conn) send(m *message.Message) {
+func (c *Conn) send(m *message.Out) {
 	c.svc.Stats.SegmentsSent++
-	_ = c.svc.ep.Send(c.key.peer, ServiceName, m)
+	_ = c.svc.ep.Send(c.key.peer, ServiceName, &m.Message)
+	m.Release()
 }
 
 func (c *Conn) sendSyn() {
 	m := c.baseMsg(typeSyn)
-	m.AddString(ns, elemPipe, c.pipeID.String())
+	m.AddScratch(ns, elemPipe, c.pipeID.AppendString(m.Scratch()))
 	c.send(m)
 }
 
@@ -656,15 +658,15 @@ func (c *Conn) sendSynAck() {
 // window updates).
 func (c *Conn) sendAck() {
 	m := c.baseMsg(typeAck)
-	m.AddString(ns, elemAck, strconv.FormatUint(c.rcvNxt, 10))
+	m.AddScratch(ns, elemAck, strconv.AppendUint(m.Scratch(), c.rcvNxt, 10))
 	c.send(m)
 }
 
 // sendSegment transmits one data/FIN segment.
 func (c *Conn) sendSegment(seg segment) {
 	m := c.baseMsg(typeData)
-	m.AddString(ns, elemSeq, strconv.FormatUint(seg.seq, 10))
-	m.AddString(ns, elemAck, strconv.FormatUint(c.rcvNxt, 10))
+	m.AddScratch(ns, elemSeq, strconv.AppendUint(m.Scratch(), seg.seq, 10))
+	m.AddScratch(ns, elemAck, strconv.AppendUint(m.Scratch(), c.rcvNxt, 10))
 	if seg.fin {
 		m.AddString(ns, elemFin, "1")
 	}

@@ -9,9 +9,9 @@ import (
 
 // Hub is an in-process loopback fabric for unit tests: zero latency,
 // synchronous handler invocation on the sender's goroutine, thread-safe
-// registry. Send clones the message before handing it over — the Transport
-// copy contract, preserving the no-shared-memory property of the real
-// transports.
+// registry. Send copies the message before handing it over and empties the
+// copy when the handler returns — the Transport copy contract and the Handler
+// loan rule, so a unit test over the hub sees what the real transports do.
 type Hub struct {
 	mu    sync.Mutex
 	nodes map[Addr]*Loop
@@ -85,7 +85,10 @@ func (l *Loop) Send(to Addr, msg *message.Message) error {
 	h := dst.handler
 	dst.mu.Unlock()
 	if h != nil {
-		h(l.addr, msg.Clone())
+		var rec message.Loan
+		rec.Fill(msg)
+		h(l.addr, &rec.Message)
+		rec.End(loanCheck) // empty from here on, whoever kept the pointer
 	}
 	return nil
 }

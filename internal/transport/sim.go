@@ -66,10 +66,11 @@ type netShard struct {
 	// to this shard (remote shards' peers, not-yet-attached boot races).
 	// Shard-local so lookups never touch another shard's maps.
 	siteCache map[Addr]netmodel.Site
-	// freeDeliveries pools delivery records; together with the scheduler's
-	// payload event form it makes the per-message send path closure-free.
-	// Records may migrate pools (taken on the sending shard, returned on
-	// the receiving one); each pool is only touched by its own shard.
+	// freeDeliveries pools delivery records, at most maxFreeDeliveries of them;
+	// together with the scheduler's payload event form it makes the
+	// per-message send path closure- and allocation-free. Records may migrate
+	// pools (taken on the sending shard, returned on the receiving one); each
+	// pool is only touched by its own shard.
 	freeDeliveries []*delivery
 	// arriveFn/handoffFn are the two delivery phases as stored func values,
 	// created once so scheduling them allocates nothing per send.
@@ -79,13 +80,28 @@ type netShard struct {
 	_ [64]byte
 }
 
-// delivery is one in-flight message's state, pooled across sends.
+// delivery is one in-flight message's state, pooled across sends: the copy
+// Send made, lent to the receiver's handler at handoff and taken back.
 type delivery struct {
+	message.Loan
 	from Addr
 	to   Addr
 	rcv  *Sim // resolved at arrival, checked again at handoff
-	msg  *message.Message
 }
+
+// maxFreeDeliveries bounds each shard's free list of delivery records.
+// Measured, not settable: peerview ticks are synchronised, so the growth
+// phase of a 200-rendezvous overlay has thousands of 3.5 KB referrals in
+// flight at once, and a list sized to that peak holds them for the rest of
+// the run. On the repository benchmark (seed 42; allocs per event · heap
+// bytes per peer on peerview-r200 and on edges-10k, then
+// TestQuiescentEdgeHeapCeiling run alone, whose ceiling is 5,900 B) 64
+// records read 1.000 · 89,057, 1.185 · 5,893 and 5,248 B; 128 read
+// 0.930 · 89,761, 1.104 · 5,896 and 5,485–5,494 B; 256 read 0.776 · 91,829,
+// 1.084 · 5,923 and 5,895–5,906 B, over the ceiling; 1,024 read
+// 0.541 · 105,791 and 1.050 · 6,368 (+17.8 % and +6.9 % of heap, past the
+// benchmark's 5 % bound); an unbounded list 168,293 B per peer.
+const maxFreeDeliveries = 128
 
 // reserved DeriveRand index for the network's own jitter/loss stream, far
 // above any node index.
@@ -143,11 +159,13 @@ func (sh *netShard) getDelivery() *delivery {
 	return &delivery{}
 }
 
-// putDelivery clears and returns a record to the shard's pool. The message
-// is NOT retained: the receiver owns it after handoff.
+// putDelivery ends the record's loan and returns it to the shard's pool,
+// unless the pool is full or the record outgrew it.
 func (sh *netShard) putDelivery(d *delivery) {
-	*d = delivery{}
-	sh.freeDeliveries = append(sh.freeDeliveries, d)
+	d.from, d.to, d.rcv = "", "", nil
+	if d.End(loanCheck) && len(sh.freeDeliveries) < maxFreeDeliveries {
+		sh.freeDeliveries = append(sh.freeDeliveries, d)
+	}
 }
 
 // Stats returns a snapshot of the traffic counters summed over shards. The
@@ -331,7 +349,7 @@ func (s *Sim) Send(to Addr, msg *message.Message) error {
 	// shard's, migrating pools on cross-shard sends.
 	d := sh.getDelivery()
 	d.from, d.to = s.addr, to
-	d.msg = msg.Clone() // the copy contract: msg is the sender's again once Send returns
+	d.Fill(msg) // the copy contract: msg is the sender's again once Send returns
 	if dstShard == s.shard {
 		sh.sched.AtCall(arrival, sh.arriveFn, d)
 	} else {
@@ -369,7 +387,7 @@ func (n *Network) arrive(sh *netShard, a any) {
 func (n *Network) handoff(sh *netShard, a any) {
 	d := a.(*delivery)
 	if cur, ok := sh.nodes[d.to]; ok && cur == d.rcv && d.rcv.handler != nil {
-		d.rcv.handler(d.from, d.msg)
+		d.rcv.handler(d.from, &d.Message)
 	} else {
 		sh.stats.dropped.Add(1)
 	}

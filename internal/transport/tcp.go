@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"jxta/internal/message"
 )
@@ -30,6 +31,11 @@ const (
 	helloName = "Hello"
 )
 
+// helloTimeout is how long an accepted connection has to deliver its hello
+// frame (the endpoint's Hello exchange allows the same). Only that first
+// frame has a deadline: an established connection legitimately idles.
+const helloTimeout = 10 * time.Second
+
 // TCP is a real wire transport: each endpoint runs a listener; connections
 // are dialed lazily, cached, and carry length-prefixed frames of
 // message.Marshal bytes. The first frame on a dialed connection is a hello
@@ -49,7 +55,9 @@ type TCP struct {
 	// Close can unblock them all.
 	open   map[net.Conn]struct{}
 	closed bool
-	wg     sync.WaitGroup
+	// helloTimeout is the constant; a field so a test can shorten it.
+	helloTimeout time.Duration
+	wg           sync.WaitGroup
 }
 
 var _ Transport = (*TCP)(nil)
@@ -66,6 +74,8 @@ func ListenTCP(hostport string) (*TCP, error) {
 		addr:     Addr("tcp://" + l.Addr().String()),
 		conns:    make(map[Addr]net.Conn),
 		open:     make(map[net.Conn]struct{}),
+
+		helloTimeout: helloTimeout,
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -145,8 +155,9 @@ func (t *TCP) conn(to Addr) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello := message.New().AddString(helloNS, helloName, string(t.addr))
-	if _, err := c.Write(appendFrame(nil, hello)); err != nil {
+	var hello message.Message
+	hello.AddString(helloNS, helloName, string(t.addr))
+	if _, err := c.Write(appendFrame(nil, &hello)); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -198,21 +209,28 @@ func (t *TCP) acceptLoop() {
 		}
 		t.open[c] = struct{}{}
 		t.wg.Add(1)
+		timeout := t.helloTimeout
 		t.mu.Unlock()
-		go t.handshakeInbound(c)
+		go t.handshakeInbound(c, timeout)
 	}
 }
 
 // handshakeInbound reads the hello frame from a dialer, registers the
-// connection under the announced address, and enters the read loop.
-func (t *TCP) handshakeInbound(c net.Conn) {
+// connection under the announced address, and enters the read loop. A
+// dialer that has not said hello within timeout is dropped: without the
+// deadline a peer that connects and stalls pins this goroutine and its read
+// buffer until Close.
+func (t *TCP) handshakeInbound(c net.Conn, timeout time.Duration) {
 	var peer Addr
 	fr := newFrameReader(c)
+	_ = c.SetReadDeadline(time.Now().Add(timeout)) // a connection that cannot take one fails its read
 	if frame, err := fr.next(); err == nil {
-		if hello, err := message.Unmarshal(frame); err == nil {
-			peer = Addr(hello.GetString(helloNS, helloName))
+		var hello message.Message
+		if hello.UnmarshalAlias(frame) == nil {
+			peer = Addr(hello.GetString(helloNS, helloName)) // a copy: the frame is the reader's
 		}
 	}
+	_ = c.SetReadDeadline(time.Time{})
 	if peer == "" {
 		t.dropConn("", c)
 		t.wg.Done() // readLoop's job for a connection that gets that far
@@ -227,24 +245,26 @@ func (t *TCP) handshakeInbound(c net.Conn) {
 	t.readLoop(peer, c, fr)
 }
 
-// readLoop delivers every frame fr yields; fr reads from c.
+// readLoop delivers every frame fr yields; fr reads from c. Each frame is
+// decoded in place into the connection's one message, which the handler has
+// on loan (Handler): the next frame overwrites both.
 func (t *TCP) readLoop(peer Addr, c net.Conn, fr *frameReader) {
 	defer t.wg.Done()
 	defer t.dropConn(peer, c)
+	var msg message.Message
 	for {
 		frame, err := fr.next()
 		if err != nil {
 			return
 		}
-		msg, err := message.Unmarshal(frame)
-		if err != nil {
+		if err := msg.UnmarshalAlias(frame); err != nil {
 			return // corrupt stream: drop the connection
 		}
 		t.mu.Lock()
 		h := t.handler
 		t.mu.Unlock()
 		if h != nil {
-			h(peer, msg)
+			h(peer, &msg)
 		}
 	}
 }
@@ -273,8 +293,8 @@ func newFrameReader(r io.Reader) *frameReader {
 
 // next returns the payload of the next frame. The slice is valid until the
 // following call: a frame that fits the read buffer is returned in place,
-// header and payload having arrived in one read, and costs no allocation
-// (message.Unmarshal copies what it keeps).
+// header and payload having arrived in one read, and costs no allocation;
+// the read loop decodes it in place.
 func (f *frameReader) next() ([]byte, error) {
 	f.r.Discard(f.held)
 	f.held = 0

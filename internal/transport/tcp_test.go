@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +180,81 @@ func TestTCPCloseAfterSimultaneousDial(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestInboundHandshakeDeadline: a peer that connects, sends two bytes and
+// stalls used to pin a goroutine and a read buffer until Close. Only the
+// hello frame has a deadline — an established connection idles for longer
+// than it and still delivers — and after Close no goroutine of the transport
+// is left, the stalled dialer's included.
+func TestInboundHandshakeDeadline(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const deadline = 50 * time.Millisecond
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetHelloTimeout(deadline)
+	got := make(chan string, 2)
+	srv.SetHandler(func(_ Addr, m *message.Message) { got <- m.GetString("t", "body") })
+
+	staller, err := net.Dial("tcp", string(srv.Addr())[len("tcp://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer staller.Close()
+	if _, err := staller.Write([]byte{0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	// The server hangs up: our read ends without a byte, well inside 5 s.
+	staller.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := staller.Read(make([]byte, 1)); n != 0 || err == nil || isTimeout(err) {
+		t.Fatalf("a dialer that never said hello read %d bytes, err %v; want the connection closed", n, err)
+	}
+	for wait := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		if open, _ := openConns(srv); open == 0 {
+			break
+		}
+		if time.Now().After(wait) {
+			t.Fatal("the stalled connection is still tracked")
+		}
+	}
+
+	cli, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{"before idling", "after idling"} {
+		if err := cli.Send(srv.Addr(), msgOf(body)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case have := <-got:
+			if have != body {
+				t.Fatalf("received %q, want %q", have, body)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%q never arrived", body)
+		}
+		time.Sleep(3 * deadline) // idle past the hello deadline: it must be off by now
+	}
+	if open, cached := openConns(srv); open != 1 || cached != 1 {
+		t.Fatalf("server tracks %d connections (%d cached), want the one that idled", open, cached)
+	}
+
+	cli.Close()
+	srv.Close()
+	for wait := time.Now().Add(time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(wait) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before ListenTCP:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
 }
 
 // stallingReader serves data and then stalls, recording the largest buffer

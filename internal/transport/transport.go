@@ -23,7 +23,14 @@ type Addr string
 
 // Handler consumes an inbound message. The owning node must ensure the
 // handler runs serialized with its other protocol callbacks (the simulator
-// guarantees this; the TCP node wraps handlers in env.Locked).
+// guarantees this; the endpoint takes the node lock of a TCP node's env).
+//
+// msg is on loan for the duration of the call, on every transport: the
+// message, its element slice and the namespaces, names and payloads they
+// point at are the transport's again as soon as the handler returns (Sim
+// recycles the record Send copied into, Loop empties its copy, TCP decodes
+// the next frame over it). Whoever keeps any of it past the call copies what it keeps
+// (message.Clone, append, string conversion).
 type Handler func(src Addr, msg *message.Message)
 
 // Transport is a bound endpoint able to send and receive messages.
@@ -34,8 +41,9 @@ type Transport interface {
 	// an error means the message could not even be handed to the network.
 	//
 	// Send is the copy boundary between peers, and the only one: it copies
-	// or serializes msg before it returns (Sim and Loop clone, TCP marshals
-	// into a frame) and never retains msg or its element bytes afterwards.
+	// or serializes msg before it returns (Sim and Loop copy into the record
+	// the receiver is lent, TCP marshals into a frame) and never retains msg
+	// or its element bytes afterwards, so msg stays the caller's.
 	// The caller may reset, refill and reuse msg and overwrite its payload
 	// buffers as soon as Send returns; it must not do so concurrently with
 	// the call. An implementation that wraps another may observe msg during

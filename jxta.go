@@ -622,7 +622,7 @@ func (p *Peer) Dial(name string, within time.Duration) (*Stream, error) {
 
 // JoinChannel subscribes this peer to a one-to-many propagate channel:
 // recv fires once per payload published anywhere in the group, with the
-// origin peer's URN.
+// origin peer's URN. recv owns data: it is a copy, and may be kept.
 func (p *Peer) JoinChannel(name string, recv func(from string, data []byte)) error {
 	_, err := p.n.Pipe.Bind(pipe.NewPropagateAdv(name), func(src ids.ID, data []byte) {
 		recv(src.String(), data)
