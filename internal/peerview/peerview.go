@@ -37,10 +37,7 @@
 package peerview
 
 import (
-	"hash/fnv"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"jxta/internal/advertisement"
@@ -161,48 +158,6 @@ type Rumor struct {
 	Sig uint64
 }
 
-// NewRumor builds a checksummed rumor for the given tier member.
-func NewRumor(sd Seed) Rumor { return Rumor{Seed: sd, Sig: rumorSig(sd)} }
-
-// rumorSig computes the record checksum over "id|addr".
-func rumorSig(sd Seed) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(sd.ID.String()))
-	h.Write([]byte{'|'})
-	h.Write([]byte(sd.Addr))
-	return h.Sum64()
-}
-
-// Verify reports whether the checksum matches the record.
-func (r Rumor) Verify() bool { return r.Sig == rumorSig(r.Seed) }
-
-// Encode renders "id addr sig" (transport addresses contain no spaces).
-func (r Rumor) Encode() string {
-	return r.ID.String() + " " + string(r.Addr) + " " + strconv.FormatUint(r.Sig, 16)
-}
-
-// ParseRumor is the inverse of Encode. It rejects malformed records and
-// records whose checksum does not verify.
-func ParseRumor(v string) (Rumor, bool) {
-	fields := strings.Fields(v)
-	if len(fields) != 3 {
-		return Rumor{}, false
-	}
-	id, err := ids.Parse(fields[0])
-	if err != nil {
-		return Rumor{}, false
-	}
-	sig, err := strconv.ParseUint(fields[2], 16, 64)
-	if err != nil {
-		return Rumor{}, false
-	}
-	r := Rumor{Seed: Seed{ID: id, Addr: transport.Addr(fields[1])}, Sig: sig}
-	if !r.Verify() {
-		return Rumor{}, false
-	}
-	return r, true
-}
-
 // RumorStore accumulates tier rumors in ascending ID order. Unlike the
 // failover alternates — which each lease grant replaces wholesale — the
 // store only grows (or refreshes addresses), because a rumor's value is
@@ -227,26 +182,32 @@ func (rs *RumorStore) find(id ids.ID) (int, bool) {
 }
 
 // Add inserts a verified rumor, keeping ID order. A record for a known ID
-// refreshes the stored address. It reports whether the store changed.
-func (rs *RumorStore) Add(r Rumor) bool {
-	if !r.Verify() || r.Addr == "" || r.ID.IsNil() {
+// refreshes the stored address. It reports whether the store changed. r may
+// have been read in place off a loaned message (ParseRumorBytes): the store
+// copies the address it keeps, and a rumor it already holds costs nothing.
+func (rs *RumorStore) Add(r Rumor) bool { return r.Verify() && rs.add(r) }
+
+// add is Add for a rumor whose checksum is known to be good.
+func (rs *RumorStore) add(r Rumor) bool {
+	if r.Addr == "" || r.ID.IsNil() {
 		return false
 	}
 	delete(rs.misses, r.ID) // a fresh sighting resets the aging clock
 	i, ok := rs.find(r.ID)
-	if ok {
-		if rs.order[i].Addr == r.Addr {
-			return false
-		}
-		rs.order[i] = r
-		return true
+	if ok && rs.order[i].Addr == r.Addr {
+		return false
 	}
-	rs.order = slices.Insert(rs.order, i, r)
+	r.Seed = r.Seed.Clone()
+	if ok {
+		rs.order[i] = r
+	} else {
+		rs.order = slices.Insert(rs.order, i, r)
+	}
 	return true
 }
 
 // AddSeed is Add over a locally learned identity (checksummed here).
-func (rs *RumorStore) AddSeed(sd Seed) bool { return rs.Add(NewRumor(sd)) }
+func (rs *RumorStore) AddSeed(sd Seed) bool { return rs.add(NewRumor(sd)) }
 
 // Len returns the number of stored rumors.
 func (rs *RumorStore) Len() int { return len(rs.order) }
@@ -261,11 +222,14 @@ func (rs *RumorStore) All() []Rumor { return rs.order }
 // possibly the one pointer that bridges two islands. Rotating the window
 // guarantees the whole store circulates over successive messages. Inserts
 // shift the order, so a rotation step may repeat or skip an entry once;
-// the cycle stays complete and deterministic.
-func (rs *RumorStore) NextWindow(n int) []Rumor {
+// the cycle stays complete and deterministic. The window is returned as the
+// two runs of the store it covers — up to the end, then wrapped around from
+// the start — which share the store's backing array: read them before the
+// next Add or Sweep, and do not mutate them.
+func (rs *RumorStore) NextWindow(n int) (head, wrapped []Rumor) {
 	total := len(rs.order)
 	if total == 0 || n <= 0 {
-		return nil
+		return nil, nil
 	}
 	if n > total {
 		n = total
@@ -273,12 +237,10 @@ func (rs *RumorStore) NextWindow(n int) []Rumor {
 	if rs.cursor >= total {
 		rs.cursor = 0
 	}
-	out := make([]Rumor, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, rs.order[(rs.cursor+i)%total])
-	}
+	head = rs.order[rs.cursor:min(rs.cursor+n, total)]
+	wrapped = rs.order[:n-len(head)]
 	rs.cursor = (rs.cursor + n) % total
-	return out
+	return head, wrapped
 }
 
 // Sweep ages the store against a liveness oracle and reports how many
@@ -512,11 +474,18 @@ func (pv *PeerView) View() []ids.ID {
 // rendezvous" list a self-healing rendezvous shares with its lease clients,
 // and the seed set a promoted edge re-seeds its own peerview from.
 func (pv *PeerView) Members() []Seed {
-	out := make([]Seed, 0, len(pv.entries))
-	for _, en := range pv.entries {
-		out = append(out, Seed{ID: en.adv.PeerID, Addr: transport.Addr(en.adv.Address)})
+	out := make([]Seed, len(pv.entries))
+	for i := range out {
+		out[i] = pv.Member(i)
 	}
 	return out
+}
+
+// Member returns the i-th view entry, 0 ≤ i < Size(), in ascending ID order:
+// Members()[i] without the list.
+func (pv *PeerView) Member(i int) Seed {
+	adv := pv.entries[i].adv
+	return Seed{ID: adv.PeerID, Addr: transport.Addr(adv.Address)}
 }
 
 // Neighbors returns the current lower_rdv and upper_rdv: the entries whose

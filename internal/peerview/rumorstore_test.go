@@ -2,6 +2,7 @@ package peerview
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"jxta/internal/ids"
@@ -80,7 +81,8 @@ func TestRumorStoreSweepKeepsWindowRotation(t *testing.T) {
 	}
 	seen := make(map[ids.ID]bool)
 	for i := 0; i < rs.Len(); i++ {
-		for _, r := range rs.NextWindow(1) {
+		head, wrapped := rs.NextWindow(1)
+		for _, r := range slices.Concat(head, wrapped) {
 			seen[r.ID] = true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jxta/internal/endpoint"
+	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/message"
 	"jxta/internal/netmodel"
@@ -92,6 +93,17 @@ func newLeaseRig(t testing.TB, seed int64) (*leaseRig, []*message.Message) {
 	return &leaseRig{sched: sched, rdv: rdvs[0], edge: edges[0]}, seen
 }
 
+// horizonEnv notes the longest delay a timer was armed with.
+type horizonEnv struct {
+	env.Env
+	farthest time.Duration
+}
+
+func (e *horizonEnv) After(d time.Duration, fn func()) env.Timer {
+	e.farthest = max(e.farthest, d)
+	return e.Env.After(d, fn)
+}
+
 // observable renders what a lease service shows the rest of the node, into
 // memory of its own.
 func observable(s *Service) string {
@@ -103,8 +115,11 @@ func observable(s *Service) string {
 // started rendezvous and on a started edge, from a known client, the
 // rendezvous and a stranger. It must not panic; one message may grow the
 // client table, the rumor store and the merge backoff table by no more than
-// the entries it carried; and it must keep nothing of the message it was
-// lent (transport.Handler): overwriting every payload after the call leaves
+// the entries it carried; whatever durations it names, no client lease ends
+// later than a whole LeaseDuration from now and no timer is armed further
+// out than one (a grant or a handoff promises at most what could have been
+// asked for); and it must keep nothing of the message it was lent
+// (transport.Handler): overwriting every payload after the call leaves
 // Clients(), ConnectedRdv() and the rumor store reading as they did.
 func FuzzReceiveLease(f *testing.F) {
 	_, sent := newLeaseRig(f, 61)
@@ -126,6 +141,10 @@ func FuzzReceiveLease(f *testing.F) {
 		f.Add(byte(1), script)
 	}
 	f.Add(byte(0), []byte{10, 1, '1', 8, 3, 'x', ' ', 'y'}) // a tier probe with a malformed rumor
+	forever := "9000000000000000000"                        // 285 years, in nanoseconds
+	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemGranted, forever)))
+	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemHandoff, "1").AddString(leaseNS, elemClient,
+		ids.FromName(ids.KindPeer, "handed-off").String()+" sim://0/handed-off "+forever)))
 	var rig *leaseRig
 	f.Fuzz(func(t *testing.T, who byte, script []byte) {
 		if rig == nil || rig.rdv.svc.rumors.Len() > 256 || len(rig.rdv.svc.clients) > 256 {
@@ -135,18 +154,25 @@ func FuzzReceiveLease(f *testing.F) {
 		for _, s := range []*Service{rig.rdv.svc, rig.edge.svc} {
 			m, payloads := leaseFromScript(script)
 			clients, rumors, tried := len(s.clients), s.rumors.Len(), len(s.mergeTried)
+			timers := &horizonEnv{Env: s.env}
+			s.env = timers
 			s.receiveLease(src, m)
+			s.env = timers.Env
+			if timers.farthest > s.cfg.LeaseDuration {
+				t.Fatalf("a timer was armed %v out, LeaseDuration is %v", timers.farthest, s.cfg.LeaseDuration)
+			}
+			for id, cl := range s.clients {
+				if cl.expires > s.env.Now()+s.cfg.LeaseDuration {
+					t.Fatalf("client %s holds a lease for %v, LeaseDuration is %v", id.Short(), cl.expires-s.env.Now(), s.cfg.LeaseDuration)
+				}
+			}
 			room := m.Len() + 1 // the sender itself, once
 			if len(s.clients)-clients > room || s.rumors.Len()-rumors > room || len(s.mergeTried)-tried > room {
 				t.Fatalf("a message of %d elements grew clients %d→%d, rumors %d→%d, mergeTried %d→%d",
 					m.Len(), clients, len(s.clients), rumors, s.rumors.Len(), tried, len(s.mergeTried))
 			}
 			before := observable(s)
-			for _, p := range payloads {
-				for i := range p {
-					p[i] = 0xDB
-				}
-			}
+			scribble(payloads)
 			if after := observable(s); after != before {
 				t.Fatalf("state changed when the delivered message was overwritten:\n before %s\n after  %s", before, after)
 			}

@@ -30,7 +30,6 @@ package rendezvous
 
 import (
 	"strconv"
-	"strings"
 	"time"
 
 	"jxta/internal/endpoint"
@@ -258,14 +257,23 @@ type Service struct {
 	nextWalkID   uint64
 
 	// Edge role.
-	seeds       []peerview.Seed
-	seedIdx     int
+	seeds   []peerview.Seed
+	seedIdx int
+	// connectedTo, grantTarget (the peer the armed grant timer waits on) and
+	// started sit together because an ID is 17 bytes that align to one: the
+	// three fill 40, where each on its own is padded to 24 or 8 and the
+	// struct outgrows its 512-byte size class — 64 B on every idle edge.
 	connectedTo ids.ID
-	bootTimer   env.Timer // the immediate first lease request armed by Start
-	renewTimer  env.Timer
-	grantTimer  env.Timer
-	listeners   []LeaseListener
+	grantTarget ids.ID
 	started     bool
+	renewTimer  env.Timer // the next lease request: the first, armed by Start, or a renewal
+	grantTimer  env.Timer
+	// requestFn and timeoutFn are what those two timers run — requestLease,
+	// and onLeaseTimeout for grantTarget — each bound once, on first arm, so
+	// that re-arming a timer builds no closure.
+	requestFn func()
+	timeoutFn func()
+	listeners []LeaseListener
 
 	// Self-healing state (SelfHeal).
 	alternates   []peerview.Seed // rendezvous' peerview, from the last grant
@@ -273,8 +281,8 @@ type Service struct {
 	failCount    int             // unanswered lease requests in the current phase
 	episodeFails int             // unanswered requests since the last grant
 	awaitingSucc bool            // targeting the elected successor exclusively
+	dormant      bool            // failover budget exhausted; Connect revives
 	succTarget   peerview.Seed
-	dormant      bool // failover budget exhausted; Connect revives
 	promoteFn    func()
 	exporter     StateExporter
 
@@ -393,6 +401,8 @@ func (s *Service) selfRumor() peerview.Rumor {
 // a dead peer answers nothing. The retry backoff is one renewal period: a
 // peer that is dead or still an edge now may anchor an island later, and
 // the periodic retry (retryMerges) keeps asking.
+//
+// sd may be a view of a loaned message; nothing here keeps it.
 func (s *Service) maybeMerge(sd peerview.Seed) {
 	if !s.cfg.IslandMerge || !s.IsRendezvous() || !s.started {
 		return
@@ -406,12 +416,24 @@ func (s *Service) maybeMerge(sd peerview.Seed) {
 		return
 	}
 	s.markMergeTried(sd.ID, now)
-	if sd.Addr != "" {
-		s.ep.AddRoute(sd.ID, sd.Addr)
-	}
+	s.learnRoute(sd)
 	m := leaseMessage(elemTierProbe, "1")
-	m.AddString(leaseNS, elemRumor, s.selfRumor().Encode())
+	m.AddScratch(leaseNS, elemRumor, s.selfRumor().AppendEncode(m.Scratch()))
 	_ = s.sendLease(sd.ID, m)
+}
+
+// learnRoute records the route to a tier member or client. The endpoint keeps
+// the address it is given and sd may have been read in place off a loaned
+// message, so it is given a copy — when the route is new or has changed,
+// which on a renewal it has not.
+func (s *Service) learnRoute(sd peerview.Seed) {
+	if sd.Addr == "" {
+		return
+	}
+	if cur, ok := s.ep.RouteTo(sd.ID); ok && cur == sd.Addr {
+		return
+	}
+	s.ep.AddRoute(sd.ID, sd.Clone().Addr)
 }
 
 // leaseMessage starts a pooled lease-service message with its type element;
@@ -430,6 +452,13 @@ func (s *Service) sendLease(peer ids.ID, m *message.Out) error {
 	return err
 }
 
+// sendRedirect tells an edge to re-lease with succ.
+func (s *Service) sendRedirect(edge ids.ID, succ peerview.Seed) {
+	m := message.Acquire()
+	m.AddScratch(leaseNS, elemRedirect, succ.AppendEncode(m.Scratch()))
+	_ = s.sendLease(edge, m)
+}
+
 // retryMerges re-probes every rumored identity not yet in the view (rate
 // limited per target by maybeMerge). This is the convergence engine for an
 // island nobody leases with: its anchor keeps asking everyone it ever heard
@@ -446,11 +475,11 @@ func (s *Service) retryMerges() {
 // island's rendezvous. Either way the prober's own identity is remembered
 // (and, on an edge, gossiped onward at the next renewal), so probing a
 // foreign island makes this island learn the prober in return.
-func (s *Service) receiveTierProbe(src ids.ID, m *message.Message) {
+func (s *Service) receiveTierProbe(src ids.ID, rumor []byte) {
 	if !s.started || !s.cfg.IslandMerge {
 		return
 	}
-	prober, proberOK := peerview.ParseRumor(m.GetString(leaseNS, elemRumor))
+	prober, proberOK := peerview.ParseRumorBytes(rumor)
 	if proberOK = proberOK && prober.ID.Equal(src); proberOK {
 		s.learnRumor(prober)
 	}
@@ -470,7 +499,7 @@ func (s *Service) receiveTierProbe(src ids.ID, m *message.Message) {
 		// budget. The woken edge then gossips its old island's identities
 		// to the prober on its first renewal — dormant peers are bridges
 		// too, they just need waking.
-		s.succTarget = prober.Seed
+		s.succTarget = prober.Seed.Clone()
 		s.awaitingSucc = true
 		s.failCount = 0
 		s.episodeFails = 0
@@ -481,7 +510,7 @@ func (s *Service) receiveTierProbe(src ids.ID, m *message.Message) {
 		return // mid-failover edge: already looking for a lease
 	}
 	rsp := leaseMessage(elemTierAck, "1")
-	rsp.AddString(leaseNS, elemRumor, answer.Encode())
+	rsp.AddScratch(leaseNS, elemRumor, answer.AppendEncode(rsp.Scratch()))
 	_ = s.sendLease(src, rsp)
 }
 
@@ -489,11 +518,11 @@ func (s *Service) receiveTierProbe(src ids.ID, m *message.Message) {
 // is a confirmed live rendezvous — merge with it now; an answer naming a
 // third peer is a redirect to that island's anchor — learn it and let the
 // probe cycle reach it.
-func (s *Service) receiveTierAck(src ids.ID, m *message.Message) {
+func (s *Service) receiveTierAck(src ids.ID, rumor []byte) {
 	if !s.started || !s.cfg.IslandMerge || !s.IsRendezvous() {
 		return
 	}
-	r, ok := peerview.ParseRumor(m.GetString(leaseNS, elemRumor))
+	r, ok := peerview.ParseRumorBytes(rumor)
 	if !ok || r.ID.Equal(s.ep.ID()) {
 		return
 	}
@@ -504,7 +533,7 @@ func (s *Service) receiveTierAck(src ids.ID, m *message.Message) {
 	}
 	if !s.pv.Contains(r.ID) {
 		s.markMergeTried(r.ID, s.env.Now())
-		s.pv.Merge(r.Seed)
+		s.pv.Merge(r.Seed.Clone()) // the peerview routes to the address it is given
 	}
 }
 
@@ -532,8 +561,8 @@ func (s *Service) onPeerviewMerge(peer ids.ID) {
 // the counterpart is a member) or the rumor store.
 func (s *Service) tierSeed(id ids.ID) peerview.Seed {
 	if s.pv != nil {
-		for _, mb := range s.pv.Members() {
-			if mb.ID.Equal(id) {
+		for i := 0; i < s.pv.Size(); i++ {
+			if mb := s.pv.Member(i); mb.ID.Equal(id) {
 				return mb
 			}
 		}
@@ -557,7 +586,7 @@ func (s *Service) sendMergeRoster(peer ids.ID) {
 		if cl.addr == "" || cl.expires <= now || id.Equal(peer) {
 			continue
 		}
-		m.AddString(leaseNS, elemClient, encodeSeed(peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}))
+		m.AddScratch(leaseNS, elemClient, peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}.AppendEncode(m.Scratch()))
 		n++
 	}
 	if n == 0 {
@@ -578,12 +607,12 @@ func (s *Service) receiveMergeRoster(src ids.ID, m *message.Message) {
 	}
 	iLose := src.Less(s.ep.ID())
 	now := s.env.Now()
-	winner := encodeSeed(s.tierSeed(src))
+	winner := s.tierSeed(src)
 	for _, el := range m.Elements() {
 		if el.Namespace != leaseNS || el.Name != elemClient {
 			continue
 		}
-		sd, ok := parseSeed(string(el.Data))
+		sd, ok := peerview.ParseSeedBytes(el.Data)
 		if !ok || sd.ID.Equal(s.ep.ID()) {
 			continue
 		}
@@ -595,10 +624,8 @@ func (s *Service) receiveMergeRoster(src ids.ID, m *message.Message) {
 			continue // the counterpart drops and redirects when it sees our roster
 		}
 		delete(s.clients, sd.ID)
-		if cl.addr != "" {
-			s.ep.AddRoute(sd.ID, transport.Addr(cl.addr))
-		}
-		_ = s.sendLease(sd.ID, leaseMessage(elemRedirect, winner))
+		s.learnRoute(peerview.Seed{ID: sd.ID, Addr: transport.Addr(cl.addr)})
+		s.sendRedirect(sd.ID, winner)
 	}
 }
 
@@ -610,7 +637,8 @@ func (s *Service) markMergeTried(peer ids.ID, at time.Duration) {
 	s.mergeTried[peer] = at
 }
 
-// setClient grants or refreshes edge's lease in the client table.
+// setClient grants or refreshes edge's lease in the client table, which
+// keeps cl.addr: the caller passes a string of its own, not a view.
 func (s *Service) setClient(edge ids.ID, cl clientLease) {
 	if s.clients == nil {
 		s.clients = make(map[ids.ID]clientLease)
@@ -693,9 +721,7 @@ func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
 		if c.ID.Equal(s.ep.ID()) {
 			continue
 		}
-		if c.Addr != "" {
-			s.ep.AddRoute(c.ID, c.Addr)
-		}
+		s.learnRoute(c)
 		s.setClient(c.ID, clientLease{expires: s.env.Now() + dur, addr: string(c.Addr)})
 		if s.cfg.IslandMerge {
 			s.rumors.AddSeed(c)
@@ -734,7 +760,16 @@ func (s *Service) Start() {
 		s.clientSweep = env.NewTicker(s.env, s.cfg.LeaseDuration/4, s.sweepClients)
 		return
 	}
-	s.bootTimer = s.env.After(0, s.requestLease)
+	s.renewTimer = s.requestAfter(0)
+}
+
+// requestAfter arms a timer that asks for a lease: the first request, and
+// every renewal. requestLease itself ignores a stopped service.
+func (s *Service) requestAfter(d time.Duration) env.Timer {
+	if s.requestFn == nil {
+		s.requestFn = s.requestLease
+	}
+	return s.env.After(d, s.requestFn)
 }
 
 // Stop halts periodic work gracefully: every timer is canceled, an edge
@@ -770,10 +805,6 @@ func (s *Service) halt(sendCancel bool) {
 }
 
 func (s *Service) cancelTimers() {
-	if s.bootTimer != nil {
-		s.bootTimer.Cancel()
-		s.bootTimer = nil
-	}
 	if s.renewTimer != nil {
 		s.renewTimer.Cancel()
 		s.renewTimer = nil
@@ -861,27 +892,58 @@ func (s *Service) setConnected(rdv ids.ID) {
 	}
 }
 
-// candidates is the edge's failover rotation: the configured seeds followed
-// by the alternates learned from lease grants (the peerview fallback).
-func (s *Service) candidates() []peerview.Seed {
-	if len(s.alternates) == 0 {
-		return s.seeds
+// The edge's failover rotation is the configured seeds followed by the
+// alternates learned from lease grants (the peerview fallback) that are not
+// seeds themselves. It is read where it lies: a request builds no list.
+
+func (s *Service) isSeed(id ids.ID) bool {
+	for _, sd := range s.seeds {
+		if sd.ID.Equal(id) {
+			return true
+		}
 	}
-	out := make([]peerview.Seed, 0, len(s.seeds)+len(s.alternates))
-	out = append(out, s.seeds...)
+	return false
+}
+
+// candidateAt returns entry i of the rotation, wrapping around; false when
+// the rotation is empty.
+func (s *Service) candidateAt(i int) (peerview.Seed, bool) {
+	n := len(s.seeds)
 	for _, alt := range s.alternates {
-		dup := false
-		for _, sd := range s.seeds {
-			if sd.ID.Equal(alt.ID) {
-				dup = true
-				break
+		if !s.isSeed(alt.ID) {
+			n++
+		}
+	}
+	if n == 0 {
+		return peerview.Seed{}, false
+	}
+	if i %= n; i < len(s.seeds) {
+		return s.seeds[i], true
+	}
+	i -= len(s.seeds)
+	for _, alt := range s.alternates {
+		if s.isSeed(alt.ID) {
+			continue
+		}
+		if i == 0 {
+			return alt, true
+		}
+		i--
+	}
+	return peerview.Seed{}, false // unreachable: i < n
+}
+
+// candidate returns the rotation's entry for id, or the bare ID when the
+// rotation no longer lists it.
+func (s *Service) candidate(id ids.ID) peerview.Seed {
+	for _, list := range [2][]peerview.Seed{s.seeds, s.alternates} {
+		for _, c := range list {
+			if c.ID.Equal(id) {
+				return c
 			}
 		}
-		if !dup {
-			out = append(out, alt)
-		}
 	}
-	return out
+	return peerview.Seed{ID: id}
 }
 
 // requestLease asks the current candidate for a lease and arms the failover
@@ -897,23 +959,14 @@ func (s *Service) requestLease() {
 	case !s.connectedTo.IsNil():
 		// Renewal: stick with the current lease holder regardless of how
 		// the candidate rotation shifted as alternates were learned.
-		target = peerview.Seed{ID: s.connectedTo}
-		for _, c := range s.candidates() {
-			if c.ID.Equal(s.connectedTo) {
-				target = c
-				break
-			}
-		}
+		target = s.candidate(s.connectedTo)
 	default:
-		cands := s.candidates()
-		if len(cands) == 0 {
+		var ok bool
+		if target, ok = s.candidateAt(s.seedIdx); !ok {
 			return
 		}
-		target = cands[s.seedIdx%len(cands)]
 	}
-	if target.Addr != "" {
-		s.ep.AddRoute(target.ID, target.Addr)
-	}
+	s.learnRoute(target)
 	// A still-armed grant timer belongs to a superseded request (Connect
 	// during an in-flight attempt): cancel it, or its orphaned timeout
 	// would later tear down whatever lease this request establishes.
@@ -931,16 +984,18 @@ func (s *Service) requestLease() {
 		// the request is the edge→rendezvous gossip channel that bridges
 		// islands, and rotation guarantees every stored identity — however
 		// large the store grew — reaches the rendezvous eventually.
-		for _, r := range s.rumors.NextWindow(maxRumors) {
-			if r.ID.Equal(target.ID) {
-				continue // the target knows itself
+		head, wrapped := s.rumors.NextWindow(maxRumors)
+		for _, run := range [2][]peerview.Rumor{head, wrapped} {
+			for _, r := range run {
+				if r.ID.Equal(target.ID) {
+					continue // the target knows itself
+				}
+				m.AddScratch(leaseNS, elemRumor, r.AppendEncode(m.Scratch()))
 			}
-			m.AddString(leaseNS, elemRumor, r.Encode())
 		}
 	}
 	err := s.sendLease(target.ID, m)
 	s.m.requests.Inc()
-	tid := target.ID
 	delay := s.cfg.ResponseTimeout
 	if s.awaitingSucc {
 		// The elected successor may detect the failure minutes after us
@@ -952,7 +1007,11 @@ func (s *Service) requestLease() {
 		}
 		delay <<= uint(shift)
 	}
-	s.grantTimer = s.env.After(delay, func() { s.onLeaseTimeout(tid) })
+	if s.timeoutFn == nil {
+		s.timeoutFn = func() { s.onLeaseTimeout(s.grantTarget) }
+	}
+	s.grantTarget = target.ID
+	s.grantTimer = s.env.After(delay, s.timeoutFn)
 	if err != nil {
 		// Send failed outright; the timer will advance to the next seed.
 		return
@@ -1099,103 +1158,108 @@ func (s *Service) sweepClients() {
 	}
 }
 
-// encodeSeed renders "id addr" (transport addresses contain no spaces).
-func encodeSeed(sd peerview.Seed) string {
-	return sd.ID.String() + " " + string(sd.Addr)
-}
-
-// parseSeed is the inverse of encodeSeed.
-func parseSeed(v string) (peerview.Seed, bool) {
-	idStr, addr, found := strings.Cut(v, " ")
-	if !found {
-		return peerview.Seed{}, false
-	}
-	id, err := ids.Parse(idStr)
-	if err != nil {
-		return peerview.Seed{}, false
-	}
-	return peerview.Seed{ID: id, Addr: transport.Addr(addr)}, true
-}
-
 // appendGrantState attaches the self-healing snapshots to a lease grant:
 // up to maxAlternates peerview members and up to maxRoster client roster
 // entries (clients that shared an address), both in ascending ID order.
-func (s *Service) appendGrantState(m *message.Message) {
-	for i, member := range s.pv.Members() {
-		if i >= maxAlternates {
-			break
-		}
-		m.AddString(leaseNS, elemAlt, encodeSeed(member))
+func (s *Service) appendGrantState(m *message.Out) {
+	for i := 0; i < s.pv.Size() && i < maxAlternates; i++ {
+		m.AddScratch(leaseNS, elemAlt, s.pv.Member(i).AppendEncode(m.Scratch()))
 	}
-	n := 0
+	var buf [maxRoster]peerview.Seed
+	for _, c := range s.grantRoster(&buf) {
+		m.AddScratch(leaseNS, elemClient, c.AppendEncode(m.Scratch()))
+	}
+}
+
+// grantRoster selects into buf the maxRoster lowest-ID clients a grant may
+// roster, in ascending ID order, by inserting each into a short sorted run:
+// no list of the whole table is built or sorted. Expired leases linger until
+// the next sweep; rostering a dead client could make every elector
+// unanimously pick a dead successor, so only fresh leases qualify.
+func (s *Service) grantRoster(buf *[maxRoster]peerview.Seed) []peerview.Seed {
+	out := buf[:0]
 	now := s.env.Now()
-	for _, id := range s.Clients() {
-		cl := s.clients[id]
-		// Expired leases linger until the next sweep; rostering a dead
-		// client could make every elector unanimously pick a dead
-		// successor, so filter on freshness here.
+	for id, cl := range s.clients {
 		if cl.addr == "" || cl.expires <= now {
 			continue
 		}
-		if n >= maxRoster {
-			break
+		i := len(out)
+		if i < len(buf) {
+			out = out[:i+1]
+		} else if i--; !id.Less(out[i].ID) {
+			continue // the run is full of lower IDs
 		}
-		m.AddString(leaseNS, elemClient, encodeSeed(peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}))
-		n++
+		for ; i > 0 && id.Less(out[i-1].ID); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}
 	}
+	return out
 }
 
 // appendGrantRumors attaches tier rumors to a lease grant (IslandMerge):
 // this rendezvous itself, its current peerview members, and the rumor
 // store, deduplicated in that order and capped at maxRumors — the
 // rendezvous→edge half of the island gossip.
-func (s *Service) appendGrantRumors(m *message.Message, src ids.ID) {
+func (s *Service) appendGrantRumors(m *message.Out, src ids.ID) {
+	var sent [maxRumors]ids.ID
 	n := 0
-	seen := make(map[ids.ID]bool, maxRumors)
 	emit := func(sd peerview.Seed) {
-		if n >= maxRumors || sd.Addr == "" || sd.ID.Equal(src) || seen[sd.ID] {
+		if n >= maxRumors || sd.Addr == "" || sd.ID.Equal(src) {
 			return
 		}
-		seen[sd.ID] = true
-		m.AddString(leaseNS, elemRumor, peerview.NewRumor(sd).Encode())
+		for _, id := range sent[:n] {
+			if id.Equal(sd.ID) {
+				return
+			}
+		}
+		sent[n] = sd.ID
 		n++
+		m.AddScratch(leaseNS, elemRumor, peerview.NewRumor(sd).AppendEncode(m.Scratch()))
 	}
 	emit(peerview.Seed{ID: s.ep.ID(), Addr: s.ep.Addr()})
 	if s.pv != nil {
-		for _, member := range s.pv.Members() {
-			emit(member)
+		for i := 0; i < s.pv.Size(); i++ {
+			emit(s.pv.Member(i))
 		}
 	}
 	// Draw only the budget that is left after self + members, so the
 	// window cursor advances by what was actually consumed and the store's
 	// tail still circulates on later grants (drawing a full window here
 	// would pin small stores to the same ID-order prefix forever).
-	if n < maxRumors {
-		for _, r := range s.rumors.NextWindow(maxRumors - n) {
+	head, wrapped := s.rumors.NextWindow(maxRumors - n)
+	for _, run := range [2][]peerview.Rumor{head, wrapped} {
+		for _, r := range run {
 			emit(r.Seed)
 		}
 	}
 }
 
-// learnGrantState ingests the snapshots a self-healing grant carries,
-// replacing the previous ones wholesale (the grant is authoritative).
+// learnGrantState ingests the snapshots a self-healing grant carries. The
+// grant is authoritative: one that carries alternates or a roster replaces
+// both lists, one that carries neither leaves both. Every record is read in
+// place and compared with the entry the last grant left at its position, so
+// a grant that repeats the last one — a renewal's nearly always does — is
+// learned without copying anything.
 func (s *Service) learnGrantState(m *message.Message) {
-	var alts, roster []peerview.Seed
+	alts, roster := 0, 0
 	for _, el := range m.Elements() {
 		if el.Namespace != leaseNS {
 			continue
 		}
 		switch el.Name {
 		case elemAlt:
-			if sd, ok := parseSeed(string(el.Data)); ok {
-				alts = append(alts, sd)
+			if sd, ok := peerview.ParseSeedBytes(el.Data); ok {
+				s.alternates = setSeedAt(s.alternates, alts, sd)
+				alts++
 				if s.cfg.IslandMerge {
 					s.rumors.AddSeed(sd) // alternates are tier identities too
 				}
 			}
 		case elemClient:
-			if sd, ok := parseSeed(string(el.Data)); ok {
-				roster = append(roster, sd)
+			if sd, ok := peerview.ParseSeedBytes(el.Data); ok {
+				s.roster = setSeedAt(s.roster, roster, sd)
+				roster++
 				if s.cfg.IslandMerge && !sd.ID.Equal(s.ep.ID()) {
 					// Co-clients are bridge pointers: any of them may end
 					// up (or already be) inside another island, and a tier
@@ -1207,15 +1271,28 @@ func (s *Service) learnGrantState(m *message.Message) {
 			if !s.cfg.IslandMerge {
 				continue
 			}
-			if r, ok := peerview.ParseRumor(string(el.Data)); ok && !r.ID.Equal(s.ep.ID()) {
+			if r, ok := peerview.ParseRumorBytes(el.Data); ok && !r.ID.Equal(s.ep.ID()) {
 				s.rumors.Add(r)
 			}
 		}
 	}
-	if alts != nil || roster != nil {
-		s.alternates = alts
-		s.roster = roster
+	if alts > 0 || roster > 0 {
+		s.alternates = s.alternates[:alts]
+		s.roster = s.roster[:roster]
 	}
+}
+
+// setSeedAt makes sd entry i of list, 0 ≤ i ≤ len(list), reusing the backing
+// array. sd is a view of a loaned message: the entry already there is kept
+// when it reads the same, and otherwise gets an address of its own.
+func setSeedAt(list []peerview.Seed, i int, sd peerview.Seed) []peerview.Seed {
+	if i == len(list) {
+		return append(list, sd.Clone())
+	}
+	if list[i] != sd {
+		list[i] = sd.Clone()
+	}
+	return list
 }
 
 // handoff transfers this gracefully stopping rendezvous' responsibilities:
@@ -1227,9 +1304,7 @@ func (s *Service) handoff() {
 	if !ok {
 		return
 	}
-	if succ.Addr != "" {
-		s.ep.AddRoute(succ.ID, succ.Addr)
-	}
+	s.learnRoute(succ)
 	// 1. The lease table. An edge successor promotes itself on receipt.
 	hm := leaseMessage(elemHandoff, "1")
 	now := s.env.Now()
@@ -1242,9 +1317,8 @@ func (s *Service) handoff() {
 		if remaining <= 0 {
 			continue
 		}
-		hm.AddString(leaseNS, elemClient,
-			encodeSeed(peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)})+
-				" "+strconv.FormatInt(int64(remaining), 10))
+		rec := peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}.AppendEncode(hm.Scratch())
+		hm.AddScratch(leaseNS, elemClient, strconv.AppendInt(append(rec, ' '), int64(remaining), 10))
 	}
 	_ = s.sendLease(succ.ID, hm)
 	s.m.handoffs.Inc()
@@ -1258,12 +1332,11 @@ func (s *Service) handoff() {
 		}
 	}
 	// 3. Redirect the remaining fresh clients to the successor.
-	rv := encodeSeed(succ)
 	for _, id := range s.Clients() {
 		if id.Equal(succ.ID) || s.clients[id].expires <= now {
 			continue
 		}
-		_ = s.sendLease(id, leaseMessage(elemRedirect, rv))
+		s.sendRedirect(id, succ)
 	}
 }
 
@@ -1278,8 +1351,8 @@ func (s *Service) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 		want = lower
 	}
 	if !want.IsNil() {
-		for _, member := range s.pv.Members() {
-			if member.ID.Equal(want) {
+		for i := 0; i < s.pv.Size(); i++ {
+			if member := s.pv.Member(i); member.ID.Equal(want) {
 				return member, true
 			}
 		}
@@ -1297,103 +1370,133 @@ func (s *Service) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 	return pickSuccessor(s.cfg.Promotion, roster), true
 }
 
-// receiveLease handles both sides of the lease protocol. Grant and renewal
-// processing is gated on the running state — a stopped peer must neither
-// serve leases nor arm a renewal timer off a late grant (the leak-free
-// teardown contract); only the state-shedding Cancel branch always runs.
+// leaseHeader is the first lease: element of each name receiveLease decides
+// on, read in place: the slices alias the message's payloads.
+type leaseHeader struct {
+	// The type elements, in the order receiveLease tries them.
+	request, cancel, handoff, mergeRst, probe, ack, redirect, granted []byte
+	// What a request, and a tier probe or ack, carries besides.
+	addr, rumor []byte
+}
+
+func readLeaseHeader(m *message.Message) (h leaseHeader) {
+	m.Read(leaseNS,
+		message.Field{Name: elemRequest, Into: &h.request},
+		message.Field{Name: elemCancelled, Into: &h.cancel},
+		message.Field{Name: elemHandoff, Into: &h.handoff},
+		message.Field{Name: elemMergeRst, Into: &h.mergeRst},
+		message.Field{Name: elemTierProbe, Into: &h.probe},
+		message.Field{Name: elemTierAck, Into: &h.ack},
+		message.Field{Name: elemRedirect, Into: &h.redirect},
+		message.Field{Name: elemGranted, Into: &h.granted},
+		message.Field{Name: elemAddr, Into: &h.addr},
+		message.Field{Name: elemRumor, Into: &h.rumor})
+	return h
+}
+
+// receiveLease handles both sides of the lease protocol. What kind of
+// message this is is the first non-empty type element in the order below.
+// Grant and renewal processing is gated on the running state — a stopped
+// peer must neither serve leases nor arm a renewal timer off a late grant
+// (the leak-free teardown contract); only the state-shedding Cancel branch
+// always runs.
 func (s *Service) receiveLease(src ids.ID, m *message.Message) {
-	if req := m.GetString(leaseNS, elemRequest); req != "" {
-		if !s.started || !s.IsRendezvous() {
-			return // edges and stopped peers do not grant leases
-		}
-		dur, granted := s.cfg.LeaseDuration, s.leaseText
-		if v, err := strconv.ParseInt(req, 10, 64); err == nil && v > 0 && time.Duration(v) < dur {
-			dur, granted = time.Duration(v), strconv.FormatInt(v, 10)
-		}
-		if _, renewal := s.clients[src]; renewal {
-			s.m.renewed.Inc()
-		} else {
-			s.m.granted.Inc()
-		}
-		s.setClient(src, clientLease{
-			expires: s.env.Now() + dur,
-			addr:    m.GetString(leaseNS, elemAddr),
-		})
-		if s.cfg.IslandMerge {
-			for _, el := range m.Elements() {
-				if el.Namespace != leaseNS || el.Name != elemRumor {
-					continue
-				}
-				if r, ok := peerview.ParseRumor(string(el.Data)); ok {
-					s.learnRumor(r)
-				}
-			}
-		}
-		rsp := leaseMessage(elemGranted, granted)
-		if s.cfg.SelfHeal {
-			s.appendGrantState(&rsp.Message)
-		}
-		if s.cfg.IslandMerge {
-			s.appendGrantRumors(&rsp.Message, src)
-		}
-		_ = s.sendLease(src, rsp)
-		return
-	}
-	if m.GetString(leaseNS, elemCancelled) != "" {
+	h := readLeaseHeader(m)
+	switch {
+	case len(h.request) != 0:
+		s.receiveRequest(src, h.request, h.addr, m)
+	case len(h.cancel) != 0:
 		if _, held := s.clients[src]; held {
 			s.m.cancelled.Inc()
 		}
 		delete(s.clients, src)
-		return
-	}
-	if m.GetString(leaseNS, elemHandoff) != "" {
+	case len(h.handoff) != 0:
 		s.receiveHandoff(m)
-		return
-	}
-	if m.GetString(leaseNS, elemMergeRst) != "" {
+	case len(h.mergeRst) != 0:
 		s.receiveMergeRoster(src, m)
-		return
+	case len(h.probe) != 0:
+		s.receiveTierProbe(src, h.rumor)
+	case len(h.ack) != 0:
+		s.receiveTierAck(src, h.rumor)
+	case len(h.redirect) != 0:
+		s.receiveRedirect(src, h.redirect)
+	case len(h.granted) != 0:
+		s.receiveGrant(src, h.granted, m)
 	}
-	if m.GetString(leaseNS, elemTierProbe) != "" {
-		s.receiveTierProbe(src, m)
-		return
+}
+
+// receiveRequest grants or renews src's lease (rendezvous role).
+func (s *Service) receiveRequest(src ids.ID, asked, edgeAddr []byte, m *message.Message) {
+	if !s.started || !s.IsRendezvous() {
+		return // edges and stopped peers do not grant leases
 	}
-	if m.GetString(leaseNS, elemTierAck) != "" {
-		s.receiveTierAck(src, m)
-		return
+	dur := s.cfg.LeaseDuration
+	if v, err := strconv.ParseInt(string(asked), 10, 64); err == nil && v > 0 && time.Duration(v) < dur {
+		dur = time.Duration(v)
 	}
-	if red := m.GetString(leaseNS, elemRedirect); red != "" {
-		s.receiveRedirect(src, red)
-		return
+	old, renewal := s.clients[src]
+	if renewal {
+		s.m.renewed.Inc()
+	} else {
+		s.m.granted.Inc()
 	}
-	if granted := m.GetString(leaseNS, elemGranted); granted != "" {
-		if !s.started || s.IsRendezvous() {
-			return // grant raced our Stop or promotion: arm nothing
-		}
-		v, err := strconv.ParseInt(granted, 10, 64)
-		if err != nil || v <= 0 {
-			return
-		}
-		if s.grantTimer != nil {
-			s.grantTimer.Cancel()
-			s.grantTimer = nil
-		}
-		s.failCount = 0
-		s.episodeFails = 0
-		s.awaitingSucc = false
-		s.dormant = false
-		s.setConnected(src)
-		s.learnGrantState(m)
-		renewIn := time.Duration(float64(v) * s.cfg.RenewFraction)
-		if s.renewTimer != nil {
-			s.renewTimer.Cancel()
-		}
-		s.renewTimer = s.env.After(renewIn, func() {
-			if s.started {
-				s.requestLease()
+	addr := old.addr // a renewing client's address is the string on file
+	if addr != string(edgeAddr) {
+		addr = string(edgeAddr)
+	}
+	s.setClient(src, clientLease{expires: s.env.Now() + dur, addr: addr})
+	if s.cfg.IslandMerge {
+		for _, el := range m.Elements() {
+			if el.Namespace != leaseNS || el.Name != elemRumor {
+				continue
 			}
-		})
+			if r, ok := peerview.ParseRumorBytes(el.Data); ok {
+				s.learnRumor(r)
+			}
+		}
 	}
+	rsp := message.Acquire()
+	if dur == s.cfg.LeaseDuration {
+		rsp.AddString(leaseNS, elemGranted, s.leaseText)
+	} else {
+		rsp.AddScratch(leaseNS, elemGranted, strconv.AppendInt(rsp.Scratch(), int64(dur), 10))
+	}
+	if s.cfg.SelfHeal {
+		s.appendGrantState(rsp)
+	}
+	if s.cfg.IslandMerge {
+		s.appendGrantRumors(rsp, src)
+	}
+	_ = s.sendLease(src, rsp)
+}
+
+// receiveGrant takes up the lease src granted and arms its renewal (edge
+// role).
+func (s *Service) receiveGrant(src ids.ID, granted []byte, m *message.Message) {
+	if !s.started || s.IsRendezvous() {
+		return // grant raced our Stop or promotion: arm nothing
+	}
+	v, err := strconv.ParseInt(string(granted), 10, 64)
+	if err != nil || v <= 0 {
+		return
+	}
+	// A rendezvous grants what was asked for or less; one that promises more
+	// does not get to keep this edge from renewing on its own schedule.
+	dur := min(time.Duration(v), s.cfg.LeaseDuration)
+	if s.grantTimer != nil {
+		s.grantTimer.Cancel()
+		s.grantTimer = nil
+	}
+	s.failCount = 0
+	s.episodeFails = 0
+	s.awaitingSucc = false
+	s.dormant = false
+	s.setConnected(src)
+	s.learnGrantState(m)
+	if s.renewTimer != nil {
+		s.renewTimer.Cancel()
+	}
+	s.renewTimer = s.requestAfter(time.Duration(float64(dur) * s.cfg.RenewFraction))
 }
 
 // receiveHandoff imports a predecessor's lease table. An edge promotes
@@ -1416,22 +1519,20 @@ func (s *Service) receiveHandoff(m *message.Message) {
 		if el.Namespace != leaseNS || el.Name != elemClient {
 			continue
 		}
-		fields := strings.Fields(string(el.Data))
-		if len(fields) != 3 {
-			continue
-		}
-		sd, ok := parseSeed(fields[0] + " " + fields[1])
+		sd, left, ok := peerview.ParseRecordBytes(el.Data)
 		if !ok || sd.ID.Equal(s.ep.ID()) {
 			continue
 		}
-		remaining, err := strconv.ParseInt(fields[2], 10, 64)
+		remaining, err := strconv.ParseInt(string(left), 10, 64)
 		if err != nil || remaining <= 0 {
 			continue
 		}
-		s.ep.AddRoute(sd.ID, sd.Addr)
+		// What is left of a lease is no more than a whole one.
+		remaining = min(remaining, int64(s.cfg.LeaseDuration))
+		s.learnRoute(sd)
 		s.setClient(sd.ID, clientLease{
 			expires: now + time.Duration(remaining),
-			addr:    string(sd.Addr),
+			addr:    string(sd.Clone().Addr),
 		})
 	}
 }
@@ -1440,11 +1541,11 @@ func (s *Service) receiveHandoff(m *message.Message) {
 // gracefully stopping rendezvous (SelfHeal) or a merge reconciliation
 // loser (IslandMerge) named — accepted whenever either machinery that can
 // send redirects is enabled.
-func (s *Service) receiveRedirect(src ids.ID, val string) {
+func (s *Service) receiveRedirect(src ids.ID, val []byte) {
 	if !s.started || !(s.cfg.SelfHeal || s.cfg.IslandMerge) || s.IsRendezvous() {
 		return
 	}
-	succ, ok := parseSeed(val)
+	succ, ok := peerview.ParseSeedBytes(val)
 	if !ok || succ.ID.Equal(s.ep.ID()) {
 		return
 	}
@@ -1454,7 +1555,7 @@ func (s *Service) receiveRedirect(src ids.ID, val string) {
 	if s.connectedTo.Equal(src) {
 		s.setConnected(ids.Nil)
 	}
-	s.succTarget = succ
+	s.succTarget = succ.Clone()
 	s.awaitingSucc = true
 	s.failCount = 0
 	s.dormant = false

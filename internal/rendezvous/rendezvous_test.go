@@ -627,15 +627,15 @@ func TestGracefulHandoffTransfersLeaseTable(t *testing.T) {
 
 func TestSeedRoundTrip(t *testing.T) {
 	sd := peerview.Seed{ID: ids.FromName(ids.KindPeer, "x"), Addr: "sim://x"}
-	got, ok := parseSeed(encodeSeed(sd))
+	got, ok := peerview.ParseSeedBytes(sd.AppendEncode(nil))
 	if !ok || !got.ID.Equal(sd.ID) || got.Addr != sd.Addr {
 		t.Fatalf("seed round-trip: %+v ok=%v", got, ok)
 	}
-	if _, ok := parseSeed("garbage"); ok {
-		t.Fatal("parseSeed accepted garbage")
+	if _, ok := peerview.ParseSeedBytes([]byte("garbage")); ok {
+		t.Fatal("ParseSeedBytes accepted garbage")
 	}
-	if _, ok := parseSeed("not-an-id sim://x"); ok {
-		t.Fatal("parseSeed accepted a bad ID")
+	if _, ok := peerview.ParseSeedBytes([]byte("not-an-id sim://x")); ok {
+		t.Fatal("ParseSeedBytes accepted a bad ID")
 	}
 }
 
