@@ -271,15 +271,10 @@ func perf() (any, error) {
 // an ideal one-core-per-shard machine (total events over barrier-model
 // critical-path events), so the trajectory stays comparable across boxes.
 type scalePoint struct {
-	Workload string `json:"workload"`
-	R        int    `json:"r"`
-	Edges    int    `json:"edges"`
-	Shards   int    `json:"shards"`
-	// Barrier marks a run on the opt-out global-barrier engine; sharded
-	// runs are window-pipelined by default since PR 9 (earlier trajectory
-	// files carry the inverse "pipeline" flag from when the barrier was
-	// the default).
-	Barrier      bool    `json:"barrier,omitempty"`
+	Workload     string  `json:"workload"`
+	R            int     `json:"r"`
+	Edges        int     `json:"edges"`
+	Shards       int     `json:"shards"`
 	Lean         bool    `json:"lean,omitempty"`
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	WallMs       float64 `json:"wall_ms"`
@@ -320,12 +315,12 @@ func scale() (any, error) {
 	}
 	summary := map[string]any{}
 	if *csvFlag {
-		fmt.Println("workload,r,edges,shards,barrier,lean,gomaxprocs,wallMs,steps,eventsPerSec,windows,avgBusy,crossShard,speedupBound,speedupWall,heapBytesPerEdge")
+		fmt.Println("workload,r,edges,shards,lean,gomaxprocs,wallMs,steps,eventsPerSec,windows,avgBusy,crossShard,speedupBound,speedupWall,heapBytesPerEdge")
 	}
 	emit := func(p scalePoint) {
 		if *csvFlag {
-			fmt.Printf("%s,%d,%d,%d,%v,%v,%d,%.1f,%d,%.0f,%d,%.2f,%d,%.2f,%.2f,%.0f\n",
-				p.Workload, p.R, p.Edges, p.Shards, p.Barrier, p.Lean, p.GOMAXPROCS, p.WallMs, p.Steps,
+			fmt.Printf("%s,%d,%d,%d,%v,%d,%.1f,%d,%.0f,%d,%.2f,%d,%.2f,%.2f,%.0f\n",
+				p.Workload, p.R, p.Edges, p.Shards, p.Lean, p.GOMAXPROCS, p.WallMs, p.Steps,
 				p.EventsPerSec, p.Windows, p.AvgBusy, p.CrossShard, p.SpeedupBound, p.SpeedupWall, p.HeapBytesPerEdge)
 			return
 		}
@@ -343,8 +338,7 @@ func scale() (any, error) {
 			return scalePoint{}, err
 		}
 		p := scalePoint{
-			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards,
-			Barrier: spec.Barrier, Lean: spec.Lean,
+			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards, Lean: spec.Lean,
 			GOMAXPROCS: runtime.GOMAXPROCS(0), WallMs: res.WallMs, Steps: res.Steps,
 			EventsPerSec: res.EventsPerSec, Windows: res.Windows, AvgBusy: res.AvgBusy,
 			CrossShard: res.CrossShard, SpeedupBound: res.SpeedupBound,
@@ -380,26 +374,6 @@ func scale() (any, error) {
 	}
 	summary["shard_sweep"] = points
 
-	// The same sweep on the opt-out global-barrier engine (sharded runs
-	// are window-pipelined by default since PR 9). The bound column is
-	// what moves — pipelining loosens the critical path that the barrier
-	// pins to the slowest shard of every window.
-	var barrierPoints []scalePoint
-	for _, shards := range sweepShards {
-		if shards == 1 {
-			continue // single shard runs barrier-free either way
-		}
-		p, err := runOne("edge-lease-barrier", experiments.ScaleSpec{
-			R: sweepR, Edges: sweepEdges, Shards: shards, Barrier: true,
-			Duration: sweepDur, Seed: *seedFlag,
-		}, serialEps)
-		if err != nil {
-			return nil, err
-		}
-		barrierPoints = append(barrierPoints, p)
-	}
-	summary["barrier_sweep"] = barrierPoints
-
 	// GOMAXPROCS curve at the highest shard count: same virtual run, only
 	// the OS-thread budget varies (deterministic stats, varying wall time).
 	curveShards := sweepShards[len(sweepShards)-1]
@@ -424,23 +398,19 @@ func scale() (any, error) {
 	// 9 shards places one site per shard.
 	var pv []scalePoint
 	pvSerial := 0.0
-	runPV := func(shards int, barrier bool) error {
+	for _, shards := range pvShards {
 		start := time.Now()
 		res, err := experiments.RunPeerview(experiments.PeerviewSpec{
 			R: pvR, Topology: topology.Chain, Duration: pvDur,
-			Seed: *seedFlag, Shards: shards, Barrier: barrier,
+			Seed: *seedFlag, Shards: shards,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		wall := time.Since(start)
-		name := fmt.Sprintf("peerview-r%d-%dmin", pvR, int(pvDur.Minutes()))
-		if barrier {
-			name += "-barrier"
-		}
 		p := scalePoint{
-			Workload: name, Barrier: barrier,
-			R: pvR, Shards: shards, GOMAXPROCS: runtime.GOMAXPROCS(0),
+			Workload: fmt.Sprintf("peerview-r%d-%dmin", pvR, int(pvDur.Minutes())),
+			R:        pvR, Shards: shards, GOMAXPROCS: runtime.GOMAXPROCS(0),
 			WallMs:       float64(wall.Nanoseconds()) / 1e6,
 			Steps:        res.Steps,
 			EventsPerSec: float64(res.Steps) / wall.Seconds(),
@@ -451,7 +421,7 @@ func scale() (any, error) {
 		if res.Parallel.Windows > 0 {
 			p.AvgBusy = float64(res.Parallel.BusyShardSum) / float64(res.Parallel.Windows)
 		}
-		if shards == 1 && !barrier {
+		if shards == 1 {
 			pvSerial = p.EventsPerSec
 			p.SpeedupWall = 1
 		} else if pvSerial > 0 {
@@ -459,24 +429,6 @@ func scale() (any, error) {
 		}
 		emit(p)
 		pv = append(pv, p)
-		return nil
-	}
-	// Default (pipelined) points: the sparse peerview workload is where the
-	// global barrier caps the bound (burst-aligned gossip rounds), so this
-	// is the pipelined engine's showcase.
-	for _, shards := range pvShards {
-		if err := runPV(shards, false); err != nil {
-			return nil, err
-		}
-	}
-	// The barrier opt-out on the same sharded points, for the comparison.
-	for _, shards := range pvShards {
-		if shards == 1 {
-			continue
-		}
-		if err := runPV(shards, true); err != nil {
-			return nil, err
-		}
 	}
 	summary["peerview"] = pv
 

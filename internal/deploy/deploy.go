@@ -41,21 +41,12 @@ type Spec struct {
 	// Shards selects the simulation engine: ≤1 (the default) runs the
 	// serial scheduler, byte-identical to every earlier release; >1 runs
 	// the conservative sharded engine with peers partitioned by site
-	// (clamped to the number of modeled sites). Protocol outcomes are
-	// deterministic for a given (Seed, Shards) pair but differ between
-	// shard counts: per-node RNG streams derive from per-shard seeds.
+	// (clamped to the number of modeled sites), every shard waiting at a
+	// global barrier between lookahead windows. Protocol outcomes are
+	// deterministic for a given (Seed, Shards) pair at any GOMAXPROCS but
+	// differ between shard counts: per-node RNG streams derive from
+	// per-shard seeds.
 	Shards int
-	// BarrierWindows, with Shards > 1, opts out of window pipelining and
-	// runs the sharded engine's original global window barrier: every
-	// shard waits for the globally slowest shard between windows. The
-	// barrier path is byte-identical to earlier barrier-mode releases; the
-	// default pipelined path replaces the barrier with per-(src,dst)
-	// sealed exchange queues, so a shard starts its next window as soon as
-	// its own inputs are sealed. Both are bit-reproducible at any
-	// GOMAXPROCS, but window boundaries differ between the two, so
-	// outcomes are deterministic per (Seed, Shards, BarrierWindows)
-	// triple.
-	BarrierWindows bool
 	// Hibernate is ignored: every deployed edge is built small (AddEdge).
 	// The field stays because the repository benchmark sets it.
 	//
@@ -168,9 +159,6 @@ func Build(spec Spec) (*Overlay, error) {
 			return nil, fmt.Errorf("deploy: model admits no conservative lookahead across %d shards (zero inter-site latency)", shards)
 		}
 		ss := simnet.NewSharded(spec.Seed, shards, lookahead)
-		if !spec.BarrierWindows {
-			ss.EnablePipelining(model.ShardLagMatrix(assign, shards, lookahead))
-		}
 		net, err := transport.NewShardedNetwork(ss, model, assign)
 		if err != nil {
 			return nil, err

@@ -39,11 +39,6 @@ type PeerviewSpec struct {
 	// schedulers (see deploy.Spec.Shards). 0 or 1 keeps the serial engine
 	// and its bit-exact golden trajectories.
 	Shards int
-	// Barrier opts out of window pipelining on the sharded engine and runs
-	// the original global window barrier (deploy.Spec.BarrierWindows). The
-	// sparse peerview workload is exactly where the barrier caps the
-	// speedup bound, so the default pipelined path is the showcase axis.
-	Barrier bool
 }
 
 func (s PeerviewSpec) withDefaults() PeerviewSpec {
@@ -103,13 +98,12 @@ type PeerviewResult struct {
 func RunPeerview(spec PeerviewSpec) (PeerviewResult, error) {
 	spec = spec.withDefaults()
 	o, err := deploy.Build(deploy.Spec{
-		Seed:           spec.Seed,
-		NumRdv:         spec.R,
-		Topology:       spec.Topology,
-		Fanout:         spec.Fanout,
-		Shards:         spec.Shards,
-		BarrierWindows: spec.Barrier,
-		Peerview:       peerview.Config{EntryExpiry: spec.EntryExpiry},
+		Seed:     spec.Seed,
+		NumRdv:   spec.R,
+		Topology: spec.Topology,
+		Fanout:   spec.Fanout,
+		Shards:   spec.Shards,
+		Peerview: peerview.Config{EntryExpiry: spec.EntryExpiry},
 	})
 	if err != nil {
 		return PeerviewResult{}, err

@@ -24,12 +24,8 @@ type ScaleSpec struct {
 	// rendezvous).
 	Edges int
 	// Shards selects the engine (≤1 serial, >1 conservative sharded).
+	// Deterministic per (Seed, Shards).
 	Shards int
-	// Barrier opts out of window pipelining on the sharded engine and
-	// runs the original global window barrier
-	// (deploy.Spec.BarrierWindows). Deterministic per
-	// (Seed, Shards, Barrier); each path is pinned by its own golden.
-	Barrier bool
 	// Lean shares one population-wide metrics registry across peers and
 	// drops per-node trace rings — the memory configuration for 100k+
 	// edge populations (deploy.Spec.LeanMetrics). It is the only memory
@@ -114,14 +110,13 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 	}
 	baseHeap := liveHeap()
 	o, err := deploy.Build(deploy.Spec{
-		Seed:           spec.Seed,
-		NumRdv:         spec.R,
-		Shards:         spec.Shards,
-		BarrierWindows: spec.Barrier,
-		LeanMetrics:    spec.Lean,
-		Topology:       topology.Chain,
-		Lease:          rendezvous.Config{LeaseDuration: spec.Lease},
-		Edges:          groups,
+		Seed:        spec.Seed,
+		NumRdv:      spec.R,
+		Shards:      spec.Shards,
+		LeanMetrics: spec.Lean,
+		Topology:    topology.Chain,
+		Lease:       rendezvous.Config{LeaseDuration: spec.Lease},
+		Edges:       groups,
 	})
 	if err != nil {
 		return ScaleResult{}, err

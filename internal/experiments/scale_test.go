@@ -25,16 +25,17 @@ func goldenScaleSpec() ScaleSpec {
 		Duration: 10 * time.Minute, Lease: 2 * time.Minute, Seed: 7}
 }
 
-// goldenScale pins the sharded engine's determinism contract on its
-// default path, which since PR 9 is window-pipelined: per-pair sealing
-// replaces the global barrier, so window boundaries differ from the barrier
-// golden below, but the trajectory replays bit-for-bit at any GOMAXPROCS.
-// The serial goldens above prove Shards=1 is byte-identical to the original
-// engine. Recapture per the note at the top of golden_test.go only for
-// intended model changes. (Identical to PR 8's goldenScalePipelined — the
-// default flip changed which spec reaches this trajectory, not the
-// trajectory itself.)
-const goldenScale = "steps=8722 msgs=3036 bytes=1448039 dropped=0 view=0x1.1p+04 leased=54 windows=418 maxbusy=4 cross=1430"
+// goldenScale pins the sharded engine's determinism contract: the scenario
+// replays bit-for-bit, window count included, at any GOMAXPROCS. The serial
+// goldens prove Shards=1 is byte-identical to the original engine. Recapture
+// per the note at the top of golden_test.go only for intended model changes.
+//
+// The string is not a new trajectory. It is the window barrier's fingerprint
+// as PR 6 captured it, pinned as goldenScaleBarrier from PR 9 to PR 25
+// while a window-pipelined engine was the default. Its protocol fields —
+// steps, messages, bytes, view, leases, cross-shard events — equal those of
+// the deleted pipelined golden; only the window count differed (354 vs 418).
+const goldenScale = "steps=8722 msgs=3036 bytes=1448039 dropped=0 view=0x1.1p+04 leased=54 windows=354 maxbusy=4 cross=1430"
 
 func TestGoldenScaleShardedReplay(t *testing.T) {
 	res, err := RunScale(goldenScaleSpec())
@@ -53,67 +54,53 @@ func TestGoldenScaleShardedReplay(t *testing.T) {
 	}
 }
 
-// goldenScaleBarrier pins the opt-out global-barrier engine on the same
-// scenario: byte-identical to the pre-PR-9 default-path golden (then named
-// goldenScale), proving the Barrier switch reaches the exact engine that
-// shipped in PR 6. Recapture per the note at the top of golden_test.go.
-const goldenScaleBarrier = "steps=8722 msgs=3036 bytes=1448039 dropped=0 view=0x1.1p+04 leased=54 windows=354 maxbusy=4 cross=1430"
-
+// TestGoldenScaleBarrierReplay pins the window barrier's golden — the
+// string it has held since PR 6 — with every shard window on one OS
+// thread: the golden itself, not only a replay of it, is independent of
+// GOMAXPROCS.
 func TestGoldenScaleBarrierReplay(t *testing.T) {
-	spec := goldenScaleSpec()
-	spec.Barrier = true
-	res, err := RunScale(spec)
+	prev := runtime.GOMAXPROCS(1)
+	res, err := RunScale(goldenScaleSpec())
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := scaleFingerprint(res)
-	if goldenScaleBarrier == "UNSET" {
-		t.Fatalf("golden uninitialized; capture this:\n%s", got)
-	}
-	if got != goldenScaleBarrier {
-		t.Fatalf("barrier golden diverged:\n got %s\nwant %s", got, goldenScaleBarrier)
-	}
-	if res.Leased != res.Spec.Edges {
-		t.Fatalf("only %d/%d edges leased", res.Leased, res.Spec.Edges)
+	if got := scaleFingerprint(res); got != goldenScale {
+		t.Fatalf("barrier golden diverged at GOMAXPROCS=1:\n got %s\nwant %s", got, goldenScale)
 	}
 }
 
 // TestScaleShardedGOMAXPROCSInvariant is the cross-GOMAXPROCS determinism
 // property: the window coordinator decides barriers from event content
 // alone, so the same spec must produce byte-identical stats whether shard
-// windows run on one OS thread or eight. The default pipelined path makes
-// the same promise with a different mechanism — drains and seals decided
-// from window indices and sealed watermarks, never thread timing — so both
-// it and the barrier opt-out run under the property.
+// windows run on one OS thread or eight.
 func TestScaleShardedGOMAXPROCSInvariant(t *testing.T) {
-	for _, barrier := range []bool{false, true} {
-		spec := ScaleSpec{R: 18, Edges: 36, Shards: 8, Barrier: barrier,
-			Duration: 6 * time.Minute, Lease: time.Minute, Seed: 21}
-		var base string
-		for _, gmp := range []int{1, 2, 8} {
-			prev := runtime.GOMAXPROCS(gmp)
-			res, err := RunScale(spec)
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatal(err)
+	spec := ScaleSpec{R: 18, Edges: 36, Shards: 8,
+		Duration: 6 * time.Minute, Lease: time.Minute, Seed: 21}
+	var base string
+	for _, gmp := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(gmp)
+		res, err := RunScale(spec)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := scaleFingerprint(res)
+		if base == "" {
+			base = fp
+			if res.CrossShard == 0 {
+				t.Fatal("scenario exercised no cross-shard traffic")
 			}
-			fp := scaleFingerprint(res)
-			if base == "" {
-				base = fp
-				if res.CrossShard == 0 {
-					t.Fatal("scenario exercised no cross-shard traffic")
-				}
-				continue
-			}
-			if fp != base {
-				t.Fatalf("barrier=%v GOMAXPROCS=%d diverged:\n got %s\nwant %s", barrier, gmp, fp, base)
-			}
+			continue
+		}
+		if fp != base {
+			t.Fatalf("GOMAXPROCS=%d diverged:\n got %s\nwant %s", gmp, fp, base)
 		}
 	}
 }
 
-// TestScaleSerialMatchesShardsOne pins that Shards=1 through the scale
-// driver uses the serial engine (no windows, no exchange machinery).
+// TestScaleSerialPath pins that Shards=1 through the scale driver uses the
+// serial engine (no windows, no exchange machinery).
 func TestScaleSerialPath(t *testing.T) {
 	res, err := RunScale(ScaleSpec{R: 6, Edges: 6, Shards: 1,
 		Duration: 2 * time.Minute, Seed: 3})

@@ -241,64 +241,6 @@ func (m *Model) ShardLookahead(assign []int) time.Duration {
 	return la
 }
 
-// ShardLagMatrix derives the per-(src,dst) window-lag matrix the pipelined
-// sharded engine consumes: lag[a][b] is how many whole lookahead windows the
-// (a,b) cross-shard latency floor spans, i.e. floor(minPair(a,b)/window)
-// where minPair is the minimum over site pairs (i∈a, j∈b) of the worst-case
-// jittered one-way propagation latency. An event emitted during sender
-// window w toward shard b therefore arrives no earlier than window
-// w+lag[a][b]; because the window itself is the global minimum floor minus
-// 1ns, every entry is ≥ 1. Distant shard pairs get larger lags, which is
-// what lets the pipelined engine run them several windows apart — with a
-// uniform lag of 1 the pipelined critical path provably equals the barrier
-// one. Diagonal entries are unused and set to 1.
-func (m *Model) ShardLagMatrix(assign []int, shards int, window time.Duration) [][]int {
-	lag := make([][]int, shards)
-	for a := range lag {
-		lag[a] = make([]int, shards)
-		for b := range lag[a] {
-			lag[a][b] = 1
-		}
-	}
-	if window <= 0 {
-		return lag
-	}
-	minPair := make([][]time.Duration, shards)
-	for a := range minPair {
-		minPair[a] = make([]time.Duration, shards)
-	}
-	for i := 0; i < NumSites && i < len(assign); i++ {
-		for j := 0; j < NumSites && j < len(assign); j++ {
-			if i == j || assign[i] == assign[j] {
-				continue
-			}
-			base := m.BaseLatency(Site(i), Site(j))
-			if base <= 0 {
-				continue
-			}
-			floor := time.Duration(float64(base) * (1 - m.Jitter))
-			a, b := assign[i], assign[j]
-			if a >= shards || b >= shards {
-				continue
-			}
-			if minPair[a][b] == 0 || floor < minPair[a][b] {
-				minPair[a][b] = floor
-			}
-		}
-	}
-	for a := 0; a < shards; a++ {
-		for b := 0; b < shards; b++ {
-			if a == b || minPair[a][b] == 0 {
-				continue
-			}
-			if l := int(minPair[a][b] / window); l > 1 {
-				lag[a][b] = l
-			}
-		}
-	}
-	return lag
-}
-
 // SpreadSites assigns n nodes round-robin across all nine sites, the way the
 // paper's deployments spread rendezvous peers over Grid'5000.
 func SpreadSites(n int) []Site {

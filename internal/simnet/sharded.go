@@ -2,14 +2,15 @@ package simnet
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 )
 
 // Engine is the scheduler surface deployments and experiments drive: the
-// serial Scheduler and the ShardedScheduler both implement it, so an overlay
-// runs unchanged on either. Code that needs the concrete serial engine
-// (tests poking At/Step) keeps using *Scheduler directly.
+// serial Scheduler and the window-barrier ShardedScheduler both implement
+// it, so an overlay runs unchanged on either. Code that needs the concrete
+// serial engine (tests poking At/Step) keeps using *Scheduler directly.
 type Engine interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
@@ -20,8 +21,8 @@ type Engine interface {
 	Pending() int
 	// Run executes events up to and including virtual time until.
 	Run(until time.Duration) uint64
-	// Halt stops the current Run early (window-granular on the sharded
-	// engine; see ShardedScheduler.Halt).
+	// Halt stops the current Run early (at the next window barrier on the
+	// sharded engine; see ShardedScheduler.Halt).
 	Halt()
 	// After schedules a driver-level callback at now+d; on the sharded
 	// engine it runs with every shard quiesced (see ShardedScheduler.After).
@@ -51,7 +52,7 @@ type workerDone struct {
 	steps uint64
 }
 
-// ParallelStats instruments the window/barrier machinery. TotalEvents over
+// ParallelStats instruments the window barrier. TotalEvents over
 // CriticalEvents is the workload's achievable speedup bound: each window's
 // wall time is its slowest shard, so the critical path is the sum of
 // per-window maxima regardless of core count.
@@ -67,7 +68,8 @@ type ParallelStats struct {
 	// CriticalEvents sums each window's maximum per-shard event count —
 	// the parallel critical path in events.
 	CriticalEvents uint64
-	// CrossShard counts events exchanged through the barrier queues.
+	// CrossShard counts events merged from the exchange queues at window
+	// barriers.
 	CrossShard uint64
 }
 
@@ -101,8 +103,9 @@ type ShardedScheduler struct {
 	now       time.Duration
 	halted    atomic.Bool
 	// xq holds the per-pair exchange queues, indexed src*len(shards)+dst;
-	// xseq is the per-pair FIFO sequence counter. During a window each
-	// queue is appended to by exactly one shard goroutine.
+	// xseq is the per-pair FIFO sequence counter, the merge's last
+	// tie-break. During a window each queue and its counter are written
+	// only by the source shard's goroutine, so neither needs a lock.
 	xq   [][]xentry
 	xseq []uint64
 	// jobs/done are the parked worker channels; workers are spawned lazily
@@ -114,9 +117,6 @@ type ShardedScheduler struct {
 	merged   []xentry
 	dispatch []int
 	stat     ParallelStats
-	// pipe, when non-nil, replaces the global window barrier with the
-	// window-pipelined path (see pipelined.go / EnablePipelining).
-	pipe *pipeState
 }
 
 // NewSharded creates a sharded engine with the given number of shards and
@@ -191,13 +191,6 @@ func (ss *ShardedScheduler) Pending() int {
 	for _, q := range ss.xq {
 		p += len(q)
 	}
-	if ss.pipe != nil {
-		for i := range ss.pipe.pairs {
-			for _, b := range ss.pipe.pairs[i].buckets {
-				p += len(b.entries)
-			}
-		}
-	}
 	return p
 }
 
@@ -238,33 +231,6 @@ func (ss *ShardedScheduler) NewEnvOn(shard int, name string) *NodeEnv {
 // current window — violations panic at merge time.
 func (ss *ShardedScheduler) XSchedule(src, dst int, at time.Duration, fn func(any), arg any) {
 	q := src*len(ss.shards) + dst
-	if p := ss.pipe; p != nil && p.inPhase {
-		// Pipelined phase: bucket the entry under the sender's current
-		// window in the (src,dst) pair queue. The seq counter is shared
-		// with the barrier path so per-pair FIFO order stays monotone
-		// across modes; each pair row is written by exactly one shard
-		// goroutine, so the counter needs no lock.
-		e := xentry{at: at, seq: ss.xseq[q], fn: fn, arg: arg, src: int32(src)}
-		ss.xseq[q]++
-		if src == dst {
-			ss.shards[dst].AtCall(at, fn, arg)
-			return
-		}
-		w := p.curWin[src]
-		pr := &p.pairs[q]
-		pr.mu.Lock()
-		if k := len(pr.buckets); k > 0 && pr.buckets[k-1].window == w {
-			b := &pr.buckets[k-1]
-			if at < b.minAt {
-				b.minAt = at
-			}
-			b.entries = append(b.entries, e)
-		} else {
-			pr.buckets = append(pr.buckets, pipeBucket{window: w, minAt: at, entries: []xentry{e}})
-		}
-		pr.mu.Unlock()
-		return
-	}
 	ss.xq[q] = append(ss.xq[q], xentry{at: at, seq: ss.xseq[q], fn: fn, arg: arg, src: int32(src)})
 	ss.xseq[q]++
 }
@@ -310,6 +276,21 @@ func (ss *ShardedScheduler) mergeCross() {
 	}
 }
 
+// sortXEntries orders a cross-shard batch by (at, src, seq) — the merge
+// order of mergeCross.
+func sortXEntries(batch []xentry) {
+	sort.Slice(batch, func(i, j int) bool {
+		a, b := &batch[i], &batch[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		if a.src != b.src {
+			return a.src < b.src
+		}
+		return a.seq < b.seq
+	})
+}
+
 // nextTime returns the earliest live event time across shards and driver.
 func (ss *ShardedScheduler) nextTime() (time.Duration, bool) {
 	best, ok := ss.driver.nextEventAt()
@@ -341,9 +322,6 @@ func (ss *ShardedScheduler) setTime(t time.Duration) {
 func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 	start := ss.Steps()
 	ss.halted.Store(false)
-	if ss.pipe != nil {
-		return ss.runPipelined(until)
-	}
 	defer ss.park()
 	horizon := until + 1 // exclusive window bound admitting events at exactly until
 	for !ss.halted.Load() {

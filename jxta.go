@@ -124,20 +124,11 @@ type SimOptions struct {
 	// serial scheduler, byte-identical to earlier releases under a fixed
 	// Seed; >1 partitions the overlay by Grid'5000 site across that many
 	// conservative-PDES shards (clamped to the nine modeled sites) for
-	// multicore scaling. Runs stay deterministic for a fixed (Seed,
+	// multicore scaling, the shards meeting at a global barrier between
+	// lookahead windows. Runs stay deterministic for a fixed (Seed,
 	// Shards) pair at any GOMAXPROCS, but trajectories differ between
 	// shard counts.
 	Shards int
-	// BarrierWindows, with Shards > 1, opts out of window pipelining and
-	// runs the sharded engine's original global window barrier: every
-	// shard waits for the globally slowest one between lookahead windows.
-	// The default pipelined path instead runs per-(src,dst) sealed
-	// exchange queues, so shards whose inputs are ready start their next
-	// window immediately. Fixed-seed runs are bit-reproducible at any
-	// GOMAXPROCS on both paths, but trajectories differ between them
-	// (window boundaries move), so determinism is per
-	// (Seed, Shards, BarrierWindows).
-	BarrierWindows bool
 	// LeanMetrics shares one population-wide metrics registry across all
 	// simulated peers and drops per-node trace rings and gauges — the
 	// memory/assembly-cost mode for very large populations (100k+ edges).
@@ -215,15 +206,14 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		}
 	}
 	spec := deploy.Spec{
-		Seed:           opts.Seed,
-		NumRdv:         opts.Rendezvous,
-		Shards:         opts.Shards,
-		BarrierWindows: opts.BarrierWindows,
-		LeanMetrics:    opts.LeanMetrics,
-		Topology:       kind,
-		Discovery:      discovery.DefaultConfig(),
-		Socket:         socket.Config{WindowBytes: opts.SocketWindowBytes},
-		Routing:        opts.Routing,
+		Seed:        opts.Seed,
+		NumRdv:      opts.Rendezvous,
+		Shards:      opts.Shards,
+		LeanMetrics: opts.LeanMetrics,
+		Topology:    kind,
+		Discovery:   discovery.DefaultConfig(),
+		Socket:      socket.Config{WindowBytes: opts.SocketWindowBytes},
+		Routing:     opts.Routing,
 	}
 	spec.Lease.LeaseDuration = opts.LeaseDuration
 	if !opts.DisableSelfHealing {
