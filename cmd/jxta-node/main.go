@@ -14,9 +14,9 @@
 // The dynamic rendezvous tier is available on live TCP overlays too:
 // -selfheal lets edges elect and promote a replacement when the whole
 // rendezvous tier is gone (and makes a Ctrl-C'd rendezvous hand its leases
-// and SRDI index to a successor), and -islandmerge lets fragmented islands
-// find each other again through gossiped tier rumors. Pass the same flags
-// to every node of a deployment.
+// and SRDI index to a successor), and -islandmerge, which requires
+// -selfheal, lets fragmented islands find each other again through gossiped
+// tier rumors. Pass the same flags to every node of a deployment.
 //
 // Observability is opt-in: -admin host:port serves /metrics (Prometheus
 // text exposition of every protocol component's counters, gauges and
@@ -35,6 +35,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -64,11 +65,27 @@ var (
 	rngSeed     = flag.Int64("rngseed", 0, "peer ID RNG seed (0 = time-based)")
 	adminFlag   = flag.String("admin", "", "serve /metrics, /healthz, /statusz and /debug/pprof on this host:port (empty = off)")
 	selfHeal    = flag.Bool("selfheal", false, "enable the self-healing rendezvous tier: lease grants carry failover alternates and the client roster, edges elect and promote a successor when every rendezvous is gone, a graceful shutdown hands the lease table and SRDI index off")
-	islandMerge = flag.Bool("islandmerge", false, "enable gossip-driven island merging: lease traffic piggybacks signed tier rumors, fragmented rendezvous islands probe each other and merge their peerviews (usually combined with -selfheal)")
+	islandMerge = flag.Bool("islandmerge", false, "enable gossip-driven island merging: lease traffic piggybacks signed tier rumors, fragmented rendezvous islands probe each other and merge their peerviews (requires -selfheal)")
 )
+
+// leaseConfig maps the two tier flags onto the lease protocol's three legal
+// states: paper-faithful, self-heal, and self-heal with island merge. An
+// island merge without self-healing is a fourth state no experiment runs.
+func leaseConfig(selfHeal, islandMerge bool) (rendezvous.Config, error) {
+	if islandMerge && !selfHeal {
+		return rendezvous.Config{}, errors.New("-islandmerge requires -selfheal")
+	}
+	return rendezvous.Config{SelfHeal: selfHeal, IslandMerge: islandMerge}, nil
+}
 
 func main() {
 	flag.Parse()
+	lease, err := leaseConfig(*selfHeal, *islandMerge)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "jxta-node:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	seed := *rngSeed
 	if seed == 0 {
 		seed = time.Now().UnixNano()
@@ -91,10 +108,7 @@ func main() {
 			Name:      *nameFlag,
 			Role:      role,
 			Discovery: discovery.DefaultConfig(),
-			Lease: rendezvous.Config{
-				SelfHeal:    *selfHeal,
-				IslandMerge: *islandMerge,
-			},
+			Lease:     lease,
 		})
 		n.Start()
 	})

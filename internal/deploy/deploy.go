@@ -16,7 +16,6 @@ import (
 	"jxta/internal/node"
 	"jxta/internal/peerview"
 	"jxta/internal/rendezvous"
-	"jxta/internal/routing"
 	"jxta/internal/simnet"
 	"jxta/internal/socket"
 	"jxta/internal/topology"
@@ -50,7 +49,7 @@ type Spec struct {
 	// Hibernate is ignored: every deployed edge is built small (AddEdge).
 	// The field stays because the repository benchmark sets it.
 	//
-	// Deprecated: goes with the benchmark-only PR of ROADMAP 4(f).
+	// Deprecated: goes with the benchmark-only PR of ROADMAP 0(a).
 	Hibernate bool
 	// LeanMetrics shrinks per-node observability for large simulated
 	// populations: nodes share one population-wide metrics registry
@@ -68,11 +67,6 @@ type Spec struct {
 	Lease     rendezvous.Config
 	Discovery discovery.Config
 	Socket    socket.Config
-	// Routing names the replica-placement strategy every peer uses:
-	// "" or "lcdht" for the paper's linear position hash, "kademlia" for
-	// XOR-closest placement (routing.ParseStrategy). An explicit
-	// Discovery.Router wins over this name.
-	Routing string
 	// Edges attaches edge peers to rendezvous.
 	Edges []EdgeGroup
 }
@@ -134,13 +128,6 @@ func Build(spec Spec) (*Overlay, error) {
 	model := spec.Model
 	if model == nil {
 		model = netmodel.Grid5000()
-	}
-	if spec.Routing != "" && spec.Discovery.Router == nil {
-		strat, err := routing.ParseStrategy(spec.Routing)
-		if err != nil {
-			return nil, err
-		}
-		spec.Discovery.Router = strat
 	}
 	o := &Overlay{spec: spec, AdvStore: advstore.New()}
 	if spec.LeanMetrics {

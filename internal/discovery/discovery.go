@@ -35,7 +35,6 @@ import (
 	"jxta/internal/metrics"
 	"jxta/internal/rendezvous"
 	"jxta/internal/resolver"
-	"jxta/internal/routing"
 	"jxta/internal/srdi"
 	"jxta/internal/transport"
 )
@@ -77,11 +76,6 @@ type Config struct {
 	// DisableWalk turns the O(r) fallback walk off (ablation experiments
 	// only): replica misses then go unanswered.
 	DisableWalk bool
-	// Router overrides replica placement: which peerview member holds (and
-	// is asked for) a key's replica. Nil uses the paper's linear position
-	// hash (ReplicaPeer). Publish and query sides both go through it, so
-	// any pure function of (view, key) keeps property (2) intact.
-	Router routing.Strategy
 }
 
 // DefaultConfig returns paper-faithful defaults. ScanCost is calibrated so
@@ -251,7 +245,7 @@ func (s *Service) Rereplicate() {
 	counts := make(map[ids.ID]uint64)
 	var order []ids.ID // first-seen over sorted tuples: deterministic
 	for _, tpl := range s.index.Tuples() {
-		replica := s.place(view, tpl.Key)
+		replica := ReplicaPeer(view, tpl.Key)
 		if replica.IsNil() || replica.Equal(s.ep.ID()) {
 			continue
 		}
@@ -500,7 +494,7 @@ func (s *Service) indexAndReplicate(tpl srdi.Tuple, replicated bool) {
 		return
 	}
 	view := s.rdv.PeerView().View()
-	replica := s.place(view, tpl.Key)
+	replica := ReplicaPeer(view, tpl.Key)
 	if replica.IsNil() || replica.Equal(s.ep.ID()) {
 		return
 	}
@@ -708,7 +702,7 @@ func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
 	// 2. Initial stage: forward to the computed replica peer.
 	if body.stage == stageInitial {
 		view := s.rdv.PeerView().View()
-		replica := s.place(view, key)
+		replica := ReplicaPeer(view, key)
 		if !replica.IsNil() && !replica.Equal(s.ep.ID()) {
 			s.Stats.ReplicaForwards++
 			fq := *q

@@ -64,12 +64,3 @@ func ReplicaPeer(view []ids.ID, key string) ids.ID {
 	}
 	return view[replicaPos64(KeyHash(key), len(view))]
 }
-
-// place resolves the key's replica peer through the configured routing
-// strategy, defaulting to the paper's linear position hash above.
-func (s *Service) place(view []ids.ID, key string) ids.ID {
-	if s.cfg.Router != nil {
-		return s.cfg.Router.Place(view, key)
-	}
-	return ReplicaPeer(view, key)
-}

@@ -15,7 +15,7 @@ import (
 	"jxta/internal/topology"
 )
 
-// TestPeerviewAllocsPerStepCeiling is ROADMAP item 1's allocation gate: the
+// TestPeerviewAllocsPerStepCeiling is ROADMAP item 6's allocation gate: the
 // cost of one mention of a rendezvous advertisement in peerview gossip, as
 // mallocs per scheduler step (overlay construction included) on a workload
 // that is nothing but such gossip: 40 rendezvous in a chain, 10 virtual
@@ -54,7 +54,7 @@ func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
 }
 
 // TestDiscoveryAllocsPerStepCeiling is the same gate for the discovery path
-// (ROADMAP item 4(d)) on a small publish/lookup overlay: 4 rendezvous in a
+// (ROADMAP item 6) on a small publish/lookup overlay: 4 rendezvous in a
 // chain with 2 edges each, every edge publishing 25 resources at 2 virtual
 // minutes, then one lookup every 30 s until minute 20, each followed by a
 // cache flush. Most of those 18 minutes the periodic SRDI delta push walks a

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"jxta/internal/socket"
 	"jxta/internal/topology"
 )
 
@@ -134,7 +133,7 @@ func volatilityFingerprint(res VolatilityResult) string {
 // elements instead of several single-adv messages, so message counts,
 // bytes and every downstream RNG draw shift. (2) Resolver responses now
 // echo the query's hop count (one extra wire element: byte counts move).
-// (3) rendezvous.Config.RumorDeadSweeps gained a non-zero default, so
+// (3) rumor aging came on (today the constant rendezvous.rumorDeadSweeps), so
 // island-merge scenarios retire dead tier-probe targets they previously
 // probed forever (volatility/island-merge traffic shrinks). The peerview
 // golden's plateau/consistency claims still hold (reached=true,
@@ -212,7 +211,6 @@ func TestGoldenDiscoveryReplay(t *testing.T) {
 // flow control, retransmission under injected loss) to the same bit-for-bit
 // replay contract as the control-plane experiments.
 func TestGoldenBandwidthReplay(t *testing.T) {
-	t.Setenv(socket.WindowEnvVar, "") // goldens must not follow ambient config
 	res, err := RunBandwidth(BandwidthSpec{
 		R:              3,
 		Sizes:          []int{4 << 10, 64 << 10},
@@ -239,7 +237,6 @@ func TestGoldenBandwidthReplay(t *testing.T) {
 // mass-failure + recovery scenario must reproduce every query outcome,
 // every view size and every network counter exactly.
 func TestGoldenChurnRecoveryReplay(t *testing.T) {
-	t.Setenv(socket.WindowEnvVar, "") // goldens must not follow ambient config
 	res, err := RunChurnRecovery(RecoverySpec{
 		R: 12, Kills: 4, Queries: 8, RejoinEvery: time.Minute, Seed: 42,
 	})
@@ -260,7 +257,6 @@ func TestGoldenChurnRecoveryReplay(t *testing.T) {
 // share the spec: full attrition healed by promotion, and kill/rejoin churn
 // healed by restarts bridging the promoted tier back together.
 func TestGoldenVolatilityReplay(t *testing.T) {
-	t.Setenv(socket.WindowEnvVar, "") // goldens must not follow ambient config
 	spec := VolatilitySpec{
 		R: 4, EdgesPerRdv: 2,
 		KillEvery: []time.Duration{90 * time.Second},
@@ -289,7 +285,6 @@ func TestGoldenVolatilityReplay(t *testing.T) {
 // headline claims directly: all surviving islands converge to a single
 // peerview tier, and post-merge discovery success is 100%.
 func TestGoldenIslandMergeReplay(t *testing.T) {
-	t.Setenv(socket.WindowEnvVar, "") // goldens must not follow ambient config
 	res, err := RunVolatility(VolatilitySpec{
 		R: 4, EdgesPerRdv: 2,
 		KillEvery: []time.Duration{90 * time.Second},

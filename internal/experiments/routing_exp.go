@@ -290,9 +290,9 @@ func runLookupWave(spec RoutingSpec, b routing.Backend, eng simnet.Engine, dead 
 }
 
 // srdiBackend adapts the full JXTA stack — peerview, rendezvous tier, SRDI
-// replication and the resolver walk — to routing.Backend. It lives here
-// rather than in internal/routing because discovery imports routing (the
-// Strategy seam); the adapter needs discovery and deploy.
+// replication and the resolver walk — to routing.Backend. It lives here,
+// beside the harness that drives it, so that internal/routing does not
+// depend on the JXTA stack; the adapter needs discovery and deploy.
 type srdiBackend struct {
 	o      *deploy.Overlay
 	killed []bool

@@ -92,7 +92,7 @@ func TestVolatilityIslandMergeConverges(t *testing.T) {
 	}
 }
 
-// TestIslandMergeSeedSweep writes down what seed 42 hides (ROADMAP 2(f)): the
+// TestIslandMergeSeedSweep writes down what seed 42 hides (ROADMAP 1(b)): the
 // island-merge golden's scenario — every original rendezvous killed at 90 s
 // intervals, the promoted successors left to find each other — over seeds
 // 1–40. At the commit that added this test the tier reconverges on 9 seeds

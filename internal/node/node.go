@@ -419,7 +419,7 @@ func (n *Node) IsRendezvous() bool { return n.PeerView != nil }
 // service quiescent. There is no hibernation mode any more; the name stays
 // for the repository benchmark, which compiles against it.
 //
-// Deprecated: goes with the benchmark-only PR of ROADMAP 4(f).
+// Deprecated: goes with the benchmark-only PR of ROADMAP 0(a).
 func (n *Node) Hibernating() bool {
 	return n.PeerView == nil &&
 		n.Endpoint.Quiescent() && n.Resolver.Quiescent() &&
@@ -429,7 +429,7 @@ func (n *Node) Hibernating() bool {
 
 // HibernationStats returns 0, 0: nothing wakes or freezes.
 //
-// Deprecated: goes with the benchmark-only PR of ROADMAP 4(f).
+// Deprecated: goes with the benchmark-only PR of ROADMAP 0(a).
 func (n *Node) HibernationStats() (wakes, freezes uint64) { return 0, 0 }
 
 // URN returns this peer's ID in URN form, rendered once at construction —

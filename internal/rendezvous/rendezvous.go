@@ -18,7 +18,7 @@
 // Edges use the alternates to re-seed their failover rotation when the
 // rendezvous dies silently — the fall-back the peerview provides — and the
 // roster to run a deterministic successor election when *no* rendezvous is
-// reachable at all: the configured PromotionPolicy picks one client, that
+// reachable at all: every client picks the lowest-ID roster member, that
 // client promotes itself to the rendezvous role (via the hook the node
 // installs), and the others re-lease with it. A gracefully stopping
 // rendezvous goes further and hands its state off explicitly: the client
@@ -92,21 +92,6 @@ func (d Direction) String() string {
 	return "down"
 }
 
-// PromotionPolicy selects the successor among the last-known client roster
-// when edges detect that no rendezvous is reachable. Every client runs the
-// same policy over (a snapshot of) the same roster, so the election needs no
-// extra messages and is deterministic under a fixed seed.
-type PromotionPolicy int
-
-// Promotion policies.
-const (
-	// PromoteLowestID promotes the roster client with the smallest peer ID
-	// (the default; mirrors the peerview's ID-order bias).
-	PromoteLowestID PromotionPolicy = iota
-	// PromoteHighestID promotes the roster client with the largest peer ID.
-	PromoteHighestID
-)
-
 // Config tunes the lease protocol.
 type Config struct {
 	// LeaseDuration is how long a granted lease lasts (default 20 min,
@@ -128,8 +113,6 @@ type Config struct {
 	// lease table off to a successor. Off by default — the wire format and
 	// timer sequence of the paper-faithful protocol stay bit-identical.
 	SelfHeal bool
-	// Promotion picks the successor among the client roster (SelfHeal).
-	Promotion PromotionPolicy
 	// IslandMerge enables gossip-driven merging of fragmented rendezvous
 	// islands: lease requests and grants piggyback checksummed "tier rumor"
 	// records naming every rendezvous the sender ever heard of, so an edge
@@ -142,29 +125,19 @@ type Config struct {
 	// Usually enabled together with SelfHeal (islands form through
 	// promotion), but functional without it.
 	IslandMerge bool
-	// RumorDeadSweeps bounds the IslandMerge rumor store on long-lived
-	// deployments: an identity that is neither a peerview member nor a
-	// leased client for this many consecutive client sweeps (every
-	// LeaseDuration/4) is evicted — and with it the periodic tier probe
-	// retryMerges keeps sending to that identity, so a confirmed-dead
-	// rumor stops consuming probe traffic after N sweeps (the PR 5
-	// "anchors probe dead identities forever" limit). Re-gossip of the
-	// identity restarts its clock, so only rumors the whole overlay
-	// stopped mentioning age out; a dormant edge revives on the first
-	// probe it answers, well inside the grace window. 0 (the zero value)
-	// selects the default of DefaultRumorDeadSweeps; a negative value
-	// disables aging entirely, restoring the unbounded PR 5 behaviour.
-	RumorDeadSweeps int
 }
 
-// DefaultRumorDeadSweeps is the default rumor aging horizon: an identity
-// that answers nothing — not a view member, not a leased client, never
-// re-gossiped — for this many consecutive client sweeps (each
-// LeaseDuration/4) is retired from the rumor store and stops being tier
-// probed. Four sweeps is one full LeaseDuration: every live peer renews a
-// lease (and so re-gossips or re-appears) at least once inside that window,
-// while a dormant edge only needs to answer one probe to revive.
-const DefaultRumorDeadSweeps = 4
+// rumorDeadSweeps bounds the IslandMerge rumor store on long-lived
+// deployments: an identity that answers nothing — not a peerview member,
+// not a leased client, never re-gossiped — for this many consecutive client
+// sweeps (each LeaseDuration/4) is retired from the rumor store, and with it
+// the periodic tier probe retryMerges keeps sending to that identity, so a
+// confirmed-dead rumor stops consuming probe traffic. Re-gossip of the
+// identity restarts its clock, so only rumors the whole overlay stopped
+// mentioning age out. Four sweeps is one full LeaseDuration: every live peer
+// renews a lease (and so re-gossips or re-appears) at least once inside that
+// window, while a dormant edge only needs to answer one probe to revive.
+const rumorDeadSweeps = 4
 
 // DefaultConfig returns JXTA-C-like lease tunables.
 func DefaultConfig() Config {
@@ -173,7 +146,6 @@ func DefaultConfig() Config {
 		RenewFraction:    0.5,
 		ResponseTimeout:  15 * time.Second,
 		FailoverAttempts: 8,
-		RumorDeadSweeps:  DefaultRumorDeadSweeps,
 	}
 }
 
@@ -190,9 +162,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailoverAttempts <= 0 {
 		c.FailoverAttempts = d.FailoverAttempts
-	}
-	if c.RumorDeadSweeps == 0 {
-		c.RumorDeadSweeps = d.RumorDeadSweeps
 	}
 	return c
 }
@@ -1087,7 +1056,7 @@ func (s *Service) electAndHeal() {
 		s.traceEvent("dormant", ids.Nil)
 		return
 	}
-	succ := pickSuccessor(s.cfg.Promotion, s.roster)
+	succ := pickSuccessor(s.roster)
 	s.m.elections.Inc()
 	s.traceEvent("election", succ.ID)
 	if succ.ID.Equal(s.ep.ID()) {
@@ -1112,11 +1081,11 @@ func (s *Service) electAndHeal() {
 	s.requestLease()
 }
 
-// pickSuccessor applies the promotion policy to an ID-sorted roster.
-func pickSuccessor(p PromotionPolicy, roster []peerview.Seed) peerview.Seed {
-	if p == PromoteHighestID {
-		return roster[len(roster)-1]
-	}
+// pickSuccessor elects the successor from an ID-sorted client roster: the
+// lowest ID, mirroring the peerview's ID-order bias. Every client applies the
+// same rule over (a snapshot of) the same roster, so the election needs no
+// extra messages and is deterministic under a fixed seed.
+func pickSuccessor(roster []peerview.Seed) peerview.Seed {
 	return roster[0]
 }
 
@@ -1148,12 +1117,10 @@ func (s *Service) sweepClients() {
 		}
 	}
 	if s.cfg.IslandMerge {
-		if s.cfg.RumorDeadSweeps > 0 {
-			evicted := s.rumors.Sweep(s.cfg.RumorDeadSweeps, func(id ids.ID) bool {
-				return id.Equal(s.ep.ID()) || s.pv.Contains(id) || s.HasClient(id)
-			})
-			s.m.rumorEvicts.Add(uint64(evicted))
-		}
+		evicted := s.rumors.Sweep(rumorDeadSweeps, func(id ids.ID) bool {
+			return id.Equal(s.ep.ID()) || s.pv.Contains(id) || s.HasClient(id)
+		})
+		s.m.rumorEvicts.Add(uint64(evicted))
 		s.retryMerges()
 	}
 }
@@ -1367,7 +1334,7 @@ func (s *Service) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 	if len(roster) == 0 {
 		return peerview.Seed{}, false
 	}
-	return pickSuccessor(s.cfg.Promotion, roster), true
+	return pickSuccessor(roster), true
 }
 
 // leaseHeader is the first lease: element of each name receiveLease decides

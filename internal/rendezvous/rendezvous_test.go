@@ -521,19 +521,16 @@ func TestEdgeFailsOverToAlternateNotInSeeds(t *testing.T) {
 	}
 }
 
+// TestPromotionElectionPolicies pins the successor election: every client
+// picks the lowest ID of the same ID-sorted roster.
 func TestPromotionElectionPolicies(t *testing.T) {
 	a := peerview.Seed{ID: ids.FromName(ids.KindPeer, "a")}
 	b := peerview.Seed{ID: ids.FromName(ids.KindPeer, "b")}
-	roster := []peerview.Seed{a, b}
-	if !a.ID.Less(b.ID) {
-		roster = []peerview.Seed{b, a}
+	if b.ID.Less(a.ID) {
 		a, b = b, a
 	}
-	if got := pickSuccessor(PromoteLowestID, roster); !got.ID.Equal(a.ID) {
-		t.Fatal("PromoteLowestID picked the wrong successor")
-	}
-	if got := pickSuccessor(PromoteHighestID, roster); !got.ID.Equal(b.ID) {
-		t.Fatal("PromoteHighestID picked the wrong successor")
+	if got := pickSuccessor([]peerview.Seed{a, b}); !got.ID.Equal(a.ID) {
+		t.Fatal("election did not pick the lowest-ID client")
 	}
 }
 
@@ -691,102 +688,78 @@ func TestElectionSkipsDeadSuccessor(t *testing.T) {
 
 func TestRumorAgingEvictsDeadIdentities(t *testing.T) {
 	// A rumor for an identity that is never a peerview member or leased
-	// client must age out of the store under RumorDeadSweeps (on by default
-	// since PR 10; 0 selects DefaultRumorDeadSweeps), while live tier
-	// members survive indefinitely. A negative knob disables aging and
-	// restores the unbounded PR 5 behaviour.
-	for _, deadSweeps := range []int{-1, 0, 2} {
-		sched := simnet.NewScheduler(1)
-		net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
-		cfg := DefaultConfig()
-		cfg.LeaseDuration = 2 * time.Minute // client sweep every 30s
-		cfg.IslandMerge = true
-		cfg.RumorDeadSweeps = deadSweeps
-		rdvs := newRdvOverlayCfg(t, sched, net, 2, cfg)
-		ghost := peerview.NewRumor(peerview.Seed{
-			ID:   ids.FromName(ids.KindPeer, "long-gone"),
-			Addr: "sim://0/long-gone",
-		})
-		member := peerview.NewRumor(peerview.Seed{
-			ID: rdvs[1].id, Addr: rdvs[1].tr.Addr(),
-		})
-		sched.After(time.Minute, func() {
-			rdvs[0].svc.rumors.Add(ghost)
-			rdvs[0].svc.rumors.Add(member)
-		})
-		sched.Run(20 * time.Minute)
-		hasGhost := false
-		hasPeer := false
-		for _, r := range rdvs[0].svc.Rumors() {
-			hasGhost = hasGhost || r.ID.Equal(ghost.ID)
-			hasPeer = hasPeer || r.ID.Equal(rdvs[1].id)
-		}
-		if deadSweeps < 0 && !hasGhost {
-			t.Fatal("aging disabled but the dead rumor was evicted")
-		}
-		if deadSweeps >= 0 && hasGhost {
-			t.Fatalf("dead rumor survived 19 minutes of sweeps (deadSweeps=%d)", deadSweeps)
-		}
-		if !hasPeer {
-			t.Fatalf("live tier member evicted (deadSweeps=%d)", deadSweeps)
-		}
+	// client must age out of the store after rumorDeadSweeps sweeps, while
+	// live tier members survive indefinitely.
+	sched := simnet.NewScheduler(1)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	cfg := DefaultConfig()
+	cfg.LeaseDuration = 2 * time.Minute // client sweep every 30s
+	cfg.IslandMerge = true
+	rdvs := newRdvOverlayCfg(t, sched, net, 2, cfg)
+	ghost := peerview.NewRumor(peerview.Seed{
+		ID:   ids.FromName(ids.KindPeer, "long-gone"),
+		Addr: "sim://0/long-gone",
+	})
+	member := peerview.NewRumor(peerview.Seed{
+		ID: rdvs[1].id, Addr: rdvs[1].tr.Addr(),
+	})
+	sched.After(time.Minute, func() {
+		rdvs[0].svc.rumors.Add(ghost)
+		rdvs[0].svc.rumors.Add(member)
+	})
+	sched.Run(20 * time.Minute)
+	if hasRumor(rdvs[0].svc, ghost.ID) {
+		t.Fatal("dead rumor survived 19 minutes of sweeps")
+	}
+	if !hasRumor(rdvs[0].svc, rdvs[1].id) {
+		t.Fatal("live tier member evicted")
 	}
 }
 
 func TestDeadRumorRetiresFromTierProbes(t *testing.T) {
-	// PR 5 known limit: an anchor kept tier-probing every rumored identity
-	// forever, dead or not. With rumor aging on by default (PR 10), a
-	// confirmed-dead identity must stop consuming probe traffic after
-	// RumorDeadSweeps sweeps; with aging disabled (negative), the probes
-	// continue indefinitely (the old behaviour, kept reachable on purpose).
-	for _, deadSweeps := range []int{0, -1} {
-		sched := simnet.NewScheduler(55)
-		net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
-		cfg := DefaultConfig()
-		cfg.LeaseDuration = 2 * time.Minute // sweep every 30s, probe retry every 1m
-		cfg.IslandMerge = true
-		cfg.RumorDeadSweeps = deadSweeps
-		rdvs := newRdvOverlayCfg(t, sched, net, 1, cfg)
+	// Without aging an anchor would tier-probe every rumored identity
+	// forever, dead or not. A confirmed-dead identity must stop consuming
+	// probe traffic once it ages out of the rumor store.
+	sched := simnet.NewScheduler(55)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	cfg := DefaultConfig()
+	cfg.LeaseDuration = 2 * time.Minute // sweep every 30s, probe retry every 1m
+	cfg.IslandMerge = true
+	rdvs := newRdvOverlayCfg(t, sched, net, 1, cfg)
 
-		// A silent listener at the ghost's address: it counts the tier
-		// probes it receives and never answers — a dead peer, except that
-		// we can see the traffic wasted on it.
-		ghostEnv := sched.NewEnv("ghost")
-		ghostTr, err := net.Attach("ghost", netmodel.Site(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ghostID := ids.FromName(ids.KindPeer, "long-gone")
-		ghostEP := endpoint.New(ghostEnv, ghostID, ghostTr)
-		probes := 0
-		ghostEP.Register(LeaseService, func(src ids.ID, m *message.Message) { probes++ })
+	// A silent listener at the ghost's address: it counts the tier probes it
+	// receives and never answers — a dead peer, except that we can see the
+	// traffic wasted on it.
+	ghostEnv := sched.NewEnv("ghost")
+	ghostTr, err := net.Attach("ghost", netmodel.Site(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghostID := ids.FromName(ids.KindPeer, "long-gone")
+	ghostEP := endpoint.New(ghostEnv, ghostID, ghostTr)
+	probes := 0
+	ghostEP.Register(LeaseService, func(src ids.ID, m *message.Message) { probes++ })
 
-		sched.After(time.Minute, func() {
-			rdvs[0].svc.rumors.Add(peerview.NewRumor(peerview.Seed{
-				ID: ghostID, Addr: ghostTr.Addr(),
-			}))
-		})
-		sched.Run(15 * time.Minute)
-		early := probes
-		if early == 0 {
-			t.Fatal("ghost rumor never probed at all")
-		}
-		sched.Run(45 * time.Minute)
-		late := probes
-		if deadSweeps >= 0 {
-			if late != early {
-				t.Fatalf("dead identity still probed after eviction: %d probes at 15m, %d at 45m", early, late)
-			}
-			if hasGhostRumor(rdvs[0].svc, ghostID) {
-				t.Fatal("dead rumor still stored after its aging horizon")
-			}
-		} else if late <= early {
-			t.Fatalf("aging disabled but probing stopped: %d at 15m, %d at 45m", early, late)
-		}
+	sched.After(time.Minute, func() {
+		rdvs[0].svc.rumors.Add(peerview.NewRumor(peerview.Seed{
+			ID: ghostID, Addr: ghostTr.Addr(),
+		}))
+	})
+	sched.Run(15 * time.Minute)
+	early := probes
+	if early == 0 {
+		t.Fatal("ghost rumor never probed at all")
+	}
+	sched.Run(45 * time.Minute)
+	if probes != early {
+		t.Fatalf("dead identity still probed after eviction: %d probes at 15m, %d at 45m", early, probes)
+	}
+	if hasRumor(rdvs[0].svc, ghostID) {
+		t.Fatal("dead rumor still stored after its aging horizon")
 	}
 }
 
-func hasGhostRumor(s *Service, id ids.ID) bool {
+func hasRumor(s *Service, id ids.ID) bool {
 	for _, r := range s.Rumors() {
 		if r.ID.Equal(id) {
 			return true

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"jxta/internal/ids"
 	"jxta/internal/netmodel"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
@@ -128,54 +127,6 @@ func TestKademliaDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("same-seed kademlia runs diverged\n first:  %s\n second: %s", a, b)
-	}
-}
-
-func TestXORPlacementConsistency(t *testing.T) {
-	rng := simnet.NewScheduler(7).NewEnv("t").Rand()
-	view := make([]ids.ID, 20)
-	for i := range view {
-		view[i] = ids.NewRandom(ids.KindPeer, rng)
-	}
-	s := XORPlacement{}
-	for k := 0; k < 50; k++ {
-		key := fmt.Sprintf("key-%d", k)
-		p := s.Place(view, key)
-		if p.IsNil() {
-			t.Fatalf("nil placement for %s", key)
-		}
-		// Consistent across calls and across view copies (property (2)
-		// requires placement be a pure function of view+key).
-		cp := append([]ids.ID(nil), view...)
-		if !s.Place(cp, key).Equal(p) {
-			t.Fatalf("placement not a pure function of view for %s", key)
-		}
-		// The chosen member really is the XOR-closest.
-		want := IDHash(p) ^ KeyHash(key)
-		for _, id := range view {
-			if d := IDHash(id) ^ KeyHash(key); d < want {
-				t.Fatalf("closer member than placement for %s", key)
-			}
-		}
-	}
-	if !s.Place(nil, "x").IsNil() {
-		t.Error("empty view must place to nil")
-	}
-}
-
-func TestParseStrategy(t *testing.T) {
-	for _, name := range []string{"", "lcdht", "srdi"} {
-		s, err := ParseStrategy(name)
-		if err != nil || s != nil {
-			t.Errorf("ParseStrategy(%q) = %v, %v; want nil, nil", name, s, err)
-		}
-	}
-	s, err := ParseStrategy("kademlia")
-	if err != nil || s == nil {
-		t.Fatalf("ParseStrategy(kademlia) = %v, %v", s, err)
-	}
-	if _, err := ParseStrategy("bogus"); err == nil {
-		t.Error("ParseStrategy(bogus) did not error")
 	}
 }
 

@@ -1,30 +1,20 @@
-// Package routing defines the pluggable routing layer the §3.3 comparison
-// is measured through. The paper frames JXTA's loosely-consistent DHT as a
+// Package routing defines the routing layer the §3.3 comparison is
+// measured through. The paper frames JXTA's loosely-consistent DHT as a
 // middle point between unstructured flooding (JXTA 1.0) and structured DHTs
-// (Chord-class, Kademlia-class): this package pins that claim down with two
-// seams.
+// (Chord-class, Kademlia-class): this package pins that claim down with one
+// seam, Backend.
 //
-// The first seam is Strategy, the node-level replica-placement decision the
-// discovery service delegates: given the current ordered peerview and a
-// tuple key, which rendezvous should hold (and be asked for) the replica?
-// The paper's linear position hash (discovery.ReplicaPeer) is the default;
-// XORPlacement swaps in the Kademlia metric — closest hashed peer ID by XOR
-// distance — without touching any other part of the LC-DHT pipeline. Node
-// configuration selects the strategy (node.Config.Router, deploy.Spec.Routing,
-// jxta.SimOptions.Routing).
-//
-// The second seam is Backend, the overlay-level surface the bake-off
-// experiments drive: publish a key, look a key up with hop/latency/success
-// accounting, fail-stop nodes, and force maintenance rounds. Four backends
-// implement it at equal scale: flooding (internal/flood), the SRDI walk
-// (the full JXTA stack, adapted in internal/experiments), a static Chord
-// ring (internal/chord) and the iterative Kademlia overlay in this package.
+// Backend is the overlay-level surface the bake-off experiments drive:
+// publish a key, look a key up with hop/latency/success accounting,
+// fail-stop nodes, and force maintenance rounds. Four backends implement it
+// at equal scale: flooding (internal/flood), the SRDI walk (the full JXTA
+// stack, adapted in internal/experiments), a static Chord ring
+// (internal/chord) and the iterative Kademlia overlay in this package.
 package routing
 
 import (
 	"crypto/sha1"
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"time"
 
@@ -81,65 +71,8 @@ func KeyHash(key string) uint64 {
 }
 
 // IDHash maps a JXTA peer ID into the same 64-bit space (Kademlia k-buckets
-// and the XOR placement strategy hash peer IDs, not raw key strings).
+// hash peer IDs, not raw key strings).
 func IDHash(id ids.ID) uint64 { return KeyHash(id.String()) }
-
-// Strategy decides which member of the current ordered peerview is
-// responsible for a key — the replica-placement seam of the discovery
-// service. Implementations must be pure functions of (view, key) so that
-// publish-side placement and query-side routing agree whenever two peers
-// hold the same view (the paper's property (2)).
-type Strategy interface {
-	// Name identifies the strategy in configuration and metrics.
-	Name() string
-	// Place returns the responsible peer, or ids.Nil for an empty view.
-	Place(view []ids.ID, key string) ids.ID
-}
-
-// XORPlacement is the Kademlia-metric placement strategy: the view member
-// whose hashed peer ID has the smallest XOR distance to the hashed key.
-// Like the paper's linear position hash it is consistent across peers with
-// equal views, but it degrades differently under view divergence: a member
-// missing from one view shifts placement only for keys whose closest peer
-// it was, instead of shifting every position above the gap.
-type XORPlacement struct{}
-
-// Name identifies the strategy.
-func (XORPlacement) Name() string { return "kademlia" }
-
-// Place returns the XOR-closest view member for the key.
-func (XORPlacement) Place(view []ids.ID, key string) ids.ID {
-	if len(view) == 0 {
-		return ids.Nil
-	}
-	target := KeyHash(key)
-	best := view[0]
-	bestD := IDHash(view[0]) ^ target
-	for _, id := range view[1:] {
-		if d := IDHash(id) ^ target; d < bestD {
-			best, bestD = id, d
-		}
-	}
-	return best
-}
-
-// ParseStrategy resolves a configuration name to a Strategy. The empty
-// string and the LC-DHT aliases return nil, meaning "use the discovery
-// service's built-in linear placement" (the paper-faithful default).
-func ParseStrategy(name string) (Strategy, error) {
-	switch name {
-	case "", "lcdht", "srdi":
-		return nil, nil
-	case "kademlia":
-		return XORPlacement{}, nil
-	default:
-		return nil, fmt.Errorf("routing: unknown strategy %q (want lcdht or kademlia)", name)
-	}
-}
-
-// Distance returns the XOR distance between two points of the identifier
-// space (exported for tests and experiment assertions).
-func Distance(a, b uint64) uint64 { return a ^ b }
 
 // BucketIndex returns the k-bucket index of contact relative to self: the
 // number of leading bits they share. Bucket 0 holds the most distant half

@@ -4,27 +4,13 @@ import (
 	"jxta/internal/metrics"
 )
 
-// sockMetrics holds the stream layer's stored instruments; the Stats
-// struct's plain counters are bridged as collector-backed Func
-// instruments.
-type sockMetrics struct {
-	rttHist *metrics.Histogram
-}
-
 // Instrument (re-)registers the stream layer's instruments on reg. Every
 // Stats field is exported as a counter (jxta_socket_conns_dialed_total,
 // _conns_accepted_total, _segments_sent_total, _segments_retx_total,
 // _bytes_sent_total, _bytes_delivered_total, _segments_dup_total,
-// _window_stalls_total) plus the jxta_socket_open_conns and
-// jxta_socket_srtt_seconds gauges (the latter the mean smoothed RTT over
-// established connections with at least one sample) and the
-// jxta_socket_rtt_seconds histogram of raw RTT samples feeding the
-// adaptive RTO estimator.
+// _window_stalls_total) plus the jxta_socket_open_conns gauge; all are
+// collector-backed Func instruments, so the service stores none.
 func (s *Service) Instrument(reg *metrics.Registry) {
-	s.m = &sockMetrics{
-		rttHist: reg.Histogram("jxta_socket_rtt_seconds",
-			"Raw round-trip samples feeding the adaptive RTO estimator.", nil),
-	}
 	reg.CounterFunc("jxta_socket_conns_dialed_total", "Outbound connections dialed.",
 		func() uint64 { return s.Stats.ConnsDialed })
 	reg.CounterFunc("jxta_socket_conns_accepted_total", "Inbound connections accepted.",
@@ -43,19 +29,4 @@ func (s *Service) Instrument(reg *metrics.Registry) {
 		func() uint64 { return s.Stats.WindowStalls })
 	reg.GaugeFunc("jxta_socket_open_conns", "Open stream connections.",
 		func() float64 { return float64(len(s.conns)) })
-	reg.GaugeFunc("jxta_socket_srtt_seconds", "Mean smoothed RTT across established connections.",
-		func() float64 {
-			var sum float64
-			n := 0
-			for _, c := range s.conns {
-				if srtt, _, _ := c.RTT(); srtt > 0 && c.Established() {
-					sum += srtt.Seconds()
-					n++
-				}
-			}
-			if n == 0 {
-				return 0
-			}
-			return sum / float64(n)
-		})
 }

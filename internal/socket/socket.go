@@ -24,7 +24,6 @@ package socket
 import (
 	"errors"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"time"
@@ -34,7 +33,6 @@ import (
 	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/message"
-	"jxta/internal/metrics"
 	"jxta/internal/pipe"
 )
 
@@ -70,24 +68,12 @@ type Config struct {
 	MSS int
 	// WindowBytes bounds both the send buffer / in-flight data and the
 	// receive buffer whose free space is advertised to the peer
-	// (default 256 KiB).
+	// (default 256 KiB, which caps WAN throughput at roughly window/RTT:
+	// ~21 MB/s on the Grid'5000 model).
 	WindowBytes int
 	// RTO is the initial retransmission timeout (default 300 ms; doubles
-	// per retry). With AdaptiveRTO it is only the pre-sample fallback.
+	// per retry).
 	RTO time.Duration
-	// AdaptiveRTO enables RTT-sampled retransmission timeouts (Jacobson/
-	// Karels): every cumulative ack of a never-retransmitted segment feeds
-	// SRTT and RTTVAR (Karn's algorithm excludes retransmitted samples),
-	// and the timer arms at SRTT + 4·RTTVAR, clamped to [MinRTO, MaxRTO],
-	// still doubling per retry. Off by default: the fixed-RTO timer
-	// sequence — and with it the bandwidth replay golden — is preserved
-	// bit-for-bit unless a deployment opts in.
-	AdaptiveRTO bool
-	// MinRTO floors the adaptive timeout (default 50 ms). Adaptive mode only.
-	MinRTO time.Duration
-	// MaxRTO caps the adaptive timeout including backoff (default 60 s).
-	// Adaptive mode only.
-	MaxRTO time.Duration
 	// MaxRetries bounds consecutive retransmissions of one segment before
 	// the connection is reset (default 10).
 	MaxRetries int
@@ -95,31 +81,12 @@ type Config struct {
 	HandshakeTimeout time.Duration
 }
 
-// WindowEnvVar optionally overrides the default window size (bytes). The
-// 256 KiB default caps WAN throughput at roughly window/RTT (~21 MB/s on
-// the Grid'5000 model); deployments moving bulk data over long fat pipes
-// raise it here or via Config.WindowBytes without recompiling.
-const WindowEnvVar = "JXTA_SOCKET_WINDOW"
-
-// defaultWindowBytes resolves the window default: the WindowEnvVar override
-// when set to a positive byte count, 256 KiB otherwise.
-func defaultWindowBytes() int {
-	if v := os.Getenv(WindowEnvVar); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 256 << 10
-}
-
 // DefaultConfig returns the stream-layer defaults.
 func DefaultConfig() Config {
 	return Config{
 		MSS:              16 << 10,
-		WindowBytes:      defaultWindowBytes(),
+		WindowBytes:      256 << 10,
 		RTO:              300 * time.Millisecond,
-		MinRTO:           50 * time.Millisecond,
-		MaxRTO:           60 * time.Second,
 		MaxRetries:       10,
 		HandshakeTimeout: 30 * time.Second,
 	}
@@ -135,12 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RTO <= 0 {
 		c.RTO = d.RTO
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = d.MaxRTO
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = d.MaxRetries
@@ -195,17 +156,12 @@ type Service struct {
 	nextConn  uint64
 
 	Stats Stats
-
-	// m holds the stored runtime instruments; always non-nil (New
-	// pre-instruments, node.New re-instruments with the node's registry).
-	m *sockMetrics
 }
 
 // New wires the stream layer into a peer's endpoint and pipe services.
 func New(e env.Env, ep *endpoint.Endpoint, pipes *pipe.Service, cfg Config) *Service {
 	s := &Service{env: e, ep: ep, pipes: pipes, cfg: cfg.withDefaults()}
 	ep.Register(ServiceName, s.receive)
-	s.Instrument(metrics.Discard())
 	return s
 }
 
@@ -414,10 +370,6 @@ type segment struct {
 	seq  uint64
 	data []byte
 	fin  bool
-	// sentAt/retx feed the adaptive RTO estimator: only segments acked on
-	// their first transmission yield RTT samples (Karn's algorithm).
-	sentAt time.Duration
-	retx   bool
 }
 
 // Conn is one end of an established (or establishing) stream.
@@ -460,11 +412,6 @@ type Conn struct {
 	listener     *Listener // pending accept (SYN-RECEIVED only)
 	onReadable   func()
 	onWritable   func()
-
-	// Adaptive RTO estimator state (Config.AdaptiveRTO): smoothed RTT and
-	// mean deviation per Jacobson/Karels; srtt == 0 means no sample yet.
-	srtt   time.Duration
-	rttvar time.Duration
 
 	// Stream statistics.
 	BytesSent uint64 // application bytes acked by the peer
@@ -707,7 +654,7 @@ func (c *Conn) pump() {
 		if len(c.sendBuf) == 0 {
 			c.sendBuf = nil
 		}
-		seg := segment{seq: c.sndNxt, data: data, sentAt: c.svc.env.Now()}
+		seg := segment{seq: c.sndNxt, data: data}
 		c.sndNxt += uint64(n)
 		c.retxQ = append(c.retxQ, seg)
 		c.svc.Stats.BytesSent += uint64(n)
@@ -715,7 +662,7 @@ func (c *Conn) pump() {
 	}
 	if c.closed && !c.sentFin && len(c.sendBuf) == 0 {
 		c.sentFin = true
-		seg := segment{seq: c.sndNxt, fin: true, sentAt: c.svc.env.Now()}
+		seg := segment{seq: c.sndNxt, fin: true}
 		c.sndNxt++ // FIN consumes one sequence unit
 		c.retxQ = append(c.retxQ, seg)
 		c.sendSegment(seg)
@@ -746,55 +693,10 @@ func (c *Conn) armRetx() {
 	c.retxTmr = c.svc.env.After(c.currentRTO(), c.onRetxTimeout)
 }
 
-// currentRTO computes the retransmission timeout for the next timer arming.
-// Fixed mode reproduces the original exponential schedule exactly; adaptive
-// mode uses the Jacobson/Karels estimate SRTT + 4·RTTVAR (falling back to
-// the configured RTO until the first sample), backed off per retry and
-// clamped to [MinRTO, MaxRTO].
+// currentRTO computes the retransmission timeout for the next timer arming:
+// the configured RTO, doubled per consecutive retry.
 func (c *Conn) currentRTO() time.Duration {
-	cfg := c.svc.cfg
-	if !cfg.AdaptiveRTO {
-		return cfg.RTO << uint(c.retries)
-	}
-	rto := cfg.RTO
-	if c.srtt > 0 {
-		rto = c.srtt + 4*c.rttvar
-	}
-	if rto < cfg.MinRTO {
-		rto = cfg.MinRTO
-	}
-	rto <<= uint(c.retries)
-	if rto > cfg.MaxRTO {
-		rto = cfg.MaxRTO
-	}
-	return rto
-}
-
-// sampleRTT feeds one round-trip measurement into the estimator
-// (RFC 6298 constants: alpha 1/8, beta 1/4).
-func (c *Conn) sampleRTT(sample time.Duration) {
-	if sample <= 0 {
-		return
-	}
-	c.svc.m.rttHist.Observe(sample.Seconds())
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-		return
-	}
-	diff := c.srtt - sample
-	if diff < 0 {
-		diff = -diff
-	}
-	c.rttvar = (3*c.rttvar + diff) / 4
-	c.srtt = (7*c.srtt + sample) / 8
-}
-
-// RTT reports the adaptive estimator state: smoothed RTT, mean deviation
-// and the timeout the next retransmission timer would use. srtt is zero
-// until the first sample (or always, in fixed-RTO mode).
-func (c *Conn) RTT() (srtt, rttvar, rto time.Duration) {
-	return c.srtt, c.rttvar, c.currentRTO()
+	return c.svc.cfg.RTO << uint(c.retries)
 }
 
 // onRetxTimeout retransmits the oldest outstanding unit: SYN/SYN-ACK during
@@ -819,12 +721,11 @@ func (c *Conn) onRetxTimeout() {
 	case c.state == stateSynReceived && len(c.retxQ) == 0:
 		c.sendSynAck()
 	case len(c.retxQ) > 0:
-		c.retxQ[0].retx = true // Karn: no RTT sample from this segment
 		c.sendSegment(c.retxQ[0])
 	case len(c.sendBuf) > 0:
 		// Zero-window probe: force one byte past the closed window (as TCP
 		// does) so the peer's mandatory ack reports its reopened window.
-		probe := segment{seq: c.sndNxt, data: []byte{c.sendBuf[0]}, sentAt: c.svc.env.Now()}
+		probe := segment{seq: c.sndNxt, data: []byte{c.sendBuf[0]}}
 		c.sendBuf = c.sendBuf[1:]
 		if len(c.sendBuf) == 0 {
 			c.sendBuf = nil
@@ -986,9 +887,7 @@ func (c *Conn) handleAck(ack uint64) {
 	advanced := ack - c.sndUna
 	c.sndUna = ack
 	c.retries = 0
-	// Drop fully acked segments, sampling the RTT of the newest one that
-	// was never retransmitted (Karn's algorithm).
-	var rttSample time.Duration
+	// Drop fully acked segments.
 	i := 0
 	for i < len(c.retxQ) {
 		seg := c.retxQ[i]
@@ -1002,13 +901,7 @@ func (c *Conn) handleAck(ack uint64) {
 		if seg.fin {
 			c.finAcked = true
 		}
-		if !seg.retx && seg.sentAt > 0 {
-			rttSample = c.svc.env.Now() - seg.sentAt
-		}
 		i++
-	}
-	if c.svc.cfg.AdaptiveRTO && rttSample > 0 {
-		c.sampleRTT(rttSample)
 	}
 	if i > 0 {
 		c.retxQ = append(c.retxQ[:0], c.retxQ[i:]...)

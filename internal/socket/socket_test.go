@@ -373,23 +373,6 @@ func TestManyConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestWindowEnvOverride pins the env-var window override: set, the default
-// window follows it; unset or invalid, the 256 KiB default stands.
-func TestWindowEnvOverride(t *testing.T) {
-	t.Setenv(socket.WindowEnvVar, "1048576")
-	if got := socket.DefaultConfig().WindowBytes; got != 1<<20 {
-		t.Fatalf("WindowBytes with env override = %d, want %d", got, 1<<20)
-	}
-	t.Setenv(socket.WindowEnvVar, "not-a-number")
-	if got := socket.DefaultConfig().WindowBytes; got != 256<<10 {
-		t.Fatalf("WindowBytes with bad env = %d, want %d", got, 256<<10)
-	}
-	t.Setenv(socket.WindowEnvVar, "")
-	if got := socket.DefaultConfig().WindowBytes; got != 256<<10 {
-		t.Fatalf("default WindowBytes = %d, want %d", got, 256<<10)
-	}
-}
-
 // TestServiceStopTearsDownStreams asserts the graceful service Stop: the
 // dialer side of an idle established stream sees an orderly EOF (FIN), a
 // mid-transfer stream is reset, and both services end with empty tables.
@@ -424,9 +407,11 @@ func TestServiceStopTearsDownStreams(t *testing.T) {
 	r.dialer.Socket.Stop()
 }
 
-// TestServiceAbortIsSilent asserts the crash path sends nothing: the remote
-// end only learns of the death through its retransmission limit.
-func TestServiceAbortIsSilent(t *testing.T) {
+// silentPeerRig establishes one stream with RTO 100 ms and MaxRetries 3.
+// The caller aborts the listener side, after which the dialer's segments go
+// unanswered and only its retransmission limit ends the stream.
+func silentPeerRig(t *testing.T) (*rig, *socket.Conn) {
+	t.Helper()
 	r := newRig(t, 78, netmodel.Uniform(2*time.Millisecond), socket.Config{
 		RTO: 100 * time.Millisecond, MaxRetries: 3,
 	})
@@ -448,7 +433,13 @@ func TestServiceAbortIsSilent(t *testing.T) {
 	if conn == nil || !conn.Established() {
 		t.Fatal("stream did not establish")
 	}
+	return r, conn
+}
 
+// TestServiceAbortIsSilent asserts the crash path sends nothing: the remote
+// end only learns of the death through its retransmission limit.
+func TestServiceAbortIsSilent(t *testing.T) {
+	r, conn := silentPeerRig(t)
 	sentBefore := r.listener.Socket.Stats.SegmentsSent
 	r.listener.Socket.Abort()
 	if got := r.listener.Socket.Stats.SegmentsSent; got != sentBefore {
@@ -464,92 +455,28 @@ func TestServiceAbortIsSilent(t *testing.T) {
 	}
 }
 
-// transferWith runs a fixed bulk transfer with the given socket config over
-// the Grid'5000 model (optionally lossy) and returns the dialer-side conn
-// after completion, plus the elapsed virtual time.
-func transferWith(t *testing.T, seed int64, lossRate float64, cfg socket.Config, size int) (*socket.Conn, time.Duration, *rig) {
-	t.Helper()
-	model := netmodel.Grid5000()
-	model.LossRate = lossRate
-	r := newRig(t, seed, model, cfg)
-	adv := pipe.NewPipeAdv(r.listener.ID, "adaptive")
-	serverSink := &sink{}
-	if _, err := r.listener.Socket.Listen(adv, func(c *socket.Conn) {
-		serverSink.attach(c)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	r.run(time.Minute)
-	var client *socket.Conn
-	r.dialer.Socket.Dial(adv.PipeID, func(c *socket.Conn, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		client = c
-	})
-	r.run(time.Minute)
-	if client == nil {
-		t.Fatal("dial never completed")
-	}
-	start := r.o.Sched.Now()
-	payload := pattern(size)
-	streamOut(t, client, payload)
-	// Step until the receiver sees EOF so the elapsed time measures the
-	// transfer, not the polling horizon.
-	deadline := start + 30*time.Minute
-	for !serverSink.eof && r.o.Sched.Now() < deadline {
-		r.o.Sched.Run(r.o.Sched.Now() + 20*time.Millisecond)
-	}
-	if !serverSink.eof || !bytes.Equal(serverSink.got, payload) {
-		t.Fatalf("transfer incomplete/corrupt: %d/%d bytes", len(serverSink.got), len(payload))
-	}
-	return client, r.o.Sched.Now() - start, r
-}
-
-// TestAdaptiveRTOTracksPathRTT checks the Jacobson estimator converges onto
-// the actual path round-trip time: after a bulk transfer the smoothed RTT
-// is positive and the armed RTO sits well below the 300 ms fixed default
-// (the simulated Grid'5000 paths are a few ms), yet above the floor.
-func TestAdaptiveRTOTracksPathRTT(t *testing.T) {
-	client, _, _ := transferWith(t, 9, 0, socket.Config{AdaptiveRTO: true}, 512<<10)
-	srtt, rttvar, rto := client.RTT()
-	if srtt <= 0 {
-		t.Fatal("no RTT samples collected")
-	}
-	if srtt > 100*time.Millisecond {
-		t.Fatalf("srtt=%v implausible for a Grid'5000 path", srtt)
-	}
-	if rto < socket.DefaultConfig().MinRTO {
-		t.Fatalf("rto=%v below the floor", rto)
-	}
-	if rto >= 300*time.Millisecond {
-		t.Fatalf("adaptive rto=%v did not undercut the fixed default (srtt=%v rttvar=%v)",
-			rto, srtt, rttvar)
-	}
-}
-
-// TestAdaptiveRTORecoversFasterUnderLoss compares the same lossy transfer
-// with fixed and adaptive timers: the adaptive sender, whose RTO hugs the
-// real RTT instead of the 300 ms default, finishes sooner.
-func TestAdaptiveRTORecoversFasterUnderLoss(t *testing.T) {
-	_, fixedElapsed, _ := transferWith(t, 11, 0.02, socket.Config{}, 1<<20)
-	_, adaptiveElapsed, _ := transferWith(t, 11, 0.02, socket.Config{AdaptiveRTO: true}, 1<<20)
-	if adaptiveElapsed >= fixedElapsed {
-		t.Fatalf("adaptive RTO did not speed up loss recovery: fixed=%v adaptive=%v",
-			fixedElapsed, adaptiveElapsed)
-	}
-}
-
-// TestFixedRTOUnchangedByEstimator pins the gate: without AdaptiveRTO the
-// estimator never arms the timer — RTT() reports no samples feeding the RTO
-// and the armed timeout equals the configured constant.
+// TestFixedRTOUnchangedByEstimator pins the retransmission schedule: the
+// timer arms at RTO and doubles per retry, so a sender facing a silent peer
+// gives up exactly RTO·(2^(MaxRetries+1)−1) after its write — 1.5 s at
+// RTO 100 ms and MaxRetries 3 — and not a nanosecond sooner.
 func TestFixedRTOUnchangedByEstimator(t *testing.T) {
-	client, _, _ := transferWith(t, 13, 0, socket.Config{}, 64<<10)
-	srtt, _, rto := client.RTT()
-	_ = srtt // samples are not even collected in fixed mode
-	if rto != socket.DefaultConfig().RTO {
-		t.Fatalf("fixed-mode rto=%v, want %v", rto, socket.DefaultConfig().RTO)
+	r, conn := silentPeerRig(t)
+	giveUp := socket.GiveUpAfter(r.dialer.Socket)
+	if want := 1500 * time.Millisecond; giveUp != want {
+		t.Fatalf("retransmission schedule sums to %v, want %v", giveUp, want)
+	}
+	r.listener.Socket.Abort()
+	start := r.o.Sched.Now()
+	if _, err := conn.Write(pattern(1024)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	r.o.Sched.Run(start + giveUp - time.Nanosecond)
+	if err := conn.Err(); err != nil {
+		t.Fatalf("dialer failed before the schedule ran out: %v", err)
+	}
+	r.o.Sched.Run(start + giveUp)
+	if conn.Err() != socket.ErrTimeout {
+		t.Fatalf("dialer error at the schedule's end = %v, want ErrTimeout", conn.Err())
 	}
 }
 

@@ -284,7 +284,7 @@ func frameWire(n int) []byte {
 	return wire
 }
 
-// TestFrameReaderAllocatesAsBytesArrive pins ROADMAP item 4: the length
+// TestFrameReaderAllocatesAsBytesArrive pins ROADMAP item 3(c): the length
 // prefix is a claim by the peer, and the reader must not back it with memory
 // before the bytes arrive. A peer that claims maxFrame, sends 10 bytes and
 // stalls may pin one chunk, not 16 MiB.

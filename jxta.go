@@ -71,7 +71,6 @@ import (
 	"jxta/internal/netmodel"
 	"jxta/internal/node"
 	"jxta/internal/pipe"
-	"jxta/internal/rendezvous"
 	"jxta/internal/simnet"
 	"jxta/internal/socket"
 	"jxta/internal/topology"
@@ -139,11 +138,6 @@ type SimOptions struct {
 	// Volatility scenarios shorten it so failure detection, failover and
 	// the self-healing machinery run on a faster clock.
 	LeaseDuration time.Duration
-	// SocketWindowBytes overrides the stream layer's send/receive window
-	// (0 keeps the default: 256 KiB, or the JXTA_SOCKET_WINDOW environment
-	// variable). Larger windows lift the window/RTT throughput cap on
-	// long fat paths.
-	SocketWindowBytes int
 	// DisableSelfHealing turns the self-healing rendezvous tier off.
 	// By default a simulated overlay heals itself: edges detect a silent
 	// rendezvous through missed lease renewals, fail over to the peerview
@@ -153,15 +147,6 @@ type SimOptions struct {
 	// hands its lease table and SRDI index to a successor. Disabling
 	// reproduces the paper-faithful protocol with none of the extensions.
 	DisableSelfHealing bool
-	// PromoteHighestID flips the successor election to pick the client
-	// with the largest peer ID (default: smallest).
-	PromoteHighestID bool
-	// Routing names the replica-placement strategy the LC-DHT uses:
-	// "" or "lcdht" keeps the paper's linear position hash; "kademlia"
-	// places replicas on the XOR-closest hashed peer ID instead. Both run
-	// over the same peerview/SRDI machinery — this only swaps the hash →
-	// peer mapping (internal/routing.Strategy).
-	Routing string
 	// DisableIslandMerge turns the gossip-driven island merge off while
 	// keeping the rest of the self-healing machinery. By default (with
 	// self-healing on) lease traffic piggybacks checksummed "tier rumor"
@@ -212,16 +197,11 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		LeanMetrics: opts.LeanMetrics,
 		Topology:    kind,
 		Discovery:   discovery.DefaultConfig(),
-		Socket:      socket.Config{WindowBytes: opts.SocketWindowBytes},
-		Routing:     opts.Routing,
 	}
 	spec.Lease.LeaseDuration = opts.LeaseDuration
 	if !opts.DisableSelfHealing {
 		spec.Lease.SelfHeal = true
 		spec.Lease.IslandMerge = !opts.DisableIslandMerge
-		if opts.PromoteHighestID {
-			spec.Lease.Promotion = rendezvous.PromoteHighestID
-		}
 		// Active failure detection: a dead rendezvous leaves neighbouring
 		// peerviews after ~3 unanswered probe rounds instead of lingering
 		// a full PVE_EXPIRATION.

@@ -346,31 +346,3 @@ func TestDiscoverRange(t *testing.T) {
 		t.Fatalf("empty range err = %v, want ErrTimeout", err)
 	}
 }
-
-// TestRoutingStrategyEndToEnd swaps the replica-placement strategy through
-// the facade (SimOptions.Routing = "kademlia": XOR-closest instead of the
-// linear position hash) and proves publish/discover still resolves — the
-// strategy seam changes *where* the index lives, never whether it is found.
-func TestRoutingStrategyEndToEnd(t *testing.T) {
-	sim, err := NewSimulation(SimOptions{Seed: 1, Rendezvous: 6,
-		Edges: []EdgeSpec{{AttachTo: 0}, {AttachTo: 5}}, Routing: "kademlia"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.Start()
-	defer sim.Stop()
-	sim.Run(12 * time.Minute)
-	pub, search := sim.Edge(0), sim.Edge(1)
-	if !pub.Connected() || !search.Connected() {
-		t.Fatal("edges not connected")
-	}
-	pub.PublishResource("kad-placed-resource", nil)
-	sim.Run(time.Minute)
-	advs, _, err := search.Discover("Resource", "Name", "kad-placed-resource", time.Minute)
-	if err != nil || len(advs) != 1 {
-		t.Fatalf("discovery under kademlia placement: %v, %d advs", err, len(advs))
-	}
-	if _, err := NewSimulation(SimOptions{Rendezvous: 2, Routing: "bogus"}); err == nil {
-		t.Fatal("unknown Routing name did not error")
-	}
-}
