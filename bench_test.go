@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (§4), at reduced scale so `go test -bench=.` completes in
 // minutes. Full-scale regeneration — the paper's exact r values and
-// durations — is cmd/jxta-bench's job; EXPERIMENTS.md records those runs.
+// durations — is cmd/jxta-bench's job; PERFORMANCE.md records those runs.
 package jxta
 
 import (
@@ -54,7 +54,7 @@ func BenchmarkFig3LeftPeerview(b *testing.B) {
 func BenchmarkFig3LeftTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunPeerview(experiments.PeerviewSpec{
-			R: 80, Topology: topology.Tree, Fanout: 2,
+			R: 80, Topology: topology.Tree,
 			Duration: 30 * time.Minute, Seed: int64(i),
 		})
 		if err != nil {

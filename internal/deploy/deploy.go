@@ -59,8 +59,6 @@ type Spec struct {
 	LeanMetrics bool
 	// Topology is the seed-graph shape (chain in most experiments).
 	Topology topology.Kind
-	// Fanout applies to tree topologies.
-	Fanout int
 	// Peerview, Lease, Discovery, Socket tune the protocols; zero = paper
 	// defaults.
 	Peerview  peerview.Config
@@ -158,7 +156,7 @@ func Build(spec Spec) (*Overlay, error) {
 
 	o.instrument()
 
-	seedIdx, err := topology.Seeds(spec.Topology, spec.NumRdv, spec.Fanout)
+	seedIdx, err := topology.Seeds(spec.Topology, spec.NumRdv)
 	if err != nil {
 		return nil, err
 	}

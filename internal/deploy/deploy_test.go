@@ -59,7 +59,6 @@ func TestOverlayConvergesAndConnects(t *testing.T) {
 		Seed:     3,
 		NumRdv:   6,
 		Topology: topology.Tree,
-		Fanout:   2,
 		Edges:    []EdgeGroup{{AttachTo: 2, Count: 2}},
 	})
 	if err != nil {

@@ -16,11 +16,11 @@ import (
 
 // AblationPoint is one parameter setting's steady-state outcome.
 type AblationPoint struct {
-	Label string
+	Label string `json:"label"`
 	// PlateauL is the steady-state mean view size at the observed peer.
-	PlateauL float64
+	PlateauL float64 `json:"plateau_l"`
 	// MsgsPerPeerPerMin is the network-wide peerview bandwidth cost.
-	MsgsPerPeerPerMin float64
+	MsgsPerPeerPerMin float64 `json:"msgs_per_peer_min"`
 }
 
 // AblationResult is one sweep over a single parameter.

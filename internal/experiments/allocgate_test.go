@@ -174,8 +174,7 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 // keeps on the live heap in the large-population configuration (lean
 // metrics), measured as RunScale's heap_bytes_per_edge over 18 rendezvous and
 // 540 edges at 5 virtual minutes — the quick-mode memory-lean point of
-// `jxta-bench -exp scale`, so the property is held by `go test ./...` and not
-// only by the CLI smoke.
+// `jxta-bench -exp scale`. It is the repository's one memory gate.
 //
 // The figure is ~5.1 KB and it is small by construction: the endpoint keeps
 // its tables in exact-size slices, the six services above it allocate no map

@@ -64,20 +64,20 @@ var BandwidthDefaultSizes = []int{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 1
 // BandwidthPoint is one message size's measurements.
 type BandwidthPoint struct {
 	// SizeBytes is the per-message payload size.
-	SizeBytes int
+	SizeBytes int `json:"size_bytes"`
 	// Messages is how many messages of that size were streamed.
-	Messages int
+	Messages int `json:"messages"`
 	// Bytes is the total payload volume moved.
-	Bytes int
+	Bytes int `json:"-"`
 	// ElapsedMs is the virtual time from first write to receiver EOF.
-	ElapsedMs float64
+	ElapsedMs float64 `json:"elapsed_ms"`
 	// ThroughputMBps is Bytes over ElapsedMs in MB/s (10^6 bytes).
-	ThroughputMBps float64
+	ThroughputMBps float64 `json:"throughput_mbps"`
 	// RTTMs is the mean round-trip time of RTTSamples echoed messages of
 	// this size.
-	RTTMs float64
+	RTTMs float64 `json:"rtt_ms"`
 	// Retx counts retransmitted segments during the throughput transfer.
-	Retx uint64
+	Retx uint64 `json:"retx"`
 }
 
 // BandwidthResult is one full sweep.
@@ -356,12 +356,12 @@ func deterministicPayload(n int) []byte {
 
 // LiveBandwidthPoint is one wall-clock measurement over transport.TCP.
 type LiveBandwidthPoint struct {
-	SizeBytes      int
-	Messages       int
-	Bytes          int
-	ElapsedMs      float64
-	ThroughputMBps float64
-	RTTMs          float64
+	SizeBytes      int     `json:"size_bytes"`
+	Messages       int     `json:"messages"`
+	Bytes          int     `json:"-"`
+	ElapsedMs      float64 `json:"elapsed_ms"`
+	ThroughputMBps float64 `json:"throughput_mbps"`
+	RTTMs          float64 `json:"rtt_ms"`
 }
 
 // RunBandwidthLive repeats the throughput/RTT sweep over real localhost TCP

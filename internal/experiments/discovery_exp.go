@@ -34,7 +34,7 @@ type DiscoverySpec struct {
 	// publishes; queries cycle over them. The paper used a single
 	// advertisement, which makes the walk distance one random draw; using
 	// several (default 20) averages the LC-DHT rank mismatch so the r-sweep
-	// curve is statistically meaningful. EXPERIMENTS.md records this
+	// curve is statistically meaningful. PERFORMANCE.md records this
 	// substitution.
 	Advertisements int
 	// DisableWalk turns off the LC-DHT fallback walk (ablation only).
@@ -246,25 +246,18 @@ func totalWalks(o *deploy.Overlay) uint64 {
 	return walks
 }
 
-// Fig4RightDefaultRs are the sweep points of Figure 4 (right).
-var Fig4RightDefaultRs = []int{5, 10, 25, 50, 75, 100, 150, 200}
-
 // Fig4Right runs the full sweep for one configuration (A: noise=false,
-// B: noise=true).
+// B: noise=true), every point on its own core (Sweep); results are in the
+// order of rs.
 func Fig4Right(rs []int, noise bool, queries int, seed int64) ([]DiscoveryResult, error) {
-	if len(rs) == 0 {
-		rs = Fig4RightDefaultRs
-	}
-	out := make([]DiscoveryResult, 0, len(rs))
-	for _, r := range rs {
-		res, err := RunDiscovery(DiscoverySpec{R: r, Noise: noise,
-			Queries: queries, Seed: seed + int64(r)})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	out := make([]DiscoveryResult, len(rs))
+	err := Sweep(len(rs), func(i int) error {
+		res, err := RunDiscovery(DiscoverySpec{R: rs[i], Noise: noise,
+			Queries: queries, Seed: seed + int64(rs[i])})
+		out[i] = res
+		return err
+	})
+	return out, err
 }
 
 // Table1 reproduces the §3.3 worked example programmatically: the replica

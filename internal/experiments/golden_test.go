@@ -337,7 +337,7 @@ func TestGoldenRoutingReplay(t *testing.T) {
 // two identical specs yield identical fingerprints regardless of map
 // iteration order, pooling, or allocator state.
 func TestGoldenReplayTwice(t *testing.T) {
-	spec := PeerviewSpec{R: 16, Topology: topology.Tree, Fanout: 2,
+	spec := PeerviewSpec{R: 16, Topology: topology.Tree,
 		Duration: 15 * time.Minute, Seed: 7}
 	a, err := RunPeerview(spec)
 	if err != nil {

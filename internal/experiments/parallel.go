@@ -57,37 +57,3 @@ dispatch:
 	wg.Wait()
 	return firstErr
 }
-
-// Fig4RightParallel runs the Figure 4 (right) sweep with every (r, config)
-// point on its own core.
-func Fig4RightParallel(rs []int, noise bool, queries int, seed int64) ([]DiscoveryResult, error) {
-	if len(rs) == 0 {
-		rs = Fig4RightDefaultRs
-	}
-	out := make([]DiscoveryResult, len(rs))
-	err := Sweep(len(rs), func(i int) error {
-		res, err := RunDiscovery(DiscoverySpec{R: rs[i], Noise: noise,
-			Queries: queries, Seed: seed + int64(rs[i])})
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	return out, err
-}
-
-// Fig3LeftParallel runs the Figure 3 (left) family with one overlay per
-// core.
-func Fig3LeftParallel(specs []PeerviewSpec) ([]PeerviewResult, error) {
-	out := make([]PeerviewResult, len(specs))
-	err := Sweep(len(specs), func(i int) error {
-		res, err := RunPeerview(specs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	return out, err
-}

@@ -64,30 +64,28 @@ func TestSweepEmpty(t *testing.T) {
 	}
 }
 
+// TestFig4RightParallelMatchesSequential holds Fig4Right's concurrent sweep
+// to a plain per-point RunDiscovery loop.
 func TestFig4RightParallelMatchesSequential(t *testing.T) {
 	rs := []int{5, 8}
-	par, err := Fig4RightParallel(rs, false, 10, 77)
+	par, err := Fig4Right(rs, false, 10, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Fig4Right(rs, false, 10, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rs {
-		if par[i].MeanMs != seq[i].MeanMs {
-			t.Fatalf("r=%d: parallel %.3f != sequential %.3f (determinism broken)",
-				rs[i], par[i].MeanMs, seq[i].MeanMs)
+	for i, r := range rs {
+		seq, err := RunDiscovery(DiscoverySpec{R: r, Queries: 10, Seed: 77 + int64(r)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par[i].MeanMs != seq.MeanMs || par[i].Steps != seq.Steps {
+			t.Fatalf("r=%d: parallel %.3f ms / %d steps != sequential %.3f ms / %d steps (determinism broken)",
+				r, par[i].MeanMs, par[i].Steps, seq.MeanMs, seq.Steps)
 		}
 	}
 }
 
 func TestFig3LeftParallel(t *testing.T) {
-	specs := []PeerviewSpec{
-		{R: 8, Topology: topology.Chain, Duration: 10 * time.Minute, Seed: 1},
-		{R: 10, Topology: topology.Chain, Duration: 10 * time.Minute, Seed: 2},
-	}
-	out, err := Fig3LeftParallel(specs)
+	out, err := Fig3Left([]int{8, 10}, topology.Chain, 10*time.Minute, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

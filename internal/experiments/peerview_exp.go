@@ -23,8 +23,6 @@ type PeerviewSpec struct {
 	R int
 	// Topology is the bootstrap shape: chains and trees in the paper.
 	Topology topology.Kind
-	// Fanout for trees (default 2).
-	Fanout int
 	// EntryExpiry overrides PVE_EXPIRATION (zero keeps the 20 min default;
 	// Figure 4 left's "tuned" run sets it beyond the experiment length).
 	EntryExpiry time.Duration
@@ -88,10 +86,6 @@ type PeerviewResult struct {
 	// Parallel carries the sharded engine's window instrumentation when
 	// Spec.Shards > 1 (zero value for serial runs).
 	Parallel simnet.ParallelStats
-	// NodeMetrics aggregates every peer's runtime registry at the end of
-	// the run (totals over the population + sampled full snapshots). Not
-	// part of the golden fingerprint, but deterministic all the same.
-	NodeMetrics *NodeMetricsSummary
 }
 
 // RunPeerview executes a §4.1 peerview experiment.
@@ -101,7 +95,6 @@ func RunPeerview(spec PeerviewSpec) (PeerviewResult, error) {
 		Seed:     spec.Seed,
 		NumRdv:   spec.R,
 		Topology: spec.Topology,
-		Fanout:   spec.Fanout,
 		Shards:   spec.Shards,
 		Peerview: peerview.Config{EntryExpiry: spec.EntryExpiry},
 	})
@@ -151,23 +144,16 @@ func RunPeerview(spec PeerviewSpec) (PeerviewResult, error) {
 	if ss := o.Engine(); ss != nil {
 		res.Parallel = ss.ParallelStats()
 	}
-	res.NodeMetrics = CollectNodeMetrics(o, 1)
 	o.StopAll()
 	return res, nil
 }
 
-// Fig3LeftDefaultRs are the paper's chain sizes for Figure 3 (left).
-var Fig3LeftDefaultRs = []int{10, 45, 50, 80, 160, 580}
-
-// Fig3LeftTreeRs are the paper's tree sizes for Figure 3 (left).
-var Fig3LeftTreeRs = []int{160, 220, 338}
-
-// Fig3Left runs the Figure 3 (left) family: l(t) for several r, both
-// topologies, default tunables.
+// Fig3Left runs the Figure 3 (left) family: l(t) for several r, default
+// tunables, one overlay per core (Sweep); results are in the order of rs.
 func Fig3Left(rs []int, topo topology.Kind, duration time.Duration, seed int64) ([]PeerviewResult, error) {
-	out := make([]PeerviewResult, 0, len(rs))
-	for _, r := range rs {
-		d := duration
+	out := make([]PeerviewResult, len(rs))
+	err := Sweep(len(rs), func(i int) error {
+		r, d := rs[i], duration
 		if d <= 0 {
 			// The paper ran 60 min for most sizes, ~120 min for r=580.
 			d = 60 * time.Minute
@@ -178,36 +164,24 @@ func Fig3Left(rs []int, topo topology.Kind, duration time.Duration, seed int64) 
 		res, err := RunPeerview(PeerviewSpec{
 			R: r, Topology: topo, Duration: d, Seed: seed + int64(r),
 		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+		out[i] = res
+		return err
+	})
+	return out, err
 }
 
 // Fig3Right runs the Figure 3 (right) experiment: the add/remove event
-// distribution of one rendezvous' peerview at r=580 over 120 minutes.
+// distribution of one rendezvous' peerview (the paper's is r=580 over 120
+// minutes).
 func Fig3Right(r int, duration time.Duration, seed int64) (PeerviewResult, error) {
-	if r <= 0 {
-		r = 580
-	}
-	if duration <= 0 {
-		duration = 120 * time.Minute
-	}
 	return RunPeerview(PeerviewSpec{R: r, Topology: topology.Chain,
 		Duration: duration, Seed: seed})
 }
 
-// Fig4Left runs the Figure 4 (left) pair: r=50 with the default
-// PVE_EXPIRATION versus a tuned value exceeding the experiment length.
+// Fig4Left runs the Figure 4 (left) pair (the paper's is r=50 over 60
+// minutes): the default PVE_EXPIRATION versus a tuned value exceeding the
+// experiment length.
 func Fig4Left(r int, duration time.Duration, seed int64) (def, tuned PeerviewResult, err error) {
-	if r <= 0 {
-		r = 50
-	}
-	if duration <= 0 {
-		duration = 60 * time.Minute
-	}
 	def, err = RunPeerview(PeerviewSpec{R: r, Topology: topology.Chain,
 		Duration: duration, Seed: seed})
 	if err != nil {

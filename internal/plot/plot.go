@@ -1,11 +1,12 @@
 // Package plot renders time series and scatter data as ASCII charts, so
-// cmd/jxta-bench can show the reproduced figures directly in a terminal
-// alongside their CSV form.
+// cmd/jxta-bench can show the reproduced figures directly in a terminal,
+// and as long-format CSV records.
 package plot
 
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -112,6 +113,19 @@ func (c *Chart) Render() string {
 		fmt.Fprintf(&sb, "%s   %c %s\n", strings.Repeat(" ", pad), markers[si%len(markers)], s.Label)
 	}
 	return sb.String()
+}
+
+// CSV returns the chart's curves as long-format records: a series,x,y
+// header, then one record per point.
+func (c *Chart) CSV() [][]string {
+	out := [][]string{{"series", "x", "y"}}
+	for _, s := range c.series {
+		for i := range s.X {
+			out = append(out, []string{s.Label,
+				strconv.FormatFloat(s.X[i], 'g', -1, 64), strconv.FormatFloat(s.Y[i], 'g', -1, 64)})
+		}
+	}
+	return out
 }
 
 func maxInt(a, b int) int {

@@ -2,6 +2,7 @@ package plot
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,5 +70,15 @@ func TestDimensions(t *testing.T) {
 	// 8 grid rows + axis + xlabels + legend.
 	if len(lines) < 10 {
 		t.Fatalf("unexpected line count %d:\n%s", len(lines), out)
+	}
+}
+
+func TestCSVLongFormat(t *testing.T) {
+	c := Chart{}
+	c.Add(Series{Label: "a", X: []float64{0.5}, Y: []float64{3}})
+	c.Add(Series{Label: "b", X: []float64{1, 2}, Y: []float64{4, 1e-7}})
+	want := [][]string{{"series", "x", "y"}, {"a", "0.5", "3"}, {"b", "1", "4"}, {"b", "2", "1e-07"}}
+	if got := c.CSV(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("CSV() = %q, want %q", got, want)
 	}
 }

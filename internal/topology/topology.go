@@ -19,7 +19,7 @@ type Kind int
 const (
 	// Chain: peer i seeds on peer i-1.
 	Chain Kind = iota
-	// Tree: peer i seeds on its parent (i-1)/fanout.
+	// Tree: peer i seeds on its parent (i-1)/treeFanout.
 	Tree
 	// Star: every peer seeds on peer 0.
 	Star
@@ -54,16 +54,16 @@ func ParseKind(name string) (Kind, error) {
 // ErrBadShape reports invalid generation parameters.
 var ErrBadShape = errors.New("topology: invalid parameters")
 
+// treeFanout is the number of children of each Tree node.
+const treeFanout = 2
+
 // Seeds returns, for each of n peers, the indices of the peers it seeds on.
 // Peer 0 is always the root with no seeds; every other peer seeds only on
 // lower-indexed peers, so the graph is acyclic and bootstrappable in
-// deployment order. fanout applies to Tree only (default 2 when <= 0).
-func Seeds(kind Kind, n, fanout int) ([][]int, error) {
+// deployment order.
+func Seeds(kind Kind, n int) ([][]int, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: n=%d", ErrBadShape, n)
-	}
-	if fanout <= 0 {
-		fanout = 2
 	}
 	out := make([][]int, n)
 	for i := 1; i < n; i++ {
@@ -71,7 +71,7 @@ func Seeds(kind Kind, n, fanout int) ([][]int, error) {
 		case Chain:
 			out[i] = []int{i - 1}
 		case Tree:
-			out[i] = []int{(i - 1) / fanout}
+			out[i] = []int{(i - 1) / treeFanout}
 		case Star:
 			out[i] = []int{0}
 		default:

@@ -27,7 +27,7 @@ func TestParseKind(t *testing.T) {
 }
 
 func TestChainShape(t *testing.T) {
-	seeds, err := Seeds(Chain, 5, 0)
+	seeds, err := Seeds(Chain, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestChainShape(t *testing.T) {
 }
 
 func TestTreeShape(t *testing.T) {
-	seeds, err := Seeds(Tree, 7, 2)
+	seeds, err := Seeds(Tree, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,17 +61,16 @@ func TestTreeShape(t *testing.T) {
 }
 
 func TestTreeDefaultFanout(t *testing.T) {
-	a, _ := Seeds(Tree, 10, 0)
-	b, _ := Seeds(Tree, 10, 2)
-	for i := range a {
-		if len(a[i]) != len(b[i]) || (len(a[i]) > 0 && a[i][0] != b[i][0]) {
-			t.Fatal("default fanout is not 2")
+	seeds, _ := Seeds(Tree, 10)
+	for i := 1; i < len(seeds); i++ {
+		if len(seeds[i]) != 1 || seeds[i][0] != (i-1)/2 {
+			t.Fatalf("tree peer %d seeds = %v: fanout is not 2", i, seeds[i])
 		}
 	}
 }
 
 func TestStarShape(t *testing.T) {
-	seeds, err := Seeds(Star, 6, 0)
+	seeds, err := Seeds(Star, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +85,10 @@ func TestStarShape(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := Seeds(Chain, -1, 0); err == nil {
+	if _, err := Seeds(Chain, -1); err == nil {
 		t.Fatal("negative n accepted")
 	}
-	if _, err := Seeds(Kind(42), 3, 0); err == nil {
+	if _, err := Seeds(Kind(42), 3); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
@@ -97,7 +96,7 @@ func TestErrors(t *testing.T) {
 func TestEmptyAndSingle(t *testing.T) {
 	for _, k := range []Kind{Chain, Tree, Star} {
 		for _, n := range []int{0, 1} {
-			seeds, err := Seeds(k, n, 0)
+			seeds, err := Seeds(k, n)
 			if err != nil || len(seeds) != n {
 				t.Fatalf("%v n=%d: %v, %v", k, n, seeds, err)
 			}
@@ -111,11 +110,10 @@ func TestEmptyAndSingle(t *testing.T) {
 // Property: every non-root peer seeds only on lower-indexed peers
 // (deployable in order, acyclic), and the root never has seeds.
 func TestAcyclicProperty(t *testing.T) {
-	f := func(kindRaw, nRaw, fanRaw uint8) bool {
+	f := func(kindRaw, nRaw uint8) bool {
 		kind := Kind(int(kindRaw) % 3)
 		n := int(nRaw) % 200
-		fanout := int(fanRaw)%5 - 1 // includes invalid 0/-1 (defaulted)
-		seeds, err := Seeds(kind, n, fanout)
+		seeds, err := Seeds(kind, n)
 		if err != nil || len(seeds) != n {
 			return false
 		}
