@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per table/figure of the paper's
 // evaluation (§4), at reduced scale so `go test -bench=.` completes in
 // minutes. Full-scale regeneration — the paper's exact r values and
-// durations — is cmd/jxta-bench's job; PERFORMANCE.md records those runs.
+// durations — is cmd/jxta-bench's job; PERFORMANCE_HISTORY.md records those runs.
 package jxta
 
 import (

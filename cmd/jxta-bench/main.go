@@ -34,7 +34,6 @@ import (
 var (
 	expFlag    = flag.String("exp", "all", "comma-separated experiments, or all: "+strings.Join(names(), "|"))
 	quickFlag  = flag.Bool("quick", false, "scaled-down parameters (seconds instead of minutes)")
-	liveFlag   = flag.Bool("live", false, "bandwidth: also measure over real loopback TCP (wall-clock, nondeterministic)")
 	csvFlag    = flag.Bool("csv", false, "emit CSV instead of text and ASCII plots")
 	seedFlag   = flag.Int64("seed", 42, "master determinism seed")
 	jsonFlag   = flag.String("json", "", "write a JSON summary of the selected experiments to this file")
@@ -112,7 +111,7 @@ func run() int {
 	if *csvFlag {
 		render = renderCSV
 	}
-	opts := experiments.Options{Seed: *seedFlag, Quick: *quickFlag, Live: *liveFlag}
+	opts := experiments.Options{Seed: *seedFlag, Quick: *quickFlag}
 	summaries := make(map[string]any, len(selected))
 	for _, e := range selected {
 		rep, err := e.Run(opts)

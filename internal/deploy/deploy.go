@@ -17,7 +17,6 @@ import (
 	"jxta/internal/peerview"
 	"jxta/internal/rendezvous"
 	"jxta/internal/simnet"
-	"jxta/internal/socket"
 	"jxta/internal/topology"
 	"jxta/internal/transport"
 )
@@ -59,12 +58,10 @@ type Spec struct {
 	LeanMetrics bool
 	// Topology is the seed-graph shape (chain in most experiments).
 	Topology topology.Kind
-	// Peerview, Lease, Discovery, Socket tune the protocols; zero = paper
-	// defaults.
+	// Peerview, Lease, Discovery tune the protocols; zero = paper defaults.
 	Peerview  peerview.Config
 	Lease     rendezvous.Config
 	Discovery discovery.Config
-	Socket    socket.Config
 	// Edges attaches edge peers to rendezvous.
 	Edges []EdgeGroup
 }
@@ -179,7 +176,6 @@ func Build(spec Spec) (*Overlay, error) {
 			Peerview:  spec.Peerview,
 			Lease:     spec.Lease,
 			Discovery: spec.Discovery,
-			Socket:    spec.Socket,
 			AdvStore:  o.AdvStore,
 			Metrics:   o.LeanRegistry,
 		})
@@ -234,7 +230,6 @@ func (o *Overlay) AddEdge(name string, attachTo int) (*node.Node, error) {
 		Peerview:  o.spec.Peerview, // promotion builds its peerview from this
 		Lease:     o.spec.Lease,
 		Discovery: o.spec.Discovery,
-		Socket:    o.spec.Socket,
 		AdvStore:  o.AdvStore,
 		Metrics:   o.LeanRegistry,
 	})

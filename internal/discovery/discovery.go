@@ -60,14 +60,6 @@ const (
 
 // Config tunes the discovery service.
 type Config struct {
-	// PushInterval is the SRDI delta-push period (paper: 30 s).
-	PushInterval time.Duration
-	// AdvLifetime is the default lifetime of published advertisements and
-	// their index tuples.
-	AdvLifetime time.Duration
-	// WalkTTL bounds each direction of the fallback walk; zero means "walk
-	// the whole peerview" (TTL = view size, the paper's O(r) worst case).
-	WalkTTL int
 	// ScanCost is the simulated processing time a rendezvous spends per
 	// SRDI registration when serving one query — JXTA-C scans its index
 	// linearly, which is what makes heavily loaded rendezvous slow in the
@@ -81,24 +73,17 @@ type Config struct {
 // DefaultConfig returns paper-faithful defaults. ScanCost is calibrated so
 // that configuration B's ~1000-entry rendezvous adds the paper's ≈18 ms.
 func DefaultConfig() Config {
-	return Config{
-		PushInterval: 30 * time.Second,
-		AdvLifetime:  advertisement.DefaultExpiration,
-		WalkTTL:      0,
-		ScanCost:     4 * time.Microsecond,
-	}
+	return Config{ScanCost: 4 * time.Microsecond}
 }
 
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.PushInterval <= 0 {
-		c.PushInterval = d.PushInterval
-	}
-	if c.AdvLifetime <= 0 {
-		c.AdvLifetime = d.AdvLifetime
-	}
-	return c
-}
+const (
+	// pushInterval is the SRDI delta-push period (paper: 30 s); rendezvous
+	// run their index GC on the same period.
+	pushInterval = 30 * time.Second
+	// advLifetime is the default lifetime of published advertisements and
+	// their index tuples.
+	advLifetime = advertisement.DefaultExpiration
+)
 
 // BusySink lets the service model local processing cost on its transport
 // (implemented by transport.Sim; nil for real transports, where processing
@@ -180,7 +165,7 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 		res:   res,
 		rdv:   rdvSvc,
 		cache: cache,
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		busy:  busy,
 	}
 	s.Instrument(metrics.Discard())
@@ -296,10 +281,10 @@ func (s *Service) Start() {
 		return
 	}
 	if s.rdv.IsRendezvous() {
-		s.ticker = env.NewTicker(s.env, s.cfg.PushInterval, func() { s.index.GC() })
+		s.ticker = env.NewTicker(s.env, pushInterval, func() { s.index.GC() })
 		return
 	}
-	s.ticker = env.NewTicker(s.env, s.cfg.PushInterval, func() { s.pushAll(false) })
+	s.ticker = env.NewTicker(s.env, pushInterval, func() { s.pushAll(false) })
 }
 
 // afterCost schedules fn behind the modeled SRDI scan delay, tracked so
@@ -354,10 +339,10 @@ func (s *Service) Quiescent() bool {
 // --- Publishing ---
 
 // Publish stores an advertisement locally and pushes its index tuples to
-// the rendezvous network. Lifetime zero uses the configured default.
+// the rendezvous network. Lifetime zero uses advLifetime.
 func (s *Service) Publish(adv advertisement.Advertisement, lifetime time.Duration) {
 	if lifetime <= 0 {
-		lifetime = s.cfg.AdvLifetime
+		lifetime = advLifetime
 	}
 	s.cache.Put(adv, lifetime, true)
 	if !s.pushTuples(s.tuplesOf(adv, lifetime)) {
@@ -420,7 +405,7 @@ func (s *Service) pushAll(everything bool) {
 	for _, adv := range s.cache.LocalAdvertisements() {
 		if _, owed := s.unpushed[adv.ID()]; owed || everything {
 			due = append(due, adv)
-			pending = append(pending, s.tuplesOf(adv, s.cfg.AdvLifetime)...)
+			pending = append(pending, s.tuplesOf(adv, advLifetime)...)
 		}
 	}
 	if s.pushTuples(pending) {
@@ -756,12 +741,10 @@ func (s *Service) forwardToPublishers(q *resolver.Query, body queryBody, pubs []
 	}
 }
 
-// startWalk launches the up and down walks carrying the resolver query.
+// startWalk launches the up and down walks carrying the resolver query. Each
+// direction may visit the whole peerview: the paper's O(r) worst case.
 func (s *Service) startWalk(q *resolver.Query, body queryBody) {
-	ttl := s.cfg.WalkTTL
-	if ttl <= 0 {
-		ttl = s.rdv.PeerView().Size() + 1
-	}
+	ttl := s.rdv.PeerView().Size() + 1
 	s.Stats.WalksStarted++
 	wm := message.Acquire()
 	wm.AddScratch("disco", "QID", strconv.AppendUint(wm.Scratch(), q.QID, 10))

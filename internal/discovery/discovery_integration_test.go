@@ -287,71 +287,6 @@ func TestRepublishAfterRdvFailover(t *testing.T) {
 	}
 }
 
-func TestWalkTTLBoundsSearchRadius(t *testing.T) {
-	// With WalkTTL=1 the fallback walk only reaches the immediate
-	// neighbours of the replica; a tuple planted far away stays invisible.
-	o, err := deploy.Build(deploy.Spec{
-		Seed:     31,
-		NumRdv:   10,
-		Topology: topology.Chain,
-		Discovery: discovery.Config{
-			WalkTTL: 1,
-		},
-		Edges: []deploy.EdgeGroup{
-			{AttachTo: 0, Count: 1, Prefix: "holder"},
-			{AttachTo: 9, Count: 1, Prefix: "probe"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.StartAll()
-	o.Sched.Run(12 * time.Minute)
-	holderEdge, probe := o.Edges[0], o.Edges[1]
-
-	// Find the ID-order extremes of the rendezvous view; planting the
-	// tuple at one end while the replica is at least 3 positions away
-	// guarantees a TTL-1 walk cannot bridge the gap.
-	view := o.Rdvs[0].PeerView.View()
-	byID := map[string]*node.Node{}
-	for _, r := range o.Rdvs {
-		byID[r.ID.String()] = r
-	}
-	ends := []*node.Node{byID[view[0].String()], byID[view[len(view)-1].String()]}
-	var key string
-	var holder *node.Node
-	for i := 0; ; i++ {
-		key = fmt.Sprintf("far-%d", i)
-		full := "ResourceName" + key
-		replica := discovery.ReplicaPeer(view, full)
-		pos := 0
-		for j, id := range view {
-			if id.Equal(replica) {
-				pos = j
-			}
-		}
-		if pos >= 3 && pos <= len(view)-4 {
-			holder = ends[0]
-			break
-		}
-	}
-	adv := &advertisement.Resource{ResID: ids.FromName(ids.KindAdv, key), Name: key}
-	holderEdge.Cache.Put(adv, 0, false)
-	holder.Discovery.Index().Add(srdi.Tuple{
-		Key:           "ResourceName" + key,
-		Publisher:     holderEdge.ID,
-		PublisherAddr: holderEdge.Endpoint.Addr(),
-	})
-	timedOut := false
-	probe.Discovery.Query("Resource", "Name", key,
-		func(discovery.Result) { t.Error("TTL-1 walk reached a distant holder") },
-		func() { timedOut = true })
-	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
-	if !timedOut {
-		t.Fatal("query neither answered nor timed out")
-	}
-}
-
 // TestReturnsToZeroState: the discovery service is small by construction. A
 // pure consumer — an edge that only looks things up — never allocates a map,
 // before, during or after a lookup. A publisher whose pushes have reached its

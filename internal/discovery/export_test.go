@@ -6,6 +6,12 @@ import (
 	"jxta/internal/rendezvous"
 )
 
+// The push period and the default advertisement lifetime (tests).
+const (
+	PushPeriod    = pushInterval
+	TupleLifetime = advLifetime
+)
+
 // Tables reports the sizes of the push debt (advertisements not yet pushed
 // to the current rendezvous), the scan-cost timer table and the query dedup
 // set, -1 for one that is not allocated (tests).

@@ -93,7 +93,7 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 		Name: "pub", Role: node.Edge, AdvStore: o.AdvStore,
 		Seeds: []peerview.Seed{o.Rdvs[0].Seed(), o.Rdvs[1].Seed()},
 	})
-	model := &keyLedger{cache: pub.Cache, advLifetime: discovery.DefaultConfig().AdvLifetime}
+	model := &keyLedger{cache: pub.Cache, advLifetime: discovery.TupleLifetime}
 
 	// Every SRDI push the publisher sends, as the tuples it carries.
 	var sent [][]string
@@ -135,7 +135,7 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 			t.Fatalf("%s: the service owes %d advertisements, want %d (-1: holds no ledger)", step, got, want)
 		}
 	}
-	tick := func() { o.Sched.Run(o.Sched.Now() + discovery.DefaultConfig().PushInterval) }
+	tick := func() { o.Sched.Run(o.Sched.Now() + discovery.PushPeriod) }
 	peer := func(name string) advertisement.Advertisement {
 		return &advertisement.Peer{PeerID: ids.FromName(ids.KindPeer, name), Name: name}
 	}
@@ -203,7 +203,7 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 	if got := model.tick(sendOK()); got != nil {
 		t.Fatalf("the key ledger pushes %q here: the scenario no longer reaches the corner", got)
 	}
-	life := discovery.DefaultConfig().AdvLifetime
+	life := discovery.TupleLifetime
 	expect("second of two, retried", []string{tupleText("ResourceNameshared", life), tupleText("ResourceRAM4096", life)})
 	unpushed("second of two, retried", -1)
 	tick()

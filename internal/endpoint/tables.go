@@ -8,9 +8,9 @@ import (
 // The endpoint's tables are small by construction. An edge serves nine
 // service names and routes to its rendezvous and little else, for as long as
 // it lives; held in maps, those few entries cost a bucket array each (832 B
-// per edge, PERFORMANCE.md § PR 14). Held in exact-size slices they are as
-// small idle as busy, so there is one representation and nothing converts to
-// or from it.
+// per edge; PERFORMANCE_HISTORY.md, "small-by-construction services"). Held
+// in exact-size slices they are as small idle as busy, so there is one
+// representation and nothing converts to or from it.
 
 // appendExact appends v, growing a full slice by exactly one element instead
 // of doubling it: these slices reach their final size while the peer boots

@@ -9,7 +9,7 @@ import (
 	"jxta/internal/topology"
 )
 
-// Ablations quantify the design choices DESIGN.md calls out: the tunables
+// Ablations quantify this reproduction's design choices: the tunables
 // the paper discusses (§4.1's freshness-vs-bandwidth compromise) plus the
 // implementation parameter this reproduction had to calibrate (the referral
 // fan-out of the peerview gossip).
@@ -33,7 +33,9 @@ type AblationResult struct {
 // AblateReferrals sweeps ReferralsPerProbe — the gossip fan-out that sets
 // the steady-state peerview size at large r (the calibration knob of this
 // reproduction; JXTA-C's effective fan-out is not specified anywhere, so
-// DESIGN.md documents the choice and this ablation justifies it).
+// this ablation justifies the choice; PERFORMANCE_HISTORY.md, "the r=1,000
+// peerview plateau", derives the referral batch size, of which this value
+// is the floor).
 func AblateReferrals(r int, values []int, duration time.Duration, seed int64) (AblationResult, error) {
 	if len(values) == 0 {
 		values = []int{1, 2, 3, 4}

@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"jxta/internal/deploy"
-	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/netmodel"
 	"jxta/internal/node"
-	"jxta/internal/peerview"
 	"jxta/internal/pipe"
 	"jxta/internal/socket"
 	"jxta/internal/topology"
@@ -36,8 +34,6 @@ type BandwidthSpec struct {
 	RTTSamples int
 	// LossRate injects message loss into the network model (0 = lossless).
 	LossRate float64
-	// Socket tunes the stream layer (zero = defaults).
-	Socket socket.Config
 	// Seed is the master determinism seed.
 	Seed int64
 }
@@ -102,7 +98,6 @@ func RunBandwidth(spec BandwidthSpec) (BandwidthResult, error) {
 		Model:    model,
 		NumRdv:   spec.R,
 		Topology: topology.Chain,
-		Socket:   spec.Socket,
 		Edges: []deploy.EdgeGroup{
 			{AttachTo: 0, Count: 1, Prefix: "server"},
 			{AttachTo: spec.R - 1, Count: 1, Prefix: "client"},
@@ -350,225 +345,4 @@ func deterministicPayload(n int) []byte {
 		out[i] = byte(i*131 + i/257)
 	}
 	return out
-}
-
-// --- Live pass: the same measurement over real loopback TCP ---
-
-// LiveBandwidthPoint is one wall-clock measurement over transport.TCP.
-type LiveBandwidthPoint struct {
-	SizeBytes      int     `json:"size_bytes"`
-	Messages       int     `json:"messages"`
-	Bytes          int     `json:"-"`
-	ElapsedMs      float64 `json:"elapsed_ms"`
-	ThroughputMBps float64 `json:"throughput_mbps"`
-	RTTMs          float64 `json:"rtt_ms"`
-}
-
-// RunBandwidthLive repeats the throughput/RTT sweep over real localhost TCP
-// transports with wall-clock envs — proving the stream layer performs
-// outside the simulator. Results are inherently machine-dependent and are
-// therefore kept out of the deterministic experiment summaries unless
-// explicitly requested.
-func RunBandwidthLive(sizes []int, volumePerPoint, rttSamples int) ([]LiveBandwidthPoint, error) {
-	if len(sizes) == 0 {
-		sizes = BandwidthDefaultSizes
-	}
-	if volumePerPoint <= 0 {
-		volumePerPoint = 8 << 20
-	}
-	if rttSamples <= 0 {
-		rttSamples = 20
-	}
-	newPeer := func(name string, role node.Role, seeds []peerview.Seed, seed int64) (*node.Node, *env.Real, *transport.TCP, error) {
-		tr, err := transport.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		e := env.NewReal(name, seed)
-		var n *node.Node
-		e.Locked(func() {
-			n = node.New(e, tr, node.Config{Name: name, Role: role, Seeds: seeds})
-			n.Start()
-		})
-		return n, e, tr, nil
-	}
-	rdv, rdvEnv, rdvTr, err := newPeer("rdv", node.Rendezvous, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { rdvEnv.Locked(func() { rdv.Stop() }); rdvTr.Close() }()
-	seed := peerview.Seed{ID: rdv.ID, Addr: rdvTr.Addr()}
-	srv, srvEnv, srvTr, err := newPeer("server", node.Edge, []peerview.Seed{seed}, 2)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { srvEnv.Locked(func() { srv.Stop() }); srvTr.Close() }()
-	cli, cliEnv, cliTr, err := newPeer("client", node.Edge, []peerview.Seed{seed}, 3)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { cliEnv.Locked(func() { cli.Stop() }); cliTr.Close() }()
-
-	waitUntil := func(timeout time.Duration, cond func() bool) bool {
-		deadline := time.Now().Add(timeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return true
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return false
-	}
-	ok := waitUntil(10*time.Second, func() bool {
-		a, b := false, false
-		srvEnv.Locked(func() { _, a = srv.Rendezvous.ConnectedRdv() })
-		cliEnv.Locked(func() { _, b = cli.Rendezvous.ConnectedRdv() })
-		return a && b
-	})
-	if !ok {
-		return nil, fmt.Errorf("experiments: live peers never leased")
-	}
-
-	sinkAdv := pipe.NewPipeAdv(srv.ID, "bw-sink")
-	sinkBytes, sinkDone := 0, false
-	srvEnv.Locked(func() {
-		srv.Socket.Listen(sinkAdv, func(c *socket.Conn) {
-			buf := make([]byte, 64<<10)
-			drain := func() {
-				for {
-					n, rerr := c.Read(buf)
-					sinkBytes += n
-					if rerr == io.EOF {
-						sinkDone = true
-						return
-					}
-					if rerr != nil || n == 0 {
-						return
-					}
-				}
-			}
-			c.OnReadable(drain)
-		})
-		echoAdv := pipe.NewPipeAdv(srv.ID, "bw-echo")
-		srv.Socket.Listen(echoAdv, func(c *socket.Conn) {
-			echoPump(c)
-		})
-	})
-	time.Sleep(300 * time.Millisecond) // SRDI push
-
-	dialLive := func(name string) (*socket.Conn, error) {
-		adv := pipe.NewPipeAdv(srv.ID, name)
-		ch := make(chan *socket.Conn, 1)
-		errCh := make(chan error, 1)
-		cliEnv.Locked(func() {
-			cli.Socket.Dial(adv.PipeID, func(c *socket.Conn, err error) {
-				if err != nil {
-					errCh <- err
-					return
-				}
-				ch <- c
-			})
-		})
-		select {
-		case c := <-ch:
-			return c, nil
-		case err := <-errCh:
-			return nil, err
-		case <-time.After(15 * time.Second):
-			return nil, fmt.Errorf("experiments: live dial timed out")
-		}
-	}
-
-	var out []LiveBandwidthPoint
-	for _, size := range sizes {
-		pt := LiveBandwidthPoint{SizeBytes: size}
-		pt.Messages = volumePerPoint / size
-		if pt.Messages < 1 {
-			pt.Messages = 1
-		}
-		pt.Bytes = pt.Messages * size
-		payload := deterministicPayload(size)
-
-		conn, err := dialLive("bw-sink")
-		if err != nil {
-			return nil, err
-		}
-		srvEnv.Locked(func() { sinkBytes, sinkDone = 0, false })
-		start := time.Now()
-		for m := 0; m < pt.Messages; m++ {
-			rest := payload
-			for len(rest) > 0 {
-				var n int
-				var werr error
-				cliEnv.Locked(func() { n, werr = conn.Write(rest) })
-				if werr != nil {
-					return nil, fmt.Errorf("experiments: live write: %w", werr)
-				}
-				rest = rest[n:]
-				if n == 0 {
-					time.Sleep(time.Millisecond)
-				}
-			}
-		}
-		cliEnv.Locked(func() { conn.Close() })
-		if !waitUntil(60*time.Second, func() bool {
-			done := false
-			srvEnv.Locked(func() { done = sinkDone })
-			return done
-		}) {
-			return nil, fmt.Errorf("experiments: live transfer stalled (size %d)", size)
-		}
-		elapsed := time.Since(start)
-		pt.ElapsedMs = float64(elapsed) / float64(time.Millisecond)
-		if elapsed > 0 {
-			pt.ThroughputMBps = float64(pt.Bytes) / 1e6 / elapsed.Seconds()
-		}
-
-		echo, err := dialLive("bw-echo")
-		if err != nil {
-			return nil, err
-		}
-		var rttSum time.Duration
-		for s := 0; s < rttSamples; s++ {
-			got := 0
-			buf := make([]byte, 64<<10)
-			cliEnv.Locked(func() {
-				echo.OnReadable(func() {
-					for {
-						n, rerr := echo.Read(buf)
-						got += n
-						if rerr != nil || n == 0 {
-							return
-						}
-					}
-				})
-			})
-			t0 := time.Now()
-			rest := payload
-			for len(rest) > 0 {
-				var n int
-				var werr error
-				cliEnv.Locked(func() { n, werr = echo.Write(rest) })
-				if werr != nil {
-					return nil, fmt.Errorf("experiments: live echo write: %w", werr)
-				}
-				rest = rest[n:]
-				if n == 0 {
-					time.Sleep(time.Millisecond)
-				}
-			}
-			if !waitUntil(30*time.Second, func() bool {
-				g := 0
-				cliEnv.Locked(func() { g = got })
-				return g >= size
-			}) {
-				return nil, fmt.Errorf("experiments: live echo stalled (size %d)", size)
-			}
-			rttSum += time.Since(t0)
-		}
-		cliEnv.Locked(func() { echo.Close() })
-		pt.RTTMs = float64(rttSum) / float64(rttSamples) / float64(time.Millisecond)
-		out = append(out, pt)
-	}
-	return out, nil
 }

@@ -34,8 +34,8 @@ type DiscoverySpec struct {
 	// publishes; queries cycle over them. The paper used a single
 	// advertisement, which makes the walk distance one random draw; using
 	// several (default 20) averages the LC-DHT rank mismatch so the r-sweep
-	// curve is statistically meaningful. PERFORMANCE.md records this
-	// substitution.
+	// curve is statistically meaningful. PERFORMANCE_HISTORY.md records this
+	// substitution ("Substitution on record").
 	Advertisements int
 	// DisableWalk turns off the LC-DHT fallback walk (ablation only).
 	DisableWalk bool

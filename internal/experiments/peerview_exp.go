@@ -1,8 +1,8 @@
 // Package experiments contains one driver per table/figure of the paper's
-// evaluation (§4), plus the baseline and churn extensions listed in
-// DESIGN.md. Each driver deploys an overlay on the simulator, runs the
-// workload, and returns the measured data in the same shape the paper
-// plots.
+// evaluation (§4), plus this reproduction's extensions (baselines, churn,
+// volatility, bandwidth, scale, routing; Table lists them all). Each one
+// deploys an overlay on the simulator, runs the workload, and returns the
+// measured data in the same shape the paper plots.
 package experiments
 
 import (
@@ -29,8 +29,6 @@ type PeerviewSpec struct {
 	// Duration is the experiment length (60 min for most paper runs,
 	// 120 min for r=580).
 	Duration time.Duration
-	// SampleEvery sets the l(t) sampling period (default 30 s).
-	SampleEvery time.Duration
 	// Seed is the master determinism seed.
 	Seed int64
 	// Shards partitions the simulated network across per-core shard
@@ -43,11 +41,11 @@ func (s PeerviewSpec) withDefaults() PeerviewSpec {
 	if s.Duration <= 0 {
 		s.Duration = 60 * time.Minute
 	}
-	if s.SampleEvery <= 0 {
-		s.SampleEvery = 30 * time.Second
-	}
 	return s
 }
+
+// sampleEvery is the l(t) sampling period.
+const sampleEvery = 30 * time.Second
 
 // PeerviewResult is one Figure 3 (left) / Figure 4 (left) curve plus the
 // Figure 3 (right) event log of the observed rendezvous.
@@ -113,7 +111,7 @@ func RunPeerview(spec PeerviewSpec) (PeerviewResult, error) {
 	})
 	o.StartAll()
 
-	for t := time.Duration(0); t <= spec.Duration; t += spec.SampleEvery {
+	for t := time.Duration(0); t <= spec.Duration; t += sampleEvery {
 		o.Sched.Run(t)
 		l := observed.PeerView.Size()
 		res.Size.Add(t, float64(l))

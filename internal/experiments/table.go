@@ -16,9 +16,6 @@ type Options struct {
 	Seed int64
 	// Quick picks the scaled-down parameters: seconds instead of minutes.
 	Quick bool
-	// Live adds bandwidth's pass over real loopback TCP (wall-clock,
-	// machine-dependent).
-	Live bool
 }
 
 // Expectation is one of the paper's numbers an experiment reproduces.
@@ -461,7 +458,7 @@ func ablations(o Options) (any, []plot.Chart, error) {
 
 // bandwidth sweeps the streaming layer: throughput and RTT vs message size,
 // lossless (A) and with 1% injected loss (B), over the simulated Grid'5000
-// model; with Live, also over real loopback TCP.
+// model.
 func bandwidth(o Options) (any, []plot.Chart, error) {
 	sizes, volume := BandwidthDefaultSizes, 4<<20
 	if o.Quick {
@@ -491,13 +488,6 @@ func bandwidth(o Options) (any, []plot.Chart, error) {
 		tput.Add(tputS)
 		rtt.Add(rttS)
 		summary[cfg.name] = res.Points
-	}
-	if o.Live {
-		live, err := RunBandwidthLive(sizes, 2*volume, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		summary["live_tcp"] = live
 	}
 	return summary, []plot.Chart{tput, rtt}, nil
 }

@@ -9,7 +9,8 @@
 // the Grid'5000 era (a few ms between western sites, ~10 ms for the longest
 // diagonals) divided by two, with the stack service time chosen so that the
 // paper's configuration-A discovery plateau lands near its reported ≈12 ms.
-// DESIGN.md records this substitution.
+// The model stands in for the testbed, which a reproduction cannot run on;
+// the calibration above is the whole of the substitution.
 package netmodel
 
 import (

@@ -84,8 +84,6 @@ type Config struct {
 	Name string
 	// Role selects edge or rendezvous behaviour.
 	Role Role
-	// Group is the peer group ID (defaults to the NetPeerGroup).
-	Group ids.ID
 	// Seeds are the initial rendezvous contacts: peerview bootstrap for a
 	// rendezvous, lease targets for an edge.
 	Seeds []peerview.Seed
@@ -96,8 +94,6 @@ type Config struct {
 	Lease rendezvous.Config
 	// Discovery tunables.
 	Discovery discovery.Config
-	// Socket tunables (stream layer); zero fields take defaults.
-	Socket socket.Config
 	// AdvStore, when set, is the interning table for every advertisement
 	// this node caches or holds in its peerview. Deployments pass one store
 	// per overlay so equal advertisements dedupe across the population and
@@ -158,13 +154,13 @@ type Node struct {
 	pvRegIndex int
 }
 
+// netPeerGroup is the peer group every node joins: the JXTA NetPeerGroup.
+var netPeerGroup = ids.FromName(ids.KindGroup, "NetPeerGroup")
+
 // New assembles a peer over the given environment and transport. The peer
 // ID is drawn from the env's deterministic RNG, so overlays are reproducible
 // under a fixed experiment seed.
 func New(e env.Env, tr transport.Transport, cfg Config) *Node {
-	if cfg.Group.IsNil() {
-		cfg.Group = ids.FromName(ids.KindGroup, "NetPeerGroup")
-	}
 	if cfg.Name == "" {
 		cfg.Name = e.Name()
 	}
@@ -198,7 +194,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 	if cfg.Role == Rendezvous {
 		n.rdvAdv = &advertisement.Rdv{
 			PeerID:  id,
-			GroupID: cfg.Group,
+			GroupID: netPeerGroup,
 			Name:    cfg.Name,
 			Address: string(tr.Addr()),
 		}
@@ -213,7 +209,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 	}
 	n.Discovery = discovery.New(e, ep, res, n.Rendezvous, cache, cfg.Discovery, busy)
 	n.Pipe = pipe.New(e, ep, n.Discovery, n.Rendezvous)
-	n.Socket = socket.New(e, ep, n.Pipe, cfg.Socket)
+	n.Socket = socket.New(e, ep, n.Pipe)
 
 	// Re-instrument every service against the node's shared registry (each
 	// constructor pre-instrumented against a private one) and add the
@@ -296,7 +292,7 @@ func (n *Node) PromoteToRendezvous() {
 	n.Config.Role = Rendezvous
 	n.rdvAdv = &advertisement.Rdv{
 		PeerID:  n.ID,
-		GroupID: n.Config.Group,
+		GroupID: netPeerGroup,
 		Name:    n.Config.Name,
 		Address: string(n.Endpoint.Addr()),
 	}

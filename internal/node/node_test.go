@@ -62,11 +62,8 @@ func TestDefaultGroupAndName(t *testing.T) {
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
 	tr, _ := net.Attach("x", netmodel.Rennes)
 	n := New(sched.NewEnv("x"), tr, Config{Role: Rendezvous})
-	if n.Config.Group.IsNil() {
-		t.Fatal("group not defaulted")
-	}
-	if n.Config.Group != ids.FromName(ids.KindGroup, "NetPeerGroup") {
-		t.Fatal("default group is not the NetPeerGroup")
+	if n.RdvAdv().GroupID != ids.FromName(ids.KindGroup, "NetPeerGroup") {
+		t.Fatal("the rendezvous advertisement does not name the NetPeerGroup")
 	}
 	if n.Config.Name != "x" {
 		t.Fatalf("name not defaulted from env: %q", n.Config.Name)

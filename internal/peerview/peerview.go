@@ -858,9 +858,10 @@ func (pv *PeerView) referralBatch() int {
 // behaviour — i.i.d. random draws, fixed at ReferralsPerProbe — hits the
 // coupon-collector bound at large r (240 rounds × ~4 draws over 999
 // identities mention ~62% of them) and renews entries too rarely to beat
-// EntryExpiry, which is exactly the ~605/999 plateau PERFORMANCE.md § PR 8
-// recorded. Inserts and removals shift the cursor's anchor by at most one
-// entry per change; the rotation stays complete.
+// EntryExpiry, which is exactly the ~605/999 plateau that
+// PERFORMANCE_HISTORY.md records at r=1,000. Inserts and removals shift the
+// cursor's anchor by at most one entry per change; the rotation stays
+// complete.
 func (pv *PeerView) sendReferrals(to ids.ID) {
 	n := len(pv.entries)
 	if n == 0 {

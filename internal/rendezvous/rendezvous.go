@@ -97,8 +97,6 @@ type Config struct {
 	// LeaseDuration is how long a granted lease lasts (default 20 min,
 	// mirroring JXTA-C).
 	LeaseDuration time.Duration
-	// RenewFraction of the lease after which the edge renews (default 0.5).
-	RenewFraction float64
 	// ResponseTimeout bounds the wait for a lease grant before the edge
 	// fails over to the next seed (default 15 s).
 	ResponseTimeout time.Duration
@@ -127,6 +125,9 @@ type Config struct {
 	IslandMerge bool
 }
 
+// renewFraction is the share of a lease after which the edge renews it.
+const renewFraction = 0.5
+
 // rumorDeadSweeps bounds the IslandMerge rumor store on long-lived
 // deployments: an identity that answers nothing — not a peerview member,
 // not a leased client, never re-gossiped — for this many consecutive client
@@ -143,7 +144,6 @@ const rumorDeadSweeps = 4
 func DefaultConfig() Config {
 	return Config{
 		LeaseDuration:    20 * time.Minute,
-		RenewFraction:    0.5,
 		ResponseTimeout:  15 * time.Second,
 		FailoverAttempts: 8,
 	}
@@ -153,9 +153,6 @@ func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.LeaseDuration <= 0 {
 		c.LeaseDuration = d.LeaseDuration
-	}
-	if c.RenewFraction <= 0 || c.RenewFraction >= 1 {
-		c.RenewFraction = d.RenewFraction
 	}
 	if c.ResponseTimeout <= 0 {
 		c.ResponseTimeout = d.ResponseTimeout
@@ -379,7 +376,7 @@ func (s *Service) maybeMerge(sd peerview.Seed) {
 	if sd.ID.Equal(s.ep.ID()) || s.pv.Contains(sd.ID) {
 		return
 	}
-	retry := time.Duration(float64(s.cfg.LeaseDuration) * s.cfg.RenewFraction)
+	retry := time.Duration(float64(s.cfg.LeaseDuration) * renewFraction)
 	now := s.env.Now()
 	if at, tried := s.mergeTried[sd.ID]; tried && now-at < retry {
 		return
@@ -1463,7 +1460,7 @@ func (s *Service) receiveGrant(src ids.ID, granted []byte, m *message.Message) {
 	if s.renewTimer != nil {
 		s.renewTimer.Cancel()
 	}
-	s.renewTimer = s.requestAfter(time.Duration(float64(dur) * s.cfg.RenewFraction))
+	s.renewTimer = s.requestAfter(time.Duration(float64(dur) * renewFraction))
 }
 
 // receiveHandoff imports a predecessor's lease table. An edge promotes

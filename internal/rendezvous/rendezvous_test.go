@@ -92,10 +92,10 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg != DefaultConfig() {
 		t.Fatalf("withDefaults = %+v", cfg)
 	}
-	odd := Config{LeaseDuration: time.Minute, RenewFraction: 1.5, ResponseTimeout: time.Second}
+	odd := Config{LeaseDuration: time.Minute, ResponseTimeout: time.Second}
 	got := odd.withDefaults()
-	if got.RenewFraction != 0.5 {
-		t.Fatal("out-of-range RenewFraction not defaulted")
+	if got.FailoverAttempts != DefaultConfig().FailoverAttempts {
+		t.Fatal("zero FailoverAttempts not defaulted")
 	}
 	if got.LeaseDuration != time.Minute {
 		t.Fatal("valid LeaseDuration overwritten")

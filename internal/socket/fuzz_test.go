@@ -82,7 +82,7 @@ func FuzzSegmentParser(f *testing.F) {
 			t.Fatal(err)
 		}
 		ep := endpoint.New(e, ids.NewRandom(ids.KindPeer, e.Rand()), tr)
-		s := New(e, ep, nil, Config{RTO: 50 * time.Millisecond, HandshakeTimeout: time.Second})
+		s := New(e, ep, nil)
 		// A listener bound to whatever pipe the segment names, so a decoded
 		// SYN traverses the accept path instead of dropping at the lookup.
 		if pid, err := ids.Parse(m.GetString(ns, elemPipe)); err == nil {

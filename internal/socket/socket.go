@@ -8,9 +8,9 @@
 // endpoint service: a SYN/SYN-ACK/ACK handshake binds a connection to a
 // pipe advertisement, data travels in sequence-numbered segments covered
 // by cumulative ACKs, a sliding send window (bounded by both the local
-// window configuration and the receiver's advertised free buffer) provides
-// flow control, and a per-connection retransmission timer with exponential
-// backoff recovers losses. All timers run through env.Env, so the same
+// window and the receiver's advertised free buffer) provides flow control,
+// and a per-connection retransmission timer with exponential backoff
+// recovers losses. All timers run through env.Env, so the same
 // code is deterministic under the simulation scheduler and wall-clock
 // driven over real TCP transports.
 //
@@ -62,55 +62,22 @@ const (
 	typeRst    = "rst"
 )
 
-// Config tunes the stream layer.
-type Config struct {
-	// MSS is the maximum segment payload size (default 16 KiB).
-	MSS int
-	// WindowBytes bounds both the send buffer / in-flight data and the
-	// receive buffer whose free space is advertised to the peer
-	// (default 256 KiB, which caps WAN throughput at roughly window/RTT:
-	// ~21 MB/s on the Grid'5000 model).
-	WindowBytes int
-	// RTO is the initial retransmission timeout (default 300 ms; doubles
-	// per retry).
-	RTO time.Duration
-	// MaxRetries bounds consecutive retransmissions of one segment before
-	// the connection is reset (default 10).
-	MaxRetries int
-	// HandshakeTimeout bounds Dial from SYN to establishment (default 30 s).
-	HandshakeTimeout time.Duration
-}
-
-// DefaultConfig returns the stream-layer defaults.
-func DefaultConfig() Config {
-	return Config{
-		MSS:              16 << 10,
-		WindowBytes:      256 << 10,
-		RTO:              300 * time.Millisecond,
-		MaxRetries:       10,
-		HandshakeTimeout: 30 * time.Second,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.MSS <= 0 {
-		c.MSS = d.MSS
-	}
-	if c.WindowBytes <= 0 {
-		c.WindowBytes = d.WindowBytes
-	}
-	if c.RTO <= 0 {
-		c.RTO = d.RTO
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = d.MaxRetries
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = d.HandshakeTimeout
-	}
-	return c
-}
+// Stream-layer constants.
+const (
+	// mss is the maximum segment payload size.
+	mss = 16 << 10
+	// windowBytes bounds both the send buffer / in-flight data and the
+	// receive buffer whose free space is advertised to the peer; it caps WAN
+	// throughput at roughly window/RTT (~21 MB/s on the Grid'5000 model).
+	windowBytes = 256 << 10
+	// rto is the initial retransmission timeout; it doubles per retry.
+	rto = 300 * time.Millisecond
+	// maxRetries bounds consecutive retransmissions of one segment before
+	// the connection is reset.
+	maxRetries = 10
+	// handshakeTimeout bounds Dial from SYN to establishment.
+	handshakeTimeout = 30 * time.Second
+)
 
 // Errors.
 var (
@@ -147,7 +114,6 @@ type Service struct {
 	env   env.Env
 	ep    *endpoint.Endpoint
 	pipes *pipe.Service
-	cfg   Config
 
 	// listeners and conns are nil until first written (reads of a nil map
 	// are already correct), so a peer that never streams allocates neither.
@@ -159,14 +125,11 @@ type Service struct {
 }
 
 // New wires the stream layer into a peer's endpoint and pipe services.
-func New(e env.Env, ep *endpoint.Endpoint, pipes *pipe.Service, cfg Config) *Service {
-	s := &Service{env: e, ep: ep, pipes: pipes, cfg: cfg.withDefaults()}
+func New(e env.Env, ep *endpoint.Endpoint, pipes *pipe.Service) *Service {
+	s := &Service{env: e, ep: ep, pipes: pipes}
 	ep.Register(ServiceName, s.receive)
 	return s
 }
-
-// Config returns the effective (defaulted) configuration.
-func (s *Service) Config() Config { return s.cfg }
 
 // Stop tears the stream layer down gracefully: listeners unbind (their pipe
 // advertisements stop answering binds), idle established connections send a
@@ -343,7 +306,7 @@ func (s *Service) DialPeer(binder, pipeID ids.ID, cb func(*Conn, error)) {
 	c.pipeID = pipeID
 	c.state = stateSynSent
 	c.onDialed = cb
-	c.dialDeadline = s.env.After(s.cfg.HandshakeTimeout, func() {
+	c.dialDeadline = s.env.After(handshakeTimeout, func() {
 		if c.state == stateSynSent {
 			c.fail(ErrDialTimeout)
 		}
@@ -423,7 +386,7 @@ func (s *Service) newConn(key connKey) *Conn {
 	return &Conn{
 		svc:     s,
 		key:     key,
-		peerWnd: s.cfg.WindowBytes, // until the first advertisement arrives
+		peerWnd: windowBytes, // until the first advertisement arrives
 	}
 }
 
@@ -454,10 +417,10 @@ func (c *Conn) Buffered() int { return len(c.recvBuf) }
 func (c *Conn) sendSpace() int {
 	// Send buffer plus in-flight data share the window budget.
 	used := len(c.sendBuf) + int(c.sndNxt-c.sndUna)
-	if used >= c.svc.cfg.WindowBytes {
+	if used >= windowBytes {
 		return 0
 	}
-	return c.svc.cfg.WindowBytes - used
+	return windowBytes - used
 }
 
 // Write copies up to len(p) bytes into the stream. It is non-blocking: the
@@ -504,7 +467,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 	// stream, so push an explicit ack once a meaningful chunk has opened —
 	// cumulative across Reads, so sub-MSS readers re-advertise too.
 	c.freedSinceAck += n
-	if c.freedSinceAck >= c.svc.cfg.MSS && c.state == stateEstablished {
+	if c.freedSinceAck >= mss && c.state == stateEstablished {
 		c.sendAck()
 	}
 	return n, nil
@@ -578,7 +541,7 @@ func (c *Conn) baseMsg(t string) *message.Out {
 
 // recvSpace is the free receive buffer this side advertises.
 func (c *Conn) recvSpace() int {
-	free := c.svc.cfg.WindowBytes - len(c.recvBuf)
+	free := windowBytes - len(c.recvBuf)
 	if free < 0 {
 		return 0
 	}
@@ -629,21 +592,17 @@ func (c *Conn) pump() {
 	if c.state != stateEstablished && c.state != stateSynReceived {
 		return
 	}
-	cfg := c.svc.cfg
 	for len(c.sendBuf) > 0 {
 		inFlight := int(c.sndNxt - c.sndUna)
-		wnd := c.peerWnd
-		if cfg.WindowBytes < wnd {
-			wnd = cfg.WindowBytes
-		}
+		wnd := min(c.peerWnd, windowBytes)
 		budget := wnd - inFlight
 		if budget <= 0 {
 			c.svc.Stats.WindowStalls++
 			break
 		}
 		n := len(c.sendBuf)
-		if n > cfg.MSS {
-			n = cfg.MSS
+		if n > mss {
+			n = mss
 		}
 		if n > budget {
 			n = budget
@@ -694,9 +653,9 @@ func (c *Conn) armRetx() {
 }
 
 // currentRTO computes the retransmission timeout for the next timer arming:
-// the configured RTO, doubled per consecutive retry.
+// the initial RTO, doubled per consecutive retry.
 func (c *Conn) currentRTO() time.Duration {
-	return c.svc.cfg.RTO << uint(c.retries)
+	return rto << uint(c.retries)
 }
 
 // onRetxTimeout retransmits the oldest outstanding unit: SYN/SYN-ACK during
@@ -708,7 +667,7 @@ func (c *Conn) onRetxTimeout() {
 		return
 	}
 	c.retries++
-	if c.retries > c.svc.cfg.MaxRetries {
+	if c.retries > maxRetries {
 		c.sendRst()
 		c.fail(ErrTimeout)
 		return
@@ -953,7 +912,7 @@ func (c *Conn) handleData(m *message.Message) {
 		}
 	case seq > c.rcvNxt:
 		// Out of order: park it unless it overruns the receive window.
-		if len(data) > 0 && seq+uint64(len(data)) <= c.rcvNxt+uint64(c.svc.cfg.WindowBytes) {
+		if len(data) > 0 && seq+uint64(len(data)) <= c.rcvNxt+windowBytes {
 			if _, dup := c.ooo[seq]; !dup {
 				cp := make([]byte, len(data))
 				copy(cp, data)
@@ -1007,7 +966,7 @@ func (c *Conn) maybeTeardown() {
 	c.state = stateClosed
 	c.stopTimers()
 	svc, key := c.svc, c.key
-	c.lingerTmr = svc.env.After(time.Duration(lingerRTOs)*svc.cfg.RTO, func() {
+	c.lingerTmr = svc.env.After(lingerRTOs*rto, func() {
 		c.lingerTmr = nil
 		if cur, ok := svc.conns[key]; ok && cur == c {
 			delete(svc.conns, key)

@@ -24,7 +24,7 @@ type rig struct {
 	dialer   *node.Node
 }
 
-func newRig(t *testing.T, seed int64, model *netmodel.Model, sockCfg socket.Config) *rig {
+func newRig(t *testing.T, seed int64, model *netmodel.Model) *rig {
 	t.Helper()
 	o, err := deploy.Build(deploy.Spec{
 		Seed:     seed,
@@ -35,7 +35,6 @@ func newRig(t *testing.T, seed int64, model *netmodel.Model, sockCfg socket.Conf
 			{AttachTo: 0, Count: 1, Prefix: "listener"},
 			{AttachTo: 3, Count: 1, Prefix: "dialer"},
 		},
-		Socket: sockCfg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +116,7 @@ func (k *sink) attach(c *socket.Conn) {
 }
 
 func TestListenDialTransfer(t *testing.T) {
-	r := newRig(t, 1, nil, socket.Config{})
+	r := newRig(t, 1, nil)
 	adv := pipe.NewPipeAdv(r.listener.ID, "svc")
 	var server *socket.Conn
 	serverSink := &sink{}
@@ -161,7 +160,7 @@ func TestListenDialTransfer(t *testing.T) {
 }
 
 func TestBidirectionalEcho(t *testing.T) {
-	r := newRig(t, 2, nil, socket.Config{})
+	r := newRig(t, 2, nil)
 	adv := pipe.NewPipeAdv(r.listener.ID, "echo")
 	// The server echoes everything back (parking bytes its send window
 	// cannot take yet) and closes when the client does.
@@ -229,7 +228,7 @@ func TestBidirectionalEcho(t *testing.T) {
 }
 
 func TestDialUnknownPipeFails(t *testing.T) {
-	r := newRig(t, 3, nil, socket.Config{})
+	r := newRig(t, 3, nil)
 	var gotErr error
 	done := false
 	r.dialer.Socket.Dial(ids.FromName(ids.KindPipe, "ghost"), func(c *socket.Conn, err error) {
@@ -249,7 +248,7 @@ func lossyTransfer(t *testing.T, seed int64) (received []byte, retx uint64, step
 	t.Helper()
 	model := netmodel.Grid5000()
 	model.LossRate = 0.02
-	r := newRig(t, seed, model, socket.Config{})
+	r := newRig(t, seed, model)
 	adv := pipe.NewPipeAdv(r.listener.ID, "bulk")
 	serverSink := &sink{}
 	if _, err := r.listener.Socket.Listen(adv, func(c *socket.Conn) {
@@ -298,11 +297,11 @@ func TestLossyLinkRetransmission(t *testing.T) {
 	}
 }
 
-// TestFlowControlSmallWindow forces a tiny window so the sender stalls
-// repeatedly and only window updates (or probes) resume it.
+// TestFlowControlSmallWindow streams four windows' worth so the sender
+// stalls on a closed flow window and only window updates (or probes) resume
+// it.
 func TestFlowControlSmallWindow(t *testing.T) {
-	cfg := socket.Config{MSS: 1024, WindowBytes: 4096}
-	r := newRig(t, 5, nil, cfg)
+	r := newRig(t, 5, nil)
 	adv := pipe.NewPipeAdv(r.listener.ID, "narrow")
 	serverSink := &sink{}
 	if _, err := r.listener.Socket.Listen(adv, func(c *socket.Conn) {
@@ -321,19 +320,22 @@ func TestFlowControlSmallWindow(t *testing.T) {
 	if client == nil {
 		t.Fatal("dial failed")
 	}
-	payload := pattern(64 << 10) // 16x the window
+	payload := pattern(1 << 20) // 4x the 256 KiB window
 	streamOut(t, client, payload)
 	r.run(5 * time.Minute)
 	if !serverSink.eof || !bytes.Equal(serverSink.got, payload) {
 		t.Fatalf("windowed transfer incomplete: %d/%d bytes eof=%v",
 			len(serverSink.got), len(payload), serverSink.eof)
 	}
+	if r.dialer.Socket.Stats.WindowStalls == 0 {
+		t.Fatal("the sender never stalled on a closed window")
+	}
 }
 
 // TestManyConcurrentStreams multiplexes several connections between the
 // same pair of peers and checks isolation.
 func TestManyConcurrentStreams(t *testing.T) {
-	r := newRig(t, 6, nil, socket.Config{})
+	r := newRig(t, 6, nil)
 	const streams = 5
 	sinks := make([]*sink, streams)
 	adv := pipe.NewPipeAdv(r.listener.ID, "multi")
@@ -377,7 +379,7 @@ func TestManyConcurrentStreams(t *testing.T) {
 // dialer side of an idle established stream sees an orderly EOF (FIN), a
 // mid-transfer stream is reset, and both services end with empty tables.
 func TestServiceStopTearsDownStreams(t *testing.T) {
-	r := newRig(t, 77, netmodel.Uniform(2*time.Millisecond), socket.Config{})
+	r := newRig(t, 77, netmodel.Uniform(2*time.Millisecond))
 	adv := pipe.NewPipeAdv(r.listener.ID, "stop-test")
 	if _, err := r.listener.Socket.Listen(adv, func(*socket.Conn) {}); err != nil {
 		t.Fatal(err)
@@ -407,14 +409,12 @@ func TestServiceStopTearsDownStreams(t *testing.T) {
 	r.dialer.Socket.Stop()
 }
 
-// silentPeerRig establishes one stream with RTO 100 ms and MaxRetries 3.
-// The caller aborts the listener side, after which the dialer's segments go
-// unanswered and only its retransmission limit ends the stream.
+// silentPeerRig establishes one stream. The caller aborts the listener
+// side, after which the dialer's segments go unanswered and only its
+// retransmission limit ends the stream.
 func silentPeerRig(t *testing.T) (*rig, *socket.Conn) {
 	t.Helper()
-	r := newRig(t, 78, netmodel.Uniform(2*time.Millisecond), socket.Config{
-		RTO: 100 * time.Millisecond, MaxRetries: 3,
-	})
+	r := newRig(t, 78, netmodel.Uniform(2*time.Millisecond))
 	adv := pipe.NewPipeAdv(r.listener.ID, "abort-test")
 	if _, err := r.listener.Socket.Listen(adv, func(*socket.Conn) {}); err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestServiceAbortIsSilent(t *testing.T) {
 	if _, err := conn.Write(pattern(1024)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	r.run(5 * time.Minute)
+	r.run(11 * time.Minute) // past the 614.1 s retransmission schedule
 	if conn.Err() != socket.ErrTimeout {
 		t.Fatalf("dialer error after remote Abort = %v, want ErrTimeout", conn.Err())
 	}
@@ -457,12 +457,12 @@ func TestServiceAbortIsSilent(t *testing.T) {
 
 // TestFixedRTOUnchangedByEstimator pins the retransmission schedule: the
 // timer arms at RTO and doubles per retry, so a sender facing a silent peer
-// gives up exactly RTO·(2^(MaxRetries+1)−1) after its write — 1.5 s at
-// RTO 100 ms and MaxRetries 3 — and not a nanosecond sooner.
+// gives up exactly RTO·(2^(MaxRetries+1)−1) after its write — 614.1 s at
+// RTO 300 ms and MaxRetries 10 — and not a nanosecond sooner.
 func TestFixedRTOUnchangedByEstimator(t *testing.T) {
 	r, conn := silentPeerRig(t)
-	giveUp := socket.GiveUpAfter(r.dialer.Socket)
-	if want := 1500 * time.Millisecond; giveUp != want {
+	giveUp := socket.GiveUpAfter()
+	if want := 614100 * time.Millisecond; giveUp != want {
 		t.Fatalf("retransmission schedule sums to %v, want %v", giveUp, want)
 	}
 	r.listener.Socket.Abort()
@@ -486,7 +486,7 @@ func TestFixedRTOUnchangedByEstimator(t *testing.T) {
 // linger) both ends are quiescent again while the listener — a registration,
 // not per-connection state — survives.
 func TestReturnsToZeroState(t *testing.T) {
-	r := newRig(t, 31, nil, socket.Config{})
+	r := newRig(t, 31, nil)
 	srv, cli := r.listener.Socket, r.dialer.Socket
 	if !srv.ZeroState() || !cli.ZeroState() || !srv.Quiescent() || !cli.Quiescent() {
 		t.Fatal("a service that never streamed allocated its tables or is not quiescent")

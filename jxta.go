@@ -119,20 +119,6 @@ type SimOptions struct {
 	Topology string
 	// Edges lists the edge peers to deploy.
 	Edges []EdgeSpec
-	// Shards selects the simulation engine: ≤1 (the default) is the
-	// serial scheduler, byte-identical to earlier releases under a fixed
-	// Seed; >1 partitions the overlay by Grid'5000 site across that many
-	// conservative-PDES shards (clamped to the nine modeled sites) for
-	// multicore scaling, the shards meeting at a global barrier between
-	// lookahead windows. Runs stay deterministic for a fixed (Seed,
-	// Shards) pair at any GOMAXPROCS, but trajectories differ between
-	// shard counts.
-	Shards int
-	// LeanMetrics shares one population-wide metrics registry across all
-	// simulated peers and drops per-node trace rings and gauges — the
-	// memory/assembly-cost mode for very large populations (100k+ edges).
-	// Per-peer metric snapshots are unavailable in this mode. Default off.
-	LeanMetrics bool
 	// LeaseDuration overrides the rendezvous lease length (0 keeps the
 	// JXTA-C default of 20 minutes; renewals happen at half of it).
 	// Volatility scenarios shorten it so failure detection, failover and
@@ -191,12 +177,10 @@ func NewSimulation(opts SimOptions) (*Simulation, error) {
 		}
 	}
 	spec := deploy.Spec{
-		Seed:        opts.Seed,
-		NumRdv:      opts.Rendezvous,
-		Shards:      opts.Shards,
-		LeanMetrics: opts.LeanMetrics,
-		Topology:    kind,
-		Discovery:   discovery.DefaultConfig(),
+		Seed:      opts.Seed,
+		NumRdv:    opts.Rendezvous,
+		Topology:  kind,
+		Discovery: discovery.DefaultConfig(),
 	}
 	spec.Lease.LeaseDuration = opts.LeaseDuration
 	if !opts.DisableSelfHealing {
