@@ -140,16 +140,29 @@ func BenchmarkFig4RightWalkRegime(b *testing.B) {
 }
 
 // BenchmarkComplexityLCDHTvsChord measures the §3.3 complexity contrast:
-// LC-DHT, Chord-class DHT and flooding on the same network model.
+// the LC-DHT's messages per lookup over the Table 1 overlay, and Chord's
+// hops and flooding's messages per lookup from the routing bake-off.
 func BenchmarkComplexityLCDHTvsChord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunBaselines(32, 30, int64(i))
+		t1, err := experiments.Table1(int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.LCDHTMsgsPerOp, "lcdht-msgs-op")
-		b.ReportMetric(res.ChordMeanHops, "chord-hops")
-		b.ReportMetric(res.FloodMsgsPerOp, "flood-msgs-op")
+		res, err := experiments.RunRouting(experiments.RoutingSpec{
+			N: 32, Keys: 8, Lookups: 16, Seed: int64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(t1.LookupMsgs), "lcdht-msgs-op")
+		for _, pt := range res.Points {
+			switch pt.Backend {
+			case "chord":
+				b.ReportMetric(pt.MeanHops, "chord-hops")
+			case "flood":
+				b.ReportMetric(pt.LookupMsgsPerOp, "flood-msgs-op")
+			}
+		}
 	}
 }
 
@@ -158,8 +171,7 @@ func BenchmarkComplexityLCDHTvsChord(b *testing.B) {
 func BenchmarkChurnDiscovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RunChurn(experiments.ChurnSpec{
-			R: 20, Kills: 5, Queries: 40,
-			KillEvery: 90 * time.Second, Seed: int64(i),
+			R: 20, Kills: 5, Queries: 40, Seed: int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,7 +49,20 @@ func stripHostTime(v any) any {
 // After a change that is meant to move an experiment's output, recapture
 // with that command and
 // `jq '.experiments.<name> | walk(if type=="object" then del(.wall_ms,.events_per_sec,.speedup_wall,.heap_bytes_per_edge,.gomaxprocs) else . end)'`.
+//
+// A testdata file whose experiment left the table fails the test: delete
+// the pin with the experiment.
 func TestEveryExperimentQuick(t *testing.T) {
+	pins, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range pins {
+		name := strings.TrimSuffix(filepath.Base(pin), ".json")
+		if !slices.ContainsFunc(experiments.Table, func(e experiments.Experiment) bool { return e.Name == name }) {
+			t.Errorf("%s pins no experiment of experiments.Table", pin)
+		}
+	}
 	for _, e := range experiments.Table {
 		t.Run(e.Name, func(t *testing.T) {
 			rep, err := e.Run(experiments.Options{Seed: 42, Quick: true})

@@ -19,10 +19,8 @@ import (
 type ChurnSpec struct {
 	// R is the rendezvous count.
 	R int
-	// KillEvery is the interval between rendezvous crashes (the churn
-	// rate); victims are chosen round-robin among non-essential peers.
-	KillEvery time.Duration
-	// Kills bounds how many rendezvous die during the measurement.
+	// Kills bounds how many rendezvous die during the measurement, one
+	// every churnKillEvery.
 	Kills int
 	// Queries is the number of lookups issued while churn is ongoing.
 	Queries int
@@ -30,18 +28,9 @@ type ChurnSpec struct {
 	Seed int64
 }
 
-func (s ChurnSpec) withDefaults() ChurnSpec {
-	if s.KillEvery <= 0 {
-		s.KillEvery = 2 * time.Minute
-	}
-	if s.Kills <= 0 {
-		s.Kills = s.R / 4
-	}
-	if s.Queries <= 0 {
-		s.Queries = 100
-	}
-	return s
-}
+// churnKillEvery is the interval between rendezvous crashes (the churn
+// rate); victims are chosen round-robin among non-essential peers.
+const churnKillEvery = 90 * time.Second
 
 // ChurnResult reports discovery behaviour under rendezvous churn.
 type ChurnResult struct {
@@ -58,7 +47,6 @@ type ChurnResult struct {
 // and searcher's own rendezvous are spared (lease failover is exercised by
 // dedicated integration tests; here the walk fallback is the subject).
 func RunChurn(spec ChurnSpec) (ChurnResult, error) {
-	spec = spec.withDefaults()
 	if spec.R < 4 {
 		return ChurnResult{}, fmt.Errorf("experiments: churn needs r >= 4, got %d", spec.R)
 	}
@@ -110,9 +98,9 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 		o.KillRdv(victim)
 		victim += 2 // skip around so the chain of live peers stays mixed
 		killed++
-		o.Sched.After(spec.KillEvery, killTick)
+		o.Sched.After(churnKillEvery, killTick)
 	}
-	o.Sched.After(spec.KillEvery, killTick)
+	o.Sched.After(churnKillEvery, killTick)
 
 	// The kill ticker above and the query loop share the scheduler: crashes
 	// land between (and during) the measured lookups.

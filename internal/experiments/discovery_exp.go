@@ -17,26 +17,32 @@ import (
 	"jxta/internal/transport"
 )
 
+// Configuration B's noise (§4.2): noisers edge peers attached to noiseRdvs
+// rendezvous, each publishing fakeAdvs advertisements (f in the paper;
+// 50*100 = 5000 total).
+const (
+	noisers   = 50
+	noiseRdvs = 5
+	fakeAdvs  = 100
+)
+
+// advertisements is how many distinct advertisements the publisher
+// publishes; queries cycle over them. The paper used a single
+// advertisement, which makes the walk distance one random draw; using
+// several averages the LC-DHT rank mismatch so the r-sweep curve is
+// statistically meaningful. PERFORMANCE_HISTORY.md records this
+// substitution ("Substitution on record").
+const advertisements = 20
+
 // DiscoverySpec parameterizes one point of the Figure 4 (right) sweep.
 type DiscoverySpec struct {
 	// R is the rendezvous count.
 	R int
-	// Noise enables configuration B: Noisers edge peers attached to
-	// NoiseRdvs rendezvous, each publishing FakeAdvs advertisements.
-	Noise     bool
-	Noisers   int // default 50
-	NoiseRdvs int // default 5
-	FakeAdvs  int // default 100 (f in the paper; 50*100 = 5000 total)
+	// Noise enables configuration B (noisers, noiseRdvs, fakeAdvs).
+	Noise bool
 	// Queries is the number of consecutive discovery operations (paper:
 	// 100), each followed by a searcher cache flush.
 	Queries int
-	// Advertisements is how many distinct advertisements the publisher
-	// publishes; queries cycle over them. The paper used a single
-	// advertisement, which makes the walk distance one random draw; using
-	// several (default 20) averages the LC-DHT rank mismatch so the r-sweep
-	// curve is statistically meaningful. PERFORMANCE_HISTORY.md records this
-	// substitution ("Substitution on record").
-	Advertisements int
 	// DisableWalk turns off the LC-DHT fallback walk (ablation only).
 	DisableWalk bool
 	// Converge is how long to let peerviews settle before measuring
@@ -52,21 +58,6 @@ type DiscoverySpec struct {
 }
 
 func (s DiscoverySpec) withDefaults() DiscoverySpec {
-	if s.Noisers <= 0 {
-		s.Noisers = 50
-	}
-	if s.NoiseRdvs <= 0 {
-		s.NoiseRdvs = 5
-	}
-	if s.FakeAdvs <= 0 {
-		s.FakeAdvs = 100
-	}
-	if s.Queries <= 0 {
-		s.Queries = 100
-	}
-	if s.Advertisements <= 0 {
-		s.Advertisements = 20
-	}
 	if s.Converge <= 0 {
 		// Small overlays stabilize quickly; large ones need the paper's
 		// phase-3 wait (~2x PVE_EXPIRATION = 40 min).
@@ -114,15 +105,12 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 		{AttachTo: spec.R - 1, Count: 1, Prefix: "searcher"},
 	}
 	if spec.Noise {
-		// Noisers spread over the first NoiseRdvs rendezvous ("50 edge
+		// Noisers spread over the first noiseRdvs rendezvous ("50 edge
 		// peers will connect to 5 rendezvous peers amongst the r
 		// available").
-		nr := spec.NoiseRdvs
-		if nr > spec.R {
-			nr = spec.R
-		}
-		per := spec.Noisers / nr
-		extra := spec.Noisers % nr
+		nr := min(noiseRdvs, spec.R)
+		per := noisers / nr
+		extra := noisers % nr
 		for i := 0; i < nr; i++ {
 			count := per
 			if i < extra {
@@ -158,7 +146,7 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 	// for the peerviews to settle, then publish, then let the SRDI pushes
 	// and replications land before measuring.
 	o.Sched.Run(spec.Converge)
-	for k := 0; k < spec.Advertisements; k++ {
+	for k := 0; k < advertisements; k++ {
 		publisher.Discovery.Publish(&advertisement.Resource{
 			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("target-%d", k)),
 			Name:  fmt.Sprintf("Test%d", k),
@@ -166,7 +154,7 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 	}
 	if spec.Noise {
 		for ni, noiser := range o.Edges[2:] {
-			for f := 0; f < spec.FakeAdvs; f++ {
+			for f := 0; f < fakeAdvs; f++ {
 				name := fmt.Sprintf("fake-%d-%d", ni, f)
 				noiser.Discovery.Publish(&advertisement.Resource{
 					ResID: ids.FromName(ids.KindAdv, name),
@@ -203,7 +191,7 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 			runQuery(i + 1)
 		}
 		err := searcher.Discovery.Query("Resource", "Name",
-			fmt.Sprintf("Test%d", i%spec.Advertisements),
+			fmt.Sprintf("Test%d", i%advertisements),
 			func(r discovery.Result) {
 				if !advanced {
 					res.Latency.AddDuration(r.Elapsed)

@@ -238,7 +238,7 @@ func TestGoldenBandwidthReplay(t *testing.T) {
 // every view size and every network counter exactly.
 func TestGoldenChurnRecoveryReplay(t *testing.T) {
 	res, err := RunChurnRecovery(RecoverySpec{
-		R: 12, Kills: 4, Queries: 8, RejoinEvery: time.Minute, Seed: 42,
+		R: 12, Kills: 4, Queries: 8, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)

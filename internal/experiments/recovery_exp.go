@@ -28,28 +28,16 @@ type RecoverySpec struct {
 	// the middle of the chain crashes at once. The publisher's rendezvous
 	// (0) and the searcher's (R-1) are spared.
 	Kills int
-	// RejoinEvery spaces the staged rejoins (default 1 min): every tick one
-	// killed rendezvous restarts, in kill order.
-	RejoinEvery time.Duration
 	// Queries is the number of discovery lookups issued in each of the
-	// three phases (baseline, outage, recovered; default 12).
+	// three phases (baseline, outage, recovered).
 	Queries int
 	// Seed is the master determinism seed.
 	Seed int64
 }
 
-func (s RecoverySpec) withDefaults() RecoverySpec {
-	if s.Kills <= 0 {
-		s.Kills = s.R / 3
-	}
-	if s.RejoinEvery <= 0 {
-		s.RejoinEvery = time.Minute
-	}
-	if s.Queries <= 0 {
-		s.Queries = 12
-	}
-	return s
-}
+// rejoinEvery spaces the staged rejoins: every tick one killed rendezvous
+// restarts, in kill order.
+const rejoinEvery = time.Minute
 
 // PhaseStats aggregates discovery outcomes over one phase of the scenario.
 type PhaseStats struct {
@@ -156,7 +144,6 @@ func runQueryPhase(o *deploy.Overlay, searcher *node.Node, count, advCount int, 
 
 // RunChurnRecovery executes the mass-failure + staged-rejoin scenario.
 func RunChurnRecovery(spec RecoverySpec) (RecoveryResult, error) {
-	spec = spec.withDefaults()
 	if spec.R < spec.Kills+3 {
 		return RecoveryResult{}, fmt.Errorf("experiments: recovery needs r >= kills+3, got r=%d kills=%d",
 			spec.R, spec.Kills)
@@ -224,11 +211,11 @@ func RunChurnRecovery(spec RecoverySpec) (RecoveryResult, error) {
 	// rebuilds its view from the chain seeds.
 	for i, v := range victims {
 		v := v
-		o.Sched.After(time.Duration(i+1)*spec.RejoinEvery, func() {
+		o.Sched.After(time.Duration(i+1)*rejoinEvery, func() {
 			o.RestartRdv(v)
 		})
 	}
-	settle := time.Duration(len(victims)+1)*spec.RejoinEvery + 15*time.Minute
+	settle := time.Duration(len(victims)+1)*rejoinEvery + 15*time.Minute
 	o.Sched.Run(o.Sched.Now() + settle)
 	res.ViewAfterRejoin = meanLiveView(o)
 	res.Reconverged = true

@@ -32,13 +32,6 @@ type RoutingSpec struct {
 	// Lookups is the number of lookup operations per wave (one healthy
 	// wave, one post-churn wave).
 	Lookups int
-	// KillFrac is the fraction of the overlay fail-stopped between the
-	// two waves (publish originators are spared so the comparison
-	// measures routing resilience, not data loss).
-	KillFrac float64
-	// Backends selects which overlays run; nil runs all four
-	// ("flood", "srdi", "chord", "kademlia").
-	Backends []string
 	// Converge is the settle window after deployment (peerview phase 3
 	// for SRDI, bootstrap lookups for Kademlia). Zero derives from N.
 	Converge time.Duration
@@ -49,19 +42,15 @@ type RoutingSpec struct {
 	Seed int64
 }
 
+// routingBackends are the overlays the bake-off runs, in order.
+var routingBackends = []string{"flood", "srdi", "chord", "kademlia"}
+
+// routingKillFrac is the fraction of the overlay fail-stopped between the
+// two lookup waves (publish originators are spared so the comparison
+// measures routing resilience, not data loss).
+const routingKillFrac = 0.25
+
 func (s RoutingSpec) withDefaults() RoutingSpec {
-	if s.Keys <= 0 {
-		s.Keys = 8
-	}
-	if s.Lookups <= 0 {
-		s.Lookups = 2 * s.Keys
-	}
-	if s.KillFrac == 0 {
-		s.KillFrac = 0.25
-	}
-	if len(s.Backends) == 0 {
-		s.Backends = []string{"flood", "srdi", "chord", "kademlia"}
-	}
 	if s.Converge <= 0 {
 		if s.N <= 50 {
 			s.Converge = 15 * time.Minute
@@ -97,7 +86,7 @@ type RoutingPoint struct {
 	MaintMsgsPerMin float64
 
 	// Post-churn lookup wave, issued by surviving originators after
-	// KillFrac of the overlay fail-stops with no warning.
+	// routingKillFrac of the overlay fail-stops with no warning.
 	Killed        int
 	ChurnLookups  int
 	ChurnSuccess  int
@@ -116,17 +105,16 @@ func routingBackendErr(name string, err error) error {
 }
 
 // RunRouting executes the bake-off. Each backend gets its own scheduler and
-// network (message counters must not bleed across overlays); seeds derive
-// from Spec.Seed plus a per-backend offset, so adding a backend to the list
-// never perturbs the others.
+// network (message counters must not bleed across overlays) and its own
+// seed lane: Spec.Seed plus 101 times its place in routingBackends.
 func RunRouting(spec RoutingSpec) (RoutingResult, error) {
 	spec = spec.withDefaults()
-	if spec.N < 4 {
-		return RoutingResult{}, fmt.Errorf("experiments: routing N=%d", spec.N)
+	if spec.N < 4 || spec.Keys < 1 {
+		return RoutingResult{}, fmt.Errorf("experiments: routing N=%d keys=%d", spec.N, spec.Keys)
 	}
 	res := RoutingResult{Spec: spec}
-	for _, name := range spec.Backends {
-		pt, err := runRoutingBackend(spec, name)
+	for i, name := range routingBackends {
+		pt, err := runRoutingBackend(spec, name, spec.Seed+101*int64(i+1))
 		if err != nil {
 			return res, err
 		}
@@ -135,23 +123,7 @@ func RunRouting(spec RoutingSpec) (RoutingResult, error) {
 	return res, nil
 }
 
-// backendSeedOffset gives each backend a fixed seed lane.
-func backendSeedOffset(name string) int64 {
-	switch name {
-	case "flood":
-		return 101
-	case "srdi":
-		return 202
-	case "chord":
-		return 303
-	case "kademlia":
-		return 404
-	}
-	return 999
-}
-
-func runRoutingBackend(spec RoutingSpec, name string) (RoutingPoint, error) {
-	seed := spec.Seed + backendSeedOffset(name)
+func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint, error) {
 	var (
 		b   routing.Backend
 		eng simnet.Engine
@@ -179,9 +151,7 @@ func runRoutingBackend(spec RoutingSpec, name string) (RoutingPoint, error) {
 	case "kademlia":
 		sched := simnet.NewScheduler(seed)
 		net = transport.NewNetwork(sched, netmodel.Grid5000())
-		kad, err := routing.BuildKademlia(sched, net, spec.N, routing.KadConfig{
-			RefreshInterval: 2 * time.Minute,
-		})
+		kad, err := routing.BuildKademlia(sched, net, spec.N)
 		if err != nil {
 			return RoutingPoint{}, routingBackendErr(name, err)
 		}
@@ -195,8 +165,6 @@ func runRoutingBackend(spec RoutingSpec, name string) (RoutingPoint, error) {
 		}
 		b, eng, net = sb, sb.o.Sched, sb.o.Net
 		eng.Run(eng.Now() + spec.Converge)
-	default:
-		return RoutingPoint{}, fmt.Errorf("experiments: unknown routing backend %q", name)
 	}
 
 	pt := RoutingPoint{Backend: name, N: spec.N}
@@ -231,9 +199,9 @@ func runRoutingBackend(spec RoutingSpec, name string) (RoutingPoint, error) {
 	eng.Run(eng.Now() + spec.MaintWindow)
 	pt.MaintMsgsPerMin = float64(net.Stats().Messages-before) / spec.MaintWindow.Minutes()
 
-	// --- Churn: fail-stop KillFrac of the overlay (sparing publishers),
-	// then a second wave from surviving originators.
-	toKill := int(float64(spec.N) * spec.KillFrac)
+	// --- Churn: fail-stop routingKillFrac of the overlay (sparing
+	// publishers), then a second wave from surviving originators.
+	toKill := int(float64(spec.N) * routingKillFrac)
 	killed := make(map[int]bool)
 	for i := 0; i < spec.N && len(killed) < toKill; i++ {
 		victim := (i*37 + 11) % spec.N
@@ -311,10 +279,6 @@ func buildSRDIBackend(spec RoutingSpec, seed int64) (*srdiBackend, error) {
 	o.StartAll()
 	return &srdiBackend{o: o, killed: make([]bool, spec.N)}, nil
 }
-
-func (s *srdiBackend) Name() string { return "srdi" }
-
-func (s *srdiBackend) N() int { return len(s.o.Rdvs) }
 
 func (s *srdiBackend) Alive(i int) bool { return !s.killed[i] }
 

@@ -10,7 +10,7 @@ import (
 // enough for CI.
 func quickRoutingSpec() RoutingSpec {
 	return RoutingSpec{
-		N: 16, Keys: 6, Lookups: 12, KillFrac: 0.25,
+		N: 16, Keys: 6, Lookups: 12,
 		Converge:    12 * time.Minute,
 		MaintWindow: 5 * time.Minute,
 		Seed:        42,
@@ -20,7 +20,9 @@ func quickRoutingSpec() RoutingSpec {
 // TestRoutingConformance runs the identical publish/lookup/churn scenario
 // against all four backends and asserts the behavioral contract each must
 // honor, whatever its internals: full lookup success on a healthy overlay,
-// and nonzero resilience everywhere except the repair-free static ring.
+// and nonzero resilience everywhere except the repair-free static ring. It
+// also holds the §3.3 contrast the bake-off exists for: flooding costs more
+// messages per lookup than the structured Chord ring.
 func TestRoutingConformance(t *testing.T) {
 	res, err := RunRouting(quickRoutingSpec())
 	if err != nil {
@@ -29,7 +31,9 @@ func TestRoutingConformance(t *testing.T) {
 	if len(res.Points) != 4 {
 		t.Fatalf("got %d backends, want 4", len(res.Points))
 	}
+	lookupMsgs := map[string]float64{}
 	for _, pt := range res.Points {
+		lookupMsgs[pt.Backend] = pt.LookupMsgsPerOp
 		if pt.Success != pt.Lookups {
 			t.Errorf("%s: healthy wave %d/%d succeeded", pt.Backend, pt.Success, pt.Lookups)
 		}
@@ -55,6 +59,10 @@ func TestRoutingConformance(t *testing.T) {
 		if pt.Backend == "srdi" && pt.MaintMsgsPerMin == 0 {
 			t.Errorf("srdi: peerview/SRDI maintenance produced no traffic")
 		}
+	}
+	if lookupMsgs["flood"] <= lookupMsgs["chord"] {
+		t.Errorf("flooding (%.1f msgs/lookup) not costlier than chord (%.1f)",
+			lookupMsgs["flood"], lookupMsgs["chord"])
 	}
 }
 

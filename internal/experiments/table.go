@@ -73,7 +73,6 @@ var Table = []Experiment{
 			{Claim: "tuned: l reaches r-1 at t1 (min)", Source: "Fig. 4 left", Paper: "17", Key: "tuned_t1_min"},
 		}},
 	{Name: "fig4right", Title: "Figure 4 (right): time to discover an advertisement vs r", run: fig4Right},
-	{Name: "baselines", Title: "Baselines (§3.3): LC-DHT vs Chord vs flooding", run: baselines},
 	{Name: "churn", Title: "Churn (§5 future work): rolling crashes, then mass failure and staged rejoin", run: churn},
 	{Name: "volatility", Title: "Volatility: the self-healing tier across kill intervals", run: volatility},
 	{Name: "ablations", Title: "Ablations: steady-state view size vs bandwidth", run: ablations},
@@ -276,29 +275,6 @@ func routingBakeoff(o Options) (any, []plot.Chart, error) {
 	return rows, nil, nil
 }
 
-type baselineRow struct {
-	N           int     `json:"n"`
-	LCDHTMsgsOp float64 `json:"lcdht_msgs_op"`
-	ChordHops   float64 `json:"chord_hops"`
-	FloodMsgsOp float64 `json:"flood_msgs_op"`
-}
-
-func baselines(o Options) (any, []plot.Chart, error) {
-	ns, ops := []int{16, 64, 128}, 50
-	if o.Quick {
-		ns, ops = []int{16, 48}, 20
-	}
-	var rows []baselineRow
-	for _, n := range ns {
-		res, err := RunBaselines(n, ops, o.Seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		rows = append(rows, baselineRow{n, res.LCDHTMsgsPerOp, res.ChordMeanHops, res.FloodMsgsPerOp})
-	}
-	return rows, nil, nil
-}
-
 type churnSummary struct {
 	R            int             `json:"r"`
 	Kills        int             `json:"kills"`
@@ -332,16 +308,11 @@ func churn(o Options) (any, []plot.Chart, error) {
 		r, kills, queries = 16, 4, 30
 		recR, recKills, recQ = 12, 4, 8
 	}
-	res, err := RunChurn(ChurnSpec{
-		R: r, Kills: kills, Queries: queries, KillEvery: 90 * time.Second, Seed: o.Seed,
-	})
+	res, err := RunChurn(ChurnSpec{R: r, Kills: kills, Queries: queries, Seed: o.Seed})
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, err := RunChurnRecovery(RecoverySpec{
-		R: recR, Kills: recKills, Queries: recQ,
-		RejoinEvery: time.Minute, Seed: o.Seed,
-	})
+	rec, err := RunChurnRecovery(RecoverySpec{R: recR, Kills: recKills, Queries: recQ, Seed: o.Seed})
 	if err != nil {
 		return nil, nil, err
 	}

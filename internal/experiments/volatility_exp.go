@@ -46,12 +46,10 @@ type VolatilitySpec struct {
 	// IslandMerge enables the gossip-driven island merge and appends a
 	// post-attrition merge phase to every sweep point: after the kill
 	// schedule finishes, the run polls the tier until the surviving islands
-	// have merged into a single peerview (or MergeSettle elapses), records
+	// have merged into a single peerview (or mergeSettle elapses), records
 	// the time-to-single-tier, and measures discovery success again on the
 	// merged overlay (VolatilityPoint.Merge).
 	IslandMerge bool
-	// MergeSettle caps the merge phase (default 30 min virtual time).
-	MergeSettle time.Duration
 	// Shards partitions the simulated network across per-core shard
 	// schedulers (see deploy.Spec.Shards). 0 or 1 keeps the serial engine;
 	// results are deterministic per (Seed, Shards).
@@ -73,11 +71,11 @@ func (s VolatilitySpec) withDefaults() VolatilitySpec {
 	if s.Queries <= 0 {
 		s.Queries = 20
 	}
-	if s.MergeSettle <= 0 {
-		s.MergeSettle = 30 * time.Minute
-	}
 	return s
 }
+
+// mergeSettle caps the island-merge phase, in virtual time.
+const mergeSettle = 30 * time.Minute
 
 // MergeStats reports the post-attrition island-merge phase of one sweep
 // point (VolatilitySpec.IslandMerge).
@@ -300,7 +298,7 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 		// then measure discovery on the merged overlay. tierStats only
 		// reads node state, so the polling cannot perturb the replay.
 		start := o.Sched.Now()
-		deadline := start + spec.MergeSettle
+		deadline := start + mergeSettle
 		for o.Sched.Now() < deadline {
 			live, _, reconv := tierStats(o)
 			if reconv && live > 0 && edgesSettled(o) {

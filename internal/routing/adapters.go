@@ -21,12 +21,6 @@ func NewChordBackend(r *chord.Ring) *ChordBackend {
 	return &ChordBackend{Ring: r, nodes: r.Nodes()}
 }
 
-// Name implements Backend.
-func (b *ChordBackend) Name() string { return "chord" }
-
-// N implements Backend.
-func (b *ChordBackend) N() int { return len(b.nodes) }
-
 // Alive implements Backend.
 func (b *ChordBackend) Alive(i int) bool { return b.nodes[i].Alive() }
 
@@ -62,12 +56,6 @@ type FloodBackend struct {
 func NewFloodBackend(f *flood.Network) *FloodBackend {
 	return &FloodBackend{Net: f, nodes: f.Nodes()}
 }
-
-// Name implements Backend.
-func (b *FloodBackend) Name() string { return "flood" }
-
-// N implements Backend.
-func (b *FloodBackend) N() int { return len(b.nodes) }
 
 // Alive implements Backend.
 func (b *FloodBackend) Alive(i int) bool { return b.nodes[i].Alive() }

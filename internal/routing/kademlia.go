@@ -21,34 +21,19 @@ import (
 // Kademlia RPC pays the same endpoint/resolver envelope the SRDI walk pays.
 const KadHandlerName = "urn:jxta:kad"
 
-// KadConfig parameterizes the overlay.
-type KadConfig struct {
-	// K is the bucket capacity and replication factor (default 8).
-	K int
-	// Alpha is the lookup parallelism (default 3).
-	Alpha int
-	// RPCTimeout is how long a single RPC waits before its target is
-	// presumed dead and the lookup routes around it (default 10s). This
-	// is the overlay's only failure detector.
-	RPCTimeout time.Duration
-	// RefreshInterval is the per-node bucket-refresh period; each tick
+const (
+	// kadK is the bucket capacity and replication factor.
+	kadK = 8
+	// kadAlpha is the lookup parallelism.
+	kadAlpha = 3
+	// kadRPCTimeout is how long a single RPC waits before its target is
+	// presumed dead and the lookup routes around it. This is the overlay's
+	// only failure detector.
+	kadRPCTimeout = 10 * time.Second
+	// kadRefreshInterval is the per-node bucket-refresh period; each tick
 	// one node runs one FIND_NODE toward a rotating region of the space.
-	// Zero disables timed refresh (Maintain still forces rounds).
-	RefreshInterval time.Duration
-}
-
-func (c KadConfig) withDefaults() KadConfig {
-	if c.K == 0 {
-		c.K = 8
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 3
-	}
-	if c.RPCTimeout == 0 {
-		c.RPCTimeout = 10 * time.Second
-	}
-	return c
-}
+	kadRefreshInterval = 2 * time.Minute
+)
 
 // kadContact is one routing-table entry.
 type kadContact struct {
@@ -64,14 +49,10 @@ type kadContact struct {
 // of the whole operation, and dead contacts are evicted as a side effect of
 // ordinary traffic.
 type Kademlia struct {
-	eng   simnet.Engine
-	cfg   KadConfig
 	nodes []*kadNode
 }
 
 type kadNode struct {
-	k     *Kademlia
-	idx   int
 	env   env.Env
 	tr    *transport.Sim
 	ep    *endpoint.Endpoint
@@ -92,12 +73,11 @@ type kadNode struct {
 // routing table with a deterministic bootstrap graph (successor plus
 // power-of-two jumps in deployment order). Call Bootstrap and run a settle
 // window before measuring; tables then converge through lookup traffic.
-func BuildKademlia(eng simnet.Engine, net *transport.Network, n int, cfg KadConfig) (*Kademlia, error) {
+func BuildKademlia(eng simnet.Engine, net *transport.Network, n int) (*Kademlia, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("kademlia: n=%d", n)
 	}
-	cfg = cfg.withDefaults()
-	k := &Kademlia{eng: eng, cfg: cfg}
+	k := &Kademlia{}
 	sites := netmodel.SpreadSites(n)
 	for i := 0; i < n; i++ {
 		e := eng.NewEnv(fmt.Sprintf("kad%d", i))
@@ -107,16 +87,14 @@ func BuildKademlia(eng simnet.Engine, net *transport.Network, n int, cfg KadConf
 			return nil, err
 		}
 		nd := &kadNode{
-			k: k, idx: i, env: e, tr: tr, id: id, key: IDHash(id),
+			env: e, tr: tr, id: id, key: IDHash(id),
 			alive: true, store: make(map[string]bool),
 		}
 		nd.ep = endpoint.New(e, id, tr)
 		nd.res = resolver.New(e, nd.ep)
-		nd.res.Timeout = cfg.RPCTimeout
+		nd.res.Timeout = kadRPCTimeout
 		nd.res.RegisterHandler(KadHandlerName, nd.handleRPC)
-		if cfg.RefreshInterval > 0 {
-			nd.ticker = env.NewTicker(e, cfg.RefreshInterval, nd.refreshTick)
-		}
+		nd.ticker = env.NewTicker(e, kadRefreshInterval, nd.refreshTick)
 		k.nodes = append(k.nodes, nd)
 	}
 	for i, nd := range k.nodes {
@@ -147,12 +125,6 @@ func (k *Kademlia) Bootstrap() {
 	}
 }
 
-// Name implements Backend.
-func (k *Kademlia) Name() string { return "kademlia" }
-
-// N implements Backend.
-func (k *Kademlia) N() int { return len(k.nodes) }
-
 // Alive implements Backend.
 func (k *Kademlia) Alive(i int) bool { return k.nodes[i].alive }
 
@@ -172,7 +144,7 @@ func (k *Kademlia) Lookup(from int, key string, cb func(Result)) {
 }
 
 // Maintain implements Backend: one forced bucket-refresh round on every
-// live node (the timed equivalent runs on RefreshInterval tickers).
+// live node (the timed equivalent runs on kadRefreshInterval tickers).
 func (k *Kademlia) Maintain() {
 	for _, nd := range k.nodes {
 		if nd.alive {
@@ -189,9 +161,7 @@ func (k *Kademlia) Kill(i int) {
 		return
 	}
 	nd.alive = false
-	if nd.ticker != nil {
-		nd.ticker.Stop()
-	}
+	nd.ticker.Stop()
 	nd.res.Stop()
 	_ = nd.tr.Close()
 }
@@ -225,7 +195,7 @@ func (n *kadNode) observe(c kadContact) {
 			return
 		}
 	}
-	if len(n.buckets[b]) < n.k.cfg.K {
+	if len(n.buckets[b]) < kadK {
 		n.buckets[b] = append(n.buckets[b], c)
 	}
 }
@@ -342,7 +312,7 @@ func (n *kadNode) handleRPC(q *resolver.Query) {
 			key = fields[2]
 		}
 		found := key != "" && n.store[key]
-		_ = n.res.Respond(q, encodeContacts(found, n.closest(target, n.k.cfg.K)))
+		_ = n.res.Respond(q, encodeContacts(found, n.closest(target, kadK)))
 	}
 }
 
@@ -372,7 +342,7 @@ func (n *kadNode) lookup(target uint64, key string, store bool, cb func(Result))
 		queried:   make(map[uint64]bool),
 		responded: make(map[uint64]bool),
 	}
-	for _, c := range n.closest(target, n.k.cfg.K) {
+	for _, c := range n.closest(target, kadK) {
 		op.add(c, 1)
 	}
 	op.step()
@@ -391,15 +361,14 @@ func (op *kadOp) add(c kadContact, depth int) {
 	sortContacts(op.shortlist, op.target)
 }
 
-// step issues RPCs until Alpha are in flight or the K closest known
+// step issues RPCs until kadAlpha are in flight or the kadK closest known
 // contacts have all been queried; with nothing in flight either, the
 // operation has converged.
 func (op *kadOp) step() {
 	if op.finished || !op.n.alive {
 		return
 	}
-	cfg := op.n.k.cfg
-	for op.inflight < cfg.Alpha {
+	for op.inflight < kadAlpha {
 		c, ok := op.nextCandidate()
 		if !ok {
 			break
@@ -416,11 +385,7 @@ func (op *kadOp) step() {
 // nextCandidate returns the closest unqueried contact among the K closest
 // known, if any.
 func (op *kadOp) nextCandidate() (kadContact, bool) {
-	limit := op.n.k.cfg.K
-	if limit > len(op.shortlist) {
-		limit = len(op.shortlist)
-	}
-	for _, c := range op.shortlist[:limit] {
+	for _, c := range op.shortlist[:min(kadK, len(op.shortlist))] {
 		if !op.queried[c.key] {
 			return c, true
 		}
@@ -481,10 +446,7 @@ func (op *kadOp) onTimeout(c kadContact) {
 // died): FIND_VALUE failed, FIND_NODE finished, publish stores.
 func (op *kadOp) converged() {
 	if op.store {
-		limit := op.n.k.cfg.K
-		if limit > len(op.shortlist) {
-			limit = len(op.shortlist)
-		}
+		limit := min(kadK, len(op.shortlist))
 		hops := 0
 		payload := []byte("store " + op.key)
 		for _, c := range op.shortlist[:limit] {

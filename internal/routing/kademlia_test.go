@@ -14,7 +14,7 @@ func buildKad(t *testing.T, seed int64, n int) (*Kademlia, *simnet.Scheduler) {
 	t.Helper()
 	sched := simnet.NewScheduler(seed)
 	net := transport.NewNetwork(sched, netmodel.Grid5000())
-	kad, err := BuildKademlia(sched, net, n, KadConfig{RefreshInterval: 2 * time.Minute})
+	kad, err := BuildKademlia(sched, net, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,6 @@ type Result struct {
 // Backend is one deployed routing overlay under bake-off measurement.
 // Nodes are addressed by deployment index [0, N).
 type Backend interface {
-	// Name identifies the backend ("flood", "srdi", "chord", "kademlia").
-	Name() string
-	// N returns the overlay size.
-	N() int
 	// Alive reports whether node i has not been killed.
 	Alive(i int) bool
 	// Publish places key on the overlay, originating at node from. The

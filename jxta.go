@@ -61,6 +61,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"time"
 
 	"jxta/internal/advertisement"
@@ -401,11 +403,12 @@ func (p *Peer) Publish(adv Advertisement, lifetime time.Duration) {
 }
 
 // PublishResource publishes a generic resource advertisement with the given
-// name and extra indexed attributes. It returns the advertisement.
+// name and extra indexed attributes, in attribute-name order. It returns the
+// advertisement.
 func (p *Peer) PublishResource(name string, attrs map[string]string) *Resource {
 	fields := make([]IndexField, 0, len(attrs))
-	for k, v := range attrs {
-		fields = append(fields, IndexField{Attr: k, Value: v})
+	for _, k := range slices.Sorted(maps.Keys(attrs)) {
+		fields = append(fields, IndexField{Attr: k, Value: attrs[k]})
 	}
 	// Deterministic advertisement ID from publisher + name.
 	adv := &Resource{
@@ -440,38 +443,9 @@ const discoverSettle = 100 * time.Millisecond
 // advertisements, the latency of the first response, and ErrTimeout when
 // nothing answered.
 func (p *Peer) Discover(advType, attr, value string, within time.Duration) ([]Advertisement, time.Duration, error) {
-	var first *discovery.Result
-	var merged []Advertisement
-	seen := map[string]bool{}
-	err := p.n.Discovery.Query(advType, attr, value, func(r discovery.Result) {
-		if first == nil {
-			first = &r
-		}
-		for _, adv := range r.Advs {
-			key := adv.ID().String()
-			if !seen[key] {
-				seen[key] = true
-				merged = append(merged, adv)
-			}
-		}
-	}, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	sched := p.sim.overlay.Sched
-	deadline := sched.Now() + within
-	for first == nil && sched.Now() < deadline {
-		step := sched.Now() + 10*time.Millisecond
-		if step > deadline {
-			step = deadline
-		}
-		sched.Run(step)
-	}
-	if first == nil {
-		return nil, 0, ErrTimeout
-	}
-	sched.Run(sched.Now() + discoverSettle)
-	return merged, first.Elapsed, nil
+	return p.discover(within, func(onResult func(discovery.Result)) error {
+		return p.n.Discovery.Query(advType, attr, value, onResult, nil)
+	})
 }
 
 // DiscoverRange searches for advertisements of advType whose attr is an
@@ -479,10 +453,19 @@ func (p *Peer) Discover(advType, attr, value string, within time.Duration) ([]Ad
 // work). Ranges walk the whole rendezvous view, so responses from several
 // publishers are merged over the settle window.
 func (p *Peer) DiscoverRange(advType, attr string, lo, hi int64, within time.Duration) ([]Advertisement, time.Duration, error) {
+	return p.discover(within, func(onResult func(discovery.Result)) error {
+		return p.n.Discovery.QueryRange(advType, attr, lo, hi, onResult, nil)
+	})
+}
+
+// discover issues a query, waits up to within for its first response, then
+// merges further responses over discoverSettle, deduplicated by
+// advertisement ID.
+func (p *Peer) discover(within time.Duration, query func(onResult func(discovery.Result)) error) ([]Advertisement, time.Duration, error) {
 	var first *discovery.Result
 	var merged []Advertisement
 	seen := map[string]bool{}
-	err := p.n.Discovery.QueryRange(advType, attr, lo, hi, func(r discovery.Result) {
+	err := query(func(r discovery.Result) {
 		if first == nil {
 			first = &r
 		}
@@ -493,24 +476,27 @@ func (p *Peer) DiscoverRange(advType, attr string, lo, hi int64, within time.Dur
 				merged = append(merged, adv)
 			}
 		}
-	}, nil)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	sched := p.sim.overlay.Sched
-	deadline := sched.Now() + within
-	for first == nil && sched.Now() < deadline {
-		step := sched.Now() + 10*time.Millisecond
-		if step > deadline {
-			step = deadline
-		}
-		sched.Run(step)
-	}
+	p.runUntil(within, func() bool { return first != nil })
 	if first == nil {
 		return nil, 0, ErrTimeout
 	}
+	sched := p.sim.overlay.Sched
 	sched.Run(sched.Now() + discoverSettle)
 	return merged, first.Elapsed, nil
+}
+
+// runUntil advances virtual time in 10 ms slices until done reports true or
+// within has elapsed.
+func (p *Peer) runUntil(within time.Duration, done func() bool) {
+	sched := p.sim.overlay.Sched
+	deadline := sched.Now() + within
+	for !done() && sched.Now() < deadline {
+		sched.Run(min(sched.Now()+10*time.Millisecond, deadline))
+	}
 }
 
 // Listen binds a stream listener under the given name and publishes the
@@ -556,15 +542,7 @@ func (p *Peer) Dial(name string, within time.Duration) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := p.sim.overlay.Sched
-	deadline := sched.Now() + within
-	for conn == nil && dialErr == nil && sched.Now() < deadline {
-		step := sched.Now() + 10*time.Millisecond
-		if step > deadline {
-			step = deadline
-		}
-		sched.Run(step)
-	}
+	p.runUntil(within, func() bool { return conn != nil || dialErr != nil })
 	if dialErr != nil {
 		return nil, dialErr
 	}

@@ -2,7 +2,9 @@ package jxta
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 )
@@ -206,6 +208,28 @@ func TestDiscoveryOrderingDeterministic(t *testing.T) {
 			t.Fatalf("response ordering diverged at %d:\n first:  %v\n second: %v",
 				i, first, second)
 		}
+	}
+}
+
+// TestPublishResourceAttrsSorted: an attribute map has no order, so
+// PublishResource must impose one, or one seed publishes a different
+// advertisement (and wire encoding) on every run.
+func TestPublishResourceAttrsSorted(t *testing.T) {
+	sim := newSim(t, 2, 0)
+	sim.Start()
+	defer sim.Stop()
+	attrs := map[string]string{}
+	for _, k := range []string{"RAM", "CPU", "Site", "Disk", "OS", "Arch", "Cores", "GPU"} {
+		attrs[k] = "v-" + k
+	}
+	var orders [2][]string
+	for i := range orders {
+		for _, f := range sim.Edge(0).PublishResource(fmt.Sprintf("node-%d", i), attrs).Attrs {
+			orders[i] = append(orders[i], f.Attr)
+		}
+	}
+	if !slices.Equal(orders[0], orders[1]) || !slices.IsSorted(orders[0]) || len(orders[0]) != len(attrs) {
+		t.Fatalf("attribute orders %v and %v, want one sorted order of %d", orders[0], orders[1], len(attrs))
 	}
 }
 

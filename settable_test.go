@@ -22,7 +22,7 @@ type settable struct {
 }
 
 // settables is the options audit as a ratchet: one row per exported field of
-// the ten configuration structs. A value nothing sets is dead code (ROADMAP
+// the fifteen configuration structs. A value nothing sets is dead code (ROADMAP
 // aim 2), so a new field needs a row that names its setter, and a deleted
 // field takes its row with it.
 var settables = []settable{
@@ -95,6 +95,37 @@ var settables = []settable{
 
 	{"experiments.Options", "Seed", "jxta-bench -seed"},
 	{"experiments.Options", "Quick", "jxta-bench -quick"},
+
+	{"experiments.DiscoverySpec", "R", "-exp fig4right, ablations (walk), scale full (axes_r1000)"},
+	{"experiments.DiscoverySpec", "Noise", "-exp fig4right (configuration B)"},
+	{"experiments.DiscoverySpec", "Queries", "-exp fig4right, ablations (walk), scale full (axes_r1000)"},
+	{"experiments.DiscoverySpec", "DisableWalk", "-exp ablations (no-walk row)"},
+	{"experiments.DiscoverySpec", "Converge", "test only: goldenDiscovery sets 10 min, so removing it would move a golden"},
+	{"experiments.DiscoverySpec", "Shards", "-exp scale full (axes_r1000); TestDiscoveryShardedDeterministic"},
+	{"experiments.DiscoverySpec", "Seed", "-exp fig4right, ablations, scale"},
+	{"experiments.ChurnSpec", "R", "-exp churn; BenchmarkChurnDiscovery"},
+	{"experiments.ChurnSpec", "Kills", "-exp churn; BenchmarkChurnDiscovery"},
+	{"experiments.ChurnSpec", "Queries", "-exp churn; BenchmarkChurnDiscovery"},
+	{"experiments.ChurnSpec", "Seed", "-exp churn; BenchmarkChurnDiscovery"},
+	{"experiments.RecoverySpec", "R", "-exp churn (recovery); goldenRecovery"},
+	{"experiments.RecoverySpec", "Kills", "-exp churn (recovery); goldenRecovery"},
+	{"experiments.RecoverySpec", "Queries", "-exp churn (recovery); goldenRecovery"},
+	{"experiments.RecoverySpec", "Seed", "-exp churn (recovery); goldenRecovery"},
+	{"experiments.VolatilitySpec", "R", "-exp volatility, scale full (axes_r1000)"},
+	{"experiments.VolatilitySpec", "EdgesPerRdv", "-exp volatility, scale full (axes_r1000)"},
+	{"experiments.VolatilitySpec", "KillEvery", "-exp volatility, scale full (axes_r1000)"},
+	{"experiments.VolatilitySpec", "Kills", "-exp scale full (axes_r1000); goldens (goldenVolatility, goldenIslandMerge)"},
+	{"experiments.VolatilitySpec", "RejoinAfter", "-exp volatility (kill-rejoin)"},
+	{"experiments.VolatilitySpec", "Queries", "-exp volatility, scale full (axes_r1000)"},
+	{"experiments.VolatilitySpec", "IslandMerge", "-exp volatility (attrition+merge)"},
+	{"experiments.VolatilitySpec", "Shards", "-exp scale full (axes_r1000); TestVolatilityShardedDeterministic"},
+	{"experiments.VolatilitySpec", "Seed", "-exp volatility, scale"},
+	{"experiments.RoutingSpec", "N", "-exp routing"},
+	{"experiments.RoutingSpec", "Keys", "-exp routing"},
+	{"experiments.RoutingSpec", "Lookups", "-exp routing"},
+	{"experiments.RoutingSpec", "Converge", "-exp routing -quick (12 min); goldenRouting"},
+	{"experiments.RoutingSpec", "MaintWindow", "-exp routing -quick (5 min); goldenRouting"},
+	{"experiments.RoutingSpec", "Seed", "-exp routing"},
 }
 
 func TestSettableValues(t *testing.T) {
@@ -103,6 +134,9 @@ func TestSettableValues(t *testing.T) {
 		peerview.Config{}, rendezvous.Config{}, discovery.Config{},
 		experiments.PeerviewSpec{}, experiments.ScaleSpec{},
 		experiments.BandwidthSpec{}, experiments.Options{},
+		experiments.DiscoverySpec{}, experiments.ChurnSpec{},
+		experiments.RecoverySpec{}, experiments.VolatilitySpec{},
+		experiments.RoutingSpec{},
 	}
 	var fields []settable
 	for _, v := range structs {
