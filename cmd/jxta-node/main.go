@@ -193,7 +193,7 @@ func main() {
 		fmt.Printf("published resource %q\n", *publishFlag)
 	}
 	if *searchFlag != "" {
-		found := make(chan string, 4)
+		found := make(chan string, 1) // the lookup's one answer, or its time-out
 		e.Locked(func() {
 			n.Discovery.Query("Resource", "Name", *searchFlag,
 				func(r discovery.Result) {

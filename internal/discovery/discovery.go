@@ -496,10 +496,18 @@ func (s *Service) indexAndReplicate(tpl srdi.Tuple, replicated bool) {
 
 // Query searches the overlay for advertisements of advType whose attr equals
 // value. The local cache is consulted first; a remote query is issued on a
-// miss. cb receives every response; onTimeout (optional) fires if nothing
-// came back within the resolver timeout.
+// miss. The lookup completes on its first answer: cb receives that one
+// response, or onTimeout (optional) fires if nothing came back within the
+// resolver timeout.
 func (s *Service) Query(advType, attr, value string, cb func(Result), onTimeout func()) error {
-	return s.query(advType, attr, value, true, cb, onTimeout)
+	return s.query(advType, attr, value, true, false, cb, onTimeout)
+}
+
+// QueryAll is Query for a caller that merges what several publishers hold:
+// cb receives every response until the resolver timeout, and onTimeout
+// fires only if nothing came back.
+func (s *Service) QueryAll(advType, attr, value string, cb func(Result), onTimeout func()) error {
+	return s.query(advType, attr, value, true, true, cb, onTimeout)
 }
 
 // QueryRemote is Query without the local-cache shortcut: the query always
@@ -507,18 +515,31 @@ func (s *Service) Query(advType, attr, value string, cb func(Result), onTimeout 
 // binding depends on this — a cached pipe advertisement names the pipe but
 // not its binder, and binding must find who currently has it bound.
 func (s *Service) QueryRemote(advType, attr, value string, cb func(Result), onTimeout func()) error {
-	return s.query(advType, attr, value, false, cb, onTimeout)
+	return s.query(advType, attr, value, false, false, cb, onTimeout)
 }
 
-func (s *Service) query(advType, attr, value string, useCache bool, cb func(Result), onTimeout func()) error {
+func (s *Service) query(advType, attr, value string, useCache, collect bool, cb func(Result), onTimeout func()) error {
 	if useCache {
 		if local := s.cache.Search(advType, attr, value); len(local) > 0 {
-			res := Result{Advs: local, From: s.ep.ID()}
-			s.env.After(0, func() { cb(res) })
+			s.answerLocally(local, cb)
 			return nil
 		}
 	}
-	target := s.ep.ID() // a rendezvous acts as its own rendezvous
+	return s.sendQuery(encodeQuery(advType, attr, value, stageInitial), collect, cb, onTimeout)
+}
+
+// answerLocally hands a cache hit to cb from the scheduler, as a remote
+// answer would arrive.
+func (s *Service) answerLocally(advs []advertisement.Advertisement, cb func(Result)) {
+	res := Result{Advs: advs, From: s.ep.ID()}
+	s.env.After(0, func() { cb(res) })
+}
+
+// sendQuery issues a remote query to this peer's rendezvous (a rendezvous
+// acts as its own); each response's advertisements are cached before cb sees
+// them. collect keeps the query open for every responder.
+func (s *Service) sendQuery(payload []byte, collect bool, cb func(Result), onTimeout func()) error {
+	target := s.ep.ID()
 	if !s.rdv.IsRendezvous() {
 		rdvID, ok := s.rdv.ConnectedRdv()
 		if !ok {
@@ -526,15 +547,13 @@ func (s *Service) query(advType, attr, value string, useCache bool, cb func(Resu
 		}
 		target = rdvID
 	}
-	return s.sendQuery(target, encodeQuery(advType, attr, value, stageInitial), cb, onTimeout)
-}
-
-// sendQuery issues a remote query; every response's advertisements are
-// cached before cb sees them.
-func (s *Service) sendQuery(target ids.ID, payload []byte, cb func(Result), onTimeout func()) error {
+	send := s.res.SendQuery
+	if collect {
+		send = s.res.SendCollect
+	}
 	start := s.env.Now()
 	s.Stats.QueriesSent++
-	_, err := s.res.SendQuery(target, HandlerName, payload,
+	_, err := send(target, HandlerName, payload,
 		func(data []byte, from ids.ID, hops int) {
 			advs := s.cacheResponse(data)
 			elapsed := s.env.Now() - start
@@ -554,22 +573,14 @@ func (s *Service) sendQuery(target ids.ID, payload []byte, cb func(Result), onTi
 // paper's §5. Ranges cannot be hashed onto a single replica, so the query
 // walks the whole peerview; every rendezvous with matching numeric
 // registrations forwards it to the publishers, and each publisher answers
-// directly. cb fires per responder.
+// directly. Like QueryAll, cb fires per responder until the resolver
+// timeout.
 func (s *Service) QueryRange(advType, attr string, lo, hi int64, cb func(Result), onTimeout func()) error {
 	if local := s.cache.SearchRange(advType, attr, lo, hi); len(local) > 0 {
-		res := Result{Advs: local, From: s.ep.ID()}
-		s.env.After(0, func() { cb(res) })
+		s.answerLocally(local, cb)
 		return nil
 	}
-	target := s.ep.ID()
-	if !s.rdv.IsRendezvous() {
-		rdvID, ok := s.rdv.ConnectedRdv()
-		if !ok {
-			return ErrNotConnected
-		}
-		target = rdvID
-	}
-	return s.sendQuery(target, encodeRangeQuery(advType, attr, lo, hi, stageRange), cb, onTimeout)
+	return s.sendQuery(encodeRangeQuery(advType, attr, lo, hi, stageRange), true, cb, onTimeout)
 }
 
 // handleQuery is the resolver handler running on every peer.

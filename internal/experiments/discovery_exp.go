@@ -178,30 +178,18 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 			o.Sched.Halt()
 			return
 		}
-		// A query may receive duplicate responses (walk + replica paths
-		// both finding the publisher); the chain must advance exactly once
-		// per query.
-		advanced := false
 		next := func() {
-			if advanced {
-				return
-			}
-			advanced = true
 			searcher.Discovery.FlushCache()
 			runQuery(i + 1)
 		}
 		err := searcher.Discovery.Query("Resource", "Name",
 			fmt.Sprintf("Test%d", i%advertisements),
 			func(r discovery.Result) {
-				if !advanced {
-					res.Latency.AddDuration(r.Elapsed)
-				}
+				res.Latency.AddDuration(r.Elapsed)
 				next()
 			},
 			func() {
-				if !advanced {
-					res.Timeouts++
-				}
+				res.Timeouts++
 				next()
 			})
 		if err != nil {

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"jxta/internal/advertisement"
 	"jxta/internal/deploy"
+	"jxta/internal/discovery"
+	"jxta/internal/ids"
 	"jxta/internal/node"
 	"jxta/internal/peerview"
 	"jxta/internal/rendezvous"
@@ -107,6 +110,59 @@ func TestIdleEdgeHoldsNothing(t *testing.T) {
 	for _, r := range o.Rdvs {
 		if r.Hibernating() {
 			t.Errorf("rendezvous %s reports itself an idle edge", r.Config.Name)
+		}
+	}
+}
+
+// TestAnsweredLookupsLeaveNothingPending: a lookup completes on its first
+// answer, so an edge that has looked up goes idle again. The rendezvous of
+// the idle overlay publish resources, and every edge looks them up closed
+// loop, the next lookup leaving from the previous one's callback: the
+// resolver must have dropped the answered query by then, so no edge ever
+// holds more than the one query in flight. After the phase every resolver is
+// quiescent and every edge leased and idle.
+func TestAnsweredLookupsLeaveNothingPending(t *testing.T) {
+	o := buildIdleOverlay(t, 5)
+	defer o.StopAll()
+	const resources, perEdge = 8, 25
+	for k := 0; k < resources; k++ {
+		name := fmt.Sprintf("held-%d", k)
+		o.Rdvs[k%len(o.Rdvs)].Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, name), Name: name}, 0)
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	answered, running := 0, len(o.Edges)
+	for i, e := range o.Edges {
+		var ask func(k int)
+		ask = func(k int) {
+			if !e.Resolver.Quiescent() {
+				t.Errorf("edge %s still holds a query when it issues lookup %d", e.Config.Name, k)
+			}
+			e.Discovery.FlushCache()
+			if k == perEdge {
+				running--
+				return
+			}
+			next := func() { ask(k + 1) }
+			err := e.Discovery.Query("Resource", "Name", fmt.Sprintf("held-%d", (i+k)%resources),
+				func(discovery.Result) { answered++; next() }, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Env.After(0, func() { ask(0) })
+	}
+	o.Sched.Run(o.Sched.Now() + 10*time.Minute)
+	if running != 0 || answered != len(o.Edges)*perEdge {
+		t.Fatalf("%d of %d lookups answered, %d edges still looking up", answered, len(o.Edges)*perEdge, running)
+	}
+	for _, p := range append(o.Rdvs, o.Edges...) {
+		if !p.Resolver.Quiescent() {
+			t.Errorf("%s holds a pending query after the lookup phase", p.Config.Name)
+		}
+	}
+	for _, e := range o.Edges {
+		if !idleLeased(e) {
+			t.Errorf("edge %s is not leased and idle after the lookup phase", e.Config.Name)
 		}
 	}
 }

@@ -100,12 +100,7 @@ func runQueryPhase(o *deploy.Overlay, searcher *node.Node, count, advCount int, 
 			o.Sched.Halt()
 			return
 		}
-		advanced := false
 		next := func() {
-			if advanced {
-				return
-			}
-			advanced = true
 			searcher.Discovery.FlushCache()
 			// Space the queries out so deployment events (churn, rejoins)
 			// happen between them.
@@ -114,16 +109,12 @@ func runQueryPhase(o *deploy.Overlay, searcher *node.Node, count, advCount int, 
 		err := searcher.Discovery.Query("Resource", "Name",
 			fmt.Sprintf("%s%d", prefix, i%advCount),
 			func(r discovery.Result) {
-				if !advanced {
-					ps.Latency.AddDuration(r.Elapsed)
-					ps.Succeeded++
-				}
+				ps.Latency.AddDuration(r.Elapsed)
+				ps.Succeeded++
 				next()
 			},
 			func() {
-				if !advanced {
-					ps.Timeouts++
-				}
+				ps.Timeouts++
 				next()
 			})
 		if err != nil {

@@ -135,10 +135,13 @@ type Out struct {
 }
 
 // What a released Out keeps is bounded, so one bulk message (an SRDI handoff
-// of thousands of tuples) does not pin its storage in the pool.
+// of thousands of tuples) does not pin its storage in the pool, while the
+// batched messages of the discovery path keep theirs. An Out keeps the
+// element slice of a message of up to maxPooledElements elements (append
+// grows it to 146 slots); a Loan, sized exactly, keeps at most that many.
 const (
 	maxPooledScratch  = 4 << 10 // bytes of scratch
-	maxPooledElements = 64      // element slots
+	maxPooledElements = 128     // elements
 )
 
 var outPool = sync.Pool{New: func() any {
@@ -154,10 +157,10 @@ func Acquire() *Out { return outPool.Get().(*Out) }
 // Release empties the message and returns it to the pool. The caller must
 // not touch it, or any payload rendered into its scratch, afterwards.
 func (o *Out) Release() {
-	o.Reset()
-	if cap(o.elements) > maxPooledElements {
+	if len(o.elements) > maxPooledElements {
 		o.elements = nil
 	}
+	o.Reset()
 	o.scratch = o.scratch[:0]
 	if cap(o.scratch) > maxPooledScratch {
 		o.scratch = o.room[:0]

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"jxta/internal/israce"
 )
 
 // TestOutScratch: payloads rendered into the scratch stay intact while the
@@ -78,13 +80,38 @@ func TestOutReleaseBoundsWhatThePoolKeeps(t *testing.T) {
 		o.AddScratch("srdi", "Tuple", append(o.Scratch(), strings.Repeat("t", 100)...))
 	}
 	o.Release()
-	// The pool may hand back any Out; none may be oversized.
+	// The pool may hand back any Out; none may be oversized. An Out kept after
+	// a message of maxPooledElements holds the slots append grew for it.
+	grown := make([]Element, 0, len(o.inline))
+	for len(grown) < maxPooledElements {
+		grown = append(grown, Element{})
+	}
 	for i := 0; i < 8; i++ {
 		got := Acquire()
-		if cap(got.scratch) > maxPooledScratch || cap(got.elements) > maxPooledElements {
+		if cap(got.scratch) > maxPooledScratch || cap(got.elements) > cap(grown) {
 			t.Fatalf("pooled Out keeps %d scratch bytes and %d element slots", cap(got.scratch), cap(got.elements))
 		}
 		defer got.Release()
+	}
+}
+
+// TestOutKeepsAHundredElements: a message of 100 elements (an SRDI push of a
+// few dozen advertisements) is under the bound, so its element slice goes
+// back to the pool with it and the next Acquire builds in it.
+func TestOutKeepsAHundredElements(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	o := Acquire()
+	for i := 0; i < 100; i++ {
+		o.AddString("srdi", "Tuple", "t")
+	}
+	slots := &o.elements[:1][0]
+	o.Release()
+	got := Acquire()
+	defer got.Release()
+	if got != o || cap(got.elements) < 100 || &got.elements[:1][0] != slots {
+		t.Fatalf("a released 100-element Out came back with %d element slots", cap(got.elements))
 	}
 }
 

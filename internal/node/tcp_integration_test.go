@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -124,6 +125,70 @@ func TestFullStackOverTCP(t *testing.T) {
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("discovery over TCP never completed")
+	}
+}
+
+// TestAnsweredLookupsLeaveNothingPendingOverTCP is the live half of the
+// resolver's completion rule: 1,000 closed-loop lookups over loopback TCP,
+// each issued only after the previous one was answered. The resolver's
+// pending table is read under the searcher's env lock before every lookup and
+// after the last: an answered query must already be gone, or a live peer
+// keeps every lookup it ever made, its closures and its timer.
+func TestAnsweredLookupsLeaveNothingPendingOverTCP(t *testing.T) {
+	noGoroutineLeft(t)
+	rdv := newLivePeer(t, "rdv-loop", node.Rendezvous, nil, 11)
+	seed := peerview.Seed{ID: rdv.n.ID, Addr: rdv.tr.Addr()}
+	pub := newLivePeer(t, "pub-loop", node.Edge, []peerview.Seed{seed}, 12)
+	search := newLivePeer(t, "search-loop", node.Edge, []peerview.Seed{seed}, 13)
+	waitFor(t, "leases", 10*time.Second, func() bool {
+		return pub.connected() && search.connected()
+	})
+	const resources, lookups = 10, 1000
+	pub.e.Locked(func() {
+		for k := 0; k < resources; k++ {
+			name := fmt.Sprintf("loop-%d", k)
+			pub.n.Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, name), Name: name}, 0)
+		}
+	})
+	waitFor(t, "the SRDI push", 10*time.Second, func() (indexed bool) {
+		rdv.e.Locked(func() { indexed = rdv.n.Discovery.Index().Size() >= resources })
+		return indexed
+	})
+	answers := make(chan bool, 1)
+	answer := func(ok bool) {
+		select {
+		case answers <- ok:
+		default: // a second answer to one query must not block the reader
+		}
+	}
+	idle := func() (quiescent bool) {
+		search.e.Locked(func() { quiescent = search.n.Resolver.Quiescent() })
+		return quiescent
+	}
+	for i := 0; i < lookups; i++ {
+		if !idle() {
+			t.Fatalf("the searcher still holds a query when it issues lookup %d", i)
+		}
+		var err error
+		search.e.Locked(func() {
+			search.n.Discovery.FlushCache()
+			err = search.n.Discovery.Query("Resource", "Name", fmt.Sprintf("loop-%d", i%resources),
+				func(discovery.Result) { answer(true) }, func() { answer(false) })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case ok := <-answers:
+			if !ok {
+				t.Fatalf("lookup %d timed out", i)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("lookup %d never completed", i)
+		}
+	}
+	if !idle() {
+		t.Fatal("the searcher holds a query after its last lookup was answered")
 	}
 }
 

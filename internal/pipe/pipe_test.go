@@ -270,6 +270,53 @@ func TestTwoPipesIndependent(t *testing.T) {
 	}
 }
 
+// TestConnectResolvesOnceWithTwoBinders: two peers bind one pipe, so the
+// resolution query has two publishers to answer it. A lookup completes on its
+// first answer, so Connect hands the sender one OutputPipe, bound to one of
+// the two, and not a second one when the other answers.
+func TestConnectResolvesOnceWithTwoBinders(t *testing.T) {
+	o, err := deploy.Build(deploy.Spec{
+		Seed:     8,
+		NumRdv:   5,
+		Topology: topology.Chain,
+		Edges: []deploy.EdgeGroup{
+			{AttachTo: 0, Count: 1, Prefix: "binder-a"},
+			{AttachTo: 2, Count: 1, Prefix: "binder-b"},
+			{AttachTo: 4, Count: 1, Prefix: "sender"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	defer o.StopAll()
+	svcs := make([]*pipe.Service, len(o.Edges))
+	for i, e := range o.Edges {
+		svcs[i] = pipe.New(e.Env, e.Endpoint, e.Discovery, e.Rendezvous)
+	}
+	o.Sched.Run(12 * time.Minute)
+	adv := pipe.NewPipeAdv(o.Edges[0].ID, "shared")
+	for _, svc := range svcs[:2] {
+		own := *adv
+		if _, err := svc.Bind(&own, func(ids.ID, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	var resolved []ids.ID
+	svcs[2].Connect(adv.PipeID, func(out *pipe.OutputPipe, err error) {
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		resolved = append(resolved, out.Binder)
+	})
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	if len(resolved) != 1 || !(resolved[0].Equal(o.Edges[0].ID) || resolved[0].Equal(o.Edges[1].ID)) {
+		t.Fatalf("Connect called back with binders %v, want one of the two", resolved)
+	}
+}
+
 // TestReturnsToZeroState: the pipe service is small by construction. Fresh,
 // it holds no map; a binding allocates the table, a propagated send the dedup
 // set (state, not scratch: without it an echo of an already-delivered send

@@ -147,14 +147,12 @@ func TestRoundTripAllocs(t *testing.T) {
 	cb := func([]byte, ids.ID, int) { answers++ }
 	payload := []byte("<disco:Q></disco:Q>")
 	roundTrip := func() {
-		qid, err := a.res.SendQuery(b.id, "svc", payload, cb, nil)
-		if err != nil {
+		if _, err := a.res.SendQuery(b.id, "svc", payload, cb, nil); err != nil {
 			t.Fatal(err)
 		}
 		for sched.Pending() > 0 {
 			sched.Step()
 		}
-		a.res.Cancel(qid)
 	}
 	roundTrip() // learn return routes, fill pools
 	const want = 2*2 + 1
@@ -171,14 +169,17 @@ func TestRoundTripAllocs(t *testing.T) {
 // FuzzReceive feeds receive arbitrary header bytes. It must not panic, must
 // hand a handler only hop counts inside the bound, must keep no reference to
 // the header (a Query's return address is compared after the input has been
-// overwritten; its payload aliases the message by contract), and must never
-// grow the pending table, which only SendQuery fills.
+// overwritten; its payload aliases the message by contract), and must change
+// the pending table only as a response completing a query does: a response
+// whose QID is one of the two issued removes that entry, and nothing else
+// grows or shrinks the table.
 func FuzzReceive(f *testing.F) {
 	urn := ids.FromName(ids.KindPeer, "origin").String()
 	f.Add([]byte("svc"), []byte("7"), []byte(urn), []byte("sim://rennes/o"), []byte("3"), []byte("q"), uint8(1))
 	f.Add([]byte("svc"), []byte("1"), []byte(""), []byte(""), []byte("2"), []byte("r"), uint8(2))
 	f.Add([]byte("nosuch"), []byte("-1"), []byte("urn:jxta:uuid-00"), []byte("x"), []byte("1024"), []byte(""), uint8(3))
 	f.Add([]byte(""), []byte("99999999999999999999999"), []byte("urn:jxta:nil"), []byte(""), []byte("-5"), []byte("q"), uint8(0))
+	f.Add([]byte("svc"), []byte("2"), []byte(urn), []byte(""), []byte("0"), []byte("r"), uint8(3))
 	f.Fuzz(func(t *testing.T, handler, qid, src, srcAddr, hops, payload []byte, kind uint8) {
 		sched := simnet.NewScheduler(1)
 		ps := newPeers(t, sched, 2)
@@ -186,8 +187,12 @@ func FuzzReceive(f *testing.F) {
 		var got *Query
 		b.res.RegisterHandler("svc", func(q *Query) { got = q })
 		b.res.Timeout = 0
-		if _, err := b.res.SendQuery(a.id, "svc", nil, func([]byte, ids.ID, int) {}, nil); err != nil {
-			t.Fatal(err)
+		answered := map[uint64]bool{}
+		for want := uint64(1); want <= 2; want++ {
+			issued, err := b.res.SendQuery(a.id, "svc", nil, func([]byte, ids.ID, int) { answered[want] = true }, nil)
+			if err != nil || issued != want {
+				t.Fatal(issued, err)
+			}
 		}
 		m := message.New().Add(ns, elemHandler, handler).Add(ns, elemQID, qid).Add(ns, elemSrc, src).
 			Add(ns, elemSrcAddr, srcAddr).Add(ns, elemHops, hops)
@@ -197,9 +202,19 @@ func FuzzReceive(f *testing.F) {
 		if kind&2 != 0 {
 			m.Add(ns, elemResponse, payload)
 		}
+		completes, err := strconv.ParseUint(string(qid), 10, 64)
+		if err != nil || kind&2 == 0 {
+			completes = 0
+		}
 		b.res.receive(a.id, m)
-		if len(b.res.pending) != 1 {
-			t.Fatalf("pending table holds %d entries, want the 1 SendQuery made", len(b.res.pending))
+		for issued := uint64(1); issued <= 2; issued++ {
+			_, held := b.res.pending[issued]
+			if held == (issued == completes) || answered[issued] != (issued == completes) {
+				t.Fatalf("query %d: pending %v, answered %v after a message completing %d", issued, held, answered[issued], completes)
+			}
+		}
+		if want := 2 - len(answered); len(b.res.pending) != want {
+			t.Fatalf("pending table holds %d entries, want %d", len(b.res.pending), want)
 		}
 		if got == nil {
 			return

@@ -80,7 +80,8 @@ type Service struct {
 	nextQID uint64
 
 	// Timeout is how long a locally issued query waits for its first
-	// response before the timeout callback fires. Zero disables timeouts.
+	// response before the timeout callback fires, and how long a collecting
+	// query stays open. Zero disables timeouts.
 	Timeout time.Duration
 
 	// m holds the runtime instruments; always non-nil (New pre-instruments,
@@ -96,10 +97,15 @@ type namedHandler struct {
 	recvd *metrics.Counter
 }
 
+// pendingQuery is a locally issued query awaiting its answer. A query
+// completes on its first response; a collecting one (SendCollect) hears
+// every response until its deadline and only records that one arrived.
 type pendingQuery struct {
 	cb        ResponseCallback
 	onTimeout TimeoutCallback
 	timer     env.Timer
+	collect   bool
+	answered  bool
 }
 
 // New builds the resolver for a peer and registers its endpoint handler.
@@ -130,17 +136,34 @@ func (s *Service) handler(name string) *namedHandler {
 }
 
 // SendQuery issues a query to the given peer (an edge peer sends to its
-// rendezvous; a rendezvous may query any peerview member). cb fires for
-// every response received; onTimeout (optional) fires once if nothing
-// arrived within Timeout. The query ID is returned for correlation.
+// rendezvous; a rendezvous may query any peerview member). The query
+// completes on its first response, which reaches cb; later responses are
+// dropped. onTimeout (optional) fires instead if nothing arrived within
+// Timeout. Either way the resolver then holds nothing of the query. The query
+// ID is returned for correlation.
 func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback) (uint64, error) {
+	return s.send(dst, handler, payload, cb, onTimeout, false)
+}
+
+// SendCollect is SendQuery for a caller that wants every responder: cb fires
+// for each response until Timeout has elapsed or the query is cancelled, and
+// onTimeout fires at the deadline only if nothing was answered. With Timeout
+// zero the query stays open until Cancel.
+func (s *Service) SendCollect(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback) (uint64, error) {
+	return s.send(dst, handler, payload, cb, onTimeout, true)
+}
+
+func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback, collect bool) (uint64, error) {
 	s.nextQID++
 	qid := s.nextQID
-	p := &pendingQuery{cb: cb, onTimeout: onTimeout}
+	p := &pendingQuery{cb: cb, onTimeout: onTimeout, collect: collect}
 	if s.Timeout > 0 {
 		p.timer = s.env.After(s.Timeout, func() {
 			if cur, ok := s.pending[qid]; ok && cur == p {
 				delete(s.pending, qid)
+				if p.answered {
+					return // a collecting query's deadline, not a time-out
+				}
 				s.m.timeouts.Inc()
 				if p.onTimeout != nil {
 					p.onTimeout(qid)
@@ -163,10 +186,7 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 	err := s.ep.Send(dst, ServiceName, &m.Message)
 	m.Release()
 	if err != nil {
-		delete(s.pending, qid)
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		s.forget(qid, p)
 		return 0, err
 	}
 	s.m.queriesSent.Inc()
@@ -176,10 +196,15 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 // Cancel abandons a pending query; late responses are dropped silently.
 func (s *Service) Cancel(qid uint64) {
 	if p, ok := s.pending[qid]; ok {
-		delete(s.pending, qid)
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
+		s.forget(qid, p)
+	}
+}
+
+// forget removes a pending query and disarms its deadline.
+func (s *Service) forget(qid uint64, p *pendingQuery) {
+	delete(s.pending, qid)
+	if p.timer != nil {
+		p.timer.Cancel()
 	}
 }
 
@@ -190,10 +215,7 @@ func (s *Service) Cancel(qid uint64) {
 // queries must not be confused with answers to new ones).
 func (s *Service) Stop() {
 	for qid, p := range s.pending {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
-		delete(s.pending, qid)
+		s.forget(qid, p)
 	}
 }
 
@@ -280,11 +302,13 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 	}
 	if h.hasResponse {
 		if p, ok := s.pending[qid]; ok {
-			// First response resolves the timeout; later responses still
-			// reach the callback (multi-responder queries).
-			if p.timer != nil {
-				p.timer.Cancel()
-				p.timer = nil
+			// The first response completes a query: from here on nothing
+			// holds it, its callbacks or what they capture. A collecting
+			// query stays open to its deadline.
+			if p.collect {
+				p.answered = true
+			} else {
+				s.forget(qid, p)
 			}
 			// Hop count echoed by Respond; absent (or malformed) reads as 0
 			// so responses from older peers still complete the query.

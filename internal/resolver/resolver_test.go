@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -174,20 +175,37 @@ func TestResponseAfterTimeoutIgnored(t *testing.T) {
 	}
 }
 
+// TestMultipleResponses: b answers and forwards to c, which answers too. A
+// query completes on the first answer, so c's never reaches cb; a collecting
+// query hears both, and its deadline is not a time-out.
 func TestMultipleResponses(t *testing.T) {
-	sched := simnet.NewScheduler(7)
-	ps := newPeers(t, sched, 3)
-	a, b, c := ps[0], ps[1], ps[2]
-	b.res.RegisterHandler("multi", func(q *Query) {
-		b.res.Respond(q, []byte("b"))
-		b.res.Forward(q, c.id)
-	})
-	c.res.RegisterHandler("multi", func(q *Query) { c.res.Respond(q, []byte("c")) })
-	var got []string
-	a.res.SendQuery(b.id, "multi", nil, func(p []byte, _ ids.ID, _ int) { got = append(got, string(p)) }, nil)
-	sched.Run(time.Minute)
-	if len(got) != 2 {
-		t.Fatalf("got %v, want two responses", got)
+	for _, collect := range []bool{false, true} {
+		name, want := "first-answer", "b"
+		if collect {
+			name, want = "collect", "b c"
+		}
+		t.Run(name, func(t *testing.T) {
+			sched := simnet.NewScheduler(7)
+			ps := newPeers(t, sched, 3)
+			a, b, c := ps[0], ps[1], ps[2]
+			b.res.RegisterHandler("multi", func(q *Query) {
+				b.res.Respond(q, []byte("b"))
+				b.res.Forward(q, c.id)
+			})
+			c.res.RegisterHandler("multi", func(q *Query) { c.res.Respond(q, []byte("c")) })
+			send := a.res.SendQuery
+			if collect {
+				send = a.res.SendCollect
+			}
+			var got []string
+			timedOut := false
+			send(b.id, "multi", nil, func(p []byte, _ ids.ID, _ int) { got = append(got, string(p)) },
+				func(uint64) { timedOut = true })
+			sched.Run(time.Minute)
+			if strings.Join(got, " ") != want || timedOut || !a.res.Quiescent() {
+				t.Fatalf("got %v, timed out %v, quiescent %v; want %q, no time-out, quiescent", got, timedOut, a.res.Quiescent(), want)
+			}
+		})
 	}
 }
 
@@ -327,11 +345,7 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatal("fresh resolver allocated its pending table or is not quiescent")
 	}
 	answered := false
-	var qid uint64
-	qid, err := a.res.SendQuery(b.id, "echo", []byte("x"), func([]byte, ids.ID, int) {
-		answered = true
-		a.res.Cancel(qid) // one answer is enough; multi-responder queries stay pending
-	}, nil)
+	_, err := a.res.SendQuery(b.id, "echo", []byte("x"), func([]byte, ids.ID, int) { answered = true }, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -438,13 +438,13 @@ const discoverSettle = 100 * time.Millisecond
 
 // Discover searches the overlay for advertisements of advType whose attr
 // equals value, advancing virtual time until a response arrives or `within`
-// elapses. Responses from multiple publishers arriving shortly after the
-// first are merged (deduplicated by advertisement ID). It returns the
-// advertisements, the latency of the first response, and ErrTimeout when
-// nothing answered.
+// elapses. The lookup collects every publisher (discovery.QueryAll):
+// responses arriving shortly after the first are merged (deduplicated by
+// advertisement ID). It returns the advertisements, the latency of the first
+// response, and ErrTimeout when nothing answered.
 func (p *Peer) Discover(advType, attr, value string, within time.Duration) ([]Advertisement, time.Duration, error) {
 	return p.discover(within, func(onResult func(discovery.Result)) error {
-		return p.n.Discovery.Query(advType, attr, value, onResult, nil)
+		return p.n.Discovery.QueryAll(advType, attr, value, onResult, nil)
 	})
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -208,6 +209,52 @@ func TestDiscoveryOrderingDeterministic(t *testing.T) {
 			t.Fatalf("response ordering diverged at %d:\n first:  %v\n second: %v",
 				i, first, second)
 		}
+	}
+}
+
+// TestDiscoverMergesPublishers replays examples/gridresource up to its first
+// query: two sites publish nodes with RAM=4096 (two at one site, one at
+// another), so the lookup has two responders. A discovery lookup completes
+// on its first answer, so Discover must collect (discovery.QueryAll) to merge
+// the second publisher's advertisement into its result.
+func TestDiscoverMergesPublishers(t *testing.T) {
+	sim, err := NewSimulation(SimOptions{
+		Seed:       1234,
+		Rendezvous: 16,
+		Topology:   "chain",
+		Edges: []EdgeSpec{
+			{AttachTo: 0, Name: "site-rennes"},
+			{AttachTo: 5, Name: "site-sophia"},
+			{AttachTo: 10, Name: "site-orsay"},
+			{AttachTo: 15, Name: "scheduler"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Start()
+	defer sim.Stop()
+	sim.Run(15 * time.Minute)
+	for _, n := range []struct {
+		site      int
+		name, ram string
+	}{
+		{0, "paraci-01", "4096"}, {0, "paraci-02", "4096"}, {1, "helios-01", "2048"},
+		{2, "gdx-01", "2048"}, {2, "gdx-02", "4096"},
+	} {
+		sim.Edge(n.site).PublishResource(n.name, map[string]string{"RAM": n.ram})
+	}
+	sim.Run(time.Minute)
+	advs, _, err := sim.Edge(3).Discover("Resource", "RAM", "4096", time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, adv := range advs {
+		names = append(names, adv.(*Resource).Name)
+	}
+	if got := strings.Join(names, " "); got != "gdx-02 paraci-01 paraci-02" {
+		t.Fatalf("Discover merged %q, want both publishers' three nodes", got)
 	}
 }
 
