@@ -118,20 +118,7 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 		tr:      tr,
 		addrStr: string(tr.Addr()),
 	}
-	// Honor the env serialization contract: transports that deliver from
-	// their own goroutines (TCP read loops) must enter protocol code under
-	// the node lock (env.Real's, without a closure per delivery). The
-	// simulator's env has none — its event loop is already the only
-	// execution context — so the handler runs directly.
-	if r, ok := e.(*env.Real); ok {
-		tr.SetHandler(func(src transport.Addr, m *message.Message) {
-			r.Lock()
-			defer r.Unlock()
-			ep.dispatch(src, m)
-		})
-	} else {
-		tr.SetHandler(ep.dispatch)
-	}
+	tr.SetHandler(ep.dispatch)
 	ep.Register(erpService, ep.handleERP)
 	ep.Register(helloService, ep.handleHello)
 	ep.Instrument(metrics.Discard())
@@ -143,33 +130,23 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 // without firing it.
 func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 	done := false
-	var failTimer env.Timer
-	timer := ep.env.After(helloTimeout, func() {
+	fail := func() {
 		if !done {
 			done = true
 			cb(ids.Nil, false)
 		}
-	})
-	settle := func() {
-		done = true
-		timer.Cancel()
-		if failTimer != nil {
-			failTimer.Cancel()
-		}
 	}
+	timer := ep.env.After(helloTimeout, fail)
 	ep.helloWaiters = append(ep.helloWaiters, helloWaiter{
 		addr: addr,
 		cb: func(peer ids.ID) {
 			if !done {
-				settle()
+				done = true
+				timer.Cancel()
 				cb(peer, true)
 			}
 		},
-		cancel: func() {
-			if !done {
-				settle()
-			}
-		},
+		cancel: func() { timer.Cancel() },
 	})
 	ep.m.helloSent.Inc()
 	m := message.Acquire()
@@ -179,12 +156,8 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 	if err != nil {
 		// Transport refused outright; fail on the next tick instead of the
 		// full timeout.
-		failTimer = ep.env.After(0, func() {
-			if !done {
-				settle()
-				cb(ids.Nil, false)
-			}
-		})
+		timer.Cancel()
+		timer = ep.env.After(0, fail)
 	}
 }
 
@@ -383,8 +356,13 @@ func readEnvelope(wire *message.Message) (e envelope) {
 // then either deliver locally or relay toward the destination. The envelope
 // is read as bytes, so a message on the steady-state path (known service,
 // known return route) allocates nothing here. It is the transport's inbound
-// entry point.
+// entry point, and enters the node under the env's lock: transports such as
+// TCP deliver from their own goroutines.
 func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
+	if l := ep.env.Locker(); l != nil {
+		l.Lock()
+		defer l.Unlock()
+	}
 	e := readEnvelope(wire)
 	srcID, err := ids.ParseBytes(e.src)
 	if err != nil {

@@ -8,7 +8,11 @@
 // Contract shared by all implementations:
 //
 //   - Callbacks belonging to one Env are never executed concurrently with
-//     each other, so per-node protocol state needs no locking.
+//     each other, so per-node protocol state needs no locking. Code outside
+//     them enters the node under the Env's Locker (Real.Locked), and must not
+//     wait there for a goroutine that enters it too, such as a TCP reader.
+//     After and Timer.Cancel are called only under this serialization.
+//   - A canceled callback never runs; equal deadlines run in arm order.
 //   - Time is expressed as a time.Duration offset from an arbitrary epoch
 //     (experiment start). Only differences are meaningful.
 //   - Rand returns a source that is private to this Env; in simulation it is
@@ -39,6 +43,9 @@ type Env interface {
 	Rand() *rand.Rand
 	// Name identifies the node for logs and metrics.
 	Name() string
+	// Locker returns the lock outside goroutines, such as a transport's
+	// reader, hold to run protocol code; nil if there are none.
+	Locker() sync.Locker
 }
 
 // Ticker repeatedly invokes fn every interval until Stop is called. It is a
@@ -66,9 +73,6 @@ func NewTicker(e Env, interval time.Duration, fn func()) *Ticker {
 func (t *Ticker) arm() { t.pending = t.env.After(t.interval, t.tick) }
 
 func (t *Ticker) onTick() {
-	if t.stopped {
-		return
-	}
 	t.fn()
 	if !t.stopped {
 		t.arm()
@@ -83,24 +87,25 @@ func (t *Ticker) Stop() {
 	}
 }
 
-// Real is an Env running on the wall clock, for live TCP deployments. All
-// callbacks are serialized through an internal mutex, honoring the Env
-// contract. The epoch is the moment NewReal was called.
+// Real is an Env running on the wall clock, for live TCP deployments: one OS
+// timer pops its Queue, and callbacks and outside callers share one mutex.
+// The epoch is the moment NewReal was called.
 type Real struct {
 	mu    sync.Mutex
 	name  string
 	rng   *rand.Rand
 	epoch time.Time
+	q     Queue
+	timer *time.Timer // runs fire by the earliest deadline
 }
 
 // NewReal builds a wall-clock Env. The RNG is seeded explicitly so that even
 // live runs can be made reproducible where latency permits.
 func NewReal(name string, seed int64) *Real {
-	return &Real{
-		name:  name,
-		rng:   rand.New(rand.NewSource(seed)),
-		epoch: time.Now(),
-	}
+	r := &Real{name: name, rng: rand.New(rand.NewSource(seed)), epoch: time.Now()}
+	r.timer = time.AfterFunc(time.Hour, r.fire)
+	r.timer.Stop() // After sets it
+	return r
 }
 
 // Now implements Env.
@@ -113,22 +118,41 @@ func (r *Real) Name() string { return r.name }
 // callbacks (which are serialized); this mirrors the simulator's contract.
 func (r *Real) Rand() *rand.Rand { return r.rng }
 
-type realTimer struct {
-	t *time.Timer
-}
+// Locker implements Env: the mutex that serializes callbacks.
+func (r *Real) Locker() sync.Locker { return &r.mu }
 
-func (rt realTimer) Cancel() bool { return rt.t.Stop() }
-
-// After implements Env. The callback acquires the node mutex, so it never
-// overlaps other callbacks or Locked sections of the same node.
+// After implements Env. It and Cancel run under the mutex fire pops under,
+// so a canceled callback never runs.
 func (r *Real) After(d time.Duration, fn func()) Timer {
-	t := time.AfterFunc(d, func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		fn()
-	})
-	return realTimer{t}
+	at := r.Now() + max(d, 0)
+	ev := r.q.Arm(at, fn, NoOwner)
+	if next, _ := r.q.Next(); next == at { // else the timer is set for earlier
+		r.timer.Reset(d)
+	}
+	return ev
 }
+
+// fire runs every due callback in (deadline, arm order) and sets the timer
+// for the next one.
+func (r *Real) fire() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for {
+		at, ok := r.q.Next()
+		if !ok {
+			return
+		}
+		if now := r.Now(); at > now {
+			r.timer.Reset(at - now)
+			return
+		}
+		_, fn, arg, _ := r.q.Pop()
+		fn(arg)
+	}
+}
+
+// Pending returns the number of callbacks armed, not run and not canceled.
+func (r *Real) Pending() int { return r.q.Len() }
 
 // Locked runs fn under the same mutex that serializes callbacks. External
 // goroutines must enter protocol code through Locked.
@@ -137,10 +161,3 @@ func (r *Real) Locked(fn func()) {
 	defer r.mu.Unlock()
 	fn()
 }
-
-// Lock and Unlock are Locked without the closure and are the endpoint's
-// alone: its transport handler enters the node for every inbound message, and
-// a closure per delivery is an allocation per delivery. Everything else goes
-// through Locked, which cannot be left unbalanced.
-func (r *Real) Lock()   { r.mu.Lock() }
-func (r *Real) Unlock() { r.mu.Unlock() }

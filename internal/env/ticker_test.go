@@ -2,6 +2,7 @@ package env_test
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,10 +14,11 @@ import (
 // callback and returns the env itself as the handle.
 type oneTimerEnv struct{ armed func() }
 
-func (e *oneTimerEnv) Now() time.Duration { return 0 }
-func (e *oneTimerEnv) Rand() *rand.Rand   { return nil }
-func (e *oneTimerEnv) Name() string       { return "one-timer" }
-func (e *oneTimerEnv) Cancel() bool       { return true }
+func (e *oneTimerEnv) Now() time.Duration  { return 0 }
+func (e *oneTimerEnv) Rand() *rand.Rand    { return nil }
+func (e *oneTimerEnv) Name() string        { return "one-timer" }
+func (e *oneTimerEnv) Cancel() bool        { return true }
+func (e *oneTimerEnv) Locker() sync.Locker { return nil }
 func (e *oneTimerEnv) After(_ time.Duration, fn func()) env.Timer {
 	e.armed = fn
 	return e

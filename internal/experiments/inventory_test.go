@@ -1,0 +1,87 @@
+package experiments
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// A failure-inventory row's status.
+const (
+	statusOpen       = "open"       // the finding stands; its value is a ratchet a fix moves
+	statusFixed      = "fixed"      // a named test fails if the finding comes back
+	statusStructural = "structural" // explained by an argument written into the row
+)
+
+// inventoryRow is one finding of the failure inventory (ROADMAP item 7),
+// numbered as there.
+type inventoryRow struct {
+	n       int
+	finding string
+	owner   string // the ROADMAP item that owns the finding
+	status  string
+	// heldBy names, for a fixed row, the tests that fail if the finding
+	// comes back, each as "<directory under internal/>.<test name>".
+	heldBy []string
+}
+
+var inventory = []inventoryRow{
+	{n: 5, finding: "an edge that has looked up once is never Quiescent()", owner: "1(d)", status: statusFixed,
+		heldBy: []string{"experiments.TestAnsweredLookupsLeaveNothingPending", "node.TestAnsweredLookupsLeaveNothingPendingOverTCP"}},
+	{n: 9, finding: "a TCP peer that stops reading blocks Send", owner: "3(c)", status: statusFixed,
+		heldBy: []string{"transport.TestSendWriteDeadline"}},
+	{n: 10, finding: "a live timer that has already fired runs after Cancel", owner: "11", status: statusFixed,
+		heldBy: []string{"env.TestRealCanceledTimerParkedOnLockNeverRuns", "env.TestEnvContract"}},
+}
+
+// TestFailureInventory holds each row to its status and logs the summary
+// line BENCH_<PR>.json carries as "inventory". A fixed row stays fixed only
+// while the tests that hold it exist.
+func TestFailureInventory(t *testing.T) {
+	count := map[string]int{}
+	for _, row := range inventory {
+		count[row.status]++
+		t.Run(fmt.Sprintf("row%02d", row.n), func(t *testing.T) {
+			switch row.status {
+			case statusFixed:
+				if len(row.heldBy) == 0 {
+					t.Fatalf("row %d (%s) is fixed, but no test holds it", row.n, row.finding)
+				}
+				for _, ref := range row.heldBy {
+					if !testExists(t, ref) {
+						t.Errorf("row %d (%s) is held by %s, which does not exist", row.n, row.finding, ref)
+					}
+				}
+			case statusOpen, statusStructural:
+			default:
+				t.Fatalf("row %d has status %q", row.n, row.status)
+			}
+		})
+	}
+	t.Logf("inventory: %d open · %d fixed · %d structural", count[statusOpen], count[statusFixed], count[statusStructural])
+}
+
+// testExists reports whether ref, "<directory under internal/>.<test name>",
+// names a test function in that package's test files.
+func testExists(t *testing.T, ref string) bool {
+	dir, name, ok := strings.Cut(ref, ".")
+	if !ok {
+		t.Fatalf("malformed test reference %q", ref)
+	}
+	files, err := filepath.Glob(filepath.Join("..", dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(src), "\nfunc "+name+"(t *testing.T) {") {
+			return true
+		}
+	}
+	return false
+}

@@ -381,10 +381,7 @@ func (n *Node) Restart() {
 }
 
 // Close shuts the peer down for good: graceful Stop plus transport release
-// (process exit). Real-clock callers beware: closing a TCP transport waits
-// for its reader goroutines, which deliver through env.Locked — call Close
-// outside any Locked section (or Stop under the lock and close the
-// transport separately, as cmd/jxta-node does).
+// (process exit).
 func (n *Node) Close() {
 	n.Stop()
 	n.Endpoint.Close()

@@ -41,8 +41,19 @@ func newLivePeer(t *testing.T, name string, role node.Role, seeds []peerview.See
 		})
 		n.Start()
 	})
-	t.Cleanup(func() { e.Locked(func() { n.Stop() }) })
+	t.Cleanup(func() { stopLive(t, e, n) })
 	return &livePeer{n: n, e: e, tr: tr}
+}
+
+// stopLive stops n under its env's lock, where the node must already own no
+// timer: Stop cancels every one its services armed.
+func stopLive(t *testing.T, e *env.Real, n *node.Node) {
+	e.Locked(func() {
+		n.Stop()
+		if p := e.Pending(); p != 0 {
+			t.Errorf("%s owns %d pending timers after Stop", e.Name(), p)
+		}
+	})
 }
 
 // noGoroutineLeft is called first in a live test, before anything listens:
@@ -249,7 +260,7 @@ func TestLeaseSurvivesOverTCP(t *testing.T) {
 		})
 		n.Start()
 	})
-	t.Cleanup(func() { e.Locked(func() { n.Stop() }) })
+	t.Cleanup(func() { stopLive(t, e, n) })
 
 	waitFor(t, "initial lease", 5*time.Second, func() bool {
 		ok := false

@@ -995,7 +995,9 @@ const episodePhases = 8
 // next candidate while the phase budget lasts, then heal — an exhausted
 // successor wait prunes the dead successor from the roster and falls back
 // to the rotation, so the next election picks the next candidate — or go
-// dormant once the episode budget is gone.
+// dormant once the episode budget is gone. It needs no check that the
+// timer is still current: receiveGrant cancels it under the same
+// serialization, and a canceled env timer never runs, live or simulated.
 func (s *Service) onLeaseTimeout(target ids.ID) {
 	s.grantTimer = nil
 	s.m.timeouts.Inc()

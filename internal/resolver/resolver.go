@@ -158,16 +158,15 @@ func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCa
 	qid := s.nextQID
 	p := &pendingQuery{cb: cb, onTimeout: onTimeout, collect: collect}
 	if s.Timeout > 0 {
+		// forget cancels the timer: while it can fire, p is pending.
 		p.timer = s.env.After(s.Timeout, func() {
-			if cur, ok := s.pending[qid]; ok && cur == p {
-				delete(s.pending, qid)
-				if p.answered {
-					return // a collecting query's deadline, not a time-out
-				}
-				s.m.timeouts.Inc()
-				if p.onTimeout != nil {
-					p.onTimeout(qid)
-				}
+			delete(s.pending, qid)
+			if p.answered {
+				return // a collecting query's deadline, not a time-out
+			}
+			s.m.timeouts.Inc()
+			if p.onTimeout != nil {
+				p.onTimeout(qid)
 			}
 		})
 	}

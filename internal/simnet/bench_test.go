@@ -14,7 +14,7 @@ import (
 func BenchmarkScheduleFireCancelMix(b *testing.B) {
 	s := NewScheduler(1)
 	noop := func() {}
-	var pending []Event
+	var pending []env.Event
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,7 +50,7 @@ func BenchmarkSchedulerPayloadEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.AfterCall(time.Duration(i%977)*time.Microsecond, deliver, p)
+		s.AtCall(s.Now()+time.Duration(i%977)*time.Microsecond, deliver, p)
 		if s.Pending() > 8192 {
 			for s.Pending() > 0 {
 				s.Step()
@@ -101,7 +101,7 @@ func BenchmarkShardBarrier(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				at := ss.Now() + 100*time.Microsecond
 				for s := 0; s < shards; s++ {
-					ss.Shard(s).At(at, func() { fired++ })
+					ss.Shard(s).After(at-ss.Now(), func() { fired++ })
 				}
 				ss.Run(at)
 			}

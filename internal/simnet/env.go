@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"jxta/internal/env"
@@ -19,7 +20,7 @@ type NodeEnv struct {
 	src  *countingSource
 	seed int64
 	pos  uint64
-	// idx is the env's creation index; it keys the scheduler's per-node
+	// idx is the env's creation index; it keys the queue's per-node
 	// pending-callback ledger (PendingFor).
 	idx int32
 }
@@ -30,10 +31,8 @@ var _ env.Env = (*NodeEnv)(nil)
 // Envs must be created in a fixed order for reproducibility; the stream is
 // derived from the creation index.
 func (s *Scheduler) NewEnv(name string) *NodeEnv {
-	e := &NodeEnv{s: s, name: name, seed: deriveSeed(s.seed, int64(s.nodes)), idx: int32(s.nodes)}
-	s.nodes++
-	s.ownedPending = append(s.ownedPending, 0)
-	return e
+	idx := s.q.AddOwner()
+	return &NodeEnv{s: s, name: name, seed: deriveSeed(s.seed, int64(idx)), idx: idx}
 }
 
 // PendingFor returns the number of live cancelable callbacks the given env
@@ -46,7 +45,7 @@ func (s *Scheduler) PendingFor(e *NodeEnv) int {
 	if e == nil || e.s != s {
 		return 0
 	}
-	return int(s.ownedPending[e.idx])
+	return s.q.Owned(e.idx)
 }
 
 // Now implements env.Env.
@@ -56,15 +55,14 @@ func (n *NodeEnv) Now() time.Duration { return n.s.Now() }
 func (n *NodeEnv) Name() string { return n.name }
 
 // After implements env.Env. The callback is recorded against this env in
-// the scheduler's per-node ledger until it fires or is canceled.
+// the queue's per-node ledger until it fires or is canceled.
 func (n *NodeEnv) After(d time.Duration, fn func()) env.Timer {
-	return n.s.after(d, fn, n.idx)
+	return n.s.q.Arm(n.s.now+max(d, 0), fn, n.idx)
 }
 
 // Pending returns the number of this env's own live callbacks; see
 // Scheduler.PendingFor.
 func (n *NodeEnv) Pending() int { return n.s.PendingFor(n) }
 
-// Scheduler exposes the underlying engine (used by transports to model
-// delivery latency on the shared clock).
-func (n *NodeEnv) Scheduler() *Scheduler { return n.s }
+// Locker implements env.Env: nil, as the event loop is the only context.
+func (n *NodeEnv) Locker() sync.Locker { return nil }

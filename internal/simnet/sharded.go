@@ -5,12 +5,14 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"jxta/internal/env"
 )
 
 // Engine is the scheduler surface deployments and experiments drive: the
 // serial Scheduler and the window-barrier ShardedScheduler both implement
 // it, so an overlay runs unchanged on either. Code that needs the concrete
-// serial engine (tests poking At/Step) keeps using *Scheduler directly.
+// serial engine (tests poking Step) keeps using *Scheduler directly.
 type Engine interface {
 	// Now returns the current virtual time.
 	Now() time.Duration
@@ -26,7 +28,7 @@ type Engine interface {
 	Halt()
 	// After schedules a driver-level callback at now+d; on the sharded
 	// engine it runs with every shard quiesced (see ShardedScheduler.After).
-	After(d time.Duration, fn func()) Event
+	After(d time.Duration, fn func()) env.Event
 	// NewEnv creates a node environment (on shard 0 for the sharded
 	// engine; placement-aware callers use NewEnvOn).
 	NewEnv(name string) *NodeEnv
@@ -163,9 +165,6 @@ func (ss *ShardedScheduler) Shards() int { return len(ss.shards) }
 // schedule shard-local deliveries and derive per-shard RNG streams.
 func (ss *ShardedScheduler) Shard(i int) *Scheduler { return ss.shards[i] }
 
-// Lookahead returns the conservative window width.
-func (ss *ShardedScheduler) Lookahead() time.Duration { return ss.lookahead }
-
 // ParallelStats returns a snapshot of the window/barrier instrumentation.
 func (ss *ShardedScheduler) ParallelStats() ParallelStats { return ss.stat }
 
@@ -205,7 +204,7 @@ func (ss *ShardedScheduler) Halt() { ss.halted.Store(true) }
 // dedicated serial scheduler at their exact timestamp with every shard
 // quiesced at that time: the window loop splits barriers at driver event
 // times.
-func (ss *ShardedScheduler) After(d time.Duration, fn func()) Event {
+func (ss *ShardedScheduler) After(d time.Duration, fn func()) env.Event {
 	return ss.driver.After(d, fn)
 }
 
@@ -293,9 +292,9 @@ func sortXEntries(batch []xentry) {
 
 // nextTime returns the earliest live event time across shards and driver.
 func (ss *ShardedScheduler) nextTime() (time.Duration, bool) {
-	best, ok := ss.driver.nextEventAt()
+	best, ok := ss.driver.q.Next()
 	for _, sh := range ss.shards {
-		if t, h := sh.nextEventAt(); h && (!ok || t < best) {
+		if t, h := sh.q.Next(); h && (!ok || t < best) {
 			best, ok = t, true
 		}
 	}
@@ -330,7 +329,7 @@ func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 		if !ok || t > until {
 			break
 		}
-		if dt, ok := ss.driver.nextEventAt(); ok && dt == t {
+		if dt, ok := ss.driver.q.Next(); ok && dt == t {
 			// Driver events run at their exact timestamp with every
 			// shard quiesced at t (no shard has an event before t, so
 			// advancing their clocks is safe). They may touch any node.
@@ -344,7 +343,7 @@ func (ss *ShardedScheduler) Run(until time.Duration) uint64 {
 			// straight to the horizon (windows would only add barriers).
 			end = horizon
 		}
-		if dt, ok := ss.driver.nextEventAt(); ok && dt < end {
+		if dt, ok := ss.driver.q.Next(); ok && dt < end {
 			end = dt
 		}
 		if end > horizon {
@@ -368,7 +367,7 @@ func (ss *ShardedScheduler) runShardWindow(end time.Duration) {
 	busy := 0
 	toDispatch := ss.dispatch[:0]
 	for i, sh := range ss.shards {
-		if at, ok := sh.nextEventAt(); ok && at < end {
+		if at, ok := sh.q.Next(); ok && at < end {
 			busy++
 			if inline < 0 {
 				inline = i

@@ -156,7 +156,7 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	// An event exchanged with a timestamp inside the current window is a
 	// causality violation; the merge must refuse it loudly.
 	ss := NewSharded(1, 2, time.Millisecond)
-	ss.Shard(0).At(0, func() {
+	ss.Shard(0).After(0, func() {
 		ss.XSchedule(0, 1, 0, func(any) {}, nil) // arrival in the past at merge
 	})
 	defer func() {
@@ -186,7 +186,7 @@ func TestShardedDeterministicReplay(t *testing.T) {
 				}
 			}, nil)
 		}
-		ss.Shard(0).At(0, func() { pingPong(0, 1, 2*time.Millisecond) })
+		ss.Shard(0).After(0, func() { pingPong(0, 1, 2*time.Millisecond) })
 		ss.Run(100 * time.Millisecond)
 		st := ss.ParallelStats()
 		return ss.Steps(), st.CrossShard, ss.Now()
@@ -253,7 +253,7 @@ func pingPongFingerprint(t *testing.T) (uint64, uint64, uint64) {
 			}
 		}, nil)
 	}
-	ss.Shard(0).At(0, func() { pingPong(0, 1, 2*time.Millisecond) })
+	ss.Shard(0).After(0, func() { pingPong(0, 1, 2*time.Millisecond) })
 	ss.Run(100 * time.Millisecond)
 	if ss.Now() != 100*time.Millisecond {
 		t.Fatalf("Now = %v, want 100ms", ss.Now())
@@ -302,7 +302,7 @@ func TestPipelinedLeftoverCrossPhaseDelivery(t *testing.T) {
 	// until must stay pending between Runs and fire in a later one.
 	ss := NewSharded(9, 2, time.Millisecond)
 	fired := false
-	ss.Shard(0).At(2*time.Millisecond, func() {
+	ss.Shard(0).After(2*time.Millisecond, func() {
 		ss.XSchedule(0, 1, 50*time.Millisecond, func(any) { fired = true }, nil)
 	})
 	ss.Run(10 * time.Millisecond)

@@ -9,3 +9,10 @@ func (t *TCP) SetHelloTimeout(d time.Duration) {
 	defer t.mu.Unlock()
 	t.helloTimeout = d
 }
+
+// SetWriteTimeout shortens the deadline of each frame's Write.
+func (t *TCP) SetWriteTimeout(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.writeTimeout = d
+}

@@ -99,7 +99,7 @@ func TestCrossShardCancelInFlightDelivery(t *testing.T) {
 			t.Error("Detach found no endpoint")
 		}
 	})
-	ss.Shard(0).At(0, func() {
+	ss.Shard(0).After(0, func() {
 		if err := a.Send(b.Addr(), msgOf("x")); err != nil {
 			t.Error(err)
 		}
@@ -120,8 +120,8 @@ func TestCrossShardReceiverClosesBeforeArrival(t *testing.T) {
 	ss, net, a, b := shardedPair(t, latency)
 	delivered := false
 	b.SetHandler(func(Addr, *message.Message) { delivered = true })
-	ss.Shard(1).At(time.Millisecond, func() { b.Close() })
-	ss.Shard(0).At(0, func() {
+	ss.Shard(1).After(time.Millisecond, func() { b.Close() })
+	ss.Shard(0).After(0, func() {
 		if err := a.Send(b.Addr(), msgOf("x")); err != nil {
 			t.Error(err)
 		}

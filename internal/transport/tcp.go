@@ -36,6 +36,10 @@ const (
 // frame has a deadline: an established connection legitimately idles.
 const helloTimeout = 10 * time.Second
 
+// writeTimeout bounds one frame's Write: Send runs under the sending node's
+// lock, and a peer that stops reading would otherwise hold it for good.
+const writeTimeout = 10 * time.Second
+
 // TCP is a real wire transport: each endpoint runs a listener; connections
 // are dialed lazily, cached, and carry length-prefixed frames of
 // message.Marshal bytes. The first frame on a dialed connection is a hello
@@ -55,8 +59,10 @@ type TCP struct {
 	// Close can unblock them all.
 	open   map[net.Conn]struct{}
 	closed bool
-	// helloTimeout is the constant; a field so a test can shorten it.
+	// helloTimeout and writeTimeout are the constants; fields so a test can
+	// shorten them.
 	helloTimeout time.Duration
+	writeTimeout time.Duration
 	wg           sync.WaitGroup
 }
 
@@ -76,6 +82,7 @@ func ListenTCP(hostport string) (*TCP, error) {
 		open:     make(map[net.Conn]struct{}),
 
 		helloTimeout: helloTimeout,
+		writeTimeout: writeTimeout,
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -112,7 +119,8 @@ func (t *TCP) Close() error {
 	return err
 }
 
-// Send implements Transport.
+// Send implements Transport. A frame the peer has not taken within the
+// write timeout fails Send and drops the connection.
 func (t *TCP) Send(to Addr, msg *message.Message) error {
 	conn, err := t.conn(to)
 	if err != nil {
@@ -122,11 +130,12 @@ func (t *TCP) Send(to Addr, msg *message.Message) error {
 	frame := appendFrame(*buf, msg)
 	// One Write per frame: Send runs concurrently on every read loop and the
 	// application, and only a single Write is atomic against the others.
+	_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout)) // a connection that cannot take one fails its Write
 	_, err = conn.Write(frame)
 	*buf = frame // keep the grown backing array for the pool
 	message.PutBuffer(buf)
 	if err != nil {
-		// Connection went bad: drop it so the next send redials.
+		// Connection went bad or stalled: drop it so the next send redials.
 		t.dropConn(to, conn)
 		return err
 	}

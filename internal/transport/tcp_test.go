@@ -252,6 +252,55 @@ func TestInboundHandshakeDeadline(t *testing.T) {
 	}
 }
 
+// TestSendWriteDeadline: a peer that accepts and never reads fills the
+// socket buffers, and the next Write blocks. Send runs under the sending
+// node's lock, so it must give up within the write timeout, return the
+// error and drop the connection, instead of holding the node forever.
+func TestSendWriteDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c // held open, never read
+		}
+	}()
+	tr, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const deadline = 100 * time.Millisecond
+	tr.SetWriteTimeout(deadline)
+	to := Addr("tcp://" + ln.Addr().String())
+	big := message.New().Add("t", "body", make([]byte, 1<<20))
+	for sent := 0; ; sent++ {
+		if sent == 256 {
+			t.Fatal("256 MiB went to a peer that never reads, and no Send failed")
+		}
+		start := time.Now()
+		err := tr.Send(to, big)
+		if took := time.Since(start); took > deadline+2*time.Second {
+			t.Fatalf("Send %d blocked for %v, write timeout %v", sent, took, deadline)
+		}
+		if err != nil {
+			if !isTimeout(err) {
+				t.Fatalf("Send %d failed with %v, want a timeout", sent, err)
+			}
+			break
+		}
+	}
+	if open, cached := openConns(tr); open != 0 || cached != 0 {
+		t.Fatalf("after the timed-out Send the transport tracks %d connections (%d cached), want none", open, cached)
+	}
+	if c := <-accepted; c != nil {
+		c.Close()
+	}
+}
+
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
