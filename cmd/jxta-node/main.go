@@ -27,11 +27,10 @@
 // observation: scrapes serialize with the protocol loop and change no
 // protocol behaviour.
 //
-// Shutdown is graceful on SIGINT/SIGTERM: the node runs its full service
-// lifecycle teardown — open streams FIN or reset, the rendezvous lease is
-// cancelled so the super-peer drops this client immediately instead of
-// waiting for expiry, every protocol timer is cancelled, and the TCP
-// transport closes last.
+// Shutdown is graceful on SIGINT/SIGTERM: the node tears its services down
+// in reverse start order — the rendezvous lease is cancelled so the
+// super-peer drops this client immediately instead of waiting for expiry,
+// every protocol timer is cancelled, and the TCP transport closes last.
 package main
 
 import (
@@ -216,13 +215,12 @@ func main() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		s := <-sig
-		fmt.Printf("%s: graceful shutdown (lease cancel + stream FIN)\n", s)
+		fmt.Printf("%s: graceful shutdown (lease cancel)\n", s)
 	}
-	// Full lifecycle teardown: streams FIN/reset, lease cancelled, timers
-	// cancelled — under the env lock, like every protocol action. The
-	// transport must close OUTSIDE the lock (TCP.Close waits for reader
-	// goroutines, which deliver through the same lock); the deferred
-	// tr.Close handles it on the way out.
+	// Full teardown: lease cancelled, timers cancelled — under the env lock,
+	// like every protocol action. The transport must close OUTSIDE the lock
+	// (TCP.Close waits for reader goroutines, which deliver through the same
+	// lock); the deferred tr.Close handles it on the way out.
 	e.Locked(func() { n.Stop() })
 }
 

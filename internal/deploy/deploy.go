@@ -32,8 +32,6 @@ type EdgeGroup struct {
 type Spec struct {
 	// Seed is the experiment master seed (determinism).
 	Seed int64
-	// Model is the network model; nil selects the Grid'5000 model.
-	Model *netmodel.Model
 	// NumRdv is the number of rendezvous peers (r in the paper).
 	NumRdv int
 	// Shards selects the simulation engine: ≤1 (the default) runs the
@@ -120,10 +118,7 @@ func Build(spec Spec) (*Overlay, error) {
 	if spec.NumRdv < 0 {
 		return nil, fmt.Errorf("deploy: NumRdv=%d", spec.NumRdv)
 	}
-	model := spec.Model
-	if model == nil {
-		model = netmodel.Grid5000()
-	}
+	model := netmodel.Grid5000()
 	o := &Overlay{spec: spec, AdvStore: advstore.New()}
 	if spec.LeanMetrics {
 		o.LeanRegistry = metrics.NewRegistry()
@@ -357,7 +352,7 @@ func (o *Overlay) StopRdv(i int) { o.Rdvs[i].Stop() }
 func (o *Overlay) StopEdge(i int) { o.Edges[i].Stop() }
 
 // KillNode crashes a peer abruptly: nothing is sent — no lease cancel, no
-// stream FIN — and the transport detaches (node.Kill closes the endpoint,
+// handoff — and the transport detaches (node.Kill closes the endpoint,
 // which removes a Sim endpoint from the network), so messages delivered
 // while it is down are lost and remote peers discover the death by their
 // own timeouts, as on a real testbed.

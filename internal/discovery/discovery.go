@@ -511,9 +511,9 @@ func (s *Service) QueryAll(advType, attr, value string, cb func(Result), onTimeo
 }
 
 // QueryRemote is Query without the local-cache shortcut: the query always
-// travels the overlay, so Result.From identifies the live publisher. Pipe
-// binding depends on this — a cached pipe advertisement names the pipe but
-// not its binder, and binding must find who currently has it bound.
+// travels the overlay, so Result.From identifies the live publisher and
+// Result.Hops counts real forwards. The routing bake-off's SRDI backend
+// measures its lookups with it.
 func (s *Service) QueryRemote(advType, attr, value string, cb func(Result), onTimeout func()) error {
 	return s.query(advType, attr, value, false, false, cb, onTimeout)
 }

@@ -9,7 +9,6 @@ import (
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
 	"jxta/internal/ids"
-	"jxta/internal/netmodel"
 	"jxta/internal/topology"
 )
 
@@ -19,13 +18,10 @@ import (
 
 func lossyOverlay(t *testing.T, lossRate float64, r int, seed int64) *deploy.Overlay {
 	t.Helper()
-	model := netmodel.Grid5000()
-	model.LossRate = lossRate
 	o, err := deploy.Build(deploy.Spec{
 		Seed:      seed,
 		NumRdv:    r,
 		Topology:  topology.Chain,
-		Model:     model,
 		Discovery: discovery.DefaultConfig(),
 		Edges: []deploy.EdgeGroup{
 			{AttachTo: 0, Count: 1, Prefix: "pub"},
@@ -35,6 +31,7 @@ func lossyOverlay(t *testing.T, lossRate float64, r int, seed int64) *deploy.Ove
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.Net.Model().LossRate = lossRate
 	return o
 }
 

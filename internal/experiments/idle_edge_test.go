@@ -83,7 +83,7 @@ func mapFieldsNil(t *testing.T, edge string, rv reflect.Value) {
 // TestIdleEdgeHoldsNothing checks the memory contract directly. Every edge
 // of a deployed overlay at the lease steady state holds no RNG register, and
 // its endpoint (with the route table and the transport's FIFO clamp), the
-// six services above it and the rumor store hold no map at all: their idle
+// four services above it and the rumor store hold no map at all: their idle
 // state is their zero state. A rendezvous keeps its register.
 func TestIdleEdgeHoldsNothing(t *testing.T) {
 	o := buildIdleOverlay(t, 5)
@@ -103,7 +103,7 @@ func TestIdleEdgeHoldsNothing(t *testing.T) {
 		rdv := reflect.ValueOf(e.Rendezvous).Elem()
 		mapFieldsNil(t, name, rdv)
 		mapFieldsNil(t, name, rdv.FieldByName("rumors").Elem())
-		for _, svc := range []any{e.Cache, e.Resolver, e.Discovery, e.Pipe, e.Socket} {
+		for _, svc := range []any{e.Cache, e.Resolver, e.Discovery} {
 			mapFieldsNil(t, name, reflect.ValueOf(svc).Elem())
 		}
 	}

@@ -1,6 +1,6 @@
 // Package experiments contains one driver per table/figure of the paper's
 // evaluation (§4), plus this reproduction's extensions (churn, volatility,
-// ablations, bandwidth, scale, routing; Table lists them all). Each one
+// ablations, scale, routing; Table lists them all). Each one
 // deploys an overlay on the simulator, runs the workload, and returns the
 // measured data in the same shape the paper plots.
 package experiments

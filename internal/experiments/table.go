@@ -76,7 +76,6 @@ var Table = []Experiment{
 	{Name: "churn", Title: "Churn (§5 future work): rolling crashes, then mass failure and staged rejoin", run: churn},
 	{Name: "volatility", Title: "Volatility: the self-healing tier across kill intervals", run: volatility},
 	{Name: "ablations", Title: "Ablations: steady-state view size vs bandwidth", run: ablations},
-	{Name: "bandwidth", Title: "Bandwidth: socket throughput and RTT vs message size", run: bandwidth},
 	{Name: "scale", Title: "Scale: the sharded engine's events/sec, speedup bound and heap per edge", run: scale},
 	{Name: "routing", Title: "Routing bake-off (§3.3): flood vs SRDI-walk vs Chord vs Kademlia", run: routingBakeoff},
 }
@@ -425,42 +424,6 @@ func ablations(o Options) (any, []plot.Chart, error) {
 	}
 	summary["walk"] = walkSummary{walk.WithWalkOK, walk.WithoutWalkOK, walk.WithoutWalkLost}
 	return summary, nil, nil
-}
-
-// bandwidth sweeps the streaming layer: throughput and RTT vs message size,
-// lossless (A) and with 1% injected loss (B), over the simulated Grid'5000
-// model.
-func bandwidth(o Options) (any, []plot.Chart, error) {
-	sizes, volume := BandwidthDefaultSizes, 4<<20
-	if o.Quick {
-		sizes, volume = []int{1 << 10, 16 << 10, 256 << 10}, 1<<20
-	}
-	tput := plot.Chart{Title: "Socket throughput vs message size (simnet Grid'5000)",
-		XLabel: "message KiB", YLabel: "MB/s"}
-	rtt := plot.Chart{Title: "Socket round-trip time vs message size (simnet Grid'5000)",
-		XLabel: "message KiB", YLabel: "ms"}
-	summary := map[string]any{}
-	for _, cfg := range []struct {
-		name string
-		loss float64
-	}{{"A (lossless)", 0}, {"B (1% loss)", 0.01}} {
-		res, err := RunBandwidth(BandwidthSpec{
-			Sizes: sizes, VolumePerPoint: volume, LossRate: cfg.loss, Seed: o.Seed,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		tputS, rttS := plot.Series{Label: cfg.name}, plot.Series{Label: cfg.name}
-		for _, pt := range res.Points {
-			kib := float64(pt.SizeBytes) / 1024
-			tputS.X, tputS.Y = append(tputS.X, kib), append(tputS.Y, pt.ThroughputMBps)
-			rttS.X, rttS.Y = append(rttS.X, kib), append(rttS.Y, pt.RTTMs)
-		}
-		tput.Add(tputS)
-		rtt.Add(rttS)
-		summary[cfg.name] = res.Points
-	}
-	return summary, []plot.Chart{tput, rtt}, nil
 }
 
 // scalePoint is one sharded-engine scaling measurement. Wall-clock fields

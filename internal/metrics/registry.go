@@ -21,7 +21,7 @@ const (
 	// KindCounterFunc and KindGaugeFunc are collector-backed instruments:
 	// the value is computed by a callback at encode/snapshot time instead
 	// of being stored. They bridge pre-existing plain counter structs
-	// (transport.Stats, socket.Stats, discovery.Stats) and size gauges
+	// (transport.Stats, discovery.Stats) and size gauges
 	// (view size, roster, cache records) into the registry with zero cost
 	// on the mutating path.
 	KindCounterFunc

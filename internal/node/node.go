@@ -1,26 +1,25 @@
 // Package node assembles the full JXTA stack for one peer: transport,
 // endpoint service + ERP, resolver, rendezvous service (peerview + lease +
-// propagation, role-dependent), cache manager, discovery/LC-DHT, pipes and
-// the socket stream layer. It is the unit the deployment layer instantiates
-// — one Node per simulated or real peer.
+// propagation, role-dependent), cache manager and discovery/LC-DHT. It is
+// the unit the deployment layer instantiates — one Node per simulated or
+// real peer.
 //
 // # Lifecycle
 //
-// The services form an ordered lifecycle registry (internal/lifecycle):
-// Start brings them up transport-nearest first (endpoint, resolver,
-// peerview, rendezvous, discovery, pipe, socket) and Stop tears them down
-// in reverse, so a layer never sends through a layer that is already gone.
-// Four verbs cover every deployment need:
+// Start brings the services up transport-nearest first (endpoint, resolver,
+// peerview, rendezvous, discovery) and Stop tears them down in reverse, so a
+// layer never sends through a layer that is already gone. Four verbs cover
+// every deployment need:
 //
-//   - Stop: graceful halt. Streams FIN or reset, the edge lease is
-//     canceled, every service timer is canceled (leak-free: the simulation
-//     scheduler's per-node pending ledger reads zero afterwards). The node
-//     is restartable in place — Start resumes over the same transport.
+//   - Stop: graceful halt. The edge lease is canceled, every service timer
+//     is canceled (leak-free: the simulation scheduler's per-node pending
+//     ledger reads zero afterwards). The node is restartable in place —
+//     Start resumes over the same transport.
 //   - Kill: crash. Identical teardown but nothing is sent and the transport
 //     detaches; remote peers discover the death by timeout, as on a real
 //     testbed.
 //   - Restart: Stop (if needed) + Reset of all soft protocol state
-//     (peerview entries, leases, SRDI index, push ledgers, streams, learned
+//     (peerview entries, leases, SRDI index, push ledgers, learned
 //     routes) + Start. The peer keeps its identity — same ID, same RNG
 //     stream, same address — but rejoins the overlay cold, exactly like a
 //     restarted process on the same host. The deployment layer re-attaches
@@ -33,8 +32,8 @@
 // is small because of how it is built, not because something shrinks it:
 // the endpoint keeps its service and route tables in exact-size slices, the
 // transport its FIFO clamp in one slice entry, and the services above them
-// (cache, resolver, rendezvous client, discovery, pipe, socket) allocate no
-// map until first written, so their idle state is their zero state. The one
+// (cache, resolver, rendezvous client, discovery) allocate no map until
+// first written, so their idle state is their zero state. The one
 // large thing New touches is the env's RNG register (the peer ID is drawn
 // from it); an edge never draws again, so the simulator's deployment layer
 // hands the register back right after New (simnet.NodeEnv.ReleaseRand).
@@ -49,13 +48,10 @@ import (
 	"jxta/internal/endpoint"
 	"jxta/internal/env"
 	"jxta/internal/ids"
-	"jxta/internal/lifecycle"
 	"jxta/internal/metrics"
 	"jxta/internal/peerview"
-	"jxta/internal/pipe"
 	"jxta/internal/rendezvous"
 	"jxta/internal/resolver"
-	"jxta/internal/socket"
 	"jxta/internal/transport"
 )
 
@@ -123,8 +119,6 @@ type Node struct {
 	PeerView   *peerview.PeerView // nil for edges
 	Rendezvous *rendezvous.Service
 	Discovery  *discovery.Service
-	Pipe       *pipe.Service
-	Socket     *socket.Service
 	Cache      *cm.Cache
 
 	// Metrics is the node's instrument registry: every service registers
@@ -147,11 +141,8 @@ type Node struct {
 	// after the peerview union and the SRDI re-replication.
 	MergeObserved func(n *Node, peer ids.ID)
 
-	rdvAdv *advertisement.Rdv
-	reg    lifecycle.Registry
-	// pvRegIndex is where the peerview service lives (or would live) in the
-	// lifecycle registry: after endpoint and resolver, before rendezvous.
-	pvRegIndex int
+	rdvAdv  *advertisement.Rdv
+	started bool
 }
 
 // netPeerGroup is the peer group every node joins: the JXTA NetPeerGroup.
@@ -208,8 +199,6 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 		busy = sink
 	}
 	n.Discovery = discovery.New(e, ep, res, n.Rendezvous, cache, cfg.Discovery, busy)
-	n.Pipe = pipe.New(e, ep, n.Discovery, n.Rendezvous)
-	n.Socket = socket.New(e, ep, n.Pipe)
 
 	// Re-instrument every service against the node's shared registry (each
 	// constructor pre-instrumented against a private one) and add the
@@ -223,8 +212,6 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 	}
 	n.Rendezvous.Instrument(n.Metrics, n.Trace)
 	n.Discovery.Instrument(n.Metrics)
-	n.Pipe.Instrument(n.Metrics)
-	n.Socket.Instrument(n.Metrics)
 	// Node-level gauges are per-peer by nature — in lean mode (shared
 	// registry) they would just clobber each other, so skip them.
 	if cfg.Metrics == nil {
@@ -248,21 +235,6 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 			func() float64 { return float64(cache.IndexSize()) })
 	}
 
-	// Lifecycle registry, transport-nearest first; Stop runs in reverse so
-	// streams FIN and the lease cancel leave before the endpoint quiesces.
-	// Services with a crash path (silent teardown) register their Abort;
-	// the rest are silent on Stop already.
-	n.reg.Add(lifecycle.Funcs{StopFn: ep.Stop})
-	n.reg.Add(lifecycle.Funcs{StopFn: res.Stop})
-	n.pvRegIndex = 2
-	if n.PeerView != nil {
-		n.reg.Add(n.PeerView)
-	}
-	n.reg.Add(n.Rendezvous) // implements Abort (no lease cancel)
-	n.reg.Add(n.Discovery)
-	n.reg.Add(n.Pipe)
-	n.reg.Add(lifecycle.Funcs{StopFn: n.Socket.Stop, AbortFn: n.Socket.Abort})
-
 	// Role is dynamic: the rendezvous service's self-healing paths (crash
 	// election, graceful handoff) promote the whole node through this hook.
 	n.Rendezvous.SetPromoteHook(n.PromoteToRendezvous)
@@ -279,12 +251,13 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 
 // PromoteToRendezvous switches an edge node to the rendezvous role in
 // place, while it runs: a fresh peerview — seeded from the alternates the
-// dead rendezvous shared, plus the original seeds — is spliced into the
-// lifecycle registry at its canonical position, the rendezvous service
-// swaps roles (leases are granted from now on), and discovery gains an
-// SRDI index with the node's own advertisements republished into it. The
-// node keeps its identity: same ID, same RNG stream, same address. No-op
-// on a node already holding the rendezvous role.
+// dead rendezvous shared, plus the original seeds — starts if the node is
+// up, the rendezvous service swaps roles (leases are granted from now on),
+// and discovery gains an SRDI index with the node's own advertisements
+// republished into it. Stop then halts the peerview where a node built as
+// a rendezvous has it, between rendezvous and resolver. The node keeps its
+// identity: same ID, same RNG stream, same address. No-op on a node
+// already holding the rendezvous role.
 func (n *Node) PromoteToRendezvous() {
 	if n.PeerView != nil {
 		return
@@ -327,7 +300,9 @@ func (n *Node) PromoteToRendezvous() {
 	// shared with the pre-promotion family (registration is idempotent) and
 	// the size gauge re-targets the fresh view.
 	n.PeerView.Instrument(n.Metrics)
-	n.reg.Insert(n.pvRegIndex, n.PeerView) // starts it if the node is up
+	if n.started {
+		n.PeerView.Start()
+	}
 	n.Rendezvous.Promote(n.PeerView)
 	n.Discovery.Promote()
 	if n.RoleChanged != nil {
@@ -335,38 +310,67 @@ func (n *Node) PromoteToRendezvous() {
 	}
 }
 
-// Start brings the peer's services up in registry order. Idempotent.
+// Start brings the peer's services up, transport-nearest first. The
+// endpoint and resolver have no periodic work: construction started them.
+// Idempotent.
 func (n *Node) Start() {
-	n.reg.Start()
+	if n.started {
+		return
+	}
+	n.started = true
+	if n.PeerView != nil {
+		n.PeerView.Start()
+	}
+	n.Rendezvous.Start()
+	n.Discovery.Start()
 }
 
 // Started reports whether the node is currently up.
-func (n *Node) Started() bool { return n.reg.Started() }
+func (n *Node) Started() bool { return n.started }
 
-// Stop shuts the peer's services down gracefully in reverse registry order:
-// streams FIN or reset, the edge lease is cancelled, and every timer any
-// service armed is cancelled, so a stopped node owns no pending callbacks.
-// The transport stays attached — Start brings the node back in place.
-func (n *Node) Stop() {
-	n.reg.Stop()
-}
+// Stop shuts the peer's services down gracefully in reverse start order: the
+// edge lease is cancelled, and every timer any service armed is cancelled,
+// so a stopped node owns no pending callbacks. The transport stays
+// attached — Start brings the node back in place. Idempotent.
+func (n *Node) Stop() { n.halt(true) }
 
 // Kill crashes the peer: the same teardown as Stop but nothing is sent —
-// no FIN, no lease cancel — and the transport endpoint closes, so remote
-// peers learn of the death only through their own timeouts (lease renewal,
-// retransmission limits, peerview entry expiry).
+// no lease cancel, no handoff — and the transport endpoint closes, so
+// remote peers learn of the death only through their own timeouts (lease
+// renewal, peerview entry expiry).
 func (n *Node) Kill() {
-	n.reg.Abort()
+	n.halt(false)
 	n.Endpoint.Close()
+}
+
+// halt tears the services down in reverse start order. The rendezvous
+// service is the one layer whose teardown sends: graceful stops it, and a
+// crash aborts it.
+func (n *Node) halt(graceful bool) {
+	if !n.started {
+		return
+	}
+	n.started = false
+	n.Discovery.Stop()
+	if graceful {
+		n.Rendezvous.Stop()
+	} else {
+		n.Rendezvous.Abort()
+	}
+	if n.PeerView != nil {
+		n.PeerView.Stop()
+	}
+	n.Resolver.Stop()
+	n.Endpoint.Stop()
 }
 
 // Restart cold-restarts the peer in place: graceful Stop if still running,
 // then every service discards its soft protocol state — peerview entries,
-// leases and walk dedup, SRDI index and push ledgers, pipe bindings,
-// streams, learned routes — and Start rejoins the overlay from the
-// configured seeds. Identity is preserved: same peer ID, same RNG stream,
-// same transport address. If the node was killed, the caller must
-// re-attach the transport first (deploy.Overlay.RestartRdv/RestartEdge do).
+// leases and walk dedup, SRDI index and push ledgers, learned routes — and
+// Start rejoins the overlay from the configured seeds. Identity is
+// preserved: same peer ID, same RNG stream, same transport address. If the
+// node was killed, the caller must re-attach the transport first
+// (deploy.Overlay.RestartRdv/RestartEdge do).
 func (n *Node) Restart() {
 	n.Stop()
 	n.Endpoint.Reset()
@@ -375,8 +379,6 @@ func (n *Node) Restart() {
 	}
 	n.Rendezvous.Reset()
 	n.Discovery.Reset()
-	n.Pipe.Reset()
-	n.Socket.Reset()
 	n.Start()
 }
 
@@ -416,8 +418,7 @@ func (n *Node) IsRendezvous() bool { return n.PeerView != nil }
 func (n *Node) Hibernating() bool {
 	return n.PeerView == nil &&
 		n.Endpoint.Quiescent() && n.Resolver.Quiescent() &&
-		n.Rendezvous.Quiescent() && n.Discovery.Quiescent() &&
-		n.Pipe.Quiescent() && n.Socket.Quiescent() && n.Cache.Quiescent()
+		n.Rendezvous.Quiescent() && n.Discovery.Quiescent() && n.Cache.Quiescent()
 }
 
 // HibernationStats returns 0, 0: nothing wakes or freezes.

@@ -216,8 +216,8 @@ type Service struct {
 	pv          *peerview.PeerView // nil on edges
 	clients     map[ids.ID]clientLease
 	clientSweep *env.Ticker
-	// walkHandlers is a slice, not a map: two services register (discovery,
-	// pipe propagation), once, on every peer.
+	// walkHandlers is a slice, not a map: a service registers once, on every
+	// peer, and discovery is the only one that does.
 	walkHandlers []walkHandler
 	walkSeen     map[string]bool
 	nextWalkID   uint64
@@ -614,8 +614,7 @@ func (s *Service) setClient(edge ids.ID, cl clientLease) {
 
 // SetWalkHandler installs the per-hop consumer for walked messages addressed
 // to the given target service (rendezvous role). Each service owning a walk
-// protocol — discovery's LC-DHT fallback, the pipe propagation machinery —
-// registers its own handler; the walk envelope's Svc element selects it at
+// protocol — discovery's LC-DHT fallback — registers its own handler; the walk envelope's Svc element selects it at
 // every hop. Handlers may be installed while the peer is still an edge;
 // they only run once it holds the rendezvous role.
 func (s *Service) SetWalkHandler(svc string, h WalkHandler) {
@@ -1091,7 +1090,8 @@ func pickSuccessor(roster []peerview.Seed) peerview.Seed {
 // --- Rendezvous side ---
 
 // Clients returns the edges currently holding leases, in ascending ID order
-// so fan-out paths (pipe propagation) stay deterministic under a fixed seed.
+// so fan-out paths (handoff, propagation) stay deterministic under a fixed
+// seed.
 func (s *Service) Clients() []ids.ID {
 	out := make([]ids.ID, 0, len(s.clients))
 	for id := range s.clients {

@@ -2,15 +2,17 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"jxta/internal/netmodel"
+	"jxta/internal/resolver"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
 
-func buildKad(t *testing.T, seed int64, n int) (*Kademlia, *simnet.Scheduler) {
+func buildKad(t testing.TB, seed int64, n int) (*Kademlia, *simnet.Scheduler) {
 	t.Helper()
 	sched := simnet.NewScheduler(seed)
 	net := transport.NewNetwork(sched, netmodel.Grid5000())
@@ -137,4 +139,33 @@ func TestBucketIndex(t *testing.T) {
 	if got := BucketIndex(0, 1); got != 63 {
 		t.Errorf("closest contact in bucket %d, want 63", got)
 	}
+}
+
+// FuzzKademliaRPC feeds arbitrary bytes to the two places a Kademlia node
+// reads another node's bytes: decodeContacts (a find response) and
+// handleRPC's payload parse (a find or store query). Neither may panic, and
+// whatever decodeContacts returns must survive encodeContacts and a second
+// decode unchanged. The seeds are a real shortlist and the two real queries
+// of a converged 16-node overlay.
+func FuzzKademliaRPC(f *testing.F) {
+	kad, sched := buildKad(f, 46, 16)
+	callee, caller := kad.nodes[0], kad.nodes[1]
+	shortlist := callee.closest(caller.key, kadK)
+	if found, cs := decodeContacts(encodeContacts(true, shortlist)); !found || !slices.Equal(cs, shortlist) {
+		f.Fatalf("a real shortlist of %d contacts decodes to %v, %d contacts", len(shortlist), found, len(cs))
+	}
+	f.Add(encodeContacts(true, shortlist))
+	f.Add(encodeContacts(false, nil))
+	f.Add([]byte(fmt.Sprintf("find %016x %s", caller.key, "key-1")))
+	f.Add([]byte("store key-1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		found, cs := decodeContacts(data)
+		again, cs2 := decodeContacts(encodeContacts(found, cs))
+		if again != found || !slices.Equal(cs, cs2) {
+			t.Fatalf("decode(encode(%v, %v)) = %v, %v", found, cs, again, cs2)
+		}
+		callee.handleRPC(&resolver.Query{Handler: KadHandlerName, Src: caller.id,
+			SrcAddr: caller.tr.Addr(), Payload: data})
+		sched.Run(sched.Now() + time.Second)
+	})
 }

@@ -37,7 +37,8 @@ const (
 const helloTimeout = 10 * time.Second
 
 // writeTimeout bounds one frame's Write: Send runs under the sending node's
-// lock, and a peer that stops reading would otherwise hold it for good.
+// lock, and a peer that stops reading would otherwise hold it for good. It
+// bounds the rest of a frame's read too, once its first byte has arrived.
 const writeTimeout = 10 * time.Second
 
 // TCP is a real wire transport: each endpoint runs a listener; connections
@@ -186,7 +187,9 @@ func (t *TCP) conn(to Addr) (net.Conn, error) {
 	t.conns[to] = c
 	t.open[c] = struct{}{}
 	t.wg.Add(1)
-	go t.readLoop(to, c, newFrameReader(c))
+	fr := newFrameReader(c)
+	fr.conn, fr.timeout = c, t.writeTimeout
+	go t.readLoop(to, c, fr)
 	t.mu.Unlock()
 	return c, nil
 }
@@ -218,9 +221,9 @@ func (t *TCP) acceptLoop() {
 		}
 		t.open[c] = struct{}{}
 		t.wg.Add(1)
-		timeout := t.helloTimeout
+		hello, frame := t.helloTimeout, t.writeTimeout
 		t.mu.Unlock()
-		go t.handshakeInbound(c, timeout)
+		go t.handshakeInbound(c, hello, frame)
 	}
 }
 
@@ -228,8 +231,8 @@ func (t *TCP) acceptLoop() {
 // connection under the announced address, and enters the read loop. A
 // dialer that has not said hello within timeout is dropped: without the
 // deadline a peer that connects and stalls pins this goroutine and its read
-// buffer until Close.
-func (t *TCP) handshakeInbound(c net.Conn, timeout time.Duration) {
+// buffer until Close. Every later frame has frameTimeout to arrive whole.
+func (t *TCP) handshakeInbound(c net.Conn, timeout, frameTimeout time.Duration) {
 	var peer Addr
 	fr := newFrameReader(c)
 	_ = c.SetReadDeadline(time.Now().Add(timeout)) // a connection that cannot take one fails its read
@@ -240,6 +243,7 @@ func (t *TCP) handshakeInbound(c net.Conn, timeout time.Duration) {
 		}
 	}
 	_ = c.SetReadDeadline(time.Time{})
+	fr.conn, fr.timeout = c, frameTimeout
 	if peer == "" {
 		t.dropConn("", c)
 		t.wg.Done() // readLoop's job for a connection that gets that far
@@ -294,6 +298,12 @@ type frameReader struct {
 	// held is how much of r's buffer the frame last returned occupies; the
 	// next call gives it back.
 	held int
+	// conn, when set, gets a read deadline of timeout while a frame that has
+	// begun to arrive is read: a peer whose header promises bytes it never
+	// sends is dropped instead of pinning the reader. Between frames a
+	// connection idles with no deadline.
+	conn    net.Conn
+	timeout time.Duration
 }
 
 func newFrameReader(r io.Reader) *frameReader {
@@ -307,6 +317,13 @@ func newFrameReader(r io.Reader) *frameReader {
 func (f *frameReader) next() ([]byte, error) {
 	f.r.Discard(f.held)
 	f.held = 0
+	if _, err := f.r.Peek(1); err != nil {
+		return nil, err
+	}
+	if f.conn != nil && !f.buffered() {
+		_ = f.conn.SetReadDeadline(time.Now().Add(f.timeout)) // a connection that cannot take one fails its read
+		defer f.conn.SetReadDeadline(time.Time{})
+	}
 	hdr, err := f.r.Peek(4)
 	if err != nil {
 		return nil, err
@@ -343,6 +360,17 @@ func (f *frameReader) next() ([]byte, error) {
 		copy(grown, buf)
 		buf = grown
 	}
+}
+
+// buffered reports whether the read buffer holds the whole next frame,
+// header and payload.
+func (f *frameReader) buffered() bool {
+	have := f.r.Buffered()
+	if have < 4 {
+		return false
+	}
+	hdr, _ := f.r.Peek(4)
+	return have-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 func stripScheme(a Addr) (string, bool) {

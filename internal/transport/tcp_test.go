@@ -301,6 +301,88 @@ func TestSendWriteDeadline(t *testing.T) {
 	}
 }
 
+// TestPartialFrameDeadline: a peer whose frame header claims 100 bytes and
+// which then sends 10 used to pin the reader for as long as the connection
+// stayed open. Once a frame has begun, the rest must arrive within the write
+// timeout or the connection is dropped — on an accepted connection and on a
+// dialed one. Between frames a connection idles with no deadline.
+func TestPartialFrameDeadline(t *testing.T) {
+	const deadline = 50 * time.Millisecond
+	partial := append(binary.BigEndian.AppendUint32(nil, 100), "ten bytes."...)
+	// droppedWithin fails the test unless the transport hangs up on c well
+	// inside 5 s.
+	droppedWithin := func(c net.Conn) {
+		t.Helper()
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.Copy(io.Discard, c); isTimeout(err) {
+			t.Fatal("a peer that sent 10 of 100 promised bytes is still connected after 5 s")
+		}
+	}
+
+	srv, err := ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetWriteTimeout(deadline)
+	got := make(chan string, 1)
+	srv.SetHandler(func(_ Addr, m *message.Message) { got <- m.GetString("t", "body") })
+	in, err := net.Dial("tcp", string(srv.Addr())[len("tcp://"):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	hello := message.New().AddString(helloNS, helloName, "tcp://127.0.0.1:1")
+	if _, err := in.Write(appendFrame(nil, hello)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(3 * deadline) // idle between frames: no deadline applies
+	if _, err := in.Write(appendFrame(nil, msgOf("after idling"))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case have := <-got:
+		if have != "after idling" {
+			t.Fatalf("received %q", have)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a connection that idled between frames was dropped")
+	}
+	if _, err := in.Write(partial); err != nil {
+		t.Fatal(err)
+	}
+	droppedWithin(in)
+
+	// The dialed side: the peer takes the hello and answers with a partial
+	// frame.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		if _, err := newFrameReader(c).next(); err == nil {
+			c.Write(partial)
+		}
+		accepted <- c
+	}()
+	if err := srv.Send(Addr("tcp://"+ln.Addr().String()), msgOf("hi")); err != nil {
+		t.Fatal(err)
+	}
+	out := <-accepted
+	if out == nil {
+		t.Fatal("accept failed")
+	}
+	defer out.Close()
+	droppedWithin(out)
+}
+
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()

@@ -19,31 +19,10 @@
 //	pub.PublishResource("Test", nil)
 //	advs, elapsed, _ := search.Discover("Resource", "Name", "Test", time.Minute)
 //
-// On top of discovery sits the streaming data plane: reliable JXTA sockets
-// bound over pipe advertisements. A server edge listens under a name, a
-// client edge resolves the name through the LC-DHT and dials; the resulting
-// Stream is a flow-controlled, retransmitting byte stream:
-//
-//	server, client := sim.Edge(0), sim.Edge(1)
-//	server.Listen("bulk", func(s *jxta.Stream) {
-//		s.OnReadable(func() { /* drain s.Read(...) until io.EOF */ })
-//	})
-//	sim.Run(time.Minute) // let the pipe advertisement index propagate
-//	stream, _ := client.Dial("bulk", time.Minute)
-//	stream.Write(payload) // short writes resume via stream.OnWritable
-//	stream.Close()
-//
-// One-to-many delivery uses propagate pipes: every peer that joins the
-// same channel name receives each published payload once, fanned out
-// through the rendezvous propagation machinery:
-//
-//	sub.JoinChannel("news", func(from string, data []byte) { ... })
-//	pub.OpenChannel("news").Send([]byte("flash"))
-//
 // Membership is dynamic: peers have a full lifecycle, so volatility and
 // self-healing scenarios are first-class. Stop halts a peer gracefully
-// (lease cancelled, streams FIN, every timer cancelled — PendingCallbacks
-// proves the teardown leak-free), Kill crashes it silently, Restart brings
+// (lease cancelled, every timer cancelled — PendingCallbacks proves the
+// teardown leak-free), Kill crashes it silently, Restart brings
 // it back with the same identity and fresh protocol state, and AddEdge
 // joins new peers while virtual time runs:
 //
@@ -72,9 +51,7 @@ import (
 	"jxta/internal/metrics"
 	"jxta/internal/netmodel"
 	"jxta/internal/node"
-	"jxta/internal/pipe"
 	"jxta/internal/simnet"
-	"jxta/internal/socket"
 	"jxta/internal/topology"
 )
 
@@ -90,17 +67,6 @@ type PeerAdv = advertisement.Peer
 
 // IndexField is one searchable (attribute, value) pair.
 type IndexField = advertisement.IndexField
-
-// Stream is a reliable, bidirectional, flow-controlled byte stream between
-// two peers (a JXTA socket). Its Read/Write are io.ReadWriter-shaped but
-// non-blocking; OnReadable/OnWritable signal progress.
-type Stream = socket.Conn
-
-// StreamListener accepts inbound streams bound to a pipe advertisement.
-type StreamListener = socket.Listener
-
-// Channel is the sending end of a one-to-many propagate pipe.
-type Channel = pipe.OutputPipe
 
 // EdgeSpec attaches one edge peer to a rendezvous (by deployment index).
 type EdgeSpec struct {
@@ -380,9 +346,9 @@ func (p *Peer) Connected() bool {
 // Started reports whether the peer is currently running.
 func (p *Peer) Started() bool { return p.n.Started() }
 
-// Stop gracefully halts the peer: streams FIN or reset, the lease is
-// cancelled, every service timer is cancelled (PendingCallbacks drops to
-// zero). The peer can come back with Restart.
+// Stop gracefully halts the peer: the lease is cancelled and every service
+// timer is cancelled (PendingCallbacks drops to zero). The peer can come
+// back with Restart.
 func (p *Peer) Stop() { p.n.Stop() }
 
 // Kill crashes the peer: nothing is sent and its address stops answering;
@@ -392,8 +358,7 @@ func (p *Peer) Kill() { p.sim.overlay.KillNode(p.n) }
 
 // Restart cold-restarts the peer in place (after Stop or Kill, or while
 // running): same ID and address, fresh protocol state — the peerview
-// rebuilds from seeds, an edge re-leases and re-publishes. Applications
-// must re-Listen/re-JoinChannel; streams from before the restart are gone.
+// rebuilds from seeds, an edge re-leases and re-publishes.
 func (p *Peer) Restart() { p.sim.overlay.RestartNode(p.n) }
 
 // Publish stores an advertisement and pushes its index to the LC-DHT.
@@ -498,79 +463,6 @@ func (p *Peer) runUntil(within time.Duration, done func() bool) {
 		sched.Run(min(sched.Now()+10*time.Millisecond, deadline))
 	}
 }
-
-// Listen binds a stream listener under the given name and publishes the
-// backing pipe advertisement so other peers can Dial it. accept fires once
-// per established inbound connection.
-func (p *Peer) Listen(name string, accept func(*Stream)) (*StreamListener, error) {
-	return p.n.Socket.Listen(pipe.NewPipeAdv(p.n.ID, name), accept)
-}
-
-// Dial resolves a named stream listener through the LC-DHT, performs the
-// socket handshake and returns the established stream, advancing virtual
-// time until the connection is up or `within` elapses.
-func (p *Peer) Dial(name string, within time.Duration) (*Stream, error) {
-	var conn *Stream
-	var dialErr error
-	resolved := false
-	// Always resolve over the overlay: a cached pipe advertisement does not
-	// identify the current binder, the responding publisher does.
-	err := p.n.Discovery.QueryRemote("Pipe", "Name", name,
-		func(r discovery.Result) {
-			if resolved {
-				return
-			}
-			for _, adv := range r.Advs {
-				pa, ok := adv.(*advertisement.Pipe)
-				if !ok {
-					continue
-				}
-				resolved = true
-				// The responder is the pipe's publisher, i.e. the binder.
-				p.n.Socket.DialPeer(r.From, pa.PipeID, func(c *Stream, err error) {
-					conn, dialErr = c, err
-				})
-				return
-			}
-		},
-		func() {
-			if !resolved {
-				resolved = true
-				dialErr = ErrTimeout
-			}
-		})
-	if err != nil {
-		return nil, err
-	}
-	p.runUntil(within, func() bool { return conn != nil || dialErr != nil })
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	if conn == nil {
-		return nil, ErrTimeout
-	}
-	return conn, nil
-}
-
-// JoinChannel subscribes this peer to a one-to-many propagate channel:
-// recv fires once per payload published anywhere in the group, with the
-// origin peer's URN. recv owns data: it is a copy, and may be kept.
-func (p *Peer) JoinChannel(name string, recv func(from string, data []byte)) error {
-	_, err := p.n.Pipe.Bind(pipe.NewPropagateAdv(name), func(src ids.ID, data []byte) {
-		recv(src.String(), data)
-	})
-	return err
-}
-
-// OpenChannel returns the sending end of a propagate channel. Send fans the
-// payload out to every subscribed peer through the rendezvous propagation
-// machinery (the sender must hold a rendezvous lease, or be a rendezvous).
-func (p *Peer) OpenChannel(name string) *Channel {
-	return p.n.Pipe.ConnectPropagate(pipe.NewPropagateAdv(name))
-}
-
-// SocketStats returns this peer's stream-layer counters.
-func (p *Peer) SocketStats() socket.Stats { return p.n.Socket.Stats }
 
 // TraceEvent is one protocol transition recorded by a peer: promotions,
 // failovers, island merges and lease-state changes, with the virtual

@@ -66,8 +66,8 @@ func TestMetricsComponentCoverage(t *testing.T) {
 	text := b.String()
 	for _, comp := range []string{
 		"jxta_endpoint_", "jxta_resolver_", "jxta_rendezvous_",
-		"jxta_peerview_", "jxta_discovery_", "jxta_socket_",
-		"jxta_pipe_", "jxta_node_", "jxta_cache_",
+		"jxta_peerview_", "jxta_discovery_", "jxta_node_",
+		"jxta_cache_",
 	} {
 		if !strings.Contains(text, comp) {
 			t.Errorf("rendezvous metrics missing component %s", comp)

@@ -1,9 +1,7 @@
 package jxta
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -294,100 +292,6 @@ func TestStartStopIdempotent(t *testing.T) {
 	sim.Run(time.Minute)
 	sim.Stop()
 	sim.Stop()
-}
-
-func TestListenDialStream(t *testing.T) {
-	sim := newSim(t, 5, 0, 4)
-	sim.Start()
-	defer sim.Stop()
-	sim.Run(12 * time.Minute)
-
-	server, client := sim.Edge(0), sim.Edge(1)
-	var got []byte
-	eof := false
-	if _, err := server.Listen("bulk", func(s *Stream) {
-		buf := make([]byte, 32<<10)
-		drain := func() {
-			for {
-				n, err := s.Read(buf)
-				got = append(got, buf[:n]...)
-				if err == io.EOF {
-					eof = true
-					return
-				}
-				if err != nil || n == 0 {
-					return
-				}
-			}
-		}
-		s.OnReadable(drain)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(time.Minute) // pipe advertisement index propagation
-
-	stream, err := client.Dial("bulk", time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte("jxta-socket!"), 4096) // ~48 KiB
-	rest := payload
-	stream.OnWritable(func() {})
-	for len(rest) > 0 {
-		n, werr := stream.Write(rest)
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		rest = rest[n:]
-		if n == 0 {
-			sim.Run(time.Second) // let acks open the window
-		}
-	}
-	stream.Close()
-	sim.Run(time.Minute)
-	if !eof || !bytes.Equal(got, payload) {
-		t.Fatalf("stream transfer: eof=%v got=%d want=%d bytes", eof, len(got), len(payload))
-	}
-	if client.SocketStats().ConnsDialed != 1 || server.SocketStats().ConnsAccepted != 1 {
-		t.Fatal("socket stats not recorded")
-	}
-}
-
-func TestDialUnknownName(t *testing.T) {
-	sim := newSim(t, 3, 0)
-	sim.Start()
-	defer sim.Stop()
-	sim.Run(10 * time.Minute)
-	if _, err := sim.Edge(0).Dial("nobody-listens", 45*time.Second); err == nil {
-		t.Fatal("dial to unknown name succeeded")
-	}
-}
-
-func TestPropagateChannel(t *testing.T) {
-	sim := newSim(t, 4, 0, 1, 3)
-	sim.Start()
-	defer sim.Stop()
-
-	var heard [][]byte
-	for _, i := range []int{1, 2} {
-		if err := sim.Edge(i).JoinChannel("news", func(from string, data []byte) {
-			heard = append(heard, append([]byte(nil), data...))
-			if from != sim.Edge(0).ID() {
-				t.Errorf("origin %s, want publisher", from)
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sim.Run(12 * time.Minute)
-	ch := sim.Edge(0).OpenChannel("news")
-	if err := ch.Send([]byte("flash")); err != nil {
-		t.Fatal(err)
-	}
-	sim.Run(time.Minute)
-	if len(heard) != 2 {
-		t.Fatalf("channel delivered %d payloads, want 2", len(heard))
-	}
 }
 
 func TestDiscoverRange(t *testing.T) {

@@ -22,7 +22,7 @@ type settable struct {
 }
 
 // settables is the options audit as a ratchet: one row per exported field of
-// the fifteen configuration structs. A value nothing sets is dead code (ROADMAP
+// the fourteen configuration structs. A value nothing sets is dead code (ROADMAP
 // aim 2), so a new field needs a row that names its setter, and a deleted
 // field takes its row with it.
 var settables = []settable{
@@ -35,7 +35,6 @@ var settables = []settable{
 	{"jxta.SimOptions", "DisableIslandMerge", "test only: the facade's one way into the self-heal-only tier its acceptance tests pin"},
 
 	{"deploy.Spec", "Seed", "every experiment; every simulated benchmark workload"},
-	{"deploy.Spec", "Model", "-exp bandwidth (lossy Grid'5000 model)"},
 	{"deploy.Spec", "NumRdv", "every experiment; every simulated benchmark workload"},
 	{"deploy.Spec", "Shards", "-exp scale; the benchmark's traced Shards=2 replay"},
 	{"deploy.Spec", "Hibernate", "benchmark edges-10k (ignored; goes with ROADMAP 0(a))"},
@@ -86,13 +85,6 @@ var settables = []settable{
 	{"experiments.ScaleSpec", "Lease", "test only: goldenScaleSpec sets 2 min, so removing it would move a golden"},
 	{"experiments.ScaleSpec", "Seed", "-exp scale"},
 
-	{"experiments.BandwidthSpec", "R", "test only: the bandwidth golden sets 3, so removing it would move a golden"},
-	{"experiments.BandwidthSpec", "Sizes", "-exp bandwidth"},
-	{"experiments.BandwidthSpec", "VolumePerPoint", "-exp bandwidth"},
-	{"experiments.BandwidthSpec", "RTTSamples", "test only: the bandwidth golden sets 2, so removing it would move a golden"},
-	{"experiments.BandwidthSpec", "LossRate", "-exp bandwidth (B, 1% loss)"},
-	{"experiments.BandwidthSpec", "Seed", "-exp bandwidth"},
-
 	{"experiments.Options", "Seed", "jxta-bench -seed"},
 	{"experiments.Options", "Quick", "jxta-bench -quick"},
 
@@ -133,7 +125,7 @@ func TestSettableValues(t *testing.T) {
 		SimOptions{}, deploy.Spec{}, node.Config{},
 		peerview.Config{}, rendezvous.Config{}, discovery.Config{},
 		experiments.PeerviewSpec{}, experiments.ScaleSpec{},
-		experiments.BandwidthSpec{}, experiments.Options{},
+		experiments.Options{},
 		experiments.DiscoverySpec{}, experiments.ChurnSpec{},
 		experiments.RecoverySpec{}, experiments.VolatilitySpec{},
 		experiments.RoutingSpec{},
