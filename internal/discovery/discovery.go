@@ -142,7 +142,7 @@ type Service struct {
 	// costTimers tracks in-flight SRDI scan-cost delays (handleQuery,
 	// handleWalk) so Stop can cancel them — without this a stopped node
 	// would still own pending callbacks and forward queries when they fire.
-	costTimers map[uint64]env.Timer
+	costTimers map[uint64]env.Event
 	nextCostID uint64
 
 	// seen dedups queries at a rendezvous, so the replica forward and the
@@ -294,7 +294,7 @@ func (s *Service) afterCost(d time.Duration, fn func()) {
 	id := s.nextCostID
 	s.nextCostID++
 	if s.costTimers == nil {
-		s.costTimers = make(map[uint64]env.Timer)
+		s.costTimers = make(map[uint64]env.Event)
 	}
 	s.costTimers[id] = s.env.After(d, func() {
 		delete(s.costTimers, id)

@@ -11,7 +11,7 @@
 //     each other, so per-node protocol state needs no locking. Code outside
 //     them enters the node under the Env's Locker (Real.Locked), and must not
 //     wait there for a goroutine that enters it too, such as a TCP reader.
-//     After and Timer.Cancel are called only under this serialization.
+//     After and Event.Cancel are called only under this serialization.
 //   - A canceled callback never runs; equal deadlines run in arm order.
 //   - Time is expressed as a time.Duration offset from an arbitrary epoch
 //     (experiment start). Only differences are meaningful.
@@ -25,20 +25,13 @@ import (
 	"time"
 )
 
-// Timer is a cancelable pending callback.
-type Timer interface {
-	// Cancel prevents the callback from running if it has not started yet.
-	// It reports whether the callback was still pending.
-	Cancel() bool
-}
-
 // Env is the per-node runtime: virtual or wall clock, timers, randomness.
 type Env interface {
 	// Now returns the current time as an offset from the epoch.
 	Now() time.Duration
-	// After schedules fn to run d from now. fn runs serialized with every
-	// other callback of this Env.
-	After(d time.Duration, fn func()) Timer
+	// After schedules fn to run d from now and returns its handle. fn runs
+	// serialized with every other callback of this Env.
+	After(d time.Duration, fn func()) Event
 	// Rand returns this node's private random source.
 	Rand() *rand.Rand
 	// Name identifies the node for logs and metrics.
@@ -59,7 +52,7 @@ type Ticker struct {
 	// value, so a tick costs what the Env's timer costs and nothing here.
 	tick    func()
 	stopped bool
-	pending Timer
+	pending Event
 }
 
 // NewTicker starts a ticker whose first firing happens one interval from now.
@@ -82,9 +75,7 @@ func (t *Ticker) onTick() {
 // Stop halts the ticker. Safe to call from inside the tick callback.
 func (t *Ticker) Stop() {
 	t.stopped = true
-	if t.pending != nil {
-		t.pending.Cancel()
-	}
+	t.pending.Cancel()
 }
 
 // Real is an Env running on the wall clock, for live TCP deployments: one OS
@@ -123,7 +114,7 @@ func (r *Real) Locker() sync.Locker { return &r.mu }
 
 // After implements Env. It and Cancel run under the mutex fire pops under,
 // so a canceled callback never runs.
-func (r *Real) After(d time.Duration, fn func()) Timer {
+func (r *Real) After(d time.Duration, fn func()) Event {
 	at := r.Now() + max(d, 0)
 	ev := r.q.Arm(at, fn, NoOwner)
 	if next, _ := r.q.Next(); next == at { // else the timer is set for earlier

@@ -252,9 +252,9 @@ func (q *Queue) Post(at time.Duration, fn func(any), arg any) {
 	q.schedule(at, fn, arg, noSlot, 0)
 }
 
-// Event is a generation-checked handle to a queued event: the Timer every
-// Env returns. The zero value is inert. Handles are values; copying is cheap
-// and safe.
+// Event is a generation-checked handle to a queued event, and what every
+// Env's After returns. The zero value is inert. Handles are values; copying
+// is cheap and safe, and returning one allocates nothing.
 type Event struct {
 	q    *Queue
 	slot int32

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"jxta/internal/topology"
 )
 
 // A failure-inventory row's status.
@@ -42,6 +45,12 @@ var inventory = []inventoryRow{
 		heldBy: []string{"experiments.TestGoldenRoutingReplay"}},
 	{n: 5, finding: "an edge that has looked up once is never Quiescent()", owner: "1(d)", status: statusFixed,
 		heldBy: []string{"experiments.TestAnsweredLookupsLeaveNothingPending", "node.TestAnsweredLookupsLeaveNothingPendingOverTCP"}},
+	{n: 7, finding: "peerview-r200's views never cover the whole tier", owner: "1(a)", status: statusOpen,
+		value:  "peerview-r200 (seed 42): view_coverage 0.9826 at 60 min",
+		heldBy: []string{"experiments.TestPeerviewCoverageAtAnHour"}},
+	{n: 8, finding: "the lease tables grow per message without a ceiling", owner: "3(d)", status: statusOpen,
+		value:  "one handoff of 4,096 Cli elements: client table +4,096",
+		heldBy: []string{"rendezvous.TestHandoffGrowsClientTable"}},
 	{n: 9, finding: "a TCP peer that stops reading blocks Send", owner: "3(c)", status: statusFixed,
 		heldBy: []string{"transport.TestSendWriteDeadline"}},
 	{n: 10, finding: "a live timer that has already fired runs after Cancel", owner: "11", status: statusFixed,
@@ -79,6 +88,26 @@ func TestFailureInventory(t *testing.T) {
 		})
 	}
 	t.Logf("inventory: %d open · %d fixed · %d structural", count[statusOpen], count[statusFixed], count[statusStructural])
+}
+
+// TestPeerviewCoverageAtAnHour is failure-inventory row 7 (ROADMAP item
+// 1(a)), asserted as a floor: RunPeerview on the shape of the benchmark's
+// peerview-r200 workload (200 rendezvous bootstrapped as a chain, seed 42)
+// ends its 60 virtual minutes with the views short of the whole tier. With
+// no peer dead, view_coverage is the mean view over the 199 others. A fix
+// raises the floor.
+func TestPeerviewCoverageAtAnHour(t *testing.T) {
+	const floor = 0.9825 // measured: 0.982588
+	const r = 200
+	res, err := RunPeerview(PeerviewSpec{R: r, Topology: topology.Chain, Duration: 60 * time.Minute, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coverage := res.MeanSize.Values[len(res.MeanSize.Values)-1] / (r - 1)
+	t.Logf("view_coverage %.6f at 60 min", coverage)
+	if coverage < floor {
+		t.Fatalf("peerview-r200 ends at view_coverage %.6f, floor %.4f", coverage, floor)
+	}
 }
 
 // testExists reports whether ref, "<directory under internal/>.<test name>",

@@ -342,7 +342,7 @@ type PeerView struct {
 	entries  []*entry
 	byID     map[ids.ID]*entry
 	ticker   *env.Ticker
-	boot     env.Timer // the immediate first iteration armed by Start
+	boot     env.Event // the immediate first iteration armed by Start
 	stopped  bool      // explicitly stopped: ignore inbound traffic
 	listener Listener
 	onMerge  MergeListener
@@ -412,10 +412,7 @@ func (pv *PeerView) Stop() {
 		pv.ticker.Stop()
 		pv.ticker = nil
 	}
-	if pv.boot != nil {
-		pv.boot.Cancel()
-		pv.boot = nil
-	}
+	pv.boot.Cancel()
 }
 
 // Reset discards the accumulated view and probe-dedup state, as a freshly

@@ -99,7 +99,7 @@ type horizonEnv struct {
 	farthest time.Duration
 }
 
-func (e *horizonEnv) After(d time.Duration, fn func()) env.Timer {
+func (e *horizonEnv) After(d time.Duration, fn func()) env.Event {
 	e.farthest = max(e.farthest, d)
 	return e.Env.After(d, fn)
 }
@@ -181,4 +181,27 @@ func FuzzReceiveLease(f *testing.F) {
 		// runs without the message.
 		rig.sched.Run(rig.sched.Now() + 10*time.Millisecond)
 	})
+}
+
+// TestHandoffGrowsClientTable is failure-inventory row 8 (ROADMAP item 3(d)),
+// asserted as a ratchet: the client table has no ceiling, so one handoff grows
+// it by every Cli element it carries. FuzzReceiveLease bounds the growth per
+// element; nothing bounds the table. A ceiling lowers the figure; more than
+// one client per element fails.
+func TestHandoffGrowsClientTable(t *testing.T) {
+	const carried = 4096
+	rig, _ := newLeaseRig(t, 61)
+	m := message.New().AddString(leaseNS, elemHandoff, "1")
+	for i := 0; i < carried; i++ {
+		sd := peerview.Seed{ID: ids.FromName(ids.KindPeer, fmt.Sprint("handed-off-", i)), Addr: transport.Addr(fmt.Sprint("sim://9/", i))}
+		m.AddString(leaseNS, elemClient, string(sd.AppendEncode(nil))+" 30000000000")
+	}
+	s := rig.rdv.svc
+	before := len(s.clients)
+	s.receiveLease(ids.FromName(ids.KindPeer, "stranger"), m)
+	grew := len(s.clients) - before
+	t.Logf("a handoff of %d Cli elements grows the client table by %d", carried, grew)
+	if grew > carried {
+		t.Fatalf("a handoff of %d Cli elements grows the client table by %d, ceiling %d", carried, grew, carried)
+	}
 }

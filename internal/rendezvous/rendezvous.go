@@ -232,8 +232,8 @@ type Service struct {
 	connectedTo ids.ID
 	grantTarget ids.ID
 	started     bool
-	renewTimer  env.Timer // the next lease request: the first, armed by Start, or a renewal
-	grantTimer  env.Timer
+	renewTimer  env.Event // the next lease request: the first, armed by Start, or a renewal
+	grantTimer  env.Event
 	// requestFn and timeoutFn are what those two timers run — requestLease,
 	// and onLeaseTimeout for grantTarget — each bound once, on first arm, so
 	// that re-arming a timer builds no closure.
@@ -730,7 +730,7 @@ func (s *Service) Start() {
 
 // requestAfter arms a timer that asks for a lease: the first request, and
 // every renewal. requestLease itself ignores a stopped service.
-func (s *Service) requestAfter(d time.Duration) env.Timer {
+func (s *Service) requestAfter(d time.Duration) env.Event {
 	if s.requestFn == nil {
 		s.requestFn = s.requestLease
 	}
@@ -770,14 +770,9 @@ func (s *Service) halt(sendCancel bool) {
 }
 
 func (s *Service) cancelTimers() {
-	if s.renewTimer != nil {
-		s.renewTimer.Cancel()
-		s.renewTimer = nil
-	}
-	if s.grantTimer != nil {
-		s.grantTimer.Cancel()
-		s.grantTimer = nil
-	}
+	s.renewTimer.Cancel()
+	s.grantTimer.Cancel()
+	s.grantTimer = env.Event{} // Quiescent: no attempt in flight
 }
 
 // Reset clears the role's soft state for a cold restart: granted leases, the
@@ -805,7 +800,7 @@ func (s *Service) Reset() {
 // attempt in flight (the armed renewal timer is the wake source, not a
 // blocker), and every map empty. Dormant edges qualify.
 func (s *Service) Quiescent() bool {
-	return !s.IsRendezvous() && s.grantTimer == nil && !s.awaitingSucc &&
+	return !s.IsRendezvous() && s.grantTimer == (env.Event{}) && !s.awaitingSucc &&
 		len(s.clients) == 0 && len(s.walkSeen) == 0 && len(s.mergeTried) == 0
 }
 
@@ -935,10 +930,7 @@ func (s *Service) requestLease() {
 	// A still-armed grant timer belongs to a superseded request (Connect
 	// during an in-flight attempt): cancel it, or its orphaned timeout
 	// would later tear down whatever lease this request establishes.
-	if s.grantTimer != nil {
-		s.grantTimer.Cancel()
-		s.grantTimer = nil
-	}
+	s.grantTimer.Cancel()
 	m := leaseMessage(elemRequest, s.leaseText)
 	if s.cfg.SelfHeal {
 		// Share our address so the rendezvous can roster us to co-clients.
@@ -998,7 +990,7 @@ const episodePhases = 8
 // timer is still current: receiveGrant cancels it under the same
 // serialization, and a canceled env timer never runs, live or simulated.
 func (s *Service) onLeaseTimeout(target ids.ID) {
-	s.grantTimer = nil
+	s.grantTimer = env.Event{}
 	s.m.timeouts.Inc()
 	s.traceEvent("lease-timeout", target)
 	if s.connectedTo.Equal(target) {
@@ -1449,19 +1441,15 @@ func (s *Service) receiveGrant(src ids.ID, granted []byte, m *message.Message) {
 	// A rendezvous grants what was asked for or less; one that promises more
 	// does not get to keep this edge from renewing on its own schedule.
 	dur := min(time.Duration(v), s.cfg.LeaseDuration)
-	if s.grantTimer != nil {
-		s.grantTimer.Cancel()
-		s.grantTimer = nil
-	}
+	s.grantTimer.Cancel()
+	s.grantTimer = env.Event{}
 	s.failCount = 0
 	s.episodeFails = 0
 	s.awaitingSucc = false
 	s.dormant = false
 	s.setConnected(src)
 	s.learnGrantState(m)
-	if s.renewTimer != nil {
-		s.renewTimer.Cancel()
-	}
+	s.renewTimer.Cancel()
 	s.renewTimer = s.requestAfter(time.Duration(float64(dur) * renewFraction))
 }
 

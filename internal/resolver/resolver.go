@@ -103,7 +103,7 @@ type namedHandler struct {
 type pendingQuery struct {
 	cb        ResponseCallback
 	onTimeout TimeoutCallback
-	timer     env.Timer
+	timer     env.Event
 	collect   bool
 	answered  bool
 }
@@ -202,9 +202,7 @@ func (s *Service) Cancel(qid uint64) {
 // forget removes a pending query and disarms its deadline.
 func (s *Service) forget(qid uint64, p *pendingQuery) {
 	delete(s.pending, qid)
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
+	p.timer.Cancel()
 }
 
 // Stop abandons every pending query: timeout timers are canceled and

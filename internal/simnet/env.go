@@ -56,7 +56,7 @@ func (n *NodeEnv) Name() string { return n.name }
 
 // After implements env.Env. The callback is recorded against this env in
 // the queue's per-node ledger until it fires or is canceled.
-func (n *NodeEnv) After(d time.Duration, fn func()) env.Timer {
+func (n *NodeEnv) After(d time.Duration, fn func()) env.Event {
 	return n.s.q.Arm(n.s.now+max(d, 0), fn, n.idx)
 }
 
