@@ -45,9 +45,8 @@ const (
 	responseTag = "disco:R"
 )
 
-func encodeQuery(advType, attr, value, stage string) []byte {
-	const frame = len("<disco:Q><Type></Type><Attr></Attr><Value></Value><Stage></Stage></disco:Q>")
-	buf := make([]byte, 0, frame+len(advType)+len(attr)+len(value)+len(stage))
+// appendQuery appends an exact-match query to buf.
+func appendQuery(buf []byte, advType, attr, value, stage string) []byte {
 	buf = document.AppendStartTag(buf, queryTag)
 	buf = document.AppendTextElement(buf, "Type", advType)
 	buf = document.AppendTextElement(buf, "Attr", attr)

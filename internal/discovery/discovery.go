@@ -23,6 +23,7 @@ package discovery
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"time"
 
@@ -36,7 +37,6 @@ import (
 	"jxta/internal/rendezvous"
 	"jxta/internal/resolver"
 	"jxta/internal/srdi"
-	"jxta/internal/transport"
 )
 
 // HandlerName is the resolver handler the discovery protocol registers.
@@ -133,17 +133,13 @@ type Service struct {
 	// unpushed is the delta-push ledger, kept as a debt: the local
 	// advertisements whose tuples have not reached the current rendezvous.
 	// A push that goes through clears it, so in the steady state it is nil
-	// and the push tick returns without looking at the cache. It, costTimers
-	// and seen are nil until first written (reads of a nil map are already
-	// correct).
+	// and the push tick returns without looking at the cache. It and seen
+	// are nil until first written (reads of a nil map are already correct).
 	unpushed map[ids.ID]struct{}
 	ticker   *env.Ticker
 
-	// costTimers tracks in-flight SRDI scan-cost delays (handleQuery,
-	// handleWalk) so Stop can cancel them — without this a stopped node
-	// would still own pending callbacks and forward queries when they fire.
-	costTimers map[uint64]env.Event
-	nextCostID uint64
+	// hop is nil until the first query: an idle edge pays one pointer for it.
+	hop *hopState
 
 	// seen dedups queries at a rendezvous, so the replica forward and the
 	// walk cannot double-process one, and deliveries at a publisher.
@@ -225,13 +221,13 @@ func (s *Service) Rereplicate() {
 	if !s.started() || s.index == nil || !s.rdv.IsRendezvous() {
 		return
 	}
-	view := s.rdv.PeerView().View()
+	pv := s.rdv.PeerView()
 	batches := make(map[ids.ID]*message.Out)
 	counts := make(map[ids.ID]uint64)
 	var order []ids.ID // first-seen over sorted tuples: deterministic
 	for _, tpl := range s.index.Tuples() {
-		replica := ReplicaPeer(view, tpl.Key)
-		if replica.IsNil() || replica.Equal(s.ep.ID()) {
+		replica := replicaOf(pv, tpl.Key)
+		if replica.Equal(s.ep.ID()) {
 			continue
 		}
 		m, ok := batches[replica]
@@ -287,31 +283,82 @@ func (s *Service) Start() {
 	s.ticker = env.NewTicker(s.env, pushInterval, func() { s.pushAll(false) })
 }
 
-// afterCost schedules fn behind the modeled SRDI scan delay, tracked so
-// Stop cancels it (cancellation only mutates bookkeeping, so map order
-// does not matter for determinism).
-func (s *Service) afterCost(d time.Duration, fn func()) {
-	id := s.nextCostID
-	s.nextCostID++
-	if s.costTimers == nil {
-		s.costTimers = make(map[uint64]env.Event)
-	}
-	s.costTimers[id] = s.env.After(d, func() {
-		delete(s.costTimers, id)
-		fn()
-	})
+// hopState is what handling queries reuses, made on the first one: parked
+// queries, free records, and scratch for a query encoded to be sent at once.
+type hopState struct {
+	parked, free []*parkedQuery
+	payload      []byte
 }
 
-// Stop halts periodic work and cancels in-flight scan-cost delays. Index
-// and push state are retained; Reset discards them for a cold restart.
+// parkedQuery is a query waiting out its scan cost. It owns what the resolver
+// lent it: q's Payload and SrcAddr point into buf. pubs holds the publishers
+// a walk hit forwards to; without any, the query is routed.
+type parkedQuery struct {
+	s    *Service
+	q    resolver.Query
+	body queryBody
+	pubs []srdi.Tuple
+	buf  []byte
+	ev   env.Event
+	fire func() // run, bound once
+}
+
+func (s *Service) hops() *hopState {
+	if s.hop == nil {
+		s.hop = new(hopState)
+	}
+	return s.hop
+}
+
+// park holds a query through its scan cost d, in a recycled record.
+func (s *Service) park(d time.Duration, q *resolver.Query, body queryBody, pubs []srdi.Tuple) {
+	h := s.hops()
+	var p *parkedQuery
+	if n := len(h.free); n > 0 {
+		p, h.free = h.free[n-1], h.free[:n-1]
+	} else {
+		p = &parkedQuery{s: s}
+		p.fire = p.run
+	}
+	n := len(q.Payload)
+	p.buf = append(append(p.buf[:0], q.Payload...), q.SrcAddr...)
+	p.q, p.body, p.pubs = *q, body, append(p.pubs[:0], pubs...)
+	p.q.Payload, p.q.SrcAddr = p.buf[:n:n], p.buf[n:]
+	p.ev = s.env.After(d, p.fire)
+	h.parked = append(h.parked, p)
+}
+
+func (p *parkedQuery) run() {
+	h := p.s.hop
+	h.parked = slices.DeleteFunc(h.parked, func(o *parkedQuery) bool { return o == p })
+	if len(p.pubs) > 0 {
+		p.s.forwardToPublishers(&p.q, p.body, p.pubs)
+	} else {
+		p.s.routeQuery(&p.q, p.body)
+	}
+	h.recycle(p)
+}
+
+// recycle frees a record, keeping its buffers.
+func (h *hopState) recycle(p *parkedQuery) {
+	*p = parkedQuery{s: p.s, fire: p.fire, buf: p.buf[:0], pubs: p.pubs[:0]}
+	h.free = append(h.free, p)
+}
+
+// Stop halts periodic work and cancels the queries parked behind their scan
+// cost. Index and push state are retained; Reset discards them for a cold
+// restart.
 func (s *Service) Stop() {
 	if s.ticker != nil {
 		s.ticker.Stop()
 		s.ticker = nil
 	}
-	for id, t := range s.costTimers {
-		t.Cancel()
-		delete(s.costTimers, id)
+	if h := s.hop; h != nil {
+		for _, p := range h.parked {
+			p.ev.Cancel()
+			h.recycle(p)
+		}
+		h.parked = h.parked[:0]
 	}
 }
 
@@ -330,10 +377,10 @@ func (s *Service) Reset() {
 }
 
 // Quiescent reports whether the service is idle: edge role (no SRDI
-// index) and no in-flight scan-cost delays. The armed push ticker is the
-// periodic wake source, not a blocker.
+// index) and no query parked behind its scan cost. The armed push ticker is
+// the periodic wake source, not a blocker.
 func (s *Service) Quiescent() bool {
-	return s.index == nil && len(s.costTimers) == 0
+	return s.index == nil && (s.hop == nil || len(s.hop.parked) == 0)
 }
 
 // --- Publishing ---
@@ -478,9 +525,8 @@ func (s *Service) indexAndReplicate(tpl srdi.Tuple, replicated bool) {
 	if replicated {
 		return
 	}
-	view := s.rdv.PeerView().View()
-	replica := ReplicaPeer(view, tpl.Key)
-	if replica.IsNil() || replica.Equal(s.ep.ID()) {
+	replica := replicaOf(s.rdv.PeerView(), tpl.Key)
+	if replica.Equal(s.ep.ID()) {
 		return
 	}
 	m := message.Acquire()
@@ -525,7 +571,7 @@ func (s *Service) query(advType, attr, value string, useCache, collect bool, cb 
 			return nil
 		}
 	}
-	return s.sendQuery(encodeQuery(advType, attr, value, stageInitial), collect, cb, onTimeout)
+	return s.sendQuery(s.nextStage(queryBody{advType: advType, attr: attr, value: value}, stageInitial), collect, cb, onTimeout)
 }
 
 // answerLocally hands a cache hit to cb from the scheduler, as a remote
@@ -602,9 +648,7 @@ func (s *Service) handleQuery(q *resolver.Query) {
 	// Rendezvous pipeline. Model the SRDI scan cost, then continue.
 	if cost := s.scanCost(); cost > 0 {
 		s.busy.Busy(cost)
-		// The query now outlives the delivery its payload is a view of.
-		q.Payload = append([]byte(nil), q.Payload...)
-		s.afterCost(cost, func() { s.routeQuery(q, body) })
+		s.park(cost, q, body, nil)
 		return
 	}
 	s.routeQuery(q, body)
@@ -679,10 +723,11 @@ func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
 		return
 	}
 
-	key := body.advType + body.attr + body.value
+	key := append(append(append(make([]byte, 0, 64), body.advType...), body.attr...), body.value...)
 
 	// 1. Local index hit: forward straight to the publisher(s).
-	if pubs := s.index.Publishers(key); len(pubs) > 0 {
+	var room [2]srdi.Tuple
+	if pubs := s.index.AppendPublishers(room[:0], string(key)); len(pubs) > 0 {
 		s.Stats.LocalHits++
 		s.forwardToPublishers(q, body, pubs)
 		return
@@ -697,12 +742,11 @@ func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
 
 	// 2. Initial stage: forward to the computed replica peer.
 	if body.stage == stageInitial {
-		view := s.rdv.PeerView().View()
-		replica := ReplicaPeer(view, key)
-		if !replica.IsNil() && !replica.Equal(s.ep.ID()) {
+		replica := replicaOf(s.rdv.PeerView(), key)
+		if !replica.Equal(s.ep.ID()) {
 			s.Stats.ReplicaForwards++
 			fq := *q
-			fq.Payload = encodeQuery(body.advType, body.attr, body.value, stageReplica)
+			fq.Payload = s.nextStage(body, stageReplica)
 			_ = s.res.Forward(&fq, replica)
 			return
 		}
@@ -736,11 +780,6 @@ func (s *Service) routeRange(q *resolver.Query, body queryBody) {
 
 func (s *Service) forwardToPublishers(q *resolver.Query, body queryBody, pubs []srdi.Tuple) {
 	fq := *q
-	if body.isRange() {
-		fq.Payload = encodeRangeQuery(body.advType, body.attr, body.lo, body.hi, stageRangeDeliver)
-	} else {
-		fq.Payload = encodeQuery(body.advType, body.attr, body.value, stageDeliver)
-	}
 	for _, pub := range pubs {
 		if pub.Publisher.Equal(s.ep.ID()) {
 			// We published it ourselves; answer directly.
@@ -748,8 +787,22 @@ func (s *Service) forwardToPublishers(q *resolver.Query, body queryBody, pubs []
 			continue
 		}
 		s.ep.AddRoute(pub.Publisher, pub.PublisherAddr)
+		// Encoded for each send: on a loopback transport the last one may
+		// have routed a query here again.
+		fq.Payload = s.nextStage(body, stageDeliver)
 		_ = s.res.Forward(&fq, pub.Publisher)
 	}
+}
+
+// nextStage encodes a query for its next hop: an exact-match one in scratch,
+// a range one, which only ever moves on to its publishers, in a buffer.
+func (s *Service) nextStage(body queryBody, stage string) []byte {
+	if body.isRange() {
+		return encodeRangeQuery(body.advType, body.attr, body.lo, body.hi, stageRangeDeliver)
+	}
+	h := s.hops()
+	h.payload = appendQuery(h.payload[:0], body.advType, body.attr, body.value, stage)
+	return h.payload
 }
 
 // startWalk launches the up and down walks carrying the resolver query. Each
@@ -760,7 +813,7 @@ func (s *Service) startWalk(q *resolver.Query, body queryBody) {
 	wm := message.Acquire()
 	wm.AddScratch("disco", "QID", strconv.AppendUint(wm.Scratch(), q.QID, 10))
 	wm.AddScratch("disco", "Src", q.Src.AppendString(wm.Scratch()))
-	wm.AddString("disco", "SrcAddr", string(q.SrcAddr))
+	wm.Add("disco", "SrcAddr", q.SrcAddr)
 	wm.AddScratch("disco", "Hops", strconv.AppendInt(wm.Scratch(), int64(q.Hops), 10))
 	if body.isRange() {
 		wm.AddString("disco", "Range", "1")
@@ -794,8 +847,8 @@ func readWalked(m *message.Message) (w walked) {
 
 // handleWalk inspects a walked query at each visited rendezvous: on an SRDI
 // hit the query is forwarded to the publisher and the walk stops. It keeps
-// nothing of bodyMsg (see rendezvous.WalkHandler): what outlives the call —
-// the query's return address and decoded body — is copied.
+// nothing of bodyMsg (see rendezvous.WalkHandler): a hit parked behind its
+// scan cost copies the query's return address into its record.
 func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *message.Message) bool {
 	if !s.started() || s.index == nil {
 		return false
@@ -809,6 +862,7 @@ func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *m
 	if cost > 0 {
 		s.busy.Busy(cost)
 	}
+	var room [2]srdi.Tuple
 	var pubs []srdi.Tuple
 	var body queryBody
 	if isRange {
@@ -818,7 +872,7 @@ func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *m
 		}
 		pubs = s.index.RangePublishers(body.advType+body.attr, body.lo, body.hi)
 	} else {
-		pubs = s.index.Publishers(string(w.key))
+		pubs = s.index.AppendPublishers(room[:0], string(w.key))
 	}
 	if len(pubs) == 0 {
 		return false // keep walking
@@ -843,19 +897,12 @@ func (s *Service) handleWalk(origin ids.ID, dir rendezvous.Direction, bodyMsg *m
 			return true
 		}
 	}
-	q := &resolver.Query{
-		Handler: HandlerName,
-		QID:     qid,
-		Src:     src,
-		SrcAddr: transport.Addr(w.srcAddr),
-		Hops:    hops + 1,
-		// No Payload: forwardToPublishers writes its own from body, and the
-		// walked one is a view of a delivery the forward may outlive.
-	}
+	// No Payload: forwardToPublishers writes its own from body.
+	q := resolver.Query{Handler: HandlerName, QID: qid, Src: src, SrcAddr: w.srcAddr, Hops: hops + 1}
 	if cost > 0 {
-		s.afterCost(cost, func() { s.forwardToPublishers(q, body, pubs) })
+		s.park(cost, &q, body, pubs)
 	} else {
-		s.forwardToPublishers(q, body, pubs)
+		s.forwardToPublishers(&q, body, pubs)
 	}
 	// Exact-match walks stop at the first hit; range walks must visit the
 	// whole view so every matching publisher is reached.

@@ -292,8 +292,7 @@ func TestRepublishAfterRdvFailover(t *testing.T) {
 // before, during or after a lookup. A publisher whose pushes have reached its
 // rendezvous holds no ledger either: the ledger is the debt, and it is paid.
 // Once the publisher answers a query it holds the dedup set; that is state.
-// The one scratch table, a rendezvous' in-flight scan-cost delays, drains by
-// itself.
+// The queries a rendezvous parks behind their scan cost drain by themselves.
 func TestReturnsToZeroState(t *testing.T) {
 	o, err := deploy.Build(deploy.Spec{
 		Seed: 41, NumRdv: 6, Topology: topology.Chain,
@@ -312,7 +311,7 @@ func TestReturnsToZeroState(t *testing.T) {
 	tables := func(who string, s *discovery.Service, unpushed, cost, seen int) {
 		t.Helper()
 		if u, c, sn := s.Tables(); u != unpushed || c != cost || sn != seen {
-			t.Fatalf("%s: unpushed=%d costTimers=%d seen=%d, want %d, %d, %d (-1: not allocated)",
+			t.Fatalf("%s: unpushed=%d parked=%d seen=%d, want %d, %d, %d (-1: not allocated, never parked)",
 				who, u, c, sn, unpushed, cost, seen)
 		}
 	}
@@ -335,13 +334,13 @@ func TestReturnsToZeroState(t *testing.T) {
 
 	used := 0
 	for _, r := range o.Rdvs {
-		if _, cost, _ := r.Discovery.Tables(); cost == 0 {
-			used++ // allocated by a query's scan delay, drained since
-		} else if cost > 0 {
-			t.Fatalf("rendezvous %s still holds %d scan-cost timers", r.Config.Name, cost)
+		if _, parked, _ := r.Discovery.Tables(); parked == 0 {
+			used++ // parked a query behind its scan cost, drained since
+		} else if parked > 0 {
+			t.Fatalf("rendezvous %s still holds %d parked queries", r.Config.Name, parked)
 		}
 	}
 	if used == 0 {
-		t.Fatal("no rendezvous ever used its scan-cost table: the test exercised nothing")
+		t.Fatal("no rendezvous ever parked a query: the test exercised nothing")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"jxta/internal/ids"
+	"jxta/internal/peerview"
 )
 
 // The LC-DHT replica function (§3.3 of the paper):
@@ -40,7 +41,7 @@ func ReplicaPos(hash, maxHash uint64, l int) int {
 // KeyHash is the production hash: the first 8 bytes (big endian) of the
 // SHA-1 digest of the tuple string. MAX_HASH is then 2^64 (the 160-bit
 // digest truncated to its top 64 bits keeps the distribution uniform).
-func KeyHash(key string) uint64 {
+func KeyHash[K string | []byte](key K) uint64 {
 	sum := sha1.Sum([]byte(key))
 	return binary.BigEndian.Uint64(sum[:8])
 }
@@ -55,12 +56,9 @@ func replicaPos64(hash uint64, l int) int {
 	return int(hi)
 }
 
-// ReplicaPeer applies the replica function to an ordered peerview (which
-// includes the local peer, per §3.3) and returns the rendezvous responsible
-// for the key. An empty view returns the nil ID.
-func ReplicaPeer(view []ids.ID, key string) ids.ID {
-	if len(view) == 0 {
-		return ids.Nil
-	}
-	return view[replicaPos64(KeyHash(key), len(view))]
+// replicaOf applies the replica function to a peer's ordered peerview, which
+// includes the local peer (§3.3), indexed in place, and returns the
+// rendezvous responsible for the key.
+func replicaOf[K string | []byte](pv *peerview.PeerView, key K) ids.ID {
+	return pv.ViewAt(replicaPos64(KeyHash(key), pv.Size()+1))
 }

@@ -161,7 +161,7 @@ func TestWalkHandlerDoesNotKeepTheBody(t *testing.T) {
 // charged for it — every live one — must neither charge nor wait: it used to
 // arm a real timer of ScanCost × index size per hop (50 ms at 13k tuples).
 // Here a rendezvous on the loopback transport, DefaultConfig and a populated
-// index, answers without ever allocating its scan-cost timer table.
+// index, answers without ever parking a query behind its scan cost.
 func TestScanCostNeedsABusySink(t *testing.T) {
 	sched := simnet.NewScheduler(3)
 	hub := transport.NewHub()
@@ -204,8 +204,8 @@ func TestScanCostNeedsABusySink(t *testing.T) {
 		t.Fatalf("%d of 5 lookups answered without waiting", found)
 	}
 	for _, n := range []*node.Node{rdv, pub, searcher} {
-		if _, cost, _ := n.Discovery.Tables(); cost != -1 {
-			t.Fatalf("%s allocated its scan-cost timer table (%d in flight)", n.Config.Name, cost)
+		if _, parked, _ := n.Discovery.Tables(); parked != -1 {
+			t.Fatalf("%s parked a query behind its scan cost (%d in flight)", n.Config.Name, parked)
 		}
 	}
 }

@@ -258,6 +258,17 @@ func (ep *Endpoint) AddRoute(peer ids.ID, addr transport.Addr) {
 	}
 }
 
+// LearnRoute records a peer's return route, given as received bytes, only if
+// it is new or changed: a peer heard from again costs a comparison.
+func (ep *Endpoint) LearnRoute(peer ids.ID, addr []byte) {
+	if len(addr) == 0 || peer.Equal(ep.id) {
+		return
+	}
+	if cur, ok := ep.routes.get(peer); !ok || string(cur) != string(addr) {
+		ep.AddRoute(peer, transport.Addr(addr))
+	}
+}
+
 // DropRoute forgets a route (lease expiry, crash suspicion).
 func (ep *Endpoint) DropRoute(peer ids.ID) {
 	ep.routes.del(peer)
@@ -374,13 +385,7 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 		ep.Drops++
 		return
 	}
-	// The stored route is rewritten only when the sender's address is new or
-	// has changed, so a peer heard from again costs a comparison.
-	if len(e.srcAddr) != 0 {
-		if cur, ok := ep.routes.get(srcID); !ok || string(cur) != string(e.srcAddr) {
-			ep.AddRoute(srcID, transport.Addr(e.srcAddr))
-		}
-	}
+	ep.LearnRoute(srcID, e.srcAddr)
 	var h Handler
 	s := findSlot(ep.slots, e.svc)
 	if s != nil {

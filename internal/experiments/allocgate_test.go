@@ -70,7 +70,9 @@ func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
 // next hop (5.45), no message is cloned into fresh objects on its way to a
 // handler (4.13), and the lease renewals under it render and re-read nothing
 // that did not change: 3.96, since then 3.52. Timer handles that are not
-// boxed make it 3.33. The ceiling is +15 %; 5.45 fails it.
+// boxed make it 3.33, and a rendezvous that routes a lookup without
+// allocating 3.20. The ceiling is +15 %; 5.45 fails it. This run has only 34
+// lookups: discovery.TestLookupHopAllocs holds a hop's cost exactly.
 //
 // The second ceiling is on messages per step, which a protocol change moves
 // and a codec change must not: the run is seeded, so the figure (1,591
@@ -79,7 +81,7 @@ func TestPeerviewAllocsPerStepCeiling(t *testing.T) {
 // edges, 34 ticks, 25 tuples each replicated once — would add thousands.
 func TestDiscoveryAllocsPerStepCeiling(t *testing.T) {
 	skipUnderRace(t)
-	const ceiling = 3.83
+	const ceiling = 3.68
 	const msgsPerStepCeiling = 0.48
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

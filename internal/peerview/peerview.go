@@ -451,19 +451,23 @@ func (pv *PeerView) Contains(id ids.ID) bool {
 // LC-DHT replica function indexes into (§3.3 computes positions on the full
 // ordered list).
 func (pv *PeerView) View() []ids.ID {
-	out := make([]ids.ID, 0, len(pv.entries)+1)
-	inserted := false
-	for _, en := range pv.entries {
-		if !inserted && pv.self.PeerID.Less(en.adv.PeerID) {
-			out = append(out, pv.self.PeerID)
-			inserted = true
-		}
-		out = append(out, en.adv.PeerID)
-	}
-	if !inserted {
-		out = append(out, pv.self.PeerID)
+	out := make([]ids.ID, len(pv.entries)+1)
+	for i := range out {
+		out[i] = pv.ViewAt(i)
 	}
 	return out
+}
+
+// ViewAt returns View()[i], for i in [0, Size()], without building the view.
+func (pv *PeerView) ViewAt(i int) ids.ID {
+	self, _ := slices.BinarySearchFunc(pv.entries, pv.self.PeerID, func(en *entry, id ids.ID) int { return en.adv.PeerID.Compare(id) })
+	if i == self {
+		return pv.self.PeerID
+	}
+	if i > self {
+		i--
+	}
+	return pv.entries[i].adv.PeerID
 }
 
 // Members returns the current view entries as seed records (ID + address),

@@ -5,6 +5,11 @@
 // peer and its return address, and a hop count. A handler may answer a
 // query, forward it toward a better-placed peer (the LC-DHT replica walk),
 // or ignore it. Responses travel directly back to the querying peer.
+//
+// A handler is lent its *Query for the call: the resolver fills one Query per
+// service and zeroes it when the handler returns, and SrcAddr and Payload are
+// views of the delivered message. A handler that acts on a query later keeps
+// a copy of the struct and of both slices. A response payload is on loan too.
 package resolver
 
 import (
@@ -16,7 +21,6 @@ import (
 	"jxta/internal/ids"
 	"jxta/internal/message"
 	"jxta/internal/metrics"
-	"jxta/internal/transport"
 )
 
 // ServiceName is the endpoint service the resolver listens on.
@@ -38,16 +42,15 @@ const (
 // exceed any experiment's rendezvous count.
 const MaxHops = 1024
 
-// Query is an in-flight resolver query as seen by a handler.
+// Query is an in-flight resolver query as seen by a handler, on loan for the
+// call (see the package doc): a handler that parks it past its own return
+// copies the struct, SrcAddr and Payload first.
 type Query struct {
 	Handler string
 	QID     uint64
-	Src     ids.ID         // the originating peer
-	SrcAddr transport.Addr // return route hint
+	Src     ids.ID // the originating peer
+	SrcAddr []byte // return route hint, a transport address
 	Hops    int
-	// Payload is a view of the delivered message, on loan from the transport
-	// (transport.Handler): a handler that parks the query past its own return
-	// copies it first. Every other field is the query's own.
 	Payload []byte
 }
 
@@ -83,6 +86,10 @@ type Service struct {
 	// response before the timeout callback fires, and how long a collecting
 	// query stays open. Zero disables timeouts.
 	Timeout time.Duration
+
+	// lent is the Query receive lends, nil until the first query and while
+	// lent out (a query nested in a loopback Send is lent a second one).
+	lent *Query
 
 	// m holds the runtime instruments; always non-nil (New pre-instruments,
 	// node.New re-instruments with the node's shared registry).
@@ -223,9 +230,7 @@ func (s *Service) Quiescent() bool { return len(s.pending) == 0 }
 // Respond sends a response for the given query directly to its originator.
 // The responder learns the originator's route from the query itself.
 func (s *Service) Respond(q *Query, payload []byte) error {
-	if q.SrcAddr != "" {
-		s.ep.AddRoute(q.Src, q.SrcAddr)
-	}
+	s.ep.LearnRoute(q.Src, q.SrcAddr)
 	m := message.Acquire()
 	m.AddString(ns, elemHandler, q.Handler)
 	m.AddScratch(ns, elemQID, strconv.AppendUint(m.Scratch(), q.QID, 10))
@@ -251,7 +256,7 @@ func (s *Service) Forward(q *Query, to ids.ID) error {
 	m.AddString(ns, elemHandler, q.Handler)
 	m.AddScratch(ns, elemQID, strconv.AppendUint(m.Scratch(), q.QID, 10))
 	m.AddScratch(ns, elemSrc, q.Src.AppendString(m.Scratch()))
-	m.AddString(ns, elemSrcAddr, string(q.SrcAddr))
+	m.Add(ns, elemSrcAddr, q.SrcAddr)
 	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(q.Hops+1), 10))
 	m.Add(ns, elemQuery, q.Payload)
 	err := s.ep.Send(to, ServiceName, &m.Message)
@@ -290,7 +295,8 @@ func readHeader(m *message.Message) (h header) {
 
 // receive demultiplexes resolver traffic. The header is read as bytes —
 // the numbers parse from views that never reach the heap, the handler is
-// found by comparison — so a query costs its Query and its return address.
+// found by comparison — and the handler is lent the service's one Query, so
+// a query costs nothing here.
 func (s *Service) receive(src ids.ID, m *message.Message) {
 	h := readHeader(m)
 	qid, err := strconv.ParseUint(string(h.qid), 10, 64)
@@ -337,12 +343,13 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 		nh.recvd = s.m.queriesRecvd.With(nh.name)
 	}
 	nh.recvd.Inc()
-	nh.h(&Query{
-		Handler: nh.name,
-		QID:     qid,
-		Src:     srcID,
-		SrcAddr: transport.Addr(h.srcAddr),
-		Hops:    hops,
-		Payload: h.query,
-	})
+	q := s.lent
+	if q == nil {
+		q = new(Query)
+	}
+	s.lent = nil
+	*q = Query{Handler: nh.name, QID: qid, Src: srcID, SrcAddr: h.srcAddr, Hops: hops, Payload: h.query}
+	nh.h(q)
+	*q = Query{}
+	s.lent = q
 }

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -47,6 +48,14 @@ func newPeers(t *testing.T, sched *simnet.Scheduler, n int) []*peer {
 	return peers
 }
 
+// keep copies a lent query, as the loan contract asks of a handler that keeps
+// one past its return: the struct and the bytes behind both views.
+func keep(q *Query) *Query {
+	c := *q
+	c.SrcAddr, c.Payload = bytes.Clone(q.SrcAddr), bytes.Clone(q.Payload)
+	return &c
+}
+
 func TestQueryResponse(t *testing.T) {
 	sched := simnet.NewScheduler(1)
 	ps := newPeers(t, sched, 2)
@@ -73,13 +82,10 @@ func TestQueryFields(t *testing.T) {
 	sched := simnet.NewScheduler(2)
 	ps := newPeers(t, sched, 2)
 	a, b := ps[0], ps[1]
-	// The query is the handler's; its payload is a view of the delivered
-	// message and is copied by a handler that keeps it (Query.Payload).
+	// The query is on loan for the handler call, and a handler that keeps
+	// it keeps a copy.
 	var seen *Query
-	b.res.RegisterHandler("inspect", func(q *Query) {
-		seen = q
-		seen.Payload = append([]byte(nil), q.Payload...)
-	})
+	b.res.RegisterHandler("inspect", func(q *Query) { seen = keep(q) })
 	qid, _ := a.res.SendQuery(b.id, "inspect", []byte("xyz"), func([]byte, ids.ID, int) {}, nil)
 	sched.Run(time.Second)
 	if seen == nil {
@@ -89,7 +95,7 @@ func TestQueryFields(t *testing.T) {
 		seen.Handler != "inspect" || string(seen.Payload) != "xyz" {
 		t.Fatalf("query fields: %+v (qid want %d)", seen, qid)
 	}
-	if seen.SrcAddr != a.tr.Addr() {
+	if string(seen.SrcAddr) != string(a.tr.Addr()) {
 		t.Fatalf("SrcAddr = %s", seen.SrcAddr)
 	}
 }
@@ -102,7 +108,7 @@ func TestForwardPreservesOriginator(t *testing.T) {
 	b.res.RegisterHandler("svc", func(q *Query) { b.res.Forward(q, c.id) })
 	var atC *Query
 	c.res.RegisterHandler("svc", func(q *Query) {
-		atC = q
+		atC = keep(q)
 		c.res.Respond(q, []byte("from-c"))
 	})
 	var got string
@@ -162,7 +168,7 @@ func TestResponseAfterTimeoutIgnored(t *testing.T) {
 	ps := newPeers(t, sched, 2)
 	a, b := ps[0], ps[1]
 	var saved *Query
-	b.res.RegisterHandler("late", func(q *Query) { saved = q })
+	b.res.RegisterHandler("late", func(q *Query) { saved = keep(q) })
 	a.res.Timeout = time.Second
 	responses := 0
 	a.res.SendQuery(b.id, "late", nil, func([]byte, ids.ID, int) { responses++ }, nil)

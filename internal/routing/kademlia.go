@@ -290,8 +290,9 @@ func (n *kadNode) handleRPC(q *resolver.Query) {
 	if !n.alive {
 		return
 	}
-	// Learn the caller: its 64-bit key is derived from its peer ID.
-	n.observe(kadContact{key: IDHash(q.Src), id: q.Src, addr: q.SrcAddr})
+	// Learn the caller: its 64-bit key is derived from its peer ID. The
+	// contact outlives the call, so it keeps a copy of the lent address.
+	n.observe(kadContact{key: IDHash(q.Src), id: q.Src, addr: transport.Addr(q.SrcAddr)})
 	fields := strings.SplitN(strings.SplitN(string(q.Payload), "\n", 2)[0], " ", 3)
 	switch fields[0] {
 	case "store":

@@ -165,7 +165,7 @@ func FuzzKademliaRPC(f *testing.F) {
 			t.Fatalf("decode(encode(%v, %v)) = %v, %v", found, cs, again, cs2)
 		}
 		callee.handleRPC(&resolver.Query{Handler: KadHandlerName, Src: caller.id,
-			SrcAddr: caller.tr.Addr(), Payload: data})
+			SrcAddr: []byte(caller.tr.Addr()), Payload: data})
 		sched.Run(sched.Now() + time.Second)
 	})
 }

@@ -153,20 +153,19 @@ func (x *Index) Tuples() []Tuple {
 // map, so without the sort the order — and with it the sequence of query
 // forwards and ultimately the presentation order of merged discovery
 // responses — would vary run to run (the seed's last nondeterminism).
-func (x *Index) Publishers(key string) []Tuple {
-	lst, ok := x.entries[key]
-	if !ok {
-		return nil
-	}
+func (x *Index) Publishers(key string) []Tuple { return x.AppendPublishers(nil, key) }
+
+// AppendPublishers is Publishers appending to dst. The results carry no Key,
+// and key is only looked up: a caller may pass a view of bytes it reuses.
+func (x *Index) AppendPublishers(dst []Tuple, key string) []Tuple {
 	now := x.env.Now()
-	var out []Tuple
-	for _, e := range lst {
+	for _, e := range x.entries[key] {
 		if e.expires > 0 && e.expires <= now {
 			continue
 		}
-		out = append(out, Tuple{Key: key, Publisher: e.pub, PublisherAddr: e.addr})
+		dst = append(dst, Tuple{Publisher: e.pub, PublisherAddr: e.addr})
 	}
-	return out
+	return dst
 }
 
 // Has reports whether at least one fresh publisher exists for key.
