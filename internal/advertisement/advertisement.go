@@ -1,9 +1,9 @@
 // Package advertisement implements JXTA advertisements: XML documents
 // describing resources (peers, rendezvous peers, routes, pipes, modules,
 // generic resources). Advertisements are what the discovery protocol
-// publishes and finds; each type declares the attributes by which its
-// instances are indexed in the SRDI / LC-DHT (the paper's §3.3 hashes the
-// concatenation "type + attribute + value", e.g. "PeerNameTest").
+// publishes and finds; AppendIndexFields names the attributes by which each
+// type's instances are indexed in the SRDI / LC-DHT (the paper's §3.3
+// hashes the concatenation "type + attribute + value", e.g. "PeerNameTest").
 package advertisement
 
 import (
@@ -65,13 +65,12 @@ type Advertisement interface {
 	Type() string
 	// DocType returns the XML document name ("jxta:PA", "jxta:RdvAdv", ...).
 	DocType() string
-	// IndexFields returns the attributes this advertisement is indexed by.
-	IndexFields() []IndexField
 	// Document renders the advertisement as a structured document.
 	Document() *document.Element
 }
 
-// ErrUnknownType reports an advertisement document with no registered codec.
+// ErrUnknownType reports an advertisement document, or value, of a type this
+// package does not define.
 var ErrUnknownType = errors.New("advertisement: unknown advertisement type")
 
 // Decode parses a structured document into a typed advertisement.
@@ -102,8 +101,106 @@ func DecodeXML(data []byte) (Advertisement, error) {
 	return Decode(e)
 }
 
-// EncodeXML renders an advertisement to XML bytes.
-func EncodeXML(a Advertisement) ([]byte, error) { return a.Document().Marshal() }
+// encodeRoom is the stack buffer EncodeXML writes into: room for every
+// advertisement the protocols exchange but the largest resources.
+const encodeRoom = 512
+
+// EncodeXML renders an advertisement to XML bytes, in a slice of its own
+// whose capacity is its length.
+func EncodeXML(a Advertisement) ([]byte, error) {
+	var room [encodeRoom]byte
+	enc, err := AppendXML(room[:0], a)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(enc))
+	copy(out, enc)
+	return out, nil
+}
+
+// AppendXML appends the XML encoding of a to buf: exactly the bytes
+// a.Document().Marshal() produces, written without building the tree. A
+// type switch, not a method, so a buf on the caller's stack stays there.
+func AppendXML(buf []byte, a Advertisement) ([]byte, error) {
+	switch a := a.(type) {
+	case *Peer:
+		buf = document.AppendStartTag(buf, a.DocType())
+		buf = appendIDElement(buf, "PID", a.PeerID)
+		buf = document.AppendTextElement(buf, "Name", a.Name)
+		if a.Desc != "" {
+			buf = document.AppendTextElement(buf, "Desc", a.Desc)
+		}
+		for _, addr := range a.Addresses {
+			buf = document.AppendTextElement(buf, "Addr", addr)
+		}
+		return document.AppendEndTag(buf, a.DocType()), nil
+	case *Rdv:
+		buf = document.AppendStartTag(buf, a.DocType())
+		buf = appendIDElement(buf, "RdvPeerID", a.PeerID)
+		buf = appendIDElement(buf, "RdvGroupId", a.GroupID)
+		buf = document.AppendTextElement(buf, "Name", a.Name)
+		buf = document.AppendTextElement(buf, "Addr", a.Address)
+		return document.AppendEndTag(buf, a.DocType()), nil
+	case *Route:
+		buf = document.AppendStartTag(buf, a.DocType())
+		buf = appendIDElement(buf, "DstPID", a.DestID)
+		for _, h := range a.Hops {
+			buf = appendIDElement(buf, "Hop", h)
+		}
+		return document.AppendEndTag(buf, a.DocType()), nil
+	case *Pipe:
+		buf = document.AppendStartTag(buf, a.DocType())
+		buf = appendIDElement(buf, "Id", a.PipeID)
+		buf = document.AppendTextElement(buf, "Name", a.Name)
+		buf = document.AppendTextElement(buf, "Type", a.Kind)
+		return document.AppendEndTag(buf, a.DocType()), nil
+	case *Module:
+		buf = document.AppendStartTag(buf, a.DocType())
+		buf = appendIDElement(buf, "MSID", a.ModuleID)
+		buf = document.AppendTextElement(buf, "Name", a.Name)
+		if a.Desc != "" {
+			buf = document.AppendTextElement(buf, "Desc", a.Desc)
+		}
+		return document.AppendEndTag(buf, a.DocType()), nil
+	case *Resource:
+		buf = document.AppendStartTag(buf, a.DocType())
+		buf = appendIDElement(buf, "Id", a.ResID)
+		buf = document.AppendTextElement(buf, "Name", a.Name)
+		for _, f := range a.Attrs {
+			buf = document.AppendAttrTextElement(buf, "Attr", "name", f.Attr, f.Value)
+		}
+		return document.AppendEndTag(buf, a.DocType()), nil
+	}
+	return buf, ErrUnknownType
+}
+
+// appendIDElement appends <name>id</name>; a URN needs no escaping.
+func appendIDElement(buf []byte, name string, id ids.ID) []byte {
+	buf = document.AppendStartTag(buf, name)
+	buf = id.AppendString(buf)
+	return document.AppendEndTag(buf, name)
+}
+
+// AppendIndexFields appends the attributes a is indexed by to dst: the one
+// definition of each type's index fields. A type switch, not a method, so a
+// dst on the caller's stack stays there.
+func AppendIndexFields(dst []IndexField, a Advertisement) []IndexField {
+	switch a := a.(type) {
+	case *Peer:
+		return append(dst, IndexField{Attr: "Name", Value: a.Name}, IndexField{Attr: "PID", Value: a.PeerID.String()})
+	case *Rdv:
+		return append(dst, IndexField{Attr: "RdvPeerID", Value: a.PeerID.String()}, IndexField{Attr: "RdvGroupId", Value: a.GroupID.String()})
+	case *Route:
+		return append(dst, IndexField{Attr: "DstPID", Value: a.DestID.String()})
+	case *Pipe:
+		return append(dst, IndexField{Attr: "Name", Value: a.Name}, IndexField{Attr: "Id", Value: a.PipeID.String()})
+	case *Module:
+		return append(dst, IndexField{Attr: "Name", Value: a.Name})
+	case *Resource:
+		return append(append(dst, IndexField{Attr: "Name", Value: a.Name}), a.Attrs...)
+	}
+	return dst
+}
 
 func parseID(e *document.Element, child string) (ids.ID, error) {
 	text := e.ChildText(child)
@@ -130,14 +227,6 @@ func (p *Peer) Type() string { return "Peer" }
 
 // DocType implements Advertisement.
 func (p *Peer) DocType() string { return "jxta:PA" }
-
-// IndexFields implements Advertisement.
-func (p *Peer) IndexFields() []IndexField {
-	return []IndexField{
-		{Attr: "Name", Value: p.Name},
-		{Attr: "PID", Value: p.PeerID.String()},
-	}
-}
 
 // Document implements Advertisement.
 func (p *Peer) Document() *document.Element {
@@ -182,14 +271,6 @@ func (r *Rdv) Type() string { return "Rdv" }
 // DocType implements Advertisement.
 func (r *Rdv) DocType() string { return "jxta:RdvAdvertisement" }
 
-// IndexFields implements Advertisement.
-func (r *Rdv) IndexFields() []IndexField {
-	return []IndexField{
-		{Attr: "RdvPeerID", Value: r.PeerID.String()},
-		{Attr: "RdvGroupId", Value: r.GroupID.String()},
-	}
-}
-
 // Document implements Advertisement.
 func (r *Rdv) Document() *document.Element {
 	return document.NewElement("jxta:RdvAdvertisement").
@@ -226,11 +307,6 @@ func (r *Route) Type() string { return "Route" }
 
 // DocType implements Advertisement.
 func (r *Route) DocType() string { return "jxta:RA" }
-
-// IndexFields implements Advertisement.
-func (r *Route) IndexFields() []IndexField {
-	return []IndexField{{Attr: "DstPID", Value: r.DestID.String()}}
-}
 
 // Document implements Advertisement.
 func (r *Route) Document() *document.Element {
@@ -275,14 +351,6 @@ func (p *Pipe) Type() string { return "Pipe" }
 // DocType implements Advertisement.
 func (p *Pipe) DocType() string { return "jxta:PipeAdvertisement" }
 
-// IndexFields implements Advertisement.
-func (p *Pipe) IndexFields() []IndexField {
-	return []IndexField{
-		{Attr: "Name", Value: p.Name},
-		{Attr: "Id", Value: p.PipeID.String()},
-	}
-}
-
 // Document implements Advertisement.
 func (p *Pipe) Document() *document.Element {
 	return document.NewElement("jxta:PipeAdvertisement").
@@ -314,11 +382,6 @@ func (m *Module) Type() string { return "Module" }
 
 // DocType implements Advertisement.
 func (m *Module) DocType() string { return "jxta:MIA" }
-
-// IndexFields implements Advertisement.
-func (m *Module) IndexFields() []IndexField {
-	return []IndexField{{Attr: "Name", Value: m.Name}}
-}
 
 // Document implements Advertisement.
 func (m *Module) Document() *document.Element {
@@ -356,12 +419,6 @@ func (r *Resource) Type() string { return "Resource" }
 
 // DocType implements Advertisement.
 func (r *Resource) DocType() string { return "jxta:ResourceAdv" }
-
-// IndexFields implements Advertisement.
-func (r *Resource) IndexFields() []IndexField {
-	fields := []IndexField{{Attr: "Name", Value: r.Name}}
-	return append(fields, r.Attrs...)
-}
 
 // Document implements Advertisement.
 func (r *Resource) Document() *document.Element {

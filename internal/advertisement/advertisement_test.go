@@ -142,13 +142,13 @@ func TestResourceRoundTrip(t *testing.T) {
 func TestIndexFields(t *testing.T) {
 	r := rng()
 	peer := &Peer{PeerID: ids.NewRandom(ids.KindPeer, r), Name: "Test"}
-	fields := peer.IndexFields()
+	fields := AppendIndexFields(nil, peer)
 	if len(fields) != 2 || fields[0].Attr != "Name" || fields[0].Value != "Test" {
 		t.Fatalf("peer index fields: %v", fields)
 	}
 	res := &Resource{ResID: ids.NewRandom(ids.KindAdv, r), Name: "n",
 		Attrs: []IndexField{{Attr: "Site", Value: "rennes"}}}
-	rf := res.IndexFields()
+	rf := AppendIndexFields(nil, res)
 	if len(rf) != 2 || rf[1].Attr != "Site" {
 		t.Fatalf("resource index fields: %v", rf)
 	}

@@ -18,6 +18,11 @@
 // decoded value, e.g. the discovery cache's unique resource
 // advertisements) retain nothing until Bytes is first asked for it.
 //
+// Neither way builds a document tree. Intern writes the value's encoding
+// (advertisement.AppendXML) into a buffer on its stack, keys it, and keeps
+// nothing of it, so interning an advertisement the store already holds
+// allocates nothing; Bytes writes it once, into one slice of its own.
+//
 // The store is refcounted: Intern and InternBytes return a handle,
 // holders Release it when they evict, and the table forgets an
 // advertisement when its last handle is released. Shared advertisements
@@ -68,9 +73,18 @@ func fnv128a(data []byte) key {
 	return key{hi: hi, lo: lo, size: len(data)}
 }
 
-// keyOf maps an encoding to its table key. A variable so the collision
-// test can force two documents onto one key; nothing else assigns it.
-var keyOf = fnv128a
+// oneKey files every encoding under a single key; only the collision test
+// sets it. A flag, not a func variable: a call through a variable would make
+// keyOf's argument escape, and Intern's stack buffer with it.
+var oneKey bool
+
+// keyOf maps an encoding to its table key.
+func keyOf(data []byte) key {
+	if oneKey {
+		return key{}
+	}
+	return fnv128a(data)
+}
 
 // Shared is one interned advertisement: a refcounted handle on the
 // canonical decoded instance and, once retained, its canonical encoding.
@@ -107,18 +121,24 @@ var defaultStore = New()
 // in the process.
 func Default() *Store { return defaultStore }
 
+// encodeRoom is the stack buffer an advertisement is encoded into to find
+// its key: room for all but the largest resources.
+const encodeRoom = 512
+
 // Intern returns a handle on the canonical instance equal to adv,
 // adopting adv itself as the canonical instance when none exists yet.
 // The caller owns one reference and must Release it on eviction. The
-// encoding computed to find the instance is not retained. An
-// advertisement that fails to encode gets a private (untabled) handle,
-// so the API never errors on the caller.
+// encoding computed to find the instance is written on the stack and not
+// retained, so interning an advertisement the store holds allocates
+// nothing. An advertisement that fails to encode gets a private (untabled)
+// handle, so the API never errors on the caller.
 func (s *Store) Intern(adv advertisement.Advertisement) *Shared {
-	enc, err := advertisement.EncodeXML(adv)
+	var room [encodeRoom]byte
+	enc, err := advertisement.AppendXML(room[:0], adv)
 	if err != nil {
 		return &Shared{adv: adv, refs: 1}
 	}
-	return s.intern(adv, enc, false)
+	return s.intern(adv, enc, nil)
 }
 
 // InternBytes returns a handle on the canonical instance of the
@@ -146,19 +166,19 @@ func (s *Store) InternBytes(wire []byte) (*Shared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.intern(adv, enc, true), nil
+	return s.intern(adv, enc, &enc), nil
 }
 
-// intern files adv under its canonical encoding enc (owned by the
-// caller, freshly encoded), retaining enc on the handle when retain is
-// set.
-func (s *Store) intern(adv advertisement.Advertisement, enc []byte, retain bool) *Shared {
+// intern files adv under its canonical encoding enc, which it only reads:
+// enc may be the caller's stack buffer. keep, if not nil, holds a copy of
+// enc of its own, which a new handle retains.
+func (s *Store) intern(adv advertisement.Advertisement, enc []byte, keep *[]byte) *Shared {
 	k := keyOf(enc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sh, ok := s.byKey[k]; ok {
 		var held []byte
-		if retain {
+		if keep != nil {
 			held = sh.Bytes()
 		} else if p := sh.enc.Load(); p != nil {
 			held = *p
@@ -166,28 +186,24 @@ func (s *Store) intern(adv advertisement.Advertisement, enc []byte, retain bool)
 		if held != nil && !bytes.Equal(held, enc) {
 			// A different document under the same key: never alias.
 			s.misses++
-			return newShared(nil, k, adv, enc)
+			return newShared(nil, k, adv, keep)
 		}
 		sh.refs++
 		s.hits++
 		return sh
 	}
-	if !retain {
-		enc = nil
-	}
-	sh := newShared(s, k, adv, enc)
+	sh := newShared(s, k, adv, keep)
 	s.byKey[k] = sh
 	s.misses++
 	return sh
 }
 
-// newShared builds a handle holding one reference, retaining enc unless it
-// is nil. Taking enc's address here, not in intern, keeps the slice header
-// off the heap on intern's hit path.
-func newShared(s *Store, k key, adv advertisement.Advertisement, enc []byte) *Shared {
+// newShared builds a handle holding one reference, retaining keep's
+// encoding unless keep is nil.
+func newShared(s *Store, k key, adv advertisement.Advertisement, keep *[]byte) *Shared {
 	sh := &Shared{store: s, key: k, adv: adv, refs: 1}
-	if enc != nil {
-		sh.enc.Store(&enc)
+	if keep != nil {
+		sh.enc.Store(keep)
 	}
 	return sh
 }

@@ -155,3 +155,22 @@ func TestConcurrentInternRelease(t *testing.T) {
 		t.Fatalf("Len = %d after all releases, want 0", s.Len())
 	}
 }
+
+// TestInternAllocs: interning an advertisement equal to one the store holds
+// allocates nothing. The encoding that finds the handle is written on the
+// stack, and a handle that retains its encoding is confirmed against it in
+// place. The encode used to build a document tree for each call: 10 objects.
+func TestInternAllocs(t *testing.T) {
+	for _, retained := range []bool{false, true} {
+		s := New()
+		held := s.Intern(resAdv("cpu"))
+		if retained {
+			held.Bytes()
+		}
+		equal := resAdv("cpu")
+		if got := testing.AllocsPerRun(100, func() { s.Intern(equal).Release() }); got != 0 {
+			t.Errorf("retained encoding %v: Intern of an equal Resource costs %.0f objects, want 0", retained, got)
+		}
+		held.Release()
+	}
+}

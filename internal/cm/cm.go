@@ -6,6 +6,7 @@
 package cm
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -40,11 +41,9 @@ const recordChunk = 64
 type Cache struct {
 	env  env.Env
 	byID map[ids.ID]*Record
-	// index maps "Type+Attr+Value" keys to the sorted advertisement IDs
-	// carrying that field. A sorted slice instead of a set: most keys index
-	// exactly one advertisement, and a one-element slice is an order of
-	// magnitude smaller than a one-element map.
-	index map[string][]ids.ID
+	// index maps each indexed (attribute, value) pair to the advertisements
+	// carrying it.
+	index map[fieldKey]postings
 	// numIndex maps "Type\x00Attr" keys to numeric postings for every
 	// indexed field whose value parses as an integer, making range
 	// queries sublinear. Attrs that never carried a numeric value have no
@@ -60,6 +59,21 @@ type Cache struct {
 	// store interns stored advertisements (shared with every other cache
 	// of the same deployment).
 	store *advstore.Store
+}
+
+// fieldKey is an index key: an indexed attribute and its value. Both are
+// the advertisement's own strings (its Name, an Attrs entry), so filing,
+// unfiling and searching build no key. The type is not part of it: collect
+// filters by type. Kept apart, an attribute and a value cannot run into
+// each other, as "Na"+"mefoo" and "Name"+"foo" did in a concatenated key.
+type fieldKey struct{ attr, value string }
+
+// postings are the IDs of the advertisements one key indexes, in ID order.
+// Most keys index exactly one, which is held inline, so a posting costs no
+// object until a key indexes a second.
+type postings struct {
+	one  ids.ID   // the only ID, while many is nil
+	many []ids.ID // two or more, sorted
 }
 
 // numEntry is one numeric index posting.
@@ -123,8 +137,8 @@ func (c *Cache) Quiescent() bool { return len(c.byID) == 0 }
 // the simulated per-query scan cost on loaded rendezvous peers.
 func (c *Cache) IndexSize() int {
 	n := 0
-	for _, lst := range c.index {
-		n += len(lst)
+	for _, p := range c.index {
+		n += max(1, len(p.many))
 	}
 	return n
 }
@@ -183,19 +197,9 @@ func (c *Cache) put(sh *advstore.Shared, lifetime time.Duration, local bool) {
 		c.byID[id] = rec
 	}
 	rec.Adv, rec.Expires, rec.Local, rec.sh = adv, expires, local, sh
-	for _, f := range adv.IndexFields() {
-		key := f.Key(adv.Type())
-		lst := c.index[key]
-		i := sort.Search(len(lst), func(i int) bool { return !lst[i].Less(id) })
-		if i == len(lst) || lst[i] != id {
-			lst = append(lst, ids.ID{})
-			copy(lst[i+1:], lst[i:])
-			lst[i] = id
-			if c.index == nil {
-				c.index = make(map[string][]ids.ID)
-			}
-			c.index[key] = lst
-		}
+	var room [4]advertisement.IndexField
+	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
+		c.file(fieldKey{f.Attr, f.Value}, id)
 		if v, ok := f.Int(); ok {
 			c.numInsert(numKey(adv.Type(), f.Attr), numEntry{val: v, id: id})
 		}
@@ -204,21 +208,53 @@ func (c *Cache) put(sh *advstore.Shared, lifetime time.Duration, local bool) {
 
 func (c *Cache) unindex(adv advertisement.Advertisement) {
 	id := adv.ID()
-	for _, f := range adv.IndexFields() {
-		key := f.Key(adv.Type())
-		if lst, ok := c.index[key]; ok {
-			i := sort.Search(len(lst), func(i int) bool { return !lst[i].Less(id) })
-			if i < len(lst) && lst[i] == id {
-				lst = append(lst[:i], lst[i+1:]...)
-				if len(lst) == 0 {
-					delete(c.index, key)
-				} else {
-					c.index[key] = lst
-				}
-			}
-		}
+	var room [4]advertisement.IndexField
+	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
+		c.unfile(fieldKey{f.Attr, f.Value}, id)
 		if v, ok := f.Int(); ok {
 			c.numRemove(numKey(adv.Type(), f.Attr), numEntry{val: v, id: id})
+		}
+	}
+}
+
+// file adds id to k's postings.
+func (c *Cache) file(k fieldKey, id ids.ID) {
+	p, ok := c.index[k]
+	if !ok {
+		if c.index == nil {
+			c.index = make(map[fieldKey]postings)
+		}
+		c.index[k] = postings{one: id}
+		return
+	}
+	if p.many == nil {
+		if p.one == id {
+			return
+		}
+		p.many = append(make([]ids.ID, 0, 2), p.one)
+	}
+	i, found := slices.BinarySearchFunc(p.many, id, ids.ID.Compare)
+	if !found {
+		p.many = slices.Insert(p.many, i, id)
+		c.index[k] = p
+	}
+}
+
+// unfile removes id from k's postings.
+func (c *Cache) unfile(k fieldKey, id ids.ID) {
+	p, ok := c.index[k]
+	switch {
+	case !ok:
+	case p.many == nil:
+		if p.one == id {
+			delete(c.index, k)
+		}
+	default:
+		if i, found := slices.BinarySearchFunc(p.many, id, ids.ID.Compare); found {
+			if p.many = slices.Delete(p.many, i, i+1); len(p.many) == 1 {
+				p = postings{one: p.many[0]}
+			}
+			c.index[k] = p
 		}
 	}
 }
@@ -318,31 +354,39 @@ func (c *Cache) expired(rec *Record) bool {
 // the index directly. Matches come out of map-backed index sets, so the
 // sort is what makes multi-publisher discovery responses deterministic.
 func (c *Cache) Search(advType, attr, value string) []advertisement.Advertisement {
-	var out []advertisement.Advertisement
-	if strings.HasSuffix(value, "*") {
-		prefix := advType + attr + strings.TrimSuffix(value, "*")
-		for key, lst := range c.index {
-			if !strings.HasPrefix(key, prefix) {
-				continue
+	return c.AppendSearch(nil, advType, attr, value)
+}
+
+// AppendSearch is Search appending its results to dst, which may be on the
+// caller's stack. value is only read during the call.
+func (c *Cache) AppendSearch(dst []advertisement.Advertisement, advType, attr, value string) []advertisement.Advertisement {
+	n := len(dst)
+	if prefix, ok := strings.CutSuffix(value, "*"); ok {
+		for k, p := range c.index {
+			if k.attr == attr && strings.HasPrefix(k.value, prefix) {
+				dst = c.collect(dst, advType, p)
 			}
-			out = c.collect(out, advType, lst)
 		}
-		return sortAdvs(out)
+	} else if p, ok := c.index[fieldKey{attr, value}]; ok {
+		dst = c.collect(dst, advType, p)
 	}
-	key := advertisement.IndexField{Attr: attr, Value: value}.Key(advType)
-	if lst, ok := c.index[key]; ok {
-		out = c.collect(out, advType, lst)
-	}
-	return sortAdvs(out)
+	sortAdvs(dst[n:])
+	return dst
 }
 
 // sortAdvs orders advertisements by ID in place and returns the slice.
 func sortAdvs(advs []advertisement.Advertisement) []advertisement.Advertisement {
-	sort.Slice(advs, func(i, j int) bool { return advs[i].ID().Less(advs[j].ID()) })
+	if len(advs) > 1 {
+		slices.SortFunc(advs, func(a, b advertisement.Advertisement) int { return a.ID().Compare(b.ID()) })
+	}
 	return advs
 }
 
-func (c *Cache) collect(out []advertisement.Advertisement, advType string, lst []ids.ID) []advertisement.Advertisement {
+func (c *Cache) collect(out []advertisement.Advertisement, advType string, p postings) []advertisement.Advertisement {
+	lst := p.many
+	if lst == nil {
+		lst = []ids.ID{p.one}
+	}
 	for _, id := range lst {
 		rec, ok := c.byID[id]
 		if !ok || c.expired(rec) || rec.Adv.Type() != advType {
@@ -397,7 +441,8 @@ func (c *Cache) searchRangeLinear(advType, attr string, lo, hi int64) []advertis
 		if c.expired(rec) || rec.Adv.Type() != advType {
 			continue
 		}
-		for _, f := range rec.Adv.IndexFields() {
+		var room [4]advertisement.IndexField
+		for _, f := range advertisement.AppendIndexFields(room[:0], rec.Adv) {
 			if f.Attr != attr {
 				continue
 			}

@@ -475,3 +475,57 @@ func TestPutEncodedAndEncoded(t *testing.T) {
 		t.Fatalf("store still holds %d advertisements after every cache let go", store.Len())
 	}
 }
+
+// TestSearchKeepsAttributeAndValueApart: an attribute and a value are two
+// strings, not one. When the index key was their concatenation, a Resource
+// named "bar" whose attribute "Na" is "mefoo" answered a search for Name =
+// "foo", exactly and by prefix, since "Na"+"mefoo" is "Name"+"foo".
+func TestSearchKeepsAttributeAndValueApart(t *testing.T) {
+	c, _ := newCache()
+	c.Put(res("bar", advertisement.IndexField{Attr: "Na", Value: "mefoo"}), 0, true)
+	for _, value := range []string{"foo", "fo*"} {
+		if got := c.Search("Resource", "Name", value); len(got) != 0 {
+			t.Errorf("Search(Name = %q) found a Resource named %q", value, got[0].(*advertisement.Resource).Name)
+		}
+	}
+	if got := c.Search("Resource", "Na", "me*"); len(got) != 1 {
+		t.Errorf("Search(Na = me*) found %d, want the one Resource", len(got))
+	}
+	c.Put(res("foo"), 0, true)
+	for _, value := range []string{"foo", "fo*"} {
+		if got := c.Search("Resource", "Name", value); len(got) != 1 || got[0].(*advertisement.Resource).Name != "foo" {
+			t.Errorf("Search(Name = %q) = %v, want the Resource named foo", value, got)
+		}
+	}
+}
+
+// TestRequesterCacheAllocs: what a searcher's cache does with one answered
+// lookup — file the advertisement off the wire (the store already holds it,
+// as the overlay's store holds a publisher's), find it, and flush it before
+// the next lookup — allocates nothing once the cache is warm. The index is
+// keyed by the advertisement's own strings, a key that indexes one
+// advertisement holds its ID inline, and the search appends to the caller's
+// array.
+func TestRequesterCacheAllocs(t *testing.T) {
+	store := advstore.New()
+	sched := simnet.NewScheduler(1)
+	pub := NewWithStore(sched.NewEnv("pub"), store)
+	req := NewWithStore(sched.NewEnv("req"), store)
+	adv := res("node-17")
+	pub.Put(adv, time.Hour, true)
+	wire := pub.Encoded(adv.ID())
+	lookup := func() {
+		if _, err := req.PutEncoded(wire, time.Hour, false); err != nil {
+			t.Fatal(err)
+		}
+		var room [4]advertisement.Advertisement
+		if found := req.AppendSearch(room[:0], "Resource", "Name", "node-17"); len(found) != 1 {
+			t.Fatalf("found %d, want 1", len(found))
+		}
+		req.Flush()
+	}
+	lookup() // warm: the maps, the record arena, its free list
+	if got := testing.AllocsPerRun(100, lookup); got != 0 {
+		t.Fatalf("filing, finding and flushing an advertisement costs %.0f objects, want 0", got)
+	}
+}

@@ -3,6 +3,7 @@ package discovery
 import (
 	"strconv"
 	"time"
+	"unsafe"
 
 	"jxta/internal/advertisement"
 	"jxta/internal/document"
@@ -29,11 +30,20 @@ import (
 // the scan gives up without an answer and the decode*Tree functions, the
 // decoders this package always had, give theirs, errors included.
 
-// queryBody is a decoded <disco:Q>.
+// queryBody is a decoded <disco:Q>. advType, attr and stage are strings of
+// their own (protocol vocabulary, interned). value is on loan, as the
+// resolver lends a Query's Payload: read in strict form it is a view of the
+// decoded bytes, valid only while they are, so whatever keeps a body past
+// the handler call copies value (a parked query does).
 type queryBody struct {
-	advType, attr, value, stage string
-	lo, hi                      int64 // range stages only
+	advType, attr, stage string
+	value                []byte
+	lo, hi               int64 // range stages only
 }
+
+// borrowed views b as a string for a call that only reads it and keeps
+// nothing: a lookup key, an append. The string must not outlive b's loan.
+func borrowed(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 func (b queryBody) isRange() bool {
 	return b.stage == stageRange || b.stage == stageRangeDeliver
@@ -102,7 +112,7 @@ func scanQuery(data []byte) (queryBody, bool) {
 	b := queryBody{
 		advType: document.Intern(advType),
 		attr:    document.Intern(attr),
-		value:   document.Intern(value),
+		value:   value,
 		stage:   document.Intern(stage),
 	}
 	if b.isRange() == exact {
@@ -127,7 +137,7 @@ func decodeQueryTree(data []byte) (queryBody, error) {
 	b := queryBody{
 		advType: doc.ChildText("Type"),
 		attr:    doc.ChildText("Attr"),
-		value:   doc.ChildText("Value"),
+		value:   []byte(doc.ChildText("Value")),
 		stage:   doc.ChildText("Stage"),
 	}
 	if b.isRange() {

@@ -18,7 +18,7 @@ func TestQueryCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body.advType != "Peer" || body.attr != "Name" || body.value != "Test" ||
+	if body.advType != "Peer" || body.attr != "Name" || string(body.value) != "Test" ||
 		body.stage != stageInitial || body.isRange() {
 		t.Fatalf("round trip changed query: %+v", body)
 	}
@@ -143,7 +143,7 @@ func TestQueryCodecProperty(t *testing.T) {
 	f := func(typ, attr, val string) bool {
 		typ, attr, val = clean(typ), clean(attr), clean(val)
 		body, err := decodeQuery(encodeQuery(typ, attr, val, stageInitial))
-		return err == nil && body.advType == typ && body.attr == attr && body.value == val
+		return err == nil && body.advType == typ && body.attr == attr && string(body.value) == val
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -290,9 +290,9 @@ type hopState struct {
 	payload      []byte
 }
 
-// parkedQuery is a query waiting out its scan cost. It owns what the resolver
-// lent it: q's Payload and SrcAddr point into buf. pubs holds the publishers
-// a walk hit forwards to; without any, the query is routed.
+// parkedQuery is a query waiting out its scan cost. It owns what it was lent:
+// q's Payload and SrcAddr and body's value point into buf. pubs holds the
+// publishers a walk hit forwards to; without any, the query is routed.
 type parkedQuery struct {
 	s    *Service
 	q    resolver.Query
@@ -320,10 +320,10 @@ func (s *Service) park(d time.Duration, q *resolver.Query, body queryBody, pubs 
 		p = &parkedQuery{s: s}
 		p.fire = p.run
 	}
-	n := len(q.Payload)
-	p.buf = append(append(p.buf[:0], q.Payload...), q.SrcAddr...)
+	n, m := len(q.Payload), len(q.Payload)+len(q.SrcAddr)
+	p.buf = append(append(append(p.buf[:0], q.Payload...), q.SrcAddr...), body.value...)
 	p.q, p.body, p.pubs = *q, body, append(p.pubs[:0], pubs...)
-	p.q.Payload, p.q.SrcAddr = p.buf[:n:n], p.buf[n:]
+	p.q.Payload, p.q.SrcAddr, p.body.value = p.buf[:n:n], p.buf[n:m:m], p.buf[m:]
 	p.ev = s.env.After(d, p.fire)
 	h.parked = append(h.parked, p)
 }
@@ -407,7 +407,8 @@ func (s *Service) Publish(adv advertisement.Advertisement, lifetime time.Duratio
 func (s *Service) FlushCache() { s.cache.Flush() }
 
 func (s *Service) tuplesOf(adv advertisement.Advertisement, lifetime time.Duration) []srdi.Tuple {
-	fields := adv.IndexFields()
+	var room [4]advertisement.IndexField
+	fields := advertisement.AppendIndexFields(room[:0], adv)
 	tuples := make([]srdi.Tuple, 0, len(fields))
 	for _, f := range fields {
 		tpl := srdi.Tuple{
@@ -571,7 +572,7 @@ func (s *Service) query(advType, attr, value string, useCache, collect bool, cb 
 			return nil
 		}
 	}
-	return s.sendQuery(s.nextStage(queryBody{advType: advType, attr: attr, value: value}, stageInitial), collect, cb, onTimeout)
+	return s.sendQuery(s.scratchQuery(advType, attr, value, stageInitial), collect, cb, onTimeout)
 }
 
 // answerLocally hands a cache hit to cb from the scheduler, as a remote
@@ -672,11 +673,12 @@ func (s *Service) deliver(q *resolver.Query, body queryBody) {
 	if !s.firstSight(seenKey{src: q.Src, qid: q.QID, deliver: true}) {
 		return
 	}
+	var room [4]advertisement.Advertisement
 	var matches []advertisement.Advertisement
 	if body.isRange() {
 		matches = s.cache.SearchRange(body.advType, body.attr, body.lo, body.hi)
 	} else {
-		matches = s.cache.Search(body.advType, body.attr, body.value)
+		matches = s.cache.AppendSearch(room[:0], body.advType, body.attr, borrowed(body.value))
 	}
 	if len(matches) == 0 {
 		return // nothing to say; the requester times out or hears others
@@ -734,7 +736,8 @@ func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
 	}
 	// Also serve from the local advertisement cache (a rendezvous can
 	// publish its own advertisements).
-	if matches := s.cache.Search(body.advType, body.attr, body.value); len(matches) > 0 {
+	var found [4]advertisement.Advertisement
+	if matches := s.cache.AppendSearch(found[:0], body.advType, body.attr, borrowed(body.value)); len(matches) > 0 {
 		s.Stats.Delivered++
 		_ = s.res.Respond(q, s.encodeResponse(matches))
 		return
@@ -800,8 +803,14 @@ func (s *Service) nextStage(body queryBody, stage string) []byte {
 	if body.isRange() {
 		return encodeRangeQuery(body.advType, body.attr, body.lo, body.hi, stageRangeDeliver)
 	}
+	return s.scratchQuery(body.advType, body.attr, borrowed(body.value), stage)
+}
+
+// scratchQuery encodes an exact-match query in scratch, for a send that
+// keeps nothing of it.
+func (s *Service) scratchQuery(advType, attr, value, stage string) []byte {
 	h := s.hops()
-	h.payload = appendQuery(h.payload[:0], body.advType, body.attr, body.value, stage)
+	h.payload = appendQuery(h.payload[:0], advType, attr, value, stage)
 	return h.payload
 }
 

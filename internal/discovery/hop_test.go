@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"jxta/internal/israce"
 	"jxta/internal/message"
 	"jxta/internal/node"
+	"jxta/internal/rendezvous"
 	"jxta/internal/resolver"
 	"jxta/internal/topology"
 	"jxta/internal/transport"
@@ -23,8 +25,7 @@ import (
 // an edge on each, and every edge has published eight resources, so every
 // rendezvous indexes tuples and parks each query it handles behind their
 // scan cost. The edge on the first also publishes the one looked up, named
-// "Test": a value of the protocol vocabulary, which a rendezvous decodes
-// without a copy (any other value costs the one string of document.Intern).
+// hopValue: not protocol vocabulary, so no hop finds its string interned.
 type hopRig struct {
 	o        *deploy.Overlay
 	searcher *node.Node
@@ -33,7 +34,10 @@ type hopRig struct {
 	near, replica *node.Node
 }
 
-const hopKey = "Resource" + "Name" + "Test"
+const (
+	hopValue = "lookup-target"
+	hopKey   = "Resource" + "Name" + hopValue
+)
 
 func newHopRig(t *testing.T) *hopRig {
 	t.Helper()
@@ -53,7 +57,7 @@ func newHopRig(t *testing.T) *hopRig {
 			e.Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, name), Name: name}, 0)
 		}
 	}
-	o.Edges[0].Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, "Test"), Name: "Test"}, 0)
+	o.Edges[0].Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, hopValue), Name: hopValue}, 0)
 	o.Sched.Run(o.Sched.Now() + time.Minute)
 	r := &hopRig{o: o}
 	for _, e := range o.Edges[1:] {
@@ -86,7 +90,7 @@ func (r *hopRig) rdvOf(t *testing.T, id ids.ID) *node.Node {
 func (r *hopRig) lookup(t *testing.T) bool {
 	t.Helper()
 	found := false
-	if err := r.searcher.Discovery.QueryRemote("Resource", "Name", "Test", func(discovery.Result) { found = true }, nil); err != nil {
+	if err := r.searcher.Discovery.QueryRemote("Resource", "Name", hopValue, func(discovery.Result) { found = true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.o.Sched.Run(r.o.Sched.Now() + time.Second)
@@ -99,13 +103,20 @@ func mallocs() uint64 {
 	return ms.Mallocs
 }
 
-// TestLookupHopAllocs: a rendezvous routes a lookup without allocating. The
+// TestLookupHopAllocs: a lookup allocates nothing on its way through the
+// rendezvous tier, and at the publisher only the response it sends. The
 // searcher's rendezvous misses, parks the query behind its scan cost and
 // forwards it to the replica; the replica parks it, finds the publisher in
-// its index and forwards it there. On a warmed overlay each of those two hops
-// costs 0 objects: the resolver lends its Query, a parked query is a recycled
-// record, the routing key and the publishers found are on the stack, and the
-// next stage's payload is built in scratch. Each hop used to cost about ten.
+// its index and forwards it there; the publisher finds the advertisement in
+// its cache and answers. On a warmed overlay each rendezvous hop costs 0
+// objects: the resolver lends its Query, a parked query is a recycled record
+// that copies the value it was lent, the routing key and the publishers
+// found are on the stack, and the next stage's payload is built in scratch.
+// Each used to cost about ten, and then one: the string of a value that is
+// not protocol vocabulary, which is now a view of the lent payload. The
+// publisher's hop costs the response's buffer alone: the cache is searched
+// by that view, under a key it does not build, into an array on the stack.
+// It cost 4 while the cache concatenated a key and sorted with sort.Slice.
 func TestLookupHopAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -117,17 +128,20 @@ func TestLookupHopAllocs(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	nearAddr, replicaAddr := r.near.Endpoint.Addr(), r.replica.Endpoint.Addr()
+	nearAddr, replicaAddr, pubAddr := r.near.Endpoint.Addr(), r.replica.Endpoint.Addr(), r.o.Edges[0].Endpoint.Addr()
 	replicaStage, deliverStage := []byte("<Stage>replica</Stage>"), []byte("<Stage>deliver</Stage>")
-	var marks [3]uint64 // query sent, forwarded to the replica, forwarded to the publisher
+	// query sent, forwarded to the replica, forwarded to the publisher, answered
+	var marks [4]uint64
 	r.o.Net.OnSend = func(from, _ transport.Addr, m *message.Message) {
-		q, ok := m.Get("res", "Query")
+		q, isQuery := m.Get("res", "Query")
+		_, isResponse := m.Get("res", "Response")
 		switch {
-		case !ok:
-		case from == nearAddr && bytes.Contains(q, replicaStage):
+		case isQuery && from == nearAddr && bytes.Contains(q, replicaStage):
 			marks[1] = mallocs()
-		case from == replicaAddr && bytes.Contains(q, deliverStage):
+		case isQuery && from == replicaAddr && bytes.Contains(q, deliverStage):
 			marks[2] = mallocs()
+		case isResponse && from == pubAddr:
+			marks[3] = mallocs()
 			r.o.Sched.Halt()
 		}
 	}
@@ -137,18 +151,19 @@ func TestLookupHopAllocs(t *testing.T) {
 	forwards, hits := r.near.Discovery.Stats.ReplicaForwards, r.replica.Discovery.Stats.LocalHits
 	const lookups = 5
 	for i := 0; i < lookups; i++ {
-		marks = [3]uint64{}
+		marks = [4]uint64{}
 		found := false
-		if err := r.searcher.Discovery.QueryRemote("Resource", "Name", "Test", func(discovery.Result) { found = true }, nil); err != nil {
+		if err := r.searcher.Discovery.QueryRemote("Resource", "Name", hopValue, func(discovery.Result) { found = true }, nil); err != nil {
 			t.Fatal(err)
 		}
 		marks[0] = mallocs()
-		r.o.Sched.Run(r.o.Sched.Now() + time.Second) // halts at the forward to the publisher
-		if marks[1] == 0 || marks[2] == 0 {
-			t.Fatalf("lookup %d did not take the replica path", i)
+		r.o.Sched.Run(r.o.Sched.Now() + time.Second) // halts at the publisher's response
+		if marks[1] == 0 || marks[2] == 0 || marks[3] == 0 {
+			t.Fatalf("lookup %d did not take the replica path to the publisher", i)
 		}
-		if near, replica := marks[1]-marks[0], marks[2]-marks[1]; near != 0 || replica != 0 {
-			t.Errorf("lookup %d: the searcher's rendezvous allocated %d objects, the replica %d; want 0 and 0", i, near, replica)
+		near, replica, pub := marks[1]-marks[0], marks[2]-marks[1], marks[3]-marks[2]
+		if near != 0 || replica != 0 || pub != 1 {
+			t.Errorf("lookup %d: the searcher's rendezvous allocated %d objects, the replica %d, the publisher %d; want 0, 0 and 1", i, near, replica, pub)
 		}
 		r.o.Sched.Run(r.o.Sched.Now() + time.Second)
 		if !found {
@@ -161,12 +176,15 @@ func TestLookupHopAllocs(t *testing.T) {
 }
 
 // TestParkedQueryOwnsItsBytes: a query parked behind its scan cost outlives
-// the delivery that lent it its payload and return address, so its record
-// copies both. A replica-stage query for a name nobody published parks, then
-// walks the peerview carrying its payload and return address verbatim: both
-// must reach the walk byte for byte after the lent bytes, and the Query
-// itself, have been overwritten the moment the handler returned, as
-// -tags loancheck has the transport do to every delivery.
+// the delivery that lent it its payload, its return address and the value
+// read from the payload, so its record copies all three. A replica-stage
+// query for a name nobody published parks, then walks the peerview carrying
+// its payload and return address verbatim: both must reach the walk byte for
+// byte after the lent bytes, and the Query itself, have been overwritten the
+// moment the handler returned, as -tags loancheck has the transport do to
+// every delivery. A walk hit parks too, with a body read from the walk
+// message: after the message has been overwritten, the query forwarded to
+// the publisher must still carry the value it was looking for.
 func TestParkedQueryOwnsItsBytes(t *testing.T) {
 	r := newHopRig(t)
 	payload := "<disco:Q><Type>Resource</Type><Attr>Name</Attr><Value>nobody</Value><Stage>replica</Stage></disco:Q>"
@@ -204,6 +222,41 @@ func TestParkedQueryOwnsItsBytes(t *testing.T) {
 			t.Fatalf("walked return address %q, want %q", got, addr)
 		}
 	}
+
+	// The walk hit: the replica indexes the resource looked up, and reads the
+	// walked message in place, as the walker hands it over.
+	walkPayload := "<disco:Q><Type>Resource</Type><Attr>Name</Attr><Value>" + hopValue + "</Value><Stage>replica</Stage></disco:Q>"
+	wm := message.New()
+	for _, el := range [][2]string{{"QID", "77"}, {"Src", r.searcher.ID.String()}, {"SrcAddr", addr},
+		{"Hops", "0"}, {"Key", hopKey}, {"Payload", walkPayload}} {
+		wm.AddString("disco", el[0], el[1])
+	}
+	frame := wm.Marshal()
+	var body message.Message
+	if err := body.UnmarshalAlias(frame); err != nil {
+		t.Fatal(err)
+	}
+	var forwarded []string
+	replicaAddr := r.replica.Endpoint.Addr()
+	r.o.Net.OnSend = func(from, _ transport.Addr, m *message.Message) {
+		if q, ok := m.Get("res", "Query"); ok && from == replicaAddr {
+			forwarded = append(forwarded, string(q))
+		}
+	}
+	if !r.replica.Discovery.HandleWalk(r.searcher.ID, rendezvous.Up, &body) {
+		t.Fatal("the walk goes on past a hit")
+	}
+	if _, parked, _ := r.replica.Discovery.Tables(); parked != 1 || len(forwarded) != 0 {
+		t.Fatalf("%d queries parked, %d forwarded; want 1 and 0: the test shows nothing", parked, len(forwarded))
+	}
+	for i := range frame {
+		frame[i] = 0xDB
+	}
+	r.o.Sched.Run(r.o.Sched.Now() + time.Second)
+	want := strings.Replace(walkPayload, "replica", "deliver", 1)
+	if len(forwarded) != 1 || forwarded[0] != want {
+		t.Fatalf("forwarded to the publisher %q, want [%q]", forwarded, want)
+	}
 }
 
 // TestStopCancelsParkedQueries: stopping a rendezvous while queries are
@@ -213,7 +266,7 @@ func TestParkedQueryOwnsItsBytes(t *testing.T) {
 func TestStopCancelsParkedQueries(t *testing.T) {
 	r := newHopRig(t)
 	for i := 0; i < 3; i++ {
-		if err := r.searcher.Discovery.QueryRemote("Resource", "Name", "Test", func(discovery.Result) {}, nil); err != nil {
+		if err := r.searcher.Discovery.QueryRemote("Resource", "Name", hopValue, func(discovery.Result) {}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func (l *keyLedger) push(tuples, keys []string, sendOK bool) []string {
 
 func (l *keyLedger) publish(adv advertisement.Advertisement, lifetime time.Duration, sendOK bool) []string {
 	var tuples, keys []string
-	for _, f := range adv.IndexFields() {
+	for _, f := range advertisement.AppendIndexFields(nil, adv) {
 		keys = append(keys, f.Key(adv.Type()))
 		tuples = append(tuples, tupleText(f.Key(adv.Type()), lifetime))
 	}
@@ -62,7 +62,7 @@ func (l *keyLedger) publish(adv advertisement.Advertisement, lifetime time.Durat
 func (l *keyLedger) tick(sendOK bool) []string {
 	var tuples, keys []string
 	for _, adv := range l.cache.LocalAdvertisements() {
-		for _, f := range adv.IndexFields() {
+		for _, f := range advertisement.AppendIndexFields(nil, adv) {
 			if key := f.Key(adv.Type()); !l.pushed[key] {
 				keys = append(keys, key)
 				tuples = append(tuples, tupleText(key, l.advLifetime))

@@ -202,9 +202,10 @@ func (e *Element) appendXML(buf []byte) ([]byte, error) {
 	return AppendEndTag(buf, e.Name), nil
 }
 
-// The three writers Marshal is made of, for callers whose documents are
-// flat records (a root and a row of text children): appending straight to
-// a buffer produces exactly Marshal's bytes without building the tree.
+// The writers Marshal is made of, for callers whose documents are flat
+// records (a root and a row of text children, one attribute at most):
+// appending straight to a buffer produces exactly Marshal's bytes without
+// building the tree.
 
 // AppendStartTag appends <name>.
 func AppendStartTag(buf []byte, name string) []byte {
@@ -224,6 +225,21 @@ func AppendEndTag(buf []byte, name string) []byte {
 // escapes character data.
 func AppendTextElement(buf []byte, name, text string) []byte {
 	buf = AppendStartTag(buf, name)
+	buf = appendEscaped(buf, text, false)
+	return AppendEndTag(buf, name)
+}
+
+// AppendAttrTextElement appends <name attr="value">text</name>, the value
+// escaped as Marshal escapes attribute values and the text as it escapes
+// character data.
+func AppendAttrTextElement(buf []byte, name, attr, value, text string) []byte {
+	buf = append(buf, '<')
+	buf = append(buf, name...)
+	buf = append(buf, ' ')
+	buf = append(buf, attr...)
+	buf = append(buf, '=', '"')
+	buf = appendEscaped(buf, value, true)
+	buf = append(buf, '"', '>')
 	buf = appendEscaped(buf, text, false)
 	return AppendEndTag(buf, name)
 }

@@ -63,6 +63,8 @@ var inventory = []inventoryRow{
 		heldBy: []string{"env.TestRealCanceledTimerParkedOnLockNeverRuns", "env.TestEnvContract"}},
 	{n: 11, finding: "a TCP peer whose frame header promises more bytes than arrive pins its reader", owner: "3(c)", status: statusFixed,
 		heldBy: []string{"transport.TestPartialFrameDeadline"}},
+	{n: 12, finding: "a cache search finds an advertisement whose other attribute and value concatenate to the key searched", owner: "6(c)", status: statusFixed,
+		heldBy: []string{"cm.TestSearchKeepsAttributeAndValueApart"}},
 }
 
 // TestFailureInventory holds each row to its status and logs the summary
