@@ -8,7 +8,6 @@ package advertisement
 
 import (
 	"errors"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -73,32 +72,102 @@ type Advertisement interface {
 // package does not define.
 var ErrUnknownType = errors.New("advertisement: unknown advertisement type")
 
-// Decode parses a structured document into a typed advertisement.
+// Decode reads an advertisement from a document tree, by way of the tree's
+// encoding.
 func Decode(e *document.Element) (Advertisement, error) {
-	switch e.Name {
-	case "jxta:PA":
-		return decodePeer(e)
-	case "jxta:RdvAdvertisement":
-		return decodeRdv(e)
-	case "jxta:RA":
-		return decodeRoute(e)
-	case "jxta:PipeAdvertisement":
-		return decodePipe(e)
-	case "jxta:MIA":
-		return decodeModule(e)
-	case "jxta:ResourceAdv":
-		return decodeResource(e)
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownType, e.Name)
-}
-
-// DecodeXML parses raw XML bytes into a typed advertisement.
-func DecodeXML(data []byte) (Advertisement, error) {
-	e, err := document.Unmarshal(data)
+	data, err := e.Marshal()
 	if err != nil {
 		return nil, err
 	}
-	return Decode(e)
+	return DecodeXML(data)
+}
+
+// DecodeXML reads an advertisement in the strict form AppendXML writes
+// (document.Strict): the root tag picks the type, then its fields are read
+// in the order AppendXML writes them, Desc optional and Addr, Hop and Attr
+// repeated. Any other form is document.ErrMalformed. Every string is the
+// advertisement's own; nothing aliases data.
+func DecodeXML(data []byte) (Advertisement, error) {
+	r := reader{Strict: document.Strict{Rest: data}}
+	var a Advertisement
+	switch {
+	case r.At("jxta:PA"):
+		p := &Peer{}
+		r.Open(p.DocType())
+		p.PeerID, p.Name = r.id("PID"), r.text("Name")
+		if r.At("Desc") {
+			p.Desc = r.text("Desc")
+		}
+		for r.More() {
+			p.Addresses = append(p.Addresses, r.text("Addr"))
+		}
+		a = p
+	case r.At("jxta:RdvAdvertisement"):
+		rdv := &Rdv{}
+		r.Open(rdv.DocType())
+		rdv.PeerID, rdv.GroupID = r.id("RdvPeerID"), r.id("RdvGroupId")
+		rdv.Name, rdv.Address = r.text("Name"), r.text("Addr")
+		a = rdv
+	case r.At("jxta:RA"):
+		rt := &Route{}
+		r.Open(rt.DocType())
+		rt.DestID = r.id("DstPID")
+		for r.More() {
+			rt.Hops = append(rt.Hops, r.id("Hop"))
+		}
+		a = rt
+	case r.At("jxta:PipeAdvertisement"):
+		p := &Pipe{}
+		r.Open(p.DocType())
+		p.PipeID, p.Name, p.Kind = r.id("Id"), r.text("Name"), r.text("Type")
+		a = p
+	case r.At("jxta:MIA"):
+		m := &Module{}
+		r.Open(m.DocType())
+		m.ModuleID, m.Name = r.id("MSID"), r.text("Name")
+		if r.At("Desc") {
+			m.Desc = r.text("Desc")
+		}
+		a = m
+	case r.At("jxta:ResourceAdv"):
+		res := &Resource{}
+		r.Open(res.DocType())
+		res.ResID, res.Name = r.id("Id"), r.text("Name")
+		for r.More() {
+			attr, value := r.AttrText("Attr", "name")
+			res.Attrs = append(res.Attrs, IndexField{Attr: document.Intern(attr), Value: document.Intern(value)})
+		}
+		a = res
+	default:
+		return nil, ErrUnknownType
+	}
+	r.Close(a.DocType())
+	if !r.Done() {
+		return nil, document.ErrMalformed
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return a, nil
+}
+
+// reader is DecodeXML's cursor: a strict reader that keeps the first ID
+// that does not parse.
+type reader struct {
+	document.Strict
+	err error
+}
+
+// text reads <name>text</name> into a string of its own.
+func (r *reader) text(name string) string { return document.Intern(r.Text(name)) }
+
+// id reads <name>urn</name> as an ID.
+func (r *reader) id(name string) ids.ID {
+	id, err := ids.ParseBytes(r.Text(name))
+	if err != nil && r.err == nil {
+		r.err = err
+	}
+	return id
 }
 
 // encodeRoom is the stack buffer EncodeXML writes into: room for every
@@ -202,14 +271,6 @@ func AppendIndexFields(dst []IndexField, a Advertisement) []IndexField {
 	return dst
 }
 
-func parseID(e *document.Element, child string) (ids.ID, error) {
-	text := e.ChildText(child)
-	if text == "" {
-		return ids.Nil, fmt.Errorf("advertisement: <%s> missing <%s>", e.Name, child)
-	}
-	return ids.Parse(text)
-}
-
 // Peer describes a peer: its ID, symbolic name and endpoint addresses.
 // Indexed by Name and PID, like JXTA's peer advertisement.
 type Peer struct {
@@ -242,16 +303,6 @@ func (p *Peer) Document() *document.Element {
 	return e
 }
 
-func decodePeer(e *document.Element) (*Peer, error) {
-	id, err := parseID(e, "PID")
-	if err != nil {
-		return nil, err
-	}
-	p := &Peer{PeerID: id, Name: e.ChildText("Name"), Desc: e.ChildText("Desc")}
-	e.Each("Addr", func(c *document.Element) { p.Addresses = append(p.Addresses, c.Text) })
-	return p, nil
-}
-
 // Rdv is a rendezvous advertisement: the payload of peerview probes,
 // responses and referrals (§3.2). It names the rendezvous peer, the group it
 // serves, and how to reach it.
@@ -280,18 +331,6 @@ func (r *Rdv) Document() *document.Element {
 		AppendText("Addr", r.Address)
 }
 
-func decodeRdv(e *document.Element) (*Rdv, error) {
-	pid, err := parseID(e, "RdvPeerID")
-	if err != nil {
-		return nil, err
-	}
-	gid, err := parseID(e, "RdvGroupId")
-	if err != nil {
-		return nil, err
-	}
-	return &Rdv{PeerID: pid, GroupID: gid, Name: e.ChildText("Name"), Address: e.ChildText("Addr")}, nil
-}
-
 // Route is an endpoint-routing-protocol route advertisement: destination
 // peer plus an ordered hop list.
 type Route struct {
@@ -317,24 +356,6 @@ func (r *Route) Document() *document.Element {
 	return e
 }
 
-func decodeRoute(e *document.Element) (*Route, error) {
-	id, err := parseID(e, "DstPID")
-	if err != nil {
-		return nil, err
-	}
-	r := &Route{DestID: id}
-	var decodeErr error
-	e.Each("Hop", func(c *document.Element) {
-		h, err := ids.Parse(c.Text)
-		if err != nil {
-			decodeErr = err
-			return
-		}
-		r.Hops = append(r.Hops, h)
-	})
-	return r, decodeErr
-}
-
 // Pipe describes a communication pipe (unidirectional channel abstraction).
 type Pipe struct {
 	PipeID ids.ID
@@ -357,14 +378,6 @@ func (p *Pipe) Document() *document.Element {
 		AppendText("Id", p.PipeID.String()).
 		AppendText("Name", p.Name).
 		AppendText("Type", p.Kind)
-}
-
-func decodePipe(e *document.Element) (*Pipe, error) {
-	id, err := parseID(e, "Id")
-	if err != nil {
-		return nil, err
-	}
-	return &Pipe{PipeID: id, Name: e.ChildText("Name"), Kind: e.ChildText("Type")}, nil
 }
 
 // Module describes a module implementation (a service a group provides).
@@ -392,14 +405,6 @@ func (m *Module) Document() *document.Element {
 		e.AppendText("Desc", m.Desc)
 	}
 	return e
-}
-
-func decodeModule(e *document.Element) (*Module, error) {
-	id, err := parseID(e, "MSID")
-	if err != nil {
-		return nil, err
-	}
-	return &Module{ModuleID: id, Name: e.ChildText("Name"), Desc: e.ChildText("Desc")}, nil
 }
 
 // Resource is a generic application advertisement with free-form indexed
@@ -431,19 +436,6 @@ func (r *Resource) Document() *document.Element {
 			WithText(f.Value))
 	}
 	return e
-}
-
-func decodeResource(e *document.Element) (*Resource, error) {
-	id, err := parseID(e, "Id")
-	if err != nil {
-		return nil, err
-	}
-	r := &Resource{ResID: id, Name: e.ChildText("Name")}
-	e.Each("Attr", func(c *document.Element) {
-		name, _ := c.Attr("name")
-		r.Attrs = append(r.Attrs, IndexField{Attr: name, Value: c.Text})
-	})
-	return r, nil
 }
 
 // Compile-time interface checks.

@@ -3,7 +3,10 @@ package advertisement
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"jxta/internal/ids"
 )
@@ -45,7 +48,8 @@ func sixOf(a, b, c, d string, shape uint8) []Advertisement {
 // type and any field values — escapes, CR/LF/tab, invalid UTF-8, runes
 // outside the XML range — AppendXML writes exactly Document().Marshal()'s
 // bytes after whatever buf held, and EncodeXML returns them in a slice whose
-// capacity is its length.
+// capacity is its length. For any values XML can carry, DecodeXML reads
+// the bytes back and Decode reads the tree back, both field for field.
 func FuzzAppendXML(f *testing.F) {
 	f.Add("Test", "rennes", "a peer", "sim://rennes/1", uint8(3))
 	f.Add(`"'&<>`, "tab\there", "line\nbreak", "cr\rhere\r\n", uint8(2))
@@ -70,7 +74,27 @@ func FuzzAppendXML(f *testing.F) {
 				t.Fatalf("%T: EncodeXML = %q (len %d, cap %d), %v; want %q", adv, enc, len(enc), cap(enc), err, want)
 			}
 		}
+		for _, adv := range sixOf(xmlText(a), xmlText(b), xmlText(c), xmlText(d), shape) {
+			enc, _ := AppendXML(nil, adv)
+			if back, err := DecodeXML(enc); err != nil || !reflect.DeepEqual(back, adv) {
+				t.Fatalf("%T: DecodeXML(%q) = %+v, %v; want %+v", adv, enc, back, err, adv)
+			}
+			if back, err := Decode(adv.Document()); err != nil || !reflect.DeepEqual(back, adv) {
+				t.Fatalf("%T: Decode(Document()) = %+v, %v; want %+v", adv, back, err, adv)
+			}
+		}
 	})
+}
+
+// xmlText is s as XML carries it: every byte or rune outside XML's
+// character range replaced by U+FFFD, as the writers replace it.
+func xmlText(s string) string {
+	return strings.Map(func(r rune) rune {
+		if r == 0x09 || r == 0x0A || r == 0x0D || r >= 0x20 && r <= 0xD7FF || r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF {
+			return r
+		}
+		return utf8.RuneError
+	}, s)
 }
 
 // TestAppendXMLUnknownType: a value of a type this package does not define

@@ -18,7 +18,8 @@
 // decoded value, e.g. the discovery cache's unique resource
 // advertisements) retain nothing until Bytes is first asked for it.
 //
-// Neither way builds a document tree. Intern writes the value's encoding
+// Neither way builds a document tree. InternBytes reads a miss in place
+// (advertisement.DecodeXML). Intern writes the value's encoding
 // (advertisement.AppendXML) into a buffer on its stack, keys it, and keeps
 // nothing of it, so interning an advertisement the store already holds
 // allocates nothing; Bytes writes it once, into one slice of its own.
@@ -26,9 +27,7 @@
 // The store is refcounted: Intern and InternBytes return a handle,
 // holders Release it when they evict, and the table forgets an
 // advertisement when its last handle is released. Shared advertisements
-// and their encodings are read-only by contract — a holder that needs to
-// change one takes a MutableCopy (copy-on-write at the mutation boundary)
-// and re-interns the result if it wants the copy shared again.
+// and their encodings are read-only by contract.
 package advstore
 
 import (
@@ -88,8 +87,7 @@ func keyOf(data []byte) key {
 
 // Shared is one interned advertisement: a refcounted handle on the
 // canonical decoded instance and, once retained, its canonical encoding.
-// Both are shared with every other holder and must not be mutated — use
-// MutableCopy at mutation boundaries.
+// Both are shared with every other holder and must not be mutated.
 type Shared struct {
 	store *Store // nil for private (untabled) handles
 	key   key
@@ -143,11 +141,10 @@ func (s *Store) Intern(adv advertisement.Advertisement) *Shared {
 
 // InternBytes returns a handle on the canonical instance of the
 // advertisement encoded in wire, decoding it only when the store does
-// not hold it yet. On a miss the document is decoded and re-encoded, and
-// the handle is filed under (and retains) that canonical encoding, so a
-// differently formatted but equal document from a foreign sender lands on
-// the same handle. wire is only read and never retained. Malformed bytes
-// return the decoder's error and leave the store untouched.
+// not hold it yet. On a miss the document is read (advertisement.DecodeXML,
+// the strict form only) and re-encoded, and the handle is filed under (and
+// retains) that canonical encoding. wire is only read and never retained.
+// Malformed bytes return the decoder's error and leave the store untouched.
 func (s *Store) InternBytes(wire []byte) (*Shared, error) {
 	k := keyOf(wire)
 	s.mu.Lock()
@@ -262,13 +259,6 @@ func (sh *Shared) Release() {
 	if freed {
 		panic("advstore: Release of an already-freed handle")
 	}
-}
-
-// MutableCopy returns a private deep copy of the advertisement — the
-// copy-on-write boundary. The copy is made by a document round trip, so
-// it shares no structure with the canonical instance.
-func (sh *Shared) MutableCopy() (advertisement.Advertisement, error) {
-	return advertisement.Decode(sh.adv.Document())
 }
 
 // Len reports the number of distinct interned advertisements.

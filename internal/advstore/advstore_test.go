@@ -96,35 +96,6 @@ func TestOverReleasePanics(t *testing.T) {
 	h.Release()
 }
 
-func TestMutableCopySharesNothing(t *testing.T) {
-	s := New()
-	h := s.Intern(resAdv("cpu"))
-	cp, err := h.MutableCopy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut, ok := cp.(*advertisement.Resource)
-	if !ok {
-		t.Fatalf("copy decoded as %T", cp)
-	}
-	if mut == h.Adv() {
-		t.Fatal("MutableCopy returned the canonical instance")
-	}
-	mut.Name = "gpu"
-	mut.Attrs[0].Value = "1024"
-	canon := h.Adv().(*advertisement.Resource)
-	if canon.Name != "cpu" || canon.Attrs[0].Value != "512" {
-		t.Fatal("mutating the copy changed the canonical instance")
-	}
-	// Re-interning the mutated copy is a distinct entry.
-	h2 := s.Intern(mut)
-	if h2 == h {
-		t.Fatal("mutated copy interned onto the original handle")
-	}
-	h.Release()
-	h2.Release()
-}
-
 func TestConcurrentInternRelease(t *testing.T) {
 	// Shard goroutines intern and release the same small advertisement
 	// population concurrently; run under -race this is the store's

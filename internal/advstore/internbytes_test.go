@@ -5,12 +5,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"jxta/internal/advertisement"
+	"jxta/internal/document"
 	"jxta/internal/ids"
 )
 
@@ -159,8 +161,9 @@ func TestInternBytesDoesNotRetainWire(t *testing.T) {
 	}
 }
 
-// (b) A differently formatted but equal document lands on the canonical
-// handle, whichever form arrives first.
+// (b) The same document formatted another way is not the strict form: it
+// is an error and leaves the store as it was, whether or not the store
+// holds the canonical form.
 func TestInternBytesForeignFormProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for i := 0; i < 600; i++ {
@@ -171,25 +174,15 @@ func TestInternBytesForeignFormProperty(t *testing.T) {
 		if bytes.Equal(foreign, enc) {
 			t.Fatal("foreign form is the canonical form; the test proves nothing")
 		}
-		var canon *Shared
 		if i%2 == 0 {
-			canon = s.Intern(a)
+			s.Intern(a)
 		}
-		sh, err := s.InternBytes(foreign)
-		if err != nil {
-			t.Fatalf("%T %q: %v", a, foreign, err)
+		held := s.Len()
+		if sh, err := s.InternBytes(foreign); err == nil || sh != nil {
+			t.Fatalf("%T %q: InternBytes = %v, %v; want an error", a, foreign, sh, err)
 		}
-		if canon == nil {
-			canon = s.Intern(a)
-		}
-		if sh != canon {
-			t.Fatalf("%T %q: foreign form got its own handle", a, foreign)
-		}
-		if !bytes.Equal(sh.Bytes(), enc) {
-			t.Fatalf("%T: Bytes = %q, want canonical %q", a, sh.Bytes(), enc)
-		}
-		if s.Len() != 1 {
-			t.Fatalf("%T: Len = %d, want 1", a, s.Len())
+		if s.Len() != held {
+			t.Fatalf("%T: Len = %d after a foreign form, want %d", a, s.Len(), held)
 		}
 	}
 }
@@ -285,7 +278,7 @@ func TestInternBytesKeyCollisionNeverAliases(t *testing.T) {
 }
 
 // (e) Against a model: after any sequence of interns (by value, by canonical
-// bytes, by foreign bytes), retains and releases, each handle's refcount is
+// bytes), retains and releases, each handle's refcount is
 // its number of holders and Len counts the documents that have one.
 func TestInternBytesRefcountModelProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -300,20 +293,16 @@ func TestInternBytesRefcountModelProperty(t *testing.T) {
 	holders := make([][]*Shared, docs) // one element per reference held
 	for step := 0; step < 5000; step++ {
 		d := r.Intn(docs)
-		switch op := r.Intn(6); {
+		switch op := r.Intn(5); {
 		case op == 0:
 			holders[d] = append(holders[d], s.Intern(advs[d]))
-		case op == 1 || op == 2:
-			wire := encs[d]
-			if op == 2 {
-				wire = foreignForm(wire)
-			}
-			sh, err := s.InternBytes(wire)
+		case op == 1:
+			sh, err := s.InternBytes(encs[d])
 			if err != nil {
 				t.Fatal(err)
 			}
 			holders[d] = append(holders[d], sh)
-		case op == 3 && len(holders[d]) > 0:
+		case op == 2 && len(holders[d]) > 0:
 			holders[d] = append(holders[d], holders[d][0].Retain())
 		case len(holders[d]) > 0:
 			last := len(holders[d]) - 1
@@ -414,9 +403,10 @@ func documentCorpus(t testing.TB) [][]byte {
 
 // FuzzInternBytes feeds the store arbitrary bytes, as a TCP peer can. For
 // every input: no panic; a rejected input leaves the store empty; an accepted
-// one yields a handle whose Bytes is the canonical encoding of its Adv, which
-// both InternBytes(Bytes) and Intern(Adv) find again; and releasing every
-// reference empties the store.
+// one is read as the document tree reads it (advertisement.Decode of
+// document.Unmarshal) and yields a handle whose Bytes is the canonical
+// encoding of its Adv, which both InternBytes(Bytes) and Intern(Adv) find
+// again; and releasing every reference empties the store.
 func FuzzInternBytes(f *testing.F) {
 	for _, seed := range documentCorpus(f) {
 		f.Add(seed)
@@ -435,6 +425,13 @@ func FuzzInternBytes(f *testing.F) {
 				t.Fatalf("rejected input left a handle: %v, Len=%d", sh, s.Len())
 			}
 			return
+		}
+		tree, err := document.Unmarshal(data)
+		if err != nil {
+			t.Fatalf("InternBytes took %q, the tree refuses it: %v", data, err)
+		}
+		if want, err := advertisement.Decode(tree); err != nil || !reflect.DeepEqual(sh.Adv(), want) {
+			t.Fatalf("InternBytes read %q as %+v, the tree as %+v, %v", data, sh.Adv(), want, err)
 		}
 		canon, err := advertisement.EncodeXML(sh.Adv())
 		if err != nil {

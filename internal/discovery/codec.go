@@ -21,18 +21,17 @@ import (
 // the bytes document.Marshal produced for the tree; equiv_test.go keeps the
 // tree-building encoders as the reference they are compared against.
 //
-// Readers follow one rule: recognise the strict form the writers emit, from
-// the bytes; hand anything else to the tree decoder; never guess. The strict
-// form (document.Strict) has no attributes, no whitespace between tags, no
-// '&' and no CR in text, the children in the writer's order and nothing
-// after the root. Input in that form is read in place; for every other
-// input — a foreign peer's formatting, an escaped value, a damaged frame —
-// the scan gives up without an answer and the decode*Tree functions, the
-// decoders this package always had, give theirs, errors included.
+// Readers read the one form the writers emit (document.Strict), in place:
+// the children in the writer's order, nothing between tags, escaped text
+// unescaped, nothing after the root. Anything else is malformed and an
+// error. The wire is this repository's own message framing, so no peer that
+// can reach a node sends another form; equiv_test.go keeps the tree
+// decoders as the reference the readers are held to on the input they
+// accept.
 
 // queryBody is a decoded <disco:Q>. advType, attr and stage are strings of
 // their own (protocol vocabulary, interned). value is on loan, as the
-// resolver lends a Query's Payload: read in strict form it is a view of the
+// resolver lends a Query's Payload: unless it was escaped it is a view of the
 // decoded bytes, valid only while they are, so whatever keeps a body past
 // the handler call copies value (a parked query does).
 type queryBody struct {
@@ -85,16 +84,9 @@ func appendIntElement(buf []byte, name string, v int64) []byte {
 	return document.AppendEndTag(buf, name)
 }
 
+// decodeQuery reads a query: the exact-match shape (Type, Attr, Value,
+// Stage) or the range shape (Type, Attr, Stage, Lo, Hi).
 func decodeQuery(data []byte) (queryBody, error) {
-	if b, ok := scanQuery(data); ok {
-		return b, nil
-	}
-	return decodeQueryTree(data)
-}
-
-// scanQuery reads a query in strict form: the exact-match shape (Type, Attr,
-// Value, Stage) or the range shape (Type, Attr, Stage, Lo, Hi).
-func scanQuery(data []byte) (queryBody, bool) {
 	r := document.Strict{Rest: data}
 	r.Open(queryTag)
 	advType, attr := r.Text("Type"), r.Text("Attr")
@@ -107,7 +99,7 @@ func scanQuery(data []byte) (queryBody, bool) {
 	}
 	r.Close(queryTag)
 	if !r.Done() {
-		return queryBody{}, false
+		return queryBody{}, document.ErrMalformed
 	}
 	b := queryBody{
 		advType: document.Intern(advType),
@@ -116,35 +108,14 @@ func scanQuery(data []byte) (queryBody, bool) {
 		stage:   document.Intern(stage),
 	}
 	if b.isRange() == exact {
-		return queryBody{}, false // the stage does not go with the shape
+		return queryBody{}, document.ErrMalformed // the stage does not go with the shape
 	}
 	if !exact {
-		var errLo, errHi error
-		b.lo, errLo = strconv.ParseInt(string(lo), 10, 64)
-		b.hi, errHi = strconv.ParseInt(string(hi), 10, 64)
-		if errLo != nil || errHi != nil {
-			return queryBody{}, false
-		}
-	}
-	return b, true
-}
-
-func decodeQueryTree(data []byte) (queryBody, error) {
-	doc, err := document.Unmarshal(data)
-	if err != nil {
-		return queryBody{}, err
-	}
-	b := queryBody{
-		advType: doc.ChildText("Type"),
-		attr:    doc.ChildText("Attr"),
-		value:   []byte(doc.ChildText("Value")),
-		stage:   doc.ChildText("Stage"),
-	}
-	if b.isRange() {
-		if b.lo, err = strconv.ParseInt(doc.ChildText("Lo"), 10, 64); err != nil {
+		var err error
+		if b.lo, err = strconv.ParseInt(string(lo), 10, 64); err != nil {
 			return queryBody{}, err
 		}
-		if b.hi, err = strconv.ParseInt(doc.ChildText("Hi"), 10, 64); err != nil {
+		if b.hi, err = strconv.ParseInt(string(hi), 10, 64); err != nil {
 			return queryBody{}, err
 		}
 	}
@@ -175,16 +146,9 @@ func encodeTuple(t srdi.Tuple) []byte {
 	return appendTuple(make([]byte, 0, frame+len(t.Key)+len(t.PublisherAddr)+len(t.NumAttr)), t)
 }
 
+// decodeTuple reads a tuple: Key, Pub, Addr, Life and, for a numeric
+// registration, NA and NV.
 func decodeTuple(data []byte) (srdi.Tuple, error) {
-	if t, ok := scanTuple(data); ok {
-		return t, nil
-	}
-	return decodeTupleTree(data)
-}
-
-// scanTuple reads a tuple in strict form: Key, Pub, Addr, Life and, for a
-// numeric registration, NA and NV.
-func scanTuple(data []byte) (srdi.Tuple, bool) {
 	r := document.Strict{Rest: data}
 	r.Open(tupleTag)
 	key, pub, addr, life := r.Text("Key"), r.Text("Pub"), r.Text("Addr"), r.Text("Life")
@@ -195,12 +159,15 @@ func scanTuple(data []byte) (srdi.Tuple, bool) {
 	}
 	r.Close(tupleTag)
 	if !r.Done() || (numeric && len(na) == 0) {
-		return srdi.Tuple{}, false
+		return srdi.Tuple{}, document.ErrMalformed
 	}
-	publisher, errPub := ids.ParseBytes(pub)
-	lifetime, errLife := strconv.ParseInt(string(life), 10, 64)
-	if errPub != nil || errLife != nil {
-		return srdi.Tuple{}, false
+	publisher, err := ids.ParseBytes(pub)
+	if err != nil {
+		return srdi.Tuple{}, err
+	}
+	lifetime, err := strconv.ParseInt(string(life), 10, 64)
+	if err != nil {
+		return srdi.Tuple{}, err
 	}
 	t := srdi.Tuple{
 		Key:           document.Intern(key),
@@ -209,43 +176,12 @@ func scanTuple(data []byte) (srdi.Tuple, bool) {
 		Lifetime:      time.Duration(lifetime),
 	}
 	if numeric {
-		value, err := strconv.ParseInt(string(nv), 10, 64)
-		if err != nil {
-			return srdi.Tuple{}, false
-		}
-		t.NumAttr, t.NumValue = document.Intern(na), value
-	}
-	return t, true
-}
-
-func decodeTupleTree(data []byte) (srdi.Tuple, error) {
-	doc, err := document.Unmarshal(data)
-	if err != nil {
-		return srdi.Tuple{}, err
-	}
-	pub, err := ids.Parse(doc.ChildText("Pub"))
-	if err != nil {
-		return srdi.Tuple{}, err
-	}
-	life, err := strconv.ParseInt(doc.ChildText("Life"), 10, 64)
-	if err != nil {
-		return srdi.Tuple{}, err
-	}
-	tpl := srdi.Tuple{
-		Key:           doc.ChildText("Key"),
-		Publisher:     pub,
-		PublisherAddr: transport.Addr(doc.ChildText("Addr")),
-		Lifetime:      time.Duration(life),
-	}
-	if na := doc.ChildText("NA"); na != "" {
-		nv, err := strconv.ParseInt(doc.ChildText("NV"), 10, 64)
-		if err != nil {
+		if t.NumValue, err = strconv.ParseInt(string(nv), 10, 64); err != nil {
 			return srdi.Tuple{}, err
 		}
-		tpl.NumAttr = na
-		tpl.NumValue = nv
+		t.NumAttr = document.Intern(na)
 	}
-	return tpl, nil
+	return t, nil
 }
 
 // encodeResponse wraps the matches in a <disco:R>. The advertisements are
@@ -273,53 +209,29 @@ func (s *Service) encodeResponse(matches []advertisement.Advertisement) []byte {
 }
 
 // cacheResponse files the advertisements of a response in the local cache
-// and returns them. In strict form the response is split without decoding
-// and each advertisement goes to the cache still encoded, where the
-// interning store recognises one it already holds from its bytes — in a
-// simulated overlay that is the publisher's own copy, so the requester
-// decodes nothing.
-func (s *Service) cacheResponse(data []byte) []advertisement.Advertisement {
+// and returns them. The response is split without decoding and each
+// advertisement goes to the cache still encoded, where the interning store
+// recognises one it already holds from its bytes — in a simulated overlay
+// that is the publisher's own copy, so the requester decodes nothing. A
+// malformed response is an error that leaves the cache untouched.
+func (s *Service) cacheResponse(data []byte) ([]advertisement.Advertisement, error) {
 	var room [4][]byte
-	encoded, ok := splitResponse(data, room[:0])
-	if !ok {
-		advs := decodeResponseTree(data)
-		for _, adv := range advs {
-			s.cache.Put(adv, advertisement.DefaultExpiration, false)
-		}
-		return advs
-	}
-	var advs []advertisement.Advertisement
-	for _, enc := range encoded {
-		// As in the tree decoder, a child that is no advertisement is skipped.
-		if adv, err := s.cache.PutEncoded(enc, advertisement.DefaultExpiration, false); err == nil {
-			advs = append(advs, adv)
-		}
-	}
-	return advs
-}
-
-// splitResponse appends to encoded the bytes of each child of a response in
-// strict form.
-func splitResponse(data []byte, encoded [][]byte) ([][]byte, bool) {
+	encoded := room[:0]
 	r := document.Strict{Rest: data}
 	r.Open(responseTag)
 	for r.More() {
 		encoded = append(encoded, r.Element())
 	}
 	r.Close(responseTag)
-	return encoded, r.Done()
-}
-
-func decodeResponseTree(data []byte) []advertisement.Advertisement {
-	doc, err := document.Unmarshal(data)
-	if err != nil {
-		return nil
+	if !r.Done() {
+		return nil, document.ErrMalformed
 	}
 	var advs []advertisement.Advertisement
-	for _, child := range doc.Children {
-		if adv, err := advertisement.Decode(child); err == nil {
+	for _, enc := range encoded {
+		// A child that is no advertisement this node reads is skipped.
+		if adv, err := s.cache.PutEncoded(enc, advertisement.DefaultExpiration, false); err == nil {
 			advs = append(advs, adv)
 		}
 	}
-	return advs
+	return advs, nil
 }

@@ -17,8 +17,8 @@
 //
 // On the wire the protocol's records (query, index tuple, response) are XML
 // documents, but the service builds and reads them without a document tree:
-// writers append, readers scan the strict form the writers emit and hand any
-// other input to the tree decoder unchanged — see codec.go for the rule.
+// writers append, and readers read the strict form the writers emit and
+// nothing else — see codec.go for the rule.
 package discovery
 
 import (
@@ -602,7 +602,7 @@ func (s *Service) sendQuery(payload []byte, collect bool, cb func(Result), onTim
 	s.Stats.QueriesSent++
 	_, err := send(target, HandlerName, payload,
 		func(data []byte, from ids.ID, hops int) {
-			advs := s.cacheResponse(data)
+			advs, _ := s.cacheResponse(data) // a malformed response answers with nothing
 			elapsed := s.env.Now() - start
 			s.m.queryLatency.Observe(elapsed.Seconds())
 			cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,7 +90,7 @@ func fieldValues() []string {
 		rng.Read(b)
 		values = append(values, string(b))
 	}
-	for i := 0; i < 60; i++ { // printable: these stay on the strict path
+	for i := 0; i < 60; i++ { // printable ASCII: read without unescaping
 		b := make([]byte, rng.Intn(24))
 		const printable = "abcXYZ019 _-.:/>="
 		for j := range b {
@@ -193,19 +194,147 @@ func TestWritersMatchTreeEncoders(t *testing.T) {
 	}
 }
 
+// The tree decoders: the reference a reader is held to on every input it
+// accepts.
+
+func decodeQueryTree(data []byte) (queryBody, error) {
+	doc, err := document.Unmarshal(data)
+	if err != nil {
+		return queryBody{}, err
+	}
+	b := queryBody{
+		advType: doc.ChildText("Type"),
+		attr:    doc.ChildText("Attr"),
+		value:   []byte(doc.ChildText("Value")),
+		stage:   doc.ChildText("Stage"),
+	}
+	if b.isRange() {
+		if b.lo, err = strconv.ParseInt(doc.ChildText("Lo"), 10, 64); err != nil {
+			return queryBody{}, err
+		}
+		if b.hi, err = strconv.ParseInt(doc.ChildText("Hi"), 10, 64); err != nil {
+			return queryBody{}, err
+		}
+	}
+	return b, nil
+}
+
+func decodeTupleTree(data []byte) (srdi.Tuple, error) {
+	doc, err := document.Unmarshal(data)
+	if err != nil {
+		return srdi.Tuple{}, err
+	}
+	pub, err := ids.Parse(doc.ChildText("Pub"))
+	if err != nil {
+		return srdi.Tuple{}, err
+	}
+	life, err := strconv.ParseInt(doc.ChildText("Life"), 10, 64)
+	if err != nil {
+		return srdi.Tuple{}, err
+	}
+	tpl := srdi.Tuple{
+		Key:           doc.ChildText("Key"),
+		Publisher:     pub,
+		PublisherAddr: transport.Addr(doc.ChildText("Addr")),
+		Lifetime:      time.Duration(life),
+	}
+	if na := doc.ChildText("NA"); na != "" {
+		nv, err := strconv.ParseInt(doc.ChildText("NV"), 10, 64)
+		if err != nil {
+			return srdi.Tuple{}, err
+		}
+		tpl.NumAttr = na
+		tpl.NumValue = nv
+	}
+	return tpl, nil
+}
+
+// decodeResponseTree reads every child that advertisement.Decode reads and
+// skips the others.
+func decodeResponseTree(data []byte) ([]advertisement.Advertisement, error) {
+	doc, err := document.Unmarshal(data)
+	if err != nil {
+		return nil, err
+	}
+	var advs []advertisement.Advertisement
+	for _, child := range doc.Children {
+		if adv, err := advertisement.Decode(child); err == nil {
+			advs = append(advs, adv)
+		}
+	}
+	return advs, nil
+}
+
+// awkward is a value holding every byte class a writer escapes.
+const awkward = "a&b <c> \"d\"\t\r'e'\n"
+
+// TestStrictReadsEveryWriter: whatever a writer in this package or in
+// advertisement emits, the strict reader accepts and reads back as written —
+// attributes (a Resource's, as PublishResource writes it) and escaped values
+// included.
+func TestStrictReadsEveryWriter(t *testing.T) {
+	strictForm := func(data []byte) {
+		t.Helper()
+		r := document.Strict{Rest: data}
+		if r.Element(); !r.Done() {
+			t.Fatalf("%q is not in the strict form", data)
+		}
+	}
+	resource := &advertisement.Resource{ResID: ids.FromName(ids.KindAdv, "node-7"), Name: "node-7",
+		Attrs: []advertisement.IndexField{{Attr: "RAM", Value: "4096"}, {Attr: awkward, Value: awkward}}}
+	for _, v := range []string{"Test", awkward} {
+		q := appendQuery(nil, "Resource", v, v, stageInitial)
+		strictForm(q)
+		if b, err := decodeQuery(q); err != nil || b.attr != v || string(b.value) != v || b.stage != stageInitial {
+			t.Fatalf("query %q read as %+v, %v", q, b, err)
+		}
+		rq := encodeRangeQuery("Resource", v, -3, 1<<40, stageRange)
+		strictForm(rq)
+		if b, err := decodeQuery(rq); err != nil || b.attr != v || b.lo != -3 || b.hi != 1<<40 {
+			t.Fatalf("range query %q read as %+v, %v", rq, b, err)
+		}
+		tpl := srdi.Tuple{Key: v, Publisher: ids.FromName(ids.KindPeer, v), PublisherAddr: transport.Addr(v),
+			Lifetime: time.Hour, NumAttr: v, NumValue: -7}
+		data := appendTuple(nil, tpl)
+		strictForm(data)
+		if back, err := decodeTuple(data); err != nil || back != tpl {
+			t.Fatalf("tuple %q read as %+v, %v", data, back, err)
+		}
+		advs := []advertisement.Advertisement{
+			&advertisement.Peer{PeerID: ids.FromName(ids.KindPeer, v), Name: v, Desc: v, Addresses: []string{v, v}},
+			&advertisement.Rdv{PeerID: ids.FromName(ids.KindPeer, "rdv"+v), GroupID: ids.FromName(ids.KindGroup, v), Name: v, Address: v},
+			&advertisement.Route{DestID: ids.FromName(ids.KindPeer, "route"+v), Hops: []ids.ID{ids.FromName(ids.KindPeer, "h")}},
+			&advertisement.Pipe{PipeID: ids.FromName(ids.KindPipe, v), Name: v, Kind: v},
+			&advertisement.Module{ModuleID: ids.FromName(ids.KindModule, v), Name: v, Desc: v},
+			resource,
+		}
+		pub, req := codecService(), codecService()
+		for _, adv := range advs {
+			enc, err := advertisement.AppendXML(nil, adv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			strictForm(enc)
+			if back, err := advertisement.DecodeXML(enc); err != nil || !reflect.DeepEqual(back, adv) {
+				t.Fatalf("%T %q read as %+v, %v", adv, enc, back, err)
+			}
+			pub.cache.Put(adv, 0, true)
+		}
+		rsp := pub.encodeResponse(advs)
+		strictForm(rsp)
+		back, err := req.cacheResponse(rsp)
+		if err != nil || !reflect.DeepEqual(back, advs) || req.cache.Len() != len(advs) {
+			t.Fatalf("response %q read as %v, %v; %d cached", rsp, back, err, req.cache.Len())
+		}
+	}
+}
+
 // foreignForms returns data re-formatted the way another implementation
-// might send it, damaged, and cut short: inputs the strict readers must not
-// answer themselves.
+// might send it, damaged, and cut short: inputs no reader accepts.
 func foreignForms(data []byte, root string) [][]byte {
 	s := string(data)
 	open, end := "<"+root+">", "</"+root+">"
 	inner := strings.TrimSuffix(strings.TrimPrefix(s, open), end)
-	firstChild := inner
-	if i := strings.Index(inner, "</"); i >= 0 {
-		if j := strings.Index(inner[i:], ">"); j >= 0 {
-			firstChild = inner[:i+j+1]
-		}
-	}
 	forms := []string{
 		"<" + root + ` xmlns:x="urn:x" v="1">` + inner + end,                   // attributes on the root
 		open + "\n  " + strings.ReplaceAll(inner, "><", ">\n  <") + "\n" + end, // whitespace between children
@@ -213,21 +342,16 @@ func foreignForms(data []byte, root string) [][]byte {
 		`<?xml version="1.0"?>` + s,                                            // prolog
 		" " + s,                                                                // leading space
 		s + "trailing", s + " ", s + s,                                         // bytes after the root
-		open + firstChild + inner + end,                    // duplicated first child
-		open + inner + firstChild + end,                    // duplicated, last
-		open + "<Wrap>" + inner + "</Wrap>" + end,          // nested children
-		open + "<Extra>1</Extra>" + inner + end,            // an unknown child
 		open + inner + "<Extra/>" + end,                    // an empty-element tag
-		strings.Replace(s, "</", "&#x41;</", 1),            // character reference
-		strings.Replace(s, "</", "&amp;</", 1),             // entity reference
-		strings.Replace(s, "</", "&bogus;</", 1),           // unknown entity: an error
+		strings.Replace(s, "</", "&bogus;</", 1),           // unknown entity
+		strings.Replace(s, "</", "&amp</", 1),              // unterminated reference
 		strings.Replace(s, "</", "\r\n</", 1),              // CR LF to normalise
 		strings.Replace(s, "</", "<![CDATA[<raw>]]></", 1), // CDATA
 		strings.Replace(s, ">", " >", 1),                   // space in the root tag
 		strings.Replace(s, end, "</"+root+" >", 1),         // space in the end tag
 		strings.Replace(s, end, "</other>", 1),             // wrong end tag
 		"<other>" + inner + "</other>",                     // another root name
-		open + end, open + "text" + end, "", "<", "garbage",
+		open + "text" + end, "", "<", "garbage",
 	}
 	out := make([][]byte, 0, len(forms)+len(data))
 	for _, f := range forms {
@@ -243,68 +367,107 @@ func foreignForms(data []byte, root string) [][]byte {
 	return out
 }
 
-func errText(err error) string {
-	if err == nil {
-		return "<nil>"
+// reshapedForms returns data with its children out of the writer's shape:
+// no query or tuple reads them, and a response reads them only where they
+// are whole advertisements.
+func reshapedForms(data []byte, root string) [][]byte {
+	s := string(data)
+	open, end := "<"+root+">", "</"+root+">"
+	inner := strings.TrimSuffix(strings.TrimPrefix(s, open), end)
+	firstChild := inner
+	if i := strings.Index(inner, "</"); i >= 0 {
+		if j := strings.Index(inner[i:], ">"); j >= 0 {
+			firstChild = inner[:i+j+1]
+		}
 	}
-	return err.Error()
+	var out [][]byte
+	for _, f := range []string{
+		open + firstChild + inner + end,           // duplicated first child
+		open + inner + firstChild + end,           // duplicated, last
+		open + "<Wrap>" + inner + "</Wrap>" + end, // nested children
+		open + "<Extra>1</Extra>" + inner + end,   // an unknown child
+		open + end,                                // no children
+	} {
+		out = append(out, []byte(f))
+	}
+	return out
 }
 
-// TestReadersMatchTreeDecoders: equivalence (ii). On canonical input and on
-// foreign-formatted, damaged and truncated input the decoders return what
-// the tree decoders return, error for error; canonical input without
-// escapes is answered by the strict scan, everything foreign by the
-// fallback — which is the tree decoder itself.
-func TestReadersMatchTreeDecoders(t *testing.T) {
-	strict, fallback := 0, 0
-	checkQuery := func(data []byte, wantStrict, wantFallback bool) {
-		t.Helper()
-		got, gotErr := decodeQuery(data)
-		want, wantErr := decodeQueryTree(data)
-		if !sameQuery(got, want) || errText(gotErr) != errText(wantErr) {
-			t.Fatalf("decodeQuery(%q)\n got  %+v, %v\n want %+v, %v", data, got, gotErr, want, wantErr)
-		}
-		_, ok := scanQuery(data)
-		if (ok && wantFallback) || (!ok && wantStrict) {
-			t.Fatalf("scanQuery(%q) answered=%v", data, ok)
-		}
-		if ok {
-			strict++
-		} else {
-			fallback++
-		}
+// escapedForms returns data with a reference in its first text: the strict
+// form, which a reader takes, read as the tree reads it.
+func escapedForms(data []byte) [][]byte {
+	s := string(data)
+	return [][]byte{
+		[]byte(strings.Replace(s, "</", "&#x41;</", 1)),
+		[]byte(strings.Replace(s, "</", "&amp;&lt;&quot;&#65;</", 1)),
 	}
-	plain := func(vals ...string) bool { // no byte the writer escapes
-		for _, v := range vals {
-			var buf []byte
-			if string(document.AppendTextElement(buf, "x", v)) != "<x>"+v+"</x>" {
-				return false
-			}
+}
+
+// verdict says what a reader must do with an input: take it, refuse it, or
+// either — and whatever it takes, read as the tree does.
+type verdict int
+
+const (
+	either verdict = iota
+	takes
+	refuses
+)
+
+// TestReadersMatchTreeDecoders: equivalence (ii). A reader takes its
+// writers' output and whatever it takes it reads as the tree decoder does,
+// value for value; foreign-formatted, damaged and truncated input is an
+// error, and a refused response leaves the cache untouched.
+func TestReadersMatchTreeDecoders(t *testing.T) {
+	took, refused := 0, 0
+	tally := func(data []byte, err error, v verdict) bool {
+		t.Helper()
+		if (err == nil && v == refuses) || (err != nil && v == takes) {
+			t.Fatalf("%q: error %v, want verdict %d", data, err, v)
 		}
+		if err != nil {
+			refused++
+			return false
+		}
+		took++
 		return true
+	}
+	checkQuery := func(data []byte, v verdict) {
+		t.Helper()
+		got, err := decodeQuery(data)
+		if !tally(data, err, v) {
+			return
+		}
+		if want, err := decodeQueryTree(data); err != nil || !sameQuery(got, want) {
+			t.Fatalf("decodeQuery(%q)\n got  %+v\n tree %+v, %v", data, got, want, err)
+		}
 	}
 	values := fieldValues()
 	for i, v := range values {
 		w := values[(i+7)%len(values)]
-		isPlain := plain(v, w)
 		q := encodeQuery(v, w, w+v, stageInitial)
-		checkQuery(q, isPlain, false)
-		checkQuery(encodeQuery(v, w, w, v), false, false) // any stage, a range stage included
+		checkQuery(q, takes)
+		checkQuery(encodeQuery(v, w, w, v), either) // any stage, a range stage included
 		rq := encodeRangeQuery(v, w, int64(i)-5, int64(i)*3, stageRange)
-		checkQuery(rq, isPlain, false)
-		checkQuery(encodeRangeQuery(v, w, 1, 2, v), false, false)
+		checkQuery(rq, takes)
+		checkQuery(encodeRangeQuery(v, w, 1, 2, v), either)
 		if len(v) > 100 && i%2 == 0 {
 			continue // one long value's foreign forms are enough
 		}
-		for _, f := range foreignForms(q, "disco:Q") {
-			checkQuery(f, false, true)
-		}
-		for _, f := range foreignForms(rq, "disco:Q") {
-			checkQuery(f, false, true)
+		for _, data := range [][]byte{q, rq} {
+			for _, f := range foreignForms(data, queryTag) {
+				checkQuery(f, refuses)
+			}
+			for _, f := range reshapedForms(data, queryTag) {
+				checkQuery(f, refuses)
+			}
+			for _, f := range escapedForms(data) {
+				checkQuery(f, takes)
+			}
 		}
 	}
-	// Shapes that are canonical but mean something only the tree decoder
-	// should say: bounds that do not parse, a stage that contradicts the shape.
+	// Shapes in the strict form that a query does not take: bounds that do
+	// not parse, a stage that contradicts the shape, children missing or
+	// out of order.
 	for _, s := range []string{
 		"<disco:Q><Type>R</Type><Attr>A</Attr><Stage>range</Stage><Lo>x</Lo><Hi>2</Hi></disco:Q>",
 		"<disco:Q><Type>R</Type><Attr>A</Attr><Stage>range</Stage><Lo>1</Lo><Hi>99999999999999999999</Hi></disco:Q>",
@@ -314,34 +477,33 @@ func TestReadersMatchTreeDecoders(t *testing.T) {
 		"<disco:Q><Type>R</Type><Attr>A</Attr><Stage>range</Stage></disco:Q>",
 		"<disco:Q><Attr>A</Attr><Type>R</Type><Value>v</Value><Stage>initial</Stage></disco:Q>",
 	} {
-		checkQuery([]byte(s), false, true)
+		checkQuery([]byte(s), refuses)
 	}
 
-	checkTuple := func(data []byte, wantStrict, wantFallback bool) {
+	checkTuple := func(data []byte, v verdict) {
 		t.Helper()
-		got, gotErr := decodeTuple(data)
-		want, wantErr := decodeTupleTree(data)
-		if got != want || errText(gotErr) != errText(wantErr) {
-			t.Fatalf("decodeTuple(%q)\n got  %+v, %v\n want %+v, %v", data, got, gotErr, want, wantErr)
+		got, err := decodeTuple(data)
+		if !tally(data, err, v) {
+			return
 		}
-		_, ok := scanTuple(data)
-		if (ok && wantFallback) || (!ok && wantStrict) {
-			t.Fatalf("scanTuple(%q) answered=%v", data, ok)
-		}
-		if ok {
-			strict++
-		} else {
-			fallback++
+		if want, err := decodeTupleTree(data); err != nil || got != want {
+			t.Fatalf("decodeTuple(%q)\n got  %+v\n tree %+v, %v", data, got, want, err)
 		}
 	}
 	for i, tpl := range testTuples() {
 		data := encodeTuple(tpl)
-		checkTuple(data, plain(tpl.Key, string(tpl.PublisherAddr), tpl.NumAttr), false)
+		checkTuple(data, takes)
 		if len(tpl.Key) > 100 && i%2 == 0 {
 			continue
 		}
-		for _, f := range foreignForms(data, "srdi:Tuple") {
-			checkTuple(f, false, true)
+		for _, f := range foreignForms(data, tupleTag) {
+			checkTuple(f, refuses)
+		}
+		for _, f := range reshapedForms(data, tupleTag) {
+			checkTuple(f, refuses)
+		}
+		for _, f := range escapedForms(data) {
+			checkTuple(f, takes)
 		}
 	}
 	pub := ids.FromName(ids.KindPeer, "p").String()
@@ -354,36 +516,43 @@ func TestReadersMatchTreeDecoders(t *testing.T) {
 		"<srdi:Tuple><Pub>" + pub + "</Pub><Key>k</Key><Addr>a</Addr><Life>1</Life></srdi:Tuple>",
 		"<srdi:Tuple><Key>k</Key><Pub>" + pub + "</Pub><Life>1</Life></srdi:Tuple>",
 	} {
-		checkTuple([]byte(s), false, true)
+		checkTuple([]byte(s), refuses)
 	}
 
-	checkResponse := func(data []byte, wantStrict, wantFallback bool) {
+	checkResponse := func(data []byte, v verdict) {
 		t.Helper()
 		s := codecService()
-		if err := sameAdvertisements(s.cacheResponse(data), decodeResponseTree(data), s.cache); err != nil {
+		got, err := s.cacheResponse(data)
+		if !tally(data, err, v) {
+			if s.cache.Len() != 0 {
+				t.Fatalf("refused response %q left %d advertisements in the cache", data, s.cache.Len())
+			}
+			return
+		}
+		want, err := decodeResponseTree(data)
+		if err != nil {
+			t.Fatalf("cacheResponse took %q, the tree refuses it: %v", data, err)
+		}
+		if err := sameAdvertisements(got, want, s.cache); err != nil {
 			t.Fatalf("cacheResponse(%q): %v", data, err)
-		}
-		_, ok := splitResponse(data, nil)
-		if (ok && wantFallback) || (!ok && wantStrict) {
-			t.Fatalf("splitResponse(%q) answered=%v", data, ok)
-		}
-		if ok {
-			strict++
-		} else {
-			fallback++
 		}
 	}
 	advs := testAdvertisements()
 	for i := range advs {
 		row := advs[i:min(i+1+i%3, len(advs))]
 		data := encodeResponseTree(row)
-		isPlain := !bytes.ContainsAny(data, "&\r\"")
-		checkResponse(data, isPlain, false)
+		checkResponse(data, takes)
 		if len(data) > 400 && i%4 != 0 {
 			continue
 		}
-		for _, f := range foreignForms(data, "disco:R") {
-			checkResponse(f, false, false) // a cut can fall on a child boundary
+		for _, f := range foreignForms(data, responseTag) {
+			checkResponse(f, refuses)
+		}
+		for _, f := range reshapedForms(data, responseTag) {
+			checkResponse(f, either)
+		}
+		for _, f := range escapedForms(data) {
+			checkResponse(f, takes)
 		}
 	}
 	for _, s := range []string{
@@ -391,10 +560,10 @@ func TestReadersMatchTreeDecoders(t *testing.T) {
 		"<disco:R><jxta:PA><PID>junk</PID><Name>n</Name></jxta:PA><jxta:PA><PID>" + pub + "</PID><Name>n</Name></jxta:PA></disco:R>",
 		"<disco:R><jxta:PA><PID>" + pub + "</PID><Name>n</Name><Name>m</Name><jxta:PA><PID>x</PID></jxta:PA></jxta:PA></disco:R>",
 	} {
-		checkResponse([]byte(s), true, false)
+		checkResponse([]byte(s), takes)
 	}
-	if strict < 300 || fallback < 1000 {
-		t.Fatalf("strict path answered %d inputs, fallback %d: one side is barely exercised", strict, fallback)
+	if took < 500 || refused < 1000 {
+		t.Fatalf("readers took %d inputs and refused %d: one side is barely exercised", took, refused)
 	}
 }
 

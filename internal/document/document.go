@@ -1,17 +1,17 @@
 // Package document implements the lightweight structured documents that JXTA
 // protocols exchange. The JXTA 2.0 specification defines every protocol
-// payload and every advertisement as an XML document; this package provides
-// an element tree plus a round-trippable XML codec.
+// payload and every advertisement as an XML document.
 //
-// The codec is hand-rolled for the restricted document shape JXTA uses (no
-// mixed content, prefixes kept verbatim): the simulator encodes and decodes
-// a document for nearly every protocol message, and encoding/xml's
-// tokenizer allocated roughly 25 objects per small document — the single
-// largest garbage source in whole-overlay simulations. Output is
-// byte-identical to the previous encoding/xml-based encoder (escaping
-// included), which the tests assert against an encoding/xml reference; the
-// determinism golden tests depend on that stability because message sizes
-// feed the latency model.
+// A node writes its documents with the Append writers and reads them with
+// Strict, in place, in the one form those writers emit. The element tree
+// (Element, Marshal, Unmarshal) is not on a node's path: it is what an
+// advertisement's Document() renders, and the reference the writers and
+// Strict are held to. Marshal's output is byte-identical to the previous
+// encoding/xml-based encoder (escaping included), which the tests assert
+// against an encoding/xml reference; the determinism golden tests depend on
+// that stability because message sizes feed the latency model. Unmarshal
+// is a hand-rolled, lenient decoder for the restricted shape JXTA uses (no
+// mixed content, prefixes kept verbatim).
 package document
 
 import (
@@ -631,72 +631,15 @@ func (p *parser) parseContent(e *Element) (*Element, error) {
 // matching encoding/xml; a literal CR can only be produced via &#xD;,
 // which expands after normalization).
 func unescape(raw []byte) (string, error) {
-	special := -1
-	for i := 0; i < len(raw); i++ {
-		if raw[i] == '&' || raw[i] == '\r' {
-			special = i
-			break
-		}
+	if bytes.IndexByte(raw, '\r') >= 0 {
+		raw = []byte(normalizeCRLF(raw))
 	}
-	if special < 0 {
+	if bytes.IndexByte(raw, '&') < 0 {
 		return Intern(raw), nil
 	}
-	out := make([]byte, 0, len(raw))
-	out = append(out, raw[:special]...)
-	for i := special; i < len(raw); {
-		c := raw[i]
-		if c == '\r' {
-			out = append(out, '\n')
-			i++
-			if i < len(raw) && raw[i] == '\n' {
-				i++
-			}
-			continue
-		}
-		if c != '&' {
-			out = append(out, c)
-			i++
-			continue
-		}
-		semi := -1
-		for j := i + 1; j < len(raw); j++ {
-			if raw[j] == ';' {
-				semi = j
-				break
-			}
-		}
-		if semi < 0 {
-			return "", errors.New("document: unterminated entity reference")
-		}
-		ent := string(raw[i+1 : semi])
-		switch ent {
-		case "amp":
-			out = append(out, '&')
-		case "lt":
-			out = append(out, '<')
-		case "gt":
-			out = append(out, '>')
-		case "quot":
-			out = append(out, '"')
-		case "apos":
-			out = append(out, '\'')
-		default:
-			if len(ent) < 2 || ent[0] != '#' {
-				return "", fmt.Errorf("document: unknown entity &%s;", ent)
-			}
-			var r rune
-			var ok bool
-			if ent[1] == 'x' || ent[1] == 'X' {
-				r, ok = parseRune(ent[2:], 16)
-			} else {
-				r, ok = parseRune(ent[1:], 10)
-			}
-			if !ok || !isInCharacterRange(r) {
-				return "", fmt.Errorf("document: invalid character reference &%s;", ent)
-			}
-			out = utf8.AppendRune(out, r)
-		}
-		i = semi + 1
+	out, ok := appendUnescaped(make([]byte, 0, len(raw)), raw)
+	if !ok {
+		return "", errors.New("document: unknown entity or invalid character reference")
 	}
 	return string(out), nil
 }
@@ -722,8 +665,8 @@ func normalizeCRLF(raw []byte) string {
 }
 
 // parseRune parses a character-reference number in the given base.
-func parseRune(s string, base rune) (rune, bool) {
-	if s == "" {
+func parseRune(s []byte, base rune) (rune, bool) {
+	if len(s) == 0 {
 		return 0, false
 	}
 	var n rune
@@ -731,11 +674,11 @@ func parseRune(s string, base rune) (rune, bool) {
 		var d rune
 		switch {
 		case c >= '0' && c <= '9':
-			d = c - '0'
+			d = rune(c - '0')
 		case base == 16 && c >= 'a' && c <= 'f':
-			d = c - 'a' + 10
+			d = rune(c - 'a' + 10)
 		case base == 16 && c >= 'A' && c <= 'F':
-			d = c - 'A' + 10
+			d = rune(c - 'A' + 10)
 		default:
 			return 0, false
 		}

@@ -1,35 +1,65 @@
 package document
 
-// Strict reads a document in place when it is in the strict canonical form
-// the Append writers (and Marshal, for a tree without attributes) emit:
-// every tag is exactly <name> or </name>, nothing — not even whitespace —
-// stands between tags, text appears only in elements without children and
-// holds no '&' and no CR (so the text is the bytes as they stand), and the
-// input ends with the root's end tag.
+import (
+	"bytes"
+	"errors"
+	"unicode/utf8"
+)
+
+// Strict is the one XML reader a node has. It reads a document in place in
+// the strict form the Append writers (and Marshal) emit: every tag is
+// exactly <name>, </name> or, on an element holding only text,
+// <name attr="value"> with the one attribute AppendAttrTextElement writes;
+// nothing — not even whitespace — stands between tags; text appears only in
+// elements without children and holds no CR, no other control character
+// but tab and newline, and nothing that is not UTF-8 of an XML character;
+// and the input ends with the root's end tag. A text or value may hold the
+// five predefined entities and character references, which the writers use
+// for escapes.
 //
-// It is a recogniser for the common case, not a second parser. The first
-// byte that departs from the form makes that call and every later one fail;
-// the caller then hands the whole input to Unmarshal and takes its answer.
-// On input Strict accepts, Unmarshal builds the tree with exactly the names
-// and texts Strict reported (Intern turns a text into the decoder's string),
-// which is what lets a reader skip the tree. Returned slices alias the
-// input.
+// Input in any other form — a prolog, whitespace or comments between tags,
+// children out of the writer's order, a literal CR, invalid UTF-8 — is
+// malformed: the first byte that departs from the form makes that call and
+// every later one fail, and the reader built on Strict reports
+// ErrMalformed. Unmarshal is the reference Strict is held to: on input
+// Strict accepts, Unmarshal builds the tree with exactly the names,
+// attributes and texts Strict reported (Intern turns a text into the
+// decoder's string), and Marshal writes those texts back unchanged.
+// Returned slices alias the input, or Scratch for a text that held a
+// reference.
 //
 //	r := document.Strict{Rest: data}
 //	r.Open("disco:Q")
 //	typ := r.Text("Type")
 //	...
 //	r.Close("disco:Q")
-//	if !r.Done() { /* document.Unmarshal(data) */ }
+//	if !r.Done() { return document.ErrMalformed }
 type Strict struct {
 	// Rest is the input not consumed yet.
 	Rest []byte
-	bad  bool
+	// Scratch receives, unescaped, each text or value that holds a
+	// reference; what Text returns for it is a view of Scratch. It is only
+	// appended to, so earlier views stay valid; nil costs one allocation per
+	// such text.
+	Scratch []byte
+	bad     bool
 }
+
+// ErrMalformed reports input that is not in the strict form.
+var ErrMalformed = errors.New("document: not in the strict form")
 
 // strictDepth bounds how deep Element follows nesting; advertisements nest
 // two levels.
 const strictDepth = 8
+
+// lit consumes want from the front of the input.
+func (s *Strict) lit(want string) {
+	if s.bad || len(s.Rest) < len(want) || string(s.Rest[:len(want)]) != want {
+		s.bad = true
+		return
+	}
+	s.Rest = s.Rest[len(want):]
+}
 
 // tag consumes lead+name+">" from the front of the input.
 func (s *Strict) tag(lead, name string) {
@@ -61,10 +91,10 @@ func (s *Strict) More() bool {
 	return !s.bad && len(s.Rest) >= 2 && s.Rest[0] == '<' && s.Rest[1] != '/'
 }
 
-// Text consumes <name>text</name> and returns the text.
+// Text consumes <name>text</name> and returns the text, unescaped.
 func (s *Strict) Text(name string) []byte {
 	s.Open(name)
-	text := s.text()
+	text := s.text('<')
 	s.Close(name)
 	if s.bad {
 		return nil
@@ -72,38 +102,105 @@ func (s *Strict) Text(name string) []byte {
 	return text
 }
 
-// text consumes character data up to the next tag.
-func (s *Strict) text() []byte {
+// AttrText consumes <name attr="value">text</name> and returns the value
+// and the text, unescaped.
+func (s *Strict) AttrText(name, attr string) (value, text []byte) {
+	s.lit("<")
+	s.lit(name)
+	s.lit(" ")
+	s.lit(attr)
+	s.lit(`="`)
+	value = s.text('"')
+	s.lit(`">`)
+	text = s.text('<')
+	s.Close(name)
+	if s.bad {
+		return nil, nil
+	}
+	return value, text
+}
+
+// text consumes character data up to stop and returns it unescaped: a view
+// of the input, or of Scratch when it holds a reference. Printable ASCII,
+// nearly every text, is read here; anything else goes to escaped.
+func (s *Strict) text(stop byte) []byte {
 	for i, c := range s.Rest {
-		switch c {
-		case '<':
-			text := s.Rest[:i]
+		if c == stop {
+			raw := s.Rest[:i]
 			s.Rest = s.Rest[i:]
-			return text
-		case '&', '\r':
-			s.bad = true
-			return nil
+			return raw
+		}
+		if c < ' ' || c >= utf8.RuneSelf || c == '&' || c == '<' {
+			return s.escaped(stop)
 		}
 	}
-	s.bad = true // no tag follows
+	s.bad = true
 	return nil
 }
 
-// name consumes a tag's name and its '>' from the front of the input, which
-// stands just past the tag's lead. A name the decoder would read differently
-// (attributes, an empty-element tag, a declaration) is not canonical.
+// escaped is text for character data that holds a reference or a byte
+// that is not printable ASCII.
+func (s *Strict) escaped(stop byte) []byte {
+	raw, refs := s.chars(stop)
+	if !refs {
+		return raw
+	}
+	start := len(s.Scratch)
+	if cap(s.Scratch)-start < len(raw) { // unescaped, raw is never longer
+		s.Scratch = append(make([]byte, 0, start+len(raw)), s.Scratch...)
+	}
+	s.Scratch, _ = appendUnescaped(s.Scratch, raw)
+	return s.Scratch[start:len(s.Scratch):len(s.Scratch)]
+}
+
+// chars consumes character data up to stop ('<' for a text, '"' for an
+// attribute value) and returns it raw, with whether it holds a reference.
+// It takes only what the writers leave as it is or write themselves: XML
+// characters in UTF-8 other than CR and the control characters (tab and
+// newline excepted), and references the decoder resolves.
+func (s *Strict) chars(stop byte) (raw []byte, refs bool) {
+	for i := 0; i < len(s.Rest); i++ {
+		switch c := s.Rest[i]; {
+		case c == stop:
+			raw, s.Rest = s.Rest[:i], s.Rest[i:]
+			return raw, refs
+		case c == '&':
+			if _, n := reference(s.Rest[i:]); n == 0 {
+				s.bad = true
+				return nil, false
+			}
+			refs = true
+		case c >= utf8.RuneSelf:
+			r, n := utf8.DecodeRune(s.Rest[i:])
+			if r == utf8.RuneError && n == 1 || !isInCharacterRange(r) {
+				s.bad = true
+				return nil, false
+			}
+			i += n - 1
+		case c == '<' || c < ' ' && c != '\t' && c != '\n':
+			s.bad = true
+			return nil, false
+		}
+	}
+	s.bad = true // stop never comes
+	return nil, false
+}
+
+// name consumes a tag's or an attribute's name, up to the '>', ' ' or '='
+// that ends it. A name the decoder would read differently (an empty one, a
+// declaration's, one holding a tab or a slash) is not canonical.
 func (s *Strict) name() []byte {
 	for i, c := range s.Rest {
 		switch c {
-		case '>':
+		case '>', ' ', '=':
 			if i == 0 || s.Rest[0] == '!' || s.Rest[0] == '?' {
 				s.bad = true
 				return nil
 			}
 			name := s.Rest[:i]
-			s.Rest = s.Rest[i+1:]
+			s.Rest = s.Rest[i:]
 			return name
-		case ' ', '\t', '\n', '\r', '/', '=', '<':
+		case '\t', '\n', '\r', '/', '<':
 			s.bad = true
 			return nil
 		}
@@ -113,8 +210,9 @@ func (s *Strict) name() []byte {
 }
 
 // Element consumes one whole element, children included, and returns its
-// bytes: the unit a reader passes on undecoded (advstore.InternBytes takes
-// an advertisement this way).
+// bytes: the unit a reader passes on undecoded (a discovery response hands
+// each advertisement to the cache this way). It checks the form, references
+// included, but unescapes nothing.
 func (s *Strict) Element() []byte {
 	start := s.Rest
 	var open [strictDepth][]byte
@@ -126,6 +224,9 @@ func (s *Strict) Element() []byte {
 		if s.Rest[1] == '/' {
 			s.Rest = s.Rest[2:]
 			if depth == 0 || string(s.name()) != string(open[depth-1]) {
+				break
+			}
+			if s.lit(">"); s.bad {
 				break
 			}
 			if depth--; depth == 0 {
@@ -141,8 +242,18 @@ func (s *Strict) Element() []byte {
 			break
 		}
 		depth++
-		// Text makes the element a leaf: its own end tag must come next.
-		if len(s.text()) > 0 && (len(s.Rest) < 2 || s.Rest[1] != '/') {
+		attr := len(s.Rest) > 0 && s.Rest[0] == ' '
+		if attr {
+			s.lit(" ")
+			s.name()
+			s.lit(`="`)
+			s.chars('"')
+			s.lit(`"`)
+		}
+		s.lit(">")
+		// Text or an attribute makes the element a leaf: its own end tag
+		// must come next.
+		if text, _ := s.chars('<'); (len(text) > 0 || attr) && (len(s.Rest) < 2 || s.Rest[1] != '/') {
 			break
 		}
 	}
@@ -150,5 +261,62 @@ func (s *Strict) Element() []byte {
 	return nil
 }
 
-// Done reports whether the whole input was consumed and in canonical form.
+// Done reports whether the whole input was consumed, all of it in the strict
+// form.
 func (s *Strict) Done() bool { return !s.bad && len(s.Rest) == 0 }
+
+// reference decodes the entity or character reference at the front of raw,
+// which starts with '&': the rune it stands for and its length, or n == 0
+// when it is no reference the decoder resolves. The scan stops at the first
+// byte no reference holds, so it never runs past the reference.
+func reference(raw []byte) (r rune, n int) {
+	end := 1
+	for end < len(raw) && (raw[end] == '#' || raw[end]|0x20 >= 'a' && raw[end]|0x20 <= 'z' || raw[end] >= '0' && raw[end] <= '9') {
+		end++
+	}
+	if end == len(raw) || raw[end] != ';' {
+		return 0, 0
+	}
+	switch ent := raw[1:end]; string(ent) {
+	case "amp":
+		r = '&'
+	case "lt":
+		r = '<'
+	case "gt":
+		r = '>'
+	case "quot":
+		r = '"'
+	case "apos":
+		r = '\''
+	default:
+		ok := false
+		if len(ent) >= 2 && ent[0] == '#' && (ent[1] == 'x' || ent[1] == 'X') {
+			r, ok = parseRune(ent[2:], 16)
+		} else if len(ent) >= 2 && ent[0] == '#' {
+			r, ok = parseRune(ent[1:], 10)
+		}
+		if !ok || !isInCharacterRange(r) {
+			return 0, 0
+		}
+	}
+	return r, end + 1
+}
+
+// appendUnescaped appends raw to dst with every reference resolved. ok is
+// false at the first reference that does not resolve. The result is never
+// longer than raw.
+func appendUnescaped(dst, raw []byte) (out []byte, ok bool) {
+	for {
+		i := bytes.IndexByte(raw, '&')
+		if i < 0 {
+			return append(dst, raw...), true
+		}
+		dst = append(dst, raw[:i]...)
+		r, n := reference(raw[i:])
+		if n == 0 {
+			return dst, false
+		}
+		dst = utf8.AppendRune(dst, r)
+		raw = raw[i+n:]
+	}
+}

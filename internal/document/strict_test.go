@@ -42,8 +42,9 @@ func TestAppendWritersMatchMarshal(t *testing.T) {
 
 // checkStrict holds Strict to its contract on one input: when it accepts
 // the input as one canonical element, Unmarshal accepts it too and builds
-// the tree whose names and texts Strict reports. It returns whether Strict
-// accepted.
+// the tree whose names, attributes and texts Strict reports, and Marshal
+// writes that tree back with every text unchanged. It returns whether
+// Strict accepted.
 func checkStrict(t *testing.T, data []byte) bool {
 	t.Helper()
 	probe := Strict{Rest: data}
@@ -64,10 +65,16 @@ func checkStrict(t *testing.T, data []byte) bool {
 	r := Strict{Rest: data}
 	var walk func(e *Element)
 	walk = func(e *Element) {
-		if len(e.Attrs) != 0 {
-			t.Fatalf("Strict accepted %q, whose <%s> has attributes", data, e.Name)
-		}
-		if len(e.Children) == 0 {
+		switch {
+		case len(e.Attrs) > 1 || len(e.Attrs) == 1 && len(e.Children) > 0:
+			t.Fatalf("Strict accepted %q, whose <%s> has attributes beyond a leaf's one", data, e.Name)
+		case len(e.Attrs) == 1:
+			value, text := r.AttrText(e.Name, e.Attrs[0].Name)
+			if Intern(value) != e.Attrs[0].Value || Intern(text) != e.Text {
+				t.Fatalf("%q: <%s> reads %q, %q; the tree holds %q, %q", data, e.Name, value, text, e.Attrs[0].Value, e.Text)
+			}
+			return
+		case len(e.Children) == 0:
 			if !r.At(e.Name) {
 				t.Fatalf("%q: At(%q) is false at %q", data, e.Name, r.Rest)
 			}
@@ -86,10 +93,18 @@ func checkStrict(t *testing.T, data []byte) bool {
 	if !r.Done() {
 		t.Fatalf("%q: reading along the tree stopped at %q", data, r.Rest)
 	}
+	enc, err := tree.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := Unmarshal(enc); err != nil || !back.Equal(tree) {
+		t.Fatalf("%q: Marshal changed the tree: %q, %v", data, enc, err)
+	}
 	return true
 }
 
-// randomTree builds an attribute-free tree the way protocol documents look.
+// randomTree builds a tree the way protocol documents look: text leaves,
+// some with the one attribute a writer puts on a leaf.
 func randomTree(rng *rand.Rand, depth int) *Element {
 	names := []string{"disco:Q", "Type", "Attr", "jxta:PA", "a", "x-y.z", "Name"}
 	e := NewElement(names[rng.Intn(len(names))])
@@ -99,13 +114,16 @@ func randomTree(rng *rand.Rand, depth int) *Element {
 		}
 		return e
 	}
-	texts := []string{"", "Test", "urn:jxta:uuid-00-peer", "a b\nc", "-42", "x>y", "tab\there", "a&b"}
+	texts := []string{"", "Test", "urn:jxta:uuid-00-peer", "a b\nc", "-42", "x>y", "tab\there", "a&b", `"'&<>`, "cr\r\nhere", "\xff\x01"}
+	if rng.Intn(4) == 0 {
+		e.WithAttr(names[rng.Intn(len(names))], texts[rng.Intn(len(texts))])
+	}
 	return e.WithText(texts[rng.Intn(len(texts))])
 }
 
 func TestStrictAgreesWithUnmarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	foreign := []string{" ", "\n", "&amp;", "&", "\r", "<!-- c -->", "<![CDATA[x]]>", "<a/>", " a=\"1\"", "<?pi?>", "</a>", "<a>", "/", ">"}
+	foreign := []string{" ", "\n", "&amp;", "&", "&#x41;", "&bogus;", "&#xD800;", "\r", "<!-- c -->", "<![CDATA[x]]>", "<a/>", " a=\"1\"", " a='1'", "\"", "<?pi?>", "</a>", "<a>", "/", ">"}
 	accepted, rejected := 0, 0
 	count := func(ok bool) {
 		if ok {
@@ -120,11 +138,10 @@ func TestStrictAgreesWithUnmarshal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok := checkStrict(t, data)
-		if plain := !bytes.ContainsAny(data, "&\r"); ok != plain {
-			t.Fatalf("canonical %q: accepted=%v, want %v", data, ok, plain)
+		if !checkStrict(t, data) {
+			t.Fatalf("canonical %q rejected", data)
 		}
-		count(ok)
+		count(true)
 		// The same document, formatted the way a foreign peer might, cut
 		// short, or damaged.
 		for j := 0; j < 20; j++ {
@@ -141,7 +158,8 @@ func TestStrictAgreesWithUnmarshal(t *testing.T) {
 	}
 	// Deeper than Strict follows, and the decoder's own corner cases.
 	deep := strings.Repeat("<n>", strictDepth+1) + strings.Repeat("</n>", strictDepth+1)
-	for _, s := range []string{deep, "<a><a>x</a></a>", "<a></a>", "<a>x</b>", "<a><b>x</b>y</a>", "<a>y<b>x</b></a>", "<!a>x</!a>", "<>x</>"} {
+	for _, s := range []string{deep, "<a><a>x</a></a>", "<a></a>", "<a>x</b>", "<a><b>x</b>y</a>", "<a>y<b>x</b></a>", "<!a>x</!a>", "<>x</>",
+		`<a b="c"><d>x</d></a>`, `<a b="c" e="f">x</a>`, `<a b="<">x</a>`, `<a b="&#0000000065;">&#X42;&lt;</a>`, "<a>&#x110000;</a>", "<a>&amp</a>"} {
 		count(checkStrict(t, []byte(s)))
 	}
 	if accepted < 100 || rejected < 100 {
@@ -169,8 +187,43 @@ func FuzzStrict(f *testing.F) {
 		"<jxta:PA><PID>urn:jxta:peer-1</PID><Name>Test</Name></jxta:PA>",
 		"<disco:R><jxta:PA><PID>p</PID></jxta:PA><jxta:PA><PID>q</PID></jxta:PA></disco:R>",
 		"<a>&amp;</a>", "<a b=\"c\">d</a>", "<a>x<b/></a>", "<a> <b>x</b></a>", "<a><a>x</a></a>", "<a></b>",
+		"<a>&lt;&gt;&quot;&apos;&#65;&#x42;&#X43;</a>", "<a>&#xD;&#x9;&#0;&#xFFFE;&bogus;&#x41</a>",
+		`<jxta:ResourceAdv><Id>r</Id><Name>n</Name><Attr name="RAM">4096</Attr><Attr name="a&amp;b&#xA;">&#34;d&#34;</Attr></jxta:ResourceAdv>`,
+		`<a b="c"><d>x</d></a>`, `<a b='c'>d</a>`, `<a b="c" d="e">f</a>`,
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) { checkStrict(t, data) })
+}
+
+// TestStrictUnescapesIntoScratch: a text without a reference is a view of
+// the input; a text or value holding one is unescaped into Scratch, after
+// whatever earlier texts left there, and costs nothing while Scratch has
+// room.
+func TestStrictUnescapesIntoScratch(t *testing.T) {
+	data := []byte(`<r><A>plain</A><B>a&amp;b&#x9;&#65;</B><Attr name="k&lt;">v&#34;</Attr></r>`)
+	room := make([]byte, 0, 64)
+	var a, b, k, v []byte
+	read := func() {
+		r := Strict{Rest: data, Scratch: room}
+		r.Open("r")
+		a, b = r.Text("A"), r.Text("B")
+		k, v = r.AttrText("Attr", "name")
+		r.Close("r")
+		if !r.Done() {
+			t.Fatalf("stopped at %q", r.Rest)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
+		t.Fatalf("reading costs %.0f allocations, want 0", allocs)
+	}
+	if string(a) != "plain" || string(b) != "a&b\tA" || string(k) != "k<" || string(v) != `v"` {
+		t.Fatalf("read %q, %q, %q, %q", a, b, k, v)
+	}
+	if &a[0] != &data[len("<r><A>")] {
+		t.Fatal("a plain text is not a view of the input")
+	}
+	if scratch := room[:len(b)+len(k)+len(v)]; &b[0] != &scratch[0] || &k[0] != &scratch[len(b)] || &v[0] != &scratch[len(b)+len(k)] {
+		t.Fatal("escaped texts are not consecutive views of Scratch")
+	}
 }

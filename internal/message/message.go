@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sync"
 	"unsafe"
-
-	"jxta/internal/document"
 )
 
 // bufPool recycles encoding buffers for transports that serialize frames on
@@ -212,16 +210,6 @@ func (l *Loan) End(scribble bool) bool {
 	return cap(l.elements) <= maxPooledElements && cap(l.buf) <= maxPooledScratch
 }
 
-// AddDocument appends a structured document as an XML element.
-func (m *Message) AddDocument(namespace, name string, doc *document.Element) error {
-	data, err := doc.Marshal()
-	if err != nil {
-		return err
-	}
-	m.Add(namespace, name, data)
-	return nil
-}
-
 // Get returns the payload of the first element with the given namespace and
 // name, and whether it exists. The returned bytes are read-only: elements
 // added via AddString alias immutable string memory.
@@ -268,15 +256,6 @@ func (m *Message) Read(namespace string, fields ...Field) (present uint32) {
 		}
 	}
 	return present
-}
-
-// GetDocument decodes an XML element into a structured document.
-func (m *Message) GetDocument(namespace, name string) (*document.Element, error) {
-	data, ok := m.Get(namespace, name)
-	if !ok {
-		return nil, fmt.Errorf("message: element %s:%s absent", namespace, name)
-	}
-	return document.Unmarshal(data)
 }
 
 // Elements returns the elements in order. The slice is shared; callers must

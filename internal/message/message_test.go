@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
-
-	"jxta/internal/document"
 )
 
 func sample() *Message {
@@ -182,38 +180,6 @@ func TestCloneOwnsEverything(t *testing.T) {
 				t.Errorf("%s: a cloned payload has spare capacity: an append would overwrite its neighbour", name)
 			}
 		}
-	}
-}
-
-func TestDocumentElementRoundTrip(t *testing.T) {
-	doc := document.NewElement("jxta:RdvAdv").AppendText("Name", "r1")
-	m := New()
-	if err := m.AddDocument("jxta", "RdvAdv", doc); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Unmarshal(m.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.GetDocument("jxta", "RdvAdv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(doc) {
-		t.Fatalf("document changed in transit: %s vs %s", doc, got)
-	}
-}
-
-func TestGetDocumentAbsent(t *testing.T) {
-	if _, err := New().GetDocument("a", "b"); err == nil {
-		t.Fatal("absent document lookup succeeded")
-	}
-}
-
-func TestAddDocumentMixedContentError(t *testing.T) {
-	bad := document.NewElement("X").WithText("t").AppendText("C", "c")
-	if err := New().AddDocument("ns", "n", bad); err == nil {
-		t.Fatal("AddDocument accepted unencodable document")
 	}
 }
 
