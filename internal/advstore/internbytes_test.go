@@ -403,10 +403,12 @@ func documentCorpus(t testing.TB) [][]byte {
 
 // FuzzInternBytes feeds the store arbitrary bytes, as a TCP peer can. For
 // every input: no panic; a rejected input leaves the store empty; an accepted
-// one is read as the document tree reads it (advertisement.Decode of
-// document.Unmarshal) and yields a handle whose Bytes is the canonical
-// encoding of its Adv, which both InternBytes(Bytes) and Intern(Adv) find
-// again; and releasing every reference empties the store.
+// one the document tree accepts too, and advertisement.Decode of that tree
+// (DecodeXML of its encoding) reads the same advertisement; it yields a
+// handle whose Bytes is the canonical encoding of its Adv, which both
+// InternBytes(Bytes) and Intern(Adv) find again; and releasing every
+// reference empties the store. The advertisement's fields are held to the
+// tree decoders by advertisement.FuzzDecodeXML.
 func FuzzInternBytes(f *testing.F) {
 	for _, seed := range documentCorpus(f) {
 		f.Add(seed)

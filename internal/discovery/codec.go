@@ -213,8 +213,8 @@ func (s *Service) encodeResponse(matches []advertisement.Advertisement) []byte {
 // advertisement goes to the cache still encoded, where the interning store
 // recognises one it already holds from its bytes — in a simulated overlay
 // that is the publisher's own copy, so the requester decodes nothing. A
-// malformed response is an error that leaves the cache untouched.
-func (s *Service) cacheResponse(data []byte) ([]advertisement.Advertisement, error) {
+// malformed response yields nil and leaves the cache untouched.
+func (s *Service) cacheResponse(data []byte) []advertisement.Advertisement {
 	var room [4][]byte
 	encoded := room[:0]
 	r := document.Strict{Rest: data}
@@ -224,7 +224,7 @@ func (s *Service) cacheResponse(data []byte) ([]advertisement.Advertisement, err
 	}
 	r.Close(responseTag)
 	if !r.Done() {
-		return nil, document.ErrMalformed
+		return nil
 	}
 	var advs []advertisement.Advertisement
 	for _, enc := range encoded {
@@ -233,5 +233,5 @@ func (s *Service) cacheResponse(data []byte) ([]advertisement.Advertisement, err
 			advs = append(advs, adv)
 		}
 	}
-	return advs, nil
+	return advs
 }

@@ -602,7 +602,7 @@ func (s *Service) sendQuery(payload []byte, collect bool, cb func(Result), onTim
 	s.Stats.QueriesSent++
 	_, err := send(target, HandlerName, payload,
 		func(data []byte, from ids.ID, hops int) {
-			advs, _ := s.cacheResponse(data) // a malformed response answers with nothing
+			advs := s.cacheResponse(data)
 			elapsed := s.env.Now() - start
 			s.m.queryLatency.Observe(elapsed.Seconds())
 			cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"jxta/internal/advertisement"
+	"jxta/internal/document"
 	"jxta/internal/ids"
 	"jxta/internal/srdi"
 	"jxta/internal/transport"
@@ -14,11 +15,15 @@ import (
 
 // The three readers take bytes that came off a socket. For any input each
 // must not panic; whatever it takes, the tree decoder must take too and read
-// the same; a refused response must leave the cache as it was; and a reader
-// must keep no reference to the input that it does not declare: what it
-// read is compared again after the input has been overwritten. The one
-// declared reference is a query's value, a view of the input unless it held
-// a reference to unescape.
+// the same; a response that yields nothing must leave the cache as it was;
+// and a reader must keep no reference to the input that it does not
+// declare: what it read is compared again after the input has been
+// overwritten. The one declared reference is a query's value, a view of the
+// input unless it held a reference to unescape. A response's reference,
+// decodeResponseTree, reads each advertisement with advertisement.Decode,
+// which is DecodeXML again: here it checks which advertisements a response
+// yields and in what order, and advertisement.FuzzDecodeXML holds their
+// fields to the tree decoders.
 
 func overwrite(data []byte) {
 	for i := range data {
@@ -135,8 +140,8 @@ func FuzzCacheResponse(f *testing.F) {
 			}
 		}
 		held := s.cache.Len()
-		got, err := s.cacheResponse(data)
-		if err != nil {
+		got := s.cacheResponse(data)
+		if got == nil {
 			if s.cache.Len() != held {
 				t.Fatalf("refused response %q changed the cache from %d to %d advertisements", data, held, s.cache.Len())
 			}
@@ -185,7 +190,12 @@ func TestDecodeAllocs(t *testing.T) {
 		Attrs: []advertisement.IndexField{{Attr: "CPU", Value: "opteron"}, {Attr: "RAM", Value: "4096"}}}
 	svc := codecService()
 	svc.cache.Put(resource, 0, true)
-	response := func(data []byte) error { _, err := svc.cacheResponse(data); return err }
+	response := func(data []byte) error {
+		if svc.cacheResponse(data) == nil {
+			return document.ErrMalformed
+		}
+		return nil
+	}
 	for _, c := range []struct {
 		name   string
 		decode func(data []byte) error

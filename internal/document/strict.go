@@ -3,6 +3,7 @@ package document
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -25,8 +26,8 @@ import (
 // Strict accepts, Unmarshal builds the tree with exactly the names,
 // attributes and texts Strict reported (Intern turns a text into the
 // decoder's string), and Marshal writes those texts back unchanged.
-// Returned slices alias the input, or Scratch for a text that held a
-// reference.
+// Returned slices alias the input, or the reader's own buffer for a text
+// that held a reference.
 //
 //	r := document.Strict{Rest: data}
 //	r.Open("disco:Q")
@@ -37,11 +38,11 @@ import (
 type Strict struct {
 	// Rest is the input not consumed yet.
 	Rest []byte
-	// Scratch receives, unescaped, each text or value that holds a
-	// reference; what Text returns for it is a view of Scratch. It is only
-	// appended to, so earlier views stay valid; nil costs one allocation per
-	// such text.
-	Scratch []byte
+	// scratch receives, unescaped, each text or value that holds a
+	// reference; what Text returns for it is a view of scratch. It is only
+	// appended to and grows geometrically, so earlier views stay valid and
+	// a document's escapes cost amortised linear time.
+	scratch []byte
 	bad     bool
 }
 
@@ -121,7 +122,7 @@ func (s *Strict) AttrText(name, attr string) (value, text []byte) {
 }
 
 // text consumes character data up to stop and returns it unescaped: a view
-// of the input, or of Scratch when it holds a reference. Printable ASCII,
+// of the input, or of scratch when it holds a reference. Printable ASCII,
 // nearly every text, is read here; anything else goes to escaped.
 func (s *Strict) text(stop byte) []byte {
 	for i, c := range s.Rest {
@@ -145,12 +146,10 @@ func (s *Strict) escaped(stop byte) []byte {
 	if !refs {
 		return raw
 	}
-	start := len(s.Scratch)
-	if cap(s.Scratch)-start < len(raw) { // unescaped, raw is never longer
-		s.Scratch = append(make([]byte, 0, start+len(raw)), s.Scratch...)
-	}
-	s.Scratch, _ = appendUnescaped(s.Scratch, raw)
-	return s.Scratch[start:len(s.Scratch):len(s.Scratch)]
+	start := len(s.scratch)
+	s.scratch = slices.Grow(s.scratch, len(raw)) // unescaped, raw is never longer
+	s.scratch, _ = appendUnescaped(s.scratch, raw)
+	return s.scratch[start:len(s.scratch):len(s.scratch)]
 }
 
 // chars consumes character data up to stop ('<' for a text, '"' for an

@@ -197,15 +197,15 @@ func FuzzStrict(f *testing.F) {
 }
 
 // TestStrictUnescapesIntoScratch: a text without a reference is a view of
-// the input; a text or value holding one is unescaped into Scratch, after
-// whatever earlier texts left there, and costs nothing while Scratch has
-// room.
+// the input; a text or value holding one is unescaped into the reader's
+// scratch, after whatever earlier texts left there, and costs nothing while
+// the scratch has room.
 func TestStrictUnescapesIntoScratch(t *testing.T) {
 	data := []byte(`<r><A>plain</A><B>a&amp;b&#x9;&#65;</B><Attr name="k&lt;">v&#34;</Attr></r>`)
 	room := make([]byte, 0, 64)
 	var a, b, k, v []byte
 	read := func() {
-		r := Strict{Rest: data, Scratch: room}
+		r := Strict{Rest: data, scratch: room}
 		r.Open("r")
 		a, b = r.Text("A"), r.Text("B")
 		k, v = r.AttrText("Attr", "name")
@@ -224,6 +224,6 @@ func TestStrictUnescapesIntoScratch(t *testing.T) {
 		t.Fatal("a plain text is not a view of the input")
 	}
 	if scratch := room[:len(b)+len(k)+len(v)]; &b[0] != &scratch[0] || &k[0] != &scratch[len(b)] || &v[0] != &scratch[len(b)+len(k)] {
-		t.Fatal("escaped texts are not consecutive views of Scratch")
+		t.Fatal("escaped texts are not consecutive views of the scratch")
 	}
 }
