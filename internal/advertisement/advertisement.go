@@ -1,6 +1,6 @@
-// Package advertisement implements JXTA advertisements: XML documents
-// describing resources (peers, rendezvous peers, routes, pipes, modules,
-// generic resources). Advertisements are what the discovery protocol
+// Package advertisement implements the JXTA advertisements the protocols
+// here exchange: XML documents describing peers, rendezvous peers and
+// generic resources. Advertisements are what the discovery protocol
 // publishes and finds; AppendIndexFields names the attributes by which each
 // type's instances are indexed in the SRDI / LC-DHT (the paper's §3.3
 // hashes the concatenation "type + attribute + value", e.g. "PeerNameTest").
@@ -60,7 +60,7 @@ type Advertisement interface {
 	// ID returns the identifier of the described resource.
 	ID() ids.ID
 	// Type returns the short type tag used in index keys ("Peer", "Rdv",
-	// "Route", "Pipe", "Module", "Resource").
+	// "Resource").
 	Type() string
 	// DocType returns the XML document name ("jxta:PA", "jxta:RdvAdv", ...).
 	DocType() string
@@ -84,7 +84,7 @@ func Decode(e *document.Element) (Advertisement, error) {
 
 // DecodeXML reads an advertisement in the strict form AppendXML writes
 // (document.Strict): the root tag picks the type, then its fields are read
-// in the order AppendXML writes them, Desc optional and Addr, Hop and Attr
+// in the order AppendXML writes them, Desc optional and Addr and Attr
 // repeated. Any other form is document.ErrMalformed. Every string is the
 // advertisement's own; nothing aliases data.
 func DecodeXML(data []byte) (Advertisement, error) {
@@ -108,27 +108,6 @@ func DecodeXML(data []byte) (Advertisement, error) {
 		rdv.PeerID, rdv.GroupID = r.id("RdvPeerID"), r.id("RdvGroupId")
 		rdv.Name, rdv.Address = r.text("Name"), r.text("Addr")
 		a = rdv
-	case r.At("jxta:RA"):
-		rt := &Route{}
-		r.Open(rt.DocType())
-		rt.DestID = r.id("DstPID")
-		for r.More() {
-			rt.Hops = append(rt.Hops, r.id("Hop"))
-		}
-		a = rt
-	case r.At("jxta:PipeAdvertisement"):
-		p := &Pipe{}
-		r.Open(p.DocType())
-		p.PipeID, p.Name, p.Kind = r.id("Id"), r.text("Name"), r.text("Type")
-		a = p
-	case r.At("jxta:MIA"):
-		m := &Module{}
-		r.Open(m.DocType())
-		m.ModuleID, m.Name = r.id("MSID"), r.text("Name")
-		if r.At("Desc") {
-			m.Desc = r.text("Desc")
-		}
-		a = m
 	case r.At("jxta:ResourceAdv"):
 		res := &Resource{}
 		r.Open(res.DocType())
@@ -210,27 +189,6 @@ func AppendXML(buf []byte, a Advertisement) ([]byte, error) {
 		buf = document.AppendTextElement(buf, "Name", a.Name)
 		buf = document.AppendTextElement(buf, "Addr", a.Address)
 		return document.AppendEndTag(buf, a.DocType()), nil
-	case *Route:
-		buf = document.AppendStartTag(buf, a.DocType())
-		buf = appendIDElement(buf, "DstPID", a.DestID)
-		for _, h := range a.Hops {
-			buf = appendIDElement(buf, "Hop", h)
-		}
-		return document.AppendEndTag(buf, a.DocType()), nil
-	case *Pipe:
-		buf = document.AppendStartTag(buf, a.DocType())
-		buf = appendIDElement(buf, "Id", a.PipeID)
-		buf = document.AppendTextElement(buf, "Name", a.Name)
-		buf = document.AppendTextElement(buf, "Type", a.Kind)
-		return document.AppendEndTag(buf, a.DocType()), nil
-	case *Module:
-		buf = document.AppendStartTag(buf, a.DocType())
-		buf = appendIDElement(buf, "MSID", a.ModuleID)
-		buf = document.AppendTextElement(buf, "Name", a.Name)
-		if a.Desc != "" {
-			buf = document.AppendTextElement(buf, "Desc", a.Desc)
-		}
-		return document.AppendEndTag(buf, a.DocType()), nil
 	case *Resource:
 		buf = document.AppendStartTag(buf, a.DocType())
 		buf = appendIDElement(buf, "Id", a.ResID)
@@ -259,12 +217,6 @@ func AppendIndexFields(dst []IndexField, a Advertisement) []IndexField {
 		return append(dst, IndexField{Attr: "Name", Value: a.Name}, IndexField{Attr: "PID", Value: a.PeerID.String()})
 	case *Rdv:
 		return append(dst, IndexField{Attr: "RdvPeerID", Value: a.PeerID.String()}, IndexField{Attr: "RdvGroupId", Value: a.GroupID.String()})
-	case *Route:
-		return append(dst, IndexField{Attr: "DstPID", Value: a.DestID.String()})
-	case *Pipe:
-		return append(dst, IndexField{Attr: "Name", Value: a.Name}, IndexField{Attr: "Id", Value: a.PipeID.String()})
-	case *Module:
-		return append(dst, IndexField{Attr: "Name", Value: a.Name})
 	case *Resource:
 		return append(append(dst, IndexField{Attr: "Name", Value: a.Name}), a.Attrs...)
 	}
@@ -331,82 +283,6 @@ func (r *Rdv) Document() *document.Element {
 		AppendText("Addr", r.Address)
 }
 
-// Route is an endpoint-routing-protocol route advertisement: destination
-// peer plus an ordered hop list.
-type Route struct {
-	DestID ids.ID
-	Hops   []ids.ID
-}
-
-// ID implements Advertisement.
-func (r *Route) ID() ids.ID { return r.DestID }
-
-// Type implements Advertisement.
-func (r *Route) Type() string { return "Route" }
-
-// DocType implements Advertisement.
-func (r *Route) DocType() string { return "jxta:RA" }
-
-// Document implements Advertisement.
-func (r *Route) Document() *document.Element {
-	e := document.NewElement("jxta:RA").AppendText("DstPID", r.DestID.String())
-	for _, h := range r.Hops {
-		e.AppendText("Hop", h.String())
-	}
-	return e
-}
-
-// Pipe describes a communication pipe (unidirectional channel abstraction).
-type Pipe struct {
-	PipeID ids.ID
-	Name   string
-	Kind   string // "JxtaUnicast" or "JxtaPropagate"
-}
-
-// ID implements Advertisement.
-func (p *Pipe) ID() ids.ID { return p.PipeID }
-
-// Type implements Advertisement.
-func (p *Pipe) Type() string { return "Pipe" }
-
-// DocType implements Advertisement.
-func (p *Pipe) DocType() string { return "jxta:PipeAdvertisement" }
-
-// Document implements Advertisement.
-func (p *Pipe) Document() *document.Element {
-	return document.NewElement("jxta:PipeAdvertisement").
-		AppendText("Id", p.PipeID.String()).
-		AppendText("Name", p.Name).
-		AppendText("Type", p.Kind)
-}
-
-// Module describes a module implementation (a service a group provides).
-type Module struct {
-	ModuleID ids.ID
-	Name     string
-	Desc     string
-}
-
-// ID implements Advertisement.
-func (m *Module) ID() ids.ID { return m.ModuleID }
-
-// Type implements Advertisement.
-func (m *Module) Type() string { return "Module" }
-
-// DocType implements Advertisement.
-func (m *Module) DocType() string { return "jxta:MIA" }
-
-// Document implements Advertisement.
-func (m *Module) Document() *document.Element {
-	e := document.NewElement("jxta:MIA").
-		AppendText("MSID", m.ModuleID.String()).
-		AppendText("Name", m.Name)
-	if m.Desc != "" {
-		e.AppendText("Desc", m.Desc)
-	}
-	return e
-}
-
 // Resource is a generic application advertisement with free-form indexed
 // attributes. The paper's "fake advertisements" published by noiser peers and
 // the grid-resource use case both map onto it.
@@ -442,8 +318,5 @@ func (r *Resource) Document() *document.Element {
 var (
 	_ Advertisement = (*Peer)(nil)
 	_ Advertisement = (*Rdv)(nil)
-	_ Advertisement = (*Route)(nil)
-	_ Advertisement = (*Pipe)(nil)
-	_ Advertisement = (*Module)(nil)
 	_ Advertisement = (*Resource)(nil)
 )

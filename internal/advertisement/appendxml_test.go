@@ -11,10 +11,10 @@ import (
 	"jxta/internal/ids"
 )
 
-// sixOf builds one advertisement of each type with every field filled from
-// the given strings; shape picks list lengths, empty optional fields and nil
-// IDs, so the fuzzer reaches every branch of the writers.
-func sixOf(a, b, c, d string, shape uint8) []Advertisement {
+// oneOfEach builds one advertisement of each type with every field filled
+// from the given strings; shape picks list lengths, empty optional fields and
+// nil IDs, so the fuzzer reaches every branch of the writers.
+func oneOfEach(a, b, c, d string, shape uint8) []Advertisement {
 	id := func(kind ids.Kind, s string) ids.ID {
 		if shape&0x80 != 0 && s == "" {
 			return ids.Nil
@@ -23,11 +23,9 @@ func sixOf(a, b, c, d string, shape uint8) []Advertisement {
 	}
 	n := int(shape & 3)
 	var addrs []string
-	var hops []ids.ID
 	var attrs []IndexField
 	for i, s := range []string{a, b, c, d}[:n] {
 		addrs = append(addrs, s)
-		hops = append(hops, id(ids.KindPeer, s))
 		attrs = append(attrs, IndexField{Attr: s, Value: []string{d, c, b, a}[i]})
 	}
 	desc := c
@@ -37,9 +35,6 @@ func sixOf(a, b, c, d string, shape uint8) []Advertisement {
 	return []Advertisement{
 		&Peer{PeerID: id(ids.KindPeer, a), Name: b, Desc: desc, Addresses: addrs},
 		&Rdv{PeerID: id(ids.KindPeer, a), GroupID: id(ids.KindGroup, b), Name: c, Address: d},
-		&Route{DestID: id(ids.KindPeer, d), Hops: hops},
-		&Pipe{PipeID: id(ids.KindPipe, a), Name: b, Kind: c},
-		&Module{ModuleID: id(ids.KindModule, d), Name: a, Desc: desc},
 		&Resource{ResID: id(ids.KindAdv, b), Name: a, Attrs: attrs},
 	}
 }
@@ -57,7 +52,7 @@ func FuzzAppendXML(f *testing.F) {
 	f.Add("", "", "", "", uint8(0x87))
 	f.Add("]]>", "&amp;", "<!-- x -->", " lead trail ", uint8(6))
 	f.Fuzz(func(t *testing.T, a, b, c, d string, shape uint8) {
-		for _, adv := range sixOf(a, b, c, d, shape) {
+		for _, adv := range oneOfEach(a, b, c, d, shape) {
 			want, err := adv.Document().Marshal()
 			if err != nil {
 				t.Fatalf("%T: Marshal: %v", adv, err)
@@ -74,7 +69,7 @@ func FuzzAppendXML(f *testing.F) {
 				t.Fatalf("%T: EncodeXML = %q (len %d, cap %d), %v; want %q", adv, enc, len(enc), cap(enc), err, want)
 			}
 		}
-		for _, adv := range sixOf(xmlText(a), xmlText(b), xmlText(c), xmlText(d), shape) {
+		for _, adv := range oneOfEach(xmlText(a), xmlText(b), xmlText(c), xmlText(d), shape) {
 			enc, _ := AppendXML(nil, adv)
 			if back, err := DecodeXML(enc); err != nil || !reflect.DeepEqual(back, adv) {
 				t.Fatalf("%T: DecodeXML(%q) = %+v, %v; want %+v", adv, enc, back, err, adv)

@@ -27,9 +27,9 @@ func randText(r *rand.Rand) string {
 	return string(b)
 }
 
-// randAdv draws one advertisement of each of the six types in turn.
+// randAdv draws one advertisement of each of the three types in turn.
 func randAdv(r *rand.Rand, i int) advertisement.Advertisement {
-	switch i % 6 {
+	switch i % 3 {
 	case 0:
 		p := &advertisement.Peer{PeerID: ids.NewRandom(ids.KindPeer, r), Name: randText(r), Desc: randText(r)}
 		for n := r.Intn(3); n > 0; n-- {
@@ -39,16 +39,6 @@ func randAdv(r *rand.Rand, i int) advertisement.Advertisement {
 	case 1:
 		return &advertisement.Rdv{PeerID: ids.NewRandom(ids.KindPeer, r),
 			GroupID: ids.NewRandom(ids.KindGroup, r), Name: randText(r), Address: "sim://" + randText(r)}
-	case 2:
-		rt := &advertisement.Route{DestID: ids.NewRandom(ids.KindPeer, r)}
-		for n := r.Intn(4); n > 0; n-- {
-			rt.Hops = append(rt.Hops, ids.NewRandom(ids.KindPeer, r))
-		}
-		return rt
-	case 3:
-		return &advertisement.Pipe{PipeID: ids.NewRandom(ids.KindPipe, r), Name: randText(r), Kind: "JxtaUnicast"}
-	case 4:
-		return &advertisement.Module{ModuleID: ids.NewRandom(ids.KindModule, r), Name: randText(r), Desc: randText(r)}
 	default:
 		res := &advertisement.Resource{ResID: ids.NewRandom(ids.KindAdv, r), Name: randText(r)}
 		for n := r.Intn(3); n > 0; n-- {

@@ -344,13 +344,6 @@ func (o *Overlay) StopAll() {
 	}
 }
 
-// StopRdv gracefully stops a rendezvous peer (restartable in place: the
-// transport stays attached).
-func (o *Overlay) StopRdv(i int) { o.Rdvs[i].Stop() }
-
-// StopEdge gracefully stops an edge peer, cancelling its lease.
-func (o *Overlay) StopEdge(i int) { o.Edges[i].Stop() }
-
 // KillNode crashes a peer abruptly: nothing is sent — no lease cancel, no
 // handoff — and the transport detaches (node.Kill closes the endpoint,
 // which removes a Sim endpoint from the network), so messages delivered

@@ -306,9 +306,6 @@ func TestStrictReadsEveryWriter(t *testing.T) {
 		advs := []advertisement.Advertisement{
 			&advertisement.Peer{PeerID: ids.FromName(ids.KindPeer, v), Name: v, Desc: v, Addresses: []string{v, v}},
 			&advertisement.Rdv{PeerID: ids.FromName(ids.KindPeer, "rdv"+v), GroupID: ids.FromName(ids.KindGroup, v), Name: v, Address: v},
-			&advertisement.Route{DestID: ids.FromName(ids.KindPeer, "route"+v), Hops: []ids.ID{ids.FromName(ids.KindPeer, "h")}},
-			&advertisement.Pipe{PipeID: ids.FromName(ids.KindPipe, v), Name: v, Kind: v},
-			&advertisement.Module{ModuleID: ids.FromName(ids.KindModule, v), Name: v, Desc: v},
 			resource,
 		}
 		pub, req := codecService(), codecService()

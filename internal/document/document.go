@@ -318,28 +318,27 @@ func isInCharacterRange(r rune) bool {
 // internTable holds the canonical copy of the protocol vocabulary: element
 // and attribute names plus the handful of small constant text values the
 // JXTA documents repeat in nearly every message (advertisement field names,
-// query stages, pipe kinds). The decoder allocates one string per name per
-// document; interning removes that for the overwhelmingly common names.
-// The table is built once at package init and read-only afterwards, so
-// concurrent decoders (parallel experiment sweeps) share it without locks.
+// query stages, advertisement types). The decoder allocates one string per
+// name per document; interning removes that for the overwhelmingly common
+// names. The table is built once at package init and read-only afterwards,
+// so concurrent decoders (parallel experiment sweeps) share it without
+// locks.
 var internTable = make(map[string]string, 96)
 
 func init() {
 	for _, s := range []string{
 		// Advertisement document names.
-		"jxta:PA", "jxta:RA", "jxta:RdvAdvertisement",
-		"jxta:PipeAdvertisement", "jxta:MIA", "jxta:ResourceAdv",
+		"jxta:PA", "jxta:RdvAdvertisement", "jxta:ResourceAdv",
 		// Advertisement fields (element and attribute names).
-		"PID", "Name", "name", "Desc", "Addr", "DstPID", "Hop",
-		"RdvPeerID", "RdvGroupId", "MSID", "Id", "Type", "Attr", "Value",
+		"PID", "Name", "name", "Desc", "Addr",
+		"RdvPeerID", "RdvGroupId", "Id", "Type", "Attr", "Value",
 		// Discovery query/response documents.
 		"disco:Q", "disco:R", "Stage", "Lo", "Hi",
 		"initial", "replica", "deliver", "range", "range-deliver",
 		// SRDI tuples.
 		"srdi:Tuple", "Key", "Pub", "Life", "NA", "NV",
-		// Pipe kinds and common query types.
-		"JxtaUnicast", "JxtaPropagate",
-		"Peer", "Rdv", "Route", "Pipe", "Module", "Resource",
+		// Advertisement types, as queries name them.
+		"Peer", "Rdv", "Resource",
 		// Ubiquitous small values.
 		"1", "Test",
 	} {

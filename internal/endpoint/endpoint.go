@@ -1,25 +1,22 @@
-// Package endpoint implements the JXTA endpoint service and the Endpoint
-// Routing Protocol (ERP). The endpoint service is the bottom of the JXTA
-// stack (Figure 1 of the paper): it owns the peer's transport, demultiplexes
-// inbound messages to the services above (resolver, rendezvous, discovery),
-// and finds routes from a source peer to a destination peer.
+// Package endpoint implements the JXTA endpoint service, the bottom of the
+// JXTA stack (Figure 1 of the paper): it owns the peer's transport and
+// demultiplexes inbound messages to the services above (resolver,
+// rendezvous, discovery).
 //
 // Routing model: every peer keeps a route table peerID -> transport address.
 // Routes are learned from advertisements (rendezvous advertisements carry
-// addresses), from inbound traffic (each envelope carries the sender's
-// address), from ERP route responses, and can be relayed: a message whose
-// destination is not the receiving peer is forwarded along the receiver's
-// own route, hop count permitting — this is how edge peers reach peers they
-// only know through their rendezvous.
+// addresses) and from inbound traffic (each envelope carries the sender's
+// address, which is the only route a message can add or change). A peer
+// sends only along its own direct routes: there is no route resolution
+// protocol and no relaying, so a message addressed to another peer is
+// dropped.
 package endpoint
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
-	"jxta/internal/advertisement"
 	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/message"
@@ -34,19 +31,8 @@ const (
 	elemDst     = "Dst"     // destination peer ID
 	elemSvc     = "Svc"     // destination service name
 	elemSrcAddr = "SrcAddr" // sender transport address (return route learning)
-	elemTTL     = "TTL"     // remaining relay hops
+	elemTTL     = "TTL"     // hop count, written and never read
 )
-
-// ERP protocol element names (service "erp").
-const (
-	erpService   = "erp"
-	elemRouteQ   = "RouteQuery"    // target peer ID being resolved
-	elemRouteRsp = "RouteResponse" // route advertisement XML
-	elemRouteTgt = "RouteTarget"   // address of the target
-)
-
-// defaultTTL bounds relay forwarding.
-const defaultTTL = 8
 
 // Hello bootstrap protocol (service "ep.hello"): a node that only knows a
 // transport address sends a hello request; the receiver answers, revealing
@@ -74,14 +60,10 @@ type helloWaiter struct {
 	cancel func()
 }
 
-// RouteCallback receives the outcome of an asynchronous route resolution.
-type RouteCallback func(target ids.ID, addr transport.Addr, ok bool)
-
 // Errors.
 var (
-	ErrNoRoute     = errors.New("endpoint: no route to peer")
-	ErrNoService   = errors.New("endpoint: no such service")
-	ErrBadEnvelope = errors.New("endpoint: malformed envelope")
+	ErrNoRoute   = errors.New("endpoint: no route to peer")
+	ErrNoService = errors.New("endpoint: no such service")
 )
 
 // Endpoint is one peer's endpoint service.
@@ -92,15 +74,13 @@ type Endpoint struct {
 	tr    transport.Transport
 	// addrStr caches the transport address string stamped on every send.
 	addrStr string
-	// slots and routes are the service and route tables (tables.go); pending
-	// is nil until the first ResolveRoute.
+	// slots and routes are the service and route tables (tables.go).
 	slots        []slot
 	routes       routeTable
-	pending      map[ids.ID][]RouteCallback
 	helloWaiters []helloWaiter
 
-	// Drops counts messages that could not be delivered locally or
-	// forwarded (no handler, TTL exhausted, no route).
+	// Drops counts inbound messages that were not delivered (malformed
+	// envelope, addressed to another peer, no handler).
 	Drops uint64
 
 	// m holds the runtime instruments; always non-nil (New pre-instruments
@@ -109,7 +89,7 @@ type Endpoint struct {
 }
 
 // New binds an endpoint service for peer id over the given transport and
-// registers the ERP handler. The transport's inbound handler is claimed.
+// registers the Hello handler. The transport's inbound handler is claimed.
 func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
 		env:     e,
@@ -119,7 +99,6 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 		addrStr: string(tr.Addr()),
 	}
 	tr.SetHandler(ep.dispatch)
-	ep.Register(erpService, ep.handleERP)
 	ep.Register(helloService, ep.handleHello)
 	ep.Instrument(metrics.Discard())
 	return ep
@@ -151,7 +130,7 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 	ep.m.helloSent.Inc()
 	m := message.Acquire()
 	m.AddString(ns, elemHelloReq, "1")
-	err := ep.sendTo(addr, ids.Nil, helloService, &m.Message, defaultTTL)
+	err := ep.sendTo(addr, ids.Nil, helloService, &m.Message)
 	m.Release()
 	if err != nil {
 		// Transport refused outright; fail on the next tick instead of the
@@ -205,10 +184,10 @@ func (ep *Endpoint) Register(service string, h Handler) {
 	ep.slotFor(service).h = h
 }
 
-// Quiescent reports whether the endpoint holds no in-flight work: no pending
-// route resolutions, no outstanding Hello waiters.
+// Quiescent reports whether the endpoint holds no in-flight work: no
+// outstanding Hello waiters.
 func (ep *Endpoint) Quiescent() bool {
-	return len(ep.pending) == 0 && len(ep.helloWaiters) == 0
+	return len(ep.helloWaiters) == 0
 }
 
 // Transport exposes the underlying transport (deployment-level lifecycle
@@ -216,15 +195,14 @@ func (ep *Endpoint) Quiescent() bool {
 func (ep *Endpoint) Transport() transport.Transport { return ep.tr }
 
 // Stop quiesces the endpoint's own pending work: outstanding Hello timers
-// are canceled and un-fired route resolutions are abandoned (their callbacks
-// never fire). Handlers, routes and the transport binding are retained, so
-// the endpoint keeps serving a restarted node.
+// are canceled (their callbacks never fire). Handlers, routes and the
+// transport binding are retained, so the endpoint keeps serving a restarted
+// node.
 func (ep *Endpoint) Stop() {
 	for _, w := range ep.helloWaiters {
 		w.cancel()
 	}
 	ep.helloWaiters = nil
-	ep.pending = nil
 }
 
 // Close releases the endpoint: pending work is quiesced as in Stop and the
@@ -249,13 +227,6 @@ func (ep *Endpoint) AddRoute(peer ids.ID, addr transport.Addr) {
 		return
 	}
 	ep.routes.put(peer, addr)
-	// Wake any pending resolutions.
-	if cbs, ok := ep.pending[peer]; ok {
-		delete(ep.pending, peer)
-		for _, cb := range cbs {
-			cb(peer, addr, true)
-		}
-	}
 }
 
 // LearnRoute records a peer's return route, given as received bytes, only if
@@ -303,43 +274,30 @@ func (ep *Endpoint) Send(dst ids.ID, service string, msg *message.Message) error
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoRoute, dst.Short())
 	}
-	return ep.sendTo(addr, dst, service, msg, defaultTTL)
-}
-
-// SendVia relays msg toward dst through an intermediate peer with a known
-// route (the edge peer's rendezvous, typically).
-func (ep *Endpoint) SendVia(relay, dst ids.ID, service string, msg *message.Message) error {
-	addr, ok := ep.routes.get(relay)
-	if !ok {
-		return fmt.Errorf("%w: relay %s", ErrNoRoute, relay.Short())
-	}
-	return ep.sendTo(addr, dst, service, msg, defaultTTL)
-}
-
-// transmit hands a pooled wire message to the transport and recycles it:
-// transports copy or serialize inside Send and retain nothing (the
-// transport.Transport contract), so the message goes back to the pool as
-// soon as Send returns.
-func (ep *Endpoint) transmit(addr transport.Addr, wire *message.Out) error {
-	err := ep.tr.Send(addr, &wire.Message)
-	wire.Release()
-	return err
+	return ep.sendTo(addr, dst, service, msg)
 }
 
 // sendTo builds the short-lived wire form of one outbound message — the
 // caller's elements, aliased, followed by the envelope — and transmits it.
-func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg *message.Message, ttl int) error {
+func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg *message.Message) error {
 	wire := message.Acquire()
 	wire.Append(msg)
 	wire.AddString(ns, elemSrc, ep.idStr)
 	wire.AddScratch(ns, elemDst, dst.AppendString(wire.Scratch()))
 	wire.AddString(ns, elemSvc, service)
 	wire.AddString(ns, elemSrcAddr, ep.addrStr)
-	wire.AddString(ns, elemTTL, strconv.Itoa(ttl)) // small ints: a constant table, no allocation
+	// No peer reads TTL, but its bytes enter every simulated latency
+	// (netmodel.SampleLatency): it leaves only with a recapture of the goldens.
+	wire.AddString(ns, elemTTL, "8")
 	sc := ep.counters(ep.slotFor(service))
 	sc.txMsgs.Inc()
 	sc.txBytes.Add(uint64(wire.Size()))
-	return ep.transmit(addr, wire)
+	// Transports copy or serialize inside Send and retain nothing (the
+	// transport.Transport contract), so the wire message goes back to the
+	// pool as soon as Send returns.
+	err := ep.tr.Send(addr, &wire.Message)
+	wire.Release()
+	return err
 }
 
 // ServiceOf reports which service a wire message is addressed to.
@@ -347,10 +305,10 @@ func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg 
 // traffic without depending on envelope internals.
 func ServiceOf(m *message.Message) string { return m.GetString(ns, elemSvc) }
 
-// envelope is the five ep: elements of a wire message, read in place: the
-// slices alias the message's payloads.
+// envelope is the ep: elements dispatch reads, in place: the slices alias
+// the message's payloads.
 type envelope struct {
-	src, dst, svc, srcAddr, ttl []byte
+	src, dst, svc, srcAddr []byte
 }
 
 func readEnvelope(wire *message.Message) (e envelope) {
@@ -358,17 +316,17 @@ func readEnvelope(wire *message.Message) (e envelope) {
 		message.Field{Name: elemSrc, Into: &e.src},
 		message.Field{Name: elemDst, Into: &e.dst},
 		message.Field{Name: elemSvc, Into: &e.svc},
-		message.Field{Name: elemSrcAddr, Into: &e.srcAddr},
-		message.Field{Name: elemTTL, Into: &e.ttl})
+		message.Field{Name: elemSrcAddr, Into: &e.srcAddr})
 	return e
 }
 
 // dispatch demultiplexes an inbound wire message: learn the return route,
-// then either deliver locally or relay toward the destination. The envelope
-// is read as bytes, so a message on the steady-state path (known service,
-// known return route) allocates nothing here. It is the transport's inbound
-// entry point, and enters the node under the env's lock: transports such as
-// TCP deliver from their own goroutines.
+// then deliver it to its service, or drop it when it is addressed to another
+// peer or to no service here. The envelope is read as bytes, so a message on
+// the steady-state path (known service, known return route) allocates
+// nothing here. It is the transport's inbound entry point, and enters the
+// node under the env's lock: transports such as TCP deliver from their own
+// goroutines.
 func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	if l := ep.env.Locker(); l != nil {
 		l.Lock()
@@ -396,120 +354,9 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	sc.rxBytes.Add(uint64(wire.Size()))
 	// A nil destination addresses "whichever peer listens at this address"
 	// — the hello bootstrap, when the sender does not yet know our ID.
-	if !dstID.IsNil() && !dstID.Equal(ep.id) {
-		ep.relay(dstID, wire, e.ttl)
-		return
-	}
-	if h == nil {
+	if h == nil || (!dstID.IsNil() && !dstID.Equal(ep.id)) {
 		ep.Drops++
 		return
 	}
 	h(srcID, wire)
-}
-
-// parseTTL reads a decimal hop count without allocating. Anything that is
-// not plain digits, or is absurdly large, is malformed.
-func parseTTL(b []byte) (int, bool) {
-	if len(b) == 0 || len(b) > 9 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// relay forwards a transit message toward its destination, decrementing the
-// TTL. The envelope (including the original source) is preserved.
-func (ep *Endpoint) relay(dst ids.ID, wire *message.Message, ttlText []byte) {
-	ttl, ok := parseTTL(ttlText)
-	if !ok || ttl <= 1 {
-		ep.Drops++
-		return
-	}
-	addr, ok := ep.routes.get(dst)
-	if !ok {
-		ep.Drops++
-		return
-	}
-	fwd := message.Acquire()
-	for _, el := range wire.Elements() {
-		if el.Namespace == ns && el.Name == elemTTL {
-			fwd.AddString(ns, elemTTL, strconv.Itoa(ttl-1))
-			continue
-		}
-		fwd.Add(el.Namespace, el.Name, el.Data)
-	}
-	if err := ep.transmit(addr, fwd); err != nil {
-		ep.Drops++
-		return
-	}
-	ep.m.relays.Inc()
-}
-
-// ResolveRoute asynchronously resolves a route to target by querying a peer
-// we can already reach (usually the rendezvous). If the route is already
-// known the callback fires on the next tick.
-func (ep *Endpoint) ResolveRoute(target, via ids.ID, cb RouteCallback) {
-	if addr, ok := ep.routes.get(target); ok {
-		ep.env.After(0, func() { cb(target, addr, true) })
-		return
-	}
-	if ep.pending == nil {
-		ep.pending = make(map[ids.ID][]RouteCallback)
-	}
-	ep.pending[target] = append(ep.pending[target], cb)
-	q := message.Acquire()
-	q.AddScratch(ns, elemRouteQ, target.AppendString(q.Scratch()))
-	err := ep.Send(via, erpService, &q.Message)
-	q.Release()
-	if err != nil {
-		// The relay itself is unreachable; fail the resolution.
-		delete(ep.pending, target)
-		ep.env.After(0, func() { cb(target, "", false) })
-	}
-}
-
-// handleERP answers route queries and consumes route responses.
-func (ep *Endpoint) handleERP(src ids.ID, msg *message.Message) {
-	if q := msg.GetString(ns, elemRouteQ); q != "" {
-		target, err := ids.Parse(q)
-		if err != nil {
-			return
-		}
-		addr, ok := ep.routes.get(target)
-		if !ok {
-			return // unanswerable; requester times out
-		}
-		route := &advertisement.Route{DestID: target}
-		data, err := advertisement.EncodeXML(route)
-		if err != nil {
-			return
-		}
-		rsp := message.Acquire()
-		rsp.Add(ns, elemRouteRsp, data)
-		rsp.AddString(ns, elemRouteTgt, string(addr))
-		// Best effort: the requester is reachable, we just heard from it.
-		_ = ep.Send(src, erpService, &rsp.Message)
-		rsp.Release()
-		return
-	}
-	if data, ok := msg.Get(ns, elemRouteRsp); ok {
-		adv, err := advertisement.DecodeXML(data)
-		if err != nil {
-			return
-		}
-		route, ok := adv.(*advertisement.Route)
-		if !ok {
-			return
-		}
-		addr := transport.Addr(msg.GetString(ns, elemRouteTgt))
-		if addr != "" {
-			ep.AddRoute(route.DestID, addr) // also fires pending callbacks
-		}
-	}
 }

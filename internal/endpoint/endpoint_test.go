@@ -106,57 +106,6 @@ func TestReturnRouteLearning(t *testing.T) {
 	}
 }
 
-func TestRelayForwarding(t *testing.T) {
-	sched, _, a, b, c := setup(t)
-	// a knows only b; b knows c. a sends to c via b.
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	b.ep.AddRoute(c.id, c.tr.Addr())
-	var got string
-	var from ids.ID
-	c.ep.Register("svc", func(src ids.ID, m *message.Message) {
-		got = m.GetString("app", "body")
-		from = src
-	})
-	if err := a.ep.SendVia(b.id, c.id, "svc", body("relayed")); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(time.Second)
-	if got != "relayed" {
-		t.Fatal("relay failed")
-	}
-	if !from.Equal(a.id) {
-		t.Fatalf("relayed message lost original source: %s", from.Short())
-	}
-}
-
-func TestRelayTTLExhaustion(t *testing.T) {
-	sched, _, a, b, c := setup(t)
-	// Create a two-peer routing loop for an unroutable destination: b and c
-	// each claim a route to the ghost through the other.
-	ghost := ids.FromName(ids.KindPeer, "ghost")
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	b.ep.AddRoute(ghost, c.tr.Addr())
-	c.ep.AddRoute(ghost, b.tr.Addr())
-	if err := a.ep.SendVia(b.id, ghost, "svc", body("loop")); err != nil {
-		t.Fatal(err)
-	}
-	sched.Run(time.Second)
-	if b.ep.Drops+c.ep.Drops == 0 {
-		t.Fatal("looping message never dropped")
-	}
-}
-
-func TestRelayNoRouteDrops(t *testing.T) {
-	sched, _, a, b, _ := setup(t)
-	ghost := ids.FromName(ids.KindPeer, "ghost")
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	a.ep.SendVia(b.id, ghost, "svc", body("x"))
-	sched.Run(time.Second)
-	if b.ep.Drops != 1 {
-		t.Fatalf("b.Drops = %d, want 1", b.ep.Drops)
-	}
-}
-
 func TestUnknownServiceDrops(t *testing.T) {
 	sched, _, a, b, _ := setup(t)
 	a.ep.AddRoute(b.id, b.tr.Addr())
@@ -164,55 +113,6 @@ func TestUnknownServiceDrops(t *testing.T) {
 	sched.Run(time.Second)
 	if b.ep.Drops != 1 {
 		t.Fatalf("Drops = %d, want 1", b.ep.Drops)
-	}
-}
-
-func TestResolveRouteViaRelay(t *testing.T) {
-	sched, _, a, b, c := setup(t)
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	b.ep.AddRoute(c.id, c.tr.Addr())
-	var gotAddr transport.Addr
-	var gotOK bool
-	done := false
-	a.ep.ResolveRoute(c.id, b.id, func(_ ids.ID, addr transport.Addr, ok bool) {
-		gotAddr, gotOK, done = addr, ok, true
-	})
-	sched.Run(time.Second)
-	if !done || !gotOK || gotAddr != c.tr.Addr() {
-		t.Fatalf("resolve: done=%v ok=%v addr=%s", done, gotOK, gotAddr)
-	}
-	// Route now installed for direct sends.
-	if _, ok := a.ep.RouteTo(c.id); !ok {
-		t.Fatal("resolved route not installed")
-	}
-}
-
-func TestResolveRouteAlreadyKnown(t *testing.T) {
-	sched, _, a, b, _ := setup(t)
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	called := 0
-	a.ep.ResolveRoute(b.id, b.id, func(_ ids.ID, addr transport.Addr, ok bool) {
-		called++
-		if !ok || addr != b.tr.Addr() {
-			t.Errorf("known route resolution wrong: %s %v", addr, ok)
-		}
-	})
-	sched.Run(time.Second)
-	if called != 1 {
-		t.Fatalf("callback called %d times", called)
-	}
-}
-
-func TestResolveRouteRelayUnreachable(t *testing.T) {
-	sched, _, a, b, c := setup(t)
-	_ = b
-	failed := false
-	a.ep.ResolveRoute(c.id, b.id, func(_ ids.ID, _ transport.Addr, ok bool) {
-		failed = !ok
-	})
-	sched.Run(time.Second)
-	if !failed {
-		t.Fatal("resolution with unreachable relay did not fail")
 	}
 }
 

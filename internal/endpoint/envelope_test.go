@@ -25,16 +25,16 @@ func wireOf(pairs ...string) *message.Message {
 }
 
 // TestEnvelopeOutcomes pins what dispatch does with every shape of envelope
-// a peer can put on the wire: deliver, relay, or drop. b serves "svc" and
-// routes to c.
+// a peer can put on the wire: deliver or drop, and never send. b serves "svc"
+// and routes to c, so a transit message (addressed to c) could be forwarded:
+// it is dropped.
 func TestEnvelopeOutcomes(t *testing.T) {
-	type outcome struct{ delivered, relayed, drops int }
+	type outcome struct{ delivered, sent, drops int }
 	var (
 		deliver = outcome{delivered: 1}
-		relay   = outcome{relayed: 1}
 		drop    = outcome{drops: 1}
 	)
-	_, _, a, b, c := setup(t)
+	_, net, a, b, c := setup(t)
 	aID, bID, cID := a.ep.IDString(), b.ep.IDString(), c.ep.IDString()
 	aAddr := string(a.tr.Addr())
 	ghost := ids.FromName(ids.KindPeer, "ghost").String()
@@ -55,8 +55,8 @@ func TestEnvelopeOutcomes(t *testing.T) {
 		{"Svc empty", wireOf(elemSrc, aID, elemDst, bID, elemSvc, "", elemTTL, "8"), drop},
 		{"Svc unknown", wireOf(elemSrc, aID, elemDst, bID, elemSvc, "nosuch", elemTTL, "8"), drop},
 		{"SrcAddr and TTL missing, local", wireOf(elemSrc, aID, elemDst, bID, elemSvc, "svc"), deliver},
-		{"transit", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "svc", elemTTL, "8"), relay},
-		{"transit, unknown Svc", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "nosuch", elemTTL, "2"), relay},
+		{"transit", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "svc", elemTTL, "8"), drop},
+		{"transit, unknown Svc", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "nosuch", elemTTL, "2"), drop},
 		{"transit, TTL missing", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "svc"), drop},
 		{"transit, TTL not a number", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "svc", elemTTL, "x8"), drop},
 		{"transit, TTL empty", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "svc", elemTTL, ""), drop},
@@ -65,14 +65,15 @@ func TestEnvelopeOutcomes(t *testing.T) {
 		{"transit, TTL 1", wireOf(elemSrc, aID, elemDst, cID, elemSvc, "svc", elemTTL, "1"), drop},
 		{"transit, no route", wireOf(elemSrc, aID, elemDst, ghost, elemSvc, "svc", elemTTL, "8"), drop},
 	}
-	delivered := 0
+	delivered, sent := 0, 0
 	b.ep.Register("svc", func(ids.ID, *message.Message) { delivered++ })
 	b.ep.AddRoute(c.id, c.tr.Addr())
+	net.OnSend = func(transport.Addr, transport.Addr, *message.Message) { sent++ }
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := outcome{delivered, int(b.ep.m.relays.Value()), int(b.ep.Drops)}
+			before := outcome{delivered, sent, int(b.ep.Drops)}
 			b.ep.dispatch(a.tr.Addr(), tc.wire)
-			got := outcome{delivered - before.delivered, int(b.ep.m.relays.Value()) - before.relayed, int(b.ep.Drops) - before.drops}
+			got := outcome{delivered - before.delivered, sent - before.sent, int(b.ep.Drops) - before.drops}
 			if got != tc.want {
 				t.Fatalf("%s: got %+v, want %+v", tc.wire, got, tc.want)
 			}
@@ -80,19 +81,26 @@ func TestEnvelopeOutcomes(t *testing.T) {
 	}
 }
 
-// TestRelayDecrementsTTL: the forwarded copy carries TTL-1 and the rest of
-// the envelope untouched.
-func TestRelayDecrementsTTL(t *testing.T) {
-	sched, net, a, b, c := setup(t)
+// TestInboundCannotRewriteRoutes: a route changes only through the envelope
+// of its own peer's messages. a sends b a JXTA endpoint-routing response
+// that names c at a's address; b serves no such protocol, so its route to c
+// stays where it was.
+func TestInboundCannotRewriteRoutes(t *testing.T) {
+	sched, _, a, b, c := setup(t)
+	a.ep.AddRoute(b.id, b.tr.Addr())
 	b.ep.AddRoute(c.id, c.tr.Addr())
-	var fwd *message.Message
-	net.OnSend = func(_, _ transport.Addr, m *message.Message) { fwd = m.Clone() }
-	in := wireOf(elemSrc, a.ep.IDString(), elemDst, c.ep.IDString(), elemSvc, "svc", elemSrcAddr, string(a.tr.Addr()), elemTTL, "5")
-	b.ep.dispatch(a.tr.Addr(), in)
+	rsp := message.New().
+		AddString(ns, "RouteResponse", "<jxta:RA><DstPID>"+c.ep.IDString()+"</DstPID></jxta:RA>").
+		AddString(ns, "RouteTarget", string(a.tr.Addr()))
+	if err := a.ep.Send(b.id, "erp", rsp); err != nil {
+		t.Fatal(err)
+	}
 	sched.Run(time.Second)
-	want := wireOf(elemSrc, a.ep.IDString(), elemDst, c.ep.IDString(), elemSvc, "svc", elemSrcAddr, string(a.tr.Addr()), elemTTL, "4")
-	if fwd == nil || !fwd.Equal(want) {
-		t.Fatalf("forwarded %v, want %v", fwd, want)
+	if addr, ok := b.ep.RouteTo(c.id); !ok || addr != c.tr.Addr() {
+		t.Fatalf("b's route to c is %q, %v after a's route response; want %q", addr, ok, c.tr.Addr())
+	}
+	if b.ep.Drops != 1 {
+		t.Fatalf("b.Drops = %d, want 1", b.ep.Drops)
 	}
 }
 
@@ -216,21 +224,40 @@ func TestSendFromInsideSendOverLoop(t *testing.T) {
 }
 
 // FuzzDispatch feeds dispatch arbitrary envelope bytes: it must not panic,
-// and must keep no reference to them — the route it learns is compared with
-// a private copy after the input has been overwritten.
+// must not transmit anything, may add or change no route but the one to the
+// envelope's own Src, and must keep no reference to the input — the route it
+// learns is compared with a private copy after the input has been
+// overwritten.
 func FuzzDispatch(f *testing.F) {
 	id := ids.FromName(ids.KindPeer, "a").String()
 	f.Add([]byte(id), []byte(id), []byte("svc"), []byte("sim://rennes/a"), []byte("8"))
 	f.Add([]byte("urn:jxta:nil"), []byte("urn:jxta:nil"), []byte(""), []byte(""), []byte("-1"))
 	f.Add([]byte("urn:jxta:uuid-00"), []byte(id[:30]), []byte("nosuch"), []byte("x"), []byte("99999999999999999999"))
 	f.Fuzz(func(t *testing.T, src, dst, svc, srcAddr, ttl []byte) {
-		_, _, _, b, c := setup(t)
+		_, net, _, b, c := setup(t)
 		b.ep.Register("svc", func(ids.ID, *message.Message) {})
 		b.ep.AddRoute(c.id, c.tr.Addr())
+		sent := 0
+		net.OnSend = func(transport.Addr, transport.Addr, *message.Message) { sent++ }
 		wire := message.New().
 			Add(ns, elemSrc, src).Add(ns, elemDst, dst).Add(ns, elemSvc, svc).
 			Add(ns, elemSrcAddr, srcAddr).Add(ns, elemTTL, ttl)
+		srcID, srcErr := ids.ParseBytes(src)
 		b.ep.dispatch("sim://rennes/fuzz", wire)
+		if sent != 0 {
+			t.Fatalf("dispatch made b transmit %d messages", sent)
+		}
+		for _, id := range b.ep.KnownPeers() {
+			if srcErr == nil && id.Equal(srcID) {
+				continue
+			}
+			if addr, _ := b.ep.RouteTo(id); !id.Equal(c.id) || addr != c.tr.Addr() {
+				t.Fatalf("dispatch from %q set the route to %s to %q", src, id.Short(), addr)
+			}
+		}
+		if _, ok := b.ep.RouteTo(c.id); !ok && (srcErr != nil || !srcID.Equal(c.id)) {
+			t.Fatal("dispatch dropped the route to c")
+		}
 
 		type route struct {
 			id   ids.ID
@@ -253,7 +280,7 @@ func FuzzDispatch(f *testing.F) {
 		}
 		for _, s := range b.ep.slots {
 			switch s.name {
-			case erpService, helloService, "svc", otherService:
+			case helloService, "svc", otherService:
 			default:
 				t.Fatalf("slot minted for %q", s.name)
 			}

@@ -96,7 +96,7 @@ func TestNilDestinationDeliveredLocally(t *testing.T) {
 	var from ids.ID
 	b.ep.Register("svc", func(src ids.ID, _ *message.Message) { from = src })
 	// Send with a nil destination straight to b's address.
-	if err := a.ep.sendTo(b.tr.Addr(), ids.Nil, "svc", body("x"), 4); err != nil {
+	if err := a.ep.sendTo(b.tr.Addr(), ids.Nil, "svc", body("x")); err != nil {
 		t.Fatal(err)
 	}
 	sched.Run(time.Second)

@@ -17,7 +17,6 @@ type epSvc struct {
 type epMetrics struct {
 	txMsgs, txBytes *metrics.CounterVec
 	rxMsgs, rxBytes *metrics.CounterVec
-	relays          *metrics.Counter
 	helloSent       *metrics.Counter
 	helloServed     *metrics.Counter
 }
@@ -28,8 +27,8 @@ type epMetrics struct {
 //
 //	jxta_endpoint_tx_messages_total{service=...} / jxta_endpoint_tx_bytes_total{service=...}
 //	jxta_endpoint_rx_messages_total{service=...} / jxta_endpoint_rx_bytes_total{service=...}
-//	jxta_endpoint_relays_total, jxta_endpoint_hello_sent_total,
-//	jxta_endpoint_hello_served_total, jxta_endpoint_drops_total
+//	jxta_endpoint_hello_sent_total, jxta_endpoint_hello_served_total,
+//	jxta_endpoint_drops_total
 //
 // plus the jxta_endpoint_routes gauge (route-table size, sampled at
 // encode time).
@@ -39,14 +38,13 @@ func (ep *Endpoint) Instrument(reg *metrics.Registry) {
 		txBytes:     reg.CounterVec("jxta_endpoint_tx_bytes_total", "Wire bytes sent, by destination service.", "service"),
 		rxMsgs:      reg.CounterVec("jxta_endpoint_rx_messages_total", "Messages received, by destination service.", "service"),
 		rxBytes:     reg.CounterVec("jxta_endpoint_rx_bytes_total", "Wire bytes received, by destination service.", "service"),
-		relays:      reg.Counter("jxta_endpoint_relays_total", "Transit messages forwarded toward another peer."),
 		helloSent:   reg.Counter("jxta_endpoint_hello_sent_total", "Hello bootstrap requests sent."),
 		helloServed: reg.Counter("jxta_endpoint_hello_served_total", "Hello bootstrap requests answered."),
 	}
 	for i := range ep.slots {
 		ep.slots[i].sc = nil // cached children belong to the previous registry
 	}
-	reg.CounterFunc("jxta_endpoint_drops_total", "Messages dropped (no handler, TTL exhausted, no route).",
+	reg.CounterFunc("jxta_endpoint_drops_total", "Inbound messages dropped (malformed envelope, another peer's, no handler).",
 		func() uint64 { return ep.Drops })
 	reg.GaugeFunc("jxta_endpoint_routes", "Known direct routes (route-table size).",
 		func() float64 { return float64(ep.routes.len()) })

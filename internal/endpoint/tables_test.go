@@ -101,22 +101,20 @@ func mapFields(v any) (held []string) {
 }
 
 // TestReturnsToZeroState: a fresh endpoint holds no map and is quiescent; a
-// route resolution in flight allocates the pending table and makes it
-// non-quiescent; the answer drains it; registrations and routes survive all
-// of it, in slices with no spare capacity.
+// Hello in flight makes it non-quiescent; the answer drains it; registrations
+// and routes survive all of it, in slices with no spare capacity.
 func TestReturnsToZeroState(t *testing.T) {
 	sched, _, a, b, c := setup(t)
 	a.ep.Register("svc", func(ids.ID, *message.Message) {})
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	b.ep.AddRoute(c.id, c.tr.Addr())
+	a.ep.AddRoute(c.id, c.tr.Addr())
 	held := slices.Concat(mapFields(a.ep), mapFields(&a.ep.routes), mapFields(a.ep.m))
 	if len(held) != 0 || !a.ep.Quiescent() {
 		t.Fatalf("fresh endpoint holds maps %v, quiescent=%v", held, a.ep.Quiescent())
 	}
 	resolved := false
-	a.ep.ResolveRoute(c.id, b.id, func(_ ids.ID, _ transport.Addr, ok bool) { resolved = ok })
-	if a.ep.pending == nil || a.ep.Quiescent() {
-		t.Fatal("a resolution in flight left pending nil or the endpoint quiescent")
+	a.ep.Hello(b.tr.Addr(), func(_ ids.ID, ok bool) { resolved = ok })
+	if a.ep.Quiescent() {
+		t.Fatal("a Hello in flight left the endpoint quiescent")
 	}
 	sched.Run(time.Second)
 	if !resolved || !a.ep.Quiescent() {

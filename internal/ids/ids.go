@@ -258,14 +258,6 @@ func (id *ID) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// Hash64 returns the first 8 bytes (big endian) of the SHA-1 digest of s.
-// The LC-DHT replica function uses this as the hash whose range is
-// MAX_HASH = 2^64-1 (see discovery.ReplicaPos).
-func Hash64(s string) uint64 {
-	sum := sha1.Sum([]byte(s))
-	return binary.BigEndian.Uint64(sum[:8])
-}
-
 // SortIDs sorts a slice of IDs in ascending Compare order, in place.
 func SortIDs(s []ID) {
 	// Insertion sort is fine for the small peerview slices this serves,

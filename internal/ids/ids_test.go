@@ -272,15 +272,6 @@ func TestSortProperty(t *testing.T) {
 	}
 }
 
-func TestHash64(t *testing.T) {
-	if Hash64("PeerNameTest") != Hash64("PeerNameTest") {
-		t.Fatal("Hash64 not deterministic")
-	}
-	if Hash64("a") == Hash64("b") {
-		t.Fatal("trivial collision")
-	}
-}
-
 func TestShort(t *testing.T) {
 	if Nil.Short() != "nil" {
 		t.Fatalf("Nil.Short() = %q", Nil.Short())
@@ -302,11 +293,5 @@ func BenchmarkSortIDs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(s, base)
 		SortIDs(s)
-	}
-}
-
-func BenchmarkHash64(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Hash64("PeerNameTest")
 	}
 }

@@ -1,8 +1,8 @@
 // Package node assembles the full JXTA stack for one peer: transport,
-// endpoint service + ERP, resolver, rendezvous service (peerview + lease +
-// propagation, role-dependent), cache manager and discovery/LC-DHT. It is
-// the unit the deployment layer instantiates — one Node per simulated or
-// real peer.
+// endpoint service (direct routes only), resolver, rendezvous service
+// (peerview + lease + propagation, role-dependent), cache manager and
+// discovery/LC-DHT. It is the unit the deployment layer instantiates — one
+// Node per simulated or real peer.
 //
 // # Lifecycle
 //

@@ -128,9 +128,6 @@ func (k *Kademlia) Bootstrap() {
 // Alive implements Backend.
 func (k *Kademlia) Alive(i int) bool { return k.nodes[i].alive }
 
-// NodeID returns node i's peer ID (test hook).
-func (k *Kademlia) NodeID(i int) ids.ID { return k.nodes[i].id }
-
 // Publish implements Backend: an iterative FIND_NODE toward the key
 // followed by STOREs at the K closest contacts found.
 func (k *Kademlia) Publish(from int, key string) {
@@ -178,8 +175,8 @@ func (n *kadNode) refreshTick() {
 	n.lookup(n.key^(1<<bit), "", false, nil)
 }
 
-// observe folds a contact into the routing table (and the endpoint routing
-// cache). Buckets evict nothing on sight — a full bucket ignores the
+// observe folds a contact into the routing table (and the endpoint's route
+// table). Buckets evict nothing on sight — a full bucket ignores the
 // newcomer, Kademlia's classic stale-resistant policy; dead entries leave
 // through dropContact when an RPC to them times out.
 func (n *kadNode) observe(c kadContact) {

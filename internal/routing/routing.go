@@ -13,11 +13,10 @@
 package routing
 
 import (
-	"crypto/sha1"
-	"encoding/binary"
 	"math/bits"
 	"time"
 
+	"jxta/internal/discovery"
 	"jxta/internal/ids"
 )
 
@@ -59,12 +58,9 @@ type Backend interface {
 }
 
 // KeyHash maps a tuple key into the 64-bit identifier space shared by every
-// structured backend: the first 8 bytes (big endian) of the SHA-1 digest —
-// the same digest the LC-DHT replica function uses (discovery.KeyHash).
-func KeyHash(key string) uint64 {
-	sum := sha1.Sum([]byte(key))
-	return binary.BigEndian.Uint64(sum[:8])
-}
+// structured backend: the LC-DHT replica function's own digest
+// (discovery.KeyHash), so every backend places a key where SRDI does.
+func KeyHash(key string) uint64 { return discovery.KeyHash(key) }
 
 // IDHash maps a JXTA peer ID into the same 64-bit space (Kademlia k-buckets
 // hash peer IDs, not raw key strings).

@@ -1,5 +1,5 @@
 // Package jxta is a from-scratch Go implementation of the JXTA 2.x
-// peer-to-peer protocol stack — endpoint routing, resolver, rendezvous
+// peer-to-peer protocol stack — endpoint, resolver, rendezvous
 // (peerview, lease, propagation) and discovery over the Loosely-Consistent
 // DHT — together with a deterministic Grid'5000-style network simulator
 // that reproduces the experiments of "Performance scalability of the JXTA
