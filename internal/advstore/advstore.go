@@ -114,9 +114,8 @@ func New() *Store { return &Store{byKey: make(map[key]*Shared)} }
 // defaultStore is the process-wide table behind Default.
 var defaultStore = New()
 
-// Default returns the process-wide store. Caches and peerviews intern
-// against it so equal advertisements dedupe across every simulated peer
-// in the process.
+// Default returns the process-wide store: node.New's fallback for a node
+// configured without a store of its own (live nodes, ROADMAP 5(e)).
 func Default() *Store { return defaultStore }
 
 // encodeRoom is the stack buffer an advertisement is encoded into to find
@@ -228,17 +227,6 @@ func (sh *Shared) Bytes() []byte {
 		return *sh.enc.Load()
 	}
 	return enc
-}
-
-// Retain adds a reference (a second holder keeping the same handle) and
-// returns the handle for chaining.
-func (sh *Shared) Retain() *Shared {
-	if sh.store != nil {
-		sh.store.mu.Lock()
-		sh.refs++
-		sh.store.mu.Unlock()
-	}
-	return sh
 }
 
 // Release drops one reference; the table forgets the advertisement when

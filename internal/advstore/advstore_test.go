@@ -70,13 +70,18 @@ func TestReleaseForgetsOnLastReference(t *testing.T) {
 	h3.Release()
 }
 
+// TestRetainAddsAReference: interning an equal advertisement again hands
+// out the same handle with one more reference, so the table keeps it until
+// both holders have released it.
 func TestRetainAddsAReference(t *testing.T) {
 	s := New()
 	h := s.Intern(resAdv("cpu"))
-	h.Retain()
+	if s.Intern(resAdv("cpu")) != h {
+		t.Fatal("an equal advertisement got a second handle")
+	}
 	h.Release()
 	if s.Len() != 1 {
-		t.Fatal("retained handle was forgotten")
+		t.Fatal("a handle still held was forgotten")
 	}
 	h.Release()
 	if s.Len() != 0 {
@@ -114,8 +119,7 @@ func TestConcurrentInternRelease(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					h.Retain()
-					h.Release()
+					s.Intern(resAdv(name)).Release()
 				}
 				h.Release()
 			}

@@ -293,7 +293,7 @@ func TestInternBytesRefcountModelProperty(t *testing.T) {
 			}
 			holders[d] = append(holders[d], sh)
 		case op == 2 && len(holders[d]) > 0:
-			holders[d] = append(holders[d], holders[d][0].Retain())
+			holders[d] = append(holders[d], s.Intern(holders[d][0].Adv()))
 		case len(holders[d]) > 0:
 			last := len(holders[d]) - 1
 			holders[d][last].Release()

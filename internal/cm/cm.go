@@ -1,6 +1,8 @@
 // Package cm implements the advertisement cache manager: each peer's local
 // store of advertisements with attribute indexing and lifetime-based
-// eviction (JXTA-C's "CM" component). Edge peers keep their own published
+// eviction (JXTA-C's "CM" component). Every read skips an expired record;
+// GC, which the discovery service runs on its periodic tick, removes it and
+// releases its interned advertisement. Edge peers keep their own published
 // advertisements and cache discovered ones here; the discovery benchmark's
 // per-query "flush of the local searcher cache" (§4.2) maps to Flush.
 package cm
@@ -46,8 +48,8 @@ type Cache struct {
 	index map[fieldKey]postings
 	// numIndex maps "Type\x00Attr" keys to numeric postings for every
 	// indexed field whose value parses as an integer, making range
-	// queries sublinear. Attrs that never carried a numeric value have no
-	// key here and fall back to the linear scan.
+	// queries sublinear. A key is dropped only once its list is empty, so
+	// a (type, attr) pair without a key matches no stored record.
 	numIndex map[string]*numPostings
 	// slab/free are the Record arena: long-lived records are carved out of
 	// chunked slabs (one allocation per recordChunk records instead of one
@@ -92,10 +94,6 @@ type numPostings struct {
 
 // numKey builds the numeric-index key for a (type, attr) pair.
 func numKey(advType, attr string) string { return advType + "\x00" + attr }
-
-// New builds an empty cache interning against the process-wide default
-// store.
-func New(e env.Env) *Cache { return NewWithStore(e, advstore.Default()) }
 
 // NewWithStore builds an empty cache interning against the given store.
 // Deployments pass one store per overlay so equal advertisements dedupe
@@ -326,24 +324,6 @@ func (p *numPostings) ensureSorted() {
 	p.dirty = false
 }
 
-// Get returns the advertisement with the given ID if present and fresh.
-func (c *Cache) Get(id ids.ID) (advertisement.Advertisement, bool) {
-	rec, ok := c.byID[id]
-	if !ok || c.expired(rec) {
-		return nil, false
-	}
-	return rec.Adv, true
-}
-
-// Remove deletes an advertisement.
-func (c *Cache) Remove(id ids.ID) {
-	if rec, ok := c.byID[id]; ok {
-		c.unindex(rec.Adv)
-		delete(c.byID, id)
-		c.freeRecord(rec)
-	}
-}
-
 func (c *Cache) expired(rec *Record) bool {
 	return rec.Expires > 0 && rec.Expires <= c.env.Now()
 }
@@ -399,14 +379,13 @@ func (c *Cache) collect(out []advertisement.Advertisement, advType string, p pos
 
 // SearchRange returns fresh advertisements of advType whose attr parses as
 // an integer within [lo, hi] — the complex-query extension. The per-
-// (type,attr) sorted numeric index makes this O(log n + matches); attrs
-// with no numeric postings fall back to the linear scan over the store
-// (JXTA-C CM behavior). Results are ordered by (value, id), deterministic
-// across runs.
+// (type,attr) sorted numeric index makes this O(log n + matches); a pair
+// with no numeric postings matches nothing. Results are ordered by
+// (value, id), deterministic across runs.
 func (c *Cache) SearchRange(advType, attr string, lo, hi int64) []advertisement.Advertisement {
 	p, ok := c.numIndex[numKey(advType, attr)]
 	if !ok {
-		return c.searchRangeLinear(advType, attr, lo, hi)
+		return nil
 	}
 	p.ensureSorted()
 	entries := p.entries
@@ -431,32 +410,6 @@ func (c *Cache) SearchRange(advType, attr string, lo, hi int64) []advertisement.
 		out = append(out, rec.Adv)
 	}
 	return out
-}
-
-// searchRangeLinear is the historical full-store scan, kept as the
-// fallback path for unindexed attrs.
-func (c *Cache) searchRangeLinear(advType, attr string, lo, hi int64) []advertisement.Advertisement {
-	var out []advertisement.Advertisement
-	for _, rec := range c.byID {
-		if c.expired(rec) || rec.Adv.Type() != advType {
-			continue
-		}
-		var room [4]advertisement.IndexField
-		for _, f := range advertisement.AppendIndexFields(room[:0], rec.Adv) {
-			if f.Attr != attr {
-				continue
-			}
-			v, ok := f.Int()
-			if !ok {
-				continue
-			}
-			if v >= lo && v <= hi {
-				out = append(out, rec.Adv)
-				break
-			}
-		}
-	}
-	return sortAdvs(out)
 }
 
 // LocalAdvertisements returns the fresh locally published advertisements

@@ -17,7 +17,12 @@ import (
 
 func newCache() (*Cache, *simnet.Scheduler) {
 	sched := simnet.NewScheduler(1)
-	return New(sched.NewEnv("n")), sched
+	return NewWithStore(sched.NewEnv("n"), advstore.New()), sched
+}
+
+// named returns the fresh Resource advertisements called name.
+func named(c *Cache, name string) []advertisement.Advertisement {
+	return c.Search("Resource", "Name", name)
 }
 
 func res(name string, attrs ...advertisement.IndexField) *advertisement.Resource {
@@ -32,14 +37,14 @@ func TestPutGet(t *testing.T) {
 	c, _ := newCache()
 	adv := res("node1")
 	c.Put(adv, 0, true)
-	got, ok := c.Get(adv.ID())
-	if !ok || got.(*advertisement.Resource).Name != "node1" {
-		t.Fatalf("Get = %v, %v", got, ok)
+	got := named(c, "node1")
+	if len(got) != 1 || got[0].ID() != adv.ID() {
+		t.Fatalf("found %v", got)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	if _, ok := c.Get(ids.FromName(ids.KindAdv, "ghost")); ok {
+	if len(named(c, "ghost")) != 0 {
 		t.Fatal("ghost advertisement found")
 	}
 }
@@ -94,25 +99,26 @@ func TestSearchWildcardPrefix(t *testing.T) {
 }
 
 func TestExpiry(t *testing.T) {
-	c, sched := newCache()
-	adv := res("ephemeral")
-	c.Put(adv, time.Minute, false)
-	if _, ok := c.Get(adv.ID()); !ok {
+	store := advstore.New()
+	sched := simnet.NewScheduler(1)
+	c := NewWithStore(sched.NewEnv("n"), store)
+	c.Put(res("ephemeral"), time.Minute, false)
+	if len(named(c, "ephemeral")) != 1 {
 		t.Fatal("fresh advertisement missing")
 	}
 	sched.Run(2 * time.Minute)
-	if _, ok := c.Get(adv.ID()); ok {
-		t.Fatal("expired advertisement still served")
-	}
-	if got := c.Search("Resource", "Name", "ephemeral"); len(got) != 0 {
+	if len(named(c, "ephemeral")) != 0 {
 		t.Fatal("expired advertisement matched a search")
 	}
-	// GC actually removes it.
+	// GC actually removes it, and gives its interned advertisement back.
 	if n := c.GC(); n != 1 {
 		t.Fatalf("GC evicted %d, want 1", n)
 	}
-	if c.Len() != 0 {
+	if c.Len() != 0 || c.IndexSize() != 0 {
 		t.Fatal("record survived GC")
+	}
+	if store.Len() != 0 {
+		t.Fatalf("store holds %d advertisements after GC", store.Len())
 	}
 }
 
@@ -121,7 +127,7 @@ func TestZeroLifetimeNeverExpires(t *testing.T) {
 	adv := res("forever")
 	c.Put(adv, 0, true)
 	sched.Run(1000 * time.Hour)
-	if _, ok := c.Get(adv.ID()); !ok {
+	if len(named(c, "forever")) != 1 {
 		t.Fatal("zero-lifetime advertisement expired")
 	}
 	if c.GC() != 0 {
@@ -136,26 +142,24 @@ func TestFlushKeepsLocal(t *testing.T) {
 	c.Put(local, 0, true)
 	c.Put(remote, 0, false)
 	c.Flush()
-	if _, ok := c.Get(local.ID()); !ok {
+	if len(named(c, "mine")) != 1 {
 		t.Fatal("Flush dropped a local advertisement")
 	}
-	if _, ok := c.Get(remote.ID()); ok {
+	if len(named(c, "theirs")) != 0 || c.Len() != 1 {
 		t.Fatal("Flush kept a remote advertisement")
-	}
-	if got := c.Search("Resource", "Name", "theirs"); len(got) != 0 {
-		t.Fatal("flushed advertisement still indexed")
 	}
 }
 
+// TestRemove: a flushed advertisement leaves no record and no index entry
+// behind, and flushing again is a no-op.
 func TestRemove(t *testing.T) {
 	c, _ := newCache()
-	adv := res("x")
-	c.Put(adv, 0, true)
-	c.Remove(adv.ID())
-	if c.Len() != 0 || len(c.Search("Resource", "Name", "x")) != 0 {
-		t.Fatal("Remove incomplete")
+	c.Put(res("x"), 0, false)
+	c.Flush()
+	if c.Len() != 0 || c.IndexSize() != 0 || len(named(c, "x")) != 0 {
+		t.Fatal("Flush incomplete")
 	}
-	c.Remove(adv.ID()) // idempotent
+	c.Flush() // idempotent
 }
 
 func TestLocalAdvertisements(t *testing.T) {
@@ -178,13 +182,13 @@ func TestIndexSize(t *testing.T) {
 		t.Fatal("empty cache has index entries")
 	}
 	// A Resource indexes Name plus each attr.
-	c.Put(res("a", advertisement.IndexField{Attr: "CPU", Value: "x"}), 0, true)
+	c.Put(res("a", advertisement.IndexField{Attr: "CPU", Value: "x"}), 0, false)
 	if c.IndexSize() != 2 {
 		t.Fatalf("IndexSize = %d, want 2", c.IndexSize())
 	}
-	c.Remove(ids.FromName(ids.KindAdv, "a"))
+	c.Flush()
 	if c.IndexSize() != 0 {
-		t.Fatal("index entries leaked after Remove")
+		t.Fatal("index entries leaked after Flush")
 	}
 }
 
@@ -200,34 +204,38 @@ func TestPeerAdvertisementSearch(t *testing.T) {
 	}
 }
 
-// Property: after any sequence of Put/Remove, Search("Name", x) returns
-// exactly the live advertisements named x.
+// Property: after any sequence of local and remote Puts and Flushes,
+// Search("Name", x) returns exactly the live advertisements named x.
 func TestSearchConsistencyProperty(t *testing.T) {
 	f := func(seed int64, ops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		c, _ := newCache()
-		live := map[string]map[ids.ID]bool{}
+		live := map[string]map[ids.ID]bool{} // name → ID → published locally
 		names := []string{"a", "b", "c"}
 		for i := 0; i < int(ops); i++ {
+			if rng.Intn(4) == 0 {
+				c.Flush()
+				for _, m := range live {
+					for id, local := range m {
+						if !local {
+							delete(m, id)
+						}
+					}
+				}
+				continue
+			}
 			name := names[rng.Intn(len(names))]
 			id := ids.FromName(ids.KindAdv, fmt.Sprintf("%s-%d", name, rng.Intn(5)))
-			if rng.Intn(3) == 0 {
-				c.Remove(id)
-				if live[name] != nil {
-					delete(live[name], id)
-				}
-			} else {
-				adv := &advertisement.Resource{ResID: id, Name: name}
-				// The same ID may previously be under another name.
-				for _, m := range live {
-					delete(m, id)
-				}
-				c.Put(adv, 0, true)
-				if live[name] == nil {
-					live[name] = map[ids.ID]bool{}
-				}
-				live[name][id] = true
+			local := rng.Intn(2) == 0
+			// The same ID may previously be under another name.
+			for _, m := range live {
+				delete(m, id)
 			}
+			c.Put(&advertisement.Resource{ResID: id, Name: name}, 0, local)
+			if live[name] == nil {
+				live[name] = map[ids.ID]bool{}
+			}
+			live[name][id] = local
 		}
 		for _, name := range names {
 			got := c.Search("Resource", "Name", name)
@@ -235,7 +243,7 @@ func TestSearchConsistencyProperty(t *testing.T) {
 				return false
 			}
 			for _, adv := range got {
-				if !live[name][adv.ID()] {
+				if _, ok := live[name][adv.ID()]; !ok {
 					return false
 				}
 			}
@@ -248,8 +256,7 @@ func TestSearchConsistencyProperty(t *testing.T) {
 }
 
 func BenchmarkSearchExactLargeCache(b *testing.B) {
-	sched := simnet.NewScheduler(1)
-	c := New(sched.NewEnv("n"))
+	c, _ := newCache()
 	for i := 0; i < 5000; i++ {
 		c.Put(res(fmt.Sprintf("fake%d", i)), 0, true)
 	}
@@ -288,8 +295,7 @@ func TestSearchRange(t *testing.T) {
 
 func TestSearchRangeIndexMaintenance(t *testing.T) {
 	c, _ := newCache()
-	adv := res("a", advertisement.IndexField{Attr: "RAM", Value: "1000"})
-	c.Put(adv, 0, true)
+	c.Put(res("a", advertisement.IndexField{Attr: "RAM", Value: "1000"}), 0, true)
 	if got := c.SearchRange("Resource", "RAM", 0, 2000); len(got) != 1 {
 		t.Fatal("indexed adv not found")
 	}
@@ -302,9 +308,10 @@ func TestSearchRangeIndexMaintenance(t *testing.T) {
 		t.Fatal("replacement value not indexed")
 	}
 	// Removal cleans the posting list.
-	c.Remove(adv.ID())
+	c.Put(res("a", advertisement.IndexField{Attr: "RAM", Value: "3000"}), 0, false)
+	c.Flush()
 	if got := c.SearchRange("Resource", "RAM", 0, 1<<40); len(got) != 0 {
-		t.Fatal("removed adv still matched")
+		t.Fatal("flushed adv still matched")
 	}
 	if len(c.numIndex) != 0 {
 		t.Fatalf("numIndex not cleaned: %v", c.numIndex)
@@ -321,9 +328,10 @@ func TestSearchRangeMultiValueAdvDeduped(t *testing.T) {
 	}
 }
 
-// TestSearchRangeLinearFallback covers the unindexed-attr path: an attr
-// that never carried a numeric value has no posting list, and SearchRange
-// must agree with the full-store scan (both empty here).
+// TestSearchRangeLinearFallback covers the case the range search once
+// answered with a scan of the whole store: an attr that never carried a
+// numeric value has no posting list, so no stored record can match and
+// SearchRange returns nil, as the scan does.
 func TestSearchRangeLinearFallback(t *testing.T) {
 	c, _ := newCache()
 	c.Put(res("n", advertisement.IndexField{Attr: "Tag", Value: "fast"}), 0, true)
@@ -331,36 +339,45 @@ func TestSearchRangeLinearFallback(t *testing.T) {
 		t.Fatal("non-numeric value got a numeric posting")
 	}
 	if got := c.SearchRange("Resource", "Tag", 0, 1<<40); got != nil {
-		t.Fatalf("fallback returned %v", got)
+		t.Fatalf("range search on an unindexed attr returned %v", got)
 	}
-	if got := c.searchRangeLinear("Resource", "Tag", 0, 1<<40); got != nil {
+	if got := searchRangeLinear(c, "Resource", "Tag", 0, 1<<40); got != nil {
 		t.Fatalf("linear scan returned %v", got)
 	}
 }
 
-// Property: the indexed SearchRange agrees with the linear scan on random
-// stores and random ranges (up to ordering).
-func TestSearchRangeMatchesLinearProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c, _ := newCache()
-		attrs := []string{"RAM", "CPU", "Disk"}
-		for i := 0; i < 30; i++ {
-			var fields []advertisement.IndexField
-			for _, a := range attrs {
-				if rng.Intn(2) == 0 {
-					fields = append(fields, advertisement.IndexField{
-						Attr: a, Value: strconv.Itoa(rng.Intn(50))})
-				}
-			}
-			c.Put(res(fmt.Sprintf("n%d", i), fields...), 0, true)
+// searchRangeLinear is SearchRange as a scan of every stored record: the
+// reference the numeric index is held to.
+func searchRangeLinear(c *Cache, advType, attr string, lo, hi int64) []advertisement.Advertisement {
+	var out []advertisement.Advertisement
+	for _, rec := range c.byID {
+		if c.expired(rec) || rec.Adv.Type() != advType {
+			continue
 		}
-		for trial := 0; trial < 10; trial++ {
+		var room [4]advertisement.IndexField
+		for _, f := range advertisement.AppendIndexFields(room[:0], rec.Adv) {
+			if v, ok := f.Int(); ok && f.Attr == attr && v >= lo && v <= hi {
+				out = append(out, rec.Adv)
+				break
+			}
+		}
+	}
+	return sortAdvs(out)
+}
+
+// Property: the indexed SearchRange agrees with the linear scan (up to
+// ordering) on random ranges, after every step of a random history of
+// puts that replace earlier advertisements with new values, local and
+// remote, mortal and not, of Flushes, and of expiry followed by GC.
+func TestSearchRangeMatchesLinearProperty(t *testing.T) {
+	attrs := []string{"RAM", "CPU", "Disk"}
+	agree := func(rng *rand.Rand, c *Cache) bool {
+		for trial := 0; trial < 3; trial++ {
 			attr := attrs[rng.Intn(len(attrs))]
 			lo := int64(rng.Intn(50))
 			hi := lo + int64(rng.Intn(20))
 			got := c.SearchRange("Resource", attr, lo, hi)
-			want := c.searchRangeLinear("Resource", attr, lo, hi)
+			want := searchRangeLinear(c, "Resource", attr, lo, hi)
 			if len(got) != len(want) {
 				return false
 			}
@@ -372,6 +389,36 @@ func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 				if !seen[adv.ID()] {
 					return false
 				}
+			}
+		}
+		return true
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c, sched := newCache()
+		for step := 0; step < 80; step++ {
+			switch op := rng.Intn(12); {
+			case op == 0:
+				c.Flush()
+			case op == 1:
+				sched.Run(sched.Now() + time.Minute)
+				if !agree(rng, c) { // expired, not yet collected
+					return false
+				}
+				c.GC()
+			default:
+				var fields []advertisement.IndexField
+				for _, a := range attrs {
+					if rng.Intn(2) == 0 {
+						fields = append(fields, advertisement.IndexField{
+							Attr: a, Value: strconv.Itoa(rng.Intn(50))})
+					}
+				}
+				lifetime := time.Duration(rng.Intn(2)) * time.Minute
+				c.Put(res(fmt.Sprintf("n%d", rng.Intn(30)), fields...), lifetime, rng.Intn(2) == 0)
+			}
+			if !agree(rng, c) {
+				return false
 			}
 		}
 		return true
@@ -403,7 +450,7 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatal("a read of the fresh cache found something")
 	}
 	c.Flush()
-	c.Remove(ids.FromName(ids.KindAdv, "ghost"))
+	c.GC()
 	zero("after reads and no-op deletes")
 
 	c.Put(res("n1", advertisement.IndexField{Attr: "cpu", Value: "4"}), 0, false)
@@ -470,7 +517,8 @@ func TestPutEncodedAndEncoded(t *testing.T) {
 		t.Fatal("malformed document accepted or cache disturbed")
 	}
 	req.Flush()
-	pub.Remove(adv.ID())
+	sched.Run(2 * time.Hour)
+	pub.GC()
 	if store.Len() != 0 {
 		t.Fatalf("store still holds %d advertisements after every cache let go", store.Len())
 	}

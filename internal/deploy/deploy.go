@@ -356,9 +356,6 @@ func (o *Overlay) KillNode(n *node.Node) {
 // KillRdv crashes a rendezvous peer abruptly (churn experiments).
 func (o *Overlay) KillRdv(i int) { o.KillNode(o.Rdvs[i]) }
 
-// KillEdge crashes an edge peer abruptly.
-func (o *Overlay) KillEdge(i int) { o.KillNode(o.Edges[i]) }
-
 // RestartNode cold-restarts a peer in place, re-attaching its transport
 // endpoint first if the peer had been killed. The peer keeps its identity
 // (ID, RNG stream, address) but rejoins the overlay with fresh protocol
@@ -372,6 +369,3 @@ func (o *Overlay) RestartNode(n *node.Node) {
 
 // RestartRdv restarts the i-th rendezvous peer (see RestartNode).
 func (o *Overlay) RestartRdv(i int) { o.RestartNode(o.Rdvs[i]) }
-
-// RestartEdge restarts the i-th edge peer (see RestartNode).
-func (o *Overlay) RestartEdge(i int) { o.RestartNode(o.Edges[i]) }

@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"jxta/internal/message"
 	"jxta/internal/netmodel"
 	"jxta/internal/topology"
+	"jxta/internal/transport"
 )
 
 func TestBuildChainWithEdges(t *testing.T) {
@@ -49,8 +51,23 @@ func TestDefaultModelIsGrid5000(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Net.Model().MeanInterSite() != netmodel.Grid5000().MeanInterSite() {
-		t.Fatal("default model is not Grid'5000")
+	// A probe between two sites takes the Grid'5000 latency of that pair,
+	// give or take its jitter, plus the stack's service time.
+	a, _ := o.Net.Attach("probe-a", netmodel.Rennes)
+	b, _ := o.Net.Attach("probe-b", netmodel.Sophia)
+	start := o.Sched.Now()
+	var took time.Duration
+	b.SetHandler(func(transport.Addr, *message.Message) { took = o.Sched.Now() - start })
+	if err := a.Send(b.Addr(), message.New()); err != nil {
+		t.Fatal(err)
+	}
+	o.Sched.Run(start + time.Second)
+	g := netmodel.Grid5000()
+	base := g.BaseLatency(netmodel.Rennes, netmodel.Sophia)
+	lo := time.Duration(float64(base)*(1-g.Jitter)) + g.StackService
+	hi := time.Duration(float64(base)*(1+g.Jitter)) + g.StackService + time.Millisecond
+	if took < lo || took > hi {
+		t.Fatalf("rennes → sophia took %v, want %v–%v: the default model is not Grid'5000", took, lo, hi)
 	}
 }
 

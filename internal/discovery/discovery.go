@@ -268,19 +268,17 @@ func (s *Service) exportIndex() (string, []*message.Message) {
 // Index exposes the SRDI (nil on edges); experiments read its size.
 func (s *Service) Index() *srdi.Index { return s.index }
 
-// Cache exposes the local advertisement cache.
-func (s *Service) Cache() *cm.Cache { return s.cache }
-
-// Start begins periodic SRDI pushing (edges) or index GC (rendezvous).
+// Start begins periodic SRDI pushing (edges) or index GC (rendezvous); in
+// both roles the same tick evicts expired advertisements from the cache.
 func (s *Service) Start() {
 	if s.ticker != nil {
 		return
 	}
 	if s.rdv.IsRendezvous() {
-		s.ticker = env.NewTicker(s.env, pushInterval, func() { s.index.GC() })
+		s.ticker = env.NewTicker(s.env, pushInterval, func() { s.index.GC(); s.cache.GC() })
 		return
 	}
-	s.ticker = env.NewTicker(s.env, pushInterval, func() { s.pushAll(false) })
+	s.ticker = env.NewTicker(s.env, pushInterval, func() { s.cache.GC(); s.pushAll(false) })
 }
 
 // hopState is what handling queries reuses, made on the first one: parked

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jxta/internal/advertisement"
+	"jxta/internal/advstore"
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
 	"jxta/internal/ids"
@@ -13,8 +14,10 @@ import (
 	"jxta/internal/node"
 	"jxta/internal/peerview"
 	"jxta/internal/rendezvous"
+	"jxta/internal/simnet"
 	"jxta/internal/srdi"
 	"jxta/internal/topology"
+	"jxta/internal/transport"
 )
 
 // buildOverlay deploys r rendezvous + 2 edges (publisher on rdv0, searcher
@@ -74,7 +77,7 @@ func TestPublishAndDiscoverAcrossOverlay(t *testing.T) {
 func TestPublishMessageComplexity(t *testing.T) {
 	// §3.3: publish is O(1) — at most 2 messages (edge -> rdv -> replica).
 	o, pub, _ := buildOverlay(t, 6, 2, 10*time.Minute)
-	o.Net.ResetStats()
+	before := o.Net.Stats().Messages
 	adv := &advertisement.Peer{PeerID: pub.ID, Name: "Complexity"}
 	pub.Discovery.Publish(adv, 0)
 	o.Sched.Run(o.Sched.Now() + 10*time.Second)
@@ -82,7 +85,7 @@ func TestPublishMessageComplexity(t *testing.T) {
 	// related push messages by using a quiet protocol overlay instead:
 	// tolerate the background and assert the *publish-specific* bound via
 	// the publisher's stats.
-	msgs := o.Net.Stats().Messages
+	msgs := o.Net.Stats().Messages - before
 	// Peer adv has 2 index fields, each field may replicate once:
 	// edge->rdv (1) + up to 2 replications = 3 messages upper bound.
 	// Background peerview traffic in 10s: each rdv sends <= ~6 msgs per
@@ -342,5 +345,56 @@ func TestReturnsToZeroState(t *testing.T) {
 	}
 	if used == 0 {
 		t.Fatal("no rendezvous ever parked a query: the test exercised nothing")
+	}
+}
+
+// TestCachedResponsesExpire: an answer a searcher caches lives
+// advertisement.DefaultExpiration. Every read skips it from then on, and one
+// push interval later the searcher's periodic tick has evicted it from the
+// cache and given its interned advertisement back to the store — on an edge
+// and on a rendezvous alike. Each node interns into a store of its own, so
+// the searcher's store holds the answer only through its cache.
+func TestCachedResponsesExpire(t *testing.T) {
+	sched := simnet.NewScheduler(5)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	mk := func(name string, role node.Role, seeds ...peerview.Seed) *node.Node {
+		tr, err := net.Attach(name, netmodel.Rennes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := node.New(sched.NewEnv(name), tr, node.Config{
+			Name: name, Role: role, Seeds: seeds, Discovery: discovery.DefaultConfig(), AdvStore: advstore.New(),
+		})
+		n.Start()
+		return n
+	}
+	rdv := mk("rdv", node.Rendezvous)
+	pub, edge := mk("pub", node.Edge, rdv.Seed()), mk("searcher", node.Edge, rdv.Seed())
+	sched.Run(time.Minute)
+	// The publisher's copy outlives the searchers' by far: only theirs expire.
+	pub.Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, "gpu"), Name: "gpu"}, 100*time.Hour)
+	sched.Run(sched.Now() + time.Minute)
+	for _, searcher := range []*node.Node{edge, rdv} {
+		held, stored := searcher.Cache.Len(), searcher.Config.AdvStore.Len()
+		var answered time.Duration
+		err := searcher.Discovery.QueryRemote("Resource", "Name", "gpu", func(discovery.Result) { answered = sched.Now() }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched.Run(sched.Now() + time.Minute)
+		if answered == 0 || searcher.Cache.Len() != held+1 || searcher.Config.AdvStore.Len() != stored+1 {
+			t.Fatalf("%s: answered at %v, cache %d → %d, store %d → %d; want one more of each",
+				searcher.Config.Name, answered, held, searcher.Cache.Len(), stored, searcher.Config.AdvStore.Len())
+		}
+		expires := answered + advertisement.DefaultExpiration
+		sched.Run(expires)
+		if got := searcher.Cache.Search("Resource", "Name", "gpu"); len(got) != 0 {
+			t.Fatalf("%s: an expired answer is still found", searcher.Config.Name)
+		}
+		sched.Run(expires + 30*time.Second)
+		if searcher.Cache.Len() != held || searcher.Config.AdvStore.Len() != stored {
+			t.Fatalf("%s: a push interval after the answer expired, the cache holds %d (want %d) and the store %d (want %d)",
+				searcher.Config.Name, searcher.Cache.Len(), held, searcher.Config.AdvStore.Len(), stored)
+		}
 	}
 }

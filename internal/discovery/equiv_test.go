@@ -599,7 +599,7 @@ func sameAdvertisements(got, want []advertisement.Advertisement, cache *cm.Cache
 		if !bytes.Equal(g, w) {
 			return fmt.Errorf("advertisement %d is %q, the tree decoder's is %q", i, g, w)
 		}
-		if _, ok := cache.Get(got[i].ID()); !ok {
+		if cache.Encoded(got[i].ID()) == nil {
 			return fmt.Errorf("advertisement %d (%s) was not cached", i, got[i].ID().Short())
 		}
 	}

@@ -64,7 +64,7 @@ func newHopRig(t *testing.T) *hopRig {
 		id, _ := e.Rendezvous.ConnectedRdv()
 		near := r.rdvOf(t, id)
 		replica := r.rdvOf(t, discovery.ReplicaPeer(near.PeerView.View(), hopKey))
-		if replica != near && !near.Discovery.Index().Has(hopKey) && replica.Discovery.Index().Has(hopKey) {
+		if replica != near && len(near.Discovery.Index().Publishers(hopKey)) == 0 && len(replica.Discovery.Index().Publishers(hopKey)) > 0 {
 			r.searcher, r.near, r.replica = e, near, replica
 			return r
 		}

@@ -10,7 +10,6 @@ import (
 	"jxta/internal/israce"
 	"jxta/internal/message"
 	"jxta/internal/metrics"
-	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
 
@@ -136,13 +135,13 @@ func TestUnknownServicesDoNotGrowState(t *testing.T) {
 	}
 	send("svc")
 	send("made-up")
-	cached, series, drops := len(b.ep.slots), reg.NumSeries(), b.ep.Drops
+	cached, series, drops := len(b.ep.slots), len(reg.Snapshot()), b.ep.Drops
 	for i := 0; i < 10000; i++ {
 		send(fmt.Sprintf("made-up-%d", i))
 	}
-	if len(b.ep.slots) != cached || reg.NumSeries() != series {
+	if len(b.ep.slots) != cached || len(reg.Snapshot()) != series {
 		t.Fatalf("10,000 unknown services grew the service slots %d -> %d and the registry %d -> %d series",
-			cached, len(b.ep.slots), series, reg.NumSeries())
+			cached, len(b.ep.slots), series, len(reg.Snapshot()))
 	}
 	if b.ep.Drops != drops+10000 {
 		t.Fatalf("Drops rose by %d, want 10000", b.ep.Drops-drops)
@@ -182,21 +181,13 @@ func TestSendDeliverAllocs(t *testing.T) {
 	}
 }
 
-// TestSendFromInsideSendOverLoop: on the loopback fabric the receiver's
-// handler runs inside the sender's Send and answers from there, eight deep,
-// so pooled wire buffers are in use by nested sends at once. Every message
-// must arrive with its own body and its own envelope.
-func TestSendFromInsideSendOverLoop(t *testing.T) {
-	sched := simnet.NewScheduler(1)
-	hub := transport.NewHub()
-	mk := func(name string) *Endpoint {
-		tr, err := hub.Attach(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return New(sched.NewEnv(name), ids.FromName(ids.KindPeer, name), tr)
-	}
-	a, b := mk("a"), mk("b")
+// TestSendFromInsideHandler: each receiver's handler answers from inside
+// itself, eight times over, so the pooled wire buffers of one send are
+// reused by the next before the first delivery's loan has ended. Every
+// message must arrive with its own body and its own envelope.
+func TestSendFromInsideHandler(t *testing.T) {
+	sched, _, ra, rb, _ := setup(t)
+	a, b := ra.ep, rb.ep
 	a.AddRoute(b.ID(), b.Addr())
 	var log []string
 	bounce := func(self, peer *Endpoint) Handler {
@@ -218,6 +209,7 @@ func TestSendFromInsideSendOverLoop(t *testing.T) {
 	if err := a.Send(b.ID(), "svc", body("+")); err != nil {
 		t.Fatal(err)
 	}
+	sched.Run(time.Second)
 	if got, want := strings.Join(log, " "), "+ ++ +++ ++++ +++++ ++++++ +++++++ ++++++++"; got != want {
 		t.Fatalf("bodies arrived as %q, want %q", got, want)
 	}

@@ -21,7 +21,7 @@ func TestRunPeerviewSmall(t *testing.T) {
 	if res.FinalSize != 9 || !res.ReachedMax || !res.ConsistentAtEnd {
 		t.Fatalf("r=10 should satisfy property (2): %+v", res)
 	}
-	if res.Size.Len() == 0 || res.MeanSize.Len() != res.Size.Len() {
+	if len(res.Size.Values) == 0 || len(res.MeanSize.Values) != len(res.Size.Values) {
 		t.Fatal("series not sampled")
 	}
 	if res.ReachedMaxAt <= 0 {

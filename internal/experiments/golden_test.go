@@ -54,8 +54,8 @@ func peerviewFingerprint(res PeerviewResult) string {
 func discoveryFingerprint(res DiscoveryResult) string {
 	return fmt.Sprintf("mean=%s n=%d min=%s p50=%s p95=%s max=%s timeouts=%d walk=%s steps=%d msgs=%d bytes=%d dropped=%d",
 		hexFloat(res.MeanMs), res.Latency.N(),
-		hexFloat(res.Latency.Min()), hexFloat(res.Latency.Quantile(0.5)),
-		hexFloat(res.Latency.Quantile(0.95)), hexFloat(res.Latency.Max()),
+		hexFloat(res.Latency.Quantile(0)), hexFloat(res.Latency.Quantile(0.5)),
+		hexFloat(res.Latency.Quantile(0.95)), hexFloat(res.Latency.Quantile(1)),
 		res.Timeouts, hexFloat(res.WalkFraction),
 		res.Steps, res.NetStats.Messages, res.NetStats.Bytes,
 		res.NetStats.Dropped)

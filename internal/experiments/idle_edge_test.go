@@ -212,12 +212,12 @@ func TestHibernateKillRestartPromote(t *testing.T) {
 		o := buildIdleOverlay(t, 6)
 		defer o.StopAll()
 		e := o.Edges[0]
-		o.KillEdge(0)
+		o.KillNode(e)
 		if !e.Hibernating() || randResident(e) {
 			t.Fatal("a killed edge holds work in flight or an RNG register")
 		}
 		o.Sched.Run(o.Sched.Now() + time.Minute)
-		o.RestartEdge(0)
+		o.RestartNode(e)
 		o.Sched.Run(o.Sched.Now() + 8*time.Minute)
 		if !idleLeased(e) {
 			t.Fatal("restarted edge did not re-lease and go idle")

@@ -59,9 +59,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", byte(k))
 }
 
-// valid reports whether the kind is one of the defined namespaces.
-func (k Kind) valid() bool { return k >= KindPeer && k <= KindQuery }
-
 // ID is a JXTA identifier: a kind tag plus a 16-byte UUID payload.
 // The zero value is the nil ID.
 type ID struct {
@@ -74,9 +71,6 @@ var Nil ID
 
 // ErrBadID reports a malformed textual ID.
 var ErrBadID = errors.New("ids: malformed JXTA ID")
-
-// New builds an ID of the given kind from a 16-byte payload.
-func New(kind Kind, uuid [16]byte) ID { return ID{kind: kind, uuid: uuid} }
 
 // NewRandom draws a fresh ID of the given kind from rng. Experiments use
 // per-node seeded generators so that overlays are reproducible; passing a nil
@@ -104,14 +98,8 @@ func FromName(kind Kind, name string) ID {
 	return ID{kind: kind, uuid: u}
 }
 
-// Kind returns the ID namespace.
-func (id ID) Kind() Kind { return id.kind }
-
 // IsNil reports whether the ID is the zero ID.
 func (id ID) IsNil() bool { return id == Nil }
-
-// Bytes returns the 16-byte UUID payload.
-func (id ID) Bytes() [16]byte { return id.uuid }
 
 // Compare orders IDs first by UUID payload, then by kind. The peerview
 // protocol relies on this order being total and stable.

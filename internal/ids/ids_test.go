@@ -49,7 +49,7 @@ func TestNewRandomSetsUUIDBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 50; i++ {
 		id := NewRandom(KindAdv, rng)
-		u := id.Bytes()
+		u := id.uuid
 		if u[6]&0xf0 != 0x40 {
 			t.Fatalf("version nibble not 4: %x", u[6])
 		}
@@ -122,8 +122,8 @@ func TestParsePlainFormDefaultsToPeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id.Kind() != KindPeer {
-		t.Fatalf("plain form kind = %v, want peer", id.Kind())
+	if id.kind != KindPeer {
+		t.Fatalf("plain form kind = %v, want peer", id.kind)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestSortIDsSmall(t *testing.T) {
 // Property: Compare is antisymmetric and consistent with Equal.
 func TestCompareProperties(t *testing.T) {
 	f := func(a, b [16]byte, ka, kb uint8) bool {
-		ia := New(Kind(ka%6+1), a)
-		ib := New(Kind(kb%6+1), b)
+		ia := ID{kind: Kind(ka%6 + 1), uuid: a}
+		ib := ID{kind: Kind(kb%6 + 1), uuid: b}
 		c1, c2 := ia.Compare(ib), ib.Compare(ia)
 		if c1 != -c2 {
 			return false
@@ -192,7 +192,7 @@ func TestCompareProperties(t *testing.T) {
 // Property: Parse(String(id)) is the identity.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(u [16]byte, k uint8) bool {
-		id := New(Kind(k%6+1), u)
+		id := ID{kind: Kind(k%6 + 1), uuid: u}
 		back, err := Parse(id.String())
 		return err == nil && back.Equal(id)
 	}
@@ -212,7 +212,7 @@ func TestBytesFormsMatchStringForms(t *testing.T) {
 		return got == want && (gotErr == nil) == (wantErr == nil)
 	}
 	urn := func(u [16]byte, k uint8, nilID bool) bool {
-		id := New(Kind(k%8), u) // kinds 0 and 7 are outside the namespaces
+		id := ID{kind: Kind(k % 8), uuid: u} // kinds 0 and 7 are outside the namespaces
 		if nilID {
 			id = Nil
 		}
@@ -221,7 +221,7 @@ func TestBytesFormsMatchStringForms(t *testing.T) {
 			string(id.AppendShort([]byte("dst:"))) == "dst:"+id.Short()
 	}
 	damaged := func(u [16]byte, k uint8, at uint8, with byte) bool {
-		b := New(Kind(k%6+1), u).AppendString(nil)
+		b := ID{kind: Kind(k%6 + 1), uuid: u}.AppendString(nil)
 		b[int(at)%len(b)] = with
 		return agree(b) && agree(b[:int(at)%len(b)])
 	}
@@ -230,7 +230,7 @@ func TestBytesFormsMatchStringForms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id := New(KindPeer, [16]byte{1, 2, 3})
+	id := ID{kind: KindPeer, uuid: [16]byte{1, 2, 3}}
 	var scratch [64]byte
 	if n := testing.AllocsPerRun(100, func() {
 		if back, err := ParseBytes(id.AppendString(scratch[:0])); err != nil || back != id {

@@ -479,20 +479,6 @@ func (m *Message) decodeElements(count uint64, rest []byte) error {
 	return nil
 }
 
-// Equal reports whether two messages have identical element sequences.
-func (m *Message) Equal(o *Message) bool {
-	if m.Len() != o.Len() {
-		return false
-	}
-	for i, e := range m.elements {
-		oe := o.elements[i]
-		if e.Namespace != oe.Namespace || e.Name != oe.Name || string(e.Data) != string(oe.Data) {
-			return false
-		}
-	}
-	return true
-}
-
 // String summarizes the message for logs.
 func (m *Message) String() string {
 	s := "msg{"

@@ -352,3 +352,17 @@ func TestSizeTracksWireLengthProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Equal reports whether two messages have identical element sequences.
+func (m *Message) Equal(o *Message) bool {
+	if m.Len() != o.Len() {
+		return false
+	}
+	for i, e := range m.elements {
+		oe := o.elements[i]
+		if e.Namespace != oe.Namespace || e.Name != oe.Name || string(e.Data) != string(oe.Data) {
+			return false
+		}
+	}
+	return true
+}

@@ -7,8 +7,8 @@
 // logs with first-seen numbering (Figure 3 right), and latency sample
 // sets with summary statistics (Figure 4 right).
 //
-// The runtime half is a Registry of named Counter/Gauge/Histogram
-// instruments with single-label Vec variants and collector-backed Func
+// The runtime half is a Registry of named Counter and Histogram
+// instruments with a single-label CounterVec and collector-backed Func
 // instruments. Increments and observations are lock-free atomics with
 // zero allocations after registration (see BenchmarkCounterInc), so
 // every protocol service carries its instruments unconditionally —
@@ -23,7 +23,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -41,31 +40,6 @@ type Series struct {
 func (s *Series) Add(t time.Duration, v float64) {
 	s.Times = append(s.Times, t)
 	s.Values = append(s.Values, v)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Times) }
-
-// At returns the i-th point.
-func (s *Series) At(i int) (time.Duration, float64) { return s.Times[i], s.Values[i] }
-
-// Last returns the final value, or 0 for an empty series.
-func (s *Series) Last() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Values[len(s.Values)-1]
-}
-
-// Max returns the maximum value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	max := 0.0
-	for i, v := range s.Values {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // MeanAfter averages the values at times >= t (the steady-state plateau of
@@ -206,20 +180,6 @@ func (s *Samples) Mean() float64 {
 	return sum / float64(len(s.data))
 }
 
-// Stddev returns the population standard deviation.
-func (s *Samples) Stddev() float64 {
-	if len(s.data) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.data {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.data)))
-}
-
 func (s *Samples) sortIfNeeded() {
 	if !s.sorted {
 		sort.Float64s(s.data)
@@ -246,16 +206,4 @@ func (s *Samples) Quantile(q float64) float64 {
 		return s.data[lo]
 	}
 	return s.data[lo]*(1-frac) + s.data[lo+1]*frac
-}
-
-// Min returns the smallest sample.
-func (s *Samples) Min() float64 { return s.Quantile(0) }
-
-// Max returns the largest sample.
-func (s *Samples) Max() float64 { return s.Quantile(1) }
-
-// Summary renders "mean=… p50=… p95=… n=…".
-func (s *Samples) Summary() string {
-	return fmt.Sprintf("mean=%.2f p50=%.2f p95=%.2f min=%.2f max=%.2f n=%d",
-		s.Mean(), s.Quantile(0.5), s.Quantile(0.95), s.Min(), s.Max(), s.N())
 }

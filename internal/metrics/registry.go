@@ -16,7 +16,6 @@ type Kind int
 
 const (
 	KindCounter Kind = iota
-	KindGauge
 	KindHistogram
 	// KindCounterFunc and KindGaugeFunc are collector-backed instruments:
 	// the value is computed by a callback at encode/snapshot time instead
@@ -55,21 +54,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down. All methods are lock-free
-// atomics.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (d may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefBuckets are the default histogram boundaries, in seconds — spanning
 // sub-millisecond LAN round trips through the multi-second WAN timeouts
@@ -114,7 +98,6 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 type child struct {
 	label string // label value; "" on unlabeled families
 	c     Counter
-	g     Gauge
 	h     *Histogram
 	cf    func() uint64
 	gf    func() float64
@@ -216,11 +199,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return &r.register(name, help, KindCounter, "", nil).getOrAdd("").c
 }
 
-// Gauge registers (or fetches) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return &r.register(name, help, KindGauge, "", nil).getOrAdd("").g
-}
-
 // Histogram registers (or fetches) an unlabeled histogram with the given
 // upper bucket bounds (DefBuckets if nil).
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
@@ -272,17 +250,6 @@ func (r *Registry) CounterVec(name, help, labelKey string) *CounterVec {
 // cache the returned *Counter (per-service caches in the endpoint do
 // exactly this) so steady-state increments stay lock-free.
 func (v *CounterVec) With(value string) *Counter { return &v.f.getOrAdd(value).c }
-
-// GaugeVec is a gauge family keyed by one label.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or fetches) a gauge family keyed by labelKey.
-func (r *Registry) GaugeVec(name, help, labelKey string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, KindGauge, labelKey, nil)}
-}
-
-// With returns the child gauge for the given label value.
-func (v *GaugeVec) With(value string) *Gauge { return &v.f.getOrAdd(value).g }
 
 // snapshotFamilies copies the family list and each family's children so
 // encoding can walk them without holding registry locks.
@@ -356,8 +323,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.kind {
 			case KindCounter:
 				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, f.labelKey, ch.label), ch.c.Value())
-			case KindGauge:
-				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, f.labelKey, ch.label), ch.g.Value())
 			case KindCounterFunc:
 				fmt.Fprintf(&b, "%s %d\n", seriesName(f.name, f.labelKey, ch.label), ch.cf())
 			case KindGaugeFunc:
@@ -392,8 +357,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 			switch f.kind {
 			case KindCounter:
 				out[key] = float64(ch.c.Value())
-			case KindGauge:
-				out[key] = float64(ch.g.Value())
 			case KindCounterFunc:
 				out[key] = float64(ch.cf())
 			case KindGaugeFunc:
@@ -412,17 +375,4 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// NumSeries reports the number of materialized series (children) across
-// all families — the registry's memory footprint driver, bounded per
-// family by MaxCardinality.
-func (r *Registry) NumSeries() int {
-	n := 0
-	for _, f := range r.snapshotFamilies() {
-		f.mu.Lock()
-		n += len(f.children)
-		f.mu.Unlock()
-	}
-	return n
 }

@@ -31,16 +31,6 @@ func BenchmarkCounterAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkGaugeSet(b *testing.B) {
-	r := NewRegistry()
-	g := r.Gauge("bench_depth", "bench")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Set(int64(i))
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
 	h := r.Histogram("bench_latency_seconds", "bench", nil)

@@ -12,8 +12,6 @@ func TestRegistryPrometheusEncoding(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jxta_test_ops_total", "ops so far")
 	c.Add(7)
-	g := r.Gauge("jxta_test_depth", "queue depth")
-	g.Set(-3)
 	v := r.CounterVec("jxta_test_msgs_total", "messages by service", "service")
 	v.With("resolver").Add(2)
 	v.With("pipe.msg").Inc()
@@ -25,10 +23,7 @@ func TestRegistryPrometheusEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := b.String()
-	want := `# HELP jxta_test_depth queue depth
-# TYPE jxta_test_depth gauge
-jxta_test_depth -3
-# HELP jxta_test_msgs_total messages by service
+	want := `# HELP jxta_test_msgs_total messages by service
 # TYPE jxta_test_msgs_total counter
 jxta_test_msgs_total{service="pipe.msg"} 1
 jxta_test_msgs_total{service="resolver"} 2
@@ -111,7 +106,7 @@ func TestCardinalityCap(t *testing.T) {
 	for i := 0; i < MaxCardinality+50; i++ {
 		v.With(fmt.Sprintf("peer-%04d", i)).Inc()
 	}
-	if n := r.NumSeries(); n != MaxCardinality+1 {
+	if n := len(r.Snapshot()); n != MaxCardinality+1 {
 		t.Fatalf("series = %d, want cap+overflow = %d", n, MaxCardinality+1)
 	}
 	// All 50 over-cap increments share the overflow child.
@@ -134,7 +129,7 @@ func TestConflictingRegistrationPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("jxta_test_x", "a counter")
-	r.Gauge("jxta_test_x", "now a gauge")
+	r.GaugeFunc("jxta_test_x", "now a gauge", func() float64 { return 0 })
 }
 
 func TestIdempotentRegistration(t *testing.T) {
@@ -157,7 +152,6 @@ func TestIdempotentRegistration(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jxta_test_conc_total", "c")
-	g := r.Gauge("jxta_test_conc_depth", "g")
 	h := r.Histogram("jxta_test_conc_lat", "h", nil)
 	v := r.CounterVec("jxta_test_conc_svc_total", "v", "service")
 
@@ -170,8 +164,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			child := v.With(fmt.Sprintf("svc-%d", w%4))
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(0.003)
 				child.Inc()
 			}
@@ -191,9 +183,6 @@ func TestRegistryConcurrent(t *testing.T) {
 
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
-	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %d, want 0", g.Value())
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)

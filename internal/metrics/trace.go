@@ -96,14 +96,3 @@ func (t *Trace) Len() int {
 	defer t.mu.Unlock()
 	return len(t.buf)
 }
-
-// Total reports how many events were ever recorded, including evicted
-// ones. Safe on a nil receiver.
-func (t *Trace) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}

@@ -62,15 +62,6 @@ func ParseSite(name string) (Site, error) {
 	return 0, fmt.Errorf("netmodel: unknown site %q", name)
 }
 
-// AllSites returns the nine sites in declaration order.
-func AllSites() []Site {
-	sites := make([]Site, NumSites)
-	for i := range sites {
-		sites[i] = Site(i)
-	}
-	return sites
-}
-
 // Model describes the simulated network.
 type Model struct {
 	// IntraSite is the one-way latency between two nodes of the same
@@ -188,23 +179,6 @@ func (m *Model) SampleLatency(a, b Site, size int, rng *rand.Rand) time.Duration
 // Drop reports whether a message should be lost, per the model's loss rate.
 func (m *Model) Drop(rng *rand.Rand) bool {
 	return m.LossRate > 0 && rng.Float64() < m.LossRate
-}
-
-// MeanInterSite returns the average one-way latency over all distinct site
-// pairs — a useful scalar when calibrating expected hop costs.
-func (m *Model) MeanInterSite() time.Duration {
-	var sum time.Duration
-	var n int64
-	for i := 0; i < NumSites; i++ {
-		for j := i + 1; j < NumSites; j++ {
-			sum += m.InterSite[i][j]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
 }
 
 // ShardLookahead derives the conservative-PDES window width for a

@@ -158,9 +158,6 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 	if cfg.AdvStore == nil {
 		cfg.AdvStore = advstore.Default()
 	}
-	// The peerview (including one built later by PromoteToRendezvous, which
-	// reads n.Config.Peerview) interns against the same table as the cache.
-	cfg.Peerview.AdvStore = cfg.AdvStore
 	id := ids.NewRandom(ids.KindPeer, e.Rand())
 	ep := endpoint.New(e, id, tr)
 	res := resolver.New(e, ep)
@@ -189,7 +186,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 			Name:    cfg.Name,
 			Address: string(tr.Addr()),
 		}
-		n.PeerView = peerview.New(e, ep, n.rdvAdv, cfg.Peerview, cfg.Seeds)
+		n.PeerView = peerview.New(e, ep, cfg.AdvStore, n.rdvAdv, cfg.Peerview, cfg.Seeds)
 		n.Rendezvous = rendezvous.NewRendezvous(e, ep, n.PeerView, cfg.Lease)
 	} else {
 		n.Rendezvous = rendezvous.NewEdge(e, ep, cfg.Seeds, cfg.Lease)
@@ -295,7 +292,7 @@ func (n *Node) PromoteToRendezvous() {
 	for _, sd := range n.Config.Seeds {
 		addSeed(sd)
 	}
-	n.PeerView = peerview.New(n.Env, n.Endpoint, n.rdvAdv, n.Config.Peerview, seeds)
+	n.PeerView = peerview.New(n.Env, n.Endpoint, n.Config.AdvStore, n.rdvAdv, n.Config.Peerview, seeds)
 	// Rebind the peerview instruments to the node registry: counters are
 	// shared with the pre-promotion family (registration is idempotent) and
 	// the size gauge re-targets the fresh view.
@@ -370,7 +367,7 @@ func (n *Node) halt(graceful bool) {
 // Start rejoins the overlay from the configured seeds. Identity is
 // preserved: same peer ID, same RNG stream, same transport address. If the
 // node was killed, the caller must re-attach the transport first
-// (deploy.Overlay.RestartRdv/RestartEdge do).
+// (deploy.Overlay.RestartNode does).
 func (n *Node) Restart() {
 	n.Stop()
 	n.Endpoint.Reset()
@@ -380,13 +377,6 @@ func (n *Node) Restart() {
 	n.Rendezvous.Reset()
 	n.Discovery.Reset()
 	n.Start()
-}
-
-// Close shuts the peer down for good: graceful Stop plus transport release
-// (process exit).
-func (n *Node) Close() {
-	n.Stop()
-	n.Endpoint.Close()
 }
 
 // AddSeed wires an additional rendezvous seed at runtime and, for edges,
@@ -403,9 +393,6 @@ func (n *Node) AddSeed(seed peerview.Seed) {
 func (n *Node) Seed() peerview.Seed {
 	return peerview.Seed{ID: n.ID, Addr: n.Endpoint.Addr()}
 }
-
-// RdvAdv returns the rendezvous advertisement (nil for edges).
-func (n *Node) RdvAdv() *advertisement.Rdv { return n.rdvAdv }
 
 // IsRendezvous reports the role.
 func (n *Node) IsRendezvous() bool { return n.PeerView != nil }
@@ -425,10 +412,6 @@ func (n *Node) Hibernating() bool {
 //
 // Deprecated: goes with the benchmark-only PR of ROADMAP 0(a).
 func (n *Node) HibernationStats() (wakes, freezes uint64) { return 0, 0 }
-
-// URN returns this peer's ID in URN form, rendered once at construction —
-// logging and keying paths should use it instead of ID.String().
-func (n *Node) URN() string { return n.Endpoint.IDString() }
 
 // PeerAdv builds this peer's peer advertisement (the Table 1 example
 // publishes one of these with Name "Test").

@@ -47,10 +47,10 @@ func TestRoleString(t *testing.T) {
 
 func TestAssemblyRoles(t *testing.T) {
 	_, _, rdv, edge := newPair(t)
-	if !rdv.IsRendezvous() || rdv.PeerView == nil || rdv.RdvAdv() == nil {
+	if !rdv.IsRendezvous() || rdv.PeerView == nil || rdv.rdvAdv == nil {
 		t.Fatal("rendezvous assembly incomplete")
 	}
-	if edge.IsRendezvous() || edge.PeerView != nil || edge.RdvAdv() != nil {
+	if edge.IsRendezvous() || edge.PeerView != nil || edge.rdvAdv != nil {
 		t.Fatal("edge assembled rendezvous machinery")
 	}
 	if rdv.Discovery == nil || rdv.Resolver == nil || rdv.Cache == nil || rdv.Endpoint == nil {
@@ -69,13 +69,13 @@ func TestDefaultGroupAndName(t *testing.T) {
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
 	tr, _ := net.Attach("x", netmodel.Rennes)
 	n := New(sched.NewEnv("x"), tr, Config{Role: Rendezvous})
-	if n.RdvAdv().GroupID != ids.FromName(ids.KindGroup, "NetPeerGroup") {
+	if n.rdvAdv.GroupID != ids.FromName(ids.KindGroup, "NetPeerGroup") {
 		t.Fatal("the rendezvous advertisement does not name the NetPeerGroup")
 	}
 	if n.Config.Name != "x" {
 		t.Fatalf("name not defaulted from env: %q", n.Config.Name)
 	}
-	if n.RdvAdv().Name != "x" || !n.RdvAdv().PeerID.Equal(n.ID) {
+	if n.rdvAdv.Name != "x" || !n.rdvAdv.PeerID.Equal(n.ID) {
 		t.Fatal("rdv advertisement fields wrong")
 	}
 }

@@ -103,10 +103,6 @@ type Config struct {
 	// enable it so a crashed rendezvous disappears from neighbouring views
 	// within a few PEERVIEW_INTERVALs and walks route around it.
 	ProbeTimeoutRounds int
-	// AdvStore interns the view's rendezvous advertisements; nil uses the
-	// process-wide default store. Deployments pass one store per overlay so
-	// interned advertisements do not outlive it.
-	AdvStore *advstore.Store
 }
 
 // DefaultConfig returns the paper's default tunables.
@@ -133,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReferralsPerProbe <= 0 {
 		c.ReferralsPerProbe = d.ReferralsPerProbe
-	}
-	if c.AdvStore == nil {
-		c.AdvStore = advstore.Default()
 	}
 	return c
 }
@@ -334,8 +327,10 @@ type PeerView struct {
 	// selfBytes is self's encoding, made once at New: every probe, response,
 	// update and merge list carries it.
 	selfBytes []byte
-	cfg       Config
-	seeds     []Seed
+	// store interns the view's rendezvous advertisements.
+	store *advstore.Store
+	cfg   Config
+	seeds []Seed
 
 	// entries is the local peerview, sorted by peer ID, excluding self
 	// (the paper's measurements exclude the local peer, footnote 2).
@@ -372,13 +367,15 @@ type PeerView struct {
 	m *pvMetrics
 }
 
-// New builds a peerview for the rendezvous peer described by self. Start
-// must be called to begin the periodic algorithm.
-func New(e env.Env, ep *endpoint.Endpoint, self *advertisement.Rdv, cfg Config, seeds []Seed) *PeerView {
+// New builds a peerview for the rendezvous peer described by self, interning
+// the advertisements it learns in store. Start must be called to begin the
+// periodic algorithm.
+func New(e env.Env, ep *endpoint.Endpoint, store *advstore.Store, self *advertisement.Rdv, cfg Config, seeds []Seed) *PeerView {
 	pv := &PeerView{
 		env:    e,
 		ep:     ep,
 		self:   self,
+		store:  store,
 		cfg:    cfg.withDefaults(),
 		seeds:  seeds,
 		byID:   make(map[ids.ID]*entry),
@@ -470,20 +467,10 @@ func (pv *PeerView) ViewAt(i int) ids.ID {
 	return pv.entries[i].adv.PeerID
 }
 
-// Members returns the current view entries as seed records (ID + address),
-// in ascending ID order, excluding the local peer. This is the "alternate
-// rendezvous" list a self-healing rendezvous shares with its lease clients,
-// and the seed set a promoted edge re-seeds its own peerview from.
-func (pv *PeerView) Members() []Seed {
-	out := make([]Seed, len(pv.entries))
-	for i := range out {
-		out[i] = pv.Member(i)
-	}
-	return out
-}
-
-// Member returns the i-th view entry, 0 ≤ i < Size(), in ascending ID order:
-// Members()[i] without the list.
+// Member returns the i-th view entry, 0 ≤ i < Size(), in ascending ID order,
+// as a seed record (ID + address). The local peer is not an entry. This is
+// how a self-healing rendezvous lists the alternates it shares with its
+// lease clients.
 func (pv *PeerView) Member(i int) Seed {
 	adv := pv.entries[i].adv
 	return Seed{ID: adv.PeerID, Addr: transport.Addr(adv.Address)}
@@ -623,7 +610,7 @@ func (pv *PeerView) notify(kind EventKind, peer ids.ID) {
 // nil — and holds no reference — when the bytes are malformed or describe
 // anything but a rendezvous advertisement.
 func (pv *PeerView) internRdv(wire []byte) (*advstore.Shared, *advertisement.Rdv) {
-	sh, err := pv.cfg.AdvStore.InternBytes(wire)
+	sh, err := pv.store.InternBytes(wire)
 	if err != nil {
 		return nil, nil
 	}

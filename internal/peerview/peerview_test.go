@@ -29,10 +29,12 @@ var testGroup = ids.FromName(ids.KindGroup, "NetPeerGroup")
 
 // newOverlay builds n rendezvous peers over a uniform-latency simnet wired
 // in a chain seed topology (peer i seeds on peer i-1), mirroring the paper's
-// chain deployments. Peerviews are created but not started.
+// chain deployments. Peerviews are created but not started; they intern into
+// one store of the overlay's own.
 func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*testRdv {
 	t.Helper()
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	store := advstore.New()
 	peers := make([]*testRdv, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("rdv%d", i)
@@ -50,7 +52,7 @@ func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*tes
 			seeds = []Seed{{ID: peers[i-1].id, Addr: peers[i-1].tr.Addr()}}
 		}
 		peers[i] = &testRdv{id: id, adv: adv, ep: ep, tr: tr,
-			pv: New(e, ep, adv, cfg, seeds)}
+			pv: New(e, ep, store, adv, cfg, seeds)}
 	}
 	return peers
 }
@@ -58,7 +60,7 @@ func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*tes
 // learn upserts adv into p's view through a handle interned from the decoded
 // value, so the handle's encoding is filled lazily on first send.
 func (p *testRdv) learn(adv *advertisement.Rdv) bool {
-	sh := p.pv.cfg.AdvStore.Intern(adv)
+	sh := p.pv.store.Intern(adv)
 	return p.pv.upsert(sh, sh.Adv().(*advertisement.Rdv))
 }
 
@@ -82,17 +84,11 @@ func TestDefaultsMatchPaper(t *testing.T) {
 }
 
 func TestWithDefaultsFillsZeroes(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.AdvStore != advstore.Default() {
-		t.Fatalf("withDefaults AdvStore = %p, want process default", cfg.AdvStore)
-	}
-	cfg.AdvStore = nil
-	if cfg != DefaultConfig() {
+	if cfg := (Config{}).withDefaults(); cfg != DefaultConfig() {
 		t.Fatalf("withDefaults = %+v", cfg)
 	}
-	own := advstore.New()
 	custom := Config{Interval: time.Second, EntryExpiry: time.Minute,
-		HappySize: 2, ReferralsPerProbe: 5, AdvStore: own}
+		HappySize: 2, ReferralsPerProbe: 5}
 	if custom.withDefaults() != custom {
 		t.Fatal("withDefaults overwrote non-zero fields")
 	}
@@ -392,7 +388,7 @@ func TestHappySizeSeedProbing(t *testing.T) {
 	ep := endpoint.New(e, id, tr)
 	ghostSeed := Seed{ID: ids.FromName(ids.KindPeer, "ghost"),
 		Addr: "sim://rennes/ghost"}
-	pv := New(e, ep, adv, DefaultConfig(), []Seed{ghostSeed})
+	pv := New(e, ep, advstore.New(), adv, DefaultConfig(), []Seed{ghostSeed})
 	pv.Start()
 	sched.Run(5 * time.Minute)
 	// 11 iterations, all unhappy -> 11 probes sent to the (dead) seed.
@@ -459,6 +455,7 @@ func BenchmarkPeerviewRound50(b *testing.B) {
 // benchOverlay mirrors newOverlay without testing.T.
 func benchOverlay(sched *simnet.Scheduler, n int) []*testRdv {
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	store := advstore.New()
 	peers := make([]*testRdv, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("rdv%d", i)
@@ -473,7 +470,7 @@ func benchOverlay(sched *simnet.Scheduler, n int) []*testRdv {
 			seeds = []Seed{{ID: peers[i-1].id, Addr: peers[i-1].tr.Addr()}}
 		}
 		peers[i] = &testRdv{id: id, adv: adv, ep: ep, tr: tr,
-			pv: New(e, ep, adv, DefaultConfig(), seeds)}
+			pv: New(e, ep, store, adv, DefaultConfig(), seeds)}
 	}
 	return peers
 }
@@ -532,7 +529,10 @@ func TestMembersSortedWithAddresses(t *testing.T) {
 	peers := newOverlay(t, sched, 5, Config{})
 	startAll(peers)
 	sched.Run(10 * time.Minute)
-	members := peers[0].pv.Members()
+	var members []Seed
+	for i := range peers[0].pv.Size() {
+		members = append(members, peers[0].pv.Member(i))
+	}
 	if len(members) != 4 {
 		t.Fatalf("members = %d, want 4", len(members))
 	}

@@ -35,8 +35,7 @@ func tapAdvs(p *testRdv, msgType string) *[][]byte {
 // the wire or fills it on first send.
 func TestReferralCarriesCanonicalBytes(t *testing.T) {
 	sched := simnet.NewScheduler(41)
-	store := advstore.New()
-	peers := newOverlay(t, sched, 6, Config{Interval: time.Hour, AdvStore: store})
+	peers := newOverlay(t, sched, 6, Config{Interval: time.Hour})
 	a, b := peers[0], peers[1]
 	// b learns two peers from decoded values (lazy fill) ...
 	b.learn(peers[2].adv)
@@ -96,8 +95,8 @@ func TestReferralCarriesCanonicalBytes(t *testing.T) {
 // batch still applies.
 func TestReceiveSkipsBadAdvertisementsWithoutLeaking(t *testing.T) {
 	sched := simnet.NewScheduler(43)
-	store := advstore.New()
-	peers := newOverlay(t, sched, 3, Config{Interval: time.Hour, AdvStore: store})
+	peers := newOverlay(t, sched, 3, Config{Interval: time.Hour})
+	store := peers[0].pv.store
 	a, b, c := peers[0], peers[1], peers[2]
 	a.learn(c.adv)
 	before := a.pv.byID[c.id].renewed
@@ -140,11 +139,10 @@ func TestReceiveSkipsBadAdvertisementsWithoutLeaking(t *testing.T) {
 // leave the handle tabled and one that ran low would panic in Release.
 func TestStoreEmptyAfterTeardown(t *testing.T) {
 	sched := simnet.NewScheduler(47)
-	store := advstore.New()
 	cfg := DefaultConfig()
-	cfg.AdvStore = store
 	cfg.EntryExpiry = 3 * time.Minute // expiry and re-learning churn the handles
 	peers := newOverlay(t, sched, 12, cfg)
+	store := peers[0].pv.store
 	startAll(peers)
 	sched.Run(6 * time.Minute)
 	peers[3].pv.Stop()

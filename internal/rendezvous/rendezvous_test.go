@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"jxta/internal/advertisement"
+	"jxta/internal/advstore"
 	"jxta/internal/endpoint"
 	"jxta/internal/ids"
 	"jxta/internal/message"
@@ -59,7 +60,7 @@ func newRdvOverlayCfg(t testing.TB, sched *simnet.Scheduler, net *transport.Netw
 		if i > 0 {
 			seeds = []peerview.Seed{{ID: peers[i-1].id, Addr: peers[i-1].tr.Addr()}}
 		}
-		pv := peerview.New(e, ep, adv, peerview.DefaultConfig(), seeds)
+		pv := peerview.New(e, ep, advstore.New(), adv, peerview.DefaultConfig(), seeds)
 		svc := NewRendezvous(e, ep, pv, cfg)
 		peers[i] = &rdvPeer{id: id, ep: ep, pv: pv, svc: svc, tr: tr}
 		pv.Start()
@@ -546,7 +547,7 @@ func TestPromoteSwapsRoleInPlace(t *testing.T) {
 	}
 	adv := &advertisement.Rdv{PeerID: promotee.id, GroupID: testGroup,
 		Name: "promotee", Address: string(promotee.tr.Addr())}
-	pv := peerview.New(sched.NewEnv("promotee-pv"), promotee.ep, adv,
+	pv := peerview.New(sched.NewEnv("promotee-pv"), promotee.ep, advstore.New(), adv,
 		peerview.DefaultConfig(), nil)
 	promotee.svc.Promote(pv)
 	if !promotee.svc.IsRendezvous() || promotee.svc.PeerView() != pv {
@@ -594,7 +595,7 @@ func TestGracefulHandoffTransfersLeaseTable(t *testing.T) {
 			if i > 0 {
 				seeds = []peerview.Seed{{ID: rdvs[0].id, Addr: rdvs[0].tr.Addr()}}
 			}
-			pv := peerview.New(e, ep, adv, peerview.DefaultConfig(), seeds)
+			pv := peerview.New(e, ep, advstore.New(), adv, peerview.DefaultConfig(), seeds)
 			svc := NewRendezvous(e, ep, pv, cfg)
 			rdvs = append(rdvs, &rdvPeer{id: id, ep: ep, pv: pv, svc: svc, tr: tr})
 			pv.Start()
@@ -654,7 +655,7 @@ func TestElectionSkipsDeadSuccessor(t *testing.T) {
 			adv := &advertisement.Rdv{PeerID: e.id, GroupID: testGroup,
 				Name: "promoted", Address: string(e.tr.Addr())}
 			e.svc.Promote(peerview.New(sched.NewEnv("pv-"+e.id.Short()),
-				e.ep, adv, peerview.DefaultConfig(), nil))
+				e.ep, advstore.New(), adv, peerview.DefaultConfig(), nil))
 		})
 	}
 	e1.svc.Start()

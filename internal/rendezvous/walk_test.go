@@ -1,6 +1,7 @@
 package rendezvous
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -113,7 +114,7 @@ func TestWalkHeaderOutcomes(t *testing.T) {
 				if !from.Equal(origin) {
 					t.Errorf("handler given origin %s", from.Short())
 				}
-				if want, err := message.Unmarshal(in.payload); err != nil || !b.Equal(want) {
+				if want, err := message.Unmarshal(in.payload); err != nil || !bytes.Equal(b.Marshal(), want.Marshal()) {
 					t.Errorf("handler given body %s, want %s (%v)", b, want, err)
 				}
 				return false

@@ -6,13 +6,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
-	"jxta/internal/endpoint"
 	"jxta/internal/ids"
 	"jxta/internal/israce"
 	"jxta/internal/message"
 	"jxta/internal/simnet"
-	"jxta/internal/transport"
 )
 
 // headerOf builds a resolver message from name/value pairs, in order.
@@ -237,32 +236,14 @@ func FuzzReceive(f *testing.F) {
 	})
 }
 
-// TestNestedSendsOverLoop: on the loopback transport a handler runs inside
-// the sender's Send, so a query that is forwarded and answered has three
-// pooled messages (and the endpoint's three) in use at once, and the
-// originator's callback, which asks again from inside, goes deeper still.
-// Every message must arrive with its own header and payload.
-func TestNestedSendsOverLoop(t *testing.T) {
+// TestQueriesFromInsideCallbacks: a query that is forwarded and answered
+// passes through three peers' pooled messages, and the originator's
+// callback asks again from inside, six times over. Every message must
+// arrive with its own header and payload.
+func TestQueriesFromInsideCallbacks(t *testing.T) {
 	sched := simnet.NewScheduler(1)
-	hub := transport.NewHub()
-	mk := func(name string) *peer {
-		tr, err := hub.Attach(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := sched.NewEnv(name)
-		id := ids.FromName(ids.KindPeer, name)
-		ep := endpoint.New(e, id, tr)
-		return &peer{id: id, ep: ep, res: New(e, ep)}
-	}
-	a, b, c := mk("a"), mk("b"), mk("c")
-	for _, p := range []*peer{a, b, c} {
-		for _, q := range []*peer{a, b, c} {
-			if p != q {
-				p.ep.AddRoute(q.id, q.ep.Addr())
-			}
-		}
-	}
+	ps := newPeers(t, sched, 3)
+	a, b, c := ps[0], ps[1], ps[2]
 	b.res.RegisterHandler("svc", func(q *Query) {
 		if q.Hops != 0 || !q.Src.Equal(a.id) {
 			t.Errorf("b got %+v", q)
@@ -297,6 +278,7 @@ func TestNestedSendsOverLoop(t *testing.T) {
 		}
 	}
 	ask(0)
+	sched.Run(time.Minute)
 	if want := "re:question 0 re:question 1 re:question 2 re:question 3 re:question 4 re:question 5"; strings.Join(log, " ") != want {
 		t.Fatalf("answers arrived as %q", log)
 	}

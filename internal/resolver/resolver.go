@@ -199,13 +199,6 @@ func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCa
 	return qid, nil
 }
 
-// Cancel abandons a pending query; late responses are dropped silently.
-func (s *Service) Cancel(qid uint64) {
-	if p, ok := s.pending[qid]; ok {
-		s.forget(qid, p)
-	}
-}
-
 // forget removes a pending query and disarms its deadline.
 func (s *Service) forget(qid uint64, p *pendingQuery) {
 	delete(s.pending, qid)

@@ -215,17 +215,23 @@ func TestMultipleResponses(t *testing.T) {
 	}
 }
 
+// TestCancelDropsResponses: Stop cancels every pending query, so the answer
+// that arrives afterwards is dropped and the timeout never fires.
 func TestCancelDropsResponses(t *testing.T) {
 	sched := simnet.NewScheduler(8)
 	ps := newPeers(t, sched, 2)
 	a, b := ps[0], ps[1]
-	b.res.RegisterHandler("slow", func(q *Query) { b.res.Respond(q, []byte("x")) })
+	answered := false
+	b.res.RegisterHandler("slow", func(q *Query) { answered = b.res.Respond(q, []byte("x")) == nil })
 	calls := 0
-	qid, _ := a.res.SendQuery(b.id, "slow", nil, func([]byte, ids.ID, int) { calls++ }, nil)
-	a.res.Cancel(qid)
+	a.res.SendQuery(b.id, "slow", nil, func([]byte, ids.ID, int) { calls++ }, func(uint64) { calls++ })
+	a.res.Stop()
 	sched.Run(time.Minute)
 	if calls != 0 {
-		t.Fatal("canceled query still delivered responses")
+		t.Fatal("canceled query still delivered a response or timed out")
+	}
+	if !answered {
+		t.Fatal("b never answered: the test shows nothing")
 	}
 }
 

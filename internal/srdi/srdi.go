@@ -168,38 +168,6 @@ func (x *Index) AppendPublishers(dst []Tuple, key string) []Tuple {
 	return dst
 }
 
-// Has reports whether at least one fresh publisher exists for key.
-func (x *Index) Has(key string) bool { return len(x.Publishers(key)) > 0 }
-
-// RemovePublisher drops every registration by a publisher (peer departure).
-func (x *Index) RemovePublisher(pub ids.ID) {
-	for key, lst := range x.entries {
-		i := sort.Search(len(lst), func(i int) bool { return !lst[i].pub.Less(pub) })
-		if i >= len(lst) || lst[i].pub != pub {
-			continue
-		}
-		lst = append(lst[:i], lst[i+1:]...)
-		x.size--
-		if len(lst) == 0 {
-			delete(x.entries, key)
-		} else {
-			x.entries[key] = lst
-		}
-	}
-	for key, lst := range x.numeric {
-		i := sort.Search(len(lst), func(i int) bool { return !lst[i].pub.Less(pub) })
-		if i >= len(lst) || lst[i].pub != pub {
-			continue
-		}
-		lst = append(lst[:i], lst[i+1:]...)
-		if len(lst) == 0 {
-			delete(x.numeric, key)
-		} else {
-			x.numeric[key] = lst
-		}
-	}
-}
-
 // GC evicts expired registrations and returns how many were removed.
 func (x *Index) GC() int {
 	now := x.env.Now()

@@ -26,10 +26,13 @@ func tup(key, pub string, life time.Duration) Tuple {
 	}
 }
 
+// has reports whether at least one fresh publisher exists for key.
+func has(x *Index, key string) bool { return len(x.Publishers(key)) > 0 }
+
 func TestAddLookup(t *testing.T) {
 	x, _ := newIndex()
 	x.Add(tup("PeerNameTest", "e1", 0))
-	if !x.Has("PeerNameTest") {
+	if !has(x, "PeerNameTest") {
 		t.Fatal("key not found")
 	}
 	pubs := x.Publishers("PeerNameTest")
@@ -39,7 +42,7 @@ func TestAddLookup(t *testing.T) {
 	if pubs[0].PublisherAddr != "sim://rennes/e1" {
 		t.Fatal("address lost")
 	}
-	if x.Has("Nope") {
+	if has(x, "Nope") {
 		t.Fatal("bogus key found")
 	}
 	if x.Size() != 1 || x.Keys() != 1 {
@@ -68,7 +71,7 @@ func TestReAddRefreshesNotDuplicates(t *testing.T) {
 		t.Fatalf("Size = %d after re-add", x.Size())
 	}
 	sched.Run(90 * time.Second) // 45s after refresh: still alive
-	if !x.Has("k") {
+	if !has(x, "k") {
 		t.Fatal("refreshed entry expired early")
 	}
 }
@@ -100,50 +103,34 @@ func TestGCRemovesEmptyKeys(t *testing.T) {
 	}
 }
 
-func TestRemovePublisher(t *testing.T) {
-	x, _ := newIndex()
-	x.Add(tup("k1", "e1", 0))
-	x.Add(tup("k2", "e1", 0))
-	x.Add(tup("k1", "e2", 0))
-	x.RemovePublisher(ids.FromName(ids.KindPeer, "e1"))
-	if x.Has("k2") {
-		t.Fatal("k2 should be gone with its only publisher")
-	}
-	if got := len(x.Publishers("k1")); got != 1 {
-		t.Fatalf("k1 publishers = %d, want 1", got)
-	}
-	if x.Size() != 1 {
-		t.Fatalf("Size = %d", x.Size())
-	}
-}
-
-// Property: Size always equals the sum of live registrations.
+// Property: after a final GC, Size equals the number of live
+// registrations, whatever mix of immortal and mortal adds, refreshes and
+// expiries came before.
 func TestSizeInvariantProperty(t *testing.T) {
 	f := func(seed int64, ops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		x, _ := newIndex()
-		truth := map[string]map[string]bool{}
-		count := 0
+		x, sched := newIndex()
+		expires := map[[2]string]time.Duration{} // (key, publisher) → expiry; 0 = never
 		for i := 0; i < int(ops); i++ {
+			if rng.Intn(4) == 0 {
+				sched.Run(sched.Now() + time.Minute)
+				x.GC()
+				continue
+			}
 			key := fmt.Sprintf("k%d", rng.Intn(4))
 			pub := fmt.Sprintf("p%d", rng.Intn(4))
-			if rng.Intn(4) == 0 {
-				x.RemovePublisher(ids.FromName(ids.KindPeer, pub))
-				for _, set := range truth {
-					if set[pub] {
-						delete(set, pub)
-						count--
-					}
-				}
-			} else {
-				x.Add(tup(key, pub, 0))
-				if truth[key] == nil {
-					truth[key] = map[string]bool{}
-				}
-				if !truth[key][pub] {
-					truth[key][pub] = true
-					count++
-				}
+			life := time.Duration(rng.Intn(2)) * time.Minute
+			x.Add(tup(key, pub, life))
+			expires[[2]string{key, pub}] = 0
+			if life > 0 {
+				expires[[2]string{key, pub}] = sched.Now() + life
+			}
+		}
+		x.GC()
+		count := 0
+		for _, at := range expires {
+			if at == 0 || at > sched.Now() {
+				count++
 			}
 		}
 		return x.Size() == count
@@ -196,20 +183,23 @@ func TestNumericTier(t *testing.T) {
 	}
 }
 
-func TestNumericReplaceAndRemovePublisher(t *testing.T) {
-	x, _ := newIndex()
+func TestNumericReplaceAndExpire(t *testing.T) {
+	x, sched := newIndex()
 	pub := ids.FromName(ids.KindPeer, "a")
 	x.AddNumeric("ResourceRAM", 1024, pub, "sim://rennes/a", 0)
-	x.AddNumeric("ResourceRAM", 8192, pub, "sim://rennes/a", 0) // replaces
+	x.AddNumeric("ResourceRAM", 8192, pub, "sim://rennes/a", time.Minute) // replaces
 	if got := x.RangePublishers("ResourceRAM", 0, 2000); len(got) != 0 {
 		t.Fatal("stale numeric value survived replacement")
 	}
 	if got := x.RangePublishers("ResourceRAM", 8000, 9000); len(got) != 1 {
 		t.Fatal("replacement value missing")
 	}
-	x.RemovePublisher(pub)
-	if got := x.RangePublishers("ResourceRAM", 0, 1<<40); len(got) != 0 {
-		t.Fatal("RemovePublisher missed the numeric tier")
+	sched.Run(2 * time.Minute)
+	if n := x.GC(); n != 1 {
+		t.Fatalf("GC evicted %d numeric entries, want the one replacement", n)
+	}
+	if got := x.RangePublishers("ResourceRAM", 0, 1<<40); len(got) != 0 || len(x.numeric) != 0 {
+		t.Fatal("GC left the numeric tier populated")
 	}
 }
 
@@ -248,10 +238,10 @@ func TestTuplesExportRoundTrip(t *testing.T) {
 			succ.AddNumeric(tpl.NumAttr, tpl.NumValue, tpl.Publisher, tpl.PublisherAddr, tpl.Lifetime)
 		}
 	}
-	if !succ.Has("PeerNameA") || !succ.Has("PeerNameB") {
+	if !has(succ, "PeerNameA") || !has(succ, "PeerNameB") {
 		t.Fatal("successor index misses handed-off keys")
 	}
-	if succ.Has("PeerNameGone") {
+	if has(succ, "PeerNameGone") {
 		t.Fatal("successor index resurrected an expired tuple")
 	}
 	if got := succ.RangePublishers("ResourceSize", 40, 50); len(got) != 1 {

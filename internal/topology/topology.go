@@ -99,23 +99,3 @@ func PlaceSites(numSites, shards int) []int {
 	}
 	return assign
 }
-
-// Depth returns the longest seed-path length from any node to the root —
-// the bootstrap propagation depth of the shape.
-func Depth(seeds [][]int) int {
-	depth := make([]int, len(seeds))
-	max := 0
-	for i := 1; i < len(seeds); i++ {
-		d := 0
-		for _, s := range seeds[i] {
-			if depth[s]+1 > d {
-				d = depth[s] + 1
-			}
-		}
-		depth[i] = d
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}

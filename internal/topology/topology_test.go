@@ -39,8 +39,8 @@ func TestChainShape(t *testing.T) {
 			t.Fatalf("chain peer %d seeds = %v", i, seeds[i])
 		}
 	}
-	if Depth(seeds) != 4 {
-		t.Fatalf("chain depth = %d, want 4", Depth(seeds))
+	if depth(seeds) != 4 {
+		t.Fatalf("chain depth = %d, want 4", depth(seeds))
 	}
 }
 
@@ -55,8 +55,8 @@ func TestTreeShape(t *testing.T) {
 			t.Fatalf("tree peer %d parent = %d, want %d", i, seeds[i][0], wantParents[i])
 		}
 	}
-	if Depth(seeds) != 2 {
-		t.Fatalf("tree depth = %d, want 2", Depth(seeds))
+	if depth(seeds) != 2 {
+		t.Fatalf("tree depth = %d, want 2", depth(seeds))
 	}
 }
 
@@ -79,8 +79,8 @@ func TestStarShape(t *testing.T) {
 			t.Fatal("star spoke not seeded on hub")
 		}
 	}
-	if Depth(seeds) != 1 {
-		t.Fatalf("star depth = %d", Depth(seeds))
+	if depth(seeds) != 1 {
+		t.Fatalf("star depth = %d", depth(seeds))
 	}
 }
 
@@ -100,7 +100,7 @@ func TestEmptyAndSingle(t *testing.T) {
 			if err != nil || len(seeds) != n {
 				t.Fatalf("%v n=%d: %v, %v", k, n, seeds, err)
 			}
-			if Depth(seeds) != 0 {
+			if depth(seeds) != 0 {
 				t.Fatal("trivial depth not 0")
 			}
 		}
@@ -135,4 +135,18 @@ func TestAcyclicProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// depth returns the longest seed-path length from any node to the root —
+// the bootstrap propagation depth of the shape.
+func depth(seeds [][]int) int {
+	hops := make([]int, len(seeds))
+	longest := 0
+	for i := 1; i < len(seeds); i++ {
+		for _, s := range seeds[i] {
+			hops[i] = max(hops[i], hops[s]+1)
+		}
+		longest = max(longest, hops[i])
+	}
+	return longest
 }

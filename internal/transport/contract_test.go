@@ -18,15 +18,11 @@ type contractPair struct {
 func contractPairs(t *testing.T) map[string]contractPair {
 	t.Helper()
 	sched, _, sa, sb := newSimPair(t, netmodel.Uniform(time.Millisecond))
-	hub := NewHub()
-	la, _ := hub.Attach("a")
-	lb, _ := hub.Attach("b")
 	ta, tb := listenPair(t)
 	t.Cleanup(func() { ta.Close(); tb.Close() })
 	return map[string]contractPair{
-		"sim":  {sa, sb, func() { sched.RunAll() }},
-		"loop": {la, lb, nil},
-		"tcp":  {ta, tb, nil},
+		"sim": {sa, sb, func() { sched.RunAll() }},
+		"tcp": {ta, tb, nil},
 	}
 }
 
@@ -98,7 +94,7 @@ func TestSendRetainsNothing(t *testing.T) {
 }
 
 // TestDeliveredMessageIsOnLoan is the Handler ownership rule, the same on
-// all three transports: the message is the handler's for the duration of the
+// both transports: the message is the handler's for the duration of the
 // call. A handler that clones sees what was sent, in order; one that keeps
 // the pointer finds the message empty or rewritten by a later delivery.
 func TestDeliveredMessageIsOnLoan(t *testing.T) {
@@ -128,37 +124,5 @@ func TestDeliveredMessageIsOnLoan(t *testing.T) {
 				t.Errorf("the kept pointer still reads as message 1 (%v): the transport did not take back what it lent", kept)
 			}
 		})
-	}
-}
-
-// TestLoopSendFromInsideSend covers the loopback's reentrancy: its handler
-// runs inside the sender's Send, and may itself send — reusing, as the
-// endpoint does, scratch it will recycle the moment its own Send returns —
-// while the message it was lent stays intact until it returns.
-func TestLoopSendFromInsideSend(t *testing.T) {
-	hub := NewHub()
-	a, _ := hub.Attach("a")
-	b, _ := hub.Attach("b")
-	var atA, atB *message.Message
-	a.SetHandler(func(_ Addr, m *message.Message) { atA = m.Clone() })
-	scratch := message.New()
-	b.SetHandler(func(src Addr, m *message.Message) {
-		scratch.Append(m).AddString("t", "ack", "yes")
-		if err := b.Send(src, scratch); err != nil {
-			t.Error(err)
-		}
-		scratch.Reset()
-		atB = m.Clone() // after the nested delivery: the loan outlasts it
-	})
-	buf := []byte("ping")
-	if err := a.Send(b.Addr(), message.New().Add("t", "body", buf)); err != nil {
-		t.Fatal(err)
-	}
-	copy(buf, "XXXX")
-	if atB.GetString("t", "body") != "ping" {
-		t.Errorf("b read %q after its own nested send", atB.GetString("t", "body"))
-	}
-	if atA == nil || atA.GetString("t", "body") != "ping" || atA.GetString("t", "ack") != "yes" {
-		t.Errorf("a received %v from inside its own Send", atA)
 	}
 }

@@ -17,7 +17,7 @@ import (
 type Stats struct {
 	Messages uint64
 	Bytes    uint64
-	Dropped  uint64 // loss injection + sends to detached peers
+	Dropped  uint64 // loss injection + sends to closed peers
 }
 
 // shardStats is one shard's slice of the traffic counters. The cells are
@@ -192,26 +192,13 @@ func (n *Network) shardFor(addr Addr) *netShard {
 	return &n.shards[n.shardOfSite[parseAddrSite(addr)]]
 }
 
-// Detach forcibly removes an endpoint by address, modeling a peer crash
-// from outside the peer (deployment-level churn injection). Messages in
-// flight to it are dropped. It reports whether the endpoint existed.
-func (n *Network) Detach(addr Addr) bool {
-	sh := n.shardFor(addr)
-	s, ok := sh.nodes[addr]
-	if ok {
-		s.closed = true
-		delete(sh.nodes, addr)
-	}
-	return ok
-}
-
 // Lookup returns the endpoint bound to addr, if attached.
 func (n *Network) Lookup(addr Addr) (*Sim, bool) {
 	s, ok := n.shardFor(addr).nodes[addr]
 	return s, ok
 }
 
-// Reattach re-registers a previously closed/detached endpoint under its
+// Reattach re-registers a previously closed endpoint under its
 // original address, modeling a restarted process on the same host: the
 // address answers again. Receivers are resolved at arrival time, so a
 // message whose delivery lands inside the down window is lost, while one
@@ -227,18 +214,8 @@ func (n *Network) Reattach(s *Sim) bool {
 	return true
 }
 
-// ResetStats zeroes the counters (used between experiment phases; driver
-// side only — do not reset while shard windows run).
-func (n *Network) ResetStats() {
-	for i := range n.shards {
-		sh := &n.shards[i]
-		sh.stats.messages.Store(0)
-		sh.stats.bytes.Store(0)
-		sh.stats.dropped.Store(0)
-	}
-}
-
-// Model returns the latency model (read-only use).
+// Model returns the latency model. Loss-injection tests raise its LossRate
+// on a built overlay.
 func (n *Network) Model() *netmodel.Model { return n.model }
 
 // Sim is a simulated endpoint attached to a Network.
@@ -281,9 +258,6 @@ func (n *Network) Attach(name string, site netmodel.Site) (*Sim, error) {
 
 // Addr implements Transport.
 func (s *Sim) Addr() Addr { return s.addr }
-
-// Site returns the Grid'5000 site this endpoint lives on.
-func (s *Sim) Site() netmodel.Site { return s.site }
 
 // SetHandler implements Transport.
 func (s *Sim) SetHandler(h Handler) { s.handler = h }
@@ -409,10 +383,6 @@ func (sh *netShard) siteOf(a Addr) netmodel.Site {
 	sh.siteCache[a] = site
 	return site
 }
-
-// siteOf resolves a destination site on the first shard (serial-mode helper
-// kept for tests).
-func (n *Network) siteOf(a Addr) netmodel.Site { return n.shards[0].siteOf(a) }
 
 // parseAddrSite extracts the site from a sim://<site>/<name> address.
 func parseAddrSite(a Addr) netmodel.Site {

@@ -1,11 +1,11 @@
-// Package transport moves JXTA messages between peers. Three
-// implementations share one interface:
+// Package transport moves JXTA messages between peers. Two fabrics share
+// one interface:
 //
 //   - Sim: the simulated Grid'5000 network (deterministic, virtual time,
-//     per-receiver FIFO service queues) used by all large-scale experiments;
+//     per-receiver FIFO service queues) used by every experiment and by the
+//     unit tests;
 //   - TCP: a real wire transport (length-prefixed frames over TCP) proving
-//     the protocol stack runs outside the simulator;
-//   - Loopback: an in-process hub for unit tests.
+//     the protocol stack runs outside the simulator.
 package transport
 
 import (
@@ -18,7 +18,6 @@ import (
 //
 //	sim://<site>/<name>   simulated node
 //	tcp://<host>:<port>   TCP listener
-//	loop://<name>         loopback hub member
 type Addr string
 
 // Handler consumes an inbound message. The owning node must ensure the
@@ -28,8 +27,7 @@ type Addr string
 // msg is on loan for the duration of the call, on every transport: the
 // message, its element slice and the namespaces, names and payloads they
 // point at are the transport's again as soon as the handler returns (Sim
-// recycles the record Send copied into, Loop empties its copy, TCP decodes
-// the next frame over it). Whoever keeps any of it past the call copies what it keeps
+// recycles the record Send copied into, TCP decodes the next frame over it). Whoever keeps any of it past the call copies what it keeps
 // (message.Clone, append, string conversion).
 type Handler func(src Addr, msg *message.Message)
 
@@ -41,8 +39,8 @@ type Transport interface {
 	// an error means the message could not even be handed to the network.
 	//
 	// Send is the copy boundary between peers, and the only one: it copies
-	// or serializes msg before it returns (Sim and Loop copy into the record
-	// the receiver is lent, TCP marshals into a frame) and never retains msg
+	// or serializes msg before it returns (Sim copies into the record the
+	// receiver is lent, TCP marshals into a frame) and never retains msg
 	// or its element bytes afterwards, so msg stays the caller's.
 	// The caller may reset, refill and reuse msg and overwrite its payload
 	// buffers as soon as Send returns; it must not do so concurrently with

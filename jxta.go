@@ -493,10 +493,9 @@ func (s *Simulation) OverlayMetrics() map[string]float64 { return s.overlay.Metr
 // Grid5000Sites returns the nine modeled site names, for documentation and
 // tooling.
 func Grid5000Sites() []string {
-	sites := netmodel.AllSites()
-	out := make([]string, len(sites))
-	for i, s := range sites {
-		out[i] = s.String()
+	out := make([]string, netmodel.NumSites)
+	for i := range out {
+		out[i] = netmodel.Site(i).String()
 	}
 	return out
 }

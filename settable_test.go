@@ -59,7 +59,6 @@ var settables = []settable{
 	{"peerview.Config", "HappySize", "test only: TestHibernateKillRestartPromote needs a promoted edge's happy tick"},
 	{"peerview.Config", "ReferralsPerProbe", "-exp ablations"},
 	{"peerview.Config", "ProbeTimeoutRounds", "the facade (self-healing); -exp volatility; benchmark discovery-churn"},
-	{"peerview.Config", "AdvStore", "node.New (node.Config.AdvStore)"},
 
 	{"rendezvous.Config", "LeaseDuration", "the facade; -exp churn, volatility, scale; benchmark edges-10k, discovery-churn"},
 	{"rendezvous.Config", "ResponseTimeout", "-exp churn, volatility; benchmark discovery-churn"},
