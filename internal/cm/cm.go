@@ -61,6 +61,10 @@ type Cache struct {
 	// store interns stored advertisements (shared with every other cache
 	// of the same deployment).
 	store *advstore.Store
+	// nextGC is no later than the earliest expiry of a stored record, or 0
+	// when none expires: GC before it has nothing to evict and returns
+	// without walking the records, as it does on nearly every tick.
+	nextGC time.Duration
 }
 
 // fieldKey is an index key: an indexed attribute and its value. Both are
@@ -195,6 +199,9 @@ func (c *Cache) put(sh *advstore.Shared, lifetime time.Duration, local bool) {
 		c.byID[id] = rec
 	}
 	rec.Adv, rec.Expires, rec.Local, rec.sh = adv, expires, local, sh
+	if expires > 0 && (c.nextGC == 0 || expires < c.nextGC) {
+		c.nextGC = expires
+	}
 	var room [4]advertisement.IndexField
 	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
 		c.file(fieldKey{f.Attr, f.Value}, id)
@@ -439,13 +446,22 @@ func (c *Cache) Flush() {
 
 // GC removes expired advertisements and returns how many were evicted.
 func (c *Cache) GC() int {
+	now := c.env.Now()
+	if c.nextGC == 0 || now < c.nextGC {
+		return 0
+	}
+	c.nextGC = 0
 	evicted := 0
 	for id, rec := range c.byID {
-		if c.expired(rec) {
+		switch {
+		case rec.Expires == 0:
+		case rec.Expires <= now:
 			c.unindex(rec.Adv)
 			delete(c.byID, id)
 			c.freeRecord(rec)
 			evicted++
+		case c.nextGC == 0 || rec.Expires < c.nextGC:
+			c.nextGC = rec.Expires
 		}
 	}
 	return evicted

@@ -368,7 +368,8 @@ func searchRangeLinear(c *Cache, advType, attr string, lo, hi int64) []advertise
 // Property: the indexed SearchRange agrees with the linear scan (up to
 // ordering) on random ranges, after every step of a random history of
 // puts that replace earlier advertisements with new values, local and
-// remote, mortal and not, of Flushes, and of expiry followed by GC.
+// remote, mortal and not, of Flushes, and of expiry followed by GC, which
+// must leave no expired record behind.
 func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 	attrs := []string{"RAM", "CPU", "Disk"}
 	agree := func(rng *rand.Rand, c *Cache) bool {
@@ -406,6 +407,11 @@ func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 					return false
 				}
 				c.GC()
+				for _, rec := range c.byID {
+					if c.expired(rec) {
+						return false // GC left an expired record behind
+					}
+				}
 			default:
 				var fields []advertisement.IndexField
 				for _, a := range attrs {
@@ -414,7 +420,7 @@ func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 							Attr: a, Value: strconv.Itoa(rng.Intn(50))})
 					}
 				}
-				lifetime := time.Duration(rng.Intn(2)) * time.Minute
+				lifetime := time.Duration(rng.Intn(3)) * time.Minute
 				c.Put(res(fmt.Sprintf("n%d", rng.Intn(30)), fields...), lifetime, rng.Intn(2) == 0)
 			}
 			if !agree(rng, c) {

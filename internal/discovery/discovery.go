@@ -781,6 +781,7 @@ func (s *Service) routeRange(q *resolver.Query, body queryBody) {
 
 func (s *Service) forwardToPublishers(q *resolver.Query, body queryBody, pubs []srdi.Tuple) {
 	fq := *q
+	fq.Payload = s.nextStage(body, stageDeliver)
 	for _, pub := range pubs {
 		if pub.Publisher.Equal(s.ep.ID()) {
 			// We published it ourselves; answer directly.
@@ -788,9 +789,6 @@ func (s *Service) forwardToPublishers(q *resolver.Query, body queryBody, pubs []
 			continue
 		}
 		s.ep.AddRoute(pub.Publisher, pub.PublisherAddr)
-		// Encoded for each send: on a loopback transport the last one may
-		// have routed a query here again.
-		fq.Payload = s.nextStage(body, stageDeliver)
 		_ = s.res.Forward(&fq, pub.Publisher)
 	}
 }

@@ -174,8 +174,7 @@ func TestUnmarshalAlias(t *testing.T) {
 }
 
 // TestAcquireWhileInUse: an Out that has not been released is never handed
-// out again, so a handler that sends from inside another send (the loopback
-// transport delivers inside Send) builds its message in one of its own.
+// out again, so two messages built at once never share one.
 func TestAcquireWhileInUse(t *testing.T) {
 	var held []*Out
 	seen := map[*Out]bool{}

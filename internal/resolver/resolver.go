@@ -88,7 +88,7 @@ type Service struct {
 	Timeout time.Duration
 
 	// lent is the Query receive lends, nil until the first query and while
-	// lent out (a query nested in a loopback Send is lent a second one).
+	// lent out.
 	lent *Query
 
 	// m holds the runtime instruments; always non-nil (New pre-instruments,
