@@ -115,8 +115,8 @@ func main() {
 
 	if *adminFlag != "" {
 		srv, err := admin.Serve(*adminFlag, admin.Options{
-			Registry: n.Metrics,
-			Trace:    n.Trace,
+			Registry: n.Metrics.Registry,
+			Trace:    n.Rendezvous.Trace(),
 			Locked:   e.Locked,
 			Health: func() admin.Health {
 				h := admin.Health{Started: n.Started()}

@@ -1,13 +1,13 @@
 // Package admin serves a live node's observability endpoints over HTTP:
 //
-//	/metrics       Prometheus text exposition of the node's registry
+//	/metrics       Prometheus text exposition of the node's metrics
 //	/healthz       liveness+readiness: 200 when started and connected
 //	/statusz       JSON snapshot: health, trace ring, flattened metrics
 //	/debug/pprof/  the standard Go profiler endpoints
 //
 // The server is a pure observer with the same serialization contract as
-// the protocol code: every sample of protocol state (collector-backed
-// gauges, health probes, status snapshots) runs inside Options.Locked, so
+// the protocol code: every sample of protocol state (building and encoding
+// the registry, health probes, status snapshots) runs inside Options.Locked, so
 // scrapes interleave with the event loop instead of racing it. Encoding
 // happens into a buffer under the lock and the response is written outside
 // it, keeping slow scrapers off the protocol's critical path.
@@ -41,8 +41,10 @@ type Health struct {
 
 // Options wires a node into the admin server.
 type Options struct {
-	// Registry is encoded by /metrics and flattened into /statusz.
-	Registry *metrics.Registry
+	// Registry builds the registry /metrics encodes and /statusz flattens.
+	// It is called under Locked, once per request: a node builds its
+	// registry from its services' counters (node.Metrics.Registry).
+	Registry func() *metrics.Registry
 	// Trace, when non-nil, is included in /statusz.
 	Trace *metrics.Trace
 	// Locked serializes sampling with the node's event loop (env.Real's
@@ -101,7 +103,7 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var buf bytes.Buffer
-	s.locked(func() { s.opts.Registry.WritePrometheus(&buf) })
+	s.locked(func() { s.opts.Registry().WritePrometheus(&buf) })
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write(buf.Bytes())
 }
@@ -135,7 +137,7 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		if s.opts.Health != nil {
 			st.Health = s.opts.Health()
 		}
-		st.Metrics = s.opts.Registry.Snapshot()
+		st.Metrics = s.opts.Registry().Snapshot()
 		if s.opts.Trace != nil {
 			st.Trace = s.opts.Trace.Events()
 		}

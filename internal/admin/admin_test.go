@@ -27,13 +27,13 @@ func get(t *testing.T, s *Server, path string) (int, string) {
 
 func TestAdminEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Counter("jxta_test_total", "Test counter.").Add(7)
+	reg.CounterFunc("jxta_test_total", "Test counter.", func() uint64 { return 7 })
 	tr := metrics.NewTrace(8)
 	tr.Record(3*time.Second, "lease-acquired", "rdv0")
 	healthy := false
 	locks := 0
 	s, err := Serve("127.0.0.1:0", Options{
-		Registry: reg,
+		Registry: func() *metrics.Registry { return reg },
 		Trace:    tr,
 		Locked:   func(fn func()) { locks++; fn() },
 		Health: func() Health {

@@ -48,11 +48,11 @@ type Spec struct {
 	//
 	// Deprecated: goes with the benchmark-only PR of ROADMAP 0(a).
 	Hibernate bool
-	// LeanMetrics shrinks per-node observability for large simulated
-	// populations: nodes share one population-wide metrics registry
-	// (counters aggregate across peers) and skip the per-node trace ring
-	// and gauges. Saves roughly half the per-node assembly cost at 100k
-	// edges; leave off when per-peer metric snapshots matter.
+	// LeanMetrics is ignored: a node holds no metrics registry between
+	// scrapes, so there is no lighter mode to pick. The field stays because
+	// the repository benchmark sets it.
+	//
+	// Deprecated: benchmark only, ignored; goes with ROADMAP 0(a).
 	LeanMetrics bool
 	// Topology is the seed-graph shape (chain in most experiments).
 	Topology topology.Kind
@@ -75,17 +75,11 @@ type Overlay struct {
 
 	// Metrics is the overlay-level registry: fabric traffic counters
 	// (jxta_net_*) plus, on sharded runs, the engine's window/barrier
-	// instrumentation (jxta_sim_*). Per-node protocol instruments live on
-	// each node's own registry (node.Node.Metrics). Engine instruments are
-	// sampled at encode time; read them from the driver side, between Run
-	// calls. The fabric counters are atomic and safe mid-run.
+	// instrumentation (jxta_sim_*). Per-node series are read from each
+	// node (node.Node.Metrics). Engine series are sampled at encode time;
+	// read them from the driver side, between Run calls. The fabric
+	// counters are atomic and safe mid-run.
 	Metrics *metrics.Registry
-
-	// LeanRegistry is non-nil when Spec.LeanMetrics is on: the single
-	// population-wide registry every deployed node shares (each node's
-	// Metrics field aliases it). Counters aggregate across the population;
-	// Func-backed instruments describe one arbitrary peer.
-	LeanRegistry *metrics.Registry
 
 	// AdvStore is the overlay's advertisement interning table: every node's
 	// cache and peerview dedupes equal advertisements through it, and it is
@@ -120,9 +114,6 @@ func Build(spec Spec) (*Overlay, error) {
 	}
 	model := netmodel.Grid5000()
 	o := &Overlay{spec: spec, AdvStore: advstore.New()}
-	if spec.LeanMetrics {
-		o.LeanRegistry = metrics.NewRegistry()
-	}
 	if spec.Shards > 1 {
 		shards := spec.Shards
 		if shards > netmodel.NumSites {
@@ -172,7 +163,6 @@ func Build(spec Spec) (*Overlay, error) {
 			Lease:     spec.Lease,
 			Discovery: spec.Discovery,
 			AdvStore:  o.AdvStore,
-			Metrics:   o.LeanRegistry,
 		})
 		n.MergeObserved = func(nn *node.Node, peer ids.ID) {
 			if o.OnMerge != nil {
@@ -226,7 +216,6 @@ func (o *Overlay) AddEdge(name string, attachTo int) (*node.Node, error) {
 		Lease:     o.spec.Lease,
 		Discovery: o.spec.Discovery,
 		AdvStore:  o.AdvStore,
-		Metrics:   o.LeanRegistry,
 	})
 	e.ReleaseRand()
 	n.RoleChanged = func(nn *node.Node) {
@@ -293,11 +282,12 @@ func (o *Overlay) instrument() {
 		func() uint64 { return ss.ParallelStats().CrossShard })
 	o.Metrics.CounterFunc("jxta_sim_busy_shard_sum_total", "Per-window busy-shard counts summed (mean busy = this over windows).",
 		func() uint64 { return ss.ParallelStats().BusyShardSum })
-	for i := 0; i < ss.Shards(); i++ {
-		sh := ss.Shard(i)
-		o.Metrics.CounterFuncWith("jxta_sim_shard_steps_total", "Events executed, per shard.",
-			"shard", strconv.Itoa(i), sh.Steps)
-	}
+	o.Metrics.CounterFuncs("jxta_sim_shard_steps_total", "Events executed, per shard.", "shard",
+		func(emit func(string, uint64)) {
+			for i := 0; i < ss.Shards(); i++ {
+				emit(strconv.Itoa(i), ss.Shard(i).Steps())
+			}
+		})
 	o.Metrics.GaugeFunc("jxta_sim_max_busy_shards", "Largest number of concurrently busy shards seen.",
 		func() float64 { return float64(ss.ParallelStats().MaxBusy) })
 	o.Metrics.GaugeFunc("jxta_sim_speedup_bound", "TotalEvents/CriticalEvents: the workload's achievable speedup.",

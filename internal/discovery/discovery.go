@@ -147,9 +147,9 @@ type Service struct {
 
 	Stats Stats
 
-	// m holds the stored runtime instruments; always non-nil (New
-	// pre-instruments, node.New re-instruments with the node's registry).
-	m *discoMetrics
+	// latency is the remote-query round-trip histogram, nil until the first
+	// response arrives.
+	latency *metrics.Histogram
 }
 
 // New assembles the discovery service over the peer's resolver, rendezvous
@@ -164,7 +164,6 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 		cfg:   cfg,
 		busy:  busy,
 	}
-	s.Instrument(metrics.Discard())
 	res.RegisterHandler(HandlerName, s.handleQuery)
 	// The SRDI push service and the walk handler are registered in both
 	// roles — their handlers gate on the index existing — so a peer that is
@@ -602,7 +601,10 @@ func (s *Service) sendQuery(payload []byte, collect bool, cb func(Result), onTim
 		func(data []byte, from ids.ID, hops int) {
 			advs := s.cacheResponse(data)
 			elapsed := s.env.Now() - start
-			s.m.queryLatency.Observe(elapsed.Seconds())
+			if s.latency == nil {
+				s.latency = metrics.NewHistogram(nil)
+			}
+			s.latency.Observe(elapsed.Seconds())
 			cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})
 		},
 		func(uint64) {

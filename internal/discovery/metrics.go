@@ -4,28 +4,19 @@ import (
 	"jxta/internal/metrics"
 )
 
-// discoMetrics holds the discovery service's stored instruments; the
-// Stats struct's plain counters are bridged as collector-backed Func
-// instruments so the protocol paths keep their existing single-field
-// increments.
-type discoMetrics struct {
-	queryLatency *metrics.Histogram
-}
-
-// Instrument (re-)registers the discovery service's instruments on reg.
-// Every Stats field is exported as a counter
+// Collect registers the discovery service's series on reg, read from its
+// own state when reg is encoded. Every Stats field is a counter
 // (jxta_discovery_queries_sent_total, _queries_handled_total,
 // _local_hits_total, _replica_forwards_total, _walks_started_total,
-// _walk_hits_total, _delivered_total, _tuples_replicated_total) plus the
+// _walk_hits_total, _delivered_total, _tuples_replicated_total), plus the
 // jxta_discovery_srdi_keys / jxta_discovery_srdi_tuples gauges
 // (rendezvous role; 0 on edges) and the
 // jxta_discovery_query_latency_seconds histogram of remote-query
 // round-trip times in virtual (sim) or wall (live) seconds.
-func (s *Service) Instrument(reg *metrics.Registry) {
-	s.m = &discoMetrics{
-		queryLatency: reg.Histogram("jxta_discovery_query_latency_seconds",
-			"Remote discovery query round-trip time, per response.", nil),
-	}
+func (s *Service) Collect(reg *metrics.Registry) {
+	reg.HistogramFunc("jxta_discovery_query_latency_seconds",
+		"Remote discovery query round-trip time, per response.",
+		func() *metrics.Histogram { return s.latency })
 	reg.CounterFunc("jxta_discovery_queries_sent_total", "Discovery queries issued by this peer.",
 		func() uint64 { return s.Stats.QueriesSent })
 	reg.CounterFunc("jxta_discovery_queries_handled_total", "Discovery queries handled at this rendezvous.",

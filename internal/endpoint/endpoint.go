@@ -20,7 +20,6 @@ import (
 	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/message"
-	"jxta/internal/metrics"
 	"jxta/internal/transport"
 )
 
@@ -82,10 +81,8 @@ type Endpoint struct {
 	// Drops counts inbound messages that were not delivered (malformed
 	// envelope, addressed to another peer, no handler).
 	Drops uint64
-
-	// m holds the runtime instruments; always non-nil (New pre-instruments
-	// against a private registry, node.New re-instruments with the node's).
-	m *epMetrics
+	// helloSent and helloServed count Hello requests sent and answered.
+	helloSent, helloServed uint64
 }
 
 // New binds an endpoint service for peer id over the given transport and
@@ -100,7 +97,6 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	}
 	tr.SetHandler(ep.dispatch)
 	ep.Register(helloService, ep.handleHello)
-	ep.Instrument(metrics.Discard())
 	return ep
 }
 
@@ -127,7 +123,7 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 		},
 		cancel: func() { timer.Cancel() },
 	})
-	ep.m.helloSent.Inc()
+	ep.helloSent++
 	m := message.Acquire()
 	m.AddString(ns, elemHelloReq, "1")
 	err := ep.sendTo(addr, ids.Nil, helloService, &m.Message)
@@ -142,7 +138,7 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 
 func (ep *Endpoint) handleHello(src ids.ID, msg *message.Message) {
 	if msg.GetString(ns, elemHelloReq) != "" {
-		ep.m.helloServed.Inc()
+		ep.helloServed++
 		ack := message.Acquire()
 		ack.AddString(ns, elemHelloAck, "1")
 		_ = ep.Send(src, helloService, &ack.Message)
@@ -289,9 +285,9 @@ func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg 
 	// No peer reads TTL, but its bytes enter every simulated latency
 	// (netmodel.SampleLatency): it leaves only with a recapture of the goldens.
 	wire.AddString(ns, elemTTL, "8")
-	sc := ep.counters(ep.slotFor(service))
-	sc.txMsgs.Inc()
-	sc.txBytes.Add(uint64(wire.Size()))
+	n := ep.slotFor(service).counts()
+	n.txMsgs++
+	n.txBytes += uint64(wire.Size())
 	// Transports copy or serialize inside Send and retain nothing (the
 	// transport.Transport contract), so the wire message goes back to the
 	// pool as soon as Send returns.
@@ -349,9 +345,9 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	if s != nil {
 		h = s.h
 	}
-	sc := ep.rxMetrics(s)
-	sc.rxMsgs.Inc()
-	sc.rxBytes.Add(uint64(wire.Size()))
+	n := ep.rxCounts(s)
+	n.rxMsgs++
+	n.rxBytes += uint64(wire.Size())
 	// A nil destination addresses "whichever peer listens at this address"
 	// — the hello bootstrap, when the sender does not yet know our ID.
 	if h == nil || (!dstID.IsNil() && !dstID.Equal(ep.id)) {

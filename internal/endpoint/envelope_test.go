@@ -124,11 +124,11 @@ func TestReturnRouteRewrittenOnlyWhenChanged(t *testing.T) {
 }
 
 // TestUnknownServicesDoNotGrowState: service names come off the wire. A peer
-// inventing a new one per message must not mint counter sets or series.
+// inventing a new one per message must not mint counts or series.
 func TestUnknownServicesDoNotGrowState(t *testing.T) {
 	_, _, a, b, _ := setup(t)
 	reg := metrics.NewRegistry()
-	b.ep.Instrument(reg)
+	b.ep.Collect(reg)
 	b.ep.Register("svc", func(ids.ID, *message.Message) {})
 	send := func(svc string) {
 		b.ep.dispatch(a.tr.Addr(), wireOf(elemSrc, a.ep.IDString(), elemDst, b.ep.IDString(), elemSvc, svc, elemTTL, "8"))
@@ -146,8 +146,8 @@ func TestUnknownServicesDoNotGrowState(t *testing.T) {
 	if b.ep.Drops != drops+10000 {
 		t.Fatalf("Drops rose by %d, want 10000", b.ep.Drops-drops)
 	}
-	if got := b.ep.m.rxMsgs.With(otherService).Value(); got != 10001 {
-		t.Fatalf("rx{service=%q} = %d, want 10001", otherService, got)
+	if got := reg.Snapshot()[`jxta_endpoint_rx_messages_total{service="other"}`]; got != 10001 {
+		t.Fatalf("rx{service=%q} = %v, want 10001", otherService, got)
 	}
 }
 
@@ -276,8 +276,8 @@ func FuzzDispatch(f *testing.F) {
 			default:
 				t.Fatalf("slot minted for %q", s.name)
 			}
-			if s.sc != nil && s.name != "svc" && s.name != otherService {
-				t.Fatalf("counter set minted for %q", s.name)
+			if s.n != nil && s.name != "svc" && s.name != otherService {
+				t.Fatalf("counts minted for %q", s.name)
 			}
 		}
 	})

@@ -4,79 +4,63 @@ import (
 	"jxta/internal/metrics"
 )
 
-// epSvc is the cached per-service counter set, held on the service's slot.
-// The endpoint resolves each service name against the CounterVec once and
-// increments the cached children afterwards, keeping the per-message cost at
-// plain atomic adds (the Vec lookup itself takes a lock).
-type epSvc struct {
-	txMsgs, txBytes *metrics.Counter
-	rxMsgs, rxBytes *metrics.Counter
+// svcCounts is one service name's traffic. It hangs off the name's slot
+// from the first message counted, so a name gets a series exactly when it
+// has carried traffic.
+type svcCounts struct {
+	txMsgs, txBytes uint64
+	rxMsgs, rxBytes uint64
 }
 
-// epMetrics holds the endpoint's instruments.
-type epMetrics struct {
-	txMsgs, txBytes *metrics.CounterVec
-	rxMsgs, rxBytes *metrics.CounterVec
-	helloSent       *metrics.Counter
-	helloServed     *metrics.Counter
-}
-
-// Instrument (re-)registers the endpoint's instruments on reg. node.New
-// calls it with the node's shared registry; New pre-instruments against a
-// private registry so the hot paths never nil-check. Counters:
+// Collect registers the endpoint's series on reg, read from its own
+// counters when reg is encoded:
 //
 //	jxta_endpoint_tx_messages_total{service=...} / jxta_endpoint_tx_bytes_total{service=...}
 //	jxta_endpoint_rx_messages_total{service=...} / jxta_endpoint_rx_bytes_total{service=...}
 //	jxta_endpoint_hello_sent_total, jxta_endpoint_hello_served_total,
 //	jxta_endpoint_drops_total
 //
-// plus the jxta_endpoint_routes gauge (route-table size, sampled at
-// encode time).
-func (ep *Endpoint) Instrument(reg *metrics.Registry) {
-	m := &epMetrics{
-		txMsgs:      reg.CounterVec("jxta_endpoint_tx_messages_total", "Messages sent, by destination service.", "service"),
-		txBytes:     reg.CounterVec("jxta_endpoint_tx_bytes_total", "Wire bytes sent, by destination service.", "service"),
-		rxMsgs:      reg.CounterVec("jxta_endpoint_rx_messages_total", "Messages received, by destination service.", "service"),
-		rxBytes:     reg.CounterVec("jxta_endpoint_rx_bytes_total", "Wire bytes received, by destination service.", "service"),
-		helloSent:   reg.Counter("jxta_endpoint_hello_sent_total", "Hello bootstrap requests sent."),
-		helloServed: reg.Counter("jxta_endpoint_hello_served_total", "Hello bootstrap requests answered."),
+// plus the jxta_endpoint_routes gauge (route-table size).
+func (ep *Endpoint) Collect(reg *metrics.Registry) {
+	perService := func(name, help string, read func(*svcCounts) uint64) {
+		reg.CounterFuncs(name, help, "service", func(emit func(string, uint64)) {
+			for i := range ep.slots {
+				if n := ep.slots[i].n; n != nil {
+					emit(ep.slots[i].name, read(n))
+				}
+			}
+		})
 	}
-	for i := range ep.slots {
-		ep.slots[i].sc = nil // cached children belong to the previous registry
-	}
+	perService("jxta_endpoint_tx_messages_total", "Messages sent, by destination service.",
+		func(n *svcCounts) uint64 { return n.txMsgs })
+	perService("jxta_endpoint_tx_bytes_total", "Wire bytes sent, by destination service.",
+		func(n *svcCounts) uint64 { return n.txBytes })
+	perService("jxta_endpoint_rx_messages_total", "Messages received, by destination service.",
+		func(n *svcCounts) uint64 { return n.rxMsgs })
+	perService("jxta_endpoint_rx_bytes_total", "Wire bytes received, by destination service.",
+		func(n *svcCounts) uint64 { return n.rxBytes })
+	reg.CounterFunc("jxta_endpoint_hello_sent_total", "Hello bootstrap requests sent.",
+		func() uint64 { return ep.helloSent })
+	reg.CounterFunc("jxta_endpoint_hello_served_total", "Hello bootstrap requests answered.",
+		func() uint64 { return ep.helloServed })
 	reg.CounterFunc("jxta_endpoint_drops_total", "Inbound messages dropped (malformed envelope, another peer's, no handler).",
 		func() uint64 { return ep.Drops })
 	reg.GaugeFunc("jxta_endpoint_routes", "Known direct routes (route-table size).",
 		func() float64 { return float64(ep.routes.len()) })
-	ep.m = m
 }
 
 // otherService is the one label every inbound message for a service this
 // endpoint neither serves nor sends to is counted under.
 const otherService = "other"
 
-// rxMetrics returns the counter set for an inbound message, given the slot
-// its service name found (nil: none). The name comes off the wire, so it
-// mints a counter set only when it names a registered service: a peer
-// sending arbitrary names must not grow the slots or the registry, and
-// everything it sends is counted under otherService.
-func (ep *Endpoint) rxMetrics(s *slot) *epSvc {
-	if s == nil || (s.sc == nil && s.h == nil) {
+// rxCounts returns the counts for an inbound message, given the slot its
+// service name found (nil: none). The name comes off the wire, so it counts
+// under its own name only when that names a service local code registered or
+// counted: a peer sending arbitrary names must not grow the slots or the
+// series, and everything it sends is counted under otherService.
+func (ep *Endpoint) rxCounts(s *slot) *svcCounts {
+	if s == nil || (s.n == nil && s.h == nil) {
 		s = ep.slotFor(otherService)
 	}
-	return ep.counters(s)
-}
-
-// counters returns the slot's cached counter set, resolving the Vec children
-// on first use. Runs in env-serialized context only.
-func (ep *Endpoint) counters(s *slot) *epSvc {
-	if s.sc == nil {
-		s.sc = &epSvc{
-			txMsgs:  ep.m.txMsgs.With(s.name),
-			txBytes: ep.m.txBytes.With(s.name),
-			rxMsgs:  ep.m.rxMsgs.With(s.name),
-			rxBytes: ep.m.rxBytes.With(s.name),
-		}
-	}
-	return s.sc
+	return s.counts()
 }

@@ -23,14 +23,22 @@ func appendExact[T any](s []T, v T) []T {
 }
 
 // slot is what the endpoint knows about one service name: the handler, when
-// the name is served here, and the counter set, once the name has been
+// the name is served here, and its traffic counts, once the name has been
 // counted. Only local code adds slots (Register, and sends to a service this
 // peer does not serve), so their number is bounded by the program, never by
 // what arrives off the wire.
 type slot struct {
 	name string
 	h    Handler
-	sc   *epSvc
+	n    *svcCounts
+}
+
+// counts returns the slot's traffic counts, allocating them on first use.
+func (s *slot) counts() *svcCounts {
+	if s.n == nil {
+		s.n = new(svcCounts)
+	}
+	return s.n
 }
 
 // findSlot scans for a service name, given as the string local code holds or

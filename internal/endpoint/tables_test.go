@@ -107,7 +107,7 @@ func TestReturnsToZeroState(t *testing.T) {
 	sched, _, a, b, c := setup(t)
 	a.ep.Register("svc", func(ids.ID, *message.Message) {})
 	a.ep.AddRoute(c.id, c.tr.Addr())
-	held := slices.Concat(mapFields(a.ep), mapFields(&a.ep.routes), mapFields(a.ep.m))
+	held := slices.Concat(mapFields(a.ep), mapFields(&a.ep.routes))
 	if len(held) != 0 || !a.ep.Quiescent() {
 		t.Fatalf("fresh endpoint holds maps %v, quiescent=%v", held, a.ep.Quiescent())
 	}
@@ -133,10 +133,10 @@ func TestReturnsToZeroState(t *testing.T) {
 	}
 }
 
-// TestUnregisterAndReinstrument: re-registering a name replaces its handler,
-// and re-instrumenting starts the counter sets afresh on the new registry
-// without losing a handler. (The name predates the deletion of
-// Endpoint.Unregister, which had no caller but this test.)
+// TestUnregisterAndReinstrument: re-registering a name replaces its handler
+// and keeps its counts, and a registry collected afterwards reads them. (The
+// name predates the deletion of Endpoint.Unregister and of
+// re-instrumentation.)
 func TestUnregisterAndReinstrument(t *testing.T) {
 	sched, _, a, b, _ := setup(t)
 	served := 0
@@ -151,12 +151,12 @@ func TestUnregisterAndReinstrument(t *testing.T) {
 	send()
 	b.ep.Register("svc", func(ids.ID, *message.Message) { served += 10 })
 	reg := metrics.NewRegistry()
-	b.ep.Instrument(reg)
+	b.ep.Collect(reg)
 	send()
 	if served != 11 || b.ep.Drops != 0 {
 		t.Fatalf("served=%d drops=%d after re-registering, want 11 and 0", served, b.ep.Drops)
 	}
-	if got := reg.Snapshot()[`jxta_endpoint_rx_messages_total{service="svc"}`]; got != 1 {
-		t.Fatalf("the new registry counted %v messages for svc, want 1", got)
+	if got := reg.Snapshot()[`jxta_endpoint_rx_messages_total{service="svc"}`]; got != 2 {
+		t.Fatalf("the registry counted %v messages for svc, want 2", got)
 	}
 }

@@ -135,7 +135,7 @@ func TestDiscoveryAllocsPerStepCeiling(t *testing.T) {
 
 // TestEdgeLeaseAllocsPerStepCeiling is the same gate for the lease path, the
 // whole of what a large idle edge population does: 18 rendezvous with 30
-// edges each on lean metrics, one-minute leases, the serial engine, counted
+// edges each, one-minute leases, the serial engine, counted
 // from StartAll to 5 virtual minutes (construction is left out: at 540 edges
 // it is half the run's mallocs and would hide the path being gated). It takes
 // 0.23 mallocs per scheduler step; the ceiling is +15 %, rounded up. A request
@@ -154,7 +154,7 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 		groups[i] = deploy.EdgeGroup{AttachTo: i, Count: 30}
 	}
 	o, err := deploy.Build(deploy.Spec{
-		Seed: 7, NumRdv: len(groups), LeanMetrics: true, Topology: topology.Chain,
+		Seed: 7, NumRdv: len(groups), Topology: topology.Chain,
 		Lease: rendezvous.Config{LeaseDuration: time.Minute}, Edges: groups,
 	})
 	if err != nil {
@@ -179,10 +179,12 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 }
 
 // TestQuiescentEdgeHeapCeiling is the memory gate: what one leased, idle edge
-// keeps on the live heap in the large-population configuration (lean
-// metrics), measured as RunScale's heap_bytes_per_edge over 18 rendezvous and
-// 540 edges at 5 virtual minutes — the quick-mode memory-lean point of
-// `jxta-bench -exp scale`. It is the repository's one memory gate.
+// keeps on the live heap, measured as RunScale's heap_bytes_per_edge over 18
+// rendezvous and 540 edges at 5 virtual minutes — the quick-mode memory point
+// of `jxta-bench -exp scale`. It is the repository's one memory gate, and it
+// runs the default configuration: a node holds no metrics registry between
+// scrapes, so there is no lighter one to choose (4,173 B/edge; 41,666 when
+// every node held a registry).
 //
 // The figure is ~5.1 KB and it is small by construction: the endpoint keeps
 // its tables in exact-size slices, the six services above it allocate no map
@@ -205,7 +207,7 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 func TestQuiescentEdgeHeapCeiling(t *testing.T) {
 	const ceiling = 5900
 	res, err := RunScale(ScaleSpec{
-		R: 18, Edges: 540, Shards: 2, Lean: true,
+		R: 18, Edges: 540, Shards: 2,
 		Duration: 5 * time.Minute, Seed: 42,
 	})
 	if err != nil {

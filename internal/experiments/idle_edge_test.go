@@ -169,9 +169,8 @@ func TestAnsweredLookupsLeaveNothingPending(t *testing.T) {
 
 // TestHibernatingEdgeReportsItsRoutes: a scrape must not depend on whether
 // the peer happens to be idle. The jxta_endpoint_routes gauge of a leased,
-// idle edge with a registry of its own counts the routes it holds, its
-// rendezvous among them. The gauge is read before KnownPeers so that nothing
-// touches the endpoint first.
+// idle edge counts the routes it holds, its rendezvous among them. The gauge
+// is read before KnownPeers so that nothing touches the endpoint first.
 func TestHibernatingEdgeReportsItsRoutes(t *testing.T) {
 	o := buildIdleOverlay(t, 5)
 	defer o.StopAll()

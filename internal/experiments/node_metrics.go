@@ -38,7 +38,7 @@ func histogramDetail(key string) bool {
 	return strings.Contains(key, "_bucket{le=")
 }
 
-// CollectNodeMetrics snapshots every deployed peer's registry plus the
+// CollectNodeMetrics snapshots every deployed peer's metrics plus the
 // overlay registry. Call it while virtual time is paused and before
 // StopAll (lifecycle gauges reset on stop); collection is a pure
 // observation. sample bounds how many peers keep full snapshots: the
@@ -51,18 +51,6 @@ func CollectNodeMetrics(o *deploy.Overlay, sample int) *NodeMetricsSummary {
 		Overlay: o.Metrics.Snapshot(),
 		Totals:  make(map[string]float64),
 		Sample:  make(map[string]map[string]float64),
-	}
-	if o.LeanRegistry != nil {
-		// Lean mode: every node aliases the one population registry, whose
-		// counters already aggregate across peers — snapshot it once
-		// (summing per node would multiply by the population). No per-peer
-		// snapshots exist to sample.
-		for k, v := range o.LeanRegistry.Snapshot() {
-			if !histogramDetail(k) {
-				s.Totals[k] = v
-			}
-		}
-		return s
 	}
 	for _, n := range nodes {
 		for k, v := range n.Metrics.Snapshot() {

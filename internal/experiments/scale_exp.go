@@ -26,12 +26,6 @@ type ScaleSpec struct {
 	// Shards selects the engine (≤1 serial, >1 conservative sharded).
 	// Deterministic per (Seed, Shards).
 	Shards int
-	// Lean shares one population-wide metrics registry across peers and
-	// drops per-node trace rings — the memory configuration for 100k+
-	// edge populations (deploy.Spec.LeanMetrics). It is the only memory
-	// switch: an idle edge is small however it is deployed
-	// (deploy.Overlay.AddEdge releases its RNG register at construction).
-	Lean bool
 	// Duration is the virtual experiment length (default 10 min).
 	Duration time.Duration
 	// Lease overrides the lease duration (default 1 min: renewals at 30 s
@@ -110,13 +104,12 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 	}
 	baseHeap := liveHeap()
 	o, err := deploy.Build(deploy.Spec{
-		Seed:        spec.Seed,
-		NumRdv:      spec.R,
-		Shards:      spec.Shards,
-		LeanMetrics: spec.Lean,
-		Topology:    topology.Chain,
-		Lease:       rendezvous.Config{LeaseDuration: spec.Lease},
-		Edges:       groups,
+		Seed:     spec.Seed,
+		NumRdv:   spec.R,
+		Shards:   spec.Shards,
+		Topology: topology.Chain,
+		Lease:    rendezvous.Config{LeaseDuration: spec.Lease},
+		Edges:    groups,
 	})
 	if err != nil {
 		return ScaleResult{}, err

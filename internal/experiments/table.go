@@ -435,7 +435,6 @@ type scalePoint struct {
 	R            int     `json:"r"`
 	Edges        int     `json:"edges"`
 	Shards       int     `json:"shards"`
-	Lean         bool    `json:"lean,omitempty"`
 	GOMAXPROCS   int     `json:"gomaxprocs"`
 	WallMs       float64 `json:"wall_ms"`
 	Steps        uint64  `json:"steps"`
@@ -474,7 +473,7 @@ func scale(o Options) (any, []plot.Chart, error) {
 	point := func(name string, spec ScaleSpec) (scalePoint, error) {
 		res, err := RunScale(spec)
 		p := scalePoint{
-			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards, Lean: spec.Lean,
+			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards,
 			GOMAXPROCS: runtime.GOMAXPROCS(0), WallMs: res.WallMs, Steps: res.Steps,
 			EventsPerSec: res.EventsPerSec, Windows: res.Windows, AvgBusy: res.AvgBusy,
 			CrossShard: res.CrossShard, SpeedupBound: res.SpeedupBound, SpeedupWall: 1,
@@ -572,27 +571,25 @@ func scale(o Options) (any, []plot.Chart, error) {
 		summary["r1000"] = big
 	}
 
-	// Memory series: heap_bytes_per_edge at a fixed workload with per-node
-	// and with lean metrics (the large-population configuration), then
-	// 100k, 250k and the full million leased edges on one box, lean, at 5
-	// virtual minutes (the heap plateaus once every edge holds a lease and
-	// its renewal state). TestQuiescentEdgeHeapCeiling holds a ceiling on the
-	// quick lean point.
+	// Memory series: heap_bytes_per_edge at a fixed workload, then 100k,
+	// 250k and the full million leased edges on one box at 5 virtual minutes
+	// (the heap plateaus once every edge holds a lease and its renewal
+	// state). TestQuiescentEdgeHeapCeiling holds a ceiling on the quick
+	// point.
 	type memRun struct {
 		name     string
 		r, edges int
-		lean     bool
 		dur      time.Duration
 	}
-	runs := []memRun{{"memory", mem.R, mem.Edges, false, mem.Duration}, {"memory-lean", mem.R, mem.Edges, true, mem.Duration}}
+	runs := []memRun{{"memory", mem.R, mem.Edges, mem.Duration}}
 	if !o.Quick {
-		runs = append(runs, memRun{"memory-100k", 1000, 100_000, true, 5 * time.Minute},
-			memRun{"memory-250k", 1000, 250_000, true, 5 * time.Minute},
-			memRun{"memory-1m", 1000, 1_000_000, true, 5 * time.Minute})
+		runs = append(runs, memRun{"memory-100k", 1000, 100_000, 5 * time.Minute},
+			memRun{"memory-250k", 1000, 250_000, 5 * time.Minute},
+			memRun{"memory-1m", 1000, 1_000_000, 5 * time.Minute})
 	}
 	var memory []scalePoint
 	for _, m := range runs {
-		p, err := point(m.name, ScaleSpec{R: m.r, Edges: m.edges, Shards: mem.Shards, Lean: m.lean,
+		p, err := point(m.name, ScaleSpec{R: m.r, Edges: m.edges, Shards: mem.Shards,
 			Duration: m.dur, Seed: o.Seed})
 		if err != nil {
 			return nil, nil, err

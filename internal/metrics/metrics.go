@@ -7,18 +7,19 @@
 // logs with first-seen numbering (Figure 3 right), and latency sample
 // sets with summary statistics (Figure 4 right).
 //
-// The runtime half is a Registry of named Counter and Histogram
-// instruments with a single-label CounterVec and collector-backed Func
-// instruments. Increments and observations are lock-free atomics with
-// zero allocations after registration (see BenchmarkCounterInc), so
-// every protocol service carries its instruments unconditionally —
-// instrumentation is a pure observer and the determinism goldens hold
-// byte-identical with it enabled. The Registry encodes to Prometheus
-// text exposition format v0.0.4 (WritePrometheus) for the jxta-node
-// admin endpoint and to a flat map (Snapshot) for /statusz and the
-// jxta-bench per-node JSON dumps. Trace is the companion protocol
-// event ring: rare state transitions (promotions, failovers, merges,
-// lease changes) timestamped with the node's — virtual or wall — clock.
+// The runtime half is a Registry of collector-backed families: counters,
+// gauges, labeled counter families and histograms whose values are read
+// from the state they describe when the registry is encoded. Protocol
+// services count in plain fields they own and register those fields in a
+// Collect method; a node builds its registry from them only when it is
+// scraped, so between scrapes it holds no registry at all, and reading one
+// is a pure observer — the determinism goldens hold byte-identical with
+// scraping on. The Registry encodes to Prometheus text exposition format
+// v0.0.4 (WritePrometheus) for the jxta-node admin endpoint and to a flat
+// map (Snapshot) for /statusz and the jxta-bench per-node JSON dumps.
+// Trace is the companion protocol event ring: rare state transitions
+// (promotions, failovers, merges, lease changes) timestamped with the
+// node's — virtual or wall — clock.
 package metrics
 
 import (

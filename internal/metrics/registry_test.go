@@ -11,10 +11,13 @@ import (
 func TestRegistryPrometheusEncoding(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jxta_test_ops_total", "ops so far")
-	c.Add(7)
-	v := r.CounterVec("jxta_test_msgs_total", "messages by service", "service")
-	v.With("resolver").Add(2)
-	v.With("pipe.msg").Inc()
+	for range 7 {
+		c.Inc()
+	}
+	r.CounterFuncs("jxta_test_msgs_total", "messages by service", "service", func(emit func(string, uint64)) {
+		emit("resolver", 2)
+		emit("pipe.msg", 1)
+	})
 	r.GaugeFunc("jxta_test_size", "live size", func() float64 { return 2.5 })
 	r.CounterFunc("jxta_test_raw_total", "bridged counter", func() uint64 { return 9 })
 
@@ -44,7 +47,8 @@ jxta_test_size 2.5
 
 func TestHistogramEncodingAndBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("jxta_test_latency_seconds", "latency", []float64{0.1, 1, 10})
+	h := NewHistogram([]float64{0.1, 1, 10})
+	r.HistogramFunc("jxta_test_latency_seconds", "latency", func() *Histogram { return h })
 	// Boundary semantics: le is inclusive, so 0.1 lands in the first
 	// bucket and 0.100001 in the second.
 	for _, v := range []float64{0.05, 0.1, 0.100001, 1, 5, 100} {
@@ -86,7 +90,9 @@ jxta_test_latency_seconds_count 6
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.CounterVec("jxta_test_esc_total", `help with \ backslash`, "svc").With("a\"b\\c\nd").Inc()
+	r.CounterFuncs("jxta_test_esc_total", `help with \ backslash`, "svc", func(emit func(string, uint64)) {
+		emit("a\"b\\c\nd", 1)
+	})
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -97,27 +103,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 	if !strings.Contains(got, `jxta_test_esc_total{svc="a\"b\\c\nd"} 1`) {
 		t.Fatalf("label not escaped:\n%s", got)
-	}
-}
-
-func TestCardinalityCap(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("jxta_test_peers_total", "per-peer", "peer")
-	for i := 0; i < MaxCardinality+50; i++ {
-		v.With(fmt.Sprintf("peer-%04d", i)).Inc()
-	}
-	if n := len(r.Snapshot()); n != MaxCardinality+1 {
-		t.Fatalf("series = %d, want cap+overflow = %d", n, MaxCardinality+1)
-	}
-	// All 50 over-cap increments share the overflow child.
-	over := v.With(OverflowLabel).Value()
-	if over != 50 {
-		t.Fatalf("overflow child = %d, want 50", over)
-	}
-	// Existing children keep working after the cap.
-	v.With("peer-0000").Inc()
-	if got := v.With("peer-0000").Value(); got != 2 {
-		t.Fatalf("pre-cap child = %d, want 2", got)
 	}
 }
 
@@ -132,28 +117,43 @@ func TestConflictingRegistrationPanics(t *testing.T) {
 	r.GaugeFunc("jxta_test_x", "now a gauge", func() float64 { return 0 })
 }
 
-func TestIdempotentRegistration(t *testing.T) {
+func TestDuplicateRegistrationPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a second registration of one name")
+		}
+	}()
 	r := NewRegistry()
-	a := r.Counter("jxta_test_same", "h")
-	b := r.Counter("jxta_test_same", "h")
-	if a != b {
-		t.Fatal("re-registration must return the same instrument")
-	}
-	a.Inc()
-	if b.Value() != 1 {
-		t.Fatal("instruments not shared")
+	r.CounterFunc("jxta_test_same", "h", func() uint64 { return 1 })
+	r.CounterFunc("jxta_test_same", "h", func() uint64 { return 2 })
+}
+
+// TestEmptyHistogram: a family whose histogram is not allocated yet reads as
+// every DefBuckets bucket at zero.
+func TestEmptyHistogram(t *testing.T) {
+	r := NewRegistry()
+	r.HistogramFunc("jxta_test_lat_seconds", "h", func() *Histogram { return nil })
+	snap := r.Snapshot()
+	if len(snap) != len(DefBuckets)+3 || snap[`jxta_test_lat_seconds_bucket{le="+Inf"}`] != 0 || snap["jxta_test_lat_seconds_count"] != 0 {
+		t.Fatalf("empty histogram reads %v", snap)
 	}
 }
 
-// TestRegistryConcurrent hammers every instrument type from many
+// TestRegistryConcurrent hammers the atomic Counter and Histogram from many
 // goroutines while encoding runs concurrently; run under -race it is the
 // lock-freedom regression test, and the final counts prove no lost
 // updates.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jxta_test_conc_total", "c")
-	h := r.Histogram("jxta_test_conc_lat", "h", nil)
-	v := r.CounterVec("jxta_test_conc_svc_total", "v", "service")
+	h := NewHistogram(nil)
+	r.HistogramFunc("jxta_test_conc_lat", "h", func() *Histogram { return h })
+	var per4 [4]Counter
+	r.CounterFuncs("jxta_test_conc_svc_total", "v", "service", func(emit func(string, uint64)) {
+		for i := range per4 {
+			emit(fmt.Sprintf("svc-%d", i), per4[i].Value())
+		}
+	})
 
 	const workers, per = 8, 10000
 	var wg sync.WaitGroup
@@ -161,7 +161,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			child := v.With(fmt.Sprintf("svc-%d", w%4))
+			child := &per4[w%4]
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Observe(0.003)
@@ -191,22 +191,25 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("histogram sum = %v", h.Sum())
 	}
 	total := uint64(0)
-	for i := 0; i < 4; i++ {
-		total += v.With(fmt.Sprintf("svc-%d", i)).Value()
+	for k, v := range r.Snapshot() {
+		if strings.HasPrefix(k, "jxta_test_conc_svc_total{") {
+			total += uint64(v)
+		}
 	}
 	if total != workers*per {
 		t.Fatalf("vec total = %d, want %d", total, workers*per)
 	}
 }
 
-func TestCounterFuncWithLabeledChildren(t *testing.T) {
+func TestCounterFuncsLabeledChildren(t *testing.T) {
 	r := NewRegistry()
-	vals := []uint64{11, 22}
-	for i := range vals {
-		i := i
-		r.CounterFuncWith("jxta_sim_shard_steps_total", "Events per shard.",
-			"shard", fmt.Sprintf("%d", i), func() uint64 { return vals[i] })
-	}
+	vals := []uint64{11, 0}
+	r.CounterFuncs("jxta_sim_shard_steps_total", "Events per shard.", "shard", func(emit func(string, uint64)) {
+		for i, v := range vals {
+			emit(fmt.Sprintf("%d", i), v)
+		}
+	})
+	vals[1] = 22 // read at encode time, not at registration
 	snap := r.Snapshot()
 	if snap[`jxta_sim_shard_steps_total{shard="0"}`] != 11 ||
 		snap[`jxta_sim_shard_steps_total{shard="1"}`] != 22 {

@@ -29,27 +29,33 @@ type TraceEvent struct {
 // components can record unconditionally.
 type Trace struct {
 	mu  sync.Mutex
-	cap int
 	seq uint64
 	buf []TraceEvent
+	cap int32
 	// start indexes the oldest event once the ring has wrapped.
-	start int
+	start int32
+	// first backs buf until a second event arrives: nearly every peer
+	// records one event (an edge's first lease), and many never a second.
+	first [1]TraceEvent
 }
 
-// DefaultTraceCapacity is the ring size node.New uses: enough to hold a
-// node's full lease/failover/merge history in every experiment we run,
-// at ~100 bytes per slot.
+// DefaultTraceCapacity is the ring size the rendezvous service uses: enough
+// to hold a peer's full lease/failover/merge history in every experiment we
+// run. A slot is a 48-byte TraceEvent.
 const DefaultTraceCapacity = 256
 
 // NewTrace returns a ring holding the last capacity events
-// (DefaultTraceCapacity if capacity <= 0). The ring storage is allocated
-// lazily on the first Record: protocol transitions are rare, so most
-// peers in a large quiet population never pay for the buffer at all.
+// (DefaultTraceCapacity if capacity <= 0). The ring storage grows with the
+// events recorded, up to capacity: protocol transitions are rare, and an
+// edge whose only event is its first lease pays for the one slot the Trace
+// holds inline.
 func NewTrace(capacity int) *Trace {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Trace{cap: capacity}
+	t := &Trace{cap: int32(capacity)}
+	t.buf = t.first[:0]
+	return t
 }
 
 // Record appends one event, evicting the oldest when full. Safe on a
@@ -61,10 +67,7 @@ func (t *Trace) Record(at time.Duration, typ, detail string) {
 	t.mu.Lock()
 	t.seq++
 	ev := TraceEvent{Seq: t.seq, At: at, Type: typ, Detail: detail}
-	if len(t.buf) < t.cap {
-		if t.buf == nil {
-			t.buf = make([]TraceEvent, 0, t.cap)
-		}
+	if len(t.buf) < int(t.cap) {
 		t.buf = append(t.buf, ev)
 	} else {
 		t.buf[t.start] = ev

@@ -8,7 +8,7 @@
 //
 // Start brings the services up transport-nearest first (endpoint, resolver,
 // peerview, rendezvous, discovery) and Stop tears them down in reverse, so a
-// layer never sends through a layer that is already gone. Four verbs cover
+// layer never sends through a layer that is already gone. Three verbs cover
 // every deployment need:
 //
 //   - Stop: graceful halt. The edge lease is canceled, every service timer
@@ -24,7 +24,14 @@
 //     stream, same address — but rejoins the overlay cold, exactly like a
 //     restarted process on the same host. The deployment layer re-attaches
 //     the transport first when the node was killed.
-//   - Close: Stop + transport release, for process exit (cmd/jxta-node).
+//
+// # Metrics
+//
+// Every service counts in plain fields it owns and registers them in its
+// Collect method. A node holds no metrics registry: Node.Metrics builds one
+// from those fields each time it is read, so counts survive Reset, Restart
+// and promotion with the services that hold them, and a node pays for a
+// registry only while it is being read.
 //
 // # An idle edge is small
 //
@@ -96,16 +103,11 @@ type Config struct {
 	// the table dies with the overlay; nil falls back to the process-wide
 	// default store.
 	AdvStore *advstore.Store
-	// Metrics, when set, puts the node in lean-metrics mode: instead of
-	// allocating a private registry and trace ring, the node's services
-	// bind their counters into this shared (typically population-wide)
-	// registry, node-level gauges are skipped, and Trace stays nil. Real
-	// counters then aggregate across every peer sharing the registry;
-	// Func-backed instruments (size gauges, stats bridges) are last-writer
-	// -wins and only describe one arbitrary peer — population totals for
-	// those come from experiment drivers, not the registry. This is the
-	// memory configuration for 100k+ peer simulations, where a per-peer
-	// registry dominates the per-node footprint.
+	// Metrics is ignored: a node holds no registry, and Node.Metrics builds
+	// one from the services' own counters when it is read. The field stays
+	// because the repository benchmark sets it.
+	//
+	// Deprecated: benchmark only, ignored; goes with ROADMAP 0(a).
 	Metrics *metrics.Registry
 }
 
@@ -121,15 +123,10 @@ type Node struct {
 	Discovery  *discovery.Service
 	Cache      *cm.Cache
 
-	// Metrics is the node's instrument registry: every service registers
-	// its counters/gauges/histograms here at assembly, so a node exposes
-	// its full runtime state through one Prometheus encode or Snapshot.
-	// Always non-nil; reading Func instruments (gauges sampled from
-	// protocol state) must happen under the node's env serialization.
-	Metrics *metrics.Registry
-	// Trace is the node's protocol event ring: promotions, failovers,
-	// island merges and lease transitions with virtual timestamps.
-	Trace *metrics.Trace
+	// Metrics reads the node's runtime metrics: every service's counters
+	// and gauges, through one Prometheus encode or Snapshot. Read it under
+	// the node's env serialization.
+	Metrics Metrics
 
 	// RoleChanged, when set, observes edge→rendezvous promotions (the
 	// deployment layer wires it through to experiment counters and facade
@@ -144,6 +141,47 @@ type Node struct {
 	rdvAdv  *advertisement.Rdv
 	started bool
 }
+
+// Metrics is a node's view of its own runtime metrics. It holds no
+// registry: each read builds one from the services' counters.
+type Metrics struct{ n *Node }
+
+// Registry builds a registry over the node's services, for one encode
+// (WritePrometheus) or Snapshot. Its collectors read protocol state, so
+// build and encode it under the node's env serialization.
+func (m Metrics) Registry() *metrics.Registry {
+	n := m.n
+	reg := metrics.NewRegistry()
+	n.Endpoint.Collect(reg)
+	n.Resolver.Collect(reg)
+	if n.PeerView != nil {
+		n.PeerView.Collect(reg)
+	}
+	n.Rendezvous.Collect(reg)
+	n.Discovery.Collect(reg)
+	reg.GaugeFunc("jxta_node_role", "Peer role: 1 rendezvous, 0 edge.",
+		func() float64 {
+			if n.IsRendezvous() {
+				return 1
+			}
+			return 0
+		})
+	reg.GaugeFunc("jxta_node_started", "Lifecycle state: 1 started, 0 stopped.",
+		func() float64 {
+			if n.Started() {
+				return 1
+			}
+			return 0
+		})
+	reg.GaugeFunc("jxta_cache_records", "Advertisements in the local cache.",
+		func() float64 { return float64(n.Cache.Len()) })
+	reg.GaugeFunc("jxta_cache_index_entries", "Attribute index entries in the local cache.",
+		func() float64 { return float64(n.Cache.IndexSize()) })
+	return reg
+}
+
+// Snapshot flattens the node's series into a map (metrics.Registry.Snapshot).
+func (m Metrics) Snapshot() map[string]float64 { return m.Registry().Snapshot() }
 
 // netPeerGroup is the peer group every node joins: the JXTA NetPeerGroup.
 var netPeerGroup = ids.FromName(ids.KindGroup, "NetPeerGroup")
@@ -171,14 +209,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 		Resolver: res,
 		Cache:    cache,
 	}
-	if cfg.Metrics != nil {
-		// Lean mode: share the caller's registry, no trace ring (a nil
-		// *Trace is a valid no-op sink everywhere).
-		n.Metrics = cfg.Metrics
-	} else {
-		n.Metrics = metrics.NewRegistry()
-		n.Trace = metrics.NewTrace(0)
-	}
+	n.Metrics = Metrics{n}
 	if cfg.Role == Rendezvous {
 		n.rdvAdv = &advertisement.Rdv{
 			PeerID:  id,
@@ -196,41 +227,6 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 		busy = sink
 	}
 	n.Discovery = discovery.New(e, ep, res, n.Rendezvous, cache, cfg.Discovery, busy)
-
-	// Re-instrument every service against the node's shared registry (each
-	// constructor pre-instrumented against a private one) and add the
-	// node-level gauges. Instrumentation is a pure observer: counters are
-	// plain data, gauges are sampled at encode time, so enabling it never
-	// perturbs protocol scheduling or wire traffic.
-	ep.Instrument(n.Metrics)
-	res.Instrument(n.Metrics)
-	if n.PeerView != nil {
-		n.PeerView.Instrument(n.Metrics)
-	}
-	n.Rendezvous.Instrument(n.Metrics, n.Trace)
-	n.Discovery.Instrument(n.Metrics)
-	// Node-level gauges are per-peer by nature — in lean mode (shared
-	// registry) they would just clobber each other, so skip them.
-	if cfg.Metrics == nil {
-		n.Metrics.GaugeFunc("jxta_node_role", "Peer role: 1 rendezvous, 0 edge.",
-			func() float64 {
-				if n.IsRendezvous() {
-					return 1
-				}
-				return 0
-			})
-		n.Metrics.GaugeFunc("jxta_node_started", "Lifecycle state: 1 started, 0 stopped.",
-			func() float64 {
-				if n.Started() {
-					return 1
-				}
-				return 0
-			})
-		n.Metrics.GaugeFunc("jxta_cache_records", "Advertisements in the local cache.",
-			func() float64 { return float64(cache.Len()) })
-		n.Metrics.GaugeFunc("jxta_cache_index_entries", "Attribute index entries in the local cache.",
-			func() float64 { return float64(cache.IndexSize()) })
-	}
 
 	// Role is dynamic: the rendezvous service's self-healing paths (crash
 	// election, graceful handoff) promote the whole node through this hook.
@@ -293,10 +289,6 @@ func (n *Node) PromoteToRendezvous() {
 		addSeed(sd)
 	}
 	n.PeerView = peerview.New(n.Env, n.Endpoint, n.Config.AdvStore, n.rdvAdv, n.Config.Peerview, seeds)
-	// Rebind the peerview instruments to the node registry: counters are
-	// shared with the pre-promotion family (registration is idempotent) and
-	// the size gauge re-targets the fresh view.
-	n.PeerView.Instrument(n.Metrics)
 	if n.started {
 		n.PeerView.Start()
 	}

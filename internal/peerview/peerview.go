@@ -46,7 +46,6 @@ import (
 	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/message"
-	"jxta/internal/metrics"
 	"jxta/internal/transport"
 )
 
@@ -362,9 +361,7 @@ type PeerView struct {
 	// Rounds counts loop iterations (diagnostics).
 	Rounds int
 
-	// m holds the runtime instruments; always non-nil (New pre-instruments,
-	// node.New re-instruments with the node's shared registry).
-	m *pvMetrics
+	n counts
 }
 
 // New builds a peerview for the rendezvous peer described by self, interning
@@ -385,7 +382,6 @@ func New(e env.Env, ep *endpoint.Endpoint, store *advstore.Store, self *advertis
 	// Mixed content is the encoder's only error; an Rdv document has none.
 	pv.selfBytes, _ = advertisement.EncodeXML(self)
 	ep.Register(ServiceName, pv.receive)
-	pv.Instrument(metrics.Discard())
 	return pv
 }
 
@@ -567,7 +563,7 @@ func (pv *PeerView) probeTimeoutSweep() {
 			delete(pv.byID, id)
 			delete(pv.missed, id)
 			en.sh.Release()
-			pv.m.probeEvicts.Inc()
+			pv.n.probeEvicts++
 			pv.notify(EventRemove, id)
 			continue
 		}
@@ -591,7 +587,7 @@ func (pv *PeerView) expireSweep() {
 			id := en.adv.PeerID
 			delete(pv.byID, id)
 			en.sh.Release()
-			pv.m.expiries.Inc()
+			pv.n.expiries++
 			pv.notify(EventRemove, id)
 			continue
 		}
@@ -653,7 +649,7 @@ func (pv *PeerView) upsert(sh *advstore.Shared, adv *advertisement.Rdv) bool {
 	pv.entries = append(pv.entries, nil)
 	copy(pv.entries[lo+1:], pv.entries[lo:])
 	pv.entries[lo] = en
-	pv.m.adds.Inc()
+	pv.n.adds++
 	pv.notify(EventAdd, adv.PeerID)
 	return true
 }
@@ -676,12 +672,12 @@ func (pv *PeerView) send(to ids.ID, m *message.Out) {
 }
 
 func (pv *PeerView) sendProbe(to ids.ID) {
-	pv.m.probes.Inc()
+	pv.n.probes++
 	pv.sendSelf(to, typeProbe)
 }
 
 func (pv *PeerView) sendUpdate(to ids.ID) {
-	pv.m.updates.Inc()
+	pv.n.updates++
 	pv.sendSelf(to, typeUpdate)
 }
 
@@ -697,7 +693,7 @@ func (pv *PeerView) Merge(sd Seed) {
 	if sd.Addr != "" {
 		pv.ep.AddRoute(sd.ID, sd.Addr)
 	}
-	pv.m.mergesStarted.Inc()
+	pv.n.mergesStarted++
 	pv.sendView(sd.ID, typeMerge)
 }
 

@@ -268,10 +268,10 @@ type Service struct {
 	// through (diagnostics; at most 1 unless the node is Reset between).
 	Promotions int
 
-	// m holds the runtime instruments (always non-nil: newService
-	// pre-instruments, node.New re-instruments with the node's registry);
-	// trace receives rare protocol transitions and may be nil.
-	m     *rdvMetrics
+	// m is the service's activity counts, behind a pointer so that the
+	// struct stays in its size class; trace receives the rare protocol
+	// transitions.
+	m     *counts
 	trace *metrics.Trace
 }
 
@@ -282,11 +282,11 @@ type walkHandler struct {
 }
 
 func newService(e env.Env, ep *endpoint.Endpoint, cfg Config) *Service {
-	s := &Service{env: e, ep: ep, cfg: cfg.withDefaults(), rumors: peerview.NewRumorStore()}
+	s := &Service{env: e, ep: ep, cfg: cfg.withDefaults(), rumors: peerview.NewRumorStore(),
+		m: new(counts), trace: metrics.NewTrace(0)}
 	s.leaseText = strconv.FormatInt(int64(s.cfg.LeaseDuration), 10)
 	ep.Register(LeaseService, s.receiveLease)
 	ep.Register(WalkService, s.receiveWalk)
-	s.Instrument(metrics.Discard(), nil)
 	return s
 }
 
@@ -952,7 +952,7 @@ func (s *Service) requestLease() {
 		}
 	}
 	err := s.sendLease(target.ID, m)
-	s.m.requests.Inc()
+	s.m.requests++
 	delay := s.cfg.ResponseTimeout
 	if s.awaitingSucc {
 		// The elected successor may detect the failure minutes after us
@@ -991,7 +991,7 @@ const episodePhases = 8
 // serialization, and a canceled env timer never runs, live or simulated.
 func (s *Service) onLeaseTimeout(target ids.ID) {
 	s.grantTimer = env.Event{}
-	s.m.timeouts.Inc()
+	s.m.timeouts++
 	s.traceEvent("lease-timeout", target)
 	if s.connectedTo.Equal(target) {
 		s.setConnected(ids.Nil)
@@ -1047,7 +1047,7 @@ func (s *Service) electAndHeal() {
 		return
 	}
 	succ := pickSuccessor(s.roster)
-	s.m.elections.Inc()
+	s.m.elections++
 	s.traceEvent("election", succ.ID)
 	if succ.ID.Equal(s.ep.ID()) {
 		if s.promoteFn == nil {
@@ -1104,14 +1104,14 @@ func (s *Service) sweepClients() {
 	for id, cl := range s.clients {
 		if cl.expires <= now {
 			delete(s.clients, id)
-			s.m.expired.Inc()
+			s.m.expired++
 		}
 	}
 	if s.cfg.IslandMerge {
 		evicted := s.rumors.Sweep(rumorDeadSweeps, func(id ids.ID) bool {
 			return id.Equal(s.ep.ID()) || s.pv.Contains(id) || s.HasClient(id)
 		})
-		s.m.rumorEvicts.Add(uint64(evicted))
+		s.m.rumorEvicts += uint64(evicted)
 		s.retryMerges()
 	}
 }
@@ -1279,7 +1279,7 @@ func (s *Service) handoff() {
 		hm.AddScratch(leaseNS, elemClient, strconv.AppendInt(append(rec, ' '), int64(remaining), 10))
 	}
 	_ = s.sendLease(succ.ID, hm)
-	s.m.handoffs.Inc()
+	s.m.handoffs++
 	s.traceEvent("handoff", succ.ID)
 	// 2. Exported service state (the SRDI index re-publish).
 	if s.exporter != nil {
@@ -1365,7 +1365,7 @@ func (s *Service) receiveLease(src ids.ID, m *message.Message) {
 		s.receiveRequest(src, h.request, h.addr, m)
 	case len(h.cancel) != 0:
 		if _, held := s.clients[src]; held {
-			s.m.cancelled.Inc()
+			s.m.cancelled++
 		}
 		delete(s.clients, src)
 	case len(h.handoff) != 0:
@@ -1394,9 +1394,9 @@ func (s *Service) receiveRequest(src ids.ID, asked, edgeAddr []byte, m *message.
 	}
 	old, renewal := s.clients[src]
 	if renewal {
-		s.m.renewed.Inc()
+		s.m.renewed++
 	} else {
-		s.m.granted.Inc()
+		s.m.granted++
 	}
 	addr := old.addr // a renewing client's address is the string on file
 	if addr != string(edgeAddr) {
@@ -1504,7 +1504,7 @@ func (s *Service) receiveRedirect(src ids.ID, val []byte) {
 		return
 	}
 	s.cancelTimers()
-	s.m.redirects.Inc()
+	s.m.redirects++
 	s.traceEvent("redirect", succ.ID)
 	if s.connectedTo.Equal(src) {
 		s.setConnected(ids.Nil)
@@ -1528,7 +1528,7 @@ func (s *Service) Walk(dir Direction, ttl int, svc string, body *message.Message
 	if !s.IsRendezvous() || ttl <= 0 {
 		return
 	}
-	s.m.walks.Inc()
+	s.m.walks++
 	lower, upper := s.pv.Neighbors()
 	next := upper
 	if dir == Down {

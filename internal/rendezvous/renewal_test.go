@@ -48,13 +48,13 @@ func TestLeaseRenewalAllocs(t *testing.T) {
 	if got, ok := edge.ConnectedRdv(); !ok || !got.Equal(at.id) || len(edge.Roster()) != 10 || len(edge.Alternates()) != 4 {
 		t.Fatalf("the rig did not converge: connected %v, roster %d, alternates %d", ok, len(edge.Roster()), len(edge.Alternates()))
 	}
-	renewed := at.svc.m.renewed.Value()
+	renewed := at.svc.m.renewed
 	roundTrip := func() {
 		edge.requestLease()
 		sched.Run(sched.Now() + 10*time.Millisecond)
 	}
 	got := testing.AllocsPerRun(50, roundTrip)
-	if n := at.svc.m.renewed.Value() - renewed; n != 51 { // AllocsPerRun adds a warm-up call
+	if n := at.svc.m.renewed - renewed; n != 51 { // AllocsPerRun adds a warm-up call
 		t.Fatalf("%d renewals granted over 51 round trips", n)
 	}
 	t.Logf("%.0f allocations per renewal round trip", got)

@@ -4,37 +4,43 @@ import (
 	"jxta/internal/metrics"
 )
 
-// resMetrics holds the resolver's instruments. The handler-keyed Vec
-// children are cached on the handler registrations (namedHandler.recvd) so
-// steady-state increments are lock-free.
-type resMetrics struct {
-	queriesSent  *metrics.Counter
-	queriesRecvd *metrics.CounterVec
-	responses    *metrics.Counter
-	responsesIn  *metrics.Counter
-	timeouts     *metrics.Counter
-	forwards     *metrics.Counter
+// counts is the resolver's own activity.
+type counts struct {
+	queriesSent uint64
+	responses   uint64 // responses sent back to query originators
+	responsesIn uint64 // responses delivered to local callbacks
+	timeouts    uint64
+	forwards    uint64
 }
 
-// Instrument (re-)registers the resolver's instruments on reg:
+// Collect registers the resolver's series on reg, read from its own
+// counters when reg is encoded:
 //
 //	jxta_resolver_queries_sent_total, jxta_resolver_queries_received_total{handler=...},
 //	jxta_resolver_responses_sent_total, jxta_resolver_responses_received_total,
 //	jxta_resolver_timeouts_total, jxta_resolver_forwards_total
 //
-// plus the jxta_resolver_pending gauge (in-flight local queries).
-func (s *Service) Instrument(reg *metrics.Registry) {
-	s.m = &resMetrics{
-		queriesSent:  reg.Counter("jxta_resolver_queries_sent_total", "Queries issued by this peer."),
-		queriesRecvd: reg.CounterVec("jxta_resolver_queries_received_total", "Queries dispatched to a local handler.", "handler"),
-		responses:    reg.Counter("jxta_resolver_responses_sent_total", "Responses sent back to query originators."),
-		responsesIn:  reg.Counter("jxta_resolver_responses_received_total", "Responses delivered to local callbacks."),
-		timeouts:     reg.Counter("jxta_resolver_timeouts_total", "Local queries that timed out unanswered."),
-		forwards:     reg.Counter("jxta_resolver_forwards_total", "Queries forwarded along the walk."),
-	}
-	for i := range s.handlers {
-		s.handlers[i].recvd = nil // cached against the previous registry
-	}
+// plus the jxta_resolver_pending gauge (in-flight local queries). Only
+// registered handlers that have received a query get a handler label.
+func (s *Service) Collect(reg *metrics.Registry) {
+	reg.CounterFunc("jxta_resolver_queries_sent_total", "Queries issued by this peer.",
+		func() uint64 { return s.n.queriesSent })
+	reg.CounterFuncs("jxta_resolver_queries_received_total", "Queries dispatched to a local handler.", "handler",
+		func(emit func(string, uint64)) {
+			for _, nh := range s.handlers {
+				if nh.recvd > 0 {
+					emit(nh.name, nh.recvd)
+				}
+			}
+		})
+	reg.CounterFunc("jxta_resolver_responses_sent_total", "Responses sent back to query originators.",
+		func() uint64 { return s.n.responses })
+	reg.CounterFunc("jxta_resolver_responses_received_total", "Responses delivered to local callbacks.",
+		func() uint64 { return s.n.responsesIn })
+	reg.CounterFunc("jxta_resolver_timeouts_total", "Local queries that timed out unanswered.",
+		func() uint64 { return s.n.timeouts })
+	reg.CounterFunc("jxta_resolver_forwards_total", "Queries forwarded along the walk.",
+		func() uint64 { return s.n.forwards })
 	reg.GaugeFunc("jxta_resolver_pending", "In-flight locally issued queries.",
 		func() float64 { return float64(len(s.pending)) })
 }

@@ -20,7 +20,6 @@ import (
 	"jxta/internal/env"
 	"jxta/internal/ids"
 	"jxta/internal/message"
-	"jxta/internal/metrics"
 )
 
 // ServiceName is the endpoint service the resolver listens on.
@@ -91,17 +90,14 @@ type Service struct {
 	// lent out.
 	lent *Query
 
-	// m holds the runtime instruments; always non-nil (New pre-instruments,
-	// node.New re-instruments with the node's shared registry).
-	m *resMetrics
+	n counts
 }
 
-// namedHandler is one registration plus its cached received-queries
-// counter (filled on first dispatch, dropped by Instrument).
+// namedHandler is one registration and the queries dispatched to it.
 type namedHandler struct {
 	name  string
 	h     Handler
-	recvd *metrics.Counter
+	recvd uint64
 }
 
 // pendingQuery is a locally issued query awaiting its answer. A query
@@ -119,14 +115,14 @@ type pendingQuery struct {
 func New(e env.Env, ep *endpoint.Endpoint) *Service {
 	s := &Service{env: e, ep: ep, Timeout: 30 * time.Second}
 	ep.Register(ServiceName, s.receive)
-	s.Instrument(metrics.Discard())
 	return s
 }
 
-// RegisterHandler installs (or replaces) the named query handler.
+// RegisterHandler installs (or replaces) the named query handler. A
+// replaced handler's name keeps its received-queries count.
 func (s *Service) RegisterHandler(name string, h Handler) {
 	if nh := s.handler(name); nh != nil {
-		*nh = namedHandler{name: name, h: h}
+		nh.h = h
 		return
 	}
 	s.handlers = append(s.handlers, namedHandler{name: name, h: h})
@@ -171,7 +167,7 @@ func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCa
 			if p.answered {
 				return // a collecting query's deadline, not a time-out
 			}
-			s.m.timeouts.Inc()
+			s.n.timeouts++
 			if p.onTimeout != nil {
 				p.onTimeout(qid)
 			}
@@ -195,7 +191,7 @@ func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCa
 		s.forget(qid, p)
 		return 0, err
 	}
-	s.m.queriesSent.Inc()
+	s.n.queriesSent++
 	return qid, nil
 }
 
@@ -234,7 +230,7 @@ func (s *Service) Respond(q *Query, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	s.m.responses.Inc()
+	s.n.responses++
 	return nil
 }
 
@@ -257,7 +253,7 @@ func (s *Service) Forward(q *Query, to ids.ID) error {
 	if err != nil {
 		return err
 	}
-	s.m.forwards.Inc()
+	s.n.forwards++
 	return nil
 }
 
@@ -312,7 +308,7 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 			if err != nil || hops < 0 {
 				hops = 0
 			}
-			s.m.responsesIn.Inc()
+			s.n.responsesIn++
 			p.cb(h.response, src, hops)
 		}
 		return
@@ -332,10 +328,7 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 	if nh == nil {
 		return
 	}
-	if nh.recvd == nil {
-		nh.recvd = s.m.queriesRecvd.With(nh.name)
-	}
-	nh.recvd.Inc()
+	nh.recvd++
 	q := s.lent
 	if q == nil {
 		q = new(Query)

@@ -469,21 +469,21 @@ func (p *Peer) runUntil(within time.Duration, done func() bool) {
 // timestamp it happened at.
 type TraceEvent = metrics.TraceEvent
 
-// MetricsSnapshot flattens the peer's full instrument registry — every
-// service's counters, gauges and histogram buckets — into a name→value map
+// MetricsSnapshot flattens the peer's metrics — every service's counters,
+// gauges and histogram buckets — into a name→value map
 // keyed by Prometheus series name. Call it while virtual time is paused
 // (between Run calls); collecting is a pure observation and never perturbs
 // the simulation.
 func (p *Peer) MetricsSnapshot() map[string]float64 { return p.n.Metrics.Snapshot() }
 
-// WriteMetrics encodes the peer's registry in Prometheus text exposition
+// WriteMetrics encodes the peer's metrics in Prometheus text exposition
 // format (the same bytes a live node serves on /metrics).
-func (p *Peer) WriteMetrics(w io.Writer) error { return p.n.Metrics.WritePrometheus(w) }
+func (p *Peer) WriteMetrics(w io.Writer) error { return p.n.Metrics.Registry().WritePrometheus(w) }
 
 // TraceEvents returns the peer's protocol event ring, oldest first: the
 // most recent lease transitions, elections, promotions, handoffs and
 // island merges with virtual timestamps.
-func (p *Peer) TraceEvents() []TraceEvent { return p.n.Trace.Events() }
+func (p *Peer) TraceEvents() []TraceEvent { return p.n.Rendezvous.Trace().Events() }
 
 // OverlayMetrics flattens the overlay-level registry — fabric traffic and,
 // on sharded runs, engine window/barrier instrumentation — into a

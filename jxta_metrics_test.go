@@ -104,10 +104,9 @@ func TestMetricsComponentCoverage(t *testing.T) {
 	}
 }
 
-// TestMetricsSurvivePromotion pins the re-instrumentation path: when
-// self-healing promotes an edge in place, the fresh peerview the promotion
-// builds must land on the node's shared registry (size gauge live), and
-// the trace ring must carry the promotion event.
+// TestMetricsSurvivePromotion: when self-healing promotes an edge in place,
+// the fresh peerview the promotion builds must appear in the node's metrics
+// (size gauge live), and the trace ring must carry the promotion event.
 func TestMetricsSurvivePromotion(t *testing.T) {
 	sim, err := NewSimulation(SimOptions{
 		Seed: 3, Rendezvous: 2,
@@ -131,7 +130,7 @@ func TestMetricsSurvivePromotion(t *testing.T) {
 		t.Error("role gauge did not flip on promotion")
 	}
 	if snap["jxta_peerview_size"] == 0 {
-		t.Error("promoted node's peerview gauge dead: re-instrumentation lost")
+		t.Error("promoted node's peerview gauge dead: promotion lost")
 	}
 	found := false
 	for _, ev := range p.TraceEvents() {

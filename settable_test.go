@@ -38,7 +38,7 @@ var settables = []settable{
 	{"deploy.Spec", "NumRdv", "every experiment; every simulated benchmark workload"},
 	{"deploy.Spec", "Shards", "-exp scale; the benchmark's traced Shards=2 replay"},
 	{"deploy.Spec", "Hibernate", "benchmark edges-10k (ignored; goes with ROADMAP 0(a))"},
-	{"deploy.Spec", "LeanMetrics", "-exp scale (memory-lean points); benchmark edges-10k"},
+	{"deploy.Spec", "LeanMetrics", "benchmark only, ignored; goes with ROADMAP 0(a)"},
 	{"deploy.Spec", "Topology", "every experiment; every simulated benchmark workload"},
 	{"deploy.Spec", "Peerview", "-exp fig4left, ablations, volatility; benchmark discovery-churn"},
 	{"deploy.Spec", "Lease", "-exp churn, volatility, scale; benchmark edges-10k, discovery-churn"},
@@ -52,7 +52,7 @@ var settables = []settable{
 	{"node.Config", "Lease", "deploy.Build; jxta-node -selfheal / -islandmerge"},
 	{"node.Config", "Discovery", "deploy.Build; jxta-node; examples/tcpoverlay; benchmark live-tcp (zero ScanCost)"},
 	{"node.Config", "AdvStore", "deploy.Build (one store per overlay); benchmark kernels"},
-	{"node.Config", "Metrics", "deploy.Build (lean registry); benchmark kernels"},
+	{"node.Config", "Metrics", "benchmark only, ignored; goes with ROADMAP 0(a)"},
 
 	{"peerview.Config", "Interval", "-exp ablations (PEERVIEW_INTERVAL); benchmark live-tcp"},
 	{"peerview.Config", "EntryExpiry", "-exp fig4left (tuned PVE_EXPIRATION), ablations"},
@@ -79,7 +79,6 @@ var settables = []settable{
 	{"experiments.ScaleSpec", "R", "-exp scale"},
 	{"experiments.ScaleSpec", "Edges", "-exp scale"},
 	{"experiments.ScaleSpec", "Shards", "-exp scale"},
-	{"experiments.ScaleSpec", "Lean", "-exp scale (memory-lean points)"},
 	{"experiments.ScaleSpec", "Duration", "-exp scale"},
 	{"experiments.ScaleSpec", "Lease", "test only: goldenScaleSpec sets 2 min, so removing it would move a golden"},
 	{"experiments.ScaleSpec", "Seed", "-exp scale"},
