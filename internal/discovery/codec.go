@@ -147,8 +147,10 @@ func encodeTuple(t srdi.Tuple) []byte {
 }
 
 // decodeTuple reads a tuple: Key, Pub, Addr, Life and, for a numeric
-// registration, NA and NV.
-func decodeTuple(data []byte) (srdi.Tuple, error) {
+// registration, NA and NV. held is the node's route table. When it holds the
+// publisher at the tuple's address, as it does for every tuple an edge pushes
+// itself, the tuple shares the route's string; otherwise it keeps a copy.
+func decodeTuple(data []byte, held func(ids.ID) (transport.Addr, bool)) (srdi.Tuple, error) {
 	r := document.Strict{Rest: data}
 	r.Open(tupleTag)
 	key, pub, addr, life := r.Text("Key"), r.Text("Pub"), r.Text("Addr"), r.Text("Life")
@@ -169,10 +171,14 @@ func decodeTuple(data []byte) (srdi.Tuple, error) {
 	if err != nil {
 		return srdi.Tuple{}, err
 	}
+	route, ok := held(publisher)
+	if !ok || string(route) != string(addr) {
+		route = transport.Addr(addr)
+	}
 	t := srdi.Tuple{
 		Key:           document.Intern(key),
 		Publisher:     publisher,
-		PublisherAddr: transport.Addr(document.Intern(addr)),
+		PublisherAddr: route,
 		Lifetime:      time.Duration(lifetime),
 	}
 	if numeric {
@@ -184,28 +190,25 @@ func decodeTuple(data []byte) (srdi.Tuple, error) {
 	return t, nil
 }
 
-// encodeResponse wraps the matches in a <disco:R>. The advertisements are
-// not encoded here: each comes out of the local cache, whose record retains
-// the canonical encoding (encoded at most once, however often it is served).
-// An advertisement that cannot be encoded voids the response, as it voided
-// the tree's Marshal.
+// encodeResponse wraps the matches in a <disco:R>, in scratch the service
+// owns: the response is sent at once (Respond copies it into the message),
+// and the next response overwrites it. The advertisements are not encoded
+// here: each comes out of the local cache, whose record retains the canonical
+// encoding (encoded at most once, however often it is served). An
+// advertisement that cannot be encoded voids the response, as it voided the
+// tree's Marshal.
 func (s *Service) encodeResponse(matches []advertisement.Advertisement) []byte {
-	var room [4][]byte
-	encoded := room[:0]
-	size := len("<disco:R></disco:R>")
+	h := s.hops()
+	buf := document.AppendStartTag(h.response[:0], responseTag)
 	for _, adv := range matches {
 		enc := s.cache.Encoded(adv.ID())
 		if enc == nil {
 			return nil
 		}
-		encoded = append(encoded, enc)
-		size += len(enc)
-	}
-	buf := document.AppendStartTag(make([]byte, 0, size), responseTag)
-	for _, enc := range encoded {
 		buf = append(buf, enc...)
 	}
-	return document.AppendEndTag(buf, responseTag)
+	h.response = document.AppendEndTag(buf, responseTag)
+	return h.response
 }
 
 // cacheResponse files the advertisements of a response in the local cache

@@ -54,7 +54,7 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		PublisherAddr: transport.Addr("sim://rennes/p"),
 		Lifetime:      2 * time.Hour,
 	}
-	back, err := decodeTuple(encodeTuple(tpl))
+	back, err := decodeTuple(encodeTuple(tpl), noRoute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTupleCodecNumericRoundTrip(t *testing.T) {
 		NumAttr:       "ResourceRAM",
 		NumValue:      4096,
 	}
-	back, err := decodeTuple(encodeTuple(tpl))
+	back, err := decodeTuple(encodeTuple(tpl), noRoute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDecodeTupleErrors(t *testing.T) {
 		"<srdi:Tuple><Key>k</Key><Pub>urn:jxta:nil</Pub></srdi:Tuple>", // no lifetime
 	}
 	for _, x := range bad {
-		if _, err := decodeTuple([]byte(x)); err == nil {
+		if _, err := decodeTuple([]byte(x), noRoute); err == nil {
 			t.Errorf("decodeTuple(%q) succeeded", x)
 		}
 	}

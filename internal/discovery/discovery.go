@@ -281,10 +281,72 @@ func (s *Service) Start() {
 }
 
 // hopState is what handling queries reuses, made on the first one: parked
-// queries, free records, and scratch for a query encoded to be sent at once.
+// queries, free records, scratch for a query and for a response encoded to be
+// sent at once, and the free lookup records.
 type hopState struct {
-	parked, free []*parkedQuery
-	payload      []byte
+	parked, free      []*parkedQuery
+	payload, response []byte
+	lookups           []*lookup
+}
+
+// lookup is a remote query this peer issued, until the resolver is done with
+// it: a recycled record whose two callbacks are bound once, so issuing one
+// allocates nothing. It is freed when the resolver calls it for the last
+// time: the first answer of a query that completes on it, or the time-out.
+// A collecting query that heard an answer is never told its deadline passed,
+// so its record is left to the collector.
+type lookup struct {
+	s         *Service
+	start     time.Duration
+	cb        func(Result)
+	onTimeout func()
+	collect   bool
+	answered  resolver.ResponseCallback // answer, bound once
+	expired   resolver.TimeoutCallback  // expire, bound once
+}
+
+// newLookup takes a lookup record from the free list, or makes one.
+func (h *hopState) newLookup(s *Service) *lookup {
+	if n := len(h.lookups); n > 0 {
+		l := h.lookups[n-1]
+		h.lookups = h.lookups[:n-1]
+		return l
+	}
+	l := &lookup{s: s}
+	l.answered, l.expired = l.answer, l.expire
+	return l
+}
+
+// release clears a lookup record, dropping what its callbacks capture, and
+// frees it.
+func (h *hopState) release(l *lookup) {
+	*l = lookup{s: l.s, answered: l.answered, expired: l.expired}
+	h.lookups = append(h.lookups, l)
+}
+
+// answer files a response's advertisements in the cache and hands them to
+// the caller, with the round trip's latency.
+func (l *lookup) answer(data []byte, from ids.ID, hops int) {
+	s, cb := l.s, l.cb
+	elapsed := s.env.Now() - l.start
+	if !l.collect {
+		s.hop.release(l) // before cb, which may issue the next lookup
+	}
+	advs := s.cacheResponse(data)
+	if s.latency == nil {
+		s.latency = metrics.NewHistogram(nil)
+	}
+	s.latency.Observe(elapsed.Seconds())
+	cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})
+}
+
+// expire is the time-out: nothing answered within the resolver's timeout.
+func (l *lookup) expire(uint64) {
+	s, onTimeout := l.s, l.onTimeout
+	s.hop.release(l)
+	if onTimeout != nil {
+		onTimeout()
+	}
 }
 
 // parkedQuery is a query waiting out its scan cost. It owns what it was lent:
@@ -503,7 +565,7 @@ func (s *Service) receiveSRDI(src ids.ID, m *message.Message) {
 		if el.Namespace != "srdi" || el.Name != "Tuple" {
 			continue
 		}
-		tpl, err := decodeTuple(el.Data)
+		tpl, err := decodeTuple(el.Data, s.ep.RouteTo)
 		if err != nil {
 			continue
 		}
@@ -595,24 +657,15 @@ func (s *Service) sendQuery(payload []byte, collect bool, cb func(Result), onTim
 	if collect {
 		send = s.res.SendCollect
 	}
-	start := s.env.Now()
+	h := s.hops()
+	l := h.newLookup(s)
+	l.start, l.cb, l.onTimeout, l.collect = s.env.Now(), cb, onTimeout, collect
 	s.Stats.QueriesSent++
-	_, err := send(target, HandlerName, payload,
-		func(data []byte, from ids.ID, hops int) {
-			advs := s.cacheResponse(data)
-			elapsed := s.env.Now() - start
-			if s.latency == nil {
-				s.latency = metrics.NewHistogram(nil)
-			}
-			s.latency.Observe(elapsed.Seconds())
-			cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})
-		},
-		func(uint64) {
-			if onTimeout != nil {
-				onTimeout()
-			}
-		})
-	return err
+	if _, err := send(target, HandlerName, payload, l.answered, l.expired); err != nil {
+		h.release(l)
+		return err
+	}
+	return nil
 }
 
 // QueryRange searches the overlay for advertisements of advType whose attr

@@ -236,6 +236,14 @@ func (ep *Endpoint) LearnRoute(peer ids.ID, addr []byte) {
 	}
 }
 
+// learnAddr is LearnRoute for an address the node already holds as a string,
+// which the route then shares.
+func (ep *Endpoint) learnAddr(peer ids.ID, addr transport.Addr) {
+	if cur, ok := ep.routes.get(peer); !ok || cur != addr {
+		ep.AddRoute(peer, addr)
+	}
+}
+
 // DropRoute forgets a route (lease expiry, crash suspicion).
 func (ep *Endpoint) DropRoute(peer ids.ID) {
 	ep.routes.del(peer)
@@ -319,10 +327,10 @@ func readEnvelope(wire *message.Message) (e envelope) {
 // dispatch demultiplexes an inbound wire message: learn the return route,
 // then deliver it to its service, or drop it when it is addressed to another
 // peer or to no service here. The envelope is read as bytes, so a message on
-// the steady-state path (known service, known return route) allocates
-// nothing here. It is the transport's inbound entry point, and enters the
-// node under the env's lock: transports such as TCP deliver from their own
-// goroutines.
+// the steady-state path (known service, known return route, or a new one
+// that the transport delivered from) allocates nothing here. It is the
+// transport's inbound entry point, and enters the node under the env's lock:
+// transports such as TCP deliver from their own goroutines.
 func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	if l := ep.env.Locker(); l != nil {
 		l.Lock()
@@ -339,7 +347,14 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 		ep.Drops++
 		return
 	}
-	ep.LearnRoute(srcID, e.srcAddr)
+	// Only the envelope's Src and SrcAddr add a route. When SrcAddr is the
+	// address the transport delivered from (the sender's own, or the one its
+	// TCP connection announced), the route keeps the transport's string.
+	if string(e.srcAddr) == string(from) {
+		ep.learnAddr(srcID, from)
+	} else {
+		ep.LearnRoute(srcID, e.srcAddr)
+	}
 	var h Handler
 	s := findSlot(ep.slots, e.svc)
 	if s != nil {

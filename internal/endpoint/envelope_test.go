@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jxta/internal/ids"
 	"jxta/internal/israce"
@@ -178,6 +179,34 @@ func TestSendDeliverAllocs(t *testing.T) {
 	wire := wireOf(elemSrc, a.ep.IDString(), elemDst, b.ep.IDString(), elemSvc, "svc", elemSrcAddr, string(a.tr.Addr()), elemTTL, "8")
 	if got := testing.AllocsPerRun(200, func() { b.ep.dispatch(a.tr.Addr(), wire) }); got != 0 {
 		t.Errorf("dispatch on the steady-state path costs %.1f allocations, want 0", got)
+	}
+}
+
+// TestLearnRouteFromTransportAllocs: a message whose envelope names the
+// address the transport delivered it from teaches its route without copying
+// the address: the route keeps the transport's string, 0 allocations (1 when
+// the route held a copy of the envelope's bytes). One whose envelope names
+// another address still teaches that one, as TestInboundCannotRewriteRoutes
+// asks: only the envelope adds a route.
+func TestLearnRouteFromTransportAllocs(t *testing.T) {
+	_, _, a, b, _ := setup(t)
+	b.ep.Register("svc", func(ids.ID, *message.Message) {})
+	from := a.tr.Addr()
+	wire := wireOf(elemSrc, a.ep.IDString(), elemDst, b.ep.IDString(), elemSvc, "svc", elemSrcAddr, string(from), elemTTL, "8")
+	learn := func() {
+		b.ep.AddRoute(a.id, "sim://lyon/a") // a route the message changes
+		b.ep.dispatch(from, wire)
+	}
+	learn()
+	if got := testing.AllocsPerRun(200, learn); got != 0 {
+		t.Errorf("learning a route from the transport's address costs %.1f allocations, want 0", got)
+	}
+	if route, _ := b.ep.RouteTo(a.id); unsafe.StringData(string(route)) != unsafe.StringData(string(from)) {
+		t.Fatalf("route %q is not the transport's string %q", route, from)
+	}
+	b.ep.dispatch(from, wireOf(elemSrc, a.ep.IDString(), elemDst, b.ep.IDString(), elemSvc, "svc", elemSrcAddr, "sim://grenoble/a", elemTTL, "8"))
+	if route, _ := b.ep.RouteTo(a.id); route != "sim://grenoble/a" {
+		t.Fatalf("route %q after a message naming sim://grenoble/a from %q", route, from)
 	}
 }
 

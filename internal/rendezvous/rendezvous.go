@@ -219,7 +219,7 @@ type Service struct {
 	// walkHandlers is a slice, not a map: a service registers once, on every
 	// peer, and discovery is the only one that does.
 	walkHandlers []walkHandler
-	walkSeen     map[string]bool
+	walkSeen     map[walkKey]bool
 	nextWalkID   uint64
 
 	// Edge role.
@@ -1574,12 +1574,32 @@ func readWalkHeader(m *message.Message) (h walkHeader) {
 // coarse reset is fine.
 const walkSeenLimit = 8192
 
+// maxWalkID is the longest walk ID a node writes: a short peer ID (8 hex
+// digits), '-' and a decimal uint64.
+const maxWalkID = 8 + 1 + 20
+
+// walkKey is a walk ID as a fixed-size map key, its length and then its
+// bytes, so remembering one allocates nothing. It tells apart any two IDs of
+// at most maxWalkID bytes.
+type walkKey [1 + maxWalkID]byte
+
+// walkKeyOf returns the key of a walk ID, or false for an ID no node writes:
+// an empty one or one longer than maxWalkID.
+func walkKeyOf(wid []byte) (k walkKey, ok bool) {
+	if len(wid) == 0 || len(wid) > maxWalkID {
+		return k, false
+	}
+	k[0] = byte(len(wid))
+	copy(k[1:], wid)
+	return k, true
+}
+
 // receiveWalk consumes a walked message: hand it to the walk handler, then
 // forward along the same direction using *this* peer's peerview (each hop
 // re-reads its own view, exactly how the LC-DHT fallback walks a partially
 // consistent overlay). The header is read as bytes and the embedded body is
-// decoded in place into a pooled message, so a relayed hop costs its dedup
-// key and nothing else here.
+// decoded in place into a pooled message, and the dedup key is a value, so a
+// relayed hop allocates nothing here but the dedup set's growth.
 func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if !s.started || !s.IsRendezvous() {
 		return // stopped peers and edges do not relay walks
@@ -1589,13 +1609,14 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	if err != nil || ttl <= 0 {
 		return
 	}
-	if len(h.wid) == 0 || s.walkSeen[string(h.wid)] {
-		return // loop guard on inconsistent views
+	key, ok := walkKeyOf(h.wid)
+	if !ok || s.walkSeen[key] {
+		return // malformed, or the loop guard on inconsistent views
 	}
 	if s.walkSeen == nil {
-		s.walkSeen = make(map[string]bool)
+		s.walkSeen = make(map[walkKey]bool)
 	}
-	s.walkSeen[string(h.wid)] = true
+	s.walkSeen[key] = true
 	if len(s.walkSeen) > walkSeenLimit {
 		s.walkSeen = nil
 	}

@@ -2,6 +2,8 @@ package rendezvous
 
 import (
 	"bytes"
+	"encoding/hex"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +100,9 @@ func TestWalkHeaderOutcomes(t *testing.T) {
 		{"no TTL", walkOf(elemDir, "up", elemSvc, "svc", elemOrigin, urn, elemWalkID, "w-1", elemPayload, body), outcome{}},
 		{"no walk ID", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemOrigin, urn, elemPayload, body), outcome{}},
 		{"empty walk ID", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemOrigin, urn, elemWalkID, "", elemPayload, body), outcome{}},
+		{"the longest walk ID a node writes", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemOrigin, urn, elemWalkID, "0123abcd-18446744073709551615", elemPayload, body),
+			outcome{handled: true, dir: Up, fwdTTL: "4", fwdSvc: "svc"}},
+		{"a walk ID longer than any a node writes", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemOrigin, urn, elemWalkID, "0123abcd-184467440737095516150", elemPayload, body), outcome{}},
 		{"bad origin", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemOrigin, "garbage", elemWalkID, "w-1", elemPayload, body), outcome{}},
 		{"no origin", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemWalkID, "w-1", elemPayload, body), outcome{}},
 		{"no body", walkOf(elemDir, "up", elemTTL, "5", elemSvc, "svc", elemOrigin, urn, elemWalkID, "w-1"), outcome{}},
@@ -199,9 +204,10 @@ func TestWalkBodyIsOnLoan(t *testing.T) {
 }
 
 // FuzzReceiveWalk feeds receiveWalk arbitrary header bytes: it must not
-// panic, must keep the walk dedup set inside its bound, and must keep no
-// reference to the header it read (the one thing it stores, the walk ID, is
-// compared after the input has been overwritten).
+// panic, must keep the walk dedup set inside its bound, must remember no walk
+// ID longer than maxWalkID, and must keep no reference to the header it read
+// (the one thing it stores, the walk ID's key, is compared after the input
+// has been overwritten).
 func FuzzReceiveWalk(f *testing.F) {
 	urn := ids.FromName(ids.KindPeer, "origin").String()
 	body := message.New().AddString("disco", "Key", "k").Marshal()
@@ -219,10 +225,10 @@ func FuzzReceiveWalk(f *testing.F) {
 		before := len(s.walkSeen)
 		m := message.New().Add(walkNS, elemDir, dir).Add(walkNS, elemTTL, ttl).Add(walkNS, elemSvc, svc).
 			Add(walkNS, elemOrigin, origin).Add(walkNS, elemWalkID, wid).Add(walkNS, elemPayload, payload)
-		key := strings.Clone(string(wid))
+		key, _ := walkKeyOf(wid)
 		s.receiveWalk(ids.FromName(ids.KindPeer, "previous hop"), m)
-		if grown := len(s.walkSeen) - before; grown > 1 || len(s.walkSeen) > walkSeenLimit {
-			t.Fatalf("walk dedup set grew by %d to %d", grown, len(s.walkSeen))
+		if grown := len(s.walkSeen) - before; grown > 1 || len(s.walkSeen) > walkSeenLimit || (grown == 1 && len(wid) > maxWalkID) {
+			t.Fatalf("walk dedup set grew by %d to %d on a walk ID of %d bytes", grown, len(s.walkSeen), len(wid))
 		}
 		stored := s.walkSeen[key]
 		for _, in := range [][]byte{dir, ttl, svc, origin, wid, payload} {
@@ -231,14 +237,15 @@ func FuzzReceiveWalk(f *testing.F) {
 			}
 		}
 		if s.walkSeen[key] != stored {
-			t.Fatalf("walk ID %q left the dedup set when the header was overwritten", key)
+			t.Fatalf("walk ID %q left the dedup set when the header was overwritten", key[1:1+key[0]])
 		}
 		rig.sent, rig.sentTo = nil, nil
 	})
 }
 
 // TestWalkSeenStaysBounded: walk IDs come off the wire; the set that
-// remembers them resets rather than grow past its limit.
+// remembers them holds each until it resets, rather than grow past its
+// limit.
 func TestWalkSeenStaysBounded(t *testing.T) {
 	r := newWalkRig(t)
 	urn := ids.FromName(ids.KindPeer, "origin").String()
@@ -252,8 +259,53 @@ func TestWalkSeenStaysBounded(t *testing.T) {
 			wid[j] = '0'
 		}
 		r.mid.svc.receiveWalk(r.low.id, walkOf(elemDir, "up", elemTTL, "1", elemOrigin, urn, elemWalkID, string(wid), elemPayload, body))
-		if n := len(r.mid.svc.walkSeen); n > walkSeenLimit {
+		seen := r.mid.svc.walkSeen
+		if n := len(seen); n > walkSeenLimit {
 			t.Fatalf("walk dedup set holds %d IDs, limit %d", n, walkSeenLimit)
+		}
+		if key, _ := walkKeyOf(wid); seen != nil && !seen[key] {
+			t.Fatalf("walk ID %s is not in the dedup set, which was not reset", wid)
+		}
+	}
+}
+
+// TestWalkSeenMatchesAStringSet holds the fixed-size dedup key to the set of
+// strings it replaced: over walk IDs as nodes write them, with repeats, IDs
+// that differ only in length or in a trailing byte, the longest ID a node
+// writes, and a run past walkSeenLimit that resets the set, receiveWalk hands
+// a walk to its handler exactly when a map[string]bool, reset at the same
+// size, has not seen its ID. An ID longer than maxWalkID is no node's, and is
+// dropped.
+func TestWalkSeenMatchesAStringSet(t *testing.T) {
+	r := newWalkRig(t)
+	handled := false
+	r.mid.svc.SetWalkHandler("svc", func(ids.ID, Direction, *message.Message) bool { handled = true; return false })
+	urn := ids.FromName(ids.KindPeer, "origin").String()
+	body := string(message.New().Marshal())
+	var wids []string
+	early := []string{"0123abcd-1", "0123abcd-1", "0123abcd-10", "0123abcd-1\x00", "0123abce-1", "nil-1",
+		"0123abcd-18446744073709551615", "0123abcd-18446744073709551615", "0123abcd-184467440737095516150"}
+	wids = append(wids, early...)
+	var id [4]byte
+	for i := 0; i < walkSeenLimit+100; i++ {
+		id[i%4]++
+		wids = append(wids, string(strconv.AppendInt(append(hex.AppendEncode(nil, id[:]), '-'), int64(i), 10)))
+	}
+	wids = append(wids, early...) // after the reset: unseen again
+	ref := map[string]bool{}
+	for i, wid := range wids {
+		var want bool // the handler runs
+		if len(wid) <= maxWalkID {
+			want = !ref[wid]
+			ref[wid] = true
+			if len(ref) > walkSeenLimit {
+				ref = map[string]bool{}
+			}
+		}
+		handled = false
+		r.mid.svc.receiveWalk(r.low.id, walkOf(elemDir, "up", elemTTL, "1", elemSvc, "svc", elemOrigin, urn, elemWalkID, wid, elemPayload, body))
+		if handled != want {
+			t.Fatalf("walk %d, ID %q: handled %v, a string set says %v", i, wid, handled, want)
 		}
 	}
 }

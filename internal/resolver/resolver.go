@@ -89,6 +89,9 @@ type Service struct {
 	// lent is the Query receive lends, nil until the first query and while
 	// lent out.
 	lent *Query
+	// free lists the pending-query records no query holds, linked through
+	// next.
+	free *pendingQuery
 
 	n counts
 }
@@ -103,12 +106,22 @@ type namedHandler struct {
 // pendingQuery is a locally issued query awaiting its answer. A query
 // completes on its first response; a collecting one (SendCollect) hears
 // every response until its deadline and only records that one arrived.
+//
+// It is a recycled record: forget and the deadline return it to the free
+// list, and the next query reuses it. Its QID is the generation. A late or
+// duplicate response names a QID that pending no longer holds, and forget
+// cancels the deadline, so nothing of an old query reaches the record's next
+// owner.
 type pendingQuery struct {
+	s         *Service
+	qid       uint64
 	cb        ResponseCallback
 	onTimeout TimeoutCallback
 	timer     env.Event
 	collect   bool
 	answered  bool
+	next      *pendingQuery // on the free list
+	fire      func()        // expire, bound once
 }
 
 // New builds the resolver for a peer and registers its endpoint handler.
@@ -159,19 +172,17 @@ func (s *Service) SendCollect(dst ids.ID, handler string, payload []byte, cb Res
 func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback, collect bool) (uint64, error) {
 	s.nextQID++
 	qid := s.nextQID
-	p := &pendingQuery{cb: cb, onTimeout: onTimeout, collect: collect}
+	p := s.free
+	if p != nil {
+		s.free = p.next
+	} else {
+		p = &pendingQuery{s: s}
+		p.fire = p.expire
+	}
+	p.qid, p.cb, p.onTimeout, p.collect, p.next = qid, cb, onTimeout, collect, nil
 	if s.Timeout > 0 {
 		// forget cancels the timer: while it can fire, p is pending.
-		p.timer = s.env.After(s.Timeout, func() {
-			delete(s.pending, qid)
-			if p.answered {
-				return // a collecting query's deadline, not a time-out
-			}
-			s.n.timeouts++
-			if p.onTimeout != nil {
-				p.onTimeout(qid)
-			}
-		})
+		p.timer = s.env.After(s.Timeout, p.fire)
 	}
 	if s.pending == nil {
 		s.pending = make(map[uint64]*pendingQuery)
@@ -195,10 +206,34 @@ func (s *Service) send(dst ids.ID, handler string, payload []byte, cb ResponseCa
 	return qid, nil
 }
 
-// forget removes a pending query and disarms its deadline.
+// expire is a pending query's deadline: the query leaves the table and its
+// record the resolver, and the time-out callback runs unless a collecting
+// query heard an answer.
+func (p *pendingQuery) expire() {
+	s, qid, answered, onTimeout := p.s, p.qid, p.answered, p.onTimeout
+	delete(s.pending, qid)
+	s.recycle(p)
+	if answered {
+		return // a collecting query's deadline, not a time-out
+	}
+	s.n.timeouts++
+	if onTimeout != nil {
+		onTimeout(qid)
+	}
+}
+
+// forget removes a pending query, disarms its deadline and frees its record.
 func (s *Service) forget(qid uint64, p *pendingQuery) {
 	delete(s.pending, qid)
 	p.timer.Cancel()
+	s.recycle(p)
+}
+
+// recycle clears a record, dropping what its callbacks capture, and puts it
+// on the free list.
+func (s *Service) recycle(p *pendingQuery) {
+	*p = pendingQuery{s: s, fire: p.fire, next: s.free}
+	s.free = p
 }
 
 // Stop abandons every pending query: timeout timers are canceled and
@@ -295,8 +330,10 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 	if h.hasResponse {
 		if p, ok := s.pending[qid]; ok {
 			// The first response completes a query: from here on nothing
-			// holds it, its callbacks or what they capture. A collecting
+			// holds it, its callbacks or what they capture, and its record
+			// is free before cb runs, for a query cb issues. A collecting
 			// query stays open to its deadline.
+			cb := p.cb
 			if p.collect {
 				p.answered = true
 			} else {
@@ -309,7 +346,7 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 				hops = 0
 			}
 			s.n.responsesIn++
-			p.cb(h.response, src, hops)
+			cb(h.response, src, hops)
 		}
 		return
 	}

@@ -372,3 +372,68 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatal("handler registration did not survive the exchange")
 	}
 }
+
+// TestRecycledQueryIgnoresLateResponse: a pending query's record is reused by
+// the next query once the first has finished, so what identifies a query is
+// its QID, not its record. Query A is answered, B reuses A's record, and then
+// a second answer to A arrives: it must reach neither callback, and B's
+// deadline must fire B's time-out alone. A collecting query finishes at its
+// deadline, not at its first answer, and is held to the same rule.
+func TestRecycledQueryIgnoresLateResponse(t *testing.T) {
+	for _, collect := range []bool{false, true} {
+		name := "first-answer"
+		if collect {
+			name = "collect"
+		}
+		t.Run(name, func(t *testing.T) {
+			sched := simnet.NewScheduler(13)
+			ps := newPeers(t, sched, 2)
+			a, b := ps[0], ps[1]
+			// b answers the first query it sees and keeps every query.
+			var kept []*Query
+			b.res.RegisterHandler("svc", func(q *Query) {
+				kept = append(kept, keep(q))
+				if len(kept) == 1 {
+					b.res.Respond(q, []byte("first"))
+				}
+			})
+			a.res.Timeout = 5 * time.Second
+			send := a.res.SendQuery
+			if collect {
+				send = a.res.SendCollect
+			}
+			var log []string
+			issue := func(name string) uint64 {
+				qid, err := send(b.id, "svc", nil,
+					func(p []byte, _ ids.ID, _ int) { log = append(log, name+" answered "+string(p)) },
+					func(qid uint64) { log = append(log, fmt.Sprintf("%s timed out (%d)", name, qid)) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				return qid
+			}
+			qidA := issue("A")
+			recA := a.res.pending[qidA]
+			sched.Run(time.Minute) // A is answered and, collecting, reaches its deadline
+			if _, held := a.res.pending[qidA]; held {
+				t.Fatal("A is still pending")
+			}
+			qidB := issue("B")
+			if a.res.pending[qidB] != recA {
+				t.Fatal("B did not reuse A's record: the test shows nothing")
+			}
+			sched.Run(sched.Now() + time.Second) // B reaches b, which keeps it unanswered
+			if len(kept) != 2 {
+				t.Fatalf("b saw %d queries, want 2", len(kept))
+			}
+			if err := b.res.Respond(kept[0], []byte("late")); err != nil { // a second answer to A
+				t.Fatal(err)
+			}
+			sched.Run(sched.Now() + time.Minute)
+			want := []string{"A answered first", fmt.Sprintf("B timed out (%d)", qidB)}
+			if strings.Join(log, "; ") != strings.Join(want, "; ") || !a.res.Quiescent() {
+				t.Fatalf("callbacks ran as %q, quiescent %v; want %q, quiescent", log, a.res.Quiescent(), want)
+			}
+		})
+	}
+}
