@@ -100,6 +100,10 @@ type Overlay struct {
 	spec      Spec
 	edgeCount int
 	started   bool
+	// promoted and merged forward a node's RoleChanged and MergeObserved to
+	// OnPromotion and OnMerge. Built once in Build, every node shares them.
+	promoted func(*node.Node)
+	merged   func(*node.Node, ids.ID)
 	// sharded/assign are set when the sharded engine runs: assign[site]
 	// names the shard owning each Grid'5000 site (topology.PlaceSites).
 	sharded *simnet.ShardedScheduler
@@ -138,6 +142,16 @@ func Build(spec Spec) (*Overlay, error) {
 	}
 
 	o.instrument()
+	o.promoted = func(nn *node.Node) {
+		if o.OnPromotion != nil {
+			o.OnPromotion(nn)
+		}
+	}
+	o.merged = func(nn *node.Node, peer ids.ID) {
+		if o.OnMerge != nil {
+			o.OnMerge(nn, peer)
+		}
+	}
 
 	seedIdx, err := topology.Seeds(spec.Topology, spec.NumRdv)
 	if err != nil {
@@ -164,11 +178,7 @@ func Build(spec Spec) (*Overlay, error) {
 			Discovery: spec.Discovery,
 			AdvStore:  o.AdvStore,
 		})
-		n.MergeObserved = func(nn *node.Node, peer ids.ID) {
-			if o.OnMerge != nil {
-				o.OnMerge(nn, peer)
-			}
-		}
+		n.MergeObserved = o.merged
 		o.Rdvs = append(o.Rdvs, n)
 	}
 	for _, g := range spec.Edges {
@@ -218,16 +228,7 @@ func (o *Overlay) AddEdge(name string, attachTo int) (*node.Node, error) {
 		AdvStore:  o.AdvStore,
 	})
 	e.ReleaseRand()
-	n.RoleChanged = func(nn *node.Node) {
-		if o.OnPromotion != nil {
-			o.OnPromotion(nn)
-		}
-	}
-	n.MergeObserved = func(nn *node.Node, peer ids.ID) {
-		if o.OnMerge != nil {
-			o.OnMerge(nn, peer)
-		}
-	}
+	n.RoleChanged, n.MergeObserved = o.promoted, o.merged
 	o.Edges = append(o.Edges, n)
 	o.edgeCount++
 	if o.started {

@@ -187,11 +187,11 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 	}
 }
 
-// TestQuiescentEdgeHeapCeiling is the memory gate: what one leased, idle edge
-// keeps on the live heap, measured as RunScale's heap_bytes_per_edge over 18
-// rendezvous and 540 edges at 5 virtual minutes — the quick-mode memory point
-// of `jxta-bench -exp scale`. It is the repository's one memory gate, and it
-// runs the default configuration: a node holds no metrics registry between
+// TestQuiescentEdgeHeapCeiling is the edge's memory gate: what one leased, idle
+// edge keeps on the live heap, measured as RunScale's heap_bytes_per_edge over
+// 18 rendezvous and 540 edges at 5 virtual minutes — the quick-mode memory
+// point of `jxta-bench -exp scale`. TestRendezvousTierHeapCeiling is the
+// tier's. It runs the default configuration: a node holds no metrics registry between
 // scrapes, so there is no lighter one to choose (4,173 B/edge; 41,666 when
 // every node held a registry).
 //
@@ -213,8 +213,14 @@ func TestEdgeLeaseAllocsPerStepCeiling(t *testing.T) {
 // the benchmark's edges-10k workload (10,250 peers) reads 5,896 B/peer against
 // 5,957 before. A list of 256 read 5,855 (5,895–5,906) and left this gate no
 // room, which is one reason the bound is 128 (transport.maxFreeDeliveries).
+//
+// It now reads 4,006 B (4,016 when it runs inside the package; 4,149 before):
+// a rendezvous' view keeps no map from ID to entry beside its sorted entries,
+// an edge builds no rumor store unless IslandMerge writes one, and the
+// deployment hands every edge the same two observer closures. The ceiling is
+// +5 % of the in-package figure, rounded up.
 func TestQuiescentEdgeHeapCeiling(t *testing.T) {
-	const ceiling = 5900
+	const ceiling = 4220
 	res, err := RunScale(ScaleSpec{
 		R: 18, Edges: 540, Shards: 2,
 		Duration: 5 * time.Minute, Seed: 42,
@@ -228,6 +234,43 @@ func TestQuiescentEdgeHeapCeiling(t *testing.T) {
 	}
 	if res.HeapBytesPerEdge == 0 || res.HeapBytesPerEdge > ceiling {
 		t.Fatalf("a quiescent edge holds %.0f B of live heap, ceiling %d", res.HeapBytesPerEdge, ceiling)
+	}
+}
+
+// TestRendezvousTierHeapCeiling is the rendezvous tier's memory gate: the
+// live heap a converged tier keeps per rendezvous, on 100 rendezvous in a
+// chain at the default configuration, 30 virtual minutes, seed 42 (about a
+// quarter of a second of host time). Every rendezvous holds a view of up to
+// r − 1 peers, so the tier's memory grows as r², and what one view keeps per
+// member is what this figure prices.
+//
+// The view is its own index: the entries are sorted by ID and searched, and
+// the referral-probe set is dropped when it empties, so a converged
+// rendezvous keeps the peak capacity of no map. It reads 23,350 B. With a
+// map from ID to entry beside the entries and the probe set kept at its
+// peak it read 31,325 B, and with the map alone 28,336 B. The ceiling is
+// +10 %, rounded up, and the map alone lands over it.
+func TestRendezvousTierHeapCeiling(t *testing.T) {
+	const ceiling = 25700
+	const r = 100
+	base := liveHeap()
+	o, err := deploy.Build(deploy.Spec{Seed: 42, NumRdv: r, Topology: topology.Chain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	o.Sched.Run(30 * time.Minute)
+	held := liveHeap()
+	runtime.KeepAlive(o)
+	sum := 0
+	for _, n := range o.Rdvs {
+		sum += n.PeerView.Size()
+	}
+	o.StopAll()
+	got := float64(held-base) / r
+	t.Logf("%.0f B per rendezvous, mean view %.1f of %d", got, float64(sum)/r, r-1)
+	if held <= base || got > ceiling {
+		t.Fatalf("a rendezvous of a converged tier holds %.0f B of live heap, ceiling %d", got, ceiling)
 	}
 }
 

@@ -83,8 +83,8 @@ func mapFieldsNil(t *testing.T, edge string, rv reflect.Value) {
 // TestIdleEdgeHoldsNothing checks the memory contract directly. Every edge
 // of a deployed overlay at the lease steady state holds no RNG register, and
 // its endpoint (with the route table and the transport's FIFO clamp), the
-// four services above it and the rumor store hold no map at all: their idle
-// state is their zero state. A rendezvous keeps its register.
+// four services above it and the rumor store, if one was built, hold no map
+// at all: their idle state is their zero state. A rendezvous keeps its register.
 func TestIdleEdgeHoldsNothing(t *testing.T) {
 	o := buildIdleOverlay(t, 5)
 	defer o.StopAll()
@@ -102,7 +102,9 @@ func TestIdleEdgeHoldsNothing(t *testing.T) {
 		mapFieldsNil(t, name, reflect.ValueOf(e.Endpoint.Transport()).Elem().FieldByName("fifo"))
 		rdv := reflect.ValueOf(e.Rendezvous).Elem()
 		mapFieldsNil(t, name, rdv)
-		mapFieldsNil(t, name, rdv.FieldByName("rumors").Elem())
+		if rumors := rdv.FieldByName("rumors"); !rumors.IsNil() { // a nil store holds no map
+			mapFieldsNil(t, name, rumors.Elem())
+		}
 		for _, svc := range []any{e.Cache, e.Resolver, e.Discovery} {
 			mapFieldsNil(t, name, reflect.ValueOf(svc).Elem())
 		}
@@ -112,6 +114,67 @@ func TestIdleEdgeHoldsNothing(t *testing.T) {
 			t.Errorf("rendezvous %s reports itself an idle edge", r.Config.Name)
 		}
 	}
+}
+
+// TestNoRumorStoreWithoutIslandMerge: only the island-merge gossip writes
+// the rumor store, so in an overlay without IslandMerge no node builds one —
+// at the steady state and again after every node was restarted. Nor does a
+// rendezvous hold its peerview's failure-detection counters (ProbeTimeoutRounds
+// is off), and the set of referral probes in flight, written while the tier
+// converged, is gone after one idle interval.
+func TestNoRumorStoreWithoutIslandMerge(t *testing.T) {
+	o, err := deploy.Build(deploy.Spec{
+		Seed: 42, NumRdv: 4, Topology: topology.Chain,
+		Lease: rendezvous.Config{SelfHeal: true},
+		Edges: []deploy.EdgeGroup{{AttachTo: 0, Count: 3}, {AttachTo: 3, Count: 3}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.StopAll()
+	nodes := append(append([]*node.Node(nil), o.Rdvs...), o.Edges...)
+	field := func(v any, name string) reflect.Value { return reflect.ValueOf(v).Elem().FieldByName(name) }
+	probing := false
+	var watch func()
+	watch = func() {
+		for _, r := range o.Rdvs {
+			probing = probing || !field(r.PeerView, "probed").IsNil()
+		}
+		if o.Sched.Now() < time.Minute {
+			o.Sched.After(time.Second, watch)
+		}
+	}
+	o.Sched.After(0, watch)
+	check := func(when string) {
+		t.Helper()
+		for _, n := range nodes {
+			if !field(n.Rendezvous, "rumors").IsNil() {
+				t.Errorf("%s: %s holds a rumor store", when, n.Config.Name)
+			}
+		}
+		for _, r := range o.Rdvs {
+			if r.PeerView.Size() != len(o.Rdvs)-1 {
+				t.Fatalf("%s: %s sees %d of %d rendezvous", when, r.Config.Name, r.PeerView.Size(), len(o.Rdvs)-1)
+			}
+			for _, name := range []string{"missed", "probed"} {
+				if !field(r.PeerView, name).IsNil() {
+					t.Errorf("%s: %s's peerview holds its %s map", when, r.Config.Name, name)
+				}
+			}
+		}
+	}
+	interval := peerview.DefaultConfig().Interval
+	o.StartAll()
+	o.Sched.Run(10*time.Minute + interval)
+	if !probing {
+		t.Fatal("no rendezvous probed a referral while the tier converged; the test proves nothing")
+	}
+	check("at the steady state")
+	for _, n := range nodes {
+		o.RestartNode(n)
+	}
+	o.Sched.Run(o.Sched.Now() + 10*time.Minute + interval)
+	check("after a restart")
 }
 
 // TestAnsweredLookupsLeaveNothingPending: a lookup completes on its first

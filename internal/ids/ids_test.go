@@ -1,6 +1,8 @@
 package ids
 
 import (
+	"bytes"
+	"cmp"
 	"math/rand"
 	"sort"
 	"testing"
@@ -187,6 +189,34 @@ func TestCompareProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzIDCompare holds Compare, which reads the UUID as two big-endian
+// words, to the order it stands for: the UUID's bytes compared as a string,
+// then the kind. The peerview, the rumor store and the replica mapping all
+// sort and search by it. The seeds differ at the first and last byte of each
+// word, or only in the kind.
+func FuzzIDCompare(f *testing.F) {
+	var zero [16]byte
+	f.Add(zero[:], zero[:], byte(KindPeer), byte(KindGroup))
+	for _, at := range []int{0, 7, 8, 15} {
+		a, b := bytes.Repeat([]byte{0x5a}, 16), bytes.Repeat([]byte{0x5a}, 16)
+		b[at] = 0xa5
+		f.Add(a, b, byte(KindPeer), byte(KindPeer))
+		f.Add(b, a, byte(KindAdv), byte(KindPeer))
+	}
+	f.Fuzz(func(t *testing.T, ua, ub []byte, ka, kb byte) {
+		a, b := ID{kind: Kind(ka)}, ID{kind: Kind(kb)}
+		copy(a.uuid[:], ua)
+		copy(b.uuid[:], ub)
+		want := bytes.Compare(a.uuid[:], b.uuid[:])
+		if want == 0 {
+			want = cmp.Compare(a.kind, b.kind)
+		}
+		if got := a.Compare(b); got != want {
+			t.Fatalf("%x/%d vs %x/%d: Compare = %d, want %d", a.uuid, a.kind, b.uuid, b.kind, got, want)
+		}
+	})
 }
 
 // Property: Parse(String(id)) is the identity.

@@ -1,0 +1,152 @@
+package peerview
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"jxta/internal/advertisement"
+	"jxta/internal/ids"
+	"jxta/internal/message"
+	"jxta/internal/simnet"
+)
+
+// checkIndexed fails t unless pv's view is its own index: entries strictly
+// ascending by ID and without the local peer, find returning each entry's
+// own position, and Contains agreeing with a linear scan for every ID in
+// probe.
+func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
+	t.Helper()
+	for i, en := range pv.entries {
+		id := en.adv.PeerID
+		if id.Equal(pv.self.PeerID) {
+			t.Fatalf("%s: the view holds the local peer at %d", name, i)
+		}
+		if i > 0 && !pv.entries[i-1].adv.PeerID.Less(id) {
+			t.Fatalf("%s: view unsorted or duplicated at %d: %s !< %s", name, i, pv.entries[i-1].adv.PeerID, id)
+		}
+		if at, ok := pv.find(id); !ok || at != i {
+			t.Fatalf("%s: find(%s) = %d, %v; the entry is at %d", name, id, at, ok, i)
+		}
+	}
+	for _, id := range probe {
+		scan := false
+		for _, en := range pv.entries {
+			scan = scan || en.adv.PeerID.Equal(id)
+		}
+		if pv.Contains(id) != scan {
+			t.Fatalf("%s: Contains(%s) = %v, a scan of the view says %v", name, id, !scan, scan)
+		}
+	}
+}
+
+// pvElems are the pv: element names a fuzz script can name by index; the
+// last is one the protocol does not know.
+var pvElems = []string{elemType, elemAdv, "Unknown"}
+
+// pvScript flattens a peerview message into the fuzz input form: one record
+// per element — name index, two-byte payload length, payload.
+func pvScript(typ string, advs ...[]byte) []byte {
+	script := append([]byte{0, 0, byte(len(typ))}, typ...)
+	for _, adv := range advs {
+		script = append(append(script, 1, byte(len(adv)>>8), byte(len(adv))), adv...)
+	}
+	return script
+}
+
+// pvFromScript is the inverse.
+func pvFromScript(script []byte) *message.Message {
+	m := message.New()
+	for len(script) >= 3 && m.Len() < 64 {
+		name := pvElems[int(script[0])%len(pvElems)]
+		n := min(int(script[1])<<8|int(script[2]), len(script)-3)
+		m.Add(ns, name, script[3:3+n])
+		script = script[3+n:]
+	}
+	return m
+}
+
+// fuzzRig is a converged five-rendezvous tier with failure detection and the
+// merge protocol on, so every path of receive can run.
+type fuzzRig struct {
+	sched *simnet.Scheduler
+	peers []*testRdv
+}
+
+func newFuzzRig(t testing.TB) *fuzzRig {
+	t.Helper()
+	sched := simnet.NewScheduler(53)
+	cfg := DefaultConfig()
+	cfg.ProbeTimeoutRounds = 3
+	peers := newOverlay(t, sched, 5, cfg)
+	for _, p := range peers {
+		p.pv.SetMergeListener(func(ids.ID) {})
+	}
+	startAll(peers)
+	sched.Run(5 * time.Minute)
+	if peers[0].pv.Size() != len(peers)-1 {
+		t.Fatalf("the rig did not converge: rdv0 sees %d of %d", peers[0].pv.Size(), len(peers)-1)
+	}
+	return &fuzzRig{sched: sched, peers: peers}
+}
+
+// strangerAdv encodes a rendezvous advertisement for id at a made-up address.
+func strangerAdv(id ids.ID) []byte {
+	b, _ := advertisement.EncodeXML(&advertisement.Rdv{PeerID: id, GroupID: testGroup,
+		Name: "stranger", Address: "sim://0/stranger"})
+	return b
+}
+
+// FuzzPeerviewReceive feeds receive arbitrary pv: element sets on a
+// rendezvous of a converged tier, from a view member, a stranger and
+// itself, and lets the tier run on for up to a minute after each. The view
+// is its own index — it has no map beside the ordered entries — so after
+// each input and after the run the entries must be strictly ascending
+// without the local peer, find must return each entry's own position, and
+// Contains must agree with a linear scan.
+func FuzzPeerviewReceive(f *testing.F) {
+	rig := newFuzzRig(f)
+	at, from := rig.peers[0], rig.peers[1]
+	var entries [][]byte
+	for _, en := range from.pv.entries {
+		entries = append(entries, en.sh.Bytes())
+	}
+	stranger := strangerAdv(ids.FromName(ids.KindPeer, "stranger"))
+	// A twin of a member: the same UUID under another kind, adjacent to it
+	// in the order.
+	twinID, err := ids.Parse(strings.TrimSuffix(from.id.String(), "-peer") + "-group")
+	if err != nil {
+		f.Fatal(err)
+	}
+	twin := strangerAdv(twinID)
+	for _, typ := range []string{typeProbe, typeResponse, typeUpdate} {
+		f.Add(byte(0), pvScript(typ, from.pv.selfBytes))
+		f.Add(byte(1), pvScript(typ, stranger))
+		f.Add(byte(0), pvScript(typ, twin))
+	}
+	f.Add(byte(0), pvScript(typeReferral, append(entries, stranger, twin, at.pv.selfBytes)...))
+	f.Add(byte(0), pvScript(typeMerge, append([][]byte{from.pv.selfBytes, stranger}, entries...)...))
+	f.Add(byte(4), pvScript(typeMergeAck, twin, stranger))
+	f.Add(byte(2), pvScript(typeProbe, []byte("<jxta:RdvAdvertisement><RdvPeerID>trunc")))
+	f.Fuzz(func(t *testing.T, who byte, script []byte) {
+		if rig.peers[0].pv.Size() > 64 {
+			rig = newFuzzRig(t)
+		}
+		at := rig.peers[0]
+		src := []ids.ID{rig.peers[1].id, ids.FromName(ids.KindPeer, "stranger"), at.id}[int(who)%3]
+		probe := []ids.ID{at.id, src, twinID}
+		for _, p := range rig.peers {
+			probe = append(probe, p.id)
+		}
+		for _, en := range at.pv.entries {
+			probe = append(probe, en.adv.PeerID)
+		}
+		at.pv.receive(src, pvFromScript(script))
+		for _, en := range at.pv.entries {
+			probe = append(probe, en.adv.PeerID)
+		}
+		checkIndexed(t, "after receive", at.pv, probe)
+		rig.sched.Run(rig.sched.Now() + 10*time.Millisecond + time.Duration(who>>2)*time.Second)
+		checkIndexed(t, "after the tier ran on", at.pv, probe)
+	})
+}

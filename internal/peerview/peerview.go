@@ -155,6 +155,8 @@ type Rumor struct {
 // store only grows (or refreshes addresses), because a rumor's value is
 // exactly that it may name a rendezvous the *current* island has never
 // heard of. Entries without an address are rejected: they cannot be probed.
+// The read methods and Sweep take a nil store as an empty one, so an owner
+// can leave the store unbuilt until its first write.
 type RumorStore struct {
 	order  []Rumor // ascending ID: the ordering is the index (find)
 	cursor int     // rotating window position (NextWindow)
@@ -202,11 +204,21 @@ func (rs *RumorStore) add(r Rumor) bool {
 func (rs *RumorStore) AddSeed(sd Seed) bool { return rs.add(NewRumor(sd)) }
 
 // Len returns the number of stored rumors.
-func (rs *RumorStore) Len() int { return len(rs.order) }
+func (rs *RumorStore) Len() int {
+	if rs == nil {
+		return 0
+	}
+	return len(rs.order)
+}
 
 // All returns the rumors in ascending ID order (shared backing array; the
 // caller must not mutate entries).
-func (rs *RumorStore) All() []Rumor { return rs.order }
+func (rs *RumorStore) All() []Rumor {
+	if rs == nil {
+		return nil
+	}
+	return rs.order
+}
 
 // NextWindow returns up to n rumors starting at an internal rotating
 // cursor, advancing it. Piggyback channels are capped per message; always
@@ -219,7 +231,7 @@ func (rs *RumorStore) All() []Rumor { return rs.order }
 // the start — which share the store's backing array: read them before the
 // next Add or Sweep, and do not mutate them.
 func (rs *RumorStore) NextWindow(n int) (head, wrapped []Rumor) {
-	total := len(rs.order)
+	total := rs.Len()
 	if total == 0 || n <= 0 {
 		return nil, nil
 	}
@@ -246,7 +258,7 @@ func (rs *RumorStore) NextWindow(n int) (head, wrapped []Rumor) {
 // grace period keeps one missed probe from erasing a merge lead.
 // deadAfter <= 0 disables aging entirely (no misses are charged).
 func (rs *RumorStore) Sweep(deadAfter int, live func(ids.ID) bool) int {
-	if deadAfter <= 0 {
+	if deadAfter <= 0 || rs == nil {
 		return 0
 	}
 	kept := rs.order[:0]
@@ -332,9 +344,9 @@ type PeerView struct {
 	seeds []Seed
 
 	// entries is the local peerview, sorted by peer ID, excluding self
-	// (the paper's measurements exclude the local peer, footnote 2).
+	// (the paper's measurements exclude the local peer, footnote 2). The
+	// order is the index: find looks an ID up by binary search.
 	entries  []*entry
-	byID     map[ids.ID]*entry
 	ticker   *env.Ticker
 	boot     env.Event // the immediate first iteration armed by Start
 	stopped  bool      // explicitly stopped: ignore inbound traffic
@@ -342,7 +354,10 @@ type PeerView struct {
 	onMerge  MergeListener
 
 	// probed tracks outstanding probes triggered by referrals, so one
-	// referral storm cannot launch duplicate probes within an interval.
+	// referral storm cannot launch duplicate probes within an interval. Like
+	// missed it is nil until first written, and the sweep that empties it
+	// sets it back to nil: a map keeps its peak capacity after deletes, and
+	// the peak is the burst of a converging tier.
 	probed map[ids.ID]time.Duration
 
 	// refCursor is the rotating no-replacement position sendReferrals draws
@@ -351,7 +366,7 @@ type PeerView struct {
 	refCursor int
 
 	// missed counts consecutive unanswered neighbour probes per view member
-	// (ProbeTimeoutRounds failure detection; unused when disabled).
+	// (ProbeTimeoutRounds failure detection; nil while it is disabled).
 	missed map[ids.ID]int
 	// sentinelIdx round-robins one extra probe per iteration over the
 	// non-neighbour view members, so failure detection covers the whole
@@ -369,15 +384,12 @@ type PeerView struct {
 // periodic algorithm.
 func New(e env.Env, ep *endpoint.Endpoint, store *advstore.Store, self *advertisement.Rdv, cfg Config, seeds []Seed) *PeerView {
 	pv := &PeerView{
-		env:    e,
-		ep:     ep,
-		self:   self,
-		store:  store,
-		cfg:    cfg.withDefaults(),
-		seeds:  seeds,
-		byID:   make(map[ids.ID]*entry),
-		probed: make(map[ids.ID]time.Duration),
-		missed: make(map[ids.ID]int),
+		env:   e,
+		ep:    ep,
+		self:  self,
+		store: store,
+		cfg:   cfg.withDefaults(),
+		seeds: seeds,
 	}
 	// Mixed content is the encoder's only error; an Rdv document has none.
 	pv.selfBytes, _ = advertisement.EncodeXML(self)
@@ -417,9 +429,8 @@ func (pv *PeerView) Reset() {
 		en.sh.Release()
 	}
 	pv.entries = nil
-	pv.byID = make(map[ids.ID]*entry)
-	pv.probed = make(map[ids.ID]time.Duration)
-	pv.missed = make(map[ids.ID]int)
+	pv.probed = nil
+	pv.missed = nil
 }
 
 // AddSeed appends a bootstrap seed at runtime (live joins).
@@ -436,8 +447,14 @@ func (pv *PeerView) Size() int { return len(pv.entries) }
 
 // Contains reports whether the peer is currently in the view.
 func (pv *PeerView) Contains(id ids.ID) bool {
-	_, ok := pv.byID[id]
+	_, ok := pv.find(id)
 	return ok
+}
+
+// find returns the position id holds, or would be inserted at, in the
+// ascending view, and whether it is present.
+func (pv *PeerView) find(id ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(pv.entries, id, func(en *entry, id ids.ID) int { return en.adv.PeerID.Compare(id) })
 }
 
 // View returns the ordered peerview including the local peer — the list the
@@ -453,7 +470,7 @@ func (pv *PeerView) View() []ids.ID {
 
 // ViewAt returns View()[i], for i in [0, Size()], without building the view.
 func (pv *PeerView) ViewAt(i int) ids.ID {
-	self, _ := slices.BinarySearchFunc(pv.entries, pv.self.PeerID, func(en *entry, id ids.ID) int { return en.adv.PeerID.Compare(id) })
+	self, _ := pv.find(pv.self.PeerID)
 	if i == self {
 		return pv.self.PeerID
 	}
@@ -477,14 +494,14 @@ func (pv *PeerView) Member(i int) Seed {
 // Either may be Nil when the view is empty on that side (peers at the ends
 // of the sorted list have only one neighbour to probe).
 func (pv *PeerView) Neighbors() (lower, upper ids.ID) {
-	for _, en := range pv.entries {
-		if en.adv.PeerID.Less(pv.self.PeerID) {
-			lower = en.adv.PeerID
-		} else {
-			return lower, en.adv.PeerID
-		}
+	i, _ := pv.find(pv.self.PeerID)
+	if i > 0 {
+		lower = pv.entries[i-1].adv.PeerID
 	}
-	return lower, ids.Nil
+	if i < len(pv.entries) {
+		upper = pv.entries[i].adv.PeerID
+	}
+	return lower, upper
 }
 
 // iterate is one pass of Algorithm 1.
@@ -533,6 +550,9 @@ func (pv *PeerView) iterate() {
 			delete(pv.probed, id)
 		}
 	}
+	if len(pv.probed) == 0 {
+		pv.probed = nil
+	}
 }
 
 // probeNeighbor probes a view neighbour, counting the outstanding probe for
@@ -540,7 +560,10 @@ func (pv *PeerView) iterate() {
 // by any inbound message from that peer (receive/upsert).
 func (pv *PeerView) probeNeighbor(rdv ids.ID) {
 	if pv.cfg.ProbeTimeoutRounds > 0 {
-		if _, member := pv.byID[rdv]; member {
+		if _, member := pv.find(rdv); member {
+			if pv.missed == nil {
+				pv.missed = make(map[ids.ID]int)
+			}
 			pv.missed[rdv]++
 		}
 	}
@@ -560,7 +583,6 @@ func (pv *PeerView) probeTimeoutSweep() {
 	for _, en := range pv.entries {
 		id := en.adv.PeerID
 		if pv.missed[id] >= pv.cfg.ProbeTimeoutRounds {
-			delete(pv.byID, id)
 			delete(pv.missed, id)
 			en.sh.Release()
 			pv.n.probeEvicts++
@@ -572,7 +594,7 @@ func (pv *PeerView) probeTimeoutSweep() {
 	pv.entries = kept
 	// Drop counters for peers no longer in the view (neighbour rotation).
 	for id := range pv.missed {
-		if _, member := pv.byID[id]; !member {
+		if _, member := pv.find(id); !member {
 			delete(pv.missed, id)
 		}
 	}
@@ -585,7 +607,6 @@ func (pv *PeerView) expireSweep() {
 	for _, en := range pv.entries {
 		if now-en.renewed > pv.cfg.EntryExpiry {
 			id := en.adv.PeerID
-			delete(pv.byID, id)
 			en.sh.Release()
 			pv.n.expiries++
 			pv.notify(EventRemove, id)
@@ -627,31 +648,25 @@ func (pv *PeerView) upsert(sh *advstore.Shared, adv *advertisement.Rdv) bool {
 		sh.Release()
 		return false
 	}
-	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
-	if en, ok := pv.byID[adv.PeerID]; ok {
-		en.sh.Release()
-		en.adv, en.sh = adv, sh
-		en.renewed = pv.env.Now()
+	i, ok := pv.find(adv.PeerID)
+	if ok {
+		pv.renew(pv.entries[i], sh, adv)
 		return false
 	}
-	en := &entry{adv: adv, sh: sh, renewed: pv.env.Now()}
-	pv.byID[adv.PeerID] = en
-	// Binary insertion keeping ID order.
-	lo, hi := 0, len(pv.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pv.entries[mid].adv.PeerID.Less(adv.PeerID) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	pv.entries = append(pv.entries, nil)
-	copy(pv.entries[lo+1:], pv.entries[lo:])
-	pv.entries[lo] = en
+	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
+	pv.entries = slices.Insert(pv.entries, i, &entry{adv: adv, sh: sh, renewed: pv.env.Now()})
 	pv.n.adds++
 	pv.notify(EventAdd, adv.PeerID)
 	return true
+}
+
+// renew refreshes en with adv, which sh, an interned handle on it, describes,
+// taking over the caller's reference and dropping the one en held.
+func (pv *PeerView) renew(en *entry, sh *advstore.Shared, adv *advertisement.Rdv) {
+	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
+	en.sh.Release()
+	en.adv, en.sh = adv, sh
+	en.renewed = pv.env.Now()
 }
 
 // sendSelf transmits a typed peerview message carrying the local peer's
@@ -794,9 +809,9 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 // per-interval dedup so referral bursts cannot launch duplicate probes. It
 // takes over the caller's reference on sh.
 func (pv *PeerView) receiveReferral(sh *advstore.Shared, adv *advertisement.Rdv) {
-	if pv.byID[adv.PeerID] != nil {
+	if i, known := pv.find(adv.PeerID); known {
 		// Known peer: the referral's fresh advertisement renews it.
-		pv.upsert(sh, adv)
+		pv.renew(pv.entries[i], sh, adv)
 		return
 	}
 	// Unknown: only the identity and address are used, to probe it.
@@ -806,6 +821,9 @@ func (pv *PeerView) receiveReferral(sh *advstore.Shared, adv *advertisement.Rdv)
 	}
 	if _, inflight := pv.probed[adv.PeerID]; inflight {
 		return
+	}
+	if pv.probed == nil {
+		pv.probed = make(map[ids.ID]time.Duration)
 	}
 	pv.probed[adv.PeerID] = pv.env.Now()
 	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))

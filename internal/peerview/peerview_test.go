@@ -31,7 +31,7 @@ var testGroup = ids.FromName(ids.KindGroup, "NetPeerGroup")
 // in a chain seed topology (peer i seeds on peer i-1), mirroring the paper's
 // chain deployments. Peerviews are created but not started; they intern into
 // one store of the overlay's own.
-func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*testRdv {
+func newOverlay(t testing.TB, sched *simnet.Scheduler, n int, cfg Config) []*testRdv {
 	t.Helper()
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
 	store := advstore.New()
@@ -62,6 +62,14 @@ func newOverlay(t *testing.T, sched *simnet.Scheduler, n int, cfg Config) []*tes
 func (p *testRdv) learn(adv *advertisement.Rdv) bool {
 	sh := p.pv.store.Intern(adv)
 	return p.pv.upsert(sh, sh.Adv().(*advertisement.Rdv))
+}
+
+// entryOf returns p's view entry for id, or nil.
+func (p *testRdv) entryOf(id ids.ID) *entry {
+	if i, ok := p.pv.find(id); ok {
+		return p.pv.entries[i]
+	}
+	return nil
 }
 
 func startAll(peers []*testRdv) {
@@ -365,12 +373,12 @@ func TestReferralRefreshesKnownEntry(t *testing.T) {
 	a, b, c := peers[0], peers[1], peers[2]
 	b.learn(c.adv)
 	a.learn(c.adv)
-	before := a.pv.byID[c.id].renewed
+	before := a.entryOf(c.id).renewed
 	sched.Run(time.Minute) // advance the clock
 	a.ep.AddRoute(b.id, b.tr.Addr())
 	a.pv.sendProbe(b.id) // b will refer c, already known to a
 	sched.Run(sched.Now() + time.Minute)
-	after := a.pv.byID[c.id].renewed
+	after := a.entryOf(c.id).renewed
 	if after <= before {
 		t.Fatal("referral did not refresh known entry")
 	}

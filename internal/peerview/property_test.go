@@ -81,24 +81,14 @@ func runPropertySchedule(t *testing.T, seed int64) {
 	for i := range running {
 		running[i] = true
 	}
+	all := make([]ids.ID, n)
+	for i, p := range peers {
+		all[i] = p.id
+	}
 	checkStructure := func() {
 		for i, p := range peers {
-			if !running[i] {
-				continue
-			}
-			for k := 1; k < len(p.pv.entries); k++ {
-				a, b := p.pv.entries[k-1].adv.PeerID, p.pv.entries[k].adv.PeerID
-				if !a.Less(b) {
-					t.Fatalf("rdv%d: view unsorted or duplicated at %d: %s !< %s", i, k, a, b)
-				}
-			}
-			if len(p.pv.byID) != len(p.pv.entries) {
-				t.Fatalf("rdv%d: byID size %d != entries %d", i, len(p.pv.byID), len(p.pv.entries))
-			}
-			for _, en := range p.pv.entries {
-				if p.pv.byID[en.adv.PeerID] != en {
-					t.Fatalf("rdv%d: byID does not map %s to its entry", i, en.adv.PeerID)
-				}
+			if running[i] {
+				checkIndexed(t, fmt.Sprintf("rdv%d", i), p.pv, all)
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func TestReceiveSkipsBadAdvertisementsWithoutLeaking(t *testing.T) {
 	store := peers[0].pv.store
 	a, b, c := peers[0], peers[1], peers[2]
 	a.learn(c.adv)
-	before := a.pv.byID[c.id].renewed
+	before := a.entryOf(c.id).renewed
 	sched.Run(time.Minute)
 
 	peerAdv, _ := advertisement.EncodeXML(&advertisement.Peer{PeerID: b.id, Name: "not a rendezvous"})
@@ -111,7 +111,7 @@ func TestReceiveSkipsBadAdvertisementsWithoutLeaking(t *testing.T) {
 	m.Add(ns, elemAdv, good)
 	a.pv.receive(b.id, m)
 
-	if a.pv.byID[c.id].renewed <= before {
+	if a.entryOf(c.id).renewed <= before {
 		t.Fatal("valid advertisement behind bad ones was not applied")
 	}
 	if a.pv.Size() != 1 || store.Len() != 1 {

@@ -256,7 +256,9 @@ type Service struct {
 	// rendezvous identity this peer ever learned — lease holders, grant
 	// alternates, elected successors, redirect targets, client rumors —
 	// and survives promotion, so a freshly promoted anchor immediately
-	// tries to merge with every island it heard of as an edge.
+	// tries to merge with every island it heard of as an edge. Nil until
+	// first written (rumorStore), which only IslandMerge does: the store's
+	// read methods take nil as empty.
 	rumors     *peerview.RumorStore
 	mergeTried map[ids.ID]time.Duration // merge-initiation dedup/backoff
 	mergeFns   []func(peer ids.ID)      // merge-completion observers
@@ -282,8 +284,7 @@ type walkHandler struct {
 }
 
 func newService(e env.Env, ep *endpoint.Endpoint, cfg Config) *Service {
-	s := &Service{env: e, ep: ep, cfg: cfg.withDefaults(), rumors: peerview.NewRumorStore(),
-		m: new(counts), trace: metrics.NewTrace(0)}
+	s := &Service{env: e, ep: ep, cfg: cfg.withDefaults(), m: new(counts), trace: metrics.NewTrace(0)}
 	s.leaseText = strconv.FormatInt(int64(s.cfg.LeaseDuration), 10)
 	ep.Register(LeaseService, s.receiveLease)
 	ep.Register(WalkService, s.receiveWalk)
@@ -345,13 +346,21 @@ func (s *Service) AddMergeListener(fn func(peer ids.ID)) {
 // (diagnostics and tests).
 func (s *Service) Rumors() []peerview.Rumor { return s.rumors.All() }
 
+// rumorStore returns the rumor store for writing, building it on first use.
+func (s *Service) rumorStore() *peerview.RumorStore {
+	if s.rumors == nil {
+		s.rumors = peerview.NewRumorStore()
+	}
+	return s.rumors
+}
+
 // learnRumor ingests one verified tier rumor: store it for onward gossip
 // and, in the rendezvous role, consider probing the rumored peer.
 func (s *Service) learnRumor(r peerview.Rumor) {
 	if r.ID.Equal(s.ep.ID()) {
 		return
 	}
-	s.rumors.Add(r)
+	s.rumorStore().Add(r)
 	s.maybeMerge(r.Seed)
 }
 
@@ -492,7 +501,7 @@ func (s *Service) receiveTierAck(src ids.ID, rumor []byte) {
 	if !ok || r.ID.Equal(s.ep.ID()) {
 		return
 	}
-	s.rumors.Add(r)
+	s.rumorStore().Add(r)
 	if !r.ID.Equal(src) {
 		s.maybeMerge(r.Seed) // redirect: probe the named anchor next
 		return
@@ -515,7 +524,7 @@ func (s *Service) onPeerviewMerge(peer ids.ID) {
 	s.traceEvent("island-merge", peer)
 	sd := s.tierSeed(peer)
 	if sd.Addr != "" {
-		s.rumors.AddSeed(sd)
+		s.rumorStore().AddSeed(sd)
 	}
 	s.sendMergeRoster(peer)
 	for _, fn := range s.mergeFns {
@@ -689,7 +698,7 @@ func (s *Service) AdoptClients(roster []peerview.Seed, dur time.Duration) {
 		s.learnRoute(c)
 		s.setClient(c.ID, clientLease{expires: s.env.Now() + dur, addr: string(c.Addr)})
 		if s.cfg.IslandMerge {
-			s.rumors.AddSeed(c)
+			s.rumorStore().AddSeed(c)
 		}
 	}
 }
@@ -792,7 +801,7 @@ func (s *Service) Reset() {
 	s.dormant = false
 	s.alternates = nil
 	s.roster = nil
-	s.rumors = peerview.NewRumorStore()
+	s.rumors = nil
 	s.mergeTried = nil
 }
 
@@ -1066,7 +1075,7 @@ func (s *Service) electAndHeal() {
 	if s.cfg.IslandMerge {
 		// The elected successor is a promoted-tier identity worth gossiping
 		// even if it never answers us: another island may reach it.
-		s.rumors.AddSeed(succ)
+		s.rumorStore().AddSeed(succ)
 	}
 	s.requestLease()
 }
@@ -1211,7 +1220,7 @@ func (s *Service) learnGrantState(m *message.Message) {
 				s.alternates = setSeedAt(s.alternates, alts, sd)
 				alts++
 				if s.cfg.IslandMerge {
-					s.rumors.AddSeed(sd) // alternates are tier identities too
+					s.rumorStore().AddSeed(sd) // alternates are tier identities too
 				}
 			}
 		case elemClient:
@@ -1222,7 +1231,7 @@ func (s *Service) learnGrantState(m *message.Message) {
 					// Co-clients are bridge pointers: any of them may end
 					// up (or already be) inside another island, and a tier
 					// probe to it redirects us to that island's anchor.
-					s.rumors.AddSeed(sd)
+					s.rumorStore().AddSeed(sd)
 				}
 			}
 		case elemRumor:
@@ -1230,7 +1239,7 @@ func (s *Service) learnGrantState(m *message.Message) {
 				continue
 			}
 			if r, ok := peerview.ParseRumorBytes(el.Data); ok && !r.ID.Equal(s.ep.ID()) {
-				s.rumors.Add(r)
+				s.rumorStore().Add(r)
 			}
 		}
 	}
@@ -1514,7 +1523,7 @@ func (s *Service) receiveRedirect(src ids.ID, val []byte) {
 	s.failCount = 0
 	s.dormant = false
 	if s.cfg.IslandMerge {
-		s.rumors.AddSeed(succ)
+		s.rumorStore().AddSeed(succ)
 	}
 	s.requestLease()
 }

@@ -705,8 +705,8 @@ func TestRumorAgingEvictsDeadIdentities(t *testing.T) {
 		ID: rdvs[1].id, Addr: rdvs[1].tr.Addr(),
 	})
 	sched.After(time.Minute, func() {
-		rdvs[0].svc.rumors.Add(ghost)
-		rdvs[0].svc.rumors.Add(member)
+		rdvs[0].svc.rumorStore().Add(ghost)
+		rdvs[0].svc.rumorStore().Add(member)
 	})
 	sched.Run(20 * time.Minute)
 	if hasRumor(rdvs[0].svc, ghost.ID) {
@@ -742,7 +742,7 @@ func TestDeadRumorRetiresFromTierProbes(t *testing.T) {
 	ghostEP.Register(LeaseService, func(src ids.ID, m *message.Message) { probes++ })
 
 	sched.After(time.Minute, func() {
-		rdvs[0].svc.rumors.Add(peerview.NewRumor(peerview.Seed{
+		rdvs[0].svc.rumorStore().Add(peerview.NewRumor(peerview.Seed{
 			ID: ghostID, Addr: ghostTr.Addr(),
 		}))
 	})
@@ -800,7 +800,7 @@ func TestDormantEdgeRevivedByTierProbe(t *testing.T) {
 	// The surviving anchor hears a rumor naming the dormant edge (e.g. from
 	// an old roster). Its first tier probe must wake the edge, which then
 	// leases from the prober — before aging could retire it.
-	rdvs[0].svc.rumors.Add(peerview.NewRumor(peerview.Seed{
+	rdvs[0].svc.rumorStore().Add(peerview.NewRumor(peerview.Seed{
 		ID: edge.id, Addr: edge.tr.Addr(),
 	}))
 	sched.Run(sched.Now() + 5*time.Minute)
