@@ -83,8 +83,10 @@ func mapFieldsNil(t *testing.T, edge string, rv reflect.Value) {
 // TestIdleEdgeHoldsNothing checks the memory contract directly. Every edge
 // of a deployed overlay at the lease steady state holds no RNG register, and
 // its endpoint (with the route table and the transport's FIFO clamp), the
-// four services above it and the rumor store, if one was built, hold no map
-// at all: their idle state is their zero state. A rendezvous keeps its register.
+// four services above it — the rendezvous service read through its shared
+// core and its lease client, its server half nil — and the rumor store, if
+// one was built, hold no map at all: their idle state is their zero state.
+// A rendezvous keeps its register.
 func TestIdleEdgeHoldsNothing(t *testing.T) {
 	o := buildIdleOverlay(t, 5)
 	defer o.StopAll()
@@ -101,8 +103,13 @@ func TestIdleEdgeHoldsNothing(t *testing.T) {
 		mapFieldsNil(t, name, ep.FieldByName("routes"))
 		mapFieldsNil(t, name, reflect.ValueOf(e.Endpoint.Transport()).Elem().FieldByName("fifo"))
 		rdv := reflect.ValueOf(e.Rendezvous).Elem()
-		mapFieldsNil(t, name, rdv)
-		if rumors := rdv.FieldByName("rumors"); !rumors.IsNil() { // a nil store holds no map
+		if !rdv.FieldByName("srv").IsNil() {
+			t.Errorf("edge %s holds the rendezvous' server half", name)
+		}
+		shared := rdv.FieldByName("core")
+		mapFieldsNil(t, name, shared)
+		mapFieldsNil(t, name, rdv.FieldByName("cli"))
+		if rumors := shared.FieldByName("rumors"); !rumors.IsNil() { // a nil store holds no map
 			mapFieldsNil(t, name, rumors.Elem())
 		}
 		for _, svc := range []any{e.Cache, e.Resolver, e.Discovery} {
@@ -148,7 +155,7 @@ func TestNoRumorStoreWithoutIslandMerge(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for _, n := range nodes {
-			if !field(n.Rendezvous, "rumors").IsNil() {
+			if !field(n.Rendezvous, "core").FieldByName("rumors").IsNil() {
 				t.Errorf("%s: %s holds a rumor store", when, n.Config.Name)
 			}
 		}

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"unsafe"
 )
@@ -246,37 +247,4 @@ func (id *ID) UnmarshalText(text []byte) error {
 }
 
 // SortIDs sorts a slice of IDs in ascending Compare order, in place.
-func SortIDs(s []ID) {
-	// Insertion sort is fine for the small peerview slices this serves,
-	// but views can reach hundreds of entries, so use a simple quicksort
-	// via the comparison order.
-	sortIDs(s)
-}
-
-func sortIDs(s []ID) {
-	if len(s) < 12 {
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j].Less(s[j-1]); j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return
-	}
-	pivot := s[len(s)/2]
-	left, right := 0, len(s)-1
-	for left <= right {
-		for s[left].Less(pivot) {
-			left++
-		}
-		for pivot.Less(s[right]) {
-			right--
-		}
-		if left <= right {
-			s[left], s[right] = s[right], s[left]
-			left++
-			right--
-		}
-	}
-	sortIDs(s[:right+1])
-	sortIDs(s[left:])
-}
+func SortIDs(s []ID) { slices.SortFunc(s, ID.Compare) }

@@ -48,6 +48,8 @@
 package node
 
 import (
+	"slices"
+
 	"jxta/internal/advertisement"
 	"jxta/internal/advstore"
 	"jxta/internal/cm"
@@ -233,7 +235,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 	n.Rendezvous.SetPromoteHook(n.PromoteToRendezvous)
 	// A completed island merge changes the replica mapping: re-replicate
 	// the SRDI over the merged view, then surface the event.
-	n.Rendezvous.AddMergeListener(func(peer ids.ID) {
+	n.Rendezvous.SetMergeHook(func(peer ids.ID) {
 		n.Discovery.Rereplicate()
 		if n.MergeObserved != nil {
 			n.MergeObserved(n, peer)
@@ -271,22 +273,10 @@ func (n *Node) PromoteToRendezvous() {
 	// victim rejoins at its old address. A sole-rendezvous takeover starts
 	// empty and simply is the rendezvous network.
 	seeds := n.Rendezvous.Alternates()
-	addSeed := func(sd peerview.Seed) {
-		if sd.ID.Equal(n.ID) {
-			return
+	for _, sd := range append(n.Rendezvous.Roster(), n.Config.Seeds...) {
+		if !sd.ID.Equal(n.ID) && !slices.ContainsFunc(seeds, func(have peerview.Seed) bool { return have.ID.Equal(sd.ID) }) {
+			seeds = append(seeds, sd)
 		}
-		for _, have := range seeds {
-			if have.ID.Equal(sd.ID) {
-				return
-			}
-		}
-		seeds = append(seeds, sd)
-	}
-	for _, sd := range n.Rendezvous.Roster() {
-		addSeed(sd)
-	}
-	for _, sd := range n.Config.Seeds {
-		addSeed(sd)
 	}
 	n.PeerView = peerview.New(n.Env, n.Endpoint, n.Config.AdvStore, n.rdvAdv, n.Config.Peerview, seeds)
 	if n.started {

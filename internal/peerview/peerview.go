@@ -447,8 +447,17 @@ func (pv *PeerView) Size() int { return len(pv.entries) }
 
 // Contains reports whether the peer is currently in the view.
 func (pv *PeerView) Contains(id ids.ID) bool {
-	_, ok := pv.find(id)
+	_, ok := pv.Lookup(id)
 	return ok
+}
+
+// Lookup returns the view entry for id as a seed record, as Member does, and
+// whether id is in the view.
+func (pv *PeerView) Lookup(id ids.ID) (Seed, bool) {
+	if i, ok := pv.find(id); ok {
+		return pv.Member(i), true
+	}
+	return Seed{}, false
 }
 
 // find returns the position id holds, or would be inserted at, in the

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"jxta/internal/advertisement"
+	"jxta/internal/advstore"
 	"jxta/internal/endpoint"
 	"jxta/internal/env"
 	"jxta/internal/ids"
@@ -54,11 +56,14 @@ func leaseFromScript(script []byte) (*message.Message, [][]byte) {
 }
 
 // leaseRig is a self-healing, island-merging tier of two rendezvous with
-// leased edges, all started.
+// leased edges, all started. The promotee is one of those edges, with the
+// promote hook the node installs: a handoff switches it to the server half.
 type leaseRig struct {
-	sched *simnet.Scheduler
-	rdv   *rdvPeer
-	edge  *edgePeer
+	sched    *simnet.Scheduler
+	rdv      *rdvPeer
+	edge     *edgePeer
+	promotee *edgePeer
+	inputs   int // fuzz inputs the rig has served
 }
 
 // newLeaseRig also returns the lease messages the bring-up and one graceful
@@ -87,10 +92,20 @@ func newLeaseRig(t testing.TB, seed int64) (*leaseRig, []*message.Message) {
 	rdvs[1].svc.Stop() // hands its client over and redirects
 	sched.Run(sched.Now() + time.Minute)
 	net.OnSend = nil
-	if _, ok := edges[0].svc.ConnectedRdv(); !ok || len(rdvs[0].svc.Clients()) == 0 {
+	if _, ok := edges[0].svc.ConnectedRdv(); !ok || len(rdvs[0].svc.srv.clients) == 0 {
 		t.Fatal("the rig did not converge: no lease to fuzz against")
 	}
-	return &leaseRig{sched: sched, rdv: rdvs[0], edge: edges[0]}, seen
+	promotee := edges[2]
+	if promotee.svc.IsRendezvous() {
+		t.Fatal("the rig promoted the edge meant to be promoted by a fuzzed handoff")
+	}
+	promotee.svc.SetPromoteHook(func() {
+		adv := &advertisement.Rdv{PeerID: promotee.id, GroupID: testGroup, Name: "promotee", Address: string(promotee.tr.Addr())}
+		pv := peerview.New(sched.NewEnv("promotee-pv"), promotee.ep, advstore.New(), adv, peerview.DefaultConfig(), promotee.svc.Alternates())
+		pv.Start()
+		promotee.svc.Promote(pv)
+	})
+	return &leaseRig{sched: sched, rdv: rdvs[0], edge: edges[0], promotee: promotee}, seen
 }
 
 // horizonEnv notes the longest delay a timer was armed with.
@@ -108,19 +123,24 @@ func (e *horizonEnv) After(d time.Duration, fn func()) env.Event {
 // memory of its own.
 func observable(s *Service) string {
 	rdv, connected := s.ConnectedRdv()
-	return fmt.Sprint(s.Clients(), rdv, connected, s.Rumors())
+	return fmt.Sprint(clientsOf(s), rdv, connected, s.rumors.All()) // fmt sorts a map by key
 }
 
-// FuzzReceiveLease feeds receiveLease arbitrary lease: element sets, on a
-// started rendezvous and on a started edge, from a known client, the
-// rendezvous and a stranger. It must not panic; one message may grow the
-// client table, the rumor store and the merge backoff table by no more than
-// the entries it carried; whatever durations it names, no client lease ends
-// later than a whole LeaseDuration from now and no timer is armed further
-// out than one (a grant or a handoff promises at most what could have been
-// asked for); and it must keep nothing of the message it was lent
-// (transport.Handler): overwriting every payload after the call leaves
-// Clients(), ConnectedRdv() and the rumor store reading as they did.
+// FuzzReceiveLease feeds receiveLease arbitrary lease: element sets, from a
+// known client, the rendezvous and a stranger, to three started services: a
+// rendezvous (the server half), an edge (the client half), and an edge with
+// a promote hook, which a handoff switches from one half to the other. It
+// must not panic; one message may grow the client table, the rumor store
+// and the merge backoff table by no more than the entries it carried — and
+// the backoff table of a server half a handoff built by the rumors the edge
+// carried across too, each of which it probes at once; whatever durations it
+// names, no client lease ends later than a whole LeaseDuration from now and
+// no timer is armed further out than one (a grant or a handoff promises at
+// most what could have been asked for); and it must keep nothing of the
+// message it was lent (transport.Handler): overwriting every payload after
+// the call leaves the client table, ConnectedRdv() and the rumor store
+// reading as they did. The rig is shared, and rebuilt every 64 inputs so
+// that the promotee is an edge again.
 func FuzzReceiveLease(f *testing.F) {
 	_, sent := newLeaseRig(f, 61)
 	richest := map[string][]byte{} // per kind of message, the longest one sent
@@ -147,13 +167,15 @@ func FuzzReceiveLease(f *testing.F) {
 		ids.FromName(ids.KindPeer, "handed-off").String()+" sim://0/handed-off "+forever)))
 	var rig *leaseRig
 	f.Fuzz(func(t *testing.T, who byte, script []byte) {
-		if rig == nil || rig.rdv.svc.rumors.Len() > 256 || len(rig.rdv.svc.clients) > 256 {
+		if rig == nil || rig.inputs >= 64 || rig.rdv.svc.rumors.Len() > 256 || len(rig.rdv.svc.srv.clients) > 256 {
 			rig, _ = newLeaseRig(t, 61) // building one takes milliseconds: share it
 		}
+		rig.inputs++
 		src := []ids.ID{rig.edge.id, rig.rdv.id, ids.FromName(ids.KindPeer, "stranger")}[int(who)%3]
-		for _, s := range []*Service{rig.rdv.svc, rig.edge.svc} {
+		for _, s := range []*Service{rig.rdv.svc, rig.edge.svc, rig.promotee.svc} {
 			m, payloads := leaseFromScript(script)
-			clients, rumors, tried := len(s.clients), s.rumors.Len(), len(s.mergeTried)
+			clients, rumors, tried := len(clientsOf(s)), s.rumors.Len(), len(mergeTriedOf(s))
+			wasEdge := !s.IsRendezvous()
 			timers := &horizonEnv{Env: s.env}
 			s.env = timers
 			s.receiveLease(src, m)
@@ -161,15 +183,19 @@ func FuzzReceiveLease(f *testing.F) {
 			if timers.farthest > s.cfg.LeaseDuration {
 				t.Fatalf("a timer was armed %v out, LeaseDuration is %v", timers.farthest, s.cfg.LeaseDuration)
 			}
-			for id, cl := range s.clients {
+			for id, cl := range clientsOf(s) {
 				if cl.expires > s.env.Now()+s.cfg.LeaseDuration {
 					t.Fatalf("client %s holds a lease for %v, LeaseDuration is %v", id.Short(), cl.expires-s.env.Now(), s.cfg.LeaseDuration)
 				}
 			}
 			room := m.Len() + 1 // the sender itself, once
-			if len(s.clients)-clients > room || s.rumors.Len()-rumors > room || len(s.mergeTried)-tried > room {
+			probed := room
+			if wasEdge && s.IsRendezvous() {
+				probed += rumors // a promotion probes every identity the edge heard of
+			}
+			if len(clientsOf(s))-clients > room || s.rumors.Len()-rumors > room || len(mergeTriedOf(s))-tried > probed {
 				t.Fatalf("a message of %d elements grew clients %d→%d, rumors %d→%d, mergeTried %d→%d",
-					m.Len(), clients, len(s.clients), rumors, s.rumors.Len(), tried, len(s.mergeTried))
+					m.Len(), clients, len(clientsOf(s)), rumors, s.rumors.Len(), tried, len(mergeTriedOf(s)))
 			}
 			before := observable(s)
 			scribble(payloads)
@@ -197,9 +223,9 @@ func TestHandoffGrowsClientTable(t *testing.T) {
 		m.AddString(leaseNS, elemClient, string(sd.AppendEncode(nil))+" 30000000000")
 	}
 	s := rig.rdv.svc
-	before := len(s.clients)
+	before := len(s.srv.clients)
 	s.receiveLease(ids.FromName(ids.KindPeer, "stranger"), m)
-	grew := len(s.clients) - before
+	grew := len(s.srv.clients) - before
 	t.Logf("a handoff of %d Cli elements grows the client table by %d", carried, grew)
 	if grew > carried {
 		t.Fatalf("a handoff of %d Cli elements grows the client table by %d, ceiling %d", carried, grew, carried)

@@ -18,21 +18,14 @@ type counts struct {
 	redirects   uint64
 	walks       uint64
 	rumorEvicts uint64
+	promotions  uint64
+	merges      uint64
 }
 
-// Collect registers the service's series on reg, read from its own
-// counters when reg is encoded:
-//
-//	jxta_rendezvous_leases_granted_total / _renewed_total / _expired_total /
-//	_cancelled_total, jxta_rendezvous_lease_requests_total,
-//	jxta_rendezvous_lease_timeouts_total, jxta_rendezvous_elections_total,
-//	jxta_rendezvous_handoffs_total, jxta_rendezvous_redirects_followed_total,
-//	jxta_rendezvous_walks_started_total, jxta_rendezvous_rumor_evictions_total,
-//	jxta_rendezvous_promotions_total, jxta_rendezvous_merges_total
-//
-// plus the gauges jxta_rendezvous_clients (roster size),
-// jxta_rendezvous_connected (edge lease held) and
-// jxta_rendezvous_rumor_store_size.
+// Collect registers the service's jxta_rendezvous_* series on reg, read
+// from its own counters when reg is encoded: the lease, failover, election,
+// handoff, walk, rumor, promotion and merge totals, and the gauges of the
+// client table, the edge's lease and the rumor store.
 func (s *Service) Collect(reg *metrics.Registry) {
 	reg.CounterFunc("jxta_rendezvous_leases_granted_total", "New client leases granted.",
 		func() uint64 { return s.m.granted })
@@ -57,14 +50,19 @@ func (s *Service) Collect(reg *metrics.Registry) {
 	reg.CounterFunc("jxta_rendezvous_rumor_evictions_total", "Tier rumors evicted by aging sweeps.",
 		func() uint64 { return s.m.rumorEvicts })
 	reg.CounterFunc("jxta_rendezvous_promotions_total", "Edge-to-rendezvous role switches.",
-		func() uint64 { return uint64(s.Promotions) })
+		func() uint64 { return s.m.promotions })
 	reg.CounterFunc("jxta_rendezvous_merges_total", "Completed island-merge handshake legs.",
-		func() uint64 { return uint64(s.Merges) })
+		func() uint64 { return s.m.merges })
 	reg.GaugeFunc("jxta_rendezvous_clients", "Edges currently holding a lease here (roster size).",
-		func() float64 { return float64(len(s.clients)) })
+		func() float64 {
+			if s.srv == nil {
+				return 0
+			}
+			return float64(len(s.srv.clients))
+		})
 	reg.GaugeFunc("jxta_rendezvous_connected", "1 when this edge holds a lease, 0 otherwise.",
 		func() float64 {
-			if s.connectedTo.IsNil() {
+			if s.cli.connectedTo.IsNil() {
 				return 0
 			}
 			return 1
@@ -80,10 +78,10 @@ func (s *Service) Trace() *metrics.Trace { return s.trace }
 
 // traceEvent records a protocol transition with the env's current
 // (virtual) timestamp.
-func (s *Service) traceEvent(typ string, peer ids.ID) {
+func (c *core) traceEvent(typ string, peer ids.ID) {
 	detail := ""
 	if !peer.IsNil() {
 		detail = peer.Short()
 	}
-	s.trace.Record(s.env.Now(), typ, detail)
+	c.trace.Record(c.env.Now(), typ, detail)
 }

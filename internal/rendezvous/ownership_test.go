@@ -65,7 +65,7 @@ func TestLearnedSeedsOwnTheirAddr(t *testing.T) {
 	if _, ok := edge.svc.ConnectedRdv(); !ok || rdv.pv.Size() != 1 {
 		t.Fatal("the rig did not converge")
 	}
-	sleeper.svc.dormant = true
+	sleeper.svc.cli.dormant = true
 
 	sent := map[ids.ID]transport.Addr{}
 	peer := func(name string) peerview.Seed {
@@ -123,14 +123,14 @@ func TestLearnedSeedsOwnTheirAddr(t *testing.T) {
 		for _, r := range p.svc.rumors.All() {
 			all = append(all, learned{name + " rumor", r.Seed})
 		}
-		for id, cl := range p.svc.clients {
+		for id, cl := range clientsOf(p.svc) {
 			all = append(all, learned{name + " client", peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}})
 		}
 		for _, id := range p.ep.KnownPeers() {
 			addr, _ := p.ep.RouteTo(id)
 			all = append(all, learned{name + " route", peerview.Seed{ID: id, Addr: addr}})
 		}
-		all = append(all, learned{name + " successor", p.svc.succTarget})
+		all = append(all, learned{name + " successor", p.svc.cli.succTarget})
 	}
 	for _, sd := range alternates {
 		all = append(all, learned{"edge alternate", sd})

@@ -2,6 +2,7 @@ package rendezvous
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -80,6 +81,22 @@ func newEdge(t testing.TB, sched *simnet.Scheduler, net *transport.Network, name
 	ep := endpoint.New(e, id, tr)
 	svc := NewEdge(e, ep, seeds, cfg)
 	return &edgePeer{id: id, ep: ep, svc: svc, tr: tr}
+}
+
+// clientsOf returns a service's client table; an edge has none.
+func clientsOf(s *Service) map[ids.ID]clientLease {
+	if s.srv == nil {
+		return nil
+	}
+	return s.srv.clients
+}
+
+// mergeTriedOf returns a service's merge backoff table; an edge has none.
+func mergeTriedOf(s *Service) map[ids.ID]time.Duration {
+	if s.srv == nil {
+		return nil
+	}
+	return s.srv.mergeTried
 }
 
 func TestDirectionString(t *testing.T) {
@@ -198,14 +215,14 @@ func TestClientSweepExpiresSilentEdges(t *testing.T) {
 	edge.svc.Start()
 	sched.Run(time.Minute)
 	// Edge dies without cancelling.
-	edge.svc.cancelTimers()
+	edge.svc.cli.cancelTimers()
 	edge.svc.started = false
 	edge.tr.Close()
 	sched.Run(30 * time.Minute)
 	if rdvs[0].svc.HasClient(edge.id) {
 		t.Fatal("dead edge's lease never swept")
 	}
-	if len(rdvs[0].svc.Clients()) != 0 {
+	if len(clientsOf(rdvs[0].svc)) != 0 {
 		t.Fatal("clients list not empty")
 	}
 }
@@ -553,8 +570,8 @@ func TestPromoteSwapsRoleInPlace(t *testing.T) {
 	if !promotee.svc.IsRendezvous() || promotee.svc.PeerView() != pv {
 		t.Fatal("Promote did not swap the role")
 	}
-	if promotee.svc.Promotions != 1 {
-		t.Fatalf("Promotions = %d", promotee.svc.Promotions)
+	if promotee.svc.m.promotions != 1 {
+		t.Fatalf("%d promotions counted", promotee.svc.m.promotions)
 	}
 	// A fresh edge can now lease from the promoted peer.
 	client := newEdge(t, sched, net, "client",
@@ -671,7 +688,7 @@ func TestElectionSkipsDeadSuccessor(t *testing.T) {
 	}
 	// The would-be successor (lowest ID) dies silently, then the rendezvous
 	// crashes before the survivor's roster refreshes.
-	lower.svc.cancelTimers()
+	lower.svc.cli.cancelTimers()
 	lower.svc.started = false
 	lower.tr.Close()
 	rdvs[0].pv.Stop()
@@ -761,7 +778,7 @@ func TestDeadRumorRetiresFromTierProbes(t *testing.T) {
 }
 
 func hasRumor(s *Service, id ids.ID) bool {
-	for _, r := range s.Rumors() {
+	for _, r := range s.rumors.All() {
 		if r.ID.Equal(id) {
 			return true
 		}
@@ -812,12 +829,14 @@ func TestDormantEdgeRevivedByTierProbe(t *testing.T) {
 	}
 }
 
-// TestReturnsToZeroState: the rendezvous service is small by construction.
-// An edge — the lease *client* — holds no map when built and allocates none
-// by acquiring and renewing a lease, so between renewals it is quiescent
-// with nothing to release; its walk-handler registrations are a slice. On
-// the granting side the client table is allocated by the first lease and
-// drains when the edge departs.
+// TestReturnsToZeroState: the rendezvous service is small by construction,
+// and holds the half of its role and nothing of the other. An edge — the
+// lease *client* — has no server half, whether fresh, leased or dormant; it
+// allocates no map by acquiring and renewing a lease, so between renewals it
+// is quiescent with nothing to release; its walk-handler registrations are
+// a slice. A rendezvous holds a server half and a zero client, whether built
+// as one, promoted or restarted. On the granting side the client table is
+// allocated by the first lease and drains when the edge departs.
 func TestReturnsToZeroState(t *testing.T) {
 	sched := simnet.NewScheduler(77)
 	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
@@ -826,30 +845,48 @@ func TestReturnsToZeroState(t *testing.T) {
 	rdvs := newRdvOverlayCfg(t, sched, net, 1, cfg)
 	edge := newEdge(t, sched, net, "edge0",
 		[]peerview.Seed{{ID: rdvs[0].id, Addr: rdvs[0].tr.Addr()}}, cfg)
-	noMaps := func(when string, s *Service) {
+	nobody := peerview.Seed{ID: ids.FromName(ids.KindPeer, "nobody"), Addr: "sim://9/nobody"}
+	sleeper := newEdge(t, sched, net, "sleeper", []peerview.Seed{nobody}, cfg)
+	promotee := newEdge(t, sched, net, "promotee", nil, cfg)
+	isEdge := func(when string, s *Service) {
 		t.Helper()
-		if s.clients != nil || s.walkSeen != nil || s.mergeTried != nil {
-			t.Fatalf("%s: clients=%v walkSeen=%v mergeTried=%v allocated", when,
-				s.clients != nil, s.walkSeen != nil, s.mergeTried != nil)
+		if s.srv != nil || s.cli.core != &s.core {
+			t.Fatalf("%s: server half %v, client half bound %v", when, s.srv != nil, s.cli.core != nil)
 		}
 	}
-	noMaps("fresh edge", edge.svc)
-	noMaps("fresh rendezvous", rdvs[0].svc)
+	isRendezvous := func(when string, s *Service) {
+		t.Helper()
+		if s.srv == nil || !reflect.ValueOf(s.cli).IsZero() {
+			t.Fatalf("%s: server half %v, client half zero %v", when, s.srv != nil, reflect.ValueOf(s.cli).IsZero())
+		}
+		if v := s.srv; v.clients != nil || v.walkSeen != nil || v.mergeTried != nil {
+			t.Fatalf("%s: clients=%v walkSeen=%v mergeTried=%v allocated", when,
+				v.clients != nil, v.walkSeen != nil, v.mergeTried != nil)
+		}
+	}
+	isEdge("fresh edge", edge.svc)
+	isRendezvous("fresh rendezvous", rdvs[0].svc)
 
 	walked := 0
 	edge.svc.SetWalkHandler("a", func(ids.ID, Direction, *message.Message) bool { return false })
 	edge.svc.SetWalkHandler("b", func(ids.ID, Direction, *message.Message) bool { return false })
 	edge.svc.SetWalkHandler("a", func(ids.ID, Direction, *message.Message) bool { walked++; return true })
 
-	edge.svc.Start()
-	sched.Run(5 * time.Minute) // acquire, then renew every 30 s
+	for _, e := range []*edgePeer{edge, sleeper, promotee} {
+		e.svc.Start()
+	}
+	sched.Run(5 * time.Minute) // acquire, then renew every 30 s; the sleeper runs out of attempts
 	if _, ok := edge.svc.ConnectedRdv(); !ok {
 		t.Fatal("edge holds no lease")
 	}
 	if !edge.svc.Quiescent() {
 		t.Fatal("leased edge between renewals is not quiescent")
 	}
-	noMaps("leased edge after ten renewals", edge.svc)
+	isEdge("leased edge after ten renewals", edge.svc)
+	if !sleeper.svc.Dormant() || !sleeper.svc.Quiescent() {
+		t.Fatalf("the edge with a dead seed: dormant %v, quiescent %v", sleeper.svc.Dormant(), sleeper.svc.Quiescent())
+	}
+	isEdge("dormant edge", sleeper.svc)
 	if len(edge.svc.walkHandlers) != 2 {
 		t.Fatalf("%d walk handlers registered, want 2 (re-registering replaces)", len(edge.svc.walkHandlers))
 	}
@@ -860,12 +897,23 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatal("found a walk handler nobody registered")
 	}
 
-	if len(rdvs[0].svc.clients) != 1 {
+	if len(rdvs[0].svc.srv.clients) != 1 {
 		t.Fatal("the grant did not allocate the client table")
 	}
 	edge.svc.Stop() // departs with a cancel
 	sched.Run(sched.Now() + time.Minute)
-	if len(rdvs[0].svc.clients) != 0 {
+	if len(rdvs[0].svc.srv.clients) != 0 {
 		t.Fatal("the cancel did not empty the client table")
 	}
+
+	adv := &advertisement.Rdv{PeerID: promotee.id, GroupID: testGroup, Name: "promotee", Address: string(promotee.tr.Addr())}
+	promotee.svc.Promote(peerview.New(sched.NewEnv("promotee-pv"), promotee.ep, advstore.New(), adv, peerview.DefaultConfig(), nil))
+	isRendezvous("promoted edge", promotee.svc)
+	for _, s := range []*Service{rdvs[0].svc, promotee.svc} {
+		s.Stop()
+		s.Reset()
+		s.Start()
+	}
+	isRendezvous("restarted rendezvous", rdvs[0].svc)
+	isRendezvous("restarted promoted edge", promotee.svc)
 }

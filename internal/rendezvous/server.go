@@ -1,0 +1,508 @@
+package rendezvous
+
+import (
+	"strconv"
+	"time"
+
+	"jxta/internal/env"
+	"jxta/internal/ids"
+	"jxta/internal/message"
+	"jxta/internal/peerview"
+	"jxta/internal/transport"
+)
+
+// rumorDeadSweeps bounds the IslandMerge rumor store: an identity that is
+// neither a view member nor a leased client nor re-gossiped for this many
+// client sweeps (each LeaseDuration/4) is retired, and retryMerges stops
+// probing it. Four sweeps is one LeaseDuration, inside which every live peer
+// renews a lease, and so re-gossips or re-appears, at least once.
+const rumorDeadSweeps = 4
+
+// clientLease is one granted lease at a rendezvous.
+type clientLease struct {
+	expires time.Duration
+	addr    string // transport address, when the edge shared it (SelfHeal)
+}
+
+// server is the rendezvous' half of the lease protocol: it owns the
+// peerview, grants leases and sweeps the client table, relays walks, merges
+// islands and hands its table off on a graceful stop. Every table a message
+// can grow is here; each map is nil until first written.
+type server struct {
+	*core
+	pv          *peerview.PeerView
+	clients     map[ids.ID]clientLease
+	clientSweep *env.Ticker
+	walkSeen    map[walkKey]bool
+	nextWalkID  uint64
+	mergeTried  map[ids.ID]time.Duration // merge-initiation dedup/backoff (IslandMerge)
+}
+
+func newServer(c *core, pv *peerview.PeerView) *server {
+	v := &server{core: c, pv: pv}
+	if c.cfg.IslandMerge {
+		pv.SetMergeListener(v.onPeerviewMerge)
+	}
+	return v
+}
+
+func (v *server) start() {
+	v.clientSweep = env.NewTicker(v.env, v.cfg.LeaseDuration/4, v.sweepClients)
+}
+
+// halt stops the sweep; a graceful, self-healing stop first hands the lease
+// table off.
+func (v *server) halt(graceful bool) {
+	if graceful && v.cfg.SelfHeal && len(v.clients) > 0 {
+		v.handoff()
+	}
+	if v.clientSweep != nil {
+		v.clientSweep.Stop()
+		v.clientSweep = nil
+	}
+}
+
+// reset drops the leases, the walk dedup set and the merge backoff. Walk IDs
+// keep increasing: other peers may remember this peer's walks from before.
+func (v *server) reset() {
+	*v = server{core: v.core, pv: v.pv, clientSweep: v.clientSweep, nextWalkID: v.nextWalkID}
+}
+
+// clientIDs lists the client table in ascending ID order.
+func (v *server) clientIDs() []ids.ID {
+	out := make([]ids.ID, 0, len(v.clients))
+	for id := range v.clients {
+		out = append(out, id)
+	}
+	ids.SortIDs(out)
+	return out
+}
+
+func (v *server) hasClient(edge ids.ID) bool {
+	cl, ok := v.clients[edge]
+	return ok && cl.expires > v.env.Now()
+}
+
+// setClient grants or refreshes edge's lease in the client table, which
+// keeps cl.addr: the caller passes a string of its own, not a view.
+func (v *server) setClient(edge ids.ID, cl clientLease) {
+	if v.clients == nil {
+		v.clients = make(map[ids.ID]clientLease)
+	}
+	v.clients[edge] = cl
+}
+
+// adopt grants every co-client on an elected successor's roster an
+// implicit lease.
+func (v *server) adopt(roster []peerview.Seed) {
+	for _, sd := range roster {
+		if sd.ID.Equal(v.ep.ID()) {
+			continue
+		}
+		v.learnRoute(sd)
+		v.setClient(sd.ID, clientLease{expires: v.env.Now() + v.cfg.LeaseDuration, addr: string(sd.Addr)})
+		if v.cfg.IslandMerge {
+			v.rumorStore().AddSeed(sd)
+		}
+	}
+}
+
+func (v *server) sweepClients() {
+	now := v.env.Now()
+	for id, cl := range v.clients {
+		if cl.expires <= now {
+			delete(v.clients, id)
+			v.m.expired++
+		}
+	}
+	if v.cfg.IslandMerge {
+		evicted := v.rumors.Sweep(rumorDeadSweeps, func(id ids.ID) bool {
+			return id.Equal(v.ep.ID()) || v.pv.Contains(id) || v.hasClient(id)
+		})
+		v.m.rumorEvicts += uint64(evicted)
+		v.retryMerges()
+	}
+}
+
+// receiveRequest grants or renews src's lease.
+func (v *server) receiveRequest(src ids.ID, asked, edgeAddr []byte, m *message.Message) {
+	if !v.started {
+		return // stopped peers do not grant leases
+	}
+	dur := v.cfg.LeaseDuration
+	if n, err := strconv.ParseInt(string(asked), 10, 64); err == nil && n > 0 && time.Duration(n) < dur {
+		dur = time.Duration(n)
+	}
+	old, renewal := v.clients[src]
+	if renewal {
+		v.m.renewed++
+	} else {
+		v.m.granted++
+	}
+	addr := old.addr // a renewing client's address is the string on file
+	if addr != string(edgeAddr) {
+		addr = string(edgeAddr)
+	}
+	v.setClient(src, clientLease{expires: v.env.Now() + dur, addr: addr})
+	if v.cfg.IslandMerge {
+		for _, el := range m.Elements() {
+			if el.Namespace != leaseNS || el.Name != elemRumor {
+				continue
+			}
+			if r, ok := peerview.ParseRumorBytes(el.Data); ok && v.learnRumor(r) {
+				v.maybeMerge(r.Seed)
+			}
+		}
+	}
+	rsp := message.Acquire()
+	if dur == v.cfg.LeaseDuration {
+		rsp.AddString(leaseNS, elemGranted, v.leaseText)
+	} else {
+		rsp.AddScratch(leaseNS, elemGranted, strconv.AppendInt(rsp.Scratch(), int64(dur), 10))
+	}
+	if v.cfg.SelfHeal {
+		v.appendGrantState(rsp)
+	}
+	if v.cfg.IslandMerge {
+		v.appendGrantRumors(rsp, src)
+	}
+	_ = v.sendLease(src, rsp)
+}
+
+// receiveCancel drops the lease of a departing edge.
+func (v *server) receiveCancel(src ids.ID) {
+	if _, held := v.clients[src]; held {
+		v.m.cancelled++
+	}
+	delete(v.clients, src)
+}
+
+// appendGrantState attaches the self-healing snapshots to a lease grant:
+// up to maxAlternates peerview members and up to maxRoster client roster
+// entries (clients that shared an address), both in ascending ID order.
+func (v *server) appendGrantState(m *message.Out) {
+	for i := 0; i < v.pv.Size() && i < maxAlternates; i++ {
+		m.AddScratch(leaseNS, elemAlt, v.pv.Member(i).AppendEncode(m.Scratch()))
+	}
+	var buf [maxRoster]peerview.Seed
+	for _, sd := range v.grantRoster(&buf) {
+		m.AddScratch(leaseNS, elemClient, sd.AppendEncode(m.Scratch()))
+	}
+}
+
+// grantRoster selects into buf the maxRoster lowest-ID clients a grant may
+// roster, in ascending ID order, by inserting each into a short sorted run:
+// no list of the whole table is built or sorted. Expired leases linger until
+// the next sweep; rostering a dead client could make every elector
+// unanimously pick a dead successor, so only fresh leases qualify.
+func (v *server) grantRoster(buf *[maxRoster]peerview.Seed) []peerview.Seed {
+	out := buf[:0]
+	now := v.env.Now()
+	for id, cl := range v.clients {
+		if cl.addr == "" || cl.expires <= now {
+			continue
+		}
+		i := len(out)
+		if i < len(buf) {
+			out = out[:i+1]
+		} else if i--; !id.Less(out[i].ID) {
+			continue // the run is full of lower IDs
+		}
+		for ; i > 0 && id.Less(out[i-1].ID); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}
+	}
+	return out
+}
+
+// appendGrantRumors attaches tier rumors to a grant (IslandMerge): this
+// rendezvous, its view members and the rumor store, deduplicated in that
+// order and capped at maxRumors — the rendezvous→edge half of the gossip.
+func (v *server) appendGrantRumors(m *message.Out, src ids.ID) {
+	var sent [maxRumors]ids.ID
+	n := 0
+	emit := func(sd peerview.Seed) {
+		if n >= maxRumors || sd.Addr == "" || sd.ID.Equal(src) {
+			return
+		}
+		for _, id := range sent[:n] {
+			if id.Equal(sd.ID) {
+				return
+			}
+		}
+		sent[n] = sd.ID
+		n++
+		m.AddScratch(leaseNS, elemRumor, peerview.NewRumor(sd).AppendEncode(m.Scratch()))
+	}
+	emit(peerview.Seed{ID: v.ep.ID(), Addr: v.ep.Addr()})
+	for i := 0; i < v.pv.Size(); i++ {
+		emit(v.pv.Member(i))
+	}
+	// Draw only the budget left after self and members, so the window
+	// cursor advances by what was consumed and the store's tail circulates
+	// on later grants.
+	head, wrapped := v.rumors.NextWindow(maxRumors - n)
+	for _, run := range [2][]peerview.Rumor{head, wrapped} {
+		for _, r := range run {
+			emit(r.Seed)
+		}
+	}
+}
+
+// handoff sends the lease table and the exported state (the SRDI index) to
+// a successor and redirects every other client to it.
+func (v *server) handoff() {
+	succ, ok := v.chooseHandoffSuccessor()
+	if !ok {
+		return
+	}
+	v.learnRoute(succ)
+	// 1. The lease table. An edge successor promotes itself on receipt.
+	hm := leaseMessage(elemHandoff, "1")
+	now := v.env.Now()
+	for _, id := range v.clientIDs() {
+		cl := v.clients[id]
+		if cl.addr == "" || id.Equal(succ.ID) {
+			continue
+		}
+		remaining := cl.expires - now
+		if remaining <= 0 {
+			continue
+		}
+		rec := peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}.AppendEncode(hm.Scratch())
+		hm.AddScratch(leaseNS, elemClient, strconv.AppendInt(append(rec, ' '), int64(remaining), 10))
+	}
+	_ = v.sendLease(succ.ID, hm)
+	v.m.handoffs++
+	v.traceEvent("handoff", succ.ID)
+	// 2. Exported service state (the SRDI index re-publish).
+	if v.exporter != nil {
+		if svc, msgs := v.exporter(); svc != "" {
+			for _, em := range msgs {
+				_ = v.ep.Send(succ.ID, svc, em)
+			}
+		}
+	}
+	// 3. Redirect the remaining fresh clients to the successor.
+	for _, id := range v.clientIDs() {
+		if id.Equal(succ.ID) || v.clients[id].expires <= now {
+			continue
+		}
+		v.sendRedirect(id, succ)
+	}
+}
+
+// chooseHandoffSuccessor prefers a view neighbour (the upper, else the
+// lower), already a rendezvous, and falls back to electing one of the fresh
+// clients (expired leases may belong to dead peers).
+func (v *server) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
+	lower, upper := v.pv.Neighbors()
+	want := upper
+	if want.IsNil() {
+		want = lower
+	}
+	if !want.IsNil() {
+		if member, ok := v.pv.Lookup(want); ok {
+			return member, true
+		}
+	}
+	var roster []peerview.Seed
+	now := v.env.Now()
+	for _, id := range v.clientIDs() {
+		if cl := v.clients[id]; cl.addr != "" && cl.expires > now {
+			roster = append(roster, peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)})
+		}
+	}
+	if len(roster) == 0 {
+		return peerview.Seed{}, false
+	}
+	return pickSuccessor(roster), true
+}
+
+// sendRedirect tells an edge to re-lease with succ.
+func (v *server) sendRedirect(edge ids.ID, succ peerview.Seed) {
+	m := message.Acquire()
+	m.AddScratch(leaseNS, elemRedirect, succ.AppendEncode(m.Scratch()))
+	_ = v.sendLease(edge, m)
+}
+
+// importHandoff takes a predecessor's lease table into the client table.
+func (v *server) importHandoff(m *message.Message) {
+	now := v.env.Now()
+	for _, el := range m.Elements() {
+		if el.Namespace != leaseNS || el.Name != elemClient {
+			continue
+		}
+		sd, left, ok := peerview.ParseRecordBytes(el.Data)
+		if !ok || sd.ID.Equal(v.ep.ID()) {
+			continue
+		}
+		remaining, err := strconv.ParseInt(string(left), 10, 64)
+		if err != nil || remaining <= 0 {
+			continue
+		}
+		// What is left of a lease is no more than a whole one.
+		remaining = min(remaining, int64(v.cfg.LeaseDuration))
+		v.learnRoute(sd)
+		v.setClient(sd.ID, clientLease{
+			expires: now + time.Duration(remaining),
+			addr:    string(sd.Clone().Addr),
+		})
+	}
+}
+
+// --- Island merge (IslandMerge) ---
+
+// maybeMerge sends a tier probe to a rumored peer, unless it is already a
+// view member or was probed recently. The probe — not a direct merge — makes
+// *every* remembered identity a potential bridge: a rendezvous answers with
+// itself, a leased edge with its island's anchor, a dead peer not at all.
+// The retry backoff is one renewal period: a peer that is dead or still an
+// edge now may anchor an island later.
+//
+// sd may be a view of a loaned message; nothing here keeps it.
+func (v *server) maybeMerge(sd peerview.Seed) {
+	if !v.cfg.IslandMerge || !v.started {
+		return
+	}
+	if sd.ID.Equal(v.ep.ID()) || v.pv.Contains(sd.ID) {
+		return
+	}
+	retry := time.Duration(float64(v.cfg.LeaseDuration) * renewFraction)
+	now := v.env.Now()
+	if at, tried := v.mergeTried[sd.ID]; tried && now-at < retry {
+		return
+	}
+	v.markMergeTried(sd.ID, now)
+	v.learnRoute(sd)
+	m := leaseMessage(elemTierProbe, "1")
+	m.AddScratch(leaseNS, elemRumor, v.selfRumor().AppendEncode(m.Scratch()))
+	_ = v.sendLease(sd.ID, m)
+}
+
+// retryMerges re-probes every rumored identity not yet in the view, rate
+// limited by maybeMerge: the anchor of an island nobody leases with keeps
+// asking everyone it ever heard of until one answers or redirects it.
+func (v *server) retryMerges() {
+	for _, r := range v.rumors.All() {
+		v.maybeMerge(r.Seed)
+	}
+}
+
+// markMergeTried stamps a merge initiation toward peer.
+func (v *server) markMergeTried(peer ids.ID, at time.Duration) {
+	if v.mergeTried == nil {
+		v.mergeTried = make(map[ids.ID]time.Duration)
+	}
+	v.mergeTried[peer] = at
+}
+
+// answerProbe remembers a tier prober, considers probing it back, and
+// names this rendezvous.
+func (v *server) answerProbe(prober peerview.Rumor, proberOK bool) (peerview.Rumor, bool) {
+	if proberOK && v.learnRumor(prober) {
+		v.maybeMerge(prober.Seed)
+	}
+	return v.selfRumor(), true
+}
+
+// receiveTierAck consumes a tier probe answer: an answer naming the sender
+// is a confirmed live rendezvous — merge with it now; an answer naming a
+// third peer is a redirect to that island's anchor — learn it and let the
+// probe cycle reach it.
+func (v *server) receiveTierAck(src ids.ID, rumor []byte) {
+	if !v.started || !v.cfg.IslandMerge {
+		return
+	}
+	r, ok := peerview.ParseRumorBytes(rumor)
+	if !ok || !v.learnRumor(r) {
+		return
+	}
+	if !r.ID.Equal(src) {
+		v.maybeMerge(r.Seed) // redirect: probe the named anchor next
+		return
+	}
+	if !v.pv.Contains(r.ID) {
+		v.markMergeTried(r.ID, v.env.Now())
+		v.pv.Merge(r.Seed.Clone()) // the peerview routes to the address it is given
+	}
+}
+
+// onPeerviewMerge completes a merge handshake leg: remember the counterpart
+// for onward gossip, send it our roster to reconcile duplicate leases, and
+// call the merge hook.
+func (v *server) onPeerviewMerge(peer ids.ID) {
+	if !v.started {
+		return
+	}
+	v.m.merges++
+	v.traceEvent("island-merge", peer)
+	if sd := v.tierSeed(peer); sd.Addr != "" {
+		v.rumorStore().AddSeed(sd)
+	}
+	v.sendMergeRoster(peer)
+	if v.mergeFn != nil {
+		v.mergeFn(peer)
+	}
+}
+
+// tierSeed resolves a tier member's address from the peerview (post-merge
+// the counterpart is a member) or the rumor store.
+func (v *server) tierSeed(id ids.ID) peerview.Seed {
+	if sd, ok := v.pv.Lookup(id); ok {
+		return sd
+	}
+	return v.rumorSeed(id)
+}
+
+// sendMergeRoster ships the fresh client roster to the merge counterpart.
+func (v *server) sendMergeRoster(peer ids.ID) {
+	m := leaseMessage(elemMergeRst, "1")
+	n := 0
+	now := v.env.Now()
+	for _, id := range v.clientIDs() {
+		cl := v.clients[id]
+		if cl.addr == "" || cl.expires <= now || id.Equal(peer) {
+			continue
+		}
+		m.AddScratch(leaseNS, elemClient, peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}.AppendEncode(m.Scratch()))
+		n++
+	}
+	if n == 0 {
+		m.Release()
+		return // nothing to reconcile from this side
+	}
+	_ = v.sendLease(peer, m)
+}
+
+// receiveMergeRoster reconciles duplicate client leases after a merge: the
+// lowest-ID rendezvous wins, and the other drops its (possibly stale,
+// adopted) entry and redirects the client to the winner, as a graceful
+// handoff does. Each side handles only its own losing case.
+func (v *server) receiveMergeRoster(src ids.ID, m *message.Message) {
+	if !v.started || !v.cfg.IslandMerge {
+		return
+	}
+	if !src.Less(v.ep.ID()) {
+		return // the counterpart drops and redirects when it sees our roster
+	}
+	now := v.env.Now()
+	winner := v.tierSeed(src)
+	for _, el := range m.Elements() {
+		if el.Namespace != leaseNS || el.Name != elemClient {
+			continue
+		}
+		sd, ok := peerview.ParseSeedBytes(el.Data)
+		if !ok || sd.ID.Equal(v.ep.ID()) {
+			continue
+		}
+		cl, dup := v.clients[sd.ID]
+		if !dup || cl.expires <= now {
+			continue
+		}
+		delete(v.clients, sd.ID)
+		v.learnRoute(peerview.Seed{ID: sd.ID, Addr: transport.Addr(cl.addr)})
+		v.sendRedirect(sd.ID, winner)
+	}
+}

@@ -217,26 +217,26 @@ func FuzzReceiveWalk(f *testing.F) {
 	f.Add([]byte("up"), []byte("99999999999999999999"), []byte("svc"), []byte(urn[:40]), []byte("\xff\x00"), body[:len(body)/2])
 	var rig *walkRig
 	f.Fuzz(func(t *testing.T, dir, ttl, svc, origin, wid, payload []byte) {
-		if rig == nil || len(rig.mid.svc.walkSeen) > 64 {
+		if rig == nil || len(rig.mid.svc.srv.walkSeen) > 64 {
 			rig = newWalkRig(t) // building one takes milliseconds: share it
 			rig.mid.svc.SetWalkHandler("svc", func(ids.ID, Direction, *message.Message) bool { return false })
 		}
 		s := rig.mid.svc
-		before := len(s.walkSeen)
+		before := len(s.srv.walkSeen)
 		m := message.New().Add(walkNS, elemDir, dir).Add(walkNS, elemTTL, ttl).Add(walkNS, elemSvc, svc).
 			Add(walkNS, elemOrigin, origin).Add(walkNS, elemWalkID, wid).Add(walkNS, elemPayload, payload)
 		key, _ := walkKeyOf(wid)
 		s.receiveWalk(ids.FromName(ids.KindPeer, "previous hop"), m)
-		if grown := len(s.walkSeen) - before; grown > 1 || len(s.walkSeen) > walkSeenLimit || (grown == 1 && len(wid) > maxWalkID) {
-			t.Fatalf("walk dedup set grew by %d to %d on a walk ID of %d bytes", grown, len(s.walkSeen), len(wid))
+		if grown := len(s.srv.walkSeen) - before; grown > 1 || len(s.srv.walkSeen) > walkSeenLimit || (grown == 1 && len(wid) > maxWalkID) {
+			t.Fatalf("walk dedup set grew by %d to %d on a walk ID of %d bytes", grown, len(s.srv.walkSeen), len(wid))
 		}
-		stored := s.walkSeen[key]
+		stored := s.srv.walkSeen[key]
 		for _, in := range [][]byte{dir, ttl, svc, origin, wid, payload} {
 			for i := range in {
 				in[i] ^= 0xff
 			}
 		}
-		if s.walkSeen[key] != stored {
+		if s.srv.walkSeen[key] != stored {
 			t.Fatalf("walk ID %q left the dedup set when the header was overwritten", key[1:1+key[0]])
 		}
 		rig.sent, rig.sentTo = nil, nil
@@ -259,7 +259,7 @@ func TestWalkSeenStaysBounded(t *testing.T) {
 			wid[j] = '0'
 		}
 		r.mid.svc.receiveWalk(r.low.id, walkOf(elemDir, "up", elemTTL, "1", elemOrigin, urn, elemWalkID, string(wid), elemPayload, body))
-		seen := r.mid.svc.walkSeen
+		seen := r.mid.svc.srv.walkSeen
 		if n := len(seen); n > walkSeenLimit {
 			t.Fatalf("walk dedup set holds %d IDs, limit %d", n, walkSeenLimit)
 		}

@@ -39,7 +39,7 @@ var unlinkeds = []unlinked{
 	{"jxta/internal/metrics.Series.CSV", "an observable: experiments' peerviewFingerprint (the determinism goldens) hashes a series through it"},
 	{"jxta/internal/netmodel.Uniform", "the constant-latency fabric of the unit tests of transport, endpoint, resolver, peerview, rendezvous, discovery and node"},
 	{"jxta/internal/rendezvous.Service.Dormant", "an observable: TestFailoverBoundedWithoutSelfHeal and TestDormantEdgeRevivedByTierProbe assert an edge gave up and came back"},
-	{"jxta/internal/rendezvous.Service.Rumors", "an observable: FuzzReceiveLease bounds the rumor store's growth per message with it"},
+	{"jxta/internal/rendezvous.Service.HasClient", "an observable: node's TestStartConnectsEdge, TestRestartRearmsTheSameTimers and TestLeaseSurvivesOverTCP assert whether a rendezvous holds an edge's lease; the server half's own checks read its table"},
 	{"jxta/internal/simnet.NodeEnv.RandResident", "an observable: experiments' idle-edge tests assert a quiet edge holds no RNG register"},
 	{"jxta/internal/transport.Network.Model", "experiments' loss tests (failure_test.go) raise the LossRate of a built overlay through it; deploy has no loss option"},
 }
