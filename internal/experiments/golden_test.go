@@ -122,7 +122,8 @@ func volatilityFingerprint(res VolatilityResult) string {
 // elements instead of several single-adv messages, so message counts,
 // bytes and every downstream RNG draw shift. (2) Resolver responses now
 // echo the query's hop count (one extra wire element: byte counts move).
-// (3) rumor aging came on (today the constant rendezvous.rumorDeadSweeps), so
+// (3) rumor aging came on (today the dead-sweep count of each record in the
+// rendezvous service's rumor store, evicted at rumorDeadSweeps), so
 // island-merge scenarios retire dead tier-probe targets they previously
 // probed forever (volatility/island-merge traffic shrinks). The peerview
 // golden's plateau/consistency claims still hold (reached=true,

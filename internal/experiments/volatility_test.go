@@ -100,23 +100,33 @@ func TestVolatilityIslandMergeConverges(t *testing.T) {
 // on 24; most failing seeds end live=2 view=0 merges=0, two promoted islands
 // that never learn of each other. The floors are a ratchet: a fix raises
 // them; neither they nor the golden's seed are to be chosen around a failure.
+// Each seed also runs with IslandMerge off, which records ROADMAP item 13's
+// verdict that island merge earns its place: more seeds end Reconverged with
+// it than without it (9 against 0 when this was added).
 func TestIslandMergeSeedSweep(t *testing.T) {
 	const convergedFloor, answeredFloor = 9, 24
 	converged, answered := 0, 0
-	t.Log("seed live view  conv  merges post-ok")
+	reconverged := [2]int{} // merge off, on
+	t.Log("seed live view  conv  merges post-ok  reconverged-without-merge")
 	for seed := int64(1); seed <= 40; seed++ {
-		res, err := RunVolatility(VolatilitySpec{
-			R: 4, EdgesPerRdv: 2,
-			KillEvery: []time.Duration{90 * time.Second},
-			Kills:     4, Queries: 40, Seed: seed,
-			IslandMerge: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+		var pts [2]VolatilityPoint
+		for i, merge := range []bool{false, true} {
+			res, err := RunVolatility(VolatilitySpec{
+				R: 4, EdgesPerRdv: 2,
+				KillEvery: []time.Duration{90 * time.Second},
+				Kills:     4, Queries: 40, Seed: seed,
+				IslandMerge: merge,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pts[i] = res.Points[0]; pts[i].Reconverged {
+				reconverged[i]++
+			}
 		}
-		pt := res.Points[0]
-		t.Logf("%4d %4d %4.2f %5v %6d %4d/40", seed, pt.LiveTier, pt.MeanView,
-			pt.Merge.Converged, pt.Merge.Merges, pt.Merge.Phase.Succeeded)
+		pt := pts[1]
+		t.Logf("%4d %4d %4.2f %5v %6d %4d/40  %v", seed, pt.LiveTier, pt.MeanView,
+			pt.Merge.Converged, pt.Merge.Merges, pt.Merge.Phase.Succeeded, pts[0].Reconverged)
 		if pt.Merge.Converged {
 			converged++
 		}
@@ -125,9 +135,13 @@ func TestIslandMergeSeedSweep(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 40 seeds reconverge, %d answer 40/40 after the merge phase", converged, answered)
+	t.Logf("Reconverged on %d seeds with the merge, %d without it", reconverged[1], reconverged[0])
 	if converged < convergedFloor || answered < answeredFloor {
 		t.Fatalf("%d of 40 seeds reconverge (floor %d), %d answer 40/40 post-merge (floor %d)",
 			converged, convergedFloor, answered, answeredFloor)
+	}
+	if reconverged[1] <= reconverged[0] {
+		t.Fatalf("island merge earns nothing: %d seeds reconverge with it, %d without it", reconverged[1], reconverged[0])
 	}
 }
 

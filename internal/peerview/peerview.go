@@ -27,13 +27,14 @@
 // Under total attrition the tier can fragment into islands: promoted
 // successors that anchor disjoint peerviews and never learn the other
 // anchors exist (the degenerate case of the paper's §5 volatility axis).
-// The merge protocol closes that gap deterministically: when the rendezvous
-// service learns of a foreign rendezvous through a gossiped tier rumor
-// (Rumor/RumorStore below), it calls Merge — the initiator sends its full
-// ID-sorted member list (self included), the receiver unions it into its
-// own view and answers with its post-union list, and the initiator unions
-// that. Both sides then notify the MergeListener so the layers above can
-// re-replicate SRDI tuples and reconcile duplicate client leases.
+// The merge handshake closes that gap deterministically: Merge makes the
+// initiator send its full ID-sorted member list (self included), the
+// receiver unions it into its own view and answers with its post-union
+// list, and the initiator unions that. Both sides then notify the
+// MergeListener so the layers above can re-replicate SRDI tuples and
+// reconcile duplicate client leases. Which peer to merge with, and when, is
+// the rendezvous service's business: it learns foreign anchors from the
+// tier rumors its lease traffic gossips.
 package peerview
 
 import (
@@ -136,160 +137,6 @@ func (c Config) withDefaults() Config {
 type Seed struct {
 	ID   ids.ID
 	Addr transport.Addr
-}
-
-// Rumor is one gossiped "tier rumor": the identity and address of a peer
-// believed to hold (or to have been elected into) the rendezvous role.
-// Rumors piggyback on edge traffic — lease requests and grants — so any
-// edge that ever contacted two islands becomes a bridge between them. Sig
-// is an FNV-1a checksum over the record, standing in for a signature: a
-// relay cannot silently corrupt the identity or address in transit without
-// the record being dropped on receipt (Verify).
-type Rumor struct {
-	Seed
-	Sig uint64
-}
-
-// RumorStore accumulates tier rumors in ascending ID order. Unlike the
-// failover alternates — which each lease grant replaces wholesale — the
-// store only grows (or refreshes addresses), because a rumor's value is
-// exactly that it may name a rendezvous the *current* island has never
-// heard of. Entries without an address are rejected: they cannot be probed.
-// The read methods and Sweep take a nil store as an empty one, so an owner
-// can leave the store unbuilt until its first write.
-type RumorStore struct {
-	order  []Rumor // ascending ID: the ordering is the index (find)
-	cursor int     // rotating window position (NextWindow)
-	// misses counts the consecutive Sweep calls an identity was dead. Nil
-	// until a sweep charges one — only rendezvous sweep, so an edge's store
-	// is its ordered slice and nothing else.
-	misses map[ids.ID]int
-}
-
-// NewRumorStore builds an empty store.
-func NewRumorStore() *RumorStore { return &RumorStore{} }
-
-// find returns the position id holds, or would be inserted at, in the
-// ascending order, and whether it is present.
-func (rs *RumorStore) find(id ids.ID) (int, bool) {
-	return slices.BinarySearchFunc(rs.order, id, func(r Rumor, id ids.ID) int { return r.ID.Compare(id) })
-}
-
-// Add inserts a verified rumor, keeping ID order. A record for a known ID
-// refreshes the stored address. It reports whether the store changed. r may
-// have been read in place off a loaned message (ParseRumorBytes): the store
-// copies the address it keeps, and a rumor it already holds costs nothing.
-func (rs *RumorStore) Add(r Rumor) bool { return r.Verify() && rs.add(r) }
-
-// add is Add for a rumor whose checksum is known to be good.
-func (rs *RumorStore) add(r Rumor) bool {
-	if r.Addr == "" || r.ID.IsNil() {
-		return false
-	}
-	delete(rs.misses, r.ID) // a fresh sighting resets the aging clock
-	i, ok := rs.find(r.ID)
-	if ok && rs.order[i].Addr == r.Addr {
-		return false
-	}
-	r.Seed = r.Seed.Clone()
-	if ok {
-		rs.order[i] = r
-	} else {
-		rs.order = slices.Insert(rs.order, i, r)
-	}
-	return true
-}
-
-// AddSeed is Add over a locally learned identity (checksummed here).
-func (rs *RumorStore) AddSeed(sd Seed) bool { return rs.add(NewRumor(sd)) }
-
-// Len returns the number of stored rumors.
-func (rs *RumorStore) Len() int {
-	if rs == nil {
-		return 0
-	}
-	return len(rs.order)
-}
-
-// All returns the rumors in ascending ID order (shared backing array; the
-// caller must not mutate entries).
-func (rs *RumorStore) All() []Rumor {
-	if rs == nil {
-		return nil
-	}
-	return rs.order
-}
-
-// NextWindow returns up to n rumors starting at an internal rotating
-// cursor, advancing it. Piggyback channels are capped per message; always
-// sending the first n by ID would starve every identity past the cap —
-// possibly the one pointer that bridges two islands. Rotating the window
-// guarantees the whole store circulates over successive messages. Inserts
-// shift the order, so a rotation step may repeat or skip an entry once;
-// the cycle stays complete and deterministic. The window is returned as the
-// two runs of the store it covers — up to the end, then wrapped around from
-// the start — which share the store's backing array: read them before the
-// next Add or Sweep, and do not mutate them.
-func (rs *RumorStore) NextWindow(n int) (head, wrapped []Rumor) {
-	total := rs.Len()
-	if total == 0 || n <= 0 {
-		return nil, nil
-	}
-	if n > total {
-		n = total
-	}
-	if rs.cursor >= total {
-		rs.cursor = 0
-	}
-	head = rs.order[rs.cursor:min(rs.cursor+n, total)]
-	wrapped = rs.order[:n-len(head)]
-	rs.cursor = (rs.cursor + n) % total
-	return head, wrapped
-}
-
-// Sweep ages the store against a liveness oracle and reports how many
-// rumors it evicted. Each call charges one "miss" to every identity for
-// which live returns false (and clears the count for live ones); an
-// identity dead for deadAfter consecutive sweeps is evicted. Add and
-// AddSeed also clear the count — a re-gossiped rumor restarts its clock.
-// Without sweeping, a long-lived deployment's store grows monotonically
-// with every identity that ever joined the tier; aging bounds it to the
-// identities seen alive (or re-rumored) recently, while the multi-sweep
-// grace period keeps one missed probe from erasing a merge lead.
-// deadAfter <= 0 disables aging entirely (no misses are charged).
-func (rs *RumorStore) Sweep(deadAfter int, live func(ids.ID) bool) int {
-	if deadAfter <= 0 || rs == nil {
-		return 0
-	}
-	kept := rs.order[:0]
-	evicted, shift := 0, 0
-	for i, r := range rs.order {
-		if live(r.ID) {
-			delete(rs.misses, r.ID)
-			kept = append(kept, r)
-			continue
-		}
-		m := rs.misses[r.ID] + 1
-		if m < deadAfter {
-			if rs.misses == nil {
-				rs.misses = make(map[ids.ID]int)
-			}
-			rs.misses[r.ID] = m
-			kept = append(kept, r)
-			continue
-		}
-		delete(rs.misses, r.ID)
-		evicted++
-		if i < rs.cursor {
-			shift++ // keep the rotation window anchored on surviving entries
-		}
-	}
-	if evicted == 0 {
-		return 0
-	}
-	rs.order = kept
-	rs.cursor -= shift
-	return evicted
 }
 
 // EventKind classifies peerview membership events (Figure 3 right).

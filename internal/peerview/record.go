@@ -19,7 +19,19 @@ import (
 // lies, and the Seed they return points into it: Addr is a view of the
 // record, valid for as long as the record is. A delivered message is on
 // loan (transport.Handler), so whoever keeps such a Seed past the handler
-// call keeps a Clone — RumorStore.Add does, on insert.
+// call keeps a Clone — the rendezvous service's rumor store does, on insert.
+
+// Rumor is one gossiped "tier rumor": the identity and address of a peer
+// believed to hold (or to have been elected into) the rendezvous role.
+// Rumors piggyback on edge traffic — lease requests and grants — so any
+// edge that ever contacted two islands becomes a bridge between them. Sig
+// is an FNV-1a checksum over the record, standing in for a signature: a
+// relay cannot silently corrupt the identity or address in transit without
+// the record being dropped on receipt (Verify).
+type Rumor struct {
+	Seed
+	Sig uint64
+}
 
 // AppendEncode appends the record "id addr" to dst.
 func (sd Seed) AppendEncode(dst []byte) []byte {

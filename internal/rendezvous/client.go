@@ -195,8 +195,8 @@ func (c *client) requestLease() {
 		// the request is the edge→rendezvous gossip channel that bridges
 		// islands, and rotation guarantees every stored identity — however
 		// large the store grew — reaches the rendezvous eventually.
-		head, wrapped := c.rumors.NextWindow(maxRumors)
-		for _, run := range [2][]peerview.Rumor{head, wrapped} {
+		head, wrapped := c.rumors.nextWindow(maxRumors)
+		for _, run := range [2][]rumorRecord{head, wrapped} {
 			for _, r := range run {
 				if r.ID.Equal(target.ID) {
 					continue // the target knows itself
@@ -299,7 +299,7 @@ func (c *client) electAndHeal() {
 	if c.cfg.IslandMerge {
 		// The elected successor is a promoted-tier identity worth gossiping
 		// even if it never answers us: another island may reach it.
-		c.rumorStore().AddSeed(succ)
+		c.rumorStore().add(peerview.NewRumor(succ))
 	}
 	c.requestLease()
 }
@@ -346,7 +346,7 @@ func (c *client) learnGrantState(m *message.Message) {
 				c.alternates = setSeedAt(c.alternates, alts, sd)
 				alts++
 				if c.cfg.IslandMerge {
-					c.rumorStore().AddSeed(sd) // alternates are tier identities too
+					c.rumorStore().add(peerview.NewRumor(sd)) // alternates are tier identities too
 				}
 			}
 		case elemClient:
@@ -356,7 +356,7 @@ func (c *client) learnGrantState(m *message.Message) {
 				if c.cfg.IslandMerge && !sd.ID.Equal(c.ep.ID()) {
 					// Co-clients are bridge pointers: a tier probe to one
 					// inside another island redirects us to its anchor.
-					c.rumorStore().AddSeed(sd)
+					c.rumorStore().add(peerview.NewRumor(sd))
 				}
 			}
 		case elemRumor:
@@ -410,7 +410,7 @@ func (c *client) receiveRedirect(src ids.ID, val []byte) {
 	c.failCount = 0
 	c.dormant = false
 	if c.cfg.IslandMerge {
-		c.rumorStore().AddSeed(succ)
+		c.rumorStore().add(peerview.NewRumor(succ))
 	}
 	c.requestLease()
 }

@@ -123,24 +123,24 @@ func (e *horizonEnv) After(d time.Duration, fn func()) env.Event {
 // memory of its own.
 func observable(s *Service) string {
 	rdv, connected := s.ConnectedRdv()
-	return fmt.Sprint(clientsOf(s), rdv, connected, s.rumors.All()) // fmt sorts a map by key
+	return fmt.Sprint(clientsOf(s), rdv, connected, s.rumors.all()) // fmt sorts a map by key
 }
 
 // FuzzReceiveLease feeds receiveLease arbitrary lease: element sets, from a
 // known client, the rendezvous and a stranger, to three started services: a
 // rendezvous (the server half), an edge (the client half), and an edge with
 // a promote hook, which a handoff switches from one half to the other. It
-// must not panic; one message may grow the client table, the rumor store
-// and the merge backoff table by no more than the entries it carried — and
-// the backoff table of a server half a handoff built by the rumors the edge
-// carried across too, each of which it probes at once; whatever durations it
-// names, no client lease ends later than a whole LeaseDuration from now and
-// no timer is armed further out than one (a grant or a handoff promises at
-// most what could have been asked for); and it must keep nothing of the
-// message it was lent (transport.Handler): overwriting every payload after
-// the call leaves the client table, ConnectedRdv() and the rumor store
-// reading as they did. The rig is shared, and rebuilt every 64 inputs so
-// that the promotee is an edge again.
+// must not panic; one message may grow the client table and the rumor store,
+// and stamp rumor records with a merge backoff, by no more than the entries
+// it carried — and a server half a handoff built may also stamp the records
+// the edge carried across, each of which it probes at once; whatever
+// durations it names, no client lease ends later than a whole LeaseDuration
+// from now and no timer is armed further out than one (a grant or a handoff
+// promises at most what could have been asked for); and it must keep
+// nothing of the message it was lent (transport.Handler): overwriting every
+// payload after the call leaves the client table, ConnectedRdv() and the
+// rumor store reading as they did. The rig is shared, and rebuilt every 64
+// inputs so that the promotee is an edge again.
 func FuzzReceiveLease(f *testing.F) {
 	_, sent := newLeaseRig(f, 61)
 	richest := map[string][]byte{} // per kind of message, the longest one sent
@@ -161,7 +161,10 @@ func FuzzReceiveLease(f *testing.F) {
 		f.Add(byte(1), script)
 	}
 	f.Add(byte(0), []byte{10, 1, '1', 8, 3, 'x', ' ', 'y'}) // a tier probe with a malformed rumor
-	forever := "9000000000000000000"                        // 285 years, in nanoseconds
+	forged := peerview.NewRumor(peerview.Seed{ID: ids.Nil, Addr: "sim://9/forged"})
+	f.Add(byte(2), leaseScript(message.New().AddString(leaseNS, elemRequest, "60000000000").
+		AddString(leaseNS, elemRumor, string(forged.AppendEncode(nil))))) // a checksummed rumor naming the nil ID
+	forever := "9000000000000000000" // 285 years, in nanoseconds
 	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemGranted, forever)))
 	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemHandoff, "1").AddString(leaseNS, elemClient,
 		ids.FromName(ids.KindPeer, "handed-off").String()+" sim://0/handed-off "+forever)))
@@ -174,7 +177,7 @@ func FuzzReceiveLease(f *testing.F) {
 		src := []ids.ID{rig.edge.id, rig.rdv.id, ids.FromName(ids.KindPeer, "stranger")}[int(who)%3]
 		for _, s := range []*Service{rig.rdv.svc, rig.edge.svc, rig.promotee.svc} {
 			m, payloads := leaseFromScript(script)
-			clients, rumors, tried := len(clientsOf(s)), s.rumors.Len(), len(mergeTriedOf(s))
+			clients, rumors, stamped := len(clientsOf(s)), s.rumors.Len(), stampedOf(s)
 			wasEdge := !s.IsRendezvous()
 			timers := &horizonEnv{Env: s.env}
 			s.env = timers
@@ -193,9 +196,9 @@ func FuzzReceiveLease(f *testing.F) {
 			if wasEdge && s.IsRendezvous() {
 				probed += rumors // a promotion probes every identity the edge heard of
 			}
-			if len(clientsOf(s))-clients > room || s.rumors.Len()-rumors > room || len(mergeTriedOf(s))-tried > probed {
-				t.Fatalf("a message of %d elements grew clients %d→%d, rumors %d→%d, mergeTried %d→%d",
-					m.Len(), clients, len(clientsOf(s)), rumors, s.rumors.Len(), tried, len(mergeTriedOf(s)))
+			if len(clientsOf(s))-clients > room || s.rumors.Len()-rumors > room || stampedOf(s)-stamped > probed {
+				t.Fatalf("a message of %d elements grew clients %d→%d, rumors %d→%d, stamped records %d→%d",
+					m.Len(), clients, len(clientsOf(s)), rumors, s.rumors.Len(), stamped, stampedOf(s))
 			}
 			before := observable(s)
 			scribble(payloads)

@@ -120,7 +120,7 @@ func TestLearnedSeedsOwnTheirAddr(t *testing.T) {
 		svc *Service
 		ep  *endpoint.Endpoint
 	}{"rdv": {rdv.svc, rdv.ep}, "edge": {edge.svc, edge.ep}, "sleeper": {sleeper.svc, sleeper.ep}} {
-		for _, r := range p.svc.rumors.All() {
+		for _, r := range p.svc.rumors.all() {
 			all = append(all, learned{name + " rumor", r.Seed})
 		}
 		for id, cl := range clientsOf(p.svc) {

@@ -170,7 +170,7 @@ type core struct {
 	// and survives promotion, so a promoted anchor at once tries to merge
 	// with every island it heard of as an edge. Nil until first written
 	// (rumorStore); the store's read methods take nil as empty.
-	rumors *peerview.RumorStore
+	rumors *rumorStore
 
 	m     *counts // behind a pointer, so that an edge's Service stays in its size class
 	trace *metrics.Trace
@@ -238,29 +238,27 @@ func (s *Service) SetStateExporter(e StateExporter) { s.exporter = e }
 func (s *Service) SetMergeHook(fn func(peer ids.ID)) { s.mergeFn = fn }
 
 // rumorStore returns the rumor store for writing, building it on first use.
-func (c *core) rumorStore() *peerview.RumorStore {
+func (c *core) rumorStore() *rumorStore {
 	if c.rumors == nil {
-		c.rumors = peerview.NewRumorStore()
+		c.rumors = new(rumorStore)
 	}
 	return c.rumors
 }
 
 // learnRumor stores a verified tier rumor for onward gossip unless it names
-// this peer, and reports whether it did.
-func (c *core) learnRumor(r peerview.Rumor) bool {
+// this peer, and returns the store's record of it: nil when the rumor names
+// this peer or the store refused it.
+func (c *core) learnRumor(r peerview.Rumor) *rumorRecord {
 	if r.ID.Equal(c.ep.ID()) {
-		return false
+		return nil
 	}
-	c.rumorStore().Add(r)
-	return true
+	return c.rumorStore().add(r)
 }
 
 // rumorSeed returns the rumor store's record for id, or the bare ID.
 func (c *core) rumorSeed(id ids.ID) peerview.Seed {
-	for _, r := range c.rumors.All() {
-		if r.ID.Equal(id) {
-			return r.Seed
-		}
+	if rec := c.rumors.record(id); rec != nil {
+		return rec.Seed
 	}
 	return peerview.Seed{ID: id}
 }
@@ -409,8 +407,8 @@ func (s *Service) halt(graceful bool) {
 }
 
 // Reset clears a stopped service's soft state for a cold restart: the rumor
-// store and the half's tables and progress. The role is kept: a promoted
-// peer restarts as a rendezvous.
+// store, merge stamps and all, and the half's tables and progress. The role
+// is kept: a promoted peer restarts as a rendezvous.
 func (s *Service) Reset() {
 	s.rumors = nil
 	if s.srv != nil {

@@ -91,14 +91,6 @@ func clientsOf(s *Service) map[ids.ID]clientLease {
 	return s.srv.clients
 }
 
-// mergeTriedOf returns a service's merge backoff table; an edge has none.
-func mergeTriedOf(s *Service) map[ids.ID]time.Duration {
-	if s.srv == nil {
-		return nil
-	}
-	return s.srv.mergeTried
-}
-
 func TestDirectionString(t *testing.T) {
 	if Up.String() != "up" || Down.String() != "down" {
 		t.Fatal("direction strings wrong")
@@ -704,88 +696,6 @@ func TestElectionSkipsDeadSuccessor(t *testing.T) {
 	}
 }
 
-func TestRumorAgingEvictsDeadIdentities(t *testing.T) {
-	// A rumor for an identity that is never a peerview member or leased
-	// client must age out of the store after rumorDeadSweeps sweeps, while
-	// live tier members survive indefinitely.
-	sched := simnet.NewScheduler(1)
-	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
-	cfg := DefaultConfig()
-	cfg.LeaseDuration = 2 * time.Minute // client sweep every 30s
-	cfg.IslandMerge = true
-	rdvs := newRdvOverlayCfg(t, sched, net, 2, cfg)
-	ghost := peerview.NewRumor(peerview.Seed{
-		ID:   ids.FromName(ids.KindPeer, "long-gone"),
-		Addr: "sim://0/long-gone",
-	})
-	member := peerview.NewRumor(peerview.Seed{
-		ID: rdvs[1].id, Addr: rdvs[1].tr.Addr(),
-	})
-	sched.After(time.Minute, func() {
-		rdvs[0].svc.rumorStore().Add(ghost)
-		rdvs[0].svc.rumorStore().Add(member)
-	})
-	sched.Run(20 * time.Minute)
-	if hasRumor(rdvs[0].svc, ghost.ID) {
-		t.Fatal("dead rumor survived 19 minutes of sweeps")
-	}
-	if !hasRumor(rdvs[0].svc, rdvs[1].id) {
-		t.Fatal("live tier member evicted")
-	}
-}
-
-func TestDeadRumorRetiresFromTierProbes(t *testing.T) {
-	// Without aging an anchor would tier-probe every rumored identity
-	// forever, dead or not. A confirmed-dead identity must stop consuming
-	// probe traffic once it ages out of the rumor store.
-	sched := simnet.NewScheduler(55)
-	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
-	cfg := DefaultConfig()
-	cfg.LeaseDuration = 2 * time.Minute // sweep every 30s, probe retry every 1m
-	cfg.IslandMerge = true
-	rdvs := newRdvOverlayCfg(t, sched, net, 1, cfg)
-
-	// A silent listener at the ghost's address: it counts the tier probes it
-	// receives and never answers — a dead peer, except that we can see the
-	// traffic wasted on it.
-	ghostEnv := sched.NewEnv("ghost")
-	ghostTr, err := net.Attach("ghost", netmodel.Site(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ghostID := ids.FromName(ids.KindPeer, "long-gone")
-	ghostEP := endpoint.New(ghostEnv, ghostID, ghostTr)
-	probes := 0
-	ghostEP.Register(LeaseService, func(src ids.ID, m *message.Message) { probes++ })
-
-	sched.After(time.Minute, func() {
-		rdvs[0].svc.rumorStore().Add(peerview.NewRumor(peerview.Seed{
-			ID: ghostID, Addr: ghostTr.Addr(),
-		}))
-	})
-	sched.Run(15 * time.Minute)
-	early := probes
-	if early == 0 {
-		t.Fatal("ghost rumor never probed at all")
-	}
-	sched.Run(45 * time.Minute)
-	if probes != early {
-		t.Fatalf("dead identity still probed after eviction: %d probes at 15m, %d at 45m", early, probes)
-	}
-	if hasRumor(rdvs[0].svc, ghostID) {
-		t.Fatal("dead rumor still stored after its aging horizon")
-	}
-}
-
-func hasRumor(s *Service, id ids.ID) bool {
-	for _, r := range s.rumors.All() {
-		if r.ID.Equal(id) {
-			return true
-		}
-	}
-	return false
-}
-
 func TestDormantEdgeRevivedByTierProbe(t *testing.T) {
 	// The flip side of rumor aging: a genuinely dormant edge must still be
 	// revived by the tier probes sent inside its grace window — aging must
@@ -817,7 +727,7 @@ func TestDormantEdgeRevivedByTierProbe(t *testing.T) {
 	// The surviving anchor hears a rumor naming the dormant edge (e.g. from
 	// an old roster). Its first tier probe must wake the edge, which then
 	// leases from the prober — before aging could retire it.
-	rdvs[0].svc.rumorStore().Add(peerview.NewRumor(peerview.Seed{
+	rdvs[0].svc.rumorStore().add(peerview.NewRumor(peerview.Seed{
 		ID: edge.id, Addr: edge.tr.Addr(),
 	}))
 	sched.Run(sched.Now() + 5*time.Minute)
@@ -859,9 +769,8 @@ func TestReturnsToZeroState(t *testing.T) {
 		if s.srv == nil || !reflect.ValueOf(s.cli).IsZero() {
 			t.Fatalf("%s: server half %v, client half zero %v", when, s.srv != nil, reflect.ValueOf(s.cli).IsZero())
 		}
-		if v := s.srv; v.clients != nil || v.walkSeen != nil || v.mergeTried != nil {
-			t.Fatalf("%s: clients=%v walkSeen=%v mergeTried=%v allocated", when,
-				v.clients != nil, v.walkSeen != nil, v.mergeTried != nil)
+		if v := s.srv; v.clients != nil || v.walkSeen != nil {
+			t.Fatalf("%s: clients=%v walkSeen=%v allocated", when, v.clients != nil, v.walkSeen != nil)
 		}
 	}
 	isEdge("fresh edge", edge.svc)

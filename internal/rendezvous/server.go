@@ -11,13 +11,6 @@ import (
 	"jxta/internal/transport"
 )
 
-// rumorDeadSweeps bounds the IslandMerge rumor store: an identity that is
-// neither a view member nor a leased client nor re-gossiped for this many
-// client sweeps (each LeaseDuration/4) is retired, and retryMerges stops
-// probing it. Four sweeps is one LeaseDuration, inside which every live peer
-// renews a lease, and so re-gossips or re-appears, at least once.
-const rumorDeadSweeps = 4
-
 // clientLease is one granted lease at a rendezvous.
 type clientLease struct {
 	expires time.Duration
@@ -27,7 +20,8 @@ type clientLease struct {
 // server is the rendezvous' half of the lease protocol: it owns the
 // peerview, grants leases and sweeps the client table, relays walks, merges
 // islands and hands its table off on a graceful stop. Every table a message
-// can grow is here; each map is nil until first written.
+// can grow is here but the rumor store, which a promotion carries across;
+// each map is nil until first written.
 type server struct {
 	*core
 	pv          *peerview.PeerView
@@ -35,7 +29,6 @@ type server struct {
 	clientSweep *env.Ticker
 	walkSeen    map[walkKey]bool
 	nextWalkID  uint64
-	mergeTried  map[ids.ID]time.Duration // merge-initiation dedup/backoff (IslandMerge)
 }
 
 func newServer(c *core, pv *peerview.PeerView) *server {
@@ -62,7 +55,7 @@ func (v *server) halt(graceful bool) {
 	}
 }
 
-// reset drops the leases, the walk dedup set and the merge backoff. Walk IDs
+// reset drops the leases and the walk dedup set. Walk IDs
 // keep increasing: other peers may remember this peer's walks from before.
 func (v *server) reset() {
 	*v = server{core: v.core, pv: v.pv, clientSweep: v.clientSweep, nextWalkID: v.nextWalkID}
@@ -102,7 +95,7 @@ func (v *server) adopt(roster []peerview.Seed) {
 		v.learnRoute(sd)
 		v.setClient(sd.ID, clientLease{expires: v.env.Now() + v.cfg.LeaseDuration, addr: string(sd.Addr)})
 		if v.cfg.IslandMerge {
-			v.rumorStore().AddSeed(sd)
+			v.rumorStore().add(peerview.NewRumor(sd))
 		}
 	}
 }
@@ -116,7 +109,7 @@ func (v *server) sweepClients() {
 		}
 	}
 	if v.cfg.IslandMerge {
-		evicted := v.rumors.Sweep(rumorDeadSweeps, func(id ids.ID) bool {
+		evicted := v.rumors.sweep(func(id ids.ID) bool {
 			return id.Equal(v.ep.ID()) || v.pv.Contains(id) || v.hasClient(id)
 		})
 		v.m.rumorEvicts += uint64(evicted)
@@ -149,8 +142,8 @@ func (v *server) receiveRequest(src ids.ID, asked, edgeAddr []byte, m *message.M
 			if el.Namespace != leaseNS || el.Name != elemRumor {
 				continue
 			}
-			if r, ok := peerview.ParseRumorBytes(el.Data); ok && v.learnRumor(r) {
-				v.maybeMerge(r.Seed)
+			if r, ok := peerview.ParseRumorBytes(el.Data); ok {
+				v.maybeMerge(v.learnRumor(r))
 			}
 		}
 	}
@@ -242,8 +235,8 @@ func (v *server) appendGrantRumors(m *message.Out, src ids.ID) {
 	// Draw only the budget left after self and members, so the window
 	// cursor advances by what was consumed and the store's tail circulates
 	// on later grants.
-	head, wrapped := v.rumors.NextWindow(maxRumors - n)
-	for _, run := range [2][]peerview.Rumor{head, wrapped} {
+	head, wrapped := v.rumors.nextWindow(maxRumors - n)
+	for _, run := range [2][]rumorRecord{head, wrapped} {
 		for _, r := range run {
 			emit(r.Seed)
 		}
@@ -354,27 +347,27 @@ func (v *server) importHandoff(m *message.Message) {
 
 // --- Island merge (IslandMerge) ---
 
-// maybeMerge sends a tier probe to a rumored peer, unless it is already a
-// view member or was probed recently. The probe — not a direct merge — makes
-// *every* remembered identity a potential bridge: a rendezvous answers with
-// itself, a leased edge with its island's anchor, a dead peer not at all.
-// The retry backoff is one renewal period: a peer that is dead or still an
-// edge now may anchor an island later.
-//
-// sd may be a view of a loaned message; nothing here keeps it.
-func (v *server) maybeMerge(sd peerview.Seed) {
-	if !v.cfg.IslandMerge || !v.started {
+// maybeMerge sends a tier probe to a rumored peer and stamps its record,
+// unless the store refused the rumor (rec is nil), the peer is already a
+// view member or it was probed recently. The probe — not a direct merge —
+// makes *every* remembered identity a potential bridge: a rendezvous answers
+// with itself, a leased edge with its island's anchor, a dead peer not at
+// all. The retry backoff is one renewal period: a peer that is dead or still
+// an edge now may anchor an island later.
+func (v *server) maybeMerge(rec *rumorRecord) {
+	if rec == nil || !v.cfg.IslandMerge || !v.started {
 		return
 	}
+	sd := rec.Seed
 	if sd.ID.Equal(v.ep.ID()) || v.pv.Contains(sd.ID) {
 		return
 	}
 	retry := time.Duration(float64(v.cfg.LeaseDuration) * renewFraction)
 	now := v.env.Now()
-	if at, tried := v.mergeTried[sd.ID]; tried && now-at < retry {
+	if rec.stamped && now-rec.tried < retry {
 		return
 	}
-	v.markMergeTried(sd.ID, now)
+	rec.tried, rec.stamped = now, true
 	v.learnRoute(sd)
 	m := leaseMessage(elemTierProbe, "1")
 	m.AddScratch(leaseNS, elemRumor, v.selfRumor().AppendEncode(m.Scratch()))
@@ -385,24 +378,16 @@ func (v *server) maybeMerge(sd peerview.Seed) {
 // limited by maybeMerge: the anchor of an island nobody leases with keeps
 // asking everyone it ever heard of until one answers or redirects it.
 func (v *server) retryMerges() {
-	for _, r := range v.rumors.All() {
-		v.maybeMerge(r.Seed)
+	for i := 0; i < v.rumors.Len(); i++ {
+		v.maybeMerge(&v.rumors.recs[i])
 	}
-}
-
-// markMergeTried stamps a merge initiation toward peer.
-func (v *server) markMergeTried(peer ids.ID, at time.Duration) {
-	if v.mergeTried == nil {
-		v.mergeTried = make(map[ids.ID]time.Duration)
-	}
-	v.mergeTried[peer] = at
 }
 
 // answerProbe remembers a tier prober, considers probing it back, and
 // names this rendezvous.
 func (v *server) answerProbe(prober peerview.Rumor, proberOK bool) (peerview.Rumor, bool) {
-	if proberOK && v.learnRumor(prober) {
-		v.maybeMerge(prober.Seed)
+	if proberOK {
+		v.maybeMerge(v.learnRumor(prober))
 	}
 	return v.selfRumor(), true
 }
@@ -416,16 +401,20 @@ func (v *server) receiveTierAck(src ids.ID, rumor []byte) {
 		return
 	}
 	r, ok := peerview.ParseRumorBytes(rumor)
-	if !ok || !v.learnRumor(r) {
+	if !ok {
+		return
+	}
+	rec := v.learnRumor(r)
+	if rec == nil {
 		return
 	}
 	if !r.ID.Equal(src) {
-		v.maybeMerge(r.Seed) // redirect: probe the named anchor next
+		v.maybeMerge(rec) // redirect: probe the named anchor next
 		return
 	}
 	if !v.pv.Contains(r.ID) {
-		v.markMergeTried(r.ID, v.env.Now())
-		v.pv.Merge(r.Seed.Clone()) // the peerview routes to the address it is given
+		rec.tried, rec.stamped = v.env.Now(), true
+		v.pv.Merge(rec.Seed) // the store's address is its own; the peerview routes to it
 	}
 }
 
@@ -439,7 +428,7 @@ func (v *server) onPeerviewMerge(peer ids.ID) {
 	v.m.merges++
 	v.traceEvent("island-merge", peer)
 	if sd := v.tierSeed(peer); sd.Addr != "" {
-		v.rumorStore().AddSeed(sd)
+		v.rumorStore().add(peerview.NewRumor(sd))
 	}
 	v.sendMergeRoster(peer)
 	if v.mergeFn != nil {
