@@ -7,9 +7,10 @@
 //
 // The ring is built statically — the paper's point of comparison is routing
 // cost, not membership maintenance, and its related work notes that
-// classical DHT evaluations "usually assume a static network". Lookups are
-// recursive: each hop forwards to the closest preceding finger; the owner
-// answers the originator directly.
+// classical DHT evaluations "usually assume a static network". It has no
+// stabilization and no failure model: the bake-off measures it in steady
+// state. Lookups are recursive: each hop forwards to the closest preceding
+// finger; the owner answers the originator directly.
 package chord
 
 import (
@@ -46,7 +47,6 @@ type Node struct {
 	fingers [fingerBits]uint64 // finger[i] = successor(ID + 2^i)
 	succ    uint64
 	store   map[uint64]bool // keys this node owns (stored values)
-	dead    bool
 }
 
 // Ring is a deployed Chord overlay.
@@ -62,7 +62,6 @@ type Ring struct {
 type lookup struct {
 	cb    func(owner uint64, hops int, elapsed time.Duration)
 	start time.Duration
-	done  bool
 }
 
 // Build deploys n nodes with deterministic pseudo-random IDs on the given
@@ -179,9 +178,6 @@ func (r *Ring) route(from *Node, key uint64, kind string, cb func(uint64, int, t
 
 // handle processes a routing step locally (zero hops) or forwards it.
 func (n *Node) handle(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
-	if n.dead {
-		return
-	}
 	if n.owns(key) {
 		n.terminal(key, kind, req, hops, origin)
 		return
@@ -218,35 +214,15 @@ func (n *Node) terminal(key uint64, kind string, req uint64, hops int, origin tr
 
 func (r *Ring) complete(req, owner uint64, hops int) {
 	l, ok := r.pending[req]
-	if !ok || l.done {
+	if !ok {
 		return
 	}
-	l.done = true
 	delete(r.pending, req)
 	l.cb(owner, hops, r.eng.Now()-l.start)
 }
 
-// Kill fail-stops the node: its transport detaches (in-flight messages to
-// it are dropped) and it processes nothing further. Fingers are NOT
-// recomputed — the ring is static, so routes through the dead node simply
-// vanish. That fragility is the point of the churn comparison: a static
-// structured overlay has no repair path.
-func (n *Node) Kill() {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	_ = n.tr.Close()
-}
-
-// Alive reports whether the node has not been killed.
-func (n *Node) Alive() bool { return !n.dead }
-
 // receive handles inbound chord messages at a node.
 func (n *Node) receive(_ transport.Addr, m *message.Message) {
-	if n.dead {
-		return
-	}
 	kind := m.GetString(ns, elemKind)
 	req, err := strconv.ParseUint(m.GetString(ns, elemReqID), 10, 64)
 	if err != nil {

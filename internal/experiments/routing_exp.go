@@ -19,18 +19,18 @@ import (
 )
 
 // RoutingSpec parameterizes the structured-routing bake-off: the same
-// publish / lookup / maintenance / churn scenario driven through each
+// publish / lookup / maintenance scenario driven through each
 // routing.Backend at equal scale, quantifying the §3.3 trade-off space the
 // paper describes qualitatively (flooding vs. loosely-consistent DHT vs.
-// structured DHTs).
+// structured DHTs). The comparison is steady-state routing cost, as §3.3's
+// is: no member fails, and the baselines have no failure model.
 type RoutingSpec struct {
 	// N is the overlay size (the paper's r: every member is a rendezvous-
 	// class peer).
 	N int
 	// Keys is how many distinct keys are published before measuring.
 	Keys int
-	// Lookups is the number of lookup operations per wave (one healthy
-	// wave, one post-churn wave).
+	// Lookups is the number of lookup operations in the lookup wave.
 	Lookups int
 	// Converge is the settle window after deployment (peerview phase 3
 	// for SRDI, bootstrap lookups for Kademlia). Zero derives from N.
@@ -44,11 +44,6 @@ type RoutingSpec struct {
 
 // routingBackends are the overlays the bake-off runs, in order.
 var routingBackends = []string{"flood", "srdi", "chord", "kademlia"}
-
-// routingKillFrac is the fraction of the overlay fail-stopped between the
-// two lookup waves (publish originators are spared so the comparison
-// measures routing resilience, not data loss).
-const routingKillFrac = 0.25
 
 func (s RoutingSpec) withDefaults() RoutingSpec {
 	if s.Converge <= 0 {
@@ -73,7 +68,7 @@ type RoutingPoint struct {
 	// included (the LC-DHT's O(1) claim vs. Kademlia's iterative store).
 	PublishMsgsPerOp float64
 
-	// Healthy lookup wave.
+	// Lookup wave.
 	Lookups         int
 	Success         int
 	MeanHops        float64 // over successful lookups
@@ -84,13 +79,6 @@ type RoutingPoint struct {
 	// + SRDI pushes for the JXTA stack, bucket refreshes for Kademlia,
 	// zero for the static baselines).
 	MaintMsgsPerMin float64
-
-	// Post-churn lookup wave, issued by surviving originators after
-	// routingKillFrac of the overlay fail-stops with no warning.
-	Killed        int
-	ChurnLookups  int
-	ChurnSuccess  int
-	ChurnMeanHops float64
 }
 
 // RoutingResult is the full bake-off.
@@ -170,23 +158,20 @@ func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint,
 	pt := RoutingPoint{Backend: name, N: spec.N}
 
 	// --- Publish phase: Keys keys from deterministic spread originators.
-	publishers := make(map[int]bool)
 	before := net.Stats().Messages
 	for k := 0; k < spec.Keys; k++ {
-		from := (k * 31) % spec.N
-		publishers[from] = true
-		b.Publish(from, routingKey(k))
+		b.Publish((k*31)%spec.N, routingKey(k))
 	}
 	eng.Run(eng.Now() + 2*time.Minute) // let replication/stores settle
 	pt.PublishMsgsPerOp = float64(net.Stats().Messages-before) / float64(spec.Keys)
 
-	// --- Healthy lookup wave. The message delta includes background
+	// --- Lookup wave. The message delta includes background
 	// maintenance running inside the wave window (SRDI pushes, peerview
 	// probes, bucket refreshes) — deliberately: that is each system's real
 	// steady-state cost of serving lookups; the idle window below isolates
 	// the maintenance-only component.
 	before = net.Stats().Messages
-	ok, hops, lat := runLookupWave(spec, b, eng, nil)
+	ok, hops, lat := runLookupWave(spec, b, eng)
 	pt.Lookups = spec.Lookups
 	pt.Success = ok
 	pt.MeanHops = hops
@@ -198,47 +183,22 @@ func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint,
 	b.Maintain()
 	eng.Run(eng.Now() + spec.MaintWindow)
 	pt.MaintMsgsPerMin = float64(net.Stats().Messages-before) / spec.MaintWindow.Minutes()
-
-	// --- Churn: fail-stop routingKillFrac of the overlay (sparing
-	// publishers), then a second wave from surviving originators.
-	toKill := int(float64(spec.N) * routingKillFrac)
-	killed := make(map[int]bool)
-	for i := 0; i < spec.N && len(killed) < toKill; i++ {
-		victim := (i*37 + 11) % spec.N
-		if publishers[victim] || killed[victim] {
-			continue
-		}
-		killed[victim] = true
-		b.Kill(victim)
-	}
-	pt.Killed = len(killed)
-	eng.Run(eng.Now() + 30*time.Second) // deaths are silent; no grace period
-
-	ok, hops, _ = runLookupWave(spec, b, eng, killed)
-	pt.ChurnLookups = spec.Lookups
-	pt.ChurnSuccess = ok
-	pt.ChurnMeanHops = hops
 	return pt, nil
 }
 
 func routingKey(k int) string { return fmt.Sprintf("bakeoff-key-%d", k) }
 
-// runLookupWave issues spec.Lookups staggered lookups from live originators
-// and runs the clock until every callback fired or the deadline passed.
+// runLookupWave issues spec.Lookups staggered lookups from spread
+// originators and runs the clock to a deadline past the last of them.
 // Returns successes, mean hops over successes, and the latency samples.
-func runLookupWave(spec RoutingSpec, b routing.Backend, eng simnet.Engine, dead map[int]bool) (int, float64, metrics.Samples) {
-	ok, fired, totalHops := 0, 0, 0
+func runLookupWave(spec RoutingSpec, b routing.Backend, eng simnet.Engine) (int, float64, metrics.Samples) {
+	ok, totalHops := 0, 0
 	var lat metrics.Samples
 	for i := 0; i < spec.Lookups; i++ {
-		from := (i*17 + 5) % spec.N
-		for dead[from] || !b.Alive(from) {
-			from = (from + 1) % spec.N
-		}
+		origin := (i*17 + 5) % spec.N
 		key := routingKey(i % spec.Keys)
-		origin := from
 		eng.After(time.Duration(i)*200*time.Millisecond, func() {
 			b.Lookup(origin, key, func(r routing.Result) {
-				fired++
 				if r.OK {
 					ok++
 					totalHops += r.Hops
@@ -247,8 +207,9 @@ func runLookupWave(spec RoutingSpec, b routing.Backend, eng simnet.Engine, dead 
 			})
 		})
 	}
-	// Deadline generous enough for full-TTL floods and timeout-routed
-	// Kademlia waves; callbacks that never fire count as failures.
+	// Deadline generous enough for full-TTL floods and Kademlia lookups
+	// that time out on a contact; callbacks that never fire count as
+	// failures.
 	eng.Run(eng.Now() + time.Duration(spec.Lookups)*200*time.Millisecond + 2*time.Minute)
 	mean := 0.0
 	if ok > 0 {
@@ -262,8 +223,7 @@ func runLookupWave(spec RoutingSpec, b routing.Backend, eng simnet.Engine, dead 
 // beside the harness that drives it, so that internal/routing does not
 // depend on the JXTA stack; the adapter needs discovery and deploy.
 type srdiBackend struct {
-	o      *deploy.Overlay
-	killed []bool
+	o *deploy.Overlay
 }
 
 func buildSRDIBackend(spec RoutingSpec, seed int64) (*srdiBackend, error) {
@@ -277,10 +237,8 @@ func buildSRDIBackend(spec RoutingSpec, seed int64) (*srdiBackend, error) {
 		return nil, err
 	}
 	o.StartAll()
-	return &srdiBackend{o: o, killed: make([]bool, spec.N)}, nil
+	return &srdiBackend{o: o}, nil
 }
-
-func (s *srdiBackend) Alive(i int) bool { return !s.killed[i] }
 
 // Publish stores the advertisement at rendezvous i: local index + SRDI
 // replication to the replica peer (the paper's O(1) publish).
@@ -307,12 +265,3 @@ func (s *srdiBackend) Lookup(from int, key string, cb func(routing.Result)) {
 // Maintain is a no-op: peerview probing and SRDI pushes are timer-driven
 // and already running; the maintenance window measures them directly.
 func (s *srdiBackend) Maintain() {}
-
-// Kill fail-stops rendezvous i (transport detach, no goodbye).
-func (s *srdiBackend) Kill(i int) {
-	if s.killed[i] {
-		return
-	}
-	s.killed[i] = true
-	s.o.KillRdv(i)
-}

@@ -17,12 +17,12 @@ func quickRoutingSpec() RoutingSpec {
 	}
 }
 
-// TestRoutingConformance runs the identical publish/lookup/churn scenario
-// against all four backends and asserts the behavioral contract each must
-// honor, whatever its internals: full lookup success on a healthy overlay,
-// and nonzero resilience everywhere except the repair-free static ring. It
-// also holds the §3.3 contrast the bake-off exists for: flooding costs more
-// messages per lookup than the structured Chord ring.
+// TestRoutingConformance runs the identical publish/lookup/maintenance
+// scenario against all four backends and asserts the behavioral contract
+// each must honor, whatever its internals: full lookup success, and
+// maintenance traffic where a backend maintains anything. It also holds the
+// §3.3 contrast the bake-off exists for: flooding costs more messages per
+// lookup than the structured Chord ring.
 func TestRoutingConformance(t *testing.T) {
 	res, err := RunRouting(quickRoutingSpec())
 	if err != nil {
@@ -35,23 +35,7 @@ func TestRoutingConformance(t *testing.T) {
 	for _, pt := range res.Points {
 		lookupMsgs[pt.Backend] = pt.LookupMsgsPerOp
 		if pt.Success != pt.Lookups {
-			t.Errorf("%s: healthy wave %d/%d succeeded", pt.Backend, pt.Success, pt.Lookups)
-		}
-		if pt.Killed == 0 {
-			t.Errorf("%s: churn phase killed nobody", pt.Backend)
-		}
-		switch pt.Backend {
-		case "flood", "kademlia", "srdi":
-			// Flooding routes around holes by sheer coverage; Kademlia by
-			// timeout-driven eviction; the JXTA stack by lease failover,
-			// walk fallback and peerview self-healing. All must keep
-			// resolving after losing a quarter of the overlay.
-			if pt.ChurnSuccess == 0 {
-				t.Errorf("%s: no lookup survived 25%% churn", pt.Backend)
-			}
-		case "chord":
-			// The static ring has no repair path — the bake-off's point of
-			// contrast. No floor asserted: routes through dead fingers die.
+			t.Errorf("%s: lookup wave %d/%d succeeded", pt.Backend, pt.Success, pt.Lookups)
 		}
 		if pt.Backend == "kademlia" && pt.MaintMsgsPerMin == 0 {
 			t.Errorf("kademlia: bucket refresh produced no maintenance traffic")

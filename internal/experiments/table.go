@@ -239,16 +239,13 @@ type routingRow struct {
 	LatencyMs     float64 `json:"latency_ms"`
 	LookupMsgsOp  float64 `json:"lookup_msgs_op"`
 	MaintMsgsMin  float64 `json:"maint_msgs_min"`
-	Killed        int     `json:"killed"`
-	ChurnLookups  int     `json:"churn_lookups"`
-	ChurnSuccess  int     `json:"churn_success"`
-	ChurnMeanHops float64 `json:"churn_mean_hops"`
 }
 
-// routingBakeoff drives the same publish / lookup / maintenance / churn
-// scenario through every routing backend at equal scale. Full mode sweeps up
-// to r=1,000; quick mode is the CI-sized scenario the conformance and
-// golden-replay tests share.
+// routingBakeoff drives the same publish / lookup / maintenance scenario
+// through every routing backend at equal scale and compares their
+// steady-state routing cost, as §3.3 does; no member fails. Full mode
+// sweeps up to r=1,000; quick mode is the CI-sized scenario the conformance
+// and golden-replay tests share.
 func routingBakeoff(o Options) (any, []plot.Chart, error) {
 	ns, keys, lookups := []int{128, 1000}, 8, 16
 	if o.Quick {
@@ -268,7 +265,7 @@ func routingBakeoff(o Options) (any, []plot.Chart, error) {
 		for _, pt := range res.Points {
 			rows = append(rows, routingRow{pt.Backend, pt.N, pt.PublishMsgsPerOp,
 				pt.Lookups, pt.Success, pt.MeanHops, pt.Latency.Mean(), pt.LookupMsgsPerOp,
-				pt.MaintMsgsPerMin, pt.Killed, pt.ChurnLookups, pt.ChurnSuccess, pt.ChurnMeanHops})
+				pt.MaintMsgsPerMin})
 		}
 	}
 	return rows, nil, nil

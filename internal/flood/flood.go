@@ -38,7 +38,6 @@ type Node struct {
 	neighbors []int
 	keys      map[string]bool
 	seen      map[uint64]bool
-	dead      bool
 }
 
 // Network is a deployed flooding overlay.
@@ -52,7 +51,6 @@ type Network struct {
 type query struct {
 	cb    func(hops int, elapsed time.Duration)
 	start time.Duration
-	done  bool
 }
 
 // Build deploys n nodes in a connected random graph of degree ~k. Any
@@ -115,7 +113,7 @@ func (f *Network) Query(from *Node, key string, ttl int, cb func(hops int, elaps
 }
 
 func (n *Node) handleQuery(key string, req uint64, ttl, hops int, origin transport.Addr) {
-	if n.dead || n.seen[req] {
+	if n.seen[req] {
 		return
 	}
 	n.seen[req] = true
@@ -153,32 +151,14 @@ func (n *Node) handleQuery(key string, req uint64, ttl, hops int, origin transpo
 
 func (f *Network) complete(req uint64, hops int) {
 	q, ok := f.pending[req]
-	if !ok || q.done {
+	if !ok {
 		return
 	}
-	q.done = true
 	delete(f.pending, req)
 	q.cb(hops, f.eng.Now()-q.start)
 }
 
-// Kill fail-stops the node: its transport detaches and it stops relaying.
-// The flood graph is static, so queries route around the hole only as far
-// as the surviving edges allow.
-func (n *Node) Kill() {
-	if n.dead {
-		return
-	}
-	n.dead = true
-	_ = n.tr.Close()
-}
-
-// Alive reports whether the node has not been killed.
-func (n *Node) Alive() bool { return !n.dead }
-
 func (n *Node) receive(_ transport.Addr, m *message.Message) {
-	if n.dead {
-		return
-	}
 	req, err := strconv.ParseUint(m.GetString(ns, elemReqID), 10, 64)
 	if err != nil {
 		return

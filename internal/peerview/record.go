@@ -70,14 +70,14 @@ func ParseSeedBytes(b []byte) (Seed, bool) {
 // rumor's tail is its checksum, a handed-off lease's the time it has left.
 // The fields are what the strings package's Fields makes of the record:
 // separated by runs of white space, exactly three. Addr and tail are views
-// of b.
+// of b. A record naming the nil ID is refused: it names no peer.
 func ParseRecordBytes(b []byte) (sd Seed, tail []byte, ok bool) {
 	var f [3][]byte
 	if !threeFields(b, &f) {
 		return Seed{}, nil, false
 	}
 	id, err := ids.ParseBytes(f[0])
-	if err != nil {
+	if err != nil || id.IsNil() {
 		return Seed{}, nil, false
 	}
 	return Seed{ID: id, Addr: addrView(f[1])}, f[2], true

@@ -78,12 +78,17 @@ func refParseRecord(v string) (Seed, string, bool) {
 // checkCodec holds the three readers to their references on one input: the
 // same accept or reject, the same ID, address and tail; and what was
 // accepted re-encodes, by append, to what the reference encoder makes of it.
+// One departure is deliberate: a three-field record (a rumor, a handed-off
+// lease) naming the nil ID is refused, since the nil ID names no peer.
 func checkCodec(t *testing.T, b []byte) {
 	t.Helper()
 	in := string(b) // the references read a copy: the readers under test view b
 
 	r, ok := ParseRumorBytes(b)
 	want, wantOK := refParseRumor(in)
+	if want.ID.IsNil() {
+		want, wantOK = Rumor{}, false
+	}
 	if ok != wantOK || r != want {
 		t.Fatalf("ParseRumorBytes(%q) = %+v, %v; the string parser says %+v, %v", in, r, ok, want, wantOK)
 	}
@@ -109,6 +114,9 @@ func checkCodec(t *testing.T, b []byte) {
 
 	sd, tail, ok := ParseRecordBytes(b)
 	wantSeed, wantTail, wantOK := refParseRecord(in)
+	if wantSeed.ID.IsNil() {
+		wantSeed, wantTail, wantOK = Seed{}, "", false
+	}
 	if ok != wantOK || sd != wantSeed || string(tail) != wantTail {
 		t.Fatalf("ParseRecordBytes(%q) = %+v, %q, %v; the string parser says %+v, %q, %v", in, sd, tail, ok, wantSeed, wantTail, wantOK)
 	}
@@ -141,6 +149,7 @@ func codecCorpus() [][]byte {
 		[]byte(rumor + " extra"),                                      // four fields
 		[]byte(seed + " 0x1f"),                                        // not hex as ParseUint reads it
 		[]byte(seed + " \xff" + sig),                                  // invalid UTF-8 is no space
+		// a checksummed rumor naming no peer
 		[]byte("urn:jxta:nil sim://x " + strconv.FormatUint(NewRumor(Seed{Addr: "sim://x"}).Sig, 16)),
 		{}, []byte(" "), []byte("garbage"),
 	}

@@ -133,7 +133,8 @@ func observable(s *Service) string {
 // must not panic; one message may grow the client table and the rumor store,
 // and stamp rumor records with a merge backoff, by no more than the entries
 // it carried — and a server half a handoff built may also stamp the records
-// the edge carried across, each of which it probes at once; whatever
+// the edge carried across, each of which it probes at once; the nil ID,
+// which names no peer, never holds a lease; whatever
 // durations it names, no client lease ends later than a whole LeaseDuration
 // from now and no timer is armed further out than one (a grant or a handoff
 // promises at most what could have been asked for); and it must keep
@@ -168,6 +169,8 @@ func FuzzReceiveLease(f *testing.F) {
 	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemGranted, forever)))
 	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemHandoff, "1").AddString(leaseNS, elemClient,
 		ids.FromName(ids.KindPeer, "handed-off").String()+" sim://0/handed-off "+forever)))
+	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemHandoff, "1").AddString(leaseNS, elemClient,
+		"urn:jxta:nil sim://9/forged 30000000000"))) // a handed-off lease naming the nil ID
 	var rig *leaseRig
 	f.Fuzz(func(t *testing.T, who byte, script []byte) {
 		if rig == nil || rig.inputs >= 64 || rig.rdv.svc.rumors.Len() > 256 || len(rig.rdv.svc.srv.clients) > 256 {
@@ -187,6 +190,9 @@ func FuzzReceiveLease(f *testing.F) {
 				t.Fatalf("a timer was armed %v out, LeaseDuration is %v", timers.farthest, s.cfg.LeaseDuration)
 			}
 			for id, cl := range clientsOf(s) {
+				if id.IsNil() {
+					t.Fatal("the nil ID holds a lease")
+				}
 				if cl.expires > s.env.Now()+s.cfg.LeaseDuration {
 					t.Fatalf("client %s holds a lease for %v, LeaseDuration is %v", id.Short(), cl.expires-s.env.Now(), s.cfg.LeaseDuration)
 				}

@@ -632,6 +632,31 @@ func TestGracefulHandoffTransfersLeaseTable(t *testing.T) {
 	}
 }
 
+// TestForgedNilHandoffIsRefused: the nil ID names no peer, so a handed-off
+// lease naming urn:jxta:nil is refused where the record is read. Delivered
+// beside a genuine one, it must leave the self-healing rendezvous with no
+// route and no lease for the nil ID, while the genuine lease is imported.
+func TestForgedNilHandoffIsRefused(t *testing.T) {
+	sched := simnet.NewScheduler(59)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	rdv := newRdvOverlayCfg(t, sched, net, 1, selfHealCfg())[0]
+	sched.Run(time.Second)
+	handed := ids.FromName(ids.KindPeer, "handed-off")
+	m := new(lent).add(elemHandoff, "1").
+		add(elemClient, "urn:jxta:nil sim://9/forged 30000000000").
+		add(elemClient, handed.String()+" sim://9/handed-off 30000000000")
+	rdv.svc.receiveLease(ids.FromName(ids.KindPeer, "predecessor"), &m.Message)
+	if addr, ok := rdv.ep.RouteTo(ids.Nil); ok {
+		t.Fatalf("a forged handoff added a route for the nil ID, to %q", addr)
+	}
+	if rdv.svc.HasClient(ids.Nil) {
+		t.Fatal("a forged handoff granted the nil ID a lease")
+	}
+	if !rdv.svc.HasClient(handed) {
+		t.Fatal("the genuine lease in the same handoff was not imported")
+	}
+}
+
 func TestSeedRoundTrip(t *testing.T) {
 	sd := peerview.Seed{ID: ids.FromName(ids.KindPeer, "x"), Addr: "sim://x"}
 	got, ok := peerview.ParseSeedBytes(sd.AppendEncode(nil))

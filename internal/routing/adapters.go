@@ -21,9 +21,6 @@ func NewChordBackend(r *chord.Ring) *ChordBackend {
 	return &ChordBackend{Ring: r, nodes: r.Nodes()}
 }
 
-// Alive implements Backend.
-func (b *ChordBackend) Alive(i int) bool { return b.nodes[i].Alive() }
-
 // Publish implements Backend.
 func (b *ChordBackend) Publish(from int, key string) {
 	b.Ring.Store(b.nodes[from], KeyHash(key), nil)
@@ -43,9 +40,6 @@ func (b *ChordBackend) Lookup(from int, key string, cb func(Result)) {
 // no maintenance protocol to run.
 func (b *ChordBackend) Maintain() {}
 
-// Kill implements Backend.
-func (b *ChordBackend) Kill(i int) { b.nodes[i].Kill() }
-
 // FloodBackend adapts the JXTA-1.0-style flooding overlay to Backend.
 type FloodBackend struct {
 	Net   *flood.Network
@@ -56,9 +50,6 @@ type FloodBackend struct {
 func NewFloodBackend(f *flood.Network) *FloodBackend {
 	return &FloodBackend{Net: f, nodes: f.Nodes()}
 }
-
-// Alive implements Backend.
-func (b *FloodBackend) Alive(i int) bool { return b.nodes[i].Alive() }
 
 // Publish implements Backend: flooding publishes locally only (its O(1)
 // publish / O(n) query trade-off, inverted from the LC-DHT).
@@ -74,6 +65,3 @@ func (b *FloodBackend) Lookup(from int, key string, cb func(Result)) {
 
 // Maintain implements Backend: the flood graph is static, nothing to do.
 func (b *FloodBackend) Maintain() {}
-
-// Kill implements Backend.
-func (b *FloodBackend) Kill(i int) { b.nodes[i].Kill() }

@@ -26,9 +26,8 @@ const (
 	kadK = 8
 	// kadAlpha is the lookup parallelism.
 	kadAlpha = 3
-	// kadRPCTimeout is how long a single RPC waits before its target is
-	// presumed dead and the lookup routes around it. This is the overlay's
-	// only failure detector.
+	// kadRPCTimeout is how long a single RPC waits for an answer before the
+	// lookup drops its target and routes around it.
 	kadRPCTimeout = 10 * time.Second
 	// kadRefreshInterval is the per-node bucket-refresh period; each tick
 	// one node runs one FIND_NODE toward a rotating region of the space.
@@ -43,29 +42,28 @@ type kadContact struct {
 }
 
 // Kademlia is a deployed iterative-lookup XOR-metric overlay: the
-// self-repairing structured comparator of the §3.3 bake-off. Unlike the
-// static Chord ring (recursive routing, no failure handling), every lookup
-// is driven by its originator, so a dead hop costs one RPC timeout instead
-// of the whole operation, and dead contacts are evicted as a side effect of
-// ordinary traffic.
+// structured comparator of the §3.3 bake-off that maintains its own tables.
+// Unlike the static Chord ring (recursive routing), every lookup is driven by
+// its originator, so an RPC that gets no answer costs one timeout instead of
+// the whole operation, and its target leaves the routing table. The overlay
+// has no failure model beyond that: the bake-off measures it in steady
+// state.
 type Kademlia struct {
 	nodes []*kadNode
 }
 
 type kadNode struct {
-	env   env.Env
-	tr    *transport.Sim
-	ep    *endpoint.Endpoint
-	res   *resolver.Service
-	id    ids.ID
-	key   uint64
-	alive bool
+	env env.Env
+	tr  *transport.Sim
+	ep  *endpoint.Endpoint
+	res *resolver.Service
+	id  ids.ID
+	key uint64
 
 	// buckets[i] holds contacts sharing exactly i leading bits with key
 	// (i = BucketIndex), each at most K long, least-recently-seen first.
 	buckets [64][]kadContact
 	store   map[string]bool
-	ticker  *env.Ticker
 	refresh int // rotating bucket-refresh bit position
 }
 
@@ -88,13 +86,13 @@ func BuildKademlia(eng simnet.Engine, net *transport.Network, n int) (*Kademlia,
 		}
 		nd := &kadNode{
 			env: e, tr: tr, id: id, key: IDHash(id),
-			alive: true, store: make(map[string]bool),
+			store: make(map[string]bool),
 		}
 		nd.ep = endpoint.New(e, id, tr)
 		nd.res = resolver.New(e, nd.ep)
 		nd.res.Timeout = kadRPCTimeout
 		nd.res.RegisterHandler(KadHandlerName, nd.handleRPC)
-		nd.ticker = env.NewTicker(e, kadRefreshInterval, nd.refreshTick)
+		env.NewTicker(e, kadRefreshInterval, nd.refreshTick)
 		k.nodes = append(k.nodes, nd)
 	}
 	for i, nd := range k.nodes {
@@ -118,15 +116,10 @@ func (k *Kademlia) Bootstrap() {
 	for i, nd := range k.nodes {
 		nd := nd
 		nd.env.After(time.Duration(i%64)*50*time.Millisecond, func() {
-			if nd.alive {
-				nd.lookup(nd.key, "", false, nil)
-			}
+			nd.lookup(nd.key, "", false, nil)
 		})
 	}
 }
-
-// Alive implements Backend.
-func (k *Kademlia) Alive(i int) bool { return k.nodes[i].alive }
 
 // Publish implements Backend: an iterative FIND_NODE toward the key
 // followed by STOREs at the K closest contacts found.
@@ -141,35 +134,17 @@ func (k *Kademlia) Lookup(from int, key string, cb func(Result)) {
 }
 
 // Maintain implements Backend: one forced bucket-refresh round on every
-// live node (the timed equivalent runs on kadRefreshInterval tickers).
+// node (the timed equivalent runs on kadRefreshInterval tickers).
 func (k *Kademlia) Maintain() {
 	for _, nd := range k.nodes {
-		if nd.alive {
-			nd.refreshTick()
-		}
+		nd.refreshTick()
 	}
-}
-
-// Kill implements Backend: fail-stop. The transport detaches, timers stop,
-// pending RPCs at other nodes expire into timeouts.
-func (k *Kademlia) Kill(i int) {
-	nd := k.nodes[i]
-	if !nd.alive {
-		return
-	}
-	nd.alive = false
-	nd.ticker.Stop()
-	nd.res.Stop()
-	_ = nd.tr.Close()
 }
 
 // refreshTick runs one maintenance lookup toward a rotating single-bit
 // flip of this node's key, cycling through all 64 bucket distances (29 is
 // coprime with 64, so every bit is visited before any repeats).
 func (n *kadNode) refreshTick() {
-	if !n.alive {
-		return
-	}
 	bit := uint(n.refresh % 64)
 	n.refresh += 29
 	n.lookup(n.key^(1<<bit), "", false, nil)
@@ -177,8 +152,8 @@ func (n *kadNode) refreshTick() {
 
 // observe folds a contact into the routing table (and the endpoint's route
 // table). Buckets evict nothing on sight — a full bucket ignores the
-// newcomer, Kademlia's classic stale-resistant policy; dead entries leave
-// through dropContact when an RPC to them times out.
+// newcomer, Kademlia's classic stale-resistant policy; an entry leaves
+// through dropContact when an RPC to it times out.
 func (n *kadNode) observe(c kadContact) {
 	if c.key == n.key || c.id.Equal(n.id) {
 		return
@@ -197,7 +172,8 @@ func (n *kadNode) observe(c kadContact) {
 	}
 }
 
-// dropContact removes a presumed-dead contact from the routing table.
+// dropContact removes a contact that left an RPC unanswered from the
+// routing table.
 func (n *kadNode) dropContact(key uint64) {
 	b := BucketIndex(n.key, key)
 	if b >= 64 {
@@ -284,9 +260,6 @@ func decodeContacts(payload []byte) (found bool, cs []kadContact) {
 
 // handleRPC serves find/store queries from other overlay members.
 func (n *kadNode) handleRPC(q *resolver.Query) {
-	if !n.alive {
-		return
-	}
 	// Learn the caller: its 64-bit key is derived from its peer ID. The
 	// contact outlives the call, so it keeps a copy of the lent address.
 	n.observe(kadContact{key: IDHash(q.Src), id: q.Src, addr: transport.Addr(q.SrcAddr)})
@@ -363,7 +336,7 @@ func (op *kadOp) add(c kadContact, depth int) {
 // contacts have all been queried; with nothing in flight either, the
 // operation has converged.
 func (op *kadOp) step() {
-	if op.finished || !op.n.alive {
+	if op.finished {
 		return
 	}
 	for op.inflight < kadAlpha {
@@ -422,8 +395,8 @@ func (op *kadOp) onResponse(c kadContact, data []byte) {
 	op.step()
 }
 
-// onTimeout handles a dead (or refused) RPC target: evict it everywhere
-// and route around. This is the self-repair the static ring lacks.
+// onTimeout handles an RPC that got no answer (or could not be sent):
+// evict its target everywhere and route around it.
 func (op *kadOp) onTimeout(c kadContact) {
 	if op.finished || op.responded[c.key] {
 		return
@@ -441,7 +414,7 @@ func (op *kadOp) onTimeout(c kadContact) {
 }
 
 // converged runs when the K closest known contacts have all answered (or
-// died): FIND_VALUE failed, FIND_NODE finished, publish stores.
+// timed out): FIND_VALUE failed, FIND_NODE finished, publish stores.
 func (op *kadOp) converged() {
 	if op.store {
 		limit := min(kadK, len(op.shortlist))
