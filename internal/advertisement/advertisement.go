@@ -130,6 +130,16 @@ func DecodeXML(data []byte) (Advertisement, error) {
 	return a, nil
 }
 
+// RdvPeerIDBytes reads only the start tag and first field of a rendezvous
+// advertisement, with DecodeXML's reader: when DecodeXML accepts wire as an
+// *Rdv, this is its PeerID. The rest is not read, so the ID is only a hint.
+func RdvPeerIDBytes(wire []byte) (ids.ID, bool) {
+	r := reader{Strict: document.Strict{Rest: wire}}
+	r.Open("jxta:RdvAdvertisement")
+	id := r.id("RdvPeerID")
+	return id, r.err == nil
+}
+
 // reader is DecodeXML's cursor: a strict reader that keeps the first ID
 // that does not parse.
 type reader struct {

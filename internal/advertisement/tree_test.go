@@ -82,7 +82,9 @@ func decodeResource(e *document.Element) (*Resource, error) {
 // input only the tree accepts (another formatting of the same document) is
 // an error. This is the field-level check for every reader built on
 // DecodeXML (the advertisement store, a discovery response); their own
-// fuzzers check what they add around it.
+// fuzzers check what they add around it. RdvPeerIDBytes, which reads only
+// the head of a rendezvous advertisement, is held to DecodeXML: for every
+// input DecodeXML accepts as an *Rdv, it returns that advertisement's PeerID.
 func FuzzDecodeXML(f *testing.F) {
 	for i, s := range [][4]string{
 		{"Test", "rennes", "a peer", "sim://rennes/1"},
@@ -118,6 +120,11 @@ func FuzzDecodeXML(f *testing.F) {
 		want, err := decodeTree(data)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("DecodeXML(%q)\n got  %+v\n tree %+v, %v", data, got, want, err)
+		}
+		if rdv, ok := got.(*Rdv); ok {
+			if id, ok := RdvPeerIDBytes(data); !ok || id != rdv.PeerID {
+				t.Fatalf("RdvPeerIDBytes(%q) = %v, %v; DecodeXML read %v", data, id, ok, rdv.PeerID)
+			}
 		}
 		before, _ := EncodeXML(got)
 		for i := range data {

@@ -10,8 +10,9 @@
 // advertisement straight off the wire, hashes the bytes before decoding
 // and returns the existing handle when the document is already held (the
 // common case in gossip: the receiver has seen the identical document
-// hundreds of times), so a repeated mention costs one hash and one
-// comparison, not a decode and an encode. Bytes returns a handle's
+// hundreds of times), so such a mention costs one hash and one comparison,
+// not a decode and an encode; the peerview stops most of them sooner, at
+// its entry's Bytes. Bytes returns a handle's
 // canonical encoding for the way out, so the document is encoded once
 // however often it is sent. Handles that came from InternBytes retain that
 // encoding from the start; handles that came from Intern (a locally

@@ -217,12 +217,15 @@ func (ep *Endpoint) Reset() {
 	ep.routes = routeTable{}
 }
 
-// AddRoute records a direct route to a peer.
+// AddRoute records a direct route to a peer, writing only when the route is
+// new or changed: a peer mentioned again costs a lookup and a comparison.
 func (ep *Endpoint) AddRoute(peer ids.ID, addr transport.Addr) {
 	if peer.Equal(ep.id) || addr == "" {
 		return
 	}
-	ep.routes.put(peer, addr)
+	if cur, ok := ep.routes.get(peer); !ok || cur != addr {
+		ep.routes.put(peer, addr)
+	}
 }
 
 // LearnRoute records a peer's return route, given as received bytes, only if
@@ -232,15 +235,7 @@ func (ep *Endpoint) LearnRoute(peer ids.ID, addr []byte) {
 		return
 	}
 	if cur, ok := ep.routes.get(peer); !ok || string(cur) != string(addr) {
-		ep.AddRoute(peer, transport.Addr(addr))
-	}
-}
-
-// learnAddr is LearnRoute for an address the node already holds as a string,
-// which the route then shares.
-func (ep *Endpoint) learnAddr(peer ids.ID, addr transport.Addr) {
-	if cur, ok := ep.routes.get(peer); !ok || cur != addr {
-		ep.AddRoute(peer, addr)
+		ep.routes.put(peer, transport.Addr(addr))
 	}
 }
 
@@ -351,7 +346,7 @@ func (ep *Endpoint) dispatch(from transport.Addr, wire *message.Message) {
 	// address the transport delivered from (the sender's own, or the one its
 	// TCP connection announced), the route keeps the transport's string.
 	if string(e.srcAddr) == string(from) {
-		ep.learnAddr(srcID, from)
+		ep.AddRoute(srcID, from)
 	} else {
 		ep.LearnRoute(srcID, e.srcAddr)
 	}

@@ -1,6 +1,9 @@
 package peerview
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,11 +17,15 @@ import (
 // checkIndexed fails t unless pv's view is its own index: entries strictly
 // ascending by ID and without the local peer, find returning each entry's
 // own position, and Contains agreeing with a linear scan for every ID in
-// probe.
+// probe. Every entry's advertisement must also be what its held bytes
+// decode to, since a repeated mention is confirmed against those bytes.
 func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
 	t.Helper()
 	for i, en := range pv.entries {
 		id := en.adv.PeerID
+		if adv, err := advertisement.DecodeXML(en.sh.Bytes()); err != nil || !reflect.DeepEqual(adv, en.adv) {
+			t.Fatalf("%s: entry %s holds %+v, its bytes decode to %+v, %v", name, id, en.adv, adv, err)
+		}
 		if id.Equal(pv.self.PeerID) {
 			t.Fatalf("%s: the view holds the local peer at %d", name, i)
 		}
@@ -36,6 +43,50 @@ func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
 		}
 		if pv.Contains(id) != scan {
 			t.Fatalf("%s: Contains(%s) = %v, a scan of the view says %v", name, id, !scan, scan)
+		}
+	}
+}
+
+// checkHeld fails t unless every entry that receiving m renewed or added
+// holds the last advertisement m carried for its ID, in canonical form: an
+// entry is renewed from the bytes received, or not at all. renewed is each
+// entry's renewal time before m arrived.
+func checkHeld(t testing.TB, pv *PeerView, m *message.Message, renewed map[ids.ID]time.Duration) {
+	t.Helper()
+	var applied [][]byte
+	typ, _ := m.Get(ns, elemType)
+	switch string(typ) {
+	case typeProbe, typeResponse, typeUpdate:
+		if data, ok := m.Get(ns, elemAdv); ok {
+			applied = append(applied, data)
+		}
+	case typeReferral, typeMerge, typeMergeAck:
+		for _, el := range m.Elements() {
+			if el.Namespace == ns && el.Name == elemAdv {
+				applied = append(applied, el.Data)
+			}
+		}
+	}
+	last := map[ids.ID][]byte{}
+	for _, data := range applied {
+		if adv, err := advertisement.DecodeXML(data); err == nil {
+			if rdv, ok := adv.(*advertisement.Rdv); ok {
+				last[rdv.PeerID], _ = advertisement.EncodeXML(rdv)
+			}
+		}
+	}
+	now := pv.env.Now()
+	for _, en := range pv.entries {
+		id := en.adv.PeerID
+		if at, known := renewed[id]; en.renewed != now || known && at == now {
+			continue
+		}
+		want, ok := last[id]
+		if !ok {
+			t.Fatalf("entry %s was renewed by a message that carried no advertisement for it", id)
+		}
+		if !bytes.Equal(en.sh.Bytes(), want) {
+			t.Fatalf("entry %s holds %q, the last advertisement received for it was %q", id, en.sh.Bytes(), want)
 		}
 	}
 }
@@ -103,7 +154,10 @@ func strangerAdv(id ids.ID) []byte {
 // is its own index — it has no map beside the ordered entries — so after
 // each input and after the run the entries must be strictly ascending
 // without the local peer, find must return each entry's own position, and
-// Contains must agree with a linear scan.
+// Contains must agree with a linear scan. A repeated mention renews an entry
+// from the bytes it holds (renewHeld), so every entry's advertisement must be
+// what those bytes decode to, and an entry the input renewed must hold the
+// last advertisement the input carried for its ID.
 func FuzzPeerviewReceive(f *testing.F) {
 	rig := newFuzzRig(f)
 	at, from := rig.peers[0], rig.peers[1]
@@ -128,6 +182,21 @@ func FuzzPeerviewReceive(f *testing.F) {
 	f.Add(byte(0), pvScript(typeMerge, append([][]byte{from.pv.selfBytes, stranger}, entries...)...))
 	f.Add(byte(4), pvScript(typeMergeAck, twin, stranger))
 	f.Add(byte(2), pvScript(typeProbe, []byte("<jxta:RdvAdvertisement><RdvPeerID>trunc")))
+	// A member's advertisement with one byte changed after the ID: a new
+	// address, which must replace the one held, by probe and by referral.
+	moved := bytes.Clone(from.pv.selfBytes)
+	moved[bytes.Index(moved, []byte("</Addr>"))-1]++
+	f.Add(byte(0), pvScript(typeProbe, moved))
+	f.Add(byte(1), pvScript(typeReferral, moved, entries[0]))
+	// A batch in reverse order, so every guess at the next entry misses; one
+	// that names an ID twice, the second time changed; and the peek's prefix
+	// with a truncated ID.
+	reversed := append([][]byte(nil), entries...)
+	slices.Reverse(reversed)
+	f.Add(byte(1), pvScript(typeReferral, reversed...))
+	f.Add(byte(1), pvScript(typeReferral, entries[0], entries[1], entries[0], moved, from.pv.selfBytes))
+	head := len("<jxta:RdvAdvertisement><RdvPeerID>urn:jxta:uuid-") + 10
+	f.Add(byte(1), pvScript(typeReferral, entries[0][:head], append(bytes.Clone(entries[1][:head]), "</RdvPeerID>"...)))
 	f.Fuzz(func(t *testing.T, who byte, script []byte) {
 		if rig.peers[0].pv.Size() > 64 {
 			rig = newFuzzRig(t)
@@ -141,11 +210,17 @@ func FuzzPeerviewReceive(f *testing.F) {
 		for _, en := range at.pv.entries {
 			probe = append(probe, en.adv.PeerID)
 		}
-		at.pv.receive(src, pvFromScript(script))
+		renewed := map[ids.ID]time.Duration{}
+		for _, en := range at.pv.entries {
+			renewed[en.adv.PeerID] = en.renewed
+		}
+		m := pvFromScript(script)
+		at.pv.receive(src, m)
 		for _, en := range at.pv.entries {
 			probe = append(probe, en.adv.PeerID)
 		}
 		checkIndexed(t, "after receive", at.pv, probe)
+		checkHeld(t, at.pv, m, renewed)
 		rig.sched.Run(rig.sched.Now() + 10*time.Millisecond + time.Duration(who>>2)*time.Second)
 		checkIndexed(t, "after the tier ran on", at.pv, probe)
 	})

@@ -38,6 +38,7 @@
 package peerview
 
 import (
+	"bytes"
 	"slices"
 	"time"
 
@@ -170,7 +171,8 @@ type MergeListener func(peer ids.ID)
 // holding the same rendezvous — a tier of r rendezvous would otherwise keep
 // ~r² private decodes alive — and released when the entry leaves the view.
 // It carries the canonical decoded instance (cached in adv) and the
-// canonical encoding that referrals and merge lists send.
+// canonical encoding that referrals and merge lists send, and that a repeated
+// mention is compared with (renewHeld) before it could reach the store.
 type entry struct {
 	adv     *advertisement.Rdv
 	sh      *advstore.Shared
@@ -525,6 +527,20 @@ func (pv *PeerView) renew(en *entry, sh *advstore.Shared, adv *advertisement.Rdv
 	en.renewed = pv.env.Now()
 }
 
+// renewHeld renews entry i as renew would when wire is, byte for byte, the
+// encoding it holds: one comparison, no hash, no store, no allocation.
+// Whatever picked i is only a hint; a document that differs in any byte
+// never renews the entry.
+func (pv *PeerView) renewHeld(i int, wire []byte) bool {
+	en := pv.entries[i]
+	if !bytes.Equal(en.sh.Bytes(), wire) {
+		return false
+	}
+	pv.ep.AddRoute(en.adv.PeerID, transport.Addr(en.adv.Address))
+	en.renewed = pv.env.Now()
+	return true
+}
+
 // sendSelf transmits a typed peerview message carrying the local peer's
 // advertisement.
 func (pv *PeerView) sendSelf(to ids.ID, msgType string) {
@@ -605,6 +621,8 @@ func (pv *PeerView) receiveMerge(src ids.ID, request bool, m *message.Message) {
 // stopped peer in their views forever, and probing referrals would send
 // from a peer that is supposed to be gone. (A not-yet-started peerview
 // still learns — unit harnesses drive the protocol without the loop.)
+// A repeated mention stops at the entry it names (renewHeld); only an
+// advertisement that is new or changed is interned and applied.
 func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	if pv.stopped {
 		return
@@ -630,10 +648,24 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	case typeReferral:
 		// One referral message carries a batch of advertisements as repeated
 		// RdvAdv elements (JXTA-C ships several advertisements per referral
-		// message); apply each independently.
+		// message); apply each independently. The batch is a run of the
+		// sender's ID-ordered view: try the entry after the last one first.
+		next := 0
 		for _, el := range m.Elements() {
 			if el.Namespace != ns || el.Name != elemAdv {
 				continue
+			}
+			if next < len(pv.entries) && pv.renewHeld(next, el.Data) {
+				next++
+				continue
+			}
+			if id, ok := advertisement.RdvPeerIDBytes(el.Data); ok {
+				if i, held := pv.find(id); held {
+					next = i + 1
+					if pv.renewHeld(i, el.Data) {
+						continue
+					}
+				}
 			}
 			if sh, adv := pv.internRdv(el.Data); sh != nil {
 				pv.receiveReferral(sh, adv)
@@ -644,12 +676,14 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 		if !ok {
 			return
 		}
-		sh, adv := pv.internRdv(data)
-		if sh == nil {
-			return
-		}
 		// The message carries the sender's advertisement: learn/refresh it.
-		pv.upsert(sh, adv)
+		if i, held := pv.find(src); !held || !pv.renewHeld(i, data) {
+			sh, adv := pv.internRdv(data)
+			if sh == nil {
+				return
+			}
+			pv.upsert(sh, adv)
+		}
 		if string(msgType) == typeProbe {
 			// Answer a probe with our own advertisement plus a separate
 			// referral message naming a batch of other rendezvous from the

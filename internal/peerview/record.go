@@ -53,14 +53,14 @@ func addrView(b []byte) transport.Addr {
 
 // ParseSeedBytes reads an "id addr" record in place: the ID is what precedes
 // the first space, the address (a view of b, possibly empty) all that
-// follows it.
+// follows it. A record naming the nil ID is refused: it names no peer.
 func ParseSeedBytes(b []byte) (Seed, bool) {
 	i := bytes.IndexByte(b, ' ')
 	if i < 0 {
 		return Seed{}, false
 	}
 	id, err := ids.ParseBytes(b[:i])
-	if err != nil {
+	if err != nil || id.IsNil() {
 		return Seed{}, false
 	}
 	return Seed{ID: id, Addr: addrView(b[i+1:])}, true

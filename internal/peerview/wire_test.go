@@ -8,6 +8,7 @@ import (
 	"jxta/internal/advertisement"
 	"jxta/internal/advstore"
 	"jxta/internal/ids"
+	"jxta/internal/israce"
 	"jxta/internal/message"
 	"jxta/internal/simnet"
 )
@@ -167,5 +168,66 @@ func TestStoreEmptyAfterTeardown(t *testing.T) {
 	}
 	if store.Len() != 0 {
 		t.Fatalf("store holds %d advertisements after every view was reset", store.Len())
+	}
+}
+
+// TestRepeatedMentionAllocs gates the cost of the gossip a converged tier is
+// made of: an advertisement the receiver already holds, byte for byte. A
+// referral batch naming members and a probe from a member renew the entries
+// they name in place (renewHeld): no allocation, and no visit to the store,
+// whose hits and misses stay where they were. The probe's answer, a response
+// and a referral batch the tier then delivers, takes the same path at the
+// prober.
+func TestRepeatedMentionAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	sched := simnet.NewScheduler(53)
+	peers := newOverlay(t, sched, 5, DefaultConfig())
+	startAll(peers)
+	sched.Run(5 * time.Minute)
+	at, from := peers[0], peers[1]
+	if at.pv.Size() != len(peers)-1 {
+		t.Fatalf("the tier did not converge: rdv0 sees %d of %d", at.pv.Size(), len(peers)-1)
+	}
+	var batch [][]byte
+	for _, en := range from.pv.entries {
+		if !en.adv.PeerID.Equal(at.id) {
+			batch = append(batch, en.sh.Bytes())
+		}
+	}
+	referral := pvFromScript(pvScript(typeReferral, batch...))
+	probe := pvFromScript(pvScript(typeProbe, from.pv.selfBytes))
+	store := at.pv.store
+	for _, c := range []struct {
+		name  string
+		m     *message.Message
+		named int
+	}{{"referral", referral, len(batch)}, {"probe", probe, 1}} {
+		deliver := func() {
+			at.pv.receive(from.id, c.m)
+			sched.Run(sched.Now() + 10*time.Millisecond)
+		}
+		deliver() // fill the pools the probe's answer draws from
+		for _, en := range at.pv.entries {
+			en.renewed = 0
+		}
+		hits, misses := store.Stats()
+		deliver()
+		renewed := 0
+		for _, en := range at.pv.entries {
+			if en.renewed > 0 {
+				renewed++
+			}
+		}
+		if renewed != c.named {
+			t.Fatalf("%s: %d entries renewed, want the %d it named", c.name, renewed, c.named)
+		}
+		if got := testing.AllocsPerRun(100, deliver); got != 0 {
+			t.Errorf("%s: a repeated mention costs %.1f allocations, want 0", c.name, got)
+		}
+		if h, m := store.Stats(); h != hits || m != misses {
+			t.Errorf("%s: the store saw the repeated mention: hits %d→%d, misses %d→%d", c.name, hits, h, misses, m)
+		}
 	}
 }

@@ -134,7 +134,7 @@ func observable(s *Service) string {
 // and stamp rumor records with a merge backoff, by no more than the entries
 // it carried — and a server half a handoff built may also stamp the records
 // the edge carried across, each of which it probes at once; the nil ID,
-// which names no peer, never holds a lease; whatever
+// which names no peer, never holds a lease or a route; whatever
 // durations it names, no client lease ends later than a whole LeaseDuration
 // from now and no timer is armed further out than one (a grant or a handoff
 // promises at most what could have been asked for); and it must keep
@@ -171,6 +171,10 @@ func FuzzReceiveLease(f *testing.F) {
 		ids.FromName(ids.KindPeer, "handed-off").String()+" sim://0/handed-off "+forever)))
 	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemHandoff, "1").AddString(leaseNS, elemClient,
 		"urn:jxta:nil sim://9/forged 30000000000"))) // a handed-off lease naming the nil ID
+	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemGranted, "60000000000").
+		AddString(leaseNS, elemAlt, "urn:jxta:nil sim://9/forged").
+		AddString(leaseNS, elemClient, "urn:jxta:nil sim://9/forged"))) // an alternate and a co-client naming the nil ID
+	f.Add(byte(1), leaseScript(message.New().AddString(leaseNS, elemRedirect, "urn:jxta:nil sim://9/forged"))) // a redirect to the nil ID
 	var rig *leaseRig
 	f.Fuzz(func(t *testing.T, who byte, script []byte) {
 		if rig == nil || rig.inputs >= 64 || rig.rdv.svc.rumors.Len() > 256 || len(rig.rdv.svc.srv.clients) > 256 {
@@ -188,6 +192,9 @@ func FuzzReceiveLease(f *testing.F) {
 			s.env = timers.Env
 			if timers.farthest > s.cfg.LeaseDuration {
 				t.Fatalf("a timer was armed %v out, LeaseDuration is %v", timers.farthest, s.cfg.LeaseDuration)
+			}
+			if addr, ok := s.ep.RouteTo(ids.Nil); ok {
+				t.Fatalf("the nil ID has a route, to %q", addr)
 			}
 			for id, cl := range clientsOf(s) {
 				if id.IsNil() {

@@ -657,6 +657,40 @@ func TestForgedNilHandoffIsRefused(t *testing.T) {
 	}
 }
 
+// TestForgedNilRedirectIsRefused: the nil ID names no peer, so a redirect, an
+// alternate or a co-client naming urn:jxta:nil is refused where the record is
+// read. Delivered to a leased self-healing edge, a forged grant and a forged
+// redirect must leave it with no route for the nil ID, no nil entry in its
+// alternates or roster, and its lease where it was.
+func TestForgedNilRedirectIsRefused(t *testing.T) {
+	sched := simnet.NewScheduler(61)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	rdv := newRdvOverlayCfg(t, sched, net, 1, selfHealCfg())[0]
+	edge := newEdge(t, sched, net, "edge", []peerview.Seed{{ID: rdv.id, Addr: rdv.tr.Addr()}}, selfHealCfg())
+	edge.svc.Start()
+	sched.Run(time.Minute)
+	if at, ok := edge.svc.ConnectedRdv(); !ok || at != rdv.id {
+		t.Fatal("the edge holds no lease")
+	}
+	forged := "urn:jxta:nil sim://9/forged"
+	grant := new(lent).add(elemGranted, "120000000000").add(elemAlt, forged).add(elemClient, forged)
+	edge.svc.receiveLease(rdv.id, &grant.Message)
+	redirect := new(lent).add(elemRedirect, forged)
+	edge.svc.receiveLease(rdv.id, &redirect.Message)
+	sched.Run(sched.Now() + time.Second)
+	if addr, ok := edge.ep.RouteTo(ids.Nil); ok {
+		t.Fatalf("a forged record added a route for the nil ID, to %q", addr)
+	}
+	for _, sd := range append(edge.svc.Alternates(), edge.svc.Roster()...) {
+		if sd.ID.IsNil() {
+			t.Fatalf("a forged record made the nil ID a tier member, at %q", sd.Addr)
+		}
+	}
+	if at, ok := edge.svc.ConnectedRdv(); !ok || at != rdv.id {
+		t.Fatalf("a forged redirect moved the lease to %v, %v", at, ok)
+	}
+}
+
 func TestSeedRoundTrip(t *testing.T) {
 	sd := peerview.Seed{ID: ids.FromName(ids.KindPeer, "x"), Addr: "sim://x"}
 	got, ok := peerview.ParseSeedBytes(sd.AppendEncode(nil))
