@@ -70,16 +70,23 @@ var (
 // leaseConfig maps the two tier flags onto the lease protocol's three legal
 // states: paper-faithful, self-heal, and self-heal with island merge. An
 // island merge without self-healing is a fourth state no experiment runs.
-func leaseConfig(selfHeal, islandMerge bool) (rendezvous.Config, error) {
+// A self-healing tier also runs the peerview's failure detection, as the
+// facade does: a dead rendezvous leaves neighbouring views after three
+// unanswered probe rounds instead of lingering a full PVE_EXPIRATION.
+func leaseConfig(selfHeal, islandMerge bool) (rendezvous.Config, peerview.Config, error) {
 	if islandMerge && !selfHeal {
-		return rendezvous.Config{}, errors.New("-islandmerge requires -selfheal")
+		return rendezvous.Config{}, peerview.Config{}, errors.New("-islandmerge requires -selfheal")
 	}
-	return rendezvous.Config{SelfHeal: selfHeal, IslandMerge: islandMerge}, nil
+	var pv peerview.Config
+	if selfHeal {
+		pv.ProbeTimeoutRounds = 3
+	}
+	return rendezvous.Config{SelfHeal: selfHeal, IslandMerge: islandMerge}, pv, nil
 }
 
 func main() {
 	flag.Parse()
-	lease, err := leaseConfig(*selfHeal, *islandMerge)
+	lease, pv, err := leaseConfig(*selfHeal, *islandMerge)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jxta-node:", err)
 		flag.Usage()
@@ -107,6 +114,7 @@ func main() {
 			Name:      *nameFlag,
 			Role:      role,
 			Discovery: discovery.DefaultConfig(),
+			Peerview:  pv,
 			Lease:     lease,
 		})
 		n.Start()

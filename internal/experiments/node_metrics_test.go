@@ -7,13 +7,14 @@ import (
 
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
+	"jxta/internal/metrics"
 	"jxta/internal/rendezvous"
 	"jxta/internal/topology"
 )
 
 // TestNodeMetricsTotalsSumTheServices: CollectNodeMetrics' totals are the
-// services' own counts summed over the population — peerview rounds,
-// discovery queries sent, and one jxta_rendezvous_connected per leased edge —
+// services' own counts summed over the population — peerview rounds (each
+// peerview's own series), discovery queries sent, and one jxta_rendezvous_connected per leased edge —
 // on the quick `-exp scale` memory spec, with deploy.Spec.LeanMetrics set and
 // not. The field is ignored now; when it put every node on one shared
 // registry, each collector-backed series read whichever peer registered last:
@@ -51,7 +52,9 @@ func TestNodeMetricsTotalsSumTheServices(t *testing.T) {
 			leased := 0
 			for _, n := range o.Nodes() {
 				if n.PeerView != nil {
-					rounds += uint64(n.PeerView.Rounds)
+					reg := metrics.NewRegistry()
+					n.PeerView.Collect(reg)
+					rounds += uint64(reg.Snapshot()["jxta_peerview_rounds_total"])
 				}
 				sent += n.Discovery.Stats.QueriesSent
 				if _, ok := n.Rendezvous.ConnectedRdv(); ok && !n.IsRendezvous() {

@@ -18,9 +18,16 @@ import (
 // ascending by ID and without the local peer, find returning each entry's
 // own position, and Contains agreeing with a linear scan for every ID in
 // probe. Every entry's advertisement must also be what its held bytes
-// decode to, since a repeated mention is confirmed against those bytes.
+// decode to, since a repeated mention is confirmed against those bytes, and
+// every peer with a miss count must be a view member: an entry leaves the
+// view with its count.
 func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
 	t.Helper()
+	for id := range pv.missed {
+		if _, ok := pv.find(id); !ok {
+			t.Fatalf("%s: %s has a miss count but no entry", name, id)
+		}
+	}
 	for i, en := range pv.entries {
 		id := en.adv.PeerID
 		if adv, err := advertisement.DecodeXML(en.sh.Bytes()); err != nil || !reflect.DeepEqual(adv, en.adv) {
@@ -154,10 +161,11 @@ func strangerAdv(id ids.ID) []byte {
 // is its own index — it has no map beside the ordered entries — so after
 // each input and after the run the entries must be strictly ascending
 // without the local peer, find must return each entry's own position, and
-// Contains must agree with a linear scan. A repeated mention renews an entry
-// from the bytes it holds (renewHeld), so every entry's advertisement must be
-// what those bytes decode to, and an entry the input renewed must hold the
-// last advertisement the input carried for its ID.
+// Contains must agree with a linear scan, and a peer with a miss count must
+// hold an entry. A repeated mention renews an entry from the bytes it holds
+// (hear), so every entry's advertisement must be what those bytes decode to,
+// and an entry the input renewed must hold the last advertisement the input
+// carried for its ID.
 func FuzzPeerviewReceive(f *testing.F) {
 	rig := newFuzzRig(f)
 	at, from := rig.peers[0], rig.peers[1]

@@ -12,6 +12,7 @@ type counts struct {
 	expiries      uint64
 	probeEvicts   uint64
 	mergesStarted uint64
+	rounds        uint64
 }
 
 // Collect registers the peerview's series on reg, read from its own
@@ -38,7 +39,7 @@ func (pv *PeerView) Collect(reg *metrics.Registry) {
 	reg.CounterFunc("jxta_peerview_merges_started_total", "Merge handshakes initiated.",
 		func() uint64 { return pv.n.mergesStarted })
 	reg.CounterFunc("jxta_peerview_rounds_total", "Algorithm 1 loop iterations.",
-		func() uint64 { return uint64(pv.Rounds) })
+		func() uint64 { return pv.n.rounds })
 	reg.GaugeFunc("jxta_peerview_size", "Local peerview size excluding self (the paper's l).",
 		func() float64 { return float64(len(pv.entries)) })
 }

@@ -172,7 +172,7 @@ type MergeListener func(peer ids.ID)
 // ~r² private decodes alive — and released when the entry leaves the view.
 // It carries the canonical decoded instance (cached in adv) and the
 // canonical encoding that referrals and merge lists send, and that a repeated
-// mention is compared with (renewHeld) before it could reach the store.
+// mention is compared with (hear) before it could reach the store.
 type entry struct {
 	adv     *advertisement.Rdv
 	sh      *advstore.Shared
@@ -215,15 +215,13 @@ type PeerView struct {
 	refCursor int
 
 	// missed counts consecutive unanswered neighbour probes per view member
-	// (ProbeTimeoutRounds failure detection; nil while it is disabled).
+	// (ProbeTimeoutRounds failure detection; nil while it is disabled). Its
+	// keys are view members: an entry leaves the view with its count (sweep).
 	missed map[ids.ID]int
 	// sentinelIdx round-robins one extra probe per iteration over the
 	// non-neighbour view members, so failure detection covers the whole
 	// view (neighbour probes alone only watch the two adjacent IDs).
 	sentinelIdx int
-
-	// Rounds counts loop iterations (diagnostics).
-	Rounds int
 
 	n counts
 }
@@ -364,9 +362,8 @@ func (pv *PeerView) Neighbors() (lower, upper ids.ID) {
 
 // iterate is one pass of Algorithm 1.
 func (pv *PeerView) iterate() {
-	pv.Rounds++
-	pv.expireSweep()
-	pv.probeTimeoutSweep()
+	pv.n.rounds++
+	pv.sweep()
 
 	l := pv.Size()
 	lower, upper := pv.Neighbors()
@@ -413,65 +410,47 @@ func (pv *PeerView) iterate() {
 	}
 }
 
-// probeNeighbor probes a view neighbour, counting the outstanding probe for
-// failure detection when ProbeTimeoutRounds is enabled. The counter is reset
-// by any inbound message from that peer (receive/upsert).
+// probeNeighbor probes a view member, counting the outstanding probe for
+// failure detection when ProbeTimeoutRounds is enabled. Any inbound message
+// from that peer resets the count (receive).
 func (pv *PeerView) probeNeighbor(rdv ids.ID) {
 	if pv.cfg.ProbeTimeoutRounds > 0 {
-		if _, member := pv.find(rdv); member {
-			if pv.missed == nil {
-				pv.missed = make(map[ids.ID]int)
-			}
-			pv.missed[rdv]++
+		if pv.missed == nil {
+			pv.missed = make(map[ids.ID]int)
 		}
+		pv.missed[rdv]++
 	}
 	pv.sendProbe(rdv)
 }
 
-// probeTimeoutSweep evicts view members whose last ProbeTimeoutRounds
-// neighbour probes all went unanswered — the active failure-detection path a
-// self-healing overlay runs so dead rendezvous leave the view in a few
-// intervals rather than a PVE_EXPIRATION. Disabled (no-op) at the default
-// configuration.
-func (pv *PeerView) probeTimeoutSweep() {
-	if pv.cfg.ProbeTimeoutRounds <= 0 {
-		return
-	}
-	kept := pv.entries[:0]
-	for _, en := range pv.entries {
-		id := en.adv.PeerID
-		if pv.missed[id] >= pv.cfg.ProbeTimeoutRounds {
-			delete(pv.missed, id)
-			en.sh.Release()
-			pv.n.probeEvicts++
-			pv.notify(EventRemove, id)
-			continue
-		}
-		kept = append(kept, en)
-	}
-	pv.entries = kept
-	// Drop counters for peers no longer in the view (neighbour rotation).
-	for id := range pv.missed {
-		if _, member := pv.find(id); !member {
-			delete(pv.missed, id)
-		}
-	}
-}
-
-// expireSweep removes entries older than EntryExpiry (Algorithm 1, line 3).
-func (pv *PeerView) expireSweep() {
+// sweep removes the entries older than EntryExpiry (Algorithm 1, line 3)
+// and, with failure detection on, the members whose last ProbeTimeoutRounds
+// probes all went unanswered — the path a self-healing overlay runs so a
+// dead rendezvous leaves the view in a few intervals rather than a
+// PVE_EXPIRATION. An entry leaves with its miss count.
+func (pv *PeerView) sweep() {
 	now := pv.env.Now()
 	kept := pv.entries[:0]
 	for _, en := range pv.entries {
-		if now-en.renewed > pv.cfg.EntryExpiry {
-			id := en.adv.PeerID
-			en.sh.Release()
+		// With failure detection off a kept entry's advertisement, a heap
+		// object of its own, is not read: the sweep visits every entry each
+		// interval, and reading it cost peerview-r200 about 4 % of its
+		// event rate.
+		switch {
+		case now-en.renewed > pv.cfg.EntryExpiry:
 			pv.n.expiries++
-			pv.notify(EventRemove, id)
+		case pv.cfg.ProbeTimeoutRounds > 0 && pv.missed[en.adv.PeerID] >= pv.cfg.ProbeTimeoutRounds:
+			pv.n.probeEvicts++
+		default:
+			kept = append(kept, en)
 			continue
 		}
-		kept = append(kept, en)
+		id := en.adv.PeerID
+		delete(pv.missed, id)
+		en.sh.Release()
+		pv.notify(EventRemove, id)
 	}
+	clear(pv.entries[len(kept):])
 	pv.entries = kept
 }
 
@@ -481,56 +460,73 @@ func (pv *PeerView) notify(kind EventKind, peer ids.ID) {
 	}
 }
 
-// internRdv interns one RdvAdv element as it came off the wire. It returns
-// nil — and holds no reference — when the bytes are malformed or describe
-// anything but a rendezvous advertisement.
-func (pv *PeerView) internRdv(wire []byte) (*advstore.Shared, *advertisement.Rdv) {
+// hear applies one RdvAdv element as it came off the wire: a probe, response
+// or update (admit), each element of a merge list (admit) and each element of
+// a referral batch (not admit: an unknown peer is probed before insertion,
+// §3.2, with per-interval dedup so referral bursts cannot launch duplicate
+// probes). guess is where the named entry is expected. A repeated mention
+// stops at the entry whose bytes it equals; a referral naming a stranger
+// whose probe is in flight stops at the ID; only a new or changed
+// advertisement is interned. It returns the position after the named peer,
+// the guess for the next element of a run of the sender's ID-ordered view,
+// and whether wire is a rendezvous advertisement at all.
+func (pv *PeerView) hear(wire []byte, guess int, admit bool) (next int, ok bool) {
+	if guess < len(pv.entries) && pv.renewHeld(guess, wire) {
+		return guess + 1, true
+	}
+	// The ID is only a hint: renewHeld confirms it byte for byte, and a
+	// peek that DecodeXML would refuse is refused by InternBytes below.
+	id, ok := advertisement.RdvPeerIDBytes(wire)
+	if !ok {
+		return guess, false
+	}
+	i, held := pv.find(id)
+	if held && pv.renewHeld(i, wire) {
+		return i + 1, true
+	}
+	if !held && !admit {
+		if _, inflight := pv.probed[id]; inflight {
+			return i, true
+		}
+	}
 	sh, err := pv.store.InternBytes(wire)
 	if err != nil {
-		return nil, nil
+		return i, false
 	}
-	adv, ok := sh.Adv().(*advertisement.Rdv)
-	if !ok {
+	// The peek read a RdvAdvertisement root, so the bytes decode to an *Rdv.
+	adv := sh.Adv().(*advertisement.Rdv)
+	if id.Equal(pv.self.PeerID) {
 		sh.Release()
-		return nil, nil
+		return i, true
 	}
-	return sh, adv
-}
-
-// upsert inserts or refreshes the entry for the rendezvous that sh, an
-// interned handle on adv, describes, keeping the slice sorted. It takes over
-// the caller's reference: the entry keeps it, dropping the one it held
-// before. It reports whether the entry was new.
-func (pv *PeerView) upsert(sh *advstore.Shared, adv *advertisement.Rdv) bool {
-	if adv.PeerID.Equal(pv.self.PeerID) {
+	pv.ep.AddRoute(id, transport.Addr(adv.Address))
+	switch {
+	case held:
+		en := pv.entries[i]
+		en.sh.Release()
+		en.adv, en.sh = adv, sh
+		en.renewed = pv.env.Now()
+	case admit:
+		pv.entries = slices.Insert(pv.entries, i, &entry{adv: adv, sh: sh, renewed: pv.env.Now()})
+		pv.n.adds++
+		pv.notify(EventAdd, id)
+	default:
+		// Unknown: only the identity and address are used, to probe it.
 		sh.Release()
-		return false
+		if pv.probed == nil {
+			pv.probed = make(map[ids.ID]time.Duration)
+		}
+		pv.probed[id] = pv.env.Now()
+		pv.sendProbe(id)
+		return i, true
 	}
-	i, ok := pv.find(adv.PeerID)
-	if ok {
-		pv.renew(pv.entries[i], sh, adv)
-		return false
-	}
-	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
-	pv.entries = slices.Insert(pv.entries, i, &entry{adv: adv, sh: sh, renewed: pv.env.Now()})
-	pv.n.adds++
-	pv.notify(EventAdd, adv.PeerID)
-	return true
+	return i + 1, true
 }
 
-// renew refreshes en with adv, which sh, an interned handle on it, describes,
-// taking over the caller's reference and dropping the one en held.
-func (pv *PeerView) renew(en *entry, sh *advstore.Shared, adv *advertisement.Rdv) {
-	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
-	en.sh.Release()
-	en.adv, en.sh = adv, sh
-	en.renewed = pv.env.Now()
-}
-
-// renewHeld renews entry i as renew would when wire is, byte for byte, the
-// encoding it holds: one comparison, no hash, no store, no allocation.
-// Whatever picked i is only a hint; a document that differs in any byte
-// never renews the entry.
+// renewHeld renews entry i when wire is, byte for byte, the encoding it
+// holds: one comparison, no hash, no store, no allocation. Whatever picked i
+// is only a hint; a document that differs in any byte never renews the
+// entry.
 func (pv *PeerView) renewHeld(i int, wire []byte) bool {
 	en := pv.entries[i]
 	if !bytes.Equal(en.sh.Bytes(), wire) {
@@ -596,33 +592,12 @@ func (pv *PeerView) sendView(to ids.ID, msgType string) {
 	pv.send(to, m)
 }
 
-// receiveMerge handles both legs of the merge handshake: union every
-// carried advertisement into the view, answer a request with the (now
-// merged) local list, and notify the merge listener.
-func (pv *PeerView) receiveMerge(src ids.ID, request bool, m *message.Message) {
-	for _, el := range m.Elements() {
-		if el.Namespace != ns || el.Name != elemAdv {
-			continue
-		}
-		if sh, adv := pv.internRdv(el.Data); sh != nil {
-			pv.upsert(sh, adv)
-		}
-	}
-	if request {
-		pv.sendView(src, typeMergeAck)
-	}
-	if pv.onMerge != nil {
-		pv.onMerge(src)
-	}
-}
-
 // receive handles inbound peerview messages. An explicitly stopped
 // peerview ignores them: answering probes would let neighbours refresh the
 // stopped peer in their views forever, and probing referrals would send
 // from a peer that is supposed to be gone. (A not-yet-started peerview
 // still learns — unit harnesses drive the protocol without the loop.)
-// A repeated mention stops at the entry it names (renewHeld); only an
-// advertisement that is new or changed is interned and applied.
+// Every advertisement a message carries is applied by hear.
 func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	if pv.stopped {
 		return
@@ -642,47 +617,30 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 		// IslandMerge enabled) must not bulk-union member lists a foreign
 		// peer sends it — a one-sided union would enlarge its replica
 		// mapping without the SRDI re-replication that keeps it honest.
-		if pv.onMerge != nil {
-			pv.receiveMerge(src, string(msgType) == typeMerge, m)
+		if pv.onMerge == nil {
+			return
 		}
+		// Union the carried list into the view, answer a request with the
+		// (now merged) local list, and notify the merge listener.
+		pv.hearAll(m, true)
+		if string(msgType) == typeMerge {
+			pv.sendView(src, typeMergeAck)
+		}
+		pv.onMerge(src)
 	case typeReferral:
 		// One referral message carries a batch of advertisements as repeated
 		// RdvAdv elements (JXTA-C ships several advertisements per referral
-		// message); apply each independently. The batch is a run of the
-		// sender's ID-ordered view: try the entry after the last one first.
-		next := 0
-		for _, el := range m.Elements() {
-			if el.Namespace != ns || el.Name != elemAdv {
-				continue
-			}
-			if next < len(pv.entries) && pv.renewHeld(next, el.Data) {
-				next++
-				continue
-			}
-			if id, ok := advertisement.RdvPeerIDBytes(el.Data); ok {
-				if i, held := pv.find(id); held {
-					next = i + 1
-					if pv.renewHeld(i, el.Data) {
-						continue
-					}
-				}
-			}
-			if sh, adv := pv.internRdv(el.Data); sh != nil {
-				pv.receiveReferral(sh, adv)
-			}
-		}
+		// message); each is applied independently.
+		pv.hearAll(m, false)
 	case typeProbe, typeResponse, typeUpdate:
 		data, ok := m.Get(ns, elemAdv)
 		if !ok {
 			return
 		}
 		// The message carries the sender's advertisement: learn/refresh it.
-		if i, held := pv.find(src); !held || !pv.renewHeld(i, data) {
-			sh, adv := pv.internRdv(data)
-			if sh == nil {
-				return
-			}
-			pv.upsert(sh, adv)
+		guess, _ := pv.find(src)
+		if _, ok := pv.hear(data, guess, true); !ok {
+			return
 		}
 		if string(msgType) == typeProbe {
 			// Answer a probe with our own advertisement plus a separate
@@ -694,30 +652,16 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	}
 }
 
-// receiveReferral applies one referred advertisement: a known peer is
-// renewed in place, an unknown one is probed before insertion (§3.2), with
-// per-interval dedup so referral bursts cannot launch duplicate probes. It
-// takes over the caller's reference on sh.
-func (pv *PeerView) receiveReferral(sh *advstore.Shared, adv *advertisement.Rdv) {
-	if i, known := pv.find(adv.PeerID); known {
-		// Known peer: the referral's fresh advertisement renews it.
-		pv.renew(pv.entries[i], sh, adv)
-		return
+// hearAll applies every RdvAdv element of m. A referral batch and a merge
+// list are runs of the sender's ID-ordered view, so each element's guess is
+// the entry after the one before it.
+func (pv *PeerView) hearAll(m *message.Message, admit bool) {
+	next := 0
+	for _, el := range m.Elements() {
+		if el.Namespace == ns && el.Name == elemAdv {
+			next, _ = pv.hear(el.Data, next, admit)
+		}
 	}
-	// Unknown: only the identity and address are used, to probe it.
-	sh.Release()
-	if adv.PeerID.Equal(pv.self.PeerID) {
-		return
-	}
-	if _, inflight := pv.probed[adv.PeerID]; inflight {
-		return
-	}
-	if pv.probed == nil {
-		pv.probed = make(map[ids.ID]time.Duration)
-	}
-	pv.probed[adv.PeerID] = pv.env.Now()
-	pv.ep.AddRoute(adv.PeerID, transport.Addr(adv.Address))
-	pv.sendProbe(adv.PeerID)
 }
 
 // referralBatch returns how many advertisements to pack into one referral

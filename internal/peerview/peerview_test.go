@@ -57,11 +57,13 @@ func newOverlay(t testing.TB, sched *simnet.Scheduler, n int, cfg Config) []*tes
 	return peers
 }
 
-// learn upserts adv into p's view through a handle interned from the decoded
-// value, so the handle's encoding is filled lazily on first send.
+// learn applies adv's encoding to p's view as a merge list element is
+// applied, and reports whether the view gained an entry.
 func (p *testRdv) learn(adv *advertisement.Rdv) bool {
-	sh := p.pv.store.Intern(adv)
-	return p.pv.upsert(sh, sh.Adv().(*advertisement.Rdv))
+	wire, _ := advertisement.EncodeXML(adv)
+	size := p.pv.Size()
+	p.pv.hear(wire, 0, true)
+	return p.pv.Size() > size
 }
 
 // entryOf returns p's view entry for id, or nil.
@@ -278,17 +280,17 @@ func TestStopHaltsProbing(t *testing.T) {
 	peers := newOverlay(t, sched, 3, DefaultConfig())
 	startAll(peers)
 	sched.Run(2 * time.Minute)
-	rounds := peers[0].pv.Rounds
+	rounds := peers[0].pv.n.rounds
 	peers[0].pv.Stop()
 	sched.Run(5 * time.Minute)
-	if peers[0].pv.Rounds != rounds {
+	if peers[0].pv.n.rounds != rounds {
 		t.Fatal("iterations continued after Stop")
 	}
 	// Idempotent stop + restart support.
 	peers[0].pv.Stop()
 	peers[0].pv.Start()
 	sched.Run(sched.Now() + 2*time.Minute)
-	if peers[0].pv.Rounds <= rounds {
+	if peers[0].pv.n.rounds <= rounds {
 		t.Fatal("Start after Stop did not resume")
 	}
 }
@@ -301,7 +303,7 @@ func TestStartIdempotent(t *testing.T) {
 	peers[1].pv.Start()
 	sched.Run(5 * time.Minute)
 	// 1 immediate + 10 ticks in 5 minutes (30s interval).
-	if got := peers[0].pv.Rounds; got > 12 {
+	if got := peers[0].pv.n.rounds; got > 12 {
 		t.Fatalf("rounds = %d, double ticker suspected", got)
 	}
 }
@@ -328,7 +330,7 @@ func TestUpsertKeepsOrderProperty(t *testing.T) {
 		adv := &advertisement.Rdv{PeerID: id, GroupID: testGroup,
 			Name: "x", Address: "sim://rennes/ghost"}
 		p.learn(adv)
-		// Re-upsert half of them to exercise the refresh path.
+		// Re-learn half of them to exercise the refresh path.
 		if i%2 == 0 {
 			p.learn(adv)
 		}
@@ -506,6 +508,9 @@ func TestProbeTimeoutEvictsDeadNeighbor(t *testing.T) {
 		}
 		if p.pv.Contains(victim.id) {
 			t.Fatalf("peer %d still lists the dead neighbour after probe timeouts", i)
+		}
+		if n, ok := p.pv.missed[victim.id]; ok {
+			t.Fatalf("peer %d keeps a miss count of %d for the evicted neighbour", i, n)
 		}
 	}
 }

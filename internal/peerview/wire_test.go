@@ -32,13 +32,13 @@ func tapAdvs(p *testRdv, msgType string) *[][]byte {
 }
 
 // The bytes a referral (and a merge list) carries for an entry are exactly
-// EncodeXML(entry.adv), whether the entry's handle retained its encoding off
-// the wire or fills it on first send.
+// EncodeXML(entry.adv), whether the entry was learned from a merge list
+// element or from the peer's own probe.
 func TestReferralCarriesCanonicalBytes(t *testing.T) {
 	sched := simnet.NewScheduler(41)
 	peers := newOverlay(t, sched, 6, Config{Interval: time.Hour})
 	a, b := peers[0], peers[1]
-	// b learns two peers from decoded values (lazy fill) ...
+	// b learns two peers as merge list elements ...
 	b.learn(peers[2].adv)
 	b.learn(peers[3].adv)
 	// ... and two off the wire: their probes carry their advertisements.
@@ -173,11 +173,13 @@ func TestStoreEmptyAfterTeardown(t *testing.T) {
 
 // TestRepeatedMentionAllocs gates the cost of the gossip a converged tier is
 // made of: an advertisement the receiver already holds, byte for byte. A
-// referral batch naming members and a probe from a member renew the entries
-// they name in place (renewHeld): no allocation, and no visit to the store,
-// whose hits and misses stay where they were. The probe's answer, a response
-// and a referral batch the tier then delivers, takes the same path at the
-// prober.
+// referral batch naming members, a probe from a member and a merge request
+// listing only members renew the entries they name in place (hear): no
+// allocation, and no visit to the store, whose hits and misses stay where
+// they were. A referral naming a stranger whose probe is in flight stops at
+// the ID, with the same costs. The probe's answer, a response and a referral
+// batch the tier then delivers, takes the same path at the prober, and no
+// repeated mention sends a probe.
 func TestRepeatedMentionAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -190,6 +192,7 @@ func TestRepeatedMentionAllocs(t *testing.T) {
 	if at.pv.Size() != len(peers)-1 {
 		t.Fatalf("the tier did not converge: rdv0 sees %d of %d", at.pv.Size(), len(peers)-1)
 	}
+	at.pv.SetMergeListener(func(ids.ID) {})
 	var batch [][]byte
 	for _, en := range from.pv.entries {
 		if !en.adv.PeerID.Equal(at.id) {
@@ -198,12 +201,21 @@ func TestRepeatedMentionAllocs(t *testing.T) {
 	}
 	referral := pvFromScript(pvScript(typeReferral, batch...))
 	probe := pvFromScript(pvScript(typeProbe, from.pv.selfBytes))
+	merge := pvFromScript(pvScript(typeMerge, append([][]byte{from.pv.selfBytes}, batch...)...))
+	// The first delivery probes the stranger; every later one finds the
+	// probe in flight.
+	inflight := pvFromScript(pvScript(typeReferral, strangerAdv(ids.FromName(ids.KindPeer, "stranger"))))
 	store := at.pv.store
 	for _, c := range []struct {
 		name  string
 		m     *message.Message
 		named int
-	}{{"referral", referral, len(batch)}, {"probe", probe, 1}} {
+	}{
+		{"referral", referral, len(batch)},
+		{"probe", probe, 1},
+		{"merge", merge, len(batch) + 1},
+		{"in-flight referral", inflight, 0},
+	} {
 		deliver := func() {
 			at.pv.receive(from.id, c.m)
 			sched.Run(sched.Now() + 10*time.Millisecond)
@@ -213,7 +225,12 @@ func TestRepeatedMentionAllocs(t *testing.T) {
 			en.renewed = 0
 		}
 		hits, misses := store.Stats()
-		deliver()
+		probes := at.pv.n.probes
+		at.pv.receive(from.id, c.m)
+		if sent := at.pv.n.probes - probes; sent != 0 {
+			t.Errorf("%s: a repeated mention sent %d probes", c.name, sent)
+		}
+		sched.Run(sched.Now() + 10*time.Millisecond)
 		renewed := 0
 		for _, en := range at.pv.entries {
 			if en.renewed > 0 {

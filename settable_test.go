@@ -48,7 +48,7 @@ var settables = []settable{
 	{"node.Config", "Name", "deploy.Build; jxta-node -name; examples/tcpoverlay; benchmark live-tcp"},
 	{"node.Config", "Role", "deploy.Build; jxta-node -rdv; examples/tcpoverlay; benchmark live-tcp"},
 	{"node.Config", "Seeds", "deploy.Build; examples/tcpoverlay; benchmark live-tcp"},
-	{"node.Config", "Peerview", "deploy.Build; benchmark live-tcp (250 ms interval)"},
+	{"node.Config", "Peerview", "deploy.Build; jxta-node -selfheal; benchmark live-tcp (250 ms interval)"},
 	{"node.Config", "Lease", "deploy.Build; jxta-node -selfheal / -islandmerge"},
 	{"node.Config", "Discovery", "deploy.Build; jxta-node; examples/tcpoverlay; benchmark live-tcp (zero ScanCost)"},
 	{"node.Config", "AdvStore", "deploy.Build (one store per overlay); benchmark kernels"},
@@ -58,7 +58,7 @@ var settables = []settable{
 	{"peerview.Config", "EntryExpiry", "-exp fig4left (tuned PVE_EXPIRATION), ablations"},
 	{"peerview.Config", "HappySize", "test only: TestHibernateKillRestartPromote needs a promoted edge's happy tick"},
 	{"peerview.Config", "ReferralsPerProbe", "-exp ablations"},
-	{"peerview.Config", "ProbeTimeoutRounds", "the facade (self-healing); -exp volatility; benchmark discovery-churn"},
+	{"peerview.Config", "ProbeTimeoutRounds", "the facade (self-healing); jxta-node -selfheal; -exp volatility; benchmark discovery-churn"},
 
 	{"rendezvous.Config", "LeaseDuration", "the facade; -exp churn, volatility, scale; benchmark edges-10k, discovery-churn"},
 	{"rendezvous.Config", "ResponseTimeout", "-exp churn, volatility; benchmark discovery-churn"},
