@@ -209,6 +209,33 @@ func TestQueryForMissingResourceTimesOut(t *testing.T) {
 	}
 }
 
+// TestQueryCompletesOnItsFirstAnswer: two publishers (an edge and a
+// rendezvous) hold the same name, so two answers come back; Query hands the
+// caller the first only and never reports a time-out, which lets a
+// closed-loop reader issue its next lookup from cb without a guard against a
+// second call. QueryAll, on the same overlay, hears both.
+func TestQueryCompletesOnItsFirstAnswer(t *testing.T) {
+	o, pub, search := buildOverlay(t, 6, 5, 10*time.Minute)
+	for i, n := range []*node.Node{pub, o.Rdvs[2]} {
+		n.Discovery.Publish(&advertisement.Resource{
+			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("twice-%d", i)), Name: "Twice"}, 0)
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	answers, timeouts := 0, 0
+	search.Discovery.Query("Resource", "Name", "Twice", func(discovery.Result) { answers++ }, func() { timeouts++ })
+	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
+	if answers != 1 || timeouts != 0 {
+		t.Fatalf("Query: %d answers, %d time-outs; want 1 and 0", answers, timeouts)
+	}
+	search.Discovery.FlushCache()
+	from := map[ids.ID]bool{}
+	search.Discovery.QueryAll("Resource", "Name", "Twice", func(r discovery.Result) { from[r.From] = true }, nil)
+	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
+	if len(from) != 2 {
+		t.Fatalf("QueryAll heard %d publishers, want both", len(from))
+	}
+}
+
 func TestDisconnectedEdgeQueryFails(t *testing.T) {
 	o, err := deploy.Build(deploy.Spec{Seed: 7, NumRdv: 1, Topology: topology.Chain,
 		Edges: []deploy.EdgeGroup{{AttachTo: 0, Count: 1}}})

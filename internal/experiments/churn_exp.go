@@ -7,8 +7,7 @@ import (
 	"jxta/internal/advertisement"
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
-	"jxta/internal/ids"
-	"jxta/internal/metrics"
+	"jxta/internal/node"
 	"jxta/internal/rendezvous"
 	"jxta/internal/topology"
 )
@@ -34,10 +33,9 @@ const churnKillEvery = 90 * time.Second
 
 // ChurnResult reports discovery behaviour under rendezvous churn.
 type ChurnResult struct {
-	Spec      ChurnSpec
-	Latency   metrics.Samples
-	Succeeded int
-	Timeouts  int
+	Spec ChurnSpec
+	// PhaseStats holds the lookups measured while peers crashed.
+	PhaseStats
 	// WalkFraction is the share of queries needing the fallback walk —
 	// expected to rise as views destabilize.
 	WalkFraction float64
@@ -50,9 +48,46 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 	if spec.R < 4 {
 		return ChurnResult{}, fmt.Errorf("experiments: churn needs r >= 4, got %d", spec.R)
 	}
-	o, err := deploy.Build(deploy.Spec{
-		Seed:      spec.Seed,
-		NumRdv:    spec.R,
+	advs := resources("churn-target-", "Churn", 20)
+	o, searcher, err := pubSearch(spec.Seed, spec.R, advs)
+	if err != nil {
+		return ChurnResult{}, err
+	}
+	res := ChurnResult{Spec: spec}
+	walksBefore := totalWalks(o)
+
+	// Kill rendezvous on a timer, round-robin over indices 1..r-2 (sparing
+	// the publisher's rdv 0 and searcher's rdv r-1), skipping around so the
+	// chain of live peers stays mixed. The kills and the lookups share the
+	// scheduler: crashes land between (and during) the measured lookups.
+	victim := 1
+	(&rollingKill{every: churnKillEvery, count: spec.Kills, pick: func() *node.Node {
+		if victim >= spec.R-1 {
+			victim = 1
+		}
+		n := o.Rdvs[victim]
+		victim += 2
+		return n
+	}}).start(o)
+
+	if res.PhaseStats, err = search(o, searcher, advs, spec.Queries); err != nil {
+		return res, err
+	}
+	if spec.Queries > 0 {
+		res.WalkFraction = float64(totalWalks(o)-walksBefore) / float64(spec.Queries)
+	}
+	o.StopAll()
+	return res, nil
+}
+
+// pubSearch deploys the overlay of the churn and recovery experiments: a
+// chain of r rendezvous with a publisher edge on the first and a searcher on
+// the last. It converges for 20 minutes, publishes advs and lets the pushes
+// land.
+func pubSearch(seed int64, r int, advs []*advertisement.Resource) (o *deploy.Overlay, searcher *node.Node, err error) {
+	o, err = deploy.Build(deploy.Spec{
+		Seed:      seed,
+		NumRdv:    r,
 		Topology:  topology.Chain,
 		Discovery: discovery.DefaultConfig(),
 		Lease: rendezvous.Config{
@@ -61,59 +96,15 @@ func RunChurn(spec ChurnSpec) (ChurnResult, error) {
 		},
 		Edges: []deploy.EdgeGroup{
 			{AttachTo: 0, Count: 1, Prefix: "publisher"},
-			{AttachTo: spec.R - 1, Count: 1, Prefix: "searcher"},
+			{AttachTo: r - 1, Count: 1, Prefix: "searcher"},
 		},
 	})
 	if err != nil {
-		return ChurnResult{}, err
+		return nil, nil, err
 	}
 	o.StartAll()
-	publisher, searcher := o.Edges[0], o.Edges[1]
 	o.Sched.Run(20 * time.Minute)
-
-	const advCount = 20
-	for k := 0; k < advCount; k++ {
-		publisher.Discovery.Publish(&advertisement.Resource{
-			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("churn-target-%d", k)),
-			Name:  fmt.Sprintf("Churn%d", k),
-		}, 0)
-	}
+	publish(o.Edges[:1], [][]*advertisement.Resource{advs}, 0)
 	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
-
-	res := ChurnResult{Spec: spec}
-	walksBefore := totalWalks(o)
-
-	// Kill rendezvous on a timer, round-robin over indices 1..r-2 (sparing
-	// the publisher's rdv 0 and searcher's rdv r-1).
-	killed := 0
-	victim := 1
-	var killTick func()
-	killTick = func() {
-		if killed >= spec.Kills {
-			return
-		}
-		if victim >= spec.R-1 {
-			victim = 1
-		}
-		o.KillRdv(victim)
-		victim += 2 // skip around so the chain of live peers stays mixed
-		killed++
-		o.Sched.After(churnKillEvery, killTick)
-	}
-	o.Sched.After(churnKillEvery, killTick)
-
-	// The kill ticker above and the query loop share the scheduler: crashes
-	// land between (and during) the measured lookups.
-	ps, err := runQueryPhase(o, searcher, spec.Queries, advCount, "Churn")
-	if err != nil {
-		return res, err
-	}
-	res.Latency = ps.Latency
-	res.Succeeded = ps.Succeeded
-	res.Timeouts = ps.Timeouts
-	if spec.Queries > 0 {
-		res.WalkFraction = float64(totalWalks(o)-walksBefore) / float64(spec.Queries)
-	}
-	o.StopAll()
-	return res, nil
+	return o, o.Edges[1], nil
 }

@@ -8,9 +8,8 @@ import (
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
 	"jxta/internal/endpoint"
-	"jxta/internal/ids"
 	"jxta/internal/message"
-	"jxta/internal/metrics"
+	"jxta/internal/node"
 	"jxta/internal/rendezvous"
 	"jxta/internal/resolver"
 	"jxta/internal/topology"
@@ -73,13 +72,12 @@ func (s DiscoverySpec) withDefaults() DiscoverySpec {
 // DiscoveryResult is one point of Figure 4 (right).
 type DiscoveryResult struct {
 	Spec DiscoverySpec
-	// Latency collects the per-query discovery times (ms).
-	Latency metrics.Samples
+	// PhaseStats holds the measured lookups: Latency collects the
+	// per-query discovery times, Timeouts the queries that never completed.
+	PhaseStats
 	// MeanMs is the average time to discover the advertisement — the
 	// figure's y axis.
 	MeanMs float64
-	// Timeouts counts queries that never completed.
-	Timeouts int
 	// WalkFraction is the share of measured queries that needed the O(r)
 	// walk fallback (0 when property (2) holds).
 	WalkFraction float64
@@ -146,22 +144,14 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 	// for the peerviews to settle, then publish, then let the SRDI pushes
 	// and replications land before measuring.
 	o.Sched.Run(spec.Converge)
-	for k := 0; k < advertisements; k++ {
-		publisher.Discovery.Publish(&advertisement.Resource{
-			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("target-%d", k)),
-			Name:  fmt.Sprintf("Test%d", k),
-		}, 0)
-	}
+	advs := resources("target-", "Test", advertisements)
+	publish([]*node.Node{publisher}, [][]*advertisement.Resource{advs}, 0)
 	if spec.Noise {
-		for ni, noiser := range o.Edges[2:] {
-			for f := 0; f < fakeAdvs; f++ {
-				name := fmt.Sprintf("fake-%d-%d", ni, f)
-				noiser.Discovery.Publish(&advertisement.Resource{
-					ResID: ids.FromName(ids.KindAdv, name),
-					Name:  name,
-				}, 0)
-			}
+		noise := make([][]*advertisement.Resource, len(o.Edges)-2)
+		for ni := range noise {
+			noise[ni] = resources(fmt.Sprintf("fake-%d-", ni), fmt.Sprintf("fake-%d-", ni), fakeAdvs)
 		}
+		publish(o.Edges[2:], noise, 0)
 	}
 	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
 
@@ -169,40 +159,15 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 	walksBefore := totalWalks(o)
 
 	// The measurement loop runs inside the simulation: each response (or
-	// timeout) flushes the cache and triggers the next query.
-	done := false
-	var runQuery func(i int)
-	runQuery = func(i int) {
-		if i >= spec.Queries {
-			done = true
-			o.Sched.Halt()
-			return
-		}
-		next := func() {
-			searcher.Discovery.FlushCache()
-			runQuery(i + 1)
-		}
-		err := searcher.Discovery.Query("Resource", "Name",
-			fmt.Sprintf("Test%d", i%advertisements),
-			func(r discovery.Result) {
-				res.Latency.AddDuration(r.Elapsed)
-				next()
-			},
-			func() {
-				res.Timeouts++
-				next()
-			})
-		if err != nil {
-			res.Timeouts++
-			searcher.Env.After(time.Second, func() { runQuery(i + 1) })
-		}
-	}
-	o.Sched.After(0, func() { runQuery(0) })
-	// Generous horizon: queries early-halt the scheduler when finished.
-	o.Sched.Run(o.Sched.Now() + 4*time.Hour)
-	if !done {
-		return res, fmt.Errorf("experiments: discovery loop did not finish (r=%d, %d samples, %d timeouts)",
-			spec.R, res.Latency.N(), res.Timeouts)
+	// timeout) flushes the cache and issues the next query at once.
+	res.PhaseStats, err = lookupPhase{
+		peers:        []*node.Node{searcher},
+		targets:      [][]string{cycle(advs, spec.Queries)},
+		afterRefusal: time.Second,
+		horizon:      4 * time.Hour,
+	}.run(o)
+	if err != nil {
+		return res, err
 	}
 	res.MeanMs = res.Latency.Mean()
 	if spec.Queries > 0 {

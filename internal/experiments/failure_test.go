@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"jxta/internal/advertisement"
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
-	"jxta/internal/ids"
 	"jxta/internal/topology"
 )
 
@@ -65,43 +63,16 @@ func TestDiscoveryMostlySucceedsUnderLoss(t *testing.T) {
 	o := lossyOverlay(t, 0.03, 6, 3)
 	o.StartAll()
 	o.Sched.Run(15 * time.Minute)
-	pub, search := o.Edges[0], o.Edges[1]
-	for k := 0; k < 10; k++ {
-		pub.Discovery.Publish(&advertisement.Resource{
-			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("lossy-%d", k)),
-			Name:  fmt.Sprintf("Lossy%d", k),
-		}, 0)
-	}
+	advs := resources("lossy-", "Lossy", 10)
+	publish(o.Edges[:1], [][]*advertisement.Resource{advs}, 0)
 	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
 
-	ok, timeouts := 0, 0
-	done := false
-	var run func(i int)
-	run = func(i int) {
-		if i >= 30 {
-			done = true
-			o.Sched.Halt()
-			return
-		}
-		next := func() {
-			search.Discovery.FlushCache()
-			run(i + 1)
-		}
-		search.Discovery.Query("Resource", "Name", fmt.Sprintf("Lossy%d", i%10),
-			func(discovery.Result) {
-				ok++
-				next()
-			},
-			func() {
-				timeouts++
-				next()
-			})
+	ps, err := lookupPhase{peers: o.Edges[1:], targets: [][]string{cycle(advs, 30)},
+		afterRefusal: time.Second, horizon: time.Hour}.run(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	o.Sched.After(0, func() { run(0) })
-	o.Sched.Run(o.Sched.Now() + time.Hour)
-	if !done {
-		t.Fatal("query loop wedged under loss")
-	}
+	ok, timeouts := ps.Succeeded, ps.Timeouts
 	// 3% per-message loss over a ~4-message path: most queries succeed.
 	if ok < 20 {
 		t.Fatalf("only %d/30 queries succeeded under 3%% loss (timeouts=%d)", ok, timeouts)

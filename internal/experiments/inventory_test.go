@@ -2,12 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"jxta/internal/advertisement"
+	"jxta/internal/deploy"
 	"jxta/internal/topology"
 )
 
@@ -135,17 +138,18 @@ func TestPeerviewCoverageAtAnHour(t *testing.T) {
 // ok_share in its trace file; a fix raises the floor.
 func TestPermanentKillOkShare(t *testing.T) {
 	const floor, attempts = 4136, 5120 // measured: 4,136 of 5,120, ok_share 0.807813
-	r := newChurnRun(t, 42)
-	r.publish(30)
-	r.lookup(t, 60, 0, 50*time.Millisecond)
-	r.killQuarter(true)
-	r.run(30*time.Second, 20*time.Minute, nil)
-	r.lookup(t, 15, 2*time.Second, 500*time.Millisecond)
-	r.killQuarter(false)
-	attempted, ok := r.lookup(t, 8, 2*time.Second, 500*time.Millisecond)
-	t.Logf("permanent kill: %d of %d lookups answered, ok_share %.6f", ok, attempted, float64(ok)/float64(attempted))
-	if attempted != attempts || ok < floor {
-		t.Fatalf("%d of %d lookups answered after a quarter of the tier died for good, floor %d of %d", ok, attempted, floor, attempts)
+	r := newChurnReplay(t, 42)
+	r.read(t, 60, 0, 50*time.Millisecond)
+	arm(r.o, r.quarter(true))
+	r.o.Sched.Run(r.o.Sched.Now() + 20*time.Minute)
+	r.read(t, 15, 2*time.Second, 500*time.Millisecond)
+	arm(r.o, r.quarter(false))
+	ps := r.read(t, 8, 2*time.Second, 500*time.Millisecond)
+	t.Logf("permanent kill: %d of %d lookups answered, ok_share %.6f; run: %d steps, %+v",
+		ps.Succeeded, ps.Attempted, float64(ps.Succeeded)/float64(ps.Attempted), r.o.Sched.Steps(), r.o.Net.Stats())
+	if ps.Attempted != attempts || ps.Succeeded < floor {
+		t.Fatalf("%d of %d lookups answered after a quarter of the tier died for good, floor %d of %d",
+			ps.Succeeded, ps.Attempted, floor, attempts)
 	}
 }
 
@@ -155,13 +159,87 @@ func TestPermanentKillOkShare(t *testing.T) {
 // where seed 42 loses none. A fix lowers the ceiling.
 func TestSeed67SteadyStateLosses(t *testing.T) {
 	const ceiling = 46 // measured: 46 of 38,400
-	r := newChurnRun(t, 67)
-	r.publish(30)
-	attempted, ok := r.lookup(t, 60, 0, 50*time.Millisecond)
-	t.Logf("seed 67 steady state: %d of %d lookups lost", attempted-ok, attempted)
-	if attempted-ok > ceiling {
-		t.Fatalf("%d of %d steady-state lookups lost, ceiling %d", attempted-ok, attempted, ceiling)
+	r := newChurnReplay(t, 67)
+	ps := r.read(t, 60, 0, 50*time.Millisecond)
+	lost := ps.Attempted - ps.Succeeded
+	t.Logf("seed 67 steady state: %d of %d lookups lost; run: %d steps, %+v",
+		lost, ps.Attempted, r.o.Sched.Steps(), r.o.Net.Stats())
+	if lost > ceiling {
+		t.Fatalf("%d of %d steady-state lookups lost, ceiling %d", lost, ps.Attempted, ceiling)
 	}
+}
+
+// churnReplay is the repository benchmark's discovery-churn workload
+// (benchmark/workloads_sim.go) on the fault script: the same spec, the same
+// phases ending on the same slice boundaries, and the same draws from a
+// rand.Rand seeded like the benchmark's, so a phase reads here exactly what
+// the benchmark reports for it.
+type churnReplay struct {
+	o    *deploy.Overlay
+	rng  *rand.Rand
+	advs [][]*advertisement.Resource // advs[p][k]: edge p's k-th advertisement
+}
+
+// newChurnReplay builds the workload's overlay from seed, runs its 15
+// minutes of convergence and its write phase: every edge publishes 30
+// resources, one a second, the edges staggered inside the second.
+func newChurnReplay(t *testing.T, seed int64) *churnReplay {
+	t.Helper()
+	const perPeer, spacing = 30, time.Second
+	o, err := deploy.Build(selfHealing(seed, 64, 10, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	o.Sched.Run(15 * time.Minute)
+	r := &churnReplay{o: o, rng: rand.New(rand.NewSource(seed)), advs: make([][]*advertisement.Resource, len(o.Edges))}
+	for p := range r.advs {
+		prefix := fmt.Sprintf("s%d-p%d-k", seed, p)
+		r.advs[p] = resources(prefix, prefix, perPeer)
+	}
+	publish(o.Edges, r.advs, spacing)
+	o.Sched.Run(o.Sched.Now() + spacing*(perPeer+2))
+	return r
+}
+
+// read is the benchmark's lookup phase: every edge looks up perPeer names
+// other edges published, drawn at random, waiting gap after each answer or
+// time-out, measured in slices of step.
+func (r *churnReplay) read(t *testing.T, perPeer int, gap, step time.Duration) PhaseStats {
+	t.Helper()
+	edges := r.o.Edges
+	targets := make([][]string, len(edges))
+	for p := range edges {
+		targets[p] = make([]string, perPeer)
+		for i := range targets[p] {
+			owner := r.rng.Intn(len(edges) - 1)
+			if owner >= p {
+				owner++
+			}
+			targets[p][i] = r.advs[owner][r.rng.Intn(len(r.advs[owner]))].Name
+		}
+	}
+	ps, err := lookupPhase{peers: edges, targets: targets, gap: gap, afterRefusal: time.Second,
+		step: step, horizon: 30 * time.Minute}.run(r.o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// quarter lists the benchmark's crash of a quarter of the tier: one every
+// four seconds from arming, the victims drawn from the run's generator;
+// with restart, each comes back two minutes after its death.
+func (r *churnReplay) quarter(restart bool) []Fault {
+	var faults []Fault
+	for k, v := range r.rng.Perm(len(r.o.Rdvs))[:len(r.o.Rdvs)/4] {
+		at := time.Duration(k+1) * 4 * time.Second
+		faults = append(faults, Fault{At: at, Rdv: v})
+		if restart {
+			faults = append(faults, Fault{At: at + 2*time.Minute, Rdv: v, Restart: true})
+		}
+	}
+	return faults
 }
 
 // testExists reports whether ref, "<directory under internal/>.<test name>",

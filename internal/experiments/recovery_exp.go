@@ -4,14 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"jxta/internal/advertisement"
-	"jxta/internal/deploy"
-	"jxta/internal/discovery"
-	"jxta/internal/ids"
-	"jxta/internal/metrics"
-	"jxta/internal/node"
-	"jxta/internal/rendezvous"
-	"jxta/internal/topology"
 	"jxta/internal/transport"
 )
 
@@ -39,13 +31,6 @@ type RecoverySpec struct {
 // restarts, in kill order.
 const rejoinEvery = time.Minute
 
-// PhaseStats aggregates discovery outcomes over one phase of the scenario.
-type PhaseStats struct {
-	Succeeded int
-	Timeouts  int
-	Latency   metrics.Samples
-}
-
 // RecoveryResult reports overlay behaviour across the failure/heal cycle.
 type RecoveryResult struct {
 	Spec RecoverySpec
@@ -67,117 +52,28 @@ type RecoveryResult struct {
 	NetStats transport.Stats
 }
 
-// meanLiveView averages l across rendezvous currently attached to the
-// network (dead peers are skipped).
-func meanLiveView(o *deploy.Overlay) float64 {
-	sum, n := 0, 0
-	for _, r := range o.Rdvs {
-		if _, ok := o.Net.Lookup(r.Endpoint.Addr()); !ok {
-			continue
-		}
-		sum += r.PeerView.Size()
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
-// runQueryPhase issues count spaced lookups for advertisements named
-// "<prefix>0".."<prefix>{advCount-1}" from the searcher, flushing its cache
-// between queries so every lookup travels the overlay. It is the shared
-// measurement loop of the churn and churn-recovery experiments; whatever
-// the deployment does meanwhile (crashes, rejoins) runs on the same
-// scheduler during the phase.
-func runQueryPhase(o *deploy.Overlay, searcher *node.Node, count, advCount int, prefix string) (PhaseStats, error) {
-	var ps PhaseStats
-	done := false
-	var runQuery func(i int)
-	runQuery = func(i int) {
-		if i >= count {
-			done = true
-			o.Sched.Halt()
-			return
-		}
-		next := func() {
-			searcher.Discovery.FlushCache()
-			// Space the queries out so deployment events (churn, rejoins)
-			// happen between them.
-			searcher.Env.After(5*time.Second, func() { runQuery(i + 1) })
-		}
-		err := searcher.Discovery.Query("Resource", "Name",
-			fmt.Sprintf("%s%d", prefix, i%advCount),
-			func(r discovery.Result) {
-				ps.Latency.AddDuration(r.Elapsed)
-				ps.Succeeded++
-				next()
-			},
-			func() {
-				ps.Timeouts++
-				next()
-			})
-		if err != nil {
-			ps.Timeouts++
-			searcher.Env.After(5*time.Second, func() { runQuery(i + 1) })
-		}
-	}
-	o.Sched.After(0, func() { runQuery(0) })
-	// Generous horizon: each query costs at most the resolver timeout plus
-	// the 5 s spacing.
-	o.Sched.Run(o.Sched.Now() + time.Duration(count+1)*time.Minute)
-	if !done {
-		return ps, fmt.Errorf("experiments: query phase did not finish (%d ok, %d timeouts)",
-			ps.Succeeded, ps.Timeouts)
-	}
-	return ps, nil
-}
-
 // RunChurnRecovery executes the mass-failure + staged-rejoin scenario.
 func RunChurnRecovery(spec RecoverySpec) (RecoveryResult, error) {
 	if spec.R < spec.Kills+3 {
 		return RecoveryResult{}, fmt.Errorf("experiments: recovery needs r >= kills+3, got r=%d kills=%d",
 			spec.R, spec.Kills)
 	}
-	o, err := deploy.Build(deploy.Spec{
-		Seed:      spec.Seed,
-		NumRdv:    spec.R,
-		Topology:  topology.Chain,
-		Discovery: discovery.DefaultConfig(),
-		Lease: rendezvous.Config{
-			LeaseDuration:   5 * time.Minute,
-			ResponseTimeout: 10 * time.Second,
-		},
-		Edges: []deploy.EdgeGroup{
-			{AttachTo: 0, Count: 1, Prefix: "publisher"},
-			{AttachTo: spec.R - 1, Count: 1, Prefix: "searcher"},
-		},
-	})
+	advs := resources("heal-target-", "Heal", 8)
+	o, searcher, err := pubSearch(spec.Seed, spec.R, advs)
 	if err != nil {
 		return RecoveryResult{}, err
 	}
-	o.StartAll()
-	publisher, searcher := o.Edges[0], o.Edges[1]
-	o.Sched.Run(20 * time.Minute) // converge
-
-	const advCount = 8
-	for k := 0; k < advCount; k++ {
-		publisher.Discovery.Publish(&advertisement.Resource{
-			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("heal-target-%d", k)),
-			Name:  fmt.Sprintf("Heal%d", k),
-		}, 0)
-	}
-	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
-
 	res := RecoveryResult{Spec: spec}
-	res.ViewBeforeKill = meanLiveView(o)
+	_, res.ViewBeforeKill, _ = tierStats(o)
 
-	if res.Baseline, err = runQueryPhase(o, searcher, spec.Queries, advCount, "Heal"); err != nil {
+	if res.Baseline, err = search(o, searcher, advs, spec.Queries); err != nil {
 		return res, err
 	}
 
 	// Mass failure: a contiguous block in the middle crashes at once.
-	// Victims keep their identity for the staged rejoin.
+	// Victims keep their identity for the staged rejoin: one restarts per
+	// tick, in kill order, with its original ID and address but cold state,
+	// and rebuilds its view from the chain seeds.
 	first := spec.R / 3
 	if first == 0 {
 		first = 1
@@ -185,39 +81,27 @@ func RunChurnRecovery(spec RecoverySpec) (RecoveryResult, error) {
 	if first+spec.Kills >= spec.R {
 		first = spec.R - 1 - spec.Kills
 	}
-	victims := make([]int, 0, spec.Kills)
-	for v := first; v < first+spec.Kills; v++ {
-		victims = append(victims, v)
-		o.KillRdv(v)
+	kills := make([]Fault, spec.Kills)
+	rejoins := make([]Fault, spec.Kills)
+	for i := range kills {
+		kills[i] = Fault{Rdv: first + i}
+		rejoins[i] = Fault{At: time.Duration(i+1) * rejoinEvery, Rdv: first + i, Restart: true}
 	}
+	arm(o, kills)
 	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
-	res.ViewAfterKill = meanLiveView(o)
+	_, res.ViewAfterKill, _ = tierStats(o)
 
-	if res.Outage, err = runQueryPhase(o, searcher, spec.Queries, advCount, "Heal"); err != nil {
+	if res.Outage, err = search(o, searcher, advs, spec.Queries); err != nil {
 		return res, err
 	}
 
-	// Staged rejoin: one victim restarts per tick, in kill order. Each
-	// comes back with its original ID and address but cold state, and
-	// rebuilds its view from the chain seeds.
-	for i, v := range victims {
-		v := v
-		o.Sched.After(time.Duration(i+1)*rejoinEvery, func() {
-			o.RestartRdv(v)
-		})
-	}
-	settle := time.Duration(len(victims)+1)*rejoinEvery + 15*time.Minute
+	arm(o, rejoins)
+	settle := time.Duration(spec.Kills+1)*rejoinEvery + 15*time.Minute
 	o.Sched.Run(o.Sched.Now() + settle)
-	res.ViewAfterRejoin = meanLiveView(o)
-	res.Reconverged = true
-	for _, r := range o.Rdvs {
-		if r.PeerView.Size() != spec.R-1 {
-			res.Reconverged = false
-			break
-		}
-	}
+	live, view, reconverged := tierStats(o)
+	res.ViewAfterRejoin, res.Reconverged = view, reconverged && live == spec.R
 
-	if res.Recovered, err = runQueryPhase(o, searcher, spec.Queries, advCount, "Heal"); err != nil {
+	if res.Recovered, err = search(o, searcher, advs, spec.Queries); err != nil {
 		return res, err
 	}
 

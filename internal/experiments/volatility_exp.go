@@ -201,16 +201,17 @@ func RunVolatility(spec VolatilitySpec) (VolatilityResult, error) {
 	return res, nil
 }
 
-func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (VolatilityPoint, uint64, transport.Stats, error) {
-	pt := VolatilityPoint{KillEvery: killEvery}
-	edges := make([]deploy.EdgeGroup, 0, spec.R)
-	for i := 0; i < spec.R; i++ {
-		edges = append(edges, deploy.EdgeGroup{AttachTo: i, Count: spec.EdgesPerRdv})
+// selfHealing is the overlay of the volatility sweep, and of the
+// benchmark's discovery-churn workload: a chain of r self-healing
+// rendezvous with edgesPerRdv edges on each.
+func selfHealing(seed int64, r, edgesPerRdv int, merge bool) deploy.Spec {
+	edges := make([]deploy.EdgeGroup, r)
+	for i := range edges {
+		edges[i] = deploy.EdgeGroup{AttachTo: i, Count: edgesPerRdv}
 	}
-	o, err := deploy.Build(deploy.Spec{
-		Seed:     spec.Seed,
-		NumRdv:   spec.R,
-		Shards:   spec.Shards,
+	return deploy.Spec{
+		Seed:     seed,
+		NumRdv:   r,
 		Topology: topology.Chain,
 		Peerview: peerview.Config{ProbeTimeoutRounds: 3},
 		Lease: rendezvous.Config{
@@ -218,11 +219,18 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 			ResponseTimeout:  10 * time.Second,
 			FailoverAttempts: 4,
 			SelfHeal:         true,
-			IslandMerge:      spec.IslandMerge,
+			IslandMerge:      merge,
 		},
 		Discovery: discovery.DefaultConfig(),
 		Edges:     edges,
-	})
+	}
+}
+
+func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (VolatilityPoint, uint64, transport.Stats, error) {
+	pt := VolatilityPoint{KillEvery: killEvery}
+	ds := selfHealing(spec.Seed, spec.R, spec.EdgesPerRdv, spec.IslandMerge)
+	ds.Shards = spec.Shards
+	o, err := deploy.Build(ds)
 	if err != nil {
 		return pt, 0, transport.Stats{}, err
 	}
@@ -235,47 +243,29 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 	publisher, searcher := o.Edges[0], o.Edges[len(o.Edges)-1]
 	o.Sched.Run(20 * time.Minute) // converge views and leases
 
-	const advCount = 10
-	for k := 0; k < advCount; k++ {
-		publisher.Discovery.Publish(&advertisement.Resource{
-			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("vol-target-%d", k)),
-			Name:  fmt.Sprintf("Vol%d", k),
-		}, 0)
-	}
+	advs := resources("vol-target-", "Vol", 10)
+	publish([]*node.Node{publisher}, [][]*advertisement.Resource{advs}, 0)
 	o.Sched.Run(o.Sched.Now() + 2*time.Minute)
 
 	// Crash the original rendezvous tier round-robin, nobody spared. With
 	// RejoinAfter > 0 each victim restarts (kill/rejoin churn); without,
 	// the tier only survives through promotion.
-	killed := 0
 	victim := 0
-	var killTick func()
-	killTick = func() {
-		if killed >= spec.Kills {
-			return
-		}
+	kills := &rollingKill{every: killEvery, rejoin: spec.RejoinAfter, count: spec.Kills, pick: func() *node.Node {
 		for tries := 0; tries < spec.R; tries++ {
 			n := o.Rdvs[victim%spec.R]
 			victim++
-			if !attached(o, n) || !n.Started() {
-				continue
+			if attached(o, n) && n.Started() {
+				return n
 			}
-			o.KillNode(n)
-			killed++
-			if spec.RejoinAfter > 0 {
-				o.Sched.After(spec.RejoinAfter, func() { o.RestartNode(n) })
-			}
-			break
 		}
-		o.Sched.After(killEvery, killTick)
-	}
-	o.Sched.After(killEvery, killTick)
+		return nil
+	}}
+	kills.start(o)
 
-	ps, err := runQueryPhase(o, searcher, spec.Queries, advCount, "Vol")
-	if err != nil {
+	if pt.Phase, err = search(o, searcher, advs, spec.Queries); err != nil {
 		return pt, 0, transport.Stats{}, err
 	}
-	pt.Phase = ps
 
 	if pt.Merge == nil {
 		// Let detection, elections and peerview gossip settle, then read
@@ -286,38 +276,29 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 		// The kill schedule can outlast the query phase; the merge phase
 		// is post-attrition by definition, so let the remaining crashes
 		// land before starting the clock. Without rejoins at most R kills
-		// can ever land — don't wait for a quota that cannot fill.
-		for killed < spec.Kills {
-			if spec.RejoinAfter <= 0 && killed >= spec.R {
-				break
-			}
-			o.Sched.Run(o.Sched.Now() + killEvery)
+		// can ever land — don't wait for a quota that cannot fill. Each
+		// crash lands within a rejoin and two ticks of the one before (a
+		// tick that finds the whole tier dead waits out the first rejoin).
+		landed := func() bool {
+			return kills.killed >= spec.Kills || spec.RejoinAfter <= 0 && kills.killed >= spec.R
+		}
+		if !advance(o, killEvery, time.Duration(spec.Kills+1)*(spec.RejoinAfter+2*killEvery), landed) {
+			return pt, 0, transport.Stats{}, fmt.Errorf("experiments: %d of %d kills landed", kills.killed, spec.Kills)
 		}
 		// Merge phase: poll the tier until the surviving islands gossiped
 		// each other into a single peerview, recording time-to-single-tier,
 		// then measure discovery on the merged overlay. tierStats only
 		// reads node state, so the polling cannot perturb the replay.
 		start := o.Sched.Now()
-		deadline := start + mergeSettle
-		for o.Sched.Now() < deadline {
+		pt.Merge.Converged = advance(o, 30*time.Second, mergeSettle, func() bool {
 			live, _, reconv := tierStats(o)
-			if reconv && live > 0 && edgesSettled(o) {
-				pt.Merge.Converged = true
-				break
-			}
-			step := o.Sched.Now() + 30*time.Second
-			if step > deadline {
-				step = deadline
-			}
-			o.Sched.Run(step)
-		}
+			return reconv && live > 0 && edgesSettled(o)
+		})
 		pt.Merge.TimeToSingleTier = o.Sched.Now() - start
 		pt.LiveTier, pt.MeanView, pt.Reconverged = tierStats(o)
-		ps, err := runQueryPhase(o, searcher, spec.Queries, advCount, "Vol")
-		if err != nil {
+		if pt.Merge.Phase, err = search(o, searcher, advs, spec.Queries); err != nil {
 			return pt, 0, transport.Stats{}, err
 		}
-		pt.Merge.Phase = ps
 	}
 	steps, ns := o.Sched.Steps(), o.Net.Stats()
 	o.StopAll()
