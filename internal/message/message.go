@@ -35,6 +35,9 @@ type Element struct {
 	Namespace string // e.g. "jxta"
 	Name      string // e.g. "ResolverQuery"
 	Data      []byte
+	// fixed marks Data as bytes nobody ever writes again (AddFixed), which
+	// an in-process delivery may hand over instead of copying (Loan.Fill).
+	fixed bool
 }
 
 // Size returns the approximate wire footprint of the element.
@@ -65,12 +68,26 @@ func (m *Message) Add(namespace, name string, data []byte) *Message {
 	return m
 }
 
+// AddFixed appends an element whose payload its caller promises is never
+// written again by anyone, for as long as the process runs: an interned
+// advertisement's retained encoding, a peer's own advertisement encoded once.
+// Such bytes are never pooled or reused, so an in-process transport lends
+// the receiver the sender's array itself (Loan.Fill) rather than a copy;
+// whatever else crosses Send is copied or serialized as before.
+func (m *Message) AddFixed(namespace, name string, data []byte) *Message {
+	m.Add(namespace, name, data)
+	m.elements[len(m.elements)-1].fixed = true
+	return m
+}
+
 // AddString appends a text element without copying: the string's backing
 // bytes are aliased directly. This is safe because strings are immutable
 // and element payloads are read-only by contract — the one boundary that
 // hands a message to another peer, transport.Transport.Send, copies or
-// serializes the bytes before it returns, and no code path writes into
-// Element.Data.
+// serializes the bytes before it returns (all but AddFixed payloads, which
+// stay the sender's immutable bytes), and no code path writes into
+// Element.Data. Not marked fixed: a string may be a view of a buffer that is
+// reused later (bytesString).
 func (m *Message) AddString(namespace, name, value string) *Message {
 	return m.Add(namespace, name, stringBytes(value))
 }
@@ -98,8 +115,9 @@ func (m *Message) reserve(n int) {
 	}
 }
 
-// Append appends every element of o, aliasing (not copying) the payloads:
-// the result is valid only as long as o's payloads are. The endpoint builds
+// Append appends every element of o, aliasing (not copying) the payloads
+// and keeping their AddFixed marks: the result is valid only as long as o's
+// payloads are. The endpoint builds
 // its short-lived wire messages this way.
 func (m *Message) Append(o *Message) *Message {
 	if m.elements == nil {
@@ -119,11 +137,13 @@ func (m *Message) Reset() {
 // Out is a pooled outbound message with scratch space: what a sender
 // builds, hands to endpoint.Send or transport.Send, and releases as soon as
 // that call returns. The transport copies or serializes inside Send and
-// retains nothing (the transport.Transport contract), which is what makes
-// the reuse safe. Element payloads may alias the caller's bytes (Add,
-// AddString, Append) or be rendered into the scratch (AddScratch): IDs,
-// integers and small documents that exist only to be sent. Pooled rather
-// than held per service: an idle peer should not pay for scratch space.
+// retains nothing of the Out's own (an AddFixed payload it may keep is the
+// sender's immutable bytes; the transport.Transport contract), which is
+// what makes the reuse safe. Element payloads may alias the caller's bytes
+// (Add, AddFixed, AddString, Append) or be rendered into the scratch
+// (AddScratch): IDs, integers and small documents that exist only to be
+// sent. Pooled rather than held per service: an idle peer should not pay
+// for scratch space.
 type Out struct {
 	Message
 	scratch []byte
@@ -136,7 +156,8 @@ type Out struct {
 // of thousands of tuples) does not pin its storage in the pool, while the
 // batched messages of the discovery path keep theirs. An Out keeps the
 // element slice of a message of up to maxPooledElements elements (append
-// grows it to 146 slots); a Loan, sized exactly, keeps at most that many.
+// grows it to 151 slots of 64 bytes); a Loan, sized exactly, keeps at most
+// that many.
 const (
 	maxPooledScratch  = 4 << 10 // bytes of scratch
 	maxPooledElements = 128     // elements
@@ -155,6 +176,13 @@ func Acquire() *Out { return outPool.Get().(*Out) }
 // Release empties the message and returns it to the pool. The caller must
 // not touch it, or any payload rendered into its scratch, afterwards.
 func (o *Out) Release() {
+	o.trim()
+	outPool.Put(o)
+}
+
+// trim empties the message, keeping the element slice and the scratch
+// unless a bulk message grew them past what the pool keeps.
+func (o *Out) trim() {
 	if len(o.elements) > maxPooledElements {
 		o.elements = nil
 	}
@@ -163,7 +191,6 @@ func (o *Out) Release() {
 	if cap(o.scratch) > maxPooledScratch {
 		o.scratch = o.room[:0]
 	}
-	outPool.Put(o)
 }
 
 // Scratch returns the scratch buffer to append one payload to; pass the
@@ -181,24 +208,45 @@ func (o *Out) AddScratch(namespace, name string, extended []byte) {
 	o.Add(namespace, name, data[:len(data):len(data)])
 }
 
-// Loan is a recycled deep copy of a message: the message and the one buffer
-// that backs its namespaces, names and payloads — what a frame is to TCP. An
-// in-process transport fills one inside Send, lends &l.Message to the
-// receiving handler and ends the loan when the handler returns, which is why
-// a handler may keep nothing of what it was handed (transport.Handler).
+// Loan is a recycled copy of a message: the message and the one buffer
+// that backs its namespaces, names and payloads — what a frame is to TCP —
+// except the AddFixed payloads, which it points at where the sender keeps
+// them. An in-process transport fills one inside Send, lends &l.Message to
+// the receiving handler and ends the loan when the handler returns, which is
+// why a handler may keep nothing of what it was handed (transport.Handler).
 type Loan struct {
 	Message
 	buf []byte
 }
 
-// Fill makes the loan a copy of src, reusing its storage.
-func (l *Loan) Fill(src *Message) { l.buf = l.copyFrom(src, l.buf) }
+// minLoanBuf is the least buffer a Loan allocates. With fixed payloads
+// shared, a delivery's buffer holds names, the endpoint's envelope and small
+// payloads, so a record sized exactly for one message regrows for the next,
+// slightly larger header. Measured, not settable: on the repository
+// benchmark (peerview-r200, seed 42; allocations and bytes per event, heap
+// bytes per peer) exact sizing read 0.654 · 246.7 · 32,604, a 256-byte
+// floor 0.552 · 229.9 · 32,710, 512 bytes 0.518 · 245.6 · 33,215 and
+// 1,024 bytes 0.518 · 296.4 · 34,234.
+const minLoanBuf = 512
+
+// Fill makes the loan a copy of src, reusing its storage. With share, a
+// fixed payload (AddFixed) is the sender's own array, not a copy; without
+// it (the transports' loancheck build, whose scribble must reach every
+// payload a handler saw) everything is copied.
+func (l *Loan) Fill(src *Message, share bool) {
+	if need := src.copySize(share); cap(l.buf) < need {
+		l.buf = make([]byte, 0, max(need, minLoanBuf))
+	}
+	l.buf = l.copyFrom(src, l.buf, share)
+}
 
 // End empties the loan and reports whether it is worth keeping for reuse: one
 // whose storage a bulk message grew past what a released Out keeps is left to
-// the collector. With scribble the bytes the borrower saw are overwritten
-// first, so that anything which kept a view of them reads garbage (the
-// transports' loancheck build tag).
+// the collector. With scribble the loan's buffer is overwritten first, so
+// that anything which kept a view of what it held reads garbage (the
+// transports' loancheck build tag, which fills without share so that the
+// buffer holds every payload). A shared payload is the sender's and is never
+// scribbled.
 func (l *Loan) End(scribble bool) bool {
 	if scribble {
 		buf := l.buf[:cap(l.buf)]
@@ -263,45 +311,56 @@ func (m *Message) Read(namespace string, fields ...Field) (present uint32) {
 func (m *Message) Elements() []Element { return m.elements }
 
 // Clone returns a deep copy that owns everything it points at: namespaces,
-// names and payloads. It is what a holder calls to keep a message that is on
-// loan (a delivered one, transport.Handler) or a view of someone else's
-// bytes (UnmarshalAlias). A clone costs three allocations however many
-// elements it carries, two when they fit the inline storage.
+// names and payloads, fixed ones included. It is what a holder calls to keep
+// a message that is on loan (a delivered one, transport.Handler) or a view of
+// someone else's bytes (UnmarshalAlias). A clone costs three allocations
+// however many elements it carries, two when they fit the inline storage.
 func (m *Message) Clone() *Message {
 	cp := &Message{}
-	cp.copyFrom(m, nil)
+	cp.copyFrom(m, make([]byte, 0, m.copySize(false)), false)
 	return cp
 }
 
-// copyFrom makes m a deep copy of src and is the one copy routine (Clone,
-// and Loan.Fill for the in-process transports inside Send, so that a receiver
-// can never observe sender-side mutation — they must behave like a network
-// that serializes bytes). Every namespace, name and payload of src is copied into
-// buf's storage, overwriting what it held (a larger buffer is allocated when
-// it is too small), and m's elements alias it, capacity-clipped so an append
-// on one can never bleed into the next. The buffer is returned: m is valid
-// until its bytes are overwritten, and a Loan, which recycles both, passes it
-// back in and copies the next message without allocating. Names are copied
-// too because src's may themselves be views of a buffer src does not own
-// (UnmarshalAlias).
-func (m *Message) copyFrom(src *Message, buf []byte) []byte {
-	m.Reset()
+// copySize is how many bytes copyFrom copies of m: every namespace, name and
+// payload, but with share not the fixed payloads.
+func (m *Message) copySize(share bool) int {
 	total := 0
-	for _, e := range src.elements {
-		total += len(e.Namespace) + len(e.Name) + len(e.Data)
+	for _, e := range m.elements {
+		total += len(e.Namespace) + len(e.Name)
+		if !share || !e.fixed {
+			total += len(e.Data)
+		}
 	}
-	// Sized up front: elements alias buf, so it must not move while they are
-	// appended.
-	if buf = buf[:0]; cap(buf) < total {
-		buf = make([]byte, 0, total)
-	}
+	return total
+}
+
+// copyFrom makes m a copy of src and is the one copy routine (Clone, and
+// Loan.Fill for the in-process transports inside Send, so that a receiver
+// can never observe sender-side mutation — they must behave like a network
+// that serializes bytes). Every namespace, name and payload of src is copied
+// into buf's storage, overwriting what it held, and m's elements alias it,
+// capacity-clipped so an append on one can never bleed into the next. With
+// share a fixed payload is not copied: m's element points at src's bytes,
+// which nobody writes, and stays fixed. buf must have room for
+// src.copySize(share) bytes, since elements alias it and it must not move
+// while they are appended. The buffer is returned: m is valid until its bytes
+// are overwritten, and a Loan, which recycles both, passes it back in and
+// copies the next message without allocating. Names are copied too because
+// src's may themselves be views of a buffer src does not own
+// (UnmarshalAlias).
+func (m *Message) copyFrom(src *Message, buf []byte, share bool) []byte {
+	m.Reset()
+	buf = buf[:0]
 	m.reserve(len(src.elements))
 	for _, e := range src.elements {
-		var ns, name, data []byte
+		var ns, name []byte
 		buf, ns = appendChunk(buf, stringBytes(e.Namespace))
 		buf, name = appendChunk(buf, stringBytes(e.Name))
-		buf, data = appendChunk(buf, e.Data)
-		m.elements = append(m.elements, Element{Namespace: bytesString(ns), Name: bytesString(name), Data: data})
+		el := Element{Namespace: bytesString(ns), Name: bytesString(name), Data: e.Data[:len(e.Data):len(e.Data)], fixed: share && e.fixed}
+		if !el.fixed {
+			buf, el.Data = appendChunk(buf, e.Data)
+		}
+		m.elements = append(m.elements, el)
 	}
 	return buf
 }

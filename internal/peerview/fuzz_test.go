@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"jxta/internal/advertisement"
+	"jxta/internal/advstore"
 	"jxta/internal/ids"
 	"jxta/internal/message"
 	"jxta/internal/simnet"
@@ -54,11 +55,44 @@ func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
 	}
 }
 
+// priorEntry is what checkHeld compares an entry with: its state before m
+// arrived.
+type priorEntry struct {
+	renewed time.Duration
+	sh      *advstore.Shared
+	// routed: the endpoint's route to the peer was the Address the entry's
+	// advertisement names.
+	routed bool
+}
+
+// snapshot records every entry's priorEntry.
+func snapshot(pv *PeerView) map[ids.ID]priorEntry {
+	prior := map[ids.ID]priorEntry{}
+	for _, en := range pv.entries {
+		prior[en.adv.PeerID] = priorEntry{en.renewed, en.sh, routedTo(pv, en)}
+	}
+	return prior
+}
+
+// routedTo reports whether the endpoint routes to the entry's peer at the
+// Address its advertisement names.
+func routedTo(pv *PeerView, en *entry) bool {
+	addr, ok := pv.ep.RouteTo(en.adv.PeerID)
+	return ok && string(addr) == en.adv.Address
+}
+
 // checkHeld fails t unless every entry that receiving m renewed or added
 // holds the last advertisement m carried for its ID, in canonical form: an
-// entry is renewed from the bytes received, or not at all. renewed is each
-// entry's renewal time before m arrived.
-func checkHeld(t testing.TB, pv *PeerView, m *message.Message, renewed map[ids.ID]time.Duration) {
+// entry is renewed from the bytes received, or not at all. Every entry with
+// an Address must also be routed to it: a held renewal writes no route
+// (renewHeld), because the entry's bytes, Address included, are the ones
+// whose route hear wrote when they were interned. The one exemption is an
+// entry whose route already named another address before m and that m did
+// not re-intern: the tier running on between inputs delivers envelopes from
+// the real peer at its real address while the entry may hold a fuzzed
+// advertisement that names another, and nothing in receive writes that
+// route back. prior is each entry's state before m arrived.
+func checkHeld(t testing.TB, pv *PeerView, m *message.Message, prior map[ids.ID]priorEntry) {
 	t.Helper()
 	var applied [][]byte
 	typ, _ := m.Get(ns, elemType)
@@ -85,7 +119,12 @@ func checkHeld(t testing.TB, pv *PeerView, m *message.Message, renewed map[ids.I
 	now := pv.env.Now()
 	for _, en := range pv.entries {
 		id := en.adv.PeerID
-		if at, known := renewed[id]; en.renewed != now || known && at == now {
+		p, known := prior[id]
+		if en.adv.Address != "" && !routedTo(pv, en) && (!known || p.sh != en.sh || p.routed) {
+			addr, _ := pv.ep.RouteTo(id)
+			t.Fatalf("entry %s names %s, its route is %q", id, en.adv.Address, addr)
+		}
+		if en.renewed != now || known && p.renewed == now {
 			continue
 		}
 		want, ok := last[id]
@@ -164,8 +203,9 @@ func strangerAdv(id ids.ID) []byte {
 // Contains must agree with a linear scan, and a peer with a miss count must
 // hold an entry. A repeated mention renews an entry from the bytes it holds
 // (hear), so every entry's advertisement must be what those bytes decode to,
-// and an entry the input renewed must hold the last advertisement the input
-// carried for its ID.
+// an entry the input renewed must hold the last advertisement the input
+// carried for its ID, and the endpoint must route to every entry at the
+// Address its bytes name (checkHeld has the one exemption).
 func FuzzPeerviewReceive(f *testing.F) {
 	rig := newFuzzRig(f)
 	at, from := rig.peers[0], rig.peers[1]
@@ -218,17 +258,14 @@ func FuzzPeerviewReceive(f *testing.F) {
 		for _, en := range at.pv.entries {
 			probe = append(probe, en.adv.PeerID)
 		}
-		renewed := map[ids.ID]time.Duration{}
-		for _, en := range at.pv.entries {
-			renewed[en.adv.PeerID] = en.renewed
-		}
+		prior := snapshot(at.pv)
 		m := pvFromScript(script)
 		at.pv.receive(src, m)
 		for _, en := range at.pv.entries {
 			probe = append(probe, en.adv.PeerID)
 		}
 		checkIndexed(t, "after receive", at.pv, probe)
-		checkHeld(t, at.pv, m, renewed)
+		checkHeld(t, at.pv, m, prior)
 		rig.sched.Run(rig.sched.Now() + 10*time.Millisecond + time.Duration(who>>2)*time.Second)
 		checkIndexed(t, "after the tier ran on", at.pv, probe)
 	})

@@ -527,12 +527,25 @@ func (pv *PeerView) hear(wire []byte, guess int, admit bool) (next int, ok bool)
 // holds: one comparison, no hash, no store, no allocation. Whatever picked i
 // is only a hint; a document that differs in any byte never renews the
 // entry.
+//
+// It writes no route: the one the entry's advertisement names is already
+// there. hear wrote it when the entry took these bytes, and nothing has
+// changed it since to anything else:
+//   - the bytes carry the Address, so a peer that moved sends other bytes,
+//     fails the comparison and takes hear's intern path, which writes the
+//     new route;
+//   - node.Restart resets the endpoint's routes and the view together, and
+//     DropRoute has no other caller that keeps the view;
+//   - every other writer writes the address the peer announces as its
+//     own, which is the one its advertisement carries: the envelope's
+//     SrcAddr (endpoint dispatch), a resolver query's, an SRDI publisher's
+//     and a lease record's are the sender's tr.Addr(), as is the Address
+//     that node.New advertises, on Sim and TCP alike.
 func (pv *PeerView) renewHeld(i int, wire []byte) bool {
 	en := pv.entries[i]
 	if !bytes.Equal(en.sh.Bytes(), wire) {
 		return false
 	}
-	pv.ep.AddRoute(en.adv.PeerID, transport.Addr(en.adv.Address))
 	en.renewed = pv.env.Now()
 	return true
 }
@@ -542,7 +555,7 @@ func (pv *PeerView) renewHeld(i int, wire []byte) bool {
 func (pv *PeerView) sendSelf(to ids.ID, msgType string) {
 	m := message.Acquire()
 	m.AddString(ns, elemType, msgType)
-	m.Add(ns, elemAdv, pv.selfBytes)
+	m.AddFixed(ns, elemAdv, pv.selfBytes)
 	pv.send(to, m)
 }
 
@@ -585,9 +598,9 @@ func (pv *PeerView) Merge(sd Seed) {
 func (pv *PeerView) sendView(to ids.ID, msgType string) {
 	m := message.Acquire()
 	m.AddString(ns, elemType, msgType)
-	m.Add(ns, elemAdv, pv.selfBytes)
+	m.AddFixed(ns, elemAdv, pv.selfBytes)
 	for _, en := range pv.entries {
-		m.Add(ns, elemAdv, en.sh.Bytes())
+		m.AddFixed(ns, elemAdv, en.sh.Bytes())
 	}
 	pv.send(to, m)
 }
@@ -716,7 +729,7 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 		if en.adv.PeerID.Equal(to) {
 			continue
 		}
-		m.Add(ns, elemAdv, en.sh.Bytes())
+		m.AddFixed(ns, elemAdv, en.sh.Bytes())
 		added++
 	}
 	if added == 0 {

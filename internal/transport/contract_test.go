@@ -126,3 +126,50 @@ func TestDeliveredMessageIsOnLoan(t *testing.T) {
 		})
 	}
 }
+
+// sameArray reports whether two non-empty slices start at the same byte.
+func sameArray(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// TestFixedPayloadIsLentAsTheSendersBytes: a payload added with AddFixed is
+// bytes nobody writes again, so Sim lends the receiver the sender's array
+// itself while TCP delivers an equal copy; an unmarked payload arrives as a
+// copy on both. Under loancheck Sim copies fixed payloads too, so that its
+// scribble reaches every payload a handler saw and never the sender's.
+func TestFixedPayloadIsLentAsTheSendersBytes(t *testing.T) {
+	const want = "<jxta:RdvAdvertisement>interned</jxta:RdvAdvertisement>"
+	fixed, plain := []byte(want), []byte("rendered into scratch")
+	for name, p := range contractPairs(t) {
+		t.Run(name, func(t *testing.T) {
+			type seen struct {
+				fixed, plain             string
+				fixedShared, plainShared bool
+			}
+			got := make(chan seen, 1)
+			p.b.SetHandler(func(_ Addr, m *message.Message) {
+				f, _ := m.Get("t", "fixed")
+				pl, _ := m.Get("t", "plain")
+				got <- seen{string(f), string(pl), sameArray(f, fixed), sameArray(pl, plain)}
+			})
+			m := message.New().AddFixed("t", "fixed", fixed).Add("t", "plain", plain)
+			if err := p.a.Send(p.b.Addr(), m); err != nil {
+				t.Fatal(err)
+			}
+			if p.drive != nil {
+				p.drive()
+			}
+			s := collect(t, got, 1)[0]
+			if s.fixed != want || s.plain != string(plain) {
+				t.Fatalf("delivered fixed=%q plain=%q, want %q and %q", s.fixed, s.plain, want, plain)
+			}
+			if shared := name == "sim" && !loanCheck; s.fixedShared != shared {
+				t.Errorf("the fixed payload arrived as the sender's array: %v, want %v", s.fixedShared, shared)
+			}
+			if s.plainShared {
+				t.Error("the unmarked payload arrived as the sender's array, not a copy")
+			}
+			if string(fixed) != want {
+				t.Fatalf("the sender's fixed bytes read %q once the loan ended", fixed)
+			}
+		})
+	}
+}

@@ -81,7 +81,8 @@ type netShard struct {
 }
 
 // delivery is one in-flight message's state, pooled across sends: the copy
-// Send made, lent to the receiver's handler at handoff and taken back.
+// Send made (fixed payloads shared, not copied), lent to the receiver's
+// handler at handoff and taken back.
 type delivery struct {
 	message.Loan
 	from Addr
@@ -323,7 +324,11 @@ func (s *Sim) Send(to Addr, msg *message.Message) error {
 	// shard's, migrating pools on cross-shard sends.
 	d := sh.getDelivery()
 	d.from, d.to = s.addr, to
-	d.Fill(msg) // the copy contract: msg is the sender's again once Send returns
+	// The copy contract: msg is the sender's again once Send returns. Its
+	// fixed payloads are never written again, so the receiver is lent those
+	// arrays themselves, except under loancheck, whose scribble must reach
+	// every payload a handler saw.
+	d.Fill(msg, !loanCheck)
 	if dstShard == s.shard {
 		sh.sched.AtCall(arrival, sh.arriveFn, d)
 	} else {

@@ -200,3 +200,49 @@ func TestStatsConcurrentWithShardedRun(t *testing.T) {
 		t.Fatalf("final stats = %+v, want 400 messages, 0 dropped", st)
 	}
 }
+
+// TestCrossShardFixedPayload: both shards send one shared fixed payload (an
+// interned advertisement, as every node of a process holds the same one) to
+// each other in the same windows, and each handler reads the sender's array
+// while the other shard sends it again. Run under -race without loancheck
+// (which copies fixed payloads), it checks that a shared payload crossing
+// shards is only ever read.
+func TestCrossShardFixedPayload(t *testing.T) {
+	const latency = time.Millisecond
+	const rounds = 200
+	ss, net, a, b := shardedPair(t, latency)
+	adv := []byte("<jxta:RdvAdvertisement>shared</jxta:RdvAdvertisement>")
+	want := string(adv)
+	var gotA, gotB int
+	relay := func(self *Sim, to Addr, got *int) Handler {
+		return func(_ Addr, m *message.Message) {
+			if data, _ := m.Get("t", "adv"); string(data) != want {
+				t.Errorf("%s read %q", self.Addr(), data)
+			}
+			if *got++; *got < rounds {
+				if err := self.Send(to, message.New().AddFixed("t", "adv", adv)); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+	}
+	a.SetHandler(relay(a, b.Addr(), &gotA))
+	b.SetHandler(relay(b, a.Addr(), &gotB))
+	ss.Shard(0).After(0, func() {
+		if err := a.Send(b.Addr(), message.New().AddFixed("t", "adv", adv)); err != nil {
+			t.Error(err)
+		}
+	})
+	ss.Shard(1).After(0, func() {
+		if err := b.Send(a.Addr(), message.New().AddFixed("t", "adv", adv)); err != nil {
+			t.Error(err)
+		}
+	})
+	ss.Run(10 * time.Second)
+	if gotA != rounds || gotB != rounds {
+		t.Fatalf("a received %d and b %d messages, want %d each", gotA, gotB, rounds)
+	}
+	if st := net.Stats(); st.Dropped != 0 {
+		t.Fatalf("stats = %+v, want nothing dropped", st)
+	}
+}
