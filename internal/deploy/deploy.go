@@ -73,14 +73,6 @@ type Overlay struct {
 	Rdvs  []*node.Node
 	Edges []*node.Node
 
-	// Metrics is the overlay-level registry: fabric traffic counters
-	// (jxta_net_*) plus, on sharded runs, the engine's window/barrier
-	// instrumentation (jxta_sim_*). Per-node series are read from each
-	// node (node.Node.Metrics). Engine series are sampled at encode time;
-	// read them from the driver side, between Run calls. The fabric
-	// counters are atomic and safe mid-run.
-	Metrics *metrics.Registry
-
 	// AdvStore is the overlay's advertisement interning table: every node's
 	// cache and peerview dedupes equal advertisements through it, and it is
 	// collectible with the overlay (unlike the process-wide default store).
@@ -141,7 +133,6 @@ func Build(spec Spec) (*Overlay, error) {
 		o.Sched, o.Net = sched, transport.NewNetwork(sched, model)
 	}
 
-	o.instrument()
 	o.promoted = func(nn *node.Node) {
 		if o.OnPromotion != nil {
 			o.OnPromotion(nn)
@@ -251,18 +242,22 @@ func (o *Overlay) newEnv(name string, site netmodel.Site) *simnet.NodeEnv {
 // overlays); experiments use it to read window/barrier instrumentation.
 func (o *Overlay) Engine() *simnet.ShardedScheduler { return o.sharded }
 
-// instrument builds the overlay registry over the fabric and (when sharded)
-// the engine. Pure observer: collector-backed instruments read the
-// already-maintained counters at encode time.
-func (o *Overlay) instrument() {
-	o.Metrics = metrics.NewRegistry()
-	o.Metrics.CounterFunc("jxta_net_messages_total", "Messages accepted by the simulated fabric.",
+// Registry builds the overlay-level registry, for one encode or Snapshot:
+// fabric traffic counters (jxta_net_*) plus, on sharded runs, the engine's
+// window/barrier instrumentation (jxta_sim_*). Per-node series are read from
+// each node (node.Node.Metrics). Pure observer: collector-backed instruments
+// read the already-maintained counters at encode time. Read engine series
+// from the driver side, between Run calls; the fabric counters are atomic
+// and safe mid-run.
+func (o *Overlay) Registry() *metrics.Registry {
+	reg := metrics.NewRegistry()
+	reg.CounterFunc("jxta_net_messages_total", "Messages accepted by the simulated fabric.",
 		func() uint64 { return o.Net.Stats().Messages })
-	o.Metrics.CounterFunc("jxta_net_bytes_total", "Payload bytes accepted by the simulated fabric.",
+	reg.CounterFunc("jxta_net_bytes_total", "Payload bytes accepted by the simulated fabric.",
 		func() uint64 { return o.Net.Stats().Bytes })
-	o.Metrics.CounterFunc("jxta_net_dropped_total", "Deliveries dropped: loss injection plus sends to detached peers.",
+	reg.CounterFunc("jxta_net_dropped_total", "Deliveries dropped: loss injection plus sends to detached peers.",
 		func() uint64 { return o.Net.Stats().Dropped })
-	o.Metrics.GaugeFunc("jxta_sim_shards", "Engine shards (1 = serial scheduler).",
+	reg.GaugeFunc("jxta_sim_shards", "Engine shards (1 = serial scheduler).",
 		func() float64 {
 			if o.sharded == nil {
 				return 1
@@ -270,29 +265,30 @@ func (o *Overlay) instrument() {
 			return float64(o.sharded.Shards())
 		})
 	if o.sharded == nil {
-		return
+		return reg
 	}
 	ss := o.sharded
-	o.Metrics.CounterFunc("jxta_sim_windows_total", "Shard execution windows run.",
+	reg.CounterFunc("jxta_sim_windows_total", "Shard execution windows run.",
 		func() uint64 { return ss.ParallelStats().Windows })
-	o.Metrics.CounterFunc("jxta_sim_events_total", "Events executed inside shard windows.",
+	reg.CounterFunc("jxta_sim_events_total", "Events executed inside shard windows.",
 		func() uint64 { return ss.ParallelStats().TotalEvents })
-	o.Metrics.CounterFunc("jxta_sim_critical_events_total", "Per-window maxima summed: the parallel critical path in events.",
+	reg.CounterFunc("jxta_sim_critical_events_total", "Per-window maxima summed: the parallel critical path in events.",
 		func() uint64 { return ss.ParallelStats().CriticalEvents })
-	o.Metrics.CounterFunc("jxta_sim_cross_shard_events_total", "Events exchanged through the window-barrier queues.",
+	reg.CounterFunc("jxta_sim_cross_shard_events_total", "Events exchanged through the window-barrier queues.",
 		func() uint64 { return ss.ParallelStats().CrossShard })
-	o.Metrics.CounterFunc("jxta_sim_busy_shard_sum_total", "Per-window busy-shard counts summed (mean busy = this over windows).",
+	reg.CounterFunc("jxta_sim_busy_shard_sum_total", "Per-window busy-shard counts summed (mean busy = this over windows).",
 		func() uint64 { return ss.ParallelStats().BusyShardSum })
-	o.Metrics.CounterFuncs("jxta_sim_shard_steps_total", "Events executed, per shard.", "shard",
+	reg.CounterFuncs("jxta_sim_shard_steps_total", "Events executed, per shard.", "shard",
 		func(emit func(string, uint64)) {
 			for i := 0; i < ss.Shards(); i++ {
 				emit(strconv.Itoa(i), ss.Shard(i).Steps())
 			}
 		})
-	o.Metrics.GaugeFunc("jxta_sim_max_busy_shards", "Largest number of concurrently busy shards seen.",
+	reg.GaugeFunc("jxta_sim_max_busy_shards", "Largest number of concurrently busy shards seen.",
 		func() float64 { return float64(ss.ParallelStats().MaxBusy) })
-	o.Metrics.GaugeFunc("jxta_sim_speedup_bound", "TotalEvents/CriticalEvents: the workload's achievable speedup.",
+	reg.GaugeFunc("jxta_sim_speedup_bound", "TotalEvents/CriticalEvents: the workload's achievable speedup.",
 		func() float64 { return ss.ParallelStats().SpeedupBound() })
+	return reg
 }
 
 // Nodes returns every deployed peer, rendezvous first — the scrape set for

@@ -248,10 +248,16 @@ func TestQuiescentEdgeHeapCeiling(t *testing.T) {
 // the referral-probe set is dropped when it empties, so a converged
 // rendezvous keeps the peak capacity of no map. It reads 23,350 B. With a
 // map from ID to entry beside the entries and the probe set kept at its
-// peak it read 31,325 B, and with the map alone 28,336 B. The ceiling is
-// +10 %, rounded up, and the map alone lands over it.
+// peak it read 31,325 B, and with the map alone 28,336 B.
+//
+// A view member is one 24-byte entry (TestEntryFitsItsSizeClass) holding its
+// miss count and search key, with no map of miss counts beside the view. It
+// reads 22,747 B, and 23,618–23,619 under -tags loancheck, where the
+// simulated transport also copies fixed payloads. The ceiling is the larger
+// of the two builds' readings before that layout (22,751, and 23,624–23,678
+// under loancheck) + 5 %, rounded up.
 func TestRendezvousTierHeapCeiling(t *testing.T) {
-	const ceiling = 25700
+	const ceiling = 24870
 	const r = 100
 	base := liveHeap()
 	o, err := deploy.Build(deploy.Spec{Seed: 42, NumRdv: r, Topology: topology.Chain})

@@ -48,7 +48,7 @@ func CollectNodeMetrics(o *deploy.Overlay, sample int) *NodeMetricsSummary {
 	nodes := o.Nodes()
 	s := &NodeMetricsSummary{
 		Nodes:   len(nodes),
-		Overlay: o.Metrics.Snapshot(),
+		Overlay: o.Registry().Snapshot(),
 		Totals:  make(map[string]float64),
 		Sample:  make(map[string]map[string]float64),
 	}

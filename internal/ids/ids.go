@@ -116,6 +116,10 @@ func (id ID) Compare(other ID) int {
 	return cmp.Compare(id.kind, other.kind)
 }
 
+// Prefix returns the UUID's leading 32 bits: a.Prefix() < b.Prefix() implies
+// a.Compare(b) < 0, so a sorted view can order by it before comparing IDs.
+func (id ID) Prefix() uint32 { return binary.BigEndian.Uint32(id.uuid[:4]) }
+
 // Less reports whether id orders strictly before other.
 func (id ID) Less(other ID) bool { return id.Compare(other) < 0 }
 

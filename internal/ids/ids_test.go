@@ -194,8 +194,9 @@ func TestCompareProperties(t *testing.T) {
 // FuzzIDCompare holds Compare, which reads the UUID as two big-endian
 // words, to the order it stands for: the UUID's bytes compared as a string,
 // then the kind. The peerview, the rumor store and the replica mapping all
-// sort and search by it. The seeds differ at the first and last byte of each
-// word, or only in the kind.
+// sort and search by it. Prefix must agree with it: the peerview orders by
+// the prefix before it compares IDs. The seeds differ at the first and last
+// byte of each word, or only in the kind.
 func FuzzIDCompare(f *testing.F) {
 	var zero [16]byte
 	f.Add(zero[:], zero[:], byte(KindPeer), byte(KindGroup))
@@ -215,6 +216,9 @@ func FuzzIDCompare(f *testing.F) {
 		}
 		if got := a.Compare(b); got != want {
 			t.Fatalf("%x/%d vs %x/%d: Compare = %d, want %d", a.uuid, a.kind, b.uuid, b.kind, got, want)
+		}
+		if a.Prefix() < b.Prefix() && want >= 0 {
+			t.Fatalf("%x/%d vs %x/%d: Prefix %#x < %#x, but Compare = %d", a.uuid, a.kind, b.uuid, b.kind, a.Prefix(), b.Prefix(), want)
 		}
 	})
 }

@@ -20,25 +20,22 @@ import (
 // own position, and Contains agreeing with a linear scan for every ID in
 // probe. Every entry's advertisement must also be what its held bytes
 // decode to, since a repeated mention is confirmed against those bytes, and
-// every peer with a miss count must be a view member: an entry leaves the
-// view with its count.
+// every entry's key must be its ID's Prefix, since find orders by it.
 func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
 	t.Helper()
-	for id := range pv.missed {
-		if _, ok := pv.find(id); !ok {
-			t.Fatalf("%s: %s has a miss count but no entry", name, id)
-		}
-	}
 	for i, en := range pv.entries {
-		id := en.adv.PeerID
-		if adv, err := advertisement.DecodeXML(en.sh.Bytes()); err != nil || !reflect.DeepEqual(adv, en.adv) {
-			t.Fatalf("%s: entry %s holds %+v, its bytes decode to %+v, %v", name, id, en.adv, adv, err)
+		id := en.rdv().PeerID
+		if en.key != id.Prefix() {
+			t.Fatalf("%s: entry %s has key %#x, its ID's prefix is %#x", name, id, en.key, id.Prefix())
+		}
+		if adv, err := advertisement.DecodeXML(en.sh.Bytes()); err != nil || !reflect.DeepEqual(adv, en.rdv()) {
+			t.Fatalf("%s: entry %s holds %+v, its bytes decode to %+v, %v", name, id, en.rdv(), adv, err)
 		}
 		if id.Equal(pv.self.PeerID) {
 			t.Fatalf("%s: the view holds the local peer at %d", name, i)
 		}
-		if i > 0 && !pv.entries[i-1].adv.PeerID.Less(id) {
-			t.Fatalf("%s: view unsorted or duplicated at %d: %s !< %s", name, i, pv.entries[i-1].adv.PeerID, id)
+		if i > 0 && !pv.entries[i-1].rdv().PeerID.Less(id) {
+			t.Fatalf("%s: view unsorted or duplicated at %d: %s !< %s", name, i, pv.entries[i-1].rdv().PeerID, id)
 		}
 		if at, ok := pv.find(id); !ok || at != i {
 			t.Fatalf("%s: find(%s) = %d, %v; the entry is at %d", name, id, at, ok, i)
@@ -47,7 +44,7 @@ func checkIndexed(t testing.TB, name string, pv *PeerView, probe []ids.ID) {
 	for _, id := range probe {
 		scan := false
 		for _, en := range pv.entries {
-			scan = scan || en.adv.PeerID.Equal(id)
+			scan = scan || en.rdv().PeerID.Equal(id)
 		}
 		if pv.Contains(id) != scan {
 			t.Fatalf("%s: Contains(%s) = %v, a scan of the view says %v", name, id, !scan, scan)
@@ -69,7 +66,7 @@ type priorEntry struct {
 func snapshot(pv *PeerView) map[ids.ID]priorEntry {
 	prior := map[ids.ID]priorEntry{}
 	for _, en := range pv.entries {
-		prior[en.adv.PeerID] = priorEntry{en.renewed, en.sh, routedTo(pv, en)}
+		prior[en.rdv().PeerID] = priorEntry{en.renewed, en.sh, routedTo(pv, en)}
 	}
 	return prior
 }
@@ -77,8 +74,8 @@ func snapshot(pv *PeerView) map[ids.ID]priorEntry {
 // routedTo reports whether the endpoint routes to the entry's peer at the
 // Address its advertisement names.
 func routedTo(pv *PeerView, en *entry) bool {
-	addr, ok := pv.ep.RouteTo(en.adv.PeerID)
-	return ok && string(addr) == en.adv.Address
+	addr, ok := pv.ep.RouteTo(en.rdv().PeerID)
+	return ok && string(addr) == en.rdv().Address
 }
 
 // checkHeld fails t unless every entry that receiving m renewed or added
@@ -118,11 +115,11 @@ func checkHeld(t testing.TB, pv *PeerView, m *message.Message, prior map[ids.ID]
 	}
 	now := pv.env.Now()
 	for _, en := range pv.entries {
-		id := en.adv.PeerID
+		id := en.rdv().PeerID
 		p, known := prior[id]
-		if en.adv.Address != "" && !routedTo(pv, en) && (!known || p.sh != en.sh || p.routed) {
+		if en.rdv().Address != "" && !routedTo(pv, en) && (!known || p.sh != en.sh || p.routed) {
 			addr, _ := pv.ep.RouteTo(id)
-			t.Fatalf("entry %s names %s, its route is %q", id, en.adv.Address, addr)
+			t.Fatalf("entry %s names %s, its route is %q", id, en.rdv().Address, addr)
 		}
 		if en.renewed != now || known && p.renewed == now {
 			continue
@@ -256,13 +253,13 @@ func FuzzPeerviewReceive(f *testing.F) {
 			probe = append(probe, p.id)
 		}
 		for _, en := range at.pv.entries {
-			probe = append(probe, en.adv.PeerID)
+			probe = append(probe, en.rdv().PeerID)
 		}
 		prior := snapshot(at.pv)
 		m := pvFromScript(script)
 		at.pv.receive(src, m)
 		for _, en := range at.pv.entries {
-			probe = append(probe, en.adv.PeerID)
+			probe = append(probe, en.rdv().PeerID)
 		}
 		checkIndexed(t, "after receive", at.pv, probe)
 		checkHeld(t, at.pv, m, prior)

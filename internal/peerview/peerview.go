@@ -39,6 +39,7 @@ package peerview
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 	"time"
 
@@ -166,18 +167,25 @@ type Listener func(kind EventKind, peer ids.ID, at time.Duration)
 // re-replicate SRDI tuples and reconcile duplicate client leases.
 type MergeListener func(peer ids.ID)
 
-// entry is one peerview slot: the advertisement plus its last refresh time.
-// sh is the interning handle (advstore), shared with every other peerview
-// holding the same rendezvous — a tier of r rendezvous would otherwise keep
-// ~r² private decodes alive — and released when the entry leaves the view.
-// It carries the canonical decoded instance (cached in adv) and the
-// canonical encoding that referrals and merge lists send, and that a repeated
-// mention is compared with (hear) before it could reach the store.
+// entry is one view member's record, in 24 bytes: the advertisement, its
+// last refresh time, its search key and its miss count. sh is the interning
+// handle (advstore), shared with every other peerview holding the same
+// rendezvous — a tier of r rendezvous would otherwise keep ~r² private
+// decodes alive — and released when the entry leaves the view. It carries
+// the canonical decoded instance (rdv) and the canonical encoding that
+// referrals and merge lists send, and that a repeated mention is compared
+// with (hear) before it could reach the store. key is the peer ID's Prefix,
+// which find orders by without reading the advertisement. missed counts
+// consecutive unanswered probes (ProbeTimeoutRounds failure detection).
 type entry struct {
-	adv     *advertisement.Rdv
 	sh      *advstore.Shared
 	renewed time.Duration
+	key     uint32
+	missed  int32
 }
+
+// rdv returns the entry's advertisement.
+func (en *entry) rdv() *advertisement.Rdv { return en.sh.Adv().(*advertisement.Rdv) }
 
 // PeerView runs the protocol for one rendezvous peer.
 type PeerView struct {
@@ -203,10 +211,10 @@ type PeerView struct {
 	onMerge  MergeListener
 
 	// probed tracks outstanding probes triggered by referrals, so one
-	// referral storm cannot launch duplicate probes within an interval. Like
-	// missed it is nil until first written, and the sweep that empties it
-	// sets it back to nil: a map keeps its peak capacity after deletes, and
-	// the peak is the burst of a converging tier.
+	// referral storm cannot launch duplicate probes within an interval. It
+	// is nil until first written, and the sweep that empties it sets it back
+	// to nil: a map keeps its peak capacity after deletes, and the peak is
+	// the burst of a converging tier.
 	probed map[ids.ID]time.Duration
 
 	// refCursor is the rotating no-replacement position sendReferrals draws
@@ -214,10 +222,6 @@ type PeerView struct {
 	// view instead of re-drawing i.i.d. random samples (see sendReferrals).
 	refCursor int
 
-	// missed counts consecutive unanswered neighbour probes per view member
-	// (ProbeTimeoutRounds failure detection; nil while it is disabled). Its
-	// keys are view members: an entry leaves the view with its count (sweep).
-	missed map[ids.ID]int
 	// sentinelIdx round-robins one extra probe per iteration over the
 	// non-neighbour view members, so failure detection covers the whole
 	// view (neighbour probes alone only watch the two adjacent IDs).
@@ -277,7 +281,6 @@ func (pv *PeerView) Reset() {
 	}
 	pv.entries = nil
 	pv.probed = nil
-	pv.missed = nil
 }
 
 // AddSeed appends a bootstrap seed at runtime (live joins).
@@ -308,9 +311,16 @@ func (pv *PeerView) Lookup(id ids.ID) (Seed, bool) {
 }
 
 // find returns the position id holds, or would be inserted at, in the
-// ascending view, and whether it is present.
+// ascending view, and whether it is present. It orders by the entries' keys
+// and reads an advertisement only where a key ties with id's.
 func (pv *PeerView) find(id ids.ID) (int, bool) {
-	return slices.BinarySearchFunc(pv.entries, id, func(en *entry, id ids.ID) int { return en.adv.PeerID.Compare(id) })
+	key := id.Prefix()
+	return slices.BinarySearchFunc(pv.entries, id, func(en *entry, id ids.ID) int {
+		if en.key != key {
+			return cmp.Compare(en.key, key)
+		}
+		return en.rdv().PeerID.Compare(id)
+	})
 }
 
 // View returns the ordered peerview including the local peer — the list the
@@ -333,7 +343,7 @@ func (pv *PeerView) ViewAt(i int) ids.ID {
 	if i > self {
 		i--
 	}
-	return pv.entries[i].adv.PeerID
+	return pv.entries[i].rdv().PeerID
 }
 
 // Member returns the i-th view entry, 0 ≤ i < Size(), in ascending ID order,
@@ -341,7 +351,7 @@ func (pv *PeerView) ViewAt(i int) ids.ID {
 // how a self-healing rendezvous lists the alternates it shares with its
 // lease clients.
 func (pv *PeerView) Member(i int) Seed {
-	adv := pv.entries[i].adv
+	adv := pv.entries[i].rdv()
 	return Seed{ID: adv.PeerID, Addr: transport.Addr(adv.Address)}
 }
 
@@ -352,10 +362,10 @@ func (pv *PeerView) Member(i int) Seed {
 func (pv *PeerView) Neighbors() (lower, upper ids.ID) {
 	i, _ := pv.find(pv.self.PeerID)
 	if i > 0 {
-		lower = pv.entries[i-1].adv.PeerID
+		lower = pv.entries[i-1].rdv().PeerID
 	}
 	if i < len(pv.entries) {
-		upper = pv.entries[i].adv.PeerID
+		upper = pv.entries[i].rdv().PeerID
 	}
 	return lower, upper
 }
@@ -365,28 +375,30 @@ func (pv *PeerView) iterate() {
 	pv.n.rounds++
 	pv.sweep()
 
+	// upper_rdv is at the local peer's position in the view, lower_rdv
+	// before it (Neighbors).
 	l := pv.Size()
-	lower, upper := pv.Neighbors()
-	for _, rdv := range [2]ids.ID{upper, lower} {
-		if rdv.IsNil() {
+	self, _ := pv.find(pv.self.PeerID)
+	for _, at := range [2]int{self, self - 1} {
+		if at < 0 || at >= l {
 			continue
 		}
 		if l < pv.cfg.HappySize {
-			pv.probeNeighbor(rdv)
+			pv.probeNeighbor(pv.entries[at])
 		} else if pv.env.Rand().Intn(3) == 0 {
-			pv.sendUpdate(rdv)
+			pv.sendUpdate(pv.entries[at].rdv().PeerID)
 		} else {
-			pv.probeNeighbor(rdv)
+			pv.probeNeighbor(pv.entries[at])
 		}
 	}
 	// With failure detection on, also probe one non-neighbour member per
 	// iteration (round-robin), so every entry is liveness-checked within l
 	// intervals — neighbour probes alone only watch the adjacent IDs.
-	if pv.cfg.ProbeTimeoutRounds > 0 && len(pv.entries) > 0 {
-		en := pv.entries[pv.sentinelIdx%len(pv.entries)]
+	if pv.cfg.ProbeTimeoutRounds > 0 && l > 0 {
+		at := pv.sentinelIdx % l
 		pv.sentinelIdx++
-		if id := en.adv.PeerID; !id.Equal(lower) && !id.Equal(upper) {
-			pv.probeNeighbor(id)
+		if at != self && at != self-1 {
+			pv.probeNeighbor(pv.entries[at])
 		}
 	}
 	if l < pv.cfg.HappySize {
@@ -413,40 +425,34 @@ func (pv *PeerView) iterate() {
 // probeNeighbor probes a view member, counting the outstanding probe for
 // failure detection when ProbeTimeoutRounds is enabled. Any inbound message
 // from that peer resets the count (receive).
-func (pv *PeerView) probeNeighbor(rdv ids.ID) {
+func (pv *PeerView) probeNeighbor(en *entry) {
 	if pv.cfg.ProbeTimeoutRounds > 0 {
-		if pv.missed == nil {
-			pv.missed = make(map[ids.ID]int)
-		}
-		pv.missed[rdv]++
+		en.missed++
 	}
-	pv.sendProbe(rdv)
+	pv.sendProbe(en.rdv().PeerID)
 }
 
 // sweep removes the entries older than EntryExpiry (Algorithm 1, line 3)
 // and, with failure detection on, the members whose last ProbeTimeoutRounds
 // probes all went unanswered — the path a self-healing overlay runs so a
 // dead rendezvous leaves the view in a few intervals rather than a
-// PVE_EXPIRATION. An entry leaves with its miss count.
+// PVE_EXPIRATION. A kept entry's advertisement, a heap object of its own,
+// is not read: the sweep visits every entry each interval, and reading it
+// cost peerview-r200 about 4 % of its event rate.
 func (pv *PeerView) sweep() {
 	now := pv.env.Now()
 	kept := pv.entries[:0]
 	for _, en := range pv.entries {
-		// With failure detection off a kept entry's advertisement, a heap
-		// object of its own, is not read: the sweep visits every entry each
-		// interval, and reading it cost peerview-r200 about 4 % of its
-		// event rate.
 		switch {
 		case now-en.renewed > pv.cfg.EntryExpiry:
 			pv.n.expiries++
-		case pv.cfg.ProbeTimeoutRounds > 0 && pv.missed[en.adv.PeerID] >= pv.cfg.ProbeTimeoutRounds:
+		case pv.cfg.ProbeTimeoutRounds > 0 && int(en.missed) >= pv.cfg.ProbeTimeoutRounds:
 			pv.n.probeEvicts++
 		default:
 			kept = append(kept, en)
 			continue
 		}
-		id := en.adv.PeerID
-		delete(pv.missed, id)
+		id := en.rdv().PeerID
 		en.sh.Release()
 		pv.notify(EventRemove, id)
 	}
@@ -493,21 +499,19 @@ func (pv *PeerView) hear(wire []byte, guess int, admit bool) (next int, ok bool)
 	if err != nil {
 		return i, false
 	}
-	// The peek read a RdvAdvertisement root, so the bytes decode to an *Rdv.
-	adv := sh.Adv().(*advertisement.Rdv)
 	if id.Equal(pv.self.PeerID) {
 		sh.Release()
 		return i, true
 	}
-	pv.ep.AddRoute(id, transport.Addr(adv.Address))
+	// The peek read a RdvAdvertisement root, so the bytes decode to an *Rdv.
+	pv.ep.AddRoute(id, transport.Addr(sh.Adv().(*advertisement.Rdv).Address))
 	switch {
 	case held:
 		en := pv.entries[i]
 		en.sh.Release()
-		en.adv, en.sh = adv, sh
-		en.renewed = pv.env.Now()
+		en.sh, en.renewed = sh, pv.env.Now()
 	case admit:
-		pv.entries = slices.Insert(pv.entries, i, &entry{adv: adv, sh: sh, renewed: pv.env.Now()})
+		pv.entries = slices.Insert(pv.entries, i, &entry{sh: sh, renewed: pv.env.Now(), key: id.Prefix()})
 		pv.n.adds++
 		pv.notify(EventAdd, id)
 	default:
@@ -619,7 +623,10 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 	// third party's *entry* below but must not reset its missed-probe
 	// counter — a stale advertisement relayed by a neighbour is not a sign
 	// of life.
-	delete(pv.missed, src)
+	at, held := pv.find(src)
+	if held {
+		pv.entries[at].missed = 0
+	}
 	// Classify on the element bytes: switch string(b) compares in place,
 	// without making a string of them.
 	msgType, _ := m.Get(ns, elemType)
@@ -650,9 +657,9 @@ func (pv *PeerView) receive(src ids.ID, m *message.Message) {
 		if !ok {
 			return
 		}
-		// The message carries the sender's advertisement: learn/refresh it.
-		guess, _ := pv.find(src)
-		if _, ok := pv.hear(data, guess, true); !ok {
+		// The message carries the sender's advertisement: learn/refresh it,
+		// where the lookup above found the sender's entry or its place.
+		if _, ok := pv.hear(data, at, true); !ok {
 			return
 		}
 		if string(msgType) == typeProbe {
@@ -726,7 +733,7 @@ func (pv *PeerView) sendReferrals(to ids.ID) {
 		}
 		en := pv.entries[pv.refCursor]
 		pv.refCursor++
-		if en.adv.PeerID.Equal(to) {
+		if en.rdv().PeerID.Equal(to) {
 			continue
 		}
 		m.AddFixed(ns, elemAdv, en.sh.Bytes())

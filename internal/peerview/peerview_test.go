@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jxta/internal/advertisement"
 	"jxta/internal/advstore"
@@ -509,9 +510,6 @@ func TestProbeTimeoutEvictsDeadNeighbor(t *testing.T) {
 		if p.pv.Contains(victim.id) {
 			t.Fatalf("peer %d still lists the dead neighbour after probe timeouts", i)
 		}
-		if n, ok := p.pv.missed[victim.id]; ok {
-			t.Fatalf("peer %d keeps a miss count of %d for the evicted neighbour", i, n)
-		}
 	}
 }
 
@@ -559,5 +557,17 @@ func TestMembersSortedWithAddresses(t *testing.T) {
 		if m.ID.Equal(peers[0].id) {
 			t.Fatal("members include the local peer")
 		}
+	}
+}
+
+// TestEntryFitsItsSizeClass: a rendezvous of an r-peer tier holds up to r − 1
+// entries, each its own heap object, so what one costs is what
+// TestRendezvousTierHeapCeiling prices per member. The record is one 24-byte
+// size class with no spare word: item 1(a)'s `heard` (ROADMAP) does not fit
+// beside the others, so whoever adds it measures a layout of its own against
+// that ceiling.
+func TestEntryFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size != 24 {
+		t.Fatalf("entry is %d bytes, not the 24 of its size class; adding a field such as item 1(a)'s heard needs a layout measured against TestRendezvousTierHeapCeiling", size)
 	}
 }

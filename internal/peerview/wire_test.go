@@ -32,7 +32,7 @@ func tapAdvs(p *testRdv, msgType string) *[][]byte {
 }
 
 // The bytes a referral (and a merge list) carries for an entry are exactly
-// EncodeXML(entry.adv), whether the entry was learned from a merge list
+// EncodeXML(entry.rdv()), whether the entry was learned from a merge list
 // element or from the peer's own probe.
 func TestReferralCarriesCanonicalBytes(t *testing.T) {
 	sched := simnet.NewScheduler(41)
@@ -53,12 +53,12 @@ func TestReferralCarriesCanonicalBytes(t *testing.T) {
 
 	want := map[string]bool{}
 	for _, en := range b.pv.entries {
-		enc, err := advertisement.EncodeXML(en.adv)
+		enc, err := advertisement.EncodeXML(en.rdv())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(en.sh.Bytes(), enc) {
-			t.Fatalf("entry %s: handle bytes differ from EncodeXML(adv)", en.adv.Name)
+			t.Fatalf("entry %s: handle bytes differ from EncodeXML(adv)", en.rdv().Name)
 		}
 		want[string(enc)] = true
 	}
@@ -85,7 +85,7 @@ func TestReferralCarriesCanonicalBytes(t *testing.T) {
 		t.Fatalf("merge list = %d advertisements (self first), want 5", len(*merged))
 	}
 	for i, en := range b.pv.entries {
-		if enc, _ := advertisement.EncodeXML(en.adv); !bytes.Equal((*merged)[i+1], enc) {
+		if enc, _ := advertisement.EncodeXML(en.rdv()); !bytes.Equal((*merged)[i+1], enc) {
 			t.Fatalf("merge list entry %d is not EncodeXML(adv)", i)
 		}
 	}
@@ -195,7 +195,7 @@ func TestRepeatedMentionAllocs(t *testing.T) {
 	at.pv.SetMergeListener(func(ids.ID) {})
 	var batch [][]byte
 	for _, en := range from.pv.entries {
-		if !en.adv.PeerID.Equal(at.id) {
+		if !en.rdv().PeerID.Equal(at.id) {
 			batch = append(batch, en.sh.Bytes())
 		}
 	}

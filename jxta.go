@@ -488,7 +488,7 @@ func (p *Peer) TraceEvents() []TraceEvent { return p.n.Rendezvous.Trace().Events
 // OverlayMetrics flattens the overlay-level registry — fabric traffic and,
 // on sharded runs, engine window/barrier instrumentation — into a
 // name→value map. Call between Run calls.
-func (s *Simulation) OverlayMetrics() map[string]float64 { return s.overlay.Metrics.Snapshot() }
+func (s *Simulation) OverlayMetrics() map[string]float64 { return s.overlay.Registry().Snapshot() }
 
 // Grid5000Sites returns the nine modeled site names, for documentation and
 // tooling.
