@@ -3,7 +3,8 @@
 // Grid'5000 network as the JXTA stack. The paper's §3.3 complexity
 // discussion contrasts the LC-DHT (O(1) publish / O(r) worst-case lookup)
 // with classical DHTs (O(log n) for both); this package provides the
-// measurable comparator for that claim.
+// measurable comparator for that claim. Ring implements routing.Backend
+// itself.
 //
 // The ring is built statically — the paper's point of comparison is routing
 // cost, not membership maintenance, and its related work notes that
@@ -21,6 +22,7 @@ import (
 
 	"jxta/internal/message"
 	"jxta/internal/netmodel"
+	"jxta/internal/routing"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
@@ -39,46 +41,33 @@ const (
 // fingerBits is the identifier-space width.
 const fingerBits = 64
 
-// Node is one ring member.
-type Node struct {
+// node is one ring member.
+type node struct {
 	ring    *Ring
-	ID      uint64
+	id      uint64
 	tr      *transport.Sim
-	fingers [fingerBits]uint64 // finger[i] = successor(ID + 2^i)
+	fingers [fingerBits]uint64 // finger[i] = successor(id + 2^i)
 	succ    uint64
 	store   map[uint64]bool // keys this node owns (stored values)
 }
 
-// Ring is a deployed Chord overlay.
+// Ring is a deployed Chord overlay. As a routing.Backend it indexes the
+// members by ring position (ID order).
 type Ring struct {
-	eng     simnet.Engine
-	net     *transport.Network
-	nodes   map[uint64]*Node
-	sorted  []uint64
-	pending map[uint64]*lookup
-	nextReq uint64
-}
-
-type lookup struct {
-	cb    func(owner uint64, hops int, elapsed time.Duration)
-	start time.Duration
+	nodes  map[uint64]*node
+	sorted []uint64
+	ops    routing.Ops
 }
 
 // Build deploys n nodes with deterministic pseudo-random IDs on the given
-// engine/network, spread over the Grid'5000 sites, and computes finger
-// tables from the (static) membership. Any simnet.Engine works (the serial
-// Scheduler satisfies it), so the ring deploys on sharded engines too.
-func Build(eng simnet.Engine, net *transport.Network, n int) (*Ring, error) {
+// network, spread over the Grid'5000 sites, and computes finger tables from
+// the (static) membership.
+func Build(sched *simnet.Scheduler, net *transport.Network, n int) (*Ring, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("chord: n=%d", n)
 	}
-	r := &Ring{
-		eng:     eng,
-		net:     net,
-		nodes:   make(map[uint64]*Node, n),
-		pending: make(map[uint64]*lookup),
-	}
-	rng := eng.NewEnv("chord-ids").Rand()
+	r := &Ring{nodes: make(map[uint64]*node, n), ops: routing.NewOps(sched)}
+	rng := sched.NewEnv("chord-ids").Rand()
 	sites := netmodel.SpreadSites(n)
 	for i := 0; i < n; i++ {
 		id := rng.Uint64()
@@ -89,26 +78,40 @@ func Build(eng simnet.Engine, net *transport.Network, n int) (*Ring, error) {
 		if err != nil {
 			return nil, err
 		}
-		node := &Node{ring: r, ID: id, tr: tr, store: make(map[uint64]bool)}
-		tr.SetHandler(node.receive)
-		r.nodes[id] = node
+		nd := &node{ring: r, id: id, tr: tr, store: make(map[uint64]bool)}
+		tr.SetHandler(nd.receive)
+		r.nodes[id] = nd
 		r.sorted = append(r.sorted, id)
 	}
 	sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i] < r.sorted[j] })
-	for _, node := range r.nodes {
-		node.buildFingers()
+	for _, nd := range r.nodes {
+		nd.buildFingers()
 	}
 	return r, nil
 }
 
-// Nodes returns the ring members in ID order.
-func (r *Ring) Nodes() []*Node {
-	out := make([]*Node, len(r.sorted))
-	for i, id := range r.sorted {
-		out[i] = r.nodes[id]
-	}
-	return out
+// Publish implements routing.Backend: a store routed to the key's owner,
+// which records it. No answer is awaited.
+func (r *Ring) Publish(from int, key string) {
+	r.route(r.nodes[r.sorted[from]], routing.KeyHash(key), "store", nil)
 }
+
+// Lookup implements routing.Backend. The lookup is judged at the node its
+// answer names: an answerer that is not a member, or never recorded the
+// key, reports OK=false rather than counting a reachable-but-empty node as
+// a hit.
+func (r *Ring) Lookup(from int, key string, cb func(routing.Result)) {
+	hash := routing.KeyHash(key)
+	r.route(r.nodes[r.sorted[from]], hash, "lookup", func(owner uint64, hops int, elapsed time.Duration) {
+		n := r.nodes[owner]
+		cb(routing.Result{OK: n != nil && n.store[hash], Hops: hops, Latency: elapsed})
+	})
+}
+
+// Maintain implements routing.Backend: the ring is static by construction
+// (the paper's classical-DHT comparisons assume a static network), so there
+// is no maintenance protocol to run.
+func (r *Ring) Maintain() {}
 
 // successor returns the first node ID clockwise from key (inclusive).
 func (r *Ring) successor(key uint64) uint64 {
@@ -119,14 +122,11 @@ func (r *Ring) successor(key uint64) uint64 {
 	return r.sorted[i]
 }
 
-// Owner returns the node responsible for a key (ground truth for tests).
-func (r *Ring) Owner(key uint64) *Node { return r.nodes[r.successor(key)] }
-
-func (n *Node) buildFingers() {
+func (n *node) buildFingers() {
 	for i := 0; i < fingerBits; i++ {
-		n.fingers[i] = n.ring.successor(n.ID + 1<<uint(i))
+		n.fingers[i] = n.ring.successor(n.id + 1<<uint(i))
 	}
-	n.succ = n.ring.successor(n.ID + 1)
+	n.succ = n.ring.successor(n.id + 1)
 }
 
 // inOpen reports whether x lies in the open ring interval (a, b).
@@ -140,10 +140,10 @@ func inOpen(a, x, b uint64) bool {
 // closestPrecedingFinger returns the routing next hop for key: the highest
 // finger strictly between this node and the key, falling back to the
 // immediate successor (which always makes progress on the ring).
-func (n *Node) closestPrecedingFinger(key uint64) uint64 {
+func (n *node) closestPrecedingFinger(key uint64) uint64 {
 	for i := fingerBits - 1; i >= 0; i-- {
 		f := n.fingers[i]
-		if f != n.ID && inOpen(n.ID, f, key) {
+		if f != n.id && inOpen(n.id, f, key) {
 			return f
 		}
 	}
@@ -151,33 +151,18 @@ func (n *Node) closestPrecedingFinger(key uint64) uint64 {
 }
 
 // owns reports whether this node is the successor of key.
-func (n *Node) owns(key uint64) bool {
-	return n.ring.successor(key) == n.ID
+func (n *node) owns(key uint64) bool {
+	return n.ring.successor(key) == n.id
 }
 
-// Store routes a store request for key from this node; the owner records
-// the key. cb (optional) observes hop count and latency.
-func (r *Ring) Store(from *Node, key uint64, cb func(owner uint64, hops int, elapsed time.Duration)) {
-	r.route(from, key, "store", cb)
-}
-
-// Lookup routes a lookup for key from the given node; cb fires when the
-// owner's response returns to the requester.
-func (r *Ring) Lookup(from *Node, key uint64, cb func(owner uint64, hops int, elapsed time.Duration)) {
-	r.route(from, key, "lookup", cb)
-}
-
-func (r *Ring) route(from *Node, key uint64, kind string, cb func(uint64, int, time.Duration)) {
-	r.nextReq++
-	req := r.nextReq
-	if cb != nil {
-		r.pending[req] = &lookup{cb: cb, start: r.eng.Now()}
-	}
-	from.handle(key, kind, req, 0, from.tr.Addr())
+// route starts a store or lookup for key at from; done (nil for a store)
+// fires when the owner's answer returns to from.
+func (r *Ring) route(from *node, key uint64, kind string, done func(owner uint64, hops int, elapsed time.Duration)) {
+	from.handle(key, kind, r.ops.Open(done), 0, from.tr.Addr())
 }
 
 // handle processes a routing step locally (zero hops) or forwards it.
-func (n *Node) handle(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
+func (n *node) handle(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
 	if n.owns(key) {
 		n.terminal(key, kind, req, hops, origin)
 		return
@@ -194,35 +179,26 @@ func (n *Node) handle(key uint64, kind string, req uint64, hops int, origin tran
 }
 
 // terminal runs at the key's owner: store or answer.
-func (n *Node) terminal(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
+func (n *node) terminal(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
 	if kind == "store" {
 		n.store[key] = true
 	}
 	if origin == n.tr.Addr() {
 		// Local completion without a network round trip.
-		n.ring.complete(req, n.ID, hops)
+		n.ring.ops.Close(req, n.id, hops)
 		return
 	}
 	rsp := message.Acquire()
 	rsp.AddString(ns, elemKind, "found")
 	rsp.AddScratch(ns, elemReqID, strconv.AppendUint(rsp.Scratch(), req, 10))
 	rsp.AddScratch(ns, elemHops, strconv.AppendInt(rsp.Scratch(), int64(hops), 10))
-	rsp.AddScratch(ns, elemOwner, strconv.AppendUint(rsp.Scratch(), n.ID, 10))
+	rsp.AddScratch(ns, elemOwner, strconv.AppendUint(rsp.Scratch(), n.id, 10))
 	_ = n.tr.Send(origin, &rsp.Message)
 	rsp.Release()
 }
 
-func (r *Ring) complete(req, owner uint64, hops int) {
-	l, ok := r.pending[req]
-	if !ok {
-		return
-	}
-	delete(r.pending, req)
-	l.cb(owner, hops, r.eng.Now()-l.start)
-}
-
 // receive handles inbound chord messages at a node.
-func (n *Node) receive(_ transport.Addr, m *message.Message) {
+func (n *node) receive(_ transport.Addr, m *message.Message) {
 	kind := m.GetString(ns, elemKind)
 	req, err := strconv.ParseUint(m.GetString(ns, elemReqID), 10, 64)
 	if err != nil {
@@ -237,7 +213,7 @@ func (n *Node) receive(_ transport.Addr, m *message.Message) {
 		if err != nil {
 			return
 		}
-		n.ring.complete(req, owner, hops)
+		n.ring.ops.Close(req, owner, hops)
 		return
 	}
 	key, err := strconv.ParseUint(m.GetString(ns, elemKey), 10, 64)
@@ -246,6 +222,3 @@ func (n *Node) receive(_ transport.Addr, m *message.Message) {
 	}
 	n.handle(key, kind, req, hops, transport.Addr(m.GetString(ns, elemOrigin)))
 }
-
-// Stored reports whether the node recorded the key (test hook).
-func (n *Node) Stored(key uint64) bool { return n.store[key] }

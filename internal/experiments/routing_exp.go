@@ -87,11 +87,6 @@ type RoutingResult struct {
 	Points []RoutingPoint
 }
 
-// routingBackendErr wraps build failures with the backend name.
-func routingBackendErr(name string, err error) error {
-	return fmt.Errorf("experiments: routing backend %s: %w", name, err)
-}
-
 // RunRouting executes the bake-off. Each backend gets its own scheduler and
 // network (message counters must not bleed across overlays) and its own
 // seed lane: Spec.Seed plus 101 times its place in routingBackends.
@@ -116,44 +111,36 @@ func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint,
 		b   routing.Backend
 		eng simnet.Engine
 		net *transport.Network
+		err error
 	)
-	switch name {
-	case "flood":
+	settle := spec.Converge
+	if name == "srdi" {
+		var sb *srdiBackend
+		if sb, err = buildSRDIBackend(spec, seed); err == nil {
+			b, eng, net = sb, sb.o.Sched, sb.o.Net
+		}
+	} else {
 		sched := simnet.NewScheduler(seed)
-		net = transport.NewNetwork(sched, netmodel.Grid5000())
-		fn, err := flood.Build(sched, net, spec.N, 4)
-		if err != nil {
-			return RoutingPoint{}, routingBackendErr(name, err)
+		eng, net = sched, transport.NewNetwork(sched, netmodel.Grid5000())
+		switch name {
+		case "flood":
+			b, err = flood.Build(sched, net, spec.N, 4)
+			settle = time.Minute // static graph: nothing to converge
+		case "chord":
+			b, err = chord.Build(sched, net, spec.N)
+			settle = time.Minute // fingers precomputed: static
+		case "kademlia":
+			var kad *routing.Kademlia
+			if kad, err = routing.BuildKademlia(sched, net, spec.N); err == nil {
+				kad.Bootstrap()
+				b = kad
+			}
 		}
-		b, eng = routing.NewFloodBackend(fn), sched
-		eng.Run(eng.Now() + time.Minute) // static graph: nothing to converge
-	case "chord":
-		sched := simnet.NewScheduler(seed)
-		net = transport.NewNetwork(sched, netmodel.Grid5000())
-		ring, err := chord.Build(sched, net, spec.N)
-		if err != nil {
-			return RoutingPoint{}, routingBackendErr(name, err)
-		}
-		b, eng = routing.NewChordBackend(ring), sched
-		eng.Run(eng.Now() + time.Minute) // fingers precomputed: static
-	case "kademlia":
-		sched := simnet.NewScheduler(seed)
-		net = transport.NewNetwork(sched, netmodel.Grid5000())
-		kad, err := routing.BuildKademlia(sched, net, spec.N)
-		if err != nil {
-			return RoutingPoint{}, routingBackendErr(name, err)
-		}
-		kad.Bootstrap()
-		b, eng = kad, sched
-		eng.Run(eng.Now() + spec.Converge)
-	case "srdi":
-		sb, err := buildSRDIBackend(spec, seed)
-		if err != nil {
-			return RoutingPoint{}, routingBackendErr(name, err)
-		}
-		b, eng, net = sb, sb.o.Sched, sb.o.Net
-		eng.Run(eng.Now() + spec.Converge)
 	}
+	if err != nil {
+		return RoutingPoint{}, fmt.Errorf("experiments: routing backend %s: %w", name, err)
+	}
+	eng.Run(eng.Now() + settle)
 
 	pt := RoutingPoint{Backend: name, N: spec.N}
 

@@ -6,7 +6,8 @@
 //
 // Nodes form a static connected random graph (degree k) over the simulated
 // network; a query floods with a TTL and per-query deduplication; the first
-// node holding the key answers the originator directly.
+// node holding the key answers the originator directly. Network implements
+// routing.Backend itself.
 package flood
 
 import (
@@ -16,63 +17,58 @@ import (
 
 	"jxta/internal/message"
 	"jxta/internal/netmodel"
+	"jxta/internal/routing"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
 
-// Message elements, namespace "flood".
+// Message elements, namespace "flood". A found answer carries its hop count
+// in TTL and names no node.
 const (
 	ns         = "flood"
 	elemKey    = "Key"
 	elemTTL    = "TTL"
+	elemHops   = "Hops"
 	elemReqID  = "Req"
 	elemOrigin = "Origin"
 	elemKind   = "Kind" // "query" | "found"
 )
 
-// Node is one flooding rendezvous.
-type Node struct {
+// node is one flooding rendezvous.
+type node struct {
 	net       *Network
-	Index     int
 	tr        *transport.Sim
 	neighbors []int
 	keys      map[string]bool
 	seen      map[uint64]bool
 }
 
-// Network is a deployed flooding overlay.
+// Network is a deployed flooding overlay. As a routing.Backend it indexes
+// the members in deployment order.
 type Network struct {
-	eng     simnet.Engine
-	nodes   []*Node
-	pending map[uint64]*query
-	nextReq uint64
+	nodes []*node
+	ops   routing.Ops
 }
 
-type query struct {
-	cb    func(hops int, elapsed time.Duration)
-	start time.Duration
-}
-
-// Build deploys n nodes in a connected random graph of degree ~k. Any
-// simnet.Engine works (the serial Scheduler satisfies it).
-func Build(eng simnet.Engine, net *transport.Network, n, k int) (*Network, error) {
+// Build deploys n nodes in a connected random graph of degree ~k.
+func Build(sched *simnet.Scheduler, net *transport.Network, n, k int) (*Network, error) {
 	if n <= 0 || k <= 0 {
 		return nil, fmt.Errorf("flood: n=%d k=%d", n, k)
 	}
-	fn := &Network{eng: eng, pending: make(map[uint64]*query)}
+	fn := &Network{ops: routing.NewOps(sched)}
 	sites := netmodel.SpreadSites(n)
 	for i := 0; i < n; i++ {
 		tr, err := net.Attach(fmt.Sprintf("flood%d", i), sites[i])
 		if err != nil {
 			return nil, err
 		}
-		node := &Node{net: fn, Index: i, tr: tr,
+		nd := &node{net: fn, tr: tr,
 			keys: make(map[string]bool), seen: make(map[uint64]bool)}
-		tr.SetHandler(node.receive)
-		fn.nodes = append(fn.nodes, node)
+		tr.SetHandler(nd.receive)
+		fn.nodes = append(fn.nodes, nd)
 	}
 	// Ring edge for connectivity plus random chords up to degree k.
-	rng := eng.NewEnv("flood-graph").Rand()
+	rng := sched.NewEnv("flood-graph").Rand()
 	addEdge := func(a, b int) {
 		if a == b {
 			return
@@ -96,23 +92,29 @@ func Build(eng simnet.Engine, net *transport.Network, n, k int) (*Network, error
 	return fn, nil
 }
 
-// Nodes returns the members in deployment order.
-func (f *Network) Nodes() []*Node { return f.nodes }
+// Publish implements routing.Backend: flooding publishes locally only (its
+// O(1) publish / O(n) query trade-off, inverted from the LC-DHT).
+func (f *Network) Publish(from int, key string) { f.nodes[from].keys[key] = true }
 
-// Publish records a key at a node (flooding publishes locally only — that
-// is its O(1)-publish / O(n)-query trade-off, inverted from the LC-DHT).
-func (n *Node) Publish(key string) { n.keys[key] = true }
-
-// Query floods a lookup for key from this node. cb fires on the first
-// answer with the hop distance and latency. TTL bounds the flood radius.
-func (f *Network) Query(from *Node, key string, ttl int, cb func(hops int, elapsed time.Duration)) {
-	f.nextReq++
-	req := f.nextReq
-	f.pending[req] = &query{cb: cb, start: f.eng.Now()}
-	from.handleQuery(key, req, ttl, 0, from.tr.Addr())
+// Lookup implements routing.Backend. The TTL is the overlay size: the
+// bake-off measures full-coverage flooding, not bounded-horizon variants.
+func (f *Network) Lookup(from int, key string, cb func(routing.Result)) {
+	f.query(f.nodes[from], key, len(f.nodes), func(_ uint64, hops int, elapsed time.Duration) {
+		cb(routing.Result{OK: true, Hops: hops, Latency: elapsed})
+	})
 }
 
-func (n *Node) handleQuery(key string, req uint64, ttl, hops int, origin transport.Addr) {
+// Maintain implements routing.Backend: the flood graph is static, nothing
+// to do.
+func (f *Network) Maintain() {}
+
+// query floods a lookup for key from a node. done fires on the first answer
+// with the hop distance and latency. TTL bounds the flood radius.
+func (f *Network) query(from *node, key string, ttl int, done func(answerer uint64, hops int, elapsed time.Duration)) {
+	from.handleQuery(key, f.ops.Open(done), ttl, 0, from.tr.Addr())
+}
+
+func (n *node) handleQuery(key string, req uint64, ttl, hops int, origin transport.Addr) {
 	if n.seen[req] {
 		return
 	}
@@ -122,7 +124,7 @@ func (n *Node) handleQuery(key string, req uint64, ttl, hops int, origin transpo
 	}
 	if n.keys[key] {
 		if origin == n.tr.Addr() {
-			n.net.complete(req, hops)
+			n.net.ops.Close(req, 0, hops)
 			return
 		}
 		rsp := message.Acquire()
@@ -142,23 +144,14 @@ func (n *Node) handleQuery(key string, req uint64, ttl, hops int, origin transpo
 	m.AddScratch(ns, elemReqID, strconv.AppendUint(m.Scratch(), req, 10))
 	m.AddScratch(ns, elemTTL, strconv.AppendInt(m.Scratch(), int64(ttl-1), 10))
 	m.AddString(ns, elemOrigin, string(origin))
-	m.AddScratch(ns, "Hops", strconv.AppendInt(m.Scratch(), int64(hops+1), 10))
+	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(hops+1), 10))
 	for _, nb := range n.neighbors {
 		_ = n.tr.Send(n.net.nodes[nb].tr.Addr(), &m.Message)
 	}
 	m.Release()
 }
 
-func (f *Network) complete(req uint64, hops int) {
-	q, ok := f.pending[req]
-	if !ok {
-		return
-	}
-	delete(f.pending, req)
-	q.cb(hops, f.eng.Now()-q.start)
-}
-
-func (n *Node) receive(_ transport.Addr, m *message.Message) {
+func (n *node) receive(_ transport.Addr, m *message.Message) {
 	req, err := strconv.ParseUint(m.GetString(ns, elemReqID), 10, 64)
 	if err != nil {
 		return
@@ -169,13 +162,13 @@ func (n *Node) receive(_ transport.Addr, m *message.Message) {
 		if err != nil {
 			return
 		}
-		n.net.complete(req, hops)
+		n.net.ops.Close(req, 0, hops)
 	case "query":
 		ttl, err := strconv.Atoi(m.GetString(ns, elemTTL))
 		if err != nil || ttl < 0 {
 			return
 		}
-		hops, err := strconv.Atoi(m.GetString(ns, "Hops"))
+		hops, err := strconv.Atoi(m.GetString(ns, elemHops))
 		if err != nil {
 			return
 		}

@@ -33,7 +33,7 @@ func TestBuildErrors(t *testing.T) {
 
 func TestGraphConnectedWithDegreeK(t *testing.T) {
 	_, _, fn := build(t, 40, 4, 2)
-	for i, n := range fn.Nodes() {
+	for i, n := range fn.nodes {
 		if len(n.neighbors) < 4 {
 			t.Fatalf("node %d degree %d < 4", i, len(n.neighbors))
 		}
@@ -44,7 +44,7 @@ func TestGraphConnectedWithDegreeK(t *testing.T) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range fn.Nodes()[cur].neighbors {
+		for _, nb := range fn.nodes[cur].neighbors {
 			if !seen[nb] {
 				seen[nb] = true
 				queue = append(queue, nb)
@@ -58,11 +58,11 @@ func TestGraphConnectedWithDegreeK(t *testing.T) {
 
 func TestQueryFindsPublishedKey(t *testing.T) {
 	sched, _, fn := build(t, 30, 3, 3)
-	nodes := fn.Nodes()
-	nodes[17].Publish("PeerNameTest")
+	nodes := fn.nodes
+	fn.Publish(17, "PeerNameTest")
 	done := false
 	var hops int
-	fn.Query(nodes[0], "PeerNameTest", 30, func(h int, d time.Duration) {
+	fn.query(nodes[0], "PeerNameTest", 30, func(_ uint64, h int, d time.Duration) {
 		done = true
 		hops = h
 		if d <= 0 {
@@ -80,10 +80,10 @@ func TestQueryFindsPublishedKey(t *testing.T) {
 
 func TestLocalHitZeroHops(t *testing.T) {
 	sched, _, fn := build(t, 10, 3, 4)
-	n := fn.Nodes()[5]
-	n.Publish("k")
+	n := fn.nodes[5]
+	fn.Publish(5, "k")
 	var hops = -1
-	fn.Query(n, "k", 5, func(h int, _ time.Duration) { hops = h })
+	fn.query(n, "k", 5, func(_ uint64, h int, _ time.Duration) { hops = h })
 	sched.Run(time.Minute)
 	if hops != 0 {
 		t.Fatalf("local hit hops = %d", hops)
@@ -99,9 +99,9 @@ func TestTTLBoundsFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn.Nodes()[10].Publish("far")
+	fn.Publish(10, "far")
 	found := false
-	fn.Query(fn.Nodes()[0], "far", 1, func(int, time.Duration) { found = true })
+	fn.query(fn.nodes[0], "far", 1, func(uint64, int, time.Duration) { found = true })
 	sched.Run(time.Minute)
 	if found {
 		t.Fatal("TTL=1 flood reached distance > 1")
@@ -113,9 +113,9 @@ func TestQueryCostGrowsWithN(t *testing.T) {
 	cost := map[int]uint64{}
 	for _, n := range []int{20, 200} {
 		sched, net, fn := build(t, n, 4, 6)
-		fn.Nodes()[n-1].Publish("needle")
+		fn.Publish(n-1, "needle")
 		before := net.Stats().Messages
-		fn.Query(fn.Nodes()[0], "needle", n, func(int, time.Duration) {})
+		fn.query(fn.nodes[0], "needle", n, func(uint64, int, time.Duration) {})
 		sched.Run(time.Minute)
 		cost[n] = net.Stats().Messages - before
 	}
@@ -126,8 +126,8 @@ func TestQueryCostGrowsWithN(t *testing.T) {
 
 func TestDuplicateSuppression(t *testing.T) {
 	sched, net, fn := build(t, 15, 14, 7) // near-complete graph
-	fn.Nodes()[3].Publish("k")
-	fn.Query(fn.Nodes()[0], "k", 15, func(int, time.Duration) {})
+	fn.Publish(3, "k")
+	fn.query(fn.nodes[0], "k", 15, func(uint64, int, time.Duration) {})
 	sched.Run(time.Minute)
 	// With dedup, each node forwards a query at most once: messages are
 	// bounded by n*degree + 1 response.
@@ -139,7 +139,7 @@ func TestDuplicateSuppression(t *testing.T) {
 func TestMissingKeyNoCallback(t *testing.T) {
 	sched, _, fn := build(t, 10, 3, 8)
 	called := false
-	fn.Query(fn.Nodes()[0], "absent", 10, func(int, time.Duration) { called = true })
+	fn.query(fn.nodes[0], "absent", 10, func(uint64, int, time.Duration) { called = true })
 	sched.Run(time.Minute)
 	if called {
 		t.Fatal("callback fired for missing key")

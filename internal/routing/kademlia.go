@@ -71,14 +71,14 @@ type kadNode struct {
 // routing table with a deterministic bootstrap graph (successor plus
 // power-of-two jumps in deployment order). Call Bootstrap and run a settle
 // window before measuring; tables then converge through lookup traffic.
-func BuildKademlia(eng simnet.Engine, net *transport.Network, n int) (*Kademlia, error) {
+func BuildKademlia(sched *simnet.Scheduler, net *transport.Network, n int) (*Kademlia, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("kademlia: n=%d", n)
 	}
 	k := &Kademlia{}
 	sites := netmodel.SpreadSites(n)
 	for i := 0; i < n; i++ {
-		e := eng.NewEnv(fmt.Sprintf("kad%d", i))
+		e := sched.NewEnv(fmt.Sprintf("kad%d", i))
 		id := ids.NewRandom(ids.KindPeer, e.Rand())
 		tr, err := net.Attach(fmt.Sprintf("kad%d", i), sites[i])
 		if err != nil {
