@@ -10,33 +10,31 @@
 // cost, not membership maintenance, and its related work notes that
 // classical DHT evaluations "usually assume a static network". It has no
 // stabilization and no failure model: the bake-off measures it in steady
-// state. Lookups are recursive: each hop forwards to the closest preceding
-// finger; the owner answers the originator directly.
+// state. Lookups are recursive and travel over each member's peer resolver,
+// as the other backends' do: the originator queries itself, each hop
+// forwards the query to the closest preceding finger, and the owner answers
+// the originator directly.
 package chord
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
-	"jxta/internal/message"
+	"jxta/internal/endpoint"
+	"jxta/internal/ids"
 	"jxta/internal/netmodel"
+	"jxta/internal/resolver"
 	"jxta/internal/routing"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
 
-// Message elements, namespace "chord".
-const (
-	ns         = "chord"
-	elemKey    = "Key"
-	elemHops   = "Hops"
-	elemReqID  = "Req"
-	elemOrigin = "Origin" // transport address of the requester
-	elemOwner  = "Owner"  // response: owner node ID
-	elemKind   = "Kind"   // "lookup" | "store" | "found"
-)
+// handlerName is the resolver handler ring traffic travels over. A query's
+// payload is "lookup <key>" or "store <key>", the key in decimal; an
+// answer's payload is empty: the answering peer is its sender.
+const handlerName = "urn:jxta:chord"
 
 // fingerBits is the identifier-space width.
 const fingerBits = 64
@@ -45,18 +43,19 @@ const fingerBits = 64
 type node struct {
 	ring    *Ring
 	id      uint64
-	tr      *transport.Sim
-	fingers [fingerBits]uint64 // finger[i] = successor(id + 2^i)
-	succ    uint64
-	store   map[uint64]bool // keys this node owns (stored values)
+	peer    ids.ID
+	ep      *endpoint.Endpoint
+	res     *resolver.Service
+	fingers [fingerBits]*node // finger[i] = successor(id + 2^i); finger[0] is the successor
+	store   map[uint64]bool   // keys this node owns (stored values)
 }
 
 // Ring is a deployed Chord overlay. As a routing.Backend it indexes the
 // members by ring position (ID order).
 type Ring struct {
-	nodes  map[uint64]*node
-	sorted []uint64
-	ops    routing.Ops
+	sched  *simnet.Scheduler
+	nodes  []*node // in ID order
+	byPeer map[ids.ID]*node
 }
 
 // Build deploys n nodes with deterministic pseudo-random IDs on the given
@@ -66,45 +65,57 @@ func Build(sched *simnet.Scheduler, net *transport.Network, n int) (*Ring, error
 	if n <= 0 {
 		return nil, fmt.Errorf("chord: n=%d", n)
 	}
-	r := &Ring{nodes: make(map[uint64]*node, n), ops: routing.NewOps(sched)}
+	r := &Ring{sched: sched, byPeer: make(map[ids.ID]*node, n)}
 	rng := sched.NewEnv("chord-ids").Rand()
+	taken := make(map[uint64]bool, n)
 	sites := netmodel.SpreadSites(n)
 	for i := 0; i < n; i++ {
 		id := rng.Uint64()
-		for _, dup := r.nodes[id]; dup; _, dup = r.nodes[id] {
+		for taken[id] {
 			id = rng.Uint64()
 		}
-		tr, err := net.Attach(fmt.Sprintf("chord%d", i), sites[i])
+		taken[id] = true
+		name := fmt.Sprintf("chord%d", i)
+		tr, err := net.Attach(name, sites[i])
 		if err != nil {
 			return nil, err
 		}
-		nd := &node{ring: r, id: id, tr: tr, store: make(map[uint64]bool)}
-		tr.SetHandler(nd.receive)
-		r.nodes[id] = nd
-		r.sorted = append(r.sorted, id)
+		e := sched.NewEnv(name)
+		nd := &node{ring: r, id: id, peer: ids.FromName(ids.KindPeer, name), store: make(map[uint64]bool)}
+		nd.ep = endpoint.New(e, nd.peer, tr)
+		nd.res = resolver.New(e, nd.ep)
+		nd.res.RegisterHandler(handlerName, nd.handle)
+		r.nodes = append(r.nodes, nd)
+		r.byPeer[nd.peer] = nd
 	}
-	sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i] < r.sorted[j] })
+	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].id < r.nodes[j].id })
 	for _, nd := range r.nodes {
-		nd.buildFingers()
+		for i := range nd.fingers {
+			f := r.successor(nd.id + 1<<uint(i))
+			nd.fingers[i] = f
+			nd.ep.AddRoute(f.peer, f.ep.Addr())
+		}
 	}
 	return r, nil
 }
 
 // Publish implements routing.Backend: a store routed to the key's owner,
-// which records it. No answer is awaited.
+// which records it and acknowledges. No answer is awaited.
 func (r *Ring) Publish(from int, key string) {
-	r.route(r.nodes[r.sorted[from]], routing.KeyHash(key), "store", nil)
+	r.nodes[from].start("store", routing.KeyHash(key), func([]byte, ids.ID, int) {})
 }
 
-// Lookup implements routing.Backend. The lookup is judged at the node its
-// answer names: an answerer that is not a member, or never recorded the
-// key, reports OK=false rather than counting a reachable-but-empty node as
-// a hit.
+// Lookup implements routing.Backend. The lookup is judged at the peer that
+// answered: an answerer that is not a member, or never recorded the key,
+// reports OK=false rather than counting a reachable-but-empty node as a
+// hit. A lookup nobody answers never calls back; its query leaves the
+// originator's resolver at the resolver's timeout.
 func (r *Ring) Lookup(from int, key string, cb func(routing.Result)) {
 	hash := routing.KeyHash(key)
-	r.route(r.nodes[r.sorted[from]], hash, "lookup", func(owner uint64, hops int, elapsed time.Duration) {
-		n := r.nodes[owner]
-		cb(routing.Result{OK: n != nil && n.store[hash], Hops: hops, Latency: elapsed})
+	start := r.sched.Now()
+	r.nodes[from].start("lookup", hash, func(_ []byte, answerer ids.ID, hops int) {
+		n := r.byPeer[answerer]
+		cb(routing.Result{OK: n != nil && n.store[hash], Hops: hops, Latency: r.sched.Now() - start})
 	})
 }
 
@@ -113,20 +124,13 @@ func (r *Ring) Lookup(from int, key string, cb func(routing.Result)) {
 // is no maintenance protocol to run.
 func (r *Ring) Maintain() {}
 
-// successor returns the first node ID clockwise from key (inclusive).
-func (r *Ring) successor(key uint64) uint64 {
-	i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i] >= key })
-	if i == len(r.sorted) {
-		return r.sorted[0]
+// successor returns the first node clockwise from key (inclusive).
+func (r *Ring) successor(key uint64) *node {
+	i := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].id >= key })
+	if i == len(r.nodes) {
+		return r.nodes[0]
 	}
-	return r.sorted[i]
-}
-
-func (n *node) buildFingers() {
-	for i := 0; i < fingerBits; i++ {
-		n.fingers[i] = n.ring.successor(n.id + 1<<uint(i))
-	}
-	n.succ = n.ring.successor(n.id + 1)
+	return r.nodes[i]
 }
 
 // inOpen reports whether x lies in the open ring interval (a, b).
@@ -140,85 +144,41 @@ func inOpen(a, x, b uint64) bool {
 // closestPrecedingFinger returns the routing next hop for key: the highest
 // finger strictly between this node and the key, falling back to the
 // immediate successor (which always makes progress on the ring).
-func (n *node) closestPrecedingFinger(key uint64) uint64 {
+func (n *node) closestPrecedingFinger(key uint64) *node {
 	for i := fingerBits - 1; i >= 0; i-- {
 		f := n.fingers[i]
-		if f != n.id && inOpen(n.id, f, key) {
+		if f != n && inOpen(n.id, f.id, key) {
 			return f
 		}
 	}
-	return n.succ
+	return n.fingers[0]
 }
 
-// owns reports whether this node is the successor of key.
-func (n *node) owns(key uint64) bool {
-	return n.ring.successor(key) == n.id
+// start issues a store or lookup for key: the node queries itself, so its
+// own handler takes the first step, and cb hears the owner's answer.
+func (n *node) start(op string, key uint64, cb resolver.ResponseCallback) {
+	payload := strconv.AppendUint(append([]byte(op), ' '), key, 10)
+	// A query to self cannot fail: the resolver listens on the node's own
+	// endpoint, which delivers it locally.
+	_, _ = n.res.SendQuery(n.peer, handlerName, payload, cb, nil)
 }
 
-// route starts a store or lookup for key at from; done (nil for a store)
-// fires when the owner's answer returns to from.
-func (r *Ring) route(from *node, key uint64, kind string, done func(owner uint64, hops int, elapsed time.Duration)) {
-	from.handle(key, kind, r.ops.Open(done), 0, from.tr.Addr())
-}
-
-// handle processes a routing step locally (zero hops) or forwards it.
-func (n *node) handle(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
-	if n.owns(key) {
-		n.terminal(key, kind, req, hops, origin)
+// handle is one routing step: the key's owner stores or answers, any other
+// member forwards to its closest preceding finger. Every finger has a route
+// from Build, and Respond learns the originator's from the query, so a send
+// fails only as a lost message would: the originator hears nothing.
+func (n *node) handle(q *resolver.Query) {
+	op, arg, _ := bytes.Cut(q.Payload, []byte(" "))
+	key, err := strconv.ParseUint(string(arg), 10, 64)
+	if err != nil || (string(op) != "lookup" && string(op) != "store") {
 		return
 	}
-	next := n.closestPrecedingFinger(key)
-	m := message.Acquire()
-	m.AddString(ns, elemKind, kind)
-	m.AddScratch(ns, elemKey, strconv.AppendUint(m.Scratch(), key, 10))
-	m.AddScratch(ns, elemReqID, strconv.AppendUint(m.Scratch(), req, 10))
-	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(hops+1), 10))
-	m.AddString(ns, elemOrigin, string(origin))
-	_ = n.tr.Send(n.ring.nodes[next].tr.Addr(), &m.Message)
-	m.Release()
-}
-
-// terminal runs at the key's owner: store or answer.
-func (n *node) terminal(key uint64, kind string, req uint64, hops int, origin transport.Addr) {
-	if kind == "store" {
+	if n.ring.successor(key) != n {
+		_ = n.res.Forward(q, n.closestPrecedingFinger(key).peer)
+		return
+	}
+	if string(op) == "store" {
 		n.store[key] = true
 	}
-	if origin == n.tr.Addr() {
-		// Local completion without a network round trip.
-		n.ring.ops.Close(req, n.id, hops)
-		return
-	}
-	rsp := message.Acquire()
-	rsp.AddString(ns, elemKind, "found")
-	rsp.AddScratch(ns, elemReqID, strconv.AppendUint(rsp.Scratch(), req, 10))
-	rsp.AddScratch(ns, elemHops, strconv.AppendInt(rsp.Scratch(), int64(hops), 10))
-	rsp.AddScratch(ns, elemOwner, strconv.AppendUint(rsp.Scratch(), n.id, 10))
-	_ = n.tr.Send(origin, &rsp.Message)
-	rsp.Release()
-}
-
-// receive handles inbound chord messages at a node.
-func (n *node) receive(_ transport.Addr, m *message.Message) {
-	kind := m.GetString(ns, elemKind)
-	req, err := strconv.ParseUint(m.GetString(ns, elemReqID), 10, 64)
-	if err != nil {
-		return
-	}
-	hops, err := strconv.Atoi(m.GetString(ns, elemHops))
-	if err != nil || hops < 0 || hops > 4*fingerBits {
-		return
-	}
-	if kind == "found" {
-		owner, err := strconv.ParseUint(m.GetString(ns, elemOwner), 10, 64)
-		if err != nil {
-			return
-		}
-		n.ring.ops.Close(req, owner, hops)
-		return
-	}
-	key, err := strconv.ParseUint(m.GetString(ns, elemKey), 10, 64)
-	if err != nil {
-		return
-	}
-	n.handle(key, kind, req, hops, transport.Addr(m.GetString(ns, elemOrigin)))
+	_ = n.res.Respond(q, nil)
 }

@@ -5,49 +5,57 @@
 // exactly the contrast the LC-DHT's O(1) routing was introduced to fix.
 //
 // Nodes form a static connected random graph (degree k) over the simulated
-// network; a query floods with a TTL and per-query deduplication; the first
-// node holding the key answers the originator directly. Network implements
-// routing.Backend itself.
+// network; a query floods over each member's peer resolver, as the other
+// backends' queries travel, with a TTL and deduplication on the query's
+// originator and ID; every node holding the key answers the originator
+// directly. Network implements routing.Backend itself.
 package flood
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
-	"time"
 
-	"jxta/internal/message"
+	"jxta/internal/endpoint"
+	"jxta/internal/ids"
 	"jxta/internal/netmodel"
+	"jxta/internal/resolver"
 	"jxta/internal/routing"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
 
-// Message elements, namespace "flood". A found answer carries its hop count
-// in TTL and names no node.
-const (
-	ns         = "flood"
-	elemKey    = "Key"
-	elemTTL    = "TTL"
-	elemHops   = "Hops"
-	elemReqID  = "Req"
-	elemOrigin = "Origin"
-	elemKind   = "Kind" // "query" | "found"
-)
+// handlerName is the resolver handler floods travel over. A query's payload
+// is "<ttl> <key>"; an answer's payload is empty: the answering peer is its
+// sender.
+const handlerName = "urn:jxta:flood"
+
+// maxSeen bounds a node's duplicate-suppression set; a full set is cleared.
+const maxSeen = 1 << 16
+
+// queryKey names one flood: its originator and the originator's query ID.
+type queryKey struct {
+	src ids.ID
+	qid uint64
+}
 
 // node is one flooding rendezvous.
 type node struct {
 	net       *Network
-	tr        *transport.Sim
+	peer      ids.ID
+	ep        *endpoint.Endpoint
+	res       *resolver.Service
 	neighbors []int
 	keys      map[string]bool
-	seen      map[uint64]bool
+	seen      map[queryKey]bool
 }
 
 // Network is a deployed flooding overlay. As a routing.Backend it indexes
 // the members in deployment order.
 type Network struct {
-	nodes []*node
-	ops   routing.Ops
+	sched  *simnet.Scheduler
+	nodes  []*node
+	byPeer map[ids.ID]*node
 }
 
 // Build deploys n nodes in a connected random graph of degree ~k.
@@ -55,31 +63,39 @@ func Build(sched *simnet.Scheduler, net *transport.Network, n, k int) (*Network,
 	if n <= 0 || k <= 0 {
 		return nil, fmt.Errorf("flood: n=%d k=%d", n, k)
 	}
-	fn := &Network{ops: routing.NewOps(sched)}
+	rng := sched.NewEnv("flood-graph").Rand()
+	fn := &Network{sched: sched, byPeer: make(map[ids.ID]*node, n)}
 	sites := netmodel.SpreadSites(n)
 	for i := 0; i < n; i++ {
-		tr, err := net.Attach(fmt.Sprintf("flood%d", i), sites[i])
+		name := fmt.Sprintf("flood%d", i)
+		tr, err := net.Attach(name, sites[i])
 		if err != nil {
 			return nil, err
 		}
-		nd := &node{net: fn, tr: tr,
-			keys: make(map[string]bool), seen: make(map[uint64]bool)}
-		tr.SetHandler(nd.receive)
+		e := sched.NewEnv(name)
+		nd := &node{net: fn, peer: ids.FromName(ids.KindPeer, name),
+			keys: make(map[string]bool), seen: make(map[queryKey]bool)}
+		nd.ep = endpoint.New(e, nd.peer, tr)
+		nd.res = resolver.New(e, nd.ep)
+		nd.res.RegisterHandler(handlerName, nd.handle)
 		fn.nodes = append(fn.nodes, nd)
+		fn.byPeer[nd.peer] = nd
 	}
 	// Ring edge for connectivity plus random chords up to degree k.
-	rng := sched.NewEnv("flood-graph").Rand()
 	addEdge := func(a, b int) {
 		if a == b {
 			return
 		}
-		for _, x := range fn.nodes[a].neighbors {
+		na, nb := fn.nodes[a], fn.nodes[b]
+		for _, x := range na.neighbors {
 			if x == b {
 				return
 			}
 		}
-		fn.nodes[a].neighbors = append(fn.nodes[a].neighbors, b)
-		fn.nodes[b].neighbors = append(fn.nodes[b].neighbors, a)
+		na.neighbors = append(na.neighbors, b)
+		nb.neighbors = append(nb.neighbors, a)
+		na.ep.AddRoute(nb.peer, nb.ep.Addr())
+		nb.ep.AddRoute(na.peer, na.ep.Addr())
 	}
 	for i := 0; i < n; i++ {
 		addEdge(i, (i+1)%n)
@@ -98,9 +114,15 @@ func (f *Network) Publish(from int, key string) { f.nodes[from].keys[key] = true
 
 // Lookup implements routing.Backend. The TTL is the overlay size: the
 // bake-off measures full-coverage flooding, not bounded-horizon variants.
+// The lookup is judged at the peer that answered first: an answer from a
+// stranger, or from a member that does not hold the key, reports OK=false.
+// A lookup nobody answers never calls back; its query leaves the
+// originator's resolver at the resolver's timeout.
 func (f *Network) Lookup(from int, key string, cb func(routing.Result)) {
-	f.query(f.nodes[from], key, len(f.nodes), func(_ uint64, hops int, elapsed time.Duration) {
-		cb(routing.Result{OK: true, Hops: hops, Latency: elapsed})
+	start := f.sched.Now()
+	f.nodes[from].query(key, len(f.nodes), func(_ []byte, answerer ids.ID, hops int) {
+		n := f.byPeer[answerer]
+		cb(routing.Result{OK: n != nil && n.keys[key], Hops: hops, Latency: f.sched.Now() - start})
 	})
 }
 
@@ -108,71 +130,43 @@ func (f *Network) Lookup(from int, key string, cb func(routing.Result)) {
 // to do.
 func (f *Network) Maintain() {}
 
-// query floods a lookup for key from a node. done fires on the first answer
-// with the hop distance and latency. TTL bounds the flood radius.
-func (f *Network) query(from *node, key string, ttl int, done func(answerer uint64, hops int, elapsed time.Duration)) {
-	from.handleQuery(key, f.ops.Open(done), ttl, 0, from.tr.Addr())
+// query floods a lookup for key from the node with the given TTL, the
+// flood's radius in hops: the node queries itself, so its own handler takes
+// the first step, and cb hears the first answer.
+func (n *node) query(key string, ttl int, cb resolver.ResponseCallback) {
+	payload := append(strconv.AppendInt(nil, int64(ttl), 10), ' ')
+	// A query to self cannot fail: the resolver listens on the node's own
+	// endpoint, which delivers it locally.
+	_, _ = n.res.SendQuery(n.peer, handlerName, append(payload, key...), cb, nil)
 }
 
-func (n *node) handleQuery(key string, req uint64, ttl, hops int, origin transport.Addr) {
-	if n.seen[req] {
-		return
-	}
-	n.seen[req] = true
-	if len(n.seen) > 1<<16 {
-		n.seen = make(map[uint64]bool)
-	}
-	if n.keys[key] {
-		if origin == n.tr.Addr() {
-			n.net.ops.Close(req, 0, hops)
-			return
-		}
-		rsp := message.Acquire()
-		rsp.AddString(ns, elemKind, "found")
-		rsp.AddScratch(ns, elemReqID, strconv.AppendUint(rsp.Scratch(), req, 10))
-		rsp.AddScratch(ns, elemTTL, strconv.AppendInt(rsp.Scratch(), int64(hops), 10))
-		_ = n.tr.Send(origin, &rsp.Message)
-		rsp.Release()
-		return
-	}
-	if ttl <= 0 {
-		return
-	}
-	m := message.Acquire()
-	m.AddString(ns, elemKind, "query")
-	m.AddString(ns, elemKey, key)
-	m.AddScratch(ns, elemReqID, strconv.AppendUint(m.Scratch(), req, 10))
-	m.AddScratch(ns, elemTTL, strconv.AppendInt(m.Scratch(), int64(ttl-1), 10))
-	m.AddString(ns, elemOrigin, string(origin))
-	m.AddScratch(ns, elemHops, strconv.AppendInt(m.Scratch(), int64(hops+1), 10))
-	for _, nb := range n.neighbors {
-		_ = n.tr.Send(n.net.nodes[nb].tr.Addr(), &m.Message)
-	}
-	m.Release()
-}
-
-func (n *node) receive(_ transport.Addr, m *message.Message) {
-	req, err := strconv.ParseUint(m.GetString(ns, elemReqID), 10, 64)
+// handle is one flood step: a node seeing the query for the first time
+// answers if it holds the key and otherwise forwards it to every neighbour
+// while the query has hops left. Every neighbour has a route from Build, and
+// Respond learns the originator's from the query, so a send fails only as a
+// lost message would: the originator hears nothing from this node.
+func (n *node) handle(q *resolver.Query) {
+	ttl, key, _ := bytes.Cut(q.Payload, []byte(" "))
+	radius, err := strconv.Atoi(string(ttl))
 	if err != nil {
 		return
 	}
-	switch m.GetString(ns, elemKind) {
-	case "found":
-		hops, err := strconv.Atoi(m.GetString(ns, elemTTL))
-		if err != nil {
-			return
-		}
-		n.net.ops.Close(req, 0, hops)
-	case "query":
-		ttl, err := strconv.Atoi(m.GetString(ns, elemTTL))
-		if err != nil || ttl < 0 {
-			return
-		}
-		hops, err := strconv.Atoi(m.GetString(ns, elemHops))
-		if err != nil {
-			return
-		}
-		n.handleQuery(m.GetString(ns, elemKey), req, ttl, hops,
-			transport.Addr(m.GetString(ns, elemOrigin)))
+	id := queryKey{q.Src, q.QID}
+	if n.seen[id] {
+		return
+	}
+	if len(n.seen) >= maxSeen {
+		clear(n.seen)
+	}
+	n.seen[id] = true
+	if n.keys[string(key)] {
+		_ = n.res.Respond(q, nil)
+		return
+	}
+	if q.Hops >= radius {
+		return
+	}
+	for _, nb := range n.neighbors {
+		_ = n.res.Forward(q, n.net.nodes[nb].peer)
 	}
 }

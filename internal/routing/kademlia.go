@@ -16,9 +16,9 @@ import (
 )
 
 // KadHandlerName is the resolver handler the Kademlia RPCs travel over.
-// Running the overlay on the peer resolver (rather than raw transports, as
-// the static chord/flood baselines do) keeps the comparison honest: every
-// Kademlia RPC pays the same endpoint/resolver envelope the SRDI walk pays.
+// Running the overlay on the peer resolver, as every backend runs, keeps
+// the comparison honest: every Kademlia RPC pays the same endpoint/resolver
+// envelope the SRDI walk pays.
 const KadHandlerName = "urn:jxta:kad"
 
 const (

@@ -10,8 +10,10 @@
 // directly, with no adapter between: the iterative Kademlia overlay
 // (kademlia.go), a static Chord ring (internal/chord), flooding
 // (internal/flood) and the SRDI walk, which is the full JXTA stack and is
-// built in internal/experiments, which owns the stack. The two recursive
-// baselines share one request table, Ops. The comparison is steady-state
+// built in internal/experiments, which owns the stack. All four run on each
+// member's own endpoint and peer resolver: every message pays the same
+// envelope, and every open request lives in its originator's resolver,
+// with the resolver's deadline. The comparison is steady-state
 // routing cost, as §3.3's is: no member fails, and the baselines have no
 // failure model. The JXTA stack's behaviour under failure is measured
 // where the stack runs (the churn, recovery and volatility experiments).
@@ -23,7 +25,6 @@ import (
 
 	"jxta/internal/discovery"
 	"jxta/internal/ids"
-	"jxta/internal/simnet"
 )
 
 // Result is the per-operation accounting every backend reports.
@@ -71,45 +72,4 @@ func IDHash(id ids.ID) uint64 { return KeyHash(id.String()) }
 // of the space. Equal keys have no bucket; callers filter self first.
 func BucketIndex(self, contact uint64) int {
 	return bits.LeadingZeros64(self ^ contact)
-}
-
-// Ops is the request table of a recursive baseline (internal/chord,
-// internal/flood): the callback and start time of each open request, by
-// request ID. The answer comes back to the originator from whichever node
-// resolved it, so the table is overlay-wide.
-type Ops struct {
-	sched   *simnet.Scheduler
-	pending map[uint64]op
-	next    uint64
-}
-
-type op struct {
-	done  func(answerer uint64, hops int, elapsed time.Duration)
-	start time.Duration
-}
-
-// NewOps returns an empty table timed by sched.
-func NewOps(sched *simnet.Scheduler) Ops {
-	return Ops{sched: sched, pending: make(map[uint64]op)}
-}
-
-// Open returns a fresh request ID: 1, 2, 3, … in call order. A nil done
-// expects no answer and opens no entry.
-func (t *Ops) Open(done func(answerer uint64, hops int, elapsed time.Duration)) uint64 {
-	t.next++
-	if done != nil {
-		t.pending[t.next] = op{done: done, start: t.sched.Now()}
-	}
-	return t.next
-}
-
-// Close completes req with the node that answered and the hop count, and
-// hands done the latency. Only the first answer to a request counts.
-func (t *Ops) Close(req, answerer uint64, hops int) {
-	o, ok := t.pending[req]
-	if !ok {
-		return
-	}
-	delete(t.pending, req)
-	o.done(answerer, hops, t.sched.Now()-o.start)
 }
