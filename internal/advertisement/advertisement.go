@@ -35,7 +35,7 @@ type IndexField struct {
 // ("Peer" + "Name" + "Test" -> "PeerNameTest").
 func (f IndexField) Key(advType string) string { return advType + f.Attr + f.Value }
 
-// Int reports the field's value as an integer, for the numeric index tier.
+// Int reports the field's value as an integer, for range queries.
 // The value is screened first: strconv.ParseInt allocates its error, and
 // most indexed values (names, URNs) are not numbers.
 func (f IndexField) Int() (int64, bool) {

@@ -119,11 +119,6 @@ func (r *Ring) Lookup(from int, key string, cb func(routing.Result)) {
 	})
 }
 
-// Maintain implements routing.Backend: the ring is static by construction
-// (the paper's classical-DHT comparisons assume a static network), so there
-// is no maintenance protocol to run.
-func (r *Ring) Maintain() {}
-
 // successor returns the first node clockwise from key (inclusive).
 func (r *Ring) successor(key uint64) *node {
 	i := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].id >= key })

@@ -8,8 +8,8 @@
 package cm
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -37,7 +37,7 @@ const recordChunk = 64
 // Cache is one peer's advertisement store. Not safe for concurrent use; the
 // env callback serialization covers it.
 //
-// The three maps are nil until first written — reads of a nil map already
+// The two maps are nil until first written — reads of a nil map already
 // report an empty cache — so a peer that never stores an advertisement
 // never allocates them.
 type Cache struct {
@@ -46,11 +46,6 @@ type Cache struct {
 	// index maps each indexed (attribute, value) pair to the advertisements
 	// carrying it.
 	index map[fieldKey]postings
-	// numIndex maps "Type\x00Attr" keys to numeric postings for every
-	// indexed field whose value parses as an integer, making range
-	// queries sublinear. A key is dropped only once its list is empty, so
-	// a (type, attr) pair without a key matches no stored record.
-	numIndex map[string]*numPostings
 	// slab/free are the Record arena: long-lived records are carved out of
 	// chunked slabs (one allocation per recordChunk records instead of one
 	// each) and recycled through the free list on eviction. A chunk is
@@ -81,23 +76,6 @@ type postings struct {
 	one  ids.ID   // the only ID, while many is nil
 	many []ids.ID // two or more, sorted
 }
-
-// numEntry is one numeric index posting.
-type numEntry struct {
-	val int64
-	id  ids.ID
-}
-
-// numPostings is one (type,attr) posting list. Inserts append and mark the
-// list dirty so Put stays O(1); the list is sorted (and exact duplicates
-// collapsed) lazily on the first range query after a burst of writes.
-type numPostings struct {
-	entries []numEntry
-	dirty   bool
-}
-
-// numKey builds the numeric-index key for a (type, attr) pair.
-func numKey(advType, attr string) string { return advType + "\x00" + attr }
 
 // NewWithStore builds an empty cache interning against the given store.
 // Deployments pass one store per overlay so equal advertisements dedupe
@@ -205,9 +183,6 @@ func (c *Cache) put(sh *advstore.Shared, lifetime time.Duration, local bool) {
 	var room [4]advertisement.IndexField
 	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
 		c.file(fieldKey{f.Attr, f.Value}, id)
-		if v, ok := f.Int(); ok {
-			c.numInsert(numKey(adv.Type(), f.Attr), numEntry{val: v, id: id})
-		}
 	}
 }
 
@@ -216,9 +191,6 @@ func (c *Cache) unindex(adv advertisement.Advertisement) {
 	var room [4]advertisement.IndexField
 	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
 		c.unfile(fieldKey{f.Attr, f.Value}, id)
-		if v, ok := f.Int(); ok {
-			c.numRemove(numKey(adv.Type(), f.Attr), numEntry{val: v, id: id})
-		}
 	}
 }
 
@@ -262,73 +234,6 @@ func (c *Cache) unfile(k fieldKey, id ids.ID) {
 			c.index[k] = p
 		}
 	}
-}
-
-// numLess orders postings by (value, id) — a total order, so binary search
-// finds exact posting positions.
-func numLess(a, b numEntry) bool {
-	if a.val != b.val {
-		return a.val < b.val
-	}
-	return a.id.Less(b.id)
-}
-
-// numInsert appends a posting in O(1); sorting is deferred to the next
-// range query.
-func (c *Cache) numInsert(key string, e numEntry) {
-	p, ok := c.numIndex[key]
-	if !ok {
-		p = &numPostings{}
-		if c.numIndex == nil {
-			c.numIndex = make(map[string]*numPostings)
-		}
-		c.numIndex[key] = p
-	}
-	p.entries = append(p.entries, e)
-	p.dirty = true
-}
-
-// numRemove deletes one occurrence of a posting if present.
-func (c *Cache) numRemove(key string, e numEntry) {
-	p, ok := c.numIndex[key]
-	if !ok {
-		return
-	}
-	if p.dirty {
-		for i, cur := range p.entries {
-			if cur == e {
-				p.entries = append(p.entries[:i], p.entries[i+1:]...)
-				break
-			}
-		}
-	} else {
-		i := sort.Search(len(p.entries), func(i int) bool { return !numLess(p.entries[i], e) })
-		if i >= len(p.entries) || p.entries[i] != e {
-			return
-		}
-		p.entries = append(p.entries[:i], p.entries[i+1:]...)
-	}
-	if len(p.entries) == 0 {
-		delete(c.numIndex, key)
-	}
-}
-
-// ensureSorted sorts a dirty posting list by (value, id) and collapses
-// exact duplicate postings (an adv listing one attr/value pair twice).
-func (p *numPostings) ensureSorted() {
-	if !p.dirty {
-		return
-	}
-	sort.Slice(p.entries, func(i, j int) bool { return numLess(p.entries[i], p.entries[j]) })
-	out := p.entries[:0]
-	for i, e := range p.entries {
-		if i > 0 && e == out[len(out)-1] {
-			continue
-		}
-		out = append(out, e)
-	}
-	p.entries = out
-	p.dirty = false
 }
 
 func (c *Cache) expired(rec *Record) bool {
@@ -384,37 +289,45 @@ func (c *Cache) collect(out []advertisement.Advertisement, advType string, p pos
 	return out
 }
 
-// SearchRange returns fresh advertisements of advType whose attr parses as
-// an integer within [lo, hi] — the complex-query extension. The per-
-// (type,attr) sorted numeric index makes this O(log n + matches); a pair
-// with no numeric postings matches nothing. Results are ordered by
-// (value, id), deterministic across runs.
+// SearchRange returns fresh advertisements of advType with an attr value
+// that parses as an integer within [lo, hi] — the complex-query extension.
+// It scans every stored record rather than keep a numeric index that every
+// put of an integer-valued advertisement would pay for, and reports each
+// advertisement once, ordered by its lowest in-range value, then ID,
+// deterministic across runs.
 func (c *Cache) SearchRange(advType, attr string, lo, hi int64) []advertisement.Advertisement {
-	p, ok := c.numIndex[numKey(advType, attr)]
-	if !ok {
+	type hit struct {
+		val int64
+		adv advertisement.Advertisement
+	}
+	var hits []hit
+	for _, rec := range c.byID {
+		if c.expired(rec) || rec.Adv.Type() != advType {
+			continue
+		}
+		h := hit{val: hi}
+		var room [4]advertisement.IndexField
+		for _, f := range advertisement.AppendIndexFields(room[:0], rec.Adv) {
+			if v, ok := f.Int(); ok && f.Attr == attr && v >= lo && v <= h.val {
+				h = hit{val: v, adv: rec.Adv}
+			}
+		}
+		if h.adv != nil {
+			hits = append(hits, h)
+		}
+	}
+	if len(hits) == 0 {
 		return nil
 	}
-	p.ensureSorted()
-	entries := p.entries
-	var out []advertisement.Advertisement
-	var seen map[ids.ID]struct{}
-	i := sort.Search(len(entries), func(i int) bool { return entries[i].val >= lo })
-	for ; i < len(entries) && entries[i].val <= hi; i++ {
-		id := entries[i].id
-		// An advertisement with several in-range values for the same attr
-		// has one posting per value; report it once.
-		if _, dup := seen[id]; dup {
-			continue
+	slices.SortFunc(hits, func(a, b hit) int {
+		if a.val != b.val {
+			return cmp.Compare(a.val, b.val)
 		}
-		rec, okRec := c.byID[id]
-		if !okRec || c.expired(rec) || rec.Adv.Type() != advType {
-			continue
-		}
-		if seen == nil {
-			seen = make(map[ids.ID]struct{})
-		}
-		seen[id] = struct{}{}
-		out = append(out, rec.Adv)
+		return a.adv.ID().Compare(b.adv.ID())
+	})
+	out := make([]advertisement.Advertisement, len(hits))
+	for i, h := range hits {
+		out[i] = h.adv
 	}
 	return out
 }

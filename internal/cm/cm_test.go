@@ -307,14 +307,11 @@ func TestSearchRangeIndexMaintenance(t *testing.T) {
 	if got := c.SearchRange("Resource", "RAM", 2500, 3500); len(got) != 1 {
 		t.Fatal("replacement value not indexed")
 	}
-	// Removal cleans the posting list.
+	// A flushed advertisement no longer matches.
 	c.Put(res("a", advertisement.IndexField{Attr: "RAM", Value: "3000"}), 0, false)
 	c.Flush()
 	if got := c.SearchRange("Resource", "RAM", 0, 1<<40); len(got) != 0 {
 		t.Fatal("flushed adv still matched")
-	}
-	if len(c.numIndex) != 0 {
-		t.Fatalf("numIndex not cleaned: %v", c.numIndex)
 	}
 }
 
@@ -328,16 +325,12 @@ func TestSearchRangeMultiValueAdvDeduped(t *testing.T) {
 	}
 }
 
-// TestSearchRangeLinearFallback covers the case the range search once
-// answered with a scan of the whole store: an attr that never carried a
-// numeric value has no posting list, so no stored record can match and
-// SearchRange returns nil, as the scan does.
+// TestSearchRangeLinearFallback: an attr that never carried an integer
+// value matches no stored record, so SearchRange returns nil, as the
+// reference scan does.
 func TestSearchRangeLinearFallback(t *testing.T) {
 	c, _ := newCache()
 	c.Put(res("n", advertisement.IndexField{Attr: "Tag", Value: "fast"}), 0, true)
-	if _, ok := c.numIndex[numKey("Resource", "Tag")]; ok {
-		t.Fatal("non-numeric value got a numeric posting")
-	}
 	if got := c.SearchRange("Resource", "Tag", 0, 1<<40); got != nil {
 		t.Fatalf("range search on an unindexed attr returned %v", got)
 	}
@@ -346,30 +339,35 @@ func TestSearchRangeLinearFallback(t *testing.T) {
 	}
 }
 
-// searchRangeLinear is SearchRange as a scan of every stored record: the
-// reference the numeric index is held to.
+// searchRangeLinear is SearchRange stated plainly: every fresh record of the
+// type with an in-range value, once, in ID order — the reference
+// SearchRange's results are held to.
 func searchRangeLinear(c *Cache, advType, attr string, lo, hi int64) []advertisement.Advertisement {
 	var out []advertisement.Advertisement
 	for _, rec := range c.byID {
-		if c.expired(rec) || rec.Adv.Type() != advType {
-			continue
-		}
-		var room [4]advertisement.IndexField
-		for _, f := range advertisement.AppendIndexFields(room[:0], rec.Adv) {
-			if v, ok := f.Int(); ok && f.Attr == attr && v >= lo && v <= hi {
-				out = append(out, rec.Adv)
-				break
-			}
+		if _, ok := lowestInRange(rec.Adv, attr, lo, hi); ok && !c.expired(rec) && rec.Adv.Type() == advType {
+			out = append(out, rec.Adv)
 		}
 	}
 	return sortAdvs(out)
 }
 
-// Property: the indexed SearchRange agrees with the linear scan (up to
-// ordering) on random ranges, after every step of a random history of
-// puts that replace earlier advertisements with new values, local and
-// remote, mortal and not, of Flushes, and of expiry followed by GC, which
-// must leave no expired record behind.
+// lowestInRange returns adv's lowest integer value of attr within [lo, hi].
+func lowestInRange(adv advertisement.Advertisement, attr string, lo, hi int64) (low int64, ok bool) {
+	var room [4]advertisement.IndexField
+	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
+		if v, isInt := f.Int(); isInt && f.Attr == attr && v >= lo && v <= hi && (!ok || v < low) {
+			low, ok = v, true
+		}
+	}
+	return low, ok
+}
+
+// Property: SearchRange agrees with the linear scan, and orders its results
+// by lowest in-range value, then ID, on random ranges, after every step of
+// a random history of puts that replace earlier advertisements with new
+// values, local and remote, mortal and not, of Flushes, and of expiry
+// followed by GC, which must leave no expired record behind.
 func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 	attrs := []string{"RAM", "CPU", "Disk"}
 	agree := func(rng *rand.Rand, c *Cache) bool {
@@ -386,9 +384,17 @@ func TestSearchRangeMatchesLinearProperty(t *testing.T) {
 			for _, adv := range want {
 				seen[adv.ID()] = true
 			}
-			for _, adv := range got {
+			for i, adv := range got {
 				if !seen[adv.ID()] {
 					return false
+				}
+				if i == 0 {
+					continue
+				}
+				prev, _ := lowestInRange(got[i-1], attr, lo, hi)
+				cur, _ := lowestInRange(adv, attr, lo, hi)
+				if prev > cur || prev == cur && got[i-1].ID().Compare(adv.ID()) >= 0 {
+					return false // out of order, or reported twice
 				}
 			}
 		}
@@ -441,9 +447,9 @@ func TestReturnsToZeroState(t *testing.T) {
 	c, _ := newCache()
 	zero := func(when string) {
 		t.Helper()
-		if c.byID != nil || c.index != nil || c.numIndex != nil || c.slab != nil || c.free != nil {
-			t.Fatalf("%s: cache holds allocated state: byID=%v index=%v numIndex=%v slab=%d free=%d",
-				when, c.byID != nil, c.index != nil, c.numIndex != nil, cap(c.slab), cap(c.free))
+		if c.byID != nil || c.index != nil || c.slab != nil || c.free != nil {
+			t.Fatalf("%s: cache holds allocated state: byID=%v index=%v slab=%d free=%d",
+				when, c.byID != nil, c.index != nil, cap(c.slab), cap(c.free))
 		}
 		if !c.Quiescent() {
 			t.Fatalf("%s: empty cache is not quiescent", when)

@@ -476,8 +476,8 @@ func (s *Service) tuplesOf(adv advertisement.Advertisement, lifetime time.Durati
 			PublisherAddr: s.ep.Addr(),
 			Lifetime:      lifetime,
 		}
-		// Integer-valued fields also register in the numeric tier for range
-		// queries.
+		// An integer-valued field's tuple carries its value, which range
+		// queries read from the same registration.
 		if v, ok := f.Int(); ok {
 			tpl.NumAttr = adv.Type() + f.Attr
 			tpl.NumValue = v
@@ -578,10 +578,6 @@ func (s *Service) receiveSRDI(src ids.ID, m *message.Message) {
 // second (and last) message of the paper's O(1) publish path.
 func (s *Service) indexAndReplicate(tpl srdi.Tuple, replicated bool) {
 	s.index.Add(tpl)
-	if tpl.NumAttr != "" {
-		s.index.AddNumeric(tpl.NumAttr, tpl.NumValue, tpl.Publisher,
-			tpl.PublisherAddr, tpl.Lifetime)
-	}
 	if replicated {
 		return
 	}

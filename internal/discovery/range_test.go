@@ -179,3 +179,40 @@ func TestRangeQueryServedFromLocalCache(t *testing.T) {
 			o.Net.Stats().Messages-before)
 	}
 }
+
+// TestRangeQueryFindsEveryValueOfOnePublisher: a publisher's two
+// advertisements carry two values of one attribute, and both tuples land on
+// the one rendezvous. A range query for the value published first still
+// reaches the publisher, whose cache answers with the one advertisement in
+// range.
+func TestRangeQueryFindsEveryValueOfOnePublisher(t *testing.T) {
+	o, err := deploy.Build(deploy.Spec{
+		Seed:      8,
+		NumRdv:    1,
+		Topology:  topology.Chain,
+		Discovery: discovery.DefaultConfig(),
+		Edges: []deploy.EdgeGroup{
+			{AttachTo: 0, Count: 1, Prefix: "pub"},
+			{AttachTo: 0, Count: 1, Prefix: "searcher"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	o.Sched.Run(12 * time.Minute)
+	for _, ram := range []int64{4096, 2048} {
+		o.Edges[0].Discovery.Publish(&advertisement.Resource{
+			ResID: ids.FromName(ids.KindAdv, fmt.Sprintf("ram-%d", ram)),
+			Name:  fmt.Sprintf("ram-%d", ram),
+			Attrs: []advertisement.IndexField{{Attr: "RAM", Value: fmt.Sprintf("%d", ram)}},
+		}, 0)
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	searcher := &rigNode{o.Edges[1]}
+	searcher.n.Discovery.FlushCache()
+	got := collectRange(t, o, searcher, "RAM", 3072, 1<<62)
+	if len(got) != 1 || !got["ram-4096"] {
+		t.Fatalf("range [3072,∞) returned %v, want ram-4096", got)
+	}
+}

@@ -40,16 +40,11 @@ func AblateReferrals(r int, values []int, duration time.Duration, seed int64) (A
 	if len(values) == 0 {
 		values = []int{1, 2, 3, 4}
 	}
-	res := AblationResult{Parameter: "ReferralsPerProbe", R: r}
-	for _, v := range values {
-		point, err := peerviewPoint(fmt.Sprintf("%d", v), r, duration, seed,
-			peerview.Config{ReferralsPerProbe: v})
-		if err != nil {
-			return res, err
-		}
-		res.Points = append(res.Points, point)
+	labels, cfgs := make([]string, len(values)), make([]peerview.Config, len(values))
+	for i, v := range values {
+		labels[i], cfgs[i] = fmt.Sprintf("%d", v), peerview.Config{ReferralsPerProbe: v}
 	}
-	return res, nil
+	return ablate("ReferralsPerProbe", r, labels, cfgs, duration, seed)
 }
 
 // AblateInterval sweeps PEERVIEW_INTERVAL — the paper's second tuning
@@ -59,16 +54,11 @@ func AblateInterval(r int, values []time.Duration, duration time.Duration, seed 
 	if len(values) == 0 {
 		values = []time.Duration{10 * time.Second, 30 * time.Second, 60 * time.Second}
 	}
-	res := AblationResult{Parameter: "PEERVIEW_INTERVAL", R: r}
-	for _, v := range values {
-		point, err := peerviewPoint(v.String(), r, duration, seed,
-			peerview.Config{Interval: v})
-		if err != nil {
-			return res, err
-		}
-		res.Points = append(res.Points, point)
+	labels, cfgs := make([]string, len(values)), make([]peerview.Config, len(values))
+	for i, v := range values {
+		labels[i], cfgs[i] = v.String(), peerview.Config{Interval: v}
 	}
-	return res, nil
+	return ablate("PEERVIEW_INTERVAL", r, labels, cfgs, duration, seed)
 }
 
 // AblateExpiry sweeps PVE_EXPIRATION — the paper's primary tuning
@@ -78,14 +68,22 @@ func AblateExpiry(r int, values []time.Duration, duration time.Duration, seed in
 		values = []time.Duration{10 * time.Minute, 20 * time.Minute,
 			40 * time.Minute, 365 * 24 * time.Hour}
 	}
-	res := AblationResult{Parameter: "PVE_EXPIRATION", R: r}
-	for _, v := range values {
-		label := v.String()
+	labels, cfgs := make([]string, len(values)), make([]peerview.Config, len(values))
+	for i, v := range values {
+		labels[i], cfgs[i] = v.String(), peerview.Config{EntryExpiry: v}
 		if v > 24*time.Hour {
-			label = "inf"
+			labels[i] = "inf"
 		}
-		point, err := peerviewPoint(label, r, duration, seed,
-			peerview.Config{EntryExpiry: v})
+	}
+	return ablate("PVE_EXPIRATION", r, labels, cfgs, duration, seed)
+}
+
+// ablate measures one steady-state point per (label, config) pair, in
+// order, stopping at the first error.
+func ablate(parameter string, r int, labels []string, cfgs []peerview.Config, duration time.Duration, seed int64) (AblationResult, error) {
+	res := AblationResult{Parameter: parameter, R: r}
+	for i, cfg := range cfgs {
+		point, err := peerviewPoint(labels[i], r, duration, seed, cfg)
 		if err != nil {
 			return res, err
 		}

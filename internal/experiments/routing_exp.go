@@ -109,6 +109,7 @@ func RunRouting(spec RoutingSpec) (RoutingResult, error) {
 func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint, error) {
 	var (
 		b   routing.Backend
+		kad *routing.Kademlia // the one backend with a maintenance round to force
 		eng simnet.Engine
 		net *transport.Network
 		err error
@@ -130,7 +131,6 @@ func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint,
 			b, err = chord.Build(sched, net, spec.N)
 			settle = time.Minute // fingers precomputed: static
 		case "kademlia":
-			var kad *routing.Kademlia
 			if kad, err = routing.BuildKademlia(sched, net, spec.N); err == nil {
 				kad.Bootstrap()
 				b = kad
@@ -167,7 +167,9 @@ func runRoutingBackend(spec RoutingSpec, name string, seed int64) (RoutingPoint,
 
 	// --- Maintenance window: idle traffic.
 	before = net.Stats().Messages
-	b.Maintain()
+	if kad != nil {
+		kad.Maintain()
+	}
 	eng.Run(eng.Now() + spec.MaintWindow)
 	pt.MaintMsgsPerMin = float64(net.Stats().Messages-before) / spec.MaintWindow.Minutes()
 	return pt, nil
@@ -248,7 +250,3 @@ func (s *srdiBackend) Lookup(from int, key string, cb func(routing.Result)) {
 		cb(routing.Result{OK: false})
 	}
 }
-
-// Maintain is a no-op: peerview probing and SRDI pushes are timer-driven
-// and already running; the maintenance window measures them directly.
-func (s *srdiBackend) Maintain() {}

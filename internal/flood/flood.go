@@ -126,10 +126,6 @@ func (f *Network) Lookup(from int, key string, cb func(routing.Result)) {
 	})
 }
 
-// Maintain implements routing.Backend: the flood graph is static, nothing
-// to do.
-func (f *Network) Maintain() {}
-
 // query floods a lookup for key from the node with the given TTL, the
 // flood's radius in hops: the node queries itself, so its own handler takes
 // the first step, and cb hears the first answer.

@@ -158,13 +158,14 @@ type core struct {
 	leaseText string
 	started   bool
 
-	// The hooks, installed while the node is assembled. walkHandlers is a
-	// slice, not a map: discovery is the only service that registers one.
-	walkHandlers []walkHandler
-	listeners    []LeaseListener
-	promoteFn    func()
-	mergeFn      func(peer ids.ID)
-	exporter     StateExporter
+	// The hooks, installed while the node is assembled. walkFn consumes
+	// the walks addressed to walkSvc (SetWalkHandler).
+	walkSvc   string
+	walkFn    WalkHandler
+	listeners []LeaseListener
+	promoteFn func()
+	mergeFn   func(peer ids.ID)
+	exporter  StateExporter
 
 	// rumors holds every rendezvous identity this peer learned (IslandMerge)
 	// and survives promotion, so a promoted anchor at once tries to merge

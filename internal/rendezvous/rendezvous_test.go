@@ -836,7 +836,6 @@ func TestReturnsToZeroState(t *testing.T) {
 	isRendezvous("fresh rendezvous", rdvs[0].svc)
 
 	walked := 0
-	edge.svc.SetWalkHandler("a", func(ids.ID, Direction, *message.Message) bool { return false })
 	edge.svc.SetWalkHandler("b", func(ids.ID, Direction, *message.Message) bool { return false })
 	edge.svc.SetWalkHandler("a", func(ids.ID, Direction, *message.Message) bool { walked++; return true })
 
@@ -855,14 +854,8 @@ func TestReturnsToZeroState(t *testing.T) {
 		t.Fatalf("the edge with a dead seed: dormant %v, quiescent %v", sleeper.svc.Dormant(), sleeper.svc.Quiescent())
 	}
 	isEdge("dormant edge", sleeper.svc)
-	if len(edge.svc.walkHandlers) != 2 {
-		t.Fatalf("%d walk handlers registered, want 2 (re-registering replaces)", len(edge.svc.walkHandlers))
-	}
-	if h := edge.svc.walkHandlerFor("a"); h == nil || !h(ids.Nil, Up, nil) || walked != 1 {
+	if edge.svc.walkSvc != "a" || edge.svc.walkFn == nil || !edge.svc.walkFn(ids.Nil, Up, nil) || walked != 1 {
 		t.Fatal("the walk handler registered last is not the one served")
-	}
-	if edge.svc.walkHandlerFor("c") != nil {
-		t.Fatal("found a walk handler nobody registered")
 	}
 
 	if len(rdvs[0].svc.srv.clients) != 1 {

@@ -45,34 +45,13 @@ func (d Direction) String() string {
 // handler copies whatever it keeps.
 type WalkHandler func(origin ids.ID, dir Direction, body *message.Message) (stop bool)
 
-// walkHandler is one SetWalkHandler registration.
-type walkHandler struct {
-	svc string
-	h   WalkHandler
-}
-
 // SetWalkHandler installs the per-hop consumer of walks addressed to svc
-// (discovery's LC-DHT fallback registers one); the walk's Svc element
-// selects it at every hop. An edge may install one; it runs once the peer
-// is a rendezvous.
+// (discovery's LC-DHT fallback is the one), replacing any earlier one: at
+// every hop a walk whose Svc element names svc is handed to h, and any
+// other walk is relayed unhandled. An edge may install it; it runs once the
+// peer is a rendezvous.
 func (s *Service) SetWalkHandler(svc string, h WalkHandler) {
-	for i := range s.walkHandlers {
-		if s.walkHandlers[i].svc == svc {
-			s.walkHandlers[i].h = h
-			return
-		}
-	}
-	s.walkHandlers = append(s.walkHandlers, walkHandler{svc: svc, h: h})
-}
-
-// walkHandlerFor returns the handler registered for svc, or nil.
-func (c *core) walkHandlerFor(svc string) WalkHandler {
-	for _, wh := range c.walkHandlers {
-		if wh.svc == svc {
-			return wh.h
-		}
-	}
-	return nil
+	s.walkSvc, s.walkFn = svc, h
 }
 
 // Walk sends body to the walk handler of up to ttl successive rendezvous
@@ -199,8 +178,7 @@ func (v *server) receiveWalk(src ids.ID, m *message.Message) {
 		body.Release()
 		return
 	}
-	handle := v.walkHandlerFor(string(h.svc))
-	stop := handle != nil && handle(originID, dir, &body.Message)
+	stop := v.walkFn != nil && string(h.svc) == v.walkSvc && v.walkFn(originID, dir, &body.Message)
 	body.Release() // the loan ends here: see WalkHandler
 	if stop || ttl <= 1 {
 		return

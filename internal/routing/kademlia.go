@@ -133,8 +133,10 @@ func (k *Kademlia) Lookup(from int, key string, cb func(Result)) {
 	k.nodes[from].lookup(KeyHash(key), key, false, cb)
 }
 
-// Maintain implements Backend: one forced bucket-refresh round on every
-// node (the timed equivalent runs on kadRefreshInterval tickers).
+// Maintain forces one bucket-refresh round on every node (the timed
+// equivalent runs on kadRefreshInterval tickers). Of the bake-off's
+// backends only Kademlia has an explicit maintenance round: SRDI's is
+// timer-driven, and the Chord ring and the flood graph are static.
 func (k *Kademlia) Maintain() {
 	for _, nd := range k.nodes {
 		nd.refreshTick()

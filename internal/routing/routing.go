@@ -52,10 +52,6 @@ type Backend interface {
 	// operation accounting. A lookup that cannot complete (no holder
 	// reachable) may simply never call back.
 	Lookup(from int, key string, cb func(Result))
-	// Maintain forces one maintenance round where the backend has an
-	// explicit one (Kademlia bucket refresh); backends whose maintenance
-	// is timer-driven (SRDI) or nonexistent (static Chord, flood) no-op.
-	Maintain()
 }
 
 // KeyHash maps a tuple key into the 64-bit identifier space shared by every

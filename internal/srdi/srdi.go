@@ -3,10 +3,15 @@
 // attribute tables — tuples (index attribute, value) with a life duration
 // and the identity of the publishing peer — to their rendezvous; rendezvous
 // peers keep a copy and replicate each tuple to the replica peer computed by
-// hashing the tuple over the local peerview.
+// hashing the tuple over the local peerview. One index answers both kinds
+// of query: an exact match reads a key's posting list, and a range query
+// scans every registration for the integer value its tuple carried.
 package srdi
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,16 +31,17 @@ type Tuple struct {
 	PublisherAddr transport.Addr
 	// Lifetime bounds the entry's validity at the index.
 	Lifetime time.Duration
-	// NumAttr/NumValue carry the optional numeric tier registration: when
-	// NumAttr ("Type+Attr") is non-empty the tuple's value is an integer
-	// NumValue, range-searchable via RangePublishers.
+	// NumAttr/NumValue mark an integer-valued registration: when NumAttr
+	// ("Type+Attr") is non-empty the tuple's value is the integer NumValue,
+	// and RangePublishers finds the registration by it.
 	NumAttr  string
 	NumValue int64
 }
 
-// entryInfo tracks one publisher's registration under a key. The numeric
-// tier registration that arrived on the same tuple (if any) is remembered
-// so Tuples can reconstruct complete tuples for a lease-state handoff.
+// entryInfo tracks one publisher's registration under a key. The integer
+// value that arrived on the same tuple (if any) is kept with it, for range
+// queries and so Tuples can reconstruct complete tuples for a lease-state
+// handoff.
 type entryInfo struct {
 	addr     transport.Addr
 	expires  time.Duration // absolute env time; 0 = never
@@ -49,40 +55,27 @@ type pubEntry struct {
 	entryInfo
 }
 
-// numericEntry is one publisher's numeric registration under an attribute.
-type numericEntry struct {
-	pub     ids.ID
-	value   int64
-	addr    transport.Addr
-	expires time.Duration
-}
-
 // Index is a rendezvous peer's SRDI store. Not safe for concurrent use
-// (env serialization covers it). Besides the exact-match tier the LC-DHT
-// hashes over, it keeps a numeric tier supporting the range queries the
-// paper's conclusion lists as future work ("the mechanisms used by JXTA-C
-// to address complex queries, such as range queries").
+// (env serialization covers it). It holds one posting list per key, the
+// exact-match index the LC-DHT hashes over; the range queries the paper's
+// conclusion lists as future work ("the mechanisms used by JXTA-C to
+// address complex queries, such as range queries") scan the same
+// registrations, as JXTA-C scans its SRDI.
 //
-// Both tiers keep per-key posting lists as slices sorted by publisher ID
-// rather than maps: an LC-DHT key embeds the indexed value, so almost
-// every key has exactly one publisher, and a one-element slice costs a
-// tenth of a one-element map — the difference between a rendezvous
-// carrying 100k edges fitting in RAM or not.
+// Posting lists are slices sorted by publisher ID rather than maps: an
+// LC-DHT key embeds the indexed value, so almost every key has exactly one
+// publisher, and a one-element slice costs a tenth of a one-element map —
+// the difference between a rendezvous carrying 100k edges fitting in RAM
+// or not.
 type Index struct {
 	env     env.Env
 	entries map[string][]pubEntry
-	// numeric maps "Type+Attr" to per-publisher numeric values.
-	numeric map[string][]numericEntry
 	size    int
 }
 
 // New builds an empty index.
 func New(e env.Env) *Index {
-	return &Index{
-		env:     e,
-		entries: make(map[string][]pubEntry),
-		numeric: make(map[string][]numericEntry),
-	}
+	return &Index{env: e, entries: make(map[string][]pubEntry)}
 }
 
 // Size returns the total number of (key, publisher) registrations — the
@@ -118,7 +111,7 @@ func (x *Index) Add(t Tuple) {
 // *remaining* lifetime, sorted by (key, publisher) — the payload a
 // gracefully stopping rendezvous hands to its successor so the index
 // survives the transition. Re-adding the returned tuples on another peer
-// reproduces both the exact-match and the numeric tier.
+// reproduces the index, integer values included.
 func (x *Index) Tuples() []Tuple {
 	now := x.env.Now()
 	keys := make([]string, 0, len(x.entries))
@@ -188,63 +181,51 @@ func (x *Index) GC() int {
 			x.entries[key] = kept
 		}
 	}
-	for key, lst := range x.numeric {
-		kept := lst[:0]
-		for _, e := range lst {
-			if e.expires > 0 && e.expires <= now {
-				evicted++
-				continue
-			}
-			kept = append(kept, e)
-		}
-		if len(kept) == 0 {
-			delete(x.numeric, key)
-		} else {
-			x.numeric[key] = kept
-		}
-	}
 	return evicted
 }
 
 // Keys returns the number of distinct keys (diagnostics).
 func (x *Index) Keys() int { return len(x.entries) }
 
-// AddNumeric registers a publisher's numeric value under "Type+Attr".
-// Replaces any previous registration by the same publisher.
-func (x *Index) AddNumeric(typeAttr string, value int64, pub ids.ID, addr transport.Addr, lifetime time.Duration) {
-	var expires time.Duration
-	if lifetime > 0 {
-		expires = x.env.Now() + lifetime
-	}
-	lst := x.numeric[typeAttr]
-	i := sort.Search(len(lst), func(i int) bool { return !lst[i].pub.Less(pub) })
-	if i < len(lst) && lst[i].pub == pub {
-		lst[i] = numericEntry{pub: pub, value: value, addr: addr, expires: expires}
-		return
-	}
-	lst = append(lst, numericEntry{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = numericEntry{pub: pub, value: value, addr: addr, expires: expires}
-	x.numeric[typeAttr] = lst
-}
-
-// RangePublishers returns the fresh publishers whose registered value under
-// "Type+Attr" lies in [lo, hi].
+// RangePublishers returns the fresh publishers with a registration whose
+// NumAttr is typeAttr and whose value lies in [lo, hi], one per publisher,
+// in ascending publisher-ID order, so forwards go out in the same order
+// every run. Each result's Lifetime is what remains of its registration:
+// of a publisher's several matching registrations it is the one that lives
+// longest (then the lowest address), whose address is the freshest.
 func (x *Index) RangePublishers(typeAttr string, lo, hi int64) []Tuple {
-	lst, ok := x.numeric[typeAttr]
-	if !ok {
-		return nil
-	}
 	now := x.env.Now()
 	var out []Tuple
-	for _, e := range lst {
-		if e.expires > 0 && e.expires <= now {
-			continue
+	for _, lst := range x.entries {
+		for _, e := range lst {
+			if e.numAttr != typeAttr || e.numValue < lo || e.numValue > hi ||
+				e.expires > 0 && e.expires <= now {
+				continue
+			}
+			var remaining time.Duration
+			if e.expires > 0 {
+				remaining = e.expires - now
+			}
+			out = append(out, Tuple{Key: typeAttr, Publisher: e.pub, PublisherAddr: e.addr, Lifetime: remaining})
 		}
-		if e.value < lo || e.value > hi {
-			continue
-		}
-		out = append(out, Tuple{Key: typeAttr, Publisher: e.pub, PublisherAddr: e.addr})
 	}
-	return out
+	slices.SortFunc(out, func(a, b Tuple) int {
+		if c := a.Publisher.Compare(b.Publisher); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(outlives(b.Lifetime), outlives(a.Lifetime)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.PublisherAddr, b.PublisherAddr)
+	})
+	return slices.CompactFunc(out, func(a, b Tuple) bool { return a.Publisher == b.Publisher })
+}
+
+// outlives orders remaining lifetimes, a registration that never expires
+// (0) last of all.
+func outlives(remaining time.Duration) time.Duration {
+	if remaining == 0 {
+		return math.MaxInt64
+	}
+	return remaining
 }

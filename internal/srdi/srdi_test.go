@@ -2,7 +2,9 @@ package srdi
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -152,19 +154,27 @@ func BenchmarkLookup5000(b *testing.B) {
 	}
 }
 
+// numTup is tup for an integer-valued field: the key embeds the value, as
+// discovery's tuples do, and the tuple carries it for range queries.
+func numTup(typeAttr string, value int64, pub string, life time.Duration) Tuple {
+	t := tup(typeAttr+strconv.FormatInt(value, 10), pub, life)
+	t.NumAttr, t.NumValue = typeAttr, value
+	return t
+}
+
 func TestNumericTier(t *testing.T) {
 	x, sched := newIndex()
 	pubA := ids.FromName(ids.KindPeer, "a")
-	pubB := ids.FromName(ids.KindPeer, "b")
-	x.AddNumeric("ResourceRAM", 2048, pubA, "sim://rennes/a", 0)
-	x.AddNumeric("ResourceRAM", 4096, pubB, "sim://rennes/b", time.Minute)
+	x.Add(numTup("ResourceRAM", 2048, "a", 0))
+	x.Add(numTup("ResourceRAM", 4096, "b", time.Minute))
+	x.Add(tup("ResourceNamenode", "c", 0)) // no integer value
 
 	in := x.RangePublishers("ResourceRAM", 2000, 5000)
 	if len(in) != 2 {
 		t.Fatalf("range [2000,5000] = %d publishers, want 2", len(in))
 	}
 	lo := x.RangePublishers("ResourceRAM", 0, 2048)
-	if len(lo) != 1 || !lo[0].Publisher.Equal(pubA) {
+	if len(lo) != 1 || !lo[0].Publisher.Equal(pubA) || lo[0].PublisherAddr != "sim://rennes/a" {
 		t.Fatalf("inclusive upper bound wrong: %v", lo)
 	}
 	if got := x.RangePublishers("ResourceRAM", 5000, 9000); len(got) != 0 {
@@ -183,23 +193,64 @@ func TestNumericTier(t *testing.T) {
 	}
 }
 
+// TestRangeFindsEveryRegistration: a publisher whose advertisements carry
+// two values under one attribute is found by a range query for either,
+// whichever it registered last, and is reported once.
+func TestRangeFindsEveryRegistration(t *testing.T) {
+	pub := ids.FromName(ids.KindPeer, "a")
+	for _, values := range [][2]int64{{2048, 4096}, {4096, 2048}} {
+		x, _ := newIndex()
+		for _, v := range values {
+			x.Add(numTup("ResourceRAM", v, "a", time.Hour))
+		}
+		for _, r := range [][2]int64{{3072, math.MaxInt64}, {0, 3000}, {0, math.MaxInt64}} {
+			got := x.RangePublishers("ResourceRAM", r[0], r[1])
+			if len(got) != 1 || !got[0].Publisher.Equal(pub) {
+				t.Errorf("values added %v: range %v = %v, want the publisher once", values, r, got)
+			}
+		}
+	}
+}
+
+// TestNumericReplaceAndExpire: a publisher's new value does not overwrite its
+// old one, exactly as a new exact-match key does not. Each registration
+// answers until its own tuple expires — the publisher's own cache filters
+// what it answers — and GC removes each with its tuple. Of the publisher's
+// matching registrations, the one that lives longest lends the result its
+// address and remaining lifetime.
 func TestNumericReplaceAndExpire(t *testing.T) {
 	x, sched := newIndex()
-	pub := ids.FromName(ids.KindPeer, "a")
-	x.AddNumeric("ResourceRAM", 1024, pub, "sim://rennes/a", 0)
-	x.AddNumeric("ResourceRAM", 8192, pub, "sim://rennes/a", time.Minute) // replaces
-	if got := x.RangePublishers("ResourceRAM", 0, 2000); len(got) != 0 {
-		t.Fatal("stale numeric value survived replacement")
+	x.Add(numTup("ResourceRAM", 1024, "a", time.Minute))
+	sched.Run(30 * time.Second)
+	moved := numTup("ResourceRAM", 8192, "a", time.Minute)
+	moved.PublisherAddr = "sim://rennes/a2"
+	x.Add(moved)
+	if got := x.RangePublishers("ResourceRAM", 0, 2000); len(got) != 1 || got[0].PublisherAddr != "sim://rennes/a" {
+		t.Fatalf("old value lost before its tuple expired: %v", got)
 	}
 	if got := x.RangePublishers("ResourceRAM", 8000, 9000); len(got) != 1 {
-		t.Fatal("replacement value missing")
+		t.Fatal("new value missing")
+	}
+	if got := x.RangePublishers("ResourceRAM", 0, 1<<40); len(got) != 1 ||
+		got[0].PublisherAddr != "sim://rennes/a2" || got[0].Lifetime != time.Minute {
+		t.Fatalf("both values: %v, want one result from the newer registration", got)
+	}
+	sched.Run(75 * time.Second) // the 1024 tuple expired at 60 s
+	if got := x.RangePublishers("ResourceRAM", 0, 2000); len(got) != 0 || has(x, "ResourceRAM1024") {
+		t.Fatal("expired value still served")
+	}
+	if got := x.RangePublishers("ResourceRAM", 8000, 9000); len(got) != 1 {
+		t.Fatal("live value lost with the expired one")
+	}
+	if n := x.GC(); n != 1 {
+		t.Fatalf("GC evicted %d registrations, want the expired one", n)
 	}
 	sched.Run(2 * time.Minute)
-	if n := x.GC(); n != 1 {
-		t.Fatalf("GC evicted %d numeric entries, want the one replacement", n)
+	if n := x.GC(); n != 1 || x.Size() != 0 || x.Keys() != 0 {
+		t.Fatalf("GC evicted %d, left Size %d Keys %d", n, x.Size(), x.Keys())
 	}
-	if got := x.RangePublishers("ResourceRAM", 0, 1<<40); len(got) != 0 || len(x.numeric) != 0 {
-		t.Fatal("GC left the numeric tier populated")
+	if got := x.RangePublishers("ResourceRAM", 0, 1<<40); len(got) != 0 {
+		t.Fatal("emptied index still answers a range")
 	}
 }
 
@@ -207,15 +258,10 @@ func TestTuplesExportRoundTrip(t *testing.T) {
 	x, sched := newIndex()
 	a := tup("PeerNameA", "pub-a", time.Hour)
 	b := tup("PeerNameB", "pub-b", 0) // never expires
-	c := tup("ResourceSize", "pub-c", time.Hour)
-	c.NumAttr = "ResourceSize"
-	c.NumValue = 42
+	c := numTup("ResourceSize", 42, "pub-c", time.Hour)
 	gone := tup("PeerNameGone", "pub-d", time.Minute)
 	for _, tpl := range []Tuple{a, b, c, gone} {
 		x.Add(tpl)
-		if tpl.NumAttr != "" {
-			x.AddNumeric(tpl.NumAttr, tpl.NumValue, tpl.Publisher, tpl.PublisherAddr, tpl.Lifetime)
-		}
 	}
 	sched.Run(30 * time.Minute) // 'gone' expires, the rest keep half their life
 
@@ -229,14 +275,11 @@ func TestTuplesExportRoundTrip(t *testing.T) {
 			t.Fatal("export not sorted by key")
 		}
 	}
-	// Re-adding on a successor index reproduces both tiers.
+	// Re-adding on a successor index reproduces it, integer values included.
 	succSched := simnet.NewScheduler(2)
 	succ := New(succSched.NewEnv("succ"))
 	for _, tpl := range exported {
 		succ.Add(tpl)
-		if tpl.NumAttr != "" {
-			succ.AddNumeric(tpl.NumAttr, tpl.NumValue, tpl.Publisher, tpl.PublisherAddr, tpl.Lifetime)
-		}
 	}
 	if !has(succ, "PeerNameA") || !has(succ, "PeerNameB") {
 		t.Fatal("successor index misses handed-off keys")
@@ -245,7 +288,7 @@ func TestTuplesExportRoundTrip(t *testing.T) {
 		t.Fatal("successor index resurrected an expired tuple")
 	}
 	if got := succ.RangePublishers("ResourceSize", 40, 50); len(got) != 1 {
-		t.Fatalf("numeric tier not reconstructed: %d matches", len(got))
+		t.Fatalf("integer value not reconstructed: %d matches", len(got))
 	}
 	// Remaining lifetime carried over: tuple a had 1h, 30 min elapsed.
 	for _, tpl := range exported {
