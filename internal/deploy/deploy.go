@@ -87,6 +87,11 @@ type Overlay struct {
 	// OnMerge, when set, observes completed island-merge handshake legs
 	// (Spec.Lease.IslandMerge): the node that merged and its counterpart's
 	// peer ID.
+	//
+	// Both hooks run inside node callbacks, on the node's shard, so a hook
+	// that shares state across nodes races on the sharded engine. Only the
+	// library facade, which is serial-only, and the benchmark set them;
+	// experiments read the per-node promotion and merge counters instead.
 	OnMerge func(n *node.Node, peer ids.ID)
 
 	spec      Spec
@@ -100,6 +105,8 @@ type Overlay struct {
 	// names the shard owning each Grid'5000 site (topology.PlaceSites).
 	sharded *simnet.ShardedScheduler
 	assign  []int
+	// sites[i] is rendezvous i's site; its edges live there too.
+	sites []netmodel.Site
 }
 
 // Build deploys the overlay. Rendezvous peers are spread round-robin over
@@ -148,11 +155,11 @@ func Build(spec Spec) (*Overlay, error) {
 	if err != nil {
 		return nil, err
 	}
-	sites := netmodel.SpreadSites(spec.NumRdv)
-	for i := 0; i < spec.NumRdv; i++ {
+	o.sites = netmodel.SpreadSites(spec.NumRdv)
+	for i, site := range o.sites {
 		name := fmt.Sprintf("rdv%d", i)
-		e := o.newEnv(name, sites[i])
-		tr, err := o.Net.Attach(name, sites[i])
+		e := o.newEnv(name, site)
+		tr, err := o.Net.Attach(name, site)
 		if err != nil {
 			return nil, err
 		}
@@ -202,8 +209,7 @@ func Build(spec Spec) (*Overlay, error) {
 // simnet.NodeEnv.Rand rebuilds the stream at its position should a promotion
 // make it draw again.
 func (o *Overlay) AddEdge(name string, attachTo int) (*node.Node, error) {
-	rdv := o.Rdvs[attachTo]
-	site := siteOfRdv(o, attachTo)
+	rdv, site := o.Rdvs[attachTo], o.sites[attachTo]
 	e := o.newEnv(name, site)
 	tr, err := o.Net.Attach(name, site)
 	if err != nil {
@@ -298,14 +304,6 @@ func (o *Overlay) Nodes() []*node.Node {
 	out = append(out, o.Rdvs...)
 	out = append(out, o.Edges...)
 	return out
-}
-
-func siteOfRdv(o *Overlay, idx int) netmodel.Site {
-	sites := netmodel.SpreadSites(len(o.Rdvs))
-	if idx < len(sites) {
-		return sites[idx]
-	}
-	return netmodel.Rennes
 }
 
 // StartAll starts every deployed peer. Edges added afterwards start

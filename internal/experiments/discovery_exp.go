@@ -81,13 +81,7 @@ type DiscoveryResult struct {
 	// WalkFraction is the share of measured queries that needed the O(r)
 	// walk fallback (0 when property (2) holds).
 	WalkFraction float64
-	// Steps is the number of simulator events executed — part of the
-	// engine's bit-for-bit replay contract (see the golden determinism
-	// test).
-	Steps uint64
-	// NetStats snapshots the simulated network counters at the end of the
-	// run.
-	NetStats transport.Stats
+	RunCost
 }
 
 // RunDiscovery executes one §4.2 benchmark point: a publisher edge on the
@@ -173,8 +167,7 @@ func RunDiscovery(spec DiscoverySpec) (DiscoveryResult, error) {
 	if spec.Queries > 0 {
 		res.WalkFraction = float64(totalWalks(o)-walksBefore) / float64(spec.Queries)
 	}
-	res.Steps = o.Sched.Steps()
-	res.NetStats = o.Net.Stats()
+	res.RunCost = costOf(o)
 	o.StopAll()
 	return res, nil
 }

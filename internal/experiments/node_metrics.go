@@ -4,7 +4,33 @@ import (
 	"strings"
 
 	"jxta/internal/deploy"
+	"jxta/internal/simnet"
+	"jxta/internal/transport"
 )
+
+// RunCost is what a run cost the engine. Every result that reports it
+// embeds it, and costOf is the one place that fills it.
+type RunCost struct {
+	// Steps is the number of simulator events executed: part of the
+	// engine's bit-for-bit replay contract (see the golden determinism
+	// tests).
+	Steps uint64
+	// NetStats snapshots the simulated network counters.
+	NetStats transport.Stats
+	// Parallel carries the sharded engine's window instrumentation (zero
+	// for serial runs).
+	Parallel simnet.ParallelStats
+}
+
+// costOf reads the overlay's run cost. Call it from the driver side,
+// between Sched.Run calls and before StopAll.
+func costOf(o *deploy.Overlay) RunCost {
+	c := RunCost{Steps: o.Sched.Steps(), NetStats: o.Net.Stats()}
+	if eng := o.Engine(); eng != nil {
+		c.Parallel = eng.ParallelStats()
+	}
+	return c
+}
 
 // NodeMetricsSummary is the per-node runtime-metrics section experiment
 // results carry into jxta-bench's JSON output: the overlay-level registry,

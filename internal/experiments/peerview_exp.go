@@ -12,9 +12,7 @@ import (
 	"jxta/internal/ids"
 	"jxta/internal/metrics"
 	"jxta/internal/peerview"
-	"jxta/internal/simnet"
 	"jxta/internal/topology"
-	"jxta/internal/transport"
 )
 
 // PeerviewSpec parameterizes a peerview-protocol experiment (§4.1).
@@ -74,16 +72,7 @@ type PeerviewResult struct {
 	// ConsistentAtEnd reports property (2) at the end of the run: every
 	// rendezvous holds l = r-1.
 	ConsistentAtEnd bool
-	// Steps is the number of simulator events executed — part of the
-	// engine's bit-for-bit replay contract (see the golden determinism
-	// test).
-	Steps uint64
-	// NetStats snapshots the simulated network counters at the end of the
-	// run.
-	NetStats transport.Stats
-	// Parallel carries the sharded engine's window instrumentation when
-	// Spec.Shards > 1 (zero value for serial runs).
-	Parallel simnet.ParallelStats
+	RunCost
 }
 
 // RunPeerview executes a §4.1 peerview experiment.
@@ -115,11 +104,8 @@ func RunPeerview(spec PeerviewSpec) (PeerviewResult, error) {
 		o.Sched.Run(t)
 		l := observed.PeerView.Size()
 		res.Size.Add(t, float64(l))
-		sum := 0
-		for _, r := range o.Rdvs {
-			sum += r.PeerView.Size()
-		}
-		res.MeanSize.Add(t, float64(sum)/float64(len(o.Rdvs)))
+		_, mean, _ := tierStats(o)
+		res.MeanSize.Add(t, mean)
 		if l > res.MaxSize {
 			res.MaxSize = l
 		}
@@ -130,18 +116,8 @@ func RunPeerview(spec PeerviewSpec) (PeerviewResult, error) {
 	}
 	res.FinalSize = observed.PeerView.Size()
 	res.PlateauMean = res.Size.MeanAfter(spec.Duration * 2 / 3)
-	res.ConsistentAtEnd = true
-	for _, r := range o.Rdvs {
-		if r.PeerView.Size() != spec.R-1 {
-			res.ConsistentAtEnd = false
-			break
-		}
-	}
-	res.Steps = o.Sched.Steps()
-	res.NetStats = o.Net.Stats()
-	if ss := o.Engine(); ss != nil {
-		res.Parallel = ss.ParallelStats()
-	}
+	_, _, res.ConsistentAtEnd = tierStats(o)
+	res.RunCost = costOf(o)
 	o.StopAll()
 	return res, nil
 }

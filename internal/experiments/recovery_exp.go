@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"time"
-
-	"jxta/internal/transport"
 )
 
 // RecoverySpec parameterizes the churn-recovery experiment: the paper's
@@ -46,10 +44,9 @@ type RecoveryResult struct {
 	// Reconverged reports whether every live rendezvous sees the full view
 	// (l = r-1) at the end — property (2) restored after mass failure.
 	Reconverged bool
-	// Steps and NetStats extend the engine's replay contract to the
-	// lifecycle machinery (kill, restart, staged rejoin).
-	Steps    uint64
-	NetStats transport.Stats
+	// RunCost extends the engine's replay contract to the lifecycle
+	// machinery (kill, restart, staged rejoin).
+	RunCost
 }
 
 // RunChurnRecovery executes the mass-failure + staged-rejoin scenario.
@@ -105,8 +102,7 @@ func RunChurnRecovery(spec RecoverySpec) (RecoveryResult, error) {
 		return res, err
 	}
 
-	res.Steps = o.Sched.Steps()
-	res.NetStats = o.Net.Stats()
+	res.RunCost = costOf(o)
 	o.StopAll()
 	return res, nil
 }

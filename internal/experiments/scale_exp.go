@@ -48,37 +48,22 @@ func (s ScaleSpec) withDefaults() ScaleSpec {
 	return s
 }
 
-// ScaleResult is one scaling point: protocol outcomes (deterministic for a
-// fixed spec — the golden test pins them), throughput measurements
-// (hardware-dependent), and the engine's window instrumentation, from which
-// SpeedupBound reports the speedup an ideal one-core-per-shard machine
-// could extract from this workload — measured wall time on a box with
-// fewer cores cannot exceed it.
+// ScaleResult is one scaling point: protocol outcomes and the run's cost
+// (deterministic for a fixed spec — the golden test pins them, the engine's
+// window instrumentation included) and the wall time it took
+// (hardware-dependent).
 type ScaleResult struct {
-	Spec  ScaleSpec
-	Peers int
-	// Deterministic protocol outcomes.
-	Steps    uint64
-	Messages uint64
-	Bytes    uint64
-	Dropped  uint64
+	Spec ScaleSpec
+	RunCost
 	MeanView float64
 	Leased   int
-	// Wall-clock measurements.
-	WallMs       float64
-	EventsPerSec float64
+	Wall     time.Duration
 	// HeapBytesPerEdge is the live-heap delta from just before deployment
 	// to just after the run (two GC cycles settle finalizer-freed memory),
 	// divided by the edge population: the marginal resident cost of one
 	// simulated edge. Hardware-independent to first order; the CI memory
 	// smoke pins a ceiling on it.
 	HeapBytesPerEdge float64
-	// Sharded-engine window instrumentation (zero for serial runs).
-	Windows      uint64
-	MaxBusy      int
-	AvgBusy      float64
-	CrossShard   uint64
-	SpeedupBound float64
 	// NodeMetrics aggregates every peer's runtime registry at the end of
 	// the run (totals over the population + sampled full snapshots).
 	NodeMetrics *NodeMetricsSummary
@@ -117,36 +102,15 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 	o.StartAll()
 	start := time.Now()
 	o.Sched.Run(spec.Duration)
-	wall := time.Since(start)
+	res := ScaleResult{Spec: spec, Wall: time.Since(start)}
 	runHeap := liveHeap()
 
-	res := ScaleResult{Spec: spec, Peers: spec.R + spec.Edges}
-	res.Steps = o.Sched.Steps()
-	st := o.Net.Stats()
-	res.Messages, res.Bytes, res.Dropped = st.Messages, st.Bytes, st.Dropped
-	sum := 0
-	for _, r := range o.Rdvs {
-		sum += r.PeerView.Size()
-	}
-	res.MeanView = float64(sum) / float64(spec.R)
+	res.RunCost = costOf(o)
+	_, res.MeanView, _ = tierStats(o)
 	for _, e := range o.Edges {
 		if _, ok := e.Rendezvous.ConnectedRdv(); ok {
 			res.Leased++
 		}
-	}
-	res.WallMs = float64(wall.Nanoseconds()) / 1e6
-	if wall > 0 {
-		res.EventsPerSec = float64(res.Steps) / wall.Seconds()
-	}
-	if eng := o.Engine(); eng != nil {
-		ps := eng.ParallelStats()
-		res.Windows = ps.Windows
-		res.MaxBusy = ps.MaxBusy
-		if ps.Windows > 0 {
-			res.AvgBusy = float64(ps.BusyShardSum) / float64(ps.Windows)
-		}
-		res.CrossShard = ps.CrossShard
-		res.SpeedupBound = ps.SpeedupBound()
 	}
 	if spec.Edges > 0 && runHeap > baseHeap {
 		res.HeapBytesPerEdge = float64(runHeap-baseHeap) / float64(spec.Edges)

@@ -12,9 +12,9 @@ import (
 // and exchange counts depend only on event content, so they replay too).
 func scaleFingerprint(res ScaleResult) string {
 	return fmt.Sprintf("steps=%d msgs=%d bytes=%d dropped=%d view=%s leased=%d windows=%d maxbusy=%d cross=%d",
-		res.Steps, res.Messages, res.Bytes, res.Dropped,
+		res.Steps, res.NetStats.Messages, res.NetStats.Bytes, res.NetStats.Dropped,
 		hexFloat(res.MeanView), res.Leased,
-		res.Windows, res.MaxBusy, res.CrossShard)
+		res.Parallel.Windows, res.Parallel.MaxBusy, res.Parallel.CrossShard)
 }
 
 // goldenScaleSpec is the pinned multi-shard scenario: four shards, a
@@ -88,7 +88,7 @@ func TestScaleShardedGOMAXPROCSInvariant(t *testing.T) {
 		fp := scaleFingerprint(res)
 		if base == "" {
 			base = fp
-			if res.CrossShard == 0 {
+			if res.Parallel.CrossShard == 0 {
 				t.Fatal("scenario exercised no cross-shard traffic")
 			}
 			continue
@@ -107,7 +107,7 @@ func TestScaleSerialPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Windows != 0 || res.CrossShard != 0 {
+	if res.Parallel.Windows != 0 || res.Parallel.CrossShard != 0 {
 		t.Fatalf("serial run reports sharded instrumentation: %+v", res)
 	}
 	if res.Steps == 0 || res.Leased != 6 {

@@ -58,3 +58,29 @@ func TestVolatilityShardedDeterministic(t *testing.T) {
 		t.Fatalf("sharded volatility outcomes diverged: %+v vs %+v", pa, pb)
 	}
 }
+
+// TestShardedVolatilityCountsFromCounters pins that the sweep's promotion
+// and merge counts are read from each node's own counters once the point
+// has run, not tallied by callbacks that two shards run in the same window:
+// under -race a shared tally reports a data race, and without it a lost
+// update would make two replays disagree.
+func TestShardedVolatilityCountsFromCounters(t *testing.T) {
+	spec := VolatilitySpec{R: 27, EdgesPerRdv: 3, Queries: 10,
+		KillEvery: []time.Duration{10 * time.Second}, Shards: 9, Seed: 1, IslandMerge: true}
+	var promos, merges [2]int
+	for i := range promos {
+		res, err := RunVolatility(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt := res.Points[0]
+		promos[i], merges[i] = pt.Promotions, pt.Merge.Merges
+	}
+	if promos[0] == 0 || merges[0] == 0 {
+		t.Fatalf("scenario exercised no healing: promotions=%d merges=%d", promos[0], merges[0])
+	}
+	if promos[0] != promos[1] || merges[0] != merges[1] {
+		t.Fatalf("sharded counts diverged: promotions %d vs %d, merges %d vs %d",
+			promos[0], promos[1], merges[0], merges[1])
+	}
+}

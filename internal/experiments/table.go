@@ -447,6 +447,21 @@ type scalePoint struct {
 	NodeMetrics      *NodeMetricsSummary `json:"node_metrics,omitempty"`
 }
 
+// pointOf builds a scale point from a run's cost and wall time. Its
+// speedup_wall is 1 until relativeTo sets it.
+func pointOf(workload string, r, edges, shards int, wall time.Duration, c RunCost) scalePoint {
+	p := scalePoint{
+		Workload: workload, R: r, Edges: edges, Shards: shards,
+		GOMAXPROCS: runtime.GOMAXPROCS(0), WallMs: float64(wall.Nanoseconds()) / 1e6,
+		Steps: c.Steps, Windows: c.Parallel.Windows, AvgBusy: c.Parallel.AvgBusy(),
+		CrossShard: c.Parallel.CrossShard, SpeedupBound: c.Parallel.SpeedupBound(), SpeedupWall: 1,
+	}
+	if wall > 0 { // encoding/json refuses the +Inf a zero wall time would give
+		p.EventsPerSec = float64(c.Steps) / wall.Seconds()
+	}
+	return p
+}
+
 // scale measures the sharded conservative-PDES engine: events/sec and wall
 // time vs shard count on a leased-edge workload (r=250 / 10k edges), a
 // GOMAXPROCS speedup curve at fixed shard count, the serial-vs-sharded
@@ -465,21 +480,11 @@ func scale(o Options) (any, []plot.Chart, error) {
 		mem.R, mem.Edges, mem.Shards, mem.Duration = 18, 540, 2, 5*time.Minute
 	}
 	summary := map[string]any{}
-	// point measures one RunScale run. Its speedup_wall is 1 unless
-	// relativeTo sets it.
+	// point measures one RunScale run.
 	point := func(name string, spec ScaleSpec) (scalePoint, error) {
 		res, err := RunScale(spec)
-		p := scalePoint{
-			Workload: name, R: spec.R, Edges: spec.Edges, Shards: res.Spec.Shards,
-			GOMAXPROCS: runtime.GOMAXPROCS(0), WallMs: res.WallMs, Steps: res.Steps,
-			EventsPerSec: res.EventsPerSec, Windows: res.Windows, AvgBusy: res.AvgBusy,
-			CrossShard: res.CrossShard, SpeedupBound: res.SpeedupBound, SpeedupWall: 1,
-			HeapBytesPerEdge: res.HeapBytesPerEdge,
-			NodeMetrics:      res.NodeMetrics,
-		}
-		if p.SpeedupBound == 0 {
-			p.SpeedupBound = 1 // serial engine: no windows, bound is unity
-		}
+		p := pointOf(name, spec.R, spec.Edges, res.Spec.Shards, res.Wall, res.RunCost)
+		p.HeapBytesPerEdge, p.NodeMetrics = res.HeapBytesPerEdge, res.NodeMetrics
 		return p, err
 	}
 	relativeTo := func(ps []scalePoint, serial scalePoint) {
@@ -540,21 +545,8 @@ func scale(o Options) (any, []plot.Chart, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		wall := time.Since(start)
-		p := scalePoint{
-			Workload: fmt.Sprintf("peerview-r%d-%dmin", pvR, int(pvDur.Minutes())),
-			R:        pvR, Shards: shards, GOMAXPROCS: runtime.GOMAXPROCS(0),
-			WallMs:       float64(wall.Nanoseconds()) / 1e6,
-			Steps:        res.Steps,
-			EventsPerSec: float64(res.Steps) / wall.Seconds(),
-			Windows:      res.Parallel.Windows,
-			CrossShard:   res.Parallel.CrossShard,
-			SpeedupBound: res.Parallel.SpeedupBound(),
-		}
-		if res.Parallel.Windows > 0 {
-			p.AvgBusy = float64(res.Parallel.BusyShardSum) / float64(res.Parallel.Windows)
-		}
-		pv = append(pv, p)
+		pv = append(pv, pointOf(fmt.Sprintf("peerview-r%d-%dmin", pvR, int(pvDur.Minutes())),
+			pvR, 0, shards, time.Since(start), res.RunCost))
 	}
 	relativeTo(pv, pv[0])
 	summary["peerview"] = pv

@@ -2,17 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"jxta/internal/advertisement"
 	"jxta/internal/deploy"
 	"jxta/internal/discovery"
-	"jxta/internal/ids"
 	"jxta/internal/node"
 	"jxta/internal/peerview"
 	"jxta/internal/rendezvous"
 	"jxta/internal/topology"
-	"jxta/internal/transport"
 )
 
 // VolatilitySpec parameterizes the volatility sweep — the paper-§5 axis the
@@ -120,9 +119,8 @@ type VolatilityPoint struct {
 type VolatilityResult struct {
 	Spec   VolatilitySpec
 	Points []VolatilityPoint
-	// Steps and NetStats accumulate across points (replay contract).
-	Steps    uint64
-	NetStats transport.Stats
+	// RunCost sums the points' costs (replay contract).
+	RunCost
 }
 
 // attached reports whether the node's transport endpoint is still reachable
@@ -134,29 +132,23 @@ func attached(o *deploy.Overlay, n *node.Node) bool {
 
 // tierStats scans every deployed node for the current rendezvous tier:
 // count, mean peerview size, and whether each member sees all the others.
+// It allocates nothing: RunPeerview calls it at every sample.
 func tierStats(o *deploy.Overlay) (live int, meanView float64, reconverged bool) {
-	var members []*node.Node
+	sum, lo, hi := 0, math.MaxInt, 0
 	for _, list := range [][]*node.Node{o.Rdvs, o.Edges} {
 		for _, n := range list {
 			if n.IsRendezvous() && n.Started() && attached(o, n) {
-				members = append(members, n)
+				size := n.PeerView.Size()
+				live++
+				sum += size
+				lo, hi = min(lo, size), max(hi, size)
 			}
 		}
 	}
-	live = len(members)
 	if live == 0 {
 		return 0, 0, false
 	}
-	sum := 0
-	reconverged = true
-	for _, n := range members {
-		size := n.PeerView.Size()
-		sum += size
-		if size != live-1 {
-			reconverged = false
-		}
-	}
-	return live, float64(sum) / float64(live), reconverged
+	return live, float64(sum) / float64(live), lo == live-1 && hi == live-1
 }
 
 // edgesSettled reports the client side of reconvergence: every started,
@@ -188,15 +180,22 @@ func RunVolatility(spec VolatilitySpec) (VolatilityResult, error) {
 	}
 	res := VolatilityResult{Spec: spec}
 	for _, killEvery := range spec.KillEvery {
-		pt, steps, ns, err := runVolatilityPoint(spec, killEvery)
+		pt, c, err := runVolatilityPoint(spec, killEvery)
 		if err != nil {
 			return res, err
 		}
 		res.Points = append(res.Points, pt)
-		res.Steps += steps
-		res.NetStats.Messages += ns.Messages
-		res.NetStats.Bytes += ns.Bytes
-		res.NetStats.Dropped += ns.Dropped
+		res.Steps += c.Steps
+		res.NetStats.Messages += c.NetStats.Messages
+		res.NetStats.Bytes += c.NetStats.Bytes
+		res.NetStats.Dropped += c.NetStats.Dropped
+		sum, p := &res.Parallel, c.Parallel
+		sum.Windows += p.Windows
+		sum.BusyShardSum += p.BusyShardSum
+		sum.MaxBusy = max(sum.MaxBusy, p.MaxBusy)
+		sum.TotalEvents += p.TotalEvents
+		sum.CriticalEvents += p.CriticalEvents
+		sum.CrossShard += p.CrossShard
 	}
 	return res, nil
 }
@@ -226,18 +225,16 @@ func selfHealing(seed int64, r, edgesPerRdv int, merge bool) deploy.Spec {
 	}
 }
 
-func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (VolatilityPoint, uint64, transport.Stats, error) {
+func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (VolatilityPoint, RunCost, error) {
 	pt := VolatilityPoint{KillEvery: killEvery}
 	ds := selfHealing(spec.Seed, spec.R, spec.EdgesPerRdv, spec.IslandMerge)
 	ds.Shards = spec.Shards
 	o, err := deploy.Build(ds)
 	if err != nil {
-		return pt, 0, transport.Stats{}, err
+		return pt, RunCost{}, err
 	}
-	o.OnPromotion = func(*node.Node) { pt.Promotions++ }
 	if spec.IslandMerge {
 		pt.Merge = &MergeStats{}
-		o.OnMerge = func(*node.Node, ids.ID) { pt.Merge.Merges++ }
 	}
 	o.StartAll()
 	publisher, searcher := o.Edges[0], o.Edges[len(o.Edges)-1]
@@ -264,7 +261,7 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 	kills.start(o)
 
 	if pt.Phase, err = search(o, searcher, advs, spec.Queries); err != nil {
-		return pt, 0, transport.Stats{}, err
+		return pt, RunCost{}, err
 	}
 
 	if pt.Merge == nil {
@@ -283,7 +280,7 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 			return kills.killed >= spec.Kills || spec.RejoinAfter <= 0 && kills.killed >= spec.R
 		}
 		if !advance(o, killEvery, time.Duration(spec.Kills+1)*(spec.RejoinAfter+2*killEvery), landed) {
-			return pt, 0, transport.Stats{}, fmt.Errorf("experiments: %d of %d kills landed", kills.killed, spec.Kills)
+			return pt, RunCost{}, fmt.Errorf("experiments: %d of %d kills landed", kills.killed, spec.Kills)
 		}
 		// Merge phase: poll the tier until the surviving islands gossiped
 		// each other into a single peerview, recording time-to-single-tier,
@@ -297,10 +294,17 @@ func runVolatilityPoint(spec VolatilitySpec, killEvery time.Duration) (Volatilit
 		pt.Merge.TimeToSingleTier = o.Sched.Now() - start
 		pt.LiveTier, pt.MeanView, pt.Reconverged = tierStats(o)
 		if pt.Merge.Phase, err = search(o, searcher, advs, spec.Queries); err != nil {
-			return pt, 0, transport.Stats{}, err
+			return pt, RunCost{}, err
 		}
 	}
-	steps, ns := o.Sched.Steps(), o.Net.Stats()
+	// Each node's counters are written only by its own shard; the sums are
+	// read here, between windows.
+	totals := CollectNodeMetrics(o, 0).Totals
+	pt.Promotions = int(totals["jxta_rendezvous_promotions_total"])
+	if pt.Merge != nil {
+		pt.Merge.Merges = int(totals["jxta_rendezvous_merges_total"])
+	}
+	c := costOf(o)
 	o.StopAll()
-	return pt, steps, ns, nil
+	return pt, c, nil
 }

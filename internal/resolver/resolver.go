@@ -162,9 +162,9 @@ func (s *Service) SendQuery(dst ids.ID, handler string, payload []byte, cb Respo
 }
 
 // SendCollect is SendQuery for a caller that wants every responder: cb fires
-// for each response until Timeout has elapsed or the query is cancelled, and
+// for each response until Timeout has elapsed or Stop abandons the query, and
 // onTimeout fires at the deadline only if nothing was answered. With Timeout
-// zero the query stays open until Cancel.
+// zero the query stays open until Stop.
 func (s *Service) SendCollect(dst ids.ID, handler string, payload []byte, cb ResponseCallback, onTimeout TimeoutCallback) (uint64, error) {
 	return s.send(dst, handler, payload, cb, onTimeout, true)
 }
@@ -339,8 +339,9 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 			} else {
 				s.forget(qid, p)
 			}
-			// Hop count echoed by Respond; absent (or malformed) reads as 0
-			// so responses from older peers still complete the query.
+			// Hop count echoed by Respond. An absent, malformed or negative
+			// count is input to validate, not a reason to drop the answer:
+			// it reads as 0 and the response still completes the query.
 			hops, err := strconv.Atoi(string(h.hops))
 			if err != nil || hops < 0 {
 				hops = 0

@@ -85,6 +85,15 @@ func (p ParallelStats) SpeedupBound() float64 {
 	return float64(p.TotalEvents) / float64(p.CriticalEvents)
 }
 
+// AvgBusy returns the mean number of busy shards per window (0 when no
+// window ran).
+func (p ParallelStats) AvgBusy() float64 {
+	if p.Windows == 0 {
+		return 0
+	}
+	return float64(p.BusyShardSum) / float64(p.Windows)
+}
+
 // ShardedScheduler is the conservative parallel engine: it partitions the
 // simulation into per-core shards, each an independent serial Scheduler, and
 // runs them concurrently inside lookahead windows no wider than the minimum
