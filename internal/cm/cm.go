@@ -345,6 +345,15 @@ func (c *Cache) LocalAdvertisements() []advertisement.Advertisement {
 	return sortAdvs(out)
 }
 
+// Remaining returns how long the stored advertisement id has left: 0 when
+// it never expires, or is not stored.
+func (c *Cache) Remaining(id ids.ID) time.Duration {
+	if rec, ok := c.byID[id]; ok && rec.Expires > 0 {
+		return rec.Expires - c.env.Now()
+	}
+	return 0
+}
+
 // Flush drops every non-local advertisement — the benchmark's cache flush
 // between consecutive discovery queries, preventing cache speedup.
 func (c *Cache) Flush() {

@@ -122,9 +122,13 @@ func decodeQuery(data []byte) (queryBody, error) {
 	return b, nil
 }
 
-// appendTuple appends the encoding of t to buf: into a pooled message's
-// scratch for a push that is sent at once, into a fresh buffer (encodeTuple)
-// for a message that is kept.
+// tupleFrame bounds a tuple's encoding less its key, address and numeric
+// attribute when none of them needs escaping: 56 is a rendered URN, 2×20
+// two 64-bit integers in decimal.
+const tupleFrame = len("<srdi:Tuple><Key></Key><Pub></Pub><Addr></Addr><Life></Life><NA></NA><NV></NV></srdi:Tuple>") + 56 + 2*20
+
+// appendTuple appends the encoding of t to buf, a pooled message's scratch
+// in sendTuples.
 func appendTuple(buf []byte, t srdi.Tuple) []byte {
 	buf = document.AppendStartTag(buf, tupleTag)
 	buf = document.AppendTextElement(buf, "Key", t.Key)
@@ -138,12 +142,6 @@ func appendTuple(buf []byte, t srdi.Tuple) []byte {
 		buf = appendIntElement(buf, "NV", t.NumValue)
 	}
 	return document.AppendEndTag(buf, tupleTag)
-}
-
-func encodeTuple(t srdi.Tuple) []byte {
-	// 56 is a rendered URN; 2×20 covers two 64-bit integers in decimal.
-	const frame = len("<srdi:Tuple><Key></Key><Pub></Pub><Addr></Addr><Life></Life><NA></NA><NV></NV></srdi:Tuple>") + 56 + 2*20
-	return appendTuple(make([]byte, 0, frame+len(t.Key)+len(t.PublisherAddr)+len(t.NumAttr)), t)
 }
 
 // decodeTuple reads a tuple: Key, Pub, Addr, Life and, for a numeric

@@ -54,7 +54,7 @@ func TestTupleCodecRoundTrip(t *testing.T) {
 		PublisherAddr: transport.Addr("sim://rennes/p"),
 		Lifetime:      2 * time.Hour,
 	}
-	back, err := decodeTuple(encodeTuple(tpl), noRoute)
+	back, err := decodeTuple(appendTuple(nil, tpl), noRoute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTupleCodecNumericRoundTrip(t *testing.T) {
 		NumAttr:       "ResourceRAM",
 		NumValue:      4096,
 	}
-	back, err := decodeTuple(encodeTuple(tpl), noRoute)
+	back, err := decodeTuple(appendTuple(nil, tpl), noRoute)
 	if err != nil {
 		t.Fatal(err)
 	}

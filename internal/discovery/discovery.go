@@ -173,7 +173,7 @@ func New(e env.Env, ep *endpoint.Endpoint, res *resolver.Service, rdvSvc *rendez
 	// A gracefully stopping rendezvous hands its SRDI off to the successor
 	// as one standard (non-replica) push: the successor indexes every tuple
 	// and re-replicates it over its own peerview.
-	rdvSvc.SetStateExporter(s.exportIndex)
+	rdvSvc.SetHandoffHook(s.handOff)
 	if rdvSvc.IsRendezvous() {
 		s.index = srdi.New(e)
 	} else {
@@ -221,47 +221,29 @@ func (s *Service) Rereplicate() {
 		return
 	}
 	pv := s.rdv.PeerView()
-	batches := make(map[ids.ID]*message.Out)
-	counts := make(map[ids.ID]uint64)
+	batches := make(map[ids.ID][]srdi.Tuple)
 	var order []ids.ID // first-seen over sorted tuples: deterministic
 	for _, tpl := range s.index.Tuples() {
 		replica := replicaOf(pv, tpl.Key)
 		if replica.Equal(s.ep.ID()) {
 			continue
 		}
-		m, ok := batches[replica]
-		if !ok {
-			m = message.Acquire()
-			m.AddString("srdi", "Replicated", "1")
-			batches[replica] = m
+		if _, ok := batches[replica]; !ok {
 			order = append(order, replica)
 		}
-		m.AddScratch("srdi", "Tuple", appendTuple(m.Scratch(), tpl))
-		counts[replica]++
+		batches[replica] = append(batches[replica], tpl)
 	}
 	for _, dst := range order {
-		// Count only what actually left, mirroring indexAndReplicate.
-		if s.ep.Send(dst, SRDIService, &batches[dst].Message) == nil {
-			s.Stats.TuplesReplicated += counts[dst]
-		}
-		batches[dst].Release()
+		s.sendTuples(dst, batches[dst], true)
 	}
 }
 
-// exportIndex serializes the SRDI for a graceful lease-state handoff.
-func (s *Service) exportIndex() (string, []*message.Message) {
-	if s.index == nil {
-		return "", nil
+// handOff pushes the SRDI to a graceful handoff's successor. Only a
+// rendezvous hands off, and a rendezvous always holds an index.
+func (s *Service) handOff(succ ids.ID) {
+	if tuples := s.index.Tuples(); len(tuples) > 0 {
+		s.sendTuples(succ, tuples, false)
 	}
-	tuples := s.index.Tuples()
-	if len(tuples) == 0 {
-		return "", nil
-	}
-	m := message.New() // kept: rendezvous.handoff sends it after this returns
-	for _, tpl := range tuples {
-		m.Add("srdi", "Tuple", encodeTuple(tpl))
-	}
-	return SRDIService, []*message.Message{m}
 }
 
 // Index exposes the SRDI (nil on edges); experiments read its size.
@@ -500,9 +482,10 @@ func (s *Service) owe(advs []advertisement.Advertisement) {
 // pushAll sends, in one push, the tuples of every fresh local advertisement
 // that is owed to the current rendezvous — or of every one, owed or not:
 // a fresh lease or a promotion means a rendezvous that has seen none of
-// them. It runs on every push tick and normally owes nothing, so it returns
-// before touching the cache. A push that fails leaves its advertisements
-// owed for the next tick.
+// them. Each tuple lives as long as its advertisement has left. It runs on
+// every push tick and normally owes nothing, so it returns before touching
+// the cache. A push that fails leaves its advertisements owed for the next
+// tick.
 func (s *Service) pushAll(everything bool) {
 	if !everything && s.unpushed == nil {
 		return
@@ -512,7 +495,7 @@ func (s *Service) pushAll(everything bool) {
 	for _, adv := range s.cache.LocalAdvertisements() {
 		if _, owed := s.unpushed[adv.ID()]; owed || everything {
 			due = append(due, adv)
-			pending = append(pending, s.tuplesOf(adv, advLifetime)...)
+			pending = append(pending, s.tuplesOf(adv, s.cache.Remaining(adv.ID()))...)
 		}
 	}
 	if s.pushTuples(pending) {
@@ -539,12 +522,35 @@ func (s *Service) pushTuples(tuples []srdi.Tuple) bool {
 	if !ok {
 		return false // pushAll retries on the next tick / lease
 	}
+	return s.sendTuples(rdvID, tuples, false)
+}
+
+// sendTuples is the one writer of an SRDI message: it sends tuples to dst in
+// one push, marked as replica copies when replicated (the receiver indexes
+// those and does not replicate them again), and reports whether the push
+// left. Replica copies that left count in TuplesReplicated.
+func (s *Service) sendTuples(dst ids.ID, tuples []srdi.Tuple, replicated bool) bool {
 	m := message.Acquire()
-	for _, tpl := range tuples {
-		m.AddScratch("srdi", "Tuple", appendTuple(m.Scratch(), tpl))
+	if replicated {
+		m.AddString("srdi", "Replicated", "1")
 	}
-	err := s.ep.Send(rdvID, SRDIService, &m.Message)
+	// The scratch grows once. Grown by appending, each move would leave the
+	// tuples added before aliasing the old buffer until Release: a handoff's
+	// whole index then held several copies of itself at once.
+	room := 0
+	for _, tpl := range tuples {
+		room += tupleFrame + len(tpl.Key) + len(tpl.PublisherAddr) + len(tpl.NumAttr)
+	}
+	buf := slices.Grow(m.Scratch(), room)
+	for _, tpl := range tuples {
+		buf = appendTuple(buf, tpl)
+		m.AddScratch("srdi", "Tuple", buf)
+	}
+	err := s.ep.Send(dst, SRDIService, &m.Message)
 	m.Release()
+	if err == nil && replicated {
+		s.Stats.TuplesReplicated += uint64(len(tuples))
+	}
 	return err == nil
 }
 
@@ -581,17 +587,9 @@ func (s *Service) indexAndReplicate(tpl srdi.Tuple, replicated bool) {
 	if replicated {
 		return
 	}
-	replica := replicaOf(s.rdv.PeerView(), tpl.Key)
-	if replica.Equal(s.ep.ID()) {
-		return
+	if replica := replicaOf(s.rdv.PeerView(), tpl.Key); !replica.Equal(s.ep.ID()) {
+		s.sendTuples(replica, []srdi.Tuple{tpl}, true)
 	}
-	m := message.Acquire()
-	m.AddString("srdi", "Replicated", "1")
-	m.AddScratch("srdi", "Tuple", appendTuple(m.Scratch(), tpl))
-	if err := s.ep.Send(replica, SRDIService, &m.Message); err == nil {
-		s.Stats.TuplesReplicated++
-	}
-	m.Release()
 }
 
 // --- Discovery ---

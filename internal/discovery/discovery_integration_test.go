@@ -2,6 +2,7 @@ package discovery_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -424,4 +425,80 @@ func TestCachedResponsesExpire(t *testing.T) {
 				searcher.Config.Name, searcher.Cache.Len(), held, searcher.Config.AdvStore.Len(), stored)
 		}
 	}
+}
+
+// TestHandoffIndexesEveryTuple: a self-healing rendezvous that stops
+// gracefully pushes its whole SRDI to its successor, replica copies
+// included. The stopping rendezvous holds one client and replica copies of
+// the tuples two publishers pushed to the other rendezvous; the copies the
+// successor lacks come back through nothing but the handoff, since neither
+// publisher re-leases.
+func TestHandoffIndexesEveryTuple(t *testing.T) {
+	o, err := deploy.Build(deploy.Spec{
+		Seed:     3,
+		NumRdv:   3,
+		Topology: topology.Chain,
+		Lease:    rendezvous.Config{SelfHeal: true},
+		Edges: []deploy.EdgeGroup{
+			{AttachTo: 0, Count: 1, Prefix: "pub-a"},
+			{AttachTo: 1, Count: 1, Prefix: "client"},
+			{AttachTo: 2, Count: 1, Prefix: "pub-c"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.StartAll()
+	o.Sched.Run(10 * time.Minute)
+	client := o.Edges[1]
+	for _, pub := range []*node.Node{o.Edges[0], client, o.Edges[2]} {
+		for i := 0; i < 12; i++ {
+			name := fmt.Sprintf("%s-%d", pub.Config.Name, i)
+			pub.Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, name), Name: name}, 0)
+		}
+	}
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+
+	type reg struct {
+		key string
+		pub ids.ID
+	}
+	held := func(n *node.Node) map[reg]bool {
+		out := map[reg]bool{}
+		for _, tpl := range n.Discovery.Index().Tuples() {
+			out[reg{tpl.Key, tpl.Publisher}] = true
+		}
+		return out
+	}
+	stopping := o.Rdvs[1]
+	had := held(stopping)
+	before := []map[reg]bool{held(o.Rdvs[0]), nil, held(o.Rdvs[2])}
+
+	stopping.Stop()
+	o.Sched.Run(o.Sched.Now() + time.Minute)
+	rdv, ok := client.Rendezvous.ConnectedRdv()
+	if !ok || rdv.Equal(stopping.ID) {
+		t.Fatal("the client was not redirected to a successor")
+	}
+	succ := o.Rdvs[0]
+	if rdv.Equal(o.Rdvs[2].ID) {
+		succ = o.Rdvs[2]
+	}
+	// Only the handoff can bring the other publisher's replica copies.
+	copies := 0
+	for r := range had {
+		if !before[slices.Index(o.Rdvs, succ)][r] && !r.pub.Equal(client.ID) {
+			copies++
+		}
+	}
+	if copies == 0 {
+		t.Fatal("the successor already held every replica copy: the scenario tests nothing")
+	}
+	now := held(succ)
+	for r := range had {
+		if !now[r] {
+			t.Errorf("the successor lacks %s from %s after the handoff", r.key, r.pub.Short())
+		}
+	}
+	t.Logf("the stopped rendezvous held %d tuples, %d of them replica copies only the handoff carries", len(had), copies)
 }

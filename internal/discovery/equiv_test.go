@@ -161,8 +161,8 @@ func TestWritersMatchTreeEncoders(t *testing.T) {
 	}
 	for _, tpl := range testTuples() {
 		want := encodeTupleTree(tpl)
-		if got := encodeTuple(tpl); !bytes.Equal(got, want) {
-			t.Fatalf("encodeTuple(%+v):\n got  %q\n want %q", tpl, got, want)
+		if got := appendTuple(nil, tpl); !bytes.Equal(got, want) {
+			t.Fatalf("appendTuple(nil, %+v):\n got  %q\n want %q", tpl, got, want)
 		}
 		if got := appendTuple([]byte("scratch"), tpl); string(got) != "scratch"+string(want) {
 			t.Fatalf("appendTuple(%+v) = %q", tpl, got)
@@ -495,7 +495,7 @@ func TestReadersMatchTreeDecoders(t *testing.T) {
 		}
 	}
 	for i, tpl := range testTuples() {
-		data := encodeTuple(tpl)
+		data := appendTuple(nil, tpl)
 		checkTuple(data, takes)
 		if len(tpl.Key) > 100 && i%2 == 0 {
 			continue

@@ -7,11 +7,8 @@ import (
 	"jxta/internal/resolver"
 )
 
-// The push period and the default advertisement lifetime (tests).
-const (
-	PushPeriod    = pushInterval
-	TupleLifetime = advLifetime
-)
+// PushPeriod is the push period (tests).
+const PushPeriod = pushInterval
 
 // Tables reports the sizes of the push debt (advertisements not yet pushed
 // to the current rendezvous), the queries parked behind their scan cost and

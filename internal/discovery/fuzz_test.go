@@ -89,7 +89,7 @@ func FuzzDecodeTuple(f *testing.F) {
 	esc := tpl
 	esc.Key = "a&b\r\n<c>"
 	seeds := [][]byte{
-		encodeTuple(tpl), encodeTuple(num), encodeTuple(esc),
+		appendTuple(nil, tpl), appendTuple(nil, num), appendTuple(nil, esc),
 		[]byte("<srdi:Tuple><Key>k</Key><Pub>junk</Pub><Addr>a</Addr><Life>1</Life></srdi:Tuple>"),
 		[]byte("<srdi:Tuple><Key>k</Key><Pub>urn:jxta:nil</Pub><Addr>a</Addr><Life>1</Life><NA></NA><NV>x</NV></srdi:Tuple>"),
 		[]byte("<srdi:Tuple>\n<Pub>urn:jxta:nil</Pub><Life>7</Life><Key>k</Key></srdi:Tuple>"),
@@ -215,9 +215,9 @@ func TestDecodeAllocs(t *testing.T) {
 		{"query, a value of its own", queryErr, encodeQuery("Resource", "Name", "node-17", stageDeliver), 0},
 		{"query, an escaped value", queryErr, encodeQuery("Resource", "Name", "a&b", stageDeliver), 1},
 		{"range query", queryErr, encodeRangeQuery("Resource", "RAM", -1<<62, 1<<62, stageRange), 1},
-		{"tuple", tupleErr, encodeTuple(tpl), 2},
-		{"tuple, its publisher's route held", func(data []byte) error { _, err := decodeTuple(data, held); return err }, encodeTuple(tpl), 1},
-		{"numeric tuple", tupleErr, encodeTuple(num), 3},
+		{"tuple", tupleErr, appendTuple(nil, tpl), 2},
+		{"tuple, its publisher's route held", func(data []byte) error { _, err := decodeTuple(data, held); return err }, appendTuple(nil, tpl), 1},
+		{"numeric tuple", tupleErr, appendTuple(nil, num), 3},
 		{"response, a Resource with attributes", response, svc.encodeResponse([]advertisement.Advertisement{resource}), 1},
 	} {
 		if err := c.decode(c.data); err != nil {

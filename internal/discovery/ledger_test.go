@@ -3,6 +3,8 @@ package discovery_test
 import (
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -24,17 +26,21 @@ import (
 // keyLedger is the delta-push ledger the service kept before it kept the
 // debt instead — a set of every key ever pushed to the current rendezvous —
 // as a model: given whether a send would go through, it says which tuples
-// each operation pushes. The service is held to it, message for message.
+// each operation pushes. The service is held to it, message for message. A
+// tuple is written as its key and the time it expires at the rendezvous,
+// which for a re-pushed tuple is when its advertisement expires: the model
+// keeps that time from each publication.
 type keyLedger struct {
 	pushed map[string]bool
 	cache  interface {
 		LocalAdvertisements() []advertisement.Advertisement
 	}
-	advLifetime time.Duration
+	now     func() time.Duration
+	expires map[ids.ID]time.Duration
 }
 
-func tupleText(key string, lifetime time.Duration) string {
-	return fmt.Sprintf("%s|%d", key, lifetime)
+func tupleText(key string, expires time.Duration) string {
+	return fmt.Sprintf("%s|%d", key, expires)
 }
 
 func (l *keyLedger) push(tuples, keys []string, sendOK bool) []string {
@@ -51,10 +57,14 @@ func (l *keyLedger) push(tuples, keys []string, sendOK bool) []string {
 }
 
 func (l *keyLedger) publish(adv advertisement.Advertisement, lifetime time.Duration, sendOK bool) []string {
+	if l.expires == nil {
+		l.expires = map[ids.ID]time.Duration{}
+	}
+	l.expires[adv.ID()] = l.now() + lifetime
 	var tuples, keys []string
 	for _, f := range advertisement.AppendIndexFields(nil, adv) {
 		keys = append(keys, f.Key(adv.Type()))
-		tuples = append(tuples, tupleText(f.Key(adv.Type()), lifetime))
+		tuples = append(tuples, tupleText(f.Key(adv.Type()), l.expires[adv.ID()]))
 	}
 	return l.push(tuples, keys, sendOK)
 }
@@ -65,7 +75,7 @@ func (l *keyLedger) tick(sendOK bool) []string {
 		for _, f := range advertisement.AppendIndexFields(nil, adv) {
 			if key := f.Key(adv.Type()); !l.pushed[key] {
 				keys = append(keys, key)
-				tuples = append(tuples, tupleText(key, l.advLifetime))
+				tuples = append(tuples, tupleText(key, l.expires[adv.ID()]))
 			}
 		}
 	}
@@ -93,9 +103,10 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 		Name: "pub", Role: node.Edge, AdvStore: o.AdvStore,
 		Seeds: []peerview.Seed{o.Rdvs[0].Seed(), o.Rdvs[1].Seed()},
 	})
-	model := &keyLedger{cache: pub.Cache, advLifetime: discovery.TupleLifetime}
+	model := &keyLedger{cache: pub.Cache, now: o.Sched.Now}
 
-	// Every SRDI push the publisher sends, as the tuples it carries.
+	// Every SRDI push the publisher sends, as the tuples it carries, each
+	// with the time it expires at: the time of the push plus its lifetime.
 	var sent [][]string
 	o.Net.OnSend = func(from, _ transport.Addr, m *message.Message) {
 		if from != tr.Addr() || endpoint.ServiceOf(m) != discovery.SRDIService {
@@ -109,7 +120,11 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 					t.Errorf("pushed a tuple that does not decode: %v", err)
 					continue
 				}
-				tuples = append(tuples, doc.ChildText("Key")+"|"+doc.ChildText("Life"))
+				life, err := strconv.ParseInt(doc.ChildText("Life"), 10, 64)
+				if err != nil {
+					t.Errorf("pushed a tuple whose lifetime does not parse: %v", err)
+				}
+				tuples = append(tuples, tupleText(doc.ChildText("Key"), o.Sched.Now()+time.Duration(life)))
 			}
 		}
 		sent = append(sent, tuples)
@@ -168,7 +183,8 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 	unpushed("publish while connected", -1)
 
 	// Publish with a failing send (the lease holds, the route is gone):
-	// retried on every tick, with the default lifetime, until it goes through.
+	// retried on every tick, with what its lifetime has left, until it goes
+	// through.
 	rdv, _ := pub.Rendezvous.ConnectedRdv()
 	addr, _ := pub.Endpoint.RouteTo(rdv)
 	pub.Endpoint.DropRoute(rdv)
@@ -203,8 +219,8 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 	if got := model.tick(sendOK()); got != nil {
 		t.Fatalf("the key ledger pushes %q here: the scenario no longer reaches the corner", got)
 	}
-	life := discovery.TupleLifetime
-	expect("second of two, retried", []string{tupleText("ResourceNameshared", life), tupleText("ResourceRAM4096", life)})
+	exp := model.expires[d2.ID()]
+	expect("second of two, retried", []string{tupleText("ResourceNameshared", exp), tupleText("ResourceRAM4096", exp)})
 	unpushed("second of two, retried", -1)
 	tick()
 	expect("tick after the corner", model.tick(sendOK()))
@@ -232,14 +248,19 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 	expect("new lease", model.tick(true))
 	unpushed("new lease", -1)
 
-	// Promotion: the peer becomes its own rendezvous and indexes everything.
+	// Promotion: the peer becomes its own rendezvous and indexes everything,
+	// one entry per key: advertisements that share a key share its entry.
 	o.Net.OnSend = nil // from here its SRDI traffic is replication, tuple by tuple
 	pub.PromoteToRendezvous()
 	model.forgetAll()
-	want := model.tick(true)
-	slices.Sort(want)
-	if got := pub.Discovery.Index().Size(); got != len(slices.Compact(want)) {
-		t.Fatalf("promoted peer indexed %d tuples, want %d", got, len(slices.Compact(want)))
+	var keys []string
+	for _, tpl := range model.tick(true) {
+		key, _, _ := strings.Cut(tpl, "|")
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	if got, want := pub.Discovery.Index().Size(), len(slices.Compact(keys)); got != want {
+		t.Fatalf("promoted peer indexed %d tuples, want %d", got, want)
 	}
 	unpushed("promotion", -1)
 }

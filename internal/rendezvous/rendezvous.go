@@ -25,7 +25,7 @@
 // reachable: every client picks the lowest-ID roster member, which promotes
 // itself (via the hook the node installs), and the others re-lease with it.
 // A gracefully stopping rendezvous hands its client lease table (and,
-// through the state exporter, the SRDI index) to a successor — a peerview
+// through the handoff hook, the SRDI index) to a successor — a peerview
 // neighbour when one exists, an elected client otherwise — and redirects
 // every remaining client to it, so discovery keeps answering.
 package rendezvous
@@ -140,12 +140,6 @@ const (
 // LeaseListener observes edge connectivity changes.
 type LeaseListener func(rdv ids.ID, connected bool)
 
-// StateExporter supplies extra handoff payloads for a graceful stop: the
-// messages are delivered to the successor at the named endpoint service.
-// Discovery registers one exporting the SRDI index as a standard push, so
-// the successor both indexes and re-replicates every tuple.
-type StateExporter func() (svc string, msgs []*message.Message)
-
 // core is what both halves use and what a promotion carries across; each
 // half points at its Service's core.
 type core struct {
@@ -165,7 +159,7 @@ type core struct {
 	listeners []LeaseListener
 	promoteFn func()
 	mergeFn   func(peer ids.ID)
-	exporter  StateExporter
+	handoffFn func(succ ids.ID)
 
 	// rumors holds every rendezvous identity this peer learned (IslandMerge)
 	// and survives promotion, so a promoted anchor at once tries to merge
@@ -230,8 +224,10 @@ func (s *Service) AddLeaseListener(l LeaseListener) { s.listeners = append(s.lis
 // here). Promotion is skipped when no hook is installed.
 func (s *Service) SetPromoteHook(fn func()) { s.promoteFn = fn }
 
-// SetStateExporter installs the graceful-handoff state supplier (discovery's).
-func (s *Service) SetStateExporter(e StateExporter) { s.exporter = e }
+// SetHandoffHook installs the callback a graceful handoff invokes with the
+// successor, after the lease table and before the redirects: discovery
+// pushes its SRDI index there.
+func (s *Service) SetHandoffHook(fn func(succ ids.ID)) { s.handoffFn = fn }
 
 // SetMergeHook installs the merge-completion callback (IslandMerge), called
 // with the counterpart's ID once per completed handshake leg, after the

@@ -243,8 +243,8 @@ func (v *server) appendGrantRumors(m *message.Out, src ids.ID) {
 	}
 }
 
-// handoff sends the lease table and the exported state (the SRDI index) to
-// a successor and redirects every other client to it.
+// handoff sends the lease table and, through the handoff hook, the SRDI
+// index to a successor and redirects every other client to it.
 func (v *server) handoff() {
 	succ, ok := v.chooseHandoffSuccessor()
 	if !ok {
@@ -269,13 +269,9 @@ func (v *server) handoff() {
 	_ = v.sendLease(succ.ID, hm)
 	v.m.handoffs++
 	v.traceEvent("handoff", succ.ID)
-	// 2. Exported service state (the SRDI index re-publish).
-	if v.exporter != nil {
-		if svc, msgs := v.exporter(); svc != "" {
-			for _, em := range msgs {
-				_ = v.ep.Send(succ.ID, svc, em)
-			}
-		}
+	// 2. The other services' state (discovery pushes the SRDI index).
+	if v.handoffFn != nil {
+		v.handoffFn(succ.ID)
 	}
 	// 3. Redirect the remaining fresh clients to the successor.
 	for _, id := range v.clientIDs() {

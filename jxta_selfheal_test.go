@@ -4,6 +4,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"jxta/internal/ids"
 )
 
 // TestSoleRendezvousKillPromotesEdge is the acceptance scenario of the
@@ -123,11 +125,12 @@ func TestPromotionDeterministic(t *testing.T) {
 }
 
 // TestGracefulStopHandsOffToNeighbor stops (not kills) a rendezvous that
-// holds client leases while another rendezvous exists: the lease table and
-// the SRDI index transfer to the peerview neighbour and the clients are
-// redirected, so they re-lease immediately — no renewal timeout — and
-// discovery keeps answering for advertisements whose index entries lived on
-// the stopped peer.
+// holds client leases while another rendezvous exists: the clients are
+// redirected to the peerview neighbour, so they re-lease immediately — no
+// renewal timeout — and discovery keeps answering for an advertisement whose
+// publisher leased with the stopped peer. The redirected publisher re-pushes
+// its tuples on the new lease, so this does not tell the handoff's SRDI
+// transfer from that re-push; discovery's TestHandoffIndexesEveryTuple does.
 func TestGracefulStopHandsOffToNeighbor(t *testing.T) {
 	sim := newSim(t, 2, 0, 1)
 	sim.Start()
@@ -154,7 +157,10 @@ func TestGracefulStopHandsOffToNeighbor(t *testing.T) {
 
 // TestGracefulStopPromotesElectedClient stops the sole rendezvous: with no
 // peerview neighbour to hand off to, the handoff goes to the elected client,
-// which promotes immediately on receipt — a zero-outage transition.
+// which promotes immediately on receipt — a zero-outage transition — and the
+// other edge re-leases with it. The publisher's advertisement stays
+// discoverable; the publisher re-pushes on its new lease (or, elected,
+// republishes on promotion), so this too does not isolate the SRDI transfer.
 func TestGracefulStopPromotesElectedClient(t *testing.T) {
 	sim := newSim(t, 1, 0, 0)
 	var promoted []*Peer
@@ -182,7 +188,6 @@ func TestGracefulStopPromotesElectedClient(t *testing.T) {
 		}
 	}
 
-	// The handed-off SRDI answers without the publisher re-pushing first.
 	var searcher *Peer
 	for i := 0; i < 2; i++ {
 		if p := sim.Edge(i); p != pub {
@@ -193,6 +198,34 @@ func TestGracefulStopPromotesElectedClient(t *testing.T) {
 	advs, _, err := searcher.Discover("Resource", "Name", "ZeroOutage", time.Minute)
 	if err != nil || len(advs) == 0 {
 		t.Fatalf("discovery after graceful handoff: advs=%d err=%v", len(advs), err)
+	}
+}
+
+// TestRepushKeepsAdvertisementLifetime: a tuple an edge re-pushes lives as
+// long as its advertisement has left, not the default 2 h. The publisher's
+// rendezvous stops 30 minutes after a 3 h publication; the redirect makes
+// the publisher re-lease and re-push. 2 h 10 min later the advertisement
+// has 20 minutes left and must still be found: with the default lifetime
+// the re-pushed entry expired 10 minutes earlier.
+func TestRepushKeepsAdvertisementLifetime(t *testing.T) {
+	sim := newSim(t, 2, 0, 1)
+	sim.Start()
+	defer sim.Stop()
+	sim.Run(15 * time.Minute)
+
+	pub, searcher := sim.Edge(0), sim.Edge(1)
+	pub.Publish(&Resource{ResID: ids.FromName(ids.KindAdv, "three-hours"), Name: "ThreeHours"}, 3*time.Hour)
+	sim.Run(30 * time.Minute)
+	sim.Rendezvous(0).Stop()
+	sim.Run(2*time.Hour + 10*time.Minute)
+	if !pub.Connected() {
+		t.Fatal("publisher was not redirected to the successor")
+	}
+
+	searcher.FlushCache()
+	advs, _, err := searcher.Discover("Resource", "Name", "ThreeHours", time.Minute)
+	if err != nil || len(advs) == 0 {
+		t.Fatalf("discovery 2h40m into a 3h lifetime: advs=%d err=%v", len(advs), err)
 	}
 }
 
