@@ -126,6 +126,29 @@ func observable(s *Service) string {
 	return fmt.Sprint(clientsOf(s), rdv, connected, s.rumors.all()) // fmt sorts a map by key
 }
 
+// checkClientOrder fails t unless the client table is its own index: strictly
+// ascending by ID, without duplicates, and hasClient agreeing with a linear
+// scan for every client and every ID in probe.
+func checkClientOrder(t *testing.T, v *server, probe ...ids.ID) {
+	t.Helper()
+	for i, cl := range v.clients {
+		if i > 0 && !v.clients[i-1].ID.Less(cl.ID) {
+			t.Fatalf("client table unsorted or duplicated at %d: %s !< %s", i, v.clients[i-1].ID, cl.ID)
+		}
+		probe = append(probe, cl.ID)
+	}
+	now := v.env.Now()
+	for _, id := range probe {
+		scan := false
+		for _, cl := range v.clients {
+			scan = scan || cl.ID.Equal(id) && cl.expires > now
+		}
+		if v.hasClient(id) != scan {
+			t.Fatalf("hasClient(%s) = %v, a scan of the client table says %v", id, !scan, scan)
+		}
+	}
+}
+
 // FuzzReceiveLease feeds receiveLease arbitrary lease: element sets, from a
 // known client, the rendezvous and a stranger, to three started services: a
 // rendezvous (the server half), an edge (the client half), and an edge with
@@ -137,7 +160,9 @@ func observable(s *Service) string {
 // which names no peer, never holds a lease or a route; whatever
 // durations it names, no client lease ends later than a whole LeaseDuration
 // from now and no timer is armed further out than one (a grant or a handoff
-// promises at most what could have been asked for); and it must keep
+// promises at most what could have been asked for); a server half's client
+// table stays strictly ascending by ID, with hasClient agreeing with a scan
+// (checkClientOrder); and it must keep
 // nothing of the message it was lent (transport.Handler): overwriting every
 // payload after the call leaves the client table, ConnectedRdv() and the
 // rumor store reading as they did. The rig is shared, and rebuilt every 64
@@ -203,6 +228,9 @@ func FuzzReceiveLease(f *testing.F) {
 				if cl.expires > s.env.Now()+s.cfg.LeaseDuration {
 					t.Fatalf("client %s holds a lease for %v, LeaseDuration is %v", id.Short(), cl.expires-s.env.Now(), s.cfg.LeaseDuration)
 				}
+			}
+			if s.srv != nil {
+				checkClientOrder(t, s.srv, src, rig.edge.id, rig.rdv.id, rig.promotee.id)
 			}
 			room := m.Len() + 1 // the sender itself, once
 			probed := room

@@ -124,7 +124,7 @@ func TestLearnedSeedsOwnTheirAddr(t *testing.T) {
 			all = append(all, learned{name + " rumor", r.Seed})
 		}
 		for id, cl := range clientsOf(p.svc) {
-			all = append(all, learned{name + " client", peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}})
+			all = append(all, learned{name + " client", peerview.Seed{ID: id, Addr: cl.Addr}})
 		}
 		for _, id := range p.ep.KnownPeers() {
 			addr, _ := p.ep.RouteTo(id)

@@ -3,6 +3,7 @@ package rendezvous
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -83,12 +84,16 @@ func newEdge(t testing.TB, sched *simnet.Scheduler, net *transport.Network, name
 	return &edgePeer{id: id, ep: ep, svc: svc, tr: tr}
 }
 
-// clientsOf returns a service's client table; an edge has none.
+// clientsOf returns a service's client table by ID; an edge has none.
 func clientsOf(s *Service) map[ids.ID]clientLease {
 	if s.srv == nil {
 		return nil
 	}
-	return s.srv.clients
+	out := make(map[ids.ID]clientLease, len(s.srv.clients))
+	for _, cl := range s.srv.clients {
+		out[cl.ID] = cl
+	}
+	return out
 }
 
 func TestDirectionString(t *testing.T) {
@@ -629,6 +634,143 @@ func TestGracefulHandoffTransfersLeaseTable(t *testing.T) {
 	}
 	if got, ok := edge.svc.ConnectedRdv(); !ok || !got.Equal(rdvs[1].id) {
 		t.Fatal("client was not redirected to the successor")
+	}
+}
+
+// TestRosterAndSuccessorTakeTheLowestFreshIDs pins the rules that read the
+// client table in ID order, on a lone self-healing rendezvous (no view
+// neighbour) with more clients than a roster holds, leased in an order that
+// is not the ID order: some leases expired but not yet swept, some without an
+// address. A grant's Cli elements must be the maxRoster lowest-ID fresh
+// clients, ascending; and a graceful stop must hand the table, ascending, to
+// the lowest-ID fresh client and redirect every other unexpired client to it.
+func TestRosterAndSuccessorTakeTheLowestFreshIDs(t *testing.T) {
+	sched := simnet.NewScheduler(67)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	rdv := newRdvOverlayCfg(t, sched, net, 1, selfHealCfg())[0]
+	type sent struct {
+		to transport.Addr
+		m  *message.Message
+	}
+	var out []sent
+	net.OnSend = func(_, to transport.Addr, m *message.Message) {
+		if endpoint.ServiceOf(m) == LeaseService {
+			out = append(out, sent{to, m.Clone()})
+		}
+	}
+	sched.Run(time.Second)
+
+	// By rank in the ID order, every fifth client leases for a nanosecond
+	// and every seventh from the second shares no address.
+	var byName []ids.ID
+	for i := 0; i < 3*maxRoster; i++ {
+		byName = append(byName, ids.FromName(ids.KindPeer, fmt.Sprint("client-", i)))
+	}
+	ranked := slices.Clone(byName)
+	ids.SortIDs(ranked)
+	addr := func(id ids.ID) transport.Addr { return transport.Addr("sim://9/" + id.Short()) }
+	expiring, silent := map[ids.ID]bool{}, map[ids.ID]bool{}
+	var fresh, unexpired []ids.ID // ascending
+	for rank, id := range ranked {
+		expiring[id], silent[id] = rank%5 == 0, rank%7 == 1
+		if !expiring[id] {
+			unexpired = append(unexpired, id)
+			if !silent[id] {
+				fresh = append(fresh, id)
+			}
+		}
+	}
+	if fresh[0].Equal(ranked[0]) || len(fresh) <= maxRoster {
+		t.Fatal("the model leaves the rules nothing to skip")
+	}
+	for _, id := range byName {
+		rdv.ep.AddRoute(id, addr(id))
+		asked := "60000000000"
+		if expiring[id] {
+			asked = "1"
+		}
+		m := new(lent).add(elemRequest, asked)
+		if !silent[id] {
+			m.add(elemAddr, string(addr(id)))
+		}
+		rdv.svc.receiveLease(id, &m.Message)
+	}
+	sched.Run(sched.Now() + time.Second) // the nanosecond leases end; the next sweep is far off
+	for _, id := range ranked {
+		if rdv.svc.HasClient(id) == expiring[id] {
+			t.Fatalf("client %s: HasClient = %v, expiring = %v", id.Short(), !expiring[id], expiring[id])
+		}
+	}
+	has := func(m *message.Message, name string) bool {
+		_, ok := m.Get(leaseNS, name)
+		return ok
+	}
+	seeds := func(m *message.Message, name string) []peerview.Seed {
+		var got []peerview.Seed
+		for _, el := range m.Elements() {
+			if el.Namespace == leaseNS && el.Name == name {
+				sd, _, ok := peerview.ParseRecordBytes(el.Data)
+				if !ok {
+					sd, ok = peerview.ParseSeedBytes(el.Data)
+				}
+				if !ok {
+					t.Fatalf("unreadable %s element %q", name, el.Data)
+				}
+				got = append(got, sd.Clone())
+			}
+		}
+		return got
+	}
+	want := func(what string, got []peerview.Seed, wantIDs []ids.ID) {
+		t.Helper()
+		ok := len(got) == len(wantIDs)
+		for i := 0; ok && i < len(got); i++ {
+			ok = got[i].ID.Equal(wantIDs[i]) && got[i].Addr == addr(wantIDs[i])
+		}
+		if !ok {
+			t.Fatalf("%s = %v, want %v", what, got, wantIDs)
+		}
+	}
+
+	// A renewal's grant rosters the lowest fresh IDs.
+	out = nil
+	last := fresh[len(fresh)-1]
+	rdv.svc.receiveLease(last, &new(lent).add(elemRequest, "60000000000").add(elemAddr, string(addr(last))).Message)
+	if len(out) != 1 || out[0].to != addr(last) || !has(out[0].m, elemGranted) {
+		t.Fatalf("the renewal sent %d lease messages, want one grant to %s", len(out), addr(last))
+	}
+	want("the grant's roster", seeds(out[0].m, elemClient), fresh[:maxRoster])
+
+	// A graceful stop elects the lowest fresh ID, hands it the other fresh
+	// leases and redirects every other unexpired client to it.
+	out = nil
+	rdv.svc.Stop()
+	succ := fresh[0]
+	var handoffs int
+	redirected := map[transport.Addr]bool{}
+	for _, o := range out {
+		switch {
+		case has(o.m, elemHandoff):
+			handoffs++
+			if o.to != addr(succ) {
+				t.Fatalf("the handoff went to %s, want the lowest fresh client %s", o.to, addr(succ))
+			}
+			want("the handed-off table", seeds(o.m, elemClient), fresh[1:])
+		case has(o.m, elemRedirect):
+			want("a redirect to "+string(o.to), seeds(o.m, elemRedirect), []ids.ID{succ})
+			redirected[o.to] = true
+		}
+	}
+	if handoffs != 1 {
+		t.Fatalf("%d handoffs, want 1", handoffs)
+	}
+	for _, id := range ranked {
+		if w := !expiring[id] && !id.Equal(succ); redirected[addr(id)] != w {
+			t.Fatalf("client %s redirected = %v, want %v", id.Short(), !w, w)
+		}
+	}
+	if len(redirected) != len(unexpired)-1 {
+		t.Fatalf("%d clients redirected, want %d", len(redirected), len(unexpired)-1)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rendezvous
 
 import (
+	"slices"
 	"strconv"
 	"time"
 
@@ -11,21 +12,22 @@ import (
 	"jxta/internal/transport"
 )
 
-// clientLease is one granted lease at a rendezvous.
+// clientLease is one granted lease at a rendezvous: the edge, with its
+// transport address when it shared one (SelfHeal), and when the lease ends.
 type clientLease struct {
+	peerview.Seed
 	expires time.Duration
-	addr    string // transport address, when the edge shared it (SelfHeal)
 }
 
 // server is the rendezvous' half of the lease protocol: it owns the
 // peerview, grants leases and sweeps the client table, relays walks, merges
 // islands and hands its table off on a graceful stop. Every table a message
 // can grow is here but the rumor store, which a promotion carries across;
-// each map is nil until first written.
+// each table is nil until first written.
 type server struct {
 	*core
 	pv          *peerview.PeerView
-	clients     map[ids.ID]clientLease
+	clients     []clientLease // ascending ID, like the view: the ordering is the index (client)
 	clientSweep *env.Ticker
 	walkSeen    map[walkKey]bool
 	nextWalkID  uint64
@@ -61,28 +63,34 @@ func (v *server) reset() {
 	*v = server{core: v.core, pv: v.pv, clientSweep: v.clientSweep, nextWalkID: v.nextWalkID}
 }
 
-// clientIDs lists the client table in ascending ID order.
-func (v *server) clientIDs() []ids.ID {
-	out := make([]ids.ID, 0, len(v.clients))
-	for id := range v.clients {
-		out = append(out, id)
-	}
-	ids.SortIDs(out)
-	return out
+// client returns the position edge holds, or would be inserted at, in the
+// client table's ascending order, and whether it is present.
+func (v *server) client(edge ids.ID) (int, bool) {
+	return slices.BinarySearchFunc(v.clients, edge, func(cl clientLease, id ids.ID) int { return cl.ID.Compare(id) })
 }
 
 func (v *server) hasClient(edge ids.ID) bool {
-	cl, ok := v.clients[edge]
-	return ok && cl.expires > v.env.Now()
+	i, ok := v.client(edge)
+	return ok && v.clients[i].expires > v.env.Now()
 }
 
-// setClient grants or refreshes edge's lease in the client table, which
-// keeps cl.addr: the caller passes a string of its own, not a view.
-func (v *server) setClient(edge ids.ID, cl clientLease) {
-	if v.clients == nil {
-		v.clients = make(map[ids.ID]clientLease)
+// fresh reports whether cl may be rostered, handed off or elected: it shared
+// an address and its lease has not ended. Expired leases linger until the
+// next sweep; rostering a dead client could make every elector unanimously
+// pick a dead successor.
+func (v *server) fresh(cl clientLease) bool {
+	return cl.Addr != "" && cl.expires > v.env.Now()
+}
+
+// setClient grants or refreshes a lease in the client table, at its place
+// in the order. The table keeps cl.Addr: the caller passes a string of its
+// own, not a view.
+func (v *server) setClient(cl clientLease) {
+	if i, ok := v.client(cl.ID); ok {
+		v.clients[i] = cl
+	} else {
+		v.clients = slices.Insert(v.clients, i, cl)
 	}
-	v.clients[edge] = cl
 }
 
 // adopt grants every co-client on an elected successor's roster an
@@ -93,7 +101,7 @@ func (v *server) adopt(roster []peerview.Seed) {
 			continue
 		}
 		v.learnRoute(sd)
-		v.setClient(sd.ID, clientLease{expires: v.env.Now() + v.cfg.LeaseDuration, addr: string(sd.Addr)})
+		v.setClient(clientLease{Seed: sd, expires: v.env.Now() + v.cfg.LeaseDuration})
 		if v.cfg.IslandMerge {
 			v.rumorStore().add(peerview.NewRumor(sd))
 		}
@@ -102,12 +110,15 @@ func (v *server) adopt(roster []peerview.Seed) {
 
 func (v *server) sweepClients() {
 	now := v.env.Now()
-	for id, cl := range v.clients {
-		if cl.expires <= now {
-			delete(v.clients, id)
-			v.m.expired++
+	kept := v.clients[:0]
+	for _, cl := range v.clients {
+		if cl.expires > now {
+			kept = append(kept, cl)
 		}
 	}
+	v.m.expired += uint64(len(v.clients) - len(kept))
+	clear(v.clients[len(kept):]) // the expired tail's addresses
+	v.clients = kept
 	if v.cfg.IslandMerge {
 		evicted := v.rumors.sweep(func(id ids.ID) bool {
 			return id.Equal(v.ep.ID()) || v.pv.Contains(id) || v.hasClient(id)
@@ -126,17 +137,17 @@ func (v *server) receiveRequest(src ids.ID, asked, edgeAddr []byte, m *message.M
 	if n, err := strconv.ParseInt(string(asked), 10, 64); err == nil && n > 0 && time.Duration(n) < dur {
 		dur = time.Duration(n)
 	}
-	old, renewal := v.clients[src]
-	if renewal {
+	var addr transport.Addr
+	if i, renewal := v.client(src); renewal {
 		v.m.renewed++
+		addr = v.clients[i].Addr // a renewing client's address is the string on file
 	} else {
 		v.m.granted++
 	}
-	addr := old.addr // a renewing client's address is the string on file
-	if addr != string(edgeAddr) {
-		addr = string(edgeAddr)
+	if string(addr) != string(edgeAddr) {
+		addr = transport.Addr(edgeAddr)
 	}
-	v.setClient(src, clientLease{expires: v.env.Now() + dur, addr: addr})
+	v.setClient(clientLease{Seed: peerview.Seed{ID: src, Addr: addr}, expires: v.env.Now() + dur})
 	if v.cfg.IslandMerge {
 		for _, el := range m.Elements() {
 			if el.Namespace != leaseNS || el.Name != elemRumor {
@@ -164,49 +175,29 @@ func (v *server) receiveRequest(src ids.ID, asked, edgeAddr []byte, m *message.M
 
 // receiveCancel drops the lease of a departing edge.
 func (v *server) receiveCancel(src ids.ID) {
-	if _, held := v.clients[src]; held {
+	if i, held := v.client(src); held {
 		v.m.cancelled++
+		v.clients = slices.Delete(v.clients, i, i+1)
 	}
-	delete(v.clients, src)
 }
 
 // appendGrantState attaches the self-healing snapshots to a lease grant:
 // up to maxAlternates peerview members and up to maxRoster client roster
-// entries (clients that shared an address), both in ascending ID order.
+// entries (the lowest-ID fresh clients), both in ascending ID order.
 func (v *server) appendGrantState(m *message.Out) {
 	for i := 0; i < v.pv.Size() && i < maxAlternates; i++ {
 		m.AddScratch(leaseNS, elemAlt, v.pv.Member(i).AppendEncode(m.Scratch()))
 	}
-	var buf [maxRoster]peerview.Seed
-	for _, sd := range v.grantRoster(&buf) {
-		m.AddScratch(leaseNS, elemClient, sd.AppendEncode(m.Scratch()))
+	n := 0
+	for _, cl := range v.clients {
+		if n == maxRoster {
+			break
+		}
+		if v.fresh(cl) {
+			m.AddScratch(leaseNS, elemClient, cl.AppendEncode(m.Scratch()))
+			n++
+		}
 	}
-}
-
-// grantRoster selects into buf the maxRoster lowest-ID clients a grant may
-// roster, in ascending ID order, by inserting each into a short sorted run:
-// no list of the whole table is built or sorted. Expired leases linger until
-// the next sweep; rostering a dead client could make every elector
-// unanimously pick a dead successor, so only fresh leases qualify.
-func (v *server) grantRoster(buf *[maxRoster]peerview.Seed) []peerview.Seed {
-	out := buf[:0]
-	now := v.env.Now()
-	for id, cl := range v.clients {
-		if cl.addr == "" || cl.expires <= now {
-			continue
-		}
-		i := len(out)
-		if i < len(buf) {
-			out = out[:i+1]
-		} else if i--; !id.Less(out[i].ID) {
-			continue // the run is full of lower IDs
-		}
-		for ; i > 0 && id.Less(out[i-1].ID); i-- {
-			out[i] = out[i-1]
-		}
-		out[i] = peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}
-	}
-	return out
 }
 
 // appendGrantRumors attaches tier rumors to a grant (IslandMerge): this
@@ -254,17 +245,12 @@ func (v *server) handoff() {
 	// 1. The lease table. An edge successor promotes itself on receipt.
 	hm := leaseMessage(elemHandoff, "1")
 	now := v.env.Now()
-	for _, id := range v.clientIDs() {
-		cl := v.clients[id]
-		if cl.addr == "" || id.Equal(succ.ID) {
+	for _, cl := range v.clients {
+		if !v.fresh(cl) || cl.ID.Equal(succ.ID) {
 			continue
 		}
-		remaining := cl.expires - now
-		if remaining <= 0 {
-			continue
-		}
-		rec := peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}.AppendEncode(hm.Scratch())
-		hm.AddScratch(leaseNS, elemClient, strconv.AppendInt(append(rec, ' '), int64(remaining), 10))
+		rec := cl.AppendEncode(hm.Scratch())
+		hm.AddScratch(leaseNS, elemClient, strconv.AppendInt(append(rec, ' '), int64(cl.expires-now), 10))
 	}
 	_ = v.sendLease(succ.ID, hm)
 	v.m.handoffs++
@@ -274,17 +260,17 @@ func (v *server) handoff() {
 		v.handoffFn(succ.ID)
 	}
 	// 3. Redirect the remaining fresh clients to the successor.
-	for _, id := range v.clientIDs() {
-		if id.Equal(succ.ID) || v.clients[id].expires <= now {
+	for _, cl := range v.clients {
+		if cl.ID.Equal(succ.ID) || cl.expires <= now {
 			continue
 		}
-		v.sendRedirect(id, succ)
+		v.sendRedirect(cl.ID, succ)
 	}
 }
 
 // chooseHandoffSuccessor prefers a view neighbour (the upper, else the
-// lower), already a rendezvous, and falls back to electing one of the fresh
-// clients (expired leases may belong to dead peers).
+// lower), already a rendezvous, and falls back to the lowest-ID fresh client,
+// the one pickSuccessor would elect from a roster of them.
 func (v *server) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 	lower, upper := v.pv.Neighbors()
 	want := upper
@@ -296,17 +282,12 @@ func (v *server) chooseHandoffSuccessor() (succ peerview.Seed, ok bool) {
 			return member, true
 		}
 	}
-	var roster []peerview.Seed
-	now := v.env.Now()
-	for _, id := range v.clientIDs() {
-		if cl := v.clients[id]; cl.addr != "" && cl.expires > now {
-			roster = append(roster, peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)})
+	for _, cl := range v.clients {
+		if v.fresh(cl) {
+			return cl.Seed, true
 		}
 	}
-	if len(roster) == 0 {
-		return peerview.Seed{}, false
-	}
-	return pickSuccessor(roster), true
+	return peerview.Seed{}, false
 }
 
 // sendRedirect tells an edge to re-lease with succ.
@@ -334,10 +315,7 @@ func (v *server) importHandoff(m *message.Message) {
 		// What is left of a lease is no more than a whole one.
 		remaining = min(remaining, int64(v.cfg.LeaseDuration))
 		v.learnRoute(sd)
-		v.setClient(sd.ID, clientLease{
-			expires: now + time.Duration(remaining),
-			addr:    string(sd.Clone().Addr),
-		})
+		v.setClient(clientLease{Seed: sd.Clone(), expires: now + time.Duration(remaining)})
 	}
 }
 
@@ -445,13 +423,11 @@ func (v *server) tierSeed(id ids.ID) peerview.Seed {
 func (v *server) sendMergeRoster(peer ids.ID) {
 	m := leaseMessage(elemMergeRst, "1")
 	n := 0
-	now := v.env.Now()
-	for _, id := range v.clientIDs() {
-		cl := v.clients[id]
-		if cl.addr == "" || cl.expires <= now || id.Equal(peer) {
+	for _, cl := range v.clients {
+		if !v.fresh(cl) || cl.ID.Equal(peer) {
 			continue
 		}
-		m.AddScratch(leaseNS, elemClient, peerview.Seed{ID: id, Addr: transport.Addr(cl.addr)}.AppendEncode(m.Scratch()))
+		m.AddScratch(leaseNS, elemClient, cl.AppendEncode(m.Scratch()))
 		n++
 	}
 	if n == 0 {
@@ -482,12 +458,13 @@ func (v *server) receiveMergeRoster(src ids.ID, m *message.Message) {
 		if !ok || sd.ID.Equal(v.ep.ID()) {
 			continue
 		}
-		cl, dup := v.clients[sd.ID]
-		if !dup || cl.expires <= now {
+		i, dup := v.client(sd.ID)
+		if !dup || v.clients[i].expires <= now {
 			continue
 		}
-		delete(v.clients, sd.ID)
-		v.learnRoute(peerview.Seed{ID: sd.ID, Addr: transport.Addr(cl.addr)})
+		held := v.clients[i].Seed
+		v.clients = slices.Delete(v.clients, i, i+1)
+		v.learnRoute(held)
 		v.sendRedirect(sd.ID, winner)
 	}
 }

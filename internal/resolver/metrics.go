@@ -20,17 +20,15 @@ type counts struct {
 //	jxta_resolver_responses_sent_total, jxta_resolver_responses_received_total,
 //	jxta_resolver_timeouts_total, jxta_resolver_forwards_total
 //
-// plus the jxta_resolver_pending gauge (in-flight local queries). Only
-// registered handlers that have received a query get a handler label.
+// plus the jxta_resolver_pending gauge (in-flight local queries). The
+// handler's label appears once it has received a query.
 func (s *Service) Collect(reg *metrics.Registry) {
 	reg.CounterFunc("jxta_resolver_queries_sent_total", "Queries issued by this peer.",
 		func() uint64 { return s.n.queriesSent })
 	reg.CounterFuncs("jxta_resolver_queries_received_total", "Queries dispatched to a local handler.", "handler",
 		func(emit func(string, uint64)) {
-			for _, nh := range s.handlers {
-				if nh.recvd > 0 {
-					emit(nh.name, nh.recvd)
-				}
+			if s.recvd > 0 {
+				emit(s.name, s.recvd)
 			}
 		})
 	reg.CounterFunc("jxta_resolver_responses_sent_total", "Responses sent back to query originators.",

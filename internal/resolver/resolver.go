@@ -1,10 +1,11 @@
 // Package resolver implements the JXTA peer resolver protocol: the generic,
 // topology-independent query/response layer sitting between the rendezvous
-// protocol and higher services (Figure 1 of the paper). Services register a
-// named handler; queries carry the handler name, a query ID, the source
-// peer and its return address, and a hop count. A handler may answer a
-// query, forward it toward a better-placed peer (the LC-DHT replica walk),
-// or ignore it. Responses travel directly back to the querying peer.
+// protocol and higher services (Figure 1 of the paper). A resolver serves one
+// named handler (a node's is discovery's, a routing member's its backend's);
+// queries carry the handler name, a query ID, the source peer and its return
+// address, and a hop count. A handler may answer a query, forward it toward
+// a better-placed peer (the LC-DHT replica walk), or ignore it. Responses
+// travel directly back to the querying peer.
 //
 // A handler is lent its *Query for the call: the resolver fills one Query per
 // service and zeroes it when the handler returns, and SrcAddr and Payload are
@@ -72,10 +73,11 @@ type Service struct {
 	env env.Env
 	ep  *endpoint.Endpoint
 
-	// handlers is a slice, not a map: a peer registers a handful of names
-	// (discovery, a routing backend) once, and a scan over them is cheaper
-	// than a map header per peer.
-	handlers []namedHandler
+	// name and h are the one registered handler; recvd counts the queries
+	// dispatched to it.
+	name  string
+	h     Handler
+	recvd uint64
 	// pending is nil until a query is issued (reads of a nil map are
 	// already correct).
 	pending map[uint64]*pendingQuery
@@ -94,13 +96,6 @@ type Service struct {
 	free *pendingQuery
 
 	n counts
-}
-
-// namedHandler is one registration and the queries dispatched to it.
-type namedHandler struct {
-	name  string
-	h     Handler
-	recvd uint64
 }
 
 // pendingQuery is a locally issued query awaiting its answer. A query
@@ -131,24 +126,10 @@ func New(e env.Env, ep *endpoint.Endpoint) *Service {
 	return s
 }
 
-// RegisterHandler installs (or replaces) the named query handler. A
-// replaced handler's name keeps its received-queries count.
+// RegisterHandler installs the query handler, replacing any earlier one: a
+// query that names another handler is dropped.
 func (s *Service) RegisterHandler(name string, h Handler) {
-	if nh := s.handler(name); nh != nil {
-		nh.h = h
-		return
-	}
-	s.handlers = append(s.handlers, namedHandler{name: name, h: h})
-}
-
-// handler returns the registration for name, or nil.
-func (s *Service) handler(name string) *namedHandler {
-	for i := range s.handlers {
-		if s.handlers[i].name == name {
-			return &s.handlers[i]
-		}
-	}
-	return nil
+	s.name, s.h = name, h
 }
 
 // SendQuery issues a query to the given peer (an edge peer sends to its
@@ -319,7 +300,7 @@ func readHeader(m *message.Message) (h header) {
 
 // receive demultiplexes resolver traffic. The header is read as bytes —
 // the numbers parse from views that never reach the heap, the handler is
-// found by comparison — and the handler is lent the service's one Query, so
+// matched by comparison — and the handler is lent the service's one Query, so
 // a query costs nothing here.
 func (s *Service) receive(src ids.ID, m *message.Message) {
 	h := readHeader(m)
@@ -362,18 +343,17 @@ func (s *Service) receive(src ids.ID, m *message.Message) {
 	if err != nil || hops < 0 || hops >= MaxHops {
 		return
 	}
-	nh := s.handler(string(h.handler))
-	if nh == nil {
+	if s.h == nil || string(h.handler) != s.name {
 		return
 	}
-	nh.recvd++
+	s.recvd++
 	q := s.lent
 	if q == nil {
 		q = new(Query)
 	}
 	s.lent = nil
-	*q = Query{Handler: nh.name, QID: qid, Src: srcID, SrcAddr: h.srcAddr, Hops: hops, Payload: h.query}
-	nh.h(q)
+	*q = Query{Handler: s.name, QID: qid, Src: srcID, SrcAddr: h.srcAddr, Hops: hops, Payload: h.query}
+	s.h(q)
 	*q = Query{}
 	s.lent = q
 }

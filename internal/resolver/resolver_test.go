@@ -368,7 +368,7 @@ func TestReturnsToZeroState(t *testing.T) {
 	if !answered || !a.res.Quiescent() {
 		t.Fatalf("answered=%v quiescent=%v after the exchange", answered, a.res.Quiescent())
 	}
-	if a.res.handler("echo") == nil || len(a.res.handlers) != 1 {
+	if a.res.name != "echo" || a.res.h == nil {
 		t.Fatal("handler registration did not survive the exchange")
 	}
 }

@@ -36,6 +36,7 @@ var unlinkeds = []unlinked{
 	{"jxta/internal/endpoint.routeTable.del", "DropRoute's body"},
 	{"jxta/internal/endpoint.Endpoint.KnownPeers", "an observable: FuzzDispatch holds dispatch to the routes it may change, and experiments' TestHibernatingEdgeReportsItsRoutes and TestAnsweredLookupsLeaveNothingPending read an edge's routes"},
 	{"jxta/internal/endpoint.routeTable.peers", "KnownPeers's body"},
+	{"jxta/internal/ids.SortIDs", "the tests' reference order, now that every table a node keeps in ID order is kept sorted: ids' TestSortIDsSmall and TestSortProperty, peerview's TestNeighborsAreAdjacentInIDOrder, discovery's TestReplicaConsistencyProperty and TestReplicaDistributionUniform, and rendezvous' walk tests and TestRosterAndSuccessorTakeTheLowestFreshIDs sort the view or the clients they expect"},
 	{"jxta/internal/metrics.Series.CSV", "an observable: experiments' peerviewFingerprint (the determinism goldens) hashes a series through it"},
 	{"jxta/internal/netmodel.Uniform", "the constant-latency fabric of the unit tests of transport, endpoint, resolver, peerview, rendezvous, discovery and node"},
 	{"jxta/internal/rendezvous.Service.Dormant", "an observable: TestFailoverBoundedWithoutSelfHeal and TestDormantEdgeRevivedByTierProbe assert an edge gave up and came back"},
