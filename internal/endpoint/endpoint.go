@@ -3,13 +3,21 @@
 // demultiplexes inbound messages to the services above (resolver,
 // rendezvous, discovery).
 //
-// Routing model: every peer keeps a route table peerID -> transport address.
-// Routes are learned from advertisements (rendezvous advertisements carry
-// addresses) and from inbound traffic (each envelope carries the sender's
-// address, which is the only route a message can add or change). A peer
-// sends only along its own direct routes: there is no route resolution
-// protocol and no relaying, so a message addressed to another peer is
-// dropped.
+// Routing model: every peer knows a route peerID -> transport address for the
+// peers it talks to. Routes are learned from advertisements (rendezvous
+// advertisements carry addresses) and from inbound traffic (each envelope
+// carries the sender's address, which is the only route a message can add or
+// change). A rendezvous' view members route through its peerview, which is
+// the endpoint's RouteSource: each entry's advertisement names the member's
+// address, and a stranger that a referral named is routed at the referral's
+// address while the peerview probes it. The endpoint's own route table holds
+// everyone else — lease clients, seeds, peers that left the view or never
+// answered a probe — and a view member only while the last route written for
+// it differs from the address its entry names. An edge has no source: its
+// table holds all its routes. Either way a route answers as the last one
+// written for the peer. A peer sends only along its own direct routes: there
+// is no route resolution protocol and no relaying, so a message addressed to
+// another peer is dropped.
 package endpoint
 
 import (
@@ -71,8 +79,11 @@ type Endpoint struct {
 	id    ids.ID
 	idStr string // URN form of id, rendered once: every send stamps it
 	tr    transport.Transport
-	// addrStr caches the transport address string stamped on every send.
-	addrStr string
+	// view is the rendezvous' route source, nil on an edge. sendTo reads
+	// the transport's address instead of a cached copy, which keeps an
+	// edge's Endpoint in its 192-byte size class with this field
+	// (TestEndpointFitsItsSizeClass).
+	view RouteSource
 	// slots and routes are the service and route tables (tables.go).
 	slots        []slot
 	routes       routeTable
@@ -89,11 +100,10 @@ type Endpoint struct {
 // registers the Hello handler. The transport's inbound handler is claimed.
 func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 	ep := &Endpoint{
-		env:     e,
-		id:      id,
-		idStr:   id.String(),
-		tr:      tr,
-		addrStr: string(tr.Addr()),
+		env:   e,
+		id:    id,
+		idStr: id.String(),
+		tr:    tr,
 	}
 	tr.SetHandler(ep.dispatch)
 	ep.Register(helloService, ep.handleHello)
@@ -211,10 +221,49 @@ func (ep *Endpoint) Close() {
 }
 
 // Reset clears the learned route table (restart with fresh state: routes are
-// re-learned from seeds, advertisements and inbound traffic).
+// re-learned from seeds, advertisements and inbound traffic). A route source
+// is reset by its owner, with the endpoint (node.Restart).
 func (ep *Endpoint) Reset() {
 	ep.Stop()
 	ep.routes = routeTable{}
+}
+
+// RouteSource is a table that already holds the address of some peers — a
+// rendezvous' peerview, whose entries' advertisements name them — so the
+// endpoint reads those routes from it instead of keeping copies.
+type RouteSource interface {
+	// Route returns the address the source gives peer, if it gives one.
+	Route(peer ids.ID) (transport.Addr, bool)
+	// EachRouted calls f once for every peer the source gives an address.
+	EachRouted(f func(peer ids.ID))
+}
+
+// SetRouteSource installs the source the endpoint reads routes from when its
+// own table holds none. The source reports every change to the address it
+// gives a peer with SourceMoved.
+func (ep *Endpoint) SetRouteSource(src RouteSource) { ep.view = src }
+
+// SourceMoved records that the route source now gives peer the address next
+// instead of prev ("" for none). A source's write is the last one written for
+// peer, so a stored route goes and the source answers. When the source stops
+// giving an address, its last write stays in the table, unless the table
+// already holds a later one: no route is ever evicted.
+func (ep *Endpoint) SourceMoved(peer ids.ID, prev, next transport.Addr) {
+	cur, stored := ep.routes.get(peer)
+	switch {
+	case next != "":
+		if stored {
+			ep.routes.del(peer)
+		}
+	case prev == "":
+		// The source gave no address and gives none.
+	case !stored:
+		ep.routes.put(peer, prev)
+	case cur == "":
+		// A dropped route of a peer the source no longer gives is no route
+		// at all.
+		ep.routes.del(peer)
+	}
 }
 
 // AddRoute records a direct route to a peer, writing only when the route is
@@ -223,9 +272,7 @@ func (ep *Endpoint) AddRoute(peer ids.ID, addr transport.Addr) {
 	if peer.Equal(ep.id) || addr == "" {
 		return
 	}
-	if cur, ok := ep.routes.get(peer); !ok || cur != addr {
-		ep.routes.put(peer, addr)
-	}
+	setRoute(ep, peer, addr)
 }
 
 // LearnRoute records a peer's return route, given as received bytes, only if
@@ -234,24 +281,76 @@ func (ep *Endpoint) LearnRoute(peer ids.ID, addr []byte) {
 	if len(addr) == 0 || peer.Equal(ep.id) {
 		return
 	}
-	if cur, ok := ep.routes.get(peer); !ok || string(cur) != string(addr) {
-		ep.routes.put(peer, transport.Addr(addr))
-	}
+	setRoute(ep, peer, addr)
 }
 
-// DropRoute forgets a route (lease expiry, crash suspicion).
+// setRoute makes addr the route to peer. The table is written only when it
+// holds another address and the source does not give this one; when the
+// source does, a stored route goes, so that the source answers.
+func setRoute[A transport.Addr | []byte](ep *Endpoint, peer ids.ID, addr A) {
+	cur, stored := ep.routes.get(peer)
+	if stored && string(cur) == string(addr) {
+		return
+	}
+	if ep.view != nil {
+		if a, ok := ep.view.Route(peer); ok && string(a) == string(addr) {
+			if stored {
+				ep.routes.del(peer)
+			}
+			return
+		}
+	}
+	ep.routes.put(peer, transport.Addr(addr))
+}
+
+// DropRoute forgets a route (lease expiry, crash suspicion). A peer the
+// route source gives an address keeps an empty one in the table, which
+// answers no route until something writes the peer's route again.
 func (ep *Endpoint) DropRoute(peer ids.ID) {
+	if ep.view != nil {
+		if _, ok := ep.view.Route(peer); ok {
+			ep.routes.put(peer, "")
+			return
+		}
+	}
 	ep.routes.del(peer)
 }
 
-// RouteTo reports the known route to a peer.
+// RouteTo reports the known route to a peer: the table's, which is the later
+// write when the source gives the peer an address too, else the source's.
 func (ep *Endpoint) RouteTo(peer ids.ID) (transport.Addr, bool) {
-	return ep.routes.get(peer)
+	if a, ok := ep.routes.get(peer); ok {
+		return a, a != ""
+	}
+	if ep.view != nil {
+		return ep.view.Route(peer)
+	}
+	return "", false
 }
 
 // KnownPeers returns the peers with direct routes, in unspecified order.
 func (ep *Endpoint) KnownPeers() []ids.ID {
-	return ep.routes.peers()
+	var out []ids.ID
+	ep.eachRouted(func(p ids.ID) { out = append(out, p) })
+	return out
+}
+
+// eachRouted calls f once for every peer with a direct route: the table's
+// peers but the dropped ones, then the source's peers the table does not
+// hold.
+func (ep *Endpoint) eachRouted(f func(ids.ID)) {
+	ep.routes.each(func(p ids.ID, a transport.Addr) {
+		if a != "" {
+			f(p)
+		}
+	})
+	if ep.view != nil {
+		ep.view.EachRouted(func(p ids.ID) {
+			if _, stored := ep.routes.get(p); !stored {
+				f(p)
+			}
+		})
+	}
 }
 
 // Send delivers msg to the named service on the destination peer, using the
@@ -269,7 +368,7 @@ func (ep *Endpoint) Send(dst ids.ID, service string, msg *message.Message) error
 		}
 		return fmt.Errorf("%w: %s", ErrNoService, service)
 	}
-	addr, ok := ep.routes.get(dst)
+	addr, ok := ep.RouteTo(dst)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoRoute, dst.Short())
 	}
@@ -284,7 +383,7 @@ func (ep *Endpoint) sendTo(addr transport.Addr, dst ids.ID, service string, msg 
 	wire.AddString(ns, elemSrc, ep.idStr)
 	wire.AddScratch(ns, elemDst, dst.AppendString(wire.Scratch()))
 	wire.AddString(ns, elemSvc, service)
-	wire.AddString(ns, elemSrcAddr, ep.addrStr)
+	wire.AddString(ns, elemSrcAddr, string(ep.tr.Addr()))
 	// No peer reads TTL, but its bytes enter every simulated latency
 	// (netmodel.SampleLatency): it leaves only with a recapture of the goldens.
 	wire.AddString(ns, elemTTL, "8")

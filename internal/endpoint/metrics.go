@@ -1,6 +1,7 @@
 package endpoint
 
 import (
+	"jxta/internal/ids"
 	"jxta/internal/metrics"
 )
 
@@ -20,7 +21,7 @@ type svcCounts struct {
 //	jxta_endpoint_hello_sent_total, jxta_endpoint_hello_served_total,
 //	jxta_endpoint_drops_total
 //
-// plus the jxta_endpoint_routes gauge (route-table size).
+// plus the jxta_endpoint_routes gauge (the peers with a direct route).
 func (ep *Endpoint) Collect(reg *metrics.Registry) {
 	perService := func(name, help string, read func(*svcCounts) uint64) {
 		reg.CounterFuncs(name, help, "service", func(emit func(string, uint64)) {
@@ -45,8 +46,12 @@ func (ep *Endpoint) Collect(reg *metrics.Registry) {
 		func() uint64 { return ep.helloServed })
 	reg.CounterFunc("jxta_endpoint_drops_total", "Inbound messages dropped (malformed envelope, another peer's, no handler).",
 		func() uint64 { return ep.Drops })
-	reg.GaugeFunc("jxta_endpoint_routes", "Known direct routes (route-table size).",
-		func() float64 { return float64(ep.routes.len()) })
+	reg.GaugeFunc("jxta_endpoint_routes", "Known direct routes: the route table's and the route source's peers, each counted once, by a walk that builds no list.",
+		func() float64 {
+			n := 0
+			ep.eachRouted(func(ids.ID) { n++ })
+			return float64(n)
+		})
 }
 
 // otherService is the one label every inbound message for a service this

@@ -63,7 +63,12 @@ func (ep *Endpoint) slotFor(service string) *slot {
 }
 
 // routesFew is the largest route table kept as a slice. Scanning eight
-// entries costs what hashing one ID does; past that the map wins.
+// entries costs what hashing one ID does; past that the map wins. A map goes
+// back to a slice only once it has drained to half that, into a slice of
+// routesFew capacity: a rendezvous' table holds the peers outside its view,
+// and a sweep moves a wave of departing members into it that their
+// re-admission takes out again, so a table that turned back at routesFew
+// exactly would build a map and a slice for each ripple of every wave.
 const routesFew = 8
 
 type route struct {
@@ -71,16 +76,20 @@ type route struct {
 	addr transport.Addr
 }
 
-// routeTable maps peers to transport addresses. It picks its representation
-// from the one thing it can observe, its own size: up to routesFew routes
-// (every edge) live in an exact-size slice, more (every rendezvous) in a
-// map. many is non-nil exactly when it holds more than routesFew routes.
+// routeTable maps peers to transport addresses: the routes no route source
+// gives. It picks its representation from the one thing it can observe, its
+// own size: up to routesFew routes (every edge, and a converged rendezvous,
+// whose view members route through its peerview) live in a slice, more in a
+// map. The map exists for a rendezvous' peers outside its view: its lease
+// clients (forty each in the benchmark's edges-10k) and the waves of
+// departed members that churn brings. many is non-nil when it
+// holds more than routesFew routes, nil when it holds routesFew/2 or fewer,
+// and either in between. A stored empty address is a dropped route of a peer
+// the source gives (Endpoint.DropRoute).
 type routeTable struct {
 	few  []route
 	many map[ids.ID]transport.Addr
 }
-
-func (t *routeTable) len() int { return len(t.few) + len(t.many) }
 
 func (t *routeTable) get(peer ids.ID) (transport.Addr, bool) {
 	if t.many != nil {
@@ -121,8 +130,8 @@ func (t *routeTable) put(peer ids.ID, addr transport.Addr) {
 func (t *routeTable) del(peer ids.ID) {
 	if t.many != nil {
 		delete(t.many, peer)
-		if len(t.many) <= routesFew {
-			t.few = make([]route, 0, len(t.many))
+		if len(t.many) <= routesFew/2 {
+			t.few = make([]route, 0, routesFew)
 			for p, a := range t.many {
 				t.few = append(t.few, route{p, a})
 			}
@@ -141,14 +150,12 @@ func (t *routeTable) del(peer ids.ID) {
 	}
 }
 
-// peers returns the routed peers, in unspecified order.
-func (t *routeTable) peers() []ids.ID {
-	out := make([]ids.ID, 0, t.len())
+// each calls f for every route, in unspecified order.
+func (t *routeTable) each(f func(ids.ID, transport.Addr)) {
 	for _, r := range t.few {
-		out = append(out, r.peer)
+		f(r.peer, r.addr)
 	}
-	for p := range t.many {
-		out = append(out, p)
+	for p, a := range t.many {
+		f(p, a)
 	}
-	return out
 }

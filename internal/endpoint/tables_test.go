@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"jxta/internal/ids"
 	"jxta/internal/message"
@@ -16,8 +17,13 @@ import (
 
 // TestRouteTableMatchesMap holds the route table to a plain map under random
 // put / del / get / clear sequences. The peer population (12) sits just above
-// the spill, and puts and dels are equally likely, so the table crosses
-// routesFew in both directions many times; the test fails if it never did.
+// the spill, and puts and dels are equally likely, so the table spills into
+// the map and drains back to the slice many times; the test fails if it
+// never did. A map turns back into a slice at routesFew/2 routes, not at
+// routesFew: between the two either representation holds, because a
+// rendezvous' table rises and falls across routesFew in waves, and turning
+// back at the spill built a map and a slice for every ripple
+// (PERFORMANCE_HISTORY.md, "Where the allocations came from").
 func TestRouteTableMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -48,26 +54,24 @@ func TestRouteTableMatchesMap(t *testing.T) {
 			} else if wasMap && !isMap && len(ref) > 0 {
 				returns++
 			}
-			if (tab.many != nil) != (len(ref) > routesFew) || (tab.many != nil && len(tab.few) != 0) {
+			if len(ref) > routesFew && tab.many == nil || len(ref) <= routesFew/2 && tab.many != nil || tab.many != nil && len(tab.few) != 0 {
 				t.Fatalf("seed %d step %d: %d routes held as few=%d many=%v", seed, step, len(ref), len(tab.few), tab.many != nil)
 			}
-			if tab.len() != len(ref) {
-				t.Fatalf("seed %d step %d: len %d, want %d", seed, step, tab.len(), len(ref))
+			listed := 0
+			tab.each(func(q ids.ID, addr transport.Addr) {
+				if want, ok := ref[q]; !ok || addr != want {
+					t.Fatalf("seed %d step %d: each lists %s at %q, want %q", seed, step, q.Short(), addr, want)
+				}
+				listed++
+			})
+			if listed != len(ref) {
+				t.Fatalf("seed %d step %d: each lists %d routes of %d", seed, step, listed, len(ref))
 			}
 			for _, q := range peers {
 				got, ok := tab.get(q)
 				want, wantOK := ref[q]
 				if got != want || ok != wantOK {
 					t.Fatalf("seed %d step %d: get(%s) = %q, %v; want %q, %v", seed, step, q.Short(), got, ok, want, wantOK)
-				}
-			}
-			got := tab.peers()
-			if len(got) != len(ref) {
-				t.Fatalf("seed %d step %d: peers() lists %d of %d", seed, step, len(got), len(ref))
-			}
-			for _, q := range got {
-				if _, ok := ref[q]; !ok {
-					t.Fatalf("seed %d step %d: peers() lists %s, which has no route", seed, step, q.Short())
 				}
 			}
 		}
@@ -158,5 +162,14 @@ func TestUnregisterAndReinstrument(t *testing.T) {
 	}
 	if got := reg.Snapshot()[`jxta_endpoint_rx_messages_total{service="svc"}`]; got != 2 {
 		t.Fatalf("the registry counted %v messages for svc, want 2", got)
+	}
+}
+
+// TestEndpointFitsItsSizeClass: every edge holds one Endpoint, so it stays
+// inside the 192-byte size class, which it fills: one more field puts every
+// edge in the 208-byte class.
+func TestEndpointFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Endpoint{}); size > 192 {
+		t.Fatalf("Endpoint is %d bytes, over the 192-byte size class", size)
 	}
 }

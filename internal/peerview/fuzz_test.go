@@ -2,6 +2,7 @@ package peerview
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,9 +11,12 @@ import (
 
 	"jxta/internal/advertisement"
 	"jxta/internal/advstore"
+	"jxta/internal/endpoint"
 	"jxta/internal/ids"
 	"jxta/internal/message"
+	"jxta/internal/netmodel"
 	"jxta/internal/simnet"
+	"jxta/internal/transport"
 )
 
 // checkIndexed fails t unless pv's view is its own index: entries strictly
@@ -134,6 +138,27 @@ func checkHeld(t testing.TB, pv *PeerView, m *message.Message, prior map[ids.ID]
 	}
 }
 
+// checkStoredOnce fails t if the endpoint's own table holds a view member,
+// or a stranger being probed, at the address the view gives it: the view is
+// that peer's route (Route), and a copy in the table is the duplicate the
+// view replaced. The table is read with the view detached.
+func checkStoredOnce(t testing.TB, pv *PeerView) {
+	t.Helper()
+	pv.ep.SetRouteSource(nil)
+	defer pv.ep.SetRouteSource(pv)
+	held := func(id ids.ID, viewAddr string) {
+		if addr, ok := pv.ep.RouteTo(id); ok && string(addr) == viewAddr {
+			t.Fatalf("the endpoint's table holds %s at %s, the address the view gives it", id, addr)
+		}
+	}
+	for _, en := range pv.entries {
+		held(en.rdv().PeerID, en.rdv().Address)
+	}
+	for id, p := range pv.probed {
+		held(id, string(p.addr))
+	}
+}
+
 // pvElems are the pv: element names a fuzz script can name by index; the
 // last is one the protocol does not know.
 var pvElems = []string{elemType, elemAdv, "Unknown"}
@@ -202,7 +227,9 @@ func strangerAdv(id ids.ID) []byte {
 // (hear), so every entry's advertisement must be what those bytes decode to,
 // an entry the input renewed must hold the last advertisement the input
 // carried for its ID, and the endpoint must route to every entry at the
-// Address its bytes name (checkHeld has the one exemption).
+// Address its bytes name (checkHeld has the one exemption). That route is the
+// entry itself: the endpoint's own table must hold no member at the address
+// its entry names (checkStoredOnce), so each address is stored once.
 func FuzzPeerviewReceive(f *testing.F) {
 	rig := newFuzzRig(f)
 	at, from := rig.peers[0], rig.peers[1]
@@ -263,7 +290,130 @@ func FuzzPeerviewReceive(f *testing.F) {
 		}
 		checkIndexed(t, "after receive", at.pv, probe)
 		checkHeld(t, at.pv, m, prior)
+		checkStoredOnce(t, at.pv)
 		rig.sched.Run(rig.sched.Now() + 10*time.Millisecond + time.Duration(who>>2)*time.Second)
 		checkIndexed(t, "after the tier ran on", at.pv, probe)
+		checkStoredOnce(t, at.pv)
+	})
+}
+
+// tapTransport hands a test the inbound handler the endpoint installs: its
+// dispatch, called directly.
+type tapTransport struct {
+	transport.Transport
+	dispatch transport.Handler
+}
+
+func (tt *tapTransport) SetHandler(h transport.Handler) {
+	tt.dispatch = h
+	tt.Transport.SetHandler(h)
+}
+
+// FuzzDispatchToView feeds a rendezvous' endpoint dispatch arbitrary envelope
+// bytes, with its peerview installed as the route source: the learn path that
+// runs through the view. The view holds three members, one of them routed
+// by the endpoint's table at another address, and a stranger is being
+// probed. Dispatch must transmit nothing and change no route but the one to
+// the envelope's own Src, which becomes its SrcAddr when the envelope is
+// read (a Dst that does not parse drops it first); it must keep no
+// reference to the input; KnownPeers must name each routed peer once; and
+// the endpoint's table must hold no peer at the address the view gives it
+// (checkStoredOnce), whether the learned address is the one the view names
+// or another.
+func FuzzDispatchToView(f *testing.F) {
+	newRdv := func(t testing.TB) (*testRdv, *tapTransport, *int, []ids.ID) {
+		sched := simnet.NewScheduler(61)
+		net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+		tr, err := net.Attach("rdv", netmodel.Rennes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tap := &tapTransport{Transport: tr}
+		e := sched.NewEnv("rdv")
+		id := ids.FromName(ids.KindPeer, "rdv")
+		adv := &advertisement.Rdv{PeerID: id, GroupID: testGroup, Name: "rdv", Address: string(tr.Addr())}
+		ep := endpoint.New(e, id, tap)
+		p := &testRdv{id: id, adv: adv, ep: ep, tr: tr,
+			pv: New(e, ep, advstore.New(), adv, DefaultConfig(), nil)}
+		var known []ids.ID
+		for i := 0; i < 3; i++ {
+			m := ids.FromName(ids.KindPeer, fmt.Sprintf("member%d", i))
+			p.learn(&advertisement.Rdv{PeerID: m, GroupID: testGroup, Name: "m", Address: fmt.Sprintf("sim://test/member%d", i)})
+			known = append(known, m)
+		}
+		ep.AddRoute(known[2], "sim://test/elsewhere")
+		stranger := ids.FromName(ids.KindPeer, "stranger")
+		p.pv.hear(strangerAdv(stranger), 0, false)
+		known = append(known, stranger, id)
+		sent := new(int)
+		net.OnSend = func(transport.Addr, transport.Addr, *message.Message) { *sent++ }
+		return p, tap, sent, known
+	}
+	p, _, _, known := newRdv(f)
+	for _, src := range known {
+		for _, addr := range []string{"sim://test/member0", "sim://test/member2", "sim://0/stranger", "sim://test/moved", ""} {
+			f.Add([]byte(src.String()), []byte(p.id.String()), []byte(ServiceName), []byte(addr))
+		}
+	}
+	f.Add([]byte("urn:jxta:nil"), []byte("urn:jxta:nil"), []byte(""), []byte("sim://test/x"))
+	f.Add([]byte(known[1].String()), []byte("urn:jxta:uuid-00"), []byte(ServiceName), []byte("sim://test/moved"))
+	f.Fuzz(func(t *testing.T, src, dst, svc, srcAddr []byte) {
+		p, tap, sent, known := newRdv(t)
+		srcID, srcErr := ids.ParseBytes(src)
+		if srcErr == nil {
+			known = append(known, srcID)
+		}
+		_, dstErr := ids.ParseBytes(dst)
+		before := map[ids.ID]string{}
+		for _, id := range known {
+			if addr, ok := p.ep.RouteTo(id); ok {
+				before[id] = string(addr)
+			}
+		}
+		wire := message.New().
+			Add("ep", "Src", src).Add("ep", "Dst", dst).Add("ep", "Svc", svc).
+			Add("ep", "SrcAddr", srcAddr).Add("ep", "TTL", []byte("8"))
+		tap.dispatch("sim://test/fuzz", wire)
+		if *sent != 0 {
+			t.Fatalf("dispatch made the rendezvous transmit %d messages", *sent)
+		}
+		// An envelope whose Dst does not parse is dropped before it is
+		// learned from.
+		learned := srcErr == nil && dstErr == nil && len(srcAddr) > 0 && !srcID.Equal(p.id)
+		after := map[ids.ID]string{}
+		for _, id := range known {
+			addr, ok := p.ep.RouteTo(id)
+			if ok {
+				after[id] = strings.Clone(string(addr))
+			}
+			want, wantOK := before[id], before[id] != ""
+			if learned && id.Equal(srcID) {
+				want, wantOK = string(srcAddr), true
+			}
+			if string(addr) != want || ok != wantOK {
+				t.Fatalf("after dispatch from %q at %q, the route to %s is %q, %v; want %q, %v", src, srcAddr, id.Short(), addr, ok, want, wantOK)
+			}
+		}
+		checkStoredOnce(t, p.pv)
+		listed := map[ids.ID]bool{}
+		for _, id := range p.ep.KnownPeers() {
+			if listed[id] {
+				t.Fatalf("KnownPeers names %s twice", id.Short())
+			}
+			listed[id] = true
+			if _, ok := p.ep.RouteTo(id); !ok {
+				t.Fatalf("KnownPeers names %s, which has no route", id.Short())
+			}
+		}
+		for _, in := range [][]byte{src, dst, svc, srcAddr} {
+			for i := range in {
+				in[i] ^= 0xff
+			}
+		}
+		for id, want := range after {
+			if addr, _ := p.ep.RouteTo(id); string(addr) != want {
+				t.Fatalf("the route to %s changed from %q to %q when the input was overwritten", id.Short(), want, addr)
+			}
+		}
 	})
 }

@@ -135,6 +135,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// probe is an outstanding referral probe: when it was sent, and the address
+// the referral named, which is cleared when the peer is admitted.
+type probe struct {
+	at   time.Duration
+	addr transport.Addr
+}
+
 // Seed identifies an initial rendezvous contact.
 type Seed struct {
 	ID   ids.ID
@@ -214,13 +221,17 @@ type PeerView struct {
 	// referral storm cannot launch duplicate probes within an interval. It
 	// is nil until first written, and the sweep that empties it sets it back
 	// to nil: a map keeps its peak capacity after deletes, and the peak is
-	// the burst of a converging tier.
-	probed map[ids.ID]time.Duration
+	// the burst of a converging tier. A probe's address is the stranger's
+	// route until the stranger is admitted (Route).
+	probed map[ids.ID]probe
 
 	// refCursor is the rotating no-replacement position sendReferrals draws
 	// referral batches from, so successive probes walk the whole ID-ordered
 	// view instead of re-drawing i.i.d. random samples (see sendReferrals).
 	refCursor int
+
+	// lastHit is the position find last found an ID at (find).
+	lastHit int
 
 	// sentinelIdx round-robins one extra probe per iteration over the
 	// non-neighbour view members, so failure detection covers the whole
@@ -245,6 +256,7 @@ func New(e env.Env, ep *endpoint.Endpoint, store *advstore.Store, self *advertis
 	// Mixed content is the encoder's only error; an Rdv document has none.
 	pv.selfBytes, _ = advertisement.EncodeXML(self)
 	ep.Register(ServiceName, pv.receive)
+	ep.SetRouteSource(pv)
 	return pv
 }
 
@@ -274,7 +286,9 @@ func (pv *PeerView) Stop() {
 // Reset discards the accumulated view and probe-dedup state, as a freshly
 // booted rendezvous process would start: the next Start rebuilds the view
 // from the seeds. No membership events are emitted for the dropped entries
-// (the process observing them is the one restarting).
+// (the process observing them is the one restarting), and the members'
+// routes go with them, as the endpoint's own do in the Endpoint.Reset that
+// node.Restart pairs it with.
 func (pv *PeerView) Reset() {
 	for _, en := range pv.entries {
 		en.sh.Release()
@@ -312,15 +326,56 @@ func (pv *PeerView) Lookup(id ids.ID) (Seed, bool) {
 
 // find returns the position id holds, or would be inserted at, in the
 // ascending view, and whether it is present. It orders by the entries' keys
-// and reads an advertisement only where a key ties with id's.
+// and reads an advertisement only where a key ties with id's. The position
+// of the last hit is tried first: a message from a member is looked up by
+// the endpoint's route lookup (Route), then by receive, then by the route of
+// each reply, and one search answers them all.
 func (pv *PeerView) find(id ids.ID) (int, bool) {
 	key := id.Prefix()
-	return slices.BinarySearchFunc(pv.entries, id, func(en *entry, id ids.ID) int {
+	if h := pv.lastHit; h < len(pv.entries) {
+		if en := pv.entries[h]; en.key == key && en.rdv().PeerID.Equal(id) {
+			return h, true
+		}
+	}
+	i, ok := slices.BinarySearchFunc(pv.entries, id, func(en *entry, id ids.ID) int {
 		if en.key != key {
 			return cmp.Compare(en.key, key)
 		}
 		return en.rdv().PeerID.Compare(id)
 	})
+	if ok {
+		pv.lastHit = i
+	}
+	return i, ok
+}
+
+// Route returns the address the view member's advertisement names, or the
+// one the referral named for a stranger being probed: a rendezvous' endpoint
+// routes to both through the view (endpoint.RouteSource) and keeps no copy
+// of their addresses.
+func (pv *PeerView) Route(peer ids.ID) (transport.Addr, bool) {
+	if i, ok := pv.find(peer); ok {
+		a := pv.entries[i].rdv().Address
+		return transport.Addr(a), a != ""
+	}
+	p := pv.probed[peer]
+	return p.addr, p.addr != ""
+}
+
+// EachRouted calls f for every peer Route gives an address
+// (endpoint.RouteSource). A probe keeps no address past its peer's
+// admission, so no peer is named twice.
+func (pv *PeerView) EachRouted(f func(ids.ID)) {
+	for _, en := range pv.entries {
+		if adv := en.rdv(); adv.Address != "" {
+			f(adv.PeerID)
+		}
+	}
+	for id, p := range pv.probed {
+		if p.addr != "" {
+			f(id)
+		}
+	}
 }
 
 // View returns the ordered peerview including the local peer — the list the
@@ -410,11 +465,13 @@ func (pv *PeerView) iterate() {
 			pv.sendProbe(seed.ID)
 		}
 	}
-	// Garbage-collect the referral-probe dedup set.
+	// Garbage-collect the referral-probe dedup set. A stranger that never
+	// answered keeps its route in the endpoint's table.
 	cutoff := pv.env.Now() - pv.cfg.Interval
-	for id, at := range pv.probed {
-		if at < cutoff {
+	for id, p := range pv.probed {
+		if p.at < cutoff {
 			delete(pv.probed, id)
+			pv.ep.SourceMoved(id, p.addr, "")
 		}
 	}
 	if len(pv.probed) == 0 {
@@ -438,7 +495,9 @@ func (pv *PeerView) probeNeighbor(en *entry) {
 // dead rendezvous leaves the view in a few intervals rather than a
 // PVE_EXPIRATION. A kept entry's advertisement, a heap object of its own,
 // is not read: the sweep visits every entry each interval, and reading it
-// cost peerview-r200 about 4 % of its event rate.
+// cost peerview-r200 about 4 % of its event rate. A departing entry's
+// address moves into the endpoint's table, which routes to the peer from now
+// on (SourceMoved).
 func (pv *PeerView) sweep() {
 	now := pv.env.Now()
 	kept := pv.entries[:0]
@@ -452,9 +511,10 @@ func (pv *PeerView) sweep() {
 			kept = append(kept, en)
 			continue
 		}
-		id := en.rdv().PeerID
+		adv := en.rdv()
+		pv.ep.SourceMoved(adv.PeerID, transport.Addr(adv.Address), "")
 		en.sh.Release()
-		pv.notify(EventRemove, id)
+		pv.notify(EventRemove, adv.PeerID)
 	}
 	clear(pv.entries[len(kept):])
 	pv.entries = kept
@@ -504,23 +564,32 @@ func (pv *PeerView) hear(wire []byte, guess int, admit bool) (next int, ok bool)
 		return i, true
 	}
 	// The peek read a RdvAdvertisement root, so the bytes decode to an *Rdv.
-	pv.ep.AddRoute(id, transport.Addr(sh.Adv().(*advertisement.Rdv).Address))
+	addr := transport.Addr(sh.Adv().(*advertisement.Rdv).Address)
 	switch {
 	case held:
 		en := pv.entries[i]
+		pv.ep.SourceMoved(id, transport.Addr(en.rdv().Address), addr)
 		en.sh.Release()
 		en.sh, en.renewed = sh, pv.env.Now()
 	case admit:
 		pv.entries = slices.Insert(pv.entries, i, &entry{sh: sh, renewed: pv.env.Now(), key: id.Prefix()})
+		var prev transport.Addr
+		if p, ok := pv.probed[id]; ok && p.addr != "" {
+			// The entry routes from now on; the probe stays for dedup.
+			prev = p.addr
+			pv.probed[id] = probe{at: p.at}
+		}
+		pv.ep.SourceMoved(id, prev, addr)
 		pv.n.adds++
 		pv.notify(EventAdd, id)
 	default:
 		// Unknown: only the identity and address are used, to probe it.
 		sh.Release()
 		if pv.probed == nil {
-			pv.probed = make(map[ids.ID]time.Duration)
+			pv.probed = make(map[ids.ID]probe)
 		}
-		pv.probed[id] = pv.env.Now()
+		pv.probed[id] = probe{at: pv.env.Now(), addr: addr}
+		pv.ep.SourceMoved(id, "", addr)
 		pv.sendProbe(id)
 		return i, true
 	}
@@ -532,19 +601,17 @@ func (pv *PeerView) hear(wire []byte, guess int, admit bool) (next int, ok bool)
 // is only a hint; a document that differs in any byte never renews the
 // entry.
 //
-// It writes no route: the one the entry's advertisement names is already
-// there. hear wrote it when the entry took these bytes, and nothing has
-// changed it since to anything else:
-//   - the bytes carry the Address, so a peer that moved sends other bytes,
-//     fails the comparison and takes hear's intern path, which writes the
-//     new route;
-//   - node.Restart resets the endpoint's routes and the view together, and
-//     DropRoute has no other caller that keeps the view;
-//   - every other writer writes the address the peer announces as its
-//     own, which is the one its advertisement carries: the envelope's
-//     SrcAddr (endpoint dispatch), a resolver query's, an SRDI publisher's
-//     and a lease record's are the sender's tr.Addr(), as is the Address
-//     that node.New advertises, on Sim and TCP alike.
+// It writes no route: the route to a view member is the entry itself, which
+// the endpoint reads (Route), not a copy written when the bytes were
+// interned. Those bytes carry the Address, so a peer that moved sends other
+// bytes, fails the comparison and takes hear's intern path, where the new
+// address becomes the route (SourceMoved). A route written since for the
+// member stays the endpoint's answer, as the last write, until then; every
+// writer but a fuzzer writes the address the peer announces as its own,
+// which is the one its advertisement carries (the envelope's SrcAddr, a
+// resolver query's, an SRDI publisher's and a lease record's are the
+// sender's tr.Addr(), as is the Address that node.New advertises, on Sim and
+// TCP alike), and such a write stores nothing (endpoint.AddRoute).
 func (pv *PeerView) renewHeld(i int, wire []byte) bool {
 	en := pv.entries[i]
 	if !bytes.Equal(en.sh.Bytes(), wire) {
