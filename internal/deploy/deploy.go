@@ -329,17 +329,12 @@ func (o *Overlay) StopAll() {
 	}
 }
 
-// KillNode crashes a peer abruptly: nothing is sent — no lease cancel, no
-// handoff — and the transport detaches (node.Kill closes the endpoint,
-// which removes a Sim endpoint from the network), so messages delivered
-// while it is down are lost and remote peers discover the death by their
-// own timeouts, as on a real testbed.
-func (o *Overlay) KillNode(n *node.Node) {
-	n.Kill()
-}
-
-// KillRdv crashes a rendezvous peer abruptly (churn experiments).
-func (o *Overlay) KillRdv(i int) { o.KillNode(o.Rdvs[i]) }
+// KillRdv crashes a rendezvous peer abruptly (churn experiments): nothing
+// is sent — no lease cancel, no handoff — and the transport detaches
+// (node.Kill closes the endpoint, which removes a Sim endpoint from the
+// network), so messages delivered while it is down are lost and remote peers
+// discover the death by their own timeouts, as on a real testbed.
+func (o *Overlay) KillRdv(i int) { o.Rdvs[i].Kill() }
 
 // RestartNode cold-restarts a peer in place, re-attaching its transport
 // endpoint first if the peer had been killed. The peer keeps its identity

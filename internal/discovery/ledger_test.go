@@ -182,12 +182,12 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 	expect("publish while connected", model.publish(b, 3*time.Hour, sendOK()))
 	unpushed("publish while connected", -1)
 
-	// Publish with a failing send (the lease holds, the route is gone):
-	// retried on every tick, with what its lifetime has left, until it goes
-	// through.
+	// Publish with a failing send (the lease holds, the endpoint forgot its
+	// routes): retried on every tick, with what its lifetime has left, until it
+	// goes through.
 	rdv, _ := pub.Rendezvous.ConnectedRdv()
 	addr, _ := pub.Endpoint.RouteTo(rdv)
-	pub.Endpoint.DropRoute(rdv)
+	pub.Endpoint.Reset()
 	c := peer("c")
 	pub.Discovery.Publish(c, time.Hour)
 	expect("publish with a failing send", model.publish(c, time.Hour, sendOK()))
@@ -211,7 +211,7 @@ func TestPushLedgerMatchesKeyLedger(t *testing.T) {
 	d1, d2 := resource("d1", "shared"), resource("d2", "shared")
 	pub.Discovery.Publish(d1, time.Hour)
 	expect("first of two sharing their keys", model.publish(d1, time.Hour, sendOK()))
-	pub.Endpoint.DropRoute(rdv)
+	pub.Endpoint.Reset()
 	pub.Discovery.Publish(d2, time.Hour)
 	expect("second of two, send failing", model.publish(d2, time.Hour, sendOK()))
 	pub.Endpoint.AddRoute(rdv, addr)

@@ -23,6 +23,7 @@ package endpoint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"jxta/internal/env"
@@ -59,12 +60,12 @@ const helloTimeout = 10 * time.Second
 // call (transport.Handler): a service copies what it keeps.
 type Handler func(src ids.ID, msg *message.Message)
 
-// helloWaiter is a pending Hello resolution. cancel silences the waiter
-// (timer canceled, callback never fired) when the endpoint stops.
+// helloWaiter is a pending Hello resolution. It leaves the endpoint's list
+// when its answer arrives, when its timer fires, or on Stop.
 type helloWaiter struct {
-	addr   transport.Addr
-	cb     func(peer ids.ID)
-	cancel func()
+	addr  transport.Addr
+	cb    func(peer ids.ID, ok bool)
+	timer env.Event
 }
 
 // Errors.
@@ -87,7 +88,7 @@ type Endpoint struct {
 	// slots and routes are the service and route tables (tables.go).
 	slots        []slot
 	routes       routeTable
-	helloWaiters []helloWaiter
+	helloWaiters []*helloWaiter
 
 	// Drops counts inbound messages that were not delivered (malformed
 	// envelope, addressed to another peer, no handler).
@@ -114,25 +115,10 @@ func New(e env.Env, id ids.ID, tr transport.Transport) *Endpoint {
 // once, with ok=false on timeout; a stopped endpoint silences the waiter
 // without firing it.
 func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
-	done := false
-	fail := func() {
-		if !done {
-			done = true
-			cb(ids.Nil, false)
-		}
-	}
-	timer := ep.env.After(helloTimeout, fail)
-	ep.helloWaiters = append(ep.helloWaiters, helloWaiter{
-		addr: addr,
-		cb: func(peer ids.ID) {
-			if !done {
-				done = true
-				timer.Cancel()
-				cb(peer, true)
-			}
-		},
-		cancel: func() { timer.Cancel() },
-	})
+	w := &helloWaiter{addr: addr, cb: cb}
+	expire := func() { ep.expire(w) }
+	w.timer = ep.env.After(helloTimeout, expire)
+	ep.helloWaiters = append(ep.helloWaiters, w)
 	ep.helloSent++
 	m := message.Acquire()
 	m.AddString(ns, elemHelloReq, "1")
@@ -141,9 +127,16 @@ func (ep *Endpoint) Hello(addr transport.Addr, cb func(peer ids.ID, ok bool)) {
 	if err != nil {
 		// Transport refused outright; fail on the next tick instead of the
 		// full timeout.
-		timer.Cancel()
-		timer = ep.env.After(0, fail)
+		w.timer.Cancel()
+		w.timer = ep.env.After(0, expire)
 	}
+}
+
+// expire fails a waiter whose timer fired: it leaves the list first, so the
+// endpoint is quiescent again when cb runs.
+func (ep *Endpoint) expire(w *helloWaiter) {
+	ep.helloWaiters = slices.DeleteFunc(ep.helloWaiters, func(x *helloWaiter) bool { return x == w })
+	w.cb(ids.Nil, false)
 }
 
 func (ep *Endpoint) handleHello(src ids.ID, msg *message.Message) {
@@ -162,15 +155,20 @@ func (ep *Endpoint) handleHello(src ids.ID, msg *message.Message) {
 	if !ok {
 		return
 	}
-	kept := ep.helloWaiters[:0]
-	for _, w := range ep.helloWaiters {
-		if w.addr == addr {
-			w.cb(src)
-			continue
+	// The answered waiters leave the list before any callback runs, so a
+	// callback that calls Hello again keeps its new waiter.
+	var answered []*helloWaiter
+	ep.helloWaiters = slices.DeleteFunc(ep.helloWaiters, func(w *helloWaiter) bool {
+		if w.addr != addr {
+			return false
 		}
-		kept = append(kept, w)
+		w.timer.Cancel()
+		answered = append(answered, w)
+		return true
+	})
+	for _, w := range answered {
+		w.cb(src, true)
 	}
-	ep.helloWaiters = kept
 }
 
 // ID returns the local peer ID.
@@ -206,7 +204,7 @@ func (ep *Endpoint) Transport() transport.Transport { return ep.tr }
 // node.
 func (ep *Endpoint) Stop() {
 	for _, w := range ep.helloWaiters {
-		w.cancel()
+		w.timer.Cancel()
 	}
 	ep.helloWaiters = nil
 }
@@ -246,23 +244,16 @@ func (ep *Endpoint) SetRouteSource(src RouteSource) { ep.view = src }
 // SourceMoved records that the route source now gives peer the address next
 // instead of prev ("" for none). A source's write is the last one written for
 // peer, so a stored route goes and the source answers. When the source stops
-// giving an address, its last write stays in the table, unless the table
-// already holds a later one: no route is ever evicted.
+// giving an address, its last write is stored, unless the table already
+// holds a later one: no route is ever evicted.
 func (ep *Endpoint) SourceMoved(peer ids.ID, prev, next transport.Addr) {
-	cur, stored := ep.routes.get(peer)
 	switch {
 	case next != "":
-		if stored {
-			ep.routes.del(peer)
-		}
-	case prev == "":
-		// The source gave no address and gives none.
-	case !stored:
-		ep.routes.put(peer, prev)
-	case cur == "":
-		// A dropped route of a peer the source no longer gives is no route
-		// at all.
 		ep.routes.del(peer)
+	case prev != "":
+		if _, stored := ep.routes.get(peer); !stored {
+			ep.routes.put(peer, prev)
+		}
 	}
 }
 
@@ -303,24 +294,11 @@ func setRoute[A transport.Addr | []byte](ep *Endpoint, peer ids.ID, addr A) {
 	ep.routes.put(peer, transport.Addr(addr))
 }
 
-// DropRoute forgets a route (lease expiry, crash suspicion). A peer the
-// route source gives an address keeps an empty one in the table, which
-// answers no route until something writes the peer's route again.
-func (ep *Endpoint) DropRoute(peer ids.ID) {
-	if ep.view != nil {
-		if _, ok := ep.view.Route(peer); ok {
-			ep.routes.put(peer, "")
-			return
-		}
-	}
-	ep.routes.del(peer)
-}
-
 // RouteTo reports the known route to a peer: the table's, which is the later
 // write when the source gives the peer an address too, else the source's.
 func (ep *Endpoint) RouteTo(peer ids.ID) (transport.Addr, bool) {
 	if a, ok := ep.routes.get(peer); ok {
-		return a, a != ""
+		return a, true
 	}
 	if ep.view != nil {
 		return ep.view.Route(peer)
@@ -336,14 +314,9 @@ func (ep *Endpoint) KnownPeers() []ids.ID {
 }
 
 // eachRouted calls f once for every peer with a direct route: the table's
-// peers but the dropped ones, then the source's peers the table does not
-// hold.
+// peers, then the source's peers the table does not hold.
 func (ep *Endpoint) eachRouted(f func(ids.ID)) {
-	ep.routes.each(func(p ids.ID, a transport.Addr) {
-		if a != "" {
-			f(p)
-		}
-	})
+	ep.routes.each(func(p ids.ID, _ transport.Addr) { f(p) })
 	if ep.view != nil {
 		ep.view.EachRouted(func(p ids.ID) {
 			if _, stored := ep.routes.get(p); !stored {

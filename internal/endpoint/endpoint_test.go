@@ -116,15 +116,6 @@ func TestUnknownServiceDrops(t *testing.T) {
 	}
 }
 
-func TestDropRoute(t *testing.T) {
-	_, _, a, b, _ := setup(t)
-	a.ep.AddRoute(b.id, b.tr.Addr())
-	a.ep.DropRoute(b.id)
-	if _, ok := a.ep.RouteTo(b.id); ok {
-		t.Fatal("route survived DropRoute")
-	}
-}
-
 func TestAddRouteIgnoresSelfAndEmpty(t *testing.T) {
 	_, _, a, b, _ := setup(t)
 	a.ep.AddRoute(a.id, "sim://rennes/a")

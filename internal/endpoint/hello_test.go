@@ -29,17 +29,39 @@ func TestHelloResolvesPeerID(t *testing.T) {
 	}
 }
 
+// requireNoWaiters fails the test unless every Hello has left the endpoint.
+func requireNoWaiters(t *testing.T, ep *Endpoint) {
+	t.Helper()
+	if len(ep.helloWaiters) != 0 || !ep.Quiescent() {
+		t.Fatalf("%d Hello waiters left, Quiescent() = %v", len(ep.helloWaiters), ep.Quiescent())
+	}
+}
+
+// TestHelloTimeoutOnDeadAddress retries from the failure callback, as a
+// node that keeps trying its seed would: each timed-out waiter leaves before
+// its callback runs, so the retry's waiter is the only one left, and none is
+// once the last attempt has failed.
 func TestHelloTimeoutOnDeadAddress(t *testing.T) {
 	sched, _, a, _, _ := setup(t)
-	var ok bool
-	done := false
-	a.ep.Hello("sim://rennes/ghost", func(_ ids.ID, o bool) {
-		ok, done = o, true
-	})
-	sched.Run(time.Minute)
-	if !done || ok {
-		t.Fatalf("hello to dead address: done=%v ok=%v", done, ok)
+	attempts, failures := 0, 0
+	var try func()
+	try = func() {
+		attempts++
+		a.ep.Hello("sim://rennes/ghost", func(_ ids.ID, ok bool) {
+			if !ok {
+				failures++
+			}
+			if attempts < 3 {
+				try()
+			}
+		})
 	}
+	try()
+	sched.Run(time.Minute)
+	if attempts != 3 || failures != 3 {
+		t.Fatalf("hello to dead address: %d attempts, %d failures, want 3 and 3", attempts, failures)
+	}
+	requireNoWaiters(t, a.ep)
 }
 
 func TestHelloSendFailureFailsFast(t *testing.T) {
@@ -54,6 +76,26 @@ func TestHelloSendFailureFailsFast(t *testing.T) {
 	if !done || ok {
 		t.Fatalf("closed-transport hello: done=%v ok=%v", done, ok)
 	}
+	requireNoWaiters(t, a.ep)
+}
+
+// TestHelloFromHelloCallback issues a second Hello to the same live peer
+// from the first one's callback: the answered waiter has left the list by
+// then, and the new one stays in it until its own answer arrives.
+func TestHelloFromHelloCallback(t *testing.T) {
+	sched, _, a, b, _ := setup(t)
+	var got []bool
+	a.ep.Hello(b.tr.Addr(), func(_ ids.ID, ok bool) {
+		got = append(got, ok)
+		a.ep.Hello(b.tr.Addr(), func(peer ids.ID, ok bool) {
+			got = append(got, ok && peer.Equal(b.id))
+		})
+	})
+	sched.Run(time.Minute)
+	if len(got) != 2 || !got[0] || !got[1] {
+		t.Fatalf("callbacks reported %v, want [true true]", got)
+	}
+	requireNoWaiters(t, a.ep)
 }
 
 func TestHelloMultipleWaitersSameAddr(t *testing.T) {

@@ -84,8 +84,7 @@ type route struct {
 // clients (forty each in the benchmark's edges-10k) and the waves of
 // departed members that churn brings. many is non-nil when it
 // holds more than routesFew routes, nil when it holds routesFew/2 or fewer,
-// and either in between. A stored empty address is a dropped route of a peer
-// the source gives (Endpoint.DropRoute).
+// and either in between.
 type routeTable struct {
 	few  []route
 	many map[ids.ID]transport.Addr

@@ -278,7 +278,7 @@ func TestHibernateKillRestartPromote(t *testing.T) {
 		o := buildIdleOverlay(t, 6)
 		defer o.StopAll()
 		e := o.Edges[0]
-		o.KillNode(e)
+		e.Kill()
 		if !e.Hibernating() || randResident(e) {
 			t.Fatal("a killed edge holds work in flight or an RNG register")
 		}

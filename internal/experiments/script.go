@@ -204,7 +204,7 @@ func (k *rollingKill) start(o *deploy.Overlay) {
 			return
 		}
 		if n := k.pick(); n != nil {
-			o.KillNode(n)
+			n.Kill()
 			k.killed++
 			if k.rejoin > 0 {
 				o.Sched.After(k.rejoin, func() { o.RestartNode(n) })

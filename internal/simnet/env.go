@@ -21,7 +21,7 @@ type NodeEnv struct {
 	seed int64
 	pos  uint64
 	// idx is the env's creation index; it keys the queue's per-node
-	// pending-callback ledger (PendingFor).
+	// pending-callback ledger (Pending).
 	idx int32
 }
 
@@ -33,19 +33,6 @@ var _ env.Env = (*NodeEnv)(nil)
 func (s *Scheduler) NewEnv(name string) *NodeEnv {
 	idx := s.q.AddOwner()
 	return &NodeEnv{s: s, name: name, seed: deriveSeed(s.seed, int64(idx)), idx: idx}
-}
-
-// PendingFor returns the number of live cancelable callbacks the given env
-// currently owns — every timer a node's services armed through env.After
-// that has neither fired nor been canceled. A leak-free node teardown
-// leaves this at zero, which the lifecycle regression tests assert.
-// (Fire-and-forget transport deliveries are network-owned, not node-owned,
-// and are not counted.)
-func (s *Scheduler) PendingFor(e *NodeEnv) int {
-	if e == nil || e.s != s {
-		return 0
-	}
-	return s.q.Owned(e.idx)
 }
 
 // Now implements env.Env.
@@ -60,9 +47,12 @@ func (n *NodeEnv) After(d time.Duration, fn func()) env.Event {
 	return n.s.q.Arm(n.s.now+max(d, 0), fn, n.idx)
 }
 
-// Pending returns the number of this env's own live callbacks; see
-// Scheduler.PendingFor.
-func (n *NodeEnv) Pending() int { return n.s.PendingFor(n) }
+// Pending returns the number of live cancelable callbacks this env owns —
+// every timer a node's services armed through After that has neither fired
+// nor been canceled. A leak-free node teardown leaves this at zero, which
+// the lifecycle regression tests assert. (Fire-and-forget transport
+// deliveries are network-owned, not node-owned, and are not counted.)
+func (n *NodeEnv) Pending() int { return n.s.q.Owned(n.idx) }
 
 // Locker implements env.Env: nil, as the event loop is the only context.
 func (n *NodeEnv) Locker() sync.Locker { return nil }

@@ -378,7 +378,7 @@ func TestPendingForLedger(t *testing.T) {
 	a := s.NewEnv("a")
 	b := s.NewEnv("b")
 
-	if s.PendingFor(a) != 0 || a.Pending() != 0 {
+	if a.Pending() != 0 {
 		t.Fatal("fresh env has pending callbacks")
 	}
 
@@ -387,23 +387,23 @@ func TestPendingForLedger(t *testing.T) {
 	b.After(time.Millisecond, func() {})
 	s.After(time.Millisecond, func() {}) // unowned: no ledger entry
 
-	if got := s.PendingFor(a); got != 2 {
-		t.Fatalf("PendingFor(a) = %d, want 2", got)
+	if got := a.Pending(); got != 2 {
+		t.Fatalf("a.Pending() = %d, want 2", got)
 	}
-	if got := s.PendingFor(b); got != 1 {
-		t.Fatalf("PendingFor(b) = %d, want 1", got)
+	if got := b.Pending(); got != 1 {
+		t.Fatalf("b.Pending() = %d, want 1", got)
 	}
 
 	if !ta.Cancel() {
 		t.Fatal("cancel failed")
 	}
-	if got := s.PendingFor(a); got != 1 {
-		t.Fatalf("PendingFor(a) after cancel = %d, want 1", got)
+	if got := a.Pending(); got != 1 {
+		t.Fatalf("a.Pending() after cancel = %d, want 1", got)
 	}
 
 	s.RunAll()
-	if s.PendingFor(a) != 0 || s.PendingFor(b) != 0 {
-		t.Fatalf("ledger nonzero after drain: a=%d b=%d", s.PendingFor(a), s.PendingFor(b))
+	if a.Pending() != 0 || b.Pending() != 0 {
+		t.Fatalf("ledger nonzero after drain: a=%d b=%d", a.Pending(), b.Pending())
 	}
 }
 
@@ -423,9 +423,9 @@ func TestPendingForRearm(t *testing.T) {
 		})
 	}
 	arm()
-	for s.PendingFor(e) > 0 {
-		if got := s.PendingFor(e); got != 1 {
-			t.Fatalf("mid-run PendingFor = %d, want 1", got)
+	for e.Pending() > 0 {
+		if got := e.Pending(); got != 1 {
+			t.Fatalf("mid-run Pending = %d, want 1", got)
 		}
 		s.Step()
 	}
@@ -435,16 +435,18 @@ func TestPendingForRearm(t *testing.T) {
 }
 
 // TestPendingForForeignEnv asserts the ledger is scoped to the scheduler
-// that created the env.
+// that created the env: the first env of another scheduler has the same
+// creation index and counts none of its callbacks.
 func TestPendingForForeignEnv(t *testing.T) {
 	s1 := NewScheduler(1)
 	s2 := NewScheduler(2)
 	e1 := s1.NewEnv("n")
+	e2 := s2.NewEnv("n")
 	e1.After(time.Second, func() {})
-	if got := s2.PendingFor(e1); got != 0 {
-		t.Fatalf("foreign PendingFor = %d, want 0", got)
+	if got := e2.Pending(); got != 0 {
+		t.Fatalf("foreign Pending = %d, want 0", got)
 	}
-	if got := s1.PendingFor(nil); got != 0 {
-		t.Fatalf("nil PendingFor = %d, want 0", got)
+	if got := e1.Pending(); got != 1 {
+		t.Fatalf("own Pending = %d, want 1", got)
 	}
 }

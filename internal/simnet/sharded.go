@@ -224,7 +224,7 @@ func (ss *ShardedScheduler) NewEnv(name string) *NodeEnv { return ss.NewEnvOn(0,
 
 // NewEnvOn creates a node environment pinned to the given shard. All of the
 // node's protocol callbacks execute inside that shard's windows, and its
-// pending-callback ledger (PendingFor leak gates) lives on that shard's
+// pending-callback ledger (Pending leak gates) lives on that shard's
 // scheduler. Envs must be created in a fixed global order for replay
 // determinism, as with the serial engine.
 func (ss *ShardedScheduler) NewEnvOn(shard int, name string) *NodeEnv {

@@ -354,7 +354,7 @@ func (p *Peer) Stop() { p.n.Stop() }
 // Kill crashes the peer: nothing is sent and its address stops answering;
 // the overlay discovers the death through its own timeouts. Restart heals
 // it.
-func (p *Peer) Kill() { p.sim.overlay.KillNode(p.n) }
+func (p *Peer) Kill() { p.n.Kill() }
 
 // Restart cold-restarts the peer in place (after Stop or Kill, or while
 // running): same ID and address, fresh protocol state — the peerview

@@ -32,7 +32,6 @@ var unlinkeds = []unlinked{
 	{"jxta/internal/document.Element.Clone", "part of the tree kept whole as the readers' reference (ROADMAP 16); document's TestCloneIsDeep and TestCloneNil"},
 	{"jxta/internal/document.Element.Each", "the tree is the readers' reference: advertisement's tree decoders read a Peer's addresses and a Resource's attributes with it"},
 	{"jxta/internal/document.Element.Equal", "TestStrictAgreesWithUnmarshal and the tree round trips compare decoded trees with it"},
-	{"jxta/internal/endpoint.Endpoint.DropRoute", "the route table's eviction, which ROADMAP 3(d)'s route ceiling needs; TestDropRoute, discovery's TestPushLedgerMatchesKeyLedger"},
 	{"jxta/internal/endpoint.Endpoint.KnownPeers", "an observable: FuzzDispatch holds dispatch to the routes it may change, and experiments' TestHibernatingEdgeReportsItsRoutes and TestAnsweredLookupsLeaveNothingPending read an edge's routes"},
 	{"jxta/internal/ids.SortIDs", "the tests' reference order, now that every table a node keeps in ID order is kept sorted: ids' TestSortIDsSmall and TestSortProperty, peerview's TestNeighborsAreAdjacentInIDOrder, discovery's TestReplicaConsistencyProperty and TestReplicaDistributionUniform, and rendezvous' walk tests and TestRosterAndSuccessorTakeTheLowestFreshIDs sort the view or the clients they expect"},
 	{"jxta/internal/metrics.Series.CSV", "an observable: experiments' peerviewFingerprint (the determinism goldens) hashes a series through it"},
