@@ -141,8 +141,8 @@ type Service struct {
 	// hop is nil until the first query: an idle edge pays one pointer for it.
 	hop *hopState
 
-	// seen dedups queries at a rendezvous, so the replica forward and the
-	// walk cannot double-process one, and deliveries at a publisher.
+	// seen dedups deliveries at a publisher (deliver). A rendezvous routes
+	// each query once and keeps no such set (routeQuery).
 	seen map[seenKey]bool
 
 	Stats Stats
@@ -406,7 +406,7 @@ func (s *Service) Stop() {
 // Reset clears the soft protocol state for a cold restart: the SRDI index
 // (a restarted rendezvous process starts empty; edges re-push on their next
 // lease), the delta-push ledger (every local advertisement is owed again,
-// forcing a full re-push) and the query dedup set. The local advertisement
+// forcing a full re-push) and the delivery dedup set. The local advertisement
 // cache is application data and survives.
 func (s *Service) Reset() {
 	if s.index != nil {
@@ -714,11 +714,20 @@ func (s *Service) scanCost() time.Duration {
 }
 
 // deliver answers a query from the local cache. Duplicate deliveries of the
-// same query (a range walk can reach this publisher through several
-// rendezvous) are answered once.
+// same query are answered once: a range walk, or an exact walk that hits in
+// both directions, forwards one query to this publisher from several
+// rendezvous.
 func (s *Service) deliver(q *resolver.Query, body queryBody) {
-	if !s.firstSight(seenKey{src: q.Src, qid: q.QID, deliver: true}) {
+	key := seenKey{src: q.Src, qid: q.QID}
+	if s.seen[key] {
 		return
+	}
+	if s.seen == nil {
+		s.seen = make(map[seenKey]bool)
+	}
+	s.seen[key] = true
+	if len(s.seen) > seenLimit {
+		s.seen = nil
 	}
 	var room [4]advertisement.Advertisement
 	var matches []advertisement.Advertisement
@@ -734,39 +743,23 @@ func (s *Service) deliver(q *resolver.Query, body queryBody) {
 	_ = s.res.Respond(q, s.encodeResponse(matches))
 }
 
-// seenKey identifies a query for dedup: its originator and query ID, and
-// whether this peer saw it as a router or, as the publisher, delivered it.
+// seenKey identifies a delivered query: its originator and query ID.
 type seenKey struct {
-	src     ids.ID
-	qid     uint64
-	deliver bool
+	src ids.ID
+	qid uint64
 }
 
 // seenLimit bounds the dedup set; queries are short-lived, so a coarse
 // reset is fine.
 const seenLimit = 16384
 
-// firstSight records a dedup key, reporting whether it was new.
-func (s *Service) firstSight(key seenKey) bool {
-	if s.seen[key] {
-		return false
-	}
-	if s.seen == nil {
-		s.seen = make(map[seenKey]bool)
-	}
-	s.seen[key] = true
-	if len(s.seen) > seenLimit {
-		s.seen = nil
-	}
-	return true
-}
-
-// routeQuery runs the rendezvous-side LC-DHT logic.
+// routeQuery runs the rendezvous-side LC-DHT logic. It sees a query at most
+// twice, each time at a different rendezvous: at the first hop, in the
+// initial stage, which forwards only when the replica is another peer, and
+// at that replica, in the replica stage, which never forwards again. A range
+// query is routed once, at its first hop. Walk hits go through
+// forwardToPublishers, never through here. So it dedups nothing.
 func (s *Service) routeQuery(q *resolver.Query, body queryBody) {
-	if !s.firstSight(seenKey{src: q.Src, qid: q.QID}) {
-		return
-	}
-
 	if body.stage == stageRange {
 		s.routeRange(q, body)
 		return

@@ -322,8 +322,9 @@ func TestRepublishAfterRdvFailover(t *testing.T) {
 // pure consumer — an edge that only looks things up — never allocates a map,
 // before, during or after a lookup. A publisher whose pushes have reached its
 // rendezvous holds no ledger either: the ledger is the debt, and it is paid.
-// Once the publisher answers a query it holds the dedup set; that is state.
-// The queries a rendezvous parks behind their scan cost drain by themselves.
+// Once the publisher answers a query it holds the delivery dedup set; that
+// is state. A rendezvous routes each query once and holds no dedup set. The
+// queries a rendezvous parks behind their scan cost drain by themselves.
 func TestReturnsToZeroState(t *testing.T) {
 	o, err := deploy.Build(deploy.Spec{
 		Seed: 41, NumRdv: 6, Topology: topology.Chain,
@@ -365,7 +366,11 @@ func TestReturnsToZeroState(t *testing.T) {
 
 	used := 0
 	for _, r := range o.Rdvs {
-		if _, parked, _ := r.Discovery.Tables(); parked == 0 {
+		_, parked, seen := r.Discovery.Tables()
+		if seen != -1 {
+			t.Fatalf("rendezvous %s holds a dedup set of %d queries", r.Config.Name, seen)
+		}
+		if parked == 0 {
 			used++ // parked a query behind its scan cost, drained since
 		} else if parked > 0 {
 			t.Fatalf("rendezvous %s still holds %d parked queries", r.Config.Name, parked)

@@ -12,8 +12,8 @@ const PushPeriod = pushInterval
 
 // Tables reports the sizes of the push debt (advertisements not yet pushed
 // to the current rendezvous), the queries parked behind their scan cost and
-// the query dedup set: -1 for a map that is not allocated, and for parked
-// queries when the service has never parked one (tests).
+// the publisher's delivery dedup set: -1 for a map that is not allocated,
+// and for parked queries when the service has never parked one (tests).
 func (s *Service) Tables() (unpushed, parked, seen int) {
 	unpushed, parked, seen = len(s.unpushed), -1, len(s.seen)
 	if s.unpushed == nil {

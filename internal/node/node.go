@@ -213,12 +213,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 	}
 	n.Metrics = Metrics{n}
 	if cfg.Role == Rendezvous {
-		n.rdvAdv = &advertisement.Rdv{
-			PeerID:  id,
-			GroupID: netPeerGroup,
-			Name:    cfg.Name,
-			Address: string(tr.Addr()),
-		}
+		n.rdvAdv = n.newRdvAdv()
 		n.PeerView = peerview.New(e, ep, cfg.AdvStore, n.rdvAdv, cfg.Peerview, cfg.Seeds)
 		n.Rendezvous = rendezvous.NewRendezvous(e, ep, n.PeerView, cfg.Lease)
 	} else {
@@ -246,7 +241,7 @@ func New(e env.Env, tr transport.Transport, cfg Config) *Node {
 
 // PromoteToRendezvous switches an edge node to the rendezvous role in
 // place, while it runs: a fresh peerview — seeded from the alternates the
-// dead rendezvous shared, plus the original seeds — starts if the node is
+// dead rendezvous shared, plus the edge's seeds — starts if the node is
 // up, the rendezvous service swaps roles (leases are granted from now on),
 // and discovery gains an SRDI index with the node's own advertisements
 // republished into it. Stop then halts the peerview where a node built as
@@ -258,22 +253,19 @@ func (n *Node) PromoteToRendezvous() {
 		return
 	}
 	n.Config.Role = Rendezvous
-	n.rdvAdv = &advertisement.Rdv{
-		PeerID:  n.ID,
-		GroupID: netPeerGroup,
-		Name:    n.Config.Name,
-		Address: string(n.Endpoint.Addr()),
-	}
+	n.rdvAdv = n.newRdvAdv()
 	// Re-seed the peerview from everything this peer knew about the
 	// overlay: the alternates from the final lease grant, the co-client
 	// roster (roster snapshots can diverge, so two clients of one dead
 	// rendezvous may both promote — probing the roster merges their views),
-	// and the configured seeds. Dead seeds cost a probe per interval while
-	// the view is unhappy, and bridge the view back together the moment a
-	// victim rejoins at its old address. A sole-rendezvous takeover starts
-	// empty and simply is the rendezvous network.
+	// and the lease client's seeds, configured or added at runtime. Dead
+	// seeds cost a probe per interval while the view is unhappy, and bridge
+	// the view back together the moment a victim rejoins at its old
+	// address. A sole-rendezvous takeover starts empty and simply is the
+	// rendezvous network. All three are read before Promote drops the
+	// client.
 	seeds := n.Rendezvous.Alternates()
-	for _, sd := range append(n.Rendezvous.Roster(), n.Config.Seeds...) {
+	for _, sd := range append(n.Rendezvous.Roster(), n.Rendezvous.Seeds()...) {
 		if !sd.ID.Equal(n.ID) && !slices.ContainsFunc(seeds, func(have peerview.Seed) bool { return have.ID.Equal(sd.ID) }) {
 			seeds = append(seeds, sd)
 		}
@@ -287,6 +279,12 @@ func (n *Node) PromoteToRendezvous() {
 	if n.RoleChanged != nil {
 		n.RoleChanged(n)
 	}
+}
+
+// newRdvAdv is the rendezvous advertisement this peer announces in the
+// NetPeerGroup.
+func (n *Node) newRdvAdv() *advertisement.Rdv {
+	return &advertisement.Rdv{PeerID: n.ID, GroupID: netPeerGroup, Name: n.Config.Name, Address: string(n.Endpoint.Addr())}
 }
 
 // Start brings the peer's services up, transport-nearest first. The

@@ -237,6 +237,31 @@ func TestPromoteStartsPeerviewOnlyWhenUp(t *testing.T) {
 	}
 }
 
+// TestPromotedNodeProbesItsRuntimeSeeds: an edge that learned its
+// rendezvous at runtime (AddSeed, the live join) and holds no configured
+// seed seeds its peerview from the lease client's list when promoted, so
+// the view reaches the rendezvous it leased from.
+func TestPromotedNodeProbesItsRuntimeSeeds(t *testing.T) {
+	sched, net, rdv, _ := newPair(t)
+	tr, err := net.Attach("joiner", netmodel.Lyon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joiner := New(sched.NewEnv("joiner"), tr, Config{Name: "joiner", Role: Edge})
+	rdv.Start()
+	joiner.Start()
+	joiner.AddSeed(rdv.Seed())
+	sched.Run(time.Minute)
+	if !rdv.Rendezvous.HasClient(joiner.ID) {
+		t.Fatal("the joiner holds no lease")
+	}
+	joiner.PromoteToRendezvous()
+	sched.Run(sched.Now() + 5*time.Minute)
+	if !joiner.PeerView.Contains(rdv.ID) || !rdv.PeerView.Contains(joiner.ID) {
+		t.Fatalf("promoted joiner's view holds %d members, not its rendezvous", joiner.PeerView.Size())
+	}
+}
+
 func TestPeerAdv(t *testing.T) {
 	_, _, rdv, _ := newPair(t)
 	adv := rdv.PeerAdv()

@@ -338,6 +338,10 @@ func (s *Service) Alternates() []peerview.Seed { return slices.Clone(s.cli.alter
 // Roster returns the last-known co-client roster (SelfHeal), sorted by ID.
 func (s *Service) Roster() []peerview.Seed { return slices.Clone(s.cli.roster) }
 
+// Seeds returns the edge's rendezvous seeds: the configured ones, then those
+// AddSeed added at runtime.
+func (s *Service) Seeds() []peerview.Seed { return slices.Clone(s.cli.seeds) }
+
 // Dormant reports whether the edge exhausted its failover budget and went
 // quiet (no candidate answered and no heal path applied). Connect revives.
 func (s *Service) Dormant() bool { return s.cli.dormant }

@@ -29,7 +29,6 @@ type server struct {
 	pv          *peerview.PeerView
 	clients     []clientLease // ascending ID, like the view: the ordering is the index (client)
 	clientSweep *env.Ticker
-	walkSeen    map[walkKey]bool
 	nextWalkID  uint64
 }
 
@@ -57,8 +56,8 @@ func (v *server) halt(graceful bool) {
 	}
 }
 
-// reset drops the leases and the walk dedup set. Walk IDs
-// keep increasing: other peers may remember this peer's walks from before.
+// reset drops the leases. Walk IDs keep increasing: no peer reads them, but
+// their bytes are part of each walk's simulated latency.
 func (v *server) reset() {
 	*v = server{core: v.core, pv: v.pv, clientSweep: v.clientSweep, nextWalkID: v.nextWalkID}
 }

@@ -14,7 +14,7 @@ const (
 	elemTTL     = "TTL"
 	elemSvc     = "Svc"    // target endpoint service at each hop
 	elemPayload = "Body"   // embedded message bytes
-	elemOrigin  = "Origin" // originating peer (dedup / diagnostics)
+	elemOrigin  = "Origin" // originating peer, handed to the walk handler
 	elemWalkID  = "WID"    // walk instance ID
 )
 
@@ -70,7 +70,13 @@ func (s *Service) receiveWalk(src ids.ID, m *message.Message) {
 	}
 }
 
-// next returns the view neighbour a walk in direction dir goes to, or Nil.
+// next returns the view neighbour a walk in direction dir goes to, or Nil:
+// the nearest view member strictly above the local ID (Up) or strictly
+// below it (Down). It is never the local peer, because the peerview's hear
+// refuses self. So every hop moves one way along the ID order, whatever the
+// views along the walk hold: no walk can revisit a peer, and the up and
+// down walks of one query never meet. That is why receiveWalk remembers no
+// walk.
 func (v *server) next(dir Direction) ids.ID {
 	lower, upper := v.pv.Neighbors()
 	if dir == Down {
@@ -118,52 +124,24 @@ func readWalkHeader(m *message.Message) (h walkHeader) {
 	return h
 }
 
-// walkSeenLimit bounds the walk dedup set; walks are short-lived, so a
-// coarse reset is fine.
-const walkSeenLimit = 8192
-
 // maxWalkID is the longest walk ID a node writes: a short peer ID (8 hex
-// digits), '-' and a decimal uint64.
+// digits), '-' and a decimal uint64. No peer reads the ID; it travels
+// because its bytes are part of every hop's simulated latency.
 const maxWalkID = 8 + 1 + 20
-
-// walkKey is a walk ID as a fixed-size map key, its length and then its
-// bytes, so remembering one allocates nothing. It tells apart any two IDs of
-// at most maxWalkID bytes.
-type walkKey [1 + maxWalkID]byte
-
-// walkKeyOf returns the key of a walk ID, or false for an ID no node writes:
-// an empty one or one longer than maxWalkID.
-func walkKeyOf(wid []byte) (k walkKey, ok bool) {
-	if len(wid) == 0 || len(wid) > maxWalkID {
-		return k, false
-	}
-	k[0] = byte(len(wid))
-	copy(k[1:], wid)
-	return k, true
-}
 
 // receiveWalk consumes a walked message: hand it to the walk handler, then
 // forward along the same direction using *this* peer's peerview (each hop
 // re-reads its own view, exactly how the LC-DHT fallback walks a partially
-// consistent overlay). The header is read as bytes and the embedded body is
-// decoded in place into a pooled message, and the dedup key is a value, so a
-// relayed hop allocates nothing here but the dedup set's growth.
+// consistent overlay). No honest walk arrives here twice (see next), so none
+// is remembered. The header is read as bytes and the embedded body is decoded
+// in place into a pooled message, so a relayed hop allocates nothing here.
+// A walk with no ID, or one longer than any a node writes, is malformed;
+// a walk whose next hop is its sender forged its direction.
 func (v *server) receiveWalk(src ids.ID, m *message.Message) {
 	h := readWalkHeader(m)
 	ttl, err := strconv.Atoi(string(h.ttl))
-	if err != nil || ttl <= 0 {
+	if err != nil || ttl <= 0 || len(h.wid) == 0 || len(h.wid) > maxWalkID {
 		return
-	}
-	key, ok := walkKeyOf(h.wid)
-	if !ok || v.walkSeen[key] {
-		return // malformed, or the loop guard on inconsistent views
-	}
-	if v.walkSeen == nil {
-		v.walkSeen = make(map[walkKey]bool)
-	}
-	v.walkSeen[key] = true
-	if len(v.walkSeen) > walkSeenLimit {
-		v.walkSeen = nil
 	}
 	originID, err := ids.ParseBytes(h.origin)
 	if err != nil || !h.hasPayload {

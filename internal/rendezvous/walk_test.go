@@ -2,16 +2,20 @@ package rendezvous
 
 import (
 	"bytes"
-	"encoding/hex"
+	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"jxta/internal/advertisement"
+	"jxta/internal/advstore"
 	"jxta/internal/endpoint"
 	"jxta/internal/ids"
 	"jxta/internal/message"
 	"jxta/internal/netmodel"
+	"jxta/internal/peerview"
 	"jxta/internal/simnet"
 	"jxta/internal/transport"
 )
@@ -153,12 +157,14 @@ func TestWalkHeaderOutcomes(t *testing.T) {
 					t.Errorf("sent on with %s=%q, want %q", name, got, want)
 				}
 			}
-			// The same walk arriving again — an inconsistent view looped it —
-			// is dropped whole.
-			got, r.sent = nil, nil
+			// The same walk arriving again is handled and sent on again: no
+			// walk can revisit a peer (TestWalkMovesStrictlyAlongTheIDOrder),
+			// so a rendezvous remembers none.
+			got, r.sent, r.sentTo = nil, nil, nil
 			r.mid.svc.receiveWalk(ids.FromName(ids.KindPeer, "previous hop"), c.msg)
-			if got != nil || len(r.sent) != 0 {
-				t.Fatal("a walk seen before was handled or sent on again")
+			if handled := got != nil; handled != c.want.handled || (handled && got.dir != c.want.dir) ||
+				len(r.sent) != 1 || r.sentTo[0] != next.tr.Addr() || r.sent[0].GetString(walkNS, elemTTL) != c.want.fwdTTL {
+				t.Fatalf("the same walk arriving again: handler outcome %+v, %d sent on", got, len(r.sent))
 			}
 		})
 	}
@@ -204,10 +210,7 @@ func TestWalkBodyIsOnLoan(t *testing.T) {
 }
 
 // FuzzReceiveWalk feeds receiveWalk arbitrary header bytes: it must not
-// panic, must keep the walk dedup set inside its bound, must remember no walk
-// ID longer than maxWalkID, and must keep no reference to the header it read
-// (the one thing it stores, the walk ID's key, is compared after the input
-// has been overwritten).
+// panic, whatever it hands on or drops.
 func FuzzReceiveWalk(f *testing.F) {
 	urn := ids.FromName(ids.KindPeer, "origin").String()
 	body := message.New().AddString("disco", "Key", "k").Marshal()
@@ -217,95 +220,164 @@ func FuzzReceiveWalk(f *testing.F) {
 	f.Add([]byte("up"), []byte("99999999999999999999"), []byte("svc"), []byte(urn[:40]), []byte("\xff\x00"), body[:len(body)/2])
 	var rig *walkRig
 	f.Fuzz(func(t *testing.T, dir, ttl, svc, origin, wid, payload []byte) {
-		if rig == nil || len(rig.mid.svc.srv.walkSeen) > 64 {
+		if rig == nil {
 			rig = newWalkRig(t) // building one takes milliseconds: share it
 			rig.mid.svc.SetWalkHandler("svc", func(ids.ID, Direction, *message.Message) bool { return false })
 		}
-		s := rig.mid.svc
-		before := len(s.srv.walkSeen)
 		m := message.New().Add(walkNS, elemDir, dir).Add(walkNS, elemTTL, ttl).Add(walkNS, elemSvc, svc).
 			Add(walkNS, elemOrigin, origin).Add(walkNS, elemWalkID, wid).Add(walkNS, elemPayload, payload)
-		key, _ := walkKeyOf(wid)
-		s.receiveWalk(ids.FromName(ids.KindPeer, "previous hop"), m)
-		if grown := len(s.srv.walkSeen) - before; grown > 1 || len(s.srv.walkSeen) > walkSeenLimit || (grown == 1 && len(wid) > maxWalkID) {
-			t.Fatalf("walk dedup set grew by %d to %d on a walk ID of %d bytes", grown, len(s.srv.walkSeen), len(wid))
-		}
-		stored := s.srv.walkSeen[key]
-		for _, in := range [][]byte{dir, ttl, svc, origin, wid, payload} {
-			for i := range in {
-				in[i] ^= 0xff
-			}
-		}
-		if s.srv.walkSeen[key] != stored {
-			t.Fatalf("walk ID %q left the dedup set when the header was overwritten", key[1:1+key[0]])
-		}
+		rig.mid.svc.receiveWalk(ids.FromName(ids.KindPeer, "previous hop"), m)
 		rig.sent, rig.sentTo = nil, nil
 	})
 }
 
-// TestWalkSeenStaysBounded: walk IDs come off the wire; the set that
-// remembers them holds each until it resets, rather than grow past its
-// limit.
-func TestWalkSeenStaysBounded(t *testing.T) {
-	r := newWalkRig(t)
-	urn := ids.FromName(ids.KindPeer, "origin").String()
-	body := string(message.New().Marshal())
-	wid := []byte("w-00000")
-	for i := 0; i < walkSeenLimit+10; i++ {
-		for j := len(wid) - 1; ; j-- { // next decimal
-			if wid[j]++; wid[j] <= '9' {
-				break
+// viewTier is one started rendezvous per ID whose peerview loop never runs,
+// so a view holds exactly the members a test gives it: learn(p, q) sends q's
+// advertisement to p as a peerview update, which p admits and answers with
+// nothing.
+type viewTier struct {
+	sched *simnet.Scheduler
+	net   *transport.Network
+	peers []*rdvPeer // in the order of the IDs given
+	advs  [][]byte
+}
+
+func newViewTier(t *testing.T, peerIDs []ids.ID) *viewTier {
+	t.Helper()
+	sched := simnet.NewScheduler(5)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	vt := &viewTier{sched: sched, net: net}
+	for i, id := range peerIDs {
+		name := fmt.Sprintf("rdv%d", i)
+		e := sched.NewEnv(name)
+		tr, err := net.Attach(name, netmodel.Site(i%netmodel.NumSites))
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv := &advertisement.Rdv{PeerID: id, GroupID: testGroup, Name: name, Address: string(tr.Addr())}
+		wire, err := advertisement.AppendXML(nil, adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep := endpoint.New(e, id, tr)
+		pv := peerview.New(e, ep, advstore.New(), adv, peerview.DefaultConfig(), nil)
+		svc := NewRendezvous(e, ep, pv, DefaultConfig())
+		svc.Start()
+		vt.peers = append(vt.peers, &rdvPeer{id: id, ep: ep, pv: pv, svc: svc, tr: tr})
+		vt.advs = append(vt.advs, wire)
+	}
+	return vt
+}
+
+// learn puts peer q into peer p's view.
+func (vt *viewTier) learn(p, q int) {
+	vt.peers[q].ep.AddRoute(vt.peers[p].id, vt.peers[p].tr.Addr())
+	m := message.New().AddString("pv", "Type", "update").Add("pv", "RdvAdv", vt.advs[q])
+	_ = vt.peers[q].ep.Send(vt.peers[p].id, peerview.ServiceName, m)
+}
+
+// TestWalkMovesStrictlyAlongTheIDOrder is the invariant that lets a
+// rendezvous remember no walk: over views that are random subsets of the
+// tier, deliberately inconsistent with each other, every up walk visits
+// strictly increasing IDs and every down walk strictly decreasing ones,
+// starting past its origin, so no peer handles a walk, or the other
+// direction's walk of the same query, twice.
+func TestWalkMovesStrictlyAlongTheIDOrder(t *testing.T) {
+	const n = 24
+	rng := rand.New(rand.NewSource(3))
+	tierIDs := make([]ids.ID, n)
+	for i := range tierIDs {
+		tierIDs[i] = ids.NewRandom(ids.KindPeer, rng)
+	}
+	vt := newViewTier(t, tierIDs)
+	for p := range vt.peers {
+		for _, q := range rng.Perm(n)[:2+rng.Intn(6)] {
+			if q != p {
+				vt.learn(p, q)
 			}
-			wid[j] = '0'
 		}
-		r.mid.svc.receiveWalk(r.low.id, walkOf(elemDir, "up", elemTTL, "1", elemOrigin, urn, elemWalkID, string(wid), elemPayload, body))
-		seen := r.mid.svc.srv.walkSeen
-		if n := len(seen); n > walkSeenLimit {
-			t.Fatalf("walk dedup set holds %d IDs, limit %d", n, walkSeenLimit)
+	}
+	vt.sched.Run(vt.sched.Now() + time.Second)
+	type visit struct {
+		peer ids.ID
+		dir  Direction
+	}
+	visits := map[string][]visit{} // by walk, in the order handled
+	for _, p := range vt.peers {
+		at := p.id
+		p.svc.SetWalkHandler("svc", func(_ ids.ID, dir Direction, b *message.Message) bool {
+			w := b.GetString("test", "walk")
+			visits[w] = append(visits[w], visit{at, dir})
+			return false
+		})
+	}
+	for i, p := range vt.peers {
+		body := message.New().AddString("test", "walk", strconv.Itoa(i))
+		p.svc.Walk(Up, n+1, "svc", body)
+		p.svc.Walk(Down, n+1, "svc", body)
+	}
+	vt.sched.Run(vt.sched.Now() + time.Minute)
+	hops := 0
+	for i, origin := range vt.peers {
+		last := map[Direction]ids.ID{Up: origin.id, Down: origin.id}
+		handled := map[ids.ID]bool{origin.id: true}
+		for _, v := range visits[strconv.Itoa(i)] {
+			if c := v.peer.Compare(last[v.dir]); (v.dir == Up && c <= 0) || (v.dir == Down && c >= 0) {
+				t.Fatalf("walk %d %s went from %s to %s", i, v.dir, last[v.dir].Short(), v.peer.Short())
+			}
+			if handled[v.peer] {
+				t.Fatalf("walk %d visited %s twice", i, v.peer.Short())
+			}
+			last[v.dir], handled[v.peer] = v.peer, true
+			hops++
 		}
-		if key, _ := walkKeyOf(wid); seen != nil && !seen[key] {
-			t.Fatalf("walk ID %s is not in the dedup set, which was not reset", wid)
-		}
+	}
+	if hops < 2*n {
+		t.Fatalf("%d hops in all for %d walks: the views hold too little to test", hops, 2*n)
 	}
 }
 
-// TestWalkSeenMatchesAStringSet holds the fixed-size dedup key to the set of
-// strings it replaced: over walk IDs as nodes write them, with repeats, IDs
-// that differ only in length or in a trailing byte, the longest ID a node
-// writes, and a run past walkSeenLimit that resets the set, receiveWalk hands
-// a walk to its handler exactly when a map[string]bool, reset at the same
-// size, has not seen its ID. An ID longer than maxWalkID is no node's, and is
-// dropped.
-func TestWalkSeenMatchesAStringSet(t *testing.T) {
-	r := newWalkRig(t)
-	handled := false
-	r.mid.svc.SetWalkHandler("svc", func(ids.ID, Direction, *message.Message) bool { handled = true; return false })
-	urn := ids.FromName(ids.KindPeer, "origin").String()
-	body := string(message.New().Marshal())
-	var wids []string
-	early := []string{"0123abcd-1", "0123abcd-1", "0123abcd-10", "0123abcd-1\x00", "0123abce-1", "nil-1",
-		"0123abcd-18446744073709551615", "0123abcd-18446744073709551615", "0123abcd-184467440737095516150"}
-	wids = append(wids, early...)
-	var id [4]byte
-	for i := 0; i < walkSeenLimit+100; i++ {
-		id[i%4]++
-		wids = append(wids, string(strconv.AppendInt(append(hex.AppendEncode(nil, id[:]), '-'), int64(i), 10)))
+// TestWalksFromOneShortIDBothArrive: a walk ID is the origin's short ID and
+// a counter, so two origins whose IDs share their leading 32 bits write the
+// same ID for their first walk. Both walks are handled at the rendezvous
+// they pass through.
+func TestWalksFromOneShortIDBothArrive(t *testing.T) {
+	byPrefix := map[uint32]ids.ID{}
+	var a, b ids.ID
+	for i := 0; a.IsNil(); i++ {
+		id := ids.FromName(ids.KindPeer, "twin"+strconv.Itoa(i))
+		if twin, ok := byPrefix[id.Prefix()]; ok {
+			a, b = twin, id
+		}
+		byPrefix[id.Prefix()] = id
 	}
-	wids = append(wids, early...) // after the reset: unseen again
-	ref := map[string]bool{}
-	for i, wid := range wids {
-		var want bool // the handler runs
-		if len(wid) <= maxWalkID {
-			want = !ref[wid]
-			ref[wid] = true
-			if len(ref) > walkSeenLimit {
-				ref = map[string]bool{}
-			}
+	top := ids.FromName(ids.KindPeer, "top")
+	for i := 0; top.Compare(a) <= 0 || top.Compare(b) <= 0; i++ {
+		top = ids.FromName(ids.KindPeer, "top"+strconv.Itoa(i))
+	}
+	vt := newViewTier(t, []ids.ID{a, b, top})
+	vt.learn(0, 2)
+	vt.learn(1, 2)
+	vt.sched.Run(vt.sched.Now() + time.Second)
+	var from []ids.ID
+	vt.peers[2].svc.SetWalkHandler("svc", func(origin ids.ID, _ Direction, _ *message.Message) bool {
+		from = append(from, origin)
+		return false
+	})
+	var wids []string
+	vt.net.OnSend = func(_, _ transport.Addr, m *message.Message) {
+		if endpoint.ServiceOf(m) == WalkService {
+			wids = append(wids, m.GetString(walkNS, elemWalkID))
 		}
-		handled = false
-		r.mid.svc.receiveWalk(r.low.id, walkOf(elemDir, "up", elemTTL, "1", elemSvc, "svc", elemOrigin, urn, elemWalkID, wid, elemPayload, body))
-		if handled != want {
-			t.Fatalf("walk %d, ID %q: handled %v, a string set says %v", i, wid, handled, want)
-		}
+	}
+	for _, p := range vt.peers[:2] {
+		p.svc.Walk(Up, 3, "svc", message.New().AddString("test", "walk", "x"))
+	}
+	vt.sched.Run(vt.sched.Now() + time.Second)
+	if len(wids) != 2 || wids[0] != wids[1] {
+		t.Fatalf("the two first walks carry IDs %q", wids)
+	}
+	if len(from) != 2 || !from[0].Equal(a) || !from[1].Equal(b) {
+		t.Fatalf("walks %s from %s and %s: handled at the rendezvous above them from %v", wids[0], a.Short(), b.Short(), from)
 	}
 }
