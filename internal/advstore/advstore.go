@@ -89,15 +89,29 @@ func keyOf(data []byte) key {
 // Shared is one interned advertisement: a refcounted handle on the
 // canonical decoded instance and, once retained, its canonical encoding.
 // Both are shared with every other holder and must not be mutated.
+//
+// The handle is one 80-byte object (TestSharedFitsItsSizeClass): the
+// encoding's slice header is held inline, not behind a pointer of its own,
+// and published through state, so a first encode allocates only its bytes.
 type Shared struct {
 	store *Store // nil for private (untabled) handles
 	key   key
 	adv   advertisement.Advertisement
-	refs  int64 // guarded by store.mu
-	// enc is the retained canonical encoding, nil until InternBytes or
-	// the first Bytes call fills it; never replaced once set.
-	enc atomic.Pointer[[]byte]
+	// held is the retained canonical encoding: written once, by newShared
+	// or by the Bytes call that claims state, and read only once state
+	// reads encoded.
+	held  []byte
+	refs  int32 // guarded by store.mu
+	state atomic.Uint32
 }
+
+// Shared.state: a handle's encoding is unset, being written by the one
+// Bytes call that claimed it, or set and never replaced.
+const (
+	unencoded uint32 = iota
+	encoding
+	encoded
+)
 
 // Store is one interning table. The zero value is not usable; use New.
 // Safe for concurrent use: sharded simulations intern from parallel
@@ -163,22 +177,21 @@ func (s *Store) InternBytes(wire []byte) (*Shared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.intern(adv, enc, &enc), nil
+	return s.intern(adv, enc, enc), nil
 }
 
 // intern files adv under its canonical encoding enc, which it only reads:
-// enc may be the caller's stack buffer. keep, if not nil, holds a copy of
-// enc of its own, which a new handle retains.
-func (s *Store) intern(adv advertisement.Advertisement, enc []byte, keep *[]byte) *Shared {
+// enc may be the caller's stack buffer. keep, if not nil, is enc again in a
+// slice of the caller's own, which a new handle retains; a separate
+// parameter, so that enc does not escape.
+func (s *Store) intern(adv advertisement.Advertisement, enc, keep []byte) *Shared {
 	k := keyOf(enc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sh, ok := s.byKey[k]; ok {
-		var held []byte
+		held := sh.retained()
 		if keep != nil {
 			held = sh.Bytes()
-		} else if p := sh.enc.Load(); p != nil {
-			held = *p
 		}
 		if held != nil && !bytes.Equal(held, enc) {
 			// A different document under the same key: never alias.
@@ -195,14 +208,23 @@ func (s *Store) intern(adv advertisement.Advertisement, enc []byte, keep *[]byte
 	return sh
 }
 
-// newShared builds a handle holding one reference, retaining keep's
-// encoding unless keep is nil.
-func newShared(s *Store, k key, adv advertisement.Advertisement, keep *[]byte) *Shared {
+// newShared builds a handle holding one reference, retaining the encoding
+// keep unless it is nil.
+func newShared(s *Store, k key, adv advertisement.Advertisement, keep []byte) *Shared {
 	sh := &Shared{store: s, key: k, adv: adv, refs: 1}
 	if keep != nil {
-		sh.enc.Store(keep)
+		sh.held = keep
+		sh.state.Store(encoded)
 	}
 	return sh
+}
+
+// retained returns the handle's encoding if one is set, nil if not.
+func (sh *Shared) retained() []byte {
+	if sh.state.Load() == encoded {
+		return sh.held
+	}
+	return nil
 }
 
 // Adv returns the canonical instance. Read-only by contract: it is
@@ -215,17 +237,18 @@ func (sh *Shared) Adv() advertisement.Advertisement { return sh.adv }
 // hand to message.Add without copying. Nil for an advertisement that
 // cannot be encoded. Safe for concurrent use.
 func (sh *Shared) Bytes() []byte {
-	if p := sh.enc.Load(); p != nil {
-		return *p
+	if held := sh.retained(); held != nil {
+		return held
 	}
 	enc, err := advertisement.EncodeXML(sh.adv)
 	if err != nil {
 		return nil
 	}
-	// The encoding is deterministic, so whichever racer's copy lands is
-	// the same bytes; keep the first so earlier callers' slices stay live.
-	if !sh.enc.CompareAndSwap(nil, &enc) {
-		return *sh.enc.Load()
+	// The encoding is deterministic, so a racer that loses the claim
+	// returns its own copy of the same bytes.
+	if sh.state.CompareAndSwap(unencoded, encoding) {
+		sh.held = enc
+		sh.state.Store(encoded)
 	}
 	return enc
 }

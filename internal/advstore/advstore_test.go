@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"jxta/internal/advertisement"
 	"jxta/internal/ids"
@@ -148,4 +149,37 @@ func TestInternAllocs(t *testing.T) {
 		}
 		held.Release()
 	}
+}
+
+// TestSharedFitsItsSizeClass: every distinct advertisement a node holds is
+// one handle, so its size is what each costs beside the advertisement. The
+// handle holds its encoding's slice header inline, which a pointer to a
+// header of its own cost one more object per first encode; with refs an
+// int32 beside the 4-byte state word it fills the 80-byte class, where one
+// more word puts every handle in the 96-byte class.
+func TestSharedFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Shared{}); size != 80 {
+		t.Fatalf("Shared is %d bytes, not the 80 of its size class", size)
+	}
+}
+
+// TestFirstBytesAllocs: a handle's first encode costs its bytes and nothing
+// beside them; every later call returns them without allocating.
+func TestFirstBytesAllocs(t *testing.T) {
+	s := New()
+	a := resAdv("cpu")
+	var sh *Shared
+	if got := testing.AllocsPerRun(100, func() {
+		sh = s.Intern(a)
+		sh.Bytes()
+		sh.Release()
+	}); got != 2 {
+		t.Errorf("Intern and a first Bytes cost %.0f objects, want 2: the handle and the encoding", got)
+	}
+	sh = s.Intern(a)
+	sh.Bytes()
+	if got := testing.AllocsPerRun(100, func() { sh.Bytes() }); got != 0 {
+		t.Errorf("a retained Bytes costs %.0f objects, want 0", got)
+	}
+	sh.Release()
 }

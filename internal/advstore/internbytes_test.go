@@ -83,7 +83,7 @@ func foreignForm(canon []byte) []byte {
 	return []byte(out.String())
 }
 
-func refsOf(sh *Shared) int64 {
+func refsOf(sh *Shared) int32 {
 	sh.store.mu.Lock()
 	defer sh.store.mu.Unlock()
 	return sh.refs
@@ -310,7 +310,7 @@ func TestInternBytesRefcountModelProperty(t *testing.T) {
 					t.Fatalf("step %d: document %d held through two handles", step, i)
 				}
 			}
-			if got := refsOf(hs[0]); got != int64(len(hs)) {
+			if got := refsOf(hs[0]); got != int32(len(hs)) {
 				t.Fatalf("step %d: document %d refs = %d, holders = %d", step, i, got, len(hs))
 			}
 		}
@@ -329,17 +329,21 @@ func TestInternBytesRefcountModelProperty(t *testing.T) {
 }
 
 // Bytes fills lazily from any number of goroutines (shard workers sending
-// referrals) while others intern the same bytes; run under -race.
+// referrals) while others intern the same bytes; run under -race. They are
+// released at once, so that several race for the first encode: one claims
+// the handle and sets it, the others return copies of their own.
 func TestBytesConcurrentLazyFill(t *testing.T) {
 	s := New()
 	a := resAdv("cpu")
 	enc := mustEncode(t, a)
 	sh := s.Intern(a)
+	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
 			for i := 0; i < 200; i++ {
 				if !bytes.Equal(sh.Bytes(), enc) {
 					t.Errorf("Bytes = %q", sh.Bytes())
@@ -356,7 +360,11 @@ func TestBytesConcurrentLazyFill(t *testing.T) {
 			}
 		}(g)
 	}
+	close(start)
 	wg.Wait()
+	if !bytes.Equal(sh.retained(), enc) {
+		t.Fatalf("the handle retained %q", sh.retained())
+	}
 	sh.Release()
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", s.Len())

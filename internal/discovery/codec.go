@@ -210,12 +210,14 @@ func (s *Service) encodeResponse(matches []advertisement.Advertisement) []byte {
 }
 
 // cacheResponse files the advertisements of a response in the local cache
-// and returns them. The response is split without decoding and each
+// and appends them to dst. The response is split without decoding and each
 // advertisement goes to the cache still encoded, where the interning store
 // recognises one it already holds from its bytes — in a simulated overlay
 // that is the publisher's own copy, so the requester decodes nothing. A
-// malformed response yields nil and leaves the cache untouched.
-func (s *Service) cacheResponse(data []byte) []advertisement.Advertisement {
+// malformed response returns dst and false and leaves the cache untouched;
+// a well-formed one reports true, whether or not it held an advertisement
+// this node reads.
+func (s *Service) cacheResponse(dst []advertisement.Advertisement, data []byte) ([]advertisement.Advertisement, bool) {
 	var room [4][]byte
 	encoded := room[:0]
 	r := document.Strict{Rest: data}
@@ -225,14 +227,13 @@ func (s *Service) cacheResponse(data []byte) []advertisement.Advertisement {
 	}
 	r.Close(responseTag)
 	if !r.Done() {
-		return nil
+		return dst, false
 	}
-	var advs []advertisement.Advertisement
 	for _, enc := range encoded {
 		// A child that is no advertisement this node reads is skipped.
 		if adv, err := s.cache.PutEncoded(enc, advertisement.DefaultExpiration, false); err == nil {
-			advs = append(advs, adv)
+			dst = append(dst, adv)
 		}
 	}
-	return advs
+	return dst, true
 }

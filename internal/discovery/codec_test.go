@@ -104,7 +104,7 @@ func TestResponseCodecRoundTrip(t *testing.T) {
 	for _, adv := range advs {
 		pub.cache.Put(adv, 0, true)
 	}
-	back := req.cacheResponse(pub.encodeResponse(advs))
+	back, _ := req.cacheResponse(nil, pub.encodeResponse(advs))
 	if len(back) != 2 {
 		t.Fatalf("decoded %d advs", len(back))
 	}
@@ -121,11 +121,12 @@ func TestDecodeResponseSkipsUnknownChildren(t *testing.T) {
 	xml := `<disco:R><jxta:Mystery><X>1</X></jxta:Mystery><jxta:PA><PID>` +
 		ids.FromName(ids.KindPeer, "p").String() +
 		`</PID><Name>ok</Name></jxta:PA></disco:R>`
-	back := codecService().cacheResponse([]byte(xml))
+	back, _ := codecService().cacheResponse(nil, []byte(xml))
 	if len(back) != 1 || back[0].(*advertisement.Peer).Name != "ok" {
 		t.Fatalf("partial decode wrong: %v", back)
 	}
-	if svc := codecService(); svc.cacheResponse([]byte("<bad")) != nil || svc.cache.Len() != 0 {
+	svc := codecService()
+	if advs, ok := svc.cacheResponse(nil, []byte("<bad")); ok || advs != nil || svc.cache.Len() != 0 {
 		t.Fatal("garbage response decoded")
 	}
 }

@@ -93,6 +93,12 @@ type BusySink interface {
 }
 
 // Result delivers the outcome of a discovery query.
+//
+// Advs is lent for the duration of the callback, as a transport.Handler is
+// lent its message: the service reuses the slice for the next response and
+// clears it when the callback returns. The advertisements themselves are
+// the caller's to keep; a caller that keeps the list copies it
+// (slices.Clone), or its elements.
 type Result struct {
 	Advs    []advertisement.Advertisement
 	From    ids.ID
@@ -262,13 +268,17 @@ func (s *Service) Start() {
 	s.ticker = env.NewTicker(s.env, pushInterval, func() { s.cache.GC(); s.pushAll(false) })
 }
 
-// hopState is what handling queries reuses, made on the first one: parked
-// queries, free records, scratch for a query and for a response encoded to be
-// sent at once, and the free lookup records.
+// hopState is what handling queries and publishing reuse, made on the first
+// of either: parked queries, free records, scratch for a query and for a
+// response encoded to be sent at once, the free lookup records, the list a
+// response's advertisements are lent to a callback in and the tuples of a
+// publish.
 type hopState struct {
 	parked, free      []*parkedQuery
 	payload, response []byte
 	lookups           []*lookup
+	advs              []advertisement.Advertisement
+	tuples            []srdi.Tuple
 }
 
 // lookup is a remote query this peer issued, until the resolver is done with
@@ -306,20 +316,28 @@ func (h *hopState) release(l *lookup) {
 	h.lookups = append(h.lookups, l)
 }
 
-// answer files a response's advertisements in the cache and hands them to
-// the caller, with the round trip's latency.
+// answer files a response's advertisements in the cache and lends them to
+// the caller, with the round trip's latency. The list is the hop state's,
+// taken from it while cb runs and cleared when cb returns, so that it pins
+// no advertisement.
 func (l *lookup) answer(data []byte, from ids.ID, hops int) {
 	s, cb := l.s, l.cb
+	h := s.hop
 	elapsed := s.env.Now() - l.start
 	if !l.collect {
-		s.hop.release(l) // before cb, which may issue the next lookup
+		h.release(l) // before cb, which may issue the next lookup
 	}
-	advs := s.cacheResponse(data)
+	advs, _ := s.cacheResponse(h.advs[:0], data)
+	h.advs = nil
 	if s.latency == nil {
 		s.latency = metrics.NewHistogram(nil)
 	}
 	s.latency.Observe(elapsed.Seconds())
-	cb(Result{Advs: advs, From: from, Elapsed: elapsed, Hops: hops})
+	// Lent at its length: an append by cb copies instead of writing into
+	// the spare room.
+	cb(Result{Advs: advs[:len(advs):len(advs)], From: from, Elapsed: elapsed, Hops: hops})
+	clear(advs)
+	h.advs = advs[:0]
 }
 
 // expire is the time-out: nothing answered within the resolver's timeout.
@@ -433,7 +451,11 @@ func (s *Service) Publish(adv advertisement.Advertisement, lifetime time.Duratio
 		lifetime = advLifetime
 	}
 	s.cache.Put(adv, lifetime, true)
-	if !s.pushTuples(s.tuplesOf(adv, lifetime)) {
+	h := s.hops()
+	h.tuples = s.appendTuples(h.tuples[:0], adv, lifetime)
+	pushed := s.pushTuples(h.tuples)
+	clear(h.tuples) // the scratch keeps no key past the push
+	if !pushed {
 		s.owe([]advertisement.Advertisement{adv})
 		return
 	}
@@ -447,11 +469,10 @@ func (s *Service) Publish(adv advertisement.Advertisement, lifetime time.Duratio
 // per-query cache flush).
 func (s *Service) FlushCache() { s.cache.Flush() }
 
-func (s *Service) tuplesOf(adv advertisement.Advertisement, lifetime time.Duration) []srdi.Tuple {
+// appendTuples appends the index tuples of a local advertisement to dst.
+func (s *Service) appendTuples(dst []srdi.Tuple, adv advertisement.Advertisement, lifetime time.Duration) []srdi.Tuple {
 	var room [4]advertisement.IndexField
-	fields := advertisement.AppendIndexFields(room[:0], adv)
-	tuples := make([]srdi.Tuple, 0, len(fields))
-	for _, f := range fields {
+	for _, f := range advertisement.AppendIndexFields(room[:0], adv) {
 		tpl := srdi.Tuple{
 			Key:           f.Key(adv.Type()),
 			Publisher:     s.ep.ID(),
@@ -464,9 +485,9 @@ func (s *Service) tuplesOf(adv advertisement.Advertisement, lifetime time.Durati
 			tpl.NumAttr = adv.Type() + f.Attr
 			tpl.NumValue = v
 		}
-		tuples = append(tuples, tpl)
+		dst = append(dst, tpl)
 	}
-	return tuples
+	return dst
 }
 
 // owe enters advertisements into the push debt.
@@ -495,7 +516,7 @@ func (s *Service) pushAll(everything bool) {
 	for _, adv := range s.cache.LocalAdvertisements() {
 		if _, owed := s.unpushed[adv.ID()]; owed || everything {
 			due = append(due, adv)
-			pending = append(pending, s.tuplesOf(adv, s.cache.Remaining(adv.ID()))...)
+			pending = s.appendTuples(pending, adv, s.cache.Remaining(adv.ID()))
 		}
 	}
 	if s.pushTuples(pending) {

@@ -51,6 +51,7 @@ func TestPublishAndDiscoverAcrossOverlay(t *testing.T) {
 
 	var got *discovery.Result
 	err := search.Discovery.Query("Peer", "Name", "Test", func(r discovery.Result) {
+		r.Advs = slices.Clone(r.Advs) // lent for the callback only
 		got = &r
 	}, nil)
 	if err != nil {
@@ -183,7 +184,10 @@ func TestLocalCacheHitAndFlush(t *testing.T) {
 	}
 	// Second query: cached, answered locally with zero elapsed time.
 	var second *discovery.Result
-	search.Discovery.Query("Peer", "Name", "Test", func(r discovery.Result) { second = &r }, nil)
+	search.Discovery.Query("Peer", "Name", "Test", func(r discovery.Result) {
+		r.Advs = slices.Clone(r.Advs) // lent for the callback only
+		second = &r
+	}, nil)
 	o.Sched.Run(o.Sched.Now() + time.Second)
 	if second == nil || !second.From.Equal(search.ID) || second.Elapsed != 0 {
 		t.Fatalf("cached query not served locally: %+v", second)
@@ -191,7 +195,10 @@ func TestLocalCacheHitAndFlush(t *testing.T) {
 	// After a flush the query must travel again.
 	search.Discovery.FlushCache()
 	var third *discovery.Result
-	search.Discovery.Query("Peer", "Name", "Test", func(r discovery.Result) { third = &r }, nil)
+	search.Discovery.Query("Peer", "Name", "Test", func(r discovery.Result) {
+		r.Advs = slices.Clone(r.Advs) // lent for the callback only
+		third = &r
+	}, nil)
 	o.Sched.Run(o.Sched.Now() + time.Minute)
 	if third == nil || third.From.Equal(search.ID) || third.Elapsed == 0 {
 		t.Fatalf("post-flush query did not travel: %+v", third)
@@ -310,6 +317,7 @@ func TestRepublishAfterRdvFailover(t *testing.T) {
 	searcher.Discovery.FlushCache()
 	var got *discovery.Result
 	searcher.Discovery.Query("Peer", "Name", "Survivor", func(r discovery.Result) {
+		r.Advs = slices.Clone(r.Advs) // lent for the callback only
 		got = &r
 	}, nil)
 	o.Sched.Run(o.Sched.Now() + 2*time.Minute)

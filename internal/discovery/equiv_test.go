@@ -326,7 +326,7 @@ func TestStrictReadsEveryWriter(t *testing.T) {
 		}
 		rsp := pub.encodeResponse(advs)
 		strictForm(rsp)
-		back := req.cacheResponse(rsp)
+		back, _ := req.cacheResponse(nil, rsp)
 		if !reflect.DeepEqual(back, advs) || req.cache.Len() != len(advs) {
 			t.Fatalf("response %q read as %v; %d cached", rsp, back, req.cache.Len())
 		}
@@ -528,7 +528,7 @@ func TestReadersMatchTreeDecoders(t *testing.T) {
 	checkResponse := func(data []byte, v verdict) {
 		t.Helper()
 		s := codecService()
-		got := s.cacheResponse(data)
+		got, _ := s.cacheResponse(nil, data)
 		if got == nil && v != takes {
 			if s.cache.Len() != 0 {
 				t.Fatalf("refused response %q left %d advertisements in the cache", data, s.cache.Len())

@@ -300,14 +300,15 @@ func TestStopCancelsParkedQueries(t *testing.T) {
 // cache is flushed before each lookup, as a closed-loop searcher's is, so
 // each travels searcher -> its rendezvous -> replica -> publisher and back.
 // Once three lookups have filled the pools, the records and the scratch of
-// every node on that path, a lookup costs exactly one object: the slice of
-// advertisements the searcher's cache returns, which the callback gets as
-// Result.Advs and may keep. Everything else is recycled: the searcher's
-// lookup record and its two callbacks, bound once; the resolver's pending
-// record and its deadline; the lent Query and the parked-query records at
-// the rendezvous; the publisher's response, written into its scratch. The
-// pending entry, its deadline's closure and the two callback closures cost
-// 4, and the response's buffer 1, while each lookup made its own.
+// every node on that path, a lookup allocates nothing: everything is
+// recycled. The searcher's lookup record and its two callbacks are bound
+// once; the resolver's pending record and its deadline are reused; the Query
+// and the parked-query records at the rendezvous are lent; the publisher's
+// response is written into its scratch; and the list of advertisements the
+// searcher's cache files is lent to the callback as Result.Advs, in a slice
+// its hop state keeps. The pending entry, its deadline's closure and the two
+// callback closures cost 4, and the response's buffer 1, while each lookup
+// made its own; the list cost the last object until it was lent.
 func TestLookupAllocs(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -339,8 +340,57 @@ func TestLookupAllocs(t *testing.T) {
 		lookup()
 	}
 	for i := 0; i < 5; i++ {
-		if got := lookup(); got != 1 {
-			t.Errorf("lookup %d: Query to callback costs %d objects, want 1", i, got)
+		if got := lookup(); got != 0 {
+			t.Errorf("lookup %d: Query to callback costs %d objects, want 0", i, got)
 		}
+	}
+}
+
+// TestEdgePublishAllocs gates an edge's Publish of a fresh Resource whose
+// only index field is its name, over the converged overlay of
+// TestLookupAllocs: 2 objects, both named. The cache keeps one, the
+// advertisement's store handle (advstore.Intern). The other is the tuple's
+// key (IndexField.Key, Type+Attr+Value), which the SRDI message encodes and
+// drops; a rendezvous indexes it. The tuples are written into the service's
+// scratch and the message is pooled: the tuple slice and the concatenated
+// string ids.FromName hashed cost one object each per publish until then.
+// A publish that opens the cache's next record slab or grows one of its
+// tables pays that too, and the cache keeps it: such publishes may cost
+// more, but 9 in 10 cost exactly 2.
+func TestEdgePublishAllocs(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	r := newHopRig(t)
+	const warm, n = 200, 200
+	advs := make([]advertisement.Advertisement, warm+n)
+	for i := range advs {
+		name := fmt.Sprintf("publish-%d", i)
+		advs[i] = &advertisement.Resource{ResID: ids.FromName(ids.KindAdv, name), Name: name}
+	}
+	exact := 0
+	for i, adv := range advs {
+		before := mallocs()
+		r.searcher.Discovery.Publish(adv, 0)
+		got := mallocs() - before
+		// Deliver the push outside the measured call.
+		r.o.Sched.Run(r.o.Sched.Now() + time.Second)
+		if i < warm {
+			continue
+		}
+		if got < 2 {
+			t.Fatalf("publish %d costs %d objects, fewer than the 2 this gate names: lower it", i, got)
+		}
+		if got == 2 {
+			exact++
+		}
+	}
+	if exact < n*9/10 {
+		t.Errorf("%d of %d publishes cost exactly 2 objects, want at least 9 in 10", exact, n)
+	}
+	id, _ := r.searcher.Rendezvous.ConnectedRdv()
+	if len(r.rdvOf(t, id).Discovery.Index().Publishers("ResourceNamepublish-0")) == 0 {
+		t.Fatal("the edge's rendezvous did not index the pushed tuple")
 	}
 }

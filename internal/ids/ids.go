@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"unicode/utf8"
 	"unsafe"
 )
 
@@ -90,10 +91,17 @@ func NewRandom(kind Kind, rng *rand.Rand) ID {
 	return ID{kind: kind, uuid: u}
 }
 
+// fromNameRoom is the stack buffer FromName hashes from: the kind's rune,
+// the colon and a name of up to about 60 bytes.
+const fromNameRoom = 64
+
 // FromName derives a stable ID of the given kind from a human-readable name
-// (SHA-1 based, like JXTA's well-known group IDs).
+// (SHA-1 based, like JXTA's well-known group IDs): the hash of the kind as a
+// UTF-8 rune, a colon and the name. The input is written into a buffer on
+// the stack, so a name that fits allocates nothing.
 func FromName(kind Kind, name string) ID {
-	sum := sha1.Sum([]byte(string(rune(kind)) + ":" + name))
+	var room [fromNameRoom]byte
+	sum := sha1.Sum(append(append(utf8.AppendRune(room[:0], rune(kind)), ':'), name...))
 	var u [16]byte
 	copy(u[:], sum[:16])
 	return ID{kind: kind, uuid: u}

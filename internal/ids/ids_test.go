@@ -3,8 +3,10 @@ package ids
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha1"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +74,39 @@ func TestFromNameStable(t *testing.T) {
 	}
 	if a.Equal(FromName(KindPeer, "NetPeerGroup")) {
 		t.Fatal("distinct kinds collided for the same name")
+	}
+}
+
+// fromNameReference is FromName as it was first written: the hash of a
+// concatenated string. FromName must derive the same IDs from its stack
+// buffer, or every ID a name names changes.
+func fromNameReference(kind Kind, name string) ID {
+	sum := sha1.Sum([]byte(string(rune(kind)) + ":" + name))
+	id := ID{kind: kind}
+	copy(id.uuid[:], sum[:16])
+	return id
+}
+
+// TestFromNameMatchesReference: every kind, and kinds past the named ones
+// whose rune takes two UTF-8 bytes, with names around and well past the
+// stack buffer.
+func TestFromNameMatchesReference(t *testing.T) {
+	for k := 0; k < 256; k++ {
+		for _, n := range []int{0, 1, fromNameRoom - 3, fromNameRoom - 2, fromNameRoom - 1, fromNameRoom, 1000} {
+			name := strings.Repeat("n", n)
+			if got, want := FromName(Kind(k), name), fromNameReference(Kind(k), name); got != want {
+				t.Fatalf("kind %d, name of %d bytes: FromName = %x/%d, want %x/%d", k, n, got.uuid, got.kind, want.uuid, want.kind)
+			}
+		}
+	}
+}
+
+// TestFromNameAllocs: a name that fits the stack buffer is hashed without
+// allocating; the concatenated string cost one object per call.
+func TestFromNameAllocs(t *testing.T) {
+	name := strings.Repeat("n", fromNameRoom-2)
+	if got := testing.AllocsPerRun(100, func() { FromName(KindAdv, name) }); got != 0 {
+		t.Errorf("FromName costs %.0f objects, want 0", got)
 	}
 }
 

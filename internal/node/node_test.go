@@ -262,6 +262,39 @@ func TestPromotedNodeProbesItsRuntimeSeeds(t *testing.T) {
 	}
 }
 
+// TestNodesKeepTheirOwnRuntimeSeeds: two edges built from one Config.Seeds
+// whose slice has spare capacity each keep the seed they add at runtime.
+// The lease client kept the caller's slice, so the second AddSeed wrote
+// into the array the first had appended to, and overwrote its seed.
+func TestNodesKeepTheirOwnRuntimeSeeds(t *testing.T) {
+	sched, net, rdv, _ := newPair(t)
+	seeds := make([]peerview.Seed, 1, 4)
+	seeds[0] = rdv.Seed()
+	var edges []*Node
+	for _, name := range []string{"a", "b"} {
+		tr, err := net.Attach(name, netmodel.Lyon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges = append(edges, New(sched.NewEnv(name), tr, Config{Name: name, Role: Edge, Seeds: seeds}))
+	}
+	added := []peerview.Seed{
+		{ID: ids.FromName(ids.KindPeer, "ra"), Addr: "sim://lyon/ra"},
+		{ID: ids.FromName(ids.KindPeer, "rb"), Addr: "sim://lyon/rb"},
+	}
+	for i, n := range edges {
+		n.AddSeed(added[i])
+	}
+	for i, n := range edges {
+		if got, want := n.Rendezvous.Seeds(), []peerview.Seed{seeds[0], added[i]}; !slices.Equal(got, want) {
+			t.Errorf("%s: seeds %v, want %v", n.Config.Name, got, want)
+		}
+	}
+	if seeds[:cap(seeds)][1] != (peerview.Seed{}) {
+		t.Error("AddSeed wrote into the configuration's spare capacity")
+	}
+}
+
 func TestPeerAdv(t *testing.T) {
 	_, _, rdv, _ := newPair(t)
 	adv := rdv.PeerAdv()

@@ -10,6 +10,7 @@ import (
 	"jxta/internal/discovery"
 	"jxta/internal/env"
 	"jxta/internal/ids"
+	"jxta/internal/israce"
 	"jxta/internal/node"
 	"jxta/internal/peerview"
 	"jxta/internal/rendezvous"
@@ -278,4 +279,97 @@ func TestLeaseSurvivesOverTCP(t *testing.T) {
 
 func leaseConfig(duration, timeout time.Duration) rendezvous.Config {
 	return rendezvous.Config{LeaseDuration: duration, ResponseTimeout: timeout}
+}
+
+// TestLookupAllocsOverTCP is TestLookupAllocs on the live path: three nodes
+// over loopback TCP — a rendezvous, a publisher and a searcher — and a
+// closed-loop lookup whose searcher flushes its cache first, so each travels
+// searcher -> rendezvous -> publisher and back over two connections. Once
+// warmed, a lookup allocates nothing on its path: the TCP transport reads
+// and writes frames in buffers of its own, every message is pooled, every
+// record recycled, and the list of advertisements is lent to the callback.
+//
+// The count is every malloc the process made over 256 lookups, background
+// work included, so it is held to a ceiling, not to 0. What it finds is not
+// per lookup: the publisher's delivery dedup set (discovery's seen) grows as
+// it fills, 2 objects in this window, and a goroutine that blocks on a
+// contended env lock can make the runtime allocate a wait record (a sudog).
+// 20 runs read 2 to 18 objects. The ceiling, a quarter object per lookup,
+// holds those and fails on any object made per lookup, which costs 256.
+func TestLookupAllocsOverTCP(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	noGoroutineLeft(t)
+	rdv := newLivePeer(t, "rdv-allocs", node.Rendezvous, nil, 21)
+	seed := peerview.Seed{ID: rdv.n.ID, Addr: rdv.tr.Addr()}
+	pub := newLivePeer(t, "pub-allocs", node.Edge, []peerview.Seed{seed}, 22)
+	search := newLivePeer(t, "search-allocs", node.Edge, []peerview.Seed{seed}, 23)
+	waitFor(t, "leases", 10*time.Second, func() bool {
+		return pub.connected() && search.connected()
+	})
+	const resources, warm, lookups = 8, 256, 256
+	names := make([]string, resources)
+	pub.e.Locked(func() {
+		for k := range names {
+			names[k] = fmt.Sprintf("allocs-%d", k)
+			pub.n.Discovery.Publish(&advertisement.Resource{ResID: ids.FromName(ids.KindAdv, names[k]), Name: names[k]}, 0)
+		}
+	})
+	waitFor(t, "the SRDI push", 10*time.Second, func() (indexed bool) {
+		rdv.e.Locked(func() { indexed = rdv.n.Discovery.Index().Size() >= resources })
+		return indexed
+	})
+
+	// Everything the loop runs is made here, once.
+	answers := make(chan bool, 1)
+	onAnswer := func(r discovery.Result) {
+		select {
+		case answers <- len(r.Advs) == 1:
+		default: // a second answer to one query must not block the reader
+		}
+	}
+	onTimeout := func() {
+		select {
+		case answers <- false:
+		default:
+		}
+	}
+	var i int
+	var err error
+	issue := func() {
+		search.n.Discovery.FlushCache()
+		err = search.n.Discovery.Query("Resource", "Name", names[i%resources], onAnswer, onTimeout)
+	}
+	deadline := time.NewTimer(time.Hour)
+	defer deadline.Stop()
+	lookup := func() {
+		search.e.Locked(issue)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline.Reset(15 * time.Second)
+		select {
+		case ok := <-answers:
+			if !ok {
+				t.Fatalf("lookup %d timed out or found the wrong advertisements", i)
+			}
+		case <-deadline.C:
+			t.Fatalf("lookup %d never completed", i)
+		}
+		i++
+	}
+	for range warm {
+		lookup()
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	for range lookups {
+		lookup()
+	}
+	runtime.ReadMemStats(&ms)
+	if got := ms.Mallocs - before; got > lookups/4 {
+		t.Errorf("%d lookups over TCP cost %d objects (%.3f each), over the ceiling of %d", lookups, got, float64(got)/lookups, lookups/4)
+	}
 }

@@ -243,7 +243,8 @@ type PeerView struct {
 
 // New builds a peerview for the rendezvous peer described by self, interning
 // the advertisements it learns in store. Start must be called to begin the
-// periodic algorithm.
+// periodic algorithm. The seeds are kept clipped to their length, so that
+// AddSeed never writes into the caller's spare capacity.
 func New(e env.Env, ep *endpoint.Endpoint, store *advstore.Store, self *advertisement.Rdv, cfg Config, seeds []Seed) *PeerView {
 	pv := &PeerView{
 		env:   e,
@@ -251,7 +252,7 @@ func New(e env.Env, ep *endpoint.Endpoint, store *advstore.Store, self *advertis
 		self:  self,
 		store: store,
 		cfg:   cfg.withDefaults(),
-		seeds: seeds,
+		seeds: slices.Clip(seeds),
 	}
 	// Mixed content is the encoder's only error; an Rdv document has none.
 	pv.selfBytes, _ = advertisement.EncodeXML(self)

@@ -2,6 +2,7 @@ package peerview
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -405,6 +406,39 @@ func TestHappySizeSeedProbing(t *testing.T) {
 	// 11 iterations, all unhappy -> 11 probes sent to the (dead) seed.
 	if st := net.Stats(); st.Messages < 10 {
 		t.Fatalf("only %d messages, seed probing not periodic", st.Messages)
+	}
+}
+
+// TestPeerviewsKeepTheirOwnRuntimeSeeds: two peerviews built from one seed
+// slice with spare capacity each keep the seed AddSeed gives them, and the
+// caller's array is left as it was.
+func TestPeerviewsKeepTheirOwnRuntimeSeeds(t *testing.T) {
+	sched := simnet.NewScheduler(43)
+	net := transport.NewNetwork(sched, netmodel.Uniform(time.Millisecond))
+	seeds := make([]Seed, 1, 4)
+	seeds[0] = Seed{ID: ids.FromName(ids.KindPeer, "s0"), Addr: "sim://rennes/s0"}
+	var pvs []*PeerView
+	for _, name := range []string{"a", "b"} {
+		e := sched.NewEnv(name)
+		tr, _ := net.Attach(name, netmodel.Rennes)
+		id := ids.NewRandom(ids.KindPeer, e.Rand())
+		adv := &advertisement.Rdv{PeerID: id, GroupID: testGroup, Name: name, Address: string(tr.Addr())}
+		pvs = append(pvs, New(e, endpoint.New(e, id, tr), advstore.New(), adv, DefaultConfig(), seeds))
+	}
+	added := []Seed{
+		{ID: ids.FromName(ids.KindPeer, "ra"), Addr: "sim://rennes/ra"},
+		{ID: ids.FromName(ids.KindPeer, "rb"), Addr: "sim://rennes/rb"},
+	}
+	for i, pv := range pvs {
+		pv.AddSeed(added[i])
+	}
+	for i, pv := range pvs {
+		if want := []Seed{seeds[0], added[i]}; !slices.Equal(pv.seeds, want) {
+			t.Errorf("peerview %d: seeds %v, want %v", i, pv.seeds, want)
+		}
+	}
+	if seeds[:cap(seeds)][1] != (Seed{}) {
+		t.Error("AddSeed wrote into the caller's spare capacity")
 	}
 }
 

@@ -196,10 +196,13 @@ func NewRendezvous(e env.Env, ep *endpoint.Endpoint, pv *peerview.PeerView, cfg 
 
 // NewEdge builds the service in the edge role with the given rendezvous
 // seeds (tried in order, wrapping around, on connect/failover). The edge can
-// later be promoted in place (Promote).
+// later be promoted in place (Promote). The list is kept clipped to its
+// length, so that AddSeed copies it before appending and never writes into
+// a caller's spare capacity, which other nodes built from one
+// configuration share.
 func NewEdge(e env.Env, ep *endpoint.Endpoint, seeds []peerview.Seed, cfg Config) *Service {
 	s := newService(e, ep, cfg)
-	s.cli = client{core: &s.core, seeds: seeds}
+	s.cli = client{core: &s.core, seeds: slices.Clip(seeds)}
 	return s
 }
 

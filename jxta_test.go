@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"jxta/internal/discovery"
 )
 
 func newSim(t *testing.T, r int, edges ...int) *Simulation {
@@ -319,5 +321,74 @@ func TestDiscoverRange(t *testing.T) {
 	_, _, err = searcher.DiscoverRange("Resource", "RAM", 1<<30, 1<<31, 30*time.Second)
 	if err != ErrTimeout {
 		t.Fatalf("empty range err = %v, want ErrTimeout", err)
+	}
+}
+
+// TestResultAdvsIsLent: discovery.Result.Advs is lent for the callback, as a
+// delivered message is lent to its handler. A callback that keeps the list
+// finds it cleared once it returns, and the next response is lent in the
+// same array. The advertisements are the caller's to keep: Discover and
+// DiscoverRange, which merge several publishers' responses, copy them out
+// and still return every one.
+func TestResultAdvsIsLent(t *testing.T) {
+	sim := newSim(t, 6, 0, 2, 5)
+	sim.Start()
+	defer sim.Stop()
+	sim.Run(12 * time.Minute)
+	sim.Edge(0).PublishResource("lent-small", map[string]string{"Site": "lent", "RAM": "1024"})
+	sim.Edge(1).PublishResource("lent-big", map[string]string{"Site": "lent", "RAM": "8192"})
+	sim.Run(time.Minute)
+	searcher := sim.Edge(2)
+
+	var kept [][]Advertisement
+	var inside []string
+	err := searcher.n.Discovery.QueryAll("Resource", "Site", "lent", func(r discovery.Result) {
+		for _, adv := range r.Advs {
+			inside = append(inside, adv.(*Resource).Name)
+		}
+		kept = append(kept, r.Advs)
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Run(time.Minute)
+	slices.Sort(inside)
+	if len(kept) != 2 || !slices.Equal(inside, []string{"lent-big", "lent-small"}) {
+		t.Fatalf("%d callbacks read %v, want one from each publisher", len(kept), inside)
+	}
+	for i, advs := range kept {
+		for j, adv := range advs {
+			if adv != nil {
+				t.Errorf("response %d: advertisement %d is still %v after the callback returned", i, j, adv)
+			}
+		}
+	}
+
+	names := func(advs []Advertisement) []string {
+		var out []string
+		for _, adv := range advs {
+			out = append(out, adv.(*Resource).Name)
+		}
+		slices.Sort(out)
+		return out
+	}
+	searcher.FlushCache()
+	advs, _, err := searcher.Discover("Resource", "Site", "lent", time.Minute)
+	if got := names(advs); err != nil || !slices.Equal(got, []string{"lent-big", "lent-small"}) {
+		t.Fatalf("Discover: %v, %v", got, err)
+	}
+	searcher.FlushCache()
+	ranged, _, err := searcher.DiscoverRange("Resource", "RAM", 0, 1<<20, time.Minute)
+	if got := names(ranged); err != nil || !slices.Equal(got, []string{"lent-big", "lent-small"}) {
+		t.Fatalf("DiscoverRange: %v, %v", got, err)
+	}
+	// A later lookup reuses the lent array; what Discover returned is the
+	// caller's own.
+	searcher.FlushCache()
+	if _, _, err := searcher.Discover("Resource", "Name", "lent-small", time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if got := names(advs); !slices.Equal(got, []string{"lent-big", "lent-small"}) {
+		t.Fatalf("Discover's result changed to %v after a later lookup", got)
 	}
 }
